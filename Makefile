@@ -27,17 +27,19 @@ LINT_BUDGET ?= 120
 lint-bench:
 	./scripts/lint_bench.sh $(LINT_BUDGET)
 
-# Short-budget native fuzzing of the wire codec and the prefix parser.
+# Short-budget native fuzzing of the wire codec, the prefix parser and the
+# cached two-tier lookup.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
+	$(GO) test -run='^$$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
 
 # Seeded chaos harness under the race detector: crash/restart
 # reconciliation, interrupted-migration repair, wire faults, and request
 # deadlines, all on fixed seeds so failures replay (DESIGN.md §9).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestFleetReconnectResyncsRules|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover' \
+		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetReconnectResyncsRules|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover' \
 		./internal/core ./internal/faultinject ./internal/experiments ./internal/fleet ./internal/ofwire ./internal/intent
 	$(GO) run ./cmd/hermes-bench -scale 0.5 chaos
 	$(GO) run ./cmd/hermes-bench -scale 1 reconcile

@@ -89,9 +89,7 @@ func main() {
 
 	if *obsAddr != "" {
 		srv.RegisterObs(reg)
-		if *cacheSize > 0 {
-			agent.RegisterCacheMetrics(reg)
-		}
+		agent.RegisterCacheMetrics(reg) // view tier rebuilds always; hermes_cache_* when -cache is on
 		obsLis, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hermes-agentd: obs listener: %v\n", err)

@@ -142,14 +142,29 @@ type Agent struct {
 	soft     *rulecache.SoftTable
 	cmgr     *rulecache.Manager
 	cacheCfg rulecache.Config
-	// residentIndex tracks the hardware-resident original rules;
-	// residentCount is its size (covers excluded from both).
+	// residentIndex tracks the hardware-resident original rules by match;
+	// residents lists the same set in ascending ID order (covers excluded
+	// from both).
 	residentIndex classifier.Trie
-	residentCount int
+	residents     []classifier.RuleID
 	// covers maps a software-only rule to the cover entries shielding it
 	// in the main table; nextCoverID mints their IDs (≥ coverIDBase).
 	covers      map[classifier.RuleID][]classifier.RuleID
 	nextCoverID classifier.RuleID
+	// hygieneDirty holds the matches that entered or left the resident set
+	// since the last cover-hygiene pass — the only regions where a
+	// software-only rule's need for covers can have changed; hygieneAll
+	// makes the next pass sweep every rule instead (after a fault or
+	// repair, when the delta cannot be trusted).
+	hygieneDirty []classifier.Match
+	hygieneAll   bool
+	// rankBuf, fallenBuf and hygieneIDs are the rebalance pass's scratch
+	// buffers, reused so a pass that changes nothing allocates nothing.
+	rankBuf    []rankCand
+	fallenBuf  []classifier.RuleID
+	hygieneIDs []classifier.RuleID
+	// tierRebuilds counts snapshot index rebuilds per tier (view.go).
+	tierRebuilds [numViewTiers]atomic.Uint64
 	// promoting marks insertSeq calls made by the cache manager itself:
 	// background promotions skip the token bucket and the guarantee
 	// accounting (they are cache maintenance, not controller actions).

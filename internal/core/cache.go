@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"hermes/internal/classifier"
@@ -94,22 +95,25 @@ func (a *Agent) finishCachedLookup(dst, src uint32, r classifier.Rule, ok bool) 
 	return classifier.Rule{}, false
 }
 
-// buildHitMap maps every physical entry ID (and, in cached mode, every
-// software rule ID) to its original rule's stats record, so the published
-// snapshot can attribute hits without per-lookup indirection. Requires at
+// buildHitMap maps the IDs a snapshot lookup can resolve to onto their
+// original rule's stats record, so the published snapshot can attribute
+// hits without per-lookup indirection. In cached mode only software-tier
+// winners are ever looked up (hardware hits go through the sample ring), so
+// the map covers exactly the software rules; in TrackHits-only mode it
+// covers every physical entry, fragments under their original. Requires at
 // least the read lock.
 func (a *Agent) buildHitMap() map[classifier.RuleID]*rulecache.RuleStats {
+	if a.soft != nil {
+		m := make(map[classifier.RuleID]*rulecache.RuleStats, a.soft.Len())
+		for _, e := range a.soft.Entries() {
+			m[e.Rule.ID] = e.Stats
+		}
+		return m
+	}
 	m := make(map[classifier.RuleID]*rulecache.RuleStats,
 		a.shadow.Occupancy()+a.main.Occupancy())
 	add := func(entryID classifier.RuleID) {
-		if entryID >= coverIDBase {
-			return // cover punts are attributed to the soft winner instead
-		}
-		orig := entryID
-		if o, isFrag := a.pmap.OriginalOf(entryID); isFrag {
-			orig = o
-		}
-		if s := a.cmgr.Stats(orig); s != nil {
+		if s := a.cmgr.Stats(a.originalOf(entryID)); s != nil {
 			m[entryID] = s
 		}
 	}
@@ -118,13 +122,6 @@ func (a *Agent) buildHitMap() map[classifier.RuleID]*rulecache.RuleStats {
 	}
 	for _, e := range a.main.Rules() {
 		add(e.ID)
-	}
-	if a.soft != nil {
-		for _, r := range a.soft.Rules() {
-			if s := a.cmgr.Stats(r.ID); s != nil {
-				m[r.ID] = s
-			}
-		}
 	}
 	return m
 }
@@ -148,7 +145,7 @@ func (a *Agent) insertCached(now time.Duration, r classifier.Rule) (Result, erro
 	seq := a.nextSeq
 	a.nextSeq++
 	cost := a.soft.Insert(r, seq)
-	a.cmgr.Ensure(r.ID)
+	a.soft.Entry(r.ID).Stats = a.cmgr.Ensure(r.ID)
 	a.cmgr.RecordSetup(cost)
 	a.trackLogical(r)
 
@@ -156,7 +153,7 @@ func (a *Agent) insertCached(now time.Duration, r classifier.Rule) (Result, erro
 	// only safe against physically consistent tables: while a fault has the
 	// agent marked for Reconcile, the rule stays software-only (covers use
 	// fresh never-reused IDs, so shielding stays safe even then).
-	if a.residentCount < a.cacheCfg.Capacity && !a.needsReconcile {
+	if len(a.residents) < a.cacheCfg.Capacity && !a.needsReconcile {
 		if a.promoteLocked(now, r.ID) != nil {
 			a.ensureCoversFor(now, r, seq)
 		}
@@ -185,7 +182,7 @@ func (a *Agent) deleteCached(now time.Duration, id classifier.RuleID) (Result, e
 	var total time.Duration
 	completed := now
 	if st, resident := a.rules[id]; resident {
-		dst := st.original.Match.Dst
+		m := st.original.Match
 		t, c := a.removePhysical(now, st)
 		total += t
 		if c > completed {
@@ -193,8 +190,7 @@ func (a *Agent) deleteCached(now time.Duration, id classifier.RuleID) (Result, e
 		}
 		delete(a.rules, id)
 		a.recycleRuleState(st)
-		a.residentIndex.Delete(dst, id)
-		a.residentCount--
+		a.dropResident(m, id)
 	}
 	// Covers shielding this rule are now pointless; covers *of other rules*
 	// that this rule's residency necessitated are cleaned up lazily by the
@@ -283,8 +279,7 @@ func (a *Agent) promoteLocked(now time.Duration, id classifier.RuleID) error {
 		a.ensureCoversFor(now, r, seq)
 		return err
 	}
-	a.residentIndex.Insert(r)
-	a.residentCount++
+	a.addResident(r)
 	a.cmgr.NotePromotion()
 	// Software-only rules that beat the new resident now need shielding.
 	a.shieldSoftOnlyOverlapping(now, r.Match)
@@ -303,12 +298,11 @@ func (a *Agent) demoteLocked(now time.Duration, id classifier.RuleID) {
 	if !ok {
 		return // not a controller rule; never demote covers this way
 	}
-	dst := st.original.Match.Dst
+	m := st.original.Match
 	a.removePhysical(now, st)
 	delete(a.rules, id)
 	a.recycleRuleState(st)
-	a.residentIndex.Delete(dst, id)
-	a.residentCount--
+	a.dropResident(m, id)
 	a.cmgr.NoteDemotion()
 	a.ensureCoversFor(now, r, seq)
 }
@@ -344,7 +338,7 @@ func (a *Agent) ensureCoversFor(now time.Duration, h classifier.Rule, seq uint64
 // overlapping m (called after a new resident appears inside m).
 func (a *Agent) shieldSoftOnlyOverlapping(now time.Duration, m classifier.Match) {
 	over := a.soft.Overlapping(m)
-	sort.Slice(over, func(i, j int) bool { return over[i].ID < over[j].ID })
+	slices.SortFunc(over, func(x, y classifier.Rule) int { return cmp.Compare(x.ID, y.ID) })
 	for _, h := range over {
 		if _, resident := a.rules[h.ID]; resident {
 			continue
@@ -431,14 +425,143 @@ func (a *Agent) removeCoverEntries(now time.Duration, ids []classifier.RuleID) {
 	}
 }
 
+// --- resident-set bookkeeping --------------------------------------------
+
+// addResident / dropResident keep the resident index and the ID-ordered
+// resident list in step and mark the rule's match dirty for the next cover
+// hygiene pass.
+func (a *Agent) addResident(r classifier.Rule) {
+	a.residentIndex.Insert(r)
+	i, _ := slices.BinarySearch(a.residents, r.ID)
+	a.residents = slices.Insert(a.residents, i, r.ID)
+	a.noteResidentChange(r.Match)
+}
+
+func (a *Agent) dropResident(m classifier.Match, id classifier.RuleID) {
+	a.residentIndex.Delete(m.Dst, id)
+	i, _ := slices.BinarySearch(a.residents, id)
+	a.residents = slices.Delete(a.residents, i, i+1)
+	a.noteResidentChange(m)
+}
+
+// noteResidentChange records that a resident with match m appeared or
+// vanished: coversNeeded can only have changed for software rules
+// overlapping m, so those are all the next hygiene pass has to revisit.
+func (a *Agent) noteResidentChange(m classifier.Match) {
+	if a.hygieneAll {
+		return
+	}
+	if len(a.hygieneDirty) >= 2*a.cacheCfg.Capacity {
+		// Nobody is rebalancing (or everything moved at once): stop
+		// collecting and let the next pass sweep every rule. The hygiene
+		// pass itself starts from an empty list and demotes each resident
+		// at most once, so it can never reach this bound mid-pass.
+		a.hygieneAll = true
+		a.hygieneDirty = a.hygieneDirty[:0]
+		return
+	}
+	a.hygieneDirty = append(a.hygieneDirty, m)
+}
+
 // --- rebalance -----------------------------------------------------------
 
+// rankCand is one rule in the residency ranking.
+type rankCand struct {
+	id       classifier.RuleID
+	score    float64
+	resident bool
+}
+
+// cmpRank is the residency order: score descending, rule ID ascending.
+func cmpRank(x, y rankCand) int {
+	if x.score != y.score {
+		return cmp.Compare(y.score, x.score)
+	}
+	return cmp.Compare(x.id, y.id)
+}
+
+// scoreOf ranks one software-tier entry under the configured policy. Only
+// the cost-aware policy looks at the hardware slots the rule occupies (its
+// fragments while resident, its covers otherwise).
+func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
+	slots := 1
+	if a.cacheCfg.Policy == rulecache.PolicyCostAware {
+		if st, resident := a.rules[e.Rule.ID]; resident {
+			slots = len(st.partIDs)
+		} else {
+			slots = len(a.covers[e.Rule.ID])
+		}
+	}
+	return a.cmgr.Score(e.Stats, slots)
+}
+
+// rankLocked decides which rules deserve the Capacity hardware slots. It
+// returns the wanted set best-first and, in ID order, the residents that
+// fell out of it; both are nil when the resident set already is the wanted
+// set.
+//
+// Instead of sorting every rule it sorts only the residents plus the
+// software-only rules that beat the worst resident under cmpRank. That is
+// enough: with the cache full, a software-only rule that does not beat the
+// worst resident is beaten by all Capacity residents, so it cannot be among
+// the top Capacity of all rules — the global top Capacity lies inside
+// residents ∪ challengers, and the top Capacity of that subset is the same
+// set in the same order. While the cache has free slots every software-only
+// rule is a challenger and this is the full sort.
+func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
+	capacity := a.cacheCfg.Capacity
+	cands := a.rankBuf[:0]
+	var worst rankCand
+	for i, id := range a.residents {
+		c := rankCand{id: id, score: a.scoreOf(a.soft.Entry(id)), resident: true}
+		//lint:ignore hotpathalloc reused scratch buffer; grows only while the resident set does
+		cands = append(cands, c)
+		if i == 0 || cmpRank(c, worst) > 0 {
+			worst = c
+		}
+	}
+	full := len(a.residents) >= capacity
+	next := 0 // a.residents and the entries are both in ID order
+	for _, e := range a.soft.Entries() {
+		if next < len(a.residents) && a.residents[next] == e.Rule.ID {
+			next++
+			continue
+		}
+		c := rankCand{id: e.Rule.ID, score: a.scoreOf(e)}
+		if !full || cmpRank(c, worst) < 0 {
+			//lint:ignore hotpathalloc reused scratch buffer; a quiet tick finds no challenger to append
+			cands = append(cands, c)
+		}
+	}
+	a.rankBuf = cands
+	challengers := len(cands) - len(a.residents)
+	a.cmgr.NoteChallengers(challengers)
+	if challengers == 0 {
+		return nil, nil
+	}
+	slices.SortFunc(cands, cmpRank)
+	if len(cands) <= capacity {
+		return cands, nil
+	}
+	fallen = a.fallenBuf[:0]
+	for _, c := range cands[capacity:] {
+		if c.resident {
+			//lint:ignore hotpathalloc reused scratch buffer; reached only when a challenger displaced a resident
+			fallen = append(fallen, c.id)
+		}
+	}
+	slices.Sort(fallen)
+	a.fallenBuf = fallen
+	return cands[:capacity], fallen
+}
+
 // rebalanceLocked is the cache manager's periodic pass (driven by Tick):
-// advance the recency epoch, rank every rule under the configured policy,
+// advance the recency epoch, rank the rules under the configured policy,
 // demote residents that fell out of the top Capacity, promote the rules
 // that rose into it (bounded by MaxMovesPerRebalance), and run cover
-// hygiene — install shields that became necessary, drop ones that no
-// longer are. Requires a.mu held exclusively.
+// hygiene where the resident set changed. Its cost follows what changed: a
+// pass in which no rule crossed the cut is one scan of the scores and
+// nothing else. Requires a.mu held exclusively.
 func (a *Agent) rebalanceLocked(now time.Duration) {
 	if a.needsReconcile {
 		// Promotions re-install existing IDs into hardware, unsafe while
@@ -448,81 +571,105 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 	}
 	epoch := a.cmgr.AdvanceEpoch()
 	a.cmgr.FoldSamples(epoch, a.originalOf)
-	rules := a.soft.Rules() // ID order: deterministic ranking input
-
-	type cand struct {
-		id    classifier.RuleID
-		score float64
-	}
-	cands := make([]cand, 0, len(rules))
-	for _, r := range rules {
-		slots := 1
-		if st, resident := a.rules[r.ID]; resident {
-			if n := len(st.partIDs); n > 0 {
-				slots = n
-			}
-		} else if n := len(a.covers[r.ID]); n > 0 {
-			slots = n
-		}
-		cands = append(cands, cand{id: r.ID, score: a.cmgr.Score(a.cmgr.Stats(r.ID), slots)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].score != cands[j].score {
-			return cands[i].score > cands[j].score
-		}
-		return cands[i].id < cands[j].id
-	})
-	capacity := a.cacheCfg.Capacity
-	want := make(map[classifier.RuleID]bool, capacity)
-	for i := 0; i < len(cands) && i < capacity; i++ {
-		want[cands[i].id] = true
-	}
+	wanted, fallen := a.rankLocked()
 
 	moves := 0
+	maxMoves := a.cacheCfg.MaxMovesPerRebalance
 	// Demotions first (they free capacity), in ID order for determinism.
-	for _, r := range rules {
-		if moves >= a.cacheCfg.MaxMovesPerRebalance {
+	for _, id := range fallen {
+		if moves >= maxMoves {
 			break
 		}
-		if _, resident := a.rules[r.ID]; resident && !want[r.ID] {
-			a.demoteLocked(now, r.ID)
+		// An earlier demotion's table-full fallback may already have
+		// evicted this one.
+		if _, resident := a.rules[id]; resident {
+			//lint:ignore hotpathalloc a demotion rewrites the TCAM; quiet ticks have none
+			a.demoteLocked(now, id)
 			moves++
 		}
 	}
 	// Promotions in score order, best first.
-	for _, c := range cands {
-		if moves >= a.cacheCfg.MaxMovesPerRebalance || !want[c.id] {
-			break // cands is sorted: past the capacity cut, nothing is wanted
+	for _, c := range wanted {
+		if moves >= maxMoves {
+			break
 		}
 		if _, resident := a.rules[c.id]; resident {
 			continue
 		}
-		if a.residentCount >= capacity {
+		if len(a.residents) >= a.cacheCfg.Capacity {
 			break
 		}
+		//lint:ignore hotpathalloc a promotion rewrites the TCAM; quiet ticks have none
 		a.promoteLocked(now, c.id)
 		moves++ // failed promotions still consumed hardware work
 	}
+	//lint:ignore hotpathalloc allocates only when a resident-set change left rules to revisit
+	a.coverHygieneLocked(now)
+	//lint:ignore hotpathalloc republishes only the tiers whose generation moved; none on a quiet tick
+	a.refreshViewLocked()
+}
 
-	// Cover hygiene: resident-set changes (including plain deletes since
-	// the last pass) may have stranded stale covers or left new
-	// software-only winners unshielded.
-	for _, r := range rules {
-		if _, resident := a.rules[r.ID]; resident {
+// coverHygieneLocked repairs the shield invariant after resident-set
+// changes (this pass's moves and plain deletes since the last one): a
+// vanished resident may have stranded stale covers, a table-full fallback
+// may have left a software-only winner unshielded. Only software rules
+// overlapping a match recorded by noteResidentChange can be affected, so
+// only those are visited, in ID order like the full sweep that hygieneAll
+// still selects after a fault or repair.
+func (a *Agent) coverHygieneLocked(now time.Duration) {
+	todo := a.hygieneIDs[:0]
+	if a.hygieneAll {
+		a.hygieneAll = false
+		todo = a.appendSoftIDsFrom(todo, 0)
+	} else {
+		for _, m := range a.hygieneDirty {
+			for _, r := range a.soft.Overlapping(m) {
+				todo = append(todo, r.ID)
+			}
+		}
+		slices.Sort(todo)
+		todo = slices.Compact(todo)
+	}
+	a.hygieneDirty = a.hygieneDirty[:0]
+
+	visits := 0
+	for i := 0; i < len(todo); i++ {
+		id := todo[i]
+		if _, resident := a.rules[id]; resident {
 			continue
 		}
-		_, seq, ok := a.soft.Get(r.ID)
-		if !ok {
-			continue // deleted during this pass
+		visits++
+		e := a.soft.Entry(id)
+		if !a.coversNeeded(e.Rule, e.Seq) {
+			a.removeCoversFor(now, id)
+			continue
 		}
-		needed := a.coversNeeded(r, seq)
-		if needed && len(a.covers[r.ID]) == 0 {
-			a.installCovers(now, r, seq)
-		} else if !needed && len(a.covers[r.ID]) > 0 {
-			a.removeCoversFor(now, r.ID)
+		if len(a.covers[id]) > 0 {
+			continue
+		}
+		mark := len(a.hygieneDirty)
+		a.installCovers(now, e.Rule, e.Seq)
+		if len(a.hygieneDirty) > mark {
+			// The main table was full and installCovers demoted the
+			// residents this rule beats instead. That is rare enough to
+			// finish the pass as the full sweep would — every later ID —
+			// while the demoted matches stay dirty for the next pass, which
+			// revisits the earlier IDs they overlap.
+			todo = a.appendSoftIDsFrom(todo[:i+1], id+1)
 		}
 	}
-	a.refreshViewLocked()
+	a.hygieneIDs = todo[:0]
+	a.cmgr.NoteHygieneVisits(visits)
+}
+
+// appendSoftIDsFrom appends, in order, the IDs ≥ from of every software rule.
+func (a *Agent) appendSoftIDsFrom(ids []classifier.RuleID, from classifier.RuleID) []classifier.RuleID {
+	for _, e := range a.soft.Entries() {
+		if e.Rule.ID >= from {
+			ids = append(ids, e.Rule.ID)
+		}
+	}
+	return ids
 }
 
 // --- public surface ------------------------------------------------------
@@ -544,7 +691,7 @@ func (a *Agent) CacheStats() rulecache.Snapshot {
 func (a *Agent) CacheResident() int {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.residentCount
+	return len(a.residents)
 }
 
 // originalOf maps a physical entry ID (which may be a partition fragment)
@@ -584,9 +731,15 @@ func (a *Agent) Rebalance(now time.Duration) {
 	}
 }
 
-// RegisterCacheMetrics exposes the hierarchy's hermes_cache_* metrics on an
-// obs registry (no-op when hit tracking is disabled).
+// RegisterCacheMetrics exposes the read-path and cache-hierarchy metrics on
+// an obs registry: hermes_view_tier_rebuilds_total for every agent, plus the
+// hermes_cache_* family when hit tracking is enabled.
 func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
+	for tier, name := range [numViewTiers]string{"shadow", "main", "soft", "logical"} {
+		reg.CounterFunc("hermes_view_tier_rebuilds_total", obs.Labels("tier", name),
+			"lookup-snapshot index rebuilds by tier (a tier whose generation did not move is shared, not rebuilt)",
+			a.tierRebuilds[tier].Load)
+	}
 	if a.cmgr != nil {
 		a.cmgr.Register(reg)
 	}

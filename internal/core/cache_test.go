@@ -7,11 +7,16 @@ package core
 // interrupted migrations.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"hermes/internal/classifier"
+	"hermes/internal/obs"
 	"hermes/internal/rulecache"
 )
 
@@ -353,6 +358,347 @@ func TestCachedDifferentialChurn(t *testing.T) {
 			runCachedSeq(t, seed, policy, true)
 			t.FailNow()
 		}
+	}
+}
+
+// --- rebalance oracles -----------------------------------------------------
+//
+// The production pass ranks only residents plus challengers and revisits
+// only rules overlapping a resident-set change. The two functions below are
+// the passes it replaced — rank everything, sweep everything — kept as the
+// reference it is checked against.
+
+// oracleWant ranks every rule with a full sort (score descending, ID
+// ascending) and returns the top Capacity, best first.
+func oracleWant(a *Agent) []classifier.RuleID {
+	rules := a.soft.Rules()
+	type cand struct {
+		id    classifier.RuleID
+		score float64
+	}
+	cands := make([]cand, 0, len(rules))
+	for _, r := range rules {
+		slots := 1
+		if st, resident := a.rules[r.ID]; resident {
+			if n := len(st.partIDs); n > 0 {
+				slots = n
+			}
+		} else if n := len(a.covers[r.ID]); n > 0 {
+			slots = n
+		}
+		cands = append(cands, cand{id: r.ID, score: a.cmgr.Score(a.cmgr.Stats(r.ID), slots)})
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].score != cands[j].score {
+			return cands[i].score > cands[j].score
+		}
+		return cands[i].id < cands[j].id
+	})
+	var want []classifier.RuleID
+	for i := 0; i < len(cands) && i < a.cacheCfg.Capacity; i++ {
+		want = append(want, cands[i].id)
+	}
+	return want
+}
+
+// oracleResidents applies oracleWant to the agent's current resident set
+// the way the full-sort pass did — unwanted residents out in ID order,
+// wanted rules in best-first, both under the move budget — and returns the
+// resident set (ascending) the next rebalance must produce. It assumes the
+// hardware has room, so no move fails or cascades.
+func oracleResidents(a *Agent) []classifier.RuleID {
+	want := oracleWant(a)
+	wanted := make(map[classifier.RuleID]bool, len(want))
+	for _, id := range want {
+		wanted[id] = true
+	}
+	resident := make(map[classifier.RuleID]bool)
+	moves := 0
+	for _, r := range a.soft.Rules() {
+		if _, ok := a.rules[r.ID]; !ok {
+			continue
+		}
+		if !wanted[r.ID] && moves < a.cacheCfg.MaxMovesPerRebalance {
+			moves++
+			continue
+		}
+		resident[r.ID] = true
+	}
+	for _, id := range want {
+		if moves >= a.cacheCfg.MaxMovesPerRebalance {
+			break
+		}
+		if resident[id] {
+			continue
+		}
+		if len(resident) >= a.cacheCfg.Capacity {
+			break
+		}
+		resident[id] = true
+		moves++
+	}
+	out := make([]classifier.RuleID, 0, len(resident))
+	for id := range resident {
+		out = append(out, id)
+	}
+	sortRuleIDs(out)
+	return out
+}
+
+// oracleShield is the full cover sweep as a checker: it visits every
+// software-only rule and returns the ones whose shield the sweep would have
+// had to install or remove. After a rebalance it must find nothing.
+func oracleShield(a *Agent) []classifier.RuleID {
+	var stale []classifier.RuleID
+	for _, r := range a.soft.Rules() {
+		if _, resident := a.rules[r.ID]; resident {
+			continue
+		}
+		_, seq, _ := a.soft.Get(r.ID)
+		if a.coversNeeded(r, seq) != (len(a.covers[r.ID]) > 0) {
+			stale = append(stale, r.ID)
+		}
+	}
+	return stale
+}
+
+// runRebalanceOracleSeq drives one cached agent through rule churn, Zipf
+// lookups and cold scans, and checks every tick against the oracles.
+func runRebalanceOracleSeq(t *testing.T, seed int64, policy rulecache.Policy, maxMoves int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	a := newTestAgent(t, Config{
+		DisableRateLimit: true,
+		Cache: &rulecache.Config{
+			Capacity: 12, Policy: policy, MaxMovesPerRebalance: maxMoves, SampleStride: 2,
+		},
+	})
+	now := time.Duration(0)
+	var live []classifier.Rule
+	nextID := classifier.RuleID(1)
+	insert := func() {
+		r := classifier.Rule{
+			ID:       nextID,
+			Match:    classifier.DstMatch(classifier.NewPrefix(0xC0A80000|(rng.Uint32()&0xFFFF), uint8(16+rng.Intn(13)))),
+			Priority: int32(rng.Intn(12)),
+			Action:   classifier.Action{Type: classifier.ActionForward, Port: int(nextID)},
+		}
+		nextID++
+		if _, err := a.Insert(now, r); err != nil {
+			t.Fatalf("seed %d insert %d: %v", seed, r.ID, err)
+		}
+		live = append(live, r)
+	}
+	packetFor := func(r classifier.Rule) uint32 {
+		return r.Match.Dst.Addr | (rng.Uint32() & ^r.Match.Dst.Mask())
+	}
+	for len(live) < 90 {
+		now += time.Millisecond
+		insert()
+	}
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(live)-1))
+	scan := 0
+	for tick := 0; tick < 60; tick++ {
+		for k := 0; k < 400; k++ {
+			a.Lookup(packetFor(live[int(zipf.Uint64())%len(live)]), 0)
+		}
+		if tick%5 == 4 { // cold scan: every rule once, in order
+			for k := 0; k < 40; k++ {
+				a.Lookup(packetFor(live[(scan+k)%len(live)]), 0)
+			}
+			scan += 40
+		}
+		for k := rng.Intn(3); k > 0; k-- { // churn: some of it hits residents
+			now += time.Millisecond
+			i := rng.Intn(len(live))
+			if _, err := a.Delete(now, live[i].ID); err != nil {
+				t.Fatalf("seed %d delete %d: %v", seed, live[i].ID, err)
+			}
+			live = append(live[:i], live[i+1:]...)
+			insert()
+		}
+
+		now += 10 * time.Millisecond
+		// Bring the agent to exactly the state the tick will rank: finished
+		// migrations applied, samples folded into the epoch the tick opens.
+		a.Advance(now)
+		a.cmgr.FoldSamples(a.cmgr.EpochNow()+1, a.originalOf)
+		want := oracleResidents(a)
+		if end := a.Tick(now); end != 0 {
+			a.Advance(end)
+		}
+		if !slices.Equal(a.residents, want) {
+			t.Fatalf("seed %d %v moves=%d tick %d: residents %v, full-sort oracle %v",
+				seed, policy, maxMoves, tick, a.residents, want)
+		}
+		if stale := oracleShield(a); len(stale) > 0 {
+			t.Fatalf("seed %d %v moves=%d tick %d: full sweep would still fix the shields of %v",
+				seed, policy, maxMoves, tick, stale)
+		}
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	snap := a.CacheStats()
+	if snap.Demotions == 0 || snap.CoverInstalls == 0 || snap.CoverRemovals == 0 {
+		t.Fatalf("seed %d %v: workload never reached the hard path: %+v", seed, policy, snap)
+	}
+}
+
+// TestRebalanceMatchesFullSortOracle is the differential test for threshold
+// ranking and delta-driven hygiene: after every tick the resident set is the
+// one the full sort would have chosen and the full sweep has nothing left to
+// do, for every policy, with the move budget both binding and not.
+func TestRebalanceMatchesFullSortOracle(t *testing.T) {
+	for _, policy := range []rulecache.Policy{rulecache.PolicyLRU, rulecache.PolicyLFU, rulecache.PolicyCostAware} {
+		for _, maxMoves := range []int{3, 1 << 20} {
+			for seed := int64(0); seed < 20; seed++ {
+				runRebalanceOracleSeq(t, seed, policy, maxMoves)
+			}
+		}
+	}
+}
+
+// TestRebalanceQuietTickAllocs pins the cost model: a rebalance in which no
+// rule crosses the capacity cut ranks no challenger, visits no rule for
+// hygiene, rebuilds no snapshot tier and allocates nothing.
+func TestRebalanceQuietTickAllocs(t *testing.T) {
+	a := newTestAgent(t, Config{
+		DisableRateLimit: true,
+		Cache:            &rulecache.Config{Capacity: 8, Policy: rulecache.PolicyLFU, SampleStride: 1},
+	})
+	now := time.Duration(0)
+	for i := 1; i <= 64; i++ {
+		now += time.Millisecond
+		r := classifier.Rule{
+			ID:       classifier.RuleID(i),
+			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(i)<<16|0x0A000000, 24)),
+			Priority: int32(i % 5),
+		}
+		if _, err := a.Insert(now, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Heat rules 33..40 so the first rebalance swaps the whole resident set,
+	// then let it settle.
+	for i := 33; i <= 40; i++ {
+		for k := 0; k < 50; k++ {
+			a.Lookup(uint32(i)<<16|0x0A000001, 0)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		now += 10 * time.Millisecond
+		a.Rebalance(now)
+	}
+	if got := a.CacheStats().Demotions; got != 8 {
+		t.Fatalf("demotions = %d, want 8 (the warm-up must have moved rules)", got)
+	}
+	a.Lookup(0x0A000001|33<<16, 0) // publish a snapshot for the pass to keep current
+	before, tiers := a.CacheStats(), a.ViewTierRebuilds()
+	allocs := testing.AllocsPerRun(50, func() {
+		now += 10 * time.Millisecond
+		a.Rebalance(now)
+	})
+	if allocs != 0 {
+		t.Errorf("quiet rebalance allocates %.1f times, want 0", allocs)
+	}
+	after := a.CacheStats()
+	if after.RebalanceChallengers != before.RebalanceChallengers || after.HygieneVisits != before.HygieneVisits {
+		t.Errorf("quiet rebalances ranked %d challengers and visited %d rules, want 0 and 0",
+			after.RebalanceChallengers-before.RebalanceChallengers, after.HygieneVisits-before.HygieneVisits)
+	}
+	if got := a.ViewTierRebuilds(); got != tiers {
+		t.Errorf("quiet rebalances rebuilt snapshot tiers: %+v -> %+v", tiers, got)
+	}
+}
+
+// TestRebalanceSharesUnchangedTiers checks the publish side: a rebalance
+// that moves rules rebuilds the hardware-tier indexes and shares the
+// software-tier index and hit map with the previous snapshot.
+func TestRebalanceSharesUnchangedTiers(t *testing.T) {
+	a := newCachedAgent(t, 2, rulecache.PolicyLFU)
+	now := time.Duration(0)
+	for i := 1; i <= 4; i++ {
+		r := dstRule(classifier.RuleID(i), "10.0.0.0/8", 1, i)
+		r.Match = classifier.DstMatch(classifier.NewPrefix(uint32(i)<<24, 8))
+		mustInsert(t, a, now, r)
+		now += time.Millisecond
+	}
+	for k := 0; k < 20; k++ { // also publishes the first snapshot
+		a.Lookup(3<<24|uint32(k), 0)
+		a.Lookup(4<<24|uint32(k), 0)
+	}
+	v1 := a.view.Load()
+	if v1 == nil {
+		t.Fatal("no snapshot published")
+	}
+	t1 := a.ViewTierRebuilds()
+	a.Rebalance(now + 10*time.Millisecond)
+	v2 := a.view.Load()
+	if v2 == v1 {
+		t.Fatal("rebalance moved rules but republished nothing")
+	}
+	if v2.soft != v1.soft || v2.logical != v1.logical {
+		t.Error("software and logical tiers did not move, yet were rebuilt")
+	}
+	if v2.main == v1.main && v2.shadow == v1.shadow {
+		t.Error("hardware tiers moved, yet both indexes were shared")
+	}
+	t2 := a.ViewTierRebuilds()
+	if t2.Soft != t1.Soft || t2.Logical != t1.Logical {
+		t.Errorf("tier rebuild counters: %+v -> %+v, soft and logical must not move", t1, t2)
+	}
+	if t2.Shadow+t2.Main == t1.Shadow+t1.Main {
+		t.Errorf("tier rebuild counters: %+v -> %+v, a hardware tier must have been rebuilt", t1, t2)
+	}
+	if r, ok := a.Lookup(3<<24|7, 0); !ok || r.ID != 3 {
+		t.Errorf("post-rebalance lookup: %v %v", r, ok)
+	}
+}
+
+// TestCacheMetricsExposition scrapes a cached agent's registry: the
+// O(changed) counters are there and carry what the agent counted, and the
+// modeled lookup-latency gauges (constants echoed as measurements) are gone.
+func TestCacheMetricsExposition(t *testing.T) {
+	a := newCachedAgent(t, 2, rulecache.PolicyLFU)
+	reg := obs.NewRegistry()
+	a.RegisterCacheMetrics(reg)
+	now := time.Duration(0)
+	for i := 1; i <= 4; i++ {
+		r := dstRule(classifier.RuleID(i), "10.0.0.0/8", 1, i)
+		r.Match = classifier.DstMatch(classifier.NewPrefix(uint32(i)<<24, 8))
+		mustInsert(t, a, now, r)
+		now += time.Millisecond
+	}
+	for k := 0; k < 20; k++ {
+		a.Lookup(3<<24|uint32(k), 0)
+	}
+	a.Rebalance(now + 10*time.Millisecond)
+
+	var sb strings.Builder
+	if err := obs.WritePrometheus(&sb, reg); err != nil {
+		t.Fatal(err)
+	}
+	body := sb.String()
+	snap, tiers := a.CacheStats(), a.ViewTierRebuilds()
+	if snap.RebalanceChallengers == 0 || snap.HygieneVisits == 0 || tiers.Soft == 0 {
+		t.Fatalf("scenario drifted: the rebalance must rank a challenger and revisit a rule: %+v %+v", snap, tiers)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("hermes_cache_rebalance_challengers_total %d\n", snap.RebalanceChallengers),
+		fmt.Sprintf("hermes_cache_hygiene_visits_total %d\n", snap.HygieneVisits),
+		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"shadow\"} %d\n", tiers.Shadow),
+		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"main\"} %d\n", tiers.Main),
+		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"soft\"} %d\n", tiers.Soft),
+		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"logical\"} %d\n", tiers.Logical),
+		"hermes_cache_hit_ratio ",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if strings.Contains(body, "hermes_cache_lookup_p") {
+		t.Error("/metrics still exports the modeled lookup-latency quantiles")
 	}
 }
 

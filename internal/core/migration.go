@@ -325,7 +325,7 @@ func (a *Agent) advance(now time.Duration) {
 	}
 	if interrupted {
 		a.metrics.MigrationInterrupts++
-		a.needsReconcile = true
+		a.markDivergentLocked()
 		a.o.event(done, obs.EvMigInterrupt, interruptedAt, 0, uint64(len(migrated)), 0)
 		return
 	}

@@ -76,7 +76,7 @@ func (a *Agent) CrashRestart(now time.Duration) {
 	}
 	a.sw.CrashRestart()
 	a.mainIndex = classifier.Trie{}
-	a.needsReconcile = true
+	a.markDivergentLocked()
 	a.metrics.SwitchRestarts++
 	a.o.event(now, obs.EvCrash, 0, 0, 0, 0)
 }
@@ -87,7 +87,16 @@ func (a *Agent) CrashRestart(now time.Duration) {
 func (a *Agent) MarkDivergent() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.markDivergentLocked()
+}
+
+// markDivergentLocked is the one place a fault is recorded: the agent needs
+// a Reconcile, and — in cached mode — the cover-hygiene deltas collected so
+// far describe tables that may no longer exist, so the first rebalance after
+// the repair sweeps every rule.
+func (a *Agent) markDivergentLocked() {
 	a.needsReconcile = true
+	a.hygieneAll = true
 }
 
 // TruncateShadow models a crash during a bulk shadow-table write: only the
@@ -96,7 +105,7 @@ func (a *Agent) TruncateShadow(n int) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.shadow.Truncate(n)
-	a.needsReconcile = true
+	a.markDivergentLocked()
 }
 
 // desiredMainEntries returns, keyed by physical entry ID, the entries the
@@ -234,6 +243,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	}
 
 	a.needsReconcile = false
+	a.hygieneAll = true // whatever was repaired, re-derive every shield once
 	a.metrics.Reconciles++
 	a.metrics.ReconcileStale += rep.StaleDeleted
 	a.metrics.ReconcileRepaired += rep.MainReinstalled + rep.ShadowRepaired

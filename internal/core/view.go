@@ -17,6 +17,13 @@ import (
 // tables (every tcam.Table mutation bumps its generation counter, including
 // out-of-band ones like a crash harness wiping the switch directly).
 //
+// A snapshot is assembled per tier: each of the shadow, main, software and
+// logical indexes (and the hit map beside them) is rebuilt only when its own
+// generation moved since the previous snapshot and shared with it otherwise,
+// so publishing after a change costs what changed — a cache rebalance that
+// moves one rule rebuilds the hardware-tier indexes and reuses the
+// software-tier one.
+//
 // Snapshots are rebuilt lazily with hysteresis: a reader only pays the
 // O(occupancy) rebuild after viewRebuildAfter consecutive lookups observe
 // the same (changed) generations — i.e. the tables have quiesced. Under a
@@ -134,32 +141,81 @@ func (a *Agent) freshView() *agentView {
 	if a.stale.observe(sg, mg, lg, fg) < viewRebuildAfter {
 		return nil
 	}
-	v := a.buildView(sg, mg, lg, fg)
+	v := a.buildView(a.view.Load(), sg, mg, lg, fg)
 	a.view.Store(v)
 	return v
 }
 
-// buildView constructs a fresh immutable snapshot for the given
-// generations. Callers hold at least the read lock and publish the view
-// themselves (write before Store, never after).
-func (a *Agent) buildView(sg, mg, lg, fg uint64) *agentView {
-	v := &agentView{
-		shadowGen: sg,
-		mainGen:   mg,
-		softGen:   fg,
-		shadow:    a.buildIndex(a.shadow.Rules()),
-		main:      a.buildIndex(a.main.Rules()),
+// The snapshot's tiers, as hermes_view_tier_rebuilds_total labels them.
+const (
+	tierShadow = iota
+	tierMain
+	tierSoft
+	tierLogical
+	numViewTiers
+)
+
+// ViewTierRebuilds counts, per snapshot tier, how many times its index has
+// been rebuilt (as opposed to shared with the previous snapshot).
+type ViewTierRebuilds struct {
+	Shadow, Main, Soft, Logical uint64
+}
+
+// ViewTierRebuilds returns the snapshot tier rebuild counters.
+func (a *Agent) ViewTierRebuilds() ViewTierRebuilds {
+	return ViewTierRebuilds{
+		Shadow:  a.tierRebuilds[tierShadow].Load(),
+		Main:    a.tierRebuilds[tierMain].Load(),
+		Soft:    a.tierRebuilds[tierSoft].Load(),
+		Logical: a.tierRebuilds[tierLogical].Load(),
+	}
+}
+
+// buildView constructs an immutable snapshot for the given generations,
+// sharing with prev (the previous snapshot, or nil) every tier whose
+// generation did not move. Callers hold at least the read lock and publish
+// the view themselves (write before Store, never after).
+func (a *Agent) buildView(prev *agentView, sg, mg, lg, fg uint64) *agentView {
+	if prev == nil {
+		prev = &agentView{}
+	}
+	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cache: a.cmgr}
+	hwMoved := false
+	if v.shadow = prev.shadow; v.shadow == nil || prev.shadowGen != sg {
+		v.shadow = a.buildIndex(a.shadow.Rules())
+		a.tierRebuilds[tierShadow].Add(1)
+		hwMoved = true
+	}
+	if v.main = prev.main; v.main == nil || prev.mainGen != mg {
+		v.main = a.buildIndex(a.main.Rules())
+		a.tierRebuilds[tierMain].Add(1)
+		hwMoved = true
+	}
+	softMoved := false
+	if a.soft != nil {
+		if v.soft = prev.soft; v.soft == nil || prev.softGen != fg {
+			v.soft = a.buildIndex(a.soft.FirstMatchOrder())
+			a.tierRebuilds[tierSoft].Add(1)
+			softMoved = true
+		}
 	}
 	if a.cfg.TrackLogical {
 		v.logicalGen = lg
-		v.logical = classifier.NewRuleIndex(a.logicalFirstMatchOrder())
+		if v.logical = prev.logical; v.logical == nil || prev.logicalGen != lg {
+			v.logical = classifier.NewRuleIndex(a.logicalFirstMatchOrder())
+			a.tierRebuilds[tierLogical].Add(1)
+		}
 	}
 	if a.cmgr != nil {
-		v.cache = a.cmgr
-		v.hits = a.buildHitMap()
-	}
-	if a.soft != nil {
-		v.soft = a.buildIndex(a.soft.FirstMatchOrder())
+		// The hit map is keyed by what lookups resolve to: software rules
+		// in cached mode, physical entries otherwise (buildHitMap).
+		moved := hwMoved
+		if a.soft != nil {
+			moved = softMoved
+		}
+		if v.hits = prev.hits; moved {
+			v.hits = a.buildHitMap()
+		}
 	}
 	return v
 }
@@ -174,9 +230,9 @@ func (a *Agent) buildIndex(rules []classifier.Rule) ruleLookup {
 	return classifier.NewRuleIndex(rules)
 }
 
-// refreshViewLocked republishes the snapshot at the end of a batch — the
-// amortized replacement for per-op rebuild hysteresis: one rebuild covers
-// every op in the batch. It keeps the lazy economics of freshView: until a
+// refreshViewLocked republishes the snapshot at the end of a batch or a
+// cache rebalance — the amortized replacement for per-op rebuild hysteresis:
+// one rebuild covers every op in the batch. It keeps the lazy economics of freshView: until a
 // reader has forced a first snapshot into existence there is nothing to
 // refresh (pure write workloads stay rebuild-free), and a view already at
 // the current generations is left untouched. Requires a.mu held
@@ -193,7 +249,7 @@ func (a *Agent) refreshViewLocked() {
 	if v.shadowGen == sg && v.mainGen == mg && v.logicalGen == lg && v.softGen == fg {
 		return
 	}
-	a.view.Store(a.buildView(sg, mg, lg, fg))
+	a.view.Store(a.buildView(v, sg, mg, lg, fg))
 }
 
 // logicalFirstMatchOrder returns a copy of the reference monolithic table

@@ -24,15 +24,13 @@ import (
 // CacheCell is one point of the cache sweep, machine-readable for
 // BENCH_cache.json.
 type CacheCell struct {
-	Policy      string  `json:"policy"`
-	ZipfS       float64 `json:"zipf_s"`
-	CapFrac     float64 `json:"cap_frac"`
-	HitRatio    float64 `json:"hit_ratio"`
-	LookupP50NS int64   `json:"lookup_p50_ns"`
-	LookupP99NS int64   `json:"lookup_p99_ns"`
-	Promotions  uint64  `json:"promotions"`
-	Demotions   uint64  `json:"demotions"`
-	Covers      uint64  `json:"cover_installs"`
+	Policy     string  `json:"policy"`
+	ZipfS      float64 `json:"zipf_s"`
+	CapFrac    float64 `json:"cap_frac"`
+	HitRatio   float64 `json:"hit_ratio"`
+	Promotions uint64  `json:"promotions"`
+	Demotions  uint64  `json:"demotions"`
+	Covers     uint64  `json:"cover_installs"`
 }
 
 // CacheData is the sweep's machine-readable summary. The booleans encode
@@ -125,15 +123,13 @@ func cacheRun(sched *loadgen.Schedule, rules int, capacity int, policy rulecache
 		hitRatio = float64(after.HWHits-before.HWHits) / served
 	}
 	return CacheCell{
-		Policy:      policy.String(),
-		ZipfS:       zipfS,
-		CapFrac:     float64(capacity) / float64(rules),
-		HitRatio:    hitRatio,
-		LookupP50NS: after.LookupP50.Nanoseconds(),
-		LookupP99NS: after.LookupP99.Nanoseconds(),
-		Promotions:  after.Promotions,
-		Demotions:   after.Demotions,
-		Covers:      after.CoverInstalls,
+		Policy:     policy.String(),
+		ZipfS:      zipfS,
+		CapFrac:    float64(capacity) / float64(rules),
+		HitRatio:   hitRatio,
+		Promotions: after.Promotions,
+		Demotions:  after.Demotions,
+		Covers:     after.CoverInstalls,
 	}
 }
 
@@ -190,7 +186,7 @@ func CacheSweepData(scale float64) (*Result, CacheData) {
 	data := CacheData{Rules: rules, Lookups: lookups, MinHitRatio: 1}
 	tbl := &stats.Table{
 		Title: "cache",
-		Headers: []string{"policy", "zipf s", "cache", "hit ratio", "p50", "p99",
+		Headers: []string{"policy", "zipf s", "cache", "hit ratio",
 			"promos", "demos", "covers"},
 	}
 
@@ -210,7 +206,6 @@ func CacheSweepData(scale float64) (*Result, CacheData) {
 				hit[key{frac, s, cell.Policy}] = cell.HitRatio
 				tbl.AddRow(cell.Policy, fmt.Sprintf("%.2f", s),
 					fmt.Sprintf("%d%%", int(frac*100)), fmt.Sprintf("%.3f", cell.HitRatio),
-					fmt.Sprintf("%dns", cell.LookupP50NS), fmt.Sprintf("%dns", cell.LookupP99NS),
 					fmt.Sprintf("%d", cell.Promotions), fmt.Sprintf("%d", cell.Demotions),
 					fmt.Sprintf("%d", cell.Covers))
 			}

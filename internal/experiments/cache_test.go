@@ -24,9 +24,6 @@ func TestCacheSweepShape(t *testing.T) {
 			t.Errorf("%s s=%.2f cap=%.2f: hit ratio %v out of range",
 				c.Policy, c.ZipfS, c.CapFrac, c.HitRatio)
 		}
-		if c.LookupP99NS <= 0 {
-			t.Errorf("%s s=%.2f cap=%.2f: p99 = %d", c.Policy, c.ZipfS, c.CapFrac, c.LookupP99NS)
-		}
 	}
 	if !data.LFUBeatsLRU || !data.CostBeatsLR {
 		t.Errorf("policy verdicts: lfu_beats_lru=%v cost_beats_lru=%v, want both true",

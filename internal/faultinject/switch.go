@@ -83,6 +83,48 @@ func (o *OpFaults) Hook() tcam.OpFaultHook {
 	}
 }
 
+// CrashPoint models the switch's update engine dying in the middle of a
+// burst of TCAM writes — a cache rebalance, say, with a cover set half
+// installed. Ops pass normally until the trigger matches one; that op and
+// every later one on every hooked table is acked but lost, until Restart.
+// What landed before the crash stays in the tables, so unlike a power cycle
+// the agent is left facing a half-applied update; the harness marks it
+// divergent and reconciles, as a controller would on noticing the outage.
+type CrashPoint struct {
+	trigger func(op tcam.Op, id classifier.RuleID) bool
+	down    bool
+	lost    int
+}
+
+// NewCrashPoint builds a crash point that fires on the first op the trigger
+// matches. The trigger must be deterministic.
+func NewCrashPoint(trigger func(op tcam.Op, id classifier.RuleID) bool) *CrashPoint {
+	return &CrashPoint{trigger: trigger}
+}
+
+// Hook returns the fault hook to install on each table the crash takes down.
+func (c *CrashPoint) Hook() tcam.OpFaultHook {
+	return func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
+		if !c.down && c.trigger != nil && c.trigger(op, id) {
+			c.down = true
+		}
+		if c.down {
+			c.lost++
+		}
+		return tcam.OpFault{Drop: c.down}
+	}
+}
+
+// Lost reports how many ops the crash swallowed.
+func (c *CrashPoint) Lost() int { return c.lost }
+
+// Restart brings the update engine back: ops pass again and the trigger is
+// spent.
+func (c *CrashPoint) Restart() {
+	c.down = false
+	c.trigger = nil
+}
+
 // InterruptConfig parameterizes migration-step interruption. With a Script
 // the listed steps fire in order: each boundary check matching the script
 // head pops it and interrupts; checks for other steps pass. Without a

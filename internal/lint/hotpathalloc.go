@@ -53,6 +53,18 @@ var coreBatchFuncs = map[string]bool{
 	"takeRuleState":     true,
 }
 
+// coreRebalanceFuncs are the cache rebalance pass's quiet-tick functions
+// (DESIGN.md §16): a tick in which no rule crosses the capacity cut runs
+// exactly these and must allocate nothing
+// (TestRebalanceQuietTickAllocs). The moves, the cover-hygiene pass and the
+// snapshot republish they call only on ticks that changed something carry
+// justified ignores at the call site. Only meaningful inside internal/core.
+var coreRebalanceFuncs = map[string]bool{
+	"rebalanceLocked": true,
+	"rankLocked":      true,
+	"scoreOf":         true,
+}
+
 // hotAllocRoot reports whether a function starts a zero-alloc budget:
 // lookup-path functions in tcam/classifier/core plus the core batch entry
 // points, record-path functions in obs. Roots found via the call graph
@@ -63,7 +75,7 @@ func hotAllocRoot(fn *FuncNode) bool {
 		return obsRecordFuncs[fn.Name]
 	}
 	if path == "internal/core" || strings.HasSuffix(path, "/internal/core") {
-		return hotPathFunc(fn.Name) || coreBatchFuncs[fn.Name]
+		return hotPathFunc(fn.Name) || coreBatchFuncs[fn.Name] || coreRebalanceFuncs[fn.Name]
 	}
 	if isRulecachePath(path) {
 		return hotPathFunc(fn.Name) || cacheSampleFuncs[fn.Name]

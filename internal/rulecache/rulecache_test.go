@@ -2,6 +2,7 @@ package rulecache
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -67,7 +68,9 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestSoftTableOracle cross-checks SoftTable.Lookup against a brute-force
-// first-match scan over the same rule set through random churn.
+// first-match scan over the same rule set through random churn, and the two
+// incrementally maintained orders (Rules, FirstMatchOrder) against a fresh
+// sort of that set.
 func TestSoftTableOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	st := NewSoftTable(SoftProfile{})
@@ -142,6 +145,28 @@ func TestSoftTableOracle(t *testing.T) {
 		if st.Len() != len(oracle) {
 			t.Fatalf("step %d: Len = %d, oracle %d", step, st.Len(), len(oracle))
 		}
+		sorted := make([]entry, 0, len(oracle))
+		for _, e := range oracle {
+			sorted = append(sorted, e)
+		}
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].r.ID < sorted[j].r.ID })
+		byID := st.Rules()
+		for i, e := range st.Entries() {
+			if e.Rule != sorted[i].r || e.Seq != sorted[i].seq || byID[i] != sorted[i].r {
+				t.Fatalf("step %d: ID order slot %d holds %v / %v, want %v", step, i, e.Rule, byID[i], sorted[i].r)
+			}
+		}
+		sort.Slice(sorted, func(i, j int) bool {
+			if sorted[i].r.Priority != sorted[j].r.Priority {
+				return sorted[i].r.Priority > sorted[j].r.Priority
+			}
+			return sorted[i].seq < sorted[j].seq
+		})
+		for i, r := range st.FirstMatchOrder() {
+			if r != sorted[i].r {
+				t.Fatalf("step %d: first-match slot %d holds %v, want %v", step, i, r, sorted[i].r)
+			}
+		}
 		for probe := 0; probe < 5; probe++ {
 			dst := uint32(0x0a000000) | uint32(rng.Intn(1<<24))
 			got, gok := st.Lookup(dst, 0)
@@ -206,6 +231,14 @@ func TestSoftTableFirstMatchOrder(t *testing.T) {
 			t.Errorf("pos %d: got rule %d, want %d", i, got[i].ID, id)
 		}
 	}
+	// The table does not require unique seqs: removing one of two entries
+	// that compare equal must remove that one.
+	st.Insert(mkRule(4, "10.3.0.0/16", 5), 9)
+	st.Insert(mkRule(5, "10.4.0.0/16", 5), 9)
+	st.Delete(4)
+	if got := st.FirstMatchOrder(); len(got) != 4 || got[0].ID+got[1].ID != 3+5 || got[2].ID != 2 {
+		t.Errorf("after deleting one of three equal-ranked rules: %v", got)
+	}
 }
 
 func TestManagerScore(t *testing.T) {
@@ -248,15 +281,6 @@ func TestSnapshotRatios(t *testing.T) {
 	}
 	if (Snapshot{}).HitRatio() != 0 {
 		t.Error("empty snapshot HitRatio must be 0")
-	}
-	// Quantiles are derived from the exact tier counters: with a 0.9 HW-hit
-	// fraction the p50 is the HW-tier latency and the p99 the (strictly
-	// larger) software-tier latency.
-	if snap.LookupP50 != DefaultSoftProfile.HWLookup {
-		t.Errorf("LookupP50 = %v, want %v", snap.LookupP50, DefaultSoftProfile.HWLookup)
-	}
-	if want := DefaultSoftProfile.HWLookup + DefaultSoftProfile.Lookup; snap.LookupP99 != want {
-		t.Errorf("LookupP99 = %v, want %v", snap.LookupP99, want)
 	}
 }
 

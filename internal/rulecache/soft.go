@@ -1,7 +1,8 @@
 package rulecache
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -14,19 +15,32 @@ import (
 // hardware tier it is unbounded; what it charges instead is latency — every
 // operation returns its virtual-time cost from the table's SoftProfile.
 //
+// The table also keeps its entries in the two orders its consumers need —
+// ascending rule ID (the cache manager's ranking input and the rules dump)
+// and first-match order (the snapshot's software-tier index) — maintained by
+// binary-search insert/remove on every mutation instead of re-sorted per
+// read. IDs and seqs arrive almost sorted, so an insert is an append in the
+// common case.
+//
 // Mutations are the caller's (the agent's) responsibility to serialize;
 // Lookup and Gen are safe only against a quiescent table, which is why the
 // agent reads it either under its lock or through the published snapshot.
 type SoftTable struct {
 	profile SoftProfile
-	byID    map[classifier.RuleID]softEntry
+	byID    map[classifier.RuleID]*SoftEntry
+	ids     []*SoftEntry // ascending Rule.ID
+	order   []*SoftEntry // first-match order: priority descending, seq ascending
 	trie    classifier.Trie
 	gen     atomic.Uint64
 }
 
-type softEntry struct {
-	rule classifier.Rule
-	seq  uint64
+// SoftEntry is one software-tier rule with its first-match sequence number
+// and popularity record. Rule and Seq are the table's; Stats is attached by
+// the agent after Insert (nil scores as never hit).
+type SoftEntry struct {
+	Rule  classifier.Rule
+	Seq   uint64
+	Stats *RuleStats
 }
 
 // NewSoftTable builds an empty software table with the given latency
@@ -34,7 +48,7 @@ type softEntry struct {
 func NewSoftTable(p SoftProfile) *SoftTable {
 	return &SoftTable{
 		profile: p.withDefaults(),
-		byID:    make(map[classifier.RuleID]softEntry),
+		byID:    make(map[classifier.RuleID]*SoftEntry),
 	}
 }
 
@@ -47,7 +61,7 @@ func (t *SoftTable) Profile() SoftProfile { return t.profile }
 func (t *SoftTable) Gen() uint64 { return t.gen.Load() }
 
 // Len returns the number of rules in the table.
-func (t *SoftTable) Len() int { return len(t.byID) }
+func (t *SoftTable) Len() int { return len(t.ids) }
 
 // Contains reports whether the rule is present.
 func (t *SoftTable) Contains(id classifier.RuleID) bool {
@@ -58,19 +72,60 @@ func (t *SoftTable) Contains(id classifier.RuleID) bool {
 // Get returns the stored rule and its first-match sequence number.
 func (t *SoftTable) Get(id classifier.RuleID) (classifier.Rule, uint64, bool) {
 	e, ok := t.byID[id]
-	return e.rule, e.seq, ok
+	if !ok {
+		return classifier.Rule{}, 0, false
+	}
+	return e.Rule, e.Seq, true
+}
+
+// Entry returns the rule's entry, or nil if it is not present. The entry
+// stays valid until the rule is deleted or re-inserted.
+func (t *SoftTable) Entry(id classifier.RuleID) *SoftEntry { return t.byID[id] }
+
+// Entries returns every entry in ascending rule-ID order. The slice is the
+// table's own: read-only, and valid only until the next Insert or Delete.
+func (t *SoftTable) Entries() []*SoftEntry { return t.ids }
+
+func cmpEntryID(e *SoftEntry, id classifier.RuleID) int { return cmp.Compare(e.Rule.ID, id) }
+
+// cmpFirstMatch orders entries as a monolithic TCAM would match them:
+// higher priority first, earlier seq breaking ties.
+func cmpFirstMatch(a, b *SoftEntry) int {
+	if c := cmp.Compare(b.Rule.Priority, a.Rule.Priority); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // Insert stores the rule with its tie-breaking sequence number, replacing
 // any previous entry with the same ID, and returns the virtual cost.
 func (t *SoftTable) Insert(r classifier.Rule, seq uint64) time.Duration {
 	if old, ok := t.byID[r.ID]; ok {
-		t.trie.Delete(old.rule.Match.Dst, r.ID)
+		t.unlink(old)
 	}
-	t.byID[r.ID] = softEntry{rule: r, seq: seq}
+	e := &SoftEntry{Rule: r, Seq: seq}
+	t.byID[r.ID] = e
+	i, _ := slices.BinarySearchFunc(t.ids, r.ID, cmpEntryID)
+	t.ids = slices.Insert(t.ids, i, e)
+	j, _ := slices.BinarySearchFunc(t.order, e, cmpFirstMatch)
+	t.order = slices.Insert(t.order, j, e)
 	t.trie.Insert(r)
 	t.gen.Add(1)
 	return t.profile.Insert
+}
+
+// unlink removes the entry from the trie and both ordered slices.
+func (t *SoftTable) unlink(e *SoftEntry) {
+	t.trie.Delete(e.Rule.Match.Dst, e.Rule.ID)
+	i, _ := slices.BinarySearchFunc(t.ids, e.Rule.ID, cmpEntryID)
+	t.ids = slices.Delete(t.ids, i, i+1)
+	// Seqs are unique under the agent, but the table does not require it:
+	// step over entries that merely compare equal.
+	j, _ := slices.BinarySearchFunc(t.order, e, cmpFirstMatch)
+	for t.order[j] != e {
+		j++
+	}
+	t.order = slices.Delete(t.order, j, j+1)
 }
 
 // Delete removes the rule; ok is false if it was not present.
@@ -79,7 +134,7 @@ func (t *SoftTable) Delete(id classifier.RuleID) (time.Duration, bool) {
 	if !ok {
 		return 0, false
 	}
-	t.trie.Delete(e.rule.Match.Dst, id)
+	t.unlink(e)
 	delete(t.byID, id)
 	t.gen.Add(1)
 	return t.profile.Delete, true
@@ -92,9 +147,8 @@ func (t *SoftTable) UpdateAction(id classifier.RuleID, action classifier.Action)
 	if !ok {
 		return 0, false
 	}
-	e.rule.Action = action
-	t.byID[id] = e
-	t.trie.Update(e.rule.Match.Dst, e.rule)
+	e.Rule.Action = action
+	t.trie.Update(e.Rule.Match.Dst, e.Rule)
 	t.gen.Add(1)
 	return t.profile.Modify, true
 }
@@ -117,7 +171,7 @@ func (t *SoftTable) Lookup(dst, src uint32) (classifier.Rule, bool) {
 		if !r.Match.Src.MatchesAddr(src) {
 			continue
 		}
-		seq := t.byID[r.ID].seq
+		seq := t.byID[r.ID].Seq
 		if !found || r.Priority > best.Priority ||
 			(r.Priority == best.Priority && seq < bestSeq) {
 			best, bestSeq, found = r, seq, true
@@ -131,37 +185,19 @@ func (t *SoftTable) Overlapping(m classifier.Match) []classifier.Rule {
 	return t.trie.Overlapping(m)
 }
 
-// Rules returns every rule sorted by ID — the shape Agent.Rules reports.
-func (t *SoftTable) Rules() []classifier.Rule {
-	out := make([]classifier.Rule, 0, len(t.byID))
-	for _, e := range t.byID {
-		out = append(out, e.rule)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
+// Rules returns a copy of every rule sorted by ID — the shape Agent.Rules
+// reports.
+func (t *SoftTable) Rules() []classifier.Rule { return rulesOf(t.ids) }
 
-// FirstMatchOrder returns every rule in first-match order (priority
-// descending, seq ascending) — the order classifier.NewRuleIndex expects,
-// used to build the snapshot's software-tier index.
-func (t *SoftTable) FirstMatchOrder() []classifier.Rule {
-	type ranked struct {
-		r   classifier.Rule
-		seq uint64
-	}
-	tmp := make([]ranked, 0, len(t.byID))
-	for _, e := range t.byID {
-		tmp = append(tmp, ranked{r: e.rule, seq: e.seq})
-	}
-	sort.Slice(tmp, func(i, j int) bool {
-		if tmp[i].r.Priority != tmp[j].r.Priority {
-			return tmp[i].r.Priority > tmp[j].r.Priority
-		}
-		return tmp[i].seq < tmp[j].seq
-	})
-	out := make([]classifier.Rule, len(tmp))
-	for i, e := range tmp {
-		out[i] = e.r
+// FirstMatchOrder returns a copy of every rule in first-match order
+// (priority descending, seq ascending) — the order classifier.NewRuleIndex
+// expects, used to build the snapshot's software-tier index.
+func (t *SoftTable) FirstMatchOrder() []classifier.Rule { return rulesOf(t.order) }
+
+func rulesOf(entries []*SoftEntry) []classifier.Rule {
+	out := make([]classifier.Rule, len(entries))
+	for i, e := range entries {
+		out[i] = e.Rule
 	}
 	return out
 }

@@ -57,16 +57,11 @@ func (s *RuleStats) LastEpoch() uint64 { return s.lastEpoch.Load() }
 // thousand times per tick instead of once per lookup. The software tier and
 // the miss path already pay a full second lookup, so their aggregate
 // counters stay exact and their per-rule stats are recorded directly.
-// Lookup latency quantiles need no histogram: the modeled per-tier
-// latencies are constants, so the quantiles are fully determined by the
-// tier counters and are derived arithmetically in Snapshot.
 type Manager struct {
 	cfg   Config
 	epoch atomic.Uint64
 	stats map[classifier.RuleID]*RuleStats
 
-	// Pre-computed virtual lookup latencies in nanoseconds.
-	hwNS, softNS uint64
 	// missPenalty is the cost-aware policy's miss-to-hit latency ratio.
 	missPenalty float64
 	// sampleMask = SampleStride−1; sampleShift = log₂ SampleStride, used to
@@ -88,7 +83,11 @@ type Manager struct {
 	softHits, misses             obs.Counter
 	promotions, demotions        obs.Counter
 	coverInstalls, coverRemovals obs.Counter
-	setupLat                     *obs.Histogram
+	// challengers counts the software-only rules a rebalance had to rank
+	// against the residents; hygieneVisits the rules its cover-hygiene pass
+	// re-examined. Together they say whether a tick did O(changed) work.
+	challengers, hygieneVisits obs.Counter
+	setupLat                   *obs.Histogram
 }
 
 // sampleRingSize is the hardware-tier sample ring length: 4096 slots cover
@@ -101,17 +100,15 @@ const sampleRingSize = 1 << 12
 // agents (Config.TrackHits) that have no software tier.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.WithDefaults()
-	m := &Manager{
-		cfg:         cfg,
-		stats:       make(map[classifier.RuleID]*RuleStats),
-		hwNS:        uint64(cfg.Profile.HWLookup.Nanoseconds()),
-		softNS:      uint64((cfg.Profile.HWLookup + cfg.Profile.Lookup).Nanoseconds()),
+	return &Manager{
+		cfg:   cfg,
+		stats: make(map[classifier.RuleID]*RuleStats),
+		// A miss pays both tiers' lookups, a hit only the hardware one.
+		missPenalty: float64(cfg.Profile.HWLookup+cfg.Profile.Lookup) / float64(cfg.Profile.HWLookup),
 		sampleMask:  uint64(cfg.SampleStride - 1),
 		sampleShift: uint(bits.TrailingZeros64(uint64(cfg.SampleStride))),
 		setupLat:    obs.NewHistogram(),
 	}
-	m.missPenalty = float64(m.softNS) / float64(m.hwNS)
-	return m
 }
 
 // Config returns the manager's (defaulted) configuration.
@@ -227,6 +224,12 @@ func (m *Manager) NoteDemotion()           { m.demotions.Inc() }
 func (m *Manager) NoteCoverInstalls(n int) { m.coverInstalls.Add(uint64(n)) }
 func (m *Manager) NoteCoverRemovals(n int) { m.coverRemovals.Add(uint64(n)) }
 
+// NoteChallengers / NoteHygieneVisits count the work one rebalance pass did
+// beyond its fixed scan: software-only rules ranked against the residents,
+// and rules the cover-hygiene pass re-examined.
+func (m *Manager) NoteChallengers(n int)   { m.challengers.Add(uint64(n)) }
+func (m *Manager) NoteHygieneVisits(n int) { m.hygieneVisits.Add(uint64(n)) }
+
 // Score ranks a rule for residency under the configured policy: higher
 // scores deserve hardware slots. slots is the number of hardware entries
 // the rule occupies (or would occupy), ≥ 1; only the cost-aware policy
@@ -256,11 +259,14 @@ type Snapshot struct {
 	HWHits, SoftHits, Misses     uint64
 	Promotions, Demotions        uint64
 	CoverInstalls, CoverRemovals uint64
-	Epoch                        uint64
-	Tracked                      int
+	// RebalanceChallengers and HygieneVisits count the rules rebalance
+	// passes ranked against the residents and re-examined for cover
+	// hygiene; both stay flat across ticks that changed nothing.
+	RebalanceChallengers, HygieneVisits uint64
+	Epoch                               uint64
+	Tracked                             int
 
-	LookupP50, LookupP99 time.Duration
-	SetupP50, SetupP99   time.Duration
+	SetupP50, SetupP99 time.Duration
 }
 
 // Lookups is the total number of lookups the hierarchy served.
@@ -276,39 +282,22 @@ func (s Snapshot) HitRatio() float64 {
 	return float64(s.HWHits) / float64(total)
 }
 
-// lookupQuantile derives the q-quantile of the modeled two-tier lookup
-// latency. The per-tier latencies are deterministic constants, so the
-// distribution is two-valued and fully determined by the exact tier
-// counters: the quantile is the HW latency while the quantile point falls
-// inside the hardware-hit fraction, the software latency beyond it.
-func (m *Manager) lookupQuantile(q float64) time.Duration {
-	hw := m.ringHead.Load() << m.sampleShift
-	total := hw + m.softHits.Value() + m.misses.Value()
-	if total == 0 {
-		return 0
-	}
-	if float64(hw) >= q*float64(total) {
-		return time.Duration(m.hwNS)
-	}
-	return time.Duration(m.softNS)
-}
-
 // Snapshot returns the current aggregate metrics.
 func (m *Manager) Snapshot() Snapshot {
 	return Snapshot{
-		HWHits:        m.ringHead.Load() << m.sampleShift,
-		SoftHits:      m.softHits.Value(),
-		Misses:        m.misses.Value(),
-		Promotions:    m.promotions.Value(),
-		Demotions:     m.demotions.Value(),
-		CoverInstalls: m.coverInstalls.Value(),
-		CoverRemovals: m.coverRemovals.Value(),
-		Epoch:         m.epoch.Load(),
-		Tracked:       len(m.stats),
-		LookupP50:     m.lookupQuantile(0.50),
-		LookupP99:     m.lookupQuantile(0.99),
-		SetupP50:      m.setupLat.QuantileDuration(0.50),
-		SetupP99:      m.setupLat.QuantileDuration(0.99),
+		HWHits:               m.ringHead.Load() << m.sampleShift,
+		SoftHits:             m.softHits.Value(),
+		Misses:               m.misses.Value(),
+		Promotions:           m.promotions.Value(),
+		Demotions:            m.demotions.Value(),
+		CoverInstalls:        m.coverInstalls.Value(),
+		CoverRemovals:        m.coverRemovals.Value(),
+		RebalanceChallengers: m.challengers.Value(),
+		HygieneVisits:        m.hygieneVisits.Value(),
+		Epoch:                m.epoch.Load(),
+		Tracked:              len(m.stats),
+		SetupP50:             m.setupLat.QuantileDuration(0.50),
+		SetupP99:             m.setupLat.QuantileDuration(0.99),
 	}
 }
 
@@ -324,14 +313,10 @@ func (m *Manager) Register(reg *obs.Registry) {
 	reg.CounterFunc("hermes_cache_demotions_total", "", "rules demoted to the software tier", m.demotions.Value)
 	reg.CounterFunc("hermes_cache_cover_installs_total", "", "cover rules installed for dependency-safe eviction", m.coverInstalls.Value)
 	reg.CounterFunc("hermes_cache_cover_removals_total", "", "cover rules removed", m.coverRemovals.Value)
+	reg.CounterFunc("hermes_cache_rebalance_challengers_total", "", "software-only rules ranked against the residents by rebalance passes", m.challengers.Value)
+	reg.CounterFunc("hermes_cache_hygiene_visits_total", "", "rules re-examined by rebalance cover-hygiene passes", m.hygieneVisits.Value)
 	reg.GaugeFunc("hermes_cache_hit_ratio", "", "fraction of lookups answered by the hardware tier", func() float64 {
 		return m.Snapshot().HitRatio()
-	})
-	reg.GaugeFunc("hermes_cache_lookup_p50_ns", "", "modeled two-tier lookup latency p50 (derived from tier counters)", func() float64 {
-		return float64(m.lookupQuantile(0.50))
-	})
-	reg.GaugeFunc("hermes_cache_lookup_p99_ns", "", "modeled two-tier lookup latency p99 (derived from tier counters)", func() float64 {
-		return float64(m.lookupQuantile(0.99))
 	})
 	reg.RegisterHistogram("hermes_cache_setup_latency_ns", "", "ns", "virtual rule-setup latency through the cached path", m.setupLat)
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Repo-wide gate: static analysis (go vet + hermes-lint), build, the full
 # test suite under the race detector, the linter's self-test against its
-# known-bad corpus, and short-budget fuzz runs of the wire codec and the
-# prefix parser. CI and `make check` both run this script. Everything is
+# known-bad corpus, the nested benchmark module's vet + smoke test, and
+# short-budget fuzz runs of the wire codec, the prefix parser and the cached
+# lookup equivalence. CI and `make check` both run this script. Everything is
 # offline: no module downloads, stdlib only.
 set -eu
 cd "$(dirname "$0")/.."
@@ -32,6 +33,9 @@ echo ">> lint-bench: full-repo lint wall-time budget"
 
 echo ">> go test -race ./..."
 go test -race ./...
+
+echo ">> benchmark module: vet + smoke test (nested module, not part of ./...)"
+(cd benchmark && go vet . && go test .)
 
 echo ">> chaos: seeded fault-injection verdict (hermes-bench chaos)"
 go run ./cmd/hermes-bench -scale 0.5 chaos | tee /tmp/hermes-chaos.$$ | tail -3
@@ -142,5 +146,8 @@ go test -run='^$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 
 echo ">> fuzz: prefix parser (5s)"
 go test -run='^$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
+
+echo ">> fuzz: cached two-tier lookup vs single-table oracle (5s)"
+go test -run='^$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
 
 echo "OK"
