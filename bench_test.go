@@ -15,19 +15,11 @@ import (
 	"testing"
 	"time"
 
-	"fmt"
-	"net"
-	"sync/atomic"
-
 	"hermes"
-	"hermes/internal/classifier"
 	"hermes/internal/core"
 	"hermes/internal/experiments"
-	"hermes/internal/fleet"
 	"hermes/internal/obs"
-	"hermes/internal/ofwire"
 	"hermes/internal/stats"
-	"hermes/internal/tcam"
 )
 
 // benchScale keeps the per-iteration cost of experiment benches bounded.
@@ -150,42 +142,6 @@ func BenchmarkAblationAtomicMigration(b *testing.B) {
 
 // --- core hot-path microbenches ---------------------------------------------
 
-// BenchmarkShadowInsert measures the guaranteed-path insertion, the
-// latency-critical operation of the whole system.
-func BenchmarkShadowInsert(b *testing.B) {
-	sw := hermes.NewSwitch("bench", hermes.Pica8P3290)
-	agent, err := hermes.NewAgent(sw, hermes.Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	now := time.Duration(0)
-	// Steady-state churn: retire rules once the table carries a realistic
-	// working set, so arbitrarily large b.N never exhausts the TCAM.
-	const window = 2000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := hermes.Rule{
-			ID:       hermes.RuleID(i + 1),
-			Match:    hermes.DstMatch(hermes.NewPrefix(uint32(i)<<8, 24)),
-			Priority: int32(i%50 + 1),
-		}
-		if _, err := agent.Insert(now, r); err != nil {
-			b.Fatal(err)
-		}
-		if i >= window {
-			if _, err := agent.Delete(now, hermes.RuleID(i+1-window)); err != nil {
-				b.Fatal(err)
-			}
-		}
-		now += time.Millisecond
-		if i%64 == 63 {
-			if end := agent.Tick(now); end != 0 {
-				agent.Advance(end)
-			}
-		}
-	}
-}
-
 // benchObserver builds a fully instrumented Observer (registry, per-class
 // histograms, tracer) for the obs-overhead comparison benches.
 func benchObserver() *core.Observer {
@@ -196,8 +152,7 @@ func benchObserver() *core.Observer {
 // subsystem disabled (noop) and fully enabled (obs: per-class histograms,
 // TCAM shift histograms, lifecycle tracer). The budget is ≤5% throughput
 // overhead and zero additional allocs/op — metric recording itself never
-// touches the heap. scripts/bench_json.sh turns the pair into the
-// BENCH_obs.json overhead report.
+// touches the heap (enforced by TestRecordPathZeroAllocs in internal/obs).
 func BenchmarkAgentInsert(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -245,7 +200,7 @@ func BenchmarkAgentInsert(b *testing.B) {
 // BenchmarkAgentLookup measures the per-packet read path with and without
 // the obs subsystem attached. Lookup is data plane — obs instruments only
 // control-plane operations — so the two sub-benches must be
-// indistinguishable; the pair pins that claim in BENCH_obs.json.
+// indistinguishable.
 func BenchmarkAgentLookup(b *testing.B) {
 	for _, mode := range []struct {
 		name     string
@@ -282,7 +237,7 @@ func BenchmarkAgentLookup(b *testing.B) {
 // BenchmarkAgentLookupHits pins the per-rule hit-accounting satellite: the
 // read path with TrackHits off (nohits) and on (hits) must both run at
 // 0 allocs/op, and the sharded-counter bump should cost single-digit
-// nanoseconds. scripts/bench_json.sh-style comparisons read the pair.
+// nanoseconds.
 func BenchmarkAgentLookupHits(b *testing.B) {
 	for _, mode := range []struct {
 		name  string
@@ -323,10 +278,10 @@ func BenchmarkAgentLookupHits(b *testing.B) {
 // BenchmarkCachedLookup contrasts the two-tier caching hierarchy against
 // the uncached pipeline on the same all-resident working set: every lookup
 // hits the hardware tier, so the delta is the hierarchy's pure read-path
-// overhead (the <5% budget BENCH_cache.json reports). The rule count
-// matches the cache experiment's operating scale so the hierarchy's
-// constant per-lookup cost (one sharded atomic add) is weighed against a
-// realistically sized classifier, not a toy one.
+// overhead (budget <5%). The rule count matches the cache experiment's
+// operating scale so the hierarchy's constant per-lookup cost (one sharded
+// atomic add) is weighed against a realistically sized classifier, not a
+// toy one.
 func BenchmarkCachedLookup(b *testing.B) {
 	const rules = 2048
 	for _, mode := range []struct {
@@ -360,125 +315,6 @@ func BenchmarkCachedLookup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				agent.Lookup(uint32(i%rules)<<12, 0)
 			}
-		})
-	}
-}
-
-// BenchmarkPartitionNewRule measures Algorithm 1 against a populated main
-// index.
-func BenchmarkPartitionNewRule(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	var idx classifier.Trie
-	for i := 0; i < 5000; i++ {
-		idx.Insert(classifier.Rule{
-			ID:       classifier.RuleID(i + 1),
-			Match:    classifier.DstMatch(classifier.NewPrefix(rng.Uint32(), uint8(12+rng.Intn(13)))),
-			Priority: int32(rng.Intn(64)),
-		})
-	}
-	next := classifier.RuleID(1 << 20)
-	mint := func() classifier.RuleID { next++; return next }
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		probe := classifier.Rule{
-			ID:       classifier.RuleID(1<<19 + i),
-			Match:    classifier.DstMatch(classifier.NewPrefix(rng.Uint32(), 20)),
-			Priority: 1,
-		}
-		classifier.PartitionNewRule(probe, &idx, mint)
-	}
-}
-
-// BenchmarkTCAMInsert measures the raw table model at the paper's largest
-// calibration occupancy.
-func BenchmarkTCAMInsert(b *testing.B) {
-	tbl := tcam.NewTable("bench", tcam.Pica8P3290.Capacity, tcam.Pica8P3290)
-	for i := 0; i < 2000; i++ {
-		tbl.Insert(classifier.Rule{ //nolint:errcheck
-			ID:       classifier.RuleID(i + 1),
-			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(i)<<8, 24)),
-			Priority: 10,
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := classifier.RuleID(1<<20 + i)
-		if _, err := tbl.Insert(classifier.Rule{
-			ID:       id,
-			Match:    classifier.DstMatch(classifier.NewPrefix(0xF0000000|uint32(i)<<8, 24)),
-			Priority: 1000,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		tbl.Delete(id)
-	}
-}
-
-// BenchmarkLookup measures the two-slice pipeline lookup.
-func BenchmarkLookup(b *testing.B) {
-	sw := hermes.NewSwitch("bench", hermes.Pica8P3290)
-	agent, err := hermes.NewAgent(sw, hermes.Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	now := time.Duration(0)
-	for i := 0; i < 500; i++ {
-		agent.Insert(now, hermes.Rule{ //nolint:errcheck
-			ID:       hermes.RuleID(i + 1),
-			Match:    hermes.DstMatch(hermes.NewPrefix(uint32(i)<<12, 20)),
-			Priority: int32(i % 50),
-		})
-		now += time.Millisecond
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Lookup(uint32(i)<<12, 0)
-	}
-}
-
-// BenchmarkAgentLookupParallel measures the agent's concurrent read path:
-// many goroutines doing Lookup against a populated agent. With the indexed
-// default this hits the atomically-published snapshot (no lock, no
-// allocations); the linear sub-bench is the full-scan oracle for
-// comparison.
-func BenchmarkAgentLookupParallel(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		linear bool
-	}{{"indexed", false}, {"linear", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			sw := hermes.NewSwitch("bench", hermes.Pica8P3290)
-			agent, err := hermes.NewAgent(sw, hermes.Config{
-				Guarantee:        5 * time.Millisecond,
-				DisableRateLimit: true,
-				LinearLookup:     mode.linear,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			now := time.Duration(0)
-			for i := 0; i < 500; i++ {
-				agent.Insert(now, hermes.Rule{ //nolint:errcheck
-					ID:       hermes.RuleID(i + 1),
-					Match:    hermes.DstMatch(hermes.NewPrefix(uint32(i)<<12, 20)),
-					Priority: int32(i % 50),
-				})
-				now += time.Millisecond
-			}
-			// Warm the snapshot past the rebuild hysteresis so the
-			// measurement is steady-state reads, not the first build.
-			for i := 0; i < 64; i++ {
-				agent.Lookup(uint32(i)<<12, 0)
-			}
-			var ctr atomic.Uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := ctr.Add(1)
-					agent.Lookup(uint32(i%500)<<12, 0)
-				}
-			})
 		})
 	}
 }
@@ -543,116 +379,3 @@ func BenchmarkAutoTune(b *testing.B) { runExperiment(b, "autotune") }
 // BenchmarkShadowSwitchComparison runs the §9 software-vs-hardware shadow
 // design-space experiment.
 func BenchmarkShadowSwitchComparison(b *testing.B) { runExperiment(b, "shadowswitch") }
-
-// --- fleet control plane benchmarks -------------------------------------
-
-// startBenchAgents spawns n in-process agent daemons on loopback for the
-// wire and fleet benchmarks.
-func startBenchAgents(b *testing.B, n int) []fleet.SwitchSpec {
-	b.Helper()
-	specs := make([]fleet.SwitchSpec, n)
-	for i := 0; i < n; i++ {
-		srv, err := ofwire.NewAgentServer(fmt.Sprintf("bench-sw-%d", i), tcam.Pica8P3290,
-			core.Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv.Logf = func(string, ...interface{}) {}
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		go srv.Serve(lis) //nolint:errcheck
-		b.Cleanup(func() { srv.Close() })
-		specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("bench-sw-%d", i), Addr: lis.Addr().String()}
-	}
-	return specs
-}
-
-// BenchmarkWireSerializedRPC measures one-at-a-time round trips on a
-// single control channel — the behaviour of the pre-pipelining client,
-// where every caller waited for the previous caller's reply.
-func BenchmarkWireSerializedRPC(b *testing.B) {
-	specs := startBenchAgents(b, 1)
-	c, err := ofwire.Dial(specs[0].Addr, time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	payload := []byte("bench")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Echo(payload); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWirePipelinedRPC measures the same round trips issued from
-// concurrent callers over the SAME connection: the pipelined client keeps
-// several requests in flight per connection, so throughput should exceed
-// the serialized benchmark's.
-func BenchmarkWirePipelinedRPC(b *testing.B) {
-	specs := startBenchAgents(b, 1)
-	c, err := ofwire.Dial(specs[0].Addr, time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	payload := []byte("bench")
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := c.Echo(payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkFleetThroughput measures end-to-end flow-mod throughput
-// (insert + delete pairs, consistently routed) against fleets of growing
-// size. Each switch has its own worker, queue, and pipelined connection;
-// note the in-process agents share this host's CPUs with the controller,
-// so the interesting signal is that throughput does NOT degrade as the
-// fleet grows, not linear speedup.
-func BenchmarkFleetThroughput(b *testing.B) {
-	for _, size := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("switches=%d", size), func(b *testing.B) {
-			specs := startBenchAgents(b, size)
-			f, err := fleet.New(fleet.Config{BatchSize: 16}, specs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			var ctr atomic.Uint64
-			// Keep well more in-flight ops than switches so every worker's
-			// pipeline stays busy; otherwise fleet size cannot matter.
-			b.SetParallelism(8)
-			start := time.Now()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					id := classifier.RuleID(ctr.Add(1))
-					r := classifier.Rule{
-						ID:       id,
-						Match:    classifier.DstMatch(classifier.NewPrefix(uint32(id)<<12|0x0A000000, 28)),
-						Priority: int32(uint64(id)%16 + 1),
-						Action:   classifier.Action{Type: classifier.ActionForward},
-					}
-					sw := f.Route(id)
-					if res := f.Insert(sw, r); res.Err != nil {
-						b.Fatal(res.Err)
-					}
-					if res := f.Delete(sw, id); res.Err != nil {
-						b.Fatal(res.Err)
-					}
-				}
-			})
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(2*b.N)/elapsed, "flowmods/s")
-			}
-		})
-	}
-}

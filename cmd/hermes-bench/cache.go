@@ -6,129 +6,31 @@ import (
 	"os"
 	"time"
 
-	"hermes/internal/classifier"
-	"hermes/internal/core"
 	"hermes/internal/experiments"
-	"hermes/internal/rulecache"
-	"hermes/internal/tcam"
 )
 
 // cacheReport is the BENCH_cache.json document: the deterministic
-// virtual-time sweep (hit ratios, modeled latency quantiles, the policy
-// verdict booleans scripts/check.sh gates on) plus one wall-clock
-// measurement — the cached-vs-plain lookup overhead, taken as min-of-k
-// ns/op per mode so scheduler noise (which is strictly additive) cancels.
+// virtual-time sweep (hit ratios and the policy verdict booleans
+// scripts/check.sh gates on).
 type cacheReport struct {
 	GeneratedAt string  `json:"generated_at"`
 	Scale       float64 `json:"scale"`
 	experiments.CacheData
-	NoCacheNSOp     float64 `json:"nocache_ns_per_op"`
-	CachedNSOp      float64 `json:"cached_ns_per_op"`
-	OverheadPercent float64 `json:"lookup_overhead_percent"`
 }
 
-// runCacheJSON runs the cache sweep plus the overhead pair and writes the
-// combined report to path.
+// runCacheJSON runs the cache sweep and writes the report to path.
 func runCacheJSON(path string, scale float64) error {
 	res, data := experiments.CacheSweepData(scale)
 	fmt.Println(res)
 
-	plain, cached := measureCacheOverhead()
 	rep := cacheReport{
-		GeneratedAt:     time.Now().UTC().Format(time.RFC3339),
-		Scale:           scale,
-		CacheData:       data,
-		NoCacheNSOp:     plain,
-		CachedNSOp:      cached,
-		OverheadPercent: (cached - plain) / plain * 100,
+		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
+		Scale:       scale,
+		CacheData:   data,
 	}
-	fmt.Printf("lookup overhead: nocache %.1fns/op, cached %.1fns/op (%.1f%%)\n",
-		plain, cached, rep.OverheadPercent)
-
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// overheadRules mirrors BenchmarkCachedLookup: the working set matches the
-// cache experiment's operating scale and every rule is hardware-resident,
-// so the pair isolates the cost the sampling hooks add to a hardware-tier
-// hit — the hierarchy's common case.
-const overheadRules = 2048
-
-// overheadAgent builds an agent with overheadRules resident rules, cached
-// or plain, and warms the lock-free snapshot.
-func overheadAgent(cache bool) (*core.Agent, error) {
-	sw := tcam.NewSwitch("overhead", tcam.Pica8P3290)
-	cfg := core.Config{
-		Guarantee:        5 * time.Millisecond,
-		DisableRateLimit: true,
-	}
-	if cache {
-		cfg.Cache = &rulecache.Config{Capacity: overheadRules + 64, Policy: rulecache.PolicyLFU}
-	}
-	a, err := core.New(sw, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rules := make([]classifier.Rule, overheadRules)
-	for i := range rules {
-		rules[i] = classifier.Rule{
-			ID:       classifier.RuleID(i + 1),
-			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(i)<<12, 20)),
-			Priority: int32(i%50 + 1),
-			Action:   classifier.Action{Type: classifier.ActionForward, Port: i % 48},
-		}
-	}
-	for _, res := range a.InsertBatch(0, rules, nil) {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-	}
-	if cache {
-		// Promote everything so the measured loop stays on the hardware tier.
-		for t := time.Duration(0); t < 200*time.Millisecond; t += 10 * time.Millisecond {
-			if end := a.Tick(t); end != 0 {
-				a.Advance(end)
-			}
-		}
-	}
-	for i := 0; i < 64; i++ {
-		a.Lookup(uint32(i%overheadRules)<<12, 0)
-	}
-	return a, nil
-}
-
-// measureCacheOverhead returns (plain, cached) min-of-k ns/op over the
-// same lookup loop.
-func measureCacheOverhead() (float64, float64) {
-	const (
-		rounds = 7
-		loops  = 2_000_000
-	)
-	run := func(a *core.Agent) float64 {
-		best := 0.0
-		for r := 0; r < rounds; r++ {
-			start := time.Now()
-			for i := 0; i < loops; i++ {
-				a.Lookup(uint32(i%overheadRules)<<12, 0)
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / loops
-			if best == 0 || ns < best {
-				best = ns
-			}
-		}
-		return best
-	}
-	plain, err := overheadAgent(false)
-	if err != nil {
-		panic(err)
-	}
-	cached, err := overheadAgent(true)
-	if err != nil {
-		panic(err)
-	}
-	return run(plain), run(cached)
 }

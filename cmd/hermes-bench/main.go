@@ -2,48 +2,32 @@
 //
 // Usage:
 //
-//	hermes-bench [-scale F] [-list] [-gomaxprocs 1,2,4,8] [experiment ...]
+//	hermes-bench [-scale F] [-list] [experiment ...]
 //
 // With no experiment arguments it runs the full suite (Table 1, Figures 1
 // and 8–15, the §8.6 predictor sweep, the §8.4 BGP study, and the design
 // ablations) and prints paper-style rows for each. Scale 1 is the default
 // laptop-sized configuration; -scale 4 runs the paper-sized fat-tree
 // (k=16, 1024 hosts) where applicable.
-//
-// -gomaxprocs runs the sharded parallel-lookup scaling sweep instead: for
-// each requested GOMAXPROCS value it drives the agent's lock-free lookup
-// snapshot (plain and sharded) from that many goroutines and prints a
-// throughput/scaling table, then exits.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"hermes/internal/classifier"
-	"hermes/internal/core"
 	"hermes/internal/experiments"
-	"hermes/internal/stats"
-	"hermes/internal/tcam"
 )
 
 func main() {
 	scale := flag.Float64("scale", 1.0, "experiment scale factor (0.1 = smoke test, 4 = paper-sized)")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	csvDir := flag.String("csv", "", "also write each experiment's tables as CSV files into this directory")
-	gmp := flag.String("gomaxprocs", "", "comma-separated GOMAXPROCS values (e.g. 1,2,4,8): run the sharded parallel-lookup scaling sweep and exit")
-	cacheJSON := flag.String("cache-json", "", "run the cache experiment plus the lookup-overhead pair and write the JSON report to this file, then exit")
+	cacheJSON := flag.String("cache-json", "", "run the cache experiment and write the JSON report to this file, then exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hermes-bench [-scale F] [-list] [-gomaxprocs 1,2,4,8] [experiment ...]\n\nexperiments: %v\n", experiments.IDs())
+		fmt.Fprintf(os.Stderr, "usage: hermes-bench [-scale F] [-list] [experiment ...]\n\nexperiments: %v\n", experiments.IDs())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -51,14 +35,6 @@ func main() {
 	if *list {
 		for _, id := range experiments.IDs() {
 			fmt.Println(id)
-		}
-		return
-	}
-
-	if *gmp != "" {
-		if err := runLookupSweep(*gmp); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
 		}
 		return
 	}
@@ -91,131 +67,6 @@ func main() {
 		}
 	}
 	fmt.Printf("completed in %v (scale %g)\n", time.Since(start).Round(time.Millisecond), *scale)
-}
-
-// sweepRules is the lookup-sweep working set: enough rules that the trie
-// has real depth, small enough that the table fits a single TCAM slice.
-const sweepRules = 1024
-
-// sweepAgent builds an agent preloaded with sweepRules rules (sharded
-// snapshot when shards > 1) and warms the lock-free view past its rebuild
-// hysteresis, so the sweep measures the steady-state published-index path.
-func sweepAgent(shards int) (*core.Agent, []uint32, error) {
-	sw := tcam.NewSwitch("sweep", tcam.Pica8P3290)
-	a, err := core.New(sw, core.Config{
-		Guarantee:        5 * time.Millisecond,
-		DisableRateLimit: true,
-		LookupShards:     shards,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	rules := make([]classifier.Rule, sweepRules)
-	for i := range rules {
-		rules[i] = classifier.Rule{
-			ID:       classifier.RuleID(i + 1),
-			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(i)<<12, 20)),
-			Priority: int32(i%10 + 1),
-			Action:   classifier.Action{Type: classifier.ActionForward, Port: i % 48},
-		}
-	}
-	for _, res := range a.InsertBatch(0, rules, nil) {
-		if res.Err != nil {
-			return nil, nil, res.Err
-		}
-	}
-	addrs := make([]uint32, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range addrs {
-		addrs[i] = uint32(rng.Intn(sweepRules)) << 12
-	}
-	for i := 0; i < 64; i++ {
-		a.Lookup(addrs[i%len(addrs)], 0)
-	}
-	return a, addrs, nil
-}
-
-// sweepCell drives the agent's lookup path from p goroutines for dur and
-// returns aggregate throughput in lookups/s.
-func sweepCell(a *core.Agent, addrs []uint32, p int, dur time.Duration) float64 {
-	prev := runtime.GOMAXPROCS(p)
-	defer runtime.GOMAXPROCS(prev)
-
-	var (
-		ops  int64
-		stop int32
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < p; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i, local := w*997, int64(0)
-			for atomic.LoadInt32(&stop) == 0 {
-				for k := 0; k < 1024; k++ {
-					a.Lookup(addrs[i&(len(addrs)-1)], 0)
-					i++
-				}
-				local += 1024
-			}
-			atomic.AddInt64(&ops, local)
-		}(w)
-	}
-	start := time.Now()
-	time.Sleep(dur)
-	atomic.StoreInt32(&stop, 1)
-	wg.Wait()
-	elapsed := time.Since(start)
-	return float64(atomic.LoadInt64(&ops)) / elapsed.Seconds()
-}
-
-// runLookupSweep measures parallel lookup scaling: plain vs sharded
-// snapshot, each driven at every requested GOMAXPROCS value, reported as
-// per-lookup latency, aggregate throughput, and speedup over the first
-// (lowest) GOMAXPROCS column of the same configuration.
-func runLookupSweep(spec string) error {
-	var procs []int
-	for _, f := range strings.Split(spec, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || p < 1 {
-			return fmt.Errorf("hermes-bench: bad -gomaxprocs value %q", f)
-		}
-		procs = append(procs, p)
-	}
-
-	tab := &stats.Table{
-		Title:   fmt.Sprintf("Parallel lookup scaling (%d rules, %d probe addrs)", sweepRules, 4096),
-		Headers: []string{"config", "GOMAXPROCS", "ns/op", "Mlookups/s", "speedup"},
-	}
-	const dur = 200 * time.Millisecond
-	for _, cfg := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards=1", 0},
-		{"shards=4", 4},
-		{"shards=8", 8},
-	} {
-		a, addrs, err := sweepAgent(cfg.shards)
-		if err != nil {
-			return fmt.Errorf("hermes-bench: lookup sweep %s: %w", cfg.name, err)
-		}
-		base := 0.0
-		for _, p := range procs {
-			tput := sweepCell(a, addrs, p, dur)
-			if base == 0 {
-				base = tput
-			}
-			tab.AddRow(cfg.name,
-				strconv.Itoa(p),
-				fmt.Sprintf("%.1f", float64(p)*1e9/tput),
-				fmt.Sprintf("%.2f", tput/1e6),
-				fmt.Sprintf("%.2fx", tput/base))
-		}
-	}
-	fmt.Println(tab)
-	fmt.Printf("(host has %d CPUs; columns beyond that measure scheduler oversubscription, not scaling)\n", runtime.NumCPU())
-	return nil
 }
 
 // writeCSVs dumps each of the result's tables as <dir>/<id>-<n>.csv.

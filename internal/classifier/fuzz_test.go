@@ -45,3 +45,28 @@ func FuzzParsePrefix(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRuleIndexEquivalence feeds arbitrary packed rule bytes and a probe
+// packet through the snapshot index and the linear oracle; any divergence
+// is a bug regardless of input shape.
+func FuzzRuleIndexEquivalence(f *testing.F) {
+	f.Add([]byte{0x0a, 8, 0, 0, 1, 0xc0, 16, 1, 2, 3}, uint32(0x0a000001), uint32(0))
+	f.Add([]byte{}, uint32(1), uint32(2))
+	f.Fuzz(func(t *testing.T, data []byte, dst, src uint32) {
+		// 5 bytes per rule: dst-addr-high, dst-len, priority, src-addr-high,
+		// src-len. Coarse quantization keeps overlaps and ties frequent.
+		var rules []Rule
+		for i := 0; i+5 <= len(data) && len(rules) < 64; i += 5 {
+			rules = append(rules, Rule{
+				ID:       RuleID(len(rules) + 1),
+				Match:    Match{Dst: NewPrefix(uint32(data[i])<<24, data[i+1]%33), Src: NewPrefix(uint32(data[i+3])<<24, data[i+4]%33)},
+				Priority: int32(data[i+2] % 8),
+			})
+		}
+		want, wok := linearFirstMatch(rules, dst, src)
+		got, gok := NewRuleIndex(rules).Lookup(dst, src)
+		if wok != gok || got != want {
+			t.Fatalf("index %v,%v linear %v,%v", got, gok, want, wok)
+		}
+	})
+}

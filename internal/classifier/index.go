@@ -53,17 +53,6 @@ func (ix *RuleIndex) Rules() []Rule { return ix.rules }
 // Lookup returns the first-match rule for the packet, exactly as a linear
 // scan of the underlying ordered rule list would. Zero allocations.
 func (ix *RuleIndex) Lookup(dst, src uint32) (Rule, bool) {
-	best := ix.lookupSlot(dst, src)
-	if best < 0 {
-		return Rule{}, false
-	}
-	return ix.rules[best], true
-}
-
-// lookupSlot returns the smallest matching slot for the packet, or -1. The
-// slot is the rule's position in the index's first-match order; sharded
-// indexes map it back to a global position to combine across shards.
-func (ix *RuleIndex) lookupSlot(dst, src uint32) int32 {
 	best := int32(-1)
 	n := ix.root
 	for depth := uint8(0); n != nil; depth++ {
@@ -82,5 +71,8 @@ func (ix *RuleIndex) lookupSlot(dst, src uint32) int32 {
 		}
 		n = n.children[(dst>>(31-depth))&1]
 	}
-	return best
+	if best < 0 {
+		return Rule{}, false
+	}
+	return ix.rules[best], true
 }

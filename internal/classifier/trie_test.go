@@ -130,3 +130,78 @@ func TestTrieAllAndClear(t *testing.T) {
 		t.Errorf("Overlapping on empty trie = %v", got)
 	}
 }
+
+// TestOverlapsWhereMatchesOverlapping checks the allocation-free existence
+// probe against the collecting query it replaces.
+func TestOverlapsWhereMatchesOverlapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		rules := randRules(rng, rng.Intn(120))
+		var tr Trie
+		for _, r := range rules {
+			tr.Insert(r)
+		}
+		for probe := 0; probe < 80; probe++ {
+			m := Match{
+				Dst: NewPrefix(rng.Uint32(), uint8(rng.Intn(33))),
+				Src: NewPrefix(rng.Uint32(), uint8(rng.Intn(17))),
+			}
+			prio := int32(rng.Intn(8))
+			pred := func(r Rule) bool { return r.Priority >= prio }
+			want := false
+			for _, r := range tr.Overlapping(m) {
+				if pred(r) {
+					want = true
+					break
+				}
+			}
+			if got := tr.OverlapsWhere(m, pred); got != want {
+				t.Fatalf("trial %d: OverlapsWhere(%v, prio>=%d) = %v, want %v",
+					trial, m, prio, got, want)
+			}
+		}
+	}
+}
+
+func TestOverlapsWhereZeroAllocs(t *testing.T) {
+	var tr Trie
+	rng := rand.New(rand.NewSource(3))
+	for _, r := range randRules(rng, 256) {
+		tr.Insert(r)
+	}
+	m := Match{Dst: NewPrefix(0x0A000000, 8)}
+	pred := func(r Rule) bool { return r.Priority >= 4 }
+	allocs := testing.AllocsPerRun(200, func() {
+		tr.OverlapsWhere(m, pred)
+	})
+	if allocs != 0 {
+		t.Fatalf("OverlapsWhere allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestTrieNodeRecycling proves a delete/insert churn cycle reuses pruned
+// nodes instead of re-allocating the path — the steady-state 0 allocs/op
+// contract of the agent's batch insert path depends on it.
+func TestTrieNodeRecycling(t *testing.T) {
+	var tr Trie
+	r := Rule{ID: 1, Match: DstMatch(MustParsePrefix("10.1.2.3/32")), Priority: 1}
+	// Warm-up: allocate the path once.
+	tr.Insert(r)
+	if !tr.Delete(r.Match.Dst, r.ID) {
+		t.Fatal("warm-up delete failed")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.Insert(r)
+		if !tr.Delete(r.Match.Dst, r.ID) {
+			t.Fatal("delete failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("churn cycle allocates %.1f/op, want 0 (freelist reuse)", allocs)
+	}
+	// The recycled trie still answers correctly.
+	tr.Insert(r)
+	if got, ok := tr.Get(r.Match.Dst, r.ID); !ok || got != r {
+		t.Fatalf("recycled trie lost the rule: %v %v", got, ok)
+	}
+}

@@ -3,8 +3,7 @@ package core
 // Tests for the vectored entry points (core/batch.go): a differential
 // replay proving the batched and per-op paths are result-identical on the
 // same seeded schedule, an in-batch ordering check, the steady-state
-// 0 allocs/op contract of the insert fast path, and the batched-ingest /
-// parallel-lookup benchmarks behind BENCH_batch.json.
+// 0 allocs/op contract of the insert fast path.
 
 import (
 	"math/rand"
@@ -19,16 +18,14 @@ import (
 )
 
 // newBatchTwin builds one agent of the batched-vs-per-op differential
-// pair. The batched twin also runs with a sharded lookup snapshot so the
-// differential covers Config.LookupShards at the agent level.
-func newBatchTwin(t *testing.T, name string, shards int) *Agent {
+// pair.
+func newBatchTwin(t *testing.T, name string) *Agent {
 	t.Helper()
 	sw := tcam.NewSwitch(name, tcam.Pica8P3290)
 	a, err := New(sw, Config{
 		Guarantee:        5 * time.Millisecond,
 		TrackLogical:     true,
 		DisableRateLimit: true,
-		LookupShards:     shards,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,13 +34,13 @@ func newBatchTwin(t *testing.T, name string, shards int) *Agent {
 }
 
 // TestBatchPerOpDifferential replays the same seeded schedule through a
-// per-op agent and a batched agent (ApplyBatch, sharded snapshot) and
+// per-op agent and a batched agent (ApplyBatch) and
 // requires identical per-op results, identical packet lookups after every
 // batch, and identical final rule sets.
 func TestBatchPerOpDifferential(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		perOp := newBatchTwin(t, "twin-perop", 0)
-		batched := newBatchTwin(t, "twin-batched", 4)
+		perOp := newBatchTwin(t, "twin-perop")
+		batched := newBatchTwin(t, "twin-batched")
 		rng := rand.New(rand.NewSource(seed))
 		now := time.Duration(0)
 		var live []classifier.RuleID
@@ -128,8 +125,8 @@ func TestBatchPerOpDifferential(t *testing.T) {
 				}
 			}
 
-			// Probe packets: the batched (sharded) agent must answer
-			// identically to the per-op (plain-index) agent.
+			// Probe packets: the batched agent must answer identically
+			// to the per-op agent.
 			prng := rand.New(rand.NewSource(seed*1000 + int64(round)))
 			logical := perOp.LogicalRules()
 			for k := 0; k < 60; k++ {
@@ -269,141 +266,5 @@ func TestInsertBatchZeroAllocSteadyState(t *testing.T) {
 	}
 	if min != 0 {
 		t.Fatalf("InsertBatch of %d rules performed at least %d allocations every cycle, want a 0-alloc steady state", batch, min)
-	}
-}
-
-func newBenchAgent(b *testing.B, cfg Config) *Agent {
-	b.Helper()
-	if cfg.Guarantee == 0 {
-		cfg.Guarantee = 5 * time.Millisecond
-	}
-	sw := tcam.NewSwitch("bench", tcam.Pica8P3290)
-	a, err := New(sw, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return a
-}
-
-// BenchmarkAgentInsertPerOp is the per-op ingest baseline: one lock
-// round-trip per rule.
-func BenchmarkAgentInsertPerOp(b *testing.B) {
-	a := newBenchAgent(b, Config{
-		Guarantee:                time.Second,
-		DisableRateLimit:         true,
-		DisableLowPriorityBypass: true,
-	})
-	const batch = 64
-	rules := batchBenchRules(batch, 0)
-	ids := make([]classifier.RuleID, batch)
-	for i := range ids {
-		ids[i] = rules[i].ID
-	}
-	now := time.Duration(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		now += time.Second
-		for i := range rules {
-			if _, err := a.Insert(now, rules[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for _, id := range ids {
-			if _, err := a.Delete(now, id); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkAgentInsertBatch is the vectored ingest path: one lock
-// round-trip and one snapshot refresh per 64-rule batch, 0 allocs/op at
-// steady state.
-func BenchmarkAgentInsertBatch(b *testing.B) {
-	a := newBenchAgent(b, Config{
-		Guarantee:                time.Second,
-		DisableRateLimit:         true,
-		DisableLowPriorityBypass: true,
-	})
-	const batch = 64
-	rules := batchBenchRules(batch, 0)
-	ids := make([]classifier.RuleID, batch)
-	for i := range ids {
-		ids[i] = rules[i].ID
-	}
-	var out, dout []BatchResult
-	now := time.Duration(0)
-	// Warm the freelist and table capacity out of the measured region.
-	now += time.Second
-	out = a.InsertBatch(now, rules, out)
-	dout = a.DeleteBatch(now, ids, dout)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		now += time.Second
-		out = a.InsertBatch(now, rules, out)
-		dout = a.DeleteBatch(now, ids, dout)
-	}
-	_ = out
-	_ = dout
-}
-
-// benchLookupAgent preloads an agent with rules and forces the lock-free
-// snapshot into existence so the parallel benchmark measures the
-// published-index path.
-func benchLookupAgent(b *testing.B, shards, nrules int) (*Agent, []uint32) {
-	a := newBenchAgent(b, Config{DisableRateLimit: true, LookupShards: shards})
-	rules := make([]classifier.Rule, nrules)
-	for i := range rules {
-		rules[i] = classifier.Rule{
-			ID:       classifier.RuleID(i + 1),
-			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(i)<<12, 20)),
-			Priority: int32(i%10 + 1),
-			Action:   classifier.Action{Type: classifier.ActionForward, Port: i % 48},
-		}
-	}
-	out := a.InsertBatch(0, rules, nil)
-	for i := range out {
-		if out[i].Err != nil {
-			b.Fatalf("preload %d: %v", i, out[i].Err)
-		}
-	}
-	addrs := make([]uint32, 4096)
-	rng := rand.New(rand.NewSource(1))
-	for i := range addrs {
-		addrs[i] = uint32(rng.Intn(nrules)) << 12
-	}
-	// Publish the snapshot (past the rebuild hysteresis).
-	for i := 0; i < 4*viewRebuildAfter; i++ {
-		a.Lookup(addrs[i%len(addrs)], 0)
-	}
-	return a, addrs
-}
-
-// BenchmarkAgentLookupParallel measures packet-lookup scaling across
-// GOMAXPROCS (run with -cpu 1,2,4,8) for the plain single-index snapshot
-// and the sharded one.
-func BenchmarkAgentLookupParallel(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		shards int
-	}{
-		{"shards=1", 0},
-		{"shards=4", 4},
-		{"shards=8", 8},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			a, addrs := benchLookupAgent(b, bc.shards, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					a.Lookup(addrs[i&(len(addrs)-1)], 0)
-					i++
-				}
-			})
-		})
 	}
 }

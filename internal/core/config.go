@@ -109,13 +109,6 @@ type Config struct {
 	// trie-indexed default; off by default (indexed).
 	LinearLookup bool
 
-	// LookupShards, when > 1, splits the published lookup snapshot into
-	// that many per-CPU shards (rules partitioned by destination-prefix
-	// hash, a combining layer picking the first match across shards, see
-	// classifier.ShardedRuleIndex). Bit-identical to the single-index
-	// snapshot; 0 or 1 keeps the plain RuleIndex.
-	LookupShards int
-
 	// Cache, when non-nil, enables the flow-driven rule caching hierarchy
 	// (DESIGN.md §16): the carved TCAM becomes the top tier of a two-tier
 	// lookup pipeline backed by an unbounded switch-CPU software table,

@@ -36,13 +36,6 @@ import (
 // enough that insert/lookup alternation never rebuilds per packet.
 const viewRebuildAfter = 4
 
-// ruleLookup is what a published snapshot needs from an index: RuleIndex
-// satisfies it directly, ShardedRuleIndex through its combining layer
-// (Config.LookupShards picks which one freshView builds).
-type ruleLookup interface {
-	Lookup(dst, src uint32) (classifier.Rule, bool)
-}
-
 // agentView is one immutable snapshot of the agent's lookup state. All
 // fields are written before the view is published and never after.
 type agentView struct {
@@ -50,13 +43,13 @@ type agentView struct {
 	mainGen    uint64
 	logicalGen uint64
 	softGen    uint64
-	shadow     ruleLookup
-	main       ruleLookup
+	shadow     *classifier.RuleIndex
+	main       *classifier.RuleIndex
 	// logical is non-nil only when cfg.TrackLogical is set.
 	logical *classifier.RuleIndex
 	// soft is the software-tier index (cached mode only); cache and hits
 	// are set whenever hit tracking is on (Config.Cache or TrackHits).
-	soft  ruleLookup
+	soft  *classifier.RuleIndex
 	cache *rulecache.Manager
 	hits  map[classifier.RuleID]*rulecache.RuleStats
 }
@@ -182,19 +175,19 @@ func (a *Agent) buildView(prev *agentView, sg, mg, lg, fg uint64) *agentView {
 	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cache: a.cmgr}
 	hwMoved := false
 	if v.shadow = prev.shadow; v.shadow == nil || prev.shadowGen != sg {
-		v.shadow = a.buildIndex(a.shadow.Rules())
+		v.shadow = classifier.NewRuleIndex(a.shadow.Rules())
 		a.tierRebuilds[tierShadow].Add(1)
 		hwMoved = true
 	}
 	if v.main = prev.main; v.main == nil || prev.mainGen != mg {
-		v.main = a.buildIndex(a.main.Rules())
+		v.main = classifier.NewRuleIndex(a.main.Rules())
 		a.tierRebuilds[tierMain].Add(1)
 		hwMoved = true
 	}
 	softMoved := false
 	if a.soft != nil {
 		if v.soft = prev.soft; v.soft == nil || prev.softGen != fg {
-			v.soft = a.buildIndex(a.soft.FirstMatchOrder())
+			v.soft = classifier.NewRuleIndex(a.soft.FirstMatchOrder())
 			a.tierRebuilds[tierSoft].Add(1)
 			softMoved = true
 		}
@@ -218,16 +211,6 @@ func (a *Agent) buildView(prev *agentView, sg, mg, lg, fg uint64) *agentView {
 		}
 	}
 	return v
-}
-
-// buildIndex picks the snapshot index implementation: sharded when
-// Config.LookupShards asks for parallel per-CPU shards, the plain
-// RuleIndex otherwise.
-func (a *Agent) buildIndex(rules []classifier.Rule) ruleLookup {
-	if n := a.cfg.LookupShards; n > 1 {
-		return classifier.NewShardedRuleIndex(rules, n)
-	}
-	return classifier.NewRuleIndex(rules)
 }
 
 // refreshViewLocked republishes the snapshot at the end of a batch or a

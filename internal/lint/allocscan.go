@@ -8,7 +8,7 @@ import (
 
 // AllocscanAnalyzer guards the zero-allocation packet path: Table.Lookup
 // runs per simulated packet and the agent's snapshot read path promises 0
-// allocs/op (BenchmarkTableLookup, BenchmarkAgentLookupParallel). A stray
+// allocs/op (TestRuleIndexLookupZeroAllocs, TestMatchCandidatesZeroAllocs). A stray
 // make(map...), growing append, or map/slice composite literal inside a
 // lookup-path function turns every packet into a heap allocation and a GC
 // assist — a regression benchmarks catch late and this check catches at

@@ -40,7 +40,7 @@ var HotPathAllocAnalyzer = &Analyzer{
 
 // coreBatchFuncs are the agent's vectored entry points and their in-loop
 // helpers (DESIGN.md §15). Exact names, because the batch insert path
-// promises 0 allocs/op at steady state (BenchmarkAgentInsertBatch) while
+// promises 0 allocs/op at steady state (TestInsertBatchZeroAllocSteadyState) while
 // sibling mutators in the same package allocate freely. Only meaningful
 // inside internal/core.
 var coreBatchFuncs = map[string]bool{

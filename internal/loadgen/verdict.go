@@ -163,7 +163,7 @@ func Evaluate(l *Ledger, slo SLO, run RunInfo) *Verdict {
 }
 
 // JSON renders the verdict with stable field order and indentation —
-// the BENCH_loadgen.json artifact CI archives and gates on.
+// what -out writes and scripts/check.sh greps for "pass".
 func (v *Verdict) JSON() ([]byte, error) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

@@ -276,6 +276,25 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecordPathZeroAllocs enforces the claim README and DESIGN §11 make:
+// recording a sample, bumping a counter and tracing an event never touch
+// the heap.
+func TestRecordPathZeroAllocs(t *testing.T) {
+	h := NewHistogram()
+	var c Counter
+	tr := NewTracer(1024, 8)
+	v := uint64(0)
+	for name, record := range map[string]func(){
+		"Histogram.Record": func() { v += 1023; h.Record(v) },
+		"Counter.Add":      func() { c.Add(3) },
+		"Tracer.Record":    func() { v++; tr.Record(0, EvAdmit, 0, v, 1, 2) },
+	} {
+		if allocs := testing.AllocsPerRun(1000, record); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+}
+
 func BenchmarkHistogramRecord(b *testing.B) {
 	h := NewHistogram()
 	b.ReportAllocs()

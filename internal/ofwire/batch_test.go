@@ -2,13 +2,11 @@ package ofwire
 
 import (
 	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"hermes/internal/classifier"
 	"hermes/internal/core"
-	"hermes/internal/tcam"
 )
 
 func TestCodecBatchRoundTrip(t *testing.T) {
@@ -243,97 +241,6 @@ func TestClientBatchSplitsOversized(t *testing.T) {
 	for i, br := range results {
 		if br.Err != nil {
 			t.Fatalf("delete %d (chunk boundary at %d): %v", i, MaxBatchOps, br.Err)
-		}
-	}
-}
-
-// benchServer spawns an agent server for the wire ingest benchmarks. A
-// long guarantee keeps the flight recorder quiet; the bypass ablation
-// keeps every insert on the uncut fast path.
-func benchServer(b *testing.B) string {
-	b.Helper()
-	srv, err := NewAgentServer("bench", tcam.Pica8P3290, core.Config{
-		Guarantee:                time.Second,
-		DisableRateLimit:         true,
-		DisableLowPriorityBypass: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(lis) //nolint:errcheck
-	b.Cleanup(func() { srv.Close() })
-	return lis.Addr().String()
-}
-
-// BenchmarkWireInsertPerOp is the per-op ingest baseline over a real TCP
-// loopback connection: 64 inserts + 64 deletes, each its own request,
-// write syscall, and wire round trip.
-func BenchmarkWireInsertPerOp(b *testing.B) {
-	c, err := Dial(benchServer(b), time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const batch = 64
-	rules := make([]classifier.Rule, batch)
-	for i := range rules {
-		rules[i] = batchRule(i)
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		for i := range rules {
-			if _, err := c.Insert(rules[i]); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := range rules {
-			if _, err := c.Delete(rules[i].ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkWireInsertBatch64 is the vectored ingest path: the same 64
-// inserts + 64 deletes as BenchmarkWireInsertPerOp, but two
-// flow-mod-batch frames — one syscall and one wire round trip each, one
-// agent lock acquisition and one snapshot refresh per batch.
-func BenchmarkWireInsertBatch64(b *testing.B) {
-	c, err := Dial(benchServer(b), time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	const batch = 64
-	rules := make([]classifier.Rule, batch)
-	ids := make([]classifier.RuleID, batch)
-	for i := range rules {
-		rules[i] = batchRule(i)
-		ids[i] = rules[i].ID
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		results, err := c.InsertBatch(rules)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range results {
-			if results[i].Err != nil {
-				b.Fatalf("insert %d: %v", i, results[i].Err)
-			}
-		}
-		results, err = c.DeleteBatch(ids)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := range results {
-			if results[i].Err != nil {
-				b.Fatalf("delete %d: %v", i, results[i].Err)
-			}
 		}
 	}
 }

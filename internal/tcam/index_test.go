@@ -358,48 +358,6 @@ func benchRule(rng *rand.Rand, id classifier.RuleID) classifier.Rule {
 	}
 }
 
-func benchLookup(b *testing.B, occ int, linear bool) {
-	rng := rand.New(rand.NewSource(77))
-	tab := fillTable(b, rng, occ, benchRule)
-	tab.SetLinearLookup(linear)
-	pkts := make([][2]uint32, 1024)
-	rules := tab.Rules()
-	for i := range pkts {
-		pkts[i][0], pkts[i][1] = probeAddr(rng, rules)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pkts[i&1023]
-		tab.Lookup(p[0], p[1])
-	}
-}
-
-func BenchmarkTableLookup(b *testing.B) {
-	for _, occ := range []int{64, 512, 2048} {
-		b.Run(fmtOcc("linear", occ), func(b *testing.B) { benchLookup(b, occ, true) })
-		b.Run(fmtOcc("indexed", occ), func(b *testing.B) { benchLookup(b, occ, false) })
-	}
-}
-
-func fmtOcc(path string, occ int) string {
-	return path + "/occ=" + itoa(occ)
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // BenchmarkTableReset guards the clear-in-place Reset: resetting a full
 // table must not allocate (the old implementation reallocated the presence
 // map every call). The refill runs under a stopped timer so only Reset's
