@@ -44,21 +44,21 @@ func (m Match) Intersect(o Match) (Match, bool) {
 // The pieces are then minimized with MergeMatches, which preserves the
 // union exactly.
 func CoverFor(rule Rule, deps []Rule) []Match {
-	remaining := []Match{rule.Match}
+	remaining, spare := []Match{rule.Match}, []Match(nil)
 	var pieces []Match
 	for _, d := range deps {
 		if !rule.Match.Overlaps(d.Match) {
 			continue
 		}
-		var next []Match
+		spare = spare[:0]
 		for _, reg := range remaining {
 			if inter, ok := reg.Intersect(d.Match); ok {
 				pieces = append(pieces, inter)
 			}
-			next = append(next, reg.Subtract(d.Match)...)
+			spare = reg.AppendSubtract(spare, d.Match)
 		}
-		remaining = next
+		remaining, spare = spare, remaining
 	}
-	pieces = append(pieces, remaining...)
-	return MergeMatches(pieces)
+	var s mergeScratch
+	return s.merge(append(pieces, remaining...))
 }

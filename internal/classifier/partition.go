@@ -1,5 +1,10 @@
 package classifier
 
+import (
+	"cmp"
+	"slices"
+)
+
 // This file implements Algorithm 1 of the paper (PartitionNewRule) and the
 // bookkeeping needed to undo it.
 //
@@ -54,20 +59,30 @@ func (p *Partition) WasCut() bool {
 
 // PartitionNewRule implements Algorithm 1. mainIndex is the trie over the
 // current main-table rules; nextID mints IDs for the generated partition
-// rules (the original rule's ID is reused when no cut is needed, so the
-// common fast path allocates nothing).
+// rules (the original rule's ID is reused when no cut is needed).
 //
 // Rules in the main table with priority >= the new rule's priority cut the
 // new rule. Equal priority is treated as "existing rule wins" because in a
 // monolithic TCAM the earlier-inserted rule sits higher and would match
-// first. Callers that know the true insertion order (the Hermes agent) use
-// PartitionAgainst with a seq-aware wins predicate instead.
+// first. Callers that know the true insertion order (the Hermes agent) keep
+// a Partitioner and pass it a seq-aware wins predicate instead.
 func PartitionNewRule(newRule Rule, mainIndex *Trie, nextID func() RuleID) Partition {
 	wins := func(existing Rule) bool { return existing.Priority >= newRule.Priority }
-	return PartitionAgainst(newRule, mainIndex, wins, nextID, true, 0)
+	var pt Partitioner
+	return pt.Partition(newRule, mainIndex, wins, nextID, true, 0)
 }
 
-// PartitionAgainst is the generalized Algorithm 1: wins reports whether an
+// Partitioner runs Algorithm 1 on working memory it keeps between calls, so
+// a cut allocates for the parts it produces and not for the rules it was cut
+// against. The zero value is ready to use; it is not safe for concurrent use
+// (the agent keeps one under its write lock).
+type Partitioner struct {
+	regions, spare []Match // EliminateOverlap's working set and its double buffer
+	cause          []RuleID
+	merge          mergeScratch
+}
+
+// Partition is the generalized Algorithm 1: wins reports whether an
 // existing main-table rule would beat newRule in a monolithic table (the
 // caller encodes priority and insertion-order tie-breaking). merge controls
 // the line-7 optimal merge; ablations disable it. maxRegions, when
@@ -75,42 +90,50 @@ func PartitionNewRule(newRule Rule, mainIndex *Trie, nextID func() RuleID) Parti
 // working fragment set exceeds it, so the Gate Keeper can divert
 // pathological rules to the main table without paying the full cutting
 // cost first.
-func PartitionAgainst(newRule Rule, mainIndex *Trie, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
+//
+// Main-table rules are cut against in OverlapIter order and the walk stops
+// at the rule that leaves nothing (a containing ancestor ends it before the
+// subtree is touched) or overflows. The returned Parts are freshly
+// allocated; Cause aliases the Partitioner's memory and is valid until its
+// next call (PartitionMap.Record copies it).
+func (pt *Partitioner) Partition(newRule Rule, mainIndex *Trie, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
-	regions := []Match{newRule.Match}
-	for _, r := range mainIndex.Overlapping(newRule.Match) {
+	regions, spare := append(pt.regions[:0], newRule.Match), pt.spare
+	cause := pt.cause[:0]
+	it := mainIndex.OverlapCandidates(newRule.Match)
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
 		if r.ID == newRule.ID || !wins(r) {
 			continue // the new rule legitimately wins; shadow-first order is correct
 		}
-		p.Cause = append(p.Cause, r.ID)
-		var next []Match
+		cause = append(cause, r.ID)
+		spare = spare[:0]
 		for _, region := range regions {
-			next = append(next, region.Subtract(r.Match)...)
+			spare = region.AppendSubtract(spare, r.Match)
 		}
-		regions = next
+		regions, spare = spare, regions
 		if len(regions) == 0 {
 			break
 		}
 		if maxRegions > 0 && len(regions) > maxRegions {
 			p.Overflow = true
-			return p
+			break
 		}
 	}
-	if len(p.Cause) == 0 {
+	pt.regions, pt.spare, pt.cause = regions, spare, cause
+	p.Cause = cause
+	switch {
+	case p.Overflow:
+	case len(cause) == 0:
 		// Fast path: untouched.
 		p.Parts = []Rule{newRule}
-		return p
-	}
-	if merge {
-		regions = MergeMatches(regions)
-	}
-	for _, m := range regions {
-		p.Parts = append(p.Parts, Rule{
-			ID:       nextID(),
-			Match:    m,
-			Priority: newRule.Priority,
-			Action:   newRule.Action,
-		})
+	case len(regions) > 0:
+		if merge {
+			regions = pt.merge.merge(regions)
+		}
+		p.Parts = make([]Rule, len(regions))
+		for i, m := range regions {
+			p.Parts[i] = Rule{ID: nextID(), Match: m, Priority: newRule.Priority, Action: newRule.Action}
+		}
 	}
 	return p
 }
@@ -120,40 +143,134 @@ func PartitionAgainst(newRule Rule, mainIndex *Trie, wins func(existing Rule) bo
 // questions rule deletion must ask (§4.1): "was this shadow rule
 // partitioned?" and "which partitions depended on this main-table rule?".
 type PartitionMap struct {
-	byOriginal map[RuleID]*Partition // original rule ID -> its partition
-	byCause    map[RuleID][]RuleID   // main rule ID -> original rule IDs cut by it
-	byPart     map[RuleID]RuleID     // partition rule ID -> original rule ID
+	byOriginal map[RuleID]*partRecord   // original rule ID -> its partition
+	byCause    map[RuleID][]*partRecord // main rule ID -> the partitions it cut, unordered
+	byPart     map[RuleID]RuleID        // partition rule ID -> original rule ID
+	clock      uint64                   // stamps records in Record order
+
+	gone, added []RuleID        // Record's cause-diff scratch
+	freeDeps    [][]*partRecord // emptied byCause lists, kept for the next new cause
 }
+
+// partRecord is one recorded partition. Its Cause is the map's own copy.
+type partRecord struct {
+	Partition
+	stamp uint64 // clock value of the most recent Record
+}
+
+// maxFreeDeps bounds the recycled dependents lists.
+const maxFreeDeps = 1024
 
 // NewPartitionMap returns an empty map.
 func NewPartitionMap() *PartitionMap {
 	return &PartitionMap{
-		byOriginal: make(map[RuleID]*Partition),
-		byCause:    make(map[RuleID][]RuleID),
+		byOriginal: make(map[RuleID]*partRecord),
+		byCause:    make(map[RuleID][]*partRecord),
 		byPart:     make(map[RuleID]RuleID),
 	}
 }
 
-// Record stores a partition that actually cut its rule. Partitions with no
-// cause are not recorded (nothing to undo).
+// Record stores p as the current partition of its original rule, replacing
+// the one recorded before, if any. A partition with no cause did not cut
+// its rule and leaves no record (nothing to undo). The map keeps p.Parts and
+// copies p.Cause.
+//
+// Re-recording costs what changed: the previous and the new cause list are
+// both in the trie's overlap order, so they usually share all but a few
+// entries at one spot. The common head and tail are skipped and only the
+// causes in between are unlinked or linked; that remainder is diffed by
+// sorted ID, so the result does not depend on the order assumption (an
+// in-place Modify moves a main rule to the end of its trie node).
 func (m *PartitionMap) Record(p Partition) {
+	id := p.Original.ID
+	rec := m.byOriginal[id]
 	if !p.WasCut() {
+		if rec != nil {
+			m.remove(rec)
+		}
 		return
 	}
-	cp := p
-	m.byOriginal[p.Original.ID] = &cp
-	for _, c := range p.Cause {
-		m.byCause[c] = append(m.byCause[c], p.Original.ID)
+	if rec == nil {
+		rec = &partRecord{}
+		m.byOriginal[id] = rec
+	}
+	m.clock++
+	rec.stamp = m.clock
+
+	for _, part := range rec.Parts {
+		delete(m.byPart, part.ID)
 	}
 	for _, part := range p.Parts {
-		m.byPart[part.ID] = p.Original.ID
+		m.byPart[part.ID] = id
+	}
+
+	was, now := rec.Cause, p.Cause
+	for len(was) > 0 && len(now) > 0 && was[0] == now[0] {
+		was, now = was[1:], now[1:]
+	}
+	for len(was) > 0 && len(now) > 0 && was[len(was)-1] == now[len(now)-1] {
+		was, now = was[:len(was)-1], now[:len(now)-1]
+	}
+	m.gone = append(m.gone[:0], was...)
+	m.added = append(m.added[:0], now...)
+	slices.Sort(m.gone)
+	slices.Sort(m.added)
+	gone, added := m.gone, m.added
+	for len(gone) > 0 || len(added) > 0 {
+		switch {
+		case len(added) == 0 || (len(gone) > 0 && gone[0] < added[0]):
+			m.unlink(gone[0], rec)
+			gone = gone[1:]
+		case len(gone) == 0 || added[0] < gone[0]:
+			m.link(added[0], rec)
+			added = added[1:]
+		default: // still a cause, only elsewhere in the list
+			gone, added = gone[1:], added[1:]
+		}
+	}
+
+	cause := append(rec.Cause[:0], p.Cause...)
+	rec.Partition = p
+	rec.Cause = cause
+}
+
+// link adds rec to the partitions main rule c cut.
+func (m *PartitionMap) link(c RuleID, rec *partRecord) {
+	deps, ok := m.byCause[c]
+	if n := len(m.freeDeps); !ok && n > 0 {
+		deps, m.freeDeps = m.freeDeps[n-1], m.freeDeps[:n-1]
+	}
+	m.byCause[c] = append(deps, rec)
+}
+
+// unlink removes rec from the partitions main rule c cut.
+func (m *PartitionMap) unlink(c RuleID, rec *partRecord) {
+	deps := m.byCause[c]
+	i := slices.Index(deps, rec)
+	if i < 0 {
+		return
+	}
+	last := len(deps) - 1
+	deps[i], deps[last] = deps[last], nil
+	deps = deps[:last]
+	if last > 0 {
+		m.byCause[c] = deps
+		return
+	}
+	delete(m.byCause, c)
+	if len(m.freeDeps) < maxFreeDeps {
+		m.freeDeps = append(m.freeDeps, deps)
 	}
 }
 
-// Lookup returns the partition recorded for an original rule ID.
+// Lookup returns the partition recorded for an original rule ID. The
+// pointer is valid until the rule is recorded again or removed.
 func (m *PartitionMap) Lookup(original RuleID) (*Partition, bool) {
-	p, ok := m.byOriginal[original]
-	return p, ok
+	rec, ok := m.byOriginal[original]
+	if !ok {
+		return nil, false
+	}
+	return &rec.Partition, true
 }
 
 // OriginalOf maps a partition-rule ID back to the original rule ID. The
@@ -164,34 +281,38 @@ func (m *PartitionMap) OriginalOf(id RuleID) (RuleID, bool) {
 }
 
 // DependentsOf returns the original-rule IDs whose partitions were caused by
-// the given main-table rule. Deleting that main-table rule requires
-// un-partitioning each of them (delete the fragments, re-insert the
-// original; Fig. 6).
+// the given main-table rule, in the order of their most recent Record.
+// Deleting that main-table rule requires un-partitioning each of them
+// (delete the fragments, re-insert the original; Fig. 6) — in this order,
+// because the order decides which fragment IDs are minted for whom and
+// where the fragments land in the TCAM.
 func (m *PartitionMap) DependentsOf(mainRule RuleID) []RuleID {
-	return append([]RuleID(nil), m.byCause[mainRule]...)
+	deps := m.byCause[mainRule]
+	if len(deps) == 0 {
+		return nil
+	}
+	slices.SortFunc(deps, func(a, b *partRecord) int { return cmp.Compare(a.stamp, b.stamp) })
+	out := make([]RuleID, len(deps))
+	for i, rec := range deps {
+		out[i] = rec.Original.ID
+	}
+	return out
 }
 
 // Remove erases the record for an original rule (after its fragments have
 // been deleted or the original restored).
 func (m *PartitionMap) Remove(original RuleID) {
-	p, ok := m.byOriginal[original]
-	if !ok {
-		return
+	if rec, ok := m.byOriginal[original]; ok {
+		m.remove(rec)
 	}
-	delete(m.byOriginal, original)
-	for _, c := range p.Cause {
-		deps := m.byCause[c]
-		for i, d := range deps {
-			if d == original {
-				m.byCause[c] = append(deps[:i], deps[i+1:]...)
-				break
-			}
-		}
-		if len(m.byCause[c]) == 0 {
-			delete(m.byCause, c)
-		}
+}
+
+func (m *PartitionMap) remove(rec *partRecord) {
+	delete(m.byOriginal, rec.Original.ID)
+	for _, c := range rec.Cause {
+		m.unlink(c, rec)
 	}
-	for _, part := range p.Parts {
+	for _, part := range rec.Parts {
 		delete(m.byPart, part.ID)
 	}
 }

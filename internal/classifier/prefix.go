@@ -6,7 +6,9 @@
 package classifier
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -145,90 +147,67 @@ func (p Prefix) Subtract(q Prefix) []Prefix {
 	if q.Contains(p) {
 		return nil
 	}
-	// q is strictly inside p: walk from p toward q, at each level emitting
-	// the half that does NOT contain q.
 	out := make([]Prefix, 0, q.Len-p.Len)
-	cur := p
-	for cur.Len < q.Len {
-		lo, hi := cur.Children()
-		if lo.Contains(q) {
-			out = append(out, hi)
-			cur = lo
-		} else {
-			out = append(out, lo)
-			cur = hi
-		}
+	for cur := p; cur.Len < q.Len; {
+		var off Prefix
+		off, cur = cur.peel(q)
+		out = append(out, off)
 	}
 	return out
+}
+
+// peel splits p one level toward q (strictly inside p): off is the half
+// that does not contain q — one fragment of p minus q — and on the half
+// that does, to be peeled further.
+func (p Prefix) peel(q Prefix) (off, on Prefix) {
+	lo, hi := p.Children()
+	if lo.Contains(q) {
+		return hi, lo
+	}
+	return lo, hi
 }
 
 // MergePrefixes combines sibling prefixes into their parent repeatedly and
 // removes prefixes contained in other prefixes, returning a minimal
-// equivalent cover. This is the merge step of Algorithm 1 (line 7), used to
-// minimize the number of partition rules inserted into the shadow table.
+// equivalent cover in SortPrefixes order. This is the merge step of
+// Algorithm 1 (line 7), used to minimize the number of partition rules
+// inserted into the shadow table.
 func MergePrefixes(in []Prefix) []Prefix {
-	if len(in) <= 1 {
-		return append([]Prefix(nil), in...)
-	}
-	set := make(map[Prefix]bool, len(in))
-	for _, p := range in {
-		set[p] = true
-	}
-	// Repeatedly merge siblings bottom-up.
-	for {
-		merged := false
-		for p := range set {
-			if !set[p] { // already removed this pass
-				continue
-			}
-			if p.Len == 0 {
-				continue
-			}
-			sib := p.Sibling()
-			if set[sib] {
-				delete(set, p)
-				delete(set, sib)
-				set[p.Parent()] = true
-				merged = true
-			}
+	out := append([]Prefix(nil), in...)
+	slices.SortFunc(out, cmpPrefix)
+	return aggregateSorted(out)
+}
+
+// aggregateSorted is MergePrefixes on a slice already in cmpPrefix order,
+// done in place on its backing array. In that order a prefix precedes
+// everything it contains and a 0-half precedes its sibling, so one pass with
+// the output as a stack suffices: drop a prefix the stack top contains, push
+// anything else, and fold the top two into their parent while they are
+// siblings. A folded parent starts at its 0-half's address, so nothing
+// already on the stack can lie inside it.
+func aggregateSorted(ps []Prefix) []Prefix {
+	w := 0
+	for _, p := range ps {
+		if w > 0 && ps[w-1].Contains(p) {
+			continue
 		}
-		if !merged {
-			break
+		ps[w] = p
+		w++
+		for w >= 2 && ps[w-1].Len > 0 && ps[w-1].Len == ps[w-2].Len && ps[w-1].Sibling() == ps[w-2] {
+			ps[w-2] = ps[w-2].Parent()
+			w--
 		}
 	}
-	// Remove prefixes covered by another prefix in the set.
-	out := make([]Prefix, 0, len(set))
-	for p := range set {
-		covered := false
-		q := p
-		for q.Len > 0 {
-			q = q.Parent()
-			if set[q] {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			out = append(out, p)
-		}
-	}
-	SortPrefixes(out)
-	return out
+	return ps[:w]
 }
 
 // SortPrefixes orders prefixes by address then length, giving deterministic
 // output for tests and rendering.
-func SortPrefixes(ps []Prefix) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && less(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
+func SortPrefixes(ps []Prefix) { slices.SortFunc(ps, cmpPrefix) }
 
-func less(a, b Prefix) bool {
-	if a.Addr != b.Addr {
-		return a.Addr < b.Addr
+func cmpPrefix(a, b Prefix) int {
+	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
+		return c
 	}
-	return a.Len < b.Len
+	return cmp.Compare(a.Len, b.Len)
 }

@@ -1,6 +1,9 @@
 package classifier
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ActionType enumerates the forwarding actions a rule can take. The set
 // mirrors what the paper's examples use (forward to a port, drop, punt to
@@ -84,115 +87,133 @@ func (m Match) MatchesPacket(dst, src uint32) bool {
 
 // Subtract returns a set of match regions exactly covering m minus o.
 // The result is empty when o contains m and {m} when they do not overlap.
+func (m Match) Subtract(o Match) []Match { return m.AppendSubtract(nil, o) }
+
+// AppendSubtract appends the regions of m minus o to dst and returns it —
+// Subtract for callers that bring their own buffer (Algorithm 1 runs
+// EliminateOverlap on two reused slices).
 //
 // For the two-dimensional case the difference decomposes into (i) the dst
 // slices of m outside o's dst, each keeping m's full src range, and (ii) the
 // dst intersection combined with m's src minus o's src. Because prefixes
 // only nest, the intersection of two overlapping prefixes is simply the
-// longer one.
-func (m Match) Subtract(o Match) []Match {
+// longer one. Fragments come out in that order, each dimension peeled from
+// the widest slice to the narrowest.
+func (m Match) AppendSubtract(dst []Match, o Match) []Match {
 	if !m.Overlaps(o) {
-		return []Match{m}
+		return append(dst, m)
 	}
-	if o.Contains(m) {
-		return nil
-	}
-	var out []Match
-	// Dst slices outside o.Dst.
-	for _, d := range m.Dst.Subtract(o.Dst) {
-		out = append(out, Match{Dst: d, Src: m.Src})
-	}
-	// Dst intersection: the longer of the two overlapping prefixes.
+	// Dst slices outside o.Dst (none when o.Dst contains m.Dst).
 	dstInt := m.Dst
-	if o.Dst.Len > dstInt.Len {
-		dstInt = o.Dst
+	for dstInt.Len < o.Dst.Len {
+		var off Prefix
+		off, dstInt = dstInt.peel(o.Dst)
+		dst = append(dst, Match{Dst: off, Src: m.Src})
 	}
 	// Within the dst intersection, keep src slices outside o.Src.
-	for _, s := range m.Src.Subtract(o.Src) {
-		out = append(out, Match{Dst: dstInt, Src: s})
+	for src := m.Src; src.Len < o.Src.Len; {
+		var off Prefix
+		off, src = src.peel(o.Src)
+		dst = append(dst, Match{Dst: dstInt, Src: off})
 	}
-	return out
+	return dst
 }
 
 // MergeMatches minimizes a set of match regions that all carry the same
 // action and priority: regions with identical src merge their dst prefixes,
 // regions with identical dst merge their src prefixes, and regions contained
-// in other regions are dropped. The loop runs to a fixpoint.
+// in other regions are dropped. The loop runs to a fixpoint; the result is
+// sorted by dst then src. The input is left untouched.
 func MergeMatches(in []Match) []Match {
-	regions := append([]Match(nil), in...)
+	var s mergeScratch
+	return s.merge(append([]Match(nil), in...))
+}
+
+// mergeScratch is MergeMatches' reusable working memory.
+type mergeScratch struct {
+	ps []Prefix
+}
+
+// merge is MergeMatches in place: it reorders and shrinks regions and
+// returns the minimized prefix of its backing array.
+func (s *mergeScratch) merge(regions []Match) []Match {
 	for {
-		changed := false
-		// Group by src, merge dst.
-		bySrc := make(map[Prefix][]Prefix)
-		for _, r := range regions {
-			bySrc[r.Src] = append(bySrc[r.Src], r.Dst)
-		}
-		var next []Match
-		for src, dsts := range bySrc {
-			merged := MergePrefixes(dsts)
-			if len(merged) < len(dsts) {
-				changed = true
-			}
-			for _, d := range merged {
-				next = append(next, Match{Dst: d, Src: src})
-			}
-		}
-		// Group by dst, merge src.
-		byDst := make(map[Prefix][]Prefix)
-		for _, r := range next {
-			byDst[r.Dst] = append(byDst[r.Dst], r.Src)
-		}
-		next = next[:0]
-		for dst, srcs := range byDst {
-			merged := MergePrefixes(srcs)
-			if len(merged) < len(srcs) {
-				changed = true
-			}
-			for _, s := range merged {
-				next = append(next, Match{Dst: dst, Src: s})
-			}
-		}
-		// Drop regions contained in other regions.
-		kept := make([]Match, 0, len(next))
-		for i, r := range next {
-			contained := false
-			for j, o := range next {
-				if i == j {
-					continue
-				}
-				if o.Contains(r) && !(r.Contains(o) && i < j) {
-					contained = true
-					break
-				}
-			}
-			if !contained {
-				kept = append(kept, r)
-			}
-		}
-		if len(kept) < len(next) {
-			changed = true
-		}
-		regions = kept
-		if !changed {
-			return sortMatches(regions)
+		n := len(regions)
+		// Group by src, merge dst; then the same with the dimensions swapped.
+		regions = s.mergeDst(regions)
+		transpose(regions)
+		regions = s.mergeDst(regions)
+		transpose(regions)
+		regions = dropContained(regions)
+		if len(regions) == n {
+			slices.SortFunc(regions, cmpMatch)
+			return regions
 		}
 	}
 }
 
-func sortMatches(ms []Match) []Match {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && matchLess(ms[j], ms[j-1]); j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
+// mergeDst replaces, within each group of regions sharing a src, the dst
+// prefixes by their MergePrefixes aggregate. In place: groups only shrink.
+func (s *mergeScratch) mergeDst(regions []Match) []Match {
+	slices.SortFunc(regions, cmpSrcDst)
+	w := 0
+	for i := 0; i < len(regions); {
+		src := regions[i].Src
+		s.ps = s.ps[:0]
+		for ; i < len(regions) && regions[i].Src == src; i++ {
+			s.ps = append(s.ps, regions[i].Dst)
+		}
+		for _, d := range aggregateSorted(s.ps) {
+			regions[w] = Match{Dst: d, Src: src}
+			w++
 		}
 	}
-	return ms
+	return regions[:w]
 }
 
-func matchLess(a, b Match) bool {
-	if a.Dst != b.Dst {
-		return less(a.Dst, b.Dst)
+func transpose(regions []Match) {
+	for i, r := range regions {
+		regions[i] = Match{Dst: r.Src, Src: r.Dst}
 	}
-	return less(a.Src, b.Src)
+}
+
+// dropContained removes, in place, every region another region contains.
+// The regions are distinct (mergeDst deduplicates), so containment is a
+// strict order and a dropped region's container chain always ends in a
+// survivor: comparing against the survivors so far and the regions not yet
+// visited is comparing against all of them.
+func dropContained(regions []Match) []Match {
+	w := 0
+	for i, r := range regions {
+		if !containsAny(regions[:w], r) && !containsAny(regions[i+1:], r) {
+			regions[w] = r
+			w++
+		}
+	}
+	return regions[:w]
+}
+
+func containsAny(set []Match, r Match) bool {
+	for _, o := range set {
+		if o.Contains(r) {
+			return true
+		}
+	}
+	return false
+}
+
+func cmpSrcDst(a, b Match) int {
+	if c := cmpPrefix(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmpPrefix(a.Dst, b.Dst)
+}
+
+func cmpMatch(a, b Match) int {
+	if c := cmpPrefix(a.Dst, b.Dst); c != 0 {
+		return c
+	}
+	return cmpPrefix(a.Src, b.Src)
 }
 
 // RuleID uniquely identifies a rule across the logical table. IDs are

@@ -170,42 +170,86 @@ func (t *Trie) node(p Prefix) *trieNode {
 	return n
 }
 
-// Overlapping returns every indexed rule whose match region overlaps m.
-func (t *Trie) Overlapping(m Match) []Rule {
-	if t.root == nil {
-		return nil
-	}
-	var out []Rule
-	collect := func(rules []Rule) {
-		for _, r := range rules {
-			if r.Match.Src.Overlaps(m.Src) {
-				out = append(out, r)
+// OverlapIter walks the indexed rules whose match region overlaps one query
+// match. It is the single overlap traversal: ancestors on the path to the
+// query's Dst first (shallowest first), then the subtree at the query's Dst
+// in pre-order (0-child before 1-child), rules of one node in insertion
+// order. Algorithm 1 cuts in exactly this order, so the order is a contract
+// (it decides fragment shapes and minted part IDs), not an accident of the
+// walk. The iterator is a value with a fixed-size stack — no closures, no
+// heap — and the caller stops early simply by not calling Next again. The
+// trie must not be modified while an iterator is in use.
+type OverlapIter struct {
+	m     Match
+	rules []Rule    // rules of the node being yielded
+	i     int       // next index into rules
+	path  *trieNode // next node on the way down to m.Dst; nil once the subtree walk began
+	depth uint8     // depth of path
+	// stack holds the subtree nodes still to visit. Pre-order pops one node
+	// and pushes its two children, so it holds at most one pending sibling
+	// per level below the subtree root plus the two just pushed: ≤ 33.
+	stack [33]*trieNode
+	sp    int
+}
+
+// OverlapCandidates starts an overlap walk for m.
+func (t *Trie) OverlapCandidates(m Match) OverlapIter {
+	return OverlapIter{m: m, path: t.root}
+}
+
+// Next returns the next rule overlapping the query, or ok=false when the
+// walk is done.
+func (it *OverlapIter) Next() (Rule, bool) {
+	for {
+		for it.i < len(it.rules) {
+			r := &it.rules[it.i]
+			it.i++
+			if r.Match.Src.Overlaps(it.m.Src) {
+				return *r, true
 			}
 		}
-	}
-	// Walk the path to m.Dst: ancestors (dst contains m.Dst).
-	n := t.root
-	for depth := uint8(0); depth < m.Dst.Len; depth++ {
-		collect(n.rules)
-		bit := (m.Dst.Addr >> (31 - depth)) & 1
-		n = n.children[bit]
-		if n == nil {
-			return out
+		var n *trieNode
+		switch {
+		case it.path != nil && it.depth < it.m.Dst.Len:
+			// Ancestor: its dst contains the query's.
+			n = it.path
+			it.path = n.children[(it.m.Dst.Addr>>(31-it.depth))&1]
+			it.depth++
+		case it.path != nil:
+			// The node at m.Dst roots the subtree of contained dsts.
+			n, it.path = it.path, nil
+			it.push(n)
+		case it.sp > 0:
+			it.sp--
+			n = it.stack[it.sp]
+			it.push(n)
+		default:
+			return Rule{}, false
 		}
+		it.rules, it.i = n.rules, 0
 	}
-	// Subtree at m.Dst: the node itself plus descendants (dst contained in
-	// m.Dst).
-	var walk func(*trieNode)
-	walk = func(nd *trieNode) {
-		collect(nd.rules)
-		if nd.children[0] != nil {
-			walk(nd.children[0])
-		}
-		if nd.children[1] != nil {
-			walk(nd.children[1])
-		}
+}
+
+// push schedules n's children, 0-child on top.
+func (it *OverlapIter) push(n *trieNode) {
+	if c := n.children[1]; c != nil {
+		it.stack[it.sp] = c
+		it.sp++
 	}
-	walk(n)
+	if c := n.children[0]; c != nil {
+		it.stack[it.sp] = c
+		it.sp++
+	}
+}
+
+// Overlapping returns every indexed rule whose match region overlaps m, in
+// OverlapIter order.
+func (t *Trie) Overlapping(m Match) []Rule {
+	var out []Rule
+	it := t.OverlapCandidates(m)
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		out = append(out, r)
+	}
 	return out
 }
 
@@ -215,42 +259,13 @@ func (t *Trie) Overlapping(m Match) []Rule {
 // and needs the answer without collecting candidates. Callers that care
 // about allocations must pass a preallocated (reused) pred.
 func (t *Trie) OverlapsWhere(m Match, pred func(Rule) bool) bool {
-	if t.root == nil {
-		return false
-	}
-	// Ancestors on the path to m.Dst: their dst contains the query.
-	n := t.root
-	for depth := uint8(0); depth < m.Dst.Len; depth++ {
-		if overlapIn(n.rules, m, pred) {
-			return true
-		}
-		bit := (m.Dst.Addr >> (31 - depth)) & 1
-		n = n.children[bit]
-		if n == nil {
-			return false
-		}
-	}
-	// Subtree at m.Dst: the node itself plus descendants contained in it.
-	return subtreeOverlaps(n, m, pred)
-}
-
-func overlapIn(rules []Rule, m Match, pred func(Rule) bool) bool {
-	for _, r := range rules {
-		if r.Match.Src.Overlaps(m.Src) && pred(r) {
+	it := t.OverlapCandidates(m)
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		if pred(r) {
 			return true
 		}
 	}
 	return false
-}
-
-func subtreeOverlaps(nd *trieNode, m Match, pred func(Rule) bool) bool {
-	if nd == nil {
-		return false
-	}
-	if overlapIn(nd.rules, m, pred) {
-		return true
-	}
-	return subtreeOverlaps(nd.children[0], m, pred) || subtreeOverlaps(nd.children[1], m, pred)
 }
 
 // MatchIter iterates the rules whose destination prefix matches one packet

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,6 +101,14 @@ type Agent struct {
 	rules      map[classifier.RuleID]*ruleState
 	nextPartID classifier.RuleID
 	nextSeq    uint64
+	// cutter runs Algorithm 1 on buffers it keeps between cuts.
+	cutter classifier.Partitioner
+	// shadowIndex tracks, by match, the original rules whose place is
+	// placeShadow (cut, uncut or redundant); shadowIDs lists the same set in
+	// ascending ID order. A main-table change finds the shadow rules it can
+	// affect here instead of ranging over every rule.
+	shadowIndex classifier.Trie
+	shadowIDs   []classifier.RuleID
 
 	arrivals int // shadow entries installed since the last Tick
 	migr     *migration
@@ -438,6 +447,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 	}
 	if part.Redundant() {
 		a.rules[r.ID] = &ruleState{original: r, seq: seq, place: placeShadow, partIDs: nil}
+		a.addShadowResident(r)
 		a.pmap.Record(part)
 		a.metrics.Redundant++
 		a.o.event(now, obs.EvRedundant, 0, uint64(r.ID), 0, 0)
@@ -473,6 +483,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		ids = append(ids, p.ID)
 	}
 	a.rules[r.ID] = &ruleState{original: r, seq: seq, place: placeShadow, partIDs: ids}
+	a.addShadowResident(r)
 	a.pmap.Record(part)
 	a.arrivals += len(part.Parts)
 	a.metrics.ShadowInserts++
@@ -504,8 +515,23 @@ func (a *Agent) partition(r classifier.Rule, seq uint64) classifier.Partition {
 	// The working-set cap is above MaxPartitions so that merging still has
 	// a chance to bring a busy cut back under the limit, but pathological
 	// rules bail out long before cutting against the whole table.
-	return classifier.PartitionAgainst(r, &a.mainIndex, wins, a.mintPartID,
+	return a.cutter.Partition(r, &a.mainIndex, wins, a.mintPartID,
 		!a.cfg.DisableMergeOptimization, 8*a.cfg.MaxPartitions)
+}
+
+// addShadowResident / dropShadowResident keep the shadow-resident index and
+// its ID-ordered list in step with the rules whose place is placeShadow.
+func (a *Agent) addShadowResident(r classifier.Rule) {
+	a.shadowIndex.Insert(r)
+	i, _ := slices.BinarySearch(a.shadowIDs, r.ID)
+	a.shadowIDs = slices.Insert(a.shadowIDs, i, r.ID)
+}
+
+func (a *Agent) dropShadowResident(r classifier.Rule) {
+	a.shadowIndex.Delete(r.Match.Dst, r.ID)
+	if i, ok := slices.BinarySearch(a.shadowIDs, r.ID); ok {
+		a.shadowIDs = slices.Delete(a.shadowIDs, i, i+1)
+	}
 }
 
 // beats reports whether an installed rule would beat a (priority, seq)
@@ -582,20 +608,8 @@ func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint
 func (a *Agent) repairShadowAfterMainInsert(now time.Duration, mainRule classifier.Rule) {
 	// Collect candidates first (sorted for determinism) because the repair
 	// may move rules between tables.
-	var ids []classifier.RuleID
-	for id, st := range a.rules {
-		if st.place != placeShadow || id == mainRule.ID {
-			continue
-		}
-		if !st.original.Match.Overlaps(mainRule.Match) {
-			continue
-		}
-		if !a.beats(mainRule, st.original.Priority, st.seq) {
-			continue // the shadow rule legitimately wins (priority or age)
-		}
-		ids = append(ids, id)
-	}
-	sortRuleIDs(ids)
+	ids := a.appendShadowRulesBeatenBy(nil, mainRule)
+	slices.Sort(ids)
 	for _, id := range ids {
 		if st, ok := a.rules[id]; ok && st.place == placeShadow {
 			a.reinstallShadowRule(now, st)
@@ -603,8 +617,18 @@ func (a *Agent) repairShadowAfterMainInsert(now time.Duration, mainRule classifi
 	}
 }
 
-func sortRuleIDs(ids []classifier.RuleID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// appendShadowRulesBeatenBy appends the IDs of the shadow-resident originals
+// that overlap mainRule and lose to it — the only shadow rules a main-table
+// rule can force a re-cut of; the others legitimately win (priority or age).
+// The IDs come in index order, not sorted.
+func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule classifier.Rule) []classifier.RuleID {
+	it := a.shadowIndex.OverlapCandidates(mainRule.Match)
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		if r.ID != mainRule.ID && a.beats(mainRule, r.Priority, a.rules[r.ID].seq) {
+			ids = append(ids, r.ID)
+		}
+	}
+	return ids
 }
 
 // reinstallShadowRule deletes a shadow rule's current fragments and
@@ -617,19 +641,21 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
 			a.sw.SubmitGuaranteed(now, cost)
 		}
 	}
-	a.pmap.Remove(st.original.ID)
 	part := a.partition(st.original, st.seq)
+	a.o.recordRecut(len(part.Cause))
 	if !part.Overflow && part.Redundant() {
-		st.partIDs = nil
+		st.partIDs = st.partIDs[:0]
 		a.pmap.Record(part)
 		return
 	}
 	if part.Overflow || len(part.Parts) > a.cfg.MaxPartitions || a.shadow.Free() < len(part.Parts) {
 		// Out of shadow room: fall back to the main table.
+		a.pmap.Remove(st.original.ID)
 		cost, err := a.main.InsertRanked(st.original, st.seq)
 		if err == nil {
 			a.sw.Submit(now, cost)
 			a.mainIndex.Insert(st.original)
+			a.dropShadowResident(st.original)
 			st.place = placeMain
 			st.partIDs = []classifier.RuleID{st.original.ID}
 			a.repairShadowAfterMainInsert(now, st.original)
@@ -638,16 +664,16 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
 		// sees table-full semantics exactly as on a real switch.
 		return
 	}
-	ids := make([]classifier.RuleID, 0, len(part.Parts))
+	// The deleted fragments' ID list is reused for the new ones.
+	st.partIDs = st.partIDs[:0]
 	for _, p := range part.Parts {
 		cost, err := a.shadow.InsertRanked(p, st.seq)
 		if err != nil {
 			panic(fmt.Sprintf("core: shadow reinstall: %v", err))
 		}
 		a.sw.SubmitGuaranteed(now, cost)
-		ids = append(ids, p.ID)
+		st.partIDs = append(st.partIDs, p.ID)
 	}
-	st.partIDs = ids
 	a.pmap.Record(part)
 	a.metrics.Repartitions++
 }
@@ -697,6 +723,7 @@ func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration,
 			}
 		}
 		a.pmap.Remove(id)
+		a.dropShadowResident(st.original)
 	case placeMain:
 		cost, present := a.main.Delete(id)
 		if present {
@@ -755,6 +782,8 @@ func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, erro
 			// Keep the overlap index in sync.
 			a.mainIndex.Delete(r.Match.Dst, r.ID)
 			a.mainIndex.Insert(st.original)
+		} else {
+			a.shadowIndex.Update(r.Match.Dst, st.original)
 		}
 		a.retrackLogical(st.original)
 		a.o.recordModify(total)

@@ -195,6 +195,8 @@ func (a *Agent) insertBatched(now time.Duration, r classifier.Rule) (Result, err
 	//lint:ignore hotpathalloc recycled partIDs capacity absorbs the single-element append at steady state
 	st.partIDs = append(st.partIDs[:0], r.ID)
 	a.rules[r.ID] = st
+	//lint:ignore hotpathalloc index nodes and the ID list are recycled; they grow only while the shadow-resident set is at a new high
+	a.addShadowResident(r)
 	a.arrivals++
 	a.metrics.ShadowInserts++
 	a.metrics.PartitionsInstalled++

@@ -238,6 +238,8 @@ func (a *Agent) modifyCached(now time.Duration, r classifier.Rule) (Result, erro
 				// Keep the overlap index in sync.
 				a.mainIndex.Delete(r.Match.Dst, r.ID)
 				a.mainIndex.Insert(st.original)
+			} else {
+				a.shadowIndex.Update(r.Match.Dst, st.original)
 			}
 			a.residentIndex.Update(r.Match.Dst, st.original)
 		}

@@ -441,7 +441,7 @@ func oracleResidents(a *Agent) []classifier.RuleID {
 	for id := range resident {
 		out = append(out, id)
 	}
-	sortRuleIDs(out)
+	slices.Sort(out)
 	return out
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hermes/internal/classifier"
@@ -145,18 +146,14 @@ func (a *Agent) ForceMigration(now time.Duration) time.Duration {
 // physical writes complete at the returned time, when Advance applies steps
 // 3–4.
 func (a *Agent) startMigration(now time.Duration) time.Duration {
-	var originals []classifier.RuleID
-	entries := 0
-	for id, st := range a.rules {
-		if st.place == placeShadow {
-			originals = append(originals, id)
-			entries += len(st.partIDs)
-		}
-	}
-	if len(originals) == 0 {
+	if len(a.shadowIDs) == 0 {
 		return 0
 	}
-	sortRuleIDs(originals)
+	originals := slices.Clone(a.shadowIDs)
+	entries := 0
+	for _, id := range originals {
+		entries += len(a.rules[id].partIDs)
+	}
 
 	// A crash while the snapshot is taken (step 1) loses the copy before
 	// anything physical happened: the migration simply never starts.
@@ -282,6 +279,7 @@ func (a *Agent) advance(now time.Duration) {
 				migrated = append(migrated, frag)
 				moved = append(moved, pid)
 			}
+			a.dropShadowResident(st.original)
 			st.place = placeMain
 			st.partIDs = moved
 			if !m.naive {
@@ -307,6 +305,7 @@ func (a *Agent) advance(now time.Duration) {
 		migrated = append(migrated, st.original)
 		stale := st.partIDs
 		a.pmap.Remove(id)
+		a.dropShadowResident(st.original)
 		st.place = placeMain
 		st.partIDs = []classifier.RuleID{id}
 		if !m.naive {
@@ -345,14 +344,12 @@ func (a *Agent) advance(now time.Duration) {
 	if len(migrated) == 0 {
 		return
 	}
-	var remaining []classifier.RuleID
-	for id, st := range a.rules {
-		if st.place == placeShadow {
-			remaining = append(remaining, id)
-		}
+	var affected []classifier.RuleID
+	for _, mr := range migrated {
+		affected = a.appendShadowRulesBeatenBy(affected, mr)
 	}
-	sortRuleIDs(remaining)
-	for _, id := range remaining {
+	slices.Sort(affected)
+	for _, id := range slices.Compact(affected) {
 		st := a.rules[id]
 		if a.shadowRuleCompatibleWith(st, migrated) {
 			continue
@@ -382,7 +379,6 @@ func (a *Agent) fragFromPartition(original, pid classifier.RuleID) (classifier.R
 // shadowRuleCompatibleWith reports whether a shadow rule's fragments stay
 // disjoint from every listed (newly migrated) main rule that would beat it.
 func (a *Agent) shadowRuleCompatibleWith(st *ruleState, added []classifier.Rule) bool {
-	frags := a.shadowFragments(st)
 	for _, mr := range added {
 		if mr.ID == st.original.ID {
 			continue
@@ -393,27 +389,27 @@ func (a *Agent) shadowRuleCompatibleWith(st *ruleState, added []classifier.Rule)
 		if !a.beats(mr, st.original.Priority, st.seq) {
 			continue
 		}
-		for _, fm := range frags {
-			if fm.Overlaps(mr.Match) {
-				return false
-			}
+		if a.shadowFragmentsOverlap(st, mr.Match) {
+			return false
 		}
 	}
 	return true
 }
 
-// shadowFragments returns the match regions of a shadow rule's physical
-// fragments without scanning the shadow table: cut rules keep their
+// shadowFragmentsOverlap reports whether any physical fragment of a shadow
+// rule overlaps m, without scanning the shadow table: cut rules keep their
 // fragment set in the partition map, uncut rules are their original match.
-func (a *Agent) shadowFragments(st *ruleState) []classifier.Match {
-	if p, ok := a.pmap.Lookup(st.original.ID); ok {
-		out := make([]classifier.Match, 0, len(p.Parts))
-		for _, f := range p.Parts {
-			out = append(out, f.Match)
-		}
-		return out
+func (a *Agent) shadowFragmentsOverlap(st *ruleState, m classifier.Match) bool {
+	p, ok := a.pmap.Lookup(st.original.ID)
+	if !ok {
+		return st.original.Match.Overlaps(m)
 	}
-	return []classifier.Match{st.original.Match}
+	for _, f := range p.Parts {
+		if f.Match.Overlaps(m) {
+			return true
+		}
+	}
+	return false
 }
 
 // MigrationEndsAt reports the completion time of the in-flight migration

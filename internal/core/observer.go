@@ -44,6 +44,11 @@ type Observer struct {
 	// the paper's core cost model (latency ∝ shifts).
 	ShadowShifts *obs.Histogram
 	MainShifts   *obs.Histogram
+
+	// RecutCauses records, for every shadow rule re-cut after a main-table
+	// change, how many main rules Algorithm 1 cut it against — the fan-out
+	// that decides what a re-cut costs.
+	RecutCauses *obs.Histogram
 }
 
 // NewObserver builds a fully populated Observer whose histograms are
@@ -72,6 +77,8 @@ func NewObserver(reg *obs.Registry, ringSize int) *Observer {
 			obs.Labels("table", "shadow"), "", "entry shifts per physical TCAM write"),
 		MainShifts: reg.HistogramL("hermes_tcam_shifts",
 			obs.Labels("table", "main"), "", "entry shifts per physical TCAM write"),
+		RecutCauses: reg.Histogram("hermes_gatekeeper_recut_causes", "",
+			"main rules a shadow rule was cut against, per re-cut"),
 	}
 }
 
@@ -132,6 +139,12 @@ func (o *Observer) recordMigration(cost time.Duration, rules int) {
 	o.latency(o.MigrationNS, cost)
 	if o.MigrationRules != nil {
 		o.MigrationRules.Record(uint64(rules))
+	}
+}
+
+func (o *Observer) recordRecut(causes int) {
+	if o != nil && o.RecutCauses != nil {
+		o.RecutCauses.Record(uint64(causes))
 	}
 }
 

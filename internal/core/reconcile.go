@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hermes/internal/classifier"
@@ -182,7 +183,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	for pid := range desiredMain {
 		mainIDs = append(mainIDs, pid)
 	}
-	sortRuleIDs(mainIDs)
+	slices.Sort(mainIDs)
 	for _, pid := range mainIDs {
 		if a.main.Contains(pid) {
 			continue
@@ -221,14 +222,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 			rep.StaleDeleted++
 		}
 	}
-	var shadowIDs []classifier.RuleID
-	for id, st := range a.rules {
-		if st.place == placeShadow {
-			shadowIDs = append(shadowIDs, id)
-		}
-	}
-	sortRuleIDs(shadowIDs)
-	for _, id := range shadowIDs {
+	for _, id := range slices.Clone(a.shadowIDs) {
 		st := a.rules[id]
 		if a.shadowRuleIntact(st) {
 			rep.Kept++
