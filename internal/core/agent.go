@@ -361,6 +361,17 @@ func (a *Agent) mintPartID() classifier.RuleID {
 	return id
 }
 
+// LastPartID returns the most recently minted partition-fragment ID
+// (partIDBase-1 before the first cut). Minting order is behaviour — fragment
+// IDs decide TCAM positions among a rule's equal-priority entries — so two
+// agents fed the same operations must agree on it; the pinned-counts test
+// holds the write path to that.
+func (a *Agent) LastPartID() classifier.RuleID {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	return a.nextPartID - 1
+}
+
 // guarded reports whether the rule falls under the configured guarantee
 // predicate.
 func (a *Agent) guarded(r classifier.Rule) bool {

@@ -188,15 +188,8 @@ func (a *Agent) insertBatched(now time.Duration, r classifier.Rule) (Result, err
 		panic(fmt.Sprintf("core: shadow insert: %v", err))
 	}
 	completed := a.sw.SubmitGuaranteed(now, cost)
-	st := a.takeRuleState()
-	st.original = r
-	st.seq = seq
-	st.place = placeShadow
-	//lint:ignore hotpathalloc recycled partIDs capacity absorbs the single-element append at steady state
-	st.partIDs = append(st.partIDs[:0], r.ID)
-	a.rules[r.ID] = st
-	//lint:ignore hotpathalloc index nodes and the ID list are recycled; they grow only while the shadow-resident set is at a new high
-	a.addShadowResident(r)
+	//lint:ignore hotpathalloc recycled partIDs capacity, index nodes and ID-list capacity absorb the new rule at steady state
+	a.adoptUncutShadow(a.takeRuleState(), r, seq)
 	a.arrivals++
 	a.metrics.ShadowInserts++
 	a.metrics.PartitionsInstalled++
@@ -216,6 +209,17 @@ func (a *Agent) insertBatched(now time.Duration, r classifier.Rule) (Result, err
 	a.trackLogical(r)
 	a.noteRuleAdded(r.ID)
 	return res, nil
+}
+
+// adoptUncutShadow makes st the state of r, installed whole in the shadow
+// table as its own single entry.
+func (a *Agent) adoptUncutShadow(st *ruleState, r classifier.Rule, seq uint64) {
+	st.original = r
+	st.seq = seq
+	st.place = placeShadow
+	st.partIDs = append(st.partIDs[:0], r.ID)
+	a.rules[r.ID] = st
+	a.addShadowResident(r)
 }
 
 // deleteOp / modifyOp dispatch a batch op to the cached or carved-pipeline

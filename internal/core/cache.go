@@ -339,13 +339,17 @@ func (a *Agent) ensureCoversFor(now time.Duration, h classifier.Rule, seq uint64
 // shieldSoftOnlyOverlapping ensures covers for every software-only rule
 // overlapping m (called after a new resident appears inside m).
 func (a *Agent) shieldSoftOnlyOverlapping(now time.Duration, m classifier.Match) {
-	over := a.soft.Overlapping(m)
-	slices.SortFunc(over, func(x, y classifier.Rule) int { return cmp.Compare(x.ID, y.ID) })
-	for _, h := range over {
-		if _, resident := a.rules[h.ID]; resident {
+	var ids []classifier.RuleID
+	it := a.soft.OverlapCandidates(m)
+	for h, ok := it.Next(); ok; h, ok = it.Next() {
+		ids = append(ids, h.ID)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		if _, resident := a.rules[id]; resident {
 			continue
 		}
-		if _, seq, ok := a.soft.Get(h.ID); ok {
+		if h, seq, ok := a.soft.Get(id); ok {
 			a.ensureCoversFor(now, h, seq)
 		}
 	}
@@ -359,7 +363,8 @@ func (a *Agent) shieldSoftOnlyOverlapping(now time.Duration, m classifier.Match)
 // longer needs a shield at all.
 func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) {
 	var deps []classifier.Rule
-	for _, res := range a.residentIndex.Overlapping(h.Match) {
+	it := a.residentIndex.OverlapCandidates(h.Match)
+	for res, ok := it.Next(); ok; res, ok = it.Next() {
 		if !a.beats(res, h.Priority, seq) {
 			deps = append(deps, res)
 		}
@@ -625,7 +630,8 @@ func (a *Agent) coverHygieneLocked(now time.Duration) {
 		todo = a.appendSoftIDsFrom(todo, 0)
 	} else {
 		for _, m := range a.hygieneDirty {
-			for _, r := range a.soft.Overlapping(m) {
+			it := a.soft.OverlapCandidates(m)
+			for r, ok := it.Next(); ok; r, ok = it.Next() {
 				todo = append(todo, r.ID)
 			}
 		}
@@ -733,10 +739,14 @@ func (a *Agent) Rebalance(now time.Duration) {
 	}
 }
 
-// RegisterCacheMetrics exposes the read-path and cache-hierarchy metrics on
-// an obs registry: hermes_view_tier_rebuilds_total for every agent, plus the
+// RegisterCacheMetrics exposes the agent's scrape-time counters on an obs
+// registry: hermes_view_tier_rebuilds_total and
+// hermes_gatekeeper_repartitions_total for every agent, plus the
 // hermes_cache_* family when hit tracking is enabled.
 func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
+	reg.CounterFunc("hermes_gatekeeper_repartitions_total", "",
+		"shadow rules re-cut and reinstalled after a main-table change (Metrics.Repartitions)",
+		func() uint64 { return uint64(a.Metrics().Repartitions) })
 	for tier, name := range [numViewTiers]string{"shadow", "main", "soft", "logical"} {
 		reg.CounterFunc("hermes_view_tier_rebuilds_total", obs.Labels("tier", name),
 			"lookup-snapshot index rebuilds by tier (a tier whose generation did not move is shared, not rebuilt)",

@@ -889,5 +889,8 @@ func FuzzCachedLookupEquivalence(f *testing.F) {
 		if err := a.CheckConsistency(); err != nil {
 			t.Fatal(err)
 		}
+		if err := shadowIndexErr(a); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

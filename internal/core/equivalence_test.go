@@ -37,6 +37,10 @@ func runSeq(t *testing.T, seed int64, verbose bool) bool {
 		}
 	}
 	check := func(op int) bool {
+		if err := shadowIndexErr(a); err != nil {
+			t.Logf("op %d: %v", op, err)
+			return false
+		}
 		rr := rand.New(rand.NewSource(seed*1000 + int64(op)))
 		logical := a.LogicalRules()
 		for k := 0; k < 300; k++ {

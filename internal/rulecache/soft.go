@@ -180,9 +180,9 @@ func (t *SoftTable) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	return best, found
 }
 
-// Overlapping returns the rules whose match regions overlap m.
-func (t *SoftTable) Overlapping(m classifier.Match) []classifier.Rule {
-	return t.trie.Overlapping(m)
+// OverlapCandidates walks the rules whose match regions overlap m.
+func (t *SoftTable) OverlapCandidates(m classifier.Match) classifier.OverlapIter {
+	return t.trie.OverlapCandidates(m)
 }
 
 // Rules returns a copy of every rule sorted by ID — the shape Agent.Rules

@@ -3,9 +3,10 @@
 # test suite under the race detector, the linter's self-test against its
 # known-bad corpus, the nested benchmark module's vet + smoke test, the
 # seeded chaos / reconcile / cache / loadgen verdicts, and short-budget fuzz
-# runs of the wire codec, the prefix parser and the three lookup
-# equivalences. Correctness only: no wall-clock number is gated here
-# (`bash benchmark/run.sh` is the one place those are produced and compared).
+# runs of the wire codec, the prefix parser, the three lookup equivalences
+# and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
+# number is gated here (`bash benchmark/run.sh` is the one place those are
+# produced and compared).
 # CI and `make check` both run this script. Everything is offline: no module
 # downloads, stdlib only.
 set -eu
@@ -117,6 +118,9 @@ go test -run='^$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
 
 echo ">> fuzz: snapshot index vs linear first-match (5s)"
 go test -run='^$' -fuzz=FuzzRuleIndexEquivalence -fuzztime=5s ./internal/classifier
+
+echo ">> fuzz: streaming Algorithm 1 + O(Δ) partition map vs from-scratch oracle (5s)"
+go test -run='^$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 
 echo ">> fuzz: TCAM table indexed vs linear lookup (5s)"
 go test -run='^$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
