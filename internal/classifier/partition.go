@@ -121,19 +121,20 @@ func (pt *Partitioner) Partition(newRule Rule, mainIndex *Trie, wins func(existi
 	}
 	pt.regions, pt.spare, pt.cause = regions, spare, cause
 	p.Cause = cause
-	switch {
-	case p.Overflow:
-	case len(cause) == 0:
+	if p.Overflow || len(regions) == 0 {
+		return p // abandoned, or redundant
+	}
+	if len(cause) == 0 {
 		// Fast path: untouched.
 		p.Parts = []Rule{newRule}
-	case len(regions) > 0:
-		if merge {
-			regions = pt.merge.merge(regions)
-		}
-		p.Parts = make([]Rule, len(regions))
-		for i, m := range regions {
-			p.Parts[i] = Rule{ID: nextID(), Match: m, Priority: newRule.Priority, Action: newRule.Action}
-		}
+		return p
+	}
+	if merge {
+		regions = pt.merge.merge(regions)
+	}
+	p.Parts = make([]Rule, len(regions))
+	for i, m := range regions {
+		p.Parts[i] = Rule{ID: nextID(), Match: m, Priority: newRule.Priority, Action: newRule.Action}
 	}
 	return p
 }
@@ -175,21 +176,18 @@ func NewPartitionMap() *PartitionMap {
 // its rule and leaves no record (nothing to undo). The map keeps p.Parts and
 // copies p.Cause.
 //
-// Re-recording costs what changed: the previous and the new cause list are
-// both in the trie's overlap order, so they usually share all but a few
-// entries at one spot. The common head and tail are skipped and only the
-// causes in between are unlinked or linked; that remainder is diffed by
-// sorted ID, so the result does not depend on the order assumption (an
-// in-place Modify moves a main rule to the end of its trie node).
+// Re-recording costs what changed: old and new cause list are both in the
+// trie's overlap order, so the common head and tail are skipped and only the
+// causes in between are unlinked or linked. That stretch is diffed by sorted
+// ID, so the result does not rely on the order (an in-place Modify moves a
+// main rule to the end of its trie node).
 func (m *PartitionMap) Record(p Partition) {
 	id := p.Original.ID
-	rec := m.byOriginal[id]
 	if !p.WasCut() {
-		if rec != nil {
-			m.remove(rec)
-		}
+		m.Remove(id)
 		return
 	}
+	rec := m.byOriginal[id]
 	if rec == nil {
 		rec = &partRecord{}
 		m.byOriginal[id] = rec
@@ -282,10 +280,9 @@ func (m *PartitionMap) OriginalOf(id RuleID) (RuleID, bool) {
 
 // DependentsOf returns the original-rule IDs whose partitions were caused by
 // the given main-table rule, in the order of their most recent Record.
-// Deleting that main-table rule requires un-partitioning each of them
-// (delete the fragments, re-insert the original; Fig. 6) — in this order,
-// because the order decides which fragment IDs are minted for whom and
-// where the fragments land in the TCAM.
+// Deleting that main-table rule un-partitions each of them (Fig. 6) in this
+// order, which decides who is minted which fragment IDs and where the
+// fragments land in the TCAM.
 func (m *PartitionMap) DependentsOf(mainRule RuleID) []RuleID {
 	deps := m.byCause[mainRule]
 	if len(deps) == 0 {
@@ -302,13 +299,11 @@ func (m *PartitionMap) DependentsOf(mainRule RuleID) []RuleID {
 // Remove erases the record for an original rule (after its fragments have
 // been deleted or the original restored).
 func (m *PartitionMap) Remove(original RuleID) {
-	if rec, ok := m.byOriginal[original]; ok {
-		m.remove(rec)
+	rec, ok := m.byOriginal[original]
+	if !ok {
+		return
 	}
-}
-
-func (m *PartitionMap) remove(rec *partRecord) {
-	delete(m.byOriginal, rec.Original.ID)
+	delete(m.byOriginal, original)
 	for _, c := range rec.Cause {
 		m.unlink(c, rec)
 	}

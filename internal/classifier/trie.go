@@ -242,20 +242,9 @@ func (it *OverlapIter) push(n *trieNode) {
 	}
 }
 
-// Overlapping returns every indexed rule whose match region overlaps m, in
-// OverlapIter order.
-func (t *Trie) Overlapping(m Match) []Rule {
-	var out []Rule
-	it := t.OverlapCandidates(m)
-	for r, ok := it.Next(); ok; r, ok = it.Next() {
-		out = append(out, r)
-	}
-	return out
-}
-
 // OverlapsWhere reports whether any indexed rule overlapping m satisfies
-// pred. It is the allocation-free existence form of Overlapping — the Gate
-// Keeper's batch fast path asks "would any main-table rule cut this one?"
+// pred. It is the existence form of the overlap walk — the Gate Keeper's
+// batch fast path asks "would any main-table rule cut this one?"
 // and needs the answer without collecting candidates. Callers that care
 // about allocations must pass a preallocated (reused) pred.
 func (t *Trie) OverlapsWhere(m Match, pred func(Rule) bool) bool {
@@ -282,7 +271,7 @@ type MatchIter struct {
 // exactly the rules stored on the trie path that follows dst's bits from
 // the root are yielded, because a rule's Dst matches the packet iff the
 // packet address descends through the rule's node. This is the per-packet
-// query, distinct from Overlapping's prefix-overlap query (which also has
+// query, distinct from OverlapIter's prefix-overlap query (which also has
 // to visit the subtree below the query prefix).
 func (t *Trie) MatchCandidates(addr uint32) MatchIter {
 	return MatchIter{node: t.root, addr: addr}

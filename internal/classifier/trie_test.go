@@ -133,6 +133,17 @@ func TestTrieAllAndClear(t *testing.T) {
 
 // TestOverlapsWhereMatchesOverlapping checks the allocation-free existence
 // probe against the collecting query it replaces.
+// Overlapping collects one overlap walk: the slice form no production caller
+// needs any more, kept for the tests that compare whole result sets.
+func (t *Trie) Overlapping(m Match) []Rule {
+	var out []Rule
+	it := t.OverlapCandidates(m)
+	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		out = append(out, r)
+	}
+	return out
+}
+
 func TestOverlapsWhereMatchesOverlapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {

@@ -361,11 +361,9 @@ func (a *Agent) mintPartID() classifier.RuleID {
 	return id
 }
 
-// LastPartID returns the most recently minted partition-fragment ID
-// (partIDBase-1 before the first cut). Minting order is behaviour — fragment
-// IDs decide TCAM positions among a rule's equal-priority entries — so two
-// agents fed the same operations must agree on it; the pinned-counts test
-// holds the write path to that.
+// LastPartID returns the most recently minted partition-fragment ID. Minting
+// order is behaviour (fragment IDs decide TCAM positions among a rule's
+// entries), so agents fed the same operations must agree on it.
 func (a *Agent) LastPartID() classifier.RuleID {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -538,6 +536,9 @@ func (a *Agent) addShadowResident(r classifier.Rule) {
 	a.shadowIDs = slices.Insert(a.shadowIDs, i, r.ID)
 }
 
+// Dropping a rule that is not indexed is a no-op: the post-migration re-check
+// can re-cut a rule that an earlier re-cut in the same pass already moved to
+// the main table.
 func (a *Agent) dropShadowResident(r classifier.Rule) {
 	a.shadowIndex.Delete(r.Match.Dst, r.ID)
 	if i, ok := slices.BinarySearch(a.shadowIDs, r.ID); ok {
