@@ -1,9 +1,7 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"hermes/internal/classifier"
@@ -17,63 +15,15 @@ import (
 // flow-mods, pour it into an intent.Store and let the level-triggered
 // reconciler drive the fleet to match — reconnects, faults, and resync
 // ticks all funnel into the same per-switch queues, so a killed switch
-// simply stays pending while the rest of the fleet converges.
-
-// fleetTarget adapts a fleet manager to the reconciler's Target seam. An
-// open breaker reads as not-ready, which the controller turns into a
-// rate-limited requeue instead of a doomed RPC burst.
-type fleetTarget struct{ f *fleet.Fleet }
-
-func (t fleetTarget) Ready(sw string) bool {
-	st, err := t.f.BreakerState(sw)
-	return err == nil && st != fleet.BreakerOpen
-}
-
-func (t fleetTarget) Observe(sw string) ([]classifier.Rule, error) {
-	return t.f.ObservedRules(sw)
-}
-
-func (t fleetTarget) Apply(sw string, op intent.Op) error {
-	var res fleet.OpResult
-	switch op.Kind {
-	case intent.OpInsert:
-		res = t.f.Insert(sw, op.Rule)
-	case intent.OpModify:
-		res = t.f.Modify(sw, op.Rule)
-	case intent.OpDelete:
-		res = t.f.Delete(sw, op.Rule.ID)
-	}
-	return res.Err
-}
-
-// reconnectHook lets the fleet's OnReconnect callback be bound to a
-// controller that is constructed after the fleet. Unset, it is a no-op.
-type reconnectHook struct {
-	mu sync.Mutex
-	fn func(switchID string)
-}
-
-func (h *reconnectHook) set(fn func(string)) {
-	h.mu.Lock()
-	h.fn = fn
-	h.mu.Unlock()
-}
-
-func (h *reconnectHook) call(sw string) {
-	h.mu.Lock()
-	fn := h.fn
-	h.mu.Unlock()
-	if fn != nil {
-		fn(sw)
-	}
-}
+// simply stays pending while the rest of the fleet converges. The store is
+// the only owner of desired state; the fleet is the controller's Target.
 
 // runDeclarative feeds the workload into the desired-state store, runs
 // the reconciler in goroutine mode against the live fleet, and reports
 // per-switch convergence. kill, when >= 0, closes that agent's server
 // halfway through the churn, demonstrating that the rest of the fleet
 // converges while the dead switch stays pending.
-func runDeclarative(f *fleet.Fleet, reg *obs.Registry, hook *reconnectHook,
+func runDeclarative(f *fleet.Fleet, reg *obs.Registry,
 	stream []workload.TimedRule, resync time.Duration, seed int64,
 	kill func(), wait time.Duration) {
 
@@ -83,24 +33,18 @@ func runDeclarative(f *fleet.Fleet, reg *obs.Registry, hook *reconnectHook,
 	if shards > 4 {
 		shards = 4
 	}
-	ctrl, err := intent.New(intent.Config{
-		Switches: f.Switches(),
-		Shards:   shards,
-		ID:       "fleetd",
-		Store:    store,
-		Target:   fleetTarget{f},
-		Now:      func() time.Duration { return time.Since(start) },
-		Resync:   resync,
-		Seed:     seed,
-		Obs:      reg,
-		Permanent: func(err error) bool {
-			return errors.Is(err, fleet.ErrFleetClosed)
-		},
+	ctrl, err := f.NewController(intent.Config{
+		Shards: shards,
+		ID:     "fleetd",
+		Store:  store,
+		Now:    func() time.Duration { return time.Since(start) },
+		Resync: resync,
+		Seed:   seed,
+		Obs:    reg,
 	})
 	if err != nil {
 		fatalf("controller: %v", err)
 	}
-	hook.set(func(sw string) { ctrl.MarkDirty(sw, intent.DirtyReconnect) })
 	ctrl.Run()
 	defer ctrl.Close()
 	fmt.Printf("declarative mode: reconciling %d rules across %d switches (%d shards, resync %v)\n",

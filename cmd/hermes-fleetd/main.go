@@ -5,6 +5,11 @@
 // and prints the aggregated telemetry — ops/sec, per-switch counters, and
 // fleet-wide guaranteed-latency percentiles.
 //
+// The default (imperative) mode is a transport demo: it fires flow-mods and
+// keeps no record of them, so a switch that restarts stays empty. With
+// -declarative the same workload goes into an intent.Store and the
+// reconciler — the only owner of desired state — keeps the fleet matching it.
+//
 // Usage:
 //
 //	hermes-fleetd -switches 8 -rules 20000
@@ -92,7 +97,6 @@ func main() {
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
 	}
-	hook := &reconnectHook{}
 	f, err := fleet.New(fleet.Config{
 		QueueDepth:    *queue,
 		BatchSize:     *batch,
@@ -101,7 +105,6 @@ func main() {
 		RetryDiverted: *retry,
 		Seed:          *seed,
 		Obs:           reg,
-		OnReconnect:   hook.call,
 	}, specs)
 	if err != nil {
 		fatalf("%v", err)
@@ -130,7 +133,7 @@ func main() {
 				servers[*kill].Close() //nolint:errcheck
 			}
 		}
-		runDeclarative(f, reg, hook, stream, *resync, *seed, killFn, *wait)
+		runDeclarative(f, reg, stream, *resync, *seed, killFn, *wait)
 		return
 	}
 
@@ -187,6 +190,7 @@ func main() {
 	fmt.Printf("replayed %d flow-mods in %v — %.0f ops/s end-to-end (%d ok, %d failed, %d guaranteed, %d retried)\n",
 		len(stream), elapsed.Round(time.Millisecond),
 		float64(tl.ok)/elapsed.Seconds(), tl.ok, tl.failed, tl.guaranteed, tl.retried)
+	g := snap.Guaranteed
 	fmt.Printf("fleet guaranteed latency: p50=%.3fms p95=%.3fms p99=%.3fms over %d samples\n",
-		snap.Guaranteed.Median(), snap.Guaranteed.P95(), snap.Guaranteed.P99(), snap.Guaranteed.N())
+		g.Quantile(0.5)/1e6, g.Quantile(0.95)/1e6, g.Quantile(0.99)/1e6, g.Count())
 }

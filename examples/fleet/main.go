@@ -103,7 +103,7 @@ func main() {
 
 	snap := f.Snapshot()
 	fmt.Print(snap.Table().String())
-	fmt.Printf("guaranteed p99 across the fleet: %.3fms\n\n", snap.Guaranteed.P99())
+	fmt.Printf("guaranteed p99 across the fleet: %.3fms\n\n", snap.Guaranteed.Quantile(0.99)/1e6)
 
 	// Kill tor-1; its circuit opens and the fleet fails fast on it while
 	// the other switches keep accepting flow-mods.

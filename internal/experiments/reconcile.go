@@ -81,16 +81,20 @@ func (f *simFleet) Observe(name string) ([]classifier.Rule, error) {
 	return out, nil
 }
 
-func (f *simFleet) Apply(name string, op intent.Op) error {
+// Apply runs the plan one RPC per op, as a serial controller would: each
+// op meets the channel's fault state on its own.
+func (f *simFleet) Apply(name string, plan []intent.Op) error {
 	s := f.sw[name]
-	if err := f.fault(s); err != nil {
-		return err
-	}
-	switch op.Kind {
-	case intent.OpInsert, intent.OpModify:
-		s.rules[op.Rule.ID] = op.Rule
-	case intent.OpDelete:
-		delete(s.rules, op.Rule.ID)
+	for _, op := range plan {
+		if err := f.fault(s); err != nil {
+			return err
+		}
+		switch op.Kind {
+		case intent.OpInsert, intent.OpModify:
+			s.rules[op.Rule.ID] = op.Rule
+		case intent.OpDelete:
+			delete(s.rules, op.Rule.ID)
+		}
 	}
 	return nil
 }

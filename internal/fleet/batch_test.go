@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/faultinject"
 	"hermes/internal/intent"
+	"hermes/internal/obs"
 	"hermes/internal/ofwire"
 )
 
@@ -389,26 +391,110 @@ func runBatchChaosSeed(t *testing.T, seed int64) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		observed, err := f.ObservedRules(sw)
+		observed, err := f.Observe(sw)
 		if err == nil {
-			ops := intent.Diff(want, observed)
-			if len(ops) == 0 {
+			plan := intent.Diff(want, observed)
+			if len(plan) == 0 {
 				return // converged: observed == desired, exactly
 			}
-			for _, op := range ops {
-				switch op.Kind {
-				case intent.OpInsert:
-					f.Insert(sw, op.Rule)
-				case intent.OpModify:
-					f.Modify(sw, op.Rule)
-				case intent.OpDelete:
-					f.Delete(sw, op.Rule.ID)
-				}
-			}
+			f.Apply(sw, plan) //nolint:errcheck // a failed plan is the next round's diff
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("seed %d never converged: observe err=%v", seed, err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFleetApplyFillsWireBatchFrames: a reconcile plan handed to Apply is
+// queued as a whole, so a WireBatch worker packs it into ≈N/BatchSize
+// frames. Applied one awaited op at a time, every op would wait out a
+// BatchLinger alone and the plan would cost N frames.
+func TestFleetApplyFillsWireBatchFrames(t *testing.T) {
+	specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
+	sw := specs[0].ID
+	const rules, batch = 256, 32
+	f, err := New(Config{
+		WireBatch:     true,
+		BatchSize:     batch,
+		QueueDepth:    rules,
+		BatchLinger:   5 * time.Millisecond,
+		ProbeInterval: time.Hour, // keep echoes out of the round-trip count
+		Obs:           obs.NewRegistry(),
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	desired := make([]classifier.Rule, rules)
+	for i := range desired {
+		desired[i] = testRule(i + 1)
+	}
+	roundTrips := f.workers[sw].rtt
+	before := roundTrips.Count()
+	if err := f.Apply(sw, intent.Diff(desired, nil)); err != nil {
+		t.Fatal(err)
+	}
+	frames := roundTrips.Count() - before
+	if frames < rules/batch || frames > rules/4 {
+		t.Fatalf("%d inserts took %d frames, want about %d", rules, frames, rules/batch)
+	}
+	t.Logf("%d inserts in %d frames (full frames: %d)", rules, frames, rules/batch)
+
+	observed, err := f.Observe(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := intent.Diff(desired, observed); len(plan) != 0 {
+		t.Fatalf("switch differs from the applied plan by %d ops", len(plan))
+	}
+}
+
+// TestFleetApplyDeletesBeforeInserts: a plan's deletes are confirmed before
+// its first insert is submitted, so a plan that swaps a full table's
+// contents never asks the switch for more entries than it has. Per-op
+// dispatch issues a batch concurrently, so only the await keeps the order.
+func TestFleetApplyDeletesBeforeInserts(t *testing.T) {
+	specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
+	sw := specs[0].ID
+	var mu sync.Mutex
+	var order []bool // per completion, in order: was it an old rule (a delete)?
+	f, err := New(Config{
+		BatchSize: 16,
+		OnResult: func(res OpResult) {
+			mu.Lock()
+			order = append(order, res.RuleID <= 8)
+			mu.Unlock()
+		},
+	}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	var old, next []classifier.Rule
+	for i := 1; i <= 8; i++ {
+		old = append(old, testRule(i))
+		next = append(next, testRule(i+8))
+	}
+	if err := f.Apply(sw, intent.Diff(old, nil)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	order = order[:0]
+	mu.Unlock()
+	if err := f.Apply(sw, intent.Diff(next, old)); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != 16 {
+		t.Fatalf("%d completions, want 16", len(order))
+	}
+	for i, del := range order {
+		if del != (i < 8) {
+			t.Fatalf("completion %d out of phase: deletes-first order = %v", i, order)
+		}
 	}
 }

@@ -1,42 +1,12 @@
 package fleet
 
 import (
-	"errors"
-	"sync"
 	"testing"
 	"time"
 
-	"hermes/internal/classifier"
 	"hermes/internal/core"
 	"hermes/internal/intent"
 )
-
-// declTarget adapts a live Fleet to the reconciler's Target seam — the
-// same shape cmd/hermes-fleetd wires in declarative mode. An open breaker
-// reads as not-ready so the controller backs off instead of burning RPCs.
-type declTarget struct{ f *Fleet }
-
-func (t declTarget) Ready(sw string) bool {
-	st, err := t.f.BreakerState(sw)
-	return err == nil && st != BreakerOpen
-}
-
-func (t declTarget) Observe(sw string) ([]classifier.Rule, error) {
-	return t.f.ObservedRules(sw)
-}
-
-func (t declTarget) Apply(sw string, op intent.Op) error {
-	var res OpResult
-	switch op.Kind {
-	case intent.OpInsert:
-		res = t.f.Insert(sw, op.Rule)
-	case intent.OpModify:
-		res = t.f.Modify(sw, op.Rule)
-	case intent.OpDelete:
-		res = t.f.Delete(sw, op.Rule.ID)
-	}
-	return res.Err
-}
 
 // TestDeclarativeReconcileOverFleet: the intent controller in goroutine
 // mode drives a live 3-agent fleet to its desired set, survives a switch
@@ -45,20 +15,10 @@ func (t declTarget) Apply(sw string, op intent.Op) error {
 // partition without any imperative replay.
 func TestDeclarativeReconcileOverFleet(t *testing.T) {
 	specs, servers := startAgents(t, 3, core.Config{DisableRateLimit: true})
-	var hookMu sync.Mutex
-	var hookFn func(string)
 	f, err := New(Config{
 		BatchSize:     4,
 		ProbeInterval: 20 * time.Millisecond,
 		Breaker:       BreakerConfig{FailureThreshold: 2, OpenTimeout: 50 * time.Millisecond},
-		OnReconnect: func(sw string) {
-			hookMu.Lock()
-			fn := hookFn
-			hookMu.Unlock()
-			if fn != nil {
-				fn(sw)
-			}
-		},
 	}, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -67,24 +27,18 @@ func TestDeclarativeReconcileOverFleet(t *testing.T) {
 
 	start := time.Now()
 	store := intent.NewStore(f.Route)
-	ctrl, err := intent.New(intent.Config{
-		Switches: f.Switches(),
-		Shards:   2,
-		ID:       "test",
-		Store:    store,
-		Target:   declTarget{f},
-		Now:      func() time.Duration { return time.Since(start) },
-		Resync:   50 * time.Millisecond,
+	ctrl, err := f.NewController(intent.Config{
+		Shards: 2,
+		ID:     "test",
+		Store:  store,
+		Now:    func() time.Duration { return time.Since(start) },
+		Resync: 50 * time.Millisecond,
 		RateLimit: intent.RateLimit{Base: 5 * time.Millisecond,
 			Max: 50 * time.Millisecond, Multiplier: 2, Jitter: 0.2},
-		Permanent: func(err error) bool { return errors.Is(err, ErrFleetClosed) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hookMu.Lock()
-	hookFn = func(sw string) { ctrl.MarkDirty(sw, intent.DirtyReconnect) }
-	hookMu.Unlock()
 	ctrl.Run()
 	defer ctrl.Close()
 

@@ -13,12 +13,16 @@
 // explicitly or consistently by rule ID, and a fleet-wide Snapshot merges
 // every agent's counters with client-observed latency percentiles.
 //
-// Workers are crash-aware: when a switch's control channel dies, the
-// health-probe loop redials it (through the optional Dial seam, which
-// chaos tests use to inject wire faults) and replays the worker's
-// applied-rule set onto the restarted agent before the circuit closes, so
-// a power-cycled switch converges back to the controller's desired state
-// without operator involvement.
+// The fleet is a transport and owns no desired state: what it holds is
+// proportional to what is in flight (queues, pending requests, fixed-size
+// histograms), never to the rules installed or the ops completed. When a
+// switch's control channel dies, the health-probe loop redials it (through
+// the optional Dial seam, which chaos tests use to inject wire faults) and
+// reports the reconnect; the switch comes back as the wire left it. Deciding
+// what it should hold, and repairing it after a power cycle, belongs to
+// internal/intent: *Fleet is that reconciler's Target (Ready, Observe,
+// Apply) and NewController wires the two together, so
+// reconnect → MarkDirty → Observe → Diff → Apply is the one recovery path.
 package fleet
 
 import (
@@ -26,10 +30,13 @@ import (
 	"fmt"
 	"net"
 	"sort"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/classifier"
+	"hermes/internal/intent"
 	"hermes/internal/obs"
 	"hermes/internal/ofwire"
 )
@@ -116,11 +123,12 @@ type Config struct {
 	// to the submitter's channel. It runs on worker goroutines: keep it
 	// fast and never block.
 	OnResult func(OpResult)
-	// OnReconnect, when non-nil, fires after a worker redials a dead
-	// switch, replays its desired rules, and swaps the fresh connection in
-	// — the reconnect-trigger seam a reconciler uses to re-examine a
-	// switch that may have restarted with empty tables. It runs on the
-	// worker's probe goroutine: keep it fast and never block.
+	// OnReconnect, when non-nil, fires after a worker has redialed a dead
+	// switch and the fresh connection has answered a health probe — the
+	// circuit is closed, the switch takes requests, and it may have
+	// restarted with empty tables: the fleet replays nothing. A controller
+	// built with NewController hears the same event without this hook. It
+	// runs on the worker's probe goroutine: keep it fast and never block.
 	OnReconnect func(switchID string)
 }
 
@@ -153,6 +161,9 @@ type Fleet struct {
 	cfg     Config
 	workers map[string]*worker
 	order   []string // sorted switch IDs; the consistent routing table
+
+	// ctrl is the reconciler NewController attached, told of reconnects.
+	ctrl atomic.Pointer[intent.Controller]
 
 	mu     sync.Mutex
 	closed bool
@@ -232,8 +243,9 @@ func (f *Fleet) Size() int { return len(f.order) }
 // sorted switch set, so the same rule always lands on the same switch for
 // a given fleet membership.
 func (f *Fleet) Route(id classifier.RuleID) string {
-	h := fnv64a(fmt.Sprintf("rule-%d", uint64(id)))
-	return f.order[h%uint64(len(f.order))]
+	var buf [len("rule-") + 20]byte // 20 = digits of MaxUint64
+	key := strconv.AppendUint(append(buf[:0], "rule-"...), uint64(id), 10)
+	return f.order[fnv64a(key)%uint64(len(f.order))]
 }
 
 // submit queues one op on the switch's worker. A switch with an open
@@ -264,17 +276,17 @@ func (f *Fleet) submit(switchID string, o *op) (<-chan OpResult, error) {
 // InsertAsync queues an insertion on the named switch and returns the
 // result channel immediately; the queue applies backpressure when full.
 func (f *Fleet) InsertAsync(switchID string, r classifier.Rule) (<-chan OpResult, error) {
-	return f.submit(switchID, &op{kind: opInsert, rule: r})
+	return f.submit(switchID, &op{kind: intent.OpInsert, rule: r})
 }
 
 // DeleteAsync queues a deletion on the named switch.
 func (f *Fleet) DeleteAsync(switchID string, id classifier.RuleID) (<-chan OpResult, error) {
-	return f.submit(switchID, &op{kind: opDelete, rule: classifier.Rule{ID: id}})
+	return f.submit(switchID, &op{kind: intent.OpDelete, rule: classifier.Rule{ID: id}})
 }
 
 // ModifyAsync queues a modification on the named switch.
 func (f *Fleet) ModifyAsync(switchID string, r classifier.Rule) (<-chan OpResult, error) {
-	return f.submit(switchID, &op{kind: opModify, rule: r})
+	return f.submit(switchID, &op{kind: intent.OpModify, rule: r})
 }
 
 func await(ch <-chan OpResult, err error) OpResult {

@@ -106,8 +106,9 @@ func TestFleetDrivesAgentsConcurrently(t *testing.T) {
 	if snap.Total.Inserts != sum {
 		t.Errorf("merged total %d != per-switch sum %d", snap.Total.Inserts, sum)
 	}
-	if got := snap.Guaranteed.N() + countUnguaranteed(snap); got != rules {
-		t.Errorf("latency samples = %d, want %d", got, rules)
+	if got := snap.All.Count(); got != rules || snap.Guaranteed.Count() > got {
+		t.Errorf("latency samples all/guaranteed = %d/%d, want %d/≤%d",
+			got, snap.Guaranteed.Count(), rules, rules)
 	}
 	if snap.Table().String() == "" {
 		t.Error("empty telemetry table")
@@ -119,14 +120,6 @@ func TestFleetDrivesAgentsConcurrently(t *testing.T) {
 			t.Fatalf("route %d unstable: %s vs %s", i, a, b)
 		}
 	}
-}
-
-func countUnguaranteed(s *Snapshot) int {
-	n := 0
-	for _, sw := range s.Switches {
-		n += len(sw.AllMS) - len(sw.GuaranteedMS)
-	}
-	return n
 }
 
 // TestFleetCircuitBreaker: killing one agent server makes its worker fail

@@ -33,20 +33,17 @@ func registerObs(reg *obs.Registry, w *worker) {
 
 	reg.CounterFunc("hermes_fleet_ops_ok_total", lbl,
 		"flow-mods acknowledged by the switch",
-		func() uint64 { ok, _, _, _, _, _ := w.tele.counters(); return ok })
+		w.tele.all.Count)
 	reg.CounterFunc("hermes_fleet_ops_failed_total", lbl,
 		"flow-mods failed (wire fault or open circuit)",
-		func() uint64 { _, failed, _, _, _, _ := w.tele.counters(); return failed })
+		w.tele.failed.Load)
 	reg.CounterFunc("hermes_fleet_retries_total", lbl,
 		"delete-and-reinsert retries of diverted insertions",
-		func() uint64 { _, _, retries, _, _, _ := w.tele.counters(); return retries })
+		w.tele.retries.Load)
 	reg.CounterFunc("hermes_fleet_diverted_total", lbl,
 		"guaranteed insertions the Gate Keeper diverted to the main path",
-		func() uint64 { _, _, _, diverted, _, _ := w.tele.counters(); return diverted })
+		w.tele.diverted.Load)
 	reg.CounterFunc("hermes_fleet_reconnects_total", lbl,
-		"successful redials of a dead control channel",
-		func() uint64 { _, _, _, _, reconnects, _ := w.tele.counters(); return reconnects })
-	reg.CounterFunc("hermes_fleet_resyncs_total", lbl,
-		"rules replayed onto restarted agents",
-		func() uint64 { _, _, _, _, _, resyncs := w.tele.counters(); return resyncs })
+		"redials of a dead control channel that came back healthy",
+		w.tele.reconnects.Load)
 }

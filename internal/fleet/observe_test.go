@@ -140,8 +140,7 @@ func TestFleetClosedErrorsAreTyped(t *testing.T) {
 
 // TestFleetOnReconnect: killing an agent and restarting it on the same
 // address fires the OnReconnect hook with the switch ID once the probe
-// loop has redialed and resynced — the reconnect trigger a reconciler
-// subscribes to.
+// loop has redialed and the fresh connection answered a probe.
 func TestFleetOnReconnect(t *testing.T) {
 	specs, servers := startAgents(t, 1, core.Config{DisableRateLimit: true})
 	var (

@@ -77,9 +77,9 @@ func (b *backoff) next() (time.Duration, bool) {
 	return time.Duration(d), true
 }
 
-// fnv64a hashes a string with FNV-1a; used for deterministic per-switch
-// seeds and for consistent rule→switch routing.
-func fnv64a(s string) uint64 {
+// fnv64a hashes s with FNV-1a; used for deterministic per-switch seeds and
+// for consistent rule→switch routing.
+func fnv64a[T string | []byte](s T) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211

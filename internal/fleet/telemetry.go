@@ -4,84 +4,60 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"hermes/internal/obs"
 	"hermes/internal/ofwire"
 	"hermes/internal/stats"
 )
 
 // switchTelemetry is the controller-side view of one switch: operation
 // outcomes and client-observed latencies. Agent-side counters ride in the
-// wire Stats fetched at snapshot time.
+// wire Stats fetched at snapshot time. Its footprint is fixed: counters plus
+// two log-linear histograms, whatever the number of ops completed.
 type switchTelemetry struct {
-	mu           sync.Mutex
-	opsOK        uint64
-	opsFailed    uint64
-	retries      uint64
-	diverted     uint64
-	reconnects   uint64
-	resyncs      uint64
-	lastFault    string
-	guaranteedMS []float64
-	allMS        []float64
+	failed, retries, diverted, reconnects atomic.Uint64
+
+	// Flow-mod latencies as the agent reported them (ns). all.Count() is
+	// the number of ops that succeeded.
+	guaranteed, all *obs.Histogram
+
+	mu        sync.Mutex
+	lastFault string
+}
+
+func newTelemetry() switchTelemetry {
+	return switchTelemetry{guaranteed: obs.NewHistogram(), all: obs.NewHistogram()}
 }
 
 func (t *switchTelemetry) observe(res ofwire.FlowModResult) {
-	ms := res.Latency.Seconds() * 1e3
-	t.mu.Lock()
-	t.opsOK++
-	t.allMS = append(t.allMS, ms)
+	t.all.RecordDuration(res.Latency)
 	if res.Guaranteed {
-		t.guaranteedMS = append(t.guaranteedMS, ms)
+		t.guaranteed.RecordDuration(res.Latency)
 	}
-	t.mu.Unlock()
 }
 
-func (t *switchTelemetry) fail() {
-	t.mu.Lock()
-	t.opsFailed++
-	t.mu.Unlock()
-}
+func (t *switchTelemetry) fail()   { t.failed.Add(1) }
+func (t *switchTelemetry) retry()  { t.retries.Add(1) }
+func (t *switchTelemetry) divert() { t.diverted.Add(1) }
 
-func (t *switchTelemetry) retry() {
-	t.mu.Lock()
-	t.retries++
-	t.mu.Unlock()
-}
-
-func (t *switchTelemetry) divert() {
-	t.mu.Lock()
-	t.diverted++
-	t.mu.Unlock()
-}
-
-// reconnect records one successful redial-plus-resync of the switch.
-func (t *switchTelemetry) reconnect() {
-	t.mu.Lock()
-	t.reconnects++
-	t.mu.Unlock()
-}
-
-// resynced records n rules replayed onto a restarted agent.
-func (t *switchTelemetry) resynced(n int) {
-	t.mu.Lock()
-	t.resyncs += uint64(n)
-	t.mu.Unlock()
-}
-
-// counters copies the monotonic controller-side counters; the scrape-time
-// closures in registerObs read through here so exposition never races the
-// dispatch path.
-func (t *switchTelemetry) counters() (okOps, failed, retries, diverted, reconnects, resyncs uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.opsOK, t.opsFailed, t.retries, t.diverted, t.reconnects, t.resyncs
-}
+// reconnect records one redial of the switch that came back healthy.
+func (t *switchTelemetry) reconnect() { t.reconnects.Add(1) }
 
 // fault records the cause of the most recent connection-level failure.
 func (t *switchTelemetry) fault(err error) {
 	t.mu.Lock()
 	t.lastFault = err.Error()
 	t.mu.Unlock()
+}
+
+// Counters are one switch's monotonic controller-side op counters.
+type Counters struct {
+	OpsOK, OpsFailed, Retries, Diverted uint64
+	// Reconnects counts redials of a dead control channel that answered a
+	// health probe afterwards. The fleet does not repair what the switch
+	// lost in between; that is the intent reconciler's job.
+	Reconnects uint64
 }
 
 // SwitchSnapshot is one switch's slice of a fleet snapshot.
@@ -91,24 +67,19 @@ type SwitchSnapshot struct {
 	Breaker BreakerState // circuit state at snapshot time
 	Trips   uint64       // times the circuit has opened
 
-	// Controller-side accounting.
-	OpsOK, OpsFailed, Retries, Diverted uint64
-
-	// Reconnects counts successful redials of a dead control channel;
-	// Resyncs counts the rules replayed onto restarted agents across them.
-	Reconnects, Resyncs uint64
+	Counters
 	// LastFault is the cause of the most recent connection-level failure
-	// (dial, echo probe, resync, or flow-mod wire error); empty while the
-	// switch has never faulted.
+	// (dial, echo probe, or flow-mod wire error); empty while the switch
+	// has never faulted.
 	LastFault string
 
 	// Stats are the agent's own counters fetched over the wire; nil when
 	// the switch was unreachable.
 	Stats *ofwire.Stats
 
-	// GuaranteedMS / AllMS are client-observed flow-mod latencies (ms).
-	GuaranteedMS []float64
-	AllMS        []float64
+	// Guaranteed / All are the flow-mod latency distributions (ns). Their
+	// quantiles are histogram estimates, within 1/32 of the true value.
+	Guaranteed, All *obs.HistogramSnapshot
 }
 
 // Snapshot is the merged, fleet-wide telemetry view: per-switch breakdown
@@ -121,19 +92,23 @@ type Snapshot struct {
 	// Reachable counts switches whose stats were fetched.
 	Reachable int
 
-	// Guaranteed and All summarize client-observed latencies fleet-wide.
-	Guaranteed *stats.Summary
-	All        *stats.Summary
+	// Guaranteed and All merge the per-switch latency distributions.
+	Guaranteed, All *obs.HistogramSnapshot
 }
 
-// snapshot copies the telemetry under the lock.
+// snapshot copies the telemetry, the histograms as frozen copies.
 func (t *switchTelemetry) snapshot(s *SwitchSnapshot) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.OpsOK, s.OpsFailed, s.Retries, s.Diverted = t.opsOK, t.opsFailed, t.retries, t.diverted
-	s.Reconnects, s.Resyncs, s.LastFault = t.reconnects, t.resyncs, t.lastFault
-	s.GuaranteedMS = append([]float64(nil), t.guaranteedMS...)
-	s.AllMS = append([]float64(nil), t.allMS...)
+	s.LastFault = t.lastFault
+	t.mu.Unlock()
+	s.Counters = Counters{
+		OpsOK:      t.all.Count(),
+		OpsFailed:  t.failed.Load(),
+		Retries:    t.retries.Load(),
+		Diverted:   t.diverted.Load(),
+		Reconnects: t.reconnects.Load(),
+	}
+	s.Guaranteed, s.All = t.guaranteed.Snapshot(), t.all.Snapshot()
 }
 
 // mergeStats accumulates one switch's agent counters into the total.
@@ -149,32 +124,31 @@ func mergeStats(total *ofwire.Stats, s *ofwire.Stats) {
 	total.ShadowSize += s.ShadowSize
 }
 
-// finalize sorts the per-switch views and builds the fleet-wide summaries.
+// finalize sorts the per-switch views and merges the fleet-wide totals.
 func (s *Snapshot) finalize() {
 	sort.Slice(s.Switches, func(i, j int) bool { return s.Switches[i].ID < s.Switches[j].ID })
-	var guaranteed, all []float64
+	s.Guaranteed, s.All = &obs.HistogramSnapshot{}, &obs.HistogramSnapshot{}
 	for i := range s.Switches {
 		sw := &s.Switches[i]
-		guaranteed = append(guaranteed, sw.GuaranteedMS...)
-		all = append(all, sw.AllMS...)
+		s.Guaranteed.Merge(sw.Guaranteed)
+		s.All.Merge(sw.All)
 		if sw.Stats != nil {
 			mergeStats(&s.Total, sw.Stats)
 			s.Reachable++
 		}
 	}
-	s.Guaranteed = stats.Summarize(guaranteed)
-	s.All = stats.Summarize(all)
 }
 
 // Table renders the snapshot as a per-switch table with a totals row,
-// matching the repo's plain-text harness style.
+// matching the repo's plain-text harness style. Latencies are the
+// guaranteed-path quantiles in ms.
 func (s *Snapshot) Table() *stats.Table {
 	tab := &stats.Table{
 		Title: "fleet telemetry",
 		Headers: []string{"switch", "circuit", "ok", "failed", "retries", "reconn",
 			"inserts", "shadow", "main", "violations", "p50ms", "p99ms"},
 	}
-	row := func(id, circuit string, okOps, failed, retries, reconn uint64, st *ofwire.Stats, sum *stats.Summary) {
+	row := func(id, circuit string, n Counters, st *ofwire.Stats, lat *obs.HistogramSnapshot) {
 		ins, shadow, main, viol := "-", "-", "-", "-"
 		if st != nil {
 			ins = fmt.Sprintf("%d", st.Inserts)
@@ -183,22 +157,20 @@ func (s *Snapshot) Table() *stats.Table {
 			viol = fmt.Sprintf("%d", st.Violations)
 		}
 		tab.AddRow(id, circuit,
-			fmt.Sprintf("%d", okOps), fmt.Sprintf("%d", failed), fmt.Sprintf("%d", retries),
-			fmt.Sprintf("%d", reconn),
+			fmt.Sprintf("%d", n.OpsOK), fmt.Sprintf("%d", n.OpsFailed), fmt.Sprintf("%d", n.Retries),
+			fmt.Sprintf("%d", n.Reconnects),
 			ins, shadow, main, viol,
-			fmt.Sprintf("%.3f", sum.Median()), fmt.Sprintf("%.3f", sum.P99()))
+			fmt.Sprintf("%.3f", lat.Quantile(0.5)/1e6), fmt.Sprintf("%.3f", lat.Quantile(0.99)/1e6))
 	}
-	var okOps, failed, retries, reconn uint64
+	var total Counters
 	for i := range s.Switches {
 		sw := &s.Switches[i]
-		row(sw.ID, sw.Breaker.String(), sw.OpsOK, sw.OpsFailed, sw.Retries, sw.Reconnects,
-			sw.Stats, stats.Summarize(sw.GuaranteedMS))
-		okOps += sw.OpsOK
-		failed += sw.OpsFailed
-		retries += sw.Retries
-		reconn += sw.Reconnects
+		row(sw.ID, sw.Breaker.String(), sw.Counters, sw.Stats, sw.Guaranteed)
+		total.OpsOK += sw.OpsOK
+		total.OpsFailed += sw.OpsFailed
+		total.Retries += sw.Retries
+		total.Reconnects += sw.Reconnects
 	}
-	row("TOTAL", fmt.Sprintf("%d/%d up", s.Reachable, len(s.Switches)),
-		okOps, failed, retries, reconn, &s.Total, s.Guaranteed)
+	row("TOTAL", fmt.Sprintf("%d/%d up", s.Reachable, len(s.Switches)), total, &s.Total, s.Guaranteed)
 	return tab
 }

@@ -2,27 +2,19 @@ package fleet
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
 	"hermes/internal/classifier"
 	"hermes/internal/core"
+	"hermes/internal/intent"
 	"hermes/internal/obs"
 	"hermes/internal/ofwire"
 )
 
-type opKind uint8
-
-const (
-	opInsert opKind = iota + 1
-	opDelete
-	opModify
-)
-
 // op is one queued flow-mod.
 type op struct {
-	kind opKind
+	kind intent.OpKind
 	rule classifier.Rule
 	done chan OpResult
 }
@@ -56,11 +48,9 @@ type worker struct {
 	cmu    sync.Mutex
 	client *ofwire.Client
 
-	// rmu guards desired: the rules this worker has successfully applied,
-	// keyed by ID. It is the controller-side desired state replayed onto a
-	// restarted (and therefore empty) agent during resync.
-	rmu     sync.Mutex
-	desired map[classifier.RuleID]classifier.Rule
+	// redialed is set by a reconnect and cleared once the fresh connection
+	// has answered a probe and been announced. Probe goroutine only.
+	redialed bool
 
 	brk  *breaker
 	tele switchTelemetry
@@ -75,14 +65,14 @@ type worker struct {
 
 func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
 	w := &worker{
-		id:      spec.ID,
-		addr:    spec.Addr,
-		f:       f,
-		queue:   make(chan *op, f.cfg.QueueDepth),
-		stop:    make(chan struct{}),
-		client:  client,
-		desired: make(map[classifier.RuleID]classifier.Rule),
-		brk:     newBreaker(f.cfg.Breaker),
+		id:     spec.ID,
+		addr:   spec.Addr,
+		f:      f,
+		queue:  make(chan *op, f.cfg.QueueDepth),
+		stop:   make(chan struct{}),
+		client: client,
+		brk:    newBreaker(f.cfg.Breaker),
+		tele:   newTelemetry(),
 	}
 	registerObs(f.cfg.Obs, w)
 	client.Instrument(w.inflight, w.rtt)
@@ -228,9 +218,9 @@ func (w *worker) dispatchWire(batch []*op) {
 	for i, o := range batch {
 		cmd := ofwire.FlowAdd
 		switch o.kind {
-		case opDelete:
+		case intent.OpDelete:
 			cmd = ofwire.FlowDelete
-		case opModify:
+		case intent.OpModify:
 			cmd = ofwire.FlowModify
 		}
 		mods[i] = *ofwire.FlowModFromRule(cmd, o.rule)
@@ -250,7 +240,6 @@ func (w *worker) dispatchWire(batch []*op) {
 		switch {
 		case i < len(results) && results[i].Err == nil:
 			res.Result = results[i].Result
-			w.recordApplied(o)
 			w.tele.observe(res.Result)
 		case i < len(results) && results[i].Err != nil:
 			// Per-op remote rejection: reported in its slot, the rest of
@@ -307,11 +296,11 @@ func (w *worker) execute(o *op) OpResult {
 		var fr ofwire.FlowModResult
 		var err error
 		switch o.kind {
-		case opInsert:
+		case intent.OpInsert:
 			fr, err = c.Insert(o.rule)
-		case opDelete:
+		case intent.OpDelete:
 			fr, err = c.Delete(o.rule.ID)
-		case opModify:
+		case intent.OpModify:
 			fr, err = c.Modify(o.rule)
 		}
 		if err != nil {
@@ -328,7 +317,7 @@ func (w *worker) execute(o *op) OpResult {
 			return res
 		}
 		w.brk.success()
-		if o.kind == opInsert && w.f.cfg.RetryDiverted &&
+		if o.kind == intent.OpInsert && w.f.cfg.RetryDiverted &&
 			!fr.Guaranteed && fr.Path == core.PathMain {
 			w.tele.divert()
 			if delay, ok := bo.next(); ok {
@@ -346,22 +335,8 @@ func (w *worker) execute(o *op) OpResult {
 			}
 		}
 		res.Result = fr
-		w.recordApplied(o)
 		w.tele.observe(fr)
 		return res
-	}
-}
-
-// recordApplied folds one successfully applied op into the desired-rule
-// set the worker replays after a switch restart.
-func (w *worker) recordApplied(o *op) {
-	w.rmu.Lock()
-	defer w.rmu.Unlock()
-	switch o.kind {
-	case opInsert, opModify:
-		w.desired[o.rule.ID] = o.rule
-	case opDelete:
-		delete(w.desired, o.rule.ID)
 	}
 }
 
@@ -384,6 +359,11 @@ func (w *worker) probeLoop() {
 	}
 }
 
+// probe redials a dead control channel and echo-tests the live one. The
+// switch comes back as the wire left it — nothing is replayed — and the
+// reconnect is counted and announced only once the fresh connection has
+// answered a probe and the circuit is closed, so whoever reacts to
+// OnReconnect finds a switch that takes requests.
 func (w *worker) probe() {
 	c := w.currentClient()
 	if c == nil || c.Err() != nil {
@@ -393,23 +373,9 @@ func (w *worker) probe() {
 			w.brk.failure(time.Now())
 			return
 		}
-		// Attach instruments before the resync replay so its round trips
-		// are recorded too.
 		nc.Instrument(w.inflight, w.rtt)
-		// A reconnect means the switch may have restarted and lost its
-		// tables; replay the desired state before the circuit can close
-		// so no flow-mod lands on a half-recovered agent.
-		if err := w.resync(nc); err != nil {
-			w.tele.fault(err)
-			w.brk.failure(time.Now())
-			nc.Close()
-			return
-		}
-		w.tele.reconnect()
 		w.setClient(nc)
-		if h := w.f.cfg.OnReconnect; h != nil {
-			h(w.id)
-		}
+		w.redialed = true
 		c = w.currentClient()
 	}
 	if _, err := c.Echo([]byte("hermes-fleet-probe")); err != nil {
@@ -418,36 +384,11 @@ func (w *worker) probe() {
 		return
 	}
 	w.brk.success()
-}
-
-// resync replays the worker's applied-rule set onto a freshly dialed
-// agent, in rule-ID order so replays are deterministic. Remote typed
-// errors (duplicate rule: the agent kept or already recovered the rule)
-// are tolerated; wire-level errors abort so the probe loop retries with a
-// new connection.
-func (w *worker) resync(c *ofwire.Client) error {
-	w.rmu.Lock()
-	rules := make([]classifier.Rule, 0, len(w.desired))
-	for _, r := range w.desired {
-		rules = append(rules, r)
+	if w.redialed {
+		w.redialed = false
+		w.tele.reconnect()
+		w.f.reconnected(w.id)
 	}
-	w.rmu.Unlock()
-	sort.Slice(rules, func(i, j int) bool { return rules[i].ID < rules[j].ID })
-	replayed := 0
-	for _, r := range rules {
-		if _, err := c.Insert(r); err != nil {
-			var remote *ofwire.ErrorBody
-			if errors.As(err, &remote) {
-				replayed++
-				continue
-			}
-			w.tele.resynced(replayed)
-			return err
-		}
-		replayed++
-	}
-	w.tele.resynced(replayed)
-	return nil
 }
 
 // close tears the worker down: no new ops, queued ops failed, in-flight

@@ -263,8 +263,8 @@ func (c *Controller) reconcile(s *shard, sw string) {
 		return
 	}
 	plan := Diff(desired, observed)
-	for _, op := range plan {
-		if err := c.cfg.Target.Apply(sw, op); err != nil {
+	if len(plan) > 0 {
+		if err := c.cfg.Target.Apply(sw, plan); err != nil {
 			c.fail(s, sw, now, err)
 			return
 		}

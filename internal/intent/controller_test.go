@@ -56,18 +56,20 @@ func (ft *fakeTarget) Observe(sw string) ([]classifier.Rule, error) {
 	return out, nil
 }
 
-func (ft *fakeTarget) Apply(sw string, op Op) error {
+func (ft *fakeTarget) Apply(sw string, plan []Op) error {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	if err := ft.applyErr[sw]; err != nil {
 		return err
 	}
-	ft.applies++
-	switch op.Kind {
-	case OpInsert, OpModify:
-		ft.rules[sw][op.Rule.ID] = op.Rule
-	case OpDelete:
-		delete(ft.rules[sw], op.Rule.ID)
+	for _, op := range plan {
+		ft.applies++
+		switch op.Kind {
+		case OpInsert, OpModify:
+			ft.rules[sw][op.Rule.ID] = op.Rule
+		case OpDelete:
+			delete(ft.rules[sw], op.Rule.ID)
+		}
 	}
 	return nil
 }

@@ -24,9 +24,11 @@
 // through an injected timer seam (time.AfterFunc in production, a
 // VirtualClock in harnesses), and backoff jitter is hash-derived. All
 // switch I/O crosses the Target interface, so the deterministic-lint
-// call-graph chase stops at the seam: production adapters wrap the
-// fleet, harness targets wrap in-process agents, and the same reconcile
-// code runs under both.
+// call-graph chase stops at the seam: in production the Target is the
+// fleet itself (*fleet.Fleet, wired by its NewController), harness
+// targets wrap in-process agents, and the same reconcile code runs under
+// both. The store is the only owner of desired state — the fleet redials
+// and reports, it replays nothing.
 package intent
 
 import (
@@ -67,9 +69,9 @@ type Op struct {
 	Rule classifier.Rule
 }
 
-// Target is the switch-facing seam the reconciler drives. Implementations
-// wrap the fleet (production), a fake (unit tests), or in-process agents
-// (the deterministic convergence harness). Methods must be safe for
+// Target is the switch-facing seam the reconciler drives: *fleet.Fleet in
+// production, a fake in unit tests, simulated switches in the
+// deterministic convergence harness. Methods must be safe for
 // concurrent use when the controller runs in goroutine mode.
 type Target interface {
 	// Ready reports whether the switch can take requests now — false for
@@ -78,8 +80,12 @@ type Target interface {
 	Ready(switchID string) bool
 	// Observe returns the rule set the switch currently holds.
 	Observe(switchID string) ([]classifier.Rule, error)
-	// Apply performs one mutation on the switch.
-	Apply(switchID string, op Op) error
+	// Apply executes a non-empty plan as Diff orders it — every delete,
+	// then the modifies and inserts. The deletes must have taken effect
+	// before the first insert is issued; beyond that the target may
+	// pipeline or batch. It returns the first error; whatever a failed
+	// plan left undone, the next reconcile's diff picks up.
+	Apply(switchID string, plan []Op) error
 }
 
 // Diff computes the minimal plan driving observed to desired: deletes
