@@ -42,16 +42,6 @@ func TestDeclarativeReconcileOverFleet(t *testing.T) {
 	ctrl.Run()
 	defer ctrl.Close()
 
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(15 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s", what)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
 	converged := func() bool {
 		gen := store.Generation()
 		for _, sw := range f.Switches() {
@@ -71,7 +61,7 @@ func TestDeclarativeReconcileOverFleet(t *testing.T) {
 	for i := 1; i <= 30; i++ {
 		store.Set(testRule(i))
 	}
-	waitFor("initial convergence", converged)
+	waitUntil(t, "initial convergence", converged)
 	for _, sw := range f.Switches() {
 		if !zeroDiff(sw) {
 			t.Fatalf("%s differs from desired after convergence", sw)
@@ -82,14 +72,14 @@ func TestDeclarativeReconcileOverFleet(t *testing.T) {
 	// churn routed to live switches keeps converging.
 	victim := specs[1]
 	servers[1].Close() //nolint:errcheck
-	waitFor("breaker open on killed switch", func() bool {
+	waitUntil(t, "breaker open on killed switch", func() bool {
 		st, err := f.BreakerState(victim.ID)
 		return err == nil && st == BreakerOpen
 	})
 	for i := 31; i <= 45; i++ {
 		store.Set(testRule(i))
 	}
-	waitFor("live switches converging past the dead one", func() bool {
+	waitUntil(t, "live switches converging past the dead one", func() bool {
 		gen := store.Generation()
 		for _, sw := range f.Switches() {
 			if sw == victim.ID {
@@ -109,7 +99,7 @@ func TestDeclarativeReconcileOverFleet(t *testing.T) {
 	// marks the key dirty, and the reconciler reinstalls the whole
 	// partition — the level-triggered self-heal, no replay needed.
 	restartAgent(t, victim.Addr)
-	waitFor("full reconvergence after restart", func() bool {
+	waitUntil(t, "full reconvergence after restart", func() bool {
 		return converged() && zeroDiff(victim.ID)
 	})
 	desired, _ := store.Desired(victim.ID)

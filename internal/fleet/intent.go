@@ -73,8 +73,9 @@ func (f *Fleet) applyAll(switchID string, ops []intent.Op) error {
 	var submitErr error
 	chans := make([]<-chan OpResult, 0, len(ops))
 	for _, o := range ops {
-		var ch <-chan OpResult
-		if ch, submitErr = f.submit(switchID, &op{kind: o.Kind, rule: o.Rule}); submitErr != nil {
+		ch, err := f.submit(switchID, &op{kind: o.Kind, rule: o.Rule})
+		if err != nil {
+			submitErr = err
 			break
 		}
 		chans = append(chans, ch)

@@ -165,19 +165,9 @@ func TestFleetOnReconnect(t *testing.T) {
 	if res := f.Insert(specs[0].ID, testRule(1)); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if err := servers[0].Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for f.Snapshot().Switches[0].Breaker != BreakerOpen {
-		if time.Now().After(deadline) {
-			t.Fatal("breaker never opened after switch death")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	restartAgent(t, specs[0].Addr)
+	powerCycle(t, f, specs[0], servers[0])
 
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
 		mu.Lock()
 		n := len(fired)
