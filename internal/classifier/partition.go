@@ -74,11 +74,13 @@ func PartitionNewRule(newRule Rule, mainIndex *Trie, nextID func() RuleID) Parti
 
 // Partitioner runs Algorithm 1 on working memory it keeps between calls, so
 // a cut allocates for the parts it produces and not for the rules it was cut
-// against. The zero value is ready to use; it is not safe for concurrent use
-// (the agent keeps one under its write lock).
+// against, and a rule that nothing cuts allocates nothing. The zero value is
+// ready to use; it is not safe for concurrent use (the agent keeps one under
+// its write lock).
 type Partitioner struct {
 	regions, spare []Match // EliminateOverlap's working set and its double buffer
 	cause          []RuleID
+	whole          []Rule // the one-element Parts of an uncut rule
 	merge          mergeScratch
 }
 
@@ -93,9 +95,10 @@ type Partitioner struct {
 //
 // Main-table rules are cut against in OverlapIter order and the walk stops
 // at the rule that leaves nothing (a containing ancestor ends it before the
-// subtree is touched) or overflows. The returned Parts are freshly
-// allocated; Cause aliases the Partitioner's memory and is valid until its
-// next call (PartitionMap.Record copies it).
+// subtree is touched) or overflows. The Parts of a cut rule are freshly
+// allocated (PartitionMap.Record keeps them). Cause, and the {newRule} Parts
+// of a rule nothing cut, alias the Partitioner's memory and are valid until
+// its next call (Record copies the one and has no use for the other).
 func (pt *Partitioner) Partition(newRule Rule, mainIndex *Trie, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
 	regions, spare := append(pt.regions[:0], newRule.Match), pt.spare
@@ -126,7 +129,8 @@ func (pt *Partitioner) Partition(newRule Rule, mainIndex *Trie, wins func(existi
 	}
 	if len(cause) == 0 {
 		// Fast path: untouched.
-		p.Parts = []Rule{newRule}
+		pt.whole = append(pt.whole[:0], newRule)
+		p.Parts = pt.whole
 		return p
 	}
 	if merge {

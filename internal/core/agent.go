@@ -58,6 +58,37 @@ type ruleState struct {
 	partIDs []classifier.RuleID
 }
 
+// maxRuleStatePool bounds the freelist so a burst of deletes does not pin
+// memory forever.
+const maxRuleStatePool = 4096
+
+// newRuleState builds the state of r, on a struct (and partIDs capacity)
+// recycled from the freelist when there is one. Every ruleState is made here.
+func (a *Agent) newRuleState(r classifier.Rule, seq uint64, place placement, partIDs ...classifier.RuleID) *ruleState {
+	var st *ruleState
+	if n := len(a.stPool); n > 0 {
+		st = a.stPool[n-1]
+		a.stPool[n-1] = nil
+		a.stPool = a.stPool[:n-1]
+	} else {
+		st = &ruleState{}
+	}
+	st.original, st.seq, st.place = r, seq, place
+	st.partIDs = append(st.partIDs[:0], partIDs...)
+	return st
+}
+
+// dropRuleState removes st from a.rules and hands it to the freelist. Every
+// exit from a.rules is a call to it: by then the caller has read what it
+// needs from st, and nothing else holds a *ruleState across a mutation (a
+// demoted rule's next promotion builds a new one from the software tier).
+func (a *Agent) dropRuleState(st *ruleState) {
+	delete(a.rules, st.original.ID)
+	if len(a.stPool) < maxRuleStatePool {
+		a.stPool = append(a.stPool, st)
+	}
+}
+
 // migration is an in-flight background migration (§5.2).
 type migration struct {
 	startedAt  time.Duration
@@ -129,19 +160,9 @@ type Agent struct {
 	// when cfg.TrackLogical is set; tests use it to verify equivalence.
 	logical []classifier.Rule
 
-	// stPool is a freelist of ruleState structs: deleteRule returns states
-	// to it and the batched insert fast path reuses them (with their
-	// partIDs capacity), so steady-state batch insert allocates nothing.
-	// Safe because deleteRule is the single exit point from a.rules and no
-	// caller retains a *ruleState past the deletion.
+	// stPool is the freelist between dropRuleState and newRuleState: at a
+	// steady rule count an insert builds its state without allocating.
 	stPool []*ruleState
-
-	// overlapPrio/overlapPred implement the batch fast path's zero-alloc
-	// overlap probe: the closure is allocated once here, and the priority
-	// under test rides in overlapPrio (mutated under a.mu) instead of a
-	// fresh capture per op.
-	overlapPrio int32
-	overlapPred func(classifier.Rule) bool
 
 	// --- rule-cache hierarchy (DESIGN.md §16, cache.go) ---------------
 	// soft is the authoritative software tier (non-nil iff Config.Cache
@@ -221,12 +242,6 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 	if a.o != nil {
 		shadow.SetShiftHistogram(a.o.ShadowShifts)
 		main.SetShiftHistogram(a.o.MainShifts)
-	}
-	// A main-table rule with priority ≥ the contender's would cut it
-	// (every installed rule has an earlier seq, so equal priority means the
-	// installed rule wins) — see insertBatched.
-	a.overlapPred = func(existing classifier.Rule) bool {
-		return existing.Priority >= a.overlapPrio
 	}
 	a.maxRate = a.computeMaxRate()
 	if !cfg.DisableRateLimit {
@@ -380,10 +395,31 @@ func (a *Agent) guarded(r classifier.Rule) bool {
 func (a *Agent) Insert(now time.Duration, r classifier.Rule) (Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.insertOp(now, r)
+}
+
+// insertOp, deleteOp and modifyOp route one flow-mod to the cached
+// (DESIGN.md §16) or the carved-pipeline implementation. The per-op entry
+// points and ApplyBatch all go through them, with a.mu held exclusively.
+func (a *Agent) insertOp(now time.Duration, r classifier.Rule) (Result, error) {
 	if a.soft != nil {
 		return a.insertCached(now, r)
 	}
 	return a.insert(now, r)
+}
+
+func (a *Agent) deleteOp(now time.Duration, id classifier.RuleID) (Result, error) {
+	if a.soft != nil {
+		return a.deleteCached(now, id)
+	}
+	return a.deleteRule(now, id)
+}
+
+func (a *Agent) modifyOp(now time.Duration, r classifier.Rule) (Result, error) {
+	if a.soft != nil {
+		return a.modifyCached(now, r)
+	}
+	return a.modifyLocked(now, r)
 }
 
 // insert validates the rule, mints its tie-breaking sequence number, and
@@ -455,7 +491,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		return a.insertMain(now, r, seq)
 	}
 	if part.Redundant() {
-		a.rules[r.ID] = &ruleState{original: r, seq: seq, place: placeShadow, partIDs: nil}
+		a.rules[r.ID] = a.newRuleState(r, seq, placeShadow)
 		a.addShadowResident(r)
 		a.pmap.Record(part)
 		a.metrics.Redundant++
@@ -480,7 +516,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 	// Guaranteed path: install the fragments in the shadow table.
 	var total time.Duration
 	completed := now
-	ids := make([]classifier.RuleID, 0, len(part.Parts))
+	st := a.newRuleState(r, seq, placeShadow)
 	for _, p := range part.Parts {
 		cost, err := a.shadow.InsertRanked(p, seq)
 		if err != nil {
@@ -489,9 +525,9 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		}
 		total += cost
 		completed = a.sw.SubmitGuaranteed(now, cost)
-		ids = append(ids, p.ID)
+		st.partIDs = append(st.partIDs, p.ID)
 	}
-	a.rules[r.ID] = &ruleState{original: r, seq: seq, place: placeShadow, partIDs: ids}
+	a.rules[r.ID] = st
 	a.addShadowResident(r)
 	a.pmap.Record(part)
 	a.arrivals += len(part.Parts)
@@ -609,7 +645,7 @@ func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint
 		completed = a.sw.Submit(now, cost)
 	}
 	a.mainIndex.Insert(r)
-	a.rules[r.ID] = &ruleState{original: r, seq: seq, place: placeMain, partIDs: []classifier.RuleID{r.ID}}
+	a.rules[r.ID] = a.newRuleState(r, seq, placeMain, r.ID)
 	a.repairShadowAfterMainInsert(now, r)
 	return Result{Path: PathMain, Latency: cost, Completed: completed}, nil
 }
@@ -694,10 +730,7 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
 func (a *Agent) Delete(now time.Duration, id classifier.RuleID) (Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.soft != nil {
-		return a.deleteCached(now, id)
-	}
-	return a.deleteRule(now, id)
+	return a.deleteOp(now, id)
 }
 
 func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, error) {
@@ -708,8 +741,7 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 	}
 	a.metrics.Deletes++
 	total, completed := a.removePhysical(now, st)
-	delete(a.rules, id)
-	a.recycleRuleState(st)
+	a.dropRuleState(st)
 	a.untrackLogical(id)
 	a.noteRuleRemoved(id)
 	a.o.recordDelete(total)
@@ -761,10 +793,7 @@ func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration,
 func (a *Agent) Modify(now time.Duration, r classifier.Rule) (Result, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.soft != nil {
-		return a.modifyCached(now, r)
-	}
-	return a.modifyLocked(now, r)
+	return a.modifyOp(now, r)
 }
 
 func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, error) {

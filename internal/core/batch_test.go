@@ -1,9 +1,9 @@
 package core
 
-// Tests for the vectored entry points (core/batch.go): a differential
-// replay proving the batched and per-op paths are result-identical on the
-// same seeded schedule, an in-batch ordering check, the steady-state
-// 0 allocs/op contract of the insert fast path.
+// Tests for the vectored entry point (core/batch.go): a differential replay
+// proving ApplyBatch and the per-op entry points are result-identical on the
+// same seeded schedule under every Gate Keeper divert, an in-batch ordering
+// check, and the steady-state 0 allocs/op contract of the one insert path.
 
 import (
 	"math/rand"
@@ -19,14 +19,10 @@ import (
 
 // newBatchTwin builds one agent of the batched-vs-per-op differential
 // pair.
-func newBatchTwin(t *testing.T, name string) *Agent {
+func newBatchTwin(t *testing.T, name string, cfg Config) *Agent {
 	t.Helper()
-	sw := tcam.NewSwitch(name, tcam.Pica8P3290)
-	a, err := New(sw, Config{
-		Guarantee:        5 * time.Millisecond,
-		TrackLogical:     true,
-		DisableRateLimit: true,
-	})
+	cfg.TrackLogical = true
+	a, err := New(tcam.NewSwitch(name, tcam.Pica8P3290), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +30,49 @@ func newBatchTwin(t *testing.T, name string) *Agent {
 }
 
 // TestBatchPerOpDifferential replays the same seeded schedule through a
-// per-op agent and a batched agent (ApplyBatch) and
-// requires identical per-op results, identical packet lookups after every
-// batch, and identical final rule sets.
+// per-op agent and a batched agent (ApplyBatch) and requires identical
+// per-op results, identical packet lookups after every batch, and identical
+// final rule sets. Each config steers the stream into one Gate Keeper
+// decision — the token bucket, a full shadow table, the §4.2 bypass on and
+// off — and must show, summed over its seeds, that it got there.
 func TestBatchPerOpDifferential(t *testing.T) {
-	for seed := int64(0); seed < 10; seed++ {
-		perOp := newBatchTwin(t, "twin-perop")
-		batched := newBatchTwin(t, "twin-batched")
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		reached func(Metrics) int
+	}{
+		{"shadow installs, cuts and bypasses", Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true},
+			func(m Metrics) int { return min(m.ShadowInserts, m.RulesCut, m.Bypasses) }},
+		{"rate limit on", Config{Guarantee: 5 * time.Millisecond},
+			func(m Metrics) int { return m.RateLimited }},
+		{"shadow table fills", Config{Guarantee: time.Millisecond, DisableRateLimit: true},
+			func(m Metrics) int { return m.ShadowFull }},
+		{"bypass off", Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true, DisableLowPriorityBypass: true},
+			func(m Metrics) int { return m.Inserts - m.Bypasses }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reached := 0
+			for seed := int64(0); seed < 10; seed++ {
+				m := batchPerOpDifferential(t, seed, tc.cfg)
+				if tc.cfg.DisableLowPriorityBypass && m.Bypasses != 0 {
+					t.Fatalf("seed %d: %d bypasses with the bypass disabled", seed, m.Bypasses)
+				}
+				reached += tc.reached(m)
+			}
+			if reached == 0 {
+				t.Fatalf("no op of any seed took the path this config is named for")
+			}
+		})
+	}
+}
+
+// batchPerOpDifferential runs one seed of the differential and returns the
+// batched twin's counters (the per-op twin's are required to be equal).
+func batchPerOpDifferential(t *testing.T, seed int64, cfg Config) Metrics {
+	t.Helper()
+	{
+		perOp := newBatchTwin(t, "twin-perop", cfg)
+		batched := newBatchTwin(t, "twin-batched", cfg)
 		rng := rand.New(rand.NewSource(seed))
 		now := time.Duration(0)
 		var live []classifier.RuleID
@@ -158,6 +190,12 @@ func TestBatchPerOpDifferential(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: final rule sets diverged: %d vs %d rules", seed, len(a), len(b))
 		}
+		got, want := batched.Metrics(), perOp.Metrics()
+		got.GuaranteedLatency, got.AllLatency, want.GuaranteedLatency, want.AllLatency = nil, nil, nil, nil
+		if got != want {
+			t.Fatalf("seed %d: counters diverged:\nbatched %+v\n per-op %+v", seed, got, want)
+		}
+		return got
 	}
 }
 
@@ -185,13 +223,14 @@ func TestApplyBatchInOrder(t *testing.T) {
 }
 
 // batchBenchRules builds n guarded, pairwise non-overlapping rules (distinct
-// /20 destination prefixes) so every insert takes the uncut fast path.
-func batchBenchRules(n, gen int) []classifier.Rule {
+// /20 destination prefixes from base up) that nothing cuts.
+func batchBenchRules(n int, base classifier.RuleID) []classifier.Rule {
 	rules := make([]classifier.Rule, n)
 	for i := range rules {
+		id := base + classifier.RuleID(i)
 		rules[i] = classifier.Rule{
-			ID:       classifier.RuleID(gen*n + i + 1),
-			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(i)<<12, 20)),
+			ID:       id,
+			Match:    classifier.DstMatch(classifier.NewPrefix(uint32(id)<<12, 20)),
 			Priority: 10,
 			Action:   classifier.Action{Type: classifier.ActionForward, Port: i % 48},
 		}
@@ -199,72 +238,102 @@ func batchBenchRules(n, gen int) []classifier.Rule {
 	return rules
 }
 
-// TestInsertBatchZeroAllocSteadyState enforces the batch fast path's
-// 0 allocs/op contract at runtime (hermes-vet enforces it statically):
-// after pool and table warm-up, an InsertBatch of uncut rules performs no
-// heap allocation at all.
-func TestInsertBatchZeroAllocSteadyState(t *testing.T) {
-	sw := tcam.NewSwitch("zeroalloc", tcam.Pica8P3290)
-	// A long guarantee keeps intra-batch queueing (64 serialized ops at
-	// one virtual instant) under the bound: a violation would trip the
-	// flight recorder, which is allowed to allocate.
-	a, err := New(sw, Config{
-		Guarantee:                time.Second,
-		DisableRateLimit:         true,
-		DisableLowPriorityBypass: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestInsertZeroAllocSteadyState is the insert path's allocation contract:
+// once the freelist, the table slices and the index nodes are warm, an insert
+// that Algorithm 1 leaves uncut performs no heap allocation at all — through
+// Agent.Insert and through ApplyBatch, which are the same path — and neither
+// does a §4.2 bypass or a shadow-full divert to the main table.
+func TestInsertZeroAllocSteadyState(t *testing.T) {
 	const batch = 64
-	rules := batchBenchRules(batch, 0)
-	ids := make([]classifier.RuleID, batch)
-	for i := range ids {
-		ids[i] = rules[i].ID
-	}
-	var out, dout []BatchResult
-	now := time.Duration(0)
-	cycle := func() {
-		now += time.Second
-		out = a.InsertBatch(now, rules, out)
-		for i := range out {
-			if out[i].Err != nil {
-				t.Fatalf("insert %d: %v", i, out[i].Err)
+	// A long guarantee keeps intra-batch queueing (64 serialized ops at one
+	// virtual instant) under the bound.
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		fillers int // rules installed first, never deleted
+		path    InsertPath
+	}{
+		{"uncut shadow install", Config{Guarantee: time.Second, DisableRateLimit: true, DisableLowPriorityBypass: true}, 0, PathShadow},
+		// Equal priorities append shift-free below everything installed.
+		{"lowest-priority bypass", Config{Guarantee: time.Second, DisableRateLimit: true}, 0, PathBypass},
+		// No Tick runs, so the fillers keep the shadow table full.
+		{"shadow full, main install", Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true, DisableLowPriorityBypass: true}, -1, PathMain},
+	} {
+		for _, batched := range []bool{false, true} {
+			name := tc.name + " via Insert"
+			if batched {
+				name = tc.name + " via ApplyBatch"
 			}
-			if out[i].Res.Path != PathShadow {
-				t.Fatalf("insert %d took %v, want shadow fast path", i, out[i].Res.Path)
-			}
+			t.Run(name, func(t *testing.T) {
+				a, err := New(tcam.NewSwitch("zeroalloc", tcam.Pica8P3290), tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillers := tc.fillers
+				if fillers < 0 {
+					fillers = a.ShadowSize()
+				}
+				for _, r := range batchBenchRules(fillers, 1000) {
+					if _, err := a.Insert(0, r); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rules := batchBenchRules(batch, 1)
+				ops := make([]BatchOp, batch)
+				for i, r := range rules {
+					ops[i] = BatchOp{Kind: BatchInsert, Rule: r}
+				}
+				var out []BatchResult
+				now := time.Duration(0)
+				insertAll := func() {
+					now += time.Second
+					if batched {
+						out = a.ApplyBatch(now, ops, out)
+						return
+					}
+					out = out[:0]
+					for _, r := range rules {
+						res, err := a.Insert(now, r)
+						out = append(out, BatchResult{Res: res, Err: err})
+					}
+				}
+				deleteAll := func() {
+					for i, r := range rules {
+						if out[i].Err != nil {
+							t.Fatalf("insert %d: %v", i, out[i].Err)
+						}
+						if out[i].Res.Path != tc.path {
+							t.Fatalf("insert %d took %v, want %v", i, out[i].Res.Path, tc.path)
+						}
+						if _, err := a.Delete(now, r.ID); err != nil {
+							t.Fatalf("delete %d: %v", i, err)
+						}
+					}
+				}
+				// Warm-up: freelist, table slices, index nodes and the result
+				// buffer reach steady state.
+				for i := 0; i < 8; i++ {
+					insertAll()
+					deleteAll()
+				}
+				// Mallocs is process-global, so a stray allocation from an
+				// unrelated goroutine (GC assist, runtime timer) can pollute a
+				// single window. The path's own allocations are a lower bound on
+				// every measurement, so the minimum across cycles isolates them
+				// from that noise: it is zero iff the path allocates nothing.
+				var before, after runtime.MemStats
+				least := ^uint64(0)
+				for i := 0; i < 10; i++ {
+					runtime.ReadMemStats(&before)
+					insertAll()
+					runtime.ReadMemStats(&after)
+					least = min(least, after.Mallocs-before.Mallocs)
+					deleteAll()
+				}
+				if least != 0 {
+					t.Fatalf("%d inserts performed at least %d allocations every cycle, want a 0-alloc steady state", batch, least)
+				}
+			})
 		}
-		dout = a.DeleteBatch(now, ids, dout)
-		for i := range dout {
-			if dout[i].Err != nil {
-				t.Fatalf("delete %d: %v", i, dout[i].Err)
-			}
-		}
-	}
-	// Warm-up: freelist, table slices, and result buffers reach steady
-	// state.
-	for i := 0; i < 8; i++ {
-		cycle()
-	}
-	// Mallocs is process-global, so a stray allocation from an unrelated
-	// goroutine (GC assist, runtime timer) can pollute a single window.
-	// The batch path's own allocations are a lower bound on every
-	// measurement, so the minimum across cycles isolates them from that
-	// noise: it is zero iff the path itself allocates nothing.
-	var before, after runtime.MemStats
-	min := ^uint64(0)
-	for i := 0; i < 10; i++ {
-		now += time.Second
-		runtime.ReadMemStats(&before)
-		out = a.InsertBatch(now, rules, out)
-		runtime.ReadMemStats(&after)
-		if got := after.Mallocs - before.Mallocs; got < min {
-			min = got
-		}
-		dout = a.DeleteBatch(now, ids, dout)
-	}
-	if min != 0 {
-		t.Fatalf("InsertBatch of %d rules performed at least %d allocations every cycle, want a 0-alloc steady state", batch, min)
 	}
 }

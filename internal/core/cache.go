@@ -48,7 +48,6 @@ const coverIDBase classifier.RuleID = 1 << 41
 // step with the controller-visible rule set (TrackHits and cached modes).
 func (a *Agent) noteRuleAdded(id classifier.RuleID) {
 	if a.cmgr != nil {
-		//lint:ignore hotpathalloc first-sight stats record; amortized over the rule's lifetime and nil-guarded off when hit tracking is disabled
 		a.cmgr.Ensure(id)
 	}
 }
@@ -188,8 +187,7 @@ func (a *Agent) deleteCached(now time.Duration, id classifier.RuleID) (Result, e
 		if c > completed {
 			completed = c
 		}
-		delete(a.rules, id)
-		a.recycleRuleState(st)
+		a.dropRuleState(st)
 		a.dropResident(m, id)
 	}
 	// Covers shielding this rule are now pointless; covers *of other rules*
@@ -302,8 +300,7 @@ func (a *Agent) demoteLocked(now time.Duration, id classifier.RuleID) {
 	}
 	m := st.original.Match
 	a.removePhysical(now, st)
-	delete(a.rules, id)
-	a.recycleRuleState(st)
+	a.dropRuleState(st)
 	a.dropResident(m, id)
 	a.cmgr.NoteDemotion()
 	a.ensureCoversFor(now, r, seq)
@@ -398,7 +395,7 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 		a.nextCoverID++
 		a.sw.Submit(now, cost)
 		a.mainIndex.Insert(cover)
-		a.rules[cid] = &ruleState{original: cover, seq: seq, place: placeMain, partIDs: []classifier.RuleID{cid}}
+		a.rules[cid] = a.newRuleState(cover, seq, placeMain, cid)
 		// Shadow rules the cover beats must be re-cut against it, exactly
 		// as for any main-table insert, or shadow-first lookup would let
 		// them mask the punt.
@@ -427,8 +424,7 @@ func (a *Agent) removeCoverEntries(now time.Duration, ids []classifier.RuleID) {
 			continue
 		}
 		a.removePhysical(now, st)
-		delete(a.rules, cid)
-		a.recycleRuleState(st)
+		a.dropRuleState(st)
 	}
 }
 
@@ -740,13 +736,26 @@ func (a *Agent) Rebalance(now time.Duration) {
 }
 
 // RegisterCacheMetrics exposes the agent's scrape-time counters on an obs
-// registry: hermes_view_tier_rebuilds_total and
-// hermes_gatekeeper_repartitions_total for every agent, plus the
-// hermes_cache_* family when hit tracking is enabled.
+// registry: hermes_view_tier_rebuilds_total,
+// hermes_gatekeeper_repartitions_total and hermes_gatekeeper_diverts_total
+// for every agent, plus the hermes_cache_* family when hit tracking is
+// enabled.
 func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
 	reg.CounterFunc("hermes_gatekeeper_repartitions_total", "",
 		"shadow rules re-cut and reinstalled after a main-table change (Metrics.Repartitions)",
 		func() uint64 { return uint64(a.Metrics().Repartitions) })
+	for _, d := range []struct {
+		reason string
+		count  func(Metrics) int
+	}{
+		{"rate", func(m Metrics) int { return m.RateLimited }},
+		{"shadow_full", func(m Metrics) int { return m.ShadowFull }},
+		{"oversized", func(m Metrics) int { return m.Oversized }},
+	} {
+		reg.CounterFunc("hermes_gatekeeper_diverts_total", obs.Labels("reason", d.reason),
+			"guarded inserts the Gate Keeper sent to the main table instead of the guaranteed path, by reason (Metrics.RateLimited / ShadowFull / Oversized)",
+			func() uint64 { return uint64(d.count(a.Metrics())) })
+	}
 	for tier, name := range [numViewTiers]string{"shadow", "main", "soft", "logical"} {
 		reg.CounterFunc("hermes_view_tier_rebuilds_total", obs.Labels("tier", name),
 			"lookup-snapshot index rebuilds by tier (a tier whose generation did not move is shared, not rebuilt)",

@@ -169,4 +169,46 @@ func TestGateKeeperMetricsExposition(t *testing.T) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}
+
+	// The three ways a guarded insert leaves the guaranteed path, one of each
+	// and then some: a rule that shatters past MaxPartitions, inserts paced
+	// under the Eq.-2 rate until the (never migrated) shadow table is full,
+	// and a burst at one instant that drains the token bucket.
+	reg = obs.NewRegistry()
+	a, err := New(tcam.NewSwitch("diverts", tcam.Pica8P3290), Config{
+		Guarantee:                5 * time.Millisecond,
+		MaxPartitions:            1,
+		DisableLowPriorityBypass: true,
+		Predicate:                func(r classifier.Rule) bool { return r.Priority < 1000 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.RegisterCacheMetrics(reg)
+	mustInsert(t, a, 0, dstRule(1, "10.64.0.0/10", 1000, 1))
+	mustInsert(t, a, 0, dstRule(2, "10.0.0.0/8", 10, 2)) // a /9 and a /10 survive the cut
+	pace := time.Duration(2 / a.MaxRate() * float64(time.Second))
+	now := time.Duration(0)
+	for i := 0; i <= a.ShadowSize(); i++ {
+		now += pace
+		mustInsert(t, a, now, batchBenchRules(1, classifier.RuleID(1000+i))[0])
+	}
+	for i := 0; i < a.ShadowSize(); i++ {
+		mustInsert(t, a, now, batchBenchRules(1, classifier.RuleID(2000+i))[0])
+	}
+	m := a.Metrics()
+	if m.Oversized != 1 || m.ShadowFull == 0 || m.RateLimited == 0 {
+		t.Fatalf("scenario drifted: %d oversized, %d shadow-full, %d rate-limited diverts",
+			m.Oversized, m.ShadowFull, m.RateLimited)
+	}
+	sb.Reset()
+	if err := obs.WritePrometheus(&sb, reg); err != nil {
+		t.Fatal(err)
+	}
+	body = sb.String()
+	for reason, n := range map[string]int{"rate": m.RateLimited, "shadow_full": m.ShadowFull, "oversized": m.Oversized} {
+		if want := fmt.Sprintf("hermes_gatekeeper_diverts_total{reason=%q} %d\n", reason, n); !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
 }

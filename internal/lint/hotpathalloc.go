@@ -38,21 +38,6 @@ var HotPathAllocAnalyzer = &Analyzer{
 	Run:       runHotPathAlloc,
 }
 
-// coreBatchFuncs are the agent's vectored entry points and their in-loop
-// helpers (DESIGN.md §15). Exact names, because the batch insert path
-// promises 0 allocs/op at steady state (TestInsertBatchZeroAllocSteadyState) while
-// sibling mutators in the same package allocate freely. Only meaningful
-// inside internal/core.
-var coreBatchFuncs = map[string]bool{
-	"InsertBatch":       true,
-	"DeleteBatch":       true,
-	"ApplyBatch":        true,
-	"insertBatched":     true,
-	"resetBatchResults": true,
-	"appendBatchResult": true,
-	"takeRuleState":     true,
-}
-
 // coreRebalanceFuncs are the cache rebalance pass's quiet-tick functions
 // (DESIGN.md §16): a tick in which no rule crosses the capacity cut runs
 // exactly these and must allocate nothing
@@ -66,8 +51,8 @@ var coreRebalanceFuncs = map[string]bool{
 }
 
 // hotAllocRoot reports whether a function starts a zero-alloc budget:
-// lookup-path functions in tcam/classifier/core plus the core batch entry
-// points, record-path functions in obs. Roots found via the call graph
+// lookup-path functions in tcam/classifier/core plus the core rebalance
+// pass, record-path functions in obs. Roots found via the call graph
 // share the name rules allocscan applies file by file.
 func hotAllocRoot(fn *FuncNode) bool {
 	path := strings.TrimSuffix(fn.Pkg.Path, "_test")
@@ -75,7 +60,7 @@ func hotAllocRoot(fn *FuncNode) bool {
 		return obsRecordFuncs[fn.Name]
 	}
 	if path == "internal/core" || strings.HasSuffix(path, "/internal/core") {
-		return hotPathFunc(fn.Name) || coreBatchFuncs[fn.Name] || coreRebalanceFuncs[fn.Name]
+		return hotPathFunc(fn.Name) || coreRebalanceFuncs[fn.Name]
 	}
 	if isRulecachePath(path) {
 		return hotPathFunc(fn.Name) || cacheSampleFuncs[fn.Name]

@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repo-wide gate: static analysis (go vet + hermes-lint), build, the full
-# test suite under the race detector, the linter's self-test against its
-# known-bad corpus, the nested benchmark module's vet + smoke test, the
-# seeded chaos / reconcile / cache / loadgen verdicts, and short-budget fuzz
+# Repo-wide gate: static analysis (go vet + hermes-lint + the internal/core
+# suppression ratchet), build, the full test suite under the race detector,
+# the linter's self-test against its known-bad corpus, the nested benchmark
+# module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
+# verdicts, and short-budget fuzz
 # runs of the wire codec, the prefix parser, the three lookup equivalences
 # and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
 # number is gated here (`bash benchmark/run.sh` is the one place those are
@@ -20,6 +21,13 @@ go build ./...
 
 echo ">> hermes-lint ./... (hermes-vet invariants, DESIGN.md §13)"
 go run ./cmd/hermes-lint ./...
+
+echo ">> hotpathalloc suppression ratchet: internal/core holds at most 10"
+core_ignores="$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h '//lint:ignore hotpathalloc' | wc -l)"
+if [ "$core_ignores" -gt 10 ]; then
+  echo "internal/core carries $core_ignores //lint:ignore hotpathalloc directives, ratchet is 10: remove the allocation or the root, not the finding" >&2
+  exit 1
+fi
 
 echo ">> hermes-lint self-test: the known-bad corpus must produce findings"
 corpus_status=0
