@@ -70,133 +70,131 @@ func TestBatchPerOpDifferential(t *testing.T) {
 // batched twin's counters (the per-op twin's are required to be equal).
 func batchPerOpDifferential(t *testing.T, seed int64, cfg Config) Metrics {
 	t.Helper()
-	{
-		perOp := newBatchTwin(t, "twin-perop", cfg)
-		batched := newBatchTwin(t, "twin-batched", cfg)
-		rng := rand.New(rand.NewSource(seed))
-		now := time.Duration(0)
-		var live []classifier.RuleID
-		nextID := classifier.RuleID(1)
-		var out []BatchResult
+	perOp := newBatchTwin(t, "twin-perop", cfg)
+	batched := newBatchTwin(t, "twin-batched", cfg)
+	rng := rand.New(rand.NewSource(seed))
+	now := time.Duration(0)
+	var live []classifier.RuleID
+	nextID := classifier.RuleID(1)
+	var out []BatchResult
 
-		for round := 0; round < 50; round++ {
-			now += time.Duration(rng.Intn(8)+1) * time.Millisecond
-			n := rng.Intn(32) + 1
-			ops := make([]BatchOp, 0, n)
-			for k := 0; k < n; k++ {
-				switch x := rng.Intn(10); {
-				case x < 6:
-					ops = append(ops, BatchOp{Kind: BatchInsert, Rule: classifier.Rule{
-						ID:       nextID,
-						Match:    classifier.DstMatch(classifier.NewPrefix(0xC0A80000|(rng.Uint32()&0xFFFF), uint8(16+rng.Intn(17)))),
-						Priority: int32(rng.Intn(50)),
-						Action:   classifier.Action{Type: classifier.ActionForward, Port: int(nextID)},
-					}})
-					live = append(live, nextID)
-					nextID++
-				case x < 8 && len(live) > 0:
-					i := rng.Intn(len(live))
-					ops = append(ops, BatchOp{Kind: BatchDelete, Rule: classifier.Rule{ID: live[i]}})
-					live = append(live[:i], live[i+1:]...)
-				case x == 8 && len(live) > 0:
-					ops = append(ops, BatchOp{Kind: BatchModify, Rule: classifier.Rule{
-						ID:       live[rng.Intn(len(live))],
-						Match:    classifier.DstMatch(classifier.NewPrefix(0xC0A80000|(rng.Uint32()&0xFFFF), uint8(16+rng.Intn(17)))),
-						Priority: int32(rng.Intn(50)),
-						Action:   classifier.Action{Type: classifier.ActionDrop},
-					}})
-				default:
-					// Known-bad ops: the error must land in the slot on both
-					// routes (unknown delete, duplicate insert).
-					if rng.Intn(2) == 0 || len(live) == 0 {
-						ops = append(ops, BatchOp{Kind: BatchDelete, Rule: classifier.Rule{ID: 999999}})
-					} else {
-						ops = append(ops, BatchOp{Kind: BatchInsert, Rule: classifier.Rule{
-							ID:    live[rng.Intn(len(live))],
-							Match: classifier.DstMatch(classifier.NewPrefix(0x0A000000, 8)),
-						}})
-					}
-				}
-			}
-
-			out = batched.ApplyBatch(now, ops, out)
-			if len(out) != len(ops) {
-				t.Fatalf("seed %d round %d: %d results for %d ops", seed, round, len(out), len(ops))
-			}
-			for i, op := range ops {
-				var wantRes Result
-				var wantErr error
-				switch op.Kind {
-				case BatchInsert:
-					wantRes, wantErr = perOp.Insert(now, op.Rule)
-				case BatchDelete:
-					wantRes, wantErr = perOp.Delete(now, op.Rule.ID)
-				case BatchModify:
-					wantRes, wantErr = perOp.Modify(now, op.Rule)
-				}
-				got := out[i]
-				if (got.Err == nil) != (wantErr == nil) ||
-					(got.Err != nil && got.Err.Error() != wantErr.Error()) {
-					t.Fatalf("seed %d round %d op %d: batched err %v, per-op err %v",
-						seed, round, i, got.Err, wantErr)
-				}
-				if got.Res != wantRes {
-					t.Fatalf("seed %d round %d op %d: batched %+v, per-op %+v",
-						seed, round, i, got.Res, wantRes)
-				}
-			}
-
-			// Occasionally run the Rule Manager on both twins.
-			if rng.Intn(4) == 0 {
-				done := batched.Tick(now)
-				perOp.Tick(now)
-				if done != 0 && rng.Intn(2) == 0 {
-					now = done
-					batched.Advance(now)
-					perOp.Advance(now)
-				}
-			}
-
-			// Probe packets: the batched agent must answer identically
-			// to the per-op agent.
-			prng := rand.New(rand.NewSource(seed*1000 + int64(round)))
-			logical := perOp.LogicalRules()
-			for k := 0; k < 60; k++ {
-				var dst uint32
-				if len(logical) > 0 && prng.Intn(4) != 0 {
-					p := logical[prng.Intn(len(logical))].Match.Dst
-					dst = p.Addr | (prng.Uint32() & ^p.Mask())
+	for round := 0; round < 50; round++ {
+		now += time.Duration(rng.Intn(8)+1) * time.Millisecond
+		n := rng.Intn(32) + 1
+		ops := make([]BatchOp, 0, n)
+		for k := 0; k < n; k++ {
+			switch x := rng.Intn(10); {
+			case x < 6:
+				ops = append(ops, BatchOp{Kind: BatchInsert, Rule: classifier.Rule{
+					ID:       nextID,
+					Match:    classifier.DstMatch(classifier.NewPrefix(0xC0A80000|(rng.Uint32()&0xFFFF), uint8(16+rng.Intn(17)))),
+					Priority: int32(rng.Intn(50)),
+					Action:   classifier.Action{Type: classifier.ActionForward, Port: int(nextID)},
+				}})
+				live = append(live, nextID)
+				nextID++
+			case x < 8 && len(live) > 0:
+				i := rng.Intn(len(live))
+				ops = append(ops, BatchOp{Kind: BatchDelete, Rule: classifier.Rule{ID: live[i]}})
+				live = append(live[:i], live[i+1:]...)
+			case x == 8 && len(live) > 0:
+				ops = append(ops, BatchOp{Kind: BatchModify, Rule: classifier.Rule{
+					ID:       live[rng.Intn(len(live))],
+					Match:    classifier.DstMatch(classifier.NewPrefix(0xC0A80000|(rng.Uint32()&0xFFFF), uint8(16+rng.Intn(17)))),
+					Priority: int32(rng.Intn(50)),
+					Action:   classifier.Action{Type: classifier.ActionDrop},
+				}})
+			default:
+				// Known-bad ops: the error must land in the slot on both
+				// routes (unknown delete, duplicate insert).
+				if rng.Intn(2) == 0 || len(live) == 0 {
+					ops = append(ops, BatchOp{Kind: BatchDelete, Rule: classifier.Rule{ID: 999999}})
 				} else {
-					dst = prng.Uint32()
-				}
-				got, gok := batched.Lookup(dst, 0)
-				want, wok := perOp.Lookup(dst, 0)
-				if gok != wok || got != want {
-					t.Fatalf("seed %d round %d pkt %08x: batched %v,%v per-op %v,%v",
-						seed, round, dst, got, gok, want, wok)
+					ops = append(ops, BatchOp{Kind: BatchInsert, Rule: classifier.Rule{
+						ID:    live[rng.Intn(len(live))],
+						Match: classifier.DstMatch(classifier.NewPrefix(0x0A000000, 8)),
+					}})
 				}
 			}
 		}
 
-		if err := batched.CheckConsistency(); err != nil {
-			t.Fatalf("seed %d: batched: %v", seed, err)
+		out = batched.ApplyBatch(now, ops, out)
+		if len(out) != len(ops) {
+			t.Fatalf("seed %d round %d: %d results for %d ops", seed, round, len(out), len(ops))
 		}
-		if err := perOp.CheckConsistency(); err != nil {
-			t.Fatalf("seed %d: per-op: %v", seed, err)
+		for i, op := range ops {
+			var wantRes Result
+			var wantErr error
+			switch op.Kind {
+			case BatchInsert:
+				wantRes, wantErr = perOp.Insert(now, op.Rule)
+			case BatchDelete:
+				wantRes, wantErr = perOp.Delete(now, op.Rule.ID)
+			case BatchModify:
+				wantRes, wantErr = perOp.Modify(now, op.Rule)
+			}
+			got := out[i]
+			if (got.Err == nil) != (wantErr == nil) ||
+				(got.Err != nil && got.Err.Error() != wantErr.Error()) {
+				t.Fatalf("seed %d round %d op %d: batched err %v, per-op err %v",
+					seed, round, i, got.Err, wantErr)
+			}
+			if got.Res != wantRes {
+				t.Fatalf("seed %d round %d op %d: batched %+v, per-op %+v",
+					seed, round, i, got.Res, wantRes)
+			}
 		}
-		a, b := perOp.LogicalRules(), batched.LogicalRules()
-		sort.Slice(a, func(i, j int) bool { return a[i].ID < a[j].ID })
-		sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: final rule sets diverged: %d vs %d rules", seed, len(a), len(b))
+
+		// Occasionally run the Rule Manager on both twins.
+		if rng.Intn(4) == 0 {
+			done := batched.Tick(now)
+			perOp.Tick(now)
+			if done != 0 && rng.Intn(2) == 0 {
+				now = done
+				batched.Advance(now)
+				perOp.Advance(now)
+			}
 		}
-		got, want := batched.Metrics(), perOp.Metrics()
-		got.GuaranteedLatency, got.AllLatency, want.GuaranteedLatency, want.AllLatency = nil, nil, nil, nil
-		if got != want {
-			t.Fatalf("seed %d: counters diverged:\nbatched %+v\n per-op %+v", seed, got, want)
+
+		// Probe packets: the batched agent must answer identically
+		// to the per-op agent.
+		prng := rand.New(rand.NewSource(seed*1000 + int64(round)))
+		logical := perOp.LogicalRules()
+		for k := 0; k < 60; k++ {
+			var dst uint32
+			if len(logical) > 0 && prng.Intn(4) != 0 {
+				p := logical[prng.Intn(len(logical))].Match.Dst
+				dst = p.Addr | (prng.Uint32() & ^p.Mask())
+			} else {
+				dst = prng.Uint32()
+			}
+			got, gok := batched.Lookup(dst, 0)
+			want, wok := perOp.Lookup(dst, 0)
+			if gok != wok || got != want {
+				t.Fatalf("seed %d round %d pkt %08x: batched %v,%v per-op %v,%v",
+					seed, round, dst, got, gok, want, wok)
+			}
 		}
-		return got
 	}
+
+	if err := batched.CheckConsistency(); err != nil {
+		t.Fatalf("seed %d: batched: %v", seed, err)
+	}
+	if err := perOp.CheckConsistency(); err != nil {
+		t.Fatalf("seed %d: per-op: %v", seed, err)
+	}
+	a, b := perOp.LogicalRules(), batched.LogicalRules()
+	sort.Slice(a, func(i, j int) bool { return a[i].ID < a[j].ID })
+	sort.Slice(b, func(i, j int) bool { return b[i].ID < b[j].ID })
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("seed %d: final rule sets diverged: %d vs %d rules", seed, len(a), len(b))
+	}
+	got, want := batched.Metrics(), perOp.Metrics()
+	got.GuaranteedLatency, got.AllLatency, want.GuaranteedLatency, want.AllLatency = nil, nil, nil, nil
+	if got != want {
+		t.Fatalf("seed %d: counters diverged:\nbatched %+v\n per-op %+v", seed, got, want)
+	}
+	return got
 }
 
 // TestApplyBatchInOrder proves ops inside one batch observe earlier ops'
@@ -248,16 +246,16 @@ func TestInsertZeroAllocSteadyState(t *testing.T) {
 	// A long guarantee keeps intra-batch queueing (64 serialized ops at one
 	// virtual instant) under the bound.
 	for _, tc := range []struct {
-		name    string
-		cfg     Config
-		fillers int // rules installed first, never deleted
-		path    InsertPath
+		name       string
+		cfg        Config
+		fillShadow bool // install ShadowSize rules first and never delete them
+		path       InsertPath
 	}{
-		{"uncut shadow install", Config{Guarantee: time.Second, DisableRateLimit: true, DisableLowPriorityBypass: true}, 0, PathShadow},
+		{"uncut shadow install", Config{Guarantee: time.Second, DisableRateLimit: true, DisableLowPriorityBypass: true}, false, PathShadow},
 		// Equal priorities append shift-free below everything installed.
-		{"lowest-priority bypass", Config{Guarantee: time.Second, DisableRateLimit: true}, 0, PathBypass},
+		{"lowest-priority bypass", Config{Guarantee: time.Second, DisableRateLimit: true}, false, PathBypass},
 		// No Tick runs, so the fillers keep the shadow table full.
-		{"shadow full, main install", Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true, DisableLowPriorityBypass: true}, -1, PathMain},
+		{"shadow full, main install", Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true, DisableLowPriorityBypass: true}, true, PathMain},
 	} {
 		for _, batched := range []bool{false, true} {
 			name := tc.name + " via Insert"
@@ -269,13 +267,11 @@ func TestInsertZeroAllocSteadyState(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fillers := tc.fillers
-				if fillers < 0 {
-					fillers = a.ShadowSize()
-				}
-				for _, r := range batchBenchRules(fillers, 1000) {
-					if _, err := a.Insert(0, r); err != nil {
-						t.Fatal(err)
+				if tc.fillShadow {
+					for _, r := range batchBenchRules(a.ShadowSize(), 1000) {
+						if _, err := a.Insert(0, r); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				rules := batchBenchRules(batch, 1)

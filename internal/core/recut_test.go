@@ -189,12 +189,12 @@ func TestGateKeeperMetricsExposition(t *testing.T) {
 	mustInsert(t, a, 0, dstRule(2, "10.0.0.0/8", 10, 2)) // a /9 and a /10 survive the cut
 	pace := time.Duration(2 / a.MaxRate() * float64(time.Second))
 	now := time.Duration(0)
-	for i := 0; i <= a.ShadowSize(); i++ {
+	for _, r := range batchBenchRules(a.ShadowSize()+1, 1000) {
 		now += pace
-		mustInsert(t, a, now, batchBenchRules(1, classifier.RuleID(1000+i))[0])
+		mustInsert(t, a, now, r)
 	}
-	for i := 0; i < a.ShadowSize(); i++ {
-		mustInsert(t, a, now, batchBenchRules(1, classifier.RuleID(2000+i))[0])
+	for _, r := range batchBenchRules(a.ShadowSize(), 2000) {
+		mustInsert(t, a, now, r)
 	}
 	m := a.Metrics()
 	if m.Oversized != 1 || m.ShadowFull == 0 || m.RateLimited == 0 {
