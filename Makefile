@@ -28,12 +28,13 @@ lint-bench:
 	./scripts/lint_bench.sh $(LINT_BUDGET)
 
 # Short-budget native fuzzing of the wire codec, the prefix parser, the
-# three lookup equivalences (snapshot index, TCAM table, cached two-tier) and
-# Algorithm 1 against its from-scratch oracle.
+# four lookup equivalences (bulk-built snapshot, frozen snapshots under churn,
+# TCAM table, cached two-tier) and Algorithm 1 against its from-scratch oracle.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
 	$(GO) test -run='^$$' -fuzz=FuzzRuleIndexEquivalence -fuzztime=5s ./internal/classifier
+	$(GO) test -run='^$$' -fuzz=FuzzTrieSnapshotIsolation -fuzztime=5s ./internal/classifier
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 	$(GO) test -run='^$$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 	$(GO) test -run='^$$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core

@@ -26,15 +26,41 @@ func randRules(rng *rand.Rand, n int) []Rule {
 	return out
 }
 
-// linearFirstMatch is the oracle: first rule in slice order matching the
-// packet.
-func linearFirstMatch(rules []Rule, dst, src uint32) (Rule, bool) {
-	for _, r := range rules {
-		if r.Match.MatchesPacket(dst, src) {
-			return r, true
+// keyedRule is the oracles' model of one trie entry.
+type keyedRule struct {
+	Rule
+	Key
+}
+
+// firstMatch is the oracle: a linear scan of every rule for the matching one
+// that comes first in (priority descending, rank ascending, ord ascending)
+// order. Callers keep that order total (distinct ords).
+func firstMatch(rules []keyedRule, dst, src uint32) (Rule, bool) {
+	var best *keyedRule
+	for i := range rules {
+		r := &rules[i]
+		if !r.Match.MatchesPacket(dst, src) {
+			continue
+		}
+		if best == nil || r.Priority > best.Priority || (r.Priority == best.Priority &&
+			(r.Rank < best.Rank || (r.Rank == best.Rank && r.Ord < best.Ord))) {
+			best = r
 		}
 	}
-	return Rule{}, false
+	if best == nil {
+		return Rule{}, false
+	}
+	return best.Rule, true
+}
+
+// linearFirstMatch is the bulk constructor's oracle: the highest-priority
+// matching rule, the one earlier in the slice winning ties.
+func linearFirstMatch(rules []Rule, dst, src uint32) (Rule, bool) {
+	keyed := make([]keyedRule, len(rules))
+	for i, r := range rules {
+		keyed[i] = keyedRule{r, Key{Rank: uint64(i)}}
+	}
+	return firstMatch(keyed, dst, src)
 }
 
 func TestRuleIndexMatchesLinearScan(t *testing.T) {
@@ -42,9 +68,6 @@ func TestRuleIndexMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rules := randRules(rng, 1+rng.Intn(200))
 		ix := NewRuleIndex(rules)
-		if ix.Len() != len(rules) {
-			t.Fatalf("Len = %d, want %d", ix.Len(), len(rules))
-		}
 		for probe := 0; probe < 200; probe++ {
 			var dst uint32
 			if probe%2 == 0 && len(rules) > 0 {
@@ -72,47 +95,33 @@ func TestRuleIndexEmpty(t *testing.T) {
 	}
 }
 
-func TestMatchCandidatesExactSet(t *testing.T) {
+// TestTrieLookupExactWinner checks the one indexed lookup against the linear
+// oracle on the exact rule, with keys drawn so that equal-priority ties are
+// decided by rank and, within equal ranks, by ord — on the live trie and on a
+// snapshot of it.
+func TestTrieLookupExactWinner(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		rules := randRules(rng, rng.Intn(120))
+		var rules []keyedRule
 		var tr Trie
-		for _, r := range rules {
-			tr.Insert(r)
+		for i, r := range randRules(rng, rng.Intn(120)) {
+			k := Key{Rank: uint64(rng.Intn(3)), Ord: uint64(i)}
+			rules = append(rules, keyedRule{r, k})
+			tr.InsertKeyed(r, k)
 		}
+		snap := tr.Freeze()
 		for probe := 0; probe < 60; probe++ {
-			addr := rng.Uint32()
+			dst, src := rng.Uint32(), rng.Uint32()
 			if probe%2 == 0 && len(rules) > 0 {
 				p := rules[rng.Intn(len(rules))].Match.Dst
-				addr = p.Addr | (rng.Uint32() & ^p.Mask())
+				dst = p.Addr | (rng.Uint32() & ^p.Mask())
 			}
-			want := map[RuleID]bool{}
-			for _, r := range rules {
-				if r.Match.Dst.MatchesAddr(addr) {
-					want[r.ID] = true
-				}
+			want, wok := firstMatch(rules, dst, src)
+			if got, ok := tr.Lookup(dst, src); ok != wok || got != want {
+				t.Fatalf("trial %d: Trie.Lookup(%08x,%08x) = %v,%v want %v,%v", trial, dst, src, got, ok, want, wok)
 			}
-			got := map[RuleID]bool{}
-			for it := tr.MatchCandidates(addr); ; {
-				r, ok := it.Next()
-				if !ok {
-					break
-				}
-				if !r.Match.Dst.MatchesAddr(addr) {
-					t.Fatalf("candidate %v does not match %08x", r, addr)
-				}
-				if got[r.ID] {
-					t.Fatalf("candidate %d yielded twice", r.ID)
-				}
-				got[r.ID] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("addr %08x: got %d candidates, want %d", addr, len(got), len(want))
-			}
-			for id := range want {
-				if !got[id] {
-					t.Fatalf("addr %08x: missing candidate %d", addr, id)
-				}
+			if got, ok := snap.Lookup(dst, src); ok != wok || got != want {
+				t.Fatalf("trial %d: Snapshot.Lookup(%08x,%08x) = %v,%v want %v,%v", trial, dst, src, got, ok, want, wok)
 			}
 		}
 	}
@@ -207,21 +216,17 @@ func TestTrieUpdate(t *testing.T) {
 	}
 }
 
-func TestMatchCandidatesZeroAllocs(t *testing.T) {
+func TestTrieLookupZeroAllocs(t *testing.T) {
 	var tr Trie
 	rng := rand.New(rand.NewSource(3))
 	for _, r := range randRules(rng, 256) {
 		tr.Insert(r)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		for it := tr.MatchCandidates(0x0A0B0C0D); ; {
-			if _, ok := it.Next(); !ok {
-				break
-			}
-		}
+		tr.Lookup(0x0A0B0C0D, 0xC0A80101)
 	})
 	if allocs != 0 {
-		t.Fatalf("MatchCandidates walk allocates %.1f/op, want 0", allocs)
+		t.Fatalf("Trie.Lookup allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -232,6 +237,6 @@ func TestRuleIndexLookupZeroAllocs(t *testing.T) {
 		ix.Lookup(0x0A0B0C0D, 0xC0A80101)
 	})
 	if allocs != 0 {
-		t.Fatalf("RuleIndex.Lookup allocates %.1f/op, want 0", allocs)
+		t.Fatalf("Snapshot.Lookup allocates %.1f/op, want 0", allocs)
 	}
 }

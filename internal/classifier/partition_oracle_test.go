@@ -19,16 +19,16 @@ func oracleOverlapping(t *Trie, m Match) []Rule {
 		return nil
 	}
 	var out []Rule
-	collect := func(rules []Rule) {
-		for _, r := range rules {
-			if r.Match.Src.Overlaps(m.Src) {
-				out = append(out, r)
+	collect := func(entries []trieEntry) {
+		for _, e := range entries {
+			if e.rule.Match.Src.Overlaps(m.Src) {
+				out = append(out, e.rule)
 			}
 		}
 	}
 	n := t.root
 	for depth := uint8(0); depth < m.Dst.Len; depth++ {
-		collect(n.rules)
+		collect(n.entries)
 		bit := (m.Dst.Addr >> (31 - depth)) & 1
 		n = n.children[bit]
 		if n == nil {
@@ -37,7 +37,7 @@ func oracleOverlapping(t *Trie, m Match) []Rule {
 	}
 	var walk func(*trieNode)
 	walk = func(nd *trieNode) {
-		collect(nd.rules)
+		collect(nd.entries)
 		if nd.children[0] != nil {
 			walk(nd.children[0])
 		}

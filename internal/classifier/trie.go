@@ -1,24 +1,35 @@
 package classifier
 
-// Trie is a binary trie over destination prefixes used by Hermes's Gate
-// Keeper as the "efficient data structure to detect overlapping rules"
-// (paper §3, Correctness). Rules are indexed by their destination prefix;
-// because prefixes only nest, every rule whose destination overlaps a query
-// lies either on the trie path down to the query prefix (ancestors, whose
-// dst contains the query) or in the subtree rooted at it (descendants,
-// contained by the query). Source-prefix overlap is then checked per
-// candidate.
+// Trie is a binary trie over destination prefixes: the one prefix tree of the
+// stack. The Gate Keeper uses it as the "efficient data structure to detect
+// overlapping rules" (paper §3, Correctness), and the TCAM tables and the
+// software tier use it as their packet-lookup index. Rules are indexed by
+// their destination prefix; because prefixes only nest, every rule whose
+// destination overlaps a query lies either on the trie path down to the
+// query prefix (ancestors, whose dst contains the query) or in the subtree
+// rooted at it (descendants, contained by the query). Source-prefix overlap
+// is then checked per candidate. A packet's candidates are exactly the rules
+// on the path its destination address descends (Lookup, index.go).
 //
 // The zero value is an empty trie.
 //
+// Freeze hands out the current contents as an immutable Snapshot in O(1).
+// Every node carries the ownership epoch it was created in: a node whose
+// epoch equals the trie's was created since the last Freeze, is reachable
+// from no snapshot, and is mutated in place; any other node is shared with
+// a snapshot and is copied on the way down instead (at most the 33 nodes of
+// one path per mutation). A trie that is never frozen — the Gate Keeper's
+// overlap indexes — never copies.
+//
 // Pruned nodes are recycled through a bounded freelist: churn-heavy tables
-// (the TCAM match index deletes and reinserts on every migration, and the
-// agent's batch path promises steady-state 0 allocs/op) would otherwise
-// re-allocate the same path nodes — and their rules backing arrays — on
-// every delete/insert cycle.
+// (the TCAM match index deletes and reinserts on every migration, and a
+// steady-state insert promises 0 allocs/op) would otherwise re-allocate the
+// same path nodes — and their entries backing arrays — on every
+// delete/insert cycle. Only nodes no snapshot can reach are ever recycled.
 type Trie struct {
 	root  *trieNode
 	size  int
+	epoch uint32
 	free  *trieNode // freelist of pruned nodes, chained through children[0]
 	nfree int
 }
@@ -27,56 +38,176 @@ type Trie struct {
 // memory forever.
 const maxFreeNodes = 8192
 
+// trieNode is 48 bytes, what the allocator hands out for 40 anyway; the two
+// words a walk reads on every node come first.
 type trieNode struct {
 	children [2]*trieNode
-	rules    []Rule // rules whose Dst ends exactly at this node
+	epoch    uint32 // Trie.epoch at creation
+	// maxPrio is the highest priority among entries (undefined when there
+	// are none): Lookup skips a node that cannot beat its candidate without
+	// touching the entries' memory.
+	maxPrio int32
+	// entries are the rules whose Dst ends exactly at this node, in
+	// insertion order (OverlapIter's order contract).
+	entries []trieEntry
 }
 
-// newNode pops a recycled node (keeping its rules capacity) or allocates a
-// fresh one.
+// Key is a rule's first-match tie-break among equal priorities: lower Rank
+// wins, then lower Ord. Lookup orders candidates by (Priority descending,
+// Rank ascending, Ord ascending) — tcam.Table's slot order, and SoftTable's
+// priority/seq order with Rank = seq.
+type Key struct{ Rank, Ord uint64 }
+
+type trieEntry struct {
+	rule Rule
+	key  Key
+}
+
+// setMaxPrio recomputes maxPrio after an entry left or changed.
+func (n *trieNode) setMaxPrio() {
+	for i := range n.entries {
+		if p := n.entries[i].rule.Priority; i == 0 || p > n.maxPrio {
+			n.maxPrio = p
+		}
+	}
+}
+
+// newNode pops a recycled node (keeping its entries capacity) or allocates
+// a fresh one, owned by the current epoch either way.
 func (t *Trie) newNode() *trieNode {
 	if n := t.free; n != nil {
 		t.free = n.children[0]
 		t.nfree--
 		n.children[0] = nil
+		n.epoch = t.epoch
 		return n
 	}
-	return &trieNode{}
+	return &trieNode{epoch: t.epoch}
 }
 
-// freeNode recycles a pruned node. The caller guarantees it is unlinked
-// and empty (no rules, no children).
+// freeNode recycles a pruned node. The caller guarantees it is unlinked,
+// empty (no entries, no children) and the trie's own: Delete makes the whole
+// path its own before it prunes, so no snapshot can reach a recycled node.
 func (t *Trie) freeNode(n *trieNode) {
 	if t.nfree >= maxFreeNodes {
 		return
 	}
-	n.rules = n.rules[:0]
+	n.entries = n.entries[:0]
 	n.children[0] = t.free
 	n.children[1] = nil
 	t.free = n
 	t.nfree++
 }
 
+// replace puts a node of the trie's own into *slot: a copy of the shared
+// node there, or an empty one if there is none. Callers come here only for
+// those two cases and leave a slot that already holds an own node alone — an
+// unconditional store on the way down is measurable on the Gate Keeper's
+// insert path.
+func (t *Trie) replace(slot **trieNode) *trieNode {
+	c := t.newNode()
+	if n := *slot; n != nil {
+		c.children = n.children
+		c.entries = append(c.entries, n.entries...)
+		c.maxPrio = n.maxPrio
+	}
+	*slot = c
+	return c
+}
+
+// locate walks to rule id under dst without writing anything, so a miss
+// copies nothing. It records the nodes passed (path[d] is the one at depth
+// d; prefixes are at most 32 bits deep) and returns the rule's position
+// among the entries of path[dst.Len], or -1, and the depth of the
+// shallowest node a snapshot shares, or -1.
+func (t *Trie) locate(dst Prefix, id RuleID, path *[33]*trieNode) (i, shared int) {
+	shared = -1
+	n := t.root
+	for depth := uint8(0); n != nil; depth++ {
+		if shared < 0 && n.epoch != t.epoch {
+			shared = int(depth)
+		}
+		path[depth] = n
+		if depth == dst.Len {
+			for i := range n.entries {
+				if n.entries[i].rule.ID == id {
+					return i, shared
+				}
+			}
+			break
+		}
+		n = n.children[(dst.Addr>>(31-depth))&1]
+	}
+	return -1, shared
+}
+
+// ownLocated makes a located path mutable — everything below a shared node
+// is shared, so path[shared:] is replaced by copies; nothing is when shared
+// is -1 — and returns the node at dst.
+func (t *Trie) ownLocated(dst Prefix, path *[33]*trieNode, shared int) *trieNode {
+	for d := shared; d >= 0 && d <= int(dst.Len); d++ {
+		slot := &t.root
+		if d > 0 {
+			slot = &path[d-1].children[(dst.Addr>>(32-d))&1]
+		}
+		path[d] = t.replace(slot)
+	}
+	return path[dst.Len]
+}
+
+// Freeze returns the trie's current contents as an immutable snapshot. It
+// costs O(1): the nodes are shared, and the epoch bump makes every later
+// mutation copy the nodes it touches instead of writing them.
+func (t *Trie) Freeze() Snapshot {
+	s := Snapshot{root: t.root}
+	if t.epoch++; t.epoch == 0 {
+		// The 32-bit epoch wrapped: a node untouched for 2^32 freezes
+		// would pass for the trie's own again. Carry on with a private copy
+		// of everything, which is the trie's own by construction.
+		t.root = t.root.cloneTree()
+	}
+	return s
+}
+
+// cloneTree deep-copies the subtree at n into nodes of epoch 0.
+func (n *trieNode) cloneTree() *trieNode {
+	if n == nil {
+		return nil
+	}
+	return &trieNode{
+		children: [2]*trieNode{n.children[0].cloneTree(), n.children[1].cloneTree()},
+		maxPrio:  n.maxPrio,
+		entries:  append([]trieEntry(nil), n.entries...),
+	}
+}
+
 // Size reports the number of rules in the trie.
 func (t *Trie) Size() int { return t.size }
 
-// Insert adds a rule to the index. Multiple rules may share a destination
-// prefix.
-func (t *Trie) Insert(r Rule) {
-	if t.root == nil {
-		t.root = t.newNode()
-	}
-	n := t.root
+// Insert adds a rule with the zero tie-break key — enough for the overlap
+// indexes, which never rank.
+func (t *Trie) Insert(r Rule) { t.InsertKeyed(r, Key{}) }
+
+// InsertKeyed adds a rule and its tie-break key to the index. Multiple
+// rules may share a destination prefix.
+func (t *Trie) InsertKeyed(r Rule, k Key) {
 	p := r.Match.Dst
-	for depth := uint8(0); depth < p.Len; depth++ {
-		bit := (p.Addr >> (31 - depth)) & 1
-		if n.children[bit] == nil {
-			n.children[bit] = t.newNode()
+	slot := &t.root
+	for depth := uint8(0); ; depth++ {
+		n := *slot
+		if n == nil || n.epoch != t.epoch {
+			n = t.replace(slot)
 		}
-		n = n.children[bit]
+		if depth == p.Len {
+			if len(n.entries) == 0 || r.Priority > n.maxPrio {
+				n.maxPrio = r.Priority
+			}
+			n.entries = append(n.entries, trieEntry{r, k})
+			t.size++
+			return
+		}
+		slot = &n.children[(p.Addr>>(31-depth))&1]
 	}
-	n.rules = append(n.rules, r)
-	t.size++
 }
 
 // Delete removes the rule with the given ID from the node for prefix dst.
@@ -85,37 +216,18 @@ func (t *Trie) Insert(r Rule) {
 // access path, so long-lived tables (the TCAM match index churns on every
 // migration) do not accrete garbage nodes.
 func (t *Trie) Delete(dst Prefix, id RuleID) bool {
-	if t.root == nil {
-		return false
-	}
-	// path[d] is the node at depth d; the walk fits a fixed array because
-	// prefixes are at most 32 bits deep.
 	var path [33]*trieNode
-	n := t.root
-	path[0] = n
-	for depth := uint8(0); depth < dst.Len; depth++ {
-		bit := (dst.Addr >> (31 - depth)) & 1
-		n = n.children[bit]
-		if n == nil {
-			return false
-		}
-		path[depth+1] = n
-	}
-	removed := false
-	for i, r := range n.rules {
-		if r.ID == id {
-			n.rules = append(n.rules[:i], n.rules[i+1:]...)
-			t.size--
-			removed = true
-			break
-		}
-	}
-	if !removed {
+	i, shared := t.locate(dst, id, &path)
+	if i < 0 {
 		return false
 	}
+	n := t.ownLocated(dst, &path, shared)
+	n.entries = append(n.entries[:i], n.entries[i+1:]...)
+	n.setMaxPrio()
+	t.size--
 	for depth := int(dst.Len); depth > 0; depth-- {
 		nd := path[depth]
-		if len(nd.rules) != 0 || nd.children[0] != nil || nd.children[1] != nil {
+		if len(nd.entries) != 0 || nd.children[0] != nil || nd.children[1] != nil {
 			break
 		}
 		bit := (dst.Addr >> (32 - depth)) & 1
@@ -131,43 +243,27 @@ func (t *Trie) Delete(dst Prefix, id RuleID) bool {
 
 // Update replaces the stored copy of the rule with the given ID under dst
 // (e.g. after an in-place action or priority rewrite that does not move the
-// rule to another destination prefix). It reports whether the rule was
-// found.
+// rule to another destination prefix), keeping its tie-break key. It
+// reports whether the rule was found.
 func (t *Trie) Update(dst Prefix, r Rule) bool {
-	n := t.node(dst)
-	if n == nil {
+	var path [33]*trieNode
+	i, shared := t.locate(dst, r.ID, &path)
+	if i < 0 {
 		return false
 	}
-	for i := range n.rules {
-		if n.rules[i].ID == r.ID {
-			n.rules[i] = r
-			return true
-		}
-	}
-	return false
+	n := t.ownLocated(dst, &path, shared)
+	n.entries[i].rule = r
+	n.setMaxPrio()
+	return true
 }
 
 // Get returns the rule with the given ID stored under dst, if present.
 func (t *Trie) Get(dst Prefix, id RuleID) (Rule, bool) {
-	n := t.node(dst)
-	if n == nil {
-		return Rule{}, false
-	}
-	for _, r := range n.rules {
-		if r.ID == id {
-			return r, true
-		}
+	var path [33]*trieNode
+	if i, _ := t.locate(dst, id, &path); i >= 0 {
+		return path[dst.Len].entries[i].rule, true
 	}
 	return Rule{}, false
-}
-
-func (t *Trie) node(p Prefix) *trieNode {
-	n := t.root
-	for depth := uint8(0); n != nil && depth < p.Len; depth++ {
-		bit := (p.Addr >> (31 - depth)) & 1
-		n = n.children[bit]
-	}
-	return n
 }
 
 // OverlapIter walks the indexed rules whose match region overlaps one query
@@ -181,10 +277,10 @@ func (t *Trie) node(p Prefix) *trieNode {
 // trie must not be modified while an iterator is in use.
 type OverlapIter struct {
 	m     Match
-	rules []Rule    // rules of the node being yielded
-	i     int       // next index into rules
-	path  *trieNode // next node on the way down to m.Dst; nil once the subtree walk began
-	depth uint8     // depth of path
+	ents  []trieEntry // entries of the node being yielded
+	i     int         // next index into ents
+	path  *trieNode   // next node on the way down to m.Dst; nil once the subtree walk began
+	depth uint8       // depth of path
 	// stack holds the subtree nodes still to visit. Pre-order pops one node
 	// and pushes its two children, so it holds at most one pending sibling
 	// per level below the subtree root plus the two just pushed: ≤ 33.
@@ -201,8 +297,8 @@ func (t *Trie) OverlapCandidates(m Match) OverlapIter {
 // walk is done.
 func (it *OverlapIter) Next() (Rule, bool) {
 	for {
-		for it.i < len(it.rules) {
-			r := &it.rules[it.i]
+		for it.i < len(it.ents) {
+			r := &it.ents[it.i].rule
 			it.i++
 			if r.Match.Src.Overlaps(it.m.Src) {
 				return *r, true
@@ -226,7 +322,7 @@ func (it *OverlapIter) Next() (Rule, bool) {
 		default:
 			return Rule{}, false
 		}
-		it.rules, it.i = n.rules, 0
+		it.ents, it.i = n.entries, 0
 	}
 }
 
@@ -243,10 +339,10 @@ func (it *OverlapIter) push(n *trieNode) {
 }
 
 // OverlapsWhere reports whether any indexed rule overlapping m satisfies
-// pred. It is the existence form of the overlap walk — the Gate Keeper's
-// batch fast path asks "would any main-table rule cut this one?"
-// and needs the answer without collecting candidates. Callers that care
-// about allocations must pass a preallocated (reused) pred.
+// pred. It is the existence form of the overlap walk — the cache manager
+// asks "does this software-only rule overlap a resident it beats?" and needs
+// the answer without collecting candidates. Callers that care about
+// allocations must pass a preallocated (reused) pred.
 func (t *Trie) OverlapsWhere(m Match, pred func(Rule) bool) bool {
 	it := t.OverlapCandidates(m)
 	for r, ok := it.Next(); ok; r, ok = it.Next() {
@@ -257,66 +353,7 @@ func (t *Trie) OverlapsWhere(m Match, pred func(Rule) bool) bool {
 	return false
 }
 
-// MatchIter iterates the rules whose destination prefix matches one packet
-// address. It is a value type so a lookup can walk the trie with zero heap
-// allocations — the packet fast path depends on that.
-type MatchIter struct {
-	node  *trieNode
-	addr  uint32
-	depth uint8
-	i     int
-}
-
-// MatchCandidates starts a packet-query walk for a destination address:
-// exactly the rules stored on the trie path that follows dst's bits from
-// the root are yielded, because a rule's Dst matches the packet iff the
-// packet address descends through the rule's node. This is the per-packet
-// query, distinct from OverlapIter's prefix-overlap query (which also has
-// to visit the subtree below the query prefix).
-func (t *Trie) MatchCandidates(addr uint32) MatchIter {
-	return MatchIter{node: t.root, addr: addr}
-}
-
-// Next returns the next candidate rule, or ok=false when the walk is done.
-// Candidates arrive in ascending destination-prefix-length order; callers
-// needing first-match semantics must rank them (the TCAM table ranks by
-// priority, tie rank, and arrival order).
-func (it *MatchIter) Next() (Rule, bool) {
-	for it.node != nil {
-		if it.i < len(it.node.rules) {
-			r := it.node.rules[it.i]
-			it.i++
-			return r, true
-		}
-		if it.depth == 32 {
-			it.node = nil
-			break
-		}
-		bit := (it.addr >> (31 - it.depth)) & 1
-		it.node = it.node.children[bit]
-		it.depth++
-		it.i = 0
-	}
-	return Rule{}, false
-}
-
-// All returns every rule in the trie in depth-first order.
-func (t *Trie) All() []Rule {
-	var out []Rule
-	var walk func(*trieNode)
-	walk = func(nd *trieNode) {
-		if nd == nil {
-			return
-		}
-		out = append(out, nd.rules...)
-		walk(nd.children[0])
-		walk(nd.children[1])
-	}
-	walk(t.root)
-	return out
-}
-
-// Clear empties the trie.
+// Clear empties the trie. Snapshots taken earlier keep their contents.
 func (t *Trie) Clear() {
 	t.root = nil
 	t.size = 0

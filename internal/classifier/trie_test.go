@@ -131,8 +131,24 @@ func TestTrieAllAndClear(t *testing.T) {
 	}
 }
 
-// TestOverlapsWhereMatchesOverlapping checks the allocation-free existence
-// probe against the collecting query it replaces.
+// All returns every rule in the trie in depth-first order.
+func (t *Trie) All() []Rule {
+	var out []Rule
+	var walk func(*trieNode)
+	walk = func(nd *trieNode) {
+		if nd == nil {
+			return
+		}
+		for _, e := range nd.entries {
+			out = append(out, e.rule)
+		}
+		walk(nd.children[0])
+		walk(nd.children[1])
+	}
+	walk(t.root)
+	return out
+}
+
 // Overlapping collects one overlap walk: the slice form no production caller
 // needs any more, kept for the tests that compare whole result sets.
 func (t *Trie) Overlapping(m Match) []Rule {
@@ -144,6 +160,8 @@ func (t *Trie) Overlapping(m Match) []Rule {
 	return out
 }
 
+// TestOverlapsWhereMatchesOverlapping checks the allocation-free existence
+// probe against the collecting query it replaces.
 func TestOverlapsWhereMatchesOverlapping(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
@@ -192,7 +210,8 @@ func TestOverlapsWhereZeroAllocs(t *testing.T) {
 
 // TestTrieNodeRecycling proves a delete/insert churn cycle reuses pruned
 // nodes instead of re-allocating the path — the steady-state 0 allocs/op
-// contract of the agent's batch insert path depends on it.
+// contract of the agent's insert path depends on it — and that recycling
+// never hands out a node a snapshot can still reach.
 func TestTrieNodeRecycling(t *testing.T) {
 	var tr Trie
 	r := Rule{ID: 1, Match: DstMatch(MustParsePrefix("10.1.2.3/32")), Priority: 1}
@@ -214,5 +233,41 @@ func TestTrieNodeRecycling(t *testing.T) {
 	tr.Insert(r)
 	if got, ok := tr.Get(r.Match.Dst, r.ID); !ok || got != r {
 		t.Fatalf("recycled trie lost the rule: %v %v", got, ok)
+	}
+
+	// Freeze the path, then churn it: the delete copies the path before it
+	// prunes, so the freelist fills with the copies, never with the 33 nodes
+	// the snapshot holds, and the snapshot keeps its answer throughout.
+	snap := tr.Freeze()
+	frozen := map[*trieNode]bool{}
+	frozenNodes(snap.root, frozen)
+	other := Rule{ID: 2, Match: DstMatch(MustParsePrefix("10.1.2.4/32")), Priority: 1}
+	for i := 0; i < 3; i++ {
+		if !tr.Delete(r.Match.Dst, r.ID) {
+			t.Fatal("delete under a snapshot failed")
+		}
+		checkOwnership(t, &tr, frozen)
+		tr.Insert(other)
+		tr.Insert(r)
+		checkOwnership(t, &tr, frozen)
+		if !tr.Delete(other.Match.Dst, other.ID) {
+			t.Fatal("delete of the sibling failed")
+		}
+		if got, ok := snap.Lookup(r.Match.Dst.Addr, 0); !ok || got != r {
+			t.Fatalf("cycle %d: snapshot answers %v,%v, want %v", i, got, ok, r)
+		}
+		if _, ok := snap.Lookup(other.Match.Dst.Addr, 0); ok {
+			t.Fatalf("cycle %d: snapshot sees a rule inserted after the freeze", i)
+		}
+	}
+	// A mutation that finds nothing to change copies nothing.
+	tr.Freeze()
+	allocs = testing.AllocsPerRun(100, func() {
+		if tr.Delete(r.Match.Dst, 99) || tr.Update(other.Match.Dst, other) {
+			t.Fatal("mutation of an absent rule succeeded")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("missed Delete/Update on a frozen trie allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -103,9 +103,9 @@ type migration struct {
 // Agent is one switch's Hermes instance: Gate Keeper + Rule Manager
 // (Fig. 3). It is safe for concurrent use: control-plane mutations
 // serialize on a write lock (mirroring the single switch-CPU agent), while
-// reads take a read lock and packet lookups additionally have a lock-free
-// snapshot fast path (see view.go) so the data plane never waits on the
-// control plane once the tables quiesce.
+// reads take a read lock and packet lookups run lock-free on a published
+// snapshot (see view.go), so the data plane waits on the control plane only
+// for the one lookup that publishes the snapshot after a write.
 type Agent struct {
 	// mu is the control-plane lock: mutators hold it exclusively, readers
 	// shared. Fields below are protected by it unless noted.
@@ -116,7 +116,6 @@ type Agent struct {
 	// counters). Both are accessed without mu.
 	view       atomic.Pointer[agentView]
 	logicalGen atomic.Uint64
-	stale      viewStaleness
 
 	sw     *tcam.Switch
 	shadow *tcam.Table
@@ -193,8 +192,10 @@ type Agent struct {
 	rankBuf    []rankCand
 	fallenBuf  []classifier.RuleID
 	hygieneIDs []classifier.RuleID
-	// tierRebuilds counts snapshot index rebuilds per tier (view.go).
-	tierRebuilds [numViewTiers]atomic.Uint64
+	// tierRebuilds counts, per tier, the snapshots that froze it anew;
+	// viewPublishes counts the snapshots stale readers published (view.go).
+	tierRebuilds  [numViewTiers]atomic.Uint64
+	viewPublishes atomic.Uint64
 	// promoting marks insertSeq calls made by the cache manager itself:
 	// background promotions skip the token bucket and the guarantee
 	// accounting (they are cache maintenance, not controller actions).
@@ -840,22 +841,22 @@ func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, erro
 // Lookup resolves a packet against the carved pipeline (shadow first, then
 // main), as the switch data plane would; in cached mode a hardware miss or
 // cover hit continues into the authoritative software tier (DESIGN.md §16).
-// The fast path validates the published snapshot with atomic generation
-// loads and runs without the agent lock; when the snapshot is stale (a
-// control-plane write landed) it falls back to a read-locked indexed lookup
-// on the live tables.
+// It validates the published snapshot with atomic generation loads and runs
+// without the agent lock; the lookup that finds the snapshot stale (a
+// control-plane write landed) publishes the next one first. Only the
+// Config.LinearLookup oracle reads the live tables, under the read lock.
 func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
-	if v := a.view.Load(); v != nil &&
-		v.shadowGen == a.shadow.Gen() && v.mainGen == a.main.Gen() &&
+	v := a.view.Load()
+	if v != nil && v.shadowGen == a.shadow.Gen() && v.mainGen == a.main.Gen() &&
 		v.softGen == a.softGen() {
 		return v.lookup(dst, src)
 	}
+	if !a.cfg.LinearLookup {
+		//lint:ignore hotpathalloc the stale reader publishes: one agentView, plus the hit map and the reference tier when they moved
+		return a.publishView().lookup(dst, src)
+	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	//lint:ignore hotpathalloc snapshot rebuild is the amortized slow path, entered only after viewRebuildAfter stale reads at quiesced generations
-	if v := a.freshView(); v != nil {
-		return v.lookup(dst, src)
-	}
 	r, ok := a.sw.Lookup(dst, src)
 	if a.soft == nil {
 		a.recordPlainHit(r, ok)
@@ -928,19 +929,19 @@ func (a *Agent) retrackLogical(r classifier.Rule) {
 
 // LogicalLookup resolves a packet against the reference monolithic table
 // (highest priority wins, earlier insertion breaks ties). Only valid when
-// cfg.TrackLogical is set. Like Lookup it has a lock-free snapshot fast
-// path; the slow path is the read-locked linear reference scan.
+// cfg.TrackLogical is set. Like Lookup it runs on the published snapshot;
+// the Config.LinearLookup oracle is the read-locked linear reference scan.
 func (a *Agent) LogicalLookup(dst, src uint32) (classifier.Rule, bool) {
-	if v := a.view.Load(); v != nil && v.logical != nil &&
-		v.logicalGen == a.logicalGen.Load() {
+	if a.cfg.TrackLogical && !a.cfg.LinearLookup {
+		v := a.view.Load()
+		if v == nil || v.logicalGen != a.logicalGen.Load() {
+			//lint:ignore hotpathalloc the stale reader publishes: one agentView, plus the hit map and the reference tier when they moved
+			v = a.publishView()
+		}
 		return v.logical.Lookup(dst, src)
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	//lint:ignore hotpathalloc snapshot rebuild is the amortized slow path, entered only after viewRebuildAfter stale reads at quiesced generations
-	if v := a.freshView(); v != nil && v.logical != nil {
-		return v.logical.Lookup(dst, src)
-	}
 	var best classifier.Rule
 	found := false
 	for _, r := range a.logical {

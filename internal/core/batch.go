@@ -9,9 +9,9 @@ import (
 
 // This file is the agent's vectored entry point (DESIGN.md §15): a whole
 // batch of ops applies under ONE control-plane lock acquisition with ONE
-// advance() and ONE snapshot republish at batch end, replacing per-op lock
-// round trips and per-op rebuild hysteresis. Each op takes exactly the path
-// its per-op entry point takes (insertOp/deleteOp/modifyOp).
+// advance(), replacing per-op lock round trips, so a reader sees a batch
+// whole or not at all. Each op takes exactly the path its per-op entry point
+// takes (insertOp/deleteOp/modifyOp).
 
 // BatchKind selects the operation of one BatchOp.
 type BatchKind uint8
@@ -39,8 +39,7 @@ type BatchResult struct {
 // ApplyBatch applies a mixed batch in order under one lock acquisition.
 // Per-op semantics are identical to calling Insert/Delete/Modify per op at
 // the same virtual time: ops see each other's effects in order, each failure
-// is reported in its slot without stopping the batch, and the published
-// lookup snapshot is refreshed once at batch end. out, when non-nil, is
+// is reported in its slot without stopping the batch. out, when non-nil, is
 // reset and reused as the result buffer (callers on the hot path pass the
 // slice the previous call returned, so the batch itself allocates nothing);
 // the returned slice has one entry per op.
@@ -67,6 +66,5 @@ func (a *Agent) ApplyBatch(now time.Duration, ops []BatchOp, out []BatchResult) 
 		}
 		out = append(out, BatchResult{Res: res, Err: err})
 	}
-	a.refreshViewLocked()
 	return out
 }

@@ -58,9 +58,9 @@ func (a *Agent) noteRuleRemoved(id classifier.RuleID) {
 	}
 }
 
-// recordPlainHit feeds the per-rule hit counter on the uncached read slow
-// path (TrackHits without a cache tier). Fragment hits are attributed to
-// their original rule.
+// recordPlainHit feeds the per-rule hit counter on the uncached live-table
+// read path (TrackHits without a cache tier, under the LinearLookup oracle).
+// Fragment hits are attributed to their original rule.
 func (a *Agent) recordPlainHit(r classifier.Rule, ok bool) {
 	if !ok || a.cmgr == nil {
 		return
@@ -75,8 +75,9 @@ func (a *Agent) recordPlainHit(r classifier.Rule, ok bool) {
 }
 
 // finishCachedLookup completes a cached-mode lookup from the hardware
-// tier's verdict on the read slow path (read lock held): real hits return
-// directly, cover hits and misses continue into the software tier.
+// tier's verdict on the live-table read path (the LinearLookup oracle, read
+// lock held): real hits return directly, cover hits and misses continue into
+// the software tier.
 func (a *Agent) finishCachedLookup(dst, src uint32, r classifier.Rule, ok bool) (classifier.Rule, bool) {
 	if ok && r.ID < coverIDBase {
 		a.cmgr.SampleHW(dst, src, r.ID)
@@ -608,8 +609,6 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 	}
 	//lint:ignore hotpathalloc allocates only when a resident-set change left rules to revisit
 	a.coverHygieneLocked(now)
-	//lint:ignore hotpathalloc republishes only the tiers whose generation moved; none on a quiet tick
-	a.refreshViewLocked()
 }
 
 // coverHygieneLocked repairs the shield invariant after resident-set
@@ -736,7 +735,7 @@ func (a *Agent) Rebalance(now time.Duration) {
 }
 
 // RegisterCacheMetrics exposes the agent's scrape-time counters on an obs
-// registry: hermes_view_tier_rebuilds_total,
+// registry: hermes_view_tier_rebuilds_total, hermes_view_publishes_total,
 // hermes_gatekeeper_repartitions_total and hermes_gatekeeper_diverts_total
 // for every agent, plus the hermes_cache_* family when hit tracking is
 // enabled.
@@ -758,9 +757,12 @@ func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
 	}
 	for tier, name := range [numViewTiers]string{"shadow", "main", "soft", "logical"} {
 		reg.CounterFunc("hermes_view_tier_rebuilds_total", obs.Labels("tier", name),
-			"lookup-snapshot index rebuilds by tier (a tier whose generation did not move is shared, not rebuilt)",
+			"lookup-snapshot tiers frozen anew, by tier (a tier whose generation did not move is shared with the previous snapshot, not frozen again)",
 			a.tierRebuilds[tier].Load)
 	}
+	reg.CounterFunc("hermes_view_publishes_total", "",
+		"lookup snapshots published by a reader that found the previous one stale (each is one lookup that left the lock-free path for the agent lock)",
+		a.viewPublishes.Load)
 	if a.cmgr != nil {
 		a.cmgr.Register(reg)
 	}

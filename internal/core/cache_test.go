@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -612,9 +613,11 @@ func TestRebalanceQuietTickAllocs(t *testing.T) {
 	}
 }
 
-// TestRebalanceSharesUnchangedTiers checks the publish side: a rebalance
-// that moves rules rebuilds the hardware-tier indexes and shares the
-// software-tier index and hit map with the previous snapshot.
+// TestRebalanceSharesUnchangedTiers checks the publish side: after a
+// rebalance that moves rules, the next lookup's snapshot freezes the
+// hardware-tier indexes anew and shares the software-tier index and hit map
+// with the previous snapshot (freezing an unmoved tier again would make its
+// next write copy for nothing).
 func TestRebalanceSharesUnchangedTiers(t *testing.T) {
 	a := newCachedAgent(t, 2, rulecache.PolicyLFU)
 	now := time.Duration(0)
@@ -632,14 +635,23 @@ func TestRebalanceSharesUnchangedTiers(t *testing.T) {
 	if v1 == nil {
 		t.Fatal("no snapshot published")
 	}
-	t1 := a.ViewTierRebuilds()
+	t1, p1 := a.ViewTierRebuilds(), a.ViewPublishes()
 	a.Rebalance(now + 10*time.Millisecond)
+	if a.view.Load() != v1 {
+		t.Fatal("the rebalance published a snapshot: only stale readers publish")
+	}
+	if r, ok := a.Lookup(3<<24|7, 0); !ok || r.ID != 3 {
+		t.Errorf("post-rebalance lookup: %v %v", r, ok)
+	}
 	v2 := a.view.Load()
-	if v2 == v1 {
-		t.Fatal("rebalance moved rules but republished nothing")
+	if v2 == v1 || a.ViewPublishes() != p1+1 {
+		t.Fatalf("rebalance moved rules, yet the next lookup published %d snapshots", a.ViewPublishes()-p1)
 	}
 	if v2.soft != v1.soft || v2.logical != v1.logical {
-		t.Error("software and logical tiers did not move, yet were rebuilt")
+		t.Error("software and logical tiers did not move, yet were frozen anew")
+	}
+	if len(v1.hits) == 0 || reflect.ValueOf(v2.hits).Pointer() != reflect.ValueOf(v1.hits).Pointer() {
+		t.Error("the software tier did not move, yet the hit map was rebuilt")
 	}
 	if v2.main == v1.main && v2.shadow == v1.shadow {
 		t.Error("hardware tiers moved, yet both indexes were shared")
@@ -649,10 +661,7 @@ func TestRebalanceSharesUnchangedTiers(t *testing.T) {
 		t.Errorf("tier rebuild counters: %+v -> %+v, soft and logical must not move", t1, t2)
 	}
 	if t2.Shadow+t2.Main == t1.Shadow+t1.Main {
-		t.Errorf("tier rebuild counters: %+v -> %+v, a hardware tier must have been rebuilt", t1, t2)
-	}
-	if r, ok := a.Lookup(3<<24|7, 0); !ok || r.ID != 3 {
-		t.Errorf("post-rebalance lookup: %v %v", r, ok)
+		t.Errorf("tier rebuild counters: %+v -> %+v, a hardware tier must have been frozen anew", t1, t2)
 	}
 }
 
@@ -681,8 +690,8 @@ func TestCacheMetricsExposition(t *testing.T) {
 	}
 	body := sb.String()
 	snap, tiers := a.CacheStats(), a.ViewTierRebuilds()
-	if snap.RebalanceChallengers == 0 || snap.HygieneVisits == 0 || tiers.Soft == 0 {
-		t.Fatalf("scenario drifted: the rebalance must rank a challenger and revisit a rule: %+v %+v", snap, tiers)
+	if snap.RebalanceChallengers == 0 || snap.HygieneVisits == 0 || tiers.Soft == 0 || a.ViewPublishes() == 0 {
+		t.Fatalf("scenario drifted: the rebalance must rank a challenger and revisit a rule, a lookup must publish: %+v %+v", snap, tiers)
 	}
 	for _, want := range []string{
 		fmt.Sprintf("hermes_cache_rebalance_challengers_total %d\n", snap.RebalanceChallengers),
@@ -691,6 +700,7 @@ func TestCacheMetricsExposition(t *testing.T) {
 		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"main\"} %d\n", tiers.Main),
 		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"soft\"} %d\n", tiers.Soft),
 		fmt.Sprintf("hermes_view_tier_rebuilds_total{tier=\"logical\"} %d\n", tiers.Logical),
+		fmt.Sprintf("hermes_view_publishes_total %d\n", a.ViewPublishes()),
 		"hermes_cache_hit_ratio ",
 	} {
 		if !strings.Contains(body, want) {

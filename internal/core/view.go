@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sort"
-	"sync/atomic"
-
 	"hermes/internal/classifier"
 	"hermes/internal/rulecache"
 )
@@ -17,24 +14,13 @@ import (
 // tables (every tcam.Table mutation bumps its generation counter, including
 // out-of-band ones like a crash harness wiping the switch directly).
 //
-// A snapshot is assembled per tier: each of the shadow, main, software and
-// logical indexes (and the hit map beside them) is rebuilt only when its own
-// generation moved since the previous snapshot and shared with it otherwise,
-// so publishing after a change costs what changed — a cache rebalance that
-// moves one rule rebuilds the hardware-tier indexes and reuses the
-// software-tier one.
-//
-// Snapshots are rebuilt lazily with hysteresis: a reader only pays the
-// O(occupancy) rebuild after viewRebuildAfter consecutive lookups observe
-// the same (changed) generations — i.e. the tables have quiesced. Under a
-// write-heavy phase readers instead fall back to a read-locked indexed
-// lookup on the live tables, which is already off the O(n) scan path.
-
-// viewRebuildAfter is the number of consecutive stale read-path entries (at
-// stable generations) after which a reader rebuilds the snapshot. Low
-// enough that a quiesced table becomes lock-free almost immediately, high
-// enough that insert/lookup alternation never rebuilds per packet.
-const viewRebuildAfter = 4
+// The reader that finds the snapshot stale publishes the next one
+// (publishView): it takes the agent lock exclusively — so it sees only whole
+// flow-mods — freezes each tier whose generation moved since the previous
+// snapshot (classifier.Trie.Freeze, O(1)) and shares the others with it. A
+// tier that did not move is not frozen again: freezing makes the tier's next
+// write copy the index nodes it touches, which an unchanged tier would pay
+// for nothing. Writers never publish. DESIGN.md §10 has the whole story.
 
 // agentView is one immutable snapshot of the agent's lookup state. All
 // fields are written before the view is published and never after.
@@ -43,15 +29,17 @@ type agentView struct {
 	mainGen    uint64
 	logicalGen uint64
 	softGen    uint64
-	shadow     *classifier.RuleIndex
-	main       *classifier.RuleIndex
-	// logical is non-nil only when cfg.TrackLogical is set.
-	logical *classifier.RuleIndex
-	// soft is the software-tier index (cached mode only); cache and hits
-	// are set whenever hit tracking is on (Config.Cache or TrackHits).
-	soft  *classifier.RuleIndex
-	cache *rulecache.Manager
-	hits  map[classifier.RuleID]*rulecache.RuleStats
+	shadow     classifier.Snapshot
+	main       classifier.Snapshot
+	// logical is filled only when cfg.TrackLogical is set.
+	logical classifier.Snapshot
+	// soft is the software-tier index, filled in cached mode only; cache
+	// and hits are set whenever hit tracking is on (Config.Cache or
+	// TrackHits).
+	soft   classifier.Snapshot
+	cached bool
+	cache  *rulecache.Manager
+	hits   map[classifier.RuleID]*rulecache.RuleStats
 }
 
 // lookup resolves a packet against the snapshot exactly as the carved
@@ -62,7 +50,7 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 	if !ok {
 		r, ok = v.main.Lookup(dst, src)
 	}
-	if v.soft == nil {
+	if !v.cached {
 		if ok && v.hits != nil {
 			if s := v.hits[r.ID]; s != nil {
 				s.RecordHit(v.cache.EpochNow())
@@ -90,112 +78,50 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 	return classifier.Rule{}, false
 }
 
-// viewStaleness tracks, with benign-racy atomics, how many consecutive
-// read-path entries missed the snapshot while the table generations stayed
-// put. Concurrent readers may slightly over- or under-count; the only
-// consequence is a rebuild happening one read earlier or later.
-type viewStaleness struct {
-	shadowGen  atomic.Uint64
-	mainGen    atomic.Uint64
-	logicalGen atomic.Uint64
-	softGen    atomic.Uint64
-	streak     atomic.Uint32
-}
-
-// observe records one stale read at the given generations and returns the
-// current streak length.
-func (s *viewStaleness) observe(sg, mg, lg, fg uint64) int {
-	if s.shadowGen.Load() != sg || s.mainGen.Load() != mg ||
-		s.logicalGen.Load() != lg || s.softGen.Load() != fg {
-		s.shadowGen.Store(sg)
-		s.mainGen.Store(mg)
-		s.logicalGen.Store(lg)
-		s.softGen.Store(fg)
-		s.streak.Store(1)
-		return 1
-	}
-	return int(s.streak.Add(1))
-}
-
-// freshView returns a snapshot valid for the current table generations,
-// rebuilding one if the hysteresis threshold has been reached, or nil when
-// the caller should use the live (read-locked) tables instead. Must be
-// called with at least the read lock held — the rebuild reads table
-// contents, which only the lock makes stable.
-func (a *Agent) freshView() *agentView {
-	if a.cfg.LinearLookup {
-		return nil
-	}
+// publishView is the stale reader's path: under the exclusive agent lock
+// (freezing a tier mutates its index) it assembles the snapshot for the
+// current generations, sharing with the previous one every tier whose
+// generation did not move, and publishes it — written before Store, never
+// after. A reader that lost the race to another finds the view already
+// current and returns that one.
+func (a *Agent) publishView() *agentView {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	sg, mg, lg, fg := a.shadow.Gen(), a.main.Gen(), a.logicalGen.Load(), a.softGen()
-	if v := a.view.Load(); v != nil && v.shadowGen == sg && v.mainGen == mg &&
-		v.logicalGen == lg && v.softGen == fg {
-		return v
-	}
-	if a.stale.observe(sg, mg, lg, fg) < viewRebuildAfter {
-		return nil
-	}
-	v := a.buildView(a.view.Load(), sg, mg, lg, fg)
-	a.view.Store(v)
-	return v
-}
-
-// The snapshot's tiers, as hermes_view_tier_rebuilds_total labels them.
-const (
-	tierShadow = iota
-	tierMain
-	tierSoft
-	tierLogical
-	numViewTiers
-)
-
-// ViewTierRebuilds counts, per snapshot tier, how many times its index has
-// been rebuilt (as opposed to shared with the previous snapshot).
-type ViewTierRebuilds struct {
-	Shadow, Main, Soft, Logical uint64
-}
-
-// ViewTierRebuilds returns the snapshot tier rebuild counters.
-func (a *Agent) ViewTierRebuilds() ViewTierRebuilds {
-	return ViewTierRebuilds{
-		Shadow:  a.tierRebuilds[tierShadow].Load(),
-		Main:    a.tierRebuilds[tierMain].Load(),
-		Soft:    a.tierRebuilds[tierSoft].Load(),
-		Logical: a.tierRebuilds[tierLogical].Load(),
-	}
-}
-
-// buildView constructs an immutable snapshot for the given generations,
-// sharing with prev (the previous snapshot, or nil) every tier whose
-// generation did not move. Callers hold at least the read lock and publish
-// the view themselves (write before Store, never after).
-func (a *Agent) buildView(prev *agentView, sg, mg, lg, fg uint64) *agentView {
+	prev := a.view.Load()
 	if prev == nil {
+		// The zero view is the snapshot of tables that never changed
+		// (generation 0, hence empty).
 		prev = &agentView{}
+	} else if prev.shadowGen == sg && prev.mainGen == mg && prev.logicalGen == lg && prev.softGen == fg {
+		return prev
 	}
-	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cache: a.cmgr}
+	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cached: a.soft != nil, cache: a.cmgr}
 	hwMoved := false
-	if v.shadow = prev.shadow; v.shadow == nil || prev.shadowGen != sg {
-		v.shadow = classifier.NewRuleIndex(a.shadow.Rules())
+	if v.shadow = prev.shadow; prev.shadowGen != sg {
+		v.shadow = a.shadow.Snapshot()
 		a.tierRebuilds[tierShadow].Add(1)
 		hwMoved = true
 	}
-	if v.main = prev.main; v.main == nil || prev.mainGen != mg {
-		v.main = classifier.NewRuleIndex(a.main.Rules())
+	if v.main = prev.main; prev.mainGen != mg {
+		v.main = a.main.Snapshot()
 		a.tierRebuilds[tierMain].Add(1)
 		hwMoved = true
 	}
 	softMoved := false
 	if a.soft != nil {
-		if v.soft = prev.soft; v.soft == nil || prev.softGen != fg {
-			v.soft = classifier.NewRuleIndex(a.soft.FirstMatchOrder())
+		if v.soft = prev.soft; prev.softGen != fg {
+			v.soft = a.soft.Snapshot()
 			a.tierRebuilds[tierSoft].Add(1)
 			softMoved = true
 		}
 	}
 	if a.cfg.TrackLogical {
+		// The reference table is a plain insertion-ordered slice with no
+		// index of its own, so this tier is rebuilt when it moved.
 		v.logicalGen = lg
-		if v.logical = prev.logical; v.logical == nil || prev.logicalGen != lg {
-			v.logical = classifier.NewRuleIndex(a.logicalFirstMatchOrder())
+		if v.logical = prev.logical; prev.logicalGen != lg {
+			v.logical = classifier.NewRuleIndex(a.logical)
 			a.tierRebuilds[tierLogical].Add(1)
 		}
 	}
@@ -210,36 +136,36 @@ func (a *Agent) buildView(prev *agentView, sg, mg, lg, fg uint64) *agentView {
 			v.hits = a.buildHitMap()
 		}
 	}
+	a.view.Store(v)
+	a.viewPublishes.Add(1)
 	return v
 }
 
-// refreshViewLocked republishes the snapshot at the end of a batch or a
-// cache rebalance — the amortized replacement for per-op rebuild hysteresis:
-// one rebuild covers every op in the batch. It keeps the lazy economics of freshView: until a
-// reader has forced a first snapshot into existence there is nothing to
-// refresh (pure write workloads stay rebuild-free), and a view already at
-// the current generations is left untouched. Requires a.mu held
-// exclusively.
-func (a *Agent) refreshViewLocked() {
-	if a.cfg.LinearLookup {
-		return
-	}
-	v := a.view.Load()
-	if v == nil {
-		return
-	}
-	sg, mg, lg, fg := a.shadow.Gen(), a.main.Gen(), a.logicalGen.Load(), a.softGen()
-	if v.shadowGen == sg && v.mainGen == mg && v.logicalGen == lg && v.softGen == fg {
-		return
-	}
-	a.view.Store(a.buildView(v, sg, mg, lg, fg))
+// The snapshot's tiers, as hermes_view_tier_rebuilds_total labels them.
+const (
+	tierShadow = iota
+	tierMain
+	tierSoft
+	tierLogical
+	numViewTiers
+)
+
+// ViewTierRebuilds counts, per snapshot tier, how many times its index has
+// been frozen anew (as opposed to shared with the previous snapshot).
+type ViewTierRebuilds struct {
+	Shadow, Main, Soft, Logical uint64
 }
 
-// logicalFirstMatchOrder returns a copy of the reference monolithic table
-// sorted into first-match order: priority descending, insertion order
-// breaking ties (the stable sort preserves it).
-func (a *Agent) logicalFirstMatchOrder() []classifier.Rule {
-	rules := append([]classifier.Rule(nil), a.logical...)
-	sort.SliceStable(rules, func(i, j int) bool { return rules[i].Priority > rules[j].Priority })
-	return rules
+// ViewTierRebuilds returns the snapshot tier freeze counters.
+func (a *Agent) ViewTierRebuilds() ViewTierRebuilds {
+	return ViewTierRebuilds{
+		Shadow:  a.tierRebuilds[tierShadow].Load(),
+		Main:    a.tierRebuilds[tierMain].Load(),
+		Soft:    a.tierRebuilds[tierSoft].Load(),
+		Logical: a.tierRebuilds[tierLogical].Load(),
+	}
 }
+
+// ViewPublishes counts the snapshots readers had to publish: how often a
+// lookup found the view stale and left the lock-free path.
+func (a *Agent) ViewPublishes() uint64 { return a.viewPublishes.Load() }

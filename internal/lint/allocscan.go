@@ -8,7 +8,7 @@ import (
 
 // AllocscanAnalyzer guards the zero-allocation packet path: Table.Lookup
 // runs per simulated packet and the agent's snapshot read path promises 0
-// allocs/op (TestRuleIndexLookupZeroAllocs, TestMatchCandidatesZeroAllocs). A stray
+// allocs/op (TestRuleIndexLookupZeroAllocs, TestTrieLookupZeroAllocs). A stray
 // make(map...), growing append, or map/slice composite literal inside a
 // lookup-path function turns every packet into a heap allocation and a GC
 // assist — a regression benchmarks catch late and this check catches at
@@ -35,11 +35,10 @@ var AllocscanAnalyzer = &Analyzer{
 }
 
 // hotPathFunc reports whether a function is on the per-packet lookup path:
-// anything named *Lookup*/*lookup* plus the trie iteration pair backing
-// LookupIndexed.
+// anything named *Lookup*/*lookup* plus the iterators' Next.
 func hotPathFunc(name string) bool {
 	return strings.Contains(name, "Lookup") || strings.Contains(name, "lookup") ||
-		name == "MatchCandidates" || name == "Next"
+		name == "Next"
 }
 
 // obsRecordFuncs are the per-sample record-path functions of internal/obs.

@@ -17,7 +17,7 @@ import (
 // guards are deliberately monomorphic — and never invents spurious edges.
 //
 // Nodes are keyed by types.Func.FullName (e.g.
-// "(*hermes/internal/classifier.RuleIndex).Lookup"), which is stable
+// "(*hermes/internal/classifier.Trie).Lookup"), which is stable
 // across independently type-checked packages, so edges connect across
 // package boundaries even though each *Package carries its own types
 // universe.
@@ -170,7 +170,7 @@ func (g *CallGraph) Reaches(direct func(*FuncNode) (token.Pos, bool)) map[string
 }
 
 // Chain renders the witness path from id down to the direct occurrence,
-// e.g. ["freshView", "NewRuleIndex"]. Cycles cannot occur because Reaches
+// e.g. ["publishView", "NewRuleIndex"]. Cycles cannot occur because Reaches
 // only records acyclic witnesses.
 func (g *CallGraph) Chain(reach map[string]*ReachInfo, id string) []string {
 	var chain []string
@@ -193,7 +193,7 @@ func (g *CallGraph) Chain(reach map[string]*ReachInfo, id string) []string {
 // shortFuncID compresses a FullName to "Type.Method" or "pkg.Func" for
 // diagnostics.
 func shortFuncID(id string) string {
-	// "(*hermes/internal/classifier.RuleIndex).Lookup" → "RuleIndex.Lookup"
+	// "(*hermes/internal/classifier.Trie).Lookup"      → "Trie.Lookup"
 	// "hermes/internal/classifier.NewRuleIndex"        → "classifier.NewRuleIndex"
 	s := id
 	if len(s) > 0 && s[0] == '(' {

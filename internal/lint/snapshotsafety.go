@@ -141,7 +141,7 @@ func returnsPublished(fn *FuncNode, returners map[string]bool) bool {
 
 	// Propagate through local assignments until stable. Store(x) also
 	// taints x: a function that publishes a value and then returns it
-	// (the freshView shape) hands its caller a live snapshot.
+	// (the publishView shape) hands its caller a live snapshot.
 	for changed := true; changed; {
 		changed = false
 		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {

@@ -44,7 +44,7 @@ func (t *Table) lookupCandidates(dst uint32) []Rule {
 	return out
 }
 
-// Iter stands in for classifier.MatchIter.
+// Iter stands in for classifier.OverlapIter.
 type Iter struct {
 	rules []Rule
 	pos   int

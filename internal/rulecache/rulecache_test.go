@@ -1,6 +1,7 @@
 package rulecache
 
 import (
+	"maps"
 	"math/rand"
 	"sort"
 	"testing"
@@ -68,9 +69,10 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 // TestSoftTableOracle cross-checks SoftTable.Lookup against a brute-force
-// first-match scan over the same rule set through random churn, and the two
-// incrementally maintained orders (Rules, FirstMatchOrder) against a fresh
-// sort of that set.
+// first-match scan over the same rule set through random churn, the
+// incrementally maintained ID order (Entries, Rules) against a fresh sort of
+// that set, and the latest Snapshot against the scan over the set as it was
+// when the snapshot was taken.
 func TestSoftTableOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	st := NewSoftTable(SoftProfile{})
@@ -82,7 +84,10 @@ func TestSoftTableOracle(t *testing.T) {
 	oracle := map[classifier.RuleID]entry{}
 	var seq uint64
 
-	lookupOracle := func(dst, src uint32) (classifier.Rule, bool) {
+	var snap classifier.Snapshot
+	snapOracle := map[classifier.RuleID]entry{}
+
+	lookupOracle := func(oracle map[classifier.RuleID]entry, dst, src uint32) (classifier.Rule, bool) {
 		var (
 			best    classifier.Rule
 			bestSeq uint64
@@ -156,23 +161,21 @@ func TestSoftTableOracle(t *testing.T) {
 				t.Fatalf("step %d: ID order slot %d holds %v / %v, want %v", step, i, e.Rule, byID[i], sorted[i].r)
 			}
 		}
-		sort.Slice(sorted, func(i, j int) bool {
-			if sorted[i].r.Priority != sorted[j].r.Priority {
-				return sorted[i].r.Priority > sorted[j].r.Priority
-			}
-			return sorted[i].seq < sorted[j].seq
-		})
-		for i, r := range st.FirstMatchOrder() {
-			if r != sorted[i].r {
-				t.Fatalf("step %d: first-match slot %d holds %v, want %v", step, i, r, sorted[i].r)
-			}
+		if step%7 == 0 {
+			snap, snapOracle = st.Snapshot(), maps.Clone(oracle)
 		}
 		for probe := 0; probe < 5; probe++ {
 			dst := uint32(0x0a000000) | uint32(rng.Intn(1<<24))
 			got, gok := st.Lookup(dst, 0)
-			want, wok := lookupOracle(dst, 0)
+			want, wok := lookupOracle(oracle, dst, 0)
 			if gok != wok || (gok && got != want) {
 				t.Fatalf("step %d dst %08x: soft (%v,%v) oracle (%v,%v)",
+					step, dst, got, gok, want, wok)
+			}
+			got, gok = snap.Lookup(dst, 0)
+			want, wok = lookupOracle(snapOracle, dst, 0)
+			if gok != wok || (gok && got != want) {
+				t.Fatalf("step %d dst %08x: snapshot (%v,%v) oracle at snapshot time (%v,%v)",
 					step, dst, got, gok, want, wok)
 			}
 		}
@@ -216,28 +219,27 @@ func TestRecordHitAllocs(t *testing.T) {
 	}
 }
 
-func TestSoftTableFirstMatchOrder(t *testing.T) {
+// TestSoftTableLookupTieOrder pins the order Lookup resolves ties in:
+// priority first, then the earlier seq, whatever the insertion order.
+func TestSoftTableLookupTieOrder(t *testing.T) {
 	st := NewSoftTable(SoftProfile{})
 	st.Insert(mkRule(1, "10.0.0.0/8", 1), 10)
 	st.Insert(mkRule(2, "10.1.0.0/16", 5), 11)
-	st.Insert(mkRule(3, "10.2.0.0/16", 5), 9) // same prio as 2, earlier seq
-	got := st.FirstMatchOrder()
-	wantIDs := []classifier.RuleID{3, 2, 1}
-	if len(got) != len(wantIDs) {
-		t.Fatalf("len = %d, want %d", len(got), len(wantIDs))
-	}
-	for i, id := range wantIDs {
-		if got[i].ID != id {
-			t.Errorf("pos %d: got rule %d, want %d", i, got[i].ID, id)
+	st.Insert(mkRule(3, "10.1.2.0/24", 5), 9) // same prio as 2, earlier seq
+	const pkt = 0x0a010203
+	for _, want := range []classifier.RuleID{3, 2, 1} {
+		if got, ok := st.Lookup(pkt, 0); !ok || got.ID != want {
+			t.Fatalf("Lookup = rule %d,%v, want %d", got.ID, ok, want)
 		}
+		st.Delete(want)
 	}
 	// The table does not require unique seqs: removing one of two entries
 	// that compare equal must remove that one.
-	st.Insert(mkRule(4, "10.3.0.0/16", 5), 9)
-	st.Insert(mkRule(5, "10.4.0.0/16", 5), 9)
+	st.Insert(mkRule(4, "10.1.0.0/16", 5), 9)
+	st.Insert(mkRule(5, "10.1.0.0/16", 5), 9)
 	st.Delete(4)
-	if got := st.FirstMatchOrder(); len(got) != 4 || got[0].ID+got[1].ID != 3+5 || got[2].ID != 2 {
-		t.Errorf("after deleting one of three equal-ranked rules: %v", got)
+	if got, ok := st.Lookup(pkt, 0); !ok || got.ID != 5 || st.Len() != 1 {
+		t.Errorf("after deleting one of two equal-ranked rules: Lookup = rule %d,%v, Len %d", got.ID, ok, st.Len())
 	}
 }
 

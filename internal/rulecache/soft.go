@@ -15,12 +15,12 @@ import (
 // hardware tier it is unbounded; what it charges instead is latency — every
 // operation returns its virtual-time cost from the table's SoftProfile.
 //
-// The table also keeps its entries in the two orders its consumers need —
-// ascending rule ID (the cache manager's ranking input and the rules dump)
-// and first-match order (the snapshot's software-tier index) — maintained by
-// binary-search insert/remove on every mutation instead of re-sorted per
-// read. IDs and seqs arrive almost sorted, so an insert is an append in the
-// common case.
+// The table also keeps its entries in ascending rule-ID order (the cache
+// manager's ranking input and the rules dump), maintained by binary-search
+// insert/remove on every mutation instead of re-sorted per read. IDs arrive
+// almost sorted, so an insert is an append in the common case. First-match
+// order lives in the trie: every rule is keyed by its seq, so Lookup and
+// Snapshot rank candidates without consulting the table.
 //
 // Mutations are the caller's (the agent's) responsibility to serialize;
 // Lookup and Gen are safe only against a quiescent table, which is why the
@@ -29,7 +29,6 @@ type SoftTable struct {
 	profile SoftProfile
 	byID    map[classifier.RuleID]*SoftEntry
 	ids     []*SoftEntry // ascending Rule.ID
-	order   []*SoftEntry // first-match order: priority descending, seq ascending
 	trie    classifier.Trie
 	gen     atomic.Uint64
 }
@@ -88,15 +87,6 @@ func (t *SoftTable) Entries() []*SoftEntry { return t.ids }
 
 func cmpEntryID(e *SoftEntry, id classifier.RuleID) int { return cmp.Compare(e.Rule.ID, id) }
 
-// cmpFirstMatch orders entries as a monolithic TCAM would match them:
-// higher priority first, earlier seq breaking ties.
-func cmpFirstMatch(a, b *SoftEntry) int {
-	if c := cmp.Compare(b.Rule.Priority, a.Rule.Priority); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
-}
-
 // Insert stores the rule with its tie-breaking sequence number, replacing
 // any previous entry with the same ID, and returns the virtual cost.
 func (t *SoftTable) Insert(r classifier.Rule, seq uint64) time.Duration {
@@ -107,25 +97,16 @@ func (t *SoftTable) Insert(r classifier.Rule, seq uint64) time.Duration {
 	t.byID[r.ID] = e
 	i, _ := slices.BinarySearchFunc(t.ids, r.ID, cmpEntryID)
 	t.ids = slices.Insert(t.ids, i, e)
-	j, _ := slices.BinarySearchFunc(t.order, e, cmpFirstMatch)
-	t.order = slices.Insert(t.order, j, e)
-	t.trie.Insert(r)
+	t.trie.InsertKeyed(r, classifier.Key{Rank: seq})
 	t.gen.Add(1)
 	return t.profile.Insert
 }
 
-// unlink removes the entry from the trie and both ordered slices.
+// unlink removes the entry from the trie and the ID-ordered slice.
 func (t *SoftTable) unlink(e *SoftEntry) {
 	t.trie.Delete(e.Rule.Match.Dst, e.Rule.ID)
 	i, _ := slices.BinarySearchFunc(t.ids, e.Rule.ID, cmpEntryID)
 	t.ids = slices.Delete(t.ids, i, i+1)
-	// Seqs are unique under the agent, but the table does not require it:
-	// step over entries that merely compare equal.
-	j, _ := slices.BinarySearchFunc(t.order, e, cmpFirstMatch)
-	for t.order[j] != e {
-		j++
-	}
-	t.order = slices.Delete(t.order, j, j+1)
 }
 
 // Delete removes the rule; ok is false if it was not present.
@@ -157,28 +138,13 @@ func (t *SoftTable) UpdateAction(id classifier.RuleID, action classifier.Action)
 // highest priority wins, earlier seq breaks ties — identical to the
 // monolithic single-table oracle. It allocates nothing.
 func (t *SoftTable) Lookup(dst, src uint32) (classifier.Rule, bool) {
-	var (
-		best    classifier.Rule
-		bestSeq uint64
-		found   bool
-	)
-	it := t.trie.MatchCandidates(dst)
-	for {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		if !r.Match.Src.MatchesAddr(src) {
-			continue
-		}
-		seq := t.byID[r.ID].Seq
-		if !found || r.Priority > best.Priority ||
-			(r.Priority == best.Priority && seq < bestSeq) {
-			best, bestSeq, found = r, seq, true
-		}
-	}
-	return best, found
+	return t.trie.Lookup(dst, src)
 }
+
+// Snapshot freezes the packet index: the returned snapshot keeps answering
+// Lookup for the table's current contents, lock-free, whatever happens to
+// the table afterwards. O(1); like every mutator it needs exclusive access.
+func (t *SoftTable) Snapshot() classifier.Snapshot { return t.trie.Freeze() }
 
 // OverlapCandidates walks the rules whose match regions overlap m.
 func (t *SoftTable) OverlapCandidates(m classifier.Match) classifier.OverlapIter {
@@ -187,16 +153,9 @@ func (t *SoftTable) OverlapCandidates(m classifier.Match) classifier.OverlapIter
 
 // Rules returns a copy of every rule sorted by ID — the shape Agent.Rules
 // reports.
-func (t *SoftTable) Rules() []classifier.Rule { return rulesOf(t.ids) }
-
-// FirstMatchOrder returns a copy of every rule in first-match order
-// (priority descending, seq ascending) — the order classifier.NewRuleIndex
-// expects, used to build the snapshot's software-tier index.
-func (t *SoftTable) FirstMatchOrder() []classifier.Rule { return rulesOf(t.order) }
-
-func rulesOf(entries []*SoftEntry) []classifier.Rule {
-	out := make([]classifier.Rule, len(entries))
-	for i, e := range entries {
+func (t *SoftTable) Rules() []classifier.Rule {
+	out := make([]classifier.Rule, len(t.ids))
+	for i, e := range t.ids {
 		out[i] = e.Rule
 	}
 	return out

@@ -42,7 +42,7 @@ func checkLookupAgreement(t *testing.T, tab *Table, rng *rand.Rand, probes int) 
 	for i := 0; i < probes; i++ {
 		dst, src := probeAddr(rng, rules)
 		want, wok := tab.LookupLinear(dst, src)
-		got, gok := tab.LookupIndexed(dst, src)
+		got, gok := tab.Lookup(dst, src)
 		if wok != gok || got != want {
 			t.Fatalf("lookup(%08x,%08x): indexed %v,%v linear %v,%v (occ %d)",
 				dst, src, got, gok, want, wok, tab.Occupancy())
@@ -51,10 +51,12 @@ func checkLookupAgreement(t *testing.T, tab *Table, rng *rand.Rand, probes int) 
 }
 
 // TestTableLookupDifferential drives a table through random mutation
-// sequences — inserts with ranked ties, deletes, all three modify flavors,
-// truncates, resets and dropped (faulted) operations — and checks after
-// every step that the trie-indexed lookup returns bit-for-bit the rule the
-// linear oracle returns.
+// sequences — inserts with ranked ties, deletes, both modify flavors,
+// snapshots (so later steps take the index's copy-on-write path), truncates,
+// resets and dropped (faulted) operations — and checks after every step that
+// the trie-indexed lookup returns bit-for-bit the rule the linear oracle
+// returns, and that the last snapshot still answers as the table did when it
+// was taken.
 func TestTableLookupDifferential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,6 +65,8 @@ func TestTableLookupDifferential(t *testing.T) {
 		nextID := classifier.RuleID(1)
 		drop := false
 		tab.SetFaultHook(func(Op, classifier.RuleID) OpFault { return OpFault{Drop: drop} })
+		var snap classifier.Snapshot
+		var snapRules []classifier.Rule // TCAM order as of snap
 		for step := 0; step < 400; step++ {
 			drop = rng.Intn(10) == 0
 			switch op := rng.Intn(20); {
@@ -91,10 +95,8 @@ func TestTableLookupDifferential(t *testing.T) {
 				} else {
 					tab.ModifyPriority(id, int32(rng.Intn(6)))
 				}
-			case op < 18 && len(installed) > 0: // modify match (moves trie key)
-				id := installed[rng.Intn(len(installed))]
-				m := classifier.Match{Dst: classifier.NewPrefix(rng.Uint32(), uint8(rng.Intn(33)))}
-				tab.ModifyMatch(id, m)
+			case op < 18: // snapshot: freezes the index under the mutations to come
+				snap, snapRules = tab.Snapshot(), tab.Rules()
 			case op == 18: // crash truncation
 				n := rng.Intn(tab.Occupancy() + 1)
 				tab.Truncate(n)
@@ -111,8 +113,26 @@ func TestTableLookupDifferential(t *testing.T) {
 				installed = installed[:0]
 			}
 			checkLookupAgreement(t, tab, rng, 30)
+			for i := 0; i < 10; i++ {
+				dst, src := probeAddr(rng, snapRules)
+				want, wok := firstInOrder(snapRules, dst, src)
+				if got, ok := snap.Lookup(dst, src); ok != wok || got != want {
+					t.Fatalf("seed %d step %d: snapshot lookup(%08x,%08x) = %v,%v, table at snapshot time %v,%v",
+						seed, step, dst, src, got, ok, want, wok)
+				}
+			}
 		}
 	}
+}
+
+// firstInOrder is LookupLinear over a saved Rules() list.
+func firstInOrder(rules []classifier.Rule, dst, src uint32) (classifier.Rule, bool) {
+	for _, r := range rules {
+		if r.Match.MatchesPacket(dst, src) {
+			return r, true
+		}
+	}
+	return classifier.Rule{}, false
 }
 
 // TestTableGetIndexed checks the ID-indexed Get/Contains/Delete agree with
@@ -156,7 +176,7 @@ func TestTableGetIndexed(t *testing.T) {
 	if tab.Occupancy() != 0 {
 		t.Fatalf("occupancy %d after draining", tab.Occupancy())
 	}
-	if _, ok := tab.LookupIndexed(rng.Uint32(), 0); ok {
+	if _, ok := tab.Lookup(rng.Uint32(), 0); ok {
 		t.Fatal("drained table still matches")
 	}
 }
@@ -241,11 +261,13 @@ func TestTableGen(t *testing.T) {
 func TestLookupIndexedZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tab := fillTable(t, rng, 2048, randTableRule)
+	snap := tab.Snapshot()
 	allocs := testing.AllocsPerRun(200, func() {
-		tab.LookupIndexed(0x0A0B0C0D, 0xC0A80101)
+		tab.Lookup(0x0A0B0C0D, 0xC0A80101)
+		snap.Lookup(0x0A0B0C0D, 0xC0A80101)
 	})
 	if allocs != 0 {
-		t.Fatalf("LookupIndexed allocates %.1f/op, want 0", allocs)
+		t.Fatalf("indexed Lookup allocates %.1f/op, want 0", allocs)
 	}
 }
 
@@ -269,7 +291,7 @@ func TestResetKeepsMapCapacity(t *testing.T) {
 
 // FuzzTableLookupEquivalence feeds arbitrary byte strings interpreted as a
 // mutation script plus packet probes, asserting indexed == linear on the
-// exact rule at every probe.
+// exact rule at every probe, on the live table and on its latest snapshot.
 func FuzzTableLookupEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x10, 0x20, 0x03, 0x99}, uint32(0x0A000001), uint32(0))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint32(0xC0A80101), uint32(0xFFFFFFFF))
@@ -277,6 +299,8 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 		tab := NewTable("fuzz", 128, Pica8P3290)
 		nextID := classifier.RuleID(1)
 		var ids []classifier.RuleID
+		var snap classifier.Snapshot
+		var snapRules []classifier.Rule
 		for i := 0; i+4 < len(script); i += 5 {
 			op, a, b, c, d := script[i], script[i+1], script[i+2], script[i+3], script[i+4]
 			addr := uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
@@ -300,9 +324,11 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 					tab.ModifyPriority(ids[int(a)%len(ids)], int32(b%5))
 				}
 			case 4:
+				// Freeze the index (later ops copy on write) and rewrite an
+				// action in place.
+				snap, snapRules = tab.Snapshot(), tab.Rules()
 				if len(ids) > 0 {
-					m := classifier.Match{Dst: classifier.NewPrefix(addr, uint8(b)%33)}
-					tab.ModifyMatch(ids[int(a)%len(ids)], m)
+					tab.ModifyAction(ids[int(a)%len(ids)], classifier.Action{Type: classifier.ActionForward, Port: int(b)})
 				}
 			case 5:
 				tab.Truncate(int(a) % (tab.Occupancy() + 1))
@@ -311,9 +337,14 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 			// address so installed regions get hit.
 			for _, pkt := range [...][2]uint32{{dst, src}, {addr, src}} {
 				want, wok := tab.LookupLinear(pkt[0], pkt[1])
-				got, gok := tab.LookupIndexed(pkt[0], pkt[1])
+				got, gok := tab.Lookup(pkt[0], pkt[1])
 				if wok != gok || got != want {
 					t.Fatalf("lookup(%08x,%08x): indexed %v,%v linear %v,%v",
+						pkt[0], pkt[1], got, gok, want, wok)
+				}
+				want, wok = firstInOrder(snapRules, pkt[0], pkt[1])
+				if got, gok := snap.Lookup(pkt[0], pkt[1]); wok != gok || got != want {
+					t.Fatalf("snapshot lookup(%08x,%08x): %v,%v, table at snapshot time %v,%v",
 						pkt[0], pkt[1], got, gok, want, wok)
 				}
 			}

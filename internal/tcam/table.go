@@ -27,7 +27,7 @@ const (
 	OpInsert Op = iota
 	// OpDelete covers Delete.
 	OpDelete
-	// OpModify covers ModifyAction, ModifyMatch and ModifyPriority.
+	// OpModify covers ModifyAction and ModifyPriority.
 	OpModify
 )
 
@@ -62,18 +62,11 @@ type OpFaultHook func(op Op, id classifier.RuleID) OpFault
 
 // entryMeta is the per-rule bookkeeping record: the sort key the entry is
 // physically placed by. slotOf recovers the entry's slot from it with one
-// binary search instead of a table scan, and the indexed lookup uses
-// (Priority, rank, ord) to rank trie candidates exactly as the physical
-// order would.
+// binary search instead of a table scan.
 type entryMeta struct {
 	priority int32
 	// rank breaks priority ties: lower rank sits higher (see Table.ranks).
 	rank uint64
-	// ord is a per-table monotonic arrival stamp. Within an equal
-	// (priority, rank) group physical order equals ascending ord, because
-	// insertions always place new equals below existing ones. It makes the
-	// indexed candidate ranking a total order identical to slot order.
-	ord uint64
 }
 
 // Table is one TCAM slice: a priority-ordered entry list with the shift-cost
@@ -86,9 +79,11 @@ type entryMeta struct {
 //
 // Alongside the physical entry list the table maintains two indexes: meta
 // (ID → sort key) so Get/Delete/Modify* locate a slot without scanning, and
-// a destination-prefix trie so Lookup only visits the entries whose Dst can
-// match the packet. SetLinearLookup(true) reverts Lookup to the full scan —
-// kept as the differential-testing oracle, never as the production path.
+// a destination-prefix trie, each entry keyed by its placement, so Lookup
+// only visits the entries whose Dst can match the packet and Snapshot hands
+// the same index to lock-free readers. SetLinearLookup(true) reverts Lookup
+// to the full scan — kept as the differential-testing oracle, never as the
+// production path.
 type Table struct {
 	name     string
 	capacity int
@@ -103,11 +98,14 @@ type Table struct {
 
 	// meta maps installed rule IDs to their placement key; it replaces the
 	// old presence set and makes rule bookkeeping O(log n) instead of O(n).
-	meta    map[classifier.RuleID]entryMeta
+	meta map[classifier.RuleID]entryMeta
+	// index holds exactly the installed entries by destination prefix, each
+	// keyed (rank, ord) so that the trie's first-match order is slot order.
+	// ord is a per-table arrival stamp: within an equal (priority, rank)
+	// group physical order equals ascending ord, because insertions always
+	// place new equals below existing ones.
+	index   classifier.Trie
 	nextOrd uint64
-	// index holds exactly the installed entries keyed by destination
-	// prefix; the indexed Lookup walks the packet's ≤33-node trie path.
-	index classifier.Trie
 	// linear reverts Lookup to the full-scan oracle.
 	linear bool
 
@@ -213,7 +211,7 @@ func (t *Table) InsertPosition(priority int32) (pos, shifts int) {
 
 // insertPositionRanked places by (priority desc, rank asc). Among equal
 // (priority, rank) the new entry lands below existing ones — the invariant
-// entryMeta.ord depends on.
+// the index's ord stamps depend on.
 func (t *Table) insertPositionRanked(priority int32, rank uint64) (pos, shifts int) {
 	lo, hi := 0, len(t.entries)
 	for lo < hi {
@@ -301,9 +299,8 @@ func (t *Table) InsertRanked(r classifier.Rule, rank uint64) (time.Duration, err
 	t.ranks = append(t.ranks, 0)
 	copy(t.ranks[pos+1:], t.ranks[pos:])
 	t.ranks[pos] = rank
-	t.meta[r.ID] = entryMeta{priority: r.Priority, rank: rank, ord: t.nextOrd}
-	t.nextOrd++
-	t.index.Insert(r)
+	t.meta[r.ID] = entryMeta{priority: r.Priority, rank: rank}
+	t.indexInsert(r, rank)
 	t.totalShifts += shifts
 	t.totalInserts++
 	if t.shiftHist != nil {
@@ -355,27 +352,6 @@ func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Du
 	return t.profile.ModifyLatency + f.Extra, true
 }
 
-// ModifyMatch rewrites a rule's match in place — constant-time slot
-// bookkeeping via the ID index (the slot, priority and tie rank are
-// unchanged, so the entry does not move).
-func (t *Table) ModifyMatch(id classifier.RuleID, m classifier.Match) (time.Duration, bool) {
-	i := t.slotOf(id)
-	if i < 0 {
-		return 0, false
-	}
-	oldDst := t.entries[i].Match.Dst
-	t.entries[i].Match = m
-	if oldDst == m.Dst {
-		t.index.Update(m.Dst, t.entries[i])
-	} else {
-		t.index.Delete(oldDst, id)
-		t.index.Insert(t.entries[i])
-	}
-	t.totalMods++
-	t.gen.Add(1)
-	return t.profile.ModifyLatency, true
-}
-
 // ModifyPriority moves a rule to a new priority, keeping its tie rank. The
 // hardware cost is the shift distance between the old and new slots, as if
 // the update engine slid the intervening entries by one. The repositioned
@@ -403,9 +379,10 @@ func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Durat
 	t.ranks = append(t.ranks, 0)
 	copy(t.ranks[pos+1:], t.ranks[pos:])
 	t.ranks[pos] = m.rank
-	t.meta[id] = entryMeta{priority: priority, rank: m.rank, ord: t.nextOrd}
-	t.nextOrd++
-	t.index.Update(r.Match.Dst, r)
+	t.meta[id] = entryMeta{priority: priority, rank: m.rank}
+	// Re-stamped like a fresh insert: it now sits below its new equals.
+	t.index.Delete(r.Match.Dst, id)
+	t.indexInsert(r, m.rank)
 	shifts := pos - i
 	if shifts < 0 {
 		shifts = -shifts
@@ -429,20 +406,26 @@ func (t *Table) Get(id classifier.RuleID) (classifier.Rule, bool) {
 	return t.entries[i], true
 }
 
+// indexInsert adds r to the match index with the next arrival stamp.
+func (t *Table) indexInsert(r classifier.Rule, rank uint64) {
+	t.index.InsertKeyed(r, classifier.Key{Rank: rank, Ord: t.nextOrd})
+	t.nextOrd++
+}
+
 // Lookup returns the first (highest-priority, earliest-inserted) rule
 // matching the packet, mirroring hardware first-match semantics. The
-// default path descends the destination-prefix trie and ranks the on-path
-// candidates; SetLinearLookup(true) selects the full-scan oracle instead.
-// Both return bit-for-bit the same rule.
+// default path is the match index's first-match walk over the ≤33 trie
+// nodes on the packet's destination path; SetLinearLookup(true) selects the
+// full-scan oracle instead. Both return bit-for-bit the same rule.
 func (t *Table) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	if t.linear {
 		return t.LookupLinear(dst, src)
 	}
-	return t.LookupIndexed(dst, src)
+	return t.index.Lookup(dst, src)
 }
 
 // LookupLinear is the scan-every-entry reference lookup, kept as the
-// differential-testing oracle for LookupIndexed.
+// differential-testing oracle for the indexed path.
 func (t *Table) LookupLinear(dst, src uint32) (classifier.Rule, bool) {
 	for _, e := range t.entries {
 		if e.Match.MatchesPacket(dst, src) {
@@ -452,35 +435,11 @@ func (t *Table) LookupLinear(dst, src uint32) (classifier.Rule, bool) {
 	return classifier.Rule{}, false
 }
 
-// LookupIndexed walks the ≤33 trie nodes on the packet's destination path —
-// exactly the entries whose Dst can match — and picks the winner by
-// (priority desc, rank asc, ord asc), which is precisely physical slot
-// order. Zero allocations.
-func (t *Table) LookupIndexed(dst, src uint32) (classifier.Rule, bool) {
-	var best classifier.Rule
-	found := false
-	for it := t.index.MatchCandidates(dst); ; {
-		r, ok := it.Next()
-		if !ok {
-			break
-		}
-		if !r.Match.Src.MatchesAddr(src) {
-			continue
-		}
-		if !found || r.Priority > best.Priority {
-			best, found = r, true
-			continue
-		}
-		if r.Priority == best.Priority {
-			// Tie: fall back to the placement key (rank, then arrival).
-			rm, bm := t.meta[r.ID], t.meta[best.ID]
-			if rm.rank < bm.rank || (rm.rank == bm.rank && rm.ord < bm.ord) {
-				best = r
-			}
-		}
-	}
-	return best, found
-}
+// Snapshot freezes the match index: the returned snapshot keeps answering
+// Lookup for the table's current contents, lock-free, whatever happens to
+// the table afterwards. O(1); the table's next mutations copy the index
+// nodes they touch. Like every mutator it needs exclusive access.
+func (t *Table) Snapshot() classifier.Snapshot { return t.index.Freeze() }
 
 // Reset empties the table. Used by the Rule Manager's "empty shadow table"
 // migration step; bulk invalidation is a cheap constant-time TCAM

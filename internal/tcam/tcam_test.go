@@ -217,18 +217,8 @@ func TestTableModify(t *testing.T) {
 	if r, _ := tb.Get(1); r.Action.Type != classifier.ActionDrop {
 		t.Error("action not modified")
 	}
-	newMatch := classifier.DstMatch(classifier.MustParsePrefix("99.0.0.0/8"))
-	if _, ok := tb.ModifyMatch(1, newMatch); !ok {
-		t.Error("ModifyMatch failed")
-	}
-	if r, _ := tb.Get(1); r.Match != newMatch {
-		t.Error("match not modified")
-	}
 	if _, ok := tb.ModifyAction(42, classifier.Action{}); ok {
 		t.Error("modify of absent rule succeeded")
-	}
-	if _, ok := tb.ModifyMatch(42, newMatch); ok {
-		t.Error("modify match of absent rule succeeded")
 	}
 }
 

@@ -4,7 +4,7 @@
 # the linter's self-test against its known-bad corpus, the nested benchmark
 # module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, and short-budget fuzz
-# runs of the wire codec, the prefix parser, the three lookup equivalences
+# runs of the wire codec, the prefix parser, the four lookup equivalences
 # and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
 # number is gated here (`bash benchmark/run.sh` is the one place those are
 # produced and compared).
@@ -22,10 +22,10 @@ go build ./...
 echo ">> hermes-lint ./... (hermes-vet invariants, DESIGN.md §13)"
 go run ./cmd/hermes-lint ./...
 
-echo ">> hotpathalloc suppression ratchet: internal/core holds at most 10"
+echo ">> hotpathalloc suppression ratchet: internal/core holds at most 8"
 core_ignores="$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h '//lint:ignore hotpathalloc' | wc -l)"
-if [ "$core_ignores" -gt 10 ]; then
-  echo "internal/core carries $core_ignores //lint:ignore hotpathalloc directives, ratchet is 10: remove the allocation or the root, not the finding" >&2
+if [ "$core_ignores" -gt 8 ]; then
+  echo "internal/core carries $core_ignores //lint:ignore hotpathalloc directives, ratchet is 8: remove the allocation or the root, not the finding" >&2
   exit 1
 fi
 
@@ -124,8 +124,11 @@ go test -run='^$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 echo ">> fuzz: prefix parser (5s)"
 go test -run='^$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
 
-echo ">> fuzz: snapshot index vs linear first-match (5s)"
+echo ">> fuzz: bulk-built snapshot vs linear first-match (5s)"
 go test -run='^$' -fuzz=FuzzRuleIndexEquivalence -fuzztime=5s ./internal/classifier
+
+echo ">> fuzz: frozen snapshots, live trie and overlap walk under keyed churn vs linear oracles (5s)"
+go test -run='^$' -fuzz=FuzzTrieSnapshotIsolation -fuzztime=5s ./internal/classifier
 
 echo ">> fuzz: streaming Algorithm 1 + O(Δ) partition map vs from-scratch oracle (5s)"
 go test -run='^$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
