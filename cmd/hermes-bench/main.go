@@ -1,4 +1,6 @@
-// Command hermes-bench regenerates the paper's tables and figures.
+// Command hermes-bench runs the paper experiments: it regenerates the
+// paper's tables and figures. It is not the repo's performance benchmark —
+// that is the benchmark/ module (bash benchmark/run.sh).
 //
 // Usage:
 //

@@ -57,19 +57,19 @@ func (p *Partition) WasCut() bool {
 	return len(p.Cause) > 0
 }
 
-// PartitionNewRule implements Algorithm 1. mainIndex is the trie over the
-// current main-table rules; nextID mints IDs for the generated partition
-// rules (the original rule's ID is reused when no cut is needed).
+// PartitionNewRule implements Algorithm 1. main indexes the current
+// main-table rules; nextID mints IDs for the generated partition rules (the
+// original rule's ID is reused when no cut is needed).
 //
 // Rules in the main table with priority >= the new rule's priority cut the
 // new rule. Equal priority is treated as "existing rule wins" because in a
 // monolithic TCAM the earlier-inserted rule sits higher and would match
 // first. Callers that know the true insertion order (the Hermes agent) keep
 // a Partitioner and pass it a seq-aware wins predicate instead.
-func PartitionNewRule(newRule Rule, mainIndex *Trie, nextID func() RuleID) Partition {
+func PartitionNewRule(newRule Rule, main *Trie, nextID func() RuleID) Partition {
 	wins := func(existing Rule) bool { return existing.Priority >= newRule.Priority }
 	var pt Partitioner
-	return pt.Partition(newRule, mainIndex, wins, nextID, true, 0)
+	return pt.Partition(newRule, main.OverlapCandidates(newRule.Match), wins, nextID, true, 0)
 }
 
 // Partitioner runs Algorithm 1 on working memory it keeps between calls, so
@@ -84,14 +84,15 @@ type Partitioner struct {
 	merge          mergeScratch
 }
 
-// Partition is the generalized Algorithm 1: wins reports whether an
-// existing main-table rule would beat newRule in a monolithic table (the
-// caller encodes priority and insertion-order tie-breaking). merge controls
-// the line-7 optimal merge; ablations disable it. maxRegions, when
-// positive, abandons partitioning (setting Overflow) as soon as the
-// working fragment set exceeds it, so the Gate Keeper can divert
-// pathological rules to the main table without paying the full cutting
-// cost first.
+// Partition is the generalized Algorithm 1: main walks the main-table rules
+// overlapping newRule.Match (whose index it walks is the caller's business),
+// wins reports whether an existing main-table rule would beat newRule in a
+// monolithic table (the caller encodes priority and insertion-order
+// tie-breaking). merge controls the line-7 optimal merge; ablations disable
+// it. maxRegions, when positive, abandons partitioning (setting Overflow) as
+// soon as the working fragment set exceeds it, so the Gate Keeper can divert
+// pathological rules to the main table without paying the full cutting cost
+// first.
 //
 // Main-table rules are cut against in OverlapIter order and the walk stops
 // at the rule that leaves nothing (a containing ancestor ends it before the
@@ -99,12 +100,11 @@ type Partitioner struct {
 // allocated (PartitionMap.Record keeps them). Cause, and the {newRule} Parts
 // of a rule nothing cut, alias the Partitioner's memory and are valid until
 // its next call (Record copies the one and has no use for the other).
-func (pt *Partitioner) Partition(newRule Rule, mainIndex *Trie, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
+func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
 	regions, spare := append(pt.regions[:0], newRule.Match), pt.spare
 	cause := pt.cause[:0]
-	it := mainIndex.OverlapCandidates(newRule.Match)
-	for r, ok := it.Next(); ok; r, ok = it.Next() {
+	for r, ok := main.Next(); ok; r, ok = main.Next() {
 		if r.ID == newRule.ID || !wins(r) {
 			continue // the new rule legitimately wins; shadow-first order is correct
 		}
@@ -183,8 +183,8 @@ func NewPartitionMap() *PartitionMap {
 // Re-recording costs what changed: old and new cause list are both in the
 // trie's overlap order, so the common head and tail are skipped and only the
 // causes in between are unlinked or linked. That stretch is diffed by sorted
-// ID, so the result does not rely on the order (an in-place Modify moves a
-// main rule to the end of its trie node).
+// ID, so the result does not rely on the order (a main rule that Reconcile
+// writes back returns at the end of its trie node).
 func (m *PartitionMap) Record(p Partition) {
 	id := p.Original.ID
 	if !p.WasCut() {

@@ -369,7 +369,7 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 		t.Helper()
 		wins := func(existing Rule) bool { return existing.Priority >= r.Priority }
 		want := oraclePartitionAgainst(r, &trie, wins, mintA, merge, maxRegions)
-		got := pt.Partition(r, &trie, wins, mintB, merge, maxRegions)
+		got := pt.Partition(r, trie.OverlapCandidates(r.Match), wins, mintB, merge, maxRegions)
 		if !samePartition(got, want) {
 			t.Fatalf("round %d rule %v merge=%v maxRegions=%d:\n got %+v\nwant %+v", round, r, merge, maxRegions, got, want)
 		}

@@ -126,7 +126,6 @@ type Agent struct {
 	maxRate    float64 // Equation 2, rules/second
 	bucket     *tokenbucket.Bucket
 
-	mainIndex  classifier.Trie
 	pmap       *classifier.PartitionMap
 	rules      map[classifier.RuleID]*ruleState
 	nextPartID classifier.RuleID
@@ -561,7 +560,7 @@ func (a *Agent) partition(r classifier.Rule, seq uint64) classifier.Partition {
 	// The working-set cap is above MaxPartitions so that merging still has
 	// a chance to bring a busy cut back under the limit, but pathological
 	// rules bail out long before cutting against the whole table.
-	return a.cutter.Partition(r, &a.mainIndex, wins, a.mintPartID,
+	return a.cutter.Partition(r, a.main.OverlapCandidates(r.Match), wins, a.mintPartID,
 		!a.cfg.DisableMergeOptimization, 8*a.cfg.MaxPartitions)
 }
 
@@ -624,9 +623,9 @@ func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64) (Re
 	return res, nil
 }
 
-// insertMainRaw physically installs into the main table, updates the
-// overlap index, and re-cuts lower-priority shadow rules that the new rule
-// must win over (otherwise the shadow-first lookup would return them).
+// insertMainRaw physically installs into the main table and re-cuts
+// lower-priority shadow rules that the new rule must win over (otherwise the
+// shadow-first lookup would return them).
 func (a *Agent) insertMainRaw(now time.Duration, r classifier.Rule, seq uint64) (Result, error) {
 	return a.insertMainRawLane(now, r, seq, false)
 }
@@ -645,7 +644,6 @@ func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint
 	} else {
 		completed = a.sw.Submit(now, cost)
 	}
-	a.mainIndex.Insert(r)
 	a.rules[r.ID] = a.newRuleState(r, seq, placeMain, r.ID)
 	a.repairShadowAfterMainInsert(now, r)
 	return Result{Path: PathMain, Latency: cost, Completed: completed}, nil
@@ -681,7 +679,7 @@ func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule clas
 }
 
 // reinstallShadowRule deletes a shadow rule's current fragments and
-// re-installs it freshly partitioned against the current main index. When
+// re-installs it freshly partitioned against the current main table. When
 // the shadow table cannot hold the new fragments the rule is moved to the
 // main table instead.
 func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
@@ -703,7 +701,6 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
 		cost, err := a.main.InsertRanked(st.original, st.seq)
 		if err == nil {
 			a.sw.Submit(now, cost)
-			a.mainIndex.Insert(st.original)
 			a.dropShadowResident(st.original)
 			st.place = placeMain
 			st.partIDs = []classifier.RuleID{st.original.ID}
@@ -770,19 +767,22 @@ func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration,
 		a.pmap.Remove(id)
 		a.dropShadowResident(st.original)
 	case placeMain:
-		cost, present := a.main.Delete(id)
-		if present {
-			total += cost
-			completed = a.sw.Submit(now, cost)
-		}
-		a.mainIndex.Delete(st.original.Match.Dst, id)
-		// Fig. 6: un-partition the shadow rules this main rule had cut.
-		for _, dep := range a.pmap.DependentsOf(id) {
-			depSt, ok := a.rules[dep]
-			if !ok || depSt.place != placeShadow {
-				continue
+		// One entry under the rule's own ID, or — migrated under the
+		// fragment ablation — its fragments, whose partition record goes too.
+		for _, pid := range st.partIDs {
+			if cost, ok := a.main.Delete(pid); ok {
+				total += cost
+				completed = a.sw.Submit(now, cost)
 			}
-			a.reinstallShadowRule(now, depSt)
+		}
+		a.pmap.Remove(id)
+		// Fig. 6: un-partition the shadow rules these entries had cut.
+		for _, pid := range st.partIDs {
+			for _, dep := range a.pmap.DependentsOf(pid) {
+				if depSt, ok := a.rules[dep]; ok && depSt.place == placeShadow {
+					a.reinstallShadowRule(now, depSt)
+				}
+			}
 		}
 	}
 	return total, completed
@@ -806,27 +806,7 @@ func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, erro
 	a.metrics.Modifies++
 	a.o.event(now, obs.EvModify, 0, uint64(r.ID), 0, 0)
 	if st.original.Priority == r.Priority && st.original.Match == r.Match {
-		// Cheap in-place action rewrite on every physical entry.
-		var total time.Duration
-		completed := now
-		tbl := a.shadow
-		if st.place == placeMain {
-			tbl = a.main
-		}
-		for _, pid := range st.partIDs {
-			if cost, ok := tbl.ModifyAction(pid, r.Action); ok {
-				total += cost
-				completed = a.sw.Submit(now, cost)
-			}
-		}
-		st.original.Action = r.Action
-		if st.place == placeMain {
-			// Keep the overlap index in sync.
-			a.mainIndex.Delete(r.Match.Dst, r.ID)
-			a.mainIndex.Insert(st.original)
-		} else {
-			a.shadowIndex.Update(r.Match.Dst, st.original)
-		}
+		total, completed := a.rewriteAction(now, st, r.Action)
 		a.retrackLogical(st.original)
 		a.o.recordModify(total)
 		return Result{Latency: total, Completed: completed, Guaranteed: true}, nil
@@ -836,6 +816,38 @@ func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, erro
 		return Result{}, err
 	}
 	return a.insert(now, r)
+}
+
+// rewriteAction is the cheap half of Modify (§2.1): it rewrites the action of
+// a hardware-resident rule's physical entries in place — constant cost, no
+// reordering — and of every copy the agent keeps: the original, its recorded
+// fragments (what Reconcile writes back) and the indexes that list it.
+func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.Action) (total, completed time.Duration) {
+	tbl := a.shadow
+	if st.place == placeMain {
+		tbl = a.main
+	}
+	completed = now
+	for _, pid := range st.partIDs {
+		if cost, ok := tbl.ModifyAction(pid, act); ok {
+			total += cost
+			completed = a.sw.Submit(now, cost)
+		}
+	}
+	st.original.Action = act
+	if p, ok := a.pmap.Lookup(st.original.ID); ok {
+		p.Original.Action = act
+		for i := range p.Parts {
+			p.Parts[i].Action = act
+		}
+	}
+	if st.place == placeShadow {
+		a.shadowIndex.Update(st.original.Match.Dst, st.original)
+	}
+	if a.soft != nil {
+		a.residentIndex.Update(st.original.Match.Dst, st.original)
+	}
+	return total, completed
 }
 
 // Lookup resolves a packet against the carved pipeline (shadow first, then

@@ -222,25 +222,9 @@ func (a *Agent) modifyCached(now time.Duration, r classifier.Rule) (Result, erro
 		total, _ := a.soft.UpdateAction(r.ID, r.Action)
 		completed := now + total
 		if st, resident := a.rules[r.ID]; resident {
-			tbl := a.shadow
-			if st.place == placeMain {
-				tbl = a.main
-			}
-			for _, pid := range st.partIDs {
-				if cost, ok2 := tbl.ModifyAction(pid, r.Action); ok2 {
-					total += cost
-					completed = a.sw.Submit(now, cost)
-				}
-			}
-			st.original.Action = r.Action
-			if st.place == placeMain {
-				// Keep the overlap index in sync.
-				a.mainIndex.Delete(r.Match.Dst, r.ID)
-				a.mainIndex.Insert(st.original)
-			} else {
-				a.shadowIndex.Update(r.Match.Dst, st.original)
-			}
-			a.residentIndex.Update(r.Match.Dst, st.original)
+			hw, done := a.rewriteAction(now, st, r.Action)
+			total += hw
+			completed = max(completed, done)
 		}
 		upd := old
 		upd.Action = r.Action
@@ -395,7 +379,6 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 		}
 		a.nextCoverID++
 		a.sw.Submit(now, cost)
-		a.mainIndex.Insert(cover)
 		a.rules[cid] = a.newRuleState(cover, seq, placeMain, cid)
 		// Shadow rules the cover beats must be re-cut against it, exactly
 		// as for any main-table insert, or shadow-first lookup would let

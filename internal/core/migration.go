@@ -275,7 +275,6 @@ func (a *Agent) advance(now time.Duration) {
 				if _, err := a.main.InsertRanked(frag, st.seq); err != nil {
 					continue // main full: fragment stays in shadow
 				}
-				a.mainIndex.Insert(frag)
 				migrated = append(migrated, frag)
 				moved = append(moved, pid)
 			}
@@ -301,7 +300,6 @@ func (a *Agent) advance(now time.Duration) {
 		if _, err := a.main.InsertRanked(st.original, st.seq); err != nil {
 			continue // main full: leave the rule in the shadow table
 		}
-		a.mainIndex.Insert(st.original)
 		migrated = append(migrated, st.original)
 		stale := st.partIDs
 		a.pmap.Remove(id)
@@ -340,7 +338,7 @@ func (a *Agent) advance(now time.Duration) {
 	// main table and may now be shadowed-over by freshly migrated
 	// higher-priority rules. The insert-time invariant means only the
 	// rules migrated in *this* round can break a remaining shadow rule,
-	// so only they need checking — not the whole main index.
+	// so only they need checking — not the whole main table.
 	if len(migrated) == 0 {
 		return
 	}

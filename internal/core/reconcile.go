@@ -76,7 +76,6 @@ func (a *Agent) CrashRestart(now time.Duration) {
 		a.metrics.MigrationAborts++
 	}
 	a.sw.CrashRestart()
-	a.mainIndex = classifier.Trie{}
 	a.markDivergentLocked()
 	a.metrics.SwitchRestarts++
 	a.o.event(now, obs.EvCrash, 0, 0, 0, 0)
@@ -114,14 +113,13 @@ func (a *Agent) TruncateShadow(n int) {
 // the fragments) of every main-resident rule.
 func (a *Agent) desiredMainEntries() map[classifier.RuleID]*ruleState {
 	out := make(map[classifier.RuleID]*ruleState)
-	for id, st := range a.rules {
+	for _, st := range a.rules {
 		if st.place != placeMain {
 			continue
 		}
 		for _, pid := range st.partIDs {
 			out[pid] = st
 		}
-		_ = id
 	}
 	return out
 }
@@ -203,15 +201,9 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 		rep.MainReinstalled++
 	}
 
-	// Phase 2: rebuild the overlap index from the repaired main table —
-	// after a crash the old index may reference vanished entries.
-	a.mainIndex = classifier.Trie{}
-	for _, e := range a.main.Rules() {
-		a.mainIndex.Insert(e)
-	}
-
-	// Phase 3: shadow table. Delete stale/orphaned physical entries, then
-	// re-validate each shadow-resident rule against the current main table.
+	// Phase 2: shadow table. Delete stale/orphaned physical entries, then
+	// re-validate each shadow-resident rule against the main table as phase 1
+	// left it (the cuts walk the table's own index).
 	desiredShadow := a.desiredShadowEntries()
 	for _, e := range a.shadow.Rules() {
 		if want, ok := desiredShadow[e.ID]; ok && e == want {
@@ -315,7 +307,9 @@ func (a *Agent) ruleInstalled(st *ruleState) bool {
 // view and the physical tables: every desired entry installed with
 // identical content and no extra physical entries in either slice. It
 // returns nil when the views agree. Chaos harnesses call it after
-// Reconcile; any error there is a recovery bug.
+// Reconcile; any error there is a recovery bug. The tables are all there is
+// to compare: the Gate Keeper cuts against the main table's own index, so no
+// agent-side copy of the main table is left to drift.
 func (a *Agent) CheckConsistency() error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()

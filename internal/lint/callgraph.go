@@ -5,6 +5,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // This file builds the module-wide call graph the interprocedural
@@ -197,29 +198,20 @@ func shortFuncID(id string) string {
 	// "hermes/internal/classifier.NewRuleIndex"        → "classifier.NewRuleIndex"
 	s := id
 	if len(s) > 0 && s[0] == '(' {
-		if i := lastIndexByte(s, ')'); i > 0 {
+		if i := strings.LastIndexByte(s, ')'); i > 0 {
 			recv := s[1:i]
 			rest := s[i+1:] // ".Lookup"
 			for len(recv) > 0 && recv[0] == '*' {
 				recv = recv[1:]
 			}
-			if j := lastIndexByte(recv, '.'); j >= 0 {
+			if j := strings.LastIndexByte(recv, '.'); j >= 0 {
 				recv = recv[j+1:]
 			}
 			return recv + rest
 		}
 	}
-	if i := lastIndexByte(s, '/'); i >= 0 {
+	if i := strings.LastIndexByte(s, '/'); i >= 0 {
 		return s[i+1:]
 	}
 	return s
-}
-
-func lastIndexByte(s string, b byte) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == b {
-			return i
-		}
-	}
-	return -1
 }

@@ -441,6 +441,13 @@ func (t *Table) LookupLinear(dst, src uint32) (classifier.Rule, bool) {
 // nodes they touch. Like every mutator it needs exclusive access.
 func (t *Table) Snapshot() classifier.Snapshot { return t.index.Freeze() }
 
+// OverlapCandidates walks the installed entries whose match regions overlap
+// m, in OverlapIter order: the Gate Keeper cuts a new shadow rule against
+// what the table physically holds. The walk copies no index node.
+func (t *Table) OverlapCandidates(m classifier.Match) classifier.OverlapIter {
+	return t.index.OverlapCandidates(m)
+}
+
 // Reset empties the table. Used by the Rule Manager's "empty shadow table"
 // migration step; bulk invalidation is a cheap constant-time TCAM
 // operation per entry. The bookkeeping map is cleared in place rather than
