@@ -102,28 +102,25 @@ type Partitioner struct {
 // its next call (Record copies the one and has no use for the other).
 func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
-	regions, spare := append(pt.regions[:0], newRule.Match), pt.spare
+	pt.regions = append(pt.regions[:0], newRule.Match)
 	cause := pt.cause[:0]
 	for r, ok := main.Next(); ok; r, ok = main.Next() {
 		if r.ID == newRule.ID || !wins(r) {
 			continue // the new rule legitimately wins; shadow-first order is correct
 		}
 		cause = append(cause, r.ID)
-		spare = spare[:0]
-		for _, region := range regions {
-			spare = region.AppendSubtract(spare, r.Match)
-		}
-		regions, spare = spare, regions
-		if len(regions) == 0 {
+		n := pt.subtract(r.Match)
+		if n == 0 {
 			break
 		}
-		if maxRegions > 0 && len(regions) > maxRegions {
+		if maxRegions > 0 && n > maxRegions {
 			p.Overflow = true
 			break
 		}
 	}
-	pt.regions, pt.spare, pt.cause = regions, spare, cause
+	pt.cause = cause
 	p.Cause = cause
+	regions := pt.regions
 	if p.Overflow || len(regions) == 0 {
 		return p // abandoned, or redundant
 	}
@@ -143,6 +140,34 @@ func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(exist
 	return p
 }
 
+// Uncovered reports whether any of region survives being cut against every
+// main rule the walk yields that wins — whether Partition, cutting a rule
+// whose match contains region, would keep some of it. It is the cheap form of
+// the Fig.-6 question "does deleting this main rule give the dependent back
+// anything?": the walk is positioned at region (the deleted rule's match
+// inside the dependent's), stops at the first rule that leaves nothing, mints
+// nothing and allocates nothing once the working set has grown.
+func (pt *Partitioner) Uncovered(region Match, main OverlapIter, wins func(existing Rule) bool) bool {
+	pt.regions = append(pt.regions[:0], region)
+	for r, ok := main.Next(); ok; r, ok = main.Next() {
+		if wins(r) && pt.subtract(r.Match) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// subtract is EliminateOverlap's step: it cuts m out of every region of the
+// working set, into the double buffer, and returns how many regions are left.
+func (pt *Partitioner) subtract(m Match) int {
+	spare := pt.spare[:0]
+	for _, region := range pt.regions {
+		spare = region.AppendSubtract(spare, m)
+	}
+	pt.regions, pt.spare = spare, pt.regions
+	return len(spare)
+}
+
 // PartitionMap tracks, for every original rule that was cut, the partition
 // that replaced it — the "mapping set M" of Algorithm 1. It answers the two
 // questions rule deletion must ask (§4.1): "was this shadow rule
@@ -153,14 +178,14 @@ type PartitionMap struct {
 	byPart     map[RuleID]RuleID        // partition rule ID -> original rule ID
 	clock      uint64                   // stamps records in Record order
 
-	gone, added []RuleID        // Record's cause-diff scratch
+	gone, added []RuleID        // relink's cause-diff scratch
 	freeDeps    [][]*partRecord // emptied byCause lists, kept for the next new cause
 }
 
 // partRecord is one recorded partition. Its Cause is the map's own copy.
 type partRecord struct {
 	Partition
-	stamp uint64 // clock value of the most recent Record
+	stamp uint64 // clock value of the most recent Record or DropCause
 }
 
 // maxFreeDeps bounds the recycled dependents lists.
@@ -205,8 +230,15 @@ func (m *PartitionMap) Record(p Partition) {
 	for _, part := range p.Parts {
 		m.byPart[part.ID] = id
 	}
+	m.relink(rec, p.Cause)
+	p.Cause = rec.Cause
+	rec.Partition = p
+}
 
-	was, now := rec.Cause, p.Cause
+// relink makes cause the record's cause list, linking and unlinking only the
+// main rules that joined or left it.
+func (m *PartitionMap) relink(rec *partRecord, cause []RuleID) {
+	was, now := rec.Cause, cause
 	for len(was) > 0 && len(now) > 0 && was[0] == now[0] {
 		was, now = was[1:], now[1:]
 	}
@@ -230,10 +262,45 @@ func (m *PartitionMap) Record(p Partition) {
 			gone, added = gone[1:], added[1:]
 		}
 	}
+	rec.Cause = append(rec.Cause[:0], cause...)
+}
 
-	cause := append(rec.Cause[:0], p.Cause...)
-	rec.Partition = p
-	rec.Cause = cause
+// SetCause replaces the cause list recorded for an original rule whose parts
+// did not change — Reconcile found them intact against a main table that may
+// have gained rules since the cut. Unlike Record it does not stamp the
+// record: nothing was re-cut, so DependentsOf order does not move.
+func (m *PartitionMap) SetCause(original RuleID, cause []RuleID) {
+	if rec := m.byOriginal[original]; rec != nil {
+		m.relink(rec, cause)
+	}
+}
+
+// AddCause records one more main rule beating a cut original, for a rule
+// that was not re-cut because its parts already stay clear of the new main
+// rule (the post-migration re-check). The record is not stamped, as SetCause.
+func (m *PartitionMap) AddCause(original, cause RuleID) {
+	if rec := m.byOriginal[original]; rec != nil && !slices.Contains(rec.Cause, cause) {
+		m.link(cause, rec)
+		rec.Cause = append(rec.Cause, cause)
+	}
+}
+
+// DropCause removes one main rule from an original's causes without touching
+// its parts: the rule left the main table and gave the original back nothing
+// (Partitioner.Uncovered). It stamps the record as Record does, so the
+// original moves to the end of DependentsOf order exactly as the re-cut it
+// replaces would have moved it.
+func (m *PartitionMap) DropCause(original, cause RuleID) {
+	rec := m.byOriginal[original]
+	if rec == nil {
+		return
+	}
+	m.clock++
+	rec.stamp = m.clock
+	if i := slices.Index(rec.Cause, cause); i >= 0 {
+		m.unlink(cause, rec)
+		rec.Cause = slices.Delete(rec.Cause, i, i+1)
+	}
 }
 
 // link adds rec to the partitions main rule c cut.
@@ -283,7 +350,8 @@ func (m *PartitionMap) OriginalOf(id RuleID) (RuleID, bool) {
 }
 
 // DependentsOf returns the original-rule IDs whose partitions were caused by
-// the given main-table rule, in the order of their most recent Record.
+// the given main-table rule, in the order of their most recent Record (or
+// DropCause, which stands in for a re-cut).
 // Deleting that main-table rule un-partitions each of them (Fig. 6) in this
 // order, which decides who is minted which fragment IDs and where the
 // fragments land in the TCAM.

@@ -386,7 +386,9 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 	}
 	compareMaps("first cut")
 	// Churn: drop a third of the main rules, move another few to the end of
-	// their trie node (what an in-place Modify does), forget some records.
+	// their trie node (what an in-place Modify does), forget some records, and
+	// strike a few rules from the causes they are on (what a delete that gives
+	// a dependent nothing back does: to the oracle, a re-record without it).
 	for i, r := range rules {
 		switch i % 6 {
 		case 0, 3:
@@ -397,6 +399,17 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 		case 2:
 			om.Remove(r.ID)
 			pm.Remove(r.ID)
+		case 4:
+			for _, o := range om.DependentsOf(r.ID) {
+				p := *om.byOriginal[o]
+				if len(p.Cause) == 1 {
+					continue // the agent never strikes a last cause: nothing would cut the rule
+				}
+				p.Cause = slices.DeleteFunc(slices.Clone(p.Cause), func(c RuleID) bool { return c == r.ID })
+				om.Remove(o)
+				om.Record(p)
+				pm.DropCause(o, r.ID)
+			}
 		}
 	}
 	compareMaps("churn")
@@ -443,6 +456,89 @@ func FuzzPartitionEquivalence(f *testing.F) {
 		}
 		checkPartitionEquivalence(t, rules, flags&1 == 0, []int{0, 8, 128}[int(flags>>1)%3])
 	})
+}
+
+// TestUncoveredMatchesOracle: Uncovered(region) is "a from-scratch cut of
+// region against every winning rule overlapping it leaves something", with
+// and without rules that lose, and on a Partitioner whose buffers an earlier
+// cut left behind.
+func TestUncoveredMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	var pt Partitioner
+	for i := 0; i < 3000; i++ {
+		rules := nestedRuleSet(rng, 2+rng.Intn(40))
+		var trie Trie
+		for _, r := range rules[1:] {
+			trie.Insert(r)
+		}
+		prio := int32(rng.Intn(4))
+		wins := func(existing Rule) bool { return existing.Priority >= prio }
+		region := rules[0].Match
+		left := []Match{region}
+		for _, r := range oracleOverlapping(&trie, region) {
+			if !wins(r) {
+				continue
+			}
+			var next []Match
+			for _, m := range left {
+				next = append(next, oracleSubtract(m, r.Match)...)
+			}
+			left = next
+		}
+		if got := pt.Uncovered(region, trie.OverlapCandidates(region), wins); got != (len(left) > 0) {
+			t.Fatalf("Uncovered(%v) against %v at priority %d = %v, oracle leaves %v", region, rules[1:], prio, got, left)
+		}
+		if i%2 == 0 {
+			pt.Partition(rules[0], trie.OverlapCandidates(region), wins, idMinter(0), true, 0)
+		}
+	}
+}
+
+// TestPartitionMapCauseEdits: DropCause stamps like a Record (the rule moves
+// to the end of DependentsOf order), AddCause and SetCause link and unlink
+// without stamping, and none of them touches the parts.
+func TestPartitionMapCauseEdits(t *testing.T) {
+	m := NewPartitionMap()
+	part := func(id RuleID) []Rule { return []Rule{{ID: 100 + id}} }
+	m.Record(Partition{Original: Rule{ID: 1}, Parts: part(1), Cause: []RuleID{10, 20}})
+	m.Record(Partition{Original: Rule{ID: 2}, Parts: part(2), Cause: []RuleID{20, 30}})
+	m.Record(Partition{Original: Rule{ID: 3}, Parts: part(3), Cause: []RuleID{20}})
+	deps := func(c RuleID, want ...RuleID) {
+		t.Helper()
+		if got := m.DependentsOf(c); !slices.Equal(got, want) {
+			t.Fatalf("DependentsOf(%d) = %v, want %v", c, got, want)
+		}
+	}
+	causes := func(o RuleID, want ...RuleID) {
+		t.Helper()
+		p, ok := m.Lookup(o)
+		if !ok || !slices.Equal(p.Cause, want) || !slices.Equal(p.Parts, part(o)) {
+			t.Fatalf("Lookup(%d) = %+v, %v; want causes %v and parts %v", o, p, ok, want, part(o))
+		}
+	}
+	deps(20, 1, 2, 3)
+	m.DropCause(1, 10)
+	causes(1, 20)
+	deps(10)
+	deps(20, 2, 3, 1)
+	m.AddCause(2, 40)
+	causes(2, 20, 30, 40)
+	deps(40, 2)
+	deps(20, 2, 3, 1)
+	m.SetCause(3, []RuleID{30, 40})
+	causes(3, 30, 40)
+	deps(20, 2, 1)
+	deps(30, 2, 3)
+	deps(40, 2, 3)
+	m.DropCause(2, 99) // not a cause: only the stamp moves
+	causes(2, 20, 30, 40)
+	deps(30, 3, 2)
+	for _, o := range []RuleID{1, 2, 3} {
+		m.Remove(o)
+	}
+	if len(m.byCause) != 0 || len(m.byPart) != 0 {
+		t.Fatalf("drained map keeps %d causes, %d parts", len(m.byCause), len(m.byPart))
+	}
 }
 
 func TestAppendSubtractMatchesSubtract(t *testing.T) {

@@ -130,8 +130,11 @@ type Agent struct {
 	rules      map[classifier.RuleID]*ruleState
 	nextPartID classifier.RuleID
 	nextSeq    uint64
-	// cutter runs Algorithm 1 on buffers it keeps between cuts.
-	cutter classifier.Partitioner
+	// cutter runs Algorithm 1 on buffers it keeps between cuts. recutsKept
+	// counts the Fig.-6 un-partitions that gave the dependent nothing back
+	// and left its fragments in place (read without mu by the scrape).
+	cutter     classifier.Partitioner
+	recutsKept atomic.Uint64
 	// shadowIndex tracks, by match, the original rules whose place is
 	// placeShadow (cut, uncut or redundant); shadowIDs lists the same set in
 	// ascending ID order. A main-table change finds the shadow rules it can
@@ -775,17 +778,87 @@ func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration,
 				completed = a.sw.Submit(now, cost)
 			}
 		}
-		a.pmap.Remove(id)
-		// Fig. 6: un-partition the shadow rules these entries had cut.
-		for _, pid := range st.partIDs {
-			for _, dep := range a.pmap.DependentsOf(pid) {
-				if depSt, ok := a.rules[dep]; ok && depSt.place == placeShadow {
-					a.reinstallShadowRule(now, depSt)
-				}
+		a.unpartitionDependents(now, st)
+	}
+	return total, completed
+}
+
+// unpartitionDependents is Fig. 6 for a main-resident rule whose entries —
+// one under its own ID, or the fragments it migrated as — just left the main
+// table: every rule they had cut is un-partitioned, then the rule's own
+// partition record goes. What left is each entry's own match, a fragment's
+// rather than the original's, read from that record before it goes.
+func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
+	id := st.original.ID
+	for _, pid := range st.partIDs {
+		gone := st.original.Match
+		if pid != id {
+			frag, _ := a.fragFromPartition(id, pid)
+			gone = frag.Match
+		}
+		for _, dep := range a.pmap.DependentsOf(pid) {
+			depSt, ok := a.rules[dep]
+			switch {
+			case !ok:
+			case depSt.place == placeShadow:
+				a.unpartition(now, depSt, pid, gone)
+			default:
+				a.collapseMainFragments(now, depSt)
 			}
 		}
 	}
-	return total, completed
+	a.pmap.Remove(id)
+}
+
+// unpartition is the Fig.-6 step for one shadow rule that the deleted main
+// entry cause (match gone) had cut. A rule with fragments installed records
+// every main rule that overlaps and beats it (DESIGN.md §17), so all it can
+// get back is the part of gone inside it that no remaining winner covers.
+// When there is none, its fragments already are what a re-cut would
+// install: only the record changes. Otherwise — and for a redundant rule,
+// whose causes stop at the first container — it is re-cut in full.
+func (a *Agent) unpartition(now time.Duration, st *ruleState, cause classifier.RuleID, gone classifier.Match) {
+	if len(st.partIDs) > 0 {
+		region, _ := gone.Intersect(st.original.Match) // a cause overlaps its dependent
+		wins := func(existing classifier.Rule) bool {
+			return a.beats(existing, st.original.Priority, st.seq)
+		}
+		if !a.cutter.Uncovered(region, a.main.OverlapCandidates(region), wins) {
+			a.pmap.DropCause(st.original.ID, cause)
+			a.recutsKept.Add(1)
+			return
+		}
+	}
+	a.reinstallShadowRule(now, st)
+}
+
+// collapseMainFragments is the Fig.-6 step for a rule that migrated as its
+// fragments (DisableMergeOptimization) — none, if it was redundant — and lost
+// one of its causes: the fragments no longer cover all it must match. Inside
+// the main table the original at its own rank is exactly right (it is what
+// the merged migration installs), so it replaces them: the shadow rules it
+// beats are re-cut against it, and the fragments leave as any main entries do.
+// A rule collapsed earlier in the same un-partition is left alone.
+func (a *Agent) collapseMainFragments(now time.Duration, st *ruleState) {
+	if _, cut := a.pmap.Lookup(st.original.ID); !cut {
+		return
+	}
+	for _, pid := range st.partIDs {
+		if cost, ok := a.main.Delete(pid); ok {
+			a.sw.Submit(now, cost)
+		}
+	}
+	installed := false
+	if cost, err := a.main.InsertRanked(st.original, st.seq); err == nil {
+		a.sw.Submit(now, cost)
+		a.repairShadowAfterMainInsert(now, st.original)
+		installed = true
+	}
+	a.unpartitionDependents(now, st)
+	st.partIDs = st.partIDs[:0]
+	if installed {
+		st.partIDs = append(st.partIDs, st.original.ID)
+	}
 }
 
 // Modify updates a live rule. Action-only changes apply in place at

@@ -719,13 +719,16 @@ func (a *Agent) Rebalance(now time.Duration) {
 
 // RegisterCacheMetrics exposes the agent's scrape-time counters on an obs
 // registry: hermes_view_tier_rebuilds_total, hermes_view_publishes_total,
-// hermes_gatekeeper_repartitions_total and hermes_gatekeeper_diverts_total
-// for every agent, plus the hermes_cache_* family when hit tracking is
-// enabled.
+// hermes_gatekeeper_repartitions_total, hermes_gatekeeper_recuts_kept_total
+// and hermes_gatekeeper_diverts_total for every agent, plus the
+// hermes_cache_* family when hit tracking is enabled.
 func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
 	reg.CounterFunc("hermes_gatekeeper_repartitions_total", "",
 		"shadow rules re-cut and reinstalled after a main-table change (Metrics.Repartitions)",
 		func() uint64 { return uint64(a.Metrics().Repartitions) })
+	reg.CounterFunc("hermes_gatekeeper_recuts_kept_total", "",
+		"Fig.-6 un-partitions after a main-table delete that gave the shadow rule nothing back, so its fragments stayed installed and no re-cut ran",
+		a.recutsKept.Load)
 	for _, d := range []struct {
 		reason string
 		count  func(Metrics) int

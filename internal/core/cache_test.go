@@ -886,6 +886,9 @@ func FuzzCachedLookupEquivalence(f *testing.F) {
 			if a.NeedsReconcile() {
 				a.Reconcile(now)
 			}
+			if err := a.CheckPartitions(); err != nil {
+				t.Fatal(err)
+			}
 			// Cross-check a probe sample.
 			for k := 0; k < 20; k++ {
 				dst := 0xC0A80000 | rng.Uint32()&0xFFFF

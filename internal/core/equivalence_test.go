@@ -41,6 +41,10 @@ func runSeq(t *testing.T, seed int64, verbose bool) bool {
 			t.Logf("op %d: %v", op, err)
 			return false
 		}
+		if err := a.CheckPartitions(); err != nil {
+			t.Logf("op %d: %v", op, err)
+			return false
+		}
 		rr := rand.New(rand.NewSource(seed*1000 + int64(op)))
 		logical := a.LogicalRules()
 		for k := 0; k < 300; k++ {

@@ -409,6 +409,9 @@ func runFaultSeq(t *testing.T, seed int64) {
 		if err := shadowIndexErr(a); err != nil {
 			t.Fatalf("seed %d op %d: %v", seed, op, err)
 		}
+		if err := a.CheckPartitions(); err != nil {
+			t.Fatalf("seed %d op %d: %v", seed, op, err)
+		}
 		if a.MigrationEndsAt() == 0 && !a.NeedsReconcile() {
 			// Only quiesced states are expected to be equivalent.
 			probeEquivalent(t, a, seed*1000+int64(op), seed, op)

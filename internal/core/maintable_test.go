@@ -12,6 +12,7 @@ import (
 
 	"hermes/internal/classifier"
 	"hermes/internal/core"
+	"hermes/internal/obs"
 	"hermes/internal/tcam"
 	"hermes/internal/verify"
 )
@@ -65,11 +66,15 @@ func migrateAll(t *testing.T, a *core.Agent, now time.Duration) {
 	}
 }
 
-// mustBeExact proves the carved pipeline equal to one monolithic TCAM and
-// the physical tables equal to the agent's desired state.
+// mustBeExact proves the carved pipeline equal to one monolithic TCAM, the
+// physical tables equal to the agent's desired state and every partition
+// record equal to a fresh cut's.
 func mustBeExact(t *testing.T, a *core.Agent, when string) {
 	t.Helper()
 	if err := a.CheckConsistency(); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	if err := a.CheckPartitions(); err != nil {
 		t.Fatalf("%s: %v", when, err)
 	}
 	ce, err := verify.Agent(a)
@@ -172,45 +177,91 @@ func TestGateKeeperCutsAgainstTheTable(t *testing.T) {
 
 // TestDeleteOfFragmentMigratedRule: under the fragment ablation a cut rule
 // migrates as its fragments, so deleting it must delete every one of them,
-// drop its partition record and un-merge the shadow rules those fragments
-// had cut (Fig. 6) — not look for an entry under the original's ID.
+// drop its partition record and un-partition the rules those fragments had
+// cut (Fig. 6) — each against the fragment's own match, not the original's.
+// Deleting one of its own causes instead must give it back what that cause
+// covered. Every step ends in CheckConsistency, CheckPartitions and the exact
+// checker.
 func TestDeleteOfFragmentMigratedRule(t *testing.T) {
-	const pkt = 0x0A000105 // 10.0.1.5: inside rules 2 and 3, outside rule 1
-	for _, withDependent := range []bool{false, true} {
-		t.Run(fmt.Sprintf("withDependent=%v", withDependent), func(t *testing.T) {
+	const anySrc = "0.0.0.0/0"
+	for _, tc := range []struct {
+		name string
+		// under migrates before rule 2 does (cut by rule 1 as well); over
+		// arrives in the shadow table after rule 2 migrated.
+		under, over []classifier.Rule
+		del         classifier.RuleID
+		wantMain    int
+		kept, recut int
+		// want maps a probe packet to the port it must resolve to, 0 = no match.
+		want map[uint32]int
+	}{{
+		name: "withDependent=false", del: 2, wantMain: 1,
+		want: map[uint32]int{0x0A000105: 0},
+	}, {
+		// Rule 3 is cut by rule 1 and by rule 2's fragments; only what lies
+		// outside the /22 is installed, and the delete gives it the rest.
+		name: "withDependent=true", del: 2, wantMain: 1, recut: 1,
+		over: []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
+		want: map[uint32]int{0x0A000105: 3},
+	}, {
+		// Rule 4's fragments lie exactly under rule 2's and beat rule 3: each
+		// of rule 2's fragments leaves rule 3 nothing, so rule 3 is kept twice.
+		name: "kept dependent", del: 2, wantMain: 3, kept: 2,
+		under: []classifier.Rule{srcDstRule(4, "10.0.0.0/22", anySrc, 8, 4)},
+		over:  []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
+		want:  map[uint32]int{0x0A000105: 4, 0x0A000405: 3},
+	}, {
+		// Rule 1 goes first: rule 2 gets its /24 back as its original, and rule
+		// 3, re-cut against that, keeps its fragments when rule 1's turn comes.
+		name: "cause deleted first", del: 1, wantMain: 1, kept: 1, recut: 1,
+		over: []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
+		want: map[uint32]int{0x0A000005: 2, 0x0A000105: 2, 0x0A000405: 3},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
 			a := tableAgent(t, core.Config{DisableMergeOptimization: true})
-			mustInsert(t, a, 0, srcDstRule(1, "10.0.0.0/24", "0.0.0.0/0", 100, 1))
+			reg := obs.NewRegistry()
+			a.RegisterCacheMetrics(reg)
+			mustInsert(t, a, 0, srcDstRule(1, "10.0.0.0/24", anySrc, 100, 1))
 			migrateAll(t, a, 0)
 			mustBeExact(t, a, "rule 1 migrated")
-			if parts := mustInsert(t, a, time.Second, srcDstRule(2, "10.0.0.0/22", "0.0.0.0/0", 10, 2)); parts != 2 {
+			for _, r := range tc.under {
+				mustInsert(t, a, 0, r)
+				migrateAll(t, a, 0)
+			}
+			if parts := mustInsert(t, a, time.Second, srcDstRule(2, "10.0.0.0/22", anySrc, 10, 2)); parts != 2 {
 				t.Fatalf("rule 2 installed as %d fragments, want 2", parts)
 			}
 			migrateAll(t, a, time.Second)
 			mustBeExact(t, a, "rule 2 migrated as fragments")
-			if occ := a.MainOccupancy(); occ != 3 {
-				t.Fatalf("main table holds %d entries, want rule 1 and two fragments", occ)
+			if occ := a.MainOccupancy(); occ != 3+2*len(tc.under) {
+				t.Fatalf("main table holds %d entries, want rule 1 and two fragments per cut rule", occ)
 			}
-			if withDependent {
-				// Cut by rule 1 and by rule 2's fragments; only what lies outside
-				// the /22 is installed.
-				mustInsert(t, a, 2*time.Second, srcDstRule(3, "10.0.0.0/21", "0.0.0.0/0", 5, 3))
-				mustBeExact(t, a, "rule 3 cut against the fragments")
+			for _, r := range tc.over {
+				mustInsert(t, a, 2*time.Second, r)
 			}
+			mustBeExact(t, a, "dependents cut against the fragments")
 
-			if _, err := a.Delete(3*time.Second, 2); err != nil {
+			kept, recut := keptCounter(t, reg), a.Metrics().Repartitions
+			if _, err := a.Delete(3*time.Second, tc.del); err != nil {
 				t.Fatal(err)
 			}
-			if occ := a.MainOccupancy(); occ != 1 {
-				t.Errorf("main table holds %d entries after the delete, want rule 1 alone", occ)
+			if got := [2]int{keptCounter(t, reg) - kept, a.Metrics().Repartitions - recut}; got != [2]int{tc.kept, tc.recut} {
+				t.Errorf("the delete kept %d and re-cut %d dependents, want %d and %d", got[0], got[1], tc.kept, tc.recut)
 			}
-			mustBeExact(t, a, "rule 2 deleted")
-			got, ok := a.Lookup(pkt, 0)
-			if withDependent {
-				if !ok || got.Action.Port != 3 {
-					t.Errorf("10.0.1.5 resolves to %v %v after the delete, want rule 3's action", got, ok)
+			if occ := a.MainOccupancy(); occ != tc.wantMain {
+				t.Errorf("main table holds %d entries after the delete, want %d", occ, tc.wantMain)
+			}
+			mustBeExact(t, a, fmt.Sprintf("rule %d deleted", tc.del))
+			for pkt, port := range tc.want {
+				if got, ok := a.Lookup(pkt, 0); ok != (port != 0) || got.Action.Port != port {
+					t.Errorf("%08x resolves to %v %v after the delete, want port %d", pkt, got, ok, port)
 				}
-			} else if ok {
-				t.Errorf("10.0.1.5 still matches %v after rule 2 was deleted", got)
+			}
+			for _, r := range a.Rules() {
+				if _, err := a.Delete(4*time.Second, r.ID); err != nil {
+					t.Fatal(err)
+				}
+				mustBeExact(t, a, fmt.Sprintf("rule %d deleted too", r.ID))
 			}
 		})
 	}

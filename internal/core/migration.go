@@ -350,10 +350,33 @@ func (a *Agent) advance(now time.Duration) {
 	for _, id := range slices.Compact(affected) {
 		st := a.rules[id]
 		if a.shadowRuleCompatibleWith(st, migrated) {
+			a.noteUncutCauses(st, migrated)
 			continue
 		}
 		a.reinstallShadowRule(done, st)
 	}
+}
+
+// noteUncutCauses records, for a shadow rule with fragments that the
+// post-migration re-check left alone, every newly migrated rule that beats
+// it: each lies in the region already cut away, and the Fig.-6 un-partition
+// relies on a rule with fragments listing every main rule that beats it. A
+// redundant rule's causes stop at its first container and stay as they are.
+func (a *Agent) noteUncutCauses(st *ruleState, added []classifier.Rule) {
+	if st.place != placeShadow || len(st.partIDs) == 0 {
+		return
+	}
+	for _, mr := range added {
+		if a.cuts(mr, st) {
+			a.pmap.AddCause(st.original.ID, mr.ID)
+		}
+	}
+}
+
+// cuts reports whether main rule mr overlaps the shadow rule and beats it.
+func (a *Agent) cuts(mr classifier.Rule, st *ruleState) bool {
+	return mr.ID != st.original.ID && mr.Match.Overlaps(st.original.Match) &&
+		a.beats(mr, st.original.Priority, st.seq)
 }
 
 // fragFromPartition reconstructs a fragment rule from the partition map
@@ -378,16 +401,7 @@ func (a *Agent) fragFromPartition(original, pid classifier.RuleID) (classifier.R
 // disjoint from every listed (newly migrated) main rule that would beat it.
 func (a *Agent) shadowRuleCompatibleWith(st *ruleState, added []classifier.Rule) bool {
 	for _, mr := range added {
-		if mr.ID == st.original.ID {
-			continue
-		}
-		if !mr.Match.Overlaps(st.original.Match) {
-			continue
-		}
-		if !a.beats(mr, st.original.Priority, st.seq) {
-			continue
-		}
-		if a.shadowFragmentsOverlap(st, mr.Match) {
+		if a.cuts(mr, st) && a.shadowFragmentsOverlap(st, mr.Match) {
 			return false
 		}
 	}

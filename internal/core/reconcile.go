@@ -247,6 +247,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 // table: every fragment present with the right content, and the fragment
 // match set equal to a fresh partition of the original. A beating main rule
 // that vanished (under-coverage) or appeared (overlap) both fail the check.
+// An intact rule's recorded causes are refreshed from the fresh cut.
 func (a *Agent) shadowRuleIntact(st *ruleState) bool {
 	part := a.partition(st.original, st.seq)
 	if part.Overflow || len(part.Parts) > a.cfg.MaxPartitions {
@@ -279,6 +280,10 @@ func (a *Agent) shadowRuleIntact(st *ruleState) bool {
 		}
 		want[frag.Match]--
 	}
+	// Intact, but a main entry written back since the cut may lie in the
+	// region already cut away: the fresh cut's causes are the ones the Fig.-6
+	// un-partition must find recorded.
+	a.pmap.SetCause(st.original.ID, part.Cause)
 	return true
 }
 
@@ -343,4 +348,67 @@ func (a *Agent) CheckConsistency() error {
 		return fmt.Errorf("core: desired shadow entry %d missing from hardware", pid)
 	}
 	return nil
+}
+
+// CheckPartitions verifies every shadow-resident rule's partition record
+// against a fresh Algorithm-1 cut on the main table as it is now: an uncut
+// rule has nothing beating it, a redundant one is still covered, and a rule
+// with fragments covers exactly the region the fresh cut keeps and records
+// exactly the fresh cut's causes. The last is what lets a main-table delete
+// leave a dependent's fragments in place (DESIGN.md §17). Like
+// CheckConsistency it holds whenever no fault awaits Reconcile; it returns
+// the first violation found.
+func (a *Agent) CheckPartitions() error {
+	a.mu.RLock()
+	defer a.mu.RUnlock()
+	var pt classifier.Partitioner
+	mint := func() classifier.RuleID { return 0 }
+	for _, id := range a.shadowIDs {
+		st := a.rules[id]
+		wins := func(existing classifier.Rule) bool {
+			return a.beats(existing, st.original.Priority, st.seq)
+		}
+		fresh := pt.Partition(st.original, a.main.OverlapCandidates(st.original.Match), wins, mint,
+			!a.cfg.DisableMergeOptimization, 0)
+		rec, cut := a.pmap.Lookup(id)
+		switch {
+		case !cut:
+			if fresh.WasCut() {
+				return fmt.Errorf("core: shadow rule %d is installed uncut, but main rules %v beat it", id, fresh.Cause)
+			}
+		case rec.Redundant():
+			if !fresh.Redundant() {
+				return fmt.Errorf("core: shadow rule %d is recorded redundant, but a fresh cut keeps %v", id, fresh.Parts)
+			}
+		case fresh.Redundant():
+			return fmt.Errorf("core: shadow rule %d keeps %v, but a fresh cut leaves nothing", id, rec.Parts)
+		default:
+			got, want := slices.Clone(rec.Cause), slices.Clone(fresh.Cause)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				return fmt.Errorf("core: shadow rule %d records causes %v, a fresh cut finds %v", id, got, want)
+			}
+			if !coveredBy(&pt, rec.Parts, fresh.Parts) || !coveredBy(&pt, fresh.Parts, rec.Parts) {
+				return fmt.Errorf("core: shadow rule %d keeps %v, a fresh cut keeps %v", id, rec.Parts, fresh.Parts)
+			}
+		}
+	}
+	return nil
+}
+
+// coveredBy reports whether every packet some rule of x matches is matched by
+// a rule of y.
+func coveredBy(pt *classifier.Partitioner, x, y []classifier.Rule) bool {
+	var t classifier.Trie
+	for _, r := range y {
+		t.Insert(r)
+	}
+	all := func(classifier.Rule) bool { return true }
+	for _, r := range x {
+		if pt.Uncovered(r.Match, t.OverlapCandidates(r.Match), all) {
+			return false
+		}
+	}
+	return true
 }

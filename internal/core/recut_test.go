@@ -82,8 +82,10 @@ func TestRecutAllocs(t *testing.T) {
 		if p, ok := a.pmap.Lookup(cutID); !ok || len(p.Cause) != causes+1 {
 			t.Fatalf("%d causes: recorded partition %+v", causes, p)
 		}
-		// Deleting and re-installing the unrelated host re-cuts the /8 twice.
-		before := a.Metrics().Repartitions
+		// Deleting the unrelated host gives the /8 nothing back — the /9 still
+		// covers it — so the /8's fragment is kept; re-installing the host is a
+		// main insert that beats the /8 and re-cuts it.
+		recut, kept := a.Metrics().Repartitions, a.recutsKept.Load()
 		perCycle[causes] = testing.AllocsPerRun(50, func() {
 			if _, err := a.Delete(0, extraID); err != nil {
 				t.Fatal(err)
@@ -92,17 +94,51 @@ func TestRecutAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got := a.Metrics().Repartitions - before; got != 2*51 {
-			t.Fatalf("%d causes: %d re-cuts in 51 cycles, want 2 each", causes, got)
+		if got := [2]int{a.Metrics().Repartitions - recut, int(a.recutsKept.Load() - kept)}; got != [2]int{51, 51} {
+			t.Fatalf("%d causes: %d re-cuts and %d kept in 51 cycles, want one of each per cycle", causes, got[0], got[1])
 		}
 		if err := shadowIndexErr(a); err != nil {
 			t.Fatal(err)
 		}
+		if err := a.CheckPartitions(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Two re-cuts of one part each, the main rule's own state, the
-	// dependents list — and nothing per cause.
+	// One re-cut of one part, the main rule's own state, the dependents list
+	// — and nothing per cause.
 	if perCycle[64] != perCycle[1] || perCycle[512] != perCycle[1] || perCycle[1] > 8 {
 		t.Errorf("allocations per delete+insert cycle by number of causes: %v, want equal and ≤ 8", perCycle)
+	}
+}
+
+func TestKeptRecutAllocatesNothing(t *testing.T) {
+	a := recutAgent(t, nil)
+	// The /8 is cut by a /9 and by a host inside it: deleting the host gives
+	// the /8 nothing back.
+	mustInsert(t, a, 0, dstRule(1, "10.128.0.0/9", 1000, 1))
+	host := dstRule(2, "10.200.0.1/32", 1000, 2)
+	mustInsert(t, a, 0, host)
+	mustInsert(t, a, 0, dstRule(3, "10.0.0.0/8", 10, 3))
+	if _, err := a.Delete(0, host.ID); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := a.pmap.Lookup(3); !ok || !slices.Equal(p.Cause, []classifier.RuleID{1}) || a.recutsKept.Load() != 1 {
+		t.Fatalf("after the delete: partition %+v, %d kept", p, a.recutsKept.Load())
+	}
+	st := a.rules[3]
+	stats, parts, recuts := a.shadow.Stats(), a.LastPartID(), a.Metrics().Repartitions
+	if n := testing.AllocsPerRun(100, func() { a.unpartition(0, st, host.ID, host.Match) }); n != 0 {
+		t.Errorf("a kept un-partition allocates %v times", n)
+	}
+	if a.shadow.Stats() != stats || a.LastPartID() != parts || a.Metrics().Repartitions != recuts {
+		t.Errorf("a kept un-partition wrote the shadow table (%+v → %+v), minted part IDs (%d → %d) or re-cut (%d → %d)",
+			stats, a.shadow.Stats(), parts, a.LastPartID(), recuts, a.Metrics().Repartitions)
+	}
+	if got := a.recutsKept.Load(); got != 102 {
+		t.Errorf("%d kept un-partitions counted, want 102", got)
+	}
+	if err := a.CheckPartitions(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -151,9 +187,14 @@ func TestGateKeeperMetricsExposition(t *testing.T) {
 	a.RegisterCacheMetrics(reg)
 	mustInsert(t, a, 0, dstRule(1, "10.128.0.0/9", 1000, 1))
 	mustInsert(t, a, 0, dstRule(2, "10.0.0.0/8", 10, 2))
-	mustInsert(t, a, 0, dstRule(3, "10.64.0.0/10", 1000, 3)) // re-cuts rule 2 against two causes
-	if got := a.Metrics().Repartitions; got != 1 {
-		t.Fatalf("scenario drifted: %d re-cuts, want 1", got)
+	mustInsert(t, a, 0, dstRule(3, "10.64.0.0/10", 1000, 3))  // re-cuts rule 2 against two causes
+	mustInsert(t, a, 0, dstRule(4, "10.200.0.1/32", 1000, 4)) // and three
+	// Rule 4 lies inside rule 1: its delete keeps rule 2's fragments.
+	if _, err := a.Delete(0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Metrics().Repartitions; got != 2 || a.recutsKept.Load() != 1 {
+		t.Fatalf("scenario drifted: %d re-cuts, %d kept; want 2 and 1", got, a.recutsKept.Load())
 	}
 	var sb strings.Builder
 	if err := obs.WritePrometheus(&sb, reg); err != nil {
@@ -161,9 +202,10 @@ func TestGateKeeperMetricsExposition(t *testing.T) {
 	}
 	body := sb.String()
 	for _, want := range []string{
-		"hermes_gatekeeper_repartitions_total 1\n",
-		"hermes_gatekeeper_recut_causes_count 1\n",
-		"hermes_gatekeeper_recut_causes_sum 2\n",
+		"hermes_gatekeeper_repartitions_total 2\n",
+		"hermes_gatekeeper_recuts_kept_total 1\n",
+		"hermes_gatekeeper_recut_causes_count 2\n",
+		"hermes_gatekeeper_recut_causes_sum 5\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics lacks %q", want)
