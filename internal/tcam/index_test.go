@@ -2,6 +2,7 @@ package tcam
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hermes/internal/classifier"
@@ -290,49 +291,90 @@ func TestResetKeepsMapCapacity(t *testing.T) {
 }
 
 // FuzzTableLookupEquivalence feeds arbitrary byte strings interpreted as a
-// mutation script plus packet probes, asserting indexed == linear on the
-// exact rule at every probe, on the live table and on its latest snapshot.
+// mutation script plus packet probes. The table is first filled with
+// 3·blockCap + 16 rules derived from the script, so the script's inserts
+// split blocks, its deletes (which pick their victim by TCAM position) merge
+// them and its truncates cut across them. After every op the table must
+// agree with the dense model (order, shift count, insert positions, Get),
+// and indexed == linear on the exact rule at every probe, on the live table
+// and on its latest snapshot.
 func FuzzTableLookupEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x10, 0x20, 0x03, 0x99}, uint32(0x0A000001), uint32(0))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint32(0xC0A80101), uint32(0xFFFFFFFF))
 	f.Fuzz(func(t *testing.T, script []byte, dst, src uint32) {
-		tab := NewTable("fuzz", 128, Pica8P3290)
+		tab := NewTable("fuzz", 4*blockCap, Pica8P3290)
+		m := &denseModel{capacity: tab.Capacity()}
 		nextID := classifier.RuleID(1)
-		var ids []classifier.RuleID
+		insert := func(r classifier.Rule, rank uint64) {
+			before := tab.Stats().Shifts
+			_, err := tab.InsertRanked(r, rank)
+			shifts, ok := m.insert(r, rank, false)
+			if (err == nil) != ok || tab.Stats().Shifts-before != shifts {
+				t.Fatalf("insert %v rank %d: err %v, %d shifts; model ok %v, %d shifts",
+					r, rank, err, tab.Stats().Shifts-before, ok, shifts)
+			}
+		}
+		for k := 0; k < 3*blockCap+16; k++ {
+			x := uint32(k)
+			if len(script) > 0 {
+				x += uint32(script[k%len(script)]) << 8
+			}
+			insert(classifier.Rule{
+				ID:       nextID,
+				Match:    classifier.Match{Dst: classifier.NewPrefix(x*0x9E3779B1, uint8(8+x%25))},
+				Priority: int32(x % 5),
+			}, uint64(x%4))
+			nextID++
+		}
+		checkModel(t, tab, m)
+		checkRules(t, tab, m)
 		var snap classifier.Snapshot
 		var snapRules []classifier.Rule
 		for i := 0; i+4 < len(script); i += 5 {
 			op, a, b, c, d := script[i], script[i+1], script[i+2], script[i+3], script[i+4]
 			addr := uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
+			// at is the rule a/256 of the way down the table.
+			var at classifier.RuleID
+			if len(m.s) > 0 {
+				at = m.s[int(a)*len(m.s)>>8].rule.ID
+			}
+			before := tab.Stats().Shifts
+			want := 0
 			switch op % 6 {
 			case 0, 1:
-				r := classifier.Rule{
+				insert(classifier.Rule{
 					ID:       nextID,
 					Match:    classifier.Match{Dst: classifier.NewPrefix(addr, uint8(op)%33)},
 					Priority: int32(a % 5),
-				}
-				if _, err := tab.InsertRanked(r, uint64(b%4)); err == nil {
-					ids = append(ids, nextID)
-				}
+				}, uint64(b%4))
 				nextID++
+				before = tab.Stats().Shifts
 			case 2:
-				if len(ids) > 0 {
-					tab.Delete(ids[int(a)%len(ids)])
+				if _, ok := tab.Delete(at); ok {
+					i := m.find(at)
+					m.s = slices.Delete(m.s, i, i+1)
 				}
 			case 3:
-				if len(ids) > 0 {
-					tab.ModifyPriority(ids[int(a)%len(ids)], int32(b%5))
-				}
+				tab.ModifyPriority(at, int32(b%5))
+				want, _ = m.modifyPriority(at, int32(b%5), false)
 			case 4:
 				// Freeze the index (later ops copy on write) and rewrite an
 				// action in place.
 				snap, snapRules = tab.Snapshot(), tab.Rules()
-				if len(ids) > 0 {
-					tab.ModifyAction(ids[int(a)%len(ids)], classifier.Action{Type: classifier.ActionForward, Port: int(b)})
+				a := classifier.Action{Type: classifier.ActionForward, Port: int(b)}
+				if _, ok := tab.ModifyAction(at, a); ok {
+					m.s[m.find(at)].rule.Action = a
 				}
 			case 5:
-				tab.Truncate(int(a) % (tab.Occupancy() + 1))
+				n := int(a) % (tab.Occupancy() + 1)
+				tab.Truncate(n)
+				m.s = m.s[:min(n, len(m.s))]
 			}
+			if got := tab.Stats().Shifts - before; got != want {
+				t.Fatalf("op %d charged %d shifts, model %d", op%6, got, want)
+			}
+			checkModel(t, tab, m, at, nextID-1)
+			checkRules(t, tab, m)
 			// Probe with the fuzzed packet and with the script-derived
 			// address so installed regions get hit.
 			for _, pkt := range [...][2]uint32{{dst, src}, {addr, src}} {

@@ -61,12 +61,35 @@ type OpFault struct {
 type OpFaultHook func(op Op, id classifier.RuleID) OpFault
 
 // entryMeta is the per-rule bookkeeping record: the sort key the entry is
-// physically placed by. slotOf recovers the entry's slot from it with one
-// binary search instead of a table scan.
+// physically placed by. slotOf recovers the entry's (block, index) from it
+// with two binary searches — over the blocks' last keys, then inside one
+// block — instead of a table scan.
 type entryMeta struct {
 	priority int32
-	// rank breaks priority ties: lower rank sits higher (see Table.ranks).
+	// rank breaks priority ties: lower rank sits higher (see slot.rank).
 	rank uint64
+}
+
+// blockCap bounds a block's length, and with it what one write moves: a
+// write is charged its shift count but moves the slots of one block.
+const blockCap = 128
+
+// slot is one physical entry and the tie rank it is placed by.
+type slot struct {
+	rule classifier.Rule
+	// rank breaks priority ties: lower rank sits higher, mirroring the
+	// earlier-inserted-wins order of a monolithic TCAM. Plain Insert
+	// auto-assigns increasing ranks; the Hermes agent passes its logical
+	// sequence numbers so migrated rules regain their original standing.
+	rank uint64
+}
+
+// precedes reports whether s sorts above a (priority, rank) key. With below
+// set the key goes below its (priority, rank) equals, as an insert does;
+// otherwise it goes above them, at the start of the equals' run.
+func (s *slot) precedes(priority int32, rank uint64, below bool) bool {
+	p := s.rule.Priority
+	return p > priority || p == priority && (s.rank < rank || below && s.rank == rank)
 }
 
 // Table is one TCAM slice: a priority-ordered entry list with the shift-cost
@@ -75,11 +98,16 @@ type entryMeta struct {
 // yields first-match semantics identical to hardware.
 //
 // Every mutating operation returns the modeled hardware latency so callers
-// (the Hermes agent, the simulator) can account for control-plane time.
+// (the Hermes agent, the simulator) can account for control-plane time. The
+// latency is charged from the shift count — the entries below the write
+// point — which the table counts rather than performs: the entries live in
+// blocks of at most blockCap slots whose concatenation is TCAM order, so an
+// insert or delete moves the slots of one block and a position is the
+// lengths of the blocks before it plus an in-block index.
 //
-// Alongside the physical entry list the table maintains two indexes: meta
-// (ID → sort key) so Get/Delete/Modify* locate a slot without scanning, and
-// a destination-prefix trie, each entry keyed by its placement, so Lookup
+// Alongside the blocks the table maintains two indexes: meta (ID → sort
+// key) so Get/Delete/Modify* locate a slot without scanning, and a
+// destination-prefix trie, each entry keyed by its placement, so Lookup
 // only visits the entries whose Dst can match the packet and Snapshot hands
 // the same index to lock-free readers. SetLinearLookup(true) reverts Lookup
 // to the full scan — kept as the differential-testing oracle, never as the
@@ -88,12 +116,14 @@ type Table struct {
 	name     string
 	capacity int
 	profile  *Profile
-	entries  []classifier.Rule
-	// ranks break priority ties: lower rank sits higher, mirroring the
-	// earlier-inserted-wins order of a monolithic TCAM. Plain Insert
-	// auto-assigns increasing ranks; the Hermes agent passes its logical
-	// sequence numbers so migrated rules regain their original standing.
-	ranks    []uint64
+	// blocks hold the n entries in TCAM order. No block is empty, none
+	// holds more than blockCap, and any two neighbours together hold more
+	// than blockCap/2, so there are at most 4n/blockCap + 1 of them. spare
+	// keeps the blocks emptied since, so steady-state writes allocate
+	// nothing.
+	blocks   [][]slot
+	spare    [][]slot
+	n        int
 	nextRank uint64
 
 	// meta maps installed rule IDs to their placement key; it replaces the
@@ -172,10 +202,10 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Capacity() int { return t.capacity }
 
 // Occupancy returns the number of installed entries.
-func (t *Table) Occupancy() int { return len(t.entries) }
+func (t *Table) Occupancy() int { return t.n }
 
 // Free returns the remaining entry slots.
-func (t *Table) Free() int { return t.capacity - len(t.entries) }
+func (t *Table) Free() int { return t.capacity - t.n }
 
 // Profile returns the switch profile backing the latency model.
 func (t *Table) Profile() *Profile { return t.profile }
@@ -199,60 +229,163 @@ func (t *Table) Contains(id classifier.RuleID) bool {
 // Rules returns the installed rules in TCAM order (highest priority first).
 // The returned slice is a copy.
 func (t *Table) Rules() []classifier.Rule {
-	return append([]classifier.Rule(nil), t.entries...)
+	if t.n == 0 {
+		return nil
+	}
+	out := make([]classifier.Rule, 0, t.n)
+	for _, b := range t.blocks {
+		for i := range b {
+			out = append(out, b[i].rule)
+		}
+	}
+	return out
 }
 
 // InsertPosition returns the index at which a rule with the given priority
 // would be placed by a plain Insert (below all equal priorities), and the
 // number of entries that insertion would shift.
 func (t *Table) InsertPosition(priority int32) (pos, shifts int) {
-	return t.insertPositionRanked(priority, ^uint64(0))
+	pos = t.posOf(t.find(priority, ^uint64(0), true))
+	return pos, t.n - pos
 }
 
-// insertPositionRanked places by (priority desc, rank asc). Among equal
-// (priority, rank) the new entry lands below existing ones — the invariant
-// the index's ord stamps depend on.
-func (t *Table) insertPositionRanked(priority int32, rank uint64) (pos, shifts int) {
-	lo, hi := 0, len(t.entries)
+// find returns where a (priority, rank) key places (see slot.precedes):
+// block bi and index j in it of the first slot that does not precede the
+// key. bi == len(blocks) means past every entry. Among equal (priority, rank) an
+// insert lands below existing ones — the invariant the index's ord stamps
+// depend on.
+func (t *Table) find(priority int32, rank uint64, below bool) (bi, j int) {
+	lo, hi := 0, len(t.blocks)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		e := t.entries[mid]
-		if e.Priority > priority || (e.Priority == priority && t.ranks[mid] <= rank) {
+		mid := int(uint(lo+hi) >> 1)
+		b := t.blocks[mid]
+		if b[len(b)-1].precedes(priority, rank, below) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, len(t.entries) - lo
+	if lo == len(t.blocks) {
+		return lo, 0
+	}
+	// The block's last slot does not precede the key, so j stays inside it.
+	b := t.blocks[lo]
+	l, h := 0, len(b)-1
+	for l < h {
+		mid := int(uint(l+h) >> 1)
+		if b[mid].precedes(priority, rank, below) {
+			l = mid + 1
+		} else {
+			h = mid
+		}
+	}
+	return lo, l
+}
+
+// posOf converts (block, index) to the TCAM position: the lengths of the
+// blocks before it plus the index.
+func (t *Table) posOf(bi, j int) int {
+	for _, b := range t.blocks[:bi] {
+		j += len(b)
+	}
+	return j
 }
 
 // slotOf locates an installed rule's slot: binary-search to the start of
-// its (priority, rank) group, then walk the (almost always tiny) group.
-// Returns -1 if the ID is not installed.
-func (t *Table) slotOf(id classifier.RuleID) int {
+// its (priority, rank) group, then walk the (almost always tiny) group,
+// across a block boundary if it straddles one. Returns bi = -1 if the ID is
+// not installed.
+func (t *Table) slotOf(id classifier.RuleID) (bi, j int) {
 	m, ok := t.meta[id]
 	if !ok {
-		return -1
+		return -1, 0
 	}
-	lo, hi := 0, len(t.entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		e := t.entries[mid]
-		if e.Priority > m.priority || (e.Priority == m.priority && t.ranks[mid] < m.rank) {
-			lo = mid + 1
+	for bi, j = t.find(m.priority, m.rank, false); bi < len(t.blocks); bi, j = bi+1, 0 {
+		b := t.blocks[bi]
+		for ; j < len(b); j++ {
+			if b[j].rule.ID == id {
+				return bi, j
+			}
+			if b[j].rule.Priority != m.priority || b[j].rank != m.rank {
+				return -1, 0
+			}
+		}
+	}
+	return -1, 0
+}
+
+// insertAt places s at index j of block bi (as find returned them),
+// splitting a full block in half first.
+func (t *Table) insertAt(bi, j int, s slot) {
+	if bi == len(t.blocks) {
+		if bi == 0 {
+			t.blocks = append(t.blocks, t.newBlock())
 		} else {
-			hi = mid
+			bi--
+			j = len(t.blocks[bi])
 		}
 	}
-	for i := lo; i < len(t.entries); i++ {
-		if t.entries[i].ID == id {
-			return i
-		}
-		if t.entries[i].Priority != m.priority || t.ranks[i] != m.rank {
-			break
+	b := t.blocks[bi]
+	if len(b) == cap(b) {
+		half := len(b) / 2
+		nb := append(t.newBlock(), b[half:]...)
+		b = b[:half]
+		t.blocks[bi] = b
+		t.blocks = append(t.blocks, nil)
+		copy(t.blocks[bi+2:], t.blocks[bi+1:])
+		t.blocks[bi+1] = nb
+		if j > half {
+			bi, j, b = bi+1, j-half, nb
 		}
 	}
-	return -1
+	b = b[:len(b)+1]
+	copy(b[j+1:], b[j:])
+	b[j] = s
+	t.blocks[bi] = b
+	t.n++
+}
+
+// removeAt deletes index j of block bi and restores the block invariant.
+func (t *Table) removeAt(bi, j int) {
+	b := t.blocks[bi]
+	copy(b[j:], b[j+1:])
+	t.blocks[bi] = b[:len(b)-1]
+	t.n--
+	t.shrunk(bi)
+}
+
+// shrunk restores the block invariant after block bi lost entries: an
+// empty block is dropped, and one that fits in half a block together with
+// a neighbour is merged into it.
+func (t *Table) shrunk(bi int) {
+	b := t.blocks[bi]
+	switch {
+	case len(b) == 0:
+		t.dropBlock(bi)
+	case bi > 0 && len(t.blocks[bi-1])+len(b) <= blockCap/2:
+		t.blocks[bi-1] = append(t.blocks[bi-1], b...)
+		t.dropBlock(bi)
+	case bi+1 < len(t.blocks) && len(b)+len(t.blocks[bi+1]) <= blockCap/2:
+		t.blocks[bi] = append(b, t.blocks[bi+1]...)
+		t.dropBlock(bi + 1)
+	}
+}
+
+// newBlock returns an empty block, from the spare list when it has one.
+// A table smaller than one block gets a block of its own capacity.
+func (t *Table) newBlock() []slot {
+	if k := len(t.spare); k > 0 {
+		b := t.spare[k-1]
+		t.spare = t.spare[:k-1]
+		return b
+	}
+	return make([]slot, 0, min(blockCap, t.capacity))
+}
+
+// dropBlock unlinks block bi and keeps it as a spare.
+func (t *Table) dropBlock(bi int) {
+	t.spare = append(t.spare, t.blocks[bi][:0])
+	t.blocks = append(t.blocks[:bi], t.blocks[bi+1:]...)
 }
 
 // InsertCost returns the latency an insertion of the given priority would
@@ -277,7 +410,7 @@ func (t *Table) Insert(r classifier.Rule) (time.Duration, error) {
 // sequence as the rank so that rules migrated into the main table recover
 // their original tie order relative to rules already there.
 func (t *Table) InsertRanked(r classifier.Rule, rank uint64) (time.Duration, error) {
-	if len(t.entries) >= t.capacity {
+	if t.n >= t.capacity {
 		return 0, fmt.Errorf("%w: %s at %d entries", ErrTableFull, t.name, t.capacity)
 	}
 	if _, dup := t.meta[r.ID]; dup {
@@ -286,19 +419,15 @@ func (t *Table) InsertRanked(r classifier.Rule, rank uint64) (time.Duration, err
 	if rank >= t.nextRank {
 		t.nextRank = rank + 1
 	}
-	pos, shifts := t.insertPositionRanked(r.Priority, rank)
+	bi, j := t.find(r.Priority, rank, true)
+	shifts := t.n - t.posOf(bi, j)
 	f := t.faultFor(OpInsert, r.ID)
 	if f.Drop {
 		// Lost update: the hardware acks but the entry never lands.
 		t.droppedOps++
 		return t.profile.InsertLatency(shifts) + f.Extra, nil
 	}
-	t.entries = append(t.entries, classifier.Rule{})
-	copy(t.entries[pos+1:], t.entries[pos:])
-	t.entries[pos] = r
-	t.ranks = append(t.ranks, 0)
-	copy(t.ranks[pos+1:], t.ranks[pos:])
-	t.ranks[pos] = rank
+	t.insertAt(bi, j, slot{rule: r, rank: rank})
 	t.meta[r.ID] = entryMeta{priority: r.Priority, rank: rank}
 	t.indexInsert(r, rank)
 	t.totalShifts += shifts
@@ -314,8 +443,8 @@ func (t *Table) InsertRanked(r classifier.Rule, rank uint64) (time.Duration, err
 // the rule was present. Deletion never shifts entries: real TCAMs simply
 // invalidate the slot (§2.1, "deletion is a simple and fast operation").
 func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
-	i := t.slotOf(id)
-	if i < 0 {
+	bi, j := t.slotOf(id)
+	if bi < 0 {
 		return 0, false
 	}
 	f := t.faultFor(OpDelete, id)
@@ -324,9 +453,8 @@ func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
 		t.droppedOps++
 		return t.profile.DeleteLatency + f.Extra, true
 	}
-	t.index.Delete(t.entries[i].Match.Dst, id)
-	t.entries = append(t.entries[:i], t.entries[i+1:]...)
-	t.ranks = append(t.ranks[:i], t.ranks[i+1:]...)
+	t.index.Delete(t.blocks[bi][j].rule.Match.Dst, id)
+	t.removeAt(bi, j)
 	delete(t.meta, id)
 	t.totalDeletes++
 	t.gen.Add(1)
@@ -336,8 +464,8 @@ func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
 // ModifyAction rewrites a rule's action in place — constant time, no
 // reordering (§2.1, "modifications, surprisingly, can be constant").
 func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Duration, bool) {
-	i := t.slotOf(id)
-	if i < 0 {
+	bi, j := t.slotOf(id)
+	if bi < 0 {
 		return 0, false
 	}
 	f := t.faultFor(OpModify, id)
@@ -345,8 +473,9 @@ func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Du
 		t.droppedOps++
 		return t.profile.ModifyLatency + f.Extra, true
 	}
-	t.entries[i].Action = a
-	t.index.Update(t.entries[i].Match.Dst, t.entries[i])
+	e := &t.blocks[bi][j].rule
+	e.Action = a
+	t.index.Update(e.Match.Dst, *e)
 	t.totalMods++
 	t.gen.Add(1)
 	return t.profile.ModifyLatency + f.Extra, true
@@ -357,8 +486,8 @@ func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Du
 // the update engine slid the intervening entries by one. The repositioned
 // entry lands below existing (priority, rank) equals, like a fresh insert.
 func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Duration, bool) {
-	i := t.slotOf(id)
-	if i < 0 {
+	bi, j := t.slotOf(id)
+	if bi < 0 {
 		return 0, false
 	}
 	f := t.faultFor(OpModify, id)
@@ -366,23 +495,18 @@ func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Durat
 		t.droppedOps++
 		return t.profile.ModifyLatency + f.Extra, true
 	}
-	r := t.entries[i]
-	m := t.meta[id]
-	r.Priority = priority
+	s := t.blocks[bi][j]
+	i := t.posOf(bi, j)
+	s.rule.Priority = priority
 	// Remove, then re-place by the new key.
-	t.entries = append(t.entries[:i], t.entries[i+1:]...)
-	t.ranks = append(t.ranks[:i], t.ranks[i+1:]...)
-	pos, _ := t.insertPositionRanked(priority, m.rank)
-	t.entries = append(t.entries, classifier.Rule{})
-	copy(t.entries[pos+1:], t.entries[pos:])
-	t.entries[pos] = r
-	t.ranks = append(t.ranks, 0)
-	copy(t.ranks[pos+1:], t.ranks[pos:])
-	t.ranks[pos] = m.rank
-	t.meta[id] = entryMeta{priority: priority, rank: m.rank}
+	t.removeAt(bi, j)
+	bi, j = t.find(priority, s.rank, true)
+	pos := t.posOf(bi, j)
+	t.insertAt(bi, j, s)
+	t.meta[id] = entryMeta{priority: priority, rank: s.rank}
 	// Re-stamped like a fresh insert: it now sits below its new equals.
-	t.index.Delete(r.Match.Dst, id)
-	t.indexInsert(r, m.rank)
+	t.index.Delete(s.rule.Match.Dst, id)
+	t.indexInsert(s.rule, s.rank)
 	shifts := pos - i
 	if shifts < 0 {
 		shifts = -shifts
@@ -399,11 +523,11 @@ func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Durat
 // Get returns the installed rule with the given ID — an indexed slot
 // recovery, not a scan.
 func (t *Table) Get(id classifier.RuleID) (classifier.Rule, bool) {
-	i := t.slotOf(id)
-	if i < 0 {
+	bi, j := t.slotOf(id)
+	if bi < 0 {
 		return classifier.Rule{}, false
 	}
-	return t.entries[i], true
+	return t.blocks[bi][j].rule, true
 }
 
 // indexInsert adds r to the match index with the next arrival stamp.
@@ -427,9 +551,11 @@ func (t *Table) Lookup(dst, src uint32) (classifier.Rule, bool) {
 // LookupLinear is the scan-every-entry reference lookup, kept as the
 // differential-testing oracle for the indexed path.
 func (t *Table) LookupLinear(dst, src uint32) (classifier.Rule, bool) {
-	for _, e := range t.entries {
-		if e.Match.MatchesPacket(dst, src) {
-			return e, true
+	for _, b := range t.blocks {
+		for i := range b {
+			if b[i].rule.Match.MatchesPacket(dst, src) {
+				return b[i].rule, true
+			}
 		}
 	}
 	return classifier.Rule{}, false
@@ -450,10 +576,11 @@ func (t *Table) OverlapCandidates(m classifier.Match) classifier.OverlapIter {
 
 // Reset empties the table. Used by the Rule Manager's "empty shadow table"
 // migration step; bulk invalidation is a cheap constant-time TCAM
-// operation per entry. The bookkeeping map is cleared in place rather than
-// reallocated — migration-heavy runs reset tables constantly.
+// operation per entry. The bookkeeping map is cleared in place and the
+// blocks go to the spare list rather than being reallocated —
+// migration-heavy runs reset tables constantly.
 func (t *Table) Reset() time.Duration {
-	n := len(t.entries)
+	n := t.n
 	t.clearState()
 	return time.Duration(n) * t.profile.DeleteLatency
 }
@@ -466,8 +593,11 @@ func (t *Table) Wipe() {
 }
 
 func (t *Table) clearState() {
-	t.entries = t.entries[:0]
-	t.ranks = t.ranks[:0]
+	for _, b := range t.blocks {
+		t.spare = append(t.spare, b[:0])
+	}
+	t.blocks = t.blocks[:0]
+	t.n = 0
 	clear(t.meta)
 	t.index.Clear()
 	t.gen.Add(1)
@@ -477,15 +607,30 @@ func (t *Table) clearState() {
 // TCAM order) survive; the tail vanishes as in Wipe. A negative or
 // oversized n is a no-op.
 func (t *Table) Truncate(n int) {
-	if n < 0 || n >= len(t.entries) {
+	if n < 0 || n >= t.n {
 		return
 	}
-	for _, e := range t.entries[n:] {
-		delete(t.meta, e.ID)
-		t.index.Delete(e.Match.Dst, e.ID)
+	// Block bi keeps its first keep slots; every later block goes.
+	bi, keep := 0, n
+	for keep >= len(t.blocks[bi]) {
+		keep -= len(t.blocks[bi])
+		bi++
 	}
-	t.entries = t.entries[:n]
-	t.ranks = t.ranks[:n]
+	for k, b := range t.blocks[bi:] {
+		if k == 0 {
+			b = b[keep:]
+		} else {
+			t.spare = append(t.spare, b[:0])
+		}
+		for i := range b {
+			delete(t.meta, b[i].rule.ID)
+			t.index.Delete(b[i].rule.Match.Dst, b[i].rule.ID)
+		}
+	}
+	t.blocks[bi] = t.blocks[bi][:keep]
+	t.blocks = t.blocks[:bi+1]
+	t.n = n
+	t.shrunk(bi)
 	t.gen.Add(1)
 }
 

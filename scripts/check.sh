@@ -5,6 +5,7 @@
 # module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, and short-budget fuzz
 # runs of the wire codec, the prefix parser, the four lookup equivalences
+# (the TCAM one also holds the blocked table to the dense placement model)
 # and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
 # number is gated here (`bash benchmark/run.sh` is the one place those are
 # produced and compared).
@@ -133,7 +134,7 @@ go test -run='^$' -fuzz=FuzzTrieSnapshotIsolation -fuzztime=5s ./internal/classi
 echo ">> fuzz: streaming Algorithm 1 + O(Δ) partition map vs from-scratch oracle (5s)"
 go test -run='^$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 
-echo ">> fuzz: TCAM table indexed vs linear lookup (5s)"
+echo ">> fuzz: TCAM table indexed vs linear lookup, blocked vs dense placement model (5s)"
 go test -run='^$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 
 echo ">> fuzz: cached two-tier lookup vs single-table oracle (5s)"
