@@ -28,11 +28,10 @@ type WireFault struct {
 	// Reset closes the underlying connection instead of performing the
 	// operation, modeling a peer RST mid-exchange.
 	Reset bool
-	// Corrupt flips the high bit of the first byte of the buffer. On a
-	// frame header that invalidates the version; on a body it produces an
-	// unknown command — either way the peer *detects* the damage (bad
-	// version, truncated frame, or an error reply) rather than silently
-	// accepting a changed rule.
+	// Corrupt flips the high bit of the first byte of the buffer. Both ofwire
+	// ends write each frame with a single Write, so that byte is always the
+	// frame's version: the peer *detects* the damage (bad version) and drops
+	// the connection rather than silently accepting a changed rule.
 	Corrupt bool
 	// PartialWrite, when > 0 on a write, transmits only that many bytes and
 	// then closes the connection, modeling a crash mid-frame.
@@ -59,7 +58,10 @@ func (f WireFault) active() bool {
 // WireConfig parameterizes a Wire plan. With a Script the listed faults are
 // consumed in operation order (shared by both directions) and the
 // probability fields are ignored; otherwise each Read/Write draws
-// independently from the seeded stream of its connection direction.
+// independently from the seeded stream of its connection direction. Over an
+// ofwire connection one Write is one whole frame, so a seeded plan draws
+// once per frame written; reads go through a buffered reader, so a Read
+// draw covers whatever the buffer fill returns, often a whole frame.
 type WireConfig struct {
 	// Seed roots every random stream the plan derives.
 	Seed int64
@@ -73,12 +75,13 @@ type WireConfig struct {
 	Stall     time.Duration
 	// ResetProb closes the connection instead of performing the operation.
 	ResetProb float64
-	// CorruptProb damages the first byte of the buffer (writes only).
+	// CorruptProb damages the first byte of the buffer (writes only): over
+	// ofwire, the version byte of the frame written.
 	CorruptProb float64
 	// PartialProb truncates a write mid-frame and closes the connection.
 	PartialProb float64
 	// PartialMidFrame stretches a firing partial write across the whole
-	// buffer instead of the first 8 (header) bytes: the cut lands at a
+	// frame instead of its first 8 (header) bytes: the cut lands at a
 	// seeded fraction of the frame, so large vectored batch frames are
 	// truncated mid-body. It reinterprets an existing draw rather than
 	// consuming a new one, so enabling it does not perturb the schedule

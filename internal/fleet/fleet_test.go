@@ -458,6 +458,79 @@ func TestFleetCloseFailsQueuedOps(t *testing.T) {
 	}
 }
 
+// TestPerOpDispatchKeepsBatchInFlight: per-op dispatch puts a whole batch
+// on the wire at once. The agent here answers no flow-mod until BatchSize
+// of them are pending, so a dispatcher that waited for one op's reply
+// before sending the next would never finish.
+func TestPerOpDispatchKeepsBatchInFlight(t *testing.T) {
+	const batch = 4
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		ofwire.WriteMessage(conn, &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeHello}}) //nolint:errcheck
+		var pending []*ofwire.Message
+		for {
+			req, err := ofwire.ReadMessage(conn)
+			if err != nil {
+				return
+			}
+			if req.Header.Type != ofwire.TypeFlowMod {
+				continue
+			}
+			if pending = append(pending, req); len(pending) < batch {
+				continue
+			}
+			for _, p := range pending {
+				if err := ofwire.WriteMessage(conn, &ofwire.Message{
+					Header:       ofwire.Header{Type: ofwire.TypeFlowModReply, XID: p.Header.XID},
+					FlowModReply: &ofwire.FlowModReply{RuleID: p.FlowMod.RuleID, Guaranteed: true},
+				}); err != nil {
+					return
+				}
+			}
+			pending = pending[:0]
+		}
+	}()
+
+	// Build the fleet by hand so the whole batch is queued before the
+	// worker's first pull.
+	spec := SwitchSpec{ID: "quorum", Addr: lis.Addr().String()}
+	f := &Fleet{cfg: Config{BatchSize: batch, ProbeInterval: time.Hour}.withDefaults(),
+		workers: make(map[string]*worker), order: []string{spec.ID}}
+	client, err := f.dialClient(spec.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWorker(f, spec, client)
+	f.workers[spec.ID] = w
+	defer f.Close()
+	chans := make([]<-chan OpResult, batch)
+	for i := range chans {
+		if chans[i], err = f.InsertAsync(spec.ID, testRule(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.start()
+	for i, ch := range chans {
+		select {
+		case res := <-ch:
+			if res.Err != nil || !res.Result.Guaranteed {
+				t.Fatalf("op %d: %+v", i, res)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("op %d never completed: the batch was not in flight at once", i)
+		}
+	}
+}
+
 // TestFleetValidation covers constructor and routing edge cases.
 func TestFleetValidation(t *testing.T) {
 	if _, err := New(Config{}, nil); !errors.Is(err, ErrNoSwitches) {

@@ -1,8 +1,9 @@
 package fleet
 
 import (
-	"math/rand"
 	"time"
+
+	"hermes/internal/intent"
 )
 
 // RetryPolicy shapes the exponential backoff applied to insertions the
@@ -44,17 +45,18 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff walks one op's retry schedule. Jitter comes from a private RNG
-// seeded deterministically (fleet seed ⊕ switch ⊕ rule), so a given
-// workload replays the exact same schedule run after run.
+// backoff walks one op's retry schedule. Jitter is intent.JitterFrac of a
+// seed fixed per op (fleet seed ⊕ switch ⊕ rule) and the attempt number, so
+// a given workload replays the exact same schedule run after run, and a
+// schedule is a plain value: walking one allocates nothing.
 type backoff struct {
 	policy  RetryPolicy
-	rng     *rand.Rand
+	seed    uint64
 	attempt int // completed attempts
 }
 
-func (p RetryPolicy) newBackoff(seed int64) *backoff {
-	return &backoff{policy: p.withDefaults(), rng: rand.New(rand.NewSource(seed))}
+func (p RetryPolicy) newBackoff(seed int64) backoff {
+	return backoff{policy: p.withDefaults(), seed: uint64(seed)}
 }
 
 // next returns the delay to wait before the following attempt, or ok=false
@@ -72,7 +74,7 @@ func (b *backoff) next() (time.Duration, bool) {
 		d = max
 	}
 	if j := b.policy.Jitter; j > 0 {
-		d *= 1 - j/2 + j*b.rng.Float64()
+		d *= 1 - j/2 + j*intent.JitterFrac(b.seed, b.attempt)
 	}
 	return time.Duration(d), true
 }

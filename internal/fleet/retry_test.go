@@ -151,6 +151,26 @@ func TestBackoffTableDeterminism(t *testing.T) {
 	}
 }
 
+// TestBackoffAllocatesNothing: an op's retry schedule is a value and its
+// jitter a pure hash, so walking a whole schedule allocates nothing — the
+// per-op path pays nothing for retries it does not take.
+func TestBackoffAllocatesNothing(t *testing.T) {
+	p := RetryPolicy{MaxAttempts: 8, BaseDelay: time.Millisecond, Jitter: 0.5}
+	seed := int64(1)
+	allocs := testing.AllocsPerRun(200, func() {
+		bo := p.newBackoff(seed)
+		for {
+			if _, ok := bo.next(); !ok {
+				break
+			}
+		}
+		seed++
+	})
+	if allocs != 0 {
+		t.Fatalf("a retry schedule allocates %v times, want 0", allocs)
+	}
+}
+
 // TestBreakerConcurrentHalfOpenProbe: run with -race. Concurrent allow
 // callers hammer the breaker while one goroutine walks it through
 // failure → open → half-open probe → success; the breaker must stay

@@ -179,16 +179,20 @@ func (w *worker) gatherLinger(first *op) []*op {
 	return batch
 }
 
+// dispatch issues every op of the batch at once so the pipelined client
+// keeps them all in flight. The last op runs on the calling goroutine; only
+// the others get one of their own, so a batch of one spawns nothing.
 func (w *worker) dispatch(batch []*op) {
 	var wg sync.WaitGroup
-	for _, o := range batch {
-		o := o
+	last := len(batch) - 1
+	for _, o := range batch[:last] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w.complete(o, w.execute(o))
 		}()
 	}
+	w.complete(batch[last], w.execute(batch[last]))
 	wg.Wait()
 }
 

@@ -54,10 +54,19 @@ func (r RateLimit) delayFor(seed int64, key string, attempt int) time.Duration {
 		d = max
 	}
 	if j := r.Jitter; j > 0 {
-		frac := float64(mix64(uint64(seed)^fnv64a(key)^uint64(attempt))%1024) / 1024
-		d *= 1 - j/2 + j*frac
+		d *= 1 - j/2 + j*JitterFrac(uint64(seed)^fnv64a(key), attempt)
 	}
 	return time.Duration(d)
+}
+
+// JitterFrac is the stateless backoff jitter shared by every retry schedule
+// in the project: a fraction in [0, 1), in steps of 1/1024, that is a pure
+// function of (seed, attempt). Callers fold whatever identifies the
+// schedule (key, switch, rule) into seed. No RNG state means nothing to
+// allocate or seed per schedule, and the same schedule on replay regardless
+// of goroutine interleaving.
+func JitterFrac(seed uint64, attempt int) float64 {
+	return float64(mix64(seed^uint64(attempt))%1024) / 1024
 }
 
 // Queue is a keyed, deduplicating work queue with rate-limited requeues —

@@ -115,6 +115,27 @@ func TestRateLimitJitterDeterministic(t *testing.T) {
 	}
 }
 
+// TestJitterFracSpread: the shared jitter hash covers [0, 1) evenly enough
+// to stand in for an RNG — over 4096 (seed, attempt) pairs it reaches both
+// ends of the interval and averages one half.
+func TestJitterFracSpread(t *testing.T) {
+	lo, hi, sum := 1.0, 0.0, 0.0
+	const seeds, attempts = 256, 16
+	for s := uint64(0); s < seeds; s++ {
+		seed := s * 0x9E3779B97F4A7C15 // spread the seeds over 64 bits
+		for a := 1; a <= attempts; a++ {
+			f := JitterFrac(seed, a)
+			if f < 0 || f >= 1 {
+				t.Fatalf("JitterFrac(%#x, %d) = %v outside [0, 1)", seed, a, f)
+			}
+			lo, hi, sum = min(lo, f), max(hi, f), sum+f
+		}
+	}
+	if mean := sum / (seeds * attempts); lo >= 1.0/64 || hi <= 63.0/64 || mean < 0.48 || mean > 0.52 {
+		t.Fatalf("fractions span [%v, %v] with mean %v; want min < 1/64, max > 63/64, mean 0.5 ± 0.02", lo, hi, mean)
+	}
+}
+
 // TestVirtualClockOrdering: callbacks fire in (due-time, schedule-order)
 // sequence, nested scheduling lands in the same sweep, and time is
 // monotone.

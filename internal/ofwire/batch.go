@@ -2,7 +2,6 @@ package ofwire
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -11,8 +10,8 @@ import (
 )
 
 // This file implements the vectored flow-mod path (DESIGN.md §15): N ops
-// ride one TypeFlowModBatch frame under one XID, encoded into a reused
-// buffer and written with a single net.Conn write, and the server applies
+// ride one TypeFlowModBatch frame under one XID, written like every other
+// request frame with a single net.Conn write, and the server applies
 // the whole batch under one agent-lock acquisition. Per-op outcomes come
 // back in one TypeFlowModBatchReply. The client splits oversized batches
 // transparently at MaxBatchOps so callers never see the 64KiB codec bound.
@@ -77,21 +76,16 @@ func flowModsFromRules(cmd FlowModCommand, rules []classifier.Rule) []FlowMod {
 // default request timeout to each frame individually (one frame per
 // MaxBatchOps chunk).
 func (c *Client) ApplyBatch(ops []FlowMod) ([]BatchResult, error) {
-	return c.applyBatch(context.Background(), ops, true)
+	return c.ApplyBatchCtx(context.Background(), ops)
 }
 
 // ApplyBatchCtx is ApplyBatch bounded by the context's deadline, layered
-// with the client's default per-request timeout per frame.
+// with the client's default per-request timeout per frame. Ops apply
+// strictly in slice order: chunks are sent sequentially and the agent
+// applies each frame's ops in order, so splitting never reorders. On a wire
+// or decode error the results decided so far are returned with the error;
+// the caller cannot assume anything about the remainder.
 func (c *Client) ApplyBatchCtx(ctx context.Context, ops []FlowMod) ([]BatchResult, error) {
-	return c.applyBatch(ctx, ops, true)
-}
-
-// applyBatch chunks ops at the frame bound and round-trips each chunk.
-// Ops apply strictly in slice order: chunks are sent sequentially and the
-// agent applies each frame's ops in order, so splitting never reorders.
-// On a wire or decode error the results decided so far are returned with
-// the error; the caller cannot assume anything about the remainder.
-func (c *Client) applyBatch(ctx context.Context, ops []FlowMod, layerTimeout bool) ([]BatchResult, error) {
 	if len(ops) == 0 {
 		return nil, nil
 	}
@@ -102,15 +96,10 @@ func (c *Client) applyBatch(ctx context.Context, ops []FlowMod, layerTimeout boo
 			end = len(ops)
 		}
 		chunk := ops[start:end]
-		var resp *Message
-		var err error
-		if d := c.RequestTimeout(); layerTimeout && d > 0 {
-			chunkCtx, cancel := context.WithTimeout(ctx, d)
-			resp, err = c.batchRoundTrip(chunkCtx, chunk)
-			cancel()
-		} else {
-			resp, err = c.batchRoundTrip(ctx, chunk)
-		}
+		resp, err := c.roundTrip(ctx, &Message{
+			Header:       Header{Type: TypeFlowModBatch},
+			FlowModBatch: &FlowModBatch{Ops: chunk},
+		})
 		if err != nil {
 			return results, err
 		}
@@ -136,92 +125,6 @@ func (c *Client) applyBatch(ctx context.Context, ops []FlowMod, layerTimeout boo
 		}
 	}
 	return results, nil
-}
-
-// batchRoundTrip registers one XID, encodes the whole frame into the
-// client's reused write buffer, issues a single conn.Write, and waits for
-// the matching reply. len(ops) must be ≤ MaxBatchOps.
-func (c *Client) batchRoundTrip(ctx context.Context, ops []FlowMod) (*Message, error) {
-	xid := c.nextXID.Add(1)
-	ch := make(chan *Message, 1)
-
-	var start time.Time
-	if c.rtt != nil {
-		start = time.Now()
-	}
-	if c.inflight != nil {
-		c.inflight.Add(1)
-		defer c.inflight.Add(-1)
-	}
-
-	c.pmu.Lock()
-	if c.failErr != nil {
-		err := c.failErr
-		c.pmu.Unlock()
-		return nil, err
-	}
-	if c.closed {
-		c.pmu.Unlock()
-		return nil, ErrClientClosed
-	}
-	c.pending[xid] = ch
-	c.pmu.Unlock()
-
-	c.wmu.Lock()
-	err := c.writeBatchLocked(xid, ops)
-	c.wmu.Unlock()
-	if err != nil {
-		c.pmu.Lock()
-		delete(c.pending, xid)
-		if c.failErr != nil {
-			err = c.failErr
-		}
-		c.pmu.Unlock()
-		return nil, err
-	}
-
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, c.Err()
-		}
-		if c.rtt != nil {
-			c.rtt.RecordDuration(time.Since(start))
-		}
-		if resp.Header.Type == TypeError {
-			return nil, resp.Error
-		}
-		return resp, nil
-	case <-ctx.Done():
-		c.pmu.Lock()
-		delete(c.pending, xid)
-		c.pmu.Unlock()
-		return nil, fmt.Errorf("ofwire: request %d abandoned: %w", xid, ctx.Err())
-	}
-}
-
-// writeBatchLocked encodes header + batch body into c.wbuf and writes the
-// frame with one syscall. Caller holds c.wmu; the buffer is reused across
-// batches, so the steady-state wire path allocates nothing.
-func (c *Client) writeBatchLocked(xid uint32, ops []FlowMod) error {
-	if len(ops) > MaxBatchOps {
-		return ErrTooLarge
-	}
-	total := headerLen + batchFixedLen + flowModLen*len(ops)
-	if cap(c.wbuf) < total {
-		c.wbuf = make([]byte, total)
-	}
-	b := c.wbuf[:total]
-	b[0] = Version
-	b[1] = byte(TypeFlowModBatch)
-	binary.BigEndian.PutUint16(b[2:4], uint16(total))
-	binary.BigEndian.PutUint32(b[4:8], xid)
-	binary.BigEndian.PutUint16(b[8:10], uint16(len(ops)))
-	for i := range ops {
-		encodeFlowModInto(b[headerLen+batchFixedLen+i*flowModLen:], &ops[i])
-	}
-	_, err := c.conn.Write(b)
-	return err
 }
 
 // doFlowModBatch applies one vectored flow-mod frame: the whole batch runs

@@ -1,6 +1,7 @@
 package ofwire
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -33,9 +34,9 @@ type Client struct {
 	timeoutNS atomic.Int64
 
 	// wmu serializes frame writes so concurrent requests cannot interleave
-	// bytes on the wire. wbuf, guarded by wmu, is the reused batch encode
-	// buffer: a whole TypeFlowModBatch frame is laid out in it and written
-	// with a single conn.Write.
+	// bytes on the wire. wbuf, guarded by wmu, is the reused encode buffer:
+	// every request frame is laid out in it and written with a single
+	// conn.Write.
 	wmu  sync.Mutex
 	wbuf []byte
 
@@ -88,14 +89,17 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 
 // NewClient wraps an established connection (useful with net.Pipe in
 // tests), performs the hello exchange, and starts the response reader.
+// Every read on the connection, hello included, goes through one buffered
+// reader, so a reply costs one Read rather than one per header and body.
 func NewClient(conn net.Conn) (*Client, error) {
 	c := &Client{
 		conn:       conn,
 		pending:    make(map[uint32]chan *Message),
 		readerDone: make(chan struct{}),
 	}
+	br := bufio.NewReader(conn)
 	// Server speaks first.
-	hello, err := ReadMessage(conn)
+	hello, err := ReadMessage(br)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("ofwire: waiting for hello: %w", err)
@@ -108,16 +112,16 @@ func NewClient(conn net.Conn) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	go c.readLoop()
+	go c.readLoop(br)
 	return c, nil
 }
 
 // readLoop demultiplexes responses to their waiting callers by XID. On any
 // read error it fails every pending caller with a descriptive error; the
 // client is dead from then on.
-func (c *Client) readLoop() {
+func (c *Client) readLoop(br *bufio.Reader) {
 	for {
-		resp, err := ReadMessage(c.conn)
+		resp, err := ReadMessage(br)
 		if err != nil {
 			c.fail(err)
 			return
@@ -219,22 +223,24 @@ func (c *Client) SetLifecycle(l FlowLifecycle) {
 	c.lifecycle = l
 }
 
-// roundTrip sends one request and waits for its reply under the client's
-// default deadline. Multiple roundTrips may be in flight concurrently; each
-// caller blocks only on its own XID.
-func (c *Client) roundTrip(req *Message) (*Message, error) {
+// roundTrip is roundTripCtx with the client's default deadline layered on
+// ctx. Multiple round trips may be in flight concurrently; each caller
+// blocks only on its own XID.
+func (c *Client) roundTrip(ctx context.Context, req *Message) (*Message, error) {
 	if d := c.RequestTimeout(); d > 0 {
-		ctx, cancel := context.WithTimeout(context.Background(), d)
+		ctx, cancel := context.WithTimeout(ctx, d)
 		defer cancel()
 		return c.roundTripCtx(ctx, req)
 	}
-	return c.roundTripCtx(context.Background(), req)
+	return c.roundTripCtx(ctx, req)
 }
 
-// roundTripCtx sends one request and waits for its reply or the context's
-// deadline, whichever comes first. A timed-out request abandons only its
-// own XID: the connection and the other in-flight requests stay healthy,
-// and a late reply to the abandoned XID is dropped by the read loop.
+// roundTripCtx registers the request's XID, lays the frame out in the
+// client's reused write buffer, issues a single conn.Write, and waits for
+// the reply or the context's deadline, whichever comes first. A timed-out
+// request abandons only its own XID: the connection and the other in-flight
+// requests stay healthy, and a late reply to the abandoned XID is dropped by
+// the read loop.
 func (c *Client) roundTripCtx(ctx context.Context, req *Message) (*Message, error) {
 	xid := req.Header.XID
 	if xid == 0 {
@@ -269,7 +275,8 @@ func (c *Client) roundTripCtx(ctx context.Context, req *Message) (*Message, erro
 	c.pmu.Unlock()
 
 	c.wmu.Lock()
-	err := WriteMessage(c.conn, req)
+	var err error
+	c.wbuf, err = writeFrame(c.conn, c.wbuf, req)
 	c.wmu.Unlock()
 	if err != nil {
 		c.pmu.Lock()
@@ -350,7 +357,7 @@ func (c *Client) flowMod(cmd FlowModCommand, r classifier.Rule) (FlowModResult, 
 		FlowMod: FlowModFromRule(cmd, r),
 	}
 	c.notifySubmitted(req, r.ID)
-	resp, err := c.roundTrip(req)
+	resp, err := c.roundTrip(context.Background(), req)
 	res, err := decodeFlowModResult(resp, err)
 	c.notifyCompleted(req, r.ID, res, err)
 	return res, err
@@ -410,7 +417,7 @@ func decodeFlowModResult(resp *Message, err error) (FlowModResult, error) {
 // like OpenFlow's barrier. The agent handles frames in arrival order, so a
 // barrier fences everything written to the wire before it.
 func (c *Client) Barrier() error {
-	return decodeBarrier(c.roundTrip(&Message{Header: Header{Type: TypeBarrierRequest}}))
+	return decodeBarrier(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeBarrierRequest}}))
 }
 
 // BarrierCtx is Barrier bounded by the context's deadline/cancellation.
@@ -430,7 +437,7 @@ func decodeBarrier(resp *Message, err error) error {
 
 // Echo round-trips a payload (liveness probe).
 func (c *Client) Echo(payload []byte) ([]byte, error) {
-	return decodeEcho(c.roundTrip(&Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}))
+	return decodeEcho(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}))
 }
 
 // EchoCtx is Echo bounded by the context's deadline/cancellation.
@@ -450,7 +457,7 @@ func decodeEcho(resp *Message, err error) ([]byte, error) {
 
 // Stats fetches the agent's counters.
 func (c *Client) Stats() (*Stats, error) {
-	return decodeStats(c.roundTrip(&Message{Header: Header{Type: TypeStatsRequest}}))
+	return decodeStats(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeStatsRequest}}))
 }
 
 // StatsCtx is Stats bounded by the context's deadline/cancellation.
@@ -496,15 +503,7 @@ func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classif
 			Header:       Header{Type: TypeRulesRequest},
 			RulesRequest: &RulesRequest{After: after, Max: pageSize},
 		}
-		var resp *Message
-		var err error
-		if d := c.RequestTimeout(); d > 0 {
-			pageCtx, cancel := context.WithTimeout(ctx, d)
-			resp, err = c.roundTripCtx(pageCtx, req)
-			cancel()
-		} else {
-			resp, err = c.roundTripCtx(ctx, req)
-		}
+		resp, err := c.roundTrip(ctx, req)
 		if err != nil {
 			return nil, err
 		}
@@ -528,7 +527,7 @@ func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classif
 // (CreateTCAMQoS over the wire). The switch re-carves its TCAM; installed
 // rules are discarded, exactly as slice reconfiguration does on hardware.
 func (c *Client) RequestQoS(guarantee time.Duration) (*QoSReply, error) {
-	resp, err := c.roundTrip(&Message{
+	resp, err := c.roundTrip(context.Background(), &Message{
 		Header:     Header{Type: TypeQoSRequest},
 		QoSRequest: &QoSRequest{GuaranteeNS: uint64(guarantee)},
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // This file implements the binary codec: fixed-layout, big-endian bodies
@@ -30,166 +31,155 @@ const (
 	batchReplyEntryLen = 22
 )
 
-// WriteMessage encodes and writes one frame.
+// WriteMessage encodes m and writes it as one frame with a single Write.
 func WriteMessage(w io.Writer, m *Message) error {
-	body, err := encodeBody(m)
-	if err != nil {
-		return err
+	// Sized for a per-op frame; larger frames grow the buffer once.
+	_, err := writeFrame(w, make([]byte, 0, headerLen+flowModLen), m)
+	return err
+}
+
+// writeFrame lays m out in buf, reusing its capacity, and writes the whole
+// frame with one Write. It returns the (possibly grown) buffer so callers
+// that own one per connection keep it across frames.
+func writeFrame(w io.Writer, buf []byte, m *Message) ([]byte, error) {
+	buf, err := appendFrame(buf[:0], m)
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	total := headerLen + len(body)
+	return buf, err
+}
+
+// appendFrame appends the header and body of m to b. On error b comes back
+// unextended.
+func appendFrame(b []byte, m *Message) ([]byte, error) {
+	start := len(b)
+	b = append(b, Version, byte(m.Header.Type), 0, 0)
+	b = binary.BigEndian.AppendUint32(b, m.Header.XID)
+	b, err := appendBody(b, m)
+	if err != nil {
+		return b[:start], err
+	}
+	total := len(b) - start
 	// The length field is a uint16, so a frame of exactly MaxMessageLen
 	// (1<<16) would wrap to 0; the largest encodable frame is one byte
 	// shorter.
 	if total >= MaxMessageLen {
-		return ErrTooLarge
+		return b[:start], ErrTooLarge
 	}
-	var hdr [headerLen]byte
-	hdr[0] = Version
-	hdr[1] = byte(m.Header.Type)
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(total))
-	binary.BigEndian.PutUint32(hdr[4:8], m.Header.XID)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(body) > 0 {
-		if _, err := w.Write(body); err != nil {
-			return err
-		}
-	}
-	return nil
+	binary.BigEndian.PutUint16(b[start+2:], uint16(total))
+	return b, nil
 }
 
-func encodeBody(m *Message) ([]byte, error) {
+func appendBody(b []byte, m *Message) ([]byte, error) {
+	be := binary.BigEndian
 	switch m.Header.Type {
 	case TypeHello, TypeBarrierRequest, TypeBarrierReply, TypeStatsRequest:
-		return nil, nil
+		return b, nil
 	case TypeEchoRequest, TypeEchoReply:
-		return m.Raw, nil
+		return append(b, m.Raw...), nil
 	case TypeFlowMod:
 		if m.FlowMod == nil {
-			return nil, fmt.Errorf("ofwire: flow-mod frame without body")
+			return b, fmt.Errorf("ofwire: flow-mod frame without body")
 		}
-		return encodeFlowModFixed(m.FlowMod), nil
+		return appendFlowMod(b, m.FlowMod), nil
 	case TypeFlowModReply:
 		r := m.FlowModReply
 		if r == nil {
-			return nil, fmt.Errorf("ofwire: flow-mod-reply frame without body")
+			return b, fmt.Errorf("ofwire: flow-mod-reply frame without body")
 		}
-		b := make([]byte, flowModReplyLen)
-		binary.BigEndian.PutUint64(b[0:8], r.RuleID)
-		binary.BigEndian.PutUint64(b[8:16], r.LatencyNS)
-		b[16] = r.Path
-		b[17] = boolByte(r.Guaranteed)
-		b[18] = boolByte(r.Violation)
-		b[19] = r.Partitions
-		return b, nil
+		b = be.AppendUint64(b, r.RuleID)
+		b = be.AppendUint64(b, r.LatencyNS)
+		// Four pad bytes fill the 24-byte layout.
+		return append(b, r.Path, boolByte(r.Guaranteed), boolByte(r.Violation), r.Partitions, 0, 0, 0, 0), nil
 	case TypeStatsReply:
 		s := m.Stats
 		if s == nil {
-			return nil, fmt.Errorf("ofwire: stats-reply frame without body")
+			return b, fmt.Errorf("ofwire: stats-reply frame without body")
 		}
-		b := make([]byte, statsLen)
-		binary.BigEndian.PutUint64(b[0:8], s.Inserts)
-		binary.BigEndian.PutUint64(b[8:16], s.ShadowInserts)
-		binary.BigEndian.PutUint64(b[16:24], s.MainInserts)
-		binary.BigEndian.PutUint64(b[24:32], s.Bypasses)
-		binary.BigEndian.PutUint64(b[32:40], s.Violations)
-		binary.BigEndian.PutUint64(b[40:48], s.Migrations)
-		binary.BigEndian.PutUint32(b[48:52], s.ShadowOcc)
-		binary.BigEndian.PutUint32(b[52:56], s.MainOcc)
-		binary.BigEndian.PutUint32(b[56:60], s.ShadowSize)
-		binary.BigEndian.PutUint32(b[60:64], s.OverheadPPM)
+		for _, v := range [...]uint64{s.Inserts, s.ShadowInserts, s.MainInserts, s.Bypasses, s.Violations, s.Migrations} {
+			b = be.AppendUint64(b, v)
+		}
+		for _, v := range [...]uint32{s.ShadowOcc, s.MainOcc, s.ShadowSize, s.OverheadPPM} {
+			b = be.AppendUint32(b, v)
+		}
 		// MaxRateMilli rides in a trailing extension to keep the fixed
 		// layout stable.
-		ext := make([]byte, 8)
-		binary.BigEndian.PutUint64(ext, s.MaxRateMilli)
-		return append(b, ext...), nil
+		return be.AppendUint64(b, s.MaxRateMilli), nil
 	case TypeQoSRequest:
 		q := m.QoSRequest
 		if q == nil {
-			return nil, fmt.Errorf("ofwire: qos-request frame without body")
+			return b, fmt.Errorf("ofwire: qos-request frame without body")
 		}
-		b := make([]byte, qosRequestLen)
-		binary.BigEndian.PutUint64(b, q.GuaranteeNS)
-		return b, nil
+		return be.AppendUint64(b, q.GuaranteeNS), nil
 	case TypeQoSReply:
 		q := m.QoSReply
 		if q == nil {
-			return nil, fmt.Errorf("ofwire: qos-reply frame without body")
+			return b, fmt.Errorf("ofwire: qos-reply frame without body")
 		}
-		b := make([]byte, qosReplyLen)
-		binary.BigEndian.PutUint32(b[0:4], q.ShadowEntries)
-		binary.BigEndian.PutUint32(b[4:8], q.OverheadPPM)
-		binary.BigEndian.PutUint64(b[8:16], q.MaxRateMilli)
-		binary.BigEndian.PutUint64(b[16:24], q.GuaranteeNS)
-		return b, nil
+		b = be.AppendUint32(b, q.ShadowEntries)
+		b = be.AppendUint32(b, q.OverheadPPM)
+		b = be.AppendUint64(b, q.MaxRateMilli)
+		return be.AppendUint64(b, q.GuaranteeNS), nil
 	case TypeError:
 		e := m.Error
 		if e == nil {
-			return nil, fmt.Errorf("ofwire: error frame without body")
+			return b, fmt.Errorf("ofwire: error frame without body")
 		}
-		b := make([]byte, errorFixedLen+len(e.Reason))
-		binary.BigEndian.PutUint16(b[0:2], uint16(e.Code))
-		copy(b[2:], e.Reason)
-		return b, nil
+		b = be.AppendUint16(b, uint16(e.Code))
+		return append(b, e.Reason...), nil
 	case TypeFlowModBatch:
 		fb := m.FlowModBatch
 		if fb == nil {
-			return nil, fmt.Errorf("ofwire: flow-mod-batch frame without body")
+			return b, fmt.Errorf("ofwire: flow-mod-batch frame without body")
 		}
 		if len(fb.Ops) > MaxBatchOps {
-			return nil, ErrTooLarge
+			return b, ErrTooLarge
 		}
-		b := make([]byte, batchFixedLen+flowModLen*len(fb.Ops))
-		binary.BigEndian.PutUint16(b[0:2], uint16(len(fb.Ops)))
+		b = be.AppendUint16(slices.Grow(b, batchFixedLen+flowModLen*len(fb.Ops)), uint16(len(fb.Ops)))
 		for i := range fb.Ops {
-			encodeFlowModInto(b[batchFixedLen+i*flowModLen:], &fb.Ops[i])
+			b = appendFlowMod(b, &fb.Ops[i])
 		}
 		return b, nil
 	case TypeFlowModBatchReply:
 		fb := m.FlowModBatchReply
 		if fb == nil {
-			return nil, fmt.Errorf("ofwire: flow-mod-batch-reply frame without body")
+			return b, fmt.Errorf("ofwire: flow-mod-batch-reply frame without body")
 		}
 		if len(fb.Entries) > MaxBatchOps {
-			return nil, ErrTooLarge
+			return b, ErrTooLarge
 		}
-		b := make([]byte, batchFixedLen+batchReplyEntryLen*len(fb.Entries))
-		binary.BigEndian.PutUint16(b[0:2], uint16(len(fb.Entries)))
-		for i, e := range fb.Entries {
-			encodeBatchReplyEntry(b[batchFixedLen+i*batchReplyEntryLen:], e)
+		b = be.AppendUint16(slices.Grow(b, batchFixedLen+batchReplyEntryLen*len(fb.Entries)), uint16(len(fb.Entries)))
+		for _, e := range fb.Entries {
+			b = appendBatchReplyEntry(b, e)
 		}
 		return b, nil
 	case TypeRulesRequest:
 		q := m.RulesRequest
 		if q == nil {
-			return nil, fmt.Errorf("ofwire: rules-request frame without body")
+			return b, fmt.Errorf("ofwire: rules-request frame without body")
 		}
-		b := make([]byte, rulesRequestLen)
-		binary.BigEndian.PutUint64(b[0:8], q.After)
-		binary.BigEndian.PutUint16(b[8:10], q.Max)
-		return b, nil
+		b = be.AppendUint64(b, q.After)
+		return be.AppendUint16(b, q.Max), nil
 	case TypeRulesReply:
 		q := m.RulesReply
 		if q == nil {
-			return nil, fmt.Errorf("ofwire: rules-reply frame without body")
+			return b, fmt.Errorf("ofwire: rules-reply frame without body")
 		}
 		if len(q.Rules) > MaxRuleEntries {
-			return nil, ErrTooLarge
+			return b, ErrTooLarge
 		}
-		b := make([]byte, rulesReplyFixedLen+1+ruleEntryLen*len(q.Rules))
-		binary.BigEndian.PutUint16(b[0:2], uint16(len(q.Rules)))
-		b[2] = boolByte(q.More)
-		for i, e := range q.Rules {
-			encodeRuleEntry(b[rulesReplyFixedLen+1+i*ruleEntryLen:], e)
+		b = be.AppendUint16(slices.Grow(b, rulesReplyFixedLen+1+ruleEntryLen*len(q.Rules)), uint16(len(q.Rules)))
+		b = append(b, boolByte(q.More))
+		for _, e := range q.Rules {
+			b = appendRuleEntry(b, e)
 		}
 		return b, nil
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, m.Header.Type)
+		return b, fmt.Errorf("%w: %d", ErrBadType, m.Header.Type)
 	}
 }
 
-// encodeRuleEntry lays out the 25-byte rule-entry body:
+// appendRuleEntry appends the 25-byte rule-entry body:
 //
 //	0-7    rule id
 //	8-11   priority
@@ -197,15 +187,14 @@ func encodeBody(m *Message) ([]byte, error) {
 //	17-20  src addr   21 src len
 //	22     action
 //	23-24  port
-func encodeRuleEntry(b []byte, e RuleEntry) {
-	binary.BigEndian.PutUint64(b[0:8], e.RuleID)
-	binary.BigEndian.PutUint32(b[8:12], uint32(e.Priority))
-	binary.BigEndian.PutUint32(b[12:16], e.DstAddr)
-	b[16] = e.DstLen
-	binary.BigEndian.PutUint32(b[17:21], e.SrcAddr)
-	b[21] = e.SrcLen
-	b[22] = e.Action
-	binary.BigEndian.PutUint16(b[23:25], e.Port)
+func appendRuleEntry(b []byte, e RuleEntry) []byte {
+	b = binary.BigEndian.AppendUint64(b, e.RuleID)
+	b = binary.BigEndian.AppendUint32(b, uint32(e.Priority))
+	b = binary.BigEndian.AppendUint32(b, e.DstAddr)
+	b = append(b, e.DstLen)
+	b = binary.BigEndian.AppendUint32(b, e.SrcAddr)
+	b = append(b, e.SrcLen, e.Action)
+	return binary.BigEndian.AppendUint16(b, e.Port)
 }
 
 func decodeRuleEntry(b []byte) RuleEntry {
@@ -221,36 +210,25 @@ func decodeRuleEntry(b []byte) RuleEntry {
 	}
 }
 
-// encodeFlowModFixed lays out the 28-byte flow-mod body:
+// appendFlowMod appends the 28-byte flow-mod body:
 //
 //	0      command
-//	1-3    pad
+//	1      pad
+//	2-3    port
 //	4-11   rule id
 //	12-15  priority
 //	16-19  dst addr   20 dst len
 //	21-24  src addr   25 src len
 //	26     action     27 pad
-//	— port is packed into bytes 2-3 of the pad for compactness.
-func encodeFlowModFixed(f *FlowMod) []byte {
-	b := make([]byte, flowModLen)
-	encodeFlowModInto(b, f)
-	return b
-}
-
-// encodeFlowModInto writes the 28-byte layout into b (len(b) ≥ flowModLen),
-// allocation-free so batch encoding can pack ops into one reused buffer.
-func encodeFlowModInto(b []byte, f *FlowMod) {
-	b[0] = byte(f.Command)
-	b[1] = 0
-	binary.BigEndian.PutUint16(b[2:4], f.Port)
-	binary.BigEndian.PutUint64(b[4:12], f.RuleID)
-	binary.BigEndian.PutUint32(b[12:16], uint32(f.Priority))
-	binary.BigEndian.PutUint32(b[16:20], f.DstAddr)
-	b[20] = f.DstLen
-	binary.BigEndian.PutUint32(b[21:25], f.SrcAddr)
-	b[25] = f.SrcLen
-	b[26] = f.Action
-	b[27] = 0
+func appendFlowMod(b []byte, f *FlowMod) []byte {
+	b = append(b, byte(f.Command), 0)
+	b = binary.BigEndian.AppendUint16(b, f.Port)
+	b = binary.BigEndian.AppendUint64(b, f.RuleID)
+	b = binary.BigEndian.AppendUint32(b, uint32(f.Priority))
+	b = binary.BigEndian.AppendUint32(b, f.DstAddr)
+	b = append(b, f.DstLen)
+	b = binary.BigEndian.AppendUint32(b, f.SrcAddr)
+	return append(b, f.SrcLen, f.Action, 0)
 }
 
 func decodeFlowModFixed(b []byte) (*FlowMod, error) {
@@ -277,21 +255,18 @@ func decodeFlowModValue(b []byte) FlowMod {
 	}
 }
 
-// encodeBatchReplyEntry lays out the 22-byte reply entry:
+// appendBatchReplyEntry appends the 22-byte reply entry:
 //
 //	0-1    status code (0 = ok)
 //	2-9    rule id
 //	10-17  latency ns
 //	18     path       19 guaranteed
 //	20     violation  21 partitions
-func encodeBatchReplyEntry(b []byte, e BatchReplyEntry) {
-	binary.BigEndian.PutUint16(b[0:2], uint16(e.Code))
-	binary.BigEndian.PutUint64(b[2:10], e.Reply.RuleID)
-	binary.BigEndian.PutUint64(b[10:18], e.Reply.LatencyNS)
-	b[18] = e.Reply.Path
-	b[19] = boolByte(e.Reply.Guaranteed)
-	b[20] = boolByte(e.Reply.Violation)
-	b[21] = e.Reply.Partitions
+func appendBatchReplyEntry(b []byte, e BatchReplyEntry) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(e.Code))
+	b = binary.BigEndian.AppendUint64(b, e.Reply.RuleID)
+	b = binary.BigEndian.AppendUint64(b, e.Reply.LatencyNS)
+	return append(b, e.Reply.Path, boolByte(e.Reply.Guaranteed), boolByte(e.Reply.Violation), e.Reply.Partitions)
 }
 
 func decodeBatchReplyEntry(b []byte) BatchReplyEntry {

@@ -1,6 +1,7 @@
 package ofwire
 
 import (
+	"bufio"
 	"errors"
 	"io"
 	"log"
@@ -279,14 +280,18 @@ func (s *AgentServer) Shutdown(drain time.Duration) error {
 }
 
 // handle runs one control connection: hello exchange, then a
-// request/response loop.
+// request/response loop. Requests are read through one buffered reader and
+// every reply is laid out in one per-connection buffer and written with a
+// single Write.
 func (s *AgentServer) handle(conn net.Conn) error {
 	defer conn.Close()
+	br := bufio.NewReader(conn)
 	// Hello exchange: server speaks first, client must answer.
-	if err := WriteMessage(conn, &Message{Header: Header{Type: TypeHello}}); err != nil {
+	wbuf, err := writeFrame(conn, nil, &Message{Header: Header{Type: TypeHello}})
+	if err != nil {
 		return err
 	}
-	first, err := ReadMessage(conn)
+	first, err := ReadMessage(br)
 	if err != nil {
 		return err
 	}
@@ -294,7 +299,7 @@ func (s *AgentServer) handle(conn net.Conn) error {
 		return errors.New("ofwire: peer did not hello")
 	}
 	for {
-		req, err := ReadMessage(conn)
+		req, err := ReadMessage(br)
 		if err != nil {
 			return err
 		}
@@ -303,7 +308,7 @@ func (s *AgentServer) handle(conn net.Conn) error {
 			continue
 		}
 		resp.Header.XID = req.Header.XID
-		if err := WriteMessage(conn, resp); err != nil {
+		if wbuf, err = writeFrame(conn, wbuf, resp); err != nil {
 			return err
 		}
 	}
