@@ -50,8 +50,9 @@ chaos:
 	$(GO) run ./cmd/hermes-bench -scale 1 reconcile
 
 # Full gate: lint, vet, build, race tests, linter self-test, benchmark
-# module smoke, seeded chaos / reconcile / cache / loadgen verdicts, short
-# fuzz (scripts/check.sh lists them; correctness only, no wall-clock gate).
+# module smoke, seeded chaos / reconcile / cache / loadgen verdicts, one
+# iteration of the trie and TCAM micro-benchmarks, short fuzz
+# (scripts/check.sh lists them; correctness only, no wall-clock gate).
 check: lint
 	./scripts/check.sh
 

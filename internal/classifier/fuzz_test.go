@@ -105,14 +105,78 @@ func checkOwnership(t *testing.T, tr *Trie, frozen map[*trieNode]bool) {
 	walk(tr.root)
 }
 
+// checkCompressed asserts the path-compressed shape: every node holds
+// entries or has two children; a child's prefix strictly extends its
+// parent's and sits on the side of the parent's branch bit it hangs on; a
+// node's mask and branch bit are its prefix's; maxPrio is its entries'
+// highest priority; the trie counts the rules it holds; and the freelist is
+// as long as it says and no longer than maxFreeNodes.
+func checkCompressed(t testing.TB, tr *Trie) {
+	t.Helper()
+	rules := 0
+	var walk func(n *trieNode)
+	walk = func(n *trieNode) {
+		p := Prefix{Addr: n.addr, Len: n.plen}
+		if p.Len > 32 || n.mask != p.Mask() || n.addr&^n.mask != 0 {
+			t.Fatalf("node %v carries mask %08x", p, n.mask)
+		}
+		if (p.Len == 32 && n.bit != 0) || (p.Len < 32 && n.bit != 1<<(31-p.Len)) {
+			t.Fatalf("node %v carries branch bit %08x", p, n.bit)
+		}
+		if len(n.entries) == 0 && (n.children[0] == nil || n.children[1] == nil) {
+			t.Fatalf("node %v holds no entries and has fewer than two children", p)
+		}
+		var best int32
+		for i, e := range n.entries {
+			if e.rule.Match.Dst != p {
+				t.Fatalf("node %v holds rule %v", p, e.rule)
+			}
+			if i == 0 || e.rule.Priority > best {
+				best = e.rule.Priority
+			}
+		}
+		if len(n.entries) != 0 && n.maxPrio != best {
+			t.Fatalf("node %v: maxPrio %d, highest entry priority %d", p, n.maxPrio, best)
+		}
+		rules += len(n.entries)
+		for side, c := range n.children {
+			if c == nil {
+				continue
+			}
+			if c.plen <= n.plen || c.addr&n.mask != n.addr || (c.addr&n.bit != 0) != (side == 1) {
+				t.Fatalf("child %v hangs on side %d of %v", Prefix{Addr: c.addr, Len: c.plen}, side, p)
+			}
+			walk(c)
+		}
+	}
+	if tr.root != nil {
+		walk(tr.root)
+	}
+	if rules != tr.Size() {
+		t.Fatalf("trie holds %d rules, Size says %d", rules, tr.Size())
+	}
+	free := 0
+	for n := tr.free; n != nil; n = n.children[0] {
+		free++
+	}
+	if free != tr.nfree || free > maxFreeNodes {
+		t.Fatalf("freelist holds %d nodes, nfree says %d, bound %d", free, tr.nfree, maxFreeNodes)
+	}
+}
+
 // FuzzTrieSnapshotIsolation drives one trie through an op stream of keyed
 // inserts, deletes, updates, clears and freezes. Every snapshot retained at
 // a Freeze must keep answering exactly as the linear oracle over the rule
 // list as of that freeze, whatever happens later; the live trie must answer
-// as the current list; its overlap walk must yield what a never-frozen twin
-// fed the same ops yields, in the same order (the order decides fragment
-// shapes); and node ownership must hold after every op, also across the
-// wrap-around of the 32-bit epoch.
+// as the current list; its overlap walk, and that of a never-frozen twin fed
+// the same ops, must yield what the flat-list order oracle yields, in the
+// same order (the order decides fragment shapes); and node ownership and
+// the compressed shape must hold after every op, also across the
+// wrap-around of the 32-bit epoch. The committed corpus has a seed for each
+// structural edit: a split where the new prefix diverges mid-edge, a prefix
+// ending inside an edge (the new node becomes a parent), a delete that
+// merges a single child up, a split and a merge under a retained snapshot,
+// and the epoch wrap.
 func FuzzTrieSnapshotIsolation(f *testing.F) {
 	pool := []byte{0x0a, 8, 1, 0, 0, 0x0a, 16, 1, 0, 0, 0x0a, 16, 1, 0x0a, 8, 0x0a, 24, 2, 0, 0, 0x0b, 0, 0, 0, 0}
 	f.Add(pool, []byte{0, 0, 1, 1, 12, 0, 2, 2, 6, 0, 12, 0, 0, 3, 10, 1, 12, 0, 6, 1, 6, 0}, uint32(0x0a000001), uint32(0))
@@ -201,10 +265,20 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 				t.Fatalf("Size = %d, model holds %d", live.Size(), len(model))
 			}
 			checkOwnership(t, &live, frozen)
+			checkCompressed(t, &live)
+			checkCompressed(t, &twin)
 			agree("live trie", live.Lookup, model)
+			rules := make([]Rule, len(model))
+			for j := range model {
+				rules[j] = model[j].Rule
+			}
 			for _, q := range shapes {
-				if got, want := live.Overlapping(q.Match), oracleOverlapping(&twin, q.Match); !slices.Equal(got, want) {
-					t.Fatalf("Overlapping(%v) = %v, never-frozen twin %v", q.Match, got, want)
+				want := oracleOverlapping(rules, q.Match)
+				if got := live.Overlapping(q.Match); !slices.Equal(got, want) {
+					t.Fatalf("Overlapping(%v) = %v, oracle %v", q.Match, got, want)
+				}
+				if got := twin.Overlapping(q.Match); !slices.Equal(got, want) {
+					t.Fatalf("never-frozen twin: Overlapping(%v) = %v, oracle %v", q.Match, got, want)
 				}
 			}
 			if n := len(snaps); n > 0 {

@@ -14,16 +14,17 @@ func (t *Trie) Lookup(dst, src uint32) (Rule, bool) { return Snapshot{t.root}.Lo
 // Lookup returns the first-match rule for the packet: of the rules matching
 // it, the one with the highest priority, ties going to the lowest Key (Rank,
 // then Ord) — exactly the rule a linear scan of the rules in that order
-// would return. It visits the ≤33 nodes on the destination address's bit
-// path, which hold precisely the rules whose Dst matches, and reads the
+// would return. It descends the nodes whose prefix contains the destination
+// address — they hold precisely the rules whose Dst matches, one node per
+// entry-bearing prefix or branch point on the path (a path-compressed trie
+// has no others) — and stops at the first node that does not. It reads the
 // entries only of the nodes whose best priority can still beat the
 // candidate in hand (deeply nested rule sets put twenty candidates on one
 // path; most lose on priority alone). Zero allocations.
 func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
 	var best *trieEntry
 	var bestPrio int32 // best.rule.Priority, kept out of memory: re-reading it per node cost the median lookup ~15 %
-	n := s.root
-	for depth := uint8(0); n != nil; depth++ {
+	for n := s.root; n != nil && dst&n.mask == n.addr; {
 		if entries := n.entries; len(entries) != 0 && (best == nil || n.maxPrio >= bestPrio) {
 			for i := range entries {
 				e := &entries[i]
@@ -36,10 +37,12 @@ func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
 				}
 			}
 		}
-		if depth == 32 {
-			break
+		// A jump, not step's index: see step.
+		if dst&n.bit != 0 {
+			n = n.children[1]
+		} else {
+			n = n.children[0]
 		}
-		n = n.children[(dst>>(31-depth))&1]
 	}
 	if best == nil {
 		return Rule{}, false

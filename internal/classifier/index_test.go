@@ -127,7 +127,7 @@ func TestTrieLookupExactWinner(t *testing.T) {
 	}
 }
 
-// nodeCount walks the live trie nodes (for the pruning test).
+// nodeCount walks the live trie nodes (for the pruning tests).
 func (t *Trie) nodeCount() int {
 	var walk func(*trieNode) int
 	walk = func(n *trieNode) int {
@@ -141,32 +141,47 @@ func (t *Trie) nodeCount() int {
 
 func TestTrieDeletePrunesEmptyNodes(t *testing.T) {
 	var tr Trie
+	nodes := func(when string, want int) {
+		t.Helper()
+		checkCompressed(t, &tr)
+		if n := tr.nodeCount(); n != want {
+			t.Fatalf("%s: %d nodes, want %d", when, n, want)
+		}
+	}
 	r := Rule{ID: 1, Match: DstMatch(MustParsePrefix("10.1.2.3/32")), Priority: 1}
 	tr.Insert(r)
-	if n := tr.nodeCount(); n != 33 {
-		t.Fatalf("after insert: %d nodes, want 33", n)
-	}
+	nodes("after insert", 1) // the chain down to a /32 is one edge
 	if !tr.Delete(r.Match.Dst, r.ID) {
 		t.Fatal("Delete returned false")
 	}
-	if n := tr.nodeCount(); n != 0 {
-		t.Fatalf("after delete: %d nodes left, want 0 (pruned)", n)
-	}
+	nodes("after delete", 0)
 
-	// A shared spine must survive a sibling's deletion.
+	// Siblings diverge mid-edge: a branch node at their common /8 takes
+	// both, and merges away when one of them goes.
 	a := Rule{ID: 2, Match: DstMatch(MustParsePrefix("10.0.0.0/9")), Priority: 1}
 	b := Rule{ID: 3, Match: DstMatch(MustParsePrefix("10.128.0.0/9")), Priority: 1}
 	tr.Insert(a)
 	tr.Insert(b)
-	before := tr.nodeCount()
+	nodes("after sibling inserts", 3)
 	if !tr.Delete(b.Match.Dst, b.ID) {
 		t.Fatal("Delete(b) returned false")
 	}
-	if n := tr.nodeCount(); n != before-1 {
-		t.Fatalf("after sibling delete: %d nodes, want %d", n, before-1)
-	}
+	nodes("after sibling delete", 1)
 	if got, ok := tr.Get(a.Match.Dst, a.ID); !ok || got != a {
 		t.Fatalf("surviving rule lost: %v %v", got, ok)
+	}
+
+	// A prefix ending inside an edge becomes the parent of the node below;
+	// emptied, it merges into that child again.
+	c := Rule{ID: 4, Match: DstMatch(MustParsePrefix("10.0.0.0/8")), Priority: 1}
+	tr.Insert(c)
+	nodes("after parent insert", 2)
+	if !tr.Delete(c.Match.Dst, c.ID) {
+		t.Fatal("Delete(c) returned false")
+	}
+	nodes("after parent delete", 1)
+	if got, ok := tr.Get(a.Match.Dst, a.ID); !ok || got != a {
+		t.Fatalf("child of the merged node lost: %v %v", got, ok)
 	}
 
 	// Deleting a missing rule must not disturb the structure.

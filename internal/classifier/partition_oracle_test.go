@@ -8,44 +8,36 @@ package classifier
 // reference the equivalence tests and the fuzz target compare against.
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// oracleOverlapping is the closure-recursive collect-everything trie walk.
-func oracleOverlapping(t *Trie, m Match) []Rule {
-	if t.root == nil {
-		return nil
-	}
+// oracleOverlapping is OverlapIter's order contract stated as a sort key
+// over a flat rule list in insertion order, sharing nothing with the trie's
+// shape: the rules overlapping m, ancestors (Dst strictly containing m.Dst)
+// first by Dst.Len ascending, then contained destinations by (Dst.Addr,
+// Dst.Len), stable by insertion within one prefix.
+func oracleOverlapping(rules []Rule, m Match) []Rule {
 	var out []Rule
-	collect := func(entries []trieEntry) {
-		for _, e := range entries {
-			if e.rule.Match.Src.Overlaps(m.Src) {
-				out = append(out, e.rule)
-			}
+	for _, r := range rules {
+		if r.Match.Overlaps(m) {
+			out = append(out, r)
 		}
 	}
-	n := t.root
-	for depth := uint8(0); depth < m.Dst.Len; depth++ {
-		collect(n.entries)
-		bit := (m.Dst.Addr >> (31 - depth)) & 1
-		n = n.children[bit]
-		if n == nil {
-			return out
+	isAncestor := func(r Rule) bool { return r.Match.Dst.Len < m.Dst.Len }
+	slices.SortStableFunc(out, func(a, b Rule) int {
+		switch aa, ba := isAncestor(a), isAncestor(b); {
+		case aa && ba:
+			return cmp.Compare(a.Match.Dst.Len, b.Match.Dst.Len)
+		case aa:
+			return -1
+		case ba:
+			return 1
 		}
-	}
-	var walk func(*trieNode)
-	walk = func(nd *trieNode) {
-		collect(nd.entries)
-		if nd.children[0] != nil {
-			walk(nd.children[0])
-		}
-		if nd.children[1] != nil {
-			walk(nd.children[1])
-		}
-	}
-	walk(n)
+		return cmpPrefix(a.Match.Dst, b.Match.Dst)
+	})
 	return out
 }
 
@@ -192,11 +184,12 @@ func oracleMergeMatches(in []Match) []Match {
 	}
 }
 
-// oraclePartitionAgainst is Algorithm 1 from scratch.
-func oraclePartitionAgainst(newRule Rule, mainIndex *Trie, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
+// oraclePartitionAgainst is Algorithm 1 from scratch, against the main
+// table's rules in insertion order.
+func oraclePartitionAgainst(newRule Rule, main []Rule, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
 	regions := []Match{newRule.Match}
-	for _, r := range oracleOverlapping(mainIndex, newRule.Match) {
+	for _, r := range oracleOverlapping(main, newRule.Match) {
 		if r.ID == newRule.ID || !wins(r) {
 			continue
 		}
@@ -335,6 +328,7 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 	for _, r := range rules {
 		trie.Insert(r)
 	}
+	indexed := slices.Clone(rules) // the trie's rules in insertion order
 	var pt Partitioner
 	pm, om := NewPartitionMap(), newOraclePartitionMap()
 	mintA, mintB := idMinter(1<<20), idMinter(1<<20)
@@ -368,7 +362,7 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 	cut := func(round int, r Rule) {
 		t.Helper()
 		wins := func(existing Rule) bool { return existing.Priority >= r.Priority }
-		want := oraclePartitionAgainst(r, &trie, wins, mintA, merge, maxRegions)
+		want := oraclePartitionAgainst(r, indexed, wins, mintA, merge, maxRegions)
 		got := pt.Partition(r, trie.OverlapCandidates(r.Match), wins, mintB, merge, maxRegions)
 		if !samePartition(got, want) {
 			t.Fatalf("round %d rule %v merge=%v maxRegions=%d:\n got %+v\nwant %+v", round, r, merge, maxRegions, got, want)
@@ -389,13 +383,19 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 	// their trie node (what an in-place Modify does), forget some records, and
 	// strike a few rules from the causes they are on (what a delete that gives
 	// a dependent nothing back does: to the oracle, a re-record without it).
+	unindex := func(id RuleID) {
+		indexed = slices.DeleteFunc(indexed, func(r Rule) bool { return r.ID == id })
+	}
 	for i, r := range rules {
 		switch i % 6 {
 		case 0, 3:
 			trie.Delete(r.Match.Dst, r.ID)
+			unindex(r.ID)
 		case 1:
 			trie.Delete(r.Match.Dst, r.ID)
 			trie.Insert(r)
+			unindex(r.ID)
+			indexed = append(indexed, r)
 		case 2:
 			om.Remove(r.ID)
 			pm.Remove(r.ID)
@@ -475,7 +475,7 @@ func TestUncoveredMatchesOracle(t *testing.T) {
 		wins := func(existing Rule) bool { return existing.Priority >= prio }
 		region := rules[0].Match
 		left := []Match{region}
-		for _, r := range oracleOverlapping(&trie, region) {
+		for _, r := range oracleOverlapping(rules[1:], region) {
 			if !wins(r) {
 				continue
 			}
@@ -608,21 +608,39 @@ func TestOverlapIterMatchesOracleOrder(t *testing.T) {
 		// Indexed rules and queries come from the same address chains.
 		rules := nestedRuleSet(rng, 20+rng.Intn(60))
 		var trie Trie
-		for _, r := range rules[20:] {
+		indexed := slices.Clone(rules[20:])
+		for _, r := range indexed {
 			trie.Insert(r)
 		}
-		for _, q := range rules[:20] {
-			want := oracleOverlapping(&trie, q.Match)
-			if got := trie.Overlapping(q.Match); !slices.Equal(got, want) {
-				t.Fatalf("Overlapping(%v) = %v, oracle %v", q.Match, got, want)
-			}
-			// Stopping early yields a prefix of the same order.
-			it := trie.OverlapCandidates(q.Match)
-			for k := 0; k < len(want)/2; k++ {
-				if r, ok := it.Next(); !ok || r != want[k] {
-					t.Fatalf("candidate %d of %v = %v,%v, oracle %v", k, q.Match, r, ok, want[k])
+		check := func() {
+			t.Helper()
+			checkCompressed(t, &trie)
+			for _, q := range rules[:20] {
+				want := oracleOverlapping(indexed, q.Match)
+				if got := trie.Overlapping(q.Match); !slices.Equal(got, want) {
+					t.Fatalf("Overlapping(%v) = %v, oracle %v", q.Match, got, want)
+				}
+				// Stopping early yields a prefix of the same order.
+				it := trie.OverlapCandidates(q.Match)
+				for k := 0; k < len(want)/2; k++ {
+					if r, ok := it.Next(); !ok || r != want[k] {
+						t.Fatalf("candidate %d of %v = %v,%v, oracle %v", k, q.Match, r, ok, want[k])
+					}
 				}
 			}
 		}
+		check()
+		// Deletes merge nodes away, and re-inserts split edges again and
+		// move a rule to the end of its prefix's insertion order.
+		for j := len(indexed) - 1; j >= 0; j -= 2 {
+			r := indexed[j]
+			trie.Delete(r.Match.Dst, r.ID)
+			indexed = slices.Delete(indexed, j, j+1)
+			if j%3 == 0 {
+				trie.Insert(r)
+				indexed = append(indexed, r)
+			}
+		}
+		check()
 	}
 }

@@ -1,15 +1,27 @@
 package classifier
 
-// Trie is a binary trie over destination prefixes: the one prefix tree of the
-// stack. The Gate Keeper uses it as the "efficient data structure to detect
-// overlapping rules" (paper §3, Correctness), and the TCAM tables and the
-// software tier use it as their packet-lookup index. Rules are indexed by
-// their destination prefix; because prefixes only nest, every rule whose
-// destination overlaps a query lies either on the trie path down to the
-// query prefix (ancestors, whose dst contains the query) or in the subtree
-// rooted at it (descendants, contained by the query). Source-prefix overlap
-// is then checked per candidate. A packet's candidates are exactly the rules
-// on the path its destination address descends (Lookup, index.go).
+import "math/bits"
+
+// Trie is a path-compressed binary trie over destination prefixes: the one
+// prefix tree of the stack. The Gate Keeper uses it as the "efficient data
+// structure to detect overlapping rules" (paper §3, Correctness), and the
+// TCAM tables and the software tier use it as their packet-lookup index.
+// Rules are indexed by their destination prefix; because prefixes only nest,
+// every rule whose destination overlaps a query lies either on the trie path
+// down to the query prefix (ancestors, whose dst contains the query) or in
+// the subtree below it (descendants, contained by the query). Source-prefix
+// overlap is then checked per candidate. A packet's candidates are exactly
+// the rules on the path its destination address descends (Lookup,
+// index.go).
+//
+// Each node holds its own prefix, and only nodes that hold entries or
+// branch (have two children) exist: a chain of entry-less single-child links
+// is one edge. A child's prefix strictly extends its parent's and takes the
+// branch bit the parent selects it by. InsertKeyed splits an edge where the
+// new prefix diverges from it or ends inside it; Delete merges a node left
+// entry-less with one child into that child. A path therefore has at most
+// one node per entry-bearing prefix and branch point on it — at most 33, but
+// a /24 among a couple of thousand /24s is ~12 deep instead of 25.
 //
 // The zero value is an empty trie.
 //
@@ -17,20 +29,20 @@ package classifier
 // Every node carries the ownership epoch it was created in: a node whose
 // epoch equals the trie's was created since the last Freeze, is reachable
 // from no snapshot, and is mutated in place; any other node is shared with
-// a snapshot and is copied on the way down instead (at most the 33 nodes of
+// a snapshot and is copied on the way down instead (at most the nodes of
 // one path per mutation). A trie that is never frozen — the Gate Keeper's
 // overlap indexes — never copies.
 //
-// Pruned nodes are recycled through a bounded freelist: churn-heavy tables
+// Unlinked nodes are recycled through a bounded freelist: churn-heavy tables
 // (the TCAM match index deletes and reinserts on every migration, and a
 // steady-state insert promises 0 allocs/op) would otherwise re-allocate the
-// same path nodes — and their entries backing arrays — on every
-// delete/insert cycle. Only nodes no snapshot can reach are ever recycled.
+// same nodes — and their entries backing arrays — on every delete/insert
+// cycle. Only nodes no snapshot can reach are ever recycled.
 type Trie struct {
 	root  *trieNode
 	size  int
 	epoch uint32
-	free  *trieNode // freelist of pruned nodes, chained through children[0]
+	free  *trieNode // freelist of unlinked nodes, chained through children[0]
 	nfree int
 }
 
@@ -38,16 +50,22 @@ type Trie struct {
 // memory forever.
 const maxFreeNodes = 8192
 
-// trieNode is 48 bytes, what the allocator hands out for 40 anyway; the two
-// words a walk reads on every node come first.
+// trieNode is 64 bytes, one allocator size class and one cache line, so a
+// lookup's reads of a node hit one line. The prefix is kept as the words a
+// walk tests and branches on, so no step of a walk shifts by a variable
+// amount.
 type trieNode struct {
 	children [2]*trieNode
+	addr     uint32 // the node's prefix: its address,
+	mask     uint32 // its netmask,
+	bit      uint32 // and the address bit that picks the child (0 on a /32, which has none)
+	plen     uint8
 	epoch    uint32 // Trie.epoch at creation
 	// maxPrio is the highest priority among entries (undefined when there
 	// are none): Lookup skips a node that cannot beat its candidate without
 	// touching the entries' memory.
 	maxPrio int32
-	// entries are the rules whose Dst ends exactly at this node, in
+	// entries are the rules whose Dst is exactly this node's prefix, in
 	// insertion order (OverlapIter's order contract).
 	entries []trieEntry
 }
@@ -63,6 +81,29 @@ type trieEntry struct {
 	key  Key
 }
 
+// step returns the child of n on addr's side, picked by a 0/1 index rather
+// than a jump. The write-side walks (locate, insert, the overlap walk) go
+// to a different rule each time, so which way they turn is a coin flip per
+// node and a jump would mispredict. Snapshot.Lookup turns with a jump
+// instead: packet streams repeat their popular paths, and a predicted jump
+// lets the next node's load start before this node's branch bit arrives.
+func (n *trieNode) step(addr uint32) *trieNode {
+	return n.children[b2i(addr&n.bit != 0)]
+}
+
+// contains reports whether n's prefix contains p.
+func (n *trieNode) contains(p Prefix) bool {
+	return n.plen <= p.Len && p.Addr&n.mask == n.addr
+}
+
+// onlyChild returns n's child when it has at most one, or nil.
+func (n *trieNode) onlyChild() *trieNode {
+	if c := n.children[0]; c != nil {
+		return c
+	}
+	return n.children[1]
+}
+
 // setMaxPrio recomputes maxPrio after an entry left or changed.
 func (n *trieNode) setMaxPrio() {
 	for i := range n.entries {
@@ -72,9 +113,9 @@ func (n *trieNode) setMaxPrio() {
 	}
 }
 
-// newNode pops a recycled node (keeping its entries capacity) or allocates
-// a fresh one, owned by the current epoch either way.
-func (t *Trie) newNode() *trieNode {
+// alloc pops a recycled node (keeping its entries capacity) or allocates a
+// fresh one, owned by the current epoch either way.
+func (t *Trie) alloc() *trieNode {
 	if n := t.free; n != nil {
 		t.free = n.children[0]
 		t.nfree--
@@ -85,9 +126,19 @@ func (t *Trie) newNode() *trieNode {
 	return &trieNode{epoch: t.epoch}
 }
 
-// freeNode recycles a pruned node. The caller guarantees it is unlinked,
-// empty (no entries, no children) and the trie's own: Delete makes the whole
-// path its own before it prunes, so no snapshot can reach a recycled node.
+// newNode returns an own, childless, entry-less node for prefix p.
+func (t *Trie) newNode(p Prefix) *trieNode {
+	n := t.alloc()
+	n.addr, n.mask, n.plen, n.bit = p.Addr, p.Mask(), p.Len, 0
+	if p.Len < 32 {
+		n.bit = 1 << (31 - p.Len)
+	}
+	return n
+}
+
+// freeNode recycles an unlinked node. The caller guarantees it is no longer
+// reachable from the trie and is the trie's own: Delete makes the whole path
+// its own before it unlinks, so no snapshot can reach a recycled node.
 func (t *Trie) freeNode(n *trieNode) {
 	if t.nfree >= maxFreeNodes {
 		return
@@ -99,60 +150,93 @@ func (t *Trie) freeNode(n *trieNode) {
 	t.nfree++
 }
 
-// replace puts a node of the trie's own into *slot: a copy of the shared
-// node there, or an empty one if there is none. Callers come here only for
-// those two cases and leave a slot that already holds an own node alone — an
-// unconditional store on the way down is measurable on the Gate Keeper's
-// insert path.
-func (t *Trie) replace(slot **trieNode) *trieNode {
-	c := t.newNode()
-	if n := *slot; n != nil {
-		c.children = n.children
-		c.entries = append(c.entries, n.entries...)
-		c.maxPrio = n.maxPrio
-	}
+// copyNode replaces the shared node in *slot with a copy of the trie's own
+// and returns it. Callers come here only for a shared node and leave a slot
+// that already holds an own node alone — an unconditional store on the way
+// down is measurable on the Gate Keeper's insert path.
+func (t *Trie) copyNode(slot **trieNode) *trieNode {
+	n, c := *slot, t.alloc()
+	ents := c.entries
+	*c = *n
+	c.epoch = t.epoch
+	c.entries = append(ents, n.entries...)
 	*slot = c
 	return c
 }
 
+// split hangs a new node for p in *slot, whose node c does not contain p:
+// either p contains c and its node becomes c's parent, or the two diverge
+// inside c's edge and a branch node at their common prefix takes both. It
+// returns p's node. The branch node is taken first so that, after a Delete
+// that merged one away, the freelist hands the same nodes back to the same
+// roles and the leaf keeps its entries capacity.
+func (t *Trie) split(slot **trieNode, p Prefix) *trieNode {
+	c := *slot
+	common := min(p.Len, c.plen, uint8(bits.LeadingZeros32(p.Addr^c.addr)))
+	if common == p.Len {
+		n := t.newNode(p)
+		n.children[b2i(c.addr&n.bit != 0)] = c
+		*slot = n
+		return n
+	}
+	b := t.newNode(NewPrefix(p.Addr, common))
+	n := t.newNode(p)
+	up := b2i(p.Addr&b.bit != 0)
+	b.children[up], b.children[1-up] = n, c
+	*slot = b
+	return n
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // locate walks to rule id under dst without writing anything, so a miss
-// copies nothing. It records the nodes passed (path[d] is the one at depth
-// d; prefixes are at most 32 bits deep) and returns the rule's position
-// among the entries of path[dst.Len], or -1, and the depth of the
-// shallowest node a snapshot shares, or -1.
-func (t *Trie) locate(dst Prefix, id RuleID, path *[33]*trieNode) (i, shared int) {
+// copies nothing. It records the nodes passed in path (a prefix has at most
+// 33 nodes above and at it) and returns the rule's position among the
+// entries of path[d], the node at dst, or i = -1; and the index in path of
+// the shallowest node a snapshot shares, or -1.
+func (t *Trie) locate(dst Prefix, id RuleID, path *[33]*trieNode) (i, d, shared int) {
 	shared = -1
-	n := t.root
-	for depth := uint8(0); n != nil; depth++ {
+	for n := t.root; n != nil && n.contains(dst); n = n.step(dst.Addr) {
 		if shared < 0 && n.epoch != t.epoch {
-			shared = int(depth)
+			shared = d
 		}
-		path[depth] = n
-		if depth == dst.Len {
+		path[d] = n
+		if n.plen == dst.Len {
 			for i := range n.entries {
 				if n.entries[i].rule.ID == id {
-					return i, shared
+					return i, d, shared
 				}
 			}
 			break
 		}
-		n = n.children[(dst.Addr>>(31-depth))&1]
+		d++
 	}
-	return -1, shared
+	return -1, 0, shared
+}
+
+// slotOf returns the link that holds path[j]: the root, or its parent's
+// child pointer on dst's side.
+func (t *Trie) slotOf(dst Prefix, path *[33]*trieNode, j int) **trieNode {
+	if j == 0 {
+		return &t.root
+	}
+	p := path[j-1]
+	return &p.children[b2i(dst.Addr&p.bit != 0)]
 }
 
 // ownLocated makes a located path mutable — everything below a shared node
-// is shared, so path[shared:] is replaced by copies; nothing is when shared
-// is -1 — and returns the node at dst.
-func (t *Trie) ownLocated(dst Prefix, path *[33]*trieNode, shared int) *trieNode {
-	for d := shared; d >= 0 && d <= int(dst.Len); d++ {
-		slot := &t.root
-		if d > 0 {
-			slot = &path[d-1].children[(dst.Addr>>(32-d))&1]
-		}
-		path[d] = t.replace(slot)
+// is shared, so path[shared:d+1] is replaced by copies; nothing is when
+// shared is -1 — and returns the node at dst.
+func (t *Trie) ownLocated(dst Prefix, path *[33]*trieNode, d, shared int) *trieNode {
+	for j := shared; j >= 0 && j <= d; j++ {
+		path[j] = t.copyNode(t.slotOf(dst, path, j))
 	}
-	return path[dst.Len]
+	return path[d]
 }
 
 // Freeze returns the trie's current contents as an immutable snapshot. It
@@ -174,11 +258,11 @@ func (n *trieNode) cloneTree() *trieNode {
 	if n == nil {
 		return nil
 	}
-	return &trieNode{
-		children: [2]*trieNode{n.children[0].cloneTree(), n.children[1].cloneTree()},
-		maxPrio:  n.maxPrio,
-		entries:  append([]trieEntry(nil), n.entries...),
-	}
+	c := *n
+	c.epoch = 0
+	c.children = [2]*trieNode{n.children[0].cloneTree(), n.children[1].cloneTree()}
+	c.entries = append([]trieEntry(nil), n.entries...)
+	return &c
 }
 
 // Size reports the number of rules in the trie.
@@ -193,50 +277,65 @@ func (t *Trie) Insert(r Rule) { t.InsertKeyed(r, Key{}) }
 func (t *Trie) InsertKeyed(r Rule, k Key) {
 	p := r.Match.Dst
 	slot := &t.root
-	for depth := uint8(0); ; depth++ {
-		n := *slot
-		if n == nil || n.epoch != t.epoch {
-			n = t.replace(slot)
+	var n *trieNode
+	for {
+		n = *slot
+		if n == nil {
+			n = t.newNode(p)
+			*slot = n
+			break
 		}
-		if depth == p.Len {
-			if len(n.entries) == 0 || r.Priority > n.maxPrio {
-				n.maxPrio = r.Priority
-			}
-			n.entries = append(n.entries, trieEntry{r, k})
-			t.size++
-			return
+		if !n.contains(p) {
+			n = t.split(slot, p)
+			break
 		}
-		slot = &n.children[(p.Addr>>(31-depth))&1]
+		if n.epoch != t.epoch {
+			n = t.copyNode(slot)
+		}
+		if n.plen == p.Len {
+			break
+		}
+		slot = &n.children[b2i(p.Addr&n.bit != 0)]
 	}
+	if len(n.entries) == 0 || r.Priority > n.maxPrio {
+		n.maxPrio = r.Priority
+	}
+	n.entries = append(n.entries, trieEntry{r, k})
+	t.size++
 }
 
 // Delete removes the rule with the given ID from the node for prefix dst.
 // It reports whether a rule was removed. The delete is fully incremental:
-// nodes left with no rules and no children are pruned bottom-up along the
-// access path, so long-lived tables (the TCAM match index churns on every
-// migration) do not accrete garbage nodes.
+// a node left with no rules is unlinked when it has no children, and merged
+// into its child when it has one; a parent that the unlink leaves entry-less
+// with one child is merged the same way. Long-lived tables (the TCAM match
+// index churns on every migration) neither accrete garbage nodes nor grow
+// chains.
 func (t *Trie) Delete(dst Prefix, id RuleID) bool {
 	var path [33]*trieNode
-	i, shared := t.locate(dst, id, &path)
+	i, d, shared := t.locate(dst, id, &path)
 	if i < 0 {
 		return false
 	}
-	n := t.ownLocated(dst, &path, shared)
+	n := t.ownLocated(dst, &path, d, shared)
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
 	n.setMaxPrio()
 	t.size--
-	for depth := int(dst.Len); depth > 0; depth-- {
-		nd := path[depth]
-		if len(nd.entries) != 0 || nd.children[0] != nil || nd.children[1] != nil {
-			break
-		}
-		bit := (dst.Addr >> (32 - depth)) & 1
-		path[depth-1].children[bit] = nil
-		t.freeNode(nd)
+	if len(n.entries) != 0 || (n.children[0] != nil && n.children[1] != nil) {
+		return true
 	}
-	if t.size == 0 && t.root.children[0] == nil && t.root.children[1] == nil {
-		t.freeNode(t.root)
-		t.root = nil
+	// n goes: its one child, or nothing, takes its place.
+	c := n.onlyChild()
+	*t.slotOf(dst, &path, d) = c
+	t.freeNode(n)
+	if c != nil || d == 0 {
+		return true
+	}
+	// The parent lost a child: an entry-less parent (a branch node) is left
+	// with one and merges into it.
+	if pn := path[d-1]; len(pn.entries) == 0 {
+		*t.slotOf(dst, &path, d-1) = pn.onlyChild()
+		t.freeNode(pn)
 	}
 	return true
 }
@@ -247,11 +346,11 @@ func (t *Trie) Delete(dst Prefix, id RuleID) bool {
 // reports whether the rule was found.
 func (t *Trie) Update(dst Prefix, r Rule) bool {
 	var path [33]*trieNode
-	i, shared := t.locate(dst, r.ID, &path)
+	i, d, shared := t.locate(dst, r.ID, &path)
 	if i < 0 {
 		return false
 	}
-	n := t.ownLocated(dst, &path, shared)
+	n := t.ownLocated(dst, &path, d, shared)
 	n.entries[i].rule = r
 	n.setMaxPrio()
 	return true
@@ -260,8 +359,8 @@ func (t *Trie) Update(dst Prefix, r Rule) bool {
 // Get returns the rule with the given ID stored under dst, if present.
 func (t *Trie) Get(dst Prefix, id RuleID) (Rule, bool) {
 	var path [33]*trieNode
-	if i, _ := t.locate(dst, id, &path); i >= 0 {
-		return path[dst.Len].entries[i].rule, true
+	if i, d, _ := t.locate(dst, id, &path); i >= 0 {
+		return path[d].entries[i].rule, true
 	}
 	return Rule{}, false
 }
@@ -272,25 +371,28 @@ func (t *Trie) Get(dst Prefix, id RuleID) (Rule, bool) {
 // in pre-order (0-child before 1-child), rules of one node in insertion
 // order. Algorithm 1 cuts in exactly this order, so the order is a contract
 // (it decides fragment shapes and minted part IDs), not an accident of the
-// walk. The iterator is a value with a fixed-size stack — no closures, no
-// heap — and the caller stops early simply by not calling Next again. The
-// trie must not be modified while an iterator is in use.
+// walk: it is the order of the Dst prefixes themselves — ancestors by
+// length, then contained prefixes by (address, length) — whatever the
+// trie's shape. The iterator is a value with a fixed-size stack — no
+// closures, no heap — and the caller stops early simply by not calling Next
+// again. The trie must not be modified while an iterator is in use.
 type OverlapIter struct {
 	m     Match
+	mmask uint32      // m.Dst's netmask
 	ents  []trieEntry // entries of the node being yielded
 	i     int         // next index into ents
 	path  *trieNode   // next node on the way down to m.Dst; nil once the subtree walk began
-	depth uint8       // depth of path
 	// stack holds the subtree nodes still to visit. Pre-order pops one node
 	// and pushes its two children, so it holds at most one pending sibling
-	// per level below the subtree root plus the two just pushed: ≤ 33.
+	// per node above the popped one plus the two just pushed; a node with
+	// children is at most /31, so at most 31 nodes lie above it: ≤ 33.
 	stack [33]*trieNode
 	sp    int
 }
 
 // OverlapCandidates starts an overlap walk for m.
 func (t *Trie) OverlapCandidates(m Match) OverlapIter {
-	return OverlapIter{m: m, path: t.root}
+	return OverlapIter{m: m, mmask: m.Dst.Mask(), path: t.root}
 }
 
 // Next returns the next rule overlapping the query, or ok=false when the
@@ -306,15 +408,21 @@ func (it *OverlapIter) Next() (Rule, bool) {
 		}
 		var n *trieNode
 		switch {
-		case it.path != nil && it.depth < it.m.Dst.Len:
-			// Ancestor: its dst contains the query's.
-			n = it.path
-			it.path = n.children[(it.m.Dst.Addr>>(31-it.depth))&1]
-			it.depth++
 		case it.path != nil:
-			// The node at m.Dst roots the subtree of contained dsts.
 			n, it.path = it.path, nil
-			it.push(n)
+			if (n.addr^it.m.Dst.Addr)&n.mask&it.mmask != 0 {
+				// n's prefix and the query's are disjoint, and so is
+				// everything below n: the walk is over.
+				return Rule{}, false
+			}
+			if n.plen < it.m.Dst.Len {
+				// Ancestor: its dst contains the query's.
+				it.path = n.step(it.m.Dst.Addr)
+			} else {
+				// The first node at or below m.Dst roots the subtree of
+				// contained dsts.
+				it.push(n)
+			}
 		case it.sp > 0:
 			it.sp--
 			n = it.stack[it.sp]

@@ -14,6 +14,7 @@ func TestTrieInsertGetDelete(t *testing.T) {
 	tr.Insert(r1)
 	tr.Insert(r2)
 	tr.Insert(r3)
+	checkCompressed(t, &tr)
 
 	if tr.Size() != 3 {
 		t.Fatalf("Size = %d, want 3", tr.Size())
@@ -27,6 +28,7 @@ func TestTrieInsertGetDelete(t *testing.T) {
 	if tr.Delete(r1.Match.Dst, 1) {
 		t.Error("double Delete(1) succeeded")
 	}
+	checkCompressed(t, &tr)
 	if tr.Size() != 2 {
 		t.Errorf("Size after delete = %d, want 2", tr.Size())
 	}
@@ -90,6 +92,7 @@ func TestTrieOverlappingBruteForce(t *testing.T) {
 			rules[i] = Rule{ID: RuleID(i + 1), Match: randomMatch(r)}
 			tr.Insert(rules[i])
 		}
+		checkCompressed(t, &tr)
 		q := randomMatch(r)
 		want := map[RuleID]bool{}
 		for _, rr := range rules {
@@ -236,8 +239,10 @@ func TestTrieNodeRecycling(t *testing.T) {
 	}
 
 	// Freeze the path, then churn it: the delete copies the path before it
-	// prunes, so the freelist fills with the copies, never with the 33 nodes
-	// the snapshot holds, and the snapshot keeps its answer throughout.
+	// unlinks, so the freelist fills with the copies, never with the nodes
+	// the snapshot holds, and the snapshot keeps its answer throughout. The
+	// sibling /32 splits the rule's edge at their common /29 and the branch
+	// node merges away again when it goes.
 	snap := tr.Freeze()
 	frozen := map[*trieNode]bool{}
 	frozenNodes(snap.root, frozen)
@@ -247,12 +252,16 @@ func TestTrieNodeRecycling(t *testing.T) {
 			t.Fatal("delete under a snapshot failed")
 		}
 		checkOwnership(t, &tr, frozen)
+		checkCompressed(t, &tr)
 		tr.Insert(other)
 		tr.Insert(r)
 		checkOwnership(t, &tr, frozen)
+		checkCompressed(t, &tr)
 		if !tr.Delete(other.Match.Dst, other.ID) {
 			t.Fatal("delete of the sibling failed")
 		}
+		checkOwnership(t, &tr, frozen)
+		checkCompressed(t, &tr)
 		if got, ok := snap.Lookup(r.Match.Dst.Addr, 0); !ok || got != r {
 			t.Fatalf("cycle %d: snapshot answers %v,%v, want %v", i, got, ok, r)
 		}

@@ -365,10 +365,12 @@ func TestPublishCostIndependentOfOccupancy(t *testing.T) {
 	if small != large {
 		t.Errorf("write-then-read cycle allocates %.0f times at 200 rules, %.0f at 4000: publishing must cost what changed", small, large)
 	}
-	// Four publishes (one agentView each) and four writes that each copy at
-	// most the 25 index nodes, and their entries, on a /24's path.
-	if bound := float64(4 + 4*2*25); large > bound {
-		t.Errorf("write-then-read cycle allocates %.0f times, want ≤ %.0f (four snapshots plus four copied paths)", large, bound)
+	// Four publishes (one agentView each), and the two deletes' path copies:
+	// a copied path holds only the branch points and rule-bearing prefixes
+	// above the probe, here at most two nodes, each with its entries. The
+	// inserts reuse the nodes the deletes unlinked.
+	if bound := float64(4 + 2*2*2); large > bound {
+		t.Errorf("write-then-read cycle allocates %.0f times, want ≤ %.0f (four snapshots plus two copied paths)", large, bound)
 	}
 }
 

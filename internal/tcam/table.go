@@ -538,8 +538,8 @@ func (t *Table) indexInsert(r classifier.Rule, rank uint64) {
 
 // Lookup returns the first (highest-priority, earliest-inserted) rule
 // matching the packet, mirroring hardware first-match semantics. The
-// default path is the match index's first-match walk over the ≤33 trie
-// nodes on the packet's destination path; SetLinearLookup(true) selects the
+// default path is the match index's first-match walk over the trie nodes on
+// the packet's destination path; SetLinearLookup(true) selects the
 // full-scan oracle instead. Both return bit-for-bit the same rule.
 func (t *Table) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	if t.linear {

@@ -3,8 +3,8 @@
 # suppression ratchet), build, the full test suite under the race detector,
 # the linter's self-test against its known-bad corpus, the nested benchmark
 # module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
-# verdicts, and short-budget fuzz
-# runs of the wire codec, the prefix parser, the four lookup equivalences
+# verdicts, one iteration of the trie and TCAM micro-benchmarks, and
+# short-budget fuzz runs of the wire codec, the prefix parser, the four lookup equivalences
 # (the TCAM one also holds the blocked table to the dense placement model)
 # and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
 # number is gated here (`bash benchmark/run.sh` is the one place those are
@@ -118,6 +118,10 @@ if [ "$breach_status" -ne 1 ]; then
   echo "loadgen smoke failed: expected exit 1 on injected breach, got $breach_status" >&2
   exit 1
 fi
+
+echo ">> micro-benchmarks run once so they cannot rot: trie lookup and locate, TCAM churn (nothing timed is gated)"
+go test -run='^$' -bench='SnapshotLookup|TrieLocate' -benchtime=1x ./internal/classifier
+go test -run='^$' -bench=TableChurn -benchtime=1x ./internal/tcam
 
 echo ">> fuzz: codec round-trip (5s)"
 go test -run='^$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
