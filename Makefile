@@ -10,12 +10,13 @@ build:
 test:
 	$(GO) test ./...
 
-# hermes-vet (DESIGN.md §13): CFG/dataflow static analysis of the
-# project's concurrency and hot-path invariants — determinism (intra- and
-# interprocedural wall-clock reach), zero-alloc hot paths, lock
-# discipline, snapshot immutability after atomic.Pointer publication,
-# blocking channel ops under locks, wire narrowing, error wrapping,
-# test-goroutine hygiene, and //lint:ignore hygiene.
+# hermes-vet (DESIGN.md §8): CFG/dataflow static analysis of the
+# project's concurrency and hot-path invariants, one analyzer each —
+# determinism (wall clock and global rand, direct or through helpers),
+# zero-alloc //hermes:hotpath roots, lock discipline, snapshot
+# immutability after atomic.Pointer publication, blocking channel ops
+# under locks, wire narrowing, error wrapping, test-goroutine hygiene, and
+# //lint:ignore / //hermes: directive hygiene.
 lint:
 	$(GO) run ./cmd/hermes-lint ./...
 

@@ -1,26 +1,27 @@
 // Command hermes-lint is the front end of hermes-vet, the project's
-// static analysis engine (DESIGN.md §13): per-function control-flow
+// static analysis engine (DESIGN.md §8): per-function control-flow
 // graphs, a module-wide call graph, and a forward-dataflow framework that
 // the analyzers share. The suite mechanically enforces Hermes's
-// invariants — deterministic simulation (intra- and interprocedural),
-// zero-alloc hot paths (including allocations laundered through helper
-// calls), lock discipline, snapshot immutability after atomic
+// invariants, one analyzer each — deterministic simulation (direct use or
+// reached through helper calls), zero-alloc hot paths (the functions
+// marked //hermes:hotpath, including allocations laundered through
+// helpers), lock discipline, snapshot immutability after atomic
 // publication, blocking channel operations inside critical sections,
 // wire-codec bounds safety, error-chain preservation, test-goroutine
-// hygiene, and the hygiene of the //lint:ignore escape hatch itself.
+// hygiene, and the hygiene of its own comment directives.
 //
 // Usage:
 //
-//	hermes-lint [-json | -sarif] [-list] [pattern ...]
+//	hermes-lint [-sarif] [-list] [pattern ...]
 //
 // Patterns are directories or "dir/..." trees; the default is "./...".
-// -json emits findings as a JSON array stable-sorted by position;
-// -sarif emits a SARIF 2.1.0 log for code-scanning upload (paths
-// relative to the current directory). Exit status is 0 when clean, 1
-// when findings are reported, and 2 on a usage, load, or type-check
-// failure. Findings can be suppressed at a specific line with
-// "//lint:ignore <analyzer> <reason>" — the reason is mandatory and the
-// analyzer name is checked (lintdirective flags violations).
+// Findings print one per line, sorted by position; -sarif emits a SARIF
+// 2.1.0 log for code-scanning upload instead (paths relative to the
+// current directory). Exit status is 0 when clean, 1 when findings are
+// reported, and 2 on a usage, load, or type-check failure. Findings can
+// be suppressed at a specific line with "//lint:ignore <analyzer>
+// <reason>" — the reason is mandatory and the analyzer name is checked
+// (lintdirective flags violations).
 package main
 
 import (
@@ -40,14 +41,9 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("hermes-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON (stable-sorted by position)")
 	sarifOut := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0 for code-scanning upload")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "hermes-lint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -70,21 +66,17 @@ func run(args []string, stdout, stderr *os.File) int {
 	}
 	findings := lint.Run(analyzers, pkgs, fset)
 
-	switch {
-	case *jsonOut:
-		err = lint.WriteJSON(stdout, findings)
-	case *sarifOut:
+	if *sarifOut {
 		root, rootErr := os.Getwd()
 		if rootErr != nil {
 			root = ""
 		}
-		err = lint.WriteSARIF(stdout, analyzers, findings, root)
-	default:
+		if err := lint.WriteSARIF(stdout, analyzers, findings, root); err != nil {
+			fmt.Fprintln(stderr, "hermes-lint:", err)
+			return 2
+		}
+	} else {
 		lint.WriteText(stdout, findings)
-	}
-	if err != nil {
-		fmt.Fprintln(stderr, "hermes-lint:", err)
-		return 2
 	}
 	if len(findings) > 0 {
 		return 1

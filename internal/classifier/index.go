@@ -9,6 +9,8 @@ type Snapshot struct{ root *trieNode }
 
 // Lookup returns the first-match rule for the packet among the trie's
 // current rules. See Snapshot.Lookup.
+//
+//hermes:hotpath
 func (t *Trie) Lookup(dst, src uint32) (Rule, bool) { return Snapshot{t.root}.Lookup(dst, src) }
 
 // Lookup returns the first-match rule for the packet: of the rules matching
@@ -21,6 +23,8 @@ func (t *Trie) Lookup(dst, src uint32) (Rule, bool) { return Snapshot{t.root}.Lo
 // entries only of the nodes whose best priority can still beat the
 // candidate in hand (deeply nested rule sets put twenty candidates on one
 // path; most lose on priority alone). Zero allocations.
+//
+//hermes:hotpath
 func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
 	var best *trieEntry
 	var bestPrio int32 // best.rule.Priority, kept out of memory: re-reading it per node cost the median lookup ~15 %

@@ -397,6 +397,8 @@ func (t *Trie) OverlapCandidates(m Match) OverlapIter {
 
 // Next returns the next rule overlapping the query, or ok=false when the
 // walk is done.
+//
+//hermes:hotpath
 func (it *OverlapIter) Next() (Rule, bool) {
 	for {
 		for it.i < len(it.ents) {

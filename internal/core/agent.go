@@ -930,6 +930,8 @@ func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.A
 // without the agent lock; the lookup that finds the snapshot stale (a
 // control-plane write landed) publishes the next one first. Only the
 // Config.LinearLookup oracle reads the live tables, under the read lock.
+//
+//hermes:hotpath
 func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	v := a.view.Load()
 	if v != nil && v.shadowGen == a.shadow.Gen() && v.mainGen == a.main.Gen() &&
@@ -937,7 +939,6 @@ func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 		return v.lookup(dst, src)
 	}
 	if !a.cfg.LinearLookup {
-		//lint:ignore hotpathalloc the stale reader publishes: one agentView, plus the hit map and the reference tier when they moved
 		return a.publishView().lookup(dst, src)
 	}
 	a.mu.RLock()
@@ -1016,11 +1017,12 @@ func (a *Agent) retrackLogical(r classifier.Rule) {
 // (highest priority wins, earlier insertion breaks ties). Only valid when
 // cfg.TrackLogical is set. Like Lookup it runs on the published snapshot;
 // the Config.LinearLookup oracle is the read-locked linear reference scan.
+//
+//hermes:hotpath
 func (a *Agent) LogicalLookup(dst, src uint32) (classifier.Rule, bool) {
 	if a.cfg.TrackLogical && !a.cfg.LinearLookup {
 		v := a.view.Load()
 		if v == nil || v.logicalGen != a.logicalGen.Load() {
-			//lint:ignore hotpathalloc the stale reader publishes: one agentView, plus the hit map and the reference tier when they moved
 			v = a.publishView()
 		}
 		return v.logical.Lookup(dst, src)

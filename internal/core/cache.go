@@ -78,6 +78,8 @@ func (a *Agent) recordPlainHit(r classifier.Rule, ok bool) {
 // tier's verdict on the live-table read path (the LinearLookup oracle, read
 // lock held): real hits return directly, cover hits and misses continue into
 // the software tier.
+//
+//hermes:hotpath
 func (a *Agent) finishCachedLookup(dst, src uint32, r classifier.Rule, ok bool) (classifier.Rule, bool) {
 	if ok && r.ID < coverIDBase {
 		a.cmgr.SampleHW(dst, src, r.ID)
@@ -245,6 +247,8 @@ func (a *Agent) modifyCached(now time.Duration, r classifier.Rule) (Result, erro
 // regular Gate Keeper routing (bypass/shadow/main/redundant), under its
 // original seq so tie-breaking is preserved. Requires a.mu held
 // exclusively.
+//
+//hermes:coldpath a promotion rewrites the TCAM; quiet ticks make none
 func (a *Agent) promoteLocked(now time.Duration, id classifier.RuleID) error {
 	r, seq, ok := a.soft.Get(id)
 	if !ok {
@@ -274,6 +278,8 @@ func (a *Agent) promoteLocked(now time.Duration, id classifier.RuleID) error {
 // demoteLocked evicts a resident rule from the hardware tier (it stays
 // authoritative in the software tier) and shields it with covers if it
 // still beats some resident. Requires a.mu held exclusively.
+//
+//hermes:coldpath a demotion rewrites the TCAM; quiet ticks make none
 func (a *Agent) demoteLocked(now time.Duration, id classifier.RuleID) {
 	st, resident := a.rules[id]
 	if !resident {
@@ -470,6 +476,8 @@ func cmpRank(x, y rankCand) int {
 // scoreOf ranks one software-tier entry under the configured policy. Only
 // the cost-aware policy looks at the hardware slots the rule occupies (its
 // fragments while resident, its covers otherwise).
+//
+//hermes:hotpath
 func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
 	slots := 1
 	if a.cacheCfg.Policy == rulecache.PolicyCostAware {
@@ -495,6 +503,8 @@ func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
 // residents ∪ challengers, and the top Capacity of that subset is the same
 // set in the same order. While the cache has free slots every software-only
 // rule is a challenger and this is the full sort.
+//
+//hermes:hotpath
 func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 	capacity := a.cacheCfg.Capacity
 	cands := a.rankBuf[:0]
@@ -549,6 +559,8 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 // hygiene where the resident set changed. Its cost follows what changed: a
 // pass in which no rule crossed the cut is one scan of the scores and
 // nothing else. Requires a.mu held exclusively.
+//
+//hermes:hotpath
 func (a *Agent) rebalanceLocked(now time.Duration) {
 	if a.needsReconcile {
 		// Promotions re-install existing IDs into hardware, unsafe while
@@ -570,7 +582,6 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 		// An earlier demotion's table-full fallback may already have
 		// evicted this one.
 		if _, resident := a.rules[id]; resident {
-			//lint:ignore hotpathalloc a demotion rewrites the TCAM; quiet ticks have none
 			a.demoteLocked(now, id)
 			moves++
 		}
@@ -586,11 +597,9 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 		if len(a.residents) >= a.cacheCfg.Capacity {
 			break
 		}
-		//lint:ignore hotpathalloc a promotion rewrites the TCAM; quiet ticks have none
 		a.promoteLocked(now, c.id)
 		moves++ // failed promotions still consumed hardware work
 	}
-	//lint:ignore hotpathalloc allocates only when a resident-set change left rules to revisit
 	a.coverHygieneLocked(now)
 }
 
@@ -601,6 +610,8 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 // overlapping a match recorded by noteResidentChange can be affected, so
 // only those are visited, in ID order like the full sweep that hygieneAll
 // still selects after a fault or repair.
+//
+//hermes:coldpath allocates only when a resident-set change left rules to revisit
 func (a *Agent) coverHygieneLocked(now time.Duration) {
 	todo := a.hygieneIDs[:0]
 	if a.hygieneAll {

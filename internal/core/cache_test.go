@@ -19,6 +19,7 @@ import (
 	"hermes/internal/classifier"
 	"hermes/internal/obs"
 	"hermes/internal/rulecache"
+	"hermes/internal/tcam"
 )
 
 func newCachedAgent(t *testing.T, capacity int, policy rulecache.Policy) *Agent {
@@ -610,6 +611,93 @@ func TestRebalanceQuietTickAllocs(t *testing.T) {
 	}
 	if got := a.ViewTierRebuilds(); got != tiers {
 		t.Errorf("quiet rebalances rebuilt snapshot tiers: %+v -> %+v", tiers, got)
+	}
+}
+
+// TestCoverHygieneTableFullFallback drives the hygiene pass into its
+// table-full fallback: the one software-only rule it has to shield cannot
+// get a cover because the main table is full, so installCovers demotes the
+// resident the rule beats instead. That demotion makes every other rule's
+// cover stale, and the pass must go on to visit every later rule ID — not
+// only the ones its dirty list named — and leave no shield the full sweep
+// would still fix. The pass after it must leave none either.
+func TestCoverHygieneTableFullFallback(t *testing.T) {
+	prof := *tcam.Pica8P3290
+	prof.Capacity = 16
+	a, err := New(tcam.NewSwitch("tiny", &prof), Config{
+		Guarantee:        5 * time.Millisecond,
+		DisableRateLimit: true,
+		TrackLogical:     true,
+		Cache:            &rulecache.Config{Capacity: 1, Policy: rulecache.PolicyLFU, SampleStride: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Millisecond
+	// One broad low-priority resident, then narrower higher-priority
+	// software-only rules inside it, each shielded by one cover in main,
+	// until the covers fill the main table.
+	mustInsert(t, a, now, dstRule(1, "10.0.0.0/8", 1, 1))
+	nextID := classifier.RuleID(2)
+	insertShielded := func() {
+		now += time.Millisecond
+		r := dstRule(nextID, "10.0.0.0/16", 5, int(nextID))
+		r.Match = classifier.DstMatch(classifier.NewPrefix(0x0A000000|uint32(nextID)<<16, 16))
+		mustInsert(t, a, now, r)
+		nextID++
+	}
+	for a.main.Free() > 0 {
+		insertShielded()
+	}
+	now += 10 * time.Millisecond
+	a.Rebalance(now) // a quiet pass: it only drains the dirty list
+	if got := a.CacheResident(); got != 1 || len(a.covers) != int(nextID)-2 || len(oracleShield(a)) != 0 {
+		t.Fatalf("fixture: residents %d, shielded rules %d of %d, stale %v",
+			got, len(a.covers), nextID-2, oracleShield(a))
+	}
+
+	// Rule 2 loses its shield, the way a fault or an earlier fallback can
+	// leave a winner uncovered; a later rule's cover takes the freed slot,
+	// and only rule 2's region is recorded dirty.
+	a.removeCoversFor(now, 2)
+	insertShielded()
+	if a.main.Free() != 0 {
+		t.Fatalf("fixture: main table has %d free slots, want 0", a.main.Free())
+	}
+	h2, _, _ := a.soft.Get(2)
+	a.noteResidentChange(h2.Match)
+
+	before := a.CacheStats()
+	a.mu.Lock()
+	a.coverHygieneLocked(now)
+	a.mu.Unlock()
+	after := a.CacheStats()
+	if got := after.Demotions - before.Demotions; got != 1 || a.CacheResident() != 0 {
+		t.Fatalf("fallback demotions = %d, residents left %d; want the beaten resident demoted",
+			got, a.CacheResident())
+	}
+	if got, want := after.HygieneVisits-before.HygieneVisits, uint64(nextID)-2; got != want {
+		t.Errorf("hygiene visited %d software-only rules, want %d (rule 2 and every later ID)", got, want)
+	}
+	if stale := oracleShield(a); len(stale) > 0 {
+		t.Errorf("after the fallback pass the full sweep would still fix the shields of %v", stale)
+	}
+
+	now += 10 * time.Millisecond
+	a.Rebalance(now)
+	if stale := oracleShield(a); len(stale) > 0 {
+		t.Errorf("after the next pass the full sweep would still fix the shields of %v", stale)
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	for id := classifier.RuleID(1); id < nextID; id++ {
+		dst := 0x0A000001 | uint32(id)<<16
+		want, wok := a.LogicalLookup(dst, 0)
+		got, gok := a.Lookup(dst, 0)
+		if wok != gok || got.ID != want.ID {
+			t.Errorf("lookup %08x = rule %d (%v), oracle rule %d (%v)", dst, got.ID, gok, want.ID, wok)
+		}
 	}
 }
 

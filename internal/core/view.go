@@ -45,6 +45,8 @@ type agentView struct {
 // lookup resolves a packet against the snapshot exactly as the carved
 // pipeline would: shadow slice first, then main — and, in cached mode,
 // finishes cover punts and hardware misses in the software tier.
+//
+//hermes:hotpath
 func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 	r, ok := v.shadow.Lookup(dst, src)
 	if !ok {
@@ -84,6 +86,8 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 // generation did not move, and publishes it — written before Store, never
 // after. A reader that lost the race to another finds the view already
 // current and returns that one.
+//
+//hermes:coldpath the stale reader publishes: one agentView, plus the hit map and the reference tier when they moved
 func (a *Agent) publishView() *agentView {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural
-// hermes-vet analyzers (hotpathalloc, walltime, snapshotsafety) traverse.
+// hermes-vet analyzers (hotpathalloc, determinism, snapshotsafety) traverse.
 // Resolution is the classic static approximation: direct function calls
 // and method calls on concrete receivers resolve to their declarations;
 // calls through interfaces, function values, and into packages outside the
@@ -134,28 +134,39 @@ type ReachInfo struct {
 	Via    string
 }
 
-// Reaches computes the transitive closure of a per-function property over
-// the call graph: a function has the property if direct() reports it, or
-// if any resolved call site's callee has it. The returned map holds a
-// witness per affected function, so analyzers can print the chain that
-// carries a violation into a guarded root. Iterates to a fixed point;
-// deterministic because functions and call sites are visited in sorted
-// declaration order.
-func (g *CallGraph) Reaches(direct func(*FuncNode) (token.Pos, bool)) map[string]*ReachInfo {
+// Reaches computes the transitive closure of a per-node property over the
+// call graph: a function has the property if site accepts some node of its
+// body, or if any resolved call site's callee has it. A function for which
+// stop (if non-nil) holds never has it, so the closure does not pass
+// through it. The returned map holds a witness per affected function, so
+// analyzers can print the chain that carries a violation into a guarded
+// root. Iterates to a fixed point; deterministic because functions and
+// call sites are visited in sorted declaration order.
+func (g *CallGraph) Reaches(site func(*Package, ast.Node) bool, stop func(*FuncNode) bool) map[string]*ReachInfo {
 	out := make(map[string]*ReachInfo)
 	for _, id := range g.order {
-		if pos, ok := direct(g.Funcs[id]); ok {
+		fn := g.Funcs[id]
+		if stop != nil && stop(fn) {
+			continue
+		}
+		var pos token.Pos
+		ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
+			if pos == token.NoPos && site(fn.Pkg, n) {
+				pos = n.Pos()
+			}
+			return pos == token.NoPos
+		})
+		if pos != token.NoPos {
 			out[id] = &ReachInfo{Direct: true, Pos: pos}
 		}
 	}
 	for changed := true; changed; {
 		changed = false
 		for _, id := range g.order {
-			if _, done := out[id]; done {
+			if _, done := out[id]; done || (stop != nil && stop(g.Funcs[id])) {
 				continue
 			}
-			node := g.Funcs[id]
-			for _, cs := range node.Calls {
+			for _, cs := range g.Funcs[id].Calls {
 				if cs.Callee == "" || cs.Callee == id {
 					continue
 				}
@@ -170,25 +181,18 @@ func (g *CallGraph) Reaches(direct func(*FuncNode) (token.Pos, bool)) map[string
 	return out
 }
 
-// Chain renders the witness path from id down to the direct occurrence,
-// e.g. ["publishView", "NewRuleIndex"]. Cycles cannot occur because Reaches
-// only records acyclic witnesses.
-func (g *CallGraph) Chain(reach map[string]*ReachInfo, id string) []string {
-	var chain []string
-	for cur := id; ; {
-		info := reach[cur]
-		if info == nil {
-			return chain
-		}
-		if info.Direct {
-			return chain
-		}
+// chainOf renders the witness path from id down to the direct occurrence,
+// e.g. "Agent.publishView → classifier.NewRuleIndex", and returns the
+// occurrence's position. Every witness points at a function recorded
+// before it, so the walk cannot cycle.
+func chainOf(reach map[string]*ReachInfo, id string) (string, token.Pos) {
+	chain := []string{shortFuncID(id)}
+	info := reach[id]
+	for !info.Direct {
 		chain = append(chain, shortFuncID(info.Via))
-		cur = info.Via
-		if len(chain) > 16 {
-			return chain
-		}
+		info = reach[info.Via]
 	}
+	return strings.Join(chain, " → "), info.Pos
 }
 
 // shortFuncID compresses a FullName to "Type.Method" or "pkg.Func" for

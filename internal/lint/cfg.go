@@ -6,7 +6,7 @@ import (
 )
 
 // This file builds per-function control-flow graphs, the substrate of the
-// hermes-vet dataflow analyses (DESIGN.md §13). The graph is
+// hermes-vet dataflow analyses (DESIGN.md §8). The graph is
 // statement-level: every block holds the AST nodes that execute in order
 // (statements plus the condition expressions evaluated at its end), and
 // edges follow Go control flow including loops with back edges,
@@ -406,4 +406,13 @@ func fallsThrough(body []ast.Stmt) bool {
 	}
 	t, ok := body[len(body)-1].(*ast.BranchStmt)
 	return ok && t.Tok == token.FALLTHROUGH
+}
+
+func isPanicCall(e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	id, ok := call.Fun.(*ast.Ident)
+	return ok && id.Name == "panic"
 }

@@ -17,9 +17,10 @@ import (
 // operation cannot block).
 //
 // It composes two analyses this package already has: the lockcheck
-// must-held dataflow (which locks are definitely held before each CFG
-// node) and a package-wide channel census (which channel variables and
-// fields are only ever assigned unbuffered makes).
+// must-held dataflow, run with deferred unlocks not releasing (the
+// critical section extends to the return), and a package-wide channel
+// census (which channel variables and fields are only ever assigned
+// unbuffered makes).
 var ChanBlockAnalyzer = &Analyzer{
 	Name: "chanblock",
 	Doc:  "flags sends/receives on unbuffered channels while a mutex is held",
@@ -202,31 +203,17 @@ func runChanBlock(p *Pass) {
 	if len(unbuffered) == 0 {
 		return
 	}
-	for _, file := range p.Files() {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkChanBlock(p, unbuffered, body)
-			}
-			return true
-		})
-	}
+	p.FuncBodies(func(body *ast.BlockStmt) { checkChanBlock(p, unbuffered, body) })
 }
 
 func checkChanBlock(p *Pass, unbuffered map[*types.Var]bool, body *ast.BlockStmt) {
-	held := mustHeldAt(p, body)
+	cfg := p.FuncCFG(body)
+	transfer := lockTransfer(false)
 	exempt := nonBlockingComms(body)
-	for node, locks := range held {
+	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), transfer)
+	res.Replay(cfg, transfer, func(node ast.Node, locks Set[lockKey]) {
 		if len(locks) == 0 || exempt[node] {
-			continue
+			return
 		}
 		ast.Inspect(node, func(x ast.Node) bool {
 			switch op := x.(type) {
@@ -253,7 +240,7 @@ func checkChanBlock(p *Pass, unbuffered map[*types.Var]bool, body *ast.BlockStmt
 			}
 			return true
 		})
-	}
+	})
 }
 
 // firstLock renders one held lock deterministically (the set is tiny; the

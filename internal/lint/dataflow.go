@@ -9,8 +9,7 @@ import (
 // are sets; an analysis chooses the meet (union for may-analyses like
 // taint reach, intersection for must-analyses like lock-held) and a
 // per-node transfer function, which is the statement-granular form of the
-// classic gen/kill formulation — GenKillTransfer adapts a pure gen/kill
-// pair when the analysis has no need for anything fancier.
+// classic gen/kill formulation.
 
 // Set is a fact set over any comparable element.
 type Set[E comparable] map[E]struct{}
@@ -98,45 +97,28 @@ func meetSets[E comparable](m Meet, a, b Set[E]) Set[E] {
 // hands each transfer its own copy, so implementations may mutate freely.
 type Transfer[E comparable] func(n ast.Node, in Set[E]) Set[E]
 
-// GenKillTransfer lifts a pure gen/kill description into a Transfer: kills
-// apply before gens, the textbook convention.
-func GenKillTransfer[E comparable](f func(n ast.Node) (gen, kill []E)) Transfer[E] {
-	return func(n ast.Node, in Set[E]) Set[E] {
-		gen, kill := f(n)
-		for _, e := range kill {
-			in.Del(e)
-		}
-		for _, e := range gen {
-			in.Add(e)
-		}
-		return in
-	}
-}
-
 // FlowResult carries the fixed point: the fact set at entry and exit of
-// every block, plus the iteration count (exported so the framework tests
-// can assert convergence behaviour on loops).
+// every block.
 type FlowResult[E comparable] struct {
-	In         map[*Block]Set[E]
-	Out        map[*Block]Set[E]
-	Iterations int
+	In  map[*Block]Set[E]
+	Out map[*Block]Set[E]
 }
 
-// StateAt replays the block's transfers from its in-state and returns the
-// fact set in force immediately *before* the given node. The node must be
-// one of the block's Nodes.
-func (r *FlowResult[E]) StateAt(transfer Transfer[E], b *Block, target ast.Node) Set[E] {
-	state := r.In[b].Clone()
-	if state == nil {
-		state = NewSet[E]()
-	}
-	for _, n := range b.Nodes {
-		if n == target {
-			return state
+// Replay walks the reached blocks of cfg, calling visit with the fact set
+// in force immediately *before* each node — how analyzers report at the
+// offending statement rather than at block granularity. visit must not
+// keep the set: the next transfer mutates it.
+func (r *FlowResult[E]) Replay(cfg *CFG, transfer Transfer[E], visit func(n ast.Node, before Set[E])) {
+	for _, b := range cfg.Blocks {
+		if !b.Reachable() || r.In[b] == nil {
+			continue
 		}
-		state = transfer(n, state)
+		state := r.In[b].Clone()
+		for _, n := range b.Nodes {
+			visit(n, state)
+			state = transfer(n, state)
+		}
 	}
-	return state
 }
 
 // Forward solves a forward dataflow problem to its fixed point with a
@@ -160,7 +142,6 @@ func Forward[E comparable](cfg *CFG, m Meet, boundary Set[E], transfer Transfer[
 		b := queue[0]
 		queue = queue[1:]
 		inQueue[b] = false
-		res.Iterations++
 
 		in := res.In[b]
 		if b != cfg.Entry {

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -11,18 +14,25 @@ import (
 // wall-clock time and no global (process-seeded) randomness. Seeded
 // *rand.Rand values threaded through APIs are fine; package-level
 // math/rand functions and time.Now are not.
+//
+// One predicate, nondeterministic, drives two reports. A direct use is
+// flagged wherever it is written in a deterministic package, test files
+// and package-level initializers included. A call from a non-test
+// declaration of a deterministic package into a helper elsewhere that
+// reaches a use through the module call graph (callgraph.go) is flagged
+// at the call, with the chain that carries it in: sim calls util.Stamp(),
+// util.Stamp calls time.Now, and every experiment stops replaying. Calls
+// to helpers *within* the deterministic set are exempt — their bodies are
+// checked directly — so each violation is reported once, at the boundary.
 var DeterminismAnalyzer = &Analyzer{
-	Name:       "determinism",
-	Doc:        "flags wall-clock time and global math/rand use inside deterministic packages",
-	DedupGroup: "walltime",
-	Paths:      deterministicPaths,
-	Run:        runDeterminism,
+	Name:  "determinism",
+	Doc:   "flags wall-clock time and global math/rand use in deterministic packages, directly or through helper calls",
+	Paths: deterministicPaths,
+	Run:   runDeterminism,
 }
 
 // deterministicPaths are the packages promised to draw no wall-clock time
-// and no global randomness. The determinism analyzer checks their bodies
-// directly; the walltime analyzer chases helper calls that launder a
-// wall-clock read in from outside this set.
+// and no global randomness.
 var deterministicPaths = []string{
 	"internal/sim",
 	"internal/predict",
@@ -67,28 +77,62 @@ var bannedRand = map[string]bool{
 	"Read": true,
 }
 
+// nondeterministic reports whether n names a wall-clock read or a draw
+// from the global math/rand source.
+func nondeterministic(pkg *Package, n ast.Node) bool {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	switch pkgNameOf(pkg, sel.X) {
+	case "time":
+		return bannedTime[sel.Sel.Name]
+	case "math/rand", "math/rand/v2":
+		return bannedRand[sel.Sel.Name]
+	}
+	return false
+}
+
 func runDeterminism(p *Pass) {
 	for _, file := range p.Files() {
 		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch p.PkgNameOf(sel.X) {
-			case "time":
-				if bannedTime[sel.Sel.Name] {
-					p.Reportf(sel.Pos(),
-						"wall-clock time.%s in deterministic package; inject a virtual clock",
-						sel.Sel.Name)
-				}
-			case "math/rand", "math/rand/v2":
-				if bannedRand[sel.Sel.Name] {
-					p.Reportf(sel.Pos(),
-						"global rand.%s in deterministic package; use a seeded *rand.Rand",
-						sel.Sel.Name)
-				}
+			if nondeterministic(p.Pkg, n) {
+				p.Reportf(n.Pos(),
+					"%s reads the wall clock or the global random source in a deterministic package; inject a virtual clock or a seeded *rand.Rand",
+					types.ExprString(n.(ast.Expr)))
 			}
 			return true
 		})
 	}
+
+	reach := p.Prog.Cached("determinism.reach", func() any {
+		return p.Prog.CallGraph().Reaches(nondeterministic, nil)
+	}).(map[string]*ReachInfo)
+	g := p.Prog.CallGraph()
+	for _, id := range g.order {
+		node := g.Funcs[id]
+		if node.Pkg != p.Pkg || p.IsTest(node.Decl) {
+			continue
+		}
+		for _, cs := range node.Calls {
+			callee := g.Node(cs.Callee)
+			if callee == nil || reach[cs.Callee] == nil || isDeterministicPath(callee.Pkg.Path) {
+				continue
+			}
+			chain, sink := chainOf(reach, cs.Callee)
+			p.Reportf(cs.Call.Pos(),
+				"call reaches wall-clock time or global rand via %s (at %s); inject a virtual clock or a seeded *rand.Rand",
+				chain, shortPos(p.Fset.Position(sink)))
+		}
+	}
+}
+
+// shortPos trims a position to its last two path elements for message
+// brevity (full paths are already in the finding position).
+func shortPos(pos token.Position) string {
+	parts := strings.Split(pos.Filename, "/")
+	if len(parts) > 2 {
+		parts = parts[len(parts)-2:]
+	}
+	return fmt.Sprintf("%s:%d", strings.Join(parts, "/"), pos.Line)
 }

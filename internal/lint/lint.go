@@ -3,7 +3,7 @@
 // depend on — deterministic simulation, wire-codec bounds safety, lock
 // discipline around shared switch state, error-chain preservation,
 // test-goroutine hygiene, and the concurrency/hot-path contracts of the
-// lock-free agent read path (DESIGN.md §8, §13).
+// lock-free agent read path (DESIGN.md §8).
 //
 // The package is stdlib-only (go/parser, go/ast, go/types and the source
 // importer); it loads packages straight from the tree so it works offline
@@ -14,12 +14,11 @@
 // per-function control-flow graphs (cfg.go), a module-wide call graph
 // (callgraph.go) and shared interprocedural summaries (memoized via
 // Program.Cached), and analyzers run concurrently against a Pass that
-// exposes all of it. Findings carry severities, are stably sorted, deduped
-// across analyzer families, and render as text, JSON, or SARIF.
+// exposes all of it. Findings are stably sorted and render as text or
+// SARIF.
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -30,24 +29,13 @@ import (
 	"sync"
 )
 
-// Severity classifies a finding for reporting backends (SARIF levels, CI
-// annotation styling). Every severity fails the lint gate; the distinction
-// is informational.
-type Severity string
-
-const (
-	SeverityError   Severity = "error"
-	SeverityWarning Severity = "warning"
-)
-
 // Finding is one analyzer hit, addressable as file:line:col.
 type Finding struct {
-	Analyzer string   `json:"analyzer"`
-	Severity Severity `json:"severity"`
-	File     string   `json:"file"`
-	Line     int      `json:"line"`
-	Col      int      `json:"col"`
-	Message  string   `json:"message"`
+	Analyzer string
+	File     string
+	Line     int
+	Col      int
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -58,15 +46,6 @@ func (f Finding) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-
-	// Severity defaults to SeverityError when empty.
-	Severity Severity
-
-	// DedupGroup names a family of analyzers that report the same root
-	// cause at the same position (e.g. allocscan and its interprocedural
-	// upgrade hotpathalloc). When two findings from one group land on the
-	// same file:line:col, only the first in analyzer-name order survives.
-	DedupGroup string
 
 	// Paths restricts the analyzer to packages whose import path (with
 	// any external-test "_test" suffix stripped) ends in one of these
@@ -163,30 +142,47 @@ type Pass struct {
 func (p *Pass) Files() []*ast.File {
 	var out []*ast.File
 	for _, f := range p.Pkg.Files {
-		test := strings.HasSuffix(p.Fset.Position(f.Pos()).Filename, "_test.go")
-		if (test && p.Analyzer.SkipTests) || (!test && p.Analyzer.TestsOnly) {
-			continue
+		if p.InScope(f) {
+			out = append(out, f)
 		}
-		out = append(out, f)
 	}
 	return out
+}
+
+// FuncBodies calls check on the body of every function declaration and
+// function literal in Files(), each analyzed on its own.
+func (p *Pass) FuncBodies(check func(body *ast.BlockStmt)) {
+	for _, file := range p.Files() {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					check(fn.Body)
+				}
+			case *ast.FuncLit:
+				check(fn.Body)
+			}
+			return true
+		})
+	}
 }
 
 // FuncCFG returns the cached control-flow graph for a function body.
 func (p *Pass) FuncCFG(body *ast.BlockStmt) *CFG { return p.Prog.FuncCFG(body) }
 
-// DeclInScope applies the analyzer's test-file filters to a declaration —
-// the call-graph analyzers iterate graph nodes rather than Files() and
-// must honor the same SkipTests/TestsOnly contract.
-func (p *Pass) DeclInScope(decl ast.Node) bool {
-	test := strings.HasSuffix(p.Fset.Position(decl.Pos()).Filename, "_test.go")
-	if test && p.Analyzer.SkipTests {
-		return false
+// InScope applies the analyzer's test-file filters to a file or
+// declaration — the call-graph analyzers iterate graph nodes rather than
+// Files() and must honor the same SkipTests/TestsOnly contract.
+func (p *Pass) InScope(n ast.Node) bool {
+	if p.IsTest(n) {
+		return !p.Analyzer.SkipTests
 	}
-	if !test && p.Analyzer.TestsOnly {
-		return false
-	}
-	return true
+	return !p.Analyzer.TestsOnly
+}
+
+// IsTest reports whether n sits in a _test.go file.
+func (p *Pass) IsTest(n ast.Node) bool {
+	return strings.HasSuffix(p.Fset.Position(n.Pos()).Filename, "_test.go")
 }
 
 // Reportf records one finding unless a //lint:ignore directive suppresses
@@ -196,13 +192,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	if p.Pkg.suppressed(p.Analyzer.Name, position) {
 		return
 	}
-	sev := p.Analyzer.Severity
-	if sev == "" {
-		sev = SeverityError
-	}
 	p.findings = append(p.findings, Finding{
 		Analyzer: p.Analyzer.Name,
-		Severity: sev,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
@@ -223,14 +214,14 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// PkgNameOf resolves an identifier used as a package qualifier (the "time"
+// pkgNameOf resolves an identifier used as a package qualifier (the "time"
 // in time.Now) to its imported package path, or "".
-func (p *Pass) PkgNameOf(e ast.Expr) string {
+func pkgNameOf(pkg *Package, e ast.Expr) string {
 	id, ok := e.(*ast.Ident)
 	if !ok {
 		return ""
 	}
-	if pn, ok := p.Pkg.Info.Uses[id].(*types.PkgName); ok {
+	if pn, ok := pkg.Info.Uses[id].(*types.PkgName); ok {
 		return pn.Imported().Path()
 	}
 	return ""
@@ -244,10 +235,8 @@ func Analyzers() []*Analyzer {
 		LockcheckAnalyzer,
 		WrapcheckAnalyzer,
 		TestGoroutineAnalyzer,
-		AllocscanAnalyzer,
 		SnapshotSafetyAnalyzer,
 		HotPathAllocAnalyzer,
-		WallTimeAnalyzer,
 		ChanBlockAnalyzer,
 		LintDirectiveAnalyzer,
 	}
@@ -272,7 +261,7 @@ func (a *Analyzer) appliesTo(pkg *Package) bool {
 
 // Run applies every analyzer to every package — (analyzer, package) pairs
 // execute concurrently against the shared Program — and returns the
-// stably sorted, cross-analyzer-deduped findings.
+// stably sorted findings.
 func Run(analyzers []*Analyzer, pkgs []*Package, fset *token.FileSet) []Finding {
 	prog := &Program{
 		Fset:          fset,
@@ -324,39 +313,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package, fset *token.FileSet) []Finding 
 		}
 		return a.Message < b.Message
 	})
-	return dedup(analyzers, findings)
-}
-
-// dedup collapses findings from one DedupGroup landing on the same
-// position: the interprocedural upgrades (hotpathalloc, walltime) see
-// everything their intraprocedural siblings see, and without this every
-// direct violation would be reported twice. Input must be sorted; the
-// first finding (lowest analyzer name) at a position wins.
-func dedup(analyzers []*Analyzer, findings []Finding) []Finding {
-	group := make(map[string]string, len(analyzers))
-	for _, a := range analyzers {
-		if a.DedupGroup != "" {
-			group[a.Name] = a.DedupGroup
-		}
-	}
-	out := findings[:0]
-	var curFile string
-	var curLine, curCol int
-	seen := map[string]bool{}
-	for _, f := range findings {
-		if f.File != curFile || f.Line != curLine || f.Col != curCol {
-			curFile, curLine, curCol = f.File, f.Line, f.Col
-			seen = map[string]bool{}
-		}
-		if g := group[f.Analyzer]; g != "" {
-			if seen[g] {
-				continue
-			}
-			seen[g] = true
-		}
-		out = append(out, f)
-	}
-	return out
+	return findings
 }
 
 // WriteText renders findings one per line for terminals and CI logs.
@@ -364,69 +321,4 @@ func WriteText(w io.Writer, findings []Finding) {
 	for _, f := range findings {
 		fmt.Fprintln(w, f)
 	}
-}
-
-// WriteJSON renders findings as a JSON array for tooling. The array is
-// stable-sorted by position (Run's output order), so CI diffs are
-// deterministic run to run.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
-}
-
-// ignoreDirective is one parsed "//lint:ignore <analyzer> <reason>"
-// comment. It suppresses findings of the named analyzer (or every
-// analyzer, for "all") on its own line and on the following line, so both
-// trailing comments and comments-above work.
-type ignoreDirective struct {
-	analyzer string
-	line     int
-}
-
-const ignorePrefix = "lint:ignore"
-
-func parseIgnores(fset *token.FileSet, files []*ast.File) map[string][]ignoreDirective {
-	out := make(map[string][]ignoreDirective)
-	for _, f := range files {
-		for _, group := range f.Comments {
-			for _, c := range group.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				if !strings.HasPrefix(text, ignorePrefix) {
-					continue
-				}
-				fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
-				if len(fields) == 0 {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				for _, name := range strings.Split(fields[0], ",") {
-					out[pos.Filename] = append(out[pos.Filename],
-						ignoreDirective{analyzer: name, line: pos.Line})
-				}
-			}
-		}
-	}
-	return out
-}
-
-func (p *Package) suppressed(analyzer string, pos token.Position) bool {
-	if analyzer == "lintdirective" {
-		// A directive cannot vouch for itself: bare or mistargeted ignores
-		// stay visible even under //lint:ignore all.
-		return false
-	}
-	for _, d := range p.ignores[pos.Filename] {
-		if d.analyzer != analyzer && d.analyzer != "all" {
-			continue
-		}
-		if d.line == pos.Line || d.line == pos.Line-1 {
-			return true
-		}
-	}
-	return false
 }

@@ -14,9 +14,8 @@ import (
 // already released), with //lint:ignore lockcheck as the escape hatch for
 // intentional lock-handoff patterns.
 var LockcheckAnalyzer = &Analyzer{
-	Name:       "lockcheck",
-	Doc:        "flags return paths that leave a mutex locked",
-	DedupGroup: "lock",
+	Name: "lockcheck",
+	Doc:  "flags return paths that leave a mutex locked",
 	Paths: []string{
 		"internal/fleet",
 		"internal/ofwire",
@@ -40,60 +39,49 @@ func (k lockKey) String() string {
 }
 
 func runLockcheck(p *Pass) {
-	for _, file := range p.Files() {
-		// Every function body — declarations and literals — is analyzed
-		// independently with an empty lock state.
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkLockFlow(p, body)
-			}
-			return true
-		})
-	}
+	p.FuncBodies(func(body *ast.BlockStmt) { checkLockFlow(p, body) })
 }
 
-// lockTransfer is the dataflow transfer function: Lock/RLock generate the
-// held fact, Unlock/RUnlock (inline, deferred, or inside a deferred
-// closure) kill it. Nested function literals are opaque — they run on
-// their own schedule and are analyzed as their own functions.
-func lockTransfer(n ast.Node, in Set[lockKey]) Set[lockKey] {
-	switch st := n.(type) {
-	case *ast.ExprStmt:
-		if key, acquire, ok := lockCall(st.X); ok {
-			if acquire {
-				in.Add(key)
-			} else {
+// lockTransfer is the lock-state transfer shared by lockcheck and
+// chanblock: Lock/RLock add the held fact, Unlock/RUnlock remove it. With
+// deferReleases, a deferred unlock (direct, or inside a deferred closure)
+// removes it too — the leak-at-return view, where the lock is gone by the
+// time any return completes. Without it the lock stays held until the
+// function actually returns — the critical-section view. Nested function
+// literals are opaque: they run on their own schedule and are analyzed as
+// their own functions.
+func lockTransfer(deferReleases bool) Transfer[lockKey] {
+	return func(n ast.Node, in Set[lockKey]) Set[lockKey] {
+		switch st := n.(type) {
+		case *ast.ExprStmt:
+			if key, acquire, ok := lockCall(st.X); ok {
+				if acquire {
+					in.Add(key)
+				} else {
+					in.Del(key)
+				}
+			}
+		case *ast.DeferStmt:
+			if !deferReleases {
+				break
+			}
+			if key, acquire, ok := lockCall(st.Call); ok && !acquire {
 				in.Del(key)
+				return in
+			}
+			if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
+				ast.Inspect(lit.Body, func(inner ast.Node) bool {
+					if e, ok := inner.(*ast.ExprStmt); ok {
+						if key, acquire, ok := lockCall(e.X); ok && !acquire {
+							in.Del(key)
+						}
+					}
+					return true
+				})
 			}
 		}
-	case *ast.DeferStmt:
-		// defer mu.Unlock() releases on every path from here on; so does
-		// an unlock buried in a deferred closure.
-		if key, acquire, ok := lockCall(st.Call); ok && !acquire {
-			in.Del(key)
-			return in
-		}
-		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(inner ast.Node) bool {
-				if e, ok := inner.(*ast.ExprStmt); ok {
-					if key, acquire, ok := lockCall(e.X); ok && !acquire {
-						in.Del(key)
-					}
-				}
-				return true
-			})
-		}
+		return in
 	}
-	return in
 }
 
 // checkLockFlow solves must-held-locks over the body's CFG and reports
@@ -102,23 +90,15 @@ func lockTransfer(n ast.Node, in Set[lockKey]) Set[lockKey] {
 // the test harness, own that case.
 func checkLockFlow(p *Pass, body *ast.BlockStmt) {
 	cfg := p.FuncCFG(body)
-	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), lockTransfer)
-
-	for _, b := range cfg.Blocks {
-		if !b.Reachable() || res.In[b] == nil {
-			continue
-		}
-		state := res.In[b].Clone()
-		for _, n := range b.Nodes {
-			if ret, ok := n.(*ast.ReturnStmt); ok {
-				for k := range state {
-					p.Reportf(ret.Pos(),
-						"return with %s still held; unlock before returning or use defer", k)
-				}
+	transfer := lockTransfer(true)
+	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), transfer)
+	res.Replay(cfg, transfer, func(n ast.Node, held Set[lockKey]) {
+		if ret, ok := n.(*ast.ReturnStmt); ok {
+			for k := range held {
+				p.Reportf(ret.Pos(), "return with %s still held; unlock before returning or use defer", k)
 			}
-			state = lockTransfer(n, state)
 		}
-	}
+	})
 
 	// Fall-off-the-end: the exit block's fall-through predecessors.
 	held := NewSet[lockKey]()
@@ -133,45 +113,6 @@ func checkLockFlow(p *Pass, body *ast.BlockStmt) {
 	for k := range held {
 		p.Reportf(body.Rbrace, "function ends with %s still held", k)
 	}
-}
-
-// heldNowTransfer tracks locks held *at this instant*, for analyses that
-// care about the critical section itself rather than leak-at-return:
-// unlike lockTransfer, a deferred Unlock does not release here — the lock
-// stays held until the function actually returns.
-func heldNowTransfer(n ast.Node, in Set[lockKey]) Set[lockKey] {
-	if st, ok := n.(*ast.ExprStmt); ok {
-		if key, acquire, ok := lockCall(st.X); ok {
-			if acquire {
-				in.Add(key)
-			} else {
-				in.Del(key)
-			}
-		}
-	}
-	return in
-}
-
-// mustHeldAt computes, for one function body, the set of locks definitely
-// held immediately before each CFG node — shared with the chanblock
-// analyzer, which flags potentially blocking channel operations inside
-// critical sections. Deferred unlocks do not clear the state: the
-// critical section extends to the return.
-func mustHeldAt(p *Pass, body *ast.BlockStmt) map[ast.Node]Set[lockKey] {
-	cfg := p.FuncCFG(body)
-	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), heldNowTransfer)
-	out := make(map[ast.Node]Set[lockKey])
-	for _, b := range cfg.Blocks {
-		if !b.Reachable() || res.In[b] == nil {
-			continue
-		}
-		state := res.In[b].Clone()
-		for _, n := range b.Nodes {
-			out[n] = state.Clone()
-			state = heldNowTransfer(n, state)
-		}
-	}
-	return out
 }
 
 // lockCall decodes m.Lock()/m.Unlock()/m.RLock()/m.RUnlock() calls.
@@ -196,13 +137,4 @@ func lockCall(e ast.Expr) (key lockKey, acquire, ok bool) {
 		return lockKey{recv: recv, read: true}, false, true
 	}
 	return lockKey{}, false, false
-}
-
-func isPanicCall(e ast.Expr) bool {
-	call, ok := e.(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == "panic"
 }

@@ -24,24 +24,8 @@ var NarrowingAnalyzer = &Analyzer{
 }
 
 func runNarrowing(p *Pass) {
-	for _, file := range p.Files() {
-		// Walk function by function so guard detection stays local.
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkNarrowingFunc(p, body)
-			}
-			return true
-		})
-	}
+	// Function by function, so guard detection stays local.
+	p.FuncBodies(func(body *ast.BlockStmt) { checkNarrowingFunc(p, body) })
 }
 
 func checkNarrowingFunc(p *Pass, body *ast.BlockStmt) {

@@ -72,7 +72,8 @@ type sarifRegion struct {
 // paths outside it pass through unchanged. Rules are listed for every
 // analyzer in the suite, findings or not, and both rules and results are
 // emitted in deterministic order (analyzer name; findings keep their
-// position sort from Run).
+// position sort from Run). Every finding fails the gate, so every result
+// is level "error".
 func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, root string) error {
 	rules := make([]sarifRule, 0, len(analyzers))
 	for _, a := range analyzers {
@@ -82,13 +83,9 @@ func WriteSARIF(w io.Writer, analyzers []*Analyzer, findings []Finding, root str
 
 	results := make([]sarifResult, 0, len(findings))
 	for _, f := range findings {
-		level := "error"
-		if f.Severity == SeverityWarning {
-			level = "warning"
-		}
 		results = append(results, sarifResult{
 			RuleID:  f.Analyzer,
-			Level:   level,
+			Level:   "error",
 			Message: sarifMessage{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysicalLocation{

@@ -8,13 +8,13 @@ import (
 )
 
 // TestSARIFOutput keeps the code-scanning upload format stable: version
-// pinned, driver named, severities mapped, and paths repo-relative with
-// forward slashes.
+// pinned, driver named, every result an error, and paths repo-relative
+// with forward slashes.
 func TestSARIFOutput(t *testing.T) {
 	var buf bytes.Buffer
 	findings := []Finding{
-		{Analyzer: "lockcheck", Severity: SeverityError, File: "/repo/internal/fleet/worker.go", Line: 10, Col: 2, Message: "held"},
-		{Analyzer: "allocscan", Severity: SeverityWarning, File: "/elsewhere/x.go", Line: 3, Col: 1, Message: "allocates"},
+		{Analyzer: "lockcheck", File: "/repo/internal/fleet/worker.go", Line: 10, Col: 2, Message: "held"},
+		{Analyzer: "hotpathalloc", File: "/elsewhere/x.go", Line: 3, Col: 1, Message: "allocates"},
 	}
 	if err := WriteSARIF(&buf, Analyzers(), findings, "/repo"); err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestSARIFOutput(t *testing.T) {
 		t.Errorf("first result level/uri = %q/%q, want error/internal/fleet/worker.go",
 			got.Level, got.Locations[0].PhysicalLocation.ArtifactLocation.URI)
 	}
-	if got := run.Results[1]; got.Level != "warning" ||
+	if got := run.Results[1]; got.Level != "error" ||
 		!strings.HasPrefix(got.Locations[0].PhysicalLocation.ArtifactLocation.URI, "/elsewhere/") {
 		t.Errorf("out-of-root path must pass through; got %q", got.Locations[0].PhysicalLocation.ArtifactLocation.URI)
 	}

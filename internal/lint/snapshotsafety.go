@@ -112,32 +112,7 @@ func publishedReturners(prog *Program) map[string]bool {
 // carries a published value, tracking local aliases flow-insensitively.
 func returnsPublished(fn *FuncNode, returners map[string]bool) bool {
 	pkg := fn.Pkg
-	tainted := make(map[*types.Var]bool)
-
-	exprHit := func(e ast.Expr) bool {
-		hit := false
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.Ident:
-				if v, ok := pkg.Info.Uses[n].(*types.Var); ok && tainted[v] {
-					hit = true
-				}
-			case *ast.CallExpr:
-				if atomicPointerCall(pkg, n, "Load") {
-					hit = true
-					return false
-				}
-				if f := calleeOf(pkg, n); f != nil && returners[f.FullName()] {
-					hit = true
-					return false
-				}
-			}
-			return !hit
-		})
-		return hit
-	}
+	tainted := NewSet[*types.Var]()
 
 	// Propagate through local assignments until stable. Store(x) also
 	// taints x: a function that publishes a value and then returns it
@@ -151,8 +126,8 @@ func returnsPublished(fn *FuncNode, returners map[string]bool) bool {
 			case *ast.CallExpr:
 				if atomicPointerCall(pkg, st, "Store") && len(st.Args) == 1 {
 					if id, ok := ast.Unparen(st.Args[0]).(*ast.Ident); ok {
-						if v := localVar(pkg, id); v != nil && !tainted[v] {
-							tainted[v] = true
+						if v := localVar(pkg, id); v != nil && !tainted.Has(v) {
+							tainted.Add(v)
 							changed = true
 						}
 					}
@@ -164,7 +139,7 @@ func returnsPublished(fn *FuncNode, returners map[string]bool) bool {
 						continue
 					}
 					v := localVar(pkg, id)
-					if v == nil || tainted[v] {
+					if v == nil || tainted.Has(v) {
 						continue
 					}
 					rhs := st.Rhs
@@ -172,8 +147,8 @@ func returnsPublished(fn *FuncNode, returners map[string]bool) bool {
 						rhs = st.Rhs[i : i+1]
 					}
 					for _, r := range rhs {
-						if exprHit(r) {
-							tainted[v] = true
+						if exprPublishes(pkg, returners, tainted, r) {
+							tainted.Add(v)
 							changed = true
 							break
 						}
@@ -191,7 +166,7 @@ func returnsPublished(fn *FuncNode, returners map[string]bool) bool {
 		}
 		if ret, ok := n.(*ast.ReturnStmt); ok {
 			for _, res := range ret.Results {
-				if exprHit(res) {
+				if exprPublishes(pkg, returners, tainted, res) {
 					found = true
 				}
 			}
@@ -374,23 +349,7 @@ func snapWriters(prog *Program) map[string]*snapWriteSummary {
 func runSnapshotSafety(p *Pass) {
 	returners := publishedReturners(p.Prog)
 	writers := snapWriters(p.Prog)
-	for _, file := range p.Files() {
-		ast.Inspect(file, func(n ast.Node) bool {
-			var body *ast.BlockStmt
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				body = fn.Body
-			case *ast.FuncLit:
-				body = fn.Body
-			default:
-				return true
-			}
-			if body != nil {
-				checkSnapshotFlow(p, returners, writers, body)
-			}
-			return true
-		})
-	}
+	p.FuncBodies(func(body *ast.BlockStmt) { checkSnapshotFlow(p, returners, writers, body) })
 }
 
 // snapTransfer is the taint transfer: assignments from published values
@@ -528,17 +487,9 @@ func checkSnapshotFlow(p *Pass, returners map[string]bool, writers map[string]*s
 	cfg := p.FuncCFG(body)
 	transfer := snapTransfer(p, returners)
 	res := Forward(cfg, MeetUnion, NewSet[*types.Var](), transfer)
-
-	for _, b := range cfg.Blocks {
-		if !b.Reachable() || res.In[b] == nil {
-			continue
-		}
-		state := res.In[b].Clone()
-		for _, n := range b.Nodes {
-			reportSnapshotWrites(p, returners, writers, state, n)
-			state = transfer(n, state)
-		}
-	}
+	res.Replay(cfg, transfer, func(n ast.Node, in Set[*types.Var]) {
+		reportSnapshotWrites(p, returners, writers, in, n)
+	})
 }
 
 // reportSnapshotWrites flags the violations visible in one CFG node given

@@ -1,7 +1,6 @@
 // Package classifier is the hotpathalloc corpus: allocations hidden one
-// and two calls below a zero-alloc root, where the intraprocedural
-// allocscan cannot see them, plus a direct allocation both analyzers see
-// (the "alloc" dedup group must keep exactly one finding — allocscan's).
+// and two calls below a //hermes:hotpath root, a root's own allocations,
+// and an allocating Lookup that no annotation makes a root (clean).
 package classifier
 
 type Index struct {
@@ -20,6 +19,7 @@ func (ix *Index) widen(n int) {
 }
 
 // Lookup is a zero-alloc root; both helper calls carry an allocation in.
+//hermes:hotpath
 func (ix *Index) Lookup(key uint32) ([]uint32, bool) {
 	if len(ix.scratch) == 0 {
 		ix.expand(8) // want:hotpathalloc
@@ -29,16 +29,23 @@ func (ix *Index) Lookup(key uint32) ([]uint32, bool) {
 	return v, ok
 }
 
-// LookupVia chains through another root: the callee justifies its own
-// budget, so this call site stays clean.
+// LookupVia chains through another root: the callee justifies its budget.
+//hermes:hotpath
 func (ix *Index) LookupVia(key uint32) ([]uint32, bool) {
 	return ix.Lookup(key)
 }
 
-// lookupSlow allocates directly. allocscan and hotpathalloc both see
-// these positions; dedup keeps the allocscan finding only.
+// lookupSlow is a root that allocates in its own body.
+//hermes:hotpath
 func (ix *Index) lookupSlow(key uint32) []uint32 {
-	out := make([]uint32, 0, 4)        // want:allocscan
-	out = append(out, ix.table[key]...) // want:allocscan
+	out := make([]uint32, 0, 4)        // want:hotpathalloc
+	out = append(out, ix.table[key]...) // want:hotpathalloc
 	return out
+}
+
+// LookupLinear allocates like lookupSlow but carries no annotation: a name
+// makes no root, so nothing here is flagged.
+func (ix *Index) LookupLinear(key uint32) []uint32 {
+	out := make([]uint32, 0, 4)
+	return append(out, ix.table[key]...)
 }

@@ -1,7 +1,7 @@
-// Package directive is the lintdirective corpus: a suppression must name
-// an analyzer the suite actually runs and must justify itself with
-// reason text. Bare and mistargeted directives are findings — and they
-// cannot suppress themselves.
+// Package directive is the lintdirective corpus: a suppression must name a
+// running analyzer and carry reason text, and an annotation must use a
+// known verb, sit in a function's doc comment and, for coldpath, give a
+// reason. Directives cannot suppress these findings about themselves.
 package directive
 
 func directives() {
@@ -16,3 +16,15 @@ func directives() {
 }
 
 var _ = directives
+
+// A coldpath must say why its callee may allocate.
+/* want:lintdirective */ //hermes:coldpath
+func coldWithoutReason() {}
+
+// A misspelled verb would silently drop a root.
+/* want:lintdirective */ //hermes:hotpth
+func misspelledRoot() {}
+
+func misplacedRoot() {
+	_ = 0 /* want:lintdirective */ //hermes:hotpath
+}

@@ -1,8 +1,7 @@
 // Package obs is lint-corpus material impersonating the observability
-// record path: per-sample record functions must not allocate (allocscan)
-// and the package must never read the wall clock (determinism) — events
-// are stamped with caller-provided virtual time so seeded chaos schedules
-// replay identical traces.
+// record path: per-sample record functions are hot-path roots that must not
+// allocate, and the package must never read the wall clock (determinism):
+// events carry caller-provided virtual time so seeded schedules replay.
 package obs
 
 import "time"
@@ -15,8 +14,9 @@ type Histogram struct {
 }
 
 // Record allocates a label map per sample: flagged.
+//hermes:hotpath
 func (h *Histogram) Record(v uint64) {
-	tags := make(map[string]string) // want:allocscan
+	tags := make(map[string]string) // want:hotpathalloc
 	tags["v"] = "sample"
 	if int(v) < len(h.buckets) {
 		h.buckets[v]++
@@ -24,18 +24,18 @@ func (h *Histogram) Record(v uint64) {
 	_ = tags
 }
 
-// RecordDuration buffers samples in a fresh slice per call: the literal and
-// the growing append are both flagged.
+// RecordDuration buffers samples in a fresh slice literal it grows: flagged.
+//hermes:hotpath
 func (h *Histogram) RecordDuration(d time.Duration) {
-	samples := []uint64{}                // want:allocscan
-	samples = append(samples, uint64(d)) // want:allocscan
+	samples := []uint64{}                // want:hotpathalloc
+	samples = append(samples, uint64(d)) // want:hotpathalloc
 	if len(samples) > 0 && int(samples[0]) < len(h.buckets) {
 		h.buckets[samples[0]]++
 	}
 }
 
-// Inc stamps the event with the wall clock instead of caller-provided
-// virtual time: a determinism violation, not an allocation.
+// Inc stamps the event with the wall clock: determinism, not allocation.
+//hermes:hotpath
 func (h *Histogram) Inc() {
 	at := time.Now() // want:determinism
 	if at.IsZero() {
@@ -46,6 +46,7 @@ func (h *Histogram) Inc() {
 
 // Add is a legal record-path function: it touches only preallocated state,
 // so nothing here may be flagged.
+//hermes:hotpath
 func (h *Histogram) Add(v uint64) {
 	if int(v) < len(h.buckets) {
 		h.buckets[v] += v

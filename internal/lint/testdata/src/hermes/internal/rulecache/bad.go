@@ -1,8 +1,7 @@
 // Package rulecache is lint-corpus material impersonating the cache
 // manager's packet-sampling hot path (DESIGN.md §16): the per-packet
-// sampling hooks carry a zero-alloc budget (allocscan / hotpathalloc) and
-// the sampling decision must be a pure function of the packet hash and the
-// recency epoch — never the wall clock — or replays diverge (determinism).
+// sampling hooks are //hermes:hotpath roots, and the sampling decision must
+// depend on the packet hash and epoch, never the wall clock (determinism).
 package rulecache
 
 import "time"
@@ -21,13 +20,14 @@ type RuleStats struct {
 }
 
 // RecordHit buffers the epoch in a fresh slice per hit: flagged.
+//hermes:hotpath
 func (s *RuleStats) RecordHit(epoch uint64) {
-	pending := []uint64{epoch} // want:allocscan
+	pending := []uint64{epoch} // want:hotpathalloc
 	s.hits += uint64(len(pending))
 }
 
-// SampleHW launders an allocation in through a helper one hop below the
-// sampling root, where only the call-graph analyzer can see it.
+// SampleHW launders an allocation in through a helper one hop below it.
+//hermes:hotpath
 func (m *Manager) SampleHW(dst, src uint32, id uint64) {
 	if m.head == len(m.ring) {
 		m.spill(id) // want:hotpathalloc
@@ -45,8 +45,8 @@ func (m *Manager) spill(id uint64) {
 }
 
 // samplePoint derives the sampling decision from the wall clock instead of
-// the packet hash and epoch: a determinism violation — replayed runs would
-// promote different rules.
+// the packet hash and epoch: replayed runs would promote different rules.
+//hermes:hotpath
 func (m *Manager) samplePoint(dst, src uint32) bool {
 	seed := time.Now().UnixNano() // want:determinism
 	return (seed^int64(dst)^int64(src))&7 == 0
@@ -54,6 +54,7 @@ func (m *Manager) samplePoint(dst, src uint32) bool {
 
 // FoldSamples is the legal shape: it drains the preallocated ring into
 // preexisting stats entries, so nothing here may be flagged.
+//hermes:hotpath
 func (m *Manager) FoldSamples(epoch uint64) {
 	for i := 0; i < m.head; i++ {
 		if s := m.stats[m.ring[i]]; s != nil {

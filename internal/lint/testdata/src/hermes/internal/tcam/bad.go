@@ -1,6 +1,5 @@
 // Package tcam is lint-corpus material impersonating the TCAM model's
-// packet-lookup hot path; every marked line must be flagged by the
-// allocscan analyzer and every unmarked line must not.
+// packet-lookup hot path: marked lines are flagged, unmarked ones are not.
 package tcam
 
 // Rule stands in for classifier.Rule.
@@ -18,8 +17,9 @@ type Table struct {
 }
 
 // LookupIndexed allocates a dedup map per packet: flagged.
+//hermes:hotpath
 func (t *Table) LookupIndexed(dst uint32) (Rule, bool) {
-	seen := make(map[uint64]bool) // want:allocscan
+	seen := make(map[uint64]bool) // want:hotpathalloc
 	for _, r := range t.entries {
 		if seen[r.ID] {
 			continue
@@ -32,27 +32,27 @@ func (t *Table) LookupIndexed(dst uint32) (Rule, bool) {
 	return Rule{}, false
 }
 
-// lookupCandidates grows a fresh slice per packet and seeds it with a
-// slice literal: both flagged.
+// lookupCandidates grows a fresh slice literal per packet: both flagged.
+//hermes:hotpath
 func (t *Table) lookupCandidates(dst uint32) []Rule {
-	out := []Rule{} // want:allocscan
+	out := []Rule{} // want:hotpathalloc
 	for _, r := range t.entries {
 		if uint32(r.ID)&dst != 0 {
-			out = append(out, r) // want:allocscan
+			out = append(out, r) // want:hotpathalloc
 		}
 	}
 	return out
 }
 
-// Iter stands in for classifier.OverlapIter.
+// Iter stands in for classifier.OverlapIter; Next's map literal is flagged.
 type Iter struct {
 	rules []Rule
 	pos   int
 }
 
-// Next materializes a map literal per step: flagged.
+//hermes:hotpath
 func (it *Iter) Next() (Rule, bool) {
-	weights := map[int32]int{0: 1} // want:allocscan
+	weights := map[int32]int{0: 1} // want:hotpathalloc
 	for it.pos < len(it.rules) {
 		r := it.rules[it.pos]
 		it.pos++
@@ -65,6 +65,7 @@ func (it *Iter) Next() (Rule, bool) {
 
 // LookupClean is a legal hot-path function: it only reuses preallocated
 // table state, so nothing here may be flagged.
+//hermes:hotpath
 func (t *Table) LookupClean(dst uint32) (Rule, bool) {
 	t.scratch = t.scratch[:0]
 	for k := range t.seen {

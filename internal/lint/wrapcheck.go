@@ -29,7 +29,7 @@ func runWrapcheck(p *Pass) {
 				return true
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || sel.Sel.Name != "Errorf" || p.PkgNameOf(sel.X) != "fmt" {
+			if !ok || sel.Sel.Name != "Errorf" || pkgNameOf(p.Pkg, sel.X) != "fmt" {
 				return true
 			}
 			format, ok := constantString(p, call.Args[0])

@@ -20,6 +20,7 @@ const numShards = 8
 // low bits below the cache-line size are discarded.
 //
 //go:nosplit
+//hermes:hotpath
 func shardHint(p unsafe.Pointer) int {
 	return int(uintptr(p)>>6) & (numShards - 1)
 }
@@ -31,10 +32,14 @@ type Counter struct {
 }
 
 // Inc adds one to the counter.
+//
+//hermes:hotpath
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds delta to the counter. Deltas are expected to be non-negative;
 // the counter is monotone by contract, not by enforcement.
+//
+//hermes:hotpath
 func (c *Counter) Add(delta uint64) {
 	var anchor byte
 	c.shards[shardHint(unsafe.Pointer(&anchor))].v.Add(delta)
@@ -58,9 +63,13 @@ type Gauge struct {
 }
 
 // Set stores the current value.
+//
+//hermes:hotpath
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adjusts the gauge by delta (use negative deltas to decrement).
+//
+//hermes:hotpath
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.

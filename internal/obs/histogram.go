@@ -21,6 +21,8 @@ const (
 
 // bucketIndex maps a value to its bucket. Values < 32 are exact; above
 // that, the bucket is (octave, top-5-bits-below-the-leading-bit).
+//
+//hermes:hotpath
 func bucketIndex(v uint64) int {
 	if v < histSubBuckets {
 		return int(v)
@@ -73,6 +75,8 @@ func NewHistogram() *Histogram {
 }
 
 // Record adds one observation of v. Zero allocations, no locks.
+//
+//hermes:hotpath
 func (h *Histogram) Record(v uint64) {
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
@@ -94,6 +98,8 @@ func (h *Histogram) Record(v uint64) {
 // RecordDuration records d in nanoseconds. Negative durations (clock
 // anomalies under virtual time never produce them, but wall offsets can)
 // clamp to zero rather than corrupting the high octaves.
+//
+//hermes:hotpath
 func (h *Histogram) RecordDuration(d time.Duration) {
 	if d < 0 {
 		d = 0

@@ -111,6 +111,8 @@ func NewTracer(n, maxCaptures int) *Tracer {
 
 // Record appends one lifecycle event. Zero allocations; safe for
 // concurrent use; no-op on a nil tracer.
+//
+//hermes:hotpath
 func (t *Tracer) Record(at time.Duration, kind EventKind, step uint8, rule, a, b uint64) {
 	if t == nil {
 		return

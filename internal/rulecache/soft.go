@@ -137,6 +137,8 @@ func (t *SoftTable) UpdateAction(id classifier.RuleID, action classifier.Action)
 // Lookup finds the winning rule for the packet under first-match semantics:
 // highest priority wins, earlier seq breaks ties — identical to the
 // monolithic single-table oracle. It allocates nothing.
+//
+//hermes:hotpath
 func (t *SoftTable) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	return t.trie.Lookup(dst, src)
 }

@@ -23,6 +23,8 @@ type RuleStats struct {
 // RecordHit counts one (possibly sampled) packet hit against the rule in
 // the given epoch. It is safe for concurrent use and allocates nothing — it
 // sits on the lookup fast path.
+//
+//hermes:hotpath
 func (s *RuleStats) RecordHit(epoch uint64) {
 	s.hits.Add(1)
 	s.lastEpoch.Store(epoch)
@@ -148,6 +150,8 @@ func (m *Manager) Tracked() int { return len(m.stats) }
 // (a splitmix64-style finalizer) is a pure function, so sampling is fully
 // deterministic and replayable; mixing in the epoch rotates the sampled
 // flow-subset every agent tick. Zero-alloc, hot path.
+//
+//hermes:hotpath
 func (m *Manager) samplePoint(dst, src uint32) bool {
 	if m.sampleMask == 0 {
 		return true
@@ -163,6 +167,8 @@ func (m *Manager) samplePoint(dst, src uint32) bool {
 // shared state at all (the common case — a few ALU ops and one read-mostly
 // atomic load); on sample points it pushes the matched entry's ID into the
 // sample ring for the next FoldSamples pass. Zero-alloc, hot path.
+//
+//hermes:hotpath
 func (m *Manager) SampleHW(dst, src uint32, id classifier.RuleID) {
 	if !m.samplePoint(dst, src) {
 		return
@@ -178,6 +184,8 @@ func (m *Manager) SampleHW(dst, src uint32, id classifier.RuleID) {
 // partition fragments) to their original rule; nil means identity. IDs
 // without a stats record (rule deleted since the sample) and zero slots
 // (never written) are skipped. Caller must hold the agent's exclusive lock.
+//
+//hermes:hotpath
 func (m *Manager) FoldSamples(epoch uint64, originalOf func(classifier.RuleID) classifier.RuleID) {
 	head := m.ringHead.Load()
 	start := m.ringFolded
@@ -205,6 +213,8 @@ func (m *Manager) FoldSamples(epoch uint64, originalOf func(classifier.RuleID) c
 // popularity, using the same sampling rate as the hardware tier so the two
 // tiers' stats stay comparable. The aggregate count is exact: this path
 // already paid for a full software lookup. Zero-alloc.
+//
+//hermes:hotpath
 func (m *Manager) SampleSoft(dst, src uint32) bool {
 	m.softHits.Inc()
 	return m.samplePoint(dst, src)
@@ -212,6 +222,8 @@ func (m *Manager) SampleSoft(dst, src uint32) bool {
 
 // RecordMiss counts a lookup no rule matched; it still walked both tiers.
 // Exact. Zero-alloc.
+//
+//hermes:hotpath
 func (m *Manager) RecordMiss() { m.misses.Inc() }
 
 // RecordSetup records one rule-setup (insert) virtual latency.

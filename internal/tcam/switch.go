@@ -82,6 +82,8 @@ func (s *Switch) Uncarve() *Table {
 // Lookup performs the pipeline lookup: slices are consulted in order and
 // the first slice with a matching rule processes the packet (§3: shadow
 // first, main on shadow miss).
+//
+//hermes:hotpath
 func (s *Switch) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	for _, t := range s.slices {
 		if r, ok := t.Lookup(dst, src); ok {

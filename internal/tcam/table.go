@@ -541,6 +541,8 @@ func (t *Table) indexInsert(r classifier.Rule, rank uint64) {
 // default path is the match index's first-match walk over the trie nodes on
 // the packet's destination path; SetLinearLookup(true) selects the
 // full-scan oracle instead. Both return bit-for-bit the same rule.
+//
+//hermes:hotpath
 func (t *Table) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	if t.linear {
 		return t.LookupLinear(dst, src)

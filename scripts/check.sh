@@ -20,13 +20,13 @@ go vet ./...
 echo ">> go build ./..."
 go build ./...
 
-echo ">> hermes-lint ./... (hermes-vet invariants, DESIGN.md §13)"
+echo ">> hermes-lint ./... (hermes-vet invariants, DESIGN.md §8)"
 go run ./cmd/hermes-lint ./...
 
-echo ">> hotpathalloc suppression ratchet: internal/core holds at most 8"
-core_ignores="$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -h '//lint:ignore hotpathalloc' | wc -l)"
-if [ "$core_ignores" -gt 8 ]; then
-  echo "internal/core carries $core_ignores //lint:ignore hotpathalloc directives, ratchet is 8: remove the allocation or the root, not the finding" >&2
+echo ">> hot-path budget ratchet: internal/core holds at most 7 ignores + coldpaths"
+core_exempt="$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -hE '//lint:ignore hotpathalloc|//hermes:coldpath' | wc -l)"
+if [ "$core_exempt" -gt 7 ]; then
+  echo "internal/core carries $core_exempt //lint:ignore hotpathalloc and //hermes:coldpath directives together, ratchet is 7: remove the allocation or the root, not the finding" >&2
   exit 1
 fi
 
