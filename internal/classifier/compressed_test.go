@@ -1,8 +1,10 @@
 package classifier
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +67,29 @@ func lookupVisits(s Snapshot, dst uint32) (visits, loads int) {
 	return visits, loads
 }
 
+// lookupChain counts the loads Snapshot.Lookup chains for dst, each waiting
+// on the one before: the lines of the nodes it steps to (the last one
+// included, found not to match) and of the slots it reads, and apart from
+// them the headers of the tables it reads the slots of, one per table.
+func lookupChain(s Snapshot, dst uint32) (lines, headers int) {
+	for n := s.root; n != nil; {
+		lines++
+		if dst&n.mask != n.addr {
+			break
+		}
+		if w := n.wide; w != nil {
+			lines++
+			headers++
+			if sl := w.slots[dst>>w.shift&w.idx]; sl.best != &inStride {
+				n = sl.next
+				continue
+			}
+		}
+		n = n.step(dst)
+	}
+	return lines, headers
+}
+
 // binaryVisits is what a lookup of dst visits in a binary trie over rules,
 // which has a node for every prefix of every rule's Dst: the root and one
 // node per bit down to the deepest such prefix dst lies in.
@@ -78,10 +103,14 @@ func binaryVisits(rules []Rule, dst uint32) int {
 }
 
 // TestNodeVisitsMicroBenchShaped pins, in counts rather than time, what path
-// compression buys on the agent benchmarks' rule shape: the mean number of
-// nodes one lookup walks and loads (a packet inside each rule) and one
-// locate walks (every rule's Get / Update / Delete), against the binary
-// trie's.
+// compression and stride tables buy on the agent benchmarks' rule shape.
+// For a packet inside each rule: the nodes a walk of the binary nodes alone
+// visits and loads, against the uncompressed binary trie's; and the node
+// and slot lines Snapshot.Lookup chains with the stride tables (the tables'
+// headers, one more load per table and few enough to stay cached, are
+// logged apart). Both loads are given as a plain mean and weighted as
+// lookup_churn draws its packets, Zipf s = 1.1 over rule rank. Also the nodes one locate walks (every rule's Get /
+// Update / Delete).
 func TestNodeVisitsMicroBenchShaped(t *testing.T) {
 	rules := microBenchRules(rand.New(rand.NewSource(42)), 2000, 0.3)
 	var tr Trie
@@ -90,12 +119,17 @@ func TestNodeVisitsMicroBenchShaped(t *testing.T) {
 	}
 	checkCompressed(t, &tr)
 	snap := tr.Freeze()
-	var lookups, loads, binLookups, locates, binLocates int
+	checkCompressed(t, &tr)
+	var lookups, loads, chain, headers, binLookups, locates, binLocates int
+	var zipfLoads, zipfChain, zipfHeaders, zipfSum float64
 	var path [33]*trieNode
-	for _, r := range rules {
+	for rank, r := range rules {
 		dst := r.Match.Dst.Addr | 1
 		v, l := lookupVisits(snap, dst)
-		lookups, loads = lookups+v, loads+l
+		c, h := lookupChain(snap, dst)
+		lookups, loads, chain, headers = lookups+v, loads+l, chain+c, headers+h
+		z := math.Pow(float64(rank+1), -1.1)
+		zipfLoads, zipfChain, zipfHeaders, zipfSum = zipfLoads+z*float64(l), zipfChain+z*float64(c), zipfHeaders+z*float64(h), zipfSum+z
 		binLookups += binaryVisits(rules, dst)
 		i, d, _ := tr.locate(r.Match.Dst, r.ID, &path)
 		if i < 0 {
@@ -106,13 +140,69 @@ func TestNodeVisitsMicroBenchShaped(t *testing.T) {
 	}
 	n := float64(len(rules))
 	lookup, load, locate := float64(lookups)/n, float64(loads)/n, float64(locates)/n
-	t.Logf("mean nodes per lookup %.2f walked, %.2f loaded (binary trie %.2f); per locate %.2f (binary trie %.2f)",
-		lookup, load, float64(binLookups)/n, locate, float64(binLocates)/n)
+	chained, zipfChained := float64(chain)/n, zipfChain/zipfSum
+	t.Logf("per lookup, binary nodes only: %.2f walked, %.2f loaded, %.2f Zipf-weighted (binary trie %.2f walked)",
+		lookup, load, zipfLoads/zipfSum, float64(binLookups)/n)
+	t.Logf("per lookup, with stride tables: %.2f chained node and slot lines, %.2f Zipf-weighted, and %.2f / %.2f table headers; per locate %.2f nodes (binary trie %.2f)",
+		chained, zipfChained, float64(headers)/n, zipfHeaders/zipfSum, locate, float64(binLocates)/n)
 	if load > 13 {
-		t.Errorf("a lookup loads %.2f nodes on average, want ≤ 13", load)
+		t.Errorf("a walk of the binary nodes loads %.2f nodes on average, want ≤ 13", load)
+	}
+	if chained > 7 || zipfChained > 7 {
+		t.Errorf("a lookup chains %.2f node and slot lines on average, %.2f Zipf-weighted, want ≤ 7 each", chained, zipfChained)
 	}
 	if locate > 12.5 {
 		t.Errorf("a locate walks %.2f nodes on average, want ≤ 12.5", locate)
+	}
+}
+
+// TestStrideTablesUnderFrozenChurn runs lookup_churn's write pattern on a
+// frozen MicroBench-shaped trie: every rule of the second half deleted and
+// put back, with a Freeze before each write as the agent's publishes do.
+// The stride tables must agree with the binary nodes throughout, and the
+// live trie and a snapshot retained at every 125th write must answer a
+// packet inside each rule as the linear oracle over the rules as they were.
+func TestStrideTablesUnderFrozenChurn(t *testing.T) {
+	rules := microBenchRules(rand.New(rand.NewSource(7)), 2000, 0.3)
+	var tr Trie
+	model := make([]keyedRule, len(rules))
+	for i, r := range rules {
+		model[i] = keyedRule{r, Key{Ord: uint64(i)}}
+		tr.InsertKeyed(r, model[i].Key)
+	}
+	agree := func(what string, lookup func(dst, src uint32) (Rule, bool), model []keyedRule) {
+		t.Helper()
+		for _, r := range rules {
+			dst := r.Match.Dst.Addr | 1
+			want, wok := firstMatch(model, dst, 0)
+			if got, ok := lookup(dst, 0); ok != wok || got != want {
+				t.Fatalf("%s: Lookup(%08x) = %v,%v, linear %v,%v", what, dst, got, ok, want, wok)
+			}
+		}
+	}
+	half := len(rules) / 2
+	snap, snapModel := tr.Freeze(), slices.Clone(model)
+	for j := 0; j < 2*half; j++ {
+		k := half + j/2
+		tr.Freeze()
+		if j%2 == 0 {
+			if !tr.Delete(model[k].Match.Dst, model[k].ID) {
+				t.Fatalf("Delete(%v) missed", model[k].Rule)
+			}
+			model[k].Ord += uint64(len(rules)) // back in at the end of the order
+		} else {
+			tr.InsertKeyed(model[k].Rule, model[k].Key)
+		}
+		if j%125 == 124 {
+			checkCompressed(t, &tr)
+			current := slices.Clone(model)
+			if j%2 == 0 {
+				current = slices.Delete(current, k, k+1)
+			}
+			agree("live trie", tr.Lookup, current)
+			agree("retained snapshot", snap.Lookup, snapModel)
+			snap, snapModel = tr.Freeze(), current
+		}
 	}
 }
 
@@ -152,6 +242,55 @@ func BenchmarkSnapshotLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap.Lookup(rules[i%len(rules)].Match.Dst.Addr|1, 0)
+	}
+}
+
+// BenchmarkSnapshotLookupZipf is Snapshot.Lookup under lookup_churn's
+// packet law on a churned node layout: the MicroBench-shaped set inserted
+// in shuffled order (keyed by its rank, so every answer is the in-order
+// build's), frozen, and probed by packets that pick rule rank r with Zipf
+// probability, s = 1.1.
+func BenchmarkSnapshotLookupZipf(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	rules := microBenchRules(rng, 2000, 0.3)
+	var tr Trie
+	for _, i := range rng.Perm(len(rules)) {
+		tr.InsertKeyed(rules[i], Key{Rank: uint64(i)})
+	}
+	snap := tr.Freeze()
+	zipf := rand.NewZipf(rng, 1.1, 1, uint64(len(rules)-1))
+	pkts := make([]uint32, 1<<16)
+	for i := range pkts {
+		pkts[i] = rules[zipf.Uint64()].Match.Dst.Addr | 1
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.Lookup(pkts[i&(len(pkts)-1)], 0)
+	}
+}
+
+// BenchmarkTrieWriteFrozen is a write beside readers: each iteration
+// freezes, deletes a rule of the MicroBench-shaped set's second half,
+// freezes again and puts the rule back, so every write copies the path and
+// the stride tables it changes, as the agent's writes do between publishes.
+func BenchmarkTrieWriteFrozen(b *testing.B) {
+	rules := microBenchRules(rand.New(rand.NewSource(42)), 2000, 0.3)
+	var tr Trie
+	for i, r := range rules {
+		tr.InsertKeyed(r, Key{Ord: uint64(i)})
+	}
+	cold := rules[len(rules)/2:]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &cold[i%len(cold)]
+		tr.Freeze()
+		if !tr.Delete(r.Match.Dst, r.ID) {
+			b.Fatalf("Delete(%v) missed", *r)
+		}
+		tr.Freeze()
+		tr.InsertKeyed(*r, Key{Ord: uint64(len(rules) + i)})
 	}
 }
 

@@ -47,22 +47,44 @@ func FuzzParsePrefix(f *testing.F) {
 	})
 }
 
+// decodeShapes turns fuzz bytes into at most max rules, 5 bytes each:
+// dst-addr-high, dst-len, priority, src-addr-high, src-len. Coarse
+// quantization keeps overlaps and ties frequent. A dst-len byte b with the
+// high bit set stands for a dense run instead, enough to fill a stride
+// table: 4 << (b>>4&3) sibling prefixes of length 8 + b&15 side by side
+// from the dst address, each with the shape's priority and src.
+func decodeShapes(data []byte, max int) []Rule {
+	var rules []Rule
+	for i := 0; i+5 <= len(data) && len(rules) < max; i += 5 {
+		r := Rule{Match: Match{Src: NewPrefix(uint32(data[i+3])<<24, data[i+4]%33)}, Priority: int32(data[i+2] % 8)}
+		base, b := uint32(data[i])<<24, data[i+1]
+		if b < 0x80 {
+			r.Match.Dst = NewPrefix(base, b%33)
+			rules = append(rules, r)
+			continue
+		}
+		plen := 8 + b&15
+		for j := uint32(0); j < 4<<(b>>4&3) && len(rules) < max; j++ {
+			r.Match.Dst = NewPrefix(base+j<<(32-plen), plen)
+			rules = append(rules, r)
+		}
+	}
+	return rules
+}
+
 // FuzzRuleIndexEquivalence feeds arbitrary packed rule bytes and a probe
 // packet through the bulk-built snapshot and the linear oracle; any
 // divergence is a bug regardless of input shape.
 func FuzzRuleIndexEquivalence(f *testing.F) {
 	f.Add([]byte{0x0a, 8, 0, 0, 1, 0xc0, 16, 1, 2, 3}, uint32(0x0a000001), uint32(0))
 	f.Add([]byte{}, uint32(1), uint32(2))
+	// A full stride table over eight /16s, a /14 inside its stride and a
+	// source-constrained /15 that marks the slots it covers.
+	f.Add([]byte{0x0a, 0x98, 1, 0, 0, 0x0a, 14, 5, 0, 0, 0x0a, 15, 6, 0xc0, 8}, uint32(0x0a010001), uint32(0xc0000001))
 	f.Fuzz(func(t *testing.T, data []byte, dst, src uint32) {
-		// 5 bytes per rule: dst-addr-high, dst-len, priority, src-addr-high,
-		// src-len. Coarse quantization keeps overlaps and ties frequent.
-		var rules []Rule
-		for i := 0; i+5 <= len(data) && len(rules) < 64; i += 5 {
-			rules = append(rules, Rule{
-				ID:       RuleID(len(rules) + 1),
-				Match:    Match{Dst: NewPrefix(uint32(data[i])<<24, data[i+1]%33), Src: NewPrefix(uint32(data[i+3])<<24, data[i+4]%33)},
-				Priority: int32(data[i+2] % 8),
-			})
+		rules := decodeShapes(data, 64)
+		for i := range rules {
+			rules[i].ID = RuleID(i + 1)
 		}
 		want, wok := linearFirstMatch(rules, dst, src)
 		got, gok := NewRuleIndex(rules).Lookup(dst, src)
@@ -72,19 +94,23 @@ func FuzzRuleIndexEquivalence(f *testing.F) {
 	})
 }
 
-// frozenNodes adds every node reachable from n to set.
-func frozenNodes(n *trieNode, set map[*trieNode]bool) {
+// frozenNodes adds every node and stride table reachable from n to set.
+func frozenNodes(n *trieNode, set map[any]bool) {
 	if n == nil || set[n] {
 		return
 	}
 	set[n] = true
+	if n.wide != nil {
+		set[n.wide] = true
+	}
 	frozenNodes(n.children[0], set)
 	frozenNodes(n.children[1], set)
 }
 
 // checkOwnership asserts the copy-on-write invariant: no node a snapshot can
-// reach (frozen) sits on the freelist or is still treated as the trie's own.
-func checkOwnership(t *testing.T, tr *Trie, frozen map[*trieNode]bool) {
+// reach (frozen) sits on the freelist, and no node or stride table a
+// snapshot can reach is still treated as the trie's own.
+func checkOwnership(t *testing.T, tr *Trie, frozen map[any]bool) {
 	t.Helper()
 	for n := tr.free; n != nil; n = n.children[0] {
 		if frozen[n] {
@@ -99,6 +125,9 @@ func checkOwnership(t *testing.T, tr *Trie, frozen map[*trieNode]bool) {
 		if n.epoch == tr.epoch && frozen[n] {
 			t.Fatal("trie would mutate in place a node a snapshot can reach")
 		}
+		if w := n.wide; w != nil && w.epoch == tr.epoch && frozen[w] {
+			t.Fatal("trie would mutate in place a stride table a snapshot can reach")
+		}
 		walk(n.children[0])
 		walk(n.children[1])
 	}
@@ -108,20 +137,25 @@ func checkOwnership(t *testing.T, tr *Trie, frozen map[*trieNode]bool) {
 // checkCompressed asserts the path-compressed shape: every node holds
 // entries or has two children; a child's prefix strictly extends its
 // parent's and sits on the side of the parent's branch bit it hangs on; a
-// node's mask and branch bit are its prefix's; maxPrio is its entries'
-// highest priority; the trie counts the rules it holds; and the freelist is
-// as long as it says and no longer than maxFreeNodes.
+// node's mask is a netmask its address fits and its branch bit the mask's
+// highest host bit; maxPrio is its entries' highest priority; every stride
+// table agrees with the nodes below it (checkWide); the trie counts the
+// rules it holds; and the freelist is as long as it says and no longer than
+// maxFreeNodes.
 func checkCompressed(t testing.TB, tr *Trie) {
 	t.Helper()
 	rules := 0
 	var walk func(n *trieNode)
 	walk = func(n *trieNode) {
-		p := Prefix{Addr: n.addr, Len: n.plen}
+		p := Prefix{Addr: n.addr, Len: n.plen()}
 		if p.Len > 32 || n.mask != p.Mask() || n.addr&^n.mask != 0 {
 			t.Fatalf("node %v carries mask %08x", p, n.mask)
 		}
-		if (p.Len == 32 && n.bit != 0) || (p.Len < 32 && n.bit != 1<<(31-p.Len)) {
-			t.Fatalf("node %v carries branch bit %08x", p, n.bit)
+		if b := n.branch(); (p.Len == 32 && b != 0) || (p.Len < 32 && b != 1<<(31-p.Len)) {
+			t.Fatalf("node %v branches on bit %08x", p, b)
+		}
+		if n.wide != nil {
+			checkWide(t, n)
 		}
 		if len(n.entries) == 0 && (n.children[0] == nil || n.children[1] == nil) {
 			t.Fatalf("node %v holds no entries and has fewer than two children", p)
@@ -143,8 +177,8 @@ func checkCompressed(t testing.TB, tr *Trie) {
 			if c == nil {
 				continue
 			}
-			if c.plen <= n.plen || c.addr&n.mask != n.addr || (c.addr&n.bit != 0) != (side == 1) {
-				t.Fatalf("child %v hangs on side %d of %v", Prefix{Addr: c.addr, Len: c.plen}, side, p)
+			if c.plen() <= p.Len || c.addr&n.mask != n.addr || (c.addr&n.branch() != 0) != (side == 1) {
+				t.Fatalf("child %v hangs on side %d of %v", Prefix{Addr: c.addr, Len: c.plen()}, side, p)
 			}
 			walk(c)
 		}
@@ -164,6 +198,74 @@ func checkCompressed(t testing.TB, tr *Trie) {
 	}
 }
 
+// checkWide recomputes every slot of n's stride table from the nodes below
+// n by a flat scan rather than the slot walk: next is the shallowest node
+// inside the slot's prefix and at least as long, and best the first-match
+// winner — or the source mark — among the entries of the nodes strictly
+// between n and the slot's depth whose prefix contains the slot's. best is
+// compared by value, since a slot may hold a snapshot's copy of an entry
+// the trie has copied but not changed. The table's geometry must be its
+// stride's, its count of live slots exact, and at least a quarter full.
+func checkWide(t testing.TB, n *trieNode) {
+	t.Helper()
+	w, p := n.wide, n.plen()
+	if w.k < minStride || w.k > maxStride || p+w.k > 32 || w.shift != 32-p-w.k || w.idx != 1<<w.k-1 || len(w.slots) != 1<<w.k {
+		t.Fatalf("node %v carries a table of stride %d, shift %d, index mask %x, %d slots",
+			Prefix{Addr: n.addr, Len: p}, w.k, w.shift, w.idx, len(w.slots))
+	}
+	var below []*trieNode // pre-order, so the nodes containing one prefix come shallowest first
+	var collect func(c *trieNode)
+	collect = func(c *trieNode) {
+		if c != nil {
+			below = append(below, c)
+			collect(c.children[0])
+			collect(c.children[1])
+		}
+	}
+	collect(n.children[0])
+	collect(n.children[1])
+	used := 0
+	for i, s := range w.slots {
+		sp := Prefix{Addr: n.addr | uint32(i)<<w.shift, Len: p + w.k}
+		var next *trieNode
+		var best *trieEntry
+		for _, c := range below {
+			cp := Prefix{Addr: c.addr, Len: c.plen()}
+			switch {
+			case sp.Contains(cp):
+				if next == nil || cp.Len < next.plen() {
+					next = c
+				}
+			case cp.Contains(sp):
+				for j := range c.entries {
+					e := &c.entries[j]
+					switch {
+					case best == &inStride:
+					case e.rule.Match.Src != Prefix{}:
+						best = &inStride
+					case best == nil || e.rule.Priority > best.rule.Priority || (e.rule.Priority == best.rule.Priority &&
+						(e.key.Rank < best.key.Rank || (e.key.Rank == best.key.Rank && e.key.Ord < best.key.Ord))):
+						best = e
+					}
+				}
+			}
+		}
+		if s.next != next {
+			t.Fatalf("table of %v: slot %v leads to %p, the nodes below say %p", Prefix{Addr: n.addr, Len: p}, sp, s.next, next)
+		}
+		if (s.best == nil) != (best == nil) || (s.best == &inStride) != (best == &inStride) || (best != nil && *s.best != *best) {
+			t.Fatalf("table of %v: slot %v holds best %+v, the nodes below say %+v", Prefix{Addr: n.addr, Len: p}, sp, s.best, best)
+		}
+		if next != nil {
+			used++
+		}
+	}
+	if used != int(w.used) || 4*used < len(w.slots) {
+		t.Fatalf("table of %v: %d of %d slots lead to a node, the table counts %d (a table under a quarter full goes)",
+			Prefix{Addr: n.addr, Len: p}, used, len(w.slots), w.used)
+	}
+}
+
 // FuzzTrieSnapshotIsolation drives one trie through an op stream of keyed
 // inserts, deletes, updates, clears and freezes. Every snapshot retained at
 // a Freeze must keep answering exactly as the linear oracle over the rule
@@ -176,7 +278,11 @@ func checkCompressed(t testing.TB, tr *Trie) {
 // structural edit: a split where the new prefix diverges mid-edge, a prefix
 // ending inside an edge (the new node becomes a parent), a delete that
 // merges a single child up, a split and a merge under a retained snapshot,
-// and the epoch wrap.
+// and the epoch wrap; and for each stride-table edit, under retained
+// snapshots and across the wrap: a table created, grown wider, shrunk and
+// dissolved, an entry inside a stride pushed into its slots, a
+// source-constrained entry marking them, and a priority tie a slot's entry
+// loses or wins by Key.
 func FuzzTrieSnapshotIsolation(f *testing.F) {
 	pool := []byte{0x0a, 8, 1, 0, 0, 0x0a, 16, 1, 0, 0, 0x0a, 16, 1, 0x0a, 8, 0x0a, 24, 2, 0, 0, 0x0b, 0, 0, 0, 0}
 	f.Add(pool, []byte{0, 0, 1, 1, 12, 0, 2, 2, 6, 0, 12, 0, 0, 3, 10, 1, 12, 0, 6, 1, 6, 0}, uint32(0x0a000001), uint32(0))
@@ -187,16 +293,10 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 	f.Add([]byte{0x0a, 8, 1, 0, 0, 0x0b, 8, 1, 0, 0, 0x0b, 16, 2, 0, 0},
 		[]byte{0, 0, 0, 1, 12, 0, 0, 0, 12, 0, 0, 2, 12, 0, 6, 1}, uint32(0x0b000001), uint32(0))
 	f.Fuzz(func(t *testing.T, data, ops []byte, dst, src uint32) {
-		// 5 bytes per rule, as in FuzzRuleIndexEquivalence.
-		var shapes []Rule
+		shapes := decodeShapes(data, 64)
 		probes := [][2]uint32{{dst, src}}
-		for i := 0; i+5 <= len(data) && len(shapes) < 32; i += 5 {
-			r := Rule{
-				Match:    Match{Dst: NewPrefix(uint32(data[i])<<24, data[i+1]%33), Src: NewPrefix(uint32(data[i+3])<<24, data[i+4]%33)},
-				Priority: int32(data[i+2] % 8),
-			}
-			shapes = append(shapes, r)
-			probes = append(probes, [2]uint32{r.Match.Dst.Addr | uint32(data[i+2]), r.Match.Src.Addr})
+		for _, r := range shapes {
+			probes = append(probes, [2]uint32{r.Match.Dst.Addr | uint32(r.Priority), r.Match.Src.Addr})
 		}
 		agree := func(what string, lookup func(dst, src uint32) (Rule, bool), model []keyedRule) {
 			t.Helper()
@@ -216,7 +316,7 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 			live, twin Trie // twin is never frozen
 			model      []keyedRule
 			snaps      []retained
-			frozen     = map[*trieNode]bool{}
+			frozen     = map[any]bool{}
 			stamp      uint64 // distinct ords keep the first-match order total
 		)
 		for i := 0; i+2 <= len(ops) && i < 512; i += 2 {

@@ -19,10 +19,14 @@ func (t *Trie) Lookup(dst, src uint32) (Rule, bool) { return Snapshot{t.root}.Lo
 // would return. It descends the nodes whose prefix contains the destination
 // address — they hold precisely the rules whose Dst matches, one node per
 // entry-bearing prefix or branch point on the path (a path-compressed trie
-// has no others) — and stops at the first node that does not. It reads the
-// entries only of the nodes whose best priority can still beat the
-// candidate in hand (deeply nested rule sets put twenty candidates on one
-// path; most lose on priority alone). Zero allocations.
+// has no others) — and stops at the first node that does not. At a node
+// with a stride table (wide.go) it reads the slot of the address's next k
+// bits instead of the k levels of binary nodes below: the slot's winner
+// among the entries of the nodes it jumps over is a candidate like a
+// node's, and the walk goes on at the slot's node. It reads the entries
+// only of the nodes whose best priority can still beat the candidate in
+// hand (deeply nested rule sets put twenty candidates on one path; most
+// lose on priority alone). Zero allocations.
 //
 //hermes:hotpath
 func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
@@ -41,8 +45,18 @@ func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
 				}
 			}
 		}
+		if w := n.wide; w != nil {
+			if sl := &w.slots[dst>>(w.shift&31)&w.idx]; sl.best != &inStride {
+				if e := sl.best; e != nil && (best == nil || e.rule.Priority > bestPrio ||
+					(e.rule.Priority == bestPrio && e.key.before(best.key))) {
+					best, bestPrio = e, e.rule.Priority
+				}
+				n = sl.next
+				continue
+			}
+		}
 		// A jump, not step's index: see step.
-		if dst&n.bit != 0 {
+		if dst&n.branch() != 0 {
 			n = n.children[1]
 		} else {
 			n = n.children[0]

@@ -38,12 +38,16 @@ import "math/bits"
 // steady-state insert promises 0 allocs/op) would otherwise re-allocate the
 // same nodes — and their entries backing arrays — on every delete/insert
 // cycle. Only nodes no snapshot can reach are ever recycled.
+//
+// A frozen trie also keeps stride tables on its dense branch nodes, which
+// let Snapshot.Lookup jump several levels at once (wide.go).
 type Trie struct {
-	root  *trieNode
-	size  int
-	epoch uint32
-	free  *trieNode // freelist of unlinked nodes, chained through children[0]
-	nfree int
+	root    *trieNode
+	size    int
+	epoch   uint32
+	widened bool      // Freeze has run: the trie keeps stride tables
+	free    *trieNode // freelist of unlinked nodes, chained through children[0]
+	nfree   int
 }
 
 // maxFreeNodes bounds the freelist so one transient deep trie does not pin
@@ -51,24 +55,35 @@ type Trie struct {
 const maxFreeNodes = 8192
 
 // trieNode is 64 bytes, one allocator size class and one cache line, so a
-// lookup's reads of a node hit one line. The prefix is kept as the words a
-// walk tests and branches on, so no step of a walk shifts by a variable
-// amount.
+// lookup's reads of a node hit one line. The prefix is kept as the two words
+// a walk tests; the branch bit and the length are derived from the netmask
+// (branch, plen), so no step of a walk shifts by a variable amount.
 type trieNode struct {
 	children [2]*trieNode
-	addr     uint32 // the node's prefix: its address,
-	mask     uint32 // its netmask,
-	bit      uint32 // and the address bit that picks the child (0 on a /32, which has none)
-	plen     uint8
+	addr     uint32 // the node's prefix: its address
+	mask     uint32 // and its netmask
 	epoch    uint32 // Trie.epoch at creation
 	// maxPrio is the highest priority among entries (undefined when there
 	// are none): Lookup skips a node that cannot beat its candidate without
 	// touching the entries' memory.
 	maxPrio int32
+	// wide is the node's stride table, or nil (wide.go). Only a trie that
+	// has been frozen builds them, and only Snapshot.Lookup reads them.
+	wide *wideTable
 	// entries are the rules whose Dst is exactly this node's prefix, in
 	// insertion order (OverlapIter's order contract).
 	entries []trieEntry
 }
+
+// branch returns the address bit that picks n's child: its prefix's
+// highest host bit, 0 on a /32, which has none.
+func (n *trieNode) branch() uint32 {
+	h := ^n.mask
+	return h ^ h>>1
+}
+
+// plen returns the length of n's prefix.
+func (n *trieNode) plen() uint8 { return uint8(32 - bits.TrailingZeros32(n.mask)) }
 
 // Key is a rule's first-match tie-break among equal priorities: lower Rank
 // wins, then lower Ord. Lookup orders candidates by (Priority descending,
@@ -88,12 +103,12 @@ type trieEntry struct {
 // instead: packet streams repeat their popular paths, and a predicted jump
 // lets the next node's load start before this node's branch bit arrives.
 func (n *trieNode) step(addr uint32) *trieNode {
-	return n.children[b2i(addr&n.bit != 0)]
+	return n.children[b2i(addr&n.branch() != 0)]
 }
 
 // contains reports whether n's prefix contains p.
 func (n *trieNode) contains(p Prefix) bool {
-	return n.plen <= p.Len && p.Addr&n.mask == n.addr
+	return n.plen() <= p.Len && p.Addr&n.mask == n.addr
 }
 
 // onlyChild returns n's child when it has at most one, or nil.
@@ -129,10 +144,7 @@ func (t *Trie) alloc() *trieNode {
 // newNode returns an own, childless, entry-less node for prefix p.
 func (t *Trie) newNode(p Prefix) *trieNode {
 	n := t.alloc()
-	n.addr, n.mask, n.plen, n.bit = p.Addr, p.Mask(), p.Len, 0
-	if p.Len < 32 {
-		n.bit = 1 << (31 - p.Len)
-	}
+	n.addr, n.mask = p.Addr, p.Mask()
 	return n
 }
 
@@ -143,7 +155,7 @@ func (t *Trie) freeNode(n *trieNode) {
 	if t.nfree >= maxFreeNodes {
 		return
 	}
-	n.entries = n.entries[:0]
+	n.entries, n.wide = n.entries[:0], nil
 	n.children[0] = t.free
 	n.children[1] = nil
 	t.free = n
@@ -172,16 +184,16 @@ func (t *Trie) copyNode(slot **trieNode) *trieNode {
 // roles and the leaf keeps its entries capacity.
 func (t *Trie) split(slot **trieNode, p Prefix) *trieNode {
 	c := *slot
-	common := min(p.Len, c.plen, uint8(bits.LeadingZeros32(p.Addr^c.addr)))
+	common := min(p.Len, c.plen(), uint8(bits.LeadingZeros32(p.Addr^c.addr)))
 	if common == p.Len {
 		n := t.newNode(p)
-		n.children[b2i(c.addr&n.bit != 0)] = c
+		n.children[b2i(c.addr&n.branch() != 0)] = c
 		*slot = n
 		return n
 	}
 	b := t.newNode(NewPrefix(p.Addr, common))
 	n := t.newNode(p)
-	up := b2i(p.Addr&b.bit != 0)
+	up := b2i(p.Addr&b.branch() != 0)
 	b.children[up], b.children[1-up] = n, c
 	*slot = b
 	return n
@@ -206,7 +218,7 @@ func (t *Trie) locate(dst Prefix, id RuleID, path *[33]*trieNode) (i, d, shared 
 			shared = d
 		}
 		path[d] = n
-		if n.plen == dst.Len {
+		if n.plen() == dst.Len {
 			for i := range n.entries {
 				if n.entries[i].rule.ID == id {
 					return i, d, shared
@@ -226,7 +238,7 @@ func (t *Trie) slotOf(dst Prefix, path *[33]*trieNode, j int) **trieNode {
 		return &t.root
 	}
 	p := path[j-1]
-	return &p.children[b2i(dst.Addr&p.bit != 0)]
+	return &p.children[b2i(dst.Addr&p.branch() != 0)]
 }
 
 // ownLocated makes a located path mutable — everything below a shared node
@@ -241,25 +253,34 @@ func (t *Trie) ownLocated(dst Prefix, path *[33]*trieNode, d, shared int) *trieN
 
 // Freeze returns the trie's current contents as an immutable snapshot. It
 // costs O(1): the nodes are shared, and the epoch bump makes every later
-// mutation copy the nodes it touches instead of writing them.
+// mutation copy the nodes it touches instead of writing them. The first
+// Freeze also gives the trie its stride tables, once, in O(n) (wide.go);
+// from then on every write keeps them current.
 func (t *Trie) Freeze() Snapshot {
+	if !t.widened {
+		t.widened = true
+		t.widenAll(t.root, 0)
+	}
 	s := Snapshot{root: t.root}
 	if t.epoch++; t.epoch == 0 {
 		// The 32-bit epoch wrapped: a node untouched for 2^32 freezes
 		// would pass for the trie's own again. Carry on with a private copy
-		// of everything, which is the trie's own by construction.
+		// of everything, which is the trie's own by construction, and
+		// tables built for it.
 		t.root = t.root.cloneTree()
+		t.widenAll(t.root, 0)
 	}
 	return s
 }
 
-// cloneTree deep-copies the subtree at n into nodes of epoch 0.
+// cloneTree deep-copies the subtree at n into nodes of epoch 0, without
+// stride tables.
 func (n *trieNode) cloneTree() *trieNode {
 	if n == nil {
 		return nil
 	}
 	c := *n
-	c.epoch = 0
+	c.epoch, c.wide = 0, nil
 	c.children = [2]*trieNode{n.children[0].cloneTree(), n.children[1].cloneTree()}
 	c.entries = append([]trieEntry(nil), n.entries...)
 	return &c
@@ -292,16 +313,19 @@ func (t *Trie) InsertKeyed(r Rule, k Key) {
 		if n.epoch != t.epoch {
 			n = t.copyNode(slot)
 		}
-		if n.plen == p.Len {
+		if n.plen() == p.Len {
 			break
 		}
-		slot = &n.children[b2i(p.Addr&n.bit != 0)]
+		slot = &n.children[b2i(p.Addr&n.branch() != 0)]
 	}
 	if len(n.entries) == 0 || r.Priority > n.maxPrio {
 		n.maxPrio = r.Priority
 	}
 	n.entries = append(n.entries, trieEntry{r, k})
 	t.size++
+	if t.widened {
+		t.rewiden(p)
+	}
 }
 
 // Delete removes the rule with the given ID from the node for prefix dst.
@@ -321,23 +345,31 @@ func (t *Trie) Delete(dst Prefix, id RuleID) bool {
 	n.entries = append(n.entries[:i], n.entries[i+1:]...)
 	n.setMaxPrio()
 	t.size--
-	if len(n.entries) != 0 || (n.children[0] != nil && n.children[1] != nil) {
-		return true
+	if len(n.entries) == 0 && (n.children[0] == nil || n.children[1] == nil) {
+		t.unlink(dst, &path, d)
 	}
-	// n goes: its one child, or nothing, takes its place.
+	if t.widened {
+		t.rewiden(dst)
+	}
+	return true
+}
+
+// unlink takes out path[d], the node at dst, left entry-less with at most
+// one child: that child, or nothing, takes its place.
+func (t *Trie) unlink(dst Prefix, path *[33]*trieNode, d int) {
+	n := path[d]
 	c := n.onlyChild()
-	*t.slotOf(dst, &path, d) = c
+	*t.slotOf(dst, path, d) = c
 	t.freeNode(n)
 	if c != nil || d == 0 {
-		return true
+		return
 	}
 	// The parent lost a child: an entry-less parent (a branch node) is left
 	// with one and merges into it.
 	if pn := path[d-1]; len(pn.entries) == 0 {
-		*t.slotOf(dst, &path, d-1) = pn.onlyChild()
+		*t.slotOf(dst, path, d-1) = pn.onlyChild()
 		t.freeNode(pn)
 	}
-	return true
 }
 
 // Update replaces the stored copy of the rule with the given ID under dst
@@ -353,6 +385,9 @@ func (t *Trie) Update(dst Prefix, r Rule) bool {
 	n := t.ownLocated(dst, &path, d, shared)
 	n.entries[i].rule = r
 	n.setMaxPrio()
+	if t.widened {
+		t.rewiden(dst)
+	}
 	return true
 }
 
@@ -417,7 +452,7 @@ func (it *OverlapIter) Next() (Rule, bool) {
 				// everything below n: the walk is over.
 				return Rule{}, false
 			}
-			if n.plen < it.m.Dst.Len {
+			if n.plen() < it.m.Dst.Len {
 				// Ancestor: its dst contains the query's.
 				it.path = n.step(it.m.Dst.Addr)
 			} else {

@@ -244,7 +244,7 @@ func TestTrieNodeRecycling(t *testing.T) {
 	// sibling /32 splits the rule's edge at their common /29 and the branch
 	// node merges away again when it goes.
 	snap := tr.Freeze()
-	frozen := map[*trieNode]bool{}
+	frozen := map[any]bool{}
 	frozenNodes(snap.root, frozen)
 	other := Rule{ID: 2, Match: DstMatch(MustParsePrefix("10.1.2.4/32")), Priority: 1}
 	for i := 0; i < 3; i++ {

@@ -368,7 +368,12 @@ func TestPublishCostIndependentOfOccupancy(t *testing.T) {
 	// Four publishes (one agentView each), and the two deletes' path copies:
 	// a copied path holds only the branch points and rule-bearing prefixes
 	// above the probe, here at most two nodes, each with its entries. The
-	// inserts reuse the nodes the deletes unlinked.
+	// inserts reuse the nodes the deletes unlinked. The main table's stride
+	// tables add nothing: the bypass probe hangs off a /0 branch node that
+	// the insert splits in above the installed pool and the delete merges
+	// away again, so the pool's tables are not on its path and no write
+	// copies one (each write changes the tables above what it changed, at
+	// most one per level).
 	if bound := float64(4 + 2*2*2); large > bound {
 		t.Errorf("write-then-read cycle allocates %.0f times, want ≤ %.0f (four snapshots plus two copied paths)", large, bound)
 	}

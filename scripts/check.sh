@@ -119,8 +119,8 @@ if [ "$breach_status" -ne 1 ]; then
   exit 1
 fi
 
-echo ">> micro-benchmarks run once so they cannot rot: trie lookup and locate, TCAM churn (nothing timed is gated)"
-go test -run='^$' -bench='SnapshotLookup|TrieLocate' -benchtime=1x ./internal/classifier
+echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, TCAM churn (nothing timed is gated)"
+go test -run='^$' -bench='SnapshotLookup|TrieLocate|TrieWriteFrozen' -benchtime=1x ./internal/classifier
 go test -run='^$' -bench=TableChurn -benchtime=1x ./internal/tcam
 
 echo ">> fuzz: codec round-trip (5s)"
