@@ -200,6 +200,7 @@ func TestStrideTablesUnderFrozenChurn(t *testing.T) {
 				current = slices.Delete(current, k, k+1)
 			}
 			agree("live trie", tr.Lookup, current)
+			agree("live trie's stride tables", Snapshot{tr.root}.Lookup, current)
 			agree("retained snapshot", snap.Lookup, snapModel)
 			snap, snapModel = tr.Freeze(), current
 		}

@@ -52,24 +52,30 @@ func FuzzParsePrefix(f *testing.F) {
 // quantization keeps overlaps and ties frequent. A dst-len byte b with the
 // high bit set stands for a dense run instead, enough to fill a stride
 // table: 4 << (b>>4&3) sibling prefixes of length 8 + b&15 side by side
-// from the dst address, each with the shape's priority and src.
-func decodeShapes(data []byte, max int) []Rule {
-	var rules []Rule
+// from the dst address, each with the shape's priority and src. Each rule
+// comes with a probe packet: its dst address with the raw priority byte as
+// the low byte, so a probe may fall inside a long rule or just outside it,
+// and its src address.
+func decodeShapes(data []byte, max int) (rules []Rule, probes [][2]uint32) {
 	for i := 0; i+5 <= len(data) && len(rules) < max; i += 5 {
 		r := Rule{Match: Match{Src: NewPrefix(uint32(data[i+3])<<24, data[i+4]%33)}, Priority: int32(data[i+2] % 8)}
 		base, b := uint32(data[i])<<24, data[i+1]
+		add := func() {
+			rules = append(rules, r)
+			probes = append(probes, [2]uint32{r.Match.Dst.Addr | uint32(data[i+2]), r.Match.Src.Addr})
+		}
 		if b < 0x80 {
 			r.Match.Dst = NewPrefix(base, b%33)
-			rules = append(rules, r)
+			add()
 			continue
 		}
 		plen := 8 + b&15
 		for j := uint32(0); j < 4<<(b>>4&3) && len(rules) < max; j++ {
 			r.Match.Dst = NewPrefix(base+j<<(32-plen), plen)
-			rules = append(rules, r)
+			add()
 		}
 	}
-	return rules
+	return rules, probes
 }
 
 // FuzzRuleIndexEquivalence feeds arbitrary packed rule bytes and a probe
@@ -82,7 +88,7 @@ func FuzzRuleIndexEquivalence(f *testing.F) {
 	// source-constrained /15 that marks the slots it covers.
 	f.Add([]byte{0x0a, 0x98, 1, 0, 0, 0x0a, 14, 5, 0, 0, 0x0a, 15, 6, 0xc0, 8}, uint32(0x0a010001), uint32(0xc0000001))
 	f.Fuzz(func(t *testing.T, data []byte, dst, src uint32) {
-		rules := decodeShapes(data, 64)
+		rules, _ := decodeShapes(data, 64)
 		for i := range rules {
 			rules[i].ID = RuleID(i + 1)
 		}
@@ -270,7 +276,8 @@ func checkWide(t testing.TB, n *trieNode) {
 // inserts, deletes, updates, clears and freezes. Every snapshot retained at
 // a Freeze must keep answering exactly as the linear oracle over the rule
 // list as of that freeze, whatever happens later; the live trie must answer
-// as the current list; its overlap walk, and that of a never-frozen twin fed
+// as the current list, by its binary walk and through its stride tables; its
+// overlap walk, and that of a never-frozen twin fed
 // the same ops, must yield what the flat-list order oracle yields, in the
 // same order (the order decides fragment shapes); and node ownership and
 // the compressed shape must hold after every op, also across the
@@ -293,11 +300,8 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 	f.Add([]byte{0x0a, 8, 1, 0, 0, 0x0b, 8, 1, 0, 0, 0x0b, 16, 2, 0, 0},
 		[]byte{0, 0, 0, 1, 12, 0, 0, 0, 12, 0, 0, 2, 12, 0, 6, 1}, uint32(0x0b000001), uint32(0))
 	f.Fuzz(func(t *testing.T, data, ops []byte, dst, src uint32) {
-		shapes := decodeShapes(data, 64)
-		probes := [][2]uint32{{dst, src}}
-		for _, r := range shapes {
-			probes = append(probes, [2]uint32{r.Match.Dst.Addr | uint32(r.Priority), r.Match.Src.Addr})
-		}
+		shapes, probes := decodeShapes(data, 64)
+		probes = append(probes, [2]uint32{dst, src})
 		agree := func(what string, lookup func(dst, src uint32) (Rule, bool), model []keyedRule) {
 			t.Helper()
 			for _, p := range probes {
@@ -368,6 +372,7 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 			checkCompressed(t, &live)
 			checkCompressed(t, &twin)
 			agree("live trie", live.Lookup, model)
+			agree("live trie's stride tables", Snapshot{live.root}.Lookup, model)
 			rules := make([]Rule, len(model))
 			for j := range model {
 				rules[j] = model[j].Rule

@@ -8,10 +8,41 @@ package classifier
 type Snapshot struct{ root *trieNode }
 
 // Lookup returns the first-match rule for the packet among the trie's
-// current rules. See Snapshot.Lookup.
+// current rules: Snapshot.Lookup's answer and walk, without the stride
+// tables. A live lookup serves a table that is never frozen, which has
+// none, and testing every node for one cost such a lookup ~10 %; a helper
+// shared by the two walks is not inlined and cost the snapshot walk as much
+// (EXPERIMENTS.md E26).
 //
 //hermes:hotpath
-func (t *Trie) Lookup(dst, src uint32) (Rule, bool) { return Snapshot{t.root}.Lookup(dst, src) }
+func (t *Trie) Lookup(dst, src uint32) (Rule, bool) {
+	var best *trieEntry
+	var bestPrio int32 // as in Snapshot.Lookup
+	for n := t.root; n != nil && dst&n.mask == n.addr; {
+		if entries := n.entries; len(entries) != 0 && (best == nil || n.maxPrio >= bestPrio) {
+			for i := range entries {
+				e := &entries[i]
+				if !e.rule.Match.Src.MatchesAddr(src) {
+					continue
+				}
+				if p := e.rule.Priority; best == nil || p > bestPrio ||
+					(p == bestPrio && e.key.before(best.key)) {
+					best, bestPrio = e, p
+				}
+			}
+		}
+		// A jump, not step's index: see step.
+		if dst&n.branch() != 0 {
+			n = n.children[1]
+		} else {
+			n = n.children[0]
+		}
+	}
+	if best == nil {
+		return Rule{}, false
+	}
+	return best.rule, true
+}
 
 // Lookup returns the first-match rule for the packet: of the rules matching
 // it, the one with the highest priority, ties going to the lowest Key (Rank,
