@@ -65,28 +65,3 @@ func ExampleRegistry_CreateTCAMQoS() {
 	// modify ok: true
 	// delete ok: true
 }
-
-// ExampleNewPacer schedules a controller's updates under the advertised
-// per-switch rate.
-func ExampleNewPacer() {
-	p := hermes.NewPacer()
-	p.Register("s1", hermes.SwitchLimit{Rate: 100, Burst: 2})
-	updates := []hermes.PacedUpdate{
-		{Switch: "s1", Rule: hermes.Rule{ID: 1}},
-		{Switch: "s1", Rule: hermes.Rule{ID: 2}},
-		{Switch: "s1", Rule: hermes.Rule{ID: 3}},
-	}
-	sends, end, err := p.Plan(0, updates)
-	if err != nil {
-		panic(err)
-	}
-	for _, s := range sends {
-		fmt.Printf("rule %d at %v\n", s.Rule.ID, s.At)
-	}
-	fmt.Println("done by", end)
-	// Output:
-	// rule 1 at 0s
-	// rule 2 at 0s
-	// rule 3 at 10ms
-	// done by 10ms
-}

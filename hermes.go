@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"hermes/internal/classifier"
-	"hermes/internal/controller"
 	"hermes/internal/core"
 	"hermes/internal/predict"
 	"hermes/internal/rulecache"
@@ -265,19 +264,3 @@ type (
 // must have been created with Config.TrackLogical. A nil Counterexample
 // means provable equivalence.
 func VerifyAgent(a *Agent) (*Counterexample, error) { return verify.Agent(a) }
-
-// Controller-side pacing (the §7 contract's other half: respect the
-// advertised max burst rate).
-type (
-	// Pacer schedules controller→switch flow-mods under per-switch limits.
-	Pacer = controller.Pacer
-	// SwitchLimit is one switch's advertised admission contract.
-	SwitchLimit = controller.SwitchLimit
-	// PacedUpdate is one pending flow-mod addressed to a switch.
-	PacedUpdate = controller.Update
-	// PacedSend is one scheduled transmission.
-	PacedSend = controller.Send
-)
-
-// NewPacer returns an empty controller-side pacer.
-func NewPacer() *Pacer { return controller.NewPacer() }

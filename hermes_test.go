@@ -1,10 +1,15 @@
 package hermes_test
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"hermes"
+	"hermes/internal/core"
+	"hermes/internal/fleet"
+	"hermes/internal/intent"
 )
 
 // TestPublicAPIQuickstart exercises the doc-comment quickstart end to end
@@ -136,5 +141,40 @@ func TestPublicVerifyAgent(t *testing.T) {
 	plain, _ := hermes.NewAgent(hermes.NewSwitch("v2", hermes.Dell8132F), hermes.Config{Guarantee: 5 * time.Millisecond})
 	if _, err := hermes.VerifyAgent(plain); err == nil {
 		t.Error("verification without TrackLogical must error")
+	}
+}
+
+// TestConfigKnobsPinned is the knob ratchet: it pins the exported fields of
+// the three configuration structs, so a new option cannot land without an
+// edit here that a reviewer sees. Each field doubles the configurations
+// the tests and the benchmark must cover.
+func TestConfigKnobsPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  any
+		want []string
+	}{
+		{core.Config{}, []string{"Guarantee", "Predicate", "Predictor", "Corrector",
+			"TickInterval", "Mode", "Threshold", "MaxPartitions",
+			"DisableLowPriorityBypass", "DisableMergeOptimization", "NaiveMigration",
+			"DisableRateLimit", "AutoTuneSlack", "TrackLogical", "LinearLookup",
+			"Cache", "Observer"}},
+		{fleet.Config{}, []string{"QueueDepth", "BatchSize", "DialTimeout", "Dial",
+			"WireBatch", "BatchLinger", "OpTimeout", "ProbeInterval", "Retry",
+			"Breaker", "RetryDiverted", "Seed", "Obs", "OnResult", "OnReconnect"}},
+		{intent.Config{}, []string{"Switches", "Shards", "ID", "Store", "Target",
+			"Now", "After", "Resync", "RateLimit", "Seed", "Leases", "Trace", "Obs",
+			"Permanent"}},
+	} {
+		ty := reflect.TypeOf(c.cfg)
+		var got []string
+		for i := 0; i < ty.NumField(); i++ {
+			if f := ty.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v has exported fields\n  %v\nthe pin lists\n  %v\n"+
+				"adding or removing a knob needs a reviewed edit of this pin", ty, got, c.want)
+		}
 	}
 }

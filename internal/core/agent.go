@@ -146,6 +146,10 @@ type Agent struct {
 	migr     *migration
 	lastTick time.Duration
 	tuner    *autoTuner // non-nil when cfg.AutoTuneSlack
+	// migInterrupt, when non-nil, is consulted at each Fig.-7 migration
+	// step; returning true cuts the migration off at that step, exactly
+	// as a switch crash mid-migration would (SetMigrationInterrupt).
+	migInterrupt func(step MigrationStep, now time.Duration) bool
 
 	// needsReconcile is set when a fault (crash/restart, interrupted
 	// migration, lost TCAM update) may have diverged the physical tables
@@ -166,10 +170,10 @@ type Agent struct {
 	stPool []*ruleState
 
 	// --- rule-cache hierarchy (DESIGN.md §16, cache.go) ---------------
-	// soft is the authoritative software tier (non-nil iff Config.Cache
-	// is set); cmgr is the cache/hit-stats manager (non-nil when Cache or
-	// TrackHits). soft's pointer is written once in New and read lock-free
-	// on the lookup fast path; its contents mutate only under a.mu.
+	// soft is the authoritative software tier and cmgr its cache/hit-stats
+	// manager (both non-nil iff Config.Cache is set). soft's pointer is
+	// written once in New and read lock-free on the lookup fast path; its
+	// contents mutate only under a.mu.
 	soft     *rulecache.SoftTable
 	cmgr     *rulecache.Manager
 	cacheCfg rulecache.Config
@@ -213,6 +217,11 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 	prof := sw.Profile()
 	if cfg.Guarantee <= 0 {
 		return nil, fmt.Errorf("core: non-positive guarantee %v", cfg.Guarantee)
+	}
+	if cfg.Cache != nil && cfg.LinearLookup {
+		// The software tier is the cached agent's own reference; a
+		// scanning hardware tier under it checks nothing.
+		return nil, errors.New("core: Cache and LinearLookup cannot be combined")
 	}
 	size := prof.MaxShiftsWithin(cfg.Guarantee)
 	if size == 0 {
@@ -260,8 +269,6 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 		a.cmgr = rulecache.NewManager(cc)
 		a.covers = make(map[classifier.RuleID][]classifier.RuleID)
 		a.nextCoverID = coverIDBase
-	} else if cfg.TrackHits {
-		a.cmgr = rulecache.NewManager(rulecache.Config{})
 	}
 	if cfg.AutoTuneSlack {
 		seed := 1.0
@@ -290,6 +297,10 @@ func (a *Agent) burstBudget() float64 {
 	return b
 }
 
+// expectedPartitions is r_p of Equation 2: the expected number of shadow
+// entries per inserted rule.
+const expectedPartitions = 1.5
+
 // computeMaxRate evaluates Equation 2 — λ = S_ST / (r_p · t_m), with t_m
 // estimated as the time to migrate a full shadow table at typical main
 // occupancy (half full) using the cheaper of incremental and bulk
@@ -307,8 +318,8 @@ func (a *Agent) computeMaxRate() float64 {
 	if bulk < tm {
 		tm = bulk
 	}
-	eq2 := float64(s) / (a.cfg.ExpectedPartitions * tm.Seconds())
-	service := 1.0 / (a.cfg.ExpectedPartitions * prof.InsertLatency(s/4).Seconds())
+	eq2 := float64(s) / (expectedPartitions * tm.Seconds())
+	service := 1.0 / (expectedPartitions * prof.InsertLatency(s/4).Seconds())
 	if service < eq2 {
 		return service
 	}
@@ -943,12 +954,7 @@ func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	r, ok := a.sw.Lookup(dst, src)
-	if a.soft == nil {
-		a.recordPlainHit(r, ok)
-		return r, ok
-	}
-	return a.finishCachedLookup(dst, src, r, ok)
+	return a.sw.Lookup(dst, src)
 }
 
 // softGen returns the software tier's generation counter (0 when uncached).

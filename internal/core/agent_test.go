@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hermes/internal/classifier"
+	"hermes/internal/rulecache"
 	"hermes/internal/tcam"
 )
 
@@ -62,6 +63,15 @@ func TestNewAgentInfeasible(t *testing.T) {
 	}
 	if _, err := New(sw, Config{}); err == nil {
 		t.Error("zero guarantee must fail")
+	}
+	// The software tier is the cached agent's reference, so a scanning
+	// hardware tier under it is refused — before the switch is carved.
+	if _, err := New(sw, Config{Guarantee: 5 * time.Millisecond, LinearLookup: true,
+		Cache: &rulecache.Config{Capacity: 8}}); err == nil {
+		t.Error("Cache with LinearLookup must fail")
+	}
+	if _, err := New(sw, Config{Guarantee: 5 * time.Millisecond}); err != nil {
+		t.Errorf("a refused config left the switch unusable: %v", err)
 	}
 }
 

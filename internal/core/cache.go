@@ -45,7 +45,7 @@ import (
 const coverIDBase classifier.RuleID = 1 << 41
 
 // noteRuleAdded / noteRuleRemoved keep the per-rule hit-stats records in
-// step with the controller-visible rule set (TrackHits and cached modes).
+// step with the controller-visible rule set (cached mode).
 func (a *Agent) noteRuleAdded(id classifier.RuleID) {
 	if a.cmgr != nil {
 		a.cmgr.Ensure(id)
@@ -58,72 +58,15 @@ func (a *Agent) noteRuleRemoved(id classifier.RuleID) {
 	}
 }
 
-// recordPlainHit feeds the per-rule hit counter on the uncached live-table
-// read path (TrackHits without a cache tier, under the LinearLookup oracle).
-// Fragment hits are attributed to their original rule.
-func (a *Agent) recordPlainHit(r classifier.Rule, ok bool) {
-	if !ok || a.cmgr == nil {
-		return
-	}
-	id := r.ID
-	if o, isFrag := a.pmap.OriginalOf(id); isFrag {
-		id = o
-	}
-	if s := a.cmgr.Stats(id); s != nil {
-		s.RecordHit(a.cmgr.EpochNow())
-	}
-}
-
-// finishCachedLookup completes a cached-mode lookup from the hardware
-// tier's verdict on the live-table read path (the LinearLookup oracle, read
-// lock held): real hits return directly, cover hits and misses continue into
-// the software tier.
-//
-//hermes:hotpath
-func (a *Agent) finishCachedLookup(dst, src uint32, r classifier.Rule, ok bool) (classifier.Rule, bool) {
-	if ok && r.ID < coverIDBase {
-		a.cmgr.SampleHW(dst, src, r.ID)
-		return r, true
-	}
-	if sr, sok := a.soft.Lookup(dst, src); sok {
-		if a.cmgr.SampleSoft(dst, src) {
-			if s := a.cmgr.Stats(sr.ID); s != nil {
-				s.RecordHit(a.cmgr.EpochNow())
-			}
-		}
-		return sr, true
-	}
-	a.cmgr.RecordMiss()
-	return classifier.Rule{}, false
-}
-
-// buildHitMap maps the IDs a snapshot lookup can resolve to onto their
-// original rule's stats record, so the published snapshot can attribute
-// hits without per-lookup indirection. In cached mode only software-tier
-// winners are ever looked up (hardware hits go through the sample ring), so
-// the map covers exactly the software rules; in TrackHits-only mode it
-// covers every physical entry, fragments under their original. Requires at
-// least the read lock.
+// buildHitMap maps the software-tier rule IDs onto their stats records, so
+// the published snapshot can attribute hits without per-lookup
+// indirection. Only software-tier winners are ever looked up in it
+// (hardware hits go through the sample ring). Requires at least the read
+// lock.
 func (a *Agent) buildHitMap() map[classifier.RuleID]*rulecache.RuleStats {
-	if a.soft != nil {
-		m := make(map[classifier.RuleID]*rulecache.RuleStats, a.soft.Len())
-		for _, e := range a.soft.Entries() {
-			m[e.Rule.ID] = e.Stats
-		}
-		return m
-	}
-	m := make(map[classifier.RuleID]*rulecache.RuleStats,
-		a.shadow.Occupancy()+a.main.Occupancy())
-	add := func(entryID classifier.RuleID) {
-		if s := a.cmgr.Stats(a.originalOf(entryID)); s != nil {
-			m[entryID] = s
-		}
-	}
-	for _, e := range a.shadow.Rules() {
-		add(e.ID)
-	}
-	for _, e := range a.main.Rules() {
-		add(e.ID)
+	m := make(map[classifier.RuleID]*rulecache.RuleStats, a.soft.Len())
+	for _, e := range a.soft.Entries() {
+		m[e.Rule.ID] = e.Stats
 	}
 	return m
 }
@@ -675,7 +618,7 @@ func (a *Agent) appendSoftIDsFrom(ids []classifier.RuleID, from classifier.RuleI
 func (a *Agent) Cached() bool { return a.soft != nil }
 
 // CacheStats returns the caching hierarchy's aggregate metrics (the zero
-// Snapshot when neither Config.Cache nor Config.TrackHits is set).
+// Snapshot when Config.Cache is not set).
 func (a *Agent) CacheStats() rulecache.Snapshot {
 	if a.cmgr == nil {
 		return rulecache.Snapshot{}
@@ -700,9 +643,9 @@ func (a *Agent) originalOf(id classifier.RuleID) classifier.RuleID {
 	return id
 }
 
-// RuleHits returns the recorded hit count for a rule (Config.TrackHits or
-// cached mode; 0 otherwise). In cached mode it folds pending hardware-tier
-// samples first, so it takes the exclusive lock.
+// RuleHits returns the recorded hit count for a rule (cached mode; 0
+// otherwise). It folds pending hardware-tier samples first, so it takes
+// the exclusive lock.
 func (a *Agent) RuleHits(id classifier.RuleID) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -881,46 +881,6 @@ func TestCachedBatchMatchesPerOp(t *testing.T) {
 	}
 }
 
-// TestTrackHitsOnly exercises the hit accounting satellite without the
-// cache tier: the insert paths are untouched and lookups count hits.
-func TestTrackHitsOnly(t *testing.T) {
-	a := newTestAgent(t, Config{DisableRateLimit: true, TrackHits: true})
-	if a.Cached() {
-		t.Fatal("TrackHits alone must not enable the cache tier")
-	}
-	now := time.Duration(0)
-	for i := 1; i <= 3; i++ {
-		r := dstRule(classifier.RuleID(i), "10.0.0.0/8", int32(i), i)
-		r.Match = classifier.DstMatch(classifier.NewPrefix(uint32(i)<<24, 8))
-		res, err := a.Insert(now, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Path == PathSoft {
-			t.Errorf("rule %d took the soft path without a cache", i)
-		}
-		now += time.Millisecond
-	}
-	for k := 0; k < 5; k++ {
-		a.Lookup(1<<24|uint32(k), 0)
-	}
-	a.Lookup(2<<24|1, 0)
-	if got := a.RuleHits(1); got != 5 {
-		t.Errorf("RuleHits(1) = %d, want 5", got)
-	}
-	if got := a.RuleHits(2); got != 1 {
-		t.Errorf("RuleHits(2) = %d, want 1", got)
-	}
-	if got := a.RuleHits(3); got != 0 {
-		t.Errorf("RuleHits(3) = %d, want 0", got)
-	}
-	// Fragment hits attribute to the original rule: force a partition by
-	// adding an overlapping higher-priority main rule via migration.
-	if _, err := a.Delete(now, 3); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // FuzzCachedLookupEquivalence drives a cached agent with a fuzz-shaped op
 // stream and cross-checks every lookup against the single-table oracle.
 func FuzzCachedLookupEquivalence(f *testing.F) {

@@ -63,10 +63,6 @@ type Config struct {
 	// in MigrationThreshold mode. 0 means "migrate whenever non-empty".
 	Threshold float64
 
-	// ExpectedPartitions is r_p of Equation 2: the expected number of
-	// shadow entries per inserted rule. Defaults to 1.5.
-	ExpectedPartitions float64
-
 	// MaxPartitions bounds the fragments a single rule may shatter into
 	// before the Gate Keeper gives up and installs it directly into the
 	// main table (footnote 5 in §4.2: pathological rules such as a
@@ -117,20 +113,6 @@ type Config struct {
 	// number of hardware-resident rules) must be positive.
 	Cache *rulecache.Config
 
-	// TrackHits enables per-rule hit-count accounting on the lookup fast
-	// path without the full cache hierarchy: every lookup that resolves to
-	// a rule bumps its zero-alloc sharded counter (see Agent.RuleHits).
-	// Implied by Cache.
-	TrackHits bool
-
-	// MigrationInterrupt, when non-nil, is consulted at each Fig.-7
-	// migration step; returning true cuts the migration off at that step,
-	// exactly as a switch crash mid-migration would. The agent is marked
-	// as needing Reconcile. A fault-injection seam (internal/faultinject);
-	// nil in production. Hooks must be deterministic (scripted or seeded)
-	// so fault schedules replay identically.
-	MigrationInterrupt func(step MigrationStep, now time.Duration) bool
-
 	// Observer, when non-nil, wires the agent into the obs subsystem:
 	// per-class latency histograms, lifecycle trace events, and flight-
 	// recorder captures on guarantee violations and reconcile repairs.
@@ -149,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 10 * time.Millisecond
-	}
-	if c.ExpectedPartitions <= 0 {
-		c.ExpectedPartitions = 1.5
 	}
 	if c.MaxPartitions <= 0 {
 		c.MaxPartitions = 16

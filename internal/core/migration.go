@@ -53,15 +53,18 @@ func (s MigrationStep) String() string {
 
 // interruptAt consults the fault hook for a step boundary.
 func (a *Agent) interruptAt(step MigrationStep, now time.Duration) bool {
-	return a.cfg.MigrationInterrupt != nil && a.cfg.MigrationInterrupt(step, now)
+	return a.migInterrupt != nil && a.migInterrupt(step, now)
 }
 
 // SetMigrationInterrupt installs (or, with nil, removes) the migration
-// fault hook after construction. Fault-injection harnesses only.
+// fault hook. Fault-injection harnesses only (internal/faultinject); the
+// agent is marked as needing Reconcile when the hook fires. Hooks must be
+// deterministic (scripted or seeded) so fault schedules replay
+// identically.
 func (a *Agent) SetMigrationInterrupt(h func(step MigrationStep, now time.Duration) bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.cfg.MigrationInterrupt = h
+	a.migInterrupt = h
 }
 
 // AbortMigration cancels an in-flight migration before its background copy

@@ -134,10 +134,13 @@ func (r *Registry) ModQoSConfig(id ShadowID, guarantee time.Duration) bool {
 		// Restore the previous configuration on failure.
 		sw.Uncarve()
 		if prev, err2 := New(sw, a.cfg); err2 == nil {
+			prev.migInterrupt = a.migInterrupt
 			r.agents[id] = prev
 		}
 		return false
 	}
+	// The fault hook is agent state, not configuration: carry it over.
+	replacement.migInterrupt = a.migInterrupt
 	r.agents[id] = replacement
 	info := r.info[id]
 	info.Guarantee = guarantee

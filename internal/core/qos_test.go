@@ -74,8 +74,24 @@ func TestModQoSConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The migration fault hook is agent state: one set before the re-carve
+	// must still fire on the replacement agent.
+	old, _ := reg.Agent(id)
+	fired := 0
+	old.SetMigrationInterrupt(func(MigrationStep, time.Duration) bool { fired++; return true })
 	if !reg.ModQoSConfig(id, 10*time.Millisecond) {
 		t.Fatal("ModQoSConfig failed")
+	}
+	a, _ := reg.Agent(id)
+	for i, prio := range []int32{1, 5} {
+		r := classifier.Rule{ID: classifier.RuleID(i + 1), Priority: prio,
+			Match: classifier.DstMatch(classifier.NewPrefix(0x0A000000|uint32(i)<<16, 16))}
+		if _, err := a.Insert(0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if end := a.ForceMigration(time.Millisecond); end != 0 || fired != 1 {
+		t.Errorf("after ModQoSConfig: ForceMigration = %v with the hook fired %d times, want an abort at the copy step", end, fired)
 	}
 	after, _ := reg.Info(id)
 	if after.Guarantee != 10*time.Millisecond {

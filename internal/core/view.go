@@ -33,9 +33,7 @@ type agentView struct {
 	main       classifier.Snapshot
 	// logical is filled only when cfg.TrackLogical is set.
 	logical classifier.Snapshot
-	// soft is the software-tier index, filled in cached mode only; cache
-	// and hits are set whenever hit tracking is on (Config.Cache or
-	// TrackHits).
+	// soft, cache and hits are set in cached mode only.
 	soft   classifier.Snapshot
 	cached bool
 	cache  *rulecache.Manager
@@ -53,11 +51,6 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 		r, ok = v.main.Lookup(dst, src)
 	}
 	if !v.cached {
-		if ok && v.hits != nil {
-			if s := v.hits[r.ID]; s != nil {
-				s.RecordHit(v.cache.EpochNow())
-			}
-		}
 		return r, ok
 	}
 	if ok && r.ID < coverIDBase {
@@ -101,23 +94,22 @@ func (a *Agent) publishView() *agentView {
 		return prev
 	}
 	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cached: a.soft != nil, cache: a.cmgr}
-	hwMoved := false
 	if v.shadow = prev.shadow; prev.shadowGen != sg {
 		v.shadow = a.shadow.Snapshot()
 		a.tierRebuilds[tierShadow].Add(1)
-		hwMoved = true
 	}
 	if v.main = prev.main; prev.mainGen != mg {
 		v.main = a.main.Snapshot()
 		a.tierRebuilds[tierMain].Add(1)
-		hwMoved = true
 	}
-	softMoved := false
 	if a.soft != nil {
-		if v.soft = prev.soft; prev.softGen != fg {
+		// The hit map is keyed by what cached lookups resolve to in the
+		// software tier, so it moves with that tier (buildHitMap).
+		v.soft, v.hits = prev.soft, prev.hits
+		if prev.softGen != fg {
 			v.soft = a.soft.Snapshot()
+			v.hits = a.buildHitMap()
 			a.tierRebuilds[tierSoft].Add(1)
-			softMoved = true
 		}
 	}
 	if a.cfg.TrackLogical {
@@ -127,17 +119,6 @@ func (a *Agent) publishView() *agentView {
 		if v.logical = prev.logical; prev.logicalGen != lg {
 			v.logical = classifier.NewRuleIndex(a.logical)
 			a.tierRebuilds[tierLogical].Add(1)
-		}
-	}
-	if a.cmgr != nil {
-		// The hit map is keyed by what lookups resolve to: software rules
-		// in cached mode, physical entries otherwise (buildHitMap).
-		moved := hwMoved
-		if a.soft != nil {
-			moved = softMoved
-		}
-		if v.hits = prev.hits; moved {
-			v.hits = a.buildHitMap()
 		}
 	}
 	a.view.Store(v)

@@ -10,6 +10,7 @@ import (
 	"hermes/internal/classifier"
 	"hermes/internal/faultinject"
 	"hermes/internal/intent"
+	"hermes/internal/sim"
 	"hermes/internal/stats"
 )
 
@@ -40,11 +41,11 @@ type simSwitch struct {
 
 // simFleet implements intent.Target over simSwitches on a virtual clock.
 type simFleet struct {
-	clk *intent.VirtualClock
+	clk *sim.Engine
 	sw  map[string]*simSwitch
 }
 
-func newSimFleet(clk *intent.VirtualClock, names []string) *simFleet {
+func newSimFleet(clk *sim.Engine, names []string) *simFleet {
 	f := &simFleet{clk: clk, sw: make(map[string]*simSwitch, len(names))}
 	for _, n := range names {
 		f.sw[n] = &simSwitch{rules: make(map[classifier.RuleID]classifier.Rule)}
@@ -162,7 +163,7 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 	failAt := horizon / 2 // replica A crashes here
 	v := reconcileVerdict{Seed: seed, Mutations: muts}
 
-	clk := intent.NewVirtualClock()
+	clk := sim.New()
 	names := make([]string, nSw)
 	for i := range names {
 		names[i] = fmt.Sprintf("sw-%d", i)
@@ -181,7 +182,7 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 			Store:    store,
 			Target:   fleet,
 			Now:      clk.Now,
-			After:    clk.After,
+			After:    func(d time.Duration, fn func()) { clk.After(d, func(time.Duration) { fn() }) },
 			Seed:     seed,
 			Leases:   leases,
 			Trace:    tr,
@@ -281,11 +282,11 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 		}
 		b.RunUntilQuiesced()
 	}
-	for i, guard := 0, 0; i < len(tl) || func() bool { _, ok := clk.NextTimer(); return ok }(); guard++ {
+	for i, guard := 0, 0; i < len(tl) || func() bool { _, ok := clk.NextAt(); return ok }(); guard++ {
 		if guard > 1_000_000 {
 			return v // non-terminating schedule: Converged stays false
 		}
-		next, hasTimer := clk.NextTimer()
+		next, hasTimer := clk.NextAt()
 		if i < len(tl) && (!hasTimer || tl[i].at <= next) {
 			clk.AdvanceTo(tl[i].at)
 			tl[i].apply()
@@ -302,7 +303,7 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 	b.MarkAll(intent.DirtyResync)
 	for {
 		b.RunUntilQuiesced()
-		next, ok := clk.NextTimer()
+		next, ok := clk.NextAt()
 		if !ok {
 			break
 		}

@@ -13,7 +13,7 @@ import (
 // migrations cut off at a Fig.-7 step boundary, and whole-switch
 // crash/restart or truncation events on a virtual-time schedule. All three
 // plug into hooks the production packages expose (tcam.OpFaultHook,
-// core.Config.MigrationInterrupt, and the Agent's CrashRestart/Reconcile
+// (*core.Agent).SetMigrationInterrupt, and the Agent's CrashRestart/Reconcile
 // API); none of them require the production code to know about chaos.
 
 // OpFaultConfig parameterizes TCAM-op fault injection. With a Script the
@@ -137,7 +137,7 @@ type InterruptConfig struct {
 	Script []core.MigrationStep
 }
 
-// Interrupter builds a deterministic core MigrationInterrupt hook.
+// Interrupter builds a deterministic core migration-interrupt hook.
 type Interrupter struct {
 	cfg    InterruptConfig
 	rng    *rand.Rand
@@ -158,8 +158,8 @@ func (i *Interrupter) Exhausted() bool {
 	return len(i.cfg.Script) > 0 && i.cursor >= len(i.cfg.Script)
 }
 
-// Hook returns the function to install via core.Config.MigrationInterrupt
-// or (*core.Agent).SetMigrationInterrupt.
+// Hook returns the function to install via
+// (*core.Agent).SetMigrationInterrupt.
 func (i *Interrupter) Hook() func(step core.MigrationStep, now time.Duration) bool {
 	return func(step core.MigrationStep, _ time.Duration) bool {
 		if len(i.cfg.Script) > 0 {

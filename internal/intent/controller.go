@@ -62,8 +62,8 @@ type Config struct {
 	// the wall clock itself.
 	Now func() time.Duration
 	// After schedules delayed requeues. Defaults to time.AfterFunc.
-	// Harnesses inject VirtualClock.After so backoff elapses in virtual
-	// time.
+	// Harnesses inject a sim.Engine's After so backoff elapses in
+	// virtual time.
 	After func(time.Duration, func())
 	// Resync, when > 0, marks every switch dirty at this period in
 	// goroutine mode (Run). Driven controllers resync by calling

@@ -9,6 +9,7 @@ import (
 
 	"hermes/internal/classifier"
 	"hermes/internal/obs"
+	"hermes/internal/sim"
 )
 
 // fakeTarget is an in-memory switch set with scriptable readiness and
@@ -114,13 +115,19 @@ const (
 	swOdd  = "sw-1"
 )
 
+// engineAfter is Config.After on an engine's virtual clock, so requeue
+// backoff elapses only when the test advances it.
+func engineAfter(e *sim.Engine) func(time.Duration, func()) {
+	return func(d time.Duration, fn func()) { e.After(d, func(time.Duration) { fn() }) }
+}
+
 // driven builds a single driven controller over a fresh store, fake
 // target, and virtual clock.
-func driven(t *testing.T, mutate func(*Config)) (*Store, *fakeTarget, *Controller, *VirtualClock, *Trace) {
+func driven(t *testing.T, mutate func(*Config)) (*Store, *fakeTarget, *Controller, *sim.Engine, *Trace) {
 	t.Helper()
 	s := NewStore(routeMod2)
 	ft := newFakeTarget(swEven, swOdd)
-	clk := NewVirtualClock()
+	clk := sim.New()
 	tr := NewTrace()
 	cfg := Config{
 		Switches: []string{swEven, swOdd},
@@ -128,7 +135,7 @@ func driven(t *testing.T, mutate func(*Config)) (*Store, *fakeTarget, *Controlle
 		Store:    s,
 		Target:   ft,
 		Now:      clk.Now,
-		After:    clk.After,
+		After:    engineAfter(clk),
 		Trace:    tr,
 		RateLimit: RateLimit{Base: 10 * time.Millisecond, Max: 100 * time.Millisecond,
 			Multiplier: 2, Jitter: 0.2},
@@ -208,7 +215,7 @@ func TestControllerUnreadyRequeues(t *testing.T) {
 		if n := c.Step(); n != 0 {
 			t.Fatalf("step %d reconciled %d while backoff pending", i, n)
 		}
-		next, ok := clk.NextTimer()
+		next, ok := clk.NextAt()
 		if !ok {
 			t.Fatalf("no requeue timer pending after attempt %d", i+1)
 		}
@@ -264,13 +271,13 @@ func TestControllerTransientVsPermanent(t *testing.T) {
 	ft.observeErr[swOdd] = nil
 	ft.applyErr[swOdd] = errTransient
 	ft.mu.Unlock()
-	next, _ := clk.NextTimer()
+	next, _ := clk.NextAt()
 	clk.AdvanceTo(next)
 	c.Step()
 	ft.mu.Lock()
 	ft.applyErr[swOdd] = nil
 	ft.mu.Unlock()
-	next, _ = clk.NextTimer()
+	next, _ = clk.NextAt()
 	clk.AdvanceTo(next)
 	c.RunUntilQuiesced()
 	matches(t, s, ft, swOdd)
@@ -288,7 +295,7 @@ func TestControllerTransientVsPermanent(t *testing.T) {
 	if !halted || !errors.Is(err, errPermanent) {
 		t.Fatalf("Halted = %v,%v, want the permanent error", err, halted)
 	}
-	if _, ok := clk.NextTimer(); ok {
+	if _, ok := clk.NextAt(); ok {
 		t.Fatal("permanent failure left a requeue timer pending")
 	}
 	// Later triggers on a halted key are dropped.
@@ -314,7 +321,7 @@ func TestControllerTransientVsPermanent(t *testing.T) {
 func TestControllerLeaseFailover(t *testing.T) {
 	s := NewStore(routeMod2)
 	ft := newFakeTarget(swEven, swOdd)
-	clk := NewVirtualClock()
+	clk := sim.New()
 	leases := NewLeaseTable(200 * time.Millisecond)
 	tr := NewTrace()
 	mk := func(id string) *Controller {
@@ -325,7 +332,7 @@ func TestControllerLeaseFailover(t *testing.T) {
 			Store:    s,
 			Target:   ft,
 			Now:      clk.Now,
-			After:    clk.After,
+			After:    engineAfter(clk),
 			Leases:   leases,
 			Trace:    tr,
 		})
@@ -356,7 +363,7 @@ func TestControllerLeaseFailover(t *testing.T) {
 		t.Fatal("B drained while A's lease was live")
 	}
 	// Past the TTL, B takes over and converges the backlog.
-	clk.Advance(250 * time.Millisecond)
+	clk.AdvanceTo(clk.Now() + 250*time.Millisecond)
 	if n := b.RunUntilQuiesced(); n == 0 {
 		t.Fatal("B never took over after lease expiry")
 	}
@@ -392,7 +399,7 @@ func scenario(t *testing.T, seed int64) uint64 {
 		s.Set(rule(i, i))
 	}
 	c.Step()
-	clk.Advance(15 * time.Millisecond)
+	clk.AdvanceTo(clk.Now() + 15*time.Millisecond)
 	c.Step()
 	s.Delete(3)
 	s.Set(rule(4, 40))
@@ -402,7 +409,7 @@ func scenario(t *testing.T, seed int64) uint64 {
 	c.MarkDirty(swEven, DirtyReconnect)
 	for {
 		c.RunUntilQuiesced()
-		next, ok := clk.NextTimer()
+		next, ok := clk.NextAt()
 		if !ok {
 			break
 		}

@@ -22,7 +22,7 @@
 // Determinism contract: the package never reads the wall clock or global
 // randomness — time comes from an injected Now func, delayed requeues go
 // through an injected timer seam (time.AfterFunc in production, a
-// VirtualClock in harnesses), and backoff jitter is hash-derived. All
+// sim.Engine in harnesses), and backoff jitter is hash-derived. All
 // switch I/O crosses the Target interface, so the deterministic-lint
 // call-graph chase stops at the seam: in production the Target is the
 // fleet itself (*fleet.Fleet, wired by its NewController), harness

@@ -3,13 +3,15 @@ package intent
 import (
 	"testing"
 	"time"
+
+	"hermes/internal/sim"
 )
 
 // TestQueueDedupAndProcessing: duplicate adds collapse; an add during
 // processing defers exactly one re-queue to Done.
 func TestQueueDedupAndProcessing(t *testing.T) {
-	clk := NewVirtualClock()
-	q := newQueue(RateLimit{}, 1, clk.After)
+	clk := sim.New()
+	q := newQueue(RateLimit{}, 1, engineAfter(clk))
 
 	q.Add("a")
 	q.Add("a")
@@ -52,10 +54,10 @@ func TestQueueDedupAndProcessing(t *testing.T) {
 // exponentially up to the cap, delays elapse on the injected clock, and
 // Forget resets the schedule.
 func TestQueueRateLimitedBackoff(t *testing.T) {
-	clk := NewVirtualClock()
+	clk := sim.New()
 	lim := RateLimit{Base: 10 * time.Millisecond, Max: 80 * time.Millisecond,
 		Multiplier: 2, Jitter: 0}
-	q := newQueue(lim, 1, clk.After)
+	q := newQueue(lim, 1, engineAfter(clk))
 
 	want := []time.Duration{10, 20, 40, 80, 80} // ms, capped
 	for i, w := range want {
@@ -66,7 +68,7 @@ func TestQueueRateLimitedBackoff(t *testing.T) {
 		if _, ok := q.TryGet(); ok {
 			t.Fatalf("requeue %d ready before its delay elapsed", i+1)
 		}
-		clk.Advance(d)
+		clk.AdvanceTo(clk.Now() + d)
 		k, ok := q.TryGet()
 		if !ok || k != "k" {
 			t.Fatalf("requeue %d not ready after delay: %q,%v", i+1, k, ok)
@@ -133,37 +135,5 @@ func TestJitterFracSpread(t *testing.T) {
 	}
 	if mean := sum / (seeds * attempts); lo >= 1.0/64 || hi <= 63.0/64 || mean < 0.48 || mean > 0.52 {
 		t.Fatalf("fractions span [%v, %v] with mean %v; want min < 1/64, max > 63/64, mean 0.5 ± 0.02", lo, hi, mean)
-	}
-}
-
-// TestVirtualClockOrdering: callbacks fire in (due-time, schedule-order)
-// sequence, nested scheduling lands in the same sweep, and time is
-// monotone.
-func TestVirtualClockOrdering(t *testing.T) {
-	clk := NewVirtualClock()
-	var fired []string
-	clk.After(30*time.Millisecond, func() { fired = append(fired, "c") })
-	clk.After(10*time.Millisecond, func() {
-		fired = append(fired, "a")
-		// Nested: due before the sweep target, must fire in this sweep.
-		clk.After(5*time.Millisecond, func() { fired = append(fired, "a2") })
-	})
-	clk.After(10*time.Millisecond, func() { fired = append(fired, "b") }) // same instant, later seq
-	if at, ok := clk.NextTimer(); !ok || at != 10*time.Millisecond {
-		t.Fatalf("NextTimer = %v,%v", at, ok)
-	}
-	clk.AdvanceTo(20 * time.Millisecond)
-	if clk.Now() != 20*time.Millisecond {
-		t.Fatalf("Now = %v after AdvanceTo(20ms)", clk.Now())
-	}
-	clk.Advance(10 * time.Millisecond)
-	want := []string{"a", "b", "a2", "c"}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package intent
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -130,83 +129,4 @@ func (t *Trace) Digest() uint64 {
 		word(uint64(r.Lag))
 	}
 	return h
-}
-
-// VirtualClock is a deterministic single-goroutine time source for driven
-// controllers: Now reads virtual time, After schedules callbacks on it,
-// and AdvanceTo fires due callbacks in (time, schedule-order) sequence.
-// It is intentionally NOT safe for concurrent use — the whole point is
-// that a harness owning the only goroutine replays identically.
-type VirtualClock struct {
-	now    time.Duration
-	timers vtimerHeap
-	seq    uint64
-}
-
-// NewVirtualClock starts at time zero.
-func NewVirtualClock() *VirtualClock { return &VirtualClock{} }
-
-// Now returns the current virtual time.
-func (c *VirtualClock) Now() time.Duration { return c.now }
-
-// After schedules fn to run when virtual time reaches now+d.
-func (c *VirtualClock) After(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	c.seq++
-	heap.Push(&c.timers, vtimer{at: c.now + d, seq: c.seq, fn: fn})
-}
-
-// NextTimer reports the earliest pending callback's due time.
-func (c *VirtualClock) NextTimer() (time.Duration, bool) {
-	if len(c.timers) == 0 {
-		return 0, false
-	}
-	return c.timers[0].at, true
-}
-
-// AdvanceTo moves virtual time forward to t, firing every callback due on
-// the way in deterministic order. Callbacks may schedule further
-// callbacks; those due at or before t fire in the same sweep. Time never
-// moves backward.
-func (c *VirtualClock) AdvanceTo(t time.Duration) {
-	for len(c.timers) > 0 && c.timers[0].at <= t {
-		tm := heap.Pop(&c.timers).(vtimer)
-		if tm.at > c.now {
-			c.now = tm.at
-		}
-		tm.fn()
-	}
-	if t > c.now {
-		c.now = t
-	}
-}
-
-// Advance moves virtual time forward by d.
-func (c *VirtualClock) Advance(d time.Duration) { c.AdvanceTo(c.now + d) }
-
-type vtimer struct {
-	at  time.Duration
-	seq uint64
-	fn  func()
-}
-
-type vtimerHeap []vtimer
-
-func (h vtimerHeap) Len() int { return len(h) }
-func (h vtimerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h vtimerHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *vtimerHeap) Push(x any)        { *h = append(*h, x.(vtimer)) }
-func (h *vtimerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
 }

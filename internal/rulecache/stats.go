@@ -98,8 +98,7 @@ type Manager struct {
 const sampleRingSize = 1 << 12
 
 // NewManager builds a manager for the given cache config (defaults
-// applied). It is also used with a zero Capacity for hit-tracking-only
-// agents (Config.TrackHits) that have no software tier.
+// applied): one per cached agent, beside its software tier.
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.WithDefaults()
 	return &Manager{

@@ -94,6 +94,30 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 	return e.now
 }
 
+// NextAt reports the due time of the earliest queued event.
+func (e *Engine) NextAt() (time.Duration, bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].at, true
+}
+
+// AdvanceTo fires every event due at or before t in (time, seq) order,
+// including events the sweep itself schedules, and then leaves the clock
+// on t. Time never moves backward: a t before Now fires nothing. Unlike
+// Run, a zero t is an instant, not "run to quiescence", and Stop does not
+// cut the sweep short.
+func (e *Engine) AdvanceTo(t time.Duration) {
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		next := heap.Pop(&e.queue).(*item)
+		e.now = next.at
+		next.fn(e.now)
+	}
+	if t > e.now {
+		e.now = t
+	}
+}
+
 // Step executes exactly one event if any is queued, returning true when an
 // event ran.
 func (e *Engine) Step() bool {

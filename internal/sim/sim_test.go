@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -104,5 +105,46 @@ func TestStep(t *testing.T) {
 	}
 	if e.Step() {
 		t.Error("Step on empty queue must return false")
+	}
+}
+
+// TestAdvanceTo: events fire in (due-time, schedule-order) sequence, an
+// event scheduled during the sweep and due by its target fires in that
+// sweep, the clock lands on the target even with the queue drained, and
+// NextAt tracks the queue head.
+func TestAdvanceTo(t *testing.T) {
+	e := New()
+	if _, ok := e.NextAt(); ok {
+		t.Fatal("NextAt on an empty queue reports an event")
+	}
+	var fired []string
+	e.After(30*time.Millisecond, func(time.Duration) { fired = append(fired, "c") })
+	e.After(10*time.Millisecond, func(time.Duration) {
+		fired = append(fired, "a")
+		// Nested: due before the sweep target, must fire in this sweep.
+		e.After(5*time.Millisecond, func(time.Duration) { fired = append(fired, "a2") })
+	})
+	e.After(10*time.Millisecond, func(time.Duration) { fired = append(fired, "b") }) // same instant, later seq
+	if at, ok := e.NextAt(); !ok || at != 10*time.Millisecond {
+		t.Fatalf("NextAt = %v,%v, want 10ms,true", at, ok)
+	}
+	e.AdvanceTo(20 * time.Millisecond)
+	if e.Now() != 20*time.Millisecond {
+		t.Fatalf("Now = %v after AdvanceTo(20ms)", e.Now())
+	}
+	if at, ok := e.NextAt(); !ok || at != 30*time.Millisecond {
+		t.Fatalf("NextAt = %v,%v after the sweep, want 30ms,true", at, ok)
+	}
+	e.AdvanceTo(40 * time.Millisecond)
+	if e.Now() != 40*time.Millisecond || e.Pending() != 0 {
+		t.Fatalf("Now = %v, pending %d after draining AdvanceTo(40ms)", e.Now(), e.Pending())
+	}
+	want := []string{"a", "b", "a2", "c"}
+	if fmt.Sprint(fired) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+	e.AdvanceTo(35 * time.Millisecond)
+	if e.Now() != 40*time.Millisecond {
+		t.Fatalf("AdvanceTo(35ms) moved the clock back to %v", e.Now())
 	}
 }
