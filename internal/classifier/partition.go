@@ -82,6 +82,16 @@ type Partitioner struct {
 	cause          []RuleID
 	whole          []Rule // the one-element Parts of an uncut rule
 	merge          mergeScratch
+
+	// src is the Src of the match being cut. gone, when goneSet, is the Dst
+	// of the last subtracted rule whose Src contains src: no working region
+	// overlaps it any more (see subtract).
+	src     Prefix
+	gone    Prefix
+	goneSet bool
+	// passes counts the subtract passes of the current call, the work the
+	// gone-prefix skip saves.
+	passes int
 }
 
 // Partition is the generalized Algorithm 1: main walks the main-table rules
@@ -102,7 +112,7 @@ type Partitioner struct {
 // its next call (Record copies the one and has no use for the other).
 func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
-	pt.regions = append(pt.regions[:0], newRule.Match)
+	pt.start(newRule.Match)
 	cause := pt.cause[:0]
 	for r, ok := main.Next(); ok; r, ok = main.Next() {
 		if r.ID == newRule.ID || !wins(r) {
@@ -148,7 +158,7 @@ func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(exist
 // inside the dependent's), stops at the first rule that leaves nothing, mints
 // nothing and allocates nothing once the working set has grown.
 func (pt *Partitioner) Uncovered(region Match, main OverlapIter, wins func(existing Rule) bool) bool {
-	pt.regions = append(pt.regions[:0], region)
+	pt.start(region)
 	for r, ok := main.Next(); ok; r, ok = main.Next() {
 		if wins(r) && pt.subtract(r.Match) == 0 {
 			return false
@@ -157,14 +167,36 @@ func (pt *Partitioner) Uncovered(region Match, main OverlapIter, wins func(exist
 	return true
 }
 
+// start makes m the whole working set.
+func (pt *Partitioner) start(m Match) {
+	pt.regions = append(pt.regions[:0], m)
+	pt.src, pt.goneSet, pt.passes = m.Src, false, 0
+}
+
 // subtract is EliminateOverlap's step: it cuts m out of every region of the
 // working set, into the double buffer, and returns how many regions are left.
+//
+// A pass whose m lies under the gone prefix is skipped, because it would be a
+// pure copy. Every region's Src lies inside pt.src (cutting only narrows), so
+// cutting a rule whose Src contains pt.src removes every region's overlap
+// with that rule's Dst in full, and no later pass brings it back. A later m
+// whose Dst lies inside that Dst therefore overlaps no region. One tracked
+// prefix is enough: OverlapIter yields a node's subtree right after the node,
+// so once the walk leaves the gone prefix no later rule lies under it, and
+// the next rule to set it is outside it.
 func (pt *Partitioner) subtract(m Match) int {
+	if pt.goneSet && pt.gone.Contains(m.Dst) {
+		return len(pt.regions)
+	}
+	pt.passes++
 	spare := pt.spare[:0]
 	for _, region := range pt.regions {
 		spare = region.AppendSubtract(spare, m)
 	}
 	pt.regions, pt.spare = spare, pt.regions
+	if m.Src.Contains(pt.src) {
+		pt.gone, pt.goneSet = m.Dst, true
+	}
 	return len(spare)
 }
 

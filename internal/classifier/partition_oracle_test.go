@@ -445,6 +445,25 @@ func FuzzPartitionEquivalence(f *testing.F) {
 	f.Add([]byte{0x0a, 8, 1, 0, 0, 0x0a, 16, 2, 0, 0, 0x0a, 24, 0, 0, 0, 0x0a, 12, 0, 0x80, 1}, byte(0))
 	f.Add([]byte{0xc0, 0, 0, 0, 0, 0xc0, 32, 3, 0xc0, 32, 0xc0, 31, 3, 0, 0, 0xc1, 8, 1, 0, 4}, byte(3))
 	f.Add([]byte{}, byte(5))
+	// A wide rule over a winner whose Src contains the wide rule's, with
+	// winners and a loser beneath it (the cut-away-prefix skip fires), and
+	// the same shape under a winner whose Src does not (it must not), each
+	// with and without the merge, at region caps 8 (the wide rule overflows)
+	// and 128.
+	for _, winnerSrcLen := range []byte{0, 1} {
+		shape := []byte{
+			0x0a, 12, 1, 0x00, 0, // 10.0.0.0/12 any, prio 1: the wide rule
+			0x0a, 20, 3, 0x00, winnerSrcLen, // 10.0.0.0/20, prio 3
+			0x0a, 24, 2, 0x01, 0, // 10.0.1.0/24 any, prio 2: winner beneath
+			0x0a, 28, 3, 0x02, 8, // 10.0.2.0/28 2.0.0.0/8, prio 3: winner beneath
+			0x0a, 24, 0, 0x03, 0, // 10.0.3.0/24 any, prio 0: loser beneath
+			0x0a, 20, 2, 0x10, 4, // 10.0.16.0/20 16.0.0.0/4, prio 2: partial winner beside
+			0x0a, 24, 3, 0x11, 0, // 10.0.17.0/24 any, prio 3: winner beneath that
+		}
+		for _, flags := range []byte{2, 3, 4, 5} {
+			f.Add(shape, flags)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, flags byte) {
 		var rules []Rule
 		for i := 0; i+5 <= len(data) && len(rules) < 48; i += 5 {
@@ -456,6 +475,48 @@ func FuzzPartitionEquivalence(f *testing.F) {
 		}
 		checkPartitionEquivalence(t, rules, flags&1 == 0, []int{0, 8, 128}[int(flags>>1)%3])
 	})
+}
+
+// TestPartitionSkipsCutAwayPrefix pins the skip by its work, not its time:
+// once a winner whose Src contains the cut rule's is subtracted, the winners
+// under its Dst join Cause without a subtract pass; under a winner whose Src
+// does not contain it every winner is subtracted.
+func TestPartitionSkipsCutAwayPrefix(t *testing.T) {
+	rule := func(id RuleID, dst, src string, prio int32) Rule {
+		return Rule{ID: id, Match: Match{Dst: MustParsePrefix(dst), Src: MustParsePrefix(src)}, Priority: prio}
+	}
+	wide := rule(1, "10.0.0.0/12", "0.0.0.0/0", 1)
+	for _, tc := range []struct {
+		winnerSrc string
+		passes    int
+	}{
+		{"0.0.0.0/0", 3}, // 2, 6 and 7: 3 and 4 lie under 2's Dst
+		{"0.0.0.0/1", 5}, // every winner cut
+	} {
+		var trie Trie
+		for _, r := range []Rule{
+			rule(2, "10.0.0.0/20", tc.winnerSrc, 3),
+			rule(3, "10.0.1.0/24", "0.0.0.0/0", 2),
+			rule(4, "10.0.2.0/28", "2.0.0.0/8", 3),
+			rule(5, "10.0.3.0/24", "0.0.0.0/0", 0), // loses to the wide rule
+			rule(6, "10.0.16.0/20", "16.0.0.0/4", 2),
+			rule(7, "10.0.17.0/24", "0.0.0.0/0", 3),
+		} {
+			trie.Insert(r)
+		}
+		wins := func(existing Rule) bool { return existing.Priority >= wide.Priority }
+		var pt Partitioner
+		got := pt.Partition(wide, trie.OverlapCandidates(wide.Match), wins, idMinter(100), true, 0)
+		if want := []RuleID{2, 3, 4, 6, 7}; !slices.Equal(got.Cause, want) {
+			t.Errorf("winner src %s: Cause = %v, want %v", tc.winnerSrc, got.Cause, want)
+		}
+		if pt.passes != tc.passes {
+			t.Errorf("winner src %s: Partition made %d subtract passes, want %d", tc.winnerSrc, pt.passes, tc.passes)
+		}
+		if !pt.Uncovered(wide.Match, trie.OverlapCandidates(wide.Match), wins) || pt.passes != tc.passes {
+			t.Errorf("winner src %s: Uncovered made %d subtract passes, want %d", tc.winnerSrc, pt.passes, tc.passes)
+		}
+	}
 }
 
 // TestUncoveredMatchesOracle: Uncovered(region) is "a from-scratch cut of

@@ -265,3 +265,23 @@ func TestPartitionMapIgnoresUncut(t *testing.T) {
 		t.Error("uncut partitions must not be recorded")
 	}
 }
+
+// BenchmarkPartitionWide is a wide insert's cut: a /12 at priority 1 over
+// the MicroBench-shaped main table's rules inside it, every one of which
+// beats it, at the agent's working-set cap (8 × 16 fragments).
+func BenchmarkPartitionWide(b *testing.B) {
+	wide := Rule{ID: 1 << 20, Match: DstMatch(NewPrefix(0x0A000000, 12)), Priority: 1}
+	var main Trie
+	for i, r := range microBenchRules(rand.New(rand.NewSource(42)), 2000, 0.5) {
+		if r.Match.Dst.Len > wide.Match.Dst.Len {
+			main.InsertKeyed(r, Key{Ord: uint64(i)})
+		}
+	}
+	wins := func(existing Rule) bool { return existing.Priority >= wide.Priority }
+	var pt Partitioner
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pt.Partition(wide, main.OverlapCandidates(wide.Match), wins, idMinter(0), true, 128)
+	}
+}

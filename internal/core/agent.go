@@ -614,10 +614,10 @@ func (a *Agent) beats(existing classifier.Rule, priority int32, seq uint64) bool
 // the shadow table the comparison guards correctness: a bypassed main rule
 // must not be shadowed by an overlapping lower-priority shadow entry.)
 func (a *Agent) isGloballyLowestPriority(priority int32) bool {
-	if _, shifts := a.main.InsertPosition(priority); shifts != 0 {
+	if p, ok := a.main.LowestPriority(); ok && p < priority {
 		return false
 	}
-	if _, shifts := a.shadow.InsertPosition(priority); shifts != 0 {
+	if p, ok := a.shadow.LowestPriority(); ok && p < priority {
 		return false
 	}
 	return true

@@ -444,6 +444,33 @@ func TestTickPredictiveMigration(t *testing.T) {
 	}
 }
 
+// TestPredictiveTickAllocatesNothing: once the predictor's window is full, a
+// Rule Manager tick that forecasts and decides not to migrate allocates
+// nothing.
+func TestPredictiveTickAllocatesNothing(t *testing.T) {
+	a := newTestAgent(t, Config{DisableRateLimit: true, DisableLowPriorityBypass: true})
+	for i := 0; i < 4; i++ {
+		r := dstRule(classifier.RuleID(i+1), "10.0.0.0/8", 10, i)
+		r.Match = classifier.DstMatch(classifier.NewPrefix(0x0A000000|uint32(i)<<8, 24))
+		if _, err := a.Insert(0, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := time.Duration(0)
+	tick := func() {
+		now += 10 * time.Millisecond
+		if a.Tick(now) != 0 {
+			t.Fatal("a quiet tick started a migration")
+		}
+	}
+	for i := 0; i < 32; i++ {
+		tick()
+	}
+	if n := testing.AllocsPerRun(100, tick); n != 0 {
+		t.Errorf("predictive Tick allocates %v times, want 0", n)
+	}
+}
+
 func TestTickThresholdMode(t *testing.T) {
 	a := newTestAgent(t, Config{
 		DisableRateLimit: true, DisableLowPriorityBypass: true,

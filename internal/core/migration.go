@@ -252,7 +252,7 @@ func (a *Agent) advance(now time.Duration) {
 	// is exactly what Reconcile repairs.
 	interrupted := false
 	interruptedAt := StepInsert
-	var migrated []classifier.Rule
+	migrated := make([]classifier.Rule, 0, len(m.originals))
 	for _, id := range m.originals {
 		if a.interruptAt(StepInsert, done) {
 			// Crash before this rule's main-table write: it and every

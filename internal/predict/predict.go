@@ -84,7 +84,14 @@ type CubicSpline struct {
 	// Window is the number of trailing observations used for the fit.
 	Window int
 
-	history []float64
+	history window
+
+	// elim is the not-a-knot system's elimination for n knots, recorded
+	// once per window length (elim.dim); m holds its right-hand side, then
+	// its solution.
+	elim   elimination
+	elimOK bool
+	m      []float64
 }
 
 // NewCubicSpline returns a spline predictor over the given window; windows
@@ -98,34 +105,30 @@ func NewCubicSpline(window int) *CubicSpline {
 }
 
 // Observe implements Predictor.
-func (c *CubicSpline) Observe(v float64) {
-	c.history = append(c.history, v)
-	if len(c.history) > c.Window {
-		c.history = c.history[len(c.history)-c.Window:]
-	}
-}
+func (c *CubicSpline) Observe(v float64) { c.history.push(v, c.Window) }
 
 // Predict implements Predictor.
 func (c *CubicSpline) Predict() float64 {
-	n := len(c.history)
+	y := c.history.values()
+	n := len(y)
 	switch n {
 	case 0:
 		return 0
 	case 1:
-		return clampNonNeg(c.history[0])
+		return clampNonNeg(y[0])
 	case 2:
 		// Linear extrapolation from the last two points.
-		return clampNonNeg(2*c.history[n-1] - c.history[n-2])
+		return clampNonNeg(2*y[n-1] - y[n-2])
 	case 3:
 		// Quadratic (second-difference) extrapolation.
-		return clampNonNeg(3*c.history[2] - 3*c.history[1] + c.history[0])
+		return clampNonNeg(3*y[2] - 3*y[1] + y[0])
 	}
-	m := notAKnotSecondDerivs(c.history)
+	m := c.secondDerivs(y)
 	// Evaluate the last segment's cubic at x = n (one past the last knot
 	// at n-1). With h = 1 the segment between knots n-2 and n-1 is:
 	//   S(x) = y1 + b·t + c·t² + d·t³, t = x - (n-2)
 	// where the coefficients derive from the second derivatives m.
-	y0, y1 := c.history[n-2], c.history[n-1]
+	y0, y1 := y[n-2], y[n-1]
 	m0, m1 := m[n-2], m[n-1]
 	b := (y1 - y0) - (2*m0+m1)/6
 	cc := m0 / 2
@@ -139,38 +142,50 @@ func (c *CubicSpline) Predict() float64 {
 func (c *CubicSpline) Name() string { return "CubicSpline" }
 
 // Reset implements Predictor.
-func (c *CubicSpline) Reset() { c.history = c.history[:0] }
+func (c *CubicSpline) Reset() { c.history.reset() }
 
-// notAKnotSecondDerivs solves for the second derivatives M of a cubic
-// spline through y at unit-spaced knots with not-a-knot boundary
-// conditions. The system is
+// secondDerivs solves for the second derivatives M of a cubic spline through
+// y (len(y) ≥ 4) at unit-spaced knots with not-a-knot boundary conditions.
+// The system is
 //
 //	M[i-1] + 4 M[i] + M[i+1] = 6 (y[i-1] - 2y[i] + y[i+1])   i = 1..n-2
 //	M[0] - 2 M[1] + M[2] = 0                                 (not-a-knot)
 //	M[n-3] - 2 M[n-2] + M[n-1] = 0                           (not-a-knot)
 //
-// which is solved by dense Gaussian elimination; windows are small (≤ a few
-// dozen knots) so the cubic cost is irrelevant.
-func notAKnotSecondDerivs(y []float64) []float64 {
+// Its matrix depends on n alone, so the elimination is recorded once per
+// window length and each call replays it on the right-hand side. The result
+// aliases c's memory.
+func (c *CubicSpline) secondDerivs(y []float64) []float64 {
 	n := len(y)
-	if n < 4 {
-		return make([]float64, n)
+	if c.elim.dim != n {
+		c.elimOK = c.elim.record(notAKnotMatrix(n))
+		c.m = make([]float64, n)
 	}
+	m := c.m
+	if !c.elimOK {
+		clear(m)
+		return m
+	}
+	m[0], m[n-1] = 0, 0
+	for i := 1; i <= n-2; i++ {
+		m[i] = 6 * (y[i-1] - 2*y[i] + y[i+1])
+	}
+	c.elim.solve(m)
+	return m
+}
+
+// notAKnotMatrix returns the n×n matrix of secondDerivs's system.
+func notAKnotMatrix(n int) [][]float64 {
 	a := make([][]float64, n)
 	for i := range a {
-		a[i] = make([]float64, n+1)
+		a[i] = make([]float64, n)
 	}
 	a[0][0], a[0][1], a[0][2] = 1, -2, 1
 	for i := 1; i <= n-2; i++ {
 		a[i][i-1], a[i][i], a[i][i+1] = 1, 4, 1
-		a[i][n] = 6 * (y[i-1] - 2*y[i] + y[i+1])
 	}
 	a[n-1][n-3], a[n-1][n-2], a[n-1][n-1] = 1, -2, 1
-	m, ok := solveGauss(a, n)
-	if !ok {
-		return make([]float64, n)
-	}
-	return m
+	return a
 }
 
 // --- ARMA ----------------------------------------------------------------
@@ -185,11 +200,13 @@ type ARMA struct {
 	// Window is the number of trailing observations used for the fit.
 	Window int
 
-	history  []float64
+	history  window
 	lastPred float64
 	lastErr  float64
 	theta    float64
 	havePred bool
+
+	fit arFit
 }
 
 // NewARMA returns an ARMA(p,1) predictor fit over the given window.
@@ -208,27 +225,25 @@ func (a *ARMA) Observe(v float64) {
 	if a.havePred {
 		a.lastErr = v - a.lastPred
 	}
-	a.history = append(a.history, v)
-	if len(a.history) > a.Window {
-		a.history = a.history[len(a.history)-a.Window:]
-	}
+	a.history.push(v, a.Window)
 }
 
 // Predict implements Predictor.
 func (a *ARMA) Predict() float64 {
-	n := len(a.history)
+	y := a.history.values()
+	n := len(y)
 	if n == 0 {
 		return 0
 	}
 	if n <= a.P+1 {
-		a.lastPred = a.history[n-1]
+		a.lastPred = y[n-1]
 		a.havePred = true
 		return clampNonNeg(a.lastPred)
 	}
-	phi := fitAR(a.history, a.P)
+	phi := a.fit.fit(y, a.P)
 	pred := phi[0] // intercept
 	for i := 1; i <= a.P; i++ {
-		pred += phi[i] * a.history[n-i]
+		pred += phi[i] * y[n-i]
 	}
 	pred += a.theta * a.lastErr
 	a.lastPred = pred
@@ -241,25 +256,36 @@ func (a *ARMA) Name() string { return "ARMA" }
 
 // Reset implements Predictor.
 func (a *ARMA) Reset() {
-	a.history = a.history[:0]
+	a.history.reset()
 	a.lastPred, a.lastErr = 0, 0
 	a.havePred = false
 }
 
-// fitAR fits y_t = c + Σ φ_i y_{t-i} by ordinary least squares and returns
-// [c, φ_1..φ_p]. Falls back to a persistence model when the normal
-// equations are singular.
-func fitAR(y []float64, p int) []float64 {
+// arFit is the AR least-squares fit's working memory, sized for one order
+// and reused across fits.
+type arFit struct {
+	row, xty []float64   // xty ends up holding β
+	xtx      [][]float64 // rows of one backing array
+	elim     elimination
+}
+
+// fit fits y_t = c + Σ φ_i y_{t-i} by ordinary least squares and returns
+// [c, φ_1..φ_p], aliasing f's memory. Falls back to a persistence model when
+// the normal equations are singular.
+func (f *arFit) fit(y []float64, p int) []float64 {
 	n := len(y)
 	rows := n - p
 	dim := p + 1
-	// Normal equations: (XᵀX) β = Xᵀy with X = [1, y_{t-1}, ..., y_{t-p}].
-	xtx := make([][]float64, dim)
-	for i := range xtx {
-		xtx[i] = make([]float64, dim+1) // augmented with Xᵀy
+	if len(f.row) != dim {
+		f.resize(dim)
 	}
+	// Normal equations: (XᵀX) β = Xᵀy with X = [1, y_{t-1}, ..., y_{t-p}].
+	xtx, xty, row := f.xtx, f.xty, f.row
+	for _, r := range xtx {
+		clear(r)
+	}
+	clear(xty)
 	for t := p; t < n; t++ {
-		row := make([]float64, dim)
 		row[0] = 1
 		for i := 1; i <= p; i++ {
 			row[i] = y[t-i]
@@ -268,20 +294,50 @@ func fitAR(y []float64, p int) []float64 {
 			for j := 0; j < dim; j++ {
 				xtx[i][j] += row[i] * row[j]
 			}
-			xtx[i][dim] += row[i] * y[t]
+			xty[i] += row[i] * y[t]
 		}
 	}
-	beta, ok := solveGauss(xtx, dim)
-	if !ok || rows < dim {
+	if !f.elim.record(xtx) || rows < dim {
 		// Persistence fallback: predict the last value.
-		beta = make([]float64, dim)
-		beta[1] = 1
+		clear(xty)
+		xty[1] = 1
+		return xty
 	}
-	return beta
+	f.elim.solve(xty)
+	return xty
 }
 
-// solveGauss solves the augmented system in place with partial pivoting.
-func solveGauss(a [][]float64, dim int) ([]float64, bool) {
+// resize sizes the working memory for dim unknowns.
+func (f *arFit) resize(dim int) {
+	f.row, f.xty = make([]float64, dim), make([]float64, dim)
+	backing := make([]float64, dim*dim)
+	f.xtx = make([][]float64, dim)
+	for i := range f.xtx {
+		f.xtx[i] = backing[i*dim : (i+1)*dim]
+	}
+}
+
+// elimination is Gauss-Jordan elimination with partial pivoting, recorded.
+// Pivot rows, multipliers and the final diagonal depend on the matrix alone,
+// so solve replays them on a right-hand side with the same float operations,
+// in the same order, that eliminating the augmented system would do to its
+// last column: a system whose matrix is fixed is eliminated once.
+type elimination struct {
+	dim  int
+	piv  []int     // piv[col]: the row swapped with row col at step col
+	mult []float64 // mult[col*dim+r]: row r's multiplier at step col
+	diag []float64 // the diagonal after the last step
+}
+
+// record eliminates the square matrix a in place and keeps the steps. It
+// reports false when a pivot falls below 1e-9; solve must not be called
+// then.
+func (e *elimination) record(a [][]float64) bool {
+	dim := len(a)
+	if e.dim != dim {
+		e.dim = dim
+		e.piv, e.mult, e.diag = make([]int, dim), make([]float64, dim*dim), make([]float64, dim)
+	}
 	for col := 0; col < dim; col++ {
 		// Pivot.
 		piv := col
@@ -291,25 +347,89 @@ func solveGauss(a [][]float64, dim int) ([]float64, bool) {
 			}
 		}
 		if abs(a[piv][col]) < 1e-9 {
-			return nil, false
+			return false
 		}
 		a[col], a[piv] = a[piv], a[col]
+		e.piv[col] = piv
 		for r := 0; r < dim; r++ {
 			if r == col {
 				continue
 			}
 			f := a[r][col] / a[col][col]
-			for c := col; c <= dim; c++ {
+			e.mult[col*dim+r] = f
+			for c := col; c < dim; c++ {
 				a[r][c] -= f * a[col][c]
 			}
 		}
 	}
-	out := make([]float64, dim)
 	for i := 0; i < dim; i++ {
-		out[i] = a[i][dim] / a[i][i]
+		e.diag[i] = a[i][i]
 	}
-	return out, true
+	return true
 }
+
+// solve replays the recorded elimination on the right-hand side b and leaves
+// the solution in b.
+func (e *elimination) solve(b []float64) {
+	dim := e.dim
+	for col := 0; col < dim; col++ {
+		b[col], b[e.piv[col]] = b[e.piv[col]], b[col]
+		mult := e.mult[col*dim : (col+1)*dim]
+		for r, f := range mult {
+			if r == col {
+				continue
+			}
+			b[r] -= f * b[col]
+		}
+	}
+	for i := 0; i < dim; i++ {
+		b[i] /= e.diag[i]
+	}
+}
+
+// window keeps the most recent observations of a series in fixed memory.
+// buf holds them twice over — the k-th slot's value at buf[k] and
+// buf[k+size] — so the newest n are always the contiguous
+// buf[next+size-n : next+size] and observing allocates nothing.
+type window struct {
+	buf  []float64
+	next int // the slot the next observation goes to, in [0, size)
+	n    int // observations held, ≤ size
+}
+
+// push records v, keeping the newest size observations.
+func (w *window) push(v float64, size int) {
+	if len(w.buf) != 2*size {
+		w.resize(size)
+	}
+	w.buf[w.next], w.buf[w.next+size] = v, v
+	if w.next++; w.next == size {
+		w.next = 0
+	}
+	if w.n < size {
+		w.n++
+	}
+}
+
+// resize re-sizes the buffer (on the first push, or after the predictor's
+// Window changed), keeping the newest observations that fit.
+func (w *window) resize(size int) {
+	keep := w.values()
+	keep = keep[max(0, len(keep)-size):]
+	buf := make([]float64, 2*size)
+	copy(buf, keep)
+	copy(buf[size:], keep)
+	w.buf, w.n, w.next = buf, len(keep), len(keep)%size
+}
+
+// values returns the observations held, oldest first. The slice aliases the
+// window and is valid until the next push.
+func (w *window) values() []float64 {
+	size := len(w.buf) / 2
+	return w.buf[w.next+size-w.n : w.next+size]
+}
+
+func (w *window) reset() { w.next, w.n = 0, 0 }
 
 func abs(v float64) float64 {
 	if v < 0 {

@@ -249,6 +249,17 @@ func (t *Table) InsertPosition(priority int32) (pos, shifts int) {
 	return pos, t.n - pos
 }
 
+// LowestPriority returns the priority of the table's last entry, the lowest
+// installed, with ok=false when the table is empty. A plain Insert at
+// priority p shifts nothing exactly when the table is empty or this is ≥ p.
+func (t *Table) LowestPriority() (priority int32, ok bool) {
+	if t.n == 0 {
+		return 0, false
+	}
+	b := t.blocks[len(t.blocks)-1]
+	return b[len(b)-1].rule.Priority, true
+}
+
 // find returns where a (priority, rank) key places (see slot.precedes):
 // block bi and index j in it of the first slot that does not precede the
 // key. bi == len(blocks) means past every entry. Among equal (priority, rank) an

@@ -139,6 +139,55 @@ func TestTableInsertOrdering(t *testing.T) {
 	}
 }
 
+// TestLowestPriorityMatchesInsertPosition: "a plain insert at p shifts
+// nothing" and "the table is empty or its lowest priority is ≥ p" agree, on
+// random tables with equal-priority ties, ranked inserts and deletes.
+func TestLowestPriorityMatchesInsertPosition(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		tb := NewTable("t", 600, Pica8P3290)
+		check := func() {
+			t.Helper()
+			lowest, ok := tb.LowestPriority()
+			if ok != (tb.Occupancy() > 0) {
+				t.Fatalf("round %d: LowestPriority ok=%v with %d entries", round, ok, tb.Occupancy())
+			}
+			for _, r := range tb.Rules() {
+				if ok && r.Priority < lowest {
+					t.Fatalf("round %d: LowestPriority = %d, but %v is installed", round, lowest, r)
+				}
+			}
+			for p := int32(-1); p <= 9; p++ {
+				_, shifts := tb.InsertPosition(p)
+				if (shifts == 0) != (!ok || lowest >= p) {
+					t.Fatalf("round %d priority %d: InsertPosition shifts %d, LowestPriority %d,%v", round, p, shifts, lowest, ok)
+				}
+			}
+		}
+		check()
+		n := rng.Intn(500)
+		for i := 0; i < n; i++ {
+			r := rule(classifier.RuleID(i+1), "10.0.0.0/8", int32(rng.Intn(8)))
+			var err error
+			if rng.Intn(2) == 0 {
+				_, err = tb.Insert(r)
+			} else {
+				_, err = tb.InsertRanked(r, uint64(rng.Intn(4)))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		check()
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				tb.Delete(classifier.RuleID(i + 1))
+			}
+		}
+		check()
+	}
+}
+
 func TestTableInsertShiftCost(t *testing.T) {
 	tb := NewTable("t", 1000, Pica8P3290)
 	// Fill with 200 rules of priority 100.

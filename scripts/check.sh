@@ -3,7 +3,7 @@
 # suppression ratchet), build, the full test suite under the race detector,
 # the linter's self-test against its known-bad corpus, the nested benchmark
 # module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
-# verdicts, one iteration of the trie and TCAM micro-benchmarks, and
+# verdicts, one iteration of the trie, cut, TCAM and spline micro-benchmarks, and
 # short-budget fuzz runs of the wire codec, the prefix parser, the four lookup equivalences
 # (the TCAM one also holds the blocked table to the dense placement model)
 # and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
@@ -119,9 +119,10 @@ if [ "$breach_status" -ne 1 ]; then
   exit 1
 fi
 
-echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, TCAM churn (nothing timed is gated)"
-go test -run='^$' -bench='SnapshotLookup|TrieLocate|TrieWriteFrozen' -benchtime=1x ./internal/classifier
+echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut, TCAM churn, spline forecast (nothing timed is gated)"
+go test -run='^$' -bench='SnapshotLookup|TrieLocate|TrieWriteFrozen|PartitionWide' -benchtime=1x ./internal/classifier
 go test -run='^$' -bench=TableChurn -benchtime=1x ./internal/tcam
+go test -run='^$' -bench=CubicSplinePredict -benchtime=1x ./internal/predict
 
 echo ">> fuzz: codec round-trip (5s)"
 go test -run='^$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
