@@ -45,7 +45,7 @@ fuzz:
 # deadlines, all on fixed seeds so failures replay (DESIGN.md §9).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover' \
+		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover|TestControllerTraceDigestDeterministic' \
 		./internal/core ./internal/faultinject ./internal/experiments ./internal/fleet ./internal/ofwire ./internal/intent
 	$(GO) run ./cmd/hermes-bench -scale 0.5 chaos
 	$(GO) run ./cmd/hermes-bench -scale 1 reconcile

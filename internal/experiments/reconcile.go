@@ -10,6 +10,7 @@ import (
 	"hermes/internal/classifier"
 	"hermes/internal/faultinject"
 	"hermes/internal/intent"
+	"hermes/internal/obs"
 	"hermes/internal/sim"
 	"hermes/internal/stats"
 )
@@ -24,8 +25,8 @@ import (
 // with lease-based takeover halfway in. The verdict checks the
 // self-healing contract end to end: after the final resync sweep every
 // switch must sit at zero diff against the desired store at its latest
-// generation, and the same seed must reproduce a byte-identical trace
-// digest — same triggers, same requeues, same handoffs, same instants.
+// generation, and the same seed must reproduce both replicas' trace
+// digests — same triggers, same requeues, same handoffs, same instants.
 
 var errSimPartitioned = errors.New("sim: channel partitioned")
 var errSimReset = errors.New("sim: channel reset")
@@ -124,7 +125,9 @@ func (s *simSwitch) truncate(keep int) {
 }
 
 // reconcileVerdict is the comparable outcome of one seeded run; equal
-// seeds must produce equal verdicts AND equal trace digests.
+// seeds must produce equal verdicts AND equal trace digests. Traced is
+// false when either replica's tracer wrapped, so its digest covers only
+// a tail of the run and cannot vouch for a replay.
 type reconcileVerdict struct {
 	Seed        int64
 	Mutations   int
@@ -138,7 +141,9 @@ type reconcileVerdict struct {
 	Generation  uint64
 	FinalDiff   int
 	Converged   bool
-	Digest      uint64
+	DigestA     uint64
+	DigestB     uint64
+	Traced      bool
 }
 
 // tlEvent is one scheduled harness action on the virtual timeline.
@@ -173,8 +178,11 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 		return names[uint64(id)%nSw]
 	})
 	leases := intent.NewLeaseTable(ttl)
-	tr := intent.NewTrace()
-	mk := func(id string) *intent.Controller {
+	// One ring per replica. A replica records ~180 events plus ~1.5 per
+	// mutation (at most 278 over the 40 CLI seeds at 60 mutations), so
+	// this leaves room several times over; a ring that wraps fails replay.
+	traceA, traceB := obs.NewTracer(256+16*muts, 4), obs.NewTracer(256+16*muts, 4)
+	mk := func(id string, tr *obs.Tracer) *intent.Controller {
 		c, err := intent.New(intent.Config{
 			Switches: names,
 			Shards:   shards,
@@ -194,7 +202,7 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 		}
 		return c
 	}
-	a, b := mk("ctrl-a"), mk("ctrl-b")
+	a, b := mk("ctrl-a", traceA), mk("ctrl-b", traceB)
 	both := func(fn func(c *intent.Controller)) { fn(a); fn(b) }
 
 	// Build the timeline: desired churn, switch faults, channel faults,
@@ -327,22 +335,28 @@ func runReconcileSeed(seed int64, muts int) reconcileVerdict {
 	if v.FinalDiff != 0 {
 		v.Converged = false
 	}
-	for _, r := range tr.Records() {
-		switch r.Kind {
-		case intent.TraceConverge:
-			v.Converges++
-		case intent.TraceRequeue:
-			v.Requeues++
+	for _, tr := range []*obs.Tracer{traceA, traceB} {
+		for _, e := range tr.Events() {
+			switch e.Kind {
+			case obs.EvConverge:
+				v.Converges++
+			case obs.EvRequeue:
+				v.Requeues++
+			}
 		}
 	}
 	v.Takeovers = int(leases.Transfers())
-	v.Digest = tr.Digest()
+	var okA, okB bool
+	v.DigestA, okA = traceA.Digest()
+	v.DigestB, okB = traceB.Digest()
+	v.Traced = okA && okB
 	return v
 }
 
 // Reconcile is the CLI face of the harness: 40 seeds, each run twice so
 // the rendered table carries its own replay verdict (verdict equality AND
-// trace-digest equality) alongside the zero-diff convergence one.
+// trace-digest equality) alongside the zero-diff convergence one. A run
+// whose tracer wrapped renders FAILED, a replay that differs DIVERGED.
 func Reconcile(scale float64) *Result {
 	scale = clampScale(scale)
 	seeds := scaleInt(40, scale, 40)
@@ -357,8 +371,11 @@ func Reconcile(scale float64) *Result {
 	for s := 0; s < seeds; s++ {
 		seed := int64(211 + 53*s)
 		v := runReconcileSeed(seed, muts)
+		v2 := runReconcileSeed(seed, muts)
 		replay := "ok"
-		if v2 := runReconcileSeed(seed, muts); v != v2 {
+		if !v.Traced || !v2.Traced {
+			replay = "FAILED"
+		} else if v != v2 {
 			replay = "DIVERGED"
 		}
 		if !v.Converged || replay != "ok" {
@@ -377,7 +394,7 @@ func Reconcile(scale float64) *Result {
 			"verdict: every seed converged — zero desired-vs-observed diff on every switch at the final store generation, with byte-identical per-seed trace digests across replays")
 	} else {
 		res.Notes = append(res.Notes,
-			"verdict: FAILED — at least one seed ended with a non-zero diff, an uncovered generation, or a non-reproducible trace")
+			"verdict: FAILED — at least one seed ended with a non-zero diff, an uncovered generation, or a wrapped or non-reproducible trace")
 	}
 	return res
 }

@@ -13,6 +13,7 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/faultinject"
 	"hermes/internal/intent"
+	"hermes/internal/obs"
 	"hermes/internal/ofwire"
 	"hermes/internal/testutil"
 )
@@ -67,7 +68,7 @@ func TestFleetPowerCycleRepairedByIntent(t *testing.T) {
 
 	start := time.Now()
 	store := intent.NewStore(f.Route)
-	trace := intent.NewTrace()
+	trace := obs.NewTracer(4096, 4)
 	ctrl, err := f.NewController(intent.Config{
 		Store: store,
 		Now:   func() time.Duration { return time.Since(start) },
@@ -90,29 +91,29 @@ func TestFleetPowerCycleRepairedByIntent(t *testing.T) {
 
 	powerCycle(t, f, specs[0], servers[0])
 
-	// The records from the reconnect trigger up to the converge it led to.
-	var recovery []intent.Record
+	// The events from the reconnect trigger up to the converge it led to.
+	var recovery []obs.Event
 	waitUntil(t, "convergence after the reconnect trigger", func() bool {
-		recs := trace.Records()
-		for i, r := range recs {
-			if r.Kind != intent.TraceDirty || r.Aux != uint64(intent.DirtyReconnect) {
+		evs := trace.Events()
+		for i, e := range evs {
+			if e.Kind != obs.EvDirty || e.B != uint64(intent.DirtyReconnect) {
 				continue
 			}
-			for j, c := range recs[i:] {
-				if c.Kind == intent.TraceConverge {
-					recovery = recs[i : i+j+1]
+			for j, c := range evs[i:] {
+				if c.Kind == obs.EvConverge {
+					recovery = evs[i : i+j+1]
 					return true
 				}
 			}
 		}
 		return false
 	})
-	for _, r := range recovery {
-		if r.Kind == intent.TraceRequeue {
-			t.Errorf("reconcile requeued between reconnect and convergence: %+v", r)
+	for _, e := range recovery {
+		if e.Kind == obs.EvRequeue {
+			t.Errorf("reconcile requeued between reconnect and convergence: %+v", e)
 		}
 	}
-	if plan := recovery[len(recovery)-1].Aux; plan != 4 {
+	if plan := recovery[len(recovery)-1].B; plan != 4 {
 		t.Errorf("recovery plan had %d ops, want the 4 lost rules", plan)
 	}
 

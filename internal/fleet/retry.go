@@ -45,38 +45,35 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// backoff walks one op's retry schedule. Jitter is intent.JitterFrac of a
-// seed fixed per op (fleet seed ⊕ switch ⊕ rule) and the attempt number, so
-// a given workload replays the exact same schedule run after run, and a
-// schedule is a plain value: walking one allocates nothing.
+// backoff walks one op's retry schedule: intent.RateLimit's Delay under a
+// seed fixed per op (fleet seed ⊕ switch ⊕ rule), so a given workload
+// replays the exact same schedule run after run, and a schedule is a plain
+// value: walking one allocates nothing.
 type backoff struct {
-	policy  RetryPolicy
-	seed    uint64
-	attempt int // completed attempts
+	sched       intent.RateLimit
+	maxAttempts int
+	seed        uint64
+	attempt     int // completed attempts
 }
 
 func (p RetryPolicy) newBackoff(seed int64) backoff {
-	return backoff{policy: p.withDefaults(), seed: uint64(seed)}
+	p = p.withDefaults()
+	return backoff{
+		sched: intent.RateLimit{Base: p.BaseDelay, Max: p.MaxDelay,
+			Multiplier: p.Multiplier, Jitter: p.Jitter},
+		maxAttempts: p.MaxAttempts,
+		seed:        uint64(seed),
+	}
 }
 
 // next returns the delay to wait before the following attempt, or ok=false
 // when the attempt budget is spent.
 func (b *backoff) next() (time.Duration, bool) {
 	b.attempt++
-	if b.attempt >= b.policy.MaxAttempts {
+	if b.attempt >= b.maxAttempts {
 		return 0, false
 	}
-	d := float64(b.policy.BaseDelay)
-	for i := 1; i < b.attempt; i++ {
-		d *= b.policy.Multiplier
-	}
-	if max := float64(b.policy.MaxDelay); d > max {
-		d = max
-	}
-	if j := b.policy.Jitter; j > 0 {
-		d *= 1 - j/2 + j*intent.JitterFrac(b.seed, b.attempt)
-	}
-	return time.Duration(d), true
+	return b.sched.Delay(b.seed, b.attempt), true
 }
 
 // fnv64a hashes s with FNV-1a; used for deterministic per-switch seeds and

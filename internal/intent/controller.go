@@ -49,8 +49,8 @@ type Config struct {
 	// Shards spreads switches across independent queues (and leases) by
 	// hash. Defaults to 1.
 	Shards int
-	// ID is this controller replica's identity for leases and traces.
-	// Defaults to "ctrl".
+	// ID is this controller replica's identity for leases and metric
+	// labels. Defaults to "ctrl".
 	ID string
 	// Store holds the desired state. The controller subscribes to it: an
 	// effective Set/Delete marks the owning switch dirty.
@@ -77,8 +77,10 @@ type Config struct {
 	// multi-replica failover. Replicas share the table and the Store.
 	Leases *LeaseTable
 	// Trace, when non-nil, records every trigger, requeue, convergence,
-	// and lease handoff.
-	Trace *Trace
+	// lease handoff and halt as obs.EvDirty … obs.EvHalt events, the switch
+	// named by its ordinal in Switches. Give each controller its own
+	// tracer, sized for the run: a digest of a wrapped ring is refused.
+	Trace *obs.Tracer
 	// Obs, when non-nil, exposes queue depths, requeue/convergence
 	// counters, and the convergence-lag histogram.
 	Obs *obs.Registry
@@ -104,6 +106,7 @@ type Controller struct {
 	cfg     Config
 	shards  []*shard
 	byShard map[string]int
+	ordinal map[string]int // index in cfg.Switches, the traced switch ID
 
 	mu         sync.Mutex
 	dirtySince map[string]time.Duration
@@ -143,6 +146,7 @@ func New(cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:        cfg,
 		byShard:    make(map[string]int, len(cfg.Switches)),
+		ordinal:    make(map[string]int, len(cfg.Switches)),
 		dirtySince: make(map[string]time.Duration),
 		converged:  make(map[string]uint64),
 		halted:     make(map[string]error),
@@ -154,11 +158,12 @@ func New(cfg Config) (*Controller, error) {
 			q:   newQueue(cfg.RateLimit, cfg.Seed, cfg.After),
 		})
 	}
-	for _, sw := range cfg.Switches {
+	for i, sw := range cfg.Switches {
 		if _, dup := c.byShard[sw]; dup {
 			return nil, ErrConfig
 		}
 		c.byShard[sw] = int(fnv64a(sw) % uint64(cfg.Shards))
+		c.ordinal[sw] = i
 	}
 	cfg.Store.Subscribe(func(sw string, _ uint64) { c.MarkDirty(sw, DirtyUpdate) })
 	c.registerObs()
@@ -183,8 +188,7 @@ func (c *Controller) MarkDirty(sw string, why DirtyReason) {
 		c.dirtySince[sw] = now
 	}
 	c.mu.Unlock()
-	c.cfg.Trace.add(Record{At: now, Kind: TraceDirty, Switch: sw, Who: c.cfg.ID,
-		Gen: c.cfg.Store.Generation(), Aux: uint64(why)})
+	c.trace(now, obs.EvDirty, sw, c.cfg.Store.Generation(), uint64(why))
 	c.shards[si].q.Add(sw)
 }
 
@@ -242,7 +246,7 @@ func (c *Controller) ownShard(s *shard) bool {
 	now := c.cfg.Now()
 	ok, took := c.cfg.Leases.TryAcquire(s.idx, c.cfg.ID, now)
 	if took {
-		c.cfg.Trace.add(Record{At: now, Kind: TraceLease, Who: c.cfg.ID, Aux: uint64(s.idx)})
+		c.cfg.Trace.Record(now, obs.EvLease, 0, 0, uint64(s.idx), 0)
 	}
 	return ok
 }
@@ -276,16 +280,15 @@ func (c *Controller) reconcile(s *shard, sw string) {
 	c.converged[sw] = gen
 	c.mu.Unlock()
 	s.q.Forget(sw)
-	var lag time.Duration
-	if wasDirty {
-		lag = end - since
-	}
 	if c.converges != nil {
+		var lag time.Duration
+		if wasDirty {
+			lag = end - since
+		}
 		c.converges.Inc()
 		c.lag.RecordDuration(lag)
 	}
-	c.cfg.Trace.add(Record{At: end, Kind: TraceConverge, Switch: sw, Who: c.cfg.ID,
-		Gen: gen, Aux: uint64(len(plan)), Lag: lag})
+	c.trace(end, obs.EvConverge, sw, gen, uint64(len(plan)))
 }
 
 // fail routes one reconcile error: requeue when transient, halt when the
@@ -297,8 +300,7 @@ func (c *Controller) fail(s *shard, sw string, now time.Duration, err error) {
 		c.halted[sw] = err
 		delete(c.dirtySince, sw)
 		c.mu.Unlock()
-		c.cfg.Trace.add(Record{At: now, Kind: TraceHalt, Switch: sw, Who: c.cfg.ID,
-			Aux: uint64(attempt)})
+		c.trace(now, obs.EvHalt, sw, uint64(attempt), 0)
 		return
 	}
 	c.requeue(s, sw, now)
@@ -306,8 +308,12 @@ func (c *Controller) fail(s *shard, sw string, now time.Duration, err error) {
 
 func (c *Controller) requeue(s *shard, sw string, now time.Duration) {
 	d := s.q.AddRateLimited(sw)
-	c.cfg.Trace.add(Record{At: now, Kind: TraceRequeue, Switch: sw, Who: c.cfg.ID,
-		Aux: uint64(s.q.Requeues(sw)), Lag: d})
+	c.trace(now, obs.EvRequeue, sw, uint64(s.q.Requeues(sw)), uint64(d))
+}
+
+// trace records one reconciler event about switch sw.
+func (c *Controller) trace(at time.Duration, kind obs.EventKind, sw string, a, b uint64) {
+	c.cfg.Trace.Record(at, kind, 0, uint64(c.ordinal[sw]), a, b)
 }
 
 // ConvergedGeneration reports the store generation the switch's last

@@ -123,12 +123,12 @@ func engineAfter(e *sim.Engine) func(time.Duration, func()) {
 
 // driven builds a single driven controller over a fresh store, fake
 // target, and virtual clock.
-func driven(t *testing.T, mutate func(*Config)) (*Store, *fakeTarget, *Controller, *sim.Engine, *Trace) {
+func driven(t *testing.T, mutate func(*Config)) (*Store, *fakeTarget, *Controller, *sim.Engine, *obs.Tracer) {
 	t.Helper()
 	s := NewStore(routeMod2)
 	ft := newFakeTarget(swEven, swOdd)
 	clk := sim.New()
-	tr := NewTrace()
+	tr := obs.NewTracer(1024, 4)
 	cfg := Config{
 		Switches: []string{swEven, swOdd},
 		Shards:   2,
@@ -147,7 +147,7 @@ func driven(t *testing.T, mutate func(*Config)) (*Store, *fakeTarget, *Controlle
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s, ft, c, clk, tr
+	return s, ft, c, clk, cfg.Trace
 }
 
 // TestControllerConvergesOnUpdate: store mutations trigger reconciles
@@ -179,8 +179,8 @@ func TestControllerConvergesOnUpdate(t *testing.T) {
 		t.Fatalf("converged generation = %d,%v, want %d", gen, ok, s.Generation())
 	}
 	var converges int
-	for _, r := range tr.Records() {
-		if r.Kind == TraceConverge {
+	for _, e := range tr.Events() {
+		if e.Kind == obs.EvConverge {
 			converges++
 		}
 	}
@@ -225,9 +225,9 @@ func TestControllerUnreadyRequeues(t *testing.T) {
 		t.Fatalf("Pending = %d while unready", c.Pending())
 	}
 	var delays []time.Duration
-	for _, r := range tr.Records() {
-		if r.Kind == TraceRequeue {
-			delays = append(delays, r.Lag)
+	for _, e := range tr.Events() {
+		if e.Kind == obs.EvRequeue {
+			delays = append(delays, time.Duration(e.B))
 		}
 	}
 	if len(delays) < 3 {
@@ -304,8 +304,8 @@ func TestControllerTransientVsPermanent(t *testing.T) {
 		t.Fatalf("halted key reconciled %d times", n)
 	}
 	var halts int
-	for _, r := range tr.Records() {
-		if r.Kind == TraceHalt && r.Switch == swEven {
+	for _, e := range tr.Events() {
+		if e.Kind == obs.EvHalt && e.Rule == 0 { // swEven is Switches[0]
 			halts++
 		}
 	}
@@ -323,8 +323,7 @@ func TestControllerLeaseFailover(t *testing.T) {
 	ft := newFakeTarget(swEven, swOdd)
 	clk := sim.New()
 	leases := NewLeaseTable(200 * time.Millisecond)
-	tr := NewTrace()
-	mk := func(id string) *Controller {
+	mk := func(id string, tr *obs.Tracer) *Controller {
 		c, err := New(Config{
 			Switches: []string{swEven, swOdd},
 			Shards:   2,
@@ -341,7 +340,8 @@ func TestControllerLeaseFailover(t *testing.T) {
 		}
 		return c
 	}
-	a, b := mk("ctrl-a"), mk("ctrl-b")
+	traceB := obs.NewTracer(1024, 4)
+	a, b := mk("ctrl-a", obs.NewTracer(1024, 4)), mk("ctrl-b", traceB)
 
 	s.Set(rule(1, 1))
 	s.Set(rule(2, 1))
@@ -373,8 +373,8 @@ func TestControllerLeaseFailover(t *testing.T) {
 		t.Fatalf("post-failover shard 0 holder = %q", who)
 	}
 	var handoffs int
-	for _, r := range tr.Records() {
-		if r.Kind == TraceLease && r.Who == "ctrl-b" {
+	for _, e := range traceB.Events() {
+		if e.Kind == obs.EvLease {
 			handoffs++
 		}
 	}
@@ -386,12 +386,26 @@ func TestControllerLeaseFailover(t *testing.T) {
 	}
 }
 
+// traceDigest is one run's digest and whether its tracer held the whole
+// run.
+type traceDigest struct {
+	sum uint64
+	ok  bool
+}
+
+// replays is the replay comparison: two runs converged the same way only
+// if both tracers held every event and their digests agree.
+func replays(a, b traceDigest) bool { return a.ok && b.ok && a.sum == b.sum }
+
 // scenario runs one fixed chaos-flavored script against a fresh driven
-// controller and returns the trace digest.
-func scenario(t *testing.T, seed int64) uint64 {
+// controller, tracing into a ring of the given size, and returns the
+// digest.
+func scenario(t *testing.T, seed int64, ring int) traceDigest {
 	t.Helper()
-	var digest uint64
-	s, ft, c, clk, tr := driven(t, func(cfg *Config) { cfg.Seed = seed })
+	s, ft, c, clk, tr := driven(t, func(cfg *Config) {
+		cfg.Seed = seed
+		cfg.Trace = obs.NewTracer(ring, 4)
+	})
 	ft.mu.Lock()
 	ft.unready[swEven] = true
 	ft.mu.Unlock()
@@ -417,20 +431,34 @@ func scenario(t *testing.T, seed int64) uint64 {
 	}
 	matches(t, s, ft, swEven)
 	matches(t, s, ft, swOdd)
-	digest = tr.Digest()
-	return digest
+	var d traceDigest
+	d.sum, d.ok = tr.Digest()
+	return d
 }
 
 // TestControllerTraceDigestDeterministic: the same scripted run yields
 // byte-identical traces; a different jitter seed yields a different
 // schedule and so a different digest.
 func TestControllerTraceDigestDeterministic(t *testing.T) {
-	a, b := scenario(t, 7), scenario(t, 7)
-	if a != b {
-		t.Fatalf("same-seed digests differ: %x vs %x", a, b)
+	a, b := scenario(t, 7, 1024), scenario(t, 7, 1024)
+	if !replays(a, b) {
+		t.Fatalf("same-seed runs do not replay: %x,%v vs %x,%v", a.sum, a.ok, b.sum, b.ok)
 	}
-	if c := scenario(t, 8); c == a {
+	if c := scenario(t, 8, 1024); !c.ok || c.sum == a.sum {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// TestControllerTraceWrapFailsReplay: a tracer too small for the run
+// wraps, and the replay comparison fails even between two same-seed runs
+// — a digest of the surviving tail never vouches for the whole run.
+func TestControllerTraceWrapFailsReplay(t *testing.T) {
+	a, b := scenario(t, 7, 16), scenario(t, 7, 16)
+	if a.ok || b.ok {
+		t.Fatalf("a 16-event ring held the whole scenario (ok %v,%v); it no longer exercises a wrap", a.ok, b.ok)
+	}
+	if replays(a, b) {
+		t.Fatal("wrapped tracers passed the replay comparison")
 	}
 }
 

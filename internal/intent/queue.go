@@ -43,6 +43,15 @@ func (r RateLimit) withDefaults() RateLimit {
 // pure function, so concurrent queues with the same seed replay the same
 // schedule.
 func (r RateLimit) delayFor(seed int64, key string, attempt int) time.Duration {
+	return r.Delay(uint64(seed)^fnv64a(key), attempt)
+}
+
+// Delay is the backoff schedule itself, shared by every retry loop in the
+// project: Base grown by Multiplier per attempt (1-based) and clamped at
+// Max, then scaled by the jitter of JitterFrac(seed, attempt). seed is
+// already folded with whatever identifies the schedule. The fields are
+// used as given: callers apply their own defaults first.
+func (r RateLimit) Delay(seed uint64, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
@@ -54,7 +63,7 @@ func (r RateLimit) delayFor(seed int64, key string, attempt int) time.Duration {
 		d = max
 	}
 	if j := r.Jitter; j > 0 {
-		d *= 1 - j/2 + j*JitterFrac(uint64(seed)^fnv64a(key), attempt)
+		d *= 1 - j/2 + j*JitterFrac(seed, attempt)
 	}
 	return time.Duration(d)
 }

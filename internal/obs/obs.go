@@ -1,7 +1,8 @@
 // Package obs is the always-on observability layer: lock-free counters and
-// gauges, fixed-footprint log-linear latency histograms, a bounded flow-mod
-// lifecycle tracer with a flight recorder, and exposition over HTTP in
-// Prometheus text format and as a JSON snapshot.
+// gauges, fixed-footprint log-linear latency histograms, a bounded event
+// tracer (flow-mod lifecycle and reconciler steps) with a flight recorder
+// and a replay digest, and exposition over HTTP in Prometheus text format
+// and as a JSON snapshot.
 //
 // The paper's entire argument is about latency tails — guarantees are
 // demonstrated by per-insertion latency distributions and violation rates

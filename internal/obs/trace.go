@@ -9,7 +9,11 @@ import (
 // mirrors the paper: the Gate Keeper admits a guaranteed insert into the
 // shadow carve, bypasses lowest-priority rules straight to main (§4.2),
 // diverts on token-bucket exhaustion or capacity, and the Rule Manager
-// migrates shadow partitions to main through the four Fig.-7 steps.
+// migrates shadow partitions to main through the four Fig.-7 steps. The
+// intent reconciler's kinds (EvDirty through EvHalt) record the
+// controller-side half: which switch was marked, requeued, converged or
+// halted, and which shard lease changed hands. For them Rule is the
+// switch's ordinal in intent.Config.Switches.
 type EventKind uint8
 
 const (
@@ -30,6 +34,11 @@ const (
 	EvMigInterrupt           // migration interrupted mid-flight; reconcile required
 	EvReconcile              // reconcile pass finished; A=stale, B=repaired
 	EvCrash                  // switch crash/restart observed
+	EvDirty                  // reconciler: a trigger marked the switch pending; A=store generation, B=intent.DirtyReason
+	EvRequeue                // reconciler: failed or unready, requeued with backoff; A=attempt, B=delay ns
+	EvConverge               // reconciler: the switch reached zero diff; A=covered generation, B=plan size
+	EvLease                  // reconciler: the controller took a shard's lease; A=shard
+	EvHalt                   // reconciler: a permanent error stopped the switch's key; A=attempt
 )
 
 var eventKindNames = [...]string{
@@ -50,6 +59,11 @@ var eventKindNames = [...]string{
 	EvMigInterrupt: "mig-interrupt",
 	EvReconcile:    "reconcile",
 	EvCrash:        "crash",
+	EvDirty:        "dirty",
+	EvRequeue:      "requeue",
+	EvConverge:     "converge",
+	EvLease:        "lease",
+	EvHalt:         "halt",
 }
 
 func (k EventKind) String() string {
@@ -66,7 +80,7 @@ type Event struct {
 	At   time.Duration // virtual timestamp supplied by the caller
 	Kind EventKind
 	Step uint8  // migration step ordinal (core.MigrationStep) for EvMigStep
-	Rule uint64 // rule ID when the event concerns a single rule, else 0
+	Rule uint64 // rule ID when the event concerns a single rule (switch ordinal for reconciler kinds), else 0
 	A    uint64 // kind-specific datum (see EventKind comments)
 	B    uint64 // kind-specific datum, usually latency in nanoseconds
 }
@@ -80,10 +94,12 @@ type Capture struct {
 	Events []Event
 }
 
-// Tracer is a bounded flow-mod lifecycle recorder. Record appends into a
-// preallocated ring under a mutex — zero allocations, a handful of stores —
-// so it stays on the agent's hot path. CaptureNow copies the ring into a
-// Capture (allocating) and is meant for rare trigger events only.
+// Tracer is the bounded event store for the agent's flow-mod lifecycle and
+// the intent reconciler's steps, one tracer per agent or controller.
+// Record appends into a preallocated ring under a mutex — zero
+// allocations, a handful of stores — so it stays on the agent's hot path.
+// CaptureNow copies the ring into a Capture (allocating) and is meant for
+// rare trigger events only.
 //
 // The zero Tracer is unusable; construct with NewTracer. A nil *Tracer is
 // safe to call: every method no-ops, which is how uninstrumented agents
@@ -158,6 +174,42 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.snapshotLocked()
+}
+
+// Digest folds every field of every event in the window, oldest first,
+// through FNV-1a, so two tracers recorded the same sequence exactly when
+// their digests match — the replay check of a seeded run. Once the ring
+// has wrapped the window no longer holds the whole run, so Digest returns
+// ok=false rather than a digest of its tail; a nil tracer has nothing to
+// digest and returns ok=false too.
+func (t *Tracer) Digest() (sum uint64, ok bool) {
+	if t == nil {
+		return 0, false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.next > uint64(len(t.ring)) {
+		return 0, false
+	}
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	word := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= (v >> (8 * i)) & 0xFF
+			h *= prime
+		}
+	}
+	for s := uint64(1); s <= t.next; s++ {
+		e := &t.ring[s%uint64(len(t.ring))]
+		word(e.Seq)
+		word(uint64(e.At))
+		word(uint64(e.Kind))
+		word(uint64(e.Step))
+		word(e.Rule)
+		word(e.A)
+		word(e.B)
+	}
+	return h, true
 }
 
 // CaptureNow snapshots the flight recorder because reason fired at virtual

@@ -109,6 +109,7 @@ func TestEventKindStrings(t *testing.T) {
 		EvAdmit, EvBypass, EvDivertRate, EvDivertSize, EvDivertFull,
 		EvRedundant, EvMainInsert, EvDelete, EvModify, EvViolation,
 		EvMigStep, EvMigDone, EvMigAbort, EvMigInterrupt, EvReconcile, EvCrash,
+		EvDirty, EvRequeue, EvConverge, EvLease, EvHalt,
 	}
 	seen := map[string]bool{}
 	for _, k := range kinds {
@@ -120,5 +121,75 @@ func TestEventKindStrings(t *testing.T) {
 	}
 	if EventKind(200).String() != "unknown" {
 		t.Fatal("out-of-range kind must stringify as unknown")
+	}
+}
+
+// TestTracerDigest: the digest is a function of the whole recorded
+// sequence — equal sequences agree, a change to any one field of any one
+// event or a swap of two events moves it — and a wrapped ring refuses to
+// digest its partial window.
+func TestTracerDigest(t *testing.T) {
+	base := []Event{
+		{At: 10, Kind: EvDirty, Rule: 1, A: 4, B: 1},
+		{At: 20, Kind: EvMigStep, Step: 2, Rule: 7, A: 3, B: 900},
+		{At: 30, Kind: EvRequeue, Rule: 1, A: 1, B: 5000},
+		{At: 40, Kind: EvConverge, Rule: 1, A: 4, B: 2},
+	}
+	digest := func(evs []Event, ring int) (uint64, bool) {
+		tr := NewTracer(ring, 4)
+		for _, e := range evs {
+			tr.Record(e.At, e.Kind, e.Step, e.Rule, e.A, e.B)
+		}
+		return tr.Digest()
+	}
+	want, ok := digest(base, 16)
+	if !ok {
+		t.Fatal("unwrapped ring refused to digest")
+	}
+	if again, ok := digest(base, 64); !ok || again != want {
+		t.Fatalf("identical sequences digest %x,%v vs %x", again, ok, want)
+	}
+	edits := map[string]func(e *Event){
+		"At":   func(e *Event) { e.At++ },
+		"Kind": func(e *Event) { e.Kind = EvHalt },
+		"Step": func(e *Event) { e.Step++ },
+		"Rule": func(e *Event) { e.Rule++ },
+		"A":    func(e *Event) { e.A++ },
+		"B":    func(e *Event) { e.B++ },
+	}
+	for field, edit := range edits {
+		for i := range base {
+			evs := append([]Event(nil), base...)
+			edit(&evs[i])
+			if got, ok := digest(evs, 16); !ok || got == want {
+				t.Errorf("changing %s of event %d left the digest at %x (ok=%v)", field, i, got, ok)
+			}
+		}
+	}
+	swapped := append([]Event(nil), base...)
+	swapped[1], swapped[2] = swapped[2], swapped[1]
+	if got, _ := digest(swapped, 16); got == want {
+		t.Error("swapping two events left the digest unchanged")
+	}
+	if got, _ := digest(base[:3], 16); got == want {
+		t.Error("dropping the last event left the digest unchanged")
+	}
+
+	// A full ring still digests; one more event wraps it and the digest
+	// is refused.
+	tr := NewTracer(16, 4)
+	for i := 0; i < 16; i++ {
+		tr.Record(time.Duration(i), EvDirty, 0, 0, uint64(i), 0)
+	}
+	if _, ok := tr.Digest(); !ok {
+		t.Fatal("a ring filled exactly to capacity refused to digest")
+	}
+	tr.Record(16, EvDirty, 0, 0, 16, 0)
+	if sum, ok := tr.Digest(); ok || sum != 0 {
+		t.Fatalf("wrapped ring digested: %x,%v", sum, ok)
+	}
+	var nilTr *Tracer
+	if _, ok := nilTr.Digest(); ok {
+		t.Fatal("nil tracer claims a digest")
 	}
 }

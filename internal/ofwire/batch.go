@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"hermes/internal/classifier"
 	"hermes/internal/core"
 )
 
@@ -26,50 +25,6 @@ import (
 type BatchResult struct {
 	Result FlowModResult
 	Err    error
-}
-
-// InsertBatch installs rules on the remote switch in order, vectoring them
-// into as few frames as possible. It returns one result per rule; a non-nil
-// error means the wire died and only the returned prefix was decided.
-func (c *Client) InsertBatch(rules []classifier.Rule) ([]BatchResult, error) {
-	return c.InsertBatchCtx(context.Background(), rules)
-}
-
-// InsertBatchCtx is InsertBatch bounded by the context's deadline.
-func (c *Client) InsertBatchCtx(ctx context.Context, rules []classifier.Rule) ([]BatchResult, error) {
-	return c.ApplyBatchCtx(ctx, flowModsFromRules(FlowAdd, rules))
-}
-
-// DeleteBatch removes rules by ID in order, vectored like InsertBatch.
-func (c *Client) DeleteBatch(ids []classifier.RuleID) ([]BatchResult, error) {
-	return c.DeleteBatchCtx(context.Background(), ids)
-}
-
-// DeleteBatchCtx is DeleteBatch bounded by the context's deadline.
-func (c *Client) DeleteBatchCtx(ctx context.Context, ids []classifier.RuleID) ([]BatchResult, error) {
-	ops := make([]FlowMod, len(ids))
-	for i, id := range ids {
-		ops[i] = FlowMod{Command: FlowDelete, RuleID: uint64(id)}
-	}
-	return c.ApplyBatchCtx(ctx, ops)
-}
-
-// ModifyBatch updates live rules in order, vectored like InsertBatch.
-func (c *Client) ModifyBatch(rules []classifier.Rule) ([]BatchResult, error) {
-	return c.ModifyBatchCtx(context.Background(), rules)
-}
-
-// ModifyBatchCtx is ModifyBatch bounded by the context's deadline.
-func (c *Client) ModifyBatchCtx(ctx context.Context, rules []classifier.Rule) ([]BatchResult, error) {
-	return c.ApplyBatchCtx(ctx, flowModsFromRules(FlowModify, rules))
-}
-
-func flowModsFromRules(cmd FlowModCommand, rules []classifier.Rule) []FlowMod {
-	ops := make([]FlowMod, len(rules))
-	for i := range rules {
-		ops[i] = *FlowModFromRule(cmd, rules[i])
-	}
-	return ops
 }
 
 // ApplyBatch sends a mixed batch of flow-mods, applying the client's

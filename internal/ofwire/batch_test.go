@@ -80,6 +80,15 @@ func batchRule(i int) classifier.Rule {
 	}
 }
 
+// flowMods is the rules' wire form under one command, for ApplyBatch.
+func flowMods(cmd FlowModCommand, rules []classifier.Rule) []FlowMod {
+	ops := make([]FlowMod, len(rules))
+	for i := range rules {
+		ops[i] = *FlowModFromRule(cmd, rules[i])
+	}
+	return ops
+}
+
 func TestClientBatchEndToEnd(t *testing.T) {
 	_, addr := startServer(t, core.Config{DisableRateLimit: true})
 	c, err := Dial(addr, time.Second)
@@ -93,7 +102,7 @@ func TestClientBatchEndToEnd(t *testing.T) {
 	for i := range rules {
 		rules[i] = batchRule(i)
 	}
-	results, err := c.InsertBatch(rules)
+	results, err := c.ApplyBatch(flowMods(FlowAdd, rules))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +131,7 @@ func TestClientBatchEndToEnd(t *testing.T) {
 	for i := range rules {
 		rules[i].Action.Port = (rules[i].Action.Port + 1) % 48
 	}
-	results, err = c.ModifyBatch(rules)
+	results, err = c.ApplyBatch(flowMods(FlowModify, rules))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +140,11 @@ func TestClientBatchEndToEnd(t *testing.T) {
 			t.Fatalf("modify %d: %v", i, br.Err)
 		}
 	}
-	ids := make([]classifier.RuleID, n)
-	for i := range ids {
-		ids[i] = rules[i].ID
+	dels := make([]classifier.Rule, n)
+	for i := range dels {
+		dels[i] = classifier.Rule{ID: rules[i].ID}
 	}
-	results, err = c.DeleteBatch(ids)
+	results, err = c.ApplyBatch(flowMods(FlowDelete, dels))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +225,7 @@ func TestClientBatchSplitsOversized(t *testing.T) {
 	for i := range rules {
 		rules[i] = batchRule(i)
 	}
-	results, err := c.InsertBatch(rules)
+	results, err := c.ApplyBatch(flowMods(FlowAdd, rules))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,11 +239,11 @@ func TestClientBatchSplitsOversized(t *testing.T) {
 	}
 	// Result order matches submission order across the chunk boundary:
 	// deleting by the same IDs succeeds for every slot.
-	ids := make([]classifier.RuleID, n)
-	for i := range ids {
-		ids[i] = rules[i].ID
+	dels := make([]classifier.Rule, n)
+	for i := range dels {
+		dels[i] = classifier.Rule{ID: rules[i].ID}
 	}
-	results, err = c.DeleteBatch(ids)
+	results, err = c.ApplyBatch(flowMods(FlowDelete, dels))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +261,7 @@ func TestClientBatchEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	results, err := c.InsertBatch(nil)
+	results, err := c.ApplyBatch(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

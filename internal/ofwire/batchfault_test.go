@@ -66,7 +66,7 @@ func TestBatchPartialWriteAppliesNothing(t *testing.T) {
 	for i := range rules {
 		rules[i] = batchRule(i)
 	}
-	_, err = c.InsertBatch(rules)
+	_, err = c.ApplyBatch(flowMods(FlowAdd, rules))
 	if err == nil {
 		t.Fatal("batch survived a mid-frame connection crash")
 	}
@@ -126,7 +126,7 @@ func TestBatchResetBetweenSendAndReply(t *testing.T) {
 	for i := range rules {
 		rules[i] = batchRule(i)
 	}
-	if _, err := c.InsertBatch(rules); err == nil {
+	if _, err := c.ApplyBatch(flowMods(FlowAdd, rules)); err == nil {
 		t.Fatal("client observed success though the reply was reset away")
 	}
 	if got := wire.Counts().Resets; got != 1 {

@@ -80,7 +80,7 @@ func TestEveryFrameIsOneWrite(t *testing.T) {
 	if _, err := c.Insert(rule(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.InsertBatch([]classifier.Rule{rule(2), rule(3), rule(4)}); err != nil {
+	if _, err := c.ApplyBatch(flowMods(FlowAdd, []classifier.Rule{rule(2), rule(3), rule(4)})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Echo([]byte("one write")); err != nil {

@@ -1,9 +1,8 @@
 // Package trace persists and replays workload artifacts — microbenchmark
-// rule streams, flow-level job traces, and BGP update streams — as
-// versioned JSON. Saved traces make experiments repeatable across machines
-// and let users capture a generated workload once and sweep systems over
-// the identical input (the same discipline the paper's replayed datasets
-// provide).
+// rule streams and flow-level job traces — as versioned JSON. Saved traces
+// make experiments repeatable across machines and let users capture a
+// generated workload once and sweep systems over the identical input (the
+// same discipline the paper's replayed datasets provide).
 package trace
 
 import (
@@ -12,7 +11,6 @@ import (
 	"io"
 	"time"
 
-	"hermes/internal/bgp"
 	"hermes/internal/classifier"
 	"hermes/internal/topo"
 	"hermes/internal/workload"
@@ -25,7 +23,6 @@ type Kind string
 const (
 	KindRuleStream Kind = "rule-stream"
 	KindJobs       Kind = "jobs"
-	KindBGP        Kind = "bgp-updates"
 )
 
 // version is the envelope schema version.
@@ -176,74 +173,6 @@ func LoadJobs(r io.Reader) ([]workload.Job, error) {
 			})
 		}
 		out = append(out, j)
-	}
-	return out, nil
-}
-
-// --- BGP update streams --------------------------------------------------------
-
-type bgpUpdateJSON struct {
-	AtNS      int64    `json:"at_ns"`
-	Peer      string   `json:"peer"`
-	Withdraw  bool     `json:"withdraw,omitempty"`
-	Prefix    string   `json:"prefix"`
-	NextHop   uint32   `json:"next_hop,omitempty"`
-	LocalPref uint32   `json:"local_pref,omitempty"`
-	ASPath    []uint32 `json:"as_path,omitempty"`
-	Origin    uint8    `json:"origin,omitempty"`
-	MED       uint32   `json:"med,omitempty"`
-	RouterID  uint32   `json:"router_id,omitempty"`
-}
-
-// SaveBGP writes a BGP update stream.
-func SaveBGP(w io.Writer, updates []bgp.Update) error {
-	out := make([]bgpUpdateJSON, 0, len(updates))
-	for _, u := range updates {
-		j := bgpUpdateJSON{AtNS: int64(u.At), Peer: u.Peer, Withdraw: u.Withdraw}
-		if u.Withdraw {
-			j.Prefix = u.Prefix.String()
-		} else {
-			j.Prefix = u.Route.Prefix.String()
-			j.NextHop = u.Route.NextHop
-			j.LocalPref = u.Route.LocalPref
-			j.ASPath = u.Route.ASPath
-			j.Origin = uint8(u.Route.Origin)
-			j.MED = u.Route.MED
-			j.RouterID = u.Route.RouterID
-		}
-		out = append(out, j)
-	}
-	return save(w, KindBGP, out)
-}
-
-// LoadBGP reads a BGP update stream saved by SaveBGP.
-func LoadBGP(r io.Reader) ([]bgp.Update, error) {
-	var in []bgpUpdateJSON
-	if err := load(r, KindBGP, &in); err != nil {
-		return nil, err
-	}
-	out := make([]bgp.Update, 0, len(in))
-	for i, j := range in {
-		p, err := classifier.ParsePrefix(j.Prefix)
-		if err != nil {
-			return nil, fmt.Errorf("trace: update %d: %w", i, err)
-		}
-		u := bgp.Update{At: durationNS(j.AtNS), Peer: j.Peer, Withdraw: j.Withdraw}
-		if j.Withdraw {
-			u.Prefix = p
-		} else {
-			u.Route = bgp.Route{
-				Prefix:    p,
-				Peer:      j.Peer,
-				NextHop:   j.NextHop,
-				LocalPref: j.LocalPref,
-				ASPath:    j.ASPath,
-				Origin:    bgp.Origin(j.Origin),
-				MED:       j.MED,
-				RouterID:  j.RouterID,
-			}
-		}
-		out = append(out, u)
 	}
 	return out, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hermes/internal/bgp"
 	"hermes/internal/topo"
 	"hermes/internal/workload"
 )
@@ -68,56 +67,6 @@ func TestJobsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBGPRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	updates := bgp.GenerateTrace(rng, bgp.TraceConfig{
-		Duration: 3 * time.Second, Peers: 4, Prefixes: 200,
-		BaseRate: 100, BurstRate: 1200, BurstProb: 0.3,
-		BurstLen: time.Second, WithdrawFrac: 0.3,
-	})
-	var buf bytes.Buffer
-	if err := SaveBGP(&buf, updates); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadBGP(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(updates) {
-		t.Fatalf("len = %d, want %d", len(got), len(updates))
-	}
-	for i := range updates {
-		a, b := updates[i], got[i]
-		if a.At != b.At || a.Peer != b.Peer || a.Withdraw != b.Withdraw {
-			t.Fatalf("update %d header mismatch", i)
-		}
-		if a.Withdraw {
-			if a.Prefix != b.Prefix {
-				t.Fatalf("update %d prefix mismatch", i)
-			}
-			continue
-		}
-		if a.Route.Prefix != b.Route.Prefix || a.Route.NextHop != b.Route.NextHop ||
-			a.Route.LocalPref != b.Route.LocalPref || a.Route.Origin != b.Route.Origin ||
-			a.Route.MED != b.Route.MED || a.Route.RouterID != b.Route.RouterID {
-			t.Fatalf("update %d route mismatch:\n%+v\n%+v", i, a.Route, b.Route)
-		}
-		if len(a.Route.ASPath) != len(b.Route.ASPath) {
-			t.Fatalf("update %d AS path mismatch", i)
-		}
-	}
-	// Replaying both streams through routers yields identical FIBs.
-	r1, r2 := bgp.NewRouter("a"), bgp.NewRouter("b")
-	ops1, ops2 := 0, 0
-	for i := range updates {
-		ops1 += len(r1.Process(updates[i]))
-		ops2 += len(r2.Process(got[i]))
-	}
-	if ops1 != ops2 || r1.FIBSize() != r2.FIBSize() {
-		t.Errorf("replay diverged: %d/%d ops, FIB %d/%d", ops1, ops2, r1.FIBSize(), r2.FIBSize())
-	}
-}
-
 func TestKindMismatch(t *testing.T) {
 	var buf bytes.Buffer
 	if err := SaveJobs(&buf, []workload.Job{{ID: 1}}); err != nil {
@@ -140,8 +89,5 @@ func TestCorruptInputs(t *testing.T) {
 		if _, err := LoadRuleStream(strings.NewReader(c)); err == nil {
 			t.Errorf("case %d: corrupt input accepted", i)
 		}
-	}
-	if _, err := LoadBGP(strings.NewReader(`{"version":1,"kind":"bgp-updates","payload":[{"prefix":"zz"}]}`)); err == nil {
-		t.Error("bad BGP prefix accepted")
 	}
 }
