@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check lint lint-bench fuzz bench bench-cache chaos loadgen-smoke loadgen-1m
+.PHONY: all build test check lint lint-bench fuzz bench bench-cache chaos loadgen-smoke loadgen-1m loc
 
 all: build
 
@@ -9,6 +9,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per package and in total, outside benchmark/ and the
+# lint corpus: the line counts EXPERIMENTS.md quotes.
+loc:
+	./scripts/loc.sh
 
 # hermes-vet (DESIGN.md §8): CFG/dataflow static analysis of the
 # project's concurrency and hot-path invariants, one analyzer each —

@@ -1,11 +1,10 @@
 package classifier
 
 // Oracles for the Gate Keeper cut machinery. The production code streams the
-// trie walk, subtracts and merges on reused buffers and re-records a
-// partition by diffing its cause list; the functions below are the
-// from-scratch forms they replaced — collect every overlapping rule, allocate
-// every fragment list, group with maps, remove-then-record — kept here as the
-// reference the equivalence tests and the fuzz target compare against.
+// trie walk and subtracts and merges on reused buffers; the functions below
+// are the from-scratch forms they replaced — collect every overlapping rule,
+// allocate every fragment list, group with maps — kept here as the reference
+// the equivalence tests and the fuzz target compare against.
 
 import (
 	"cmp"
@@ -220,65 +219,6 @@ func oraclePartitionAgainst(newRule Rule, main []Rule, wins func(existing Rule) 
 	return p
 }
 
-// oraclePartitionMap is the remove-then-record map: dependents are kept in
-// one ordered list per cause, so re-recording a partition costs
-// O(causes × dependents).
-type oraclePartitionMap struct {
-	byOriginal map[RuleID]*Partition
-	byCause    map[RuleID][]RuleID
-	byPart     map[RuleID]RuleID
-}
-
-func newOraclePartitionMap() *oraclePartitionMap {
-	return &oraclePartitionMap{
-		byOriginal: make(map[RuleID]*Partition),
-		byCause:    make(map[RuleID][]RuleID),
-		byPart:     make(map[RuleID]RuleID),
-	}
-}
-
-func (m *oraclePartitionMap) Record(p Partition) {
-	if !p.WasCut() {
-		return
-	}
-	cp := p
-	cp.Cause = slices.Clone(p.Cause) // the Partitioner reuses the caller's
-	m.byOriginal[p.Original.ID] = &cp
-	for _, c := range p.Cause {
-		m.byCause[c] = append(m.byCause[c], p.Original.ID)
-	}
-	for _, part := range p.Parts {
-		m.byPart[part.ID] = p.Original.ID
-	}
-}
-
-func (m *oraclePartitionMap) DependentsOf(mainRule RuleID) []RuleID {
-	return append([]RuleID(nil), m.byCause[mainRule]...)
-}
-
-func (m *oraclePartitionMap) Remove(original RuleID) {
-	p, ok := m.byOriginal[original]
-	if !ok {
-		return
-	}
-	delete(m.byOriginal, original)
-	for _, c := range p.Cause {
-		deps := m.byCause[c]
-		for i, d := range deps {
-			if d == original {
-				m.byCause[c] = append(deps[:i], deps[i+1:]...)
-				break
-			}
-		}
-		if len(m.byCause[c]) == 0 {
-			delete(m.byCause, c)
-		}
-	}
-	for _, part := range p.Parts {
-		delete(m.byPart, part.ID)
-	}
-}
-
 // --- equivalence -----------------------------------------------------------
 
 // nestedPrefix draws a prefix of any length 0–32 along one of a few address
@@ -316,12 +256,11 @@ func samePartition(a, b Partition) bool {
 }
 
 // checkPartitionEquivalence cuts every rule of the set against all the
-// others — through the oracle and through one long-lived Partitioner — and
-// feeds both results to the oracle map (remove, then record) and to the
-// production map (record over the old one). Every rule is cut twice, the
-// second time after main-table churn, so re-records with a moved cause list
-// are exercised. Parts (matches and minted IDs), Cause order, Overflow and
-// the DependentsOf order of every main rule must agree throughout.
+// others, through the oracle and through one long-lived Partitioner. Every
+// rule is cut twice, the second time after main-table churn (deletes, and
+// rules moved to the end of their trie node). Parts (matches and minted IDs),
+// Cause order and Overflow must agree throughout. The agent's record of the
+// cuts has its own oracle (internal/core).
 func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegions int) {
 	t.Helper()
 	var trie Trie
@@ -330,35 +269,7 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 	}
 	indexed := slices.Clone(rules) // the trie's rules in insertion order
 	var pt Partitioner
-	pm, om := NewPartitionMap(), newOraclePartitionMap()
 	mintA, mintB := idMinter(1<<20), idMinter(1<<20)
-	compareMaps := func(when string) {
-		t.Helper()
-		if pm.Len() != len(om.byOriginal) {
-			t.Fatalf("%s: Len %d, oracle %d", when, pm.Len(), len(om.byOriginal))
-		}
-		for _, r := range rules {
-			if got, want := pm.DependentsOf(r.ID), om.DependentsOf(r.ID); !slices.Equal(got, want) {
-				t.Fatalf("%s: DependentsOf(%d) = %v, oracle %v", when, r.ID, got, want)
-			}
-			got, gok := pm.Lookup(r.ID)
-			want, wok := om.byOriginal[r.ID]
-			if gok != wok || (gok && !samePartition(*got, *want)) {
-				t.Fatalf("%s: Lookup(%d) = %v,%v, oracle %v,%v", when, r.ID, got, gok, want, wok)
-			}
-			if !gok {
-				continue
-			}
-			for _, part := range want.Parts {
-				if o, ok := pm.OriginalOf(part.ID); !ok || o != r.ID {
-					t.Fatalf("%s: OriginalOf(%d) = %d,%v, want %d", when, part.ID, o, ok, r.ID)
-				}
-			}
-		}
-		if len(pm.byPart) != len(om.byPart) {
-			t.Fatalf("%s: %d part IDs mapped, oracle %d", when, len(pm.byPart), len(om.byPart))
-		}
-	}
 	cut := func(round int, r Rule) {
 		t.Helper()
 		wins := func(existing Rule) bool { return existing.Priority >= r.Priority }
@@ -367,22 +278,12 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 		if !samePartition(got, want) {
 			t.Fatalf("round %d rule %v merge=%v maxRegions=%d:\n got %+v\nwant %+v", round, r, merge, maxRegions, got, want)
 		}
-		om.Remove(r.ID)
-		if want.Overflow {
-			pm.Remove(r.ID)
-		} else {
-			om.Record(want)
-			pm.Record(got)
-		}
 	}
 	for _, r := range rules {
 		cut(0, r)
 	}
-	compareMaps("first cut")
-	// Churn: drop a third of the main rules, move another few to the end of
-	// their trie node (what an in-place Modify does), forget some records, and
-	// strike a few rules from the causes they are on (what a delete that gives
-	// a dependent nothing back does: to the oracle, a re-record without it).
+	// Churn: drop a third of the main rules and move another few to the end
+	// of their trie node (what an in-place Modify does).
 	unindex := func(id RuleID) {
 		indexed = slices.DeleteFunc(indexed, func(r Rule) bool { return r.ID == id })
 	}
@@ -396,34 +297,10 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 			trie.Insert(r)
 			unindex(r.ID)
 			indexed = append(indexed, r)
-		case 2:
-			om.Remove(r.ID)
-			pm.Remove(r.ID)
-		case 4:
-			for _, o := range om.DependentsOf(r.ID) {
-				p := *om.byOriginal[o]
-				if len(p.Cause) == 1 {
-					continue // the agent never strikes a last cause: nothing would cut the rule
-				}
-				p.Cause = slices.DeleteFunc(slices.Clone(p.Cause), func(c RuleID) bool { return c == r.ID })
-				om.Remove(o)
-				om.Record(p)
-				pm.DropCause(o, r.ID)
-			}
 		}
 	}
-	compareMaps("churn")
 	for i := len(rules) - 1; i >= 0; i-- {
 		cut(1, rules[i])
-	}
-	compareMaps("second cut")
-	for _, r := range rules {
-		om.Remove(r.ID)
-		pm.Remove(r.ID)
-	}
-	compareMaps("drained")
-	if len(pm.byCause) != 0 || len(pm.byPart) != 0 {
-		t.Fatalf("drained map keeps %d causes, %d parts", len(pm.byCause), len(pm.byPart))
 	}
 }
 
@@ -552,53 +429,6 @@ func TestUncoveredMatchesOracle(t *testing.T) {
 		if i%2 == 0 {
 			pt.Partition(rules[0], trie.OverlapCandidates(region), wins, idMinter(0), true, 0)
 		}
-	}
-}
-
-// TestPartitionMapCauseEdits: DropCause stamps like a Record (the rule moves
-// to the end of DependentsOf order), AddCause and SetCause link and unlink
-// without stamping, and none of them touches the parts.
-func TestPartitionMapCauseEdits(t *testing.T) {
-	m := NewPartitionMap()
-	part := func(id RuleID) []Rule { return []Rule{{ID: 100 + id}} }
-	m.Record(Partition{Original: Rule{ID: 1}, Parts: part(1), Cause: []RuleID{10, 20}})
-	m.Record(Partition{Original: Rule{ID: 2}, Parts: part(2), Cause: []RuleID{20, 30}})
-	m.Record(Partition{Original: Rule{ID: 3}, Parts: part(3), Cause: []RuleID{20}})
-	deps := func(c RuleID, want ...RuleID) {
-		t.Helper()
-		if got := m.DependentsOf(c); !slices.Equal(got, want) {
-			t.Fatalf("DependentsOf(%d) = %v, want %v", c, got, want)
-		}
-	}
-	causes := func(o RuleID, want ...RuleID) {
-		t.Helper()
-		p, ok := m.Lookup(o)
-		if !ok || !slices.Equal(p.Cause, want) || !slices.Equal(p.Parts, part(o)) {
-			t.Fatalf("Lookup(%d) = %+v, %v; want causes %v and parts %v", o, p, ok, want, part(o))
-		}
-	}
-	deps(20, 1, 2, 3)
-	m.DropCause(1, 10)
-	causes(1, 20)
-	deps(10)
-	deps(20, 2, 3, 1)
-	m.AddCause(2, 40)
-	causes(2, 20, 30, 40)
-	deps(40, 2)
-	deps(20, 2, 3, 1)
-	m.SetCause(3, []RuleID{30, 40})
-	causes(3, 30, 40)
-	deps(20, 2, 1)
-	deps(30, 2, 3)
-	deps(40, 2, 3)
-	m.DropCause(2, 99) // not a cause: only the stamp moves
-	causes(2, 20, 30, 40)
-	deps(30, 3, 2)
-	for _, o := range []RuleID{1, 2, 3} {
-		m.Remove(o)
-	}
-	if len(m.byCause) != 0 || len(m.byPart) != 0 {
-		t.Fatalf("drained map keeps %d causes, %d parts", len(m.byCause), len(m.byPart))
 	}
 }
 

@@ -224,48 +224,6 @@ func TestPartitionEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestPartitionMapRecordLookupRemove(t *testing.T) {
-	pm := NewPartitionMap()
-	p := Partition{
-		Original: Rule{ID: 10},
-		Parts:    []Rule{{ID: 100}, {ID: 101}},
-		Cause:    []RuleID{1, 2},
-	}
-	pm.Record(p)
-	if pm.Len() != 1 {
-		t.Fatalf("Len = %d", pm.Len())
-	}
-	if got, ok := pm.Lookup(10); !ok || len(got.Parts) != 2 {
-		t.Errorf("Lookup(10) = %v, %v", got, ok)
-	}
-	if o, ok := pm.OriginalOf(101); !ok || o != 10 {
-		t.Errorf("OriginalOf(101) = %v, %v", o, ok)
-	}
-	if deps := pm.DependentsOf(1); len(deps) != 1 || deps[0] != 10 {
-		t.Errorf("DependentsOf(1) = %v", deps)
-	}
-	pm.Remove(10)
-	if pm.Len() != 0 {
-		t.Errorf("Len after Remove = %d", pm.Len())
-	}
-	if deps := pm.DependentsOf(1); len(deps) != 0 {
-		t.Errorf("DependentsOf after Remove = %v", deps)
-	}
-	if _, ok := pm.OriginalOf(101); ok {
-		t.Error("OriginalOf survives Remove")
-	}
-	// Removing twice is a no-op.
-	pm.Remove(10)
-}
-
-func TestPartitionMapIgnoresUncut(t *testing.T) {
-	pm := NewPartitionMap()
-	pm.Record(Partition{Original: Rule{ID: 1}, Parts: []Rule{{ID: 1}}})
-	if pm.Len() != 0 {
-		t.Error("uncut partitions must not be recorded")
-	}
-}
-
 // BenchmarkPartitionWide is a wide insert's cut: a /12 at priority 1 over
 // the MicroBench-shaped main table's rules inside it, every one of which
 // beats it, at the agent's working-set cap (8 × 16 fragments).

@@ -1,8 +1,9 @@
 // Package classifier implements the rule algebra Hermes relies on for its
 // correctness guarantees (paper §4): IPv4 prefixes, ternary match rules, an
 // overlap-detection trie, prefix subtraction ("EliminateOverlap"), optimal
-// sibling merging, and Algorithm 1 (PartitionNewRule) together with the
-// original-rule → partition mapping used to un-partition on deletion.
+// sibling merging, and Algorithm 1 (PartitionNewRule). The agent
+// (internal/core) keeps the original-rule → partition record that
+// un-partitions on deletion.
 package classifier
 
 import (

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hermes/internal/classifier"
 	"hermes/internal/obs"
@@ -43,8 +44,9 @@ const (
 	placeMain
 )
 
-// ruleState tracks where one controller-visible (original) rule currently
-// lives and which physical entries realize it.
+// ruleState is the agent's one record of a controller-visible (original)
+// rule: where it lives, which physical entries realize it and, while it is
+// cut, what cut it (Algorithm 1's mapping, which deletions undo, Fig. 6).
 type ruleState struct {
 	original classifier.Rule
 	// seq is the rule's logical insertion sequence number; ties in
@@ -52,19 +54,28 @@ type ruleState struct {
 	// TCAM would order equal-priority entries.
 	seq   uint64
 	place placement
-	// partIDs are the physical entry IDs in the shadow table realizing the
-	// rule (== {original.ID} when not fragmented). For placeMain it is
-	// always {original.ID}.
-	partIDs []classifier.RuleID
+	// parts are the entries realizing the rule in the table place names:
+	// whole() while the rule is uncut, its fragments when cut (they stay
+	// fragments when the fragment ablation migrates them), none when it is
+	// redundant. The slice is only ever replaced, never appended to: whole()
+	// aliases original.
+	parts []classifier.Rule
+	// cut is the rule's cut record, nil while nothing cuts it; cutIndex
+	// indexes it.
+	cut *cutRecord
 }
+
+// whole is the parts of an uncut rule: the one entry under its own ID. It is
+// original itself, so it costs nothing and an action rewrite reaches both.
+func (st *ruleState) whole() []classifier.Rule { return unsafe.Slice(&st.original, 1) }
 
 // maxRuleStatePool bounds the freelist so a burst of deletes does not pin
 // memory forever.
 const maxRuleStatePool = 4096
 
-// newRuleState builds the state of r, on a struct (and partIDs capacity)
-// recycled from the freelist when there is one. Every ruleState is made here.
-func (a *Agent) newRuleState(r classifier.Rule, seq uint64, place placement, partIDs ...classifier.RuleID) *ruleState {
+// newRuleState builds the state of an uncut rule, on a struct recycled from
+// the freelist when there is one. Every ruleState is made here.
+func (a *Agent) newRuleState(r classifier.Rule, seq uint64, place placement) *ruleState {
 	var st *ruleState
 	if n := len(a.stPool); n > 0 {
 		st = a.stPool[n-1]
@@ -74,16 +85,17 @@ func (a *Agent) newRuleState(r classifier.Rule, seq uint64, place placement, par
 		st = &ruleState{}
 	}
 	st.original, st.seq, st.place = r, seq, place
-	st.partIDs = append(st.partIDs[:0], partIDs...)
+	st.parts = st.whole()
 	return st
 }
 
-// dropRuleState removes st from a.rules and hands it to the freelist. Every
-// exit from a.rules is a call to it: by then the caller has read what it
-// needs from st, and nothing else holds a *ruleState across a mutation (a
-// demoted rule's next promotion builds a new one from the software tier).
+// dropRuleState removes st from a.rules and from the cut index and hands it
+// to the freelist. Every exit from a.rules is a call to it, once the caller
+// has read what it needs from st: a recycled state is reachable from nowhere
+// (a demoted rule's next promotion builds a new one from the software tier).
 func (a *Agent) dropRuleState(st *ruleState) {
 	delete(a.rules, st.original.ID)
+	a.cuts.forget(st)
 	if len(a.stPool) < maxRuleStatePool {
 		a.stPool = append(a.stPool, st)
 	}
@@ -126,8 +138,8 @@ type Agent struct {
 	maxRate    float64 // Equation 2, rules/second
 	bucket     *tokenbucket.Bucket
 
-	pmap       *classifier.PartitionMap
 	rules      map[classifier.RuleID]*ruleState
+	cuts       cutIndex
 	nextPartID classifier.RuleID
 	nextSeq    uint64
 	// cutter runs Algorithm 1 on buffers it keeps between cuts. recutsKept
@@ -245,8 +257,8 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 		main:       main,
 		cfg:        cfg,
 		shadowSize: size,
-		pmap:       classifier.NewPartitionMap(),
 		rules:      make(map[classifier.RuleID]*ruleState),
+		cuts:       newCutIndex(),
 		nextPartID: partIDBase,
 		metrics:    newMetrics(),
 		o:          cfg.Observer,
@@ -505,9 +517,10 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		return a.insertMain(now, r, seq)
 	}
 	if part.Redundant() {
-		a.rules[r.ID] = a.newRuleState(r, seq, placeShadow)
+		st := a.newRuleState(r, seq, placeShadow)
+		a.cuts.record(st, part)
+		a.rules[r.ID] = st
 		a.addShadowResident(r)
-		a.pmap.Record(part)
 		a.metrics.Redundant++
 		a.o.event(now, obs.EvRedundant, 0, uint64(r.ID), 0, 0)
 		return Result{Path: PathRedundant, Completed: now, Guaranteed: true}, nil
@@ -539,11 +552,10 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		}
 		total += cost
 		completed = a.sw.SubmitGuaranteed(now, cost)
-		st.partIDs = append(st.partIDs, p.ID)
 	}
+	a.cuts.record(st, part)
 	a.rules[r.ID] = st
 	a.addShadowResident(r)
-	a.pmap.Record(part)
 	a.arrivals += len(part.Parts)
 	a.metrics.ShadowInserts++
 	a.metrics.PartitionsInstalled += len(part.Parts)
@@ -658,7 +670,7 @@ func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint
 	} else {
 		completed = a.sw.Submit(now, cost)
 	}
-	a.rules[r.ID] = a.newRuleState(r, seq, placeMain, r.ID)
+	a.rules[r.ID] = a.newRuleState(r, seq, placeMain)
 	a.repairShadowAfterMainInsert(now, r)
 	return Result{Path: PathMain, Latency: cost, Completed: completed}, nil
 }
@@ -697,44 +709,41 @@ func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule clas
 // the shadow table cannot hold the new fragments the rule is moved to the
 // main table instead.
 func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
-	for _, pid := range st.partIDs {
-		if cost, ok := a.shadow.Delete(pid); ok {
+	for _, p := range st.parts {
+		if cost, ok := a.shadow.Delete(p.ID); ok {
 			a.sw.SubmitGuaranteed(now, cost)
 		}
 	}
 	part := a.partition(st.original, st.seq)
 	a.o.recordRecut(len(part.Cause))
 	if !part.Overflow && part.Redundant() {
-		st.partIDs = st.partIDs[:0]
-		a.pmap.Record(part)
+		a.cuts.record(st, part)
 		return
 	}
 	if part.Overflow || len(part.Parts) > a.cfg.MaxPartitions || a.shadow.Free() < len(part.Parts) {
 		// Out of shadow room: fall back to the main table.
-		a.pmap.Remove(st.original.ID)
+		a.cuts.forget(st)
+		st.parts = st.whole()
 		cost, err := a.main.InsertRanked(st.original, st.seq)
 		if err == nil {
 			a.sw.Submit(now, cost)
 			a.dropShadowResident(st.original)
 			st.place = placeMain
-			st.partIDs = []classifier.RuleID{st.original.ID}
 			a.repairShadowAfterMainInsert(now, st.original)
 		}
-		// A full main table leaves the rule uninstalled; the controller
-		// sees table-full semantics exactly as on a real switch.
+		// A full main table leaves the rule uninstalled (its entry is
+		// missing from the shadow table until a Reconcile finds room); the
+		// controller sees table-full semantics exactly as on a real switch.
 		return
 	}
-	// The deleted fragments' ID list is reused for the new ones.
-	st.partIDs = st.partIDs[:0]
 	for _, p := range part.Parts {
 		cost, err := a.shadow.InsertRanked(p, st.seq)
 		if err != nil {
 			panic(fmt.Sprintf("core: shadow reinstall: %v", err))
 		}
 		a.sw.SubmitGuaranteed(now, cost)
-		st.partIDs = append(st.partIDs, p.ID)
 	}
-	a.pmap.Record(part)
+	a.cuts.record(st, part)
 	a.metrics.Repartitions++
 }
 
@@ -763,28 +772,27 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 
 // removePhysical deletes a rule's physical entries from the carved tables
 // and repairs dependent shadow rules (the Fig. 6 un-merge), leaving the
-// a.rules entry for the caller to drop. Shared by deleteRule and the cache
-// manager's demotion/cover paths.
+// state for the caller to drop (dropRuleState, which also unindexes a shadow
+// rule's cut record). Shared by deleteRule and the cache manager's
+// demotion/cover paths.
 func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration, time.Duration) {
 	var total time.Duration
 	completed := now
-	id := st.original.ID
 	switch st.place {
 	case placeShadow:
 		// Delete the rule or all of its partitions — never both exist.
-		for _, pid := range st.partIDs {
-			if cost, ok := a.shadow.Delete(pid); ok {
+		for _, p := range st.parts {
+			if cost, ok := a.shadow.Delete(p.ID); ok {
 				total += cost
 				completed = a.sw.SubmitGuaranteed(now, cost)
 			}
 		}
-		a.pmap.Remove(id)
 		a.dropShadowResident(st.original)
 	case placeMain:
 		// One entry under the rule's own ID, or — migrated under the
-		// fragment ablation — its fragments, whose partition record goes too.
-		for _, pid := range st.partIDs {
-			if cost, ok := a.main.Delete(pid); ok {
+		// fragment ablation — its fragments, whose cut record goes too.
+		for _, p := range st.parts {
+			if cost, ok := a.main.Delete(p.ID); ok {
 				total += cost
 				completed = a.sw.Submit(now, cost)
 			}
@@ -796,29 +804,20 @@ func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration,
 
 // unpartitionDependents is Fig. 6 for a main-resident rule whose entries —
 // one under its own ID, or the fragments it migrated as — just left the main
-// table: every rule they had cut is un-partitioned, then the rule's own
-// partition record goes. What left is each entry's own match, a fragment's
-// rather than the original's, read from that record before it goes.
+// table: every rule they had cut is un-partitioned, then the rule's own cut
+// record goes. What left is each entry's own match, a fragment's rather than
+// the original's.
 func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
-	id := st.original.ID
-	for _, pid := range st.partIDs {
-		gone := st.original.Match
-		if pid != id {
-			frag, _ := a.fragFromPartition(id, pid)
-			gone = frag.Match
-		}
-		for _, dep := range a.pmap.DependentsOf(pid) {
-			depSt, ok := a.rules[dep]
-			switch {
-			case !ok:
-			case depSt.place == placeShadow:
-				a.unpartition(now, depSt, pid, gone)
-			default:
-				a.collapseMainFragments(now, depSt)
+	for _, gone := range st.parts {
+		for _, dep := range a.cuts.dependentsOf(gone.ID) {
+			if dep.place == placeShadow {
+				a.unpartition(now, dep, gone.ID, gone.Match)
+			} else {
+				a.collapseMainFragments(now, dep)
 			}
 		}
 	}
-	a.pmap.Remove(id)
+	a.cuts.forget(st)
 }
 
 // unpartition is the Fig.-6 step for one shadow rule that the deleted main
@@ -829,13 +828,13 @@ func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
 // install: only the record changes. Otherwise — and for a redundant rule,
 // whose causes stop at the first container — it is re-cut in full.
 func (a *Agent) unpartition(now time.Duration, st *ruleState, cause classifier.RuleID, gone classifier.Match) {
-	if len(st.partIDs) > 0 {
+	if len(st.parts) > 0 {
 		region, _ := gone.Intersect(st.original.Match) // a cause overlaps its dependent
 		wins := func(existing classifier.Rule) bool {
 			return a.beats(existing, st.original.Priority, st.seq)
 		}
 		if !a.cutter.Uncovered(region, a.main.OverlapCandidates(region), wins) {
-			a.pmap.DropCause(st.original.ID, cause)
+			a.cuts.dropCause(st, cause)
 			a.recutsKept.Add(1)
 			return
 		}
@@ -851,11 +850,11 @@ func (a *Agent) unpartition(now time.Duration, st *ruleState, cause classifier.R
 // beats are re-cut against it, and the fragments leave as any main entries do.
 // A rule collapsed earlier in the same un-partition is left alone.
 func (a *Agent) collapseMainFragments(now time.Duration, st *ruleState) {
-	if _, cut := a.pmap.Lookup(st.original.ID); !cut {
+	if st.cut == nil {
 		return
 	}
-	for _, pid := range st.partIDs {
-		if cost, ok := a.main.Delete(pid); ok {
+	for _, p := range st.parts {
+		if cost, ok := a.main.Delete(p.ID); ok {
 			a.sw.Submit(now, cost)
 		}
 	}
@@ -866,9 +865,9 @@ func (a *Agent) collapseMainFragments(now time.Duration, st *ruleState) {
 		installed = true
 	}
 	a.unpartitionDependents(now, st)
-	st.partIDs = st.partIDs[:0]
+	st.parts = nil
 	if installed {
-		st.partIDs = append(st.partIDs, st.original.ID)
+		st.parts = st.whole()
 	}
 }
 
@@ -904,27 +903,22 @@ func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, erro
 
 // rewriteAction is the cheap half of Modify (§2.1): it rewrites the action of
 // a hardware-resident rule's physical entries in place — constant cost, no
-// reordering — and of every copy the agent keeps: the original, its recorded
-// fragments (what Reconcile writes back) and the indexes that list it.
+// reordering — and of every copy the agent keeps: the original, its parts
+// (what Reconcile writes back) and the indexes that list it.
 func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.Action) (total, completed time.Duration) {
 	tbl := a.shadow
 	if st.place == placeMain {
 		tbl = a.main
 	}
 	completed = now
-	for _, pid := range st.partIDs {
-		if cost, ok := tbl.ModifyAction(pid, act); ok {
+	for i := range st.parts {
+		if cost, ok := tbl.ModifyAction(st.parts[i].ID, act); ok {
 			total += cost
 			completed = a.sw.Submit(now, cost)
 		}
+		st.parts[i].Action = act
 	}
 	st.original.Action = act
-	if p, ok := a.pmap.Lookup(st.original.ID); ok {
-		p.Original.Action = act
-		for i := range p.Parts {
-			p.Parts[i].Action = act
-		}
-	}
 	if st.place == placeShadow {
 		a.shadowIndex.Update(st.original.Match.Dst, st.original)
 	}

@@ -328,7 +328,7 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 		}
 		a.nextCoverID++
 		a.sw.Submit(now, cost)
-		a.rules[cid] = a.newRuleState(cover, seq, placeMain, cid)
+		a.rules[cid] = a.newRuleState(cover, seq, placeMain)
 		// Shadow rules the cover beats must be re-cut against it, exactly
 		// as for any main-table insert, or shadow-first lookup would let
 		// them mask the punt.
@@ -425,7 +425,7 @@ func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
 	slots := 1
 	if a.cacheCfg.Policy == rulecache.PolicyCostAware {
 		if st, resident := a.rules[e.Rule.ID]; resident {
-			slots = len(st.partIDs)
+			slots = len(st.parts)
 		} else {
 			slots = len(a.covers[e.Rule.ID])
 		}
@@ -637,8 +637,8 @@ func (a *Agent) CacheResident() int {
 // originalOf maps a physical entry ID (which may be a partition fragment)
 // to its original rule ID, for sample-ring folds.
 func (a *Agent) originalOf(id classifier.RuleID) classifier.RuleID {
-	if o, isFrag := a.pmap.OriginalOf(id); isFrag {
-		return o
+	if st, isFrag := a.cuts.byPart[id]; isFrag {
+		return st.original.ID
 	}
 	return id
 }

@@ -382,7 +382,7 @@ func oracleWant(a *Agent) []classifier.RuleID {
 	for _, r := range rules {
 		slots := 1
 		if st, resident := a.rules[r.ID]; resident {
-			if n := len(st.partIDs); n > 0 {
+			if n := len(st.parts); n > 0 {
 				slots = n
 			}
 		} else if n := len(a.covers[r.ID]); n > 0 {

@@ -1,0 +1,201 @@
+package core
+
+import (
+	"cmp"
+	"slices"
+
+	"hermes/internal/classifier"
+)
+
+// This file holds the agent's half of Algorithm 1: the record that lets a
+// deletion un-partition (Fig. 6). The record itself lives in each rule's
+// ruleState (parts, cut); cutIndex holds the two lookups into it, from a
+// fragment to its rule and from a main rule to the rules it cut.
+
+// cutRecord is what a cut rule records beyond its parts: the main rules whose
+// overlap forced the cut and the stamp that orders it among their dependents.
+type cutRecord struct {
+	cause []classifier.RuleID
+	stamp uint64 // clock value of the most recent record or dropCause
+}
+
+// cutIndex indexes the rules' cut records. It holds *ruleState, so a state
+// leaves it (forget) before it is recycled (dropRuleState).
+type cutIndex struct {
+	byPart  map[classifier.RuleID]*ruleState   // fragment ID -> the rule it realizes
+	byCause map[classifier.RuleID][]*ruleState // main rule ID -> the rules it cut, unordered
+	clock   uint64                             // stamps records in record order
+
+	gone, added []classifier.RuleID // relink's cause-diff scratch
+	freeDeps    [][]*ruleState      // emptied byCause lists, kept for the next new cause
+}
+
+// maxFreeDeps bounds the recycled dependents lists.
+const maxFreeDeps = 1024
+
+func newCutIndex() cutIndex {
+	return cutIndex{
+		byPart:  make(map[classifier.RuleID]*ruleState),
+		byCause: make(map[classifier.RuleID][]*ruleState),
+	}
+}
+
+// record makes p the rule's current cut: p.Parts become st.parts, and a rule
+// p cut gets a record. A partition with no cause did not cut its rule and
+// leaves no record (nothing to undo); its parts are the whole rule. The rule
+// keeps the Parts of a cut and copies its Cause.
+//
+// Re-recording costs what changed: old and new cause list are both in the
+// trie's overlap order, so the common head and tail are skipped and only the
+// causes in between are unlinked or linked. That stretch is diffed by sorted
+// ID, so the result does not rely on the order (a main rule that Reconcile
+// writes back returns at the end of its trie node).
+func (x *cutIndex) record(st *ruleState, p classifier.Partition) {
+	if !p.WasCut() {
+		x.forget(st)
+		st.parts = st.whole()
+		return
+	}
+	if st.cut == nil {
+		st.cut = &cutRecord{}
+	} else {
+		x.unindexParts(st)
+	}
+	x.clock++
+	st.cut.stamp = x.clock
+	for _, part := range p.Parts {
+		x.byPart[part.ID] = st
+	}
+	x.relink(st, p.Cause)
+	st.parts = p.Parts
+}
+
+// forget erases a rule's cut record and unindexes its fragments, after they
+// left the tables or the original replaced them. The caller sets st.parts.
+func (x *cutIndex) forget(st *ruleState) {
+	if st.cut == nil {
+		return
+	}
+	for _, c := range st.cut.cause {
+		x.unlink(c, st)
+	}
+	x.unindexParts(st)
+	st.cut = nil
+}
+
+// unindexParts drops a cut rule's fragments from byPart.
+func (x *cutIndex) unindexParts(st *ruleState) {
+	for _, part := range st.parts {
+		delete(x.byPart, part.ID)
+	}
+}
+
+// relink makes cause the rule's cause list, linking and unlinking only the
+// main rules that joined or left it.
+func (x *cutIndex) relink(st *ruleState, cause []classifier.RuleID) {
+	was, now := st.cut.cause, cause
+	for len(was) > 0 && len(now) > 0 && was[0] == now[0] {
+		was, now = was[1:], now[1:]
+	}
+	for len(was) > 0 && len(now) > 0 && was[len(was)-1] == now[len(now)-1] {
+		was, now = was[:len(was)-1], now[:len(now)-1]
+	}
+	x.gone = append(x.gone[:0], was...)
+	x.added = append(x.added[:0], now...)
+	slices.Sort(x.gone)
+	slices.Sort(x.added)
+	gone, added := x.gone, x.added
+	for len(gone) > 0 || len(added) > 0 {
+		switch {
+		case len(added) == 0 || (len(gone) > 0 && gone[0] < added[0]):
+			x.unlink(gone[0], st)
+			gone = gone[1:]
+		case len(gone) == 0 || added[0] < gone[0]:
+			x.link(added[0], st)
+			added = added[1:]
+		default: // still a cause, only elsewhere in the list
+			gone, added = gone[1:], added[1:]
+		}
+	}
+	st.cut.cause = append(st.cut.cause[:0], cause...)
+}
+
+// setCause replaces the cause list of a cut rule whose parts did not change —
+// Reconcile found them intact against a main table that may have gained rules
+// since the cut. Unlike record it does not stamp the rule: nothing was re-cut,
+// so dependentsOf order does not move.
+func (x *cutIndex) setCause(st *ruleState, cause []classifier.RuleID) {
+	if st.cut != nil {
+		x.relink(st, cause)
+	}
+}
+
+// addCause records one more main rule beating a cut rule that was not re-cut
+// because its parts already stay clear of the new main rule (the
+// post-migration re-check). The rule is not stamped, as for setCause.
+func (x *cutIndex) addCause(st *ruleState, cause classifier.RuleID) {
+	if st.cut != nil && !slices.Contains(st.cut.cause, cause) {
+		x.link(cause, st)
+		st.cut.cause = append(st.cut.cause, cause)
+	}
+}
+
+// dropCause removes one main rule from a cut rule's causes without touching
+// its parts: the main rule left the table and gave the rule back nothing
+// (Partitioner.Uncovered). It stamps the rule as record does, so the rule
+// moves to the end of dependentsOf order exactly as the re-cut it replaces
+// would have moved it.
+func (x *cutIndex) dropCause(st *ruleState, cause classifier.RuleID) {
+	if st.cut == nil {
+		return
+	}
+	x.clock++
+	st.cut.stamp = x.clock
+	if i := slices.Index(st.cut.cause, cause); i >= 0 {
+		x.unlink(cause, st)
+		st.cut.cause = slices.Delete(st.cut.cause, i, i+1)
+	}
+}
+
+// link adds st to the rules main rule c cut.
+func (x *cutIndex) link(c classifier.RuleID, st *ruleState) {
+	deps, ok := x.byCause[c]
+	if n := len(x.freeDeps); !ok && n > 0 {
+		deps, x.freeDeps = x.freeDeps[n-1], x.freeDeps[:n-1]
+	}
+	x.byCause[c] = append(deps, st)
+}
+
+// unlink removes st from the rules main rule c cut.
+func (x *cutIndex) unlink(c classifier.RuleID, st *ruleState) {
+	deps := x.byCause[c]
+	i := slices.Index(deps, st)
+	if i < 0 {
+		return
+	}
+	last := len(deps) - 1
+	deps[i], deps[last] = deps[last], nil
+	deps = deps[:last]
+	if last > 0 {
+		x.byCause[c] = deps
+		return
+	}
+	delete(x.byCause, c)
+	if len(x.freeDeps) < maxFreeDeps {
+		x.freeDeps = append(x.freeDeps, deps)
+	}
+}
+
+// dependentsOf returns the rules the given main-table entry cut, in the order
+// of their most recent record (or dropCause, which stands in for a re-cut).
+// Deleting that entry un-partitions each of them (Fig. 6) in this order,
+// which decides who is minted which fragment IDs and where the fragments land
+// in the TCAM. The list is a copy: un-partitioning relinks the index.
+func (x *cutIndex) dependentsOf(mainEntry classifier.RuleID) []*ruleState {
+	deps := x.byCause[mainEntry]
+	if len(deps) == 0 {
+		return nil
+	}
+	slices.SortFunc(deps, func(a, b *ruleState) int { return cmp.Compare(a.cut.stamp, b.cut.stamp) })
+	return slices.Clone(deps)
+}

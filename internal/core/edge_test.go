@@ -32,9 +32,9 @@ func TestInsertPathString(t *testing.T) {
 	}
 }
 
-// TestNaiveMigrationWithFragments exercises fragFromPartition: the naive
-// ablation combined with disabled merging must reconstruct fragments from
-// the partition map after the shadow was wiped.
+// TestNaiveMigrationWithFragments: the naive ablation combined with disabled
+// merging must install a rule's fragments from its parts after the shadow
+// table was wiped.
 func TestNaiveMigrationWithFragments(t *testing.T) {
 	a := newTestAgent(t, Config{
 		DisableRateLimit:         true,

@@ -64,7 +64,7 @@ func runSeq(t *testing.T, seed int64, verbose bool) bool {
 					t.Logf("main rules: %v", a.main.Rules())
 					t.Logf("logical: %v", logical)
 					for id, st := range a.rules {
-						t.Logf("state[%d]: seq=%d place=%d parts=%v", id, st.seq, st.place, st.partIDs)
+						t.Logf("state[%d]: seq=%d place=%d parts=%v", id, st.seq, st.place, st.parts)
 					}
 				}
 				return false

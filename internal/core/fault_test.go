@@ -289,7 +289,7 @@ func TestUnmergeAfterCrashRecovery(t *testing.T) {
 	now += time.Millisecond
 	a.Reconcile(now)
 	st := a.rules[2]
-	if st == nil || st.place != placeShadow || len(st.partIDs) < 2 {
+	if st == nil || st.place != placeShadow || len(st.parts) < 2 {
 		t.Fatalf("rule 2 not re-cut after recovery: %+v", st)
 	}
 	// Fig. 6: deleting the blocker un-merges the dependent rule.
@@ -298,7 +298,7 @@ func TestUnmergeAfterCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = a.rules[2]
-	if st == nil || len(st.partIDs) != 1 {
+	if st == nil || len(st.parts) != 1 {
 		t.Fatalf("rule 2 not un-merged after blocker delete: %+v", st)
 	}
 	if err := a.CheckConsistency(); err != nil {

@@ -2,7 +2,7 @@ package core_test
 
 // The Gate Keeper cuts against the main table's own index — there is no
 // agent-side copy of it — and a main-resident rule is whatever physical
-// entries its partIDs name. Both are checked here against the exact
+// entries its parts hold. Both are checked here against the exact
 // monolithic-table checker.
 
 import (
@@ -177,7 +177,7 @@ func TestGateKeeperCutsAgainstTheTable(t *testing.T) {
 
 // TestDeleteOfFragmentMigratedRule: under the fragment ablation a cut rule
 // migrates as its fragments, so deleting it must delete every one of them,
-// drop its partition record and un-partition the rules those fragments had
+// drop its cut record and un-partition the rules those fragments had
 // cut (Fig. 6) — each against the fragment's own match, not the original's.
 // Deleting one of its own causes instead must give it back what that cause
 // covered. Every step ends in CheckConsistency, CheckPartitions and the exact
@@ -268,7 +268,7 @@ func TestDeleteOfFragmentMigratedRule(t *testing.T) {
 }
 
 // TestModifyActionReachesRecordedFragments: an action-only Modify of a cut
-// rule rewrites the fragments the partition map holds as well as the TCAM
+// rule rewrites the fragments its record holds as well as the TCAM
 // entries — they are what CheckConsistency compares against and what
 // Reconcile writes back — in the shadow table and, under the fragment
 // ablation, after the fragments migrated.
@@ -292,4 +292,57 @@ func TestModifyActionReachesRecordedFragments(t *testing.T) {
 		}
 		mustBeExact(t, a, fmt.Sprintf("step %d: after Reconcile", step))
 	}
+}
+
+// TestFragmentMigrationAllOrNothing: under the fragment ablation a cut rule
+// migrates with every fragment or with none. When the main table has room
+// for only some of them the rule stays in the shadow table, exactly as the
+// merged migration leaves a rule the main table cannot take; once a slot
+// frees up the next migration moves all of it.
+func TestFragmentMigrationAllOrNothing(t *testing.T) {
+	const anySrc = "0.0.0.0/0"
+	prof := *tcam.Pica8P3290
+	prof.Capacity = 16
+	a, err := core.New(tcam.NewSwitch("small", &prof), core.Config{
+		Guarantee:                5 * time.Millisecond,
+		TrackLogical:             true,
+		DisableRateLimit:         true,
+		DisableLowPriorityBypass: true,
+		DisableMergeOptimization: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ShadowSize() != 8 {
+		t.Fatalf("shadow table holds %d entries, want 8 of 16", a.ShadowSize())
+	}
+	mustInsert(t, a, 0, srcDstRule(1, "10.0.0.0/24", anySrc, 100, 1))
+	for i := 2; i <= 7; i++ {
+		mustInsert(t, a, 0, srcDstRule(classifier.RuleID(100+i), fmt.Sprintf("10.%d.0.0/24", i), anySrc, 50, i))
+	}
+	migrateAll(t, a, 0)
+	if occ := a.MainOccupancy(); occ != 7 {
+		t.Fatalf("main table holds %d entries, want 7 of 8", occ)
+	}
+	if parts := mustInsert(t, a, time.Second, srcDstRule(2, "10.0.0.0/22", anySrc, 10, 2)); parts != 2 {
+		t.Fatalf("rule 2 installed as %d fragments, want 2", parts)
+	}
+	a.Advance(a.ForceMigration(2 * time.Second))
+	if shadow, main := a.ShadowOccupancy(), a.MainOccupancy(); shadow != 2 || main != 7 {
+		t.Errorf("after the migration: shadow %d, main %d entries; want rule 2's 2 fragments left in the shadow table", shadow, main)
+	}
+	mustBeExact(t, a, "main table one slot short")
+	if rep := a.Reconcile(3 * time.Second); !rep.Clean() {
+		t.Errorf("Reconcile found %v to repair", rep)
+	}
+	mustBeExact(t, a, "after Reconcile")
+
+	if _, err := a.Delete(4*time.Second, 107); err != nil {
+		t.Fatal(err)
+	}
+	migrateAll(t, a, 5*time.Second)
+	if occ := a.MainOccupancy(); occ != 8 {
+		t.Errorf("main table holds %d entries, want rule 2's fragments beside the 6 left", occ)
+	}
+	mustBeExact(t, a, "both fragments migrated")
 }

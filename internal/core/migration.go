@@ -155,7 +155,7 @@ func (a *Agent) startMigration(now time.Duration) time.Duration {
 	originals := slices.Clone(a.shadowIDs)
 	entries := 0
 	for _, id := range originals {
-		entries += len(a.rules[id].partIDs)
+		entries += len(a.rules[id].parts)
 	}
 
 	// A crash while the snapshot is taken (step 1) loses the copy before
@@ -211,9 +211,8 @@ func (a *Agent) startMigration(now time.Duration) time.Duration {
 		// §5.2 prescribes) and account the window during which the rules
 		// exist in neither table.
 		for _, id := range originals {
-			st := a.rules[id]
-			for _, pid := range st.partIDs {
-				if c, ok := a.shadow.Delete(pid); ok {
+			for _, p := range a.rules[id].parts {
+				if c, ok := a.shadow.Delete(p.ID); ok {
 					a.sw.Submit(now, c)
 				}
 			}
@@ -265,25 +264,19 @@ func (a *Agent) advance(now time.Duration) {
 			continue
 		}
 		if a.cfg.DisableMergeOptimization {
-			// Fragments move as-is.
-			moved := make([]classifier.RuleID, 0, len(st.partIDs))
-			for _, pid := range st.partIDs {
-				frag, ok := a.shadow.Get(pid)
-				if !ok && m.naive {
-					frag, ok = a.fragFromPartition(id, pid)
+			// Fragments move as-is, all of them or none: when the main table
+			// cannot take every one, the rule stays in the shadow table.
+			if a.main.Free() < len(st.parts) {
+				continue
+			}
+			for _, frag := range st.parts {
+				// With room checked, only an ID already in the table fails.
+				if _, err := a.main.InsertRanked(frag, st.seq); err == nil {
+					migrated = append(migrated, frag)
 				}
-				if !ok {
-					continue
-				}
-				if _, err := a.main.InsertRanked(frag, st.seq); err != nil {
-					continue // main full: fragment stays in shadow
-				}
-				migrated = append(migrated, frag)
-				moved = append(moved, pid)
 			}
 			a.dropShadowResident(st.original)
 			st.place = placeMain
-			st.partIDs = moved
 			if !m.naive {
 				if a.interruptAt(StepEmpty, done) {
 					// Crash between the main writes and the shadow erase:
@@ -293,8 +286,8 @@ func (a *Agent) advance(now time.Duration) {
 					interruptedAt = StepEmpty
 					break
 				}
-				for _, pid := range moved {
-					a.shadow.Delete(pid)
+				for _, frag := range st.parts {
+					a.shadow.Delete(frag.ID)
 				}
 			}
 			continue
@@ -304,11 +297,11 @@ func (a *Agent) advance(now time.Duration) {
 			continue // main full: leave the rule in the shadow table
 		}
 		migrated = append(migrated, st.original)
-		stale := st.partIDs
-		a.pmap.Remove(id)
+		stale := st.parts
+		a.cuts.forget(st)
 		a.dropShadowResident(st.original)
 		st.place = placeMain
-		st.partIDs = []classifier.RuleID{id}
+		st.parts = st.whole()
 		if !m.naive {
 			if a.interruptAt(StepEmpty, done) {
 				// Crash between the main write and the shadow erase: the
@@ -318,8 +311,8 @@ func (a *Agent) advance(now time.Duration) {
 				interruptedAt = StepEmpty
 				break
 			}
-			for _, pid := range stale {
-				a.shadow.Delete(pid)
+			for _, p := range stale {
+				a.shadow.Delete(p.ID)
 			}
 		}
 	}
@@ -366,45 +359,27 @@ func (a *Agent) advance(now time.Duration) {
 // relies on a rule with fragments listing every main rule that beats it. A
 // redundant rule's causes stop at its first container and stay as they are.
 func (a *Agent) noteUncutCauses(st *ruleState, added []classifier.Rule) {
-	if st.place != placeShadow || len(st.partIDs) == 0 {
+	if st.place != placeShadow || len(st.parts) == 0 {
 		return
 	}
 	for _, mr := range added {
-		if a.cuts(mr, st) {
-			a.pmap.AddCause(st.original.ID, mr.ID)
+		if a.wouldCut(mr, st) {
+			a.cuts.addCause(st, mr.ID)
 		}
 	}
 }
 
-// cuts reports whether main rule mr overlaps the shadow rule and beats it.
-func (a *Agent) cuts(mr classifier.Rule, st *ruleState) bool {
+// wouldCut reports whether main rule mr overlaps the shadow rule and beats it.
+func (a *Agent) wouldCut(mr classifier.Rule, st *ruleState) bool {
 	return mr.ID != st.original.ID && mr.Match.Overlaps(st.original.Match) &&
 		a.beats(mr, st.original.Priority, st.seq)
-}
-
-// fragFromPartition reconstructs a fragment rule from the partition map
-// when the naive-migration ablation already wiped the shadow copy.
-func (a *Agent) fragFromPartition(original, pid classifier.RuleID) (classifier.Rule, bool) {
-	p, ok := a.pmap.Lookup(original)
-	if !ok {
-		if st, ok2 := a.rules[original]; ok2 && st.original.ID == pid {
-			return st.original, true
-		}
-		return classifier.Rule{}, false
-	}
-	for _, f := range p.Parts {
-		if f.ID == pid {
-			return f, true
-		}
-	}
-	return classifier.Rule{}, false
 }
 
 // shadowRuleCompatibleWith reports whether a shadow rule's fragments stay
 // disjoint from every listed (newly migrated) main rule that would beat it.
 func (a *Agent) shadowRuleCompatibleWith(st *ruleState, added []classifier.Rule) bool {
 	for _, mr := range added {
-		if a.cuts(mr, st) && a.shadowFragmentsOverlap(st, mr.Match) {
+		if a.wouldCut(mr, st) && a.shadowFragmentsOverlap(st, mr.Match) {
 			return false
 		}
 	}
@@ -412,14 +387,9 @@ func (a *Agent) shadowRuleCompatibleWith(st *ruleState, added []classifier.Rule)
 }
 
 // shadowFragmentsOverlap reports whether any physical fragment of a shadow
-// rule overlaps m, without scanning the shadow table: cut rules keep their
-// fragment set in the partition map, uncut rules are their original match.
+// rule overlaps m, from its parts rather than the shadow table.
 func (a *Agent) shadowFragmentsOverlap(st *ruleState, m classifier.Match) bool {
-	p, ok := a.pmap.Lookup(st.original.ID)
-	if !ok {
-		return st.original.Match.Overlaps(m)
-	}
-	for _, f := range p.Parts {
+	for _, f := range st.parts {
 		if f.Match.Overlaps(m) {
 			return true
 		}

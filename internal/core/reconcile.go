@@ -7,10 +7,11 @@ import (
 
 	"hermes/internal/classifier"
 	"hermes/internal/obs"
+	"hermes/internal/tcam"
 )
 
 // This file is the crash-recovery half of the robustness story: the agent's
-// rules map (plus the partition map) is the *desired* state, the physical
+// rule records (a.rules) are the *desired* state, the physical
 // shadow/main slices are the *actual* state, and Reconcile is the repair
 // loop that drives actual back to desired after a fault — a switch
 // power-cycle that wiped or truncated the TCAM, a migration cut off at one
@@ -108,37 +109,26 @@ func (a *Agent) TruncateShadow(n int) {
 	a.markDivergentLocked()
 }
 
-// desiredMainEntries returns, keyed by physical entry ID, the entries the
-// main table should hold: the original (or, under the fragment ablation,
-// the fragments) of every main-resident rule.
-func (a *Agent) desiredMainEntries() map[classifier.RuleID]*ruleState {
-	out := make(map[classifier.RuleID]*ruleState)
+// desiredEntries returns, keyed by physical entry ID, the entries the table
+// that place names should hold — the parts of every rule placed there — each
+// with the seq of the rule it realizes, which ranks it.
+func (a *Agent) desiredEntries(place placement) map[classifier.RuleID]desiredEntry {
+	out := make(map[classifier.RuleID]desiredEntry)
 	for _, st := range a.rules {
-		if st.place != placeMain {
+		if st.place != place {
 			continue
 		}
-		for _, pid := range st.partIDs {
-			out[pid] = st
+		for _, p := range st.parts {
+			out[p.ID] = desiredEntry{p, st.seq}
 		}
 	}
 	return out
 }
 
-// desiredShadowEntries returns, keyed by physical entry ID, the fragment
-// content the shadow table should hold for every shadow-resident rule.
-func (a *Agent) desiredShadowEntries() map[classifier.RuleID]classifier.Rule {
-	out := make(map[classifier.RuleID]classifier.Rule)
-	for id, st := range a.rules {
-		if st.place != placeShadow {
-			continue
-		}
-		for _, pid := range st.partIDs {
-			if frag, ok := a.fragFromPartition(id, pid); ok {
-				out[pid] = frag
-			}
-		}
-	}
-	return out
+// desiredEntry is one entry a table should hold and its rank.
+type desiredEntry struct {
+	entry classifier.Rule
+	seq   uint64
 }
 
 // Reconcile diffs the agent's desired rule state against the physical
@@ -164,13 +154,10 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 
 	// Phase 1: main table. Delete entries nobody wants (or whose content
 	// drifted), then write back the missing ones in ID order.
-	desiredMain := a.desiredMainEntries()
+	desiredMain := a.desiredEntries(placeMain)
 	for _, e := range a.main.Rules() {
-		st, ok := desiredMain[e.ID]
-		if ok {
-			if want, wok := a.fragFromPartition(st.original.ID, e.ID); wok && e == want {
-				continue
-			}
+		if want, ok := desiredMain[e.ID]; ok && e == want.entry {
+			continue
 		}
 		if cost, present := a.main.Delete(e.ID); present {
 			a.sw.Submit(now, cost)
@@ -186,13 +173,8 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 		if a.main.Contains(pid) {
 			continue
 		}
-		st := desiredMain[pid]
-		want, ok := a.fragFromPartition(st.original.ID, pid)
-		if !ok {
-			rep.Unrepaired++
-			continue
-		}
-		cost, err := a.main.InsertRanked(want, st.seq)
+		want := desiredMain[pid]
+		cost, err := a.main.InsertRanked(want.entry, want.seq)
 		if err != nil {
 			rep.Unrepaired++
 			continue
@@ -204,9 +186,9 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	// Phase 2: shadow table. Delete stale/orphaned physical entries, then
 	// re-validate each shadow-resident rule against the main table as phase 1
 	// left it (the cuts walk the table's own index).
-	desiredShadow := a.desiredShadowEntries()
+	desiredShadow := a.desiredEntries(placeShadow)
 	for _, e := range a.shadow.Rules() {
-		if want, ok := desiredShadow[e.ID]; ok && e == want {
+		if want, ok := desiredShadow[e.ID]; ok && e == want.entry {
 			continue
 		}
 		if cost, present := a.shadow.Delete(e.ID); present {
@@ -255,9 +237,9 @@ func (a *Agent) shadowRuleIntact(st *ruleState) bool {
 		return false
 	}
 	if part.Redundant() {
-		return len(st.partIDs) == 0
+		return len(st.parts) == 0
 	}
-	if len(st.partIDs) != len(part.Parts) {
+	if len(st.parts) != len(part.Parts) {
 		return false
 	}
 	// Compare fragment match multisets; priority and action are fixed by
@@ -266,12 +248,8 @@ func (a *Agent) shadowRuleIntact(st *ruleState) bool {
 	for _, p := range part.Parts {
 		want[p.Match]++
 	}
-	for _, pid := range st.partIDs {
-		frag, ok := a.fragFromPartition(st.original.ID, pid)
-		if !ok {
-			return false
-		}
-		physical, ok := a.shadow.Get(pid)
+	for _, frag := range st.parts {
+		physical, ok := a.shadow.Get(frag.ID)
 		if !ok || physical != frag {
 			return false
 		}
@@ -283,29 +261,23 @@ func (a *Agent) shadowRuleIntact(st *ruleState) bool {
 	// Intact, but a main entry written back since the cut may lie in the
 	// region already cut away: the fresh cut's causes are the ones the Fig.-6
 	// un-partition must find recorded.
-	a.pmap.SetCause(st.original.ID, part.Cause)
+	a.cuts.setCause(st, part.Cause)
 	return true
 }
 
 // ruleInstalled reports whether a rule's desired physical entries are all
 // present (an empty fragment set — a redundant rule — counts as installed).
 func (a *Agent) ruleInstalled(st *ruleState) bool {
-	switch st.place {
-	case placeMain:
-		for _, pid := range st.partIDs {
-			if !a.main.Contains(pid) {
-				return false
-			}
-		}
-		return true
-	default:
-		for _, pid := range st.partIDs {
-			if !a.shadow.Contains(pid) {
-				return false
-			}
-		}
-		return true
+	tbl := a.shadow
+	if st.place == placeMain {
+		tbl = a.main
 	}
+	for _, p := range st.parts {
+		if !tbl.Contains(p.ID) {
+			return false
+		}
+	}
+	return true
 }
 
 // CheckConsistency verifies byte-equivalence between the agent's desired
@@ -318,49 +290,44 @@ func (a *Agent) ruleInstalled(st *ruleState) bool {
 func (a *Agent) CheckConsistency() error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	desiredMain := a.desiredMainEntries()
-	for _, e := range a.main.Rules() {
-		st, ok := desiredMain[e.ID]
-		if !ok {
-			return fmt.Errorf("core: stale main entry %d (%v)", e.ID, e.Match)
+	for _, t := range []struct {
+		name  string
+		place placement
+		tbl   *tcam.Table
+	}{{"main", placeMain, a.main}, {"shadow", placeShadow, a.shadow}} {
+		desired := a.desiredEntries(t.place)
+		for _, e := range t.tbl.Rules() {
+			want, ok := desired[e.ID]
+			if !ok {
+				return fmt.Errorf("core: stale %s entry %d (%v)", t.name, e.ID, e.Match)
+			}
+			if e != want.entry {
+				return fmt.Errorf("core: %s entry %d diverged: have %v want %v", t.name, e.ID, e, want.entry)
+			}
+			delete(desired, e.ID)
 		}
-		want, wok := a.fragFromPartition(st.original.ID, e.ID)
-		if !wok || e != want {
-			return fmt.Errorf("core: main entry %d diverged: have %v want %v", e.ID, e, want)
+		for pid := range desired {
+			return fmt.Errorf("core: desired %s entry %d missing from hardware", t.name, pid)
 		}
-		delete(desiredMain, e.ID)
-	}
-	for pid := range desiredMain {
-		return fmt.Errorf("core: desired main entry %d missing from hardware", pid)
-	}
-	desiredShadow := a.desiredShadowEntries()
-	for _, e := range a.shadow.Rules() {
-		want, ok := desiredShadow[e.ID]
-		if !ok {
-			return fmt.Errorf("core: stale shadow entry %d (%v)", e.ID, e.Match)
-		}
-		if e != want {
-			return fmt.Errorf("core: shadow entry %d diverged: have %v want %v", e.ID, e, want)
-		}
-		delete(desiredShadow, e.ID)
-	}
-	for pid := range desiredShadow {
-		return fmt.Errorf("core: desired shadow entry %d missing from hardware", pid)
 	}
 	return nil
 }
 
-// CheckPartitions verifies every shadow-resident rule's partition record
-// against a fresh Algorithm-1 cut on the main table as it is now: an uncut
-// rule has nothing beating it, a redundant one is still covered, and a rule
-// with fragments covers exactly the region the fresh cut keeps and records
+// CheckPartitions verifies every shadow-resident rule's cut record against a
+// fresh Algorithm-1 cut on the main table as it is now: an uncut rule has
+// nothing beating it, a redundant one is still covered, and a rule with
+// fragments covers exactly the region the fresh cut keeps and records
 // exactly the fresh cut's causes. The last is what lets a main-table delete
-// leave a dependent's fragments in place (DESIGN.md §17). Like
-// CheckConsistency it holds whenever no fault awaits Reconcile; it returns
-// the first violation found.
+// leave a dependent's fragments in place (DESIGN.md §17). It also checks the
+// cut index against every record (checkCutIndex). Like CheckConsistency it
+// holds whenever no fault awaits Reconcile; it returns the first violation
+// found.
 func (a *Agent) CheckPartitions() error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
+	if err := a.checkCutIndex(); err != nil {
+		return err
+	}
 	var pt classifier.Partitioner
 	mint := func() classifier.RuleID { return 0 }
 	for _, id := range a.shadowIDs {
@@ -370,29 +337,71 @@ func (a *Agent) CheckPartitions() error {
 		}
 		fresh := pt.Partition(st.original, a.main.OverlapCandidates(st.original.Match), wins, mint,
 			!a.cfg.DisableMergeOptimization, 0)
-		rec, cut := a.pmap.Lookup(id)
 		switch {
-		case !cut:
+		case st.cut == nil:
 			if fresh.WasCut() {
 				return fmt.Errorf("core: shadow rule %d is installed uncut, but main rules %v beat it", id, fresh.Cause)
 			}
-		case rec.Redundant():
+		case len(st.parts) == 0:
 			if !fresh.Redundant() {
 				return fmt.Errorf("core: shadow rule %d is recorded redundant, but a fresh cut keeps %v", id, fresh.Parts)
 			}
 		case fresh.Redundant():
-			return fmt.Errorf("core: shadow rule %d keeps %v, but a fresh cut leaves nothing", id, rec.Parts)
+			return fmt.Errorf("core: shadow rule %d keeps %v, but a fresh cut leaves nothing", id, st.parts)
 		default:
-			got, want := slices.Clone(rec.Cause), slices.Clone(fresh.Cause)
+			got, want := slices.Clone(st.cut.cause), slices.Clone(fresh.Cause)
 			slices.Sort(got)
 			slices.Sort(want)
 			if !slices.Equal(got, want) {
 				return fmt.Errorf("core: shadow rule %d records causes %v, a fresh cut finds %v", id, got, want)
 			}
-			if !coveredBy(&pt, rec.Parts, fresh.Parts) || !coveredBy(&pt, fresh.Parts, rec.Parts) {
-				return fmt.Errorf("core: shadow rule %d keeps %v, a fresh cut keeps %v", id, rec.Parts, fresh.Parts)
+			if !coveredBy(&pt, st.parts, fresh.Parts) || !coveredBy(&pt, fresh.Parts, st.parts) {
+				return fmt.Errorf("core: shadow rule %d keeps %v, a fresh cut keeps %v", id, st.parts, fresh.Parts)
 			}
 		}
+	}
+	return nil
+}
+
+// checkCutIndex verifies both indexes against the rule records: every
+// fragment maps back to its rule and nothing else is mapped; every cause of a
+// cut rule lists it among its dependents, and no dependents list names a
+// rule that is not live, not cut or not caused by that entry.
+func (a *Agent) checkCutIndex() error {
+	frags, links := 0, 0
+	for id, st := range a.rules {
+		for _, p := range st.parts {
+			if p.ID == id {
+				continue
+			}
+			frags++
+			if a.cuts.byPart[p.ID] != st {
+				return fmt.Errorf("core: fragment %d of rule %d is not indexed to it", p.ID, id)
+			}
+		}
+		if st.cut == nil {
+			continue
+		}
+		links += len(st.cut.cause)
+		for _, c := range st.cut.cause {
+			if !slices.Contains(a.cuts.byCause[c], st) {
+				return fmt.Errorf("core: rule %d records cause %d, whose dependents omit it", id, c)
+			}
+		}
+	}
+	if len(a.cuts.byPart) != frags {
+		return fmt.Errorf("core: %d fragments indexed, the rules hold %d", len(a.cuts.byPart), frags)
+	}
+	for c, deps := range a.cuts.byCause {
+		links -= len(deps)
+		for _, st := range deps {
+			if a.rules[st.original.ID] != st || st.cut == nil || !slices.Contains(st.cut.cause, c) {
+				return fmt.Errorf("core: dependents of %d name rule %d, which is not live or not cut by it", c, st.original.ID)
+			}
+		}
+	}
+	if links != 0 {
+		return fmt.Errorf("core: dependents lists and cause lists disagree by %d links", links)
 	}
 	return nil
 }

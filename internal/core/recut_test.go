@@ -79,8 +79,8 @@ func TestRecutAllocs(t *testing.T) {
 		if res := mustInsert(t, a, 0, dstRule(cutID, "10.0.0.0/8", 10, 3)); res.Path != PathShadow || res.Partitions != 1 {
 			t.Fatalf("%d causes: cut rule took %+v", causes, res)
 		}
-		if p, ok := a.pmap.Lookup(cutID); !ok || len(p.Cause) != causes+1 {
-			t.Fatalf("%d causes: recorded partition %+v", causes, p)
+		if st := a.rules[cutID]; st.cut == nil || len(st.cut.cause) != causes+1 || len(st.parts) != 1 {
+			t.Fatalf("%d causes: recorded cut %+v, parts %v", causes, st.cut, st.parts)
 		}
 		// Deleting the unrelated host gives the /8 nothing back — the /9 still
 		// covers it — so the /8's fragment is kept; re-installing the host is a
@@ -122,10 +122,10 @@ func TestKeptRecutAllocatesNothing(t *testing.T) {
 	if _, err := a.Delete(0, host.ID); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := a.pmap.Lookup(3); !ok || !slices.Equal(p.Cause, []classifier.RuleID{1}) || a.recutsKept.Load() != 1 {
-		t.Fatalf("after the delete: partition %+v, %d kept", p, a.recutsKept.Load())
-	}
 	st := a.rules[3]
+	if st.cut == nil || !slices.Equal(st.cut.cause, []classifier.RuleID{1}) || a.recutsKept.Load() != 1 {
+		t.Fatalf("after the delete: cut %+v, %d kept", st.cut, a.recutsKept.Load())
+	}
 	stats, parts, recuts := a.shadow.Stats(), a.LastPartID(), a.Metrics().Repartitions
 	if n := testing.AllocsPerRun(100, func() { a.unpartition(0, st, host.ID, host.Match) }); n != 0 {
 		t.Errorf("a kept un-partition allocates %v times", n)
@@ -170,8 +170,8 @@ func TestRedundantRecutAllocatesNothing(t *testing.T) {
 		}
 	}
 	with := testing.AllocsPerRun(100, cycle)
-	if p, ok := a.pmap.Lookup(3); !ok || !slices.Equal(p.Cause, []classifier.RuleID{1, 2}) || len(st.partIDs) != 0 {
-		t.Fatalf("after the cycles: partition %+v, parts %v", p, st.partIDs)
+	if st.cut == nil || !slices.Equal(st.cut.cause, []classifier.RuleID{1, 2}) || len(st.parts) != 0 {
+		t.Fatalf("after the cycles: cut %+v, parts %v", st.cut, st.parts)
 	}
 	if _, err := a.Delete(0, 3); err != nil {
 		t.Fatal(err)

@@ -136,7 +136,7 @@ go test -run='^$' -fuzz=FuzzRuleIndexEquivalence -fuzztime=5s ./internal/classif
 echo ">> fuzz: frozen snapshots, live trie and overlap walk under keyed churn vs linear oracles (5s)"
 go test -run='^$' -fuzz=FuzzTrieSnapshotIsolation -fuzztime=5s ./internal/classifier
 
-echo ">> fuzz: streaming Algorithm 1 + O(Δ) partition map vs from-scratch oracle (5s)"
+echo ">> fuzz: streaming Algorithm 1 vs from-scratch oracle (5s)"
 go test -run='^$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 
 echo ">> fuzz: TCAM table indexed vs linear lookup, blocked vs dense placement model (5s)"
