@@ -34,8 +34,10 @@ lint-bench:
 	./scripts/lint_bench.sh $(LINT_BUDGET)
 
 # Short-budget native fuzzing of the wire codec, the prefix parser, the
-# four lookup equivalences (bulk-built snapshot, frozen snapshots under churn,
-# TCAM table, cached two-tier) and Algorithm 1 against its from-scratch oracle.
+# four lookup equivalences (bulk-built snapshot, frozen snapshots under churn
+# with the unfloored and priority-floored overlap walks, TCAM table with
+# DeleteAll against sequential Delete, cached two-tier) and Algorithm 1
+# against its from-scratch oracle.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier

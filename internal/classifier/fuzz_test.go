@@ -279,7 +279,9 @@ func checkWide(t testing.TB, n *trieNode) {
 // as the current list, by its binary walk and through its stride tables; its
 // overlap walk, and that of a never-frozen twin fed
 // the same ops, must yield what the flat-list order oracle yields, in the
-// same order (the order decides fragment shapes); and node ownership and
+// same order (the order decides fragment shapes), and a walk with a random
+// priority floor exactly that sequence without the rules below the floor;
+// the live trie's Clear must recycle only its own nodes; and node ownership and
 // the compressed shape must hold after every op, also across the
 // wrap-around of the 32-bit epoch. The committed corpus has a seed for each
 // structural edit: a split where the new prefix diverges mid-edge, a prefix
@@ -377,13 +379,20 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 			for j := range model {
 				rules[j] = model[j].Rule
 			}
-			for _, q := range shapes {
+			for k, q := range shapes {
 				want := oracleOverlapping(rules, q.Match)
 				if got := live.Overlapping(q.Match); !slices.Equal(got, want) {
 					t.Fatalf("Overlapping(%v) = %v, oracle %v", q.Match, got, want)
 				}
 				if got := twin.Overlapping(q.Match); !slices.Equal(got, want) {
 					t.Fatalf("never-frozen twin: Overlapping(%v) = %v, oracle %v", q.Match, got, want)
+				}
+				// A floor in -1..8 drawn from the op stream and the query
+				// filters that sequence and keeps its order.
+				floor := int32((int(ops[i+1])+k*7)%10) - 1
+				want = slices.DeleteFunc(want, func(r Rule) bool { return r.Priority < floor })
+				if got := live.overlappingFrom(q.Match, floor); !slices.Equal(got, want) {
+					t.Fatalf("overlap walk of %v from priority %d = %v, filtered oracle %v", q.Match, floor, got, want)
 				}
 			}
 			if n := len(snaps); n > 0 {

@@ -64,7 +64,7 @@ func (p *Partition) WasCut() bool {
 func PartitionNewRule(newRule Rule, main *Trie, nextID func() RuleID) Partition {
 	wins := func(existing Rule) bool { return existing.Priority >= newRule.Priority }
 	var pt Partitioner
-	return pt.Partition(newRule, main.OverlapCandidates(newRule.Match), wins, nextID, true, 0)
+	return pt.Partition(newRule, main.OverlapCandidates(newRule.Match, newRule.Priority), wins, nextID, true, 0)
 }
 
 // Partitioner runs Algorithm 1 on working memory it keeps between calls, so

@@ -8,6 +8,7 @@ package classifier
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -274,7 +275,7 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 		t.Helper()
 		wins := func(existing Rule) bool { return existing.Priority >= r.Priority }
 		want := oraclePartitionAgainst(r, indexed, wins, mintA, merge, maxRegions)
-		got := pt.Partition(r, trie.OverlapCandidates(r.Match), wins, mintB, merge, maxRegions)
+		got := pt.Partition(r, trie.OverlapCandidates(r.Match, r.Priority), wins, mintB, merge, maxRegions)
 		if !samePartition(got, want) {
 			t.Fatalf("round %d rule %v merge=%v maxRegions=%d:\n got %+v\nwant %+v", round, r, merge, maxRegions, got, want)
 		}
@@ -383,14 +384,14 @@ func TestPartitionSkipsCutAwayPrefix(t *testing.T) {
 		}
 		wins := func(existing Rule) bool { return existing.Priority >= wide.Priority }
 		var pt Partitioner
-		got := pt.Partition(wide, trie.OverlapCandidates(wide.Match), wins, idMinter(100), true, 0)
+		got := pt.Partition(wide, trie.OverlapCandidates(wide.Match, wide.Priority), wins, idMinter(100), true, 0)
 		if want := []RuleID{2, 3, 4, 6, 7}; !slices.Equal(got.Cause, want) {
 			t.Errorf("winner src %s: Cause = %v, want %v", tc.winnerSrc, got.Cause, want)
 		}
 		if pt.passes != tc.passes {
 			t.Errorf("winner src %s: Partition made %d subtract passes, want %d", tc.winnerSrc, pt.passes, tc.passes)
 		}
-		if !pt.Uncovered(wide.Match, trie.OverlapCandidates(wide.Match), wins) || pt.passes != tc.passes {
+		if !pt.Uncovered(wide.Match, trie.OverlapCandidates(wide.Match, wide.Priority), wins) || pt.passes != tc.passes {
 			t.Errorf("winner src %s: Uncovered made %d subtract passes, want %d", tc.winnerSrc, pt.passes, tc.passes)
 		}
 	}
@@ -423,11 +424,11 @@ func TestUncoveredMatchesOracle(t *testing.T) {
 			}
 			left = next
 		}
-		if got := pt.Uncovered(region, trie.OverlapCandidates(region), wins); got != (len(left) > 0) {
+		if got := pt.Uncovered(region, trie.OverlapCandidates(region, prio), wins); got != (len(left) > 0) {
 			t.Fatalf("Uncovered(%v) against %v at priority %d = %v, oracle leaves %v", region, rules[1:], prio, got, left)
 		}
 		if i%2 == 0 {
-			pt.Partition(rules[0], trie.OverlapCandidates(region), wins, idMinter(0), true, 0)
+			pt.Partition(rules[0], trie.OverlapCandidates(region, prio), wins, idMinter(0), true, 0)
 		}
 	}
 }
@@ -512,7 +513,7 @@ func TestOverlapIterMatchesOracleOrder(t *testing.T) {
 					t.Fatalf("Overlapping(%v) = %v, oracle %v", q.Match, got, want)
 				}
 				// Stopping early yields a prefix of the same order.
-				it := trie.OverlapCandidates(q.Match)
+				it := trie.OverlapCandidates(q.Match, math.MinInt32)
 				for k := 0; k < len(want)/2; k++ {
 					if r, ok := it.Next(); !ok || r != want[k] {
 						t.Fatalf("candidate %d of %v = %v,%v, oracle %v", k, q.Match, r, ok, want[k])

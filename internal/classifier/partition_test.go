@@ -240,6 +240,6 @@ func BenchmarkPartitionWide(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt.Partition(wide, main.OverlapCandidates(wide.Match), wins, idMinter(0), true, 128)
+		pt.Partition(wide, main.OverlapCandidates(wide.Match, wide.Priority), wins, idMinter(0), true, 128)
 	}
 }

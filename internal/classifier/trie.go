@@ -1,6 +1,9 @@
 package classifier
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Trie is a path-compressed binary trie over destination prefixes: the one
 // prefix tree of the stack. The Gate Keeper uses it as the "efficient data
@@ -401,19 +404,24 @@ func (t *Trie) Get(dst Prefix, id RuleID) (Rule, bool) {
 }
 
 // OverlapIter walks the indexed rules whose match region overlaps one query
-// match. It is the single overlap traversal: ancestors on the path to the
-// query's Dst first (shallowest first), then the subtree at the query's Dst
-// in pre-order (0-child before 1-child), rules of one node in insertion
-// order. Algorithm 1 cuts in exactly this order, so the order is a contract
-// (it decides fragment shapes and minted part IDs), not an accident of the
-// walk: it is the order of the Dst prefixes themselves — ancestors by
-// length, then contained prefixes by (address, length) — whatever the
-// trie's shape. The iterator is a value with a fixed-size stack — no
-// closures, no heap — and the caller stops early simply by not calling Next
-// again. The trie must not be modified while an iterator is in use.
+// match and whose priority is at least a floor. It is the single overlap
+// traversal: ancestors on the path to the query's Dst first (shallowest
+// first), then the subtree at the query's Dst in pre-order (0-child before
+// 1-child), rules of one node in insertion order. Algorithm 1 cuts in
+// exactly this order, so the order is a contract (it decides fragment shapes
+// and minted part IDs), not an accident of the walk: it is the order of the
+// Dst prefixes themselves — ancestors by length, then contained prefixes by
+// (address, length) — whatever the trie's shape. The floor only drops rules
+// from that sequence: a rule below it is skipped, and so are a node's
+// entries, unread, when its maxPrio is below it; the others come out in the
+// same order. A caller that wants every rule passes math.MinInt32. The
+// iterator is a value with a fixed-size stack — no closures, no heap — and
+// the caller stops early simply by not calling Next again. The trie must not
+// be modified while an iterator is in use.
 type OverlapIter struct {
 	m     Match
 	mmask uint32      // m.Dst's netmask
+	floor int32       // lowest priority yielded
 	ents  []trieEntry // entries of the node being yielded
 	i     int         // next index into ents
 	path  *trieNode   // next node on the way down to m.Dst; nil once the subtree walk began
@@ -425,9 +433,11 @@ type OverlapIter struct {
 	sp    int
 }
 
-// OverlapCandidates starts an overlap walk for m.
-func (t *Trie) OverlapCandidates(m Match) OverlapIter {
-	return OverlapIter{m: m, mmask: m.Dst.Mask(), path: t.root}
+// OverlapCandidates starts an overlap walk for m that yields the rules of
+// priority floor and above. Algorithm 1 passes the new rule's priority: a
+// main rule below it cannot beat it.
+func (t *Trie) OverlapCandidates(m Match, floor int32) OverlapIter {
+	return OverlapIter{m: m, mmask: m.Dst.Mask(), floor: floor, path: t.root}
 }
 
 // Next returns the next rule overlapping the query, or ok=false when the
@@ -439,7 +449,7 @@ func (it *OverlapIter) Next() (Rule, bool) {
 		for it.i < len(it.ents) {
 			r := &it.ents[it.i].rule
 			it.i++
-			if r.Match.Src.Overlaps(it.m.Src) {
+			if r.Priority >= it.floor && r.Match.Src.Overlaps(it.m.Src) {
 				return *r, true
 			}
 		}
@@ -468,6 +478,9 @@ func (it *OverlapIter) Next() (Rule, bool) {
 			return Rule{}, false
 		}
 		it.ents, it.i = n.entries, 0
+		if n.maxPrio < it.floor {
+			it.ents = nil
+		}
 	}
 }
 
@@ -489,7 +502,7 @@ func (it *OverlapIter) push(n *trieNode) {
 // the answer without collecting candidates. Callers that care about
 // allocations must pass a preallocated (reused) pred.
 func (t *Trie) OverlapsWhere(m Match, pred func(Rule) bool) bool {
-	it := t.OverlapCandidates(m)
+	it := t.OverlapCandidates(m, math.MinInt32)
 	for r, ok := it.Next(); ok; r, ok = it.Next() {
 		if pred(r) {
 			return true
@@ -498,8 +511,21 @@ func (t *Trie) OverlapsWhere(m Match, pred func(Rule) bool) bool {
 	return false
 }
 
-// Clear empties the trie. Snapshots taken earlier keep their contents.
+// Clear empties the trie. Snapshots taken earlier keep their contents: the
+// trie's own nodes go to the freelist, the shared ones are left to them.
 func (t *Trie) Clear() {
+	t.freeOwn(t.root)
 	t.root = nil
 	t.size = 0
+}
+
+// freeOwn recycles the trie's own nodes of the subtree at n. A shared node's
+// subtree is all shared, so the walk stops there.
+func (t *Trie) freeOwn(n *trieNode) {
+	if n == nil || n.epoch != t.epoch {
+		return
+	}
+	t.freeOwn(n.children[0])
+	t.freeOwn(n.children[1])
+	t.freeNode(n)
 }

@@ -1,6 +1,7 @@
 package classifier
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -154,9 +155,12 @@ func (t *Trie) All() []Rule {
 
 // Overlapping collects one overlap walk: the slice form no production caller
 // needs any more, kept for the tests that compare whole result sets.
-func (t *Trie) Overlapping(m Match) []Rule {
+func (t *Trie) Overlapping(m Match) []Rule { return t.overlappingFrom(m, math.MinInt32) }
+
+// overlappingFrom collects the overlap walk of m with a priority floor.
+func (t *Trie) overlappingFrom(m Match, floor int32) []Rule {
 	var out []Rule
-	it := t.OverlapCandidates(m)
+	it := t.OverlapCandidates(m, floor)
 	for r, ok := it.Next(); ok; r, ok = it.Next() {
 		out = append(out, r)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -156,6 +157,9 @@ type Agent struct {
 
 	arrivals int // shadow entries installed since the last Tick
 	migr     *migration
+	// eraseBuf collects the shadow entries a migration's step 4 removes in
+	// one DeleteAll, reused from migration to migration.
+	eraseBuf []classifier.RuleID
 	lastTick time.Duration
 	tuner    *autoTuner // non-nil when cfg.AutoTuneSlack
 	// migInterrupt, when non-nil, is consulted at each Fig.-7 migration
@@ -586,7 +590,7 @@ func (a *Agent) partition(r classifier.Rule, seq uint64) classifier.Partition {
 	// The working-set cap is above MaxPartitions so that merging still has
 	// a chance to bring a busy cut back under the limit, but pathological
 	// rules bail out long before cutting against the whole table.
-	return a.cutter.Partition(r, a.main.OverlapCandidates(r.Match), wins, a.mintPartID,
+	return a.cutter.Partition(r, a.main.OverlapCandidates(r.Match, r.Priority), wins, a.mintPartID,
 		!a.cfg.DisableMergeOptimization, 8*a.cfg.MaxPartitions)
 }
 
@@ -605,6 +609,29 @@ func (a *Agent) dropShadowResident(r classifier.Rule) {
 	a.shadowIndex.Delete(r.Match.Dst, r.ID)
 	if i, ok := slices.BinarySearch(a.shadowIDs, r.ID); ok {
 		a.shadowIDs = slices.Delete(a.shadowIDs, i, i+1)
+	}
+}
+
+// dropShadowResidents is dropShadowResident for every rule listed in moved,
+// shadow-resident and in ascending ID order: they leave shadowIDs in one
+// merge pass, and the index is emptied outright when nothing else is left.
+func (a *Agent) dropShadowResidents(moved []classifier.RuleID) {
+	if len(moved) == 0 {
+		return
+	}
+	k := 0
+	a.shadowIDs = slices.DeleteFunc(a.shadowIDs, func(id classifier.RuleID) bool {
+		for k < len(moved) && moved[k] < id {
+			k++
+		}
+		return k < len(moved) && moved[k] == id
+	})
+	if len(a.shadowIDs) == 0 {
+		a.shadowIndex.Clear()
+		return
+	}
+	for _, id := range moved {
+		a.shadowIndex.Delete(a.rules[id].original.Match.Dst, id)
 	}
 }
 
@@ -695,7 +722,7 @@ func (a *Agent) repairShadowAfterMainInsert(now time.Duration, mainRule classifi
 // rule can force a re-cut of; the others legitimately win (priority or age).
 // The IDs come in index order, not sorted.
 func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule classifier.Rule) []classifier.RuleID {
-	it := a.shadowIndex.OverlapCandidates(mainRule.Match)
+	it := a.shadowIndex.OverlapCandidates(mainRule.Match, math.MinInt32)
 	for r, ok := it.Next(); ok; r, ok = it.Next() {
 		if r.ID != mainRule.ID && a.beats(mainRule, r.Priority, a.rules[r.ID].seq) {
 			ids = append(ids, r.ID)
@@ -833,7 +860,7 @@ func (a *Agent) unpartition(now time.Duration, st *ruleState, cause classifier.R
 		wins := func(existing classifier.Rule) bool {
 			return a.beats(existing, st.original.Priority, st.seq)
 		}
-		if !a.cutter.Uncovered(region, a.main.OverlapCandidates(region), wins) {
+		if !a.cutter.Uncovered(region, a.main.OverlapCandidates(region, st.original.Priority), wins) {
 			a.cuts.dropCause(st, cause)
 			a.recutsKept.Add(1)
 			return

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -294,7 +295,7 @@ func (a *Agent) shieldSoftOnlyOverlapping(now time.Duration, m classifier.Match)
 // longer needs a shield at all.
 func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) {
 	var deps []classifier.Rule
-	it := a.residentIndex.OverlapCandidates(h.Match)
+	it := a.residentIndex.OverlapCandidates(h.Match, math.MinInt32)
 	for res, ok := it.Next(); ok; res, ok = it.Next() {
 		if !a.beats(res, h.Priority, seq) {
 			deps = append(deps, res)

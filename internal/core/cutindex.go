@@ -30,8 +30,14 @@ type cutIndex struct {
 	freeDeps    [][]*ruleState      // emptied byCause lists, kept for the next new cause
 }
 
-// maxFreeDeps bounds the recycled dependents lists.
-const maxFreeDeps = 1024
+// maxFreeDeps bounds how many emptied dependents lists are kept, and
+// maxFreeDepsCap how long a kept one may be: a kept list goes to whichever
+// cause is linked next, most of which cut a few rules, so a long one would
+// mostly keep memory.
+const (
+	maxFreeDeps    = 1024
+	maxFreeDepsCap = 16
+)
 
 func newCutIndex() cutIndex {
 	return cutIndex{
@@ -94,6 +100,14 @@ func (x *cutIndex) unindexParts(st *ruleState) {
 // main rules that joined or left it.
 func (x *cutIndex) relink(st *ruleState, cause []classifier.RuleID) {
 	was, now := st.cut.cause, cause
+	if len(was) == 0 {
+		// A first cut: every cause joins, with nothing to diff against.
+		for _, c := range now {
+			x.link(c, st)
+		}
+		st.cut.cause = append(st.cut.cause, cause...)
+		return
+	}
 	for len(was) > 0 && len(now) > 0 && was[0] == now[0] {
 		was, now = was[1:], now[1:]
 	}
@@ -181,7 +195,7 @@ func (x *cutIndex) unlink(c classifier.RuleID, st *ruleState) {
 		return
 	}
 	delete(x.byCause, c)
-	if len(x.freeDeps) < maxFreeDeps {
+	if len(x.freeDeps) < maxFreeDeps && cap(deps) <= maxFreeDepsCap {
 		x.freeDeps = append(x.freeDeps, deps)
 	}
 }

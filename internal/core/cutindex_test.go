@@ -160,7 +160,7 @@ func checkCutIndexEquivalence(t *testing.T, rules []classifier.Rule, merge bool,
 	cut := func(r classifier.Rule) {
 		t.Helper()
 		wins := func(existing classifier.Rule) bool { return existing.Priority >= r.Priority }
-		p := pt.Partition(r, trie.OverlapCandidates(r.Match), wins, mint, merge, maxRegions)
+		p := pt.Partition(r, trie.OverlapCandidates(r.Match, r.Priority), wins, mint, merge, maxRegions)
 		om.Remove(r.ID)
 		st := states[r.ID]
 		if p.Overflow {

@@ -7,6 +7,7 @@ package core
 // the reference monolithic table.
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -438,4 +439,119 @@ func probeEquivalent(t *testing.T, a *Agent, probeSeed, seed int64, op int) {
 				seed, op, dst, got, gok, want, wok)
 		}
 	}
+}
+
+// TestMigrationHookSequencePinned pins what every fault seam sees across a
+// seeded, migration-heavy replay: the (op, id) sequence of each table's
+// fault hook and the step sequence of the migration interrupter, on the
+// merged, fragment and naive migration paths. Interrupts fire mid-apply,
+// hooks drop some writes, and Reconcile repairs both. The chaos harness
+// draws each seam's faults from its own RNG stream, so a change that batches
+// writes may reorder the tables' calls against each other but not the calls
+// within one seam; the golden digests were taken before migration step 4
+// became one DeleteAll.
+func TestMigrationHookSequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"merged", Config{}, "main=1110/1797638ca33859d0 shadow=1956/c1aa486f7fbfd98c steps=1891/4317865850b67b85 migrations=150"},
+		{"fragments", Config{DisableMergeOptimization: true}, "main=1403/d1ef210aca96c4d4 shadow=1956/02faec2fb7291914 steps=1891/53833ba773109b85 migrations=150"},
+		{"naive", Config{NaiveMigration: true}, "main=1115/98cc44637bf353fa shadow=2057/00fd8ae7f4b4ce38 steps=1115/5684628aae1ae244 migrations=153"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := hookSequenceDigest(t, tc.cfg); got != tc.want {
+				t.Errorf("hook sequences moved:\n got %s\nwant %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// hookSequenceDigest replays the seeded workload and returns, per seam, the
+// call count and an FNV-1a hash of the calls in order.
+func hookSequenceDigest(t *testing.T, cfg Config) string {
+	t.Helper()
+	cfg.DisableRateLimit = true
+	a := newTestAgent(t, cfg)
+	type seam struct {
+		rng   *rand.Rand
+		calls int
+		hash  uint64
+	}
+	note := func(s *seam, words ...uint64) {
+		s.calls++
+		for _, w := range words {
+			for k := 0; k < 8; k++ {
+				s.hash = (s.hash ^ (w >> (8 * k) & 0xff)) * 1099511628211
+			}
+		}
+	}
+	seams := [3]seam{}
+	for i := range seams {
+		seams[i] = seam{rng: rand.New(rand.NewSource(int64(100 + i))), hash: 14695981039346656037}
+	}
+	for i, tab := range []*tcam.Table{a.main, a.shadow} {
+		s := &seams[i]
+		tab.SetFaultHook(func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
+			note(s, uint64(op), uint64(id))
+			return tcam.OpFault{Drop: s.rng.Intn(40) == 0}
+		})
+	}
+	a.SetMigrationInterrupt(func(step MigrationStep, _ time.Duration) bool {
+		note(&seams[2], uint64(step))
+		return seams[2].rng.Intn(80) == 0
+	})
+
+	r := rand.New(rand.NewSource(37))
+	now := time.Duration(0)
+	var live []classifier.RuleID
+	nextID := classifier.RuleID(1)
+	for op := 0; op < 1500; op++ {
+		now += time.Duration(r.Intn(4)+1) * time.Millisecond
+		switch x := r.Intn(16); {
+		case x < 9:
+			rule := classifier.Rule{
+				ID: nextID,
+				Match: classifier.Match{
+					Dst: classifier.NewPrefix(0x0A000000|(r.Uint32()&0xFFFFF), uint8(20+r.Intn(13))),
+					Src: classifier.NewPrefix(r.Uint32(), uint8(r.Intn(3))),
+				},
+				Priority: int32(r.Intn(40)),
+				Action:   classifier.Action{Type: classifier.ActionForward, Port: int(nextID)},
+			}
+			if _, err := a.Insert(now, rule); err != nil {
+				t.Fatalf("op %d insert: %v", op, err)
+			}
+			live = append(live, nextID)
+			nextID++
+		case x < 12 && len(live) > 0:
+			i := r.Intn(len(live))
+			if _, err := a.Delete(now, live[i]); err != nil {
+				t.Fatalf("op %d delete: %v", op, err)
+			}
+			live = append(live[:i], live[i+1:]...)
+		case x < 14:
+			// Half the migrations complete at once; the others finish under
+			// later inserts, which arrive in the shadow table meanwhile.
+			if end := a.ForceMigration(now); end != 0 && r.Intn(2) == 0 {
+				now = end
+				a.Advance(now)
+			}
+		default:
+			if end := a.Tick(now); end != 0 {
+				now = end
+				a.Advance(now)
+			}
+		}
+		if a.NeedsReconcile() || op%50 == 49 {
+			a.Reconcile(now)
+		}
+	}
+	if a.Metrics().MigrationInterrupts == 0 {
+		t.Fatal("no migration was interrupted")
+	}
+	return fmt.Sprintf("main=%d/%016x shadow=%d/%016x steps=%d/%016x migrations=%d",
+		seams[0].calls, seams[0].hash, seams[1].calls, seams[1].hash, seams[2].calls, seams[2].hash,
+		a.Metrics().Migrations)
 }

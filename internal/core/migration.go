@@ -210,12 +210,17 @@ func (a *Agent) startMigration(now time.Duration) time.Duration {
 		// Ablation: empty the shadow *first* (violating the step ordering
 		// §5.2 prescribes) and account the window during which the rules
 		// exist in neither table.
+		ids := a.eraseBuf[:0]
 		for _, id := range originals {
 			for _, p := range a.rules[id].parts {
-				if c, ok := a.shadow.Delete(p.ID); ok {
-					a.sw.Submit(now, c)
-				}
+				ids = append(ids, p.ID)
 			}
+		}
+		a.eraseBuf = ids
+		// Submit is additive, so one submission of the summed cost
+		// completes when one per delete would.
+		if c, n := a.shadow.DeleteAll(ids); n > 0 {
+			a.sw.Submit(now, c)
 		}
 		a.metrics.ExposedRuleSeconds += float64(len(originals)) * cost.Seconds()
 	}
@@ -252,6 +257,11 @@ func (a *Agent) advance(now time.Duration) {
 	interrupted := false
 	interruptedAt := StepInsert
 	migrated := make([]classifier.Rule, 0, len(m.originals))
+	// moved are the originals that left the shadow table, kept in ID order
+	// in m.originals' own array behind the loop; stale are the shadow
+	// entries of those that passed their StepEmpty check, for step 4.
+	moved := m.originals[:0]
+	stale := a.eraseBuf[:0]
 	for _, id := range m.originals {
 		if a.interruptAt(StepInsert, done) {
 			// Crash before this rule's main-table write: it and every
@@ -263,6 +273,7 @@ func (a *Agent) advance(now time.Duration) {
 		if !ok || st.place != placeShadow {
 			continue
 		}
+		gone := st.parts
 		if a.cfg.DisableMergeOptimization {
 			// Fragments move as-is, all of them or none: when the main table
 			// cannot take every one, the rule stays in the shadow table.
@@ -275,47 +286,38 @@ func (a *Agent) advance(now time.Duration) {
 					migrated = append(migrated, frag)
 				}
 			}
-			a.dropShadowResident(st.original)
-			st.place = placeMain
-			if !m.naive {
-				if a.interruptAt(StepEmpty, done) {
-					// Crash between the main writes and the shadow erase:
-					// every moved fragment is orphaned in the shadow slice
-					// until Reconcile deletes the stale copies.
-					interrupted = true
-					interruptedAt = StepEmpty
-					break
-				}
-				for _, frag := range st.parts {
-					a.shadow.Delete(frag.ID)
-				}
+		} else {
+			// Merged path: install the original, drop the fragments.
+			if _, err := a.main.InsertRanked(st.original, st.seq); err != nil {
+				continue // main full: leave the rule in the shadow table
 			}
+			migrated = append(migrated, st.original)
+			a.cuts.forget(st)
+			st.parts = st.whole()
+		}
+		moved = append(moved, id)
+		st.place = placeMain
+		if m.naive {
 			continue
 		}
-		// Merged path: install the original, drop the fragments.
-		if _, err := a.main.InsertRanked(st.original, st.seq); err != nil {
-			continue // main full: leave the rule in the shadow table
+		if a.interruptAt(StepEmpty, done) {
+			// Crash between the main write and the shadow erase: this rule's
+			// shadow entries are orphaned until Reconcile deletes the stale
+			// copies.
+			interrupted = true
+			interruptedAt = StepEmpty
+			break
 		}
-		migrated = append(migrated, st.original)
-		stale := st.parts
-		a.cuts.forget(st)
-		a.dropShadowResident(st.original)
-		st.place = placeMain
-		st.parts = st.whole()
-		if !m.naive {
-			if a.interruptAt(StepEmpty, done) {
-				// Crash between the main write and the shadow erase: the
-				// fragments are orphaned in the shadow slice until
-				// Reconcile deletes the stale copies.
-				interrupted = true
-				interruptedAt = StepEmpty
-				break
-			}
-			for _, p := range stale {
-				a.shadow.Delete(p.ID)
-			}
+		for _, p := range gone {
+			stale = append(stale, p.ID)
 		}
 	}
+	// Step 4: every main write above precedes every shadow erase, so the
+	// copies of the rules that got past their StepEmpty check leave in one
+	// bulk invalidation, crash or not.
+	a.eraseBuf = stale
+	a.shadow.DeleteAll(stale)
+	a.dropShadowResidents(moved)
 	if interrupted {
 		a.metrics.MigrationInterrupts++
 		a.markDivergentLocked()
@@ -326,9 +328,6 @@ func (a *Agent) advance(now time.Duration) {
 	a.o.event(done, obs.EvMigStep, StepEmpty, 0, uint64(len(migrated)), 0)
 	a.o.event(done, obs.EvMigDone, 0, 0, uint64(len(migrated)), uint64(done-m.startedAt))
 
-	// Step 4 happened per-rule above (the shadow copies were removed only
-	// after their main-table counterparts were written).
-	//
 	// Finally, re-partition the rules that arrived in the shadow table
 	// while the migration ran: they were cut against the pre-migration
 	// main table and may now be shadowed-over by freshly migrated

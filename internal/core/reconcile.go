@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -335,7 +336,7 @@ func (a *Agent) CheckPartitions() error {
 		wins := func(existing classifier.Rule) bool {
 			return a.beats(existing, st.original.Priority, st.seq)
 		}
-		fresh := pt.Partition(st.original, a.main.OverlapCandidates(st.original.Match), wins, mint,
+		fresh := pt.Partition(st.original, a.main.OverlapCandidates(st.original.Match, math.MinInt32), wins, mint,
 			!a.cfg.DisableMergeOptimization, 0)
 		switch {
 		case st.cut == nil:
@@ -415,7 +416,7 @@ func coveredBy(pt *classifier.Partitioner, x, y []classifier.Rule) bool {
 	}
 	all := func(classifier.Rule) bool { return true }
 	for _, r := range x {
-		if pt.Uncovered(r.Match, t.OverlapCandidates(r.Match), all) {
+		if pt.Uncovered(r.Match, t.OverlapCandidates(r.Match, math.MinInt32), all) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package rulecache
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -150,7 +151,7 @@ func (t *SoftTable) Snapshot() classifier.Snapshot { return t.trie.Freeze() }
 
 // OverlapCandidates walks the rules whose match regions overlap m.
 func (t *SoftTable) OverlapCandidates(m classifier.Match) classifier.OverlapIter {
-	return t.trie.OverlapCandidates(m)
+	return t.trie.OverlapCandidates(m, math.MinInt32)
 }
 
 // Rules returns a copy of every rule sorted by ID — the shape Agent.Rules

@@ -270,6 +270,50 @@ func TestTableMatchesDenseModel(t *testing.T) {
 	}
 }
 
+// TestDeleteAllMatchesSequentialDelete bulk-deletes lists of 1 to 600
+// entries (scattered, with repeats and absent IDs, under fault-hook drops)
+// from tables of up to 1 000 entries that refill between rounds, so the one
+// pass empties and merges blocks all over the table; checkDeleteAll holds
+// each call to sequential Delete and the dense model, and the block
+// invariant must hold after it.
+func TestDeleteAllMatchesSequentialDelete(t *testing.T) {
+	const capacity = 1024
+	for seed := int64(0); seed < 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tab := NewTable("bulk", capacity, Pica8P3290)
+		m := &denseModel{capacity: capacity}
+		nextID := classifier.RuleID(1)
+		for round := 0; round < 40; round++ {
+			for fill := rng.Intn(1000); len(m.s) < fill; {
+				r := randTableRule(rng, nextID)
+				r.Priority = int32(rng.Intn(8))
+				rank := uint64(rng.Intn(16))
+				if _, err := tab.InsertRanked(r, rank); err != nil {
+					t.Fatal(err)
+				}
+				m.insert(r, rank, false)
+				nextID++
+			}
+			var ids []classifier.RuleID
+			for k := 1 + rng.Intn([]int{1, 10, 100, 600}[rng.Intn(4)]); k > 0 && len(m.s) > 0; k-- {
+				ids = append(ids, m.s[rng.Intn(len(m.s))].rule.ID)
+			}
+			if rng.Intn(4) == 0 {
+				ids = append(ids, nextID+1000)
+			}
+			if rng.Intn(8) == 0 {
+				for _, s := range m.s {
+					ids = append(ids, s.rule.ID)
+				}
+			}
+			rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			checkDeleteAll(t, tab, m, ids, byte(rng.Intn(256)), rng.Intn(2) == 0)
+			checkModel(t, tab, m)
+			checkRules(t, tab, m)
+		}
+	}
+}
+
 // TestTableBlocksStayBounded fills 4 096 entries, deletes 15 of every 16 in
 // scattered order, then churns around the remaining occupancy; the block
 // invariant, and with it the 4n/blockCap + 1 bound, holds after every op.

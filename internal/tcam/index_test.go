@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"hermes/internal/classifier"
 )
@@ -273,8 +274,9 @@ func TestLookupIndexedZeroAllocs(t *testing.T) {
 }
 
 // TestResetKeepsMapCapacity checks Reset does not reallocate bookkeeping:
-// after a Reset, refilling to the same occupancy must not grow allocations
-// step over step (the map and slices are recycled in place).
+// after a Reset, refilling to the same occupancy must not allocate (the map,
+// the blocks and the match index's nodes are recycled in place), as the Rule
+// Manager's reset-and-refill migrations rely on.
 func TestResetKeepsMapCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tab := fillTable(t, rng, 512, randTableRule)
@@ -288,6 +290,26 @@ func TestResetKeepsMapCapacity(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("Reset of empty table allocates %.1f/op, want 0", allocs)
 	}
+
+	rules := fillTable(t, rng, 64, benchRule).Rules()
+	small := NewTable("refill", 64, Pica8P3290)
+	refill := func() {
+		small.Reset()
+		for _, r := range rules {
+			if _, err := small.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The recycled index nodes take different roles from cycle to cycle, so
+	// the first few refills still grow some node's entries to the size its
+	// new role needs; after that every cycle reuses what is there.
+	for range 16 {
+		refill()
+	}
+	if allocs := testing.AllocsPerRun(20, refill); allocs != 0 {
+		t.Fatalf("Reset and refill of a %d-rule table allocates %.1f/op, want 0", len(rules), allocs)
+	}
 }
 
 // FuzzTableLookupEquivalence feeds arbitrary byte strings interpreted as a
@@ -297,10 +319,14 @@ func TestResetKeepsMapCapacity(t *testing.T) {
 // them and its truncates cut across them. After every op the table must
 // agree with the dense model (order, shift count, insert positions, Get),
 // and indexed == linear on the exact rule at every probe, on the live table
-// and on its latest snapshot.
+// and on its latest snapshot. A delete op with the high bit set is a
+// DeleteAll, held to sequential Delete by checkDeleteAll.
 func FuzzTableLookupEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x42, 0x10, 0x20, 0x03, 0x99}, uint32(0x0A000001), uint32(0))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint32(0xC0A80101), uint32(0xFFFFFFFF))
+	// Bulk deletes: a strided list with drops, absent and repeated IDs; then
+	// one that empties the table under a retained snapshot.
+	f.Add([]byte{0x80, 0x10, 0x0f, 0x05, 0x0a, 0x86, 0x00, 0x00, 0x00, 0x04}, uint32(0x0A000001), uint32(0))
 	f.Fuzz(func(t *testing.T, script []byte, dst, src uint32) {
 		tab := NewTable("fuzz", 4*blockCap, Pica8P3290)
 		m := &denseModel{capacity: tab.Capacity()}
@@ -350,6 +376,13 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 				nextID++
 				before = tab.Stats().Shifts
 			case 2:
+				if op >= 0x80 {
+					// Freeze, then bulk-delete (absent and repeated IDs,
+					// fault-hook drops) against sequential Delete.
+					snap, snapRules = tab.Snapshot(), tab.Rules()
+					checkDeleteAll(t, tab, m, deleteAllIDs(m, nextID, a, b, c, d), c, d&8 != 0)
+					break
+				}
 				if _, ok := tab.Delete(at); ok {
 					i := m.find(at)
 					m.s = slices.Delete(m.s, i, i+1)
@@ -392,6 +425,105 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// deleteAllIDs derives a DeleteAll list from one script op: b%16+1 IDs
+// strided through the model from position a (so it may repeat), with d&2 an
+// absent ID and a repeat of the first, with d&4 every installed ID in reverse
+// TCAM order as well.
+func deleteAllIDs(m *denseModel, absent classifier.RuleID, a, b, c, d byte) []classifier.RuleID {
+	var ids []classifier.RuleID
+	if n := len(m.s); n > 0 {
+		for i := 0; i <= int(b%16); i++ {
+			ids = append(ids, m.s[(int(a)+i*int(c|1))%n].rule.ID)
+		}
+	}
+	if d&2 != 0 {
+		ids = append(ids, absent)
+		if len(ids) > 1 {
+			ids = append(ids, ids[0])
+		}
+	}
+	if d&4 != 0 {
+		for i := len(m.s) - 1; i >= 0; i-- {
+			ids = append(ids, m.s[i].rule.ID)
+		}
+	}
+	return ids
+}
+
+// checkDeleteAll runs tab.DeleteAll(ids) and the same ids through
+// sequential Delete on a twin holding tab's entries, with one fault hook
+// verdict per call on each: with drops set, call k is dropped when bit k%8 of
+// mask is. The two must see the same hook calls and agree on the latency,
+// the count, the Stats and DroppedOps deltas and the resulting rules, and
+// the dense model, applying the same verdicts, must agree with tab.
+func checkDeleteAll(t *testing.T, tab *Table, m *denseModel, ids []classifier.RuleID, mask byte, drops bool) {
+	t.Helper()
+	twin := NewTable("twin", tab.Capacity(), tab.Profile())
+	for _, b := range tab.blocks {
+		for _, s := range b {
+			if _, err := twin.InsertRanked(s.rule, s.rank); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type call struct {
+		op Op
+		id classifier.RuleID
+	}
+	hook := func(calls *[]call) OpFaultHook {
+		return func(op Op, id classifier.RuleID) OpFault {
+			k := len(*calls)
+			*calls = append(*calls, call{op, id})
+			return OpFault{Drop: drops && mask>>(k%8)&1 != 0, Extra: time.Duration(k)}
+		}
+	}
+	var bulkCalls, seqCalls []call
+	tab.SetFaultHook(hook(&bulkCalls))
+	twin.SetFaultHook(hook(&seqCalls))
+	defer tab.SetFaultHook(nil)
+
+	stats, dropped := tab.Stats(), tab.DroppedOps()
+	twinStats, twinDropped := twin.Stats(), twin.DroppedOps()
+	total, n := tab.DeleteAll(ids)
+	var seqTotal time.Duration
+	seqN := 0
+	for _, id := range ids {
+		if d, ok := twin.Delete(id); ok {
+			seqTotal += d
+			seqN++
+		}
+	}
+	if !slices.Equal(bulkCalls, seqCalls) {
+		t.Fatalf("DeleteAll(%v) made hook calls %v, sequential Delete %v", ids, bulkCalls, seqCalls)
+	}
+	if total != seqTotal || n != seqN {
+		t.Fatalf("DeleteAll(%v) = %v, %d; sequential Delete %v, %d", ids, total, n, seqTotal, seqN)
+	}
+	sub := func(a, b TableStats) TableStats {
+		return TableStats{a.Inserts - b.Inserts, a.Deletes - b.Deletes, a.Mods - b.Mods, a.Shifts - b.Shifts}
+	}
+	if got, want := sub(tab.Stats(), stats), sub(twin.Stats(), twinStats); got != want {
+		t.Fatalf("DeleteAll moved Stats by %+v, sequential Delete by %+v", got, want)
+	}
+	if got, want := tab.DroppedOps()-dropped, twin.DroppedOps()-twinDropped; got != want {
+		t.Fatalf("DeleteAll dropped %d ops, sequential Delete %d", got, want)
+	}
+	if got, want := tab.Rules(), twin.Rules(); !slices.Equal(got, want) {
+		t.Fatalf("after DeleteAll(%v): %v, after sequential Delete %v", ids, got, want)
+	}
+	k := 0
+	for _, id := range ids {
+		i := m.find(id)
+		if i < 0 {
+			continue
+		}
+		if !drops || mask>>(k%8)&1 == 0 {
+			m.s = slices.Delete(m.s, i, i+1)
+		}
+		k++
+	}
 }
 
 // fillTable installs exactly occ rules drawn from gen.

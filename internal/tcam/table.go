@@ -472,6 +472,74 @@ func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
 	return t.profile.DeleteLatency + f.Extra, true
 }
 
+// DeleteAll removes the listed rules, returning the summed latency and how
+// many listed IDs were present: what the same sequence of Delete calls would
+// return, with the same fault-hook calls in the same order (once per listed
+// ID present when its turn comes; a dropped delete keeps its entry, so a
+// repeat of its ID consults the hook again) and the same counters. The
+// entries then leave in one pass over the blocks — or, when none survives,
+// the way Reset empties the table. Survivors keep their order and index keys.
+// This is the Rule Manager's step-4 bulk invalidation.
+func (t *Table) DeleteAll(ids []classifier.RuleID) (total time.Duration, n int) {
+	gone := 0
+	for _, id := range ids {
+		if _, ok := t.meta[id]; !ok {
+			continue
+		}
+		n++
+		f := t.faultFor(OpDelete, id)
+		total += t.profile.DeleteLatency + f.Extra
+		if f.Drop {
+			t.droppedOps++
+			continue
+		}
+		delete(t.meta, id)
+		gone++
+	}
+	if gone == 0 {
+		return total, n
+	}
+	t.totalDeletes += gone
+	if gone == t.n {
+		t.clearState()
+		return total, n
+	}
+	t.removeUnlisted()
+	t.gen.Add(1)
+	return total, n
+}
+
+// removeUnlisted takes out the slots whose rule meta no longer lists,
+// unindexing each, and restores the block invariant in the same pass: a
+// block that fits in half a block together with the one kept before it is
+// merged into it, and an emptied one goes to the spare list.
+func (t *Table) removeUnlisted() {
+	kept := t.blocks[:0]
+	for _, b := range t.blocks {
+		w := 0
+		for j := range b {
+			if _, ok := t.meta[b[j].rule.ID]; !ok {
+				t.index.Delete(b[j].rule.Match.Dst, b[j].rule.ID)
+				continue
+			}
+			b[w] = b[j]
+			w++
+		}
+		t.n -= len(b) - w
+		b = b[:w]
+		if k := len(kept); w == 0 || k > 0 && len(kept[k-1])+w <= blockCap/2 {
+			if w > 0 {
+				kept[k-1] = append(kept[k-1], b...)
+			}
+			t.spare = append(t.spare, b[:0])
+			continue
+		}
+		kept = append(kept, b)
+	}
+	clear(t.blocks[len(kept):])
+	t.blocks = kept
+}
+
 // ModifyAction rewrites a rule's action in place — constant time, no
 // reordering (§2.1, "modifications, surprisingly, can be constant").
 func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Duration, bool) {
@@ -580,18 +648,19 @@ func (t *Table) LookupLinear(dst, src uint32) (classifier.Rule, bool) {
 // nodes they touch. Like every mutator it needs exclusive access.
 func (t *Table) Snapshot() classifier.Snapshot { return t.index.Freeze() }
 
-// OverlapCandidates walks the installed entries whose match regions overlap
-// m, in OverlapIter order: the Gate Keeper cuts a new shadow rule against
-// what the table physically holds. The walk copies no index node.
-func (t *Table) OverlapCandidates(m classifier.Match) classifier.OverlapIter {
-	return t.index.OverlapCandidates(m)
+// OverlapCandidates walks the installed entries of priority floor and above
+// whose match regions overlap m, in OverlapIter order: the Gate Keeper cuts a
+// new shadow rule against what the table physically holds. The walk copies
+// no index node.
+func (t *Table) OverlapCandidates(m classifier.Match, floor int32) classifier.OverlapIter {
+	return t.index.OverlapCandidates(m, floor)
 }
 
-// Reset empties the table. Used by the Rule Manager's "empty shadow table"
-// migration step; bulk invalidation is a cheap constant-time TCAM
-// operation per entry. The bookkeeping map is cleared in place and the
-// blocks go to the spare list rather than being reallocated —
-// migration-heavy runs reset tables constantly.
+// Reset empties the table, charging one delete latency per entry: bulk
+// invalidation is a cheap constant-time TCAM operation per entry. The
+// bookkeeping map is cleared in place, the blocks go to the spare list and
+// the index nodes to its freelist rather than being reallocated; a DeleteAll
+// that leaves nothing empties the table the same way.
 func (t *Table) Reset() time.Duration {
 	n := t.n
 	t.clearState()
@@ -623,27 +692,16 @@ func (t *Table) Truncate(n int) {
 	if n < 0 || n >= t.n {
 		return
 	}
-	// Block bi keeps its first keep slots; every later block goes.
-	bi, keep := 0, n
-	for keep >= len(t.blocks[bi]) {
-		keep -= len(t.blocks[bi])
-		bi++
-	}
-	for k, b := range t.blocks[bi:] {
-		if k == 0 {
-			b = b[keep:]
-		} else {
-			t.spare = append(t.spare, b[:0])
-		}
+	k := 0
+	for _, b := range t.blocks {
 		for i := range b {
-			delete(t.meta, b[i].rule.ID)
-			t.index.Delete(b[i].rule.Match.Dst, b[i].rule.ID)
+			if k >= n {
+				delete(t.meta, b[i].rule.ID)
+			}
+			k++
 		}
 	}
-	t.blocks[bi] = t.blocks[bi][:keep]
-	t.blocks = t.blocks[:bi+1]
-	t.n = n
-	t.shrunk(bi)
+	t.removeUnlisted()
 	t.gen.Add(1)
 }
 

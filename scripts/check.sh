@@ -5,7 +5,9 @@
 # module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, one iteration of the trie, cut, TCAM and spline micro-benchmarks, and
 # short-budget fuzz runs of the wire codec, the prefix parser, the four lookup equivalences
-# (the TCAM one also holds the blocked table to the dense placement model)
+# (the TCAM one also holds the blocked table to the dense placement model and
+# DeleteAll to sequential Delete; the trie one also checks the priority-floored
+# overlap walk)
 # and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
 # number is gated here (`bash benchmark/run.sh` is the one place those are
 # produced and compared).
@@ -119,9 +121,9 @@ if [ "$breach_status" -ne 1 ]; then
   exit 1
 fi
 
-echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut, TCAM churn, spline forecast (nothing timed is gated)"
+echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut, TCAM churn and reset, spline forecast (nothing timed is gated)"
 go test -run='^$' -bench='SnapshotLookup|TrieLocate|TrieWriteFrozen|PartitionWide' -benchtime=1x ./internal/classifier
-go test -run='^$' -bench=TableChurn -benchtime=1x ./internal/tcam
+go test -run='^$' -bench='TableChurn|TableReset' -benchtime=1x ./internal/tcam
 go test -run='^$' -bench=CubicSplinePredict -benchtime=1x ./internal/predict
 
 echo ">> fuzz: codec round-trip (5s)"
@@ -133,13 +135,13 @@ go test -run='^$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
 echo ">> fuzz: bulk-built snapshot vs linear first-match (5s)"
 go test -run='^$' -fuzz=FuzzRuleIndexEquivalence -fuzztime=5s ./internal/classifier
 
-echo ">> fuzz: frozen snapshots, live trie and overlap walk under keyed churn vs linear oracles (5s)"
+echo ">> fuzz: frozen snapshots, live trie and overlap walk (unfloored and priority-floored) under keyed churn vs linear oracles (5s)"
 go test -run='^$' -fuzz=FuzzTrieSnapshotIsolation -fuzztime=5s ./internal/classifier
 
 echo ">> fuzz: streaming Algorithm 1 vs from-scratch oracle (5s)"
 go test -run='^$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 
-echo ">> fuzz: TCAM table indexed vs linear lookup, blocked vs dense placement model (5s)"
+echo ">> fuzz: TCAM table indexed vs linear lookup, blocked vs dense placement model, DeleteAll vs sequential Delete (5s)"
 go test -run='^$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 
 echo ">> fuzz: cached two-tier lookup vs single-table oracle (5s)"
