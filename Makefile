@@ -36,8 +36,9 @@ lint-bench:
 # Short-budget native fuzzing of the wire codec, the prefix parser, the
 # four lookup equivalences (bulk-built snapshot, frozen snapshots under churn
 # with the unfloored and priority-floored overlap walks, TCAM table with
-# DeleteAll against sequential Delete, cached two-tier) and Algorithm 1
-# against its from-scratch oracle.
+# DeleteAll against sequential Delete, cached two-tier), Algorithm 1
+# against its from-scratch oracle, and the step-wise atomicity of the
+# agent's table writes.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzCodecRoundTrip -fuzztime=5s ./internal/ofwire
 	$(GO) test -run='^$$' -fuzz=FuzzParsePrefix -fuzztime=5s ./internal/classifier
@@ -46,13 +47,14 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 	$(GO) test -run='^$$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 	$(GO) test -run='^$$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzStepwiseAtomicity -fuzztime=5s ./internal/core
 
 # Seeded chaos harness under the race detector: crash/restart
 # reconciliation, interrupted-migration repair, wire faults, and request
 # deadlines, all on fixed seeds so failures replay (DESIGN.md §9).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover|TestControllerTraceDigestDeterministic' \
+		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover|TestControllerTraceDigestDeterministic|TestWritesAreStepwiseAtomic' \
 		./internal/core ./internal/faultinject ./internal/experiments ./internal/fleet ./internal/ofwire ./internal/intent
 	$(GO) run ./cmd/hermes-bench -scale 0.5 chaos
 	$(GO) run ./cmd/hermes-bench -scale 1 reconcile

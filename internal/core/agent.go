@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -64,6 +65,15 @@ type ruleState struct {
 	// cut is the rule's cut record, nil while nothing cuts it; cutIndex
 	// indexes it.
 	cut *cutRecord
+}
+
+// cmpPrecedence orders rules as a monolithic TCAM does, the one that wins
+// first: higher priority, then earlier insertion.
+func cmpPrecedence(x, y *ruleState) int {
+	if x.original.Priority != y.original.Priority {
+		return cmp.Compare(y.original.Priority, x.original.Priority)
+	}
+	return cmp.Compare(x.seq, y.seq)
 }
 
 // whole is the parts of an uncut rule: the one entry under its own ID. It is
@@ -157,9 +167,27 @@ type Agent struct {
 
 	arrivals int // shadow entries installed since the last Tick
 	migr     *migration
-	// eraseBuf collects the shadow entries a migration's step 4 removes in
-	// one DeleteAll, reused from migration to migration.
-	eraseBuf []classifier.RuleID
+	// eraseBuf lists the shadow entries a completing migration's step 4
+	// erases in one DeleteAll; eraseLeft of them are still installed, which
+	// its re-cuts count as free (advance). It is empty otherwise, and its
+	// array is reused. eraseFrom and eraseLow are advance's scratch.
+	eraseBuf, eraseLow []classifier.RuleID
+	eraseFrom          []int
+	eraseLeft          int
+	// plan is write's scratch; deferred holds the stale shadow entries that
+	// recutAll and unpartitionDependents delete last, deferring counts their
+	// open calls. leaving is the main rule whose removal is under way: the
+	// rules it cut are re-cut first, as if it were gone (removePhysical), so
+	// it beats nothing.
+	plan      writePlan
+	deferred  []deferredDelete
+	deferring int
+	leaving   *ruleState
+	// postponed lists the main rules written during an un-partition
+	// (unpartitioning counts its open calls) whose repairs wait for its end.
+	postponed      []classifier.Rule
+	unpartitioning int
+
 	lastTick time.Duration
 	tuner    *autoTuner // non-nil when cfg.AutoTuneSlack
 	// migInterrupt, when non-nil, is consulted at each Fig.-7 migration
@@ -638,6 +666,9 @@ func (a *Agent) dropShadowResidents(moved []classifier.RuleID) {
 // beats reports whether an installed rule would beat a (priority, seq)
 // contender in a monolithic table.
 func (a *Agent) beats(existing classifier.Rule, priority int32, seq uint64) bool {
+	if a.leaving != nil && hasID(a.leaving.parts, existing.ID) {
+		return false
+	}
 	if existing.Priority != priority {
 		return existing.Priority > priority
 	}
@@ -665,7 +696,7 @@ func (a *Agent) isGloballyLowestPriority(priority int32) bool {
 // insertMain installs a rule on the unguaranteed main path and repairs any
 // shadow rules the new main rule would be shadowed by.
 func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64) (Result, error) {
-	res, err := a.insertMainRaw(now, r, seq)
+	res, err := a.insertMainRawLane(now, r, seq, false)
 	if err != nil {
 		return res, err
 	}
@@ -676,16 +707,11 @@ func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64) (Re
 	return res, nil
 }
 
-// insertMainRaw physically installs into the main table and re-cuts
+// insertMainRawLane physically installs into the main table and re-cuts
 // lower-priority shadow rules that the new rule must win over (otherwise the
-// shadow-first lookup would return them).
-func (a *Agent) insertMainRaw(now time.Duration, r classifier.Rule, seq uint64) (Result, error) {
-	return a.insertMainRawLane(now, r, seq, false)
-}
-
-// insertMainRawLane optionally uses the guaranteed control-plane lane (the
-// §4.2 bypass is a guaranteed action even though it lands in the main
-// table — it is shift-free by construction).
+// shadow-first lookup would return them). It optionally uses the guaranteed
+// control-plane lane (the §4.2 bypass is a guaranteed action even though it
+// lands in the main table — it is shift-free by construction).
 func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint64, guaranteed bool) (Result, error) {
 	cost, err := a.main.InsertRanked(r, seq)
 	if err != nil {
@@ -705,16 +731,13 @@ func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint
 // repairShadowAfterMainInsert re-partitions shadow-resident originals that
 // overlap a newly installed main rule with lower-or-equal priority; without
 // the re-cut the shadow-first lookup would let them shadow the new rule.
+// During an un-partition the repair waits for its end (unpartitionDependents).
 func (a *Agent) repairShadowAfterMainInsert(now time.Duration, mainRule classifier.Rule) {
-	// Collect candidates first (sorted for determinism) because the repair
-	// may move rules between tables.
-	ids := a.appendShadowRulesBeatenBy(nil, mainRule)
-	slices.Sort(ids)
-	for _, id := range ids {
-		if st, ok := a.rules[id]; ok && st.place == placeShadow {
-			a.reinstallShadowRule(now, st)
-		}
+	if a.unpartitioning > 0 {
+		a.postponed = append(a.postponed, mainRule)
+		return
 	}
+	a.recutAll(now, a.appendShadowRulesBeatenBy(nil, mainRule))
 }
 
 // appendShadowRulesBeatenBy appends the IDs of the shadow-resident originals
@@ -731,47 +754,61 @@ func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule clas
 	return ids
 }
 
-// reinstallShadowRule deletes a shadow rule's current fragments and
-// re-installs it freshly partitioned against the current main table. When
-// the shadow table cannot hold the new fragments the rule is moved to the
-// main table instead.
-func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState) {
-	for _, p := range st.parts {
-		if cost, ok := a.shadow.Delete(p.ID); ok {
-			a.sw.SubmitGuaranteed(now, cost)
-		}
-	}
+// reinstallShadowRule re-partitions a shadow rule against the current main
+// table and makes the shadow table hold the cut, leaving alone every fragment
+// it cuts again; it reports whether the rule's entries changed. When the
+// shadow table cannot hold the cut even with the rule's stale entries gone
+// (Free + |stale| < |missing|: Free + |old| < |new| with the unchanged
+// entries cancelled out), the rule moves to the main table instead. intact,
+// set by Reconcile, leaves a rule whose entries would not change uncounted
+// and only refreshes its causes.
+func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact bool) bool {
 	part := a.partition(st.original, st.seq)
-	a.o.recordRecut(len(part.Cause))
-	if !part.Overflow && part.Redundant() {
-		a.cuts.record(st, part)
-		return
+	p := &a.plan
+	fits := !part.Overflow && len(part.Parts) <= a.cfg.MaxPartitions
+	if fits {
+		diff(p, a.shadow, st.parts, part.Parts)
+		if intact && p.empty() && len(st.parts) == len(part.Parts) {
+			// A main entry written back since the cut may lie in the region
+			// already cut away: the Fig.-6 un-partition must find the fresh
+			// cut's causes recorded.
+			if len(part.Parts) > 0 {
+				a.cuts.setCause(st, part.Cause)
+			}
+			return false
+		}
+		fits = a.shadow.Free()+a.eraseLeft+len(a.deferred)+len(p.del) >= len(p.ins)
 	}
-	if part.Overflow || len(part.Parts) > a.cfg.MaxPartitions || a.shadow.Free() < len(part.Parts) {
-		// Out of shadow room: fall back to the main table.
-		a.cuts.forget(st)
-		st.parts = st.whole()
-		cost, err := a.main.InsertRanked(st.original, st.seq)
-		if err == nil {
-			a.sw.Submit(now, cost)
-			a.dropShadowResident(st.original)
-			st.place = placeMain
+	a.o.recordRecut(len(part.Cause))
+	if !fits {
+		// The original goes into the main table, the shadow rules it beats
+		// are re-cut against it while its shadow entries still answer for
+		// it, and then those leave. A full main table leaves the rule in
+		// neither table; Reconcile reinstalls it once there is room.
+		in := a.write(now, a.main, st, nil, st.whole())
+		if in.failed == 0 {
 			a.repairShadowAfterMainInsert(now, st.original)
 		}
-		// A full main table leaves the rule uninstalled (its entry is
-		// missing from the shadow table until a Reconcile finds room); the
-		// controller sees table-full semantics exactly as on a real switch.
-		return
-	}
-	for _, p := range part.Parts {
-		cost, err := a.shadow.InsertRanked(p, st.seq)
-		if err != nil {
-			panic(fmt.Sprintf("core: shadow reinstall: %v", err))
+		a.write(now, a.shadow, st, st.parts, nil)
+		a.cuts.forget(st)
+		st.parts = st.whole()
+		if in.failed > 0 {
+			a.markDivergentLocked()
+		} else {
+			a.dropShadowResident(st.original)
+			st.place = placeMain
 		}
-		a.sw.SubmitGuaranteed(now, cost)
+		return true
 	}
+	if a.shadow.Free()+len(a.deferred)+len(p.del) < len(p.ins) {
+		a.eraseMigrated()
+	}
+	a.apply(now, a.shadow, st, p)
 	a.cuts.record(st, part)
-	a.metrics.Repartitions++
+	if !part.Redundant() {
+		a.metrics.Repartitions++
+	}
+	return true
 }
 
 // Delete removes a rule by its controller-visible ID (§4.1).
@@ -801,50 +838,63 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 // and repairs dependent shadow rules (the Fig. 6 un-merge), leaving the
 // state for the caller to drop (dropRuleState, which also unindexes a shadow
 // rule's cut record). Shared by deleteRule and the cache manager's
-// demotion/cover paths.
+// demotion/cover paths. A main rule's dependents are repaired first, cut as
+// if it were gone, so every packet it matched finds its next winner before
+// its entries leave.
 func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration, time.Duration) {
-	var total time.Duration
-	completed := now
-	switch st.place {
-	case placeShadow:
-		// Delete the rule or all of its partitions — never both exist.
-		for _, p := range st.parts {
-			if cost, ok := a.shadow.Delete(p.ID); ok {
-				total += cost
-				completed = a.sw.SubmitGuaranteed(now, cost)
-			}
-		}
-		a.dropShadowResident(st.original)
-	case placeMain:
-		// One entry under the rule's own ID, or — migrated under the
-		// fragment ablation — its fragments, whose cut record goes too.
-		for _, p := range st.parts {
-			if cost, ok := a.main.Delete(p.ID); ok {
-				total += cost
-				completed = a.sw.Submit(now, cost)
-			}
-		}
+	if st.place == placeMain {
+		a.leaving = st
 		a.unpartitionDependents(now, st)
+		a.leaving = nil
+	} else {
+		a.dropShadowResident(st.original)
 	}
-	return total, completed
+	w := a.write(now, a.tableOf(st), st, st.parts, nil)
+	return w.total, w.completed
+}
+
+// tableOf returns the table a rule's entries live in.
+func (a *Agent) tableOf(st *ruleState) *tcam.Table {
+	if st.place == placeMain {
+		return a.main
+	}
+	return a.shadow
 }
 
 // unpartitionDependents is Fig. 6 for a main-resident rule whose entries —
-// one under its own ID, or the fragments it migrated as — just left the main
-// table: every rule they had cut is un-partitioned, then the rule's own cut
-// record goes. What left is each entry's own match, a fragment's rather than
-// the original's.
+// one under its own ID, or the fragments it migrated as — are leaving the
+// main table: every rule they had cut is un-partitioned, once per entry that
+// still cuts it, then the rule's own cut record goes. What leaves is each
+// entry's own match, a fragment's rather than the original's. The rules go
+// highest precedence first, and the repairs their main writes ask for (a
+// collapse's original, a fallback) wait for the end: no rule is handed
+// coverage that a higher rule still to come would take back.
 func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
-	for _, gone := range st.parts {
-		for _, dep := range a.cuts.dependentsOf(gone.ID) {
-			if dep.place == placeShadow {
+	a.unpartitioning++
+	a.deferring++
+	for _, dep := range a.cuts.dependentsOf(st.parts) {
+		for _, gone := range st.parts {
+			switch {
+			case dep.cut == nil || !slices.Contains(dep.cut.cause, gone.ID):
+			case dep.place == placeShadow:
 				a.unpartition(now, dep, gone.ID, gone.Match)
-			} else {
+			default:
 				a.collapseMainFragments(now, dep)
 			}
 		}
 	}
 	a.cuts.forget(st)
+	if a.unpartitioning--; a.unpartitioning == 0 {
+		var ids []classifier.RuleID
+		for _, r := range a.postponed {
+			ids = a.appendShadowRulesBeatenBy(ids, r)
+		}
+		a.postponed = a.postponed[:0]
+		a.recutAll(now, ids)
+	}
+	if a.deferring--; a.deferring == 0 {
+		a.flushDeferred(now)
+	}
 }
 
 // unpartition is the Fig.-6 step for one shadow rule that the deleted main
@@ -866,30 +916,24 @@ func (a *Agent) unpartition(now time.Duration, st *ruleState, cause classifier.R
 			return
 		}
 	}
-	a.reinstallShadowRule(now, st)
+	a.reinstallShadowRule(now, st, false)
 }
 
 // collapseMainFragments is the Fig.-6 step for a rule that migrated as its
 // fragments (DisableMergeOptimization) — none, if it was redundant — and lost
 // one of its causes: the fragments no longer cover all it must match. Inside
 // the main table the original at its own rank is exactly right (it is what
-// the merged migration installs), so it replaces them: the shadow rules it
-// beats are re-cut against it, and the fragments leave as any main entries do.
-// A rule collapsed earlier in the same un-partition is left alone.
+// the merged migration installs), so it replaces them, original first: the
+// shadow rules it beats are re-cut against it, and the fragments' dependents
+// are un-partitioned as any main entries' are. A rule collapsed earlier in the
+// same un-partition is left alone.
 func (a *Agent) collapseMainFragments(now time.Duration, st *ruleState) {
 	if st.cut == nil {
 		return
 	}
-	for _, p := range st.parts {
-		if cost, ok := a.main.Delete(p.ID); ok {
-			a.sw.Submit(now, cost)
-		}
-	}
-	installed := false
-	if cost, err := a.main.InsertRanked(st.original, st.seq); err == nil {
-		a.sw.Submit(now, cost)
+	installed := a.write(now, a.main, st, st.parts, st.whole()).failed == 0
+	if installed {
 		a.repairShadowAfterMainInsert(now, st.original)
-		installed = true
 	}
 	a.unpartitionDependents(now, st)
 	st.parts = nil
@@ -933,10 +977,7 @@ func (a *Agent) modifyLocked(now time.Duration, r classifier.Rule) (Result, erro
 // reordering — and of every copy the agent keeps: the original, its parts
 // (what Reconcile writes back) and the indexes that list it.
 func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.Action) (total, completed time.Duration) {
-	tbl := a.shadow
-	if st.place == placeMain {
-		tbl = a.main
-	}
+	tbl := a.tableOf(st)
 	completed = now
 	for i := range st.parts {
 		if cost, ok := tbl.ModifyAction(st.parts[i].ID, act); ok {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 
 	"hermes/internal/classifier"
@@ -13,10 +12,9 @@ import (
 // fragment to its rule and from a main rule to the rules it cut.
 
 // cutRecord is what a cut rule records beyond its parts: the main rules whose
-// overlap forced the cut and the stamp that orders it among their dependents.
+// overlap forced the cut.
 type cutRecord struct {
 	cause []classifier.RuleID
-	stamp uint64 // clock value of the most recent record or dropCause
 }
 
 // cutIndex indexes the rules' cut records. It holds *ruleState, so a state
@@ -24,7 +22,6 @@ type cutRecord struct {
 type cutIndex struct {
 	byPart  map[classifier.RuleID]*ruleState   // fragment ID -> the rule it realizes
 	byCause map[classifier.RuleID][]*ruleState // main rule ID -> the rules it cut, unordered
-	clock   uint64                             // stamps records in record order
 
 	gone, added []classifier.RuleID // relink's cause-diff scratch
 	freeDeps    [][]*ruleState      // emptied byCause lists, kept for the next new cause
@@ -67,8 +64,6 @@ func (x *cutIndex) record(st *ruleState, p classifier.Partition) {
 	} else {
 		x.unindexParts(st)
 	}
-	x.clock++
-	st.cut.stamp = x.clock
 	for _, part := range p.Parts {
 		x.byPart[part.ID] = st
 	}
@@ -136,8 +131,7 @@ func (x *cutIndex) relink(st *ruleState, cause []classifier.RuleID) {
 
 // setCause replaces the cause list of a cut rule whose parts did not change —
 // Reconcile found them intact against a main table that may have gained rules
-// since the cut. Unlike record it does not stamp the rule: nothing was re-cut,
-// so dependentsOf order does not move.
+// since the cut.
 func (x *cutIndex) setCause(st *ruleState, cause []classifier.RuleID) {
 	if st.cut != nil {
 		x.relink(st, cause)
@@ -146,7 +140,7 @@ func (x *cutIndex) setCause(st *ruleState, cause []classifier.RuleID) {
 
 // addCause records one more main rule beating a cut rule that was not re-cut
 // because its parts already stay clear of the new main rule (the
-// post-migration re-check). The rule is not stamped, as for setCause.
+// post-migration re-check).
 func (x *cutIndex) addCause(st *ruleState, cause classifier.RuleID) {
 	if st.cut != nil && !slices.Contains(st.cut.cause, cause) {
 		x.link(cause, st)
@@ -156,15 +150,11 @@ func (x *cutIndex) addCause(st *ruleState, cause classifier.RuleID) {
 
 // dropCause removes one main rule from a cut rule's causes without touching
 // its parts: the main rule left the table and gave the rule back nothing
-// (Partitioner.Uncovered). It stamps the rule as record does, so the rule
-// moves to the end of dependentsOf order exactly as the re-cut it replaces
-// would have moved it.
+// (Partitioner.Uncovered).
 func (x *cutIndex) dropCause(st *ruleState, cause classifier.RuleID) {
 	if st.cut == nil {
 		return
 	}
-	x.clock++
-	st.cut.stamp = x.clock
 	if i := slices.Index(st.cut.cause, cause); i >= 0 {
 		x.unlink(cause, st)
 		st.cut.cause = slices.Delete(st.cut.cause, i, i+1)
@@ -200,16 +190,17 @@ func (x *cutIndex) unlink(c classifier.RuleID, st *ruleState) {
 	}
 }
 
-// dependentsOf returns the rules the given main-table entry cut, in the order
-// of their most recent record (or dropCause, which stands in for a re-cut).
-// Deleting that entry un-partitions each of them (Fig. 6) in this order,
-// which decides who is minted which fragment IDs and where the fragments land
-// in the TCAM. The list is a copy: un-partitioning relinks the index.
-func (x *cutIndex) dependentsOf(mainEntry classifier.RuleID) []*ruleState {
-	deps := x.byCause[mainEntry]
-	if len(deps) == 0 {
-		return nil
+// dependentsOf returns the rules the given main-table entries cut, each once,
+// highest precedence first (cmpPrecedence). Deleting the entries
+// un-partitions each of them (Fig. 6) in this order, so a packet the entries
+// matched goes straight to the highest rule that gets it back and never to
+// one below it (DESIGN.md §17). The list is a copy: un-partitioning relinks
+// the index.
+func (x *cutIndex) dependentsOf(entries []classifier.Rule) []*ruleState {
+	var deps []*ruleState
+	for _, e := range entries {
+		deps = append(deps, x.byCause[e.ID]...)
 	}
-	slices.SortFunc(deps, func(a, b *ruleState) int { return cmp.Compare(a.cut.stamp, b.cut.stamp) })
-	return slices.Clone(deps)
+	slices.SortFunc(deps, cmpPrecedence)
+	return slices.Compact(deps)
 }

@@ -9,7 +9,8 @@ import (
 )
 
 // oracleCutIndex is the remove-then-record index: dependents are kept in one
-// ordered list per cause, so re-recording a cut costs O(causes × dependents).
+// list per cause, so re-recording a cut costs O(causes × dependents). The
+// rules' seq is their ID.
 type oracleCutIndex struct {
 	byOriginal map[classifier.RuleID]*classifier.Partition
 	byCause    map[classifier.RuleID][]classifier.RuleID
@@ -39,8 +40,18 @@ func (m *oracleCutIndex) Record(p classifier.Partition) {
 	}
 }
 
+// DependentsOf lists the rules mainRule cut, highest priority first, then by
+// ID (the seq).
 func (m *oracleCutIndex) DependentsOf(mainRule classifier.RuleID) []classifier.RuleID {
-	return append([]classifier.RuleID(nil), m.byCause[mainRule]...)
+	deps := append([]classifier.RuleID(nil), m.byCause[mainRule]...)
+	prio := func(id classifier.RuleID) int32 { return m.byOriginal[id].Original.Priority }
+	slices.SortFunc(deps, func(a, b classifier.RuleID) int {
+		if prio(a) != prio(b) {
+			return int(prio(b) - prio(a))
+		}
+		return int(a) - int(b)
+	})
+	return deps
 }
 
 func (m *oracleCutIndex) Remove(original classifier.RuleID) {
@@ -112,7 +123,7 @@ func checkCutIndexEquivalence(t *testing.T, rules []classifier.Rule, merge bool,
 	states := make(map[classifier.RuleID]*ruleState, len(rules))
 	for _, r := range rules {
 		trie.Insert(r)
-		st := &ruleState{original: r}
+		st := &ruleState{original: r, seq: uint64(r.ID)}
 		st.parts = st.whole()
 		states[r.ID] = st
 	}
@@ -130,7 +141,7 @@ func checkCutIndexEquivalence(t *testing.T, rules []classifier.Rule, merge bool,
 	compare := func(when string) {
 		t.Helper()
 		for _, r := range rules {
-			if got, want := ids(x.dependentsOf(r.ID)), om.DependentsOf(r.ID); !slices.Equal(got, want) {
+			if got, want := ids(x.dependentsOf([]classifier.Rule{r})), om.DependentsOf(r.ID); !slices.Equal(got, want) {
 				t.Fatalf("%s: dependentsOf(%d) = %v, oracle %v", when, r.ID, got, want)
 			}
 			st := states[r.ID]
@@ -227,15 +238,15 @@ func TestCutIndexMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCutIndexCauseEdits: dropCause stamps like a record (the rule moves to
-// the end of dependentsOf order), addCause and setCause link and unlink
-// without stamping, and none of them touches the parts.
+// TestCutIndexCauseEdits: dropCause, addCause and setCause link and unlink
+// without touching the parts, and dependentsOf keeps precedence order through
+// them.
 func TestCutIndexCauseEdits(t *testing.T) {
 	x := newCutIndex()
 	states := map[classifier.RuleID]*ruleState{}
 	part := func(id classifier.RuleID) []classifier.Rule { return []classifier.Rule{{ID: 100 + id}} }
 	record := func(id classifier.RuleID, cause ...classifier.RuleID) {
-		states[id] = &ruleState{original: classifier.Rule{ID: id}}
+		states[id] = &ruleState{original: classifier.Rule{ID: id}, seq: uint64(id)}
 		x.record(states[id], classifier.Partition{Original: classifier.Rule{ID: id}, Parts: part(id), Cause: cause})
 	}
 	record(1, 10, 20)
@@ -244,7 +255,7 @@ func TestCutIndexCauseEdits(t *testing.T) {
 	deps := func(c classifier.RuleID, want ...classifier.RuleID) {
 		t.Helper()
 		var got []classifier.RuleID
-		for _, st := range x.dependentsOf(c) {
+		for _, st := range x.dependentsOf([]classifier.Rule{{ID: c}}) {
 			got = append(got, st.original.ID)
 		}
 		if !slices.Equal(got, want) {
@@ -262,19 +273,19 @@ func TestCutIndexCauseEdits(t *testing.T) {
 	x.dropCause(states[1], 10)
 	causes(1, 20)
 	deps(10)
-	deps(20, 2, 3, 1)
+	deps(20, 1, 2, 3)
 	x.addCause(states[2], 40)
 	causes(2, 20, 30, 40)
 	deps(40, 2)
-	deps(20, 2, 3, 1)
+	deps(20, 1, 2, 3)
 	x.setCause(states[3], []classifier.RuleID{30, 40})
 	causes(3, 30, 40)
-	deps(20, 2, 1)
+	deps(20, 1, 2)
 	deps(30, 2, 3)
 	deps(40, 2, 3)
-	x.dropCause(states[2], 99) // not a cause: only the stamp moves
+	x.dropCause(states[2], 99) // not a cause: nothing moves
 	causes(2, 20, 30, 40)
-	deps(30, 3, 2)
+	deps(30, 2, 3)
 	for _, o := range []classifier.RuleID{1, 2, 3} {
 		x.forget(states[o])
 	}
@@ -300,12 +311,13 @@ func TestCutIndexRecordForget(t *testing.T) {
 	if x.byPart[101] != st {
 		t.Errorf("fragment 101 indexed to %v", x.byPart[101])
 	}
-	if deps := x.dependentsOf(1); len(deps) != 1 || deps[0] != st {
+	cause := []classifier.Rule{{ID: 1}}
+	if deps := x.dependentsOf(cause); len(deps) != 1 || deps[0] != st {
 		t.Errorf("dependentsOf(1) = %v", deps)
 	}
 	x.forget(st)
-	if st.cut != nil || len(x.byPart) != 0 || x.dependentsOf(1) != nil {
-		t.Errorf("after forget: cut %+v, %d fragments indexed, dependents %v", st.cut, len(x.byPart), x.dependentsOf(1))
+	if st.cut != nil || len(x.byPart) != 0 || x.dependentsOf(cause) != nil {
+		t.Errorf("after forget: cut %+v, %d fragments indexed, dependents %v", st.cut, len(x.byPart), x.dependentsOf(cause))
 	}
 	x.forget(st)
 }

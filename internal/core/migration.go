@@ -216,7 +216,7 @@ func (a *Agent) startMigration(now time.Duration) time.Duration {
 				ids = append(ids, p.ID)
 			}
 		}
-		a.eraseBuf = ids
+		a.eraseBuf = ids[:0]
 		// Submit is additive, so one submission of the summed cost
 		// completes when one per delete would.
 		if c, n := a.shadow.DeleteAll(ids); n > 0 {
@@ -259,9 +259,10 @@ func (a *Agent) advance(now time.Duration) {
 	migrated := make([]classifier.Rule, 0, len(m.originals))
 	// moved are the originals that left the shadow table, kept in ID order
 	// in m.originals' own array behind the loop; stale are the shadow
-	// entries of those that passed their StepEmpty check, for step 4.
+	// entries of those that passed their StepEmpty check, for step 4, and
+	// stale[from[i]:from[i+1]] are moved[i]'s.
 	moved := m.originals[:0]
-	stale := a.eraseBuf[:0]
+	stale, from := a.eraseBuf[:0], a.eraseFrom[:0]
 	for _, id := range m.originals {
 		if a.interruptAt(StepInsert, done) {
 			// Crash before this rule's main-table write: it and every
@@ -296,6 +297,7 @@ func (a *Agent) advance(now time.Duration) {
 			st.parts = st.whole()
 		}
 		moved = append(moved, id)
+		from = append(from, len(stale))
 		st.place = placeMain
 		if m.naive {
 			continue
@@ -315,10 +317,11 @@ func (a *Agent) advance(now time.Duration) {
 	// Step 4: every main write above precedes every shadow erase, so the
 	// copies of the rules that got past their StepEmpty check leave in one
 	// bulk invalidation, crash or not.
-	a.eraseBuf = stale
-	a.shadow.DeleteAll(stale)
+	from = append(from, len(stale))
+	a.eraseBuf, a.eraseFrom, a.eraseLeft = stale, from, len(stale)
 	a.dropShadowResidents(moved)
 	if interrupted {
+		a.eraseMigrated()
 		a.metrics.MigrationInterrupts++
 		a.markDivergentLocked()
 		a.o.event(done, obs.EvMigInterrupt, interruptedAt, 0, uint64(len(migrated)), 0)
@@ -328,72 +331,74 @@ func (a *Agent) advance(now time.Duration) {
 	a.o.event(done, obs.EvMigStep, StepEmpty, 0, uint64(len(migrated)), 0)
 	a.o.event(done, obs.EvMigDone, 0, 0, uint64(len(migrated)), uint64(done-m.startedAt))
 
-	// Finally, re-partition the rules that arrived in the shadow table
-	// while the migration ran: they were cut against the pre-migration
+	// Before the erase, re-partition the rules that arrived in the shadow
+	// table while the migration ran: they were cut against the pre-migration
 	// main table and may now be shadowed-over by freshly migrated
-	// higher-priority rules. The insert-time invariant means only the
-	// rules migrated in *this* round can break a remaining shadow rule,
-	// so only they need checking — not the whole main table.
-	if len(migrated) == 0 {
-		return
-	}
+	// higher-priority rules, whose shadow copies answer for them until the
+	// erase. The insert-time invariant means only the rules migrated in
+	// *this* round can break a remaining shadow rule, so only they need
+	// checking — not the whole main table. Lowest precedence first, each
+	// once the copies ranked below it are gone: a packet falls from a copy or
+	// a stale fragment only to what answers it after, and no insert shifts
+	// past a copy the erase would have removed first.
 	var affected []classifier.RuleID
 	for _, mr := range migrated {
 		affected = a.appendShadowRulesBeatenBy(affected, mr)
 	}
 	slices.Sort(affected)
-	for _, id := range slices.Compact(affected) {
+	affected = slices.DeleteFunc(slices.Compact(affected), func(id classifier.RuleID) bool {
+		return a.keepsClearOf(a.rules[id], migrated)
+	})
+	slices.SortFunc(affected, func(x, y classifier.RuleID) int { return cmpPrecedence(a.rules[y], a.rules[x]) })
+	for _, id := range affected {
 		st := a.rules[id]
-		if a.shadowRuleCompatibleWith(st, migrated) {
-			a.noteUncutCauses(st, migrated)
-			continue
+		if st.place != placeShadow {
+			continue // moved to the main table by an earlier re-cut
 		}
-		a.reinstallShadowRule(done, st)
+		below := a.eraseLow[:0]
+		for i, mid := range moved {
+			if cmpPrecedence(a.rules[mid], st) > 0 {
+				below = append(below, stale[from[i]:from[i+1]]...)
+			}
+		}
+		a.eraseLow = below
+		_, n := a.shadow.DeleteAll(below)
+		a.eraseLeft -= n
+		a.reinstallShadowRule(done, st, false)
 	}
+	a.eraseMigrated()
 }
 
-// noteUncutCauses records, for a shadow rule with fragments that the
-// post-migration re-check left alone, every newly migrated rule that beats
-// it: each lies in the region already cut away, and the Fig.-6 un-partition
-// relies on a rule with fragments listing every main rule that beats it. A
-// redundant rule's causes stop at its first container and stay as they are.
-func (a *Agent) noteUncutCauses(st *ruleState, added []classifier.Rule) {
-	if st.place != placeShadow || len(st.parts) == 0 {
-		return
+// eraseMigrated is step 4: the shadow copies of the rules a migration moved
+// leave in one bulk invalidation. A re-cut that cannot fit beside them calls
+// it early.
+func (a *Agent) eraseMigrated() {
+	a.shadow.DeleteAll(a.eraseBuf)
+	a.eraseBuf, a.eraseLeft = a.eraseBuf[:0], 0
+}
+
+// keepsClearOf is the post-migration re-check of one shadow rule: it reports
+// whether the rule's fragments stay clear of every newly migrated rule that
+// overlaps and beats it, and if so records each of those as a cause. Each
+// lies in the region already cut away, and the Fig.-6 un-partition relies on
+// a rule with fragments listing every main rule that beats it; a redundant
+// rule's causes stop at its first container and stay as they are.
+func (a *Agent) keepsClearOf(st *ruleState, added []classifier.Rule) bool {
+	cuts := func(mr classifier.Rule) bool {
+		return mr.ID != st.original.ID && mr.Match.Overlaps(st.original.Match) &&
+			a.beats(mr, st.original.Priority, st.seq)
 	}
 	for _, mr := range added {
-		if a.wouldCut(mr, st) {
-			a.cuts.addCause(st, mr.ID)
-		}
-	}
-}
-
-// wouldCut reports whether main rule mr overlaps the shadow rule and beats it.
-func (a *Agent) wouldCut(mr classifier.Rule, st *ruleState) bool {
-	return mr.ID != st.original.ID && mr.Match.Overlaps(st.original.Match) &&
-		a.beats(mr, st.original.Priority, st.seq)
-}
-
-// shadowRuleCompatibleWith reports whether a shadow rule's fragments stay
-// disjoint from every listed (newly migrated) main rule that would beat it.
-func (a *Agent) shadowRuleCompatibleWith(st *ruleState, added []classifier.Rule) bool {
-	for _, mr := range added {
-		if a.wouldCut(mr, st) && a.shadowFragmentsOverlap(st, mr.Match) {
+		if cuts(mr) && slices.ContainsFunc(st.parts, func(f classifier.Rule) bool { return f.Match.Overlaps(mr.Match) }) {
 			return false
 		}
 	}
-	return true
-}
-
-// shadowFragmentsOverlap reports whether any physical fragment of a shadow
-// rule overlaps m, from its parts rather than the shadow table.
-func (a *Agent) shadowFragmentsOverlap(st *ruleState, m classifier.Match) bool {
-	for _, f := range st.parts {
-		if f.Match.Overlaps(m) {
-			return true
+	for _, mr := range added {
+		if len(st.parts) > 0 && cuts(mr) {
+			a.cuts.addCause(st, mr.ID)
 		}
 	}
-	return false
+	return true
 }
 
 // MigrationEndsAt reports the completion time of the in-flight migration

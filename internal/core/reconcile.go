@@ -110,28 +110,6 @@ func (a *Agent) TruncateShadow(n int) {
 	a.markDivergentLocked()
 }
 
-// desiredEntries returns, keyed by physical entry ID, the entries the table
-// that place names should hold — the parts of every rule placed there — each
-// with the seq of the rule it realizes, which ranks it.
-func (a *Agent) desiredEntries(place placement) map[classifier.RuleID]desiredEntry {
-	out := make(map[classifier.RuleID]desiredEntry)
-	for _, st := range a.rules {
-		if st.place != place {
-			continue
-		}
-		for _, p := range st.parts {
-			out[p.ID] = desiredEntry{p, st.seq}
-		}
-	}
-	return out
-}
-
-// desiredEntry is one entry a table should hold and its rank.
-type desiredEntry struct {
-	entry classifier.Rule
-	seq   uint64
-}
-
 // Reconcile diffs the agent's desired rule state against the physical
 // shadow/main tables and repairs the difference: stale or orphaned entries
 // are deleted, missing main entries are written back, and every
@@ -153,60 +131,36 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 		rep.AbortedMigration = true
 	}
 
-	// Phase 1: main table. Delete entries nobody wants (or whose content
-	// drifted), then write back the missing ones in ID order.
-	desiredMain := a.desiredEntries(placeMain)
-	for _, e := range a.main.Rules() {
-		if want, ok := desiredMain[e.ID]; ok && e == want.entry {
-			continue
+	// Phase 1: main table. Entries no main rule holds go, then every main
+	// rule's entries are written back as its record says, in ID order.
+	rep.StaleDeleted += a.sweep(now, a.main)
+	var mainIDs []classifier.RuleID
+	for id, st := range a.rules {
+		if st.place == placeMain {
+			mainIDs = append(mainIDs, id)
 		}
-		if cost, present := a.main.Delete(e.ID); present {
-			a.sw.Submit(now, cost)
-			rep.StaleDeleted++
-		}
-	}
-	mainIDs := make([]classifier.RuleID, 0, len(desiredMain))
-	for pid := range desiredMain {
-		mainIDs = append(mainIDs, pid)
 	}
 	slices.Sort(mainIDs)
-	for _, pid := range mainIDs {
-		if a.main.Contains(pid) {
-			continue
-		}
-		want := desiredMain[pid]
-		cost, err := a.main.InsertRanked(want.entry, want.seq)
-		if err != nil {
-			rep.Unrepaired++
-			continue
-		}
-		a.sw.Submit(now, cost)
-		rep.MainReinstalled++
+	for _, id := range mainIDs {
+		st := a.rules[id]
+		w := a.write(now, a.main, st, st.parts, st.parts)
+		rep.StaleDeleted += w.del
+		rep.MainReinstalled += w.ins
+		rep.Unrepaired += w.failed
 	}
 
-	// Phase 2: shadow table. Delete stale/orphaned physical entries, then
-	// re-validate each shadow-resident rule against the main table as phase 1
-	// left it (the cuts walk the table's own index).
-	desiredShadow := a.desiredEntries(placeShadow)
-	for _, e := range a.shadow.Rules() {
-		if want, ok := desiredShadow[e.ID]; ok && e == want.entry {
-			continue
-		}
-		if cost, present := a.shadow.Delete(e.ID); present {
-			a.sw.SubmitGuaranteed(now, cost)
-			rep.StaleDeleted++
-		}
-	}
+	// Phase 2: shadow table. Orphans go, then every shadow-resident rule is
+	// re-cut against the main table as phase 1 left it (the cuts walk the
+	// table's own index). An intact rule is one whose re-cut writes nothing.
+	rep.StaleDeleted += a.sweep(now, a.shadow)
 	for _, id := range slices.Clone(a.shadowIDs) {
 		st := a.rules[id]
-		if a.shadowRuleIntact(st) {
+		switch {
+		case !a.reinstallShadowRule(now, st, true):
 			rep.Kept++
-			continue
-		}
-		a.reinstallShadowRule(now, st)
-		if a.ruleInstalled(st) {
+		case a.holds(&a.plan, st):
 			rep.ShadowRepaired++
-		} else {
+		default:
 			rep.Unrepaired++
 		}
 	}
@@ -225,90 +179,55 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	return rep
 }
 
-// shadowRuleIntact reports whether a shadow-resident rule's physical state
-// is exactly what Algorithm 1 would install against the *current* main
-// table: every fragment present with the right content, and the fragment
-// match set equal to a fresh partition of the original. A beating main rule
-// that vanished (under-coverage) or appeared (overlap) both fail the check.
-// An intact rule's recorded causes are refreshed from the fresh cut.
-func (a *Agent) shadowRuleIntact(st *ruleState) bool {
-	part := a.partition(st.original, st.seq)
-	if part.Overflow || len(part.Parts) > a.cfg.MaxPartitions {
-		// The rule can no longer live in the shadow table at all.
-		return false
-	}
-	if part.Redundant() {
-		return len(st.parts) == 0
-	}
-	if len(st.parts) != len(part.Parts) {
-		return false
-	}
-	// Compare fragment match multisets; priority and action are fixed by
-	// the original, so matches identify fragments.
-	want := make(map[classifier.Match]int, len(part.Parts))
-	for _, p := range part.Parts {
-		want[p.Match]++
-	}
-	for _, frag := range st.parts {
-		physical, ok := a.shadow.Get(frag.ID)
-		if !ok || physical != frag {
-			return false
-		}
-		if want[frag.Match] == 0 {
-			return false
-		}
-		want[frag.Match]--
-	}
-	// Intact, but a main entry written back since the cut may lie in the
-	// region already cut away: the fresh cut's causes are the ones the Fig.-6
-	// un-partition must find recorded.
-	a.cuts.setCause(st, part.Cause)
-	return true
+// sweep deletes, in table order, the entries of tbl that no rule placed
+// there holds, and returns how many it deleted.
+func (a *Agent) sweep(now time.Duration, tbl *tcam.Table) int {
+	return a.write(now, tbl, nil, a.orphans(tbl), nil).del
 }
 
-// ruleInstalled reports whether a rule's desired physical entries are all
-// present (an empty fragment set — a redundant rule — counts as installed).
-func (a *Agent) ruleInstalled(st *ruleState) bool {
-	tbl := a.shadow
-	if st.place == placeMain {
-		tbl = a.main
-	}
-	for _, p := range st.parts {
-		if !tbl.Contains(p.ID) {
-			return false
+// orphans returns the entries of tbl that no rule placed there holds.
+func (a *Agent) orphans(tbl *tcam.Table) []classifier.Rule {
+	var out []classifier.Rule
+	for _, e := range tbl.Rules() {
+		st := a.cuts.byPart[e.ID]
+		if st == nil {
+			st = a.rules[e.ID]
+		}
+		if st == nil || a.tableOf(st) != tbl || !hasID(st.parts, e.ID) {
+			out = append(out, e)
 		}
 	}
-	return true
+	return out
+}
+
+// holds reports whether a rule's table holds its entries exactly as its
+// record says: writing them back would change nothing. p is the diff's
+// scratch.
+func (a *Agent) holds(p *writePlan, st *ruleState) bool {
+	diff(p, a.tableOf(st), st.parts, st.parts)
+	return p.empty()
 }
 
 // CheckConsistency verifies byte-equivalence between the agent's desired
-// view and the physical tables: every desired entry installed with
-// identical content and no extra physical entries in either slice. It
-// returns nil when the views agree. Chaos harnesses call it after
-// Reconcile; any error there is a recovery bug. The tables are all there is
-// to compare: the Gate Keeper cuts against the main table's own index, so no
-// agent-side copy of the main table is left to drift.
+// view and the physical tables — no entry that no rule holds, and every rule
+// held exactly as recorded (Reconcile's diff, with nothing written) — and
+// returns nil when the views agree. Chaos harnesses call it after Reconcile;
+// any error there is a recovery bug. The tables are all there is to compare:
+// the Gate Keeper cuts against the main table's own index, so no agent-side
+// copy of the main table is left to drift.
 func (a *Agent) CheckConsistency() error {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	for _, t := range []struct {
-		name  string
-		place placement
-		tbl   *tcam.Table
-	}{{"main", placeMain, a.main}, {"shadow", placeShadow, a.shadow}} {
-		desired := a.desiredEntries(t.place)
-		for _, e := range t.tbl.Rules() {
-			want, ok := desired[e.ID]
-			if !ok {
-				return fmt.Errorf("core: stale %s entry %d (%v)", t.name, e.ID, e.Match)
-			}
-			if e != want.entry {
-				return fmt.Errorf("core: %s entry %d diverged: have %v want %v", t.name, e.ID, e, want.entry)
-			}
-			delete(desired, e.ID)
+	for _, tbl := range []*tcam.Table{a.main, a.shadow} {
+		if o := a.orphans(tbl); len(o) > 0 {
+			return fmt.Errorf("core: stale %s entry %d (%v)", tbl.Name(), o[0].ID, o[0].Match)
 		}
-		for pid := range desired {
-			return fmt.Errorf("core: desired %s entry %d missing from hardware", t.name, pid)
+	}
+	var p writePlan
+	for id, st := range a.rules {
+		if !a.holds(&p, st) {
+			return fmt.Errorf("core: rule %d: %d entries missing or diverged in %s, %d to delete",
+				id, len(p.ins), a.tableOf(st).Name(), len(p.del))
 		}
 	}
 	return nil

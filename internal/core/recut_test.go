@@ -154,7 +154,7 @@ func TestRedundantRecutAllocatesNothing(t *testing.T) {
 		t.Fatalf("rule took %+v, want redundant", res)
 	}
 	st := a.rules[3]
-	if n := testing.AllocsPerRun(100, func() { a.reinstallShadowRule(0, st) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { a.reinstallShadowRule(0, st, false) }); n != 0 {
 		t.Errorf("redundant → redundant re-cut allocates %v times", n)
 	}
 	// Through the API the cause list moves between [partial, /9] and [/9];

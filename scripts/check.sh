@@ -7,8 +7,8 @@
 # short-budget fuzz runs of the wire codec, the prefix parser, the four lookup equivalences
 # (the TCAM one also holds the blocked table to the dense placement model and
 # DeleteAll to sequential Delete; the trie one also checks the priority-floored
-# overlap walk)
-# and the Algorithm-1 partition equivalence. Correctness only: no wall-clock
+# overlap walk), the Algorithm-1 partition equivalence and the step-wise
+# atomicity of the agent's table writes. Correctness only: no wall-clock
 # number is gated here (`bash benchmark/run.sh` is the one place those are
 # produced and compared).
 # CI and `make check` both run this script. Everything is offline: no module
@@ -146,5 +146,8 @@ go test -run='^$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 
 echo ">> fuzz: cached two-tier lookup vs single-table oracle (5s)"
 go test -run='^$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
+
+echo ">> fuzz: every table write step-wise atomic under insert / delete / modify / tick streams (5s)"
+go test -run='^$' -fuzz=FuzzStepwiseAtomicity -fuzztime=5s ./internal/core
 
 echo "OK"
