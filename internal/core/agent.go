@@ -67,14 +67,26 @@ type ruleState struct {
 	cut *cutRecord
 }
 
-// cmpPrecedence orders rules as a monolithic TCAM does, the one that wins
-// first: higher priority, then earlier insertion.
-func cmpPrecedence(x, y *ruleState) int {
-	if x.original.Priority != y.original.Priority {
-		return cmp.Compare(y.original.Priority, x.original.Priority)
+// precedence is a rule's rank in a monolithic TCAM: its priority, then its
+// insertion sequence.
+type precedence struct {
+	priority int32
+	seq      uint64
+}
+
+func (st *ruleState) precedence() precedence { return precedence{st.original.Priority, st.seq} }
+
+// cmp orders ranks as a monolithic TCAM does, the one that wins first:
+// higher priority, then earlier insertion.
+func (x precedence) cmp(y precedence) int {
+	if x.priority != y.priority {
+		return cmp.Compare(y.priority, x.priority)
 	}
 	return cmp.Compare(x.seq, y.seq)
 }
+
+// cmpPrecedence orders rules by precedence, the one that wins first.
+func cmpPrecedence(x, y *ruleState) int { return x.precedence().cmp(y.precedence()) }
 
 // whole is the parts of an uncut rule: the one entry under its own ID. It is
 // original itself, so it costs nothing and an action rewrite reaches both.
@@ -167,22 +179,16 @@ type Agent struct {
 
 	arrivals int // shadow entries installed since the last Tick
 	migr     *migration
-	// eraseBuf lists the shadow entries a completing migration's step 4
-	// erases in one DeleteAll; eraseLeft of them are still installed, which
-	// its re-cuts count as free (advance). It is empty otherwise, and its
-	// array is reused. eraseFrom and eraseLow are advance's scratch.
-	eraseBuf, eraseLow []classifier.RuleID
-	eraseFrom          []int
-	eraseLeft          int
-	// plan is write's scratch; deferred holds the stale shadow entries that
-	// recutAll and unpartitionDependents delete last, deferring counts their
-	// open calls. leaving is the main rule whose removal is under way: the
-	// rules it cut are re-cut first, as if it were gone (removePhysical), so
-	// it beats nothing.
-	plan      writePlan
-	deferred  []deferredDelete
-	deferring int
-	leaving   *ruleState
+	// plan is write's scratch. pending holds the stale shadow entries held
+	// back while holding, the count of open holds, is positive (write.go);
+	// drainIDs is drain's scratch. leaving is the main rule whose removal is
+	// under way: the rules it cut are re-cut first, as if it were gone
+	// (removePhysical), so it beats nothing.
+	plan     writePlan
+	pending  []pendingDelete
+	holding  int
+	drainIDs []classifier.RuleID
+	leaving  *ruleState
 	// postponed lists the main rules written during an un-partition
 	// (unpartitioning counts its open calls) whose repairs wait for its end.
 	postponed      []classifier.Rule
@@ -518,7 +524,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 	// §4.2 optimization: a rule that is the lowest priority everywhere
 	// appends to the main table shift-free, and cannot shadow anything.
 	if !a.cfg.DisableLowPriorityBypass && a.isGloballyLowestPriority(r.Priority) {
-		res, err := a.insertMainRawLane(now, r, seq, true)
+		res, err := a.insertMainRawLane(now, r, seq, a.sw.SubmitGuaranteed)
 		if err != nil {
 			return res, err
 		}
@@ -573,17 +579,11 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 	}
 
 	// Guaranteed path: install the fragments in the shadow table.
-	var total time.Duration
-	completed := now
 	st := a.newRuleState(r, seq, placeShadow)
-	for _, p := range part.Parts {
-		cost, err := a.shadow.InsertRanked(p, seq)
-		if err != nil {
-			// Capacity was checked above; any failure here is a bug.
-			panic(fmt.Sprintf("core: shadow insert: %v", err))
-		}
-		total += cost
-		completed = a.sw.SubmitGuaranteed(now, cost)
+	w := a.write(now, a.shadow, a.sw.SubmitGuaranteed, st, nil, part.Parts)
+	if w.failed > 0 {
+		// Capacity was checked above; any failure here is a bug.
+		panic(fmt.Sprintf("core: shadow insert of rule %d: %d of %d entries refused", r.ID, w.failed, len(part.Parts)))
 	}
 	a.cuts.record(st, part)
 	a.rules[r.ID] = st
@@ -597,13 +597,13 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 
 	res := Result{
 		Path:       PathShadow,
-		Latency:    total,
-		Completed:  completed,
+		Latency:    w.total,
+		Completed:  w.completed,
 		Guaranteed: true,
 		Partitions: len(part.Parts),
 	}
-	a.o.recordShadow(completed - now)
-	a.o.event(now, obs.EvAdmit, 0, uint64(r.ID), uint64(len(part.Parts)), uint64(completed-now))
+	a.o.recordShadow(w.completed - now)
+	a.o.event(now, obs.EvAdmit, 0, uint64(r.ID), uint64(len(part.Parts)), uint64(w.completed-now))
 	a.observeGuaranteed(now, res)
 	return res, nil
 }
@@ -696,7 +696,7 @@ func (a *Agent) isGloballyLowestPriority(priority int32) bool {
 // insertMain installs a rule on the unguaranteed main path and repairs any
 // shadow rules the new main rule would be shadowed by.
 func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64) (Result, error) {
-	res, err := a.insertMainRawLane(now, r, seq, false)
+	res, err := a.insertMainRawLane(now, r, seq, a.sw.Submit)
 	if err != nil {
 		return res, err
 	}
@@ -707,25 +707,20 @@ func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64) (Re
 	return res, nil
 }
 
-// insertMainRawLane physically installs into the main table and re-cuts
-// lower-priority shadow rules that the new rule must win over (otherwise the
-// shadow-first lookup would return them). It optionally uses the guaranteed
-// control-plane lane (the §4.2 bypass is a guaranteed action even though it
-// lands in the main table — it is shift-free by construction).
-func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint64, guaranteed bool) (Result, error) {
-	cost, err := a.main.InsertRanked(r, seq)
-	if err != nil {
-		return Result{}, err
+// insertMainRawLane physically installs into the main table, charged to lane
+// via, and re-cuts lower-priority shadow rules that the new rule must win
+// over (otherwise the shadow-first lookup would return them). The §4.2 bypass
+// takes the guaranteed lane: it lands in the main table, but it is a
+// guaranteed action, shift-free by construction.
+func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint64, via lane) (Result, error) {
+	st := a.newRuleState(r, seq, placeMain)
+	w := a.write(now, a.main, via, st, nil, st.whole())
+	if w.failed > 0 {
+		return Result{}, fmt.Errorf("%w: %s at %d entries", tcam.ErrTableFull, a.main.Name(), a.main.Capacity())
 	}
-	var completed time.Duration
-	if guaranteed {
-		completed = a.sw.SubmitGuaranteed(now, cost)
-	} else {
-		completed = a.sw.Submit(now, cost)
-	}
-	a.rules[r.ID] = a.newRuleState(r, seq, placeMain)
+	a.rules[r.ID] = st
 	a.repairShadowAfterMainInsert(now, r)
-	return Result{Path: PathMain, Latency: cost, Completed: completed}, nil
+	return Result{Path: PathMain, Latency: w.total, Completed: w.completed}, nil
 }
 
 // repairShadowAfterMainInsert re-partitions shadow-resident originals that
@@ -777,7 +772,7 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact boo
 			}
 			return false
 		}
-		fits = a.shadow.Free()+a.eraseLeft+len(a.deferred)+len(p.del) >= len(p.ins)
+		fits = a.shadow.Free()+len(a.pending)+len(p.del) >= len(p.ins)
 	}
 	a.o.recordRecut(len(part.Cause))
 	if !fits {
@@ -785,11 +780,11 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact boo
 		// are re-cut against it while its shadow entries still answer for
 		// it, and then those leave. A full main table leaves the rule in
 		// neither table; Reconcile reinstalls it once there is room.
-		in := a.write(now, a.main, st, nil, st.whole())
+		in := a.write(now, a.main, a.sw.Submit, st, nil, st.whole())
 		if in.failed == 0 {
 			a.repairShadowAfterMainInsert(now, st.original)
 		}
-		a.write(now, a.shadow, st, st.parts, nil)
+		a.write(now, a.shadow, a.sw.SubmitGuaranteed, st, st.parts, nil)
 		a.cuts.forget(st)
 		st.parts = st.whole()
 		if in.failed > 0 {
@@ -800,10 +795,7 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact boo
 		}
 		return true
 	}
-	if a.shadow.Free()+len(a.deferred)+len(p.del) < len(p.ins) {
-		a.eraseMigrated()
-	}
-	a.apply(now, a.shadow, st, p)
+	a.apply(now, a.shadow, a.sw.SubmitGuaranteed, st, p)
 	a.cuts.record(st, part)
 	if !part.Redundant() {
 		a.metrics.Repartitions++
@@ -842,14 +834,16 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 // if it were gone, so every packet it matched finds its next winner before
 // its entries leave.
 func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration, time.Duration) {
+	via := lane(a.sw.Submit)
 	if st.place == placeMain {
 		a.leaving = st
 		a.unpartitionDependents(now, st)
 		a.leaving = nil
 	} else {
 		a.dropShadowResident(st.original)
+		via = a.sw.SubmitGuaranteed
 	}
-	w := a.write(now, a.tableOf(st), st, st.parts, nil)
+	w := a.write(now, a.tableOf(st), via, st, st.parts, nil)
 	return w.total, w.completed
 }
 
@@ -871,7 +865,7 @@ func (a *Agent) tableOf(st *ruleState) *tcam.Table {
 // coverage that a higher rule still to come would take back.
 func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
 	a.unpartitioning++
-	a.deferring++
+	a.hold()
 	for _, dep := range a.cuts.dependentsOf(st.parts) {
 		for _, gone := range st.parts {
 			switch {
@@ -892,9 +886,7 @@ func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
 		a.postponed = a.postponed[:0]
 		a.recutAll(now, ids)
 	}
-	if a.deferring--; a.deferring == 0 {
-		a.flushDeferred(now)
-	}
+	a.release(now)
 }
 
 // unpartition is the Fig.-6 step for one shadow rule that the deleted main
@@ -931,7 +923,7 @@ func (a *Agent) collapseMainFragments(now time.Duration, st *ruleState) {
 	if st.cut == nil {
 		return
 	}
-	installed := a.write(now, a.main, st, st.parts, st.whole()).failed == 0
+	installed := a.write(now, a.main, a.sw.Submit, st, st.parts, st.whole()).failed == 0
 	if installed {
 		a.repairShadowAfterMainInsert(now, st.original)
 	}

@@ -308,14 +308,13 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 	installed := make([]classifier.RuleID, 0, len(regions))
 	for _, m := range regions {
 		cid := a.nextCoverID
-		cover := classifier.Rule{
+		st := a.newRuleState(classifier.Rule{
 			ID:       cid,
 			Match:    m,
 			Priority: h.Priority,
 			Action:   classifier.Action{Type: classifier.ActionGotoNext},
-		}
-		cost, err := a.main.InsertRanked(cover, seq)
-		if err != nil {
+		}, seq, placeMain)
+		if a.write(now, a.main, a.sw.Submit, st, nil, st.whole()).failed > 0 {
 			// Main table full. Unwind the partial shield, then make the
 			// shield unnecessary by demoting every resident h beats. The
 			// recursion terminates: each demotion strictly shrinks the
@@ -328,12 +327,11 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 			return
 		}
 		a.nextCoverID++
-		a.sw.Submit(now, cost)
-		a.rules[cid] = a.newRuleState(cover, seq, placeMain)
+		a.rules[cid] = st
 		// Shadow rules the cover beats must be re-cut against it, exactly
 		// as for any main-table insert, or shadow-first lookup would let
 		// them mask the punt.
-		a.repairShadowAfterMainInsert(now, cover)
+		a.repairShadowAfterMainInsert(now, st.original)
 		installed = append(installed, cid)
 	}
 	a.covers[h.ID] = installed

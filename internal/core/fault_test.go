@@ -281,6 +281,79 @@ func TestDroppedOpsReconcile(t *testing.T) {
 	assertEquivalent(t, a, 13, "after dropped-op recovery")
 }
 
+// TestSameIDAfterDroppedDelete: a delete the hardware drops acks as done and
+// leaves the entry installed. An insert of the same ID then finds it there,
+// in either table, and must replace it — not panic with the agent lock held
+// (shadow) or refuse the rule after its old state is gone (main). A match- or
+// priority-changing Modify is that delete plus insert (§4.1).
+func TestSameIDAfterDroppedDelete(t *testing.T) {
+	for _, tc := range []struct {
+		table  string
+		prio   int32
+		modify bool
+	}{
+		{"shadow", 10, false}, {"shadow", 10, true},
+		{"main", 2000, false}, {"main", 2000, true},
+	} {
+		name := tc.table + "/delete+insert"
+		if tc.modify {
+			name = tc.table + "/modify"
+		}
+		t.Run(name, func(t *testing.T) {
+			a := newTestAgent(t, Config{
+				DisableRateLimit:         true,
+				DisableLowPriorityBypass: true,
+				Predicate:                func(r classifier.Rule) bool { return r.Priority < 1000 },
+			})
+			mustInsert(t, a, 0, dstRule(7, "10.0.0.0/8", tc.prio, 1))
+			tbl := a.shadow
+			if tc.table == "main" {
+				tbl = a.main
+			}
+			if !tbl.Contains(7) {
+				t.Fatalf("rule 7 is not in the %s table", tc.table)
+			}
+			dropped := false
+			tbl.SetFaultHook(func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
+				if op == tcam.OpDelete && id == 7 && !dropped {
+					dropped = true
+					return tcam.OpFault{Drop: true}
+				}
+				return tcam.OpFault{}
+			})
+			moved := dstRule(7, "10.1.0.0/16", tc.prio, 2)
+			err := func() (err error) {
+				defer func() {
+					if p := recover(); p != nil {
+						err = fmt.Errorf("panic: %v", p)
+					}
+				}()
+				if tc.modify {
+					_, err = a.Modify(time.Millisecond, moved)
+					return err
+				}
+				if _, err = a.Delete(time.Millisecond, 7); err == nil {
+					_, err = a.Insert(2*time.Millisecond, moved)
+				}
+				return err
+			}()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !dropped {
+				t.Fatal("the delete was never dropped")
+			}
+			if err := a.CheckConsistency(); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := tbl.Get(7); !ok || got != moved {
+				t.Fatalf("entry 7 is %v, %v; want %v", got, ok, moved)
+			}
+			assertEquivalent(t, a, 7, name)
+		})
+	}
+}
+
 // TestUnmergeAfterCrashRecovery walks the Fig. 6 path on a recovered agent:
 // after a crash + Reconcile re-cuts the shadow rule, deleting the main rule
 // that caused the cut must un-merge the fragments back into one entry.
@@ -454,7 +527,12 @@ func probeEquivalent(t *testing.T, a *Agent, probeSeed, seed int64, op int) {
 // merged, 1956 → 1936 fragments, 2057 → 2051 naive) as re-cuts left
 // unchanged fragments alone, and the fragment path's main calls, the same
 // 1403, came in a new order as a collapse inserts its original before its
-// fragments leave.
+// fragments leave. All three held when fresh inserts and steps 3–4 moved onto
+// the same primitive and one pending-delete list: a drain on one lane is one
+// DeleteAll in queue order, which for step 4's copies is still ID order. A
+// drain that always sorted lowest precedence first would move the merged and
+// fragment shadow digests (to bb9b0aecdb43645b and 7d1c51978bd5fc21, same
+// call counts): the deletes within such a DeleteAll come in another order.
 func TestMigrationHookSequencePinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string

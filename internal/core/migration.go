@@ -210,18 +210,11 @@ func (a *Agent) startMigration(now time.Duration) time.Duration {
 		// Ablation: empty the shadow *first* (violating the step ordering
 		// §5.2 prescribes) and account the window during which the rules
 		// exist in neither table.
-		ids := a.eraseBuf[:0]
+		var copies []classifier.Rule
 		for _, id := range originals {
-			for _, p := range a.rules[id].parts {
-				ids = append(ids, p.ID)
-			}
+			copies = append(copies, a.rules[id].parts...)
 		}
-		a.eraseBuf = ids[:0]
-		// Submit is additive, so one submission of the summed cost
-		// completes when one per delete would.
-		if c, n := a.shadow.DeleteAll(ids); n > 0 {
-			a.sw.Submit(now, c)
-		}
+		a.write(now, a.shadow, a.sw.Submit, nil, copies, nil)
 		a.metrics.ExposedRuleSeconds += float64(len(originals)) * cost.Seconds()
 	}
 	a.migr = m
@@ -253,16 +246,17 @@ func (a *Agent) advance(now time.Duration) {
 	// while the copy was in flight are skipped. A fault hook may cut the
 	// apply off at a step boundary, modeling a crash mid-migration; the
 	// partial state it leaves (rules moved so far, orphaned shadow copies)
-	// is exactly what Reconcile repairs.
+	// is exactly what Reconcile repairs. Both steps go through the bulk
+	// interface, charged to no lane.
 	interrupted := false
 	interruptedAt := StepInsert
 	migrated := make([]classifier.Rule, 0, len(m.originals))
 	// moved are the originals that left the shadow table, kept in ID order
-	// in m.originals' own array behind the loop; stale are the shadow
-	// entries of those that passed their StepEmpty check, for step 4, and
-	// stale[from[i]:from[i+1]] are moved[i]'s.
+	// in m.originals' own array behind the loop. The shadow copies of those
+	// that passed their StepEmpty check wait in a.pending for step 4: every
+	// main write precedes every shadow erase.
 	moved := m.originals[:0]
-	stale, from := a.eraseBuf[:0], a.eraseFrom[:0]
+	a.hold()
 	for _, id := range m.originals {
 		if a.interruptAt(StepInsert, done) {
 			// Crash before this rule's main-table write: it and every
@@ -281,15 +275,11 @@ func (a *Agent) advance(now time.Duration) {
 			if a.main.Free() < len(st.parts) {
 				continue
 			}
-			for _, frag := range st.parts {
-				// With room checked, only an ID already in the table fails.
-				if _, err := a.main.InsertRanked(frag, st.seq); err == nil {
-					migrated = append(migrated, frag)
-				}
-			}
+			a.write(done, a.main, nil, st, nil, st.parts)
+			migrated = append(migrated, a.plan.ins...)
 		} else {
 			// Merged path: install the original, drop the fragments.
-			if _, err := a.main.InsertRanked(st.original, st.seq); err != nil {
+			if a.write(done, a.main, nil, st, nil, st.whole()).failed > 0 {
 				continue // main full: leave the rule in the shadow table
 			}
 			migrated = append(migrated, st.original)
@@ -297,7 +287,6 @@ func (a *Agent) advance(now time.Duration) {
 			st.parts = st.whole()
 		}
 		moved = append(moved, id)
-		from = append(from, len(stale))
 		st.place = placeMain
 		if m.naive {
 			continue
@@ -310,18 +299,11 @@ func (a *Agent) advance(now time.Duration) {
 			interruptedAt = StepEmpty
 			break
 		}
-		for _, p := range gone {
-			stale = append(stale, p.ID)
-		}
+		a.write(done, a.shadow, nil, st, gone, nil)
 	}
-	// Step 4: every main write above precedes every shadow erase, so the
-	// copies of the rules that got past their StepEmpty check leave in one
-	// bulk invalidation, crash or not.
-	from = append(from, len(stale))
-	a.eraseBuf, a.eraseFrom, a.eraseLeft = stale, from, len(stale)
 	a.dropShadowResidents(moved)
 	if interrupted {
-		a.eraseMigrated()
+		a.release(done)
 		a.metrics.MigrationInterrupts++
 		a.markDivergentLocked()
 		a.o.event(done, obs.EvMigInterrupt, interruptedAt, 0, uint64(len(migrated)), 0)
@@ -331,16 +313,17 @@ func (a *Agent) advance(now time.Duration) {
 	a.o.event(done, obs.EvMigStep, StepEmpty, 0, uint64(len(migrated)), 0)
 	a.o.event(done, obs.EvMigDone, 0, 0, uint64(len(migrated)), uint64(done-m.startedAt))
 
-	// Before the erase, re-partition the rules that arrived in the shadow
-	// table while the migration ran: they were cut against the pre-migration
-	// main table and may now be shadowed-over by freshly migrated
-	// higher-priority rules, whose shadow copies answer for them until the
-	// erase. The insert-time invariant means only the rules migrated in
-	// *this* round can break a remaining shadow rule, so only they need
-	// checking — not the whole main table. Lowest precedence first, each
-	// once the copies ranked below it are gone: a packet falls from a copy or
-	// a stale fragment only to what answers it after, and no insert shifts
-	// past a copy the erase would have removed first.
+	// Before step 4, re-partition the rules that arrived in the shadow table
+	// while the migration ran: they were cut against the pre-migration main
+	// table and may now be shadowed-over by freshly migrated higher-priority
+	// rules, whose shadow copies answer for them until the erase. The
+	// insert-time invariant means only the rules migrated in *this* round can
+	// break a remaining shadow rule, so only they need checking — not the
+	// whole main table. Lowest precedence first, each once the pending
+	// entries ranked below it are gone: a packet falls from a copy or a stale
+	// fragment only to what answers it after, and no insert shifts past a
+	// copy the erase would have removed first. Step 4 is the release, which
+	// erases the rest.
 	var affected []classifier.RuleID
 	for _, mr := range migrated {
 		affected = a.appendShadowRulesBeatenBy(affected, mr)
@@ -355,26 +338,10 @@ func (a *Agent) advance(now time.Duration) {
 		if st.place != placeShadow {
 			continue // moved to the main table by an earlier re-cut
 		}
-		below := a.eraseLow[:0]
-		for i, mid := range moved {
-			if cmpPrecedence(a.rules[mid], st) > 0 {
-				below = append(below, stale[from[i]:from[i+1]]...)
-			}
-		}
-		a.eraseLow = below
-		_, n := a.shadow.DeleteAll(below)
-		a.eraseLeft -= n
+		a.drain(done, st)
 		a.reinstallShadowRule(done, st, false)
 	}
-	a.eraseMigrated()
-}
-
-// eraseMigrated is step 4: the shadow copies of the rules a migration moved
-// leave in one bulk invalidation. A re-cut that cannot fit beside them calls
-// it early.
-func (a *Agent) eraseMigrated() {
-	a.shadow.DeleteAll(a.eraseBuf)
-	a.eraseBuf, a.eraseLeft = a.eraseBuf[:0], 0
+	a.release(done)
 }
 
 // keepsClearOf is the post-migration re-check of one shadow rule: it reports

@@ -148,11 +148,9 @@ func (p *Pipeline) Delete(now time.Duration, table string, id classifier.RuleID)
 func (p *Pipeline) Tick(now time.Duration) {
 	for _, t := range p.tables {
 		if t.Managed() {
-			if end := t.Agent.Tick(now); end != 0 {
-				// Background migrations complete on their own; nothing to
-				// do here, the agent advances on the next call.
-				_ = end
-			}
+			// A migration this starts completes on its own: the agent
+			// advances on its next call.
+			t.Agent.Tick(now)
 		}
 	}
 }

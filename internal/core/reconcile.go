@@ -133,7 +133,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 
 	// Phase 1: main table. Entries no main rule holds go, then every main
 	// rule's entries are written back as its record says, in ID order.
-	rep.StaleDeleted += a.sweep(now, a.main)
+	rep.StaleDeleted += a.sweep(now, a.main, a.sw.Submit)
 	var mainIDs []classifier.RuleID
 	for id, st := range a.rules {
 		if st.place == placeMain {
@@ -143,7 +143,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	slices.Sort(mainIDs)
 	for _, id := range mainIDs {
 		st := a.rules[id]
-		w := a.write(now, a.main, st, st.parts, st.parts)
+		w := a.write(now, a.main, a.sw.Submit, st, st.parts, st.parts)
 		rep.StaleDeleted += w.del
 		rep.MainReinstalled += w.ins
 		rep.Unrepaired += w.failed
@@ -152,7 +152,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	// Phase 2: shadow table. Orphans go, then every shadow-resident rule is
 	// re-cut against the main table as phase 1 left it (the cuts walk the
 	// table's own index). An intact rule is one whose re-cut writes nothing.
-	rep.StaleDeleted += a.sweep(now, a.shadow)
+	rep.StaleDeleted += a.sweep(now, a.shadow, a.sw.SubmitGuaranteed)
 	for _, id := range slices.Clone(a.shadowIDs) {
 		st := a.rules[id]
 		switch {
@@ -179,10 +179,10 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	return rep
 }
 
-// sweep deletes, in table order, the entries of tbl that no rule placed
-// there holds, and returns how many it deleted.
-func (a *Agent) sweep(now time.Duration, tbl *tcam.Table) int {
-	return a.write(now, tbl, nil, a.orphans(tbl), nil).del
+// sweep deletes, in table order and charged to lane via, the entries of tbl
+// that no rule placed there holds, and returns how many it deleted.
+func (a *Agent) sweep(now time.Duration, tbl *tcam.Table, via lane) int {
+	return a.write(now, tbl, via, nil, a.orphans(tbl), nil).del
 }
 
 // orphans returns the entries of tbl that no rule placed there holds.

@@ -1,7 +1,7 @@
 package core
 
-// The write primitive's edges: what it keeps, the order of its ops, and the
-// one delete-first exception; and a re-cut that strands a live rule now asks
+// The write primitive's edges: what it keeps, the order of its ops, the one
+// delete-first exception and the pending list's drain; and a re-cut that strands a live rule now asks
 // for the Reconcile that reinstalls it.
 
 import (
@@ -89,7 +89,7 @@ func TestWriteOrder(t *testing.T) {
 				return tcam.OpFault{}
 			})
 			want := slices.Clone(tc.want)
-			w := a.write(0, tbl, &ruleState{seq: 1}, tc.have, want)
+			w := a.write(0, tbl, sw.SubmitGuaranteed, &ruleState{seq: 1}, tc.have, want)
 			if !slices.Equal(ops, tc.ops) || w.ins != tc.ins || w.del != tc.del || w.failed != 0 {
 				t.Errorf("ops %q (%d in, %d out, %d refused), want %q (%d in, %d out)",
 					ops, w.ins, w.del, w.failed, tc.ops, tc.ins, tc.del)
@@ -108,6 +108,47 @@ func TestWriteOrder(t *testing.T) {
 				t.Errorf("%d entries installed after the write", n)
 			}
 		})
+	}
+	t.Run("pending drain", testPendingDrain)
+}
+
+// testPendingDrain: a held re-cut's stale entry and a held migration copy
+// leave together, lowest precedence first whatever order they were queued in.
+// Only the re-cut delete is charged, to the guaranteed lane; the copy goes
+// through the bulk interface, charged to no lane.
+func testPendingDrain(t *testing.T) {
+	sw := tcam.NewSwitch("w", tcam.Pica8P3290)
+	tbl := tcam.NewTable("w/t", 8, sw.Profile())
+	a := &Agent{sw: sw, shadow: tbl}
+	low := &ruleState{original: dstRule(1, "10.0.0.0/8", 10, 1), seq: 1}
+	high := &ruleState{original: dstRule(2, "10.0.0.0/16", 20, 2), seq: 2}
+	stale, copied := dstRule(101, "10.0.0.0/9", 10, 1), dstRule(2, "10.0.0.0/16", 20, 2)
+	for _, r := range []classifier.Rule{copied, stale} {
+		if _, err := tbl.InsertRanked(r, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var ops []string
+	tbl.SetFaultHook(func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
+		ops = append(ops, fmt.Sprintf("%v %d", op, id))
+		return tcam.OpFault{}
+	})
+	a.hold()
+	a.write(0, tbl, nil, high, []classifier.Rule{copied}, nil)
+	a.write(0, tbl, sw.SubmitGuaranteed, low, []classifier.Rule{stale}, nil)
+	if len(ops) != 0 || tbl.Occupancy() != 2 || len(a.pending) != 2 {
+		t.Fatalf("held writes issued %q and left %d entries, %d pending; want nothing, 2 and 2", ops, tbl.Occupancy(), len(a.pending))
+	}
+	a.release(0)
+	if want := []string{"delete 101", "delete 2"}; !slices.Equal(ops, want) {
+		t.Errorf("drain issued %q, want %q", ops, want)
+	}
+	if got, want := sw.SubmitGuaranteed(0, 0), sw.Profile().DeleteLatency; got != want {
+		t.Errorf("guaranteed lane busy until %v, want one delete's %v", got, want)
+	}
+	if sw.BusyUntil() != 0 || tbl.Occupancy() != 0 || len(a.pending) != 0 {
+		t.Errorf("normal lane busy until %v, %d entries and %d pending left; want 0, 0, 0",
+			sw.BusyUntil(), tbl.Occupancy(), len(a.pending))
 	}
 }
 
