@@ -47,7 +47,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPartitionEquivalence -fuzztime=5s ./internal/classifier
 	$(GO) test -run='^$$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 	$(GO) test -run='^$$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzStepwiseAtomicity -fuzztime=5s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzStepwiseAtomicity -fuzztime=10s ./internal/core
 
 # Seeded chaos harness under the race detector: crash/restart
 # reconciliation, interrupted-migration repair, wire faults, and request

@@ -103,42 +103,74 @@ func (c *stepCheck) step(t *testing.T, doing string, states [][]classifier.Rule,
 	c.check("after the call")
 }
 
+// flowMod returns the logical tables one flow-mod takes from through: one
+// for an insert, a delete or a modify that rewrites an action in place; two
+// for a modify of match or priority, the delete and the insert §4.1 makes of
+// it, with the table between them as their common state.
+func flowMod(from []classifier.Rule, op core.BatchOp) [][]classifier.Rule {
+	without := func(id classifier.RuleID) []classifier.Rule {
+		return slices.DeleteFunc(slices.Clone(from), func(r classifier.Rule) bool { return r.ID == id })
+	}
+	switch op.Kind {
+	case core.BatchInsert:
+		return [][]classifier.Rule{append(slices.Clone(from), op.Rule)}
+	case core.BatchDelete:
+		return [][]classifier.Rule{without(op.Rule.ID)}
+	}
+	i := slices.IndexFunc(from, func(x classifier.Rule) bool { return x.ID == op.Rule.ID })
+	if old := from[i]; old.Match == op.Rule.Match && old.Priority == op.Rule.Priority {
+		s := slices.Clone(from)
+		s[i] = op.Rule
+		return [][]classifier.Rule{s}
+	}
+	gone := without(op.Rule.ID)
+	return [][]classifier.Rule{gone, append(slices.Clone(gone), op.Rule)}
+}
+
 func (c *stepCheck) insert(t *testing.T, a *core.Agent, now time.Duration, r classifier.Rule) {
 	t.Helper()
-	c.step(t, fmt.Sprintf("insert %v at %v", r, now), [][]classifier.Rule{append(slices.Clone(c.logical), r)}, func() error {
+	c.step(t, fmt.Sprintf("insert %v at %v", r, now), flowMod(c.logical, core.BatchOp{Kind: core.BatchInsert, Rule: r}), func() error {
 		_, err := a.Insert(now, r)
 		return err
 	})
 }
 
-func (c *stepCheck) without(id classifier.RuleID) []classifier.Rule {
-	return slices.DeleteFunc(slices.Clone(c.logical), func(r classifier.Rule) bool { return r.ID == id })
-}
-
 func (c *stepCheck) delete(t *testing.T, a *core.Agent, now time.Duration, id classifier.RuleID) {
 	t.Helper()
-	c.step(t, fmt.Sprintf("delete %d at %v", id, now), [][]classifier.Rule{c.without(id)}, func() error {
+	op := core.BatchOp{Kind: core.BatchDelete, Rule: classifier.Rule{ID: id}}
+	c.step(t, fmt.Sprintf("delete %d at %v", id, now), flowMod(c.logical, op), func() error {
 		_, err := a.Delete(now, id)
 		return err
 	})
 }
 
-// modify rewrites an action in place; a match or priority change is the
-// delete plus insert §4.1 makes of it, two flow-mods with the table between
-// them as their common state.
 func (c *stepCheck) modify(t *testing.T, a *core.Agent, now time.Duration, r classifier.Rule) {
 	t.Helper()
-	i := slices.IndexFunc(c.logical, func(x classifier.Rule) bool { return x.ID == r.ID })
-	states := [][]classifier.Rule{slices.Clone(c.logical)}
-	if old := c.logical[i]; old.Match == r.Match && old.Priority == r.Priority {
-		states[0][i] = r
-	} else {
-		gone := c.without(r.ID)
-		states = [][]classifier.Rule{gone, append(slices.Clone(gone), r)}
-	}
-	c.step(t, fmt.Sprintf("modify %v at %v", r, now), states, func() error {
+	c.step(t, fmt.Sprintf("modify %v at %v", r, now), flowMod(c.logical, core.BatchOp{Kind: core.BatchModify, Rule: r}), func() error {
 		_, err := a.Modify(now, r)
 		return err
+	})
+}
+
+// batch applies ops as one ApplyBatch: a packet may resolve as the table
+// before it or as any table one of its flow-mods leaves behind.
+func (c *stepCheck) batch(t *testing.T, a *core.Agent, now time.Duration, ops []core.BatchOp) {
+	t.Helper()
+	var states [][]classifier.Rule
+	for _, op := range ops {
+		from := c.logical
+		if len(states) > 0 {
+			from = states[len(states)-1]
+		}
+		states = append(states, flowMod(from, op)...)
+	}
+	c.step(t, fmt.Sprintf("batch of %d at %v", len(ops), now), states, func() error {
+		for i, res := range a.ApplyBatch(now, ops, nil) {
+			if res.Err != nil {
+				return fmt.Errorf("batch op %d (%v): %w", i, ops[i], res.Err)
+			}
+		}
+		return nil
 	})
 }
 
@@ -324,18 +356,28 @@ func replayStepwise(t *testing.T, a *core.Agent, c *stepCheck, stream []workload
 
 // FuzzStepwiseAtomicity sends small random insert / delete / modify / tick
 // streams through the step-wise checker. The first byte picks the
-// configuration (fragment migration, a MaxPartitions low enough to force the
-// shadow-to-main fallback); each following three bytes are one op. A tick
-// starts a migration and lets it complete under the ops that follow. The
-// 30 ms guarantee carves a 689-entry shadow table, which 21 rules of at most
-// 16 fragments cannot fill even with a re-cut's old and new entries in it at
-// once: a table that full is the one case where a write deletes first, and
-// TestWriteOrder covers it.
+// configuration: bit 0 fragment migration, bit 1 a MaxPartitions low enough to
+// force the shadow-to-main fallback, bit 2 batches (flow-mods go in as one
+// ApplyBatch up to the next op 7), bit 3 src × dst rules (each op carries a
+// fourth byte, the src prefix of the rule it inserts, so a cut meets winners
+// whose src does not contain the rule's). Each following op is three bytes,
+// four with src. A tick starts a migration and lets it complete under the ops
+// that follow; in batch mode op 7 ends the batch first, and ticks unless bit
+// 1 of its last byte is set. The 30 ms guarantee carves a 689-entry shadow
+// table, which 21 rules of at most 16 fragments cannot fill even with a
+// re-cut's old and new entries in it at once: a table that full is the one
+// case where a write deletes first, and TestWriteOrder covers it.
 func FuzzStepwiseAtomicity(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 4, 0, 20, 6, 3, 0, 16, 4, 9, 0})
 	f.Add([]byte{1, 0, 8, 4, 3, 0, 16, 7, 1, 0, 0, 12, 3, 4, 0, 0, 6, 1, 1})
 	f.Add([]byte{2, 0, 8, 4, 0, 40, 2, 3, 0, 16, 7, 1, 0, 0, 9, 6, 5, 0, 1})
 	f.Add([]byte{0, 0, 8, 9, 7, 1, 2, 0, 200, 5, 3, 8, 16, 4, 0, 0, 6, 2, 3, 7, 0, 0})
+	// Batches: a re-cut, an un-partition and a modify inside one ApplyBatch,
+	// a bare boundary, a forced migration between batches.
+	f.Add([]byte{4, 0, 0, 0, 3, 0, 8, 8, 1, 16, 4, 1, 0, 7, 0, 0, 0, 2, 4, 3, 2, 12, 6, 0, 1, 7, 0, 2, 7, 0, 1, 5, 0, 0, 0, 3, 9, 7, 0, 2})
+	// Src × dst: a main rule with a /1 src cuts a shadow rule with a /0 one,
+	// then leaves again.
+	f.Add([]byte{8, 0, 0, 0, 0, 3, 0, 8, 1, 0, 0, 16, 2, 3, 0, 4, 129, 4, 1, 0, 0, 7, 0, 1, 0, 0, 1, 8, 1, 6, 0, 1, 0, 5, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 64 {
 			return
@@ -344,13 +386,44 @@ func FuzzStepwiseAtomicity(f *testing.F) {
 		if data[0]&2 != 0 {
 			cfg.MaxPartitions = 2
 		}
+		batched, stride := data[0]&4 != 0, 3
+		if data[0]&8 != 0 {
+			stride = 4
+		}
 		a := stepAgent(t, cfg)
 		c := newStepCheck(a)
 		c.insert(t, a, 0, srcDstRule(1, "0.0.0.0/0", "0.0.0.0/0", 1, 1))
 		live := []classifier.RuleID{}
 		next := classifier.RuleID(2)
 		var now time.Duration
-		for data = data[1:]; len(data) >= 3; data = data[3:] {
+		// cur is the logical table after the flow-mods so far, batched ones
+		// included.
+		cur := c.logical
+		var batch []core.BatchOp
+		do := func(op core.BatchOp) {
+			if batched {
+				batch = append(batch, op)
+				states := flowMod(cur, op)
+				cur = states[len(states)-1]
+				return
+			}
+			switch op.Kind {
+			case core.BatchInsert:
+				c.insert(t, a, now, op.Rule)
+			case core.BatchDelete:
+				c.delete(t, a, now, op.Rule.ID)
+			default:
+				c.modify(t, a, now, op.Rule)
+			}
+			cur = c.logical
+		}
+		flush := func() {
+			if len(batch) > 0 {
+				c.batch(t, a, now, batch)
+				batch = nil
+			}
+		}
+		for data = data[1:]; len(data) >= stride; data = data[stride:] {
 			op, x, y := data[0], data[1], data[2]
 			now += time.Duration(y%4+1) * time.Millisecond
 			pick := func() int { return int(x) % len(live) }
@@ -369,26 +442,34 @@ func FuzzStepwiseAtomicity(f *testing.F) {
 					Priority: prio,
 					Action:   classifier.Action{Type: classifier.ActionForward, Port: int(next)},
 				}
+				if stride == 4 {
+					// A /0, /1 or /2 src: nested, disjoint or equal.
+					r.Match.Src = classifier.NewPrefix(uint32(data[3])<<24, data[3]%3)
+				}
 				next++
-				c.insert(t, a, now, r)
+				do(core.BatchOp{Kind: core.BatchInsert, Rule: r})
 				live = append(live, r.ID)
 			case 4, 5:
 				if len(live) > 0 {
 					i := pick()
-					c.delete(t, a, now, live[i])
+					do(core.BatchOp{Kind: core.BatchDelete, Rule: classifier.Rule{ID: live[i]}})
 					live = slices.Delete(live, i, i+1)
 				}
 			case 6:
 				if len(live) > 0 {
 					id := live[pick()]
-					r := c.logical[slices.IndexFunc(c.logical, func(r classifier.Rule) bool { return r.ID == id })]
+					r := cur[slices.IndexFunc(cur, func(r classifier.Rule) bool { return r.ID == id })]
 					r.Action.Port += 1 << 20
 					if y&1 != 0 && r.Priority < 1000 {
 						r.Priority = 2 + int32(y/2)%6
 					}
-					c.modify(t, a, now, r)
+					do(core.BatchOp{Kind: core.BatchModify, Rule: r})
 				}
 			case 7:
+				flush()
+				if batched && y&2 != 0 {
+					continue
+				}
 				c.step(t, fmt.Sprintf("tick at %v", now), nil, func() error {
 					if y&1 != 0 {
 						a.ForceMigration(now)
@@ -399,6 +480,7 @@ func FuzzStepwiseAtomicity(f *testing.F) {
 				})
 			}
 		}
+		flush()
 		c.step(t, "the last advance", nil, func() error { a.Advance(now + time.Second); return nil })
 		if c.hole != "" {
 			t.Fatalf("a packet resolved as neither the table before nor the one after a flow-mod, %s", c.hole)

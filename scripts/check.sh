@@ -155,7 +155,7 @@ go test -run='^$' -fuzz=FuzzTableLookupEquivalence -fuzztime=5s ./internal/tcam
 echo ">> fuzz: cached two-tier lookup vs single-table oracle (5s)"
 go test -run='^$' -fuzz=FuzzCachedLookupEquivalence -fuzztime=5s ./internal/core
 
-echo ">> fuzz: every table write step-wise atomic under insert / delete / modify / tick streams (5s)"
-go test -run='^$' -fuzz=FuzzStepwiseAtomicity -fuzztime=5s ./internal/core
+echo ">> fuzz: every table write step-wise atomic under insert / delete / modify / tick streams, per op and batched, dst-only and src × dst (10s)"
+go test -run='^$' -fuzz=FuzzStepwiseAtomicity -fuzztime=10s ./internal/core
 
 echo "OK"
