@@ -20,8 +20,9 @@ loc:
 # determinism (wall clock and global rand, direct or through helpers),
 # zero-alloc //hermes:hotpath roots, lock discipline, snapshot
 # immutability after atomic.Pointer publication, blocking channel ops
-# under locks, wire narrowing, error wrapping, test-goroutine hygiene, and
-# //lint:ignore / //hermes: directive hygiene.
+# under locks, wire narrowing, error wrapping, test-goroutine hygiene,
+# carved-table writes outside Agent.commit, and //lint:ignore / //hermes:
+# directive hygiene.
 lint:
 	$(GO) run ./cmd/hermes-lint ./...
 

@@ -8,7 +8,8 @@
 // helpers), lock discipline, snapshot immutability after atomic
 // publication, blocking channel operations inside critical sections,
 // wire-codec bounds safety, error-chain preservation, test-goroutine
-// hygiene, and the hygiene of its own comment directives.
+// hygiene, the agent's one carved-table writer, and the hygiene of its own
+// comment directives.
 //
 // Usage:
 //

@@ -54,8 +54,9 @@ type ruleState struct {
 	// seq is the rule's logical insertion sequence number; ties in
 	// priority are broken by it (earlier wins), exactly as a monolithic
 	// TCAM would order equal-priority entries.
-	seq   uint64
-	place placement
+	seq     uint64
+	place   placement
+	planned uint32 // the agent's plan.gen while its plan holds writes of the rule
 	// parts are the entries realizing the rule in the table place names:
 	// whole() while the rule is uncut, its fragments when cut (they stay
 	// fragments when the fragment ablation migrates them), none when it is
@@ -179,20 +180,7 @@ type Agent struct {
 
 	arrivals int // shadow entries installed since the last Tick
 	migr     *migration
-	// plan is write's scratch. pending holds the stale shadow entries held
-	// back while holding, the count of open holds, is positive (write.go);
-	// drainIDs is drain's scratch. leaving is the main rule whose removal is
-	// under way: the rules it cut are re-cut first, as if it were gone
-	// (removePhysical), so it beats nothing.
-	plan     writePlan
-	pending  []pendingDelete
-	holding  int
-	drainIDs []classifier.RuleID
-	leaving  *ruleState
-	// postponed lists the main rules written during an un-partition
-	// (unpartitioning counts its open calls) whose repairs wait for its end.
-	postponed      []classifier.Rule
-	unpartitioning int
+	plan     plan // the writes of the operation under way, until commit (write.go)
 
 	lastTick time.Duration
 	tuner    *autoTuner // non-nil when cfg.AutoTuneSlack
@@ -518,13 +506,13 @@ func (a *Agent) insert(now time.Duration, r classifier.Rule) (Result, error) {
 // bookkeeping.
 func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Result, error) {
 	if !a.guarded(r) {
-		return a.insertMain(now, r, seq)
+		return a.insertMain(now, r, seq, laneNormal)
 	}
 
 	// §4.2 optimization: a rule that is the lowest priority everywhere
 	// appends to the main table shift-free, and cannot shadow anything.
 	if !a.cfg.DisableLowPriorityBypass && a.isGloballyLowestPriority(r.Priority) {
-		res, err := a.insertMainRawLane(now, r, seq, a.sw.SubmitGuaranteed)
+		res, err := a.insertMain(now, r, seq, laneGuaranteed)
 		if err != nil {
 			return res, err
 		}
@@ -543,7 +531,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 	if a.bucket != nil && !a.promoting && !a.bucket.Allow(now, 1) {
 		a.metrics.RateLimited++
 		a.o.event(now, obs.EvDivertRate, 0, uint64(r.ID), uint64(a.bucket.Tokens(now)), 0)
-		return a.insertMain(now, r, seq)
+		return a.insertMain(now, r, seq, laneNormal)
 	}
 
 	// Algorithm 1: partition against higher-priority main-table rules.
@@ -552,7 +540,7 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		// Footnote 5: partitioning abandoned — install into the main table.
 		a.metrics.Oversized++
 		a.o.event(now, obs.EvDivertSize, 0, uint64(r.ID), 0, 0)
-		return a.insertMain(now, r, seq)
+		return a.insertMain(now, r, seq, laneNormal)
 	}
 	if part.Redundant() {
 		st := a.newRuleState(r, seq, placeShadow)
@@ -568,19 +556,20 @@ func (a *Agent) insertSeq(now time.Duration, r classifier.Rule, seq uint64) (Res
 		// directly in the main table instead.
 		a.metrics.Oversized++
 		a.o.event(now, obs.EvDivertSize, 0, uint64(r.ID), uint64(len(part.Parts)), 0)
-		return a.insertMain(now, r, seq)
+		return a.insertMain(now, r, seq, laneNormal)
 	}
 	if a.shadow.Free() < len(part.Parts) {
 		// Shadow exhausted: fall back to the main table (§5.2 calls this a
 		// potential performance violation).
 		a.metrics.ShadowFull++
 		a.o.event(now, obs.EvDivertFull, 0, uint64(r.ID), uint64(a.shadow.Free()), 0)
-		return a.insertMain(now, r, seq)
+		return a.insertMain(now, r, seq, laneNormal)
 	}
 
 	// Guaranteed path: install the fragments in the shadow table.
 	st := a.newRuleState(r, seq, placeShadow)
-	w := a.write(now, a.shadow, a.sw.SubmitGuaranteed, st, nil, part.Parts)
+	a.write(now, a.shadow, laneGuaranteed, st, nil, part.Parts)
+	w := a.commit(now, st, true)
 	if w.failed > 0 {
 		// Capacity was checked above; any failure here is a bug.
 		panic(fmt.Sprintf("core: shadow insert of rule %d: %d of %d entries refused", r.ID, w.failed, len(part.Parts)))
@@ -664,10 +653,13 @@ func (a *Agent) dropShadowResidents(moved []classifier.RuleID) {
 }
 
 // beats reports whether an installed rule would beat a (priority, seq)
-// contender in a monolithic table.
+// contender in a monolithic table. A main entry the plan removes beats
+// nothing: a cut is made against the main table as it will be.
 func (a *Agent) beats(existing classifier.Rule, priority int32, seq uint64) bool {
-	if a.leaving != nil && hasID(a.leaving.parts, existing.ID) {
-		return false
+	for i := range a.plan.main.stale {
+		if a.plan.main.stale[i].e.ID == existing.ID {
+			return false
+		}
 	}
 	if existing.Priority != priority {
 		return existing.Priority > priority
@@ -693,26 +685,13 @@ func (a *Agent) isGloballyLowestPriority(priority int32) bool {
 	return true
 }
 
-// insertMain installs a rule on the unguaranteed main path and repairs any
-// shadow rules the new main rule would be shadowed by.
-func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64) (Result, error) {
-	res, err := a.insertMainRawLane(now, r, seq, a.sw.Submit)
-	if err != nil {
-		return res, err
-	}
-	a.metrics.MainInserts++
-	a.metrics.observeLatency(res.Latency, false)
-	a.o.recordMain(res.Latency)
-	a.o.event(now, obs.EvMainInsert, 0, uint64(r.ID), 0, uint64(res.Latency))
-	return res, nil
-}
-
-// insertMainRawLane physically installs into the main table, charged to lane
-// via, and re-cuts lower-priority shadow rules that the new rule must win
-// over (otherwise the shadow-first lookup would return them). The §4.2 bypass
-// takes the guaranteed lane: it lands in the main table, but it is a
-// guaranteed action, shift-free by construction.
-func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint64, via lane) (Result, error) {
+// insertMain installs a rule in the main table, charged to lane via, and
+// re-cuts the lower-priority shadow rules the new rule must win over
+// (otherwise the shadow-first lookup would return them). A divert takes the
+// normal lane and counts as a main insert; the §4.2 bypass takes the
+// guaranteed lane: it lands in the main table, but it is a guaranteed action,
+// shift-free by construction.
+func (a *Agent) insertMain(now time.Duration, r classifier.Rule, seq uint64, via lane) (Result, error) {
 	st := a.newRuleState(r, seq, placeMain)
 	w := a.write(now, a.main, via, st, nil, st.whole())
 	if w.failed > 0 {
@@ -720,19 +699,28 @@ func (a *Agent) insertMainRawLane(now time.Duration, r classifier.Rule, seq uint
 	}
 	a.rules[r.ID] = st
 	a.repairShadowAfterMainInsert(now, r)
+	a.commit(now, nil, true)
+	if via == laneNormal {
+		a.metrics.MainInserts++
+		a.metrics.observeLatency(w.total, false)
+		a.o.recordMain(w.total)
+		a.o.event(now, obs.EvMainInsert, 0, uint64(r.ID), 0, uint64(w.total))
+	}
 	return Result{Path: PathMain, Latency: w.total, Completed: w.completed}, nil
 }
 
-// repairShadowAfterMainInsert re-partitions shadow-resident originals that
-// overlap a newly installed main rule with lower-or-equal priority; without
-// the re-cut the shadow-first lookup would let them shadow the new rule.
-// During an un-partition the repair waits for its end (unpartitionDependents).
+// repairShadowAfterMainInsert re-partitions, in ID order, the shadow-resident
+// originals that overlap a newly installed main rule with lower-or-equal
+// priority; without the re-cut the shadow-first lookup would let them shadow
+// the new rule.
 func (a *Agent) repairShadowAfterMainInsert(now time.Duration, mainRule classifier.Rule) {
-	if a.unpartitioning > 0 {
-		a.postponed = append(a.postponed, mainRule)
-		return
+	ids := a.appendShadowRulesBeatenBy(nil, mainRule)
+	slices.Sort(ids)
+	for _, id := range ids {
+		if st := a.rules[id]; st.place == placeShadow {
+			a.reinstallShadowRule(now, st, false)
+		}
 	}
-	a.recutAll(now, a.appendShadowRulesBeatenBy(nil, mainRule))
 }
 
 // appendShadowRulesBeatenBy appends the IDs of the shadow-resident originals
@@ -749,20 +737,21 @@ func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule clas
 	return ids
 }
 
-// reinstallShadowRule re-partitions a shadow rule against the current main
-// table and makes the shadow table hold the cut, leaving alone every fragment
-// it cuts again; it reports whether the rule's entries changed. When the
-// shadow table cannot hold the cut even with the rule's stale entries gone
-// (Free + |stale| < |missing|: Free + |old| < |new| with the unchanged
-// entries cancelled out), the rule moves to the main table instead. intact,
-// set by Reconcile, leaves a rule whose entries would not change uncounted
-// and only refreshes its causes.
+// reinstallShadowRule re-partitions a shadow rule against the main table as
+// the plan leaves it and plans the shadow table holding the cut, leaving
+// alone every fragment it cuts again; it reports whether the rule's entries
+// change. When the shadow table, as the plan leaves it, cannot hold the cut
+// even with the rule's stale entries gone (room + |stale| < |missing|: Free +
+// |old| < |new| with the unchanged entries cancelled out), the rule moves to
+// the main table instead. intact, set by Reconcile, leaves a rule whose
+// entries would not change uncounted and only refreshes its causes.
 func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact bool) bool {
 	part := a.partition(st.original, st.seq)
-	p := &a.plan
+	have := a.unplan(&a.plan.shadow, st, st.parts)
+	p := &a.plan.d
 	fits := !part.Overflow && len(part.Parts) <= a.cfg.MaxPartitions
 	if fits {
-		diff(p, a.shadow, st.parts, part.Parts)
+		diff(p, a.shadow, have, part.Parts)
 		if intact && p.empty() && len(st.parts) == len(part.Parts) {
 			// A main entry written back since the cut may lie in the region
 			// already cut away: the Fig.-6 un-partition must find the fresh
@@ -772,30 +761,29 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact boo
 			}
 			return false
 		}
-		fits = a.shadow.Free()+len(a.pending)+len(p.del) >= len(p.ins)
+		sp := &a.plan.shadow // the free slots the plan leaves, then this diff's
+		fits = a.shadow.Free()+len(sp.drift)+len(sp.stale)-len(sp.add)+len(p.del) >= len(p.ins)
 	}
 	a.o.recordRecut(len(part.Cause))
 	if !fits {
-		// The original goes into the main table, the shadow rules it beats
-		// are re-cut against it while its shadow entries still answer for
-		// it, and then those leave. A full main table leaves the rule in
-		// neither table; Reconcile reinstalls it once there is room.
-		in := a.write(now, a.main, a.sw.Submit, st, nil, st.whole())
-		if in.failed == 0 {
-			a.repairShadowAfterMainInsert(now, st.original)
-		}
-		a.write(now, a.shadow, a.sw.SubmitGuaranteed, st, st.parts, nil)
+		// The original goes into the main table, its shadow entries leave,
+		// and the shadow rules it beats are re-cut against it. A full main
+		// table leaves the rule in neither table; Reconcile reinstalls it
+		// once there is room.
+		in := a.write(now, a.main, laneNormal, st, nil, st.whole())
+		a.write(now, a.shadow, laneGuaranteed, st, have, nil)
 		a.cuts.forget(st)
 		st.parts = st.whole()
 		if in.failed > 0 {
 			a.markDivergentLocked()
-		} else {
-			a.dropShadowResident(st.original)
-			st.place = placeMain
+			return true
 		}
+		a.dropShadowResident(st.original)
+		st.place = placeMain
+		a.repairShadowAfterMainInsert(now, st.original)
 		return true
 	}
-	a.apply(now, a.shadow, a.sw.SubmitGuaranteed, st, p)
+	a.enqueue(now, &a.plan.shadow, laneGuaranteed, st, p)
 	a.cuts.record(st, part)
 	if !part.Redundant() {
 		a.metrics.Repartitions++
@@ -830,20 +818,18 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 // and repairs dependent shadow rules (the Fig. 6 un-merge), leaving the
 // state for the caller to drop (dropRuleState, which also unindexes a shadow
 // rule's cut record). Shared by deleteRule and the cache manager's
-// demotion/cover paths. A main rule's dependents are repaired first, cut as
-// if it were gone, so every packet it matched finds its next winner before
-// its entries leave.
+// demotion/cover paths. A main rule's entries join the plan first, so its
+// dependents are cut as if it were gone (beats), and leave last. It returns
+// what the rule's own deletes cost and when they complete.
 func (a *Agent) removePhysical(now time.Duration, st *ruleState) (time.Duration, time.Duration) {
-	via := lane(a.sw.Submit)
 	if st.place == placeMain {
-		a.leaving = st
+		a.write(now, a.main, laneNormal, st, st.parts, nil)
 		a.unpartitionDependents(now, st)
-		a.leaving = nil
 	} else {
 		a.dropShadowResident(st.original)
-		via = a.sw.SubmitGuaranteed
+		a.write(now, a.shadow, laneGuaranteed, st, st.parts, nil)
 	}
-	w := a.write(now, a.tableOf(st), via, st, st.parts, nil)
+	w := a.commit(now, st, true)
 	return w.total, w.completed
 }
 
@@ -859,13 +845,8 @@ func (a *Agent) tableOf(st *ruleState) *tcam.Table {
 // one under its own ID, or the fragments it migrated as — are leaving the
 // main table: every rule they had cut is un-partitioned, once per entry that
 // still cuts it, then the rule's own cut record goes. What leaves is each
-// entry's own match, a fragment's rather than the original's. The rules go
-// highest precedence first, and the repairs their main writes ask for (a
-// collapse's original, a fallback) wait for the end: no rule is handed
-// coverage that a higher rule still to come would take back.
+// entry's own match, a fragment's rather than the original's.
 func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
-	a.unpartitioning++
-	a.hold()
 	for _, dep := range a.cuts.dependentsOf(st.parts) {
 		for _, gone := range st.parts {
 			switch {
@@ -878,15 +859,6 @@ func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
 		}
 	}
 	a.cuts.forget(st)
-	if a.unpartitioning--; a.unpartitioning == 0 {
-		var ids []classifier.RuleID
-		for _, r := range a.postponed {
-			ids = a.appendShadowRulesBeatenBy(ids, r)
-		}
-		a.postponed = a.postponed[:0]
-		a.recutAll(now, ids)
-	}
-	a.release(now)
 }
 
 // unpartition is the Fig.-6 step for one shadow rule that the deleted main
@@ -923,7 +895,7 @@ func (a *Agent) collapseMainFragments(now time.Duration, st *ruleState) {
 	if st.cut == nil {
 		return
 	}
-	installed := a.write(now, a.main, a.sw.Submit, st, st.parts, st.whole()).failed == 0
+	installed := a.write(now, a.main, laneNormal, st, st.parts, st.whole()).failed == 0
 	if installed {
 		a.repairShadowAfterMainInsert(now, st.original)
 	}

@@ -314,7 +314,7 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 			Priority: h.Priority,
 			Action:   classifier.Action{Type: classifier.ActionGotoNext},
 		}, seq, placeMain)
-		if a.write(now, a.main, a.sw.Submit, st, nil, st.whole()).failed > 0 {
+		if a.write(now, a.main, laneNormal, st, nil, st.whole()).failed > 0 {
 			// Main table full. Unwind the partial shield, then make the
 			// shield unnecessary by demoting every resident h beats. The
 			// recursion terminates: each demotion strictly shrinks the
@@ -332,6 +332,7 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 		// as for any main-table insert, or shadow-first lookup would let
 		// them mask the punt.
 		a.repairShadowAfterMainInsert(now, st.original)
+		a.commit(now, nil, true)
 		installed = append(installed, cid)
 	}
 	a.covers[h.ID] = installed

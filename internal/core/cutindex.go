@@ -192,10 +192,9 @@ func (x *cutIndex) unlink(c classifier.RuleID, st *ruleState) {
 
 // dependentsOf returns the rules the given main-table entries cut, each once,
 // highest precedence first (cmpPrecedence). Deleting the entries
-// un-partitions each of them (Fig. 6) in this order, so a packet the entries
-// matched goes straight to the highest rule that gets it back and never to
-// one below it (DESIGN.md §17). The list is a copy: un-partitioning relinks
-// the index.
+// un-partitions each of them (Fig. 6) in this order, which decides the
+// fragment IDs they are minted; commit, not this order, orders the writes
+// (DESIGN.md §17). The list is a copy: un-partitioning relinks the index.
 func (x *cutIndex) dependentsOf(entries []classifier.Rule) []*ruleState {
 	var deps []*ruleState
 	for _, e := range entries {

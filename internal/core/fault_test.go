@@ -528,11 +528,16 @@ func probeEquivalent(t *testing.T, a *Agent, probeSeed, seed int64, op int) {
 // unchanged fragments alone, and the fragment path's main calls, the same
 // 1403, came in a new order as a collapse inserts its original before its
 // fragments leave. All three held when fresh inserts and steps 3–4 moved onto
-// the same primitive and one pending-delete list: a drain on one lane is one
-// DeleteAll in queue order, which for step 4's copies is still ID order. A
-// drain that always sorted lowest precedence first would move the merged and
-// fragment shadow digests (to bb9b0aecdb43645b and 7d1c51978bd5fc21, same
-// call counts): the deletes within such a DeleteAll come in another order.
+// the same primitive: a run of deletes on one lane is one DeleteAll in queue
+// order, which for step 4's copies is still ID order. A commit that always
+// sorted lowest precedence first would move the merged and fragment shadow
+// digests (to bb9b0aecdb43645b and 7d1c51978bd5fc21, same call counts): the
+// deletes within such a DeleteAll come in another order. When one commit
+// came to order each operation's writes, the fragment path's main calls, the
+// same 1403, came in a new order once more (ab258659856660a9 →
+// 98cc4cfde357969d): a collapse's fragments leave at the commit, after the
+// main inserts the rest of the un-partition makes, not right after their
+// original goes in.
 func TestMigrationHookSequencePinned(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -540,7 +545,7 @@ func TestMigrationHookSequencePinned(t *testing.T) {
 		want string
 	}{
 		{"merged", Config{}, "main=1110/1797638ca33859d0 shadow=1920/61e3b2e8cdf44e69 steps=1891/4317865850b67b85 migrations=150"},
-		{"fragments", Config{DisableMergeOptimization: true}, "main=1403/ab258659856660a9 shadow=1936/21b33281f5d12fea steps=1891/53833ba773109b85 migrations=150"},
+		{"fragments", Config{DisableMergeOptimization: true}, "main=1403/98cc4cfde357969d shadow=1936/21b33281f5d12fea steps=1891/53833ba773109b85 migrations=150"},
 		{"naive", Config{NaiveMigration: true}, "main=1115/98cc44637bf353fa shadow=2051/2eb7d2b60ef0d7cb steps=1115/5684628aae1ae244 migrations=153"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

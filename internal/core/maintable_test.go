@@ -212,11 +212,12 @@ func TestDeleteOfFragmentMigratedRule(t *testing.T) {
 		want:  map[uint32]int{0x0A000105: 4, 0x0A000405: 3},
 	}, {
 		// Rule 1 goes first: rule 2, the higher of its dependents, gets its /24
-		// back as its original. Rule 3 then gets nothing back, neither from
-		// rule 2's two fragments nor from rule 1 (rule 2 covers the /24), and
-		// the re-cut that rule 2's original asks for once the un-partition
-		// ends leaves it as it was.
-		name: "cause deleted first", del: 1, wantMain: 1, kept: 3, recut: 1,
+		// back as its original. The re-cut that rule 2's original asks for
+		// cuts rule 3 against it at once, with rule 1 and rule 2's fragments
+		// already out of the cut: rule 3 keeps its entries, and neither rule 2's
+		// fragments nor rule 1 are its causes any more, so nothing is left to
+		// un-partition.
+		name: "cause deleted first", del: 1, wantMain: 1, recut: 1,
 		over: []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
 		want: map[uint32]int{0x0A000005: 2, 0x0A000105: 2, 0x0A000405: 3},
 	}} {

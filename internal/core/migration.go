@@ -214,7 +214,8 @@ func (a *Agent) startMigration(now time.Duration) time.Duration {
 		for _, id := range originals {
 			copies = append(copies, a.rules[id].parts...)
 		}
-		a.write(now, a.shadow, a.sw.Submit, nil, copies, nil)
+		a.write(now, a.shadow, laneNormal, nil, copies, nil)
+		a.commit(now, nil, true)
 		a.metrics.ExposedRuleSeconds += float64(len(originals)) * cost.Seconds()
 	}
 	a.migr = m
@@ -247,16 +248,15 @@ func (a *Agent) advance(now time.Duration) {
 	// apply off at a step boundary, modeling a crash mid-migration; the
 	// partial state it leaves (rules moved so far, orphaned shadow copies)
 	// is exactly what Reconcile repairs. Both steps go through the bulk
-	// interface, charged to no lane.
+	// interface, charged to no lane, and are one plan: the main writes go in
+	// as they are planned, the shadow copies of the rules that passed their
+	// StepEmpty check leave at its commit, after every main write.
 	interrupted := false
 	interruptedAt := StepInsert
 	migrated := make([]classifier.Rule, 0, len(m.originals))
 	// moved are the originals that left the shadow table, kept in ID order
-	// in m.originals' own array behind the loop. The shadow copies of those
-	// that passed their StepEmpty check wait in a.pending for step 4: every
-	// main write precedes every shadow erase.
+	// in m.originals' own array behind the loop.
 	moved := m.originals[:0]
-	a.hold()
 	for _, id := range m.originals {
 		if a.interruptAt(StepInsert, done) {
 			// Crash before this rule's main-table write: it and every
@@ -275,11 +275,11 @@ func (a *Agent) advance(now time.Duration) {
 			if a.main.Free() < len(st.parts) {
 				continue
 			}
-			a.write(done, a.main, nil, st, nil, st.parts)
-			migrated = append(migrated, a.plan.ins...)
+			a.write(done, a.main, laneBulk, st, nil, st.parts)
+			migrated = append(migrated, a.plan.d.ins...)
 		} else {
 			// Merged path: install the original, drop the fragments.
-			if a.write(done, a.main, nil, st, nil, st.whole()).failed > 0 {
+			if a.write(done, a.main, laneBulk, st, nil, st.whole()).failed > 0 {
 				continue // main full: leave the rule in the shadow table
 			}
 			migrated = append(migrated, st.original)
@@ -299,11 +299,11 @@ func (a *Agent) advance(now time.Duration) {
 			interruptedAt = StepEmpty
 			break
 		}
-		a.write(done, a.shadow, nil, st, gone, nil)
+		a.write(done, a.shadow, laneBulk, st, gone, nil)
 	}
 	a.dropShadowResidents(moved)
 	if interrupted {
-		a.release(done)
+		a.commit(done, nil, true)
 		a.metrics.MigrationInterrupts++
 		a.markDivergentLocked()
 		a.o.event(done, obs.EvMigInterrupt, interruptedAt, 0, uint64(len(migrated)), 0)
@@ -319,29 +319,19 @@ func (a *Agent) advance(now time.Duration) {
 	// rules, whose shadow copies answer for them until the erase. The
 	// insert-time invariant means only the rules migrated in *this* round can
 	// break a remaining shadow rule, so only they need checking — not the
-	// whole main table. Lowest precedence first, each once the pending
-	// entries ranked below it are gone: a packet falls from a copy or a stale
-	// fragment only to what answers it after, and no insert shifts past a
-	// copy the erase would have removed first. Step 4 is the release, which
-	// erases the rest.
+	// whole main table. The re-cuts join the plan, whose commit is step 4.
 	var affected []classifier.RuleID
 	for _, mr := range migrated {
 		affected = a.appendShadowRulesBeatenBy(affected, mr)
 	}
 	slices.Sort(affected)
-	affected = slices.DeleteFunc(slices.Compact(affected), func(id classifier.RuleID) bool {
-		return a.keepsClearOf(a.rules[id], migrated)
-	})
-	slices.SortFunc(affected, func(x, y classifier.RuleID) int { return cmpPrecedence(a.rules[y], a.rules[x]) })
-	for _, id := range affected {
-		st := a.rules[id]
-		if st.place != placeShadow {
-			continue // moved to the main table by an earlier re-cut
+	for _, id := range slices.Compact(affected) {
+		// An earlier re-cut may have moved the rule to the main table.
+		if st := a.rules[id]; st.place == placeShadow && !a.keepsClearOf(st, migrated) {
+			a.reinstallShadowRule(done, st, false)
 		}
-		a.drain(done, st)
-		a.reinstallShadowRule(done, st, false)
 	}
-	a.release(done)
+	a.commit(done, nil, true)
 }
 
 // keepsClearOf is the post-migration re-check of one shadow rule: it reports

@@ -133,7 +133,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 
 	// Phase 1: main table. Entries no main rule holds go, then every main
 	// rule's entries are written back as its record says, in ID order.
-	rep.StaleDeleted += a.sweep(now, a.main, a.sw.Submit)
+	rep.StaleDeleted += a.sweep(now, a.main, laneNormal)
 	var mainIDs []classifier.RuleID
 	for id, st := range a.rules {
 		if st.place == placeMain {
@@ -143,7 +143,7 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	slices.Sort(mainIDs)
 	for _, id := range mainIDs {
 		st := a.rules[id]
-		w := a.write(now, a.main, a.sw.Submit, st, st.parts, st.parts)
+		w := a.write(now, a.main, laneNormal, st, st.parts, st.parts)
 		rep.StaleDeleted += w.del
 		rep.MainReinstalled += w.ins
 		rep.Unrepaired += w.failed
@@ -152,13 +152,15 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 	// Phase 2: shadow table. Orphans go, then every shadow-resident rule is
 	// re-cut against the main table as phase 1 left it (the cuts walk the
 	// table's own index). An intact rule is one whose re-cut writes nothing.
-	rep.StaleDeleted += a.sweep(now, a.shadow, a.sw.SubmitGuaranteed)
+	rep.StaleDeleted += a.sweep(now, a.shadow, laneGuaranteed)
 	for _, id := range slices.Clone(a.shadowIDs) {
 		st := a.rules[id]
+		changed := a.reinstallShadowRule(now, st, true)
+		a.commit(now, nil, true)
 		switch {
-		case !a.reinstallShadowRule(now, st, true):
+		case !changed:
 			rep.Kept++
-		case a.holds(&a.plan, st):
+		case a.holds(&a.plan.d, st):
 			rep.ShadowRepaired++
 		default:
 			rep.Unrepaired++
@@ -182,7 +184,8 @@ func (a *Agent) Reconcile(now time.Duration) ReconcileReport {
 // sweep deletes, in table order and charged to lane via, the entries of tbl
 // that no rule placed there holds, and returns how many it deleted.
 func (a *Agent) sweep(now time.Duration, tbl *tcam.Table, via lane) int {
-	return a.write(now, tbl, via, nil, a.orphans(tbl), nil).del
+	a.write(now, tbl, via, nil, a.orphans(tbl), nil)
+	return a.commit(now, nil, true).del
 }
 
 // orphans returns the entries of tbl that no rule placed there holds.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"hermes/internal/classifier"
@@ -10,13 +9,12 @@ import (
 )
 
 // writePlan is what a table lacks and holds in excess for one rule: entries
-// to insert, in want order, and installed IDs to delete. del[:drift] are
+// to insert, in want order, and installed entries to delete. del[:drift] are
 // wanted IDs installed with other content, which leave before their
 // replacement goes in (one entry per ID); the rest are no longer wanted.
 type writePlan struct {
-	ins   []classifier.Rule
-	del   []classifier.RuleID
-	drift int
+	ins, del []classifier.Rule
+	drift    int
 }
 
 func (p *writePlan) empty() bool { return len(p.ins) == 0 && len(p.del) == 0 }
@@ -39,14 +37,14 @@ func diff(p *writePlan, tbl *tcam.Table, have, want []classifier.Rule) {
 			continue
 		}
 		if installed {
-			p.del = append(p.del, w.ID)
+			p.del = append(p.del, got)
 		}
 		p.ins = append(p.ins, *w)
 	}
 	p.drift = len(p.del)
 	for _, h := range have {
 		if !hasID(want, h.ID) && tbl.Contains(h.ID) {
-			p.del = append(p.del, h.ID)
+			p.del = append(p.del, h)
 		}
 	}
 }
@@ -74,151 +72,183 @@ func hasID(rules []classifier.Rule, id classifier.RuleID) bool {
 	return false
 }
 
-// written is what one write did: its ops' summed latency, when the last one
-// completes, the entries it inserted and deleted, and the inserts the table
-// refused (full).
+// written is what the writes of one rule did: their ops' summed latency,
+// when the last one completes, the entries inserted and deleted, and the
+// inserts the table refused (full).
 type written struct {
 	total, completed time.Duration
 	ins, del, failed int
 }
 
 // lane is the control-plane queue a write's ops are charged to:
-// Switch.SubmitGuaranteed, Switch.Submit, or nil for the migration's
+// Switch.SubmitGuaranteed, Switch.Submit, or none for the migration's
 // background bulk interface, whose cost startMigration books up front.
-type lane func(now, cost time.Duration) time.Duration
+type lane uint8
 
-// write is the agent's one write primitive (DESIGN.md §17): it makes tbl
-// hold want as the entries of rule st (nil for none: ranked first), where
-// have are the entries its record says tbl holds for it, in the fewest ops,
-// each charged to lane via. Nothing else in the package inserts into or
-// deletes from a carved table (rewriteAction's in-place ModifyAction moves
-// nothing). The missing entries go in before the stale ones leave, so every
-// packet resolves as before the write or as after it — except in a table too
-// full to hold old and new at once, where the stale entries leave first.
-func (a *Agent) write(now time.Duration, tbl *tcam.Table, via lane, st *ruleState, have, want []classifier.Rule) written {
-	diff(&a.plan, tbl, have, want)
-	return a.apply(now, tbl, via, st, &a.plan)
+const (
+	laneBulk lane = iota
+	laneGuaranteed
+	laneNormal
+)
+
+// planned is one write of a plan: an entry to add, or an installed one to
+// remove, of rule owner (nil for none: ranked first), charged to lane via.
+type planned struct {
+	owner *ruleState
+	e     classifier.Rule
+	via   lane
+	rank  precedence
 }
 
-// apply issues a plan diff made for rule st's entries in tbl, in write's
-// order. While the agent holds, a shadow write's stale entries wait in
-// a.pending; a shadow write short of room drains them first.
-func (a *Agent) apply(now time.Duration, tbl *tcam.Table, via lane, st *ruleState, p *writePlan) written {
-	w := written{completed: now}
-	charge := func(cost time.Duration) {
-		w.total += cost
-		if via != nil {
-			w.completed = via(now, cost)
+// tablePlan is a plan's writes to one table: the drifted entries, the entries
+// to add and the stale entries to remove.
+type tablePlan struct {
+	drift, add, stale []planned
+}
+
+// plan is one operation's writes to every rule it touches (DESIGN.md §17),
+// held until commit issues them. The operations that build one are a
+// flow-mod, a migration's steps 3–4, a Reconcile sweep and each rule
+// Reconcile repairs. gen tells the rules with writes in the plan (a rule's
+// planned field equals it); d and ids are write's and commit's scratch.
+type plan struct {
+	shadow, main tablePlan
+	gen          uint32
+	d            writePlan
+	ids          []classifier.RuleID
+}
+
+// write plans making tbl hold want as the entries of rule st (nil for none:
+// ranked first), where have are the entries its record says tbl holds for it,
+// in the fewest ops, each charged to lane via. Main-table inserts are issued
+// at once, so every cut computed after them sees the main table as it will
+// be; the main table's stale entries beat nothing in such a cut (beats). The
+// rest waits for commit. write returns what the issued inserts did.
+func (a *Agent) write(now time.Duration, tbl *tcam.Table, via lane, st *ruleState, have, want []classifier.Rule) written {
+	tp := &a.plan.shadow
+	if tbl == a.main {
+		tp = &a.plan.main
+	}
+	diff(&a.plan.d, tbl, a.unplan(tp, st, have), want)
+	return a.enqueue(now, tp, via, st, &a.plan.d)
+}
+
+// unplan takes rule st's writes out of tp, when it has any, and returns what
+// the table holds for it: have, and the entries tp was to remove. A rule
+// written twice in one plan is diffed the second time against that, so only
+// its last want is written and a fragment its first cut dropped can still be
+// taken over.
+func (a *Agent) unplan(tp *tablePlan, st *ruleState, have []classifier.Rule) []classifier.Rule {
+	if st == nil || st.planned != a.plan.gen {
+		return have
+	}
+	mine := func(p planned) bool { return p.owner == st }
+	for _, p := range tp.stale {
+		if mine(p) {
+			have = append(slices.Clip(have), p.e)
 		}
 	}
-	erase := func(ids []classifier.RuleID) {
-		for _, id := range ids {
-			if cost, ok := tbl.Delete(id); ok {
-				w.del++
-				charge(cost)
+	tp.drift = slices.DeleteFunc(tp.drift, mine)
+	tp.add = slices.DeleteFunc(tp.add, mine)
+	tp.stale = slices.DeleteFunc(tp.stale, mine)
+	return have
+}
+
+// enqueue adds d, a diff of rule st's entries, to tp and issues the main
+// table's inserts.
+func (a *Agent) enqueue(now time.Duration, tp *tablePlan, via lane, st *ruleState, d *writePlan) written {
+	var rank precedence
+	if st != nil {
+		rank, st.planned = st.precedence(), a.plan.gen
+	}
+	add := func(to *[]planned, es []classifier.Rule) {
+		for _, e := range es {
+			*to = append(*to, planned{st, e, via, rank})
+		}
+	}
+	add(&tp.drift, d.del[:d.drift])
+	add(&tp.add, d.ins)
+	add(&tp.stale, d.del[d.drift:])
+	return a.commit(now, st, false)
+}
+
+// commit issues the plan: the main table's inserts, then the shadow table's
+// highest precedence first, the shadow table's stale entries lowest
+// precedence first, and the main table's stale entries last. Every shadow
+// cut was made against the main table as it will be, so an insert only hands
+// a packet to the rule that answers it after, never below a higher rule still
+// to come, and a packet leaves a stale entry only when no lower stale entry
+// is left to catch it. A table's drifted entries leave before its inserts,
+// since a table holds one entry per ID. The one exception: a table that
+// cannot take its inserts beside its stale entries loses those first, and a
+// packet may miss while it does. Runs of deletes on one lane leave in one
+// DeleteAll (SubmitGuaranteed and Submit are additive, so one submission of a
+// run's summed cost completes when one per delete would); a run that is the
+// whole list leaves unsorted, since its order shows nowhere. With all false
+// only the main table's inserts go (write). commit returns what rule own's
+// writes did.
+//
+// Nothing else in the package inserts into or deletes from a carved table
+// (the tablewrite analyzer checks it); rewriteAction's in-place
+// ModifyAction moves nothing.
+func (a *Agent) commit(now time.Duration, own *ruleState, all bool) written {
+	w := written{completed: now}
+	charge := func(via lane, mine bool, cost time.Duration) bool {
+		done := now
+		switch via {
+		case laneGuaranteed:
+			done = a.sw.SubmitGuaranteed(now, cost)
+		case laneNormal:
+			done = a.sw.Submit(now, cost)
+		}
+		if mine {
+			w.total, w.completed = w.total+cost, done
+		}
+		return mine
+	}
+	erase := func(tbl *tcam.Table, dels []planned) {
+		for i := 0; i < len(dels); {
+			via, mine, ids := dels[i].via, dels[i].owner == own, a.plan.ids[:0]
+			for ; i < len(dels) && dels[i].via == via && (dels[i].owner == own) == mine; i++ {
+				ids = append(ids, dels[i].e.ID)
+			}
+			a.plan.ids = ids
+			if cost, n := tbl.DeleteAll(ids); n > 0 && charge(via, mine, cost) {
+				w.del += n
 			}
 		}
 	}
-	first, last := p.del[:p.drift], p.del[p.drift:]
-	if tbl == a.shadow && tbl.Free()+len(first) < len(p.ins) {
-		a.drain(now, nil)
-	}
-	if tbl.Free()+len(first) < len(p.ins) {
-		first, last = p.del, nil
-	}
-	erase(first)
-	var seq uint64
-	if st != nil {
-		seq = st.seq
-	}
-	for _, e := range p.ins {
-		if cost, err := tbl.InsertRanked(e, seq); err != nil {
-			w.failed++
-		} else {
-			w.ins++
-			charge(cost)
+	insert := func(tbl *tcam.Table, tp *tablePlan) {
+		slices.SortStableFunc(tp.add, func(x, y planned) int { return x.rank.cmp(y.rank) })
+		if slices.ContainsFunc(tp.stale, func(p planned) bool {
+			return p.via != tp.stale[0].via || (p.owner == own) != (tp.stale[0].owner == own)
+		}) {
+			slices.SortStableFunc(tp.stale, func(x, y planned) int { return y.rank.cmp(x.rank) })
 		}
-	}
-	if a.holding > 0 && tbl == a.shadow {
-		for _, id := range last {
-			a.pending = append(a.pending, pendingDelete{st.precedence(), id, via == nil})
+		erase(tbl, tp.drift)
+		if tbl.Free() < len(tp.add) {
+			erase(tbl, tp.stale)
+			tp.stale = tp.stale[:0]
 		}
-		last = nil
+		for _, p := range tp.add {
+			cost, err := tbl.InsertRanked(p.e, p.rank.seq)
+			switch mine := p.owner == own; {
+			case err != nil && mine:
+				w.failed++
+			case err == nil && charge(p.via, mine, cost):
+				w.ins++
+			}
+		}
+		tp.drift, tp.add = tp.drift[:0], tp.add[:0]
 	}
-	erase(last)
+	insert(a.main, &a.plan.main)
+	if !all {
+		return w
+	}
+	insert(a.shadow, &a.plan.shadow)
+	erase(a.shadow, a.plan.shadow.stale)
+	erase(a.main, a.plan.main.stale)
+	a.plan.shadow.stale, a.plan.main.stale = a.plan.shadow.stale[:0], a.plan.main.stale[:0]
+	a.plan.gen++
 	return w
-}
-
-// pendingDelete is a stale shadow entry, held back while the agent holds,
-// with the precedence of the rule it belonged to: a re-cut's, charged to the
-// guaranteed lane when it leaves, or a migrated rule's copy (bulk), charged
-// to none.
-type pendingDelete struct {
-	owner precedence
-	id    classifier.RuleID
-	bulk  bool
-}
-
-// hold opens a span in which shadow writes leave their stale entries in
-// a.pending; release closes it, and the outermost release drains them.
-// recutAll and unpartitionDependents hold while they re-cut, advance across
-// steps 3–4.
-func (a *Agent) hold() { a.holding++ }
-
-func (a *Agent) release(now time.Duration) {
-	if a.holding--; a.holding == 0 {
-		a.drain(now, nil)
-	}
-}
-
-// drain deletes the pending entries of the rules ranked below st, or all of
-// them when st is nil, lowest precedence first: a packet falls from the rule
-// that answered it before straight to the one that answers it after, never to
-// a stale entry in between. Each run of entries on one lane leaves in one
-// DeleteAll: a run of re-cut entries is charged to the guaranteed lane, a run
-// of copies (step 4's bulk invalidation) to none. SubmitGuaranteed is
-// additive, so one submission of a run's summed cost completes when one per
-// delete would.
-func (a *Agent) drain(now time.Duration, st *ruleState) {
-	// Sorted only where the order shows: the whole list on one lane leaves in
-	// one DeleteAll, which removes its entries at once. Once sorted, the list
-	// stays so until the next write appends to it.
-	lowestFirst := func(x, y pendingDelete) int { return y.owner.cmp(x.owner) }
-	oneRun := st == nil && !slices.ContainsFunc(a.pending, func(d pendingDelete) bool {
-		return d.bulk != a.pending[0].bulk
-	})
-	if !oneRun && !slices.IsSortedFunc(a.pending, lowestFirst) {
-		slices.SortStableFunc(a.pending, lowestFirst)
-	}
-	n := len(a.pending)
-	if st != nil {
-		n = sort.Search(n, func(i int) bool { return a.pending[i].owner.cmp(st.precedence()) <= 0 })
-	}
-	for i := 0; i < n; {
-		ids, bulk := a.drainIDs[:0], a.pending[i].bulk
-		for ; i < n && a.pending[i].bulk == bulk; i++ {
-			ids = append(ids, a.pending[i].id)
-		}
-		a.drainIDs = ids
-		if cost, k := a.shadow.DeleteAll(ids); k > 0 && !bulk {
-			a.sw.SubmitGuaranteed(now, cost)
-		}
-	}
-	a.pending = slices.Delete(a.pending, 0, n)
-}
-
-// recutAll re-cuts the listed shadow rules, those still shadow-resident,
-// after main-table writes that beat them (repairShadowAfterMainInsert, and
-// the repairs an un-partition postponed). Such a re-cut only takes coverage
-// away, so the rules may be cut in any order — ID order, as always — as long
-// as every stale entry waits until all the new ones are in (hold).
-func (a *Agent) recutAll(now time.Duration, ids []classifier.RuleID) {
-	slices.Sort(ids)
-	a.hold()
-	for _, id := range slices.Compact(ids) {
-		if st := a.rules[id]; st.place == placeShadow {
-			a.reinstallShadowRule(now, st, false)
-		}
-	}
-	a.release(now)
 }

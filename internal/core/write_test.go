@@ -1,8 +1,9 @@
 package core
 
 // The write primitive's edges: what it keeps, the order of its ops, the one
-// delete-first exception and the pending list's drain; and a re-cut that strands a live rule now asks
-// for the Reconcile that reinstalls it.
+// delete-first exception and the order in which commit issues a plan across
+// rules and tables; and a re-cut that strands a live rule now asks for the
+// Reconcile that reinstalls it.
 
 import (
 	"fmt"
@@ -77,7 +78,7 @@ func TestWriteOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sw := tcam.NewSwitch("w", tcam.Pica8P3290)
 			tbl := tcam.NewTable("w/t", tc.cap, sw.Profile())
-			a := &Agent{sw: sw, shadow: tbl}
+			a := &Agent{sw: sw, shadow: tbl, main: tcam.NewTable("w/m", 8, sw.Profile())}
 			for _, r := range tc.installed {
 				if _, err := tbl.InsertRanked(r, 1); err != nil {
 					t.Fatal(err)
@@ -89,7 +90,9 @@ func TestWriteOrder(t *testing.T) {
 				return tcam.OpFault{}
 			})
 			want := slices.Clone(tc.want)
-			w := a.write(0, tbl, sw.SubmitGuaranteed, &ruleState{seq: 1}, tc.have, want)
+			st := &ruleState{seq: 1}
+			a.write(0, tbl, laneGuaranteed, st, tc.have, want)
+			w := a.commit(0, st, true)
 			if !slices.Equal(ops, tc.ops) || w.ins != tc.ins || w.del != tc.del || w.failed != 0 {
 				t.Errorf("ops %q (%d in, %d out, %d refused), want %q (%d in, %d out)",
 					ops, w.ins, w.del, w.failed, tc.ops, tc.ins, tc.del)
@@ -109,46 +112,74 @@ func TestWriteOrder(t *testing.T) {
 			}
 		})
 	}
-	t.Run("pending drain", testPendingDrain)
+	t.Run("commit", testCommitOrder)
 }
 
-// testPendingDrain: a held re-cut's stale entry and a held migration copy
-// leave together, lowest precedence first whatever order they were queued in.
-// Only the re-cut delete is charged, to the guaranteed lane; the copy goes
-// through the bulk interface, charged to no lane.
-func testPendingDrain(t *testing.T) {
+// testCommitOrder: a plan's writes leave in commit's order whatever order
+// they were planned in. First a re-cut's stale entry and a migration copy
+// alone: lowest precedence first, only the re-cut delete charged, to the
+// guaranteed lane, the copy through the bulk interface, charged to no lane.
+// Then a plan across both tables: main inserts, shadow inserts highest
+// precedence first, shadow deletes lowest precedence first, main deletes.
+func testCommitOrder(t *testing.T) {
 	sw := tcam.NewSwitch("w", tcam.Pica8P3290)
-	tbl := tcam.NewTable("w/t", 8, sw.Profile())
-	a := &Agent{sw: sw, shadow: tbl}
+	shadow, main := tcam.NewTable("w/s", 8, sw.Profile()), tcam.NewTable("w/m", 8, sw.Profile())
+	a := &Agent{sw: sw, shadow: shadow, main: main}
 	low := &ruleState{original: dstRule(1, "10.0.0.0/8", 10, 1), seq: 1}
 	high := &ruleState{original: dstRule(2, "10.0.0.0/16", 20, 2), seq: 2}
 	stale, copied := dstRule(101, "10.0.0.0/9", 10, 1), dstRule(2, "10.0.0.0/16", 20, 2)
-	for _, r := range []classifier.Rule{copied, stale} {
-		if _, err := tbl.InsertRanked(r, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
 	var ops []string
-	tbl.SetFaultHook(func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
-		ops = append(ops, fmt.Sprintf("%v %d", op, id))
-		return tcam.OpFault{}
-	})
-	a.hold()
-	a.write(0, tbl, nil, high, []classifier.Rule{copied}, nil)
-	a.write(0, tbl, sw.SubmitGuaranteed, low, []classifier.Rule{stale}, nil)
-	if len(ops) != 0 || tbl.Occupancy() != 2 || len(a.pending) != 2 {
-		t.Fatalf("held writes issued %q and left %d entries, %d pending; want nothing, 2 and 2", ops, tbl.Occupancy(), len(a.pending))
+	install := func(tbl *tcam.Table, rules ...classifier.Rule) {
+		t.Helper()
+		tbl.SetFaultHook(nil)
+		for _, r := range rules {
+			if _, err := tbl.InsertRanked(r, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ops = nil
+		tbl.SetFaultHook(func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
+			ops = append(ops, fmt.Sprintf("%v %s %d", op, tbl.Name(), id))
+			return tcam.OpFault{}
+		})
 	}
-	a.release(0)
-	if want := []string{"delete 101", "delete 2"}; !slices.Equal(ops, want) {
-		t.Errorf("drain issued %q, want %q", ops, want)
+	install(shadow, copied, stale)
+	a.write(0, shadow, laneBulk, high, []classifier.Rule{copied}, nil)
+	a.write(0, shadow, laneGuaranteed, low, []classifier.Rule{stale}, nil)
+	if len(ops) != 0 || shadow.Occupancy() != 2 {
+		t.Fatalf("planned deletes issued %q and left %d entries; want nothing and 2", ops, shadow.Occupancy())
+	}
+	a.commit(0, nil, true)
+	if want := []string{"delete w/s 101", "delete w/s 2"}; !slices.Equal(ops, want) {
+		t.Errorf("commit issued %q, want %q", ops, want)
 	}
 	if got, want := sw.SubmitGuaranteed(0, 0), sw.Profile().DeleteLatency; got != want {
 		t.Errorf("guaranteed lane busy until %v, want one delete's %v", got, want)
 	}
-	if sw.BusyUntil() != 0 || tbl.Occupancy() != 0 || len(a.pending) != 0 {
-		t.Errorf("normal lane busy until %v, %d entries and %d pending left; want 0, 0, 0",
-			sw.BusyUntil(), tbl.Occupancy(), len(a.pending))
+	if sw.BusyUntil() != 0 || shadow.Occupancy() != 0 {
+		t.Errorf("normal lane busy until %v, %d entries left; want 0 and 0", sw.BusyUntil(), shadow.Occupancy())
+	}
+
+	// Both rules re-cut, a main rule leaving and one arriving, planned
+	// lowest first and the main insert last.
+	leaving := &ruleState{original: dstRule(30, "10.0.0.0/12", 30, 30), seq: 3}
+	arriving := &ruleState{original: dstRule(40, "10.0.0.0/14", 40, 40), seq: 4}
+	install(main, leaving.original)
+	install(shadow, stale, copied)
+	a.write(0, main, laneNormal, leaving, leaving.whole(), nil)
+	a.write(0, shadow, laneGuaranteed, low, []classifier.Rule{stale}, []classifier.Rule{dstRule(111, "10.128.0.0/9", 10, 1)})
+	a.write(0, shadow, laneGuaranteed, high, []classifier.Rule{copied}, []classifier.Rule{dstRule(112, "10.0.0.0/17", 20, 2)})
+	a.write(0, main, laneNormal, arriving, nil, arriving.whole())
+	if want := []string{"insert w/m 40"}; !slices.Equal(ops, want) {
+		t.Fatalf("planning issued %q, want only the main insert %q", ops, want)
+	}
+	a.commit(0, nil, true)
+	want := []string{"insert w/m 40", "insert w/s 112", "insert w/s 111", "delete w/s 101", "delete w/s 2", "delete w/m 30"}
+	if !slices.Equal(ops, want) {
+		t.Errorf("commit issued %q, want %q", ops, want)
+	}
+	if shadow.Occupancy() != 2 || main.Occupancy() != 1 {
+		t.Errorf("%d shadow and %d main entries left, want 2 and 1", shadow.Occupancy(), main.Occupancy())
 	}
 }
 

@@ -238,6 +238,7 @@ func Analyzers() []*Analyzer {
 		SnapshotSafetyAnalyzer,
 		HotPathAllocAnalyzer,
 		ChanBlockAnalyzer,
+		TablewriteAnalyzer,
 		LintDirectiveAnalyzer,
 	}
 }

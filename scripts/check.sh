@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repo-wide gate: static analysis (go vet + hermes-lint + the internal/core
-# suppression and one-writer ratchets), build, the full test suite under the
+# Repo-wide gate: static analysis (go vet + hermes-lint, whose tablewrite
+# analyzer holds internal/core to one carved-table writer, + the internal/core
+# suppression ratchet), build, the full test suite under the
 # race detector, the linter's self-test against its known-bad corpus, the
 # nested benchmark module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, one iteration of the trie, cut, TCAM and spline micro-benchmarks, and
@@ -29,14 +30,6 @@ echo ">> hot-path budget ratchet: internal/core holds at most 7 ignores + coldpa
 core_exempt="$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -hE '//lint:ignore hotpathalloc|//hermes:coldpath' | wc -l)"
 if [ "$core_exempt" -gt 7 ]; then
   echo "internal/core carries $core_exempt //lint:ignore hotpathalloc and //hermes:coldpath directives together, ratchet is 7: remove the allocation or the root, not the finding" >&2
-  exit 1
-fi
-
-echo ">> one-writer ratchet: only internal/core/write.go writes a carved table"
-core_writes="$(ls internal/core/*.go | grep -v '_test\.go$' | grep -v '/write\.go$' | xargs grep -nE '(a\.(shadow|main)|tbl)\.(InsertRanked|Insert|Delete|DeleteAll)\(' || true)"
-if [ -n "$core_writes" ]; then
-  echo "$core_writes" >&2
-  echo "internal/core writes a carved table outside write.go: go through Agent.write (DESIGN.md §17)" >&2
   exit 1
 fi
 
