@@ -56,7 +56,7 @@ type ruleState struct {
 	// TCAM would order equal-priority entries.
 	seq     uint64
 	place   placement
-	planned uint32 // the agent's plan.gen while its plan holds writes of the rule
+	planned uint32 // the agent's plan.gen while its plan holds shadow writes of the rule
 	// parts are the entries realizing the rule in the table place names:
 	// whole() while the rule is uncut, its fragments when cut (they stay
 	// fragments when the fragment ablation migrates them), none when it is
@@ -747,12 +747,11 @@ func (a *Agent) appendShadowRulesBeatenBy(ids []classifier.RuleID, mainRule clas
 // entries would not change uncounted and only refreshes its causes.
 func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact bool) bool {
 	part := a.partition(st.original, st.seq)
-	have := a.unplan(&a.plan.shadow, st, st.parts)
-	p := &a.plan.d
 	fits := !part.Overflow && len(part.Parts) <= a.cfg.MaxPartitions
+	have := st.parts
 	if fits {
-		diff(p, a.shadow, have, part.Parts)
-		if intact && p.empty() && len(st.parts) == len(part.Parts) {
+		a.write(now, a.shadow, laneGuaranteed, st, have, part.Parts)
+		if intact && a.plan.d.empty() && len(st.parts) == len(part.Parts) {
 			// A main entry written back since the cut may lie in the region
 			// already cut away: the Fig.-6 un-partition must find the fresh
 			// cut's causes recorded.
@@ -761,8 +760,10 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact boo
 			}
 			return false
 		}
-		sp := &a.plan.shadow // the free slots the plan leaves, then this diff's
-		fits = a.shadow.Free()+len(sp.drift)+len(sp.stale)-len(sp.add)+len(p.del) >= len(p.ins)
+		// If the cut does not fit, writing nothing over it (have = its
+		// entries) unplans it and deletes what the table holds for the rule.
+		sp := &a.plan.shadow
+		fits, have = a.shadow.Free()+len(sp.drift)+len(sp.stale) >= len(sp.add), part.Parts
 	}
 	a.o.recordRecut(len(part.Cause))
 	if !fits {
@@ -783,7 +784,6 @@ func (a *Agent) reinstallShadowRule(now time.Duration, st *ruleState, intact boo
 		a.repairShadowAfterMainInsert(now, st.original)
 		return true
 	}
-	a.enqueue(now, &a.plan.shadow, laneGuaranteed, st, p)
 	a.cuts.record(st, part)
 	if !part.Redundant() {
 		a.metrics.Repartitions++

@@ -250,13 +250,15 @@ func (a *Agent) advance(now time.Duration) {
 	// is exactly what Reconcile repairs. Both steps go through the bulk
 	// interface, charged to no lane, and are one plan: the main writes go in
 	// as they are planned, the shadow copies of the rules that passed their
-	// StepEmpty check leave at its commit, after every main write.
+	// StepEmpty check leave at its commit on the way out, after every main
+	// write.
 	interrupted := false
 	interruptedAt := StepInsert
 	migrated := make([]classifier.Rule, 0, len(m.originals))
 	// moved are the originals that left the shadow table, kept in ID order
 	// in m.originals' own array behind the loop.
 	moved := m.originals[:0]
+	defer a.commit(done, nil, true)
 	for _, id := range m.originals {
 		if a.interruptAt(StepInsert, done) {
 			// Crash before this rule's main-table write: it and every
@@ -303,7 +305,6 @@ func (a *Agent) advance(now time.Duration) {
 	}
 	a.dropShadowResidents(moved)
 	if interrupted {
-		a.commit(done, nil, true)
 		a.metrics.MigrationInterrupts++
 		a.markDivergentLocked()
 		a.o.event(done, obs.EvMigInterrupt, interruptedAt, 0, uint64(len(migrated)), 0)
@@ -331,7 +332,6 @@ func (a *Agent) advance(now time.Duration) {
 			a.reinstallShadowRule(done, st, false)
 		}
 	}
-	a.commit(done, nil, true)
 }
 
 // keepsClearOf is the post-migration re-check of one shadow rule: it reports

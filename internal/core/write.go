@@ -73,8 +73,8 @@ func hasID(rules []classifier.Rule, id classifier.RuleID) bool {
 }
 
 // written is what the writes of one rule did: their ops' summed latency,
-// when the last one completes, the entries inserted and deleted, and the
-// inserts the table refused (full).
+// when the last one completes, the entries inserted and deleted (bulk copies
+// aside), and the inserts the table refused (full).
 type written struct {
 	total, completed time.Duration
 	ins, del, failed int
@@ -109,8 +109,8 @@ type tablePlan struct {
 // plan is one operation's writes to every rule it touches (DESIGN.md §17),
 // held until commit issues them. The operations that build one are a
 // flow-mod, a migration's steps 3–4, a Reconcile sweep and each rule
-// Reconcile repairs. gen tells the rules with writes in the plan (a rule's
-// planned field equals it); d and ids are write's and commit's scratch.
+// Reconcile repairs. gen tells the rules with shadow writes in the plan (a
+// rule's planned field equals it); d and ids are write's and commit's scratch.
 type plan struct {
 	shadow, main tablePlan
 	gen          uint32
@@ -123,43 +123,21 @@ type plan struct {
 // in the fewest ops, each charged to lane via. Main-table inserts are issued
 // at once, so every cut computed after them sees the main table as it will
 // be; the main table's stale entries beat nothing in such a cut (beats). The
-// rest waits for commit. write returns what the issued inserts did.
+// rest waits for commit. write returns what the issued inserts did; a.plan.d
+// holds the rule's diff until the next write.
 func (a *Agent) write(now time.Duration, tbl *tcam.Table, via lane, st *ruleState, have, want []classifier.Rule) written {
-	tp := &a.plan.shadow
-	if tbl == a.main {
-		tp = &a.plan.main
+	tp := &a.plan.main
+	if tbl != a.main {
+		tp, have = &a.plan.shadow, a.unplan(st, have)
 	}
-	diff(&a.plan.d, tbl, a.unplan(tp, st, have), want)
-	return a.enqueue(now, tp, via, st, &a.plan.d)
-}
-
-// unplan takes rule st's writes out of tp, when it has any, and returns what
-// the table holds for it: have, and the entries tp was to remove. A rule
-// written twice in one plan is diffed the second time against that, so only
-// its last want is written and a fragment its first cut dropped can still be
-// taken over.
-func (a *Agent) unplan(tp *tablePlan, st *ruleState, have []classifier.Rule) []classifier.Rule {
-	if st == nil || st.planned != a.plan.gen {
-		return have
-	}
-	mine := func(p planned) bool { return p.owner == st }
-	for _, p := range tp.stale {
-		if mine(p) {
-			have = append(slices.Clip(have), p.e)
-		}
-	}
-	tp.drift = slices.DeleteFunc(tp.drift, mine)
-	tp.add = slices.DeleteFunc(tp.add, mine)
-	tp.stale = slices.DeleteFunc(tp.stale, mine)
-	return have
-}
-
-// enqueue adds d, a diff of rule st's entries, to tp and issues the main
-// table's inserts.
-func (a *Agent) enqueue(now time.Duration, tp *tablePlan, via lane, st *ruleState, d *writePlan) written {
+	d := &a.plan.d
+	diff(d, tbl, have, want)
 	var rank precedence
 	if st != nil {
-		rank, st.planned = st.precedence(), a.plan.gen
+		rank = st.precedence()
+		if tp == &a.plan.shadow {
+			st.planned = a.plan.gen
+		}
 	}
 	add := func(to *[]planned, es []classifier.Rule) {
 		for _, e := range es {
@@ -172,6 +150,29 @@ func (a *Agent) enqueue(now time.Duration, tp *tablePlan, via lane, st *ruleStat
 	return a.commit(now, st, false)
 }
 
+// unplan takes rule st's shadow writes out of the plan, when it has any, and
+// returns what the shadow table holds for it: have, and the entries the plan
+// was to remove. A rule re-cut twice in one plan is diffed the second time
+// against that, so only its last cut is written and a fragment its first cut
+// dropped can still be taken over. (No operation writes a main rule's
+// entries twice: its inserts go in at once.)
+func (a *Agent) unplan(st *ruleState, have []classifier.Rule) []classifier.Rule {
+	if st == nil || st.planned != a.plan.gen {
+		return have
+	}
+	tp := &a.plan.shadow
+	mine := func(p planned) bool { return p.owner == st }
+	for i := range tp.stale {
+		if tp.stale[i].owner == st {
+			have = append(slices.Clip(have), tp.stale[i].e)
+		}
+	}
+	tp.drift = slices.DeleteFunc(tp.drift, mine)
+	tp.add = slices.DeleteFunc(tp.add, mine)
+	tp.stale = slices.DeleteFunc(tp.stale, mine)
+	return have
+}
+
 // commit issues the plan: the main table's inserts, then the shadow table's
 // highest precedence first, the shadow table's stale entries lowest
 // precedence first, and the main table's stale entries last. Every shadow
@@ -181,10 +182,10 @@ func (a *Agent) enqueue(now time.Duration, tp *tablePlan, via lane, st *ruleStat
 // is left to catch it. A table's drifted entries leave before its inserts,
 // since a table holds one entry per ID. The one exception: a table that
 // cannot take its inserts beside its stale entries loses those first, and a
-// packet may miss while it does. Runs of deletes on one lane leave in one
-// DeleteAll (SubmitGuaranteed and Submit are additive, so one submission of a
-// run's summed cost completes when one per delete would); a run that is the
-// whole list leaves unsorted, since its order shows nowhere. With all false
+// packet may miss while it does. A run of migration copies leaves in one
+// DeleteAll, the bulk interface's one pass over the table; a list of copies
+// alone is not sorted, since one DeleteAll removes them at once and their
+// order shows nowhere. Any other delete goes one at a time. With all false
 // only the main table's inserts go (write). commit returns what rule own's
 // writes did.
 //
@@ -207,22 +208,23 @@ func (a *Agent) commit(now time.Duration, own *ruleState, all bool) written {
 		return mine
 	}
 	erase := func(tbl *tcam.Table, dels []planned) {
-		for i := 0; i < len(dels); {
-			via, mine, ids := dels[i].via, dels[i].owner == own, a.plan.ids[:0]
-			for ; i < len(dels) && dels[i].via == via && (dels[i].owner == own) == mine; i++ {
-				ids = append(ids, dels[i].e.ID)
-			}
-			a.plan.ids = ids
-			if cost, n := tbl.DeleteAll(ids); n > 0 && charge(via, mine, cost) {
-				w.del += n
+		ids := a.plan.ids[:0]
+		for i, p := range dels {
+			if p.via == laneBulk {
+				// Copies leave a run at a time, in one pass over the table.
+				if ids = append(ids, p.e.ID); i+1 == len(dels) || dels[i+1].via != laneBulk {
+					tbl.DeleteAll(ids)
+					ids = ids[:0]
+				}
+			} else if cost, ok := tbl.Delete(p.e.ID); ok && charge(p.via, p.owner == own, cost) {
+				w.del++
 			}
 		}
+		a.plan.ids = ids
 	}
 	insert := func(tbl *tcam.Table, tp *tablePlan) {
 		slices.SortStableFunc(tp.add, func(x, y planned) int { return x.rank.cmp(y.rank) })
-		if slices.ContainsFunc(tp.stale, func(p planned) bool {
-			return p.via != tp.stale[0].via || (p.owner == own) != (tp.stale[0].owner == own)
-		}) {
+		if slices.ContainsFunc(tp.stale, func(p planned) bool { return p.via != laneBulk }) {
 			slices.SortStableFunc(tp.stale, func(x, y planned) int { return y.rank.cmp(x.rank) })
 		}
 		erase(tbl, tp.drift)
