@@ -27,9 +27,9 @@ package core_test
 // TestGateKeeperCountsPinned's Repartitions (173 → 184), main shift total
 // (2996941 → 2997003: those main inserts land in another order) and last
 // minted part ID (+1846 → +1857), and TestBatchCountsPinned's shadow shift
-// total without the rate limit (60418 → 60388: every shadow insert of a
-// plan goes in highest precedence first, before any of its stale entries
-// leave), and nothing else.
+// total without the rate limit (60418 → 60388: in a shadow table too full
+// for a plan's inserts, all its stale entries leave first, where they used
+// to leave one rule at a time), and nothing else.
 
 import (
 	"fmt"
