@@ -77,7 +77,7 @@ func main() {
 		"coalesce flow-mods into vectored flow-mod-batch frames (implies -fleet; one wire write per batch)")
 	batchSize := flag.Int("batch-size", 64, "max flow-mods per wire batch frame (with -batch)")
 	batchLinger := flag.Duration("batch-linger", 500*time.Microsecond,
-		"how long a non-full batch lingers for stragglers before flushing (with -batch)")
+		"how long a non-full batch waits for stragglers while another is in flight (with -batch)")
 	useFleet := flag.Bool("fleet", false,
 		"drive through the fleet layer (queues, batching, breakers) instead of raw wire clients")
 	profName := flag.String("switch", "Pica8 P-3290", "switch profile for in-process agents")

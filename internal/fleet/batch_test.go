@@ -98,20 +98,32 @@ func TestFleetWireBatchPreservesPerRuleFIFO(t *testing.T) {
 		name   string
 		size   int
 		linger time.Duration
+		slow   bool // replies reach the fleet late, so two frames are in flight
 	}{
-		{"size1", 1, 100 * time.Microsecond},        // every op its own frame
-		{"size4-short-linger", 4, time.Microsecond}, // frames split mid-cycle
-		{"size64-long-linger", 64, time.Millisecond},
-		{"default", 0, 0},
+		{"size1", 1, 100 * time.Microsecond, false},        // every op its own frame
+		{"size4-short-linger", 4, time.Microsecond, false}, // frames split mid-cycle
+		{"size64-long-linger", 64, time.Millisecond, false},
+		{"default", 0, 0, false},
+		{"size4-slow-agent", 4, time.Millisecond, true}, // cycles span two in-flight frames
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
-			f, err := New(Config{
+			cfg := Config{
 				WireBatch:   true,
 				BatchSize:   tc.size,
 				BatchLinger: tc.linger,
-			}, specs)
+			}
+			if tc.slow {
+				cfg.Dial = func(network, addr string) (net.Conn, error) {
+					conn, err := net.DialTimeout(network, addr, time.Second)
+					if err != nil {
+						return nil, err
+					}
+					return slowReadConn{conn, 500 * time.Microsecond}, nil
+				}
+			}
+			f, err := New(cfg, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,6 +168,17 @@ func TestFleetWireBatchPreservesPerRuleFIFO(t *testing.T) {
 			}
 		})
 	}
+}
+
+// slowReadConn delays every read, so replies reach the fleet late.
+type slowReadConn struct {
+	net.Conn
+	delay time.Duration
+}
+
+func (c slowReadConn) Read(b []byte) (int, error) {
+	time.Sleep(c.delay)
+	return c.Conn.Read(b)
 }
 
 // TestFleetWireBatchRemoteErrorsDemuxed: per-op rejections inside a batch
@@ -408,8 +431,8 @@ func runBatchChaosSeed(t *testing.T, seed int64) {
 
 // TestFleetApplyFillsWireBatchFrames: a reconcile plan handed to Apply is
 // queued as a whole, so a WireBatch worker packs it into ≈N/BatchSize
-// frames. Applied one awaited op at a time, every op would wait out a
-// BatchLinger alone and the plan would cost N frames.
+// frames. Applied one awaited op at a time, every op would go out alone
+// and the plan would cost N frames.
 func TestFleetApplyFillsWireBatchFrames(t *testing.T) {
 	specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
 	sw := specs[0].ID

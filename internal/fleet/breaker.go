@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -71,8 +72,11 @@ func (e *CircuitOpenError) Error() string {
 type breaker struct {
 	cfg BreakerConfig
 
+	// state is read without mu on every op (allow); it changes only under
+	// mu, together with the fields below.
+	state atomic.Int32
+
 	mu       sync.Mutex
-	state    BreakerState
 	fails    int
 	openedAt time.Time
 	trips    uint64
@@ -84,10 +88,10 @@ func newBreaker(cfg BreakerConfig) *breaker {
 
 // allow reports whether a regular operation may proceed.
 func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state == BreakerClosed
+	return BreakerState(b.state.Load()) == BreakerClosed
 }
+
+func (b *breaker) set(s BreakerState) { b.state.Store(int32(s)) }
 
 // allowProbe reports whether a health probe should run: always while
 // closed, and once the open timeout has elapsed (transitioning to
@@ -95,12 +99,12 @@ func (b *breaker) allow() bool {
 func (b *breaker) allowProbe(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
+	switch BreakerState(b.state.Load()) {
 	case BreakerClosed, BreakerHalfOpen:
 		return true
 	default: // BreakerOpen
 		if now.Sub(b.openedAt) >= b.cfg.OpenTimeout {
-			b.state = BreakerHalfOpen
+			b.set(BreakerHalfOpen)
 			return true
 		}
 		return false
@@ -112,7 +116,7 @@ func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails = 0
-	b.state = BreakerClosed
+	b.set(BreakerClosed)
 }
 
 // failure records a connection-level failure, opening the circuit at the
@@ -121,11 +125,12 @@ func (b *breaker) failure(now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.fails++
-	if b.state == BreakerHalfOpen || b.fails >= b.cfg.FailureThreshold {
-		if b.state != BreakerOpen {
+	st := BreakerState(b.state.Load())
+	if st == BreakerHalfOpen || b.fails >= b.cfg.FailureThreshold {
+		if st != BreakerOpen {
 			b.trips++
 		}
-		b.state = BreakerOpen
+		b.set(BreakerOpen)
 		b.openedAt = now
 	}
 }
@@ -134,5 +139,5 @@ func (b *breaker) failure(now time.Time) {
 func (b *breaker) snapshot() (BreakerState, uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.state, b.trips
+	return BreakerState(b.state.Load()), b.trips
 }

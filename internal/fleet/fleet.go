@@ -75,20 +75,27 @@ type Config struct {
 	// channel without the fleet knowing.
 	Dial func(network, addr string) (net.Conn, error)
 	// WireBatch switches workers to vectored dispatch: instead of issuing
-	// each queued flow-mod as its own request, a worker drains its queue
-	// into one flow-mod-batch frame (up to BatchSize ops, lingering at
-	// most BatchLinger for stragglers) and applies it with a single wire
-	// round trip — amortizing syscalls, the agent's lock acquisition, and
-	// its snapshot rebuild across the whole batch. Ops are encoded in
-	// queue order and the agent applies them in order, so per-rule FIFO
-	// (an insert followed by a delete of the same rule never reorders) is
+	// each queued flow-mod as its own request, a worker takes its queue,
+	// up to BatchSize ops at a time, into flow-mod-batch frames, each
+	// applied with a single wire round trip — amortizing syscalls, the
+	// agent's lock acquisition, and its snapshot rebuild across the whole
+	// frame. At most two frames are in flight per switch. An idle switch
+	// (no frame in flight) gets what is queued at once; while one frame is
+	// in flight the next one coalesces (see BatchLinger). Ops are encoded
+	// in queue order, the agent applies frames in arrival order and each
+	// frame's ops in order, and one completer per switch delivers results
+	// frame by frame, so per-rule FIFO (an insert followed by a delete of
+	// the same rule never reorders) and the per-switch OnResult order are
 	// preserved end to end. RetryDiverted is intentionally bypassed in
 	// batch mode: a divert retry deletes and re-inserts one rule
 	// mid-stream, which would break exactly the ordering the batch path
 	// guarantees.
 	WireBatch bool
-	// BatchLinger is how long a worker holding a non-full batch waits for
-	// more queued ops before flushing (size-or-deadline coalescing). Only
+	// BatchLinger bounds how long a worker with one frame in flight holds
+	// queued ops back for the next frame: that frame goes out when it
+	// holds BatchSize ops, when BatchLinger has passed, or when the
+	// in-flight frame's reply arrives, whichever comes first (Nagle's rule,
+	// RFC 896). A worker with no frame in flight never lingers. Only
 	// consulted when WireBatch is set. Defaults to 500µs.
 	BatchLinger time.Duration
 	// OpTimeout, when > 0, bounds every request the fleet issues on a
@@ -165,8 +172,7 @@ type Fleet struct {
 	// ctrl is the reconciler NewController attached, told of reconnects.
 	ctrl atomic.Pointer[intent.Controller]
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
 }
 
 // New dials every switch and starts one worker per switch. On any dial
@@ -251,10 +257,7 @@ func (f *Fleet) Route(id classifier.RuleID) string {
 // submit queues one op on the switch's worker. A switch with an open
 // circuit fails fast without queuing.
 func (f *Fleet) submit(switchID string, o *op) (<-chan OpResult, error) {
-	f.mu.Lock()
-	closed := f.closed
-	f.mu.Unlock()
-	if closed {
+	if f.closed.Load() {
 		return nil, ErrFleetClosed
 	}
 	w, ok := f.workers[switchID]
@@ -267,7 +270,7 @@ func (f *Fleet) submit(switchID string, o *op) (<-chan OpResult, error) {
 		w.complete(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: &CircuitOpenError{Switch: w.id}})
 		return o.done, nil
 	}
-	if err := w.enqueue(o); err != nil {
+	if err := w.q.push(o); err != nil {
 		return nil, err
 	}
 	return o.done, nil
@@ -339,10 +342,7 @@ func (f *Fleet) InsertRoutedAsync(r classifier.Rule) (<-chan OpResult, error) {
 // CircuitOpenError so callers back off instead of piling requests onto a
 // dead channel.
 func (f *Fleet) ObservedRules(switchID string) ([]classifier.Rule, error) {
-	f.mu.Lock()
-	closed := f.closed
-	f.mu.Unlock()
-	if closed {
+	if f.closed.Load() {
 		return nil, ErrFleetClosed
 	}
 	w, ok := f.workers[switchID]
@@ -436,13 +436,9 @@ func (f *Fleet) Snapshot() *Snapshot {
 // Close shuts every worker down: queued ops fail with ErrFleetClosed,
 // in-flight requests are cut, goroutines joined. Safe to call repeatedly.
 func (f *Fleet) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if !f.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	f.closed = true
-	f.mu.Unlock()
 	var errs []error
 	for _, id := range f.order {
 		if err := f.workers[id].close(); err != nil &&

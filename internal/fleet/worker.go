@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/classifier"
@@ -28,6 +30,10 @@ type OpResult struct {
 	Err      error
 }
 
+// maxFramesInFlight is how many flow-mod-batch frames a WireBatch worker
+// keeps on the wire at once: one being answered while the next is written.
+const maxFramesInFlight = 2
+
 // worker owns one switch: its control channel, bounded flow-mod queue,
 // circuit breaker, health probes, and telemetry. All flow-mods for the
 // switch funnel through its queue; the worker dispatches them in batches
@@ -37,10 +43,10 @@ type worker struct {
 	addr string
 	f    *Fleet
 
-	queue chan *op
-	stop  chan struct{}
+	q    *opQueue
+	stop chan struct{}
 
-	// emu guards stopped and fences in-flight enqueues against Close.
+	// emu guards stopped, which fences client replacement against Close.
 	emu     sync.RWMutex
 	stopped bool
 
@@ -56,11 +62,16 @@ type worker struct {
 	tele switchTelemetry
 	wg   sync.WaitGroup
 
-	// Optional obs instruments (set by registerObs before start); attached
-	// to every client this worker dials so RTT and in-flight accounting
-	// survive reconnects.
+	// framesInFlight counts the WireBatch frames written and not yet
+	// answered (at most maxFramesInFlight).
+	framesInFlight atomic.Int32
+
+	// Optional obs instruments (set by registerObs before start); inflight
+	// and rtt are attached to every client this worker dials so RTT and
+	// in-flight accounting survive reconnects.
 	inflight *obs.Gauge
 	rtt      *obs.Histogram
+	frameOps *obs.Histogram
 }
 
 func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
@@ -68,7 +79,7 @@ func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
 		id:     spec.ID,
 		addr:   spec.Addr,
 		f:      f,
-		queue:  make(chan *op, f.cfg.QueueDepth),
+		q:      newOpQueue(f.cfg.QueueDepth, f.cfg.BatchSize),
 		stop:   make(chan struct{}),
 		client: client,
 		brk:    newBreaker(f.cfg.Breaker),
@@ -81,7 +92,11 @@ func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
 
 func (w *worker) start() {
 	w.wg.Add(2)
-	go w.run()
+	if w.f.cfg.WireBatch {
+		go w.runWire()
+	} else {
+		go w.run()
+	}
 	go w.probeLoop()
 }
 
@@ -110,26 +125,9 @@ func (w *worker) setClient(c *ofwire.Client) {
 	}
 }
 
-// enqueue adds one op to the bounded queue, blocking for backpressure when
-// the queue is full.
-func (w *worker) enqueue(o *op) error {
-	w.emu.RLock()
-	defer w.emu.RUnlock()
-	if w.stopped {
-		return ErrFleetClosed
-	}
-	select {
-	case w.queue <- o:
-		return nil
-	//lint:ignore chanblock stop is close-only (no sender to rendezvous with) and Close releases emu before closing it; the run loop keeps draining queue until then, so the select always makes progress
-	case <-w.stop:
-		return ErrFleetClosed
-	}
-}
-
-// run is the dispatch loop: pull a batch off the queue and issue every op
-// in it concurrently; the pipelined client keeps them all in flight on the
-// one connection.
+// run is the per-op dispatch loop: take a batch off the queue and issue
+// every op in it concurrently; the pipelined client keeps them all in
+// flight on the one connection.
 func (w *worker) run() {
 	defer w.wg.Done()
 	for {
@@ -137,46 +135,17 @@ func (w *worker) run() {
 		case <-w.stop:
 			w.drainFail()
 			return
-		case o := <-w.queue:
-			if w.f.cfg.WireBatch {
-				w.dispatchWire(w.gatherLinger(o))
-				continue
-			}
-			batch := []*op{o}
-			for len(batch) < w.f.cfg.BatchSize {
-				select {
-				case next := <-w.queue:
-					batch = append(batch, next)
-				default:
-					goto full
-				}
-			}
-		full:
+		default:
+		}
+		if batch := w.q.take(w.f.cfg.BatchSize); len(batch) > 0 {
 			w.dispatch(batch)
+			continue
 		}
-	}
-}
-
-// gatherLinger coalesces queued ops into one wire batch: it keeps pulling
-// until the batch is full or BatchLinger elapses without it filling —
-// size-or-deadline coalescing, so a trickle of ops still flushes promptly
-// while a burst amortizes into one frame.
-func (w *worker) gatherLinger(first *op) []*op {
-	batch := []*op{first}
-	t := time.NewTimer(w.f.cfg.BatchLinger)
-	defer t.Stop()
-	for len(batch) < w.f.cfg.BatchSize {
 		select {
-		case next := <-w.queue:
-			batch = append(batch, next)
-		case <-t.C:
-			return batch
-		//lint:ignore chanblock stop is close-only; a closed stop just flushes the gathered batch before the run loop drains
 		case <-w.stop:
-			return batch
+		case <-w.q.ready:
 		}
 	}
-	return batch
 }
 
 // dispatch issues every op of the batch at once so the pipelined client
@@ -196,27 +165,86 @@ func (w *worker) dispatch(batch []*op) {
 	wg.Wait()
 }
 
-// dispatchWire applies one gathered batch as a single flow-mod-batch
-// frame. The ops travel in queue order and the agent applies the frame's
-// entries in order under one lock acquisition, so per-rule FIFO is
-// preserved: the queue is FIFO, one run loop gathers, and this method
-// issues batches sequentially (never concurrently). Per-op outcomes are
-// demuxed from the reply entries through the same complete() path the
-// per-op dispatcher uses, so OnResult observers see exactly one callback
-// per submitted op either way. Remote typed errors in an entry mean the
-// switch is alive and do not count against the circuit; only wire-level
-// failures trip it. RetryDiverted is deliberately not honored here (see
-// Config.WireBatch).
-func (w *worker) dispatchWire(batch []*op) {
-	if !w.brk.allow() {
-		for _, o := range batch {
-			w.tele.fail()
-			w.complete(o, OpResult{
-				Switch: w.id, RuleID: o.rule.ID, Attempts: 1,
-				Err: &CircuitOpenError{Switch: w.id},
-			})
+// wireFrame is one batch handed from runWire to the completer: the ops in
+// queue order and the frame carrying them, or a nil frame when the circuit
+// was open and the ops fail fast.
+type wireFrame struct {
+	ops   []*op
+	frame *ofwire.PendingBatch
+}
+
+// runWire is the WireBatch dispatch loop, Nagle's rule (RFC 896) applied
+// to frames. With no frame in flight it writes what is queued, up to
+// BatchSize ops, at once. With one in flight it coalesces until the queue
+// holds BatchSize ops, BatchLinger passes, or that frame's reply arrives,
+// whichever comes first; with two in flight it waits for a reply. So a lone
+// op on an idle switch goes out without delay, and under load a frame
+// fills while its predecessor is answered. One completer goroutine awaits
+// the frames in send order and completes their ops; the queue is FIFO and
+// the agent applies frames in arrival order, so per-rule FIFO and the
+// per-switch OnResult order hold across frames. RetryDiverted is
+// deliberately not honored here (see Config.WireBatch).
+func (w *worker) runWire() {
+	defer w.wg.Done()
+	// Both sized to maxFramesInFlight: a frame sent and not yet counted
+	// back through replied is in one channel or in the completer's hands,
+	// so neither side's send ever blocks, also after runWire stops reading.
+	frames := make(chan wireFrame, maxFramesInFlight)
+	replied := make(chan struct{}, maxFramesInFlight)
+	completed := make(chan struct{})
+	go w.completeFrames(frames, replied, completed)
+
+	// The one linger timer, armed only while a frame is in flight and ops
+	// wait to join the next one.
+	linger := time.NewTimer(w.f.cfg.BatchLinger)
+	linger.Stop()
+	defer linger.Stop()
+
+	inFlight, armed, lingered := 0, false, false
+	for {
+		if inFlight < maxFramesInFlight {
+			if n := w.q.len(); n > 0 {
+				if inFlight == 0 || n >= w.q.batch || lingered {
+					if armed && !linger.Stop() {
+						// Fired but not yet received: drop the tick.
+						select {
+						case <-linger.C:
+						default:
+						}
+					}
+					armed, lingered = false, false
+					frames <- w.send(w.q.take(w.f.cfg.BatchSize))
+					inFlight++
+					continue
+				}
+				if !armed {
+					linger.Reset(w.f.cfg.BatchLinger)
+					armed = true
+				}
+			}
 		}
-		return
+		select {
+		case <-w.stop:
+			// In-flight frames complete before queued ops drain, so
+			// OnResult keeps submit order to the end.
+			close(frames)
+			<-completed
+			w.drainFail()
+			return
+		case <-w.q.ready:
+		case <-replied:
+			inFlight--
+		case <-linger.C:
+			armed, lingered = false, true
+		}
+	}
+}
+
+// send writes one batch as a flow-mod-batch frame without waiting for its
+// reply. An open circuit sends nothing; the completer fails the ops.
+func (w *worker) send(batch []*op) wireFrame {
+	if !w.brk.allow() {
+		return wireFrame{ops: batch}
 	}
 	mods := make([]ofwire.FlowMod, len(batch))
 	for i, o := range batch {
@@ -229,33 +257,63 @@ func (w *worker) dispatchWire(batch []*op) {
 		}
 		mods[i] = *ofwire.FlowModFromRule(cmd, o.rule)
 	}
-	results, err := w.currentClient().ApplyBatch(mods)
-	if err == nil {
-		w.brk.success()
-	} else {
-		var remote *ofwire.ErrorBody
-		if !errors.As(err, &remote) {
-			w.tele.fault(err)
-			w.brk.failure(time.Now())
-		}
+	if w.frameOps != nil {
+		w.frameOps.Record(uint64(len(batch)))
 	}
-	for i, o := range batch {
-		res := OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1}
-		switch {
-		case i < len(results) && results[i].Err == nil:
-			res.Result = results[i].Result
-			w.tele.observe(res.Result)
-		case i < len(results) && results[i].Err != nil:
-			// Per-op remote rejection: reported in its slot, the rest of
-			// the batch stands.
-			res.Err = results[i].Err
-			w.tele.fail()
-		default:
-			// The wire failed before this op's chunk got a reply.
-			res.Err = err
-			w.tele.fail()
+	w.framesInFlight.Add(1)
+	return wireFrame{ops: batch, frame: w.currentClient().SendBatch(mods)}
+}
+
+// completeFrames is the completer: it awaits each frame in send order,
+// tells runWire the moment its reply is in, and completes the frame's ops
+// through complete(). Remote typed errors in an entry mean the switch is
+// alive and do not count against the circuit; only wire-level failures
+// trip it — once per frame, so a reset with two frames in flight counts
+// twice. It returns once frames is closed and drained.
+func (w *worker) completeFrames(frames <-chan wireFrame, replied chan<- struct{}, completed chan<- struct{}) {
+	defer close(completed)
+	for fr := range frames {
+		if fr.frame == nil {
+			replied <- struct{}{}
+			for _, o := range fr.ops {
+				w.tele.fail()
+				w.complete(o, OpResult{
+					Switch: w.id, RuleID: o.rule.ID, Attempts: 1,
+					Err: &CircuitOpenError{Switch: w.id},
+				})
+			}
+			continue
 		}
-		w.complete(o, res)
+		results, err := fr.frame.Wait(context.Background())
+		w.framesInFlight.Add(-1)
+		replied <- struct{}{}
+		if err == nil {
+			w.brk.success()
+		} else {
+			var remote *ofwire.ErrorBody
+			if !errors.As(err, &remote) {
+				w.tele.fault(err)
+				w.brk.failure(time.Now())
+			}
+		}
+		for i, o := range fr.ops {
+			res := OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1}
+			switch {
+			case i < len(results) && results[i].Err == nil:
+				res.Result = results[i].Result
+				w.tele.observe(res.Result)
+			case i < len(results) && results[i].Err != nil:
+				// Per-op remote rejection: reported in its slot, the rest of
+				// the batch stands.
+				res.Err = results[i].Err
+				w.tele.fail()
+			default:
+				// The wire failed before this op's frame got a reply.
+				res.Err = err
+				w.tele.fail()
+			}
+			w.complete(o, res)
+		}
 	}
 }
 
@@ -268,15 +326,11 @@ func (w *worker) complete(o *op, res OpResult) {
 	o.done <- res
 }
 
-// drainFail fails any ops still queued at shutdown.
+// drainFail fails any ops still queued at shutdown. The queue is closed
+// by then, so one take empties it for good.
 func (w *worker) drainFail() {
-	for {
-		select {
-		case o := <-w.queue:
-			w.complete(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: ErrFleetClosed})
-		default:
-			return
-		}
+	for _, o := range w.q.take(w.f.cfg.QueueDepth) {
+		w.complete(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: ErrFleetClosed})
 	}
 }
 
@@ -405,6 +459,7 @@ func (w *worker) close() error {
 	}
 	w.stopped = true
 	w.emu.Unlock()
+	w.q.close()
 	close(w.stop)
 	err := w.currentClient().Close()
 	w.wg.Wait()

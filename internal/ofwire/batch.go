@@ -17,7 +17,7 @@ import (
 //
 // Batch ops do not run through the FlowLifecycle observer: the per-XID
 // submitted/completed pairing is a per-op wire concept, and batch callers
-// get every per-op outcome synchronously from the returned slice instead.
+// get every per-op outcome from the slice Wait returns instead.
 
 // BatchResult is the controller-visible outcome of one op inside a batch.
 // Err, when non-nil, is an *ErrorBody carrying the remote status code —
@@ -34,50 +34,99 @@ func (c *Client) ApplyBatch(ops []FlowMod) ([]BatchResult, error) {
 	return c.ApplyBatchCtx(context.Background(), ops)
 }
 
-// ApplyBatchCtx is ApplyBatch bounded by the context's deadline, layered
-// with the client's default per-request timeout per frame. Ops apply
-// strictly in slice order: chunks are sent sequentially and the agent
-// applies each frame's ops in order, so splitting never reorders. On a wire
-// or decode error the results decided so far are returned with the error;
-// the caller cannot assume anything about the remainder.
+// ApplyBatchCtx is SendBatch followed by Wait(ctx): bounded by the
+// context's deadline, layered with the client's default per-request
+// timeout per frame.
 func (c *Client) ApplyBatchCtx(ctx context.Context, ops []FlowMod) ([]BatchResult, error) {
+	return c.SendBatch(ops).Wait(ctx)
+}
+
+// PendingBatch is a batch whose frames SendBatch has written and whose
+// replies Wait collects.
+type PendingBatch struct {
+	c     *Client
+	n     int    // ops in the batch
+	calls []call // one per frame written, in order
+	err   error  // the send error that cut the batch short, if any
+}
+
+// SendBatch writes ops as flow-mod-batch frames, one per MaxBatchOps
+// chunk, back to back, and returns without waiting for a reply: the caller
+// may send its next batch before this one is answered. Ops apply strictly
+// in slice order, across batches too, because the agent handles frames in
+// arrival order and each frame's ops in order. Each frame carries the
+// client's default request timeout, counted from its write. A send error
+// stops the batch; Wait reports it after the frames already written.
+func (c *Client) SendBatch(ops []FlowMod) *PendingBatch {
+	b := &PendingBatch{c: c, n: len(ops)}
 	if len(ops) == 0 {
+		return b
+	}
+	timeout := c.RequestTimeout()
+	b.calls = make([]call, 0, (len(ops)+MaxBatchOps-1)/MaxBatchOps)
+	for start := 0; start < len(ops); start += MaxBatchOps {
+		cl, err := c.send(&Message{
+			Header:       Header{Type: TypeFlowModBatch},
+			FlowModBatch: &FlowModBatch{Ops: ops[start:min(start+MaxBatchOps, len(ops))]},
+		}, timeout)
+		if err != nil {
+			b.err = err
+			break
+		}
+		b.calls = append(b.calls, cl)
+	}
+	return b
+}
+
+// Wait awaits the batch's replies in frame order, each bounded by ctx and
+// its frame's deadline. On a wire or decode error the results decided so
+// far are returned with the error; the caller cannot assume anything about
+// the remainder. Every frame written is awaited either way, so none is
+// left registered behind the caller.
+func (b *PendingBatch) Wait(ctx context.Context) ([]BatchResult, error) {
+	if b.n == 0 {
 		return nil, nil
 	}
-	results := make([]BatchResult, 0, len(ops))
-	for start := 0; start < len(ops); start += MaxBatchOps {
-		end := start + MaxBatchOps
-		if end > len(ops) {
-			end = len(ops)
+	results := make([]BatchResult, 0, b.n)
+	var first error
+	for i := range b.calls {
+		resp, err := b.c.await(ctx, &b.calls[i])
+		if first == nil {
+			chunk := min(MaxBatchOps, b.n-i*MaxBatchOps)
+			results, first = appendBatchResults(results, chunk, resp, err)
 		}
-		chunk := ops[start:end]
-		resp, err := c.roundTrip(ctx, &Message{
-			Header:       Header{Type: TypeFlowModBatch},
-			FlowModBatch: &FlowModBatch{Ops: chunk},
+	}
+	if first == nil {
+		first = b.err
+	}
+	return results, first
+}
+
+// appendBatchResults decodes the reply to one frame of chunk ops onto
+// results.
+func appendBatchResults(results []BatchResult, chunk int, resp *Message, err error) ([]BatchResult, error) {
+	if err != nil {
+		return results, err
+	}
+	if resp.Header.Type != TypeFlowModBatchReply || resp.FlowModBatchReply == nil {
+		return results, fmt.Errorf("ofwire: unexpected reply %s", resp.Header.Type)
+	}
+	entries := resp.FlowModBatchReply.Entries
+	if len(entries) != chunk {
+		return results, fmt.Errorf("ofwire: batch reply carries %d entries for %d ops",
+			len(entries), chunk)
+	}
+	for _, e := range entries {
+		results = append(results, BatchResult{
+			Result: FlowModResult{
+				Latency:    time.Duration(e.Reply.LatencyNS),
+				Path:       core.InsertPath(e.Reply.Path),
+				Guaranteed: e.Reply.Guaranteed,
+				Violation:  e.Reply.Violation,
+				Partitions: int(e.Reply.Partitions),
+			},
+			Err: e.Err(),
 		})
-		if err != nil {
-			return results, err
-		}
-		if resp.Header.Type != TypeFlowModBatchReply || resp.FlowModBatchReply == nil {
-			return results, fmt.Errorf("ofwire: unexpected reply %s", resp.Header.Type)
-		}
-		entries := resp.FlowModBatchReply.Entries
-		if len(entries) != len(chunk) {
-			return results, fmt.Errorf("ofwire: batch reply carries %d entries for %d ops",
-				len(entries), len(chunk))
-		}
-		for _, e := range entries {
-			results = append(results, BatchResult{
-				Result: FlowModResult{
-					Latency:    time.Duration(e.Reply.LatencyNS),
-					Path:       core.InsertPath(e.Reply.Path),
-					Guaranteed: e.Reply.Guaranteed,
-					Violation:  e.Reply.Violation,
-					Partitions: int(e.Reply.Partitions),
-				},
-				Err: e.Err(),
-			})
-		}
 	}
 	return results, nil
 }

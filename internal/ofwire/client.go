@@ -120,6 +120,7 @@ func NewClient(conn net.Conn) (*Client, error) {
 // read error it fails every pending caller with a descriptive error; the
 // client is dead from then on.
 func (c *Client) readLoop(br *bufio.Reader) {
+	defer close(c.readerDone)
 	for {
 		resp, err := ReadMessage(br)
 		if err != nil {
@@ -136,15 +137,17 @@ func (c *Client) readLoop(br *bufio.Reader) {
 		}
 		c.pmu.Unlock()
 		if !ok {
-			// A reply nobody waits for (e.g. the caller errored out while
-			// writing). Drop it; the XID space never reuses live IDs.
+			// A reply nobody waits for (e.g. the caller abandoned it at its
+			// deadline). Drop it; the XID space never reuses live IDs.
 			continue
 		}
 		ch <- resp
 	}
 }
 
-// fail marks the client dead and wakes every pending caller.
+// fail marks the client dead, wakes every pending caller and closes the
+// connection. The first cause sticks; later calls (the read loop noticing
+// the connection a failed write already closed) change nothing.
 func (c *Client) fail(cause error) {
 	c.pmu.Lock()
 	if c.failErr == nil {
@@ -160,7 +163,6 @@ func (c *Client) fail(cause error) {
 	}
 	c.pmu.Unlock()
 	c.conn.Close()
-	close(c.readerDone)
 }
 
 // Err returns the terminal connection error, or nil while the client is
@@ -223,25 +225,34 @@ func (c *Client) SetLifecycle(l FlowLifecycle) {
 	c.lifecycle = l
 }
 
-// roundTrip is roundTripCtx with the client's default deadline layered on
-// ctx. Multiple round trips may be in flight concurrently; each caller
-// blocks only on its own XID.
-func (c *Client) roundTrip(ctx context.Context, req *Message) (*Message, error) {
-	if d := c.RequestTimeout(); d > 0 {
-		ctx, cancel := context.WithTimeout(ctx, d)
-		defer cancel()
-		return c.roundTripCtx(ctx, req)
-	}
-	return c.roundTripCtx(ctx, req)
+// call is one request on the wire: its XID registered, its frame written,
+// its reply (or the client's failure) on the way to ch.
+type call struct {
+	xid     uint32
+	ch      chan *Message
+	start   time.Time     // when the frame was sent; set only when rtt or timeout needs it
+	timeout time.Duration // deadline counted from start; 0 = only the await context bounds it
 }
 
-// roundTripCtx registers the request's XID, lays the frame out in the
-// client's reused write buffer, issues a single conn.Write, and waits for
-// the reply or the context's deadline, whichever comes first. A timed-out
-// request abandons only its own XID: the connection and the other in-flight
-// requests stay healthy, and a late reply to the abandoned XID is dropped by
-// the read loop.
-func (c *Client) roundTripCtx(ctx context.Context, req *Message) (*Message, error) {
+// roundTrip is the one request path: send, then await. timeout is the
+// per-request deadline (the client's default for the non-Ctx methods, 0
+// for the Ctx ones); ctx bounds the wait as well. Many round trips may be
+// in flight at once; each caller blocks only on its own XID.
+func (c *Client) roundTrip(ctx context.Context, req *Message, timeout time.Duration) (*Message, error) {
+	cl, err := c.send(req, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return c.await(ctx, &cl)
+}
+
+// send registers the request's XID, lays the frame out in the client's
+// reused write buffer, issues a single conn.Write and starts the RTT clock.
+// It does not wait for the reply: the caller must await the returned call,
+// and may send further requests first. A failed write fails the whole
+// client — a frame cut short leaves the byte stream unframed, and the next
+// frame written behind it would be read as the rest of this one.
+func (c *Client) send(req *Message, timeout time.Duration) (call, error) {
 	xid := req.Header.XID
 	if xid == 0 {
 		// The flow-mod path pre-assigns XIDs so lifecycle observers see the
@@ -250,53 +261,63 @@ func (c *Client) roundTripCtx(ctx context.Context, req *Message) (*Message, erro
 		xid = c.nextXID.Add(1)
 		req.Header.XID = xid
 	}
-	ch := make(chan *Message, 1)
-
-	var start time.Time
-	if c.rtt != nil {
-		start = time.Now()
-	}
-	if c.inflight != nil {
-		c.inflight.Add(1)
-		defer c.inflight.Add(-1)
-	}
+	cl := call{xid: xid, ch: make(chan *Message, 1), timeout: timeout}
 
 	c.pmu.Lock()
 	if c.failErr != nil {
 		err := c.failErr
 		c.pmu.Unlock()
-		return nil, err
+		return cl, err
 	}
 	if c.closed {
 		c.pmu.Unlock()
-		return nil, ErrClientClosed
+		return cl, ErrClientClosed
 	}
-	c.pending[xid] = ch
+	c.pending[xid] = cl.ch
 	c.pmu.Unlock()
+	if c.inflight != nil {
+		c.inflight.Add(1)
+	}
 
 	c.wmu.Lock()
+	if c.rtt != nil || timeout > 0 {
+		cl.start = time.Now()
+	}
 	var err error
 	c.wbuf, err = writeFrame(c.conn, c.wbuf, req)
 	c.wmu.Unlock()
 	if err != nil {
-		c.pmu.Lock()
-		delete(c.pending, xid)
-		if c.failErr != nil {
-			err = c.failErr
+		c.fail(err)
+		if c.inflight != nil {
+			c.inflight.Add(-1)
 		}
-		c.pmu.Unlock()
-		return nil, err
+		return cl, c.Err()
 	}
+	return cl, nil
+}
 
+// await waits for a sent call's reply, its deadline or ctx, whichever comes
+// first. A timed-out request abandons only its own XID: the connection and
+// the other in-flight requests stay healthy, and a late reply to the
+// abandoned XID is dropped by the read loop.
+func (c *Client) await(ctx context.Context, cl *call) (*Message, error) {
+	if c.inflight != nil {
+		defer c.inflight.Add(-1)
+	}
+	if cl.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, cl.start.Add(cl.timeout))
+		defer cancel()
+	}
 	select {
-	case resp, ok := <-ch:
+	case resp, ok := <-cl.ch:
 		if !ok {
 			return nil, c.Err()
 		}
 		if c.rtt != nil {
 			// Error replies completed a round trip too; only failed or
 			// abandoned requests go unrecorded.
-			c.rtt.RecordDuration(time.Since(start))
+			c.rtt.RecordDuration(time.Since(cl.start))
 		}
 		if resp.Header.Type == TypeError {
 			return nil, resp.Error
@@ -304,11 +325,11 @@ func (c *Client) roundTripCtx(ctx context.Context, req *Message) (*Message, erro
 		return resp, nil
 	case <-ctx.Done():
 		c.pmu.Lock()
-		delete(c.pending, xid)
+		delete(c.pending, cl.xid)
 		c.pmu.Unlock()
 		// The reply channel is buffered, so a reply racing this removal
 		// parks harmlessly in the channel and is garbage-collected.
-		return nil, fmt.Errorf("ofwire: request %d abandoned: %w", xid, ctx.Err())
+		return nil, fmt.Errorf("ofwire: request %d abandoned: %w", cl.xid, ctx.Err())
 	}
 }
 
@@ -357,7 +378,7 @@ func (c *Client) flowMod(cmd FlowModCommand, r classifier.Rule) (FlowModResult, 
 		FlowMod: FlowModFromRule(cmd, r),
 	}
 	c.notifySubmitted(req, r.ID)
-	resp, err := c.roundTrip(context.Background(), req)
+	resp, err := c.roundTrip(context.Background(), req, c.RequestTimeout())
 	res, err := decodeFlowModResult(resp, err)
 	c.notifyCompleted(req, r.ID, res, err)
 	return res, err
@@ -369,7 +390,7 @@ func (c *Client) flowModCtx(ctx context.Context, cmd FlowModCommand, r classifie
 		FlowMod: FlowModFromRule(cmd, r),
 	}
 	c.notifySubmitted(req, r.ID)
-	resp, err := c.roundTripCtx(ctx, req)
+	resp, err := c.roundTrip(ctx, req, 0)
 	res, err := decodeFlowModResult(resp, err)
 	c.notifyCompleted(req, r.ID, res, err)
 	return res, err
@@ -377,7 +398,7 @@ func (c *Client) flowModCtx(ctx context.Context, cmd FlowModCommand, r classifie
 
 // notifySubmitted pre-assigns the request's XID and announces it to the
 // lifecycle observer. No-op without an observer — the XID is then assigned
-// inside roundTripCtx as usual.
+// inside send as usual.
 func (c *Client) notifySubmitted(req *Message, id classifier.RuleID) {
 	if c.lifecycle == nil {
 		return
@@ -417,12 +438,12 @@ func decodeFlowModResult(resp *Message, err error) (FlowModResult, error) {
 // like OpenFlow's barrier. The agent handles frames in arrival order, so a
 // barrier fences everything written to the wire before it.
 func (c *Client) Barrier() error {
-	return decodeBarrier(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeBarrierRequest}}))
+	return decodeBarrier(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeBarrierRequest}}, c.RequestTimeout()))
 }
 
 // BarrierCtx is Barrier bounded by the context's deadline/cancellation.
 func (c *Client) BarrierCtx(ctx context.Context) error {
-	return decodeBarrier(c.roundTripCtx(ctx, &Message{Header: Header{Type: TypeBarrierRequest}}))
+	return decodeBarrier(c.roundTrip(ctx, &Message{Header: Header{Type: TypeBarrierRequest}}, 0))
 }
 
 func decodeBarrier(resp *Message, err error) error {
@@ -437,12 +458,12 @@ func decodeBarrier(resp *Message, err error) error {
 
 // Echo round-trips a payload (liveness probe).
 func (c *Client) Echo(payload []byte) ([]byte, error) {
-	return decodeEcho(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}))
+	return decodeEcho(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}, c.RequestTimeout()))
 }
 
 // EchoCtx is Echo bounded by the context's deadline/cancellation.
 func (c *Client) EchoCtx(ctx context.Context, payload []byte) ([]byte, error) {
-	return decodeEcho(c.roundTripCtx(ctx, &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}))
+	return decodeEcho(c.roundTrip(ctx, &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}, 0))
 }
 
 func decodeEcho(resp *Message, err error) ([]byte, error) {
@@ -457,12 +478,12 @@ func decodeEcho(resp *Message, err error) ([]byte, error) {
 
 // Stats fetches the agent's counters.
 func (c *Client) Stats() (*Stats, error) {
-	return decodeStats(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeStatsRequest}}))
+	return decodeStats(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeStatsRequest}}, c.RequestTimeout()))
 }
 
 // StatsCtx is Stats bounded by the context's deadline/cancellation.
 func (c *Client) StatsCtx(ctx context.Context) (*Stats, error) {
-	return decodeStats(c.roundTripCtx(ctx, &Message{Header: Header{Type: TypeStatsRequest}}))
+	return decodeStats(c.roundTrip(ctx, &Message{Header: Header{Type: TypeStatsRequest}}, 0))
 }
 
 func decodeStats(resp *Message, err error) (*Stats, error) {
@@ -503,7 +524,7 @@ func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classif
 			Header:       Header{Type: TypeRulesRequest},
 			RulesRequest: &RulesRequest{After: after, Max: pageSize},
 		}
-		resp, err := c.roundTrip(ctx, req)
+		resp, err := c.roundTrip(ctx, req, c.RequestTimeout())
 		if err != nil {
 			return nil, err
 		}
@@ -530,7 +551,7 @@ func (c *Client) RequestQoS(guarantee time.Duration) (*QoSReply, error) {
 	resp, err := c.roundTrip(context.Background(), &Message{
 		Header:     Header{Type: TypeQoSRequest},
 		QoSRequest: &QoSRequest{GuaranteeNS: uint64(guarantee)},
-	})
+	}, c.RequestTimeout())
 	if err != nil {
 		return nil, err
 	}

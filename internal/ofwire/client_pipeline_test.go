@@ -3,6 +3,7 @@ package ofwire
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -146,6 +147,111 @@ func TestReadErrorFailsAllPending(t *testing.T) {
 	}
 	if c.Err() == nil {
 		t.Error("Err() nil on a dead client")
+	}
+}
+
+// shortWriteConn cuts its failAt-th Write short: half the bytes reach the
+// peer, the call returns an error, and the connection stays open.
+type shortWriteConn struct {
+	net.Conn
+	failAt int
+
+	mu      sync.Mutex
+	writes  int
+	partial int // bytes the cut write let through
+}
+
+func (c *shortWriteConn) Write(b []byte) (int, error) {
+	c.mu.Lock()
+	c.writes++
+	cut := c.writes == c.failAt
+	c.mu.Unlock()
+	if !cut {
+		return c.Conn.Write(b)
+	}
+	n, err := c.Conn.Write(b[:len(b)/2])
+	c.mu.Lock()
+	c.partial = n
+	c.mu.Unlock()
+	if err == nil {
+		err = io.ErrShortWrite
+	}
+	return n, err
+}
+
+// TestShortWriteFailsClient: a frame write cut short leaves the peer a
+// partial frame, so the client must die with it. The caller already
+// waiting on an earlier request is woken with the failure, the next
+// request errors without touching the wire, and the peer receives nothing
+// after the partial frame.
+func TestShortWriteFailsClient(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cc, sc := net.Pipe()
+	// Writes: [1] the hello reply, [2] the first echo, [3] the second, cut.
+	conn := &shortWriteConn{Conn: cc, failAt: 3}
+	gotFirst := make(chan struct{})
+	tail := make(chan int, 1)
+	peerErr := make(chan error, 1)
+	go func() {
+		peerErr <- func() error {
+			if err := WriteMessage(sc, &Message{Header: Header{Type: TypeHello}}); err != nil {
+				return err
+			}
+			if _, err := ReadMessage(sc); err != nil {
+				return err
+			}
+			if _, err := ReadMessage(sc); err != nil { // the first echo, never answered
+				return err
+			}
+			close(gotFirst)
+			rest, err := io.ReadAll(sc) // until the client closes its end
+			tail <- len(rest)
+			return err
+		}()
+	}()
+	c, err := NewClient(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Echo([]byte("first"))
+		first <- err
+	}()
+	<-gotFirst
+	if _, err := c.Echo([]byte("second")); err == nil {
+		t.Fatal("echo succeeded through a short write")
+	}
+	select {
+	case err := <-first:
+		if err == nil || !strings.Contains(err.Error(), "connection failed") {
+			t.Fatalf("pending caller err = %v, want the connection failure", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("pending caller still blocked after the failed write")
+	}
+	if _, err := c.Echo([]byte("third")); err == nil {
+		t.Fatal("echo succeeded on a client whose write failed")
+	}
+	if c.Err() == nil {
+		t.Fatal("Err() nil after a failed write")
+	}
+	select {
+	case n := <-tail:
+		conn.mu.Lock()
+		partial, writes := conn.partial, conn.writes
+		conn.mu.Unlock()
+		if n != partial || writes != 3 {
+			t.Fatalf("peer got %d bytes after the first echo and the client wrote %d times, want the %d-byte partial frame and 3 writes",
+				n, writes, partial)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the failed write left the connection open")
+	}
+	if err := <-peerErr; err != nil {
+		t.Fatalf("peer: %v", err)
 	}
 }
 
