@@ -1,8 +1,8 @@
 // Command hermes-loadgen is the open-loop load driver: it generates a
 // deterministic arrival schedule (millions of flows if asked), replays
-// it against live Hermes agents — in-process daemons by default, or any
-// reachable agent addresses — and renders a machine-readable SLO verdict
-// CI can gate on.
+// it through a fleet against live Hermes agents — in-process daemons by
+// default, or any reachable agent addresses — and renders a
+// machine-readable SLO verdict CI can gate on.
 //
 // The schedule is a pure function of the seed and the shape flags: two
 // runs with the same seed replay byte-identical schedules (compare
@@ -15,7 +15,7 @@
 //	hermes-loadgen -flows 100000 -rate 50000 -switches 4
 //	hermes-loadgen -flows 1000000 -rate 200000 -hold 20ms -p99-budget 50ms
 //	hermes-loadgen -schedule bgp:Equinix-Chicago -p99-budget 100ms
-//	hermes-loadgen -targets 10.0.0.1:6653,10.0.0.2:6653 -fleet
+//	hermes-loadgen -targets 10.0.0.1:6653,10.0.0.2:6653 -batch
 //	hermes-loadgen -flows 1000 -schedule-only -dump-schedule sched.bin
 //
 // Exit status: 0 when the SLO passes, 1 on breach, 2 on operational
@@ -74,12 +74,10 @@ func main() {
 	targets := flag.String("targets", "",
 		"comma-separated external agent addresses (skips in-process daemons)")
 	batch := flag.Bool("batch", false,
-		"coalesce flow-mods into vectored flow-mod-batch frames (implies -fleet; one wire write per batch)")
+		"write each group of flow-mods as one vectored flow-mod-batch frame instead of one flow-mod frame per op")
 	batchSize := flag.Int("batch-size", 64, "max flow-mods per wire batch frame (with -batch)")
 	batchLinger := flag.Duration("batch-linger", 500*time.Microsecond,
 		"how long a non-full batch waits for stragglers while another is in flight (with -batch)")
-	useFleet := flag.Bool("fleet", false,
-		"drive through the fleet layer (queues, batching, breakers) instead of raw wire clients")
 	profName := flag.String("switch", "Pica8 P-3290", "switch profile for in-process agents")
 	guarantee := flag.Duration("guarantee", 5*time.Millisecond, "per-switch insertion guarantee")
 	rateLimit := flag.Bool("ratelimit", false, "enable Gate Keeper admission control on in-process agents")
@@ -106,7 +104,7 @@ func main() {
 		"write the canonical binary schedule here (byte-identical across same-seed runs)")
 	scheduleOnly := flag.Bool("schedule-only", false, "generate (and dump) the schedule, don't drive")
 	obsAddr := flag.String("obs-addr", "",
-		"serve the loadgen ledger on /metrics at this address during the run (empty disables)")
+		"serve the loadgen ledger and the fleet's per-switch series on /metrics at this address during the run (empty disables)")
 	flag.Parse()
 
 	weights, err := parseWeights(*classes)
@@ -168,9 +166,11 @@ func main() {
 	}
 
 	led := loadgen.NewLedger(len(weights))
+	fcfg := fleetConfig(*batch, *batchSize, *batchLinger, *reqTimeout)
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		led.Register(reg)
+		fcfg.Obs = reg
 		obsLis, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
 			fatalf("obs listen: %v", err)
@@ -178,45 +178,23 @@ func main() {
 		go http.Serve(obsLis, obs.NewMux(reg, nil)) //nolint:errcheck
 		fmt.Printf("loadgen metrics on http://%s/metrics\n", obsLis.Addr())
 	}
-
-	// Batching rides on the fleet's worker queues: the coalescer is the
-	// fleet worker, so -batch implies the fleet target.
-	if *batch {
-		*useFleet = true
+	specs := make([]fleet.SwitchSpec, len(addrs))
+	for i, a := range addrs {
+		specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("sw-%d", i), Addr: a}
 	}
-	var tgt driver.Target
-	targetName := "wire"
-	if *useFleet {
-		targetName = "fleet"
-		specs := make([]fleet.SwitchSpec, len(addrs))
-		for i, a := range addrs {
-			specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("sw-%d", i), Addr: a}
-		}
-		fcfg := fleet.Config{}
-		if *batch {
-			targetName = "fleet-batch"
-			fcfg.WireBatch = true
-			fcfg.BatchSize = *batchSize
-			fcfg.BatchLinger = *batchLinger
-		}
-		f, err := fleet.New(fcfg, specs)
-		if err != nil {
-			fatalf("fleet: %v", err)
-		}
-		defer f.Close() //nolint:errcheck
-		tgt = driver.NewFleetTarget(f)
-	} else {
-		w, err := driver.DialWire(addrs, 5*time.Second, *reqTimeout)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer w.Close() //nolint:errcheck
-		tgt = w
+	f, err := fleet.New(fcfg, specs)
+	if err != nil {
+		fatalf("fleet: %v", err)
+	}
+	defer f.Close() //nolint:errcheck
+	targetName := "fleet"
+	if *batch {
+		targetName = "fleet-batch"
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rep, err := driver.Run(ctx, sched, tgt, led, driver.Config{
+	rep, err := driver.Run(ctx, sched, f, led, driver.Config{
 		Workers: *workers, QueueDepth: *queueDepth, TimeScale: *timeScale,
 	})
 	if err != nil {
@@ -231,7 +209,7 @@ func main() {
 		MaxViolationRate: *maxViolation, ViolationRateSet: *maxViolation >= 0,
 		MaxLossRate: *maxLoss, LossRateSet: *maxLoss >= 0,
 	})
-	verdict := loadgen.Evaluate(led, slo, rep.RunInfo(sched, targetName, tgt.Switches()))
+	verdict := loadgen.Evaluate(led, slo, rep.RunInfo(sched, targetName, f.Size()))
 	js, err := verdict.JSON()
 	if err != nil {
 		fatalf("%v", err)
@@ -251,6 +229,17 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("SLO met")
+}
+
+// fleetConfig is the fleet a run drives: one flow-mod frame per op, or
+// flow-mod-batch frames of up to batchSize ops with batch set, and every
+// request bounded by reqTimeout.
+func fleetConfig(batch bool, batchSize int, batchLinger, reqTimeout time.Duration) fleet.Config {
+	cfg := fleet.Config{OpTimeout: reqTimeout}
+	if batch {
+		cfg.WireBatch, cfg.BatchSize, cfg.BatchLinger = true, batchSize, batchLinger
+	}
+	return cfg
 }
 
 // scheduleSpec bundles the schedule flags.

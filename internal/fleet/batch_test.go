@@ -91,26 +91,29 @@ func TestFleetWireBatchEndToEnd(t *testing.T) {
 // TestFleetWireBatchPreservesPerRuleFIFO is the ordering contract: for any
 // one rule, insert→delete (and insert→modify→delete) submitted in order on
 // one switch must never reorder, whether the coalescer packs them into the
-// same frame or splits them across frames. A reorder is observable as a
-// duplicate-rule or unknown-rule rejection, so all-success proves FIFO.
+// same frame or splits them across frames, and in the per-op encoding too.
+// A reorder is observable as a duplicate-rule or unknown-rule rejection, so
+// all-success proves FIFO.
 func TestFleetWireBatchPreservesPerRuleFIFO(t *testing.T) {
 	cases := []struct {
 		name   string
 		size   int
 		linger time.Duration
 		slow   bool // replies reach the fleet late, so two frames are in flight
+		perOp  bool // one flow-mod frame per op instead of flow-mod-batch frames
 	}{
-		{"size1", 1, 100 * time.Microsecond, false},        // every op its own frame
-		{"size4-short-linger", 4, time.Microsecond, false}, // frames split mid-cycle
-		{"size64-long-linger", 64, time.Millisecond, false},
-		{"default", 0, 0, false},
-		{"size4-slow-agent", 4, time.Millisecond, true}, // cycles span two in-flight frames
+		{"size1", 1, 100 * time.Microsecond, false, false},        // every op its own frame
+		{"size4-short-linger", 4, time.Microsecond, false, false}, // frames split mid-cycle
+		{"size64-long-linger", 64, time.Millisecond, false, false},
+		{"default", 0, 0, false, false},
+		{"size4-slow-agent", 4, time.Millisecond, true, false}, // cycles span two in-flight frames
+		{"perop", 16, 0, false, true},                          // a group's frames pipelined, each op alone
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
 			cfg := Config{
-				WireBatch:   true,
+				WireBatch:   !tc.perOp,
 				BatchSize:   tc.size,
 				BatchLinger: tc.linger,
 			}
@@ -476,8 +479,7 @@ func TestFleetApplyFillsWireBatchFrames(t *testing.T) {
 
 // TestFleetApplyDeletesBeforeInserts: a plan's deletes are confirmed before
 // its first insert is submitted, so a plan that swaps a full table's
-// contents never asks the switch for more entries than it has. Per-op
-// dispatch issues a batch concurrently, so only the await keeps the order.
+// contents never asks the switch for more entries than it has.
 func TestFleetApplyDeletesBeforeInserts(t *testing.T) {
 	specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
 	sw := specs[0].ID

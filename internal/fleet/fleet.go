@@ -4,8 +4,9 @@
 // switch (Fig. 2 of the paper, scaled out).
 //
 // A Fleet owns one worker per switch. Each worker has a bounded flow-mod
-// queue, dispatches batches over a pipelined client (many requests in
-// flight per connection), retries insertions the Gate Keeper diverts off
+// queue, one dispatch loop that writes groups of queued flow-mods over a
+// pipelined client (many requests in flight per connection) and completes
+// them in order, retries insertions the Gate Keeper diverts off
 // the guaranteed path with exponential backoff plus deterministic jitter,
 // and trips a circuit breaker — fed by echo health probes — when its
 // switch dies, so one wedged agent degrades to fail-fast instead of
@@ -63,8 +64,9 @@ type Config struct {
 	// QueueDepth bounds each worker's flow-mod queue; a full queue
 	// applies backpressure to submitters. Defaults to 128.
 	QueueDepth int
-	// BatchSize caps how many queued flow-mods one worker dispatches
-	// concurrently over its pipelined connection. Defaults to 16.
+	// BatchSize caps how many queued flow-mods one worker writes as one
+	// group: one flow-mod-batch frame, or that many flow-mod frames back to
+	// back on its pipelined connection. Defaults to 16.
 	BatchSize int
 	// DialTimeout bounds the initial and reconnect dials. Defaults to 2s.
 	DialTimeout time.Duration
@@ -74,29 +76,28 @@ type Config struct {
 	// chaos tests hand in faultinject.(*Wire).Dial to perturb the control
 	// channel without the fleet knowing.
 	Dial func(network, addr string) (net.Conn, error)
-	// WireBatch switches workers to vectored dispatch: instead of issuing
-	// each queued flow-mod as its own request, a worker takes its queue,
-	// up to BatchSize ops at a time, into flow-mod-batch frames, each
-	// applied with a single wire round trip — amortizing syscalls, the
-	// agent's lock acquisition, and its snapshot rebuild across the whole
-	// frame. At most two frames are in flight per switch. An idle switch
-	// (no frame in flight) gets what is queued at once; while one frame is
-	// in flight the next one coalesces (see BatchLinger). Ops are encoded
-	// in queue order, the agent applies frames in arrival order and each
-	// frame's ops in order, and one completer per switch delivers results
-	// frame by frame, so per-rule FIFO (an insert followed by a delete of
-	// the same rule never reorders) and the per-switch OnResult order are
-	// preserved end to end. RetryDiverted is intentionally bypassed in
-	// batch mode: a divert retry deletes and re-inserts one rule
-	// mid-stream, which would break exactly the ordering the batch path
-	// guarantees.
+	// WireBatch chooses how a worker encodes each group of queued ops:
+	// one flow-mod-batch frame, applied with a single wire round trip —
+	// amortizing syscalls, the agent's lock acquisition, and its snapshot
+	// rebuild across the whole frame — instead of one flow-mod frame per
+	// op. Either way a worker takes its queue up to BatchSize ops at a
+	// time, keeps at most two groups in flight, writes what is queued at
+	// once on an idle switch (no group in flight) and coalesces the next
+	// group while one is in flight (see BatchLinger). Ops are encoded in
+	// queue order, the agent applies frames in arrival order and each
+	// frame's ops in order, and each worker completes its groups in send
+	// order, so per-rule FIFO (an insert followed by a delete of the same
+	// rule never reorders) and the per-switch OnResult order hold end to
+	// end in both encodings. RetryDiverted is intentionally bypassed in
+	// batch mode: a batch caller asked for throughput, and divert-retry is
+	// a per-op guarantee negotiation.
 	WireBatch bool
-	// BatchLinger bounds how long a worker with one frame in flight holds
-	// queued ops back for the next frame: that frame goes out when it
+	// BatchLinger bounds how long a worker with one group in flight holds
+	// queued ops back for the next group: that group goes out when it
 	// holds BatchSize ops, when BatchLinger has passed, or when the
-	// in-flight frame's reply arrives, whichever comes first (Nagle's rule,
-	// RFC 896). A worker with no frame in flight never lingers. Only
-	// consulted when WireBatch is set. Defaults to 500µs.
+	// in-flight group's replies arrive, whichever comes first (Nagle's
+	// rule, RFC 896). A worker with no group in flight never lingers.
+	// Defaults to 500µs.
 	BatchLinger time.Duration
 	// OpTimeout, when > 0, bounds every request the fleet issues on a
 	// control channel (flow-mods, barriers, probes, stats). A stalled
@@ -111,7 +112,10 @@ type Config struct {
 	Breaker BreakerConfig
 	// RetryDiverted enables delete-and-reinsert retries for guaranteed
 	// insertions the Gate Keeper diverted to the unguaranteed main path
-	// (rate-limited or shadow-full).
+	// (rate-limited or shadow-full). The diverted inserts of one group
+	// retry concurrently, and the worker keeps that group alone in flight
+	// until they finish, so no later op overtakes a retried insert.
+	// Ignored under WireBatch.
 	RetryDiverted bool
 	// Seed makes backoff jitter deterministic; runs with the same seed
 	// and workload replay identical retry schedules. Defaults to 1.
@@ -267,7 +271,7 @@ func (f *Fleet) submit(switchID string, o *op) (<-chan OpResult, error) {
 	o.done = make(chan OpResult, 1)
 	if !w.brk.allow() {
 		w.tele.fail()
-		w.complete(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: &CircuitOpenError{Switch: w.id}})
+		w.deliver(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: &CircuitOpenError{Switch: w.id}})
 		return o.done, nil
 	}
 	if err := w.q.push(o); err != nil {
@@ -354,16 +358,8 @@ func (f *Fleet) ObservedRules(switchID string) ([]classifier.Rule, error) {
 		return nil, &CircuitOpenError{Switch: switchID}
 	}
 	rules, err := w.currentClient().DumpRules()
-	if err != nil {
-		var remote *ofwire.ErrorBody
-		if !errors.As(err, &remote) {
-			w.tele.fault(err)
-			w.brk.failure(time.Now())
-		}
-		return nil, err
-	}
-	w.brk.success()
-	return rules, nil
+	w.health(err)
+	return rules, err
 }
 
 // BreakerState reports the named switch's circuit state, letting callers

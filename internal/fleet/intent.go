@@ -54,8 +54,8 @@ func (f *Fleet) Observe(switchID string) ([]classifier.Rule, error) {
 
 // Apply implements intent.Target. The plan's leading deletes are queued
 // together and awaited, then the modifies and inserts likewise, so a worker
-// pipelines them (or, under WireBatch, packs them into full frames) instead
-// of paying a round trip per rule.
+// writes them in full groups (pipelined flow-mod frames, or under WireBatch
+// full flow-mod-batch frames) instead of paying a round trip per rule.
 func (f *Fleet) Apply(switchID string, plan []intent.Op) error {
 	dels := 0
 	for dels < len(plan) && plan[dels].Kind == intent.OpDelete {

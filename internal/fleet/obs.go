@@ -4,10 +4,10 @@ import "hermes/internal/obs"
 
 // registerObs exposes one worker on the fleet's obs registry. Counters,
 // gauges and the breaker state are scrape-time closures over state the
-// worker already maintains (telemetry, breaker, queue, frames in flight),
+// worker already maintains (telemetry, breaker, queue, groups in flight),
 // so the dispatch hot path gains no new synchronization; the live
 // instruments (the wire client's in-flight gauge and RTT histogram, the
-// worker's ops-per-frame histogram) record locklessly.
+// worker's ops-per-group histogram) record locklessly.
 //
 // Labels carry the switch ID, so a fleet-wide /metrics page breaks every
 // series down per switch the way the paper's Fig. 2 deployment would need.
@@ -22,15 +22,15 @@ func registerObs(reg *obs.Registry, w *worker) {
 	w.rtt = reg.HistogramL("hermes_ofwire_rtt_ns", lbl, "ns",
 		"client-observed control-channel round-trip time")
 
-	w.frameOps = reg.HistogramL("hermes_fleet_frame_ops", lbl, "",
-		"flow-mods per flow-mod-batch frame written (WireBatch)")
+	w.groupOps = reg.HistogramL("hermes_fleet_frame_ops", lbl, "",
+		"flow-mods per group written: one flow-mod-batch frame (WireBatch), or one flow-mod frame each")
 
 	reg.GaugeFunc("hermes_fleet_queue_depth", lbl,
 		"flow-mods waiting in the worker's bounded queue",
 		func() float64 { return float64(w.q.len()) })
 	reg.GaugeFunc("hermes_fleet_frames_in_flight", lbl,
-		"flow-mod-batch frames written and not yet answered (WireBatch, at most 2)",
-		func() float64 { return float64(w.framesInFlight.Load()) })
+		"groups of frames written and not yet answered (at most 2)",
+		func() float64 { return float64(w.groupsInFlight.Load()) })
 	reg.GaugeFunc("hermes_fleet_breaker_state", lbl,
 		"circuit state: 0 closed, 1 open, 2 half-open",
 		func() float64 { st, _ := w.brk.snapshot(); return float64(st) })

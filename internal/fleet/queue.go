@@ -51,14 +51,15 @@ func (q *opQueue) push(o *op) error {
 	return nil
 }
 
-// take removes and returns up to limit ops from the head of the queue, nil
-// when it is empty.
-func (q *opQueue) take(limit int) []*op {
+// take removes and returns up to limit ops from the head of the queue
+// when it holds a full batch, or any ops at all when force is set;
+// otherwise it takes nothing. It also reports how many ops it left queued.
+func (q *opQueue) take(limit int, force bool) ([]*op, int) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := min(limit, len(q.ops))
-	if n == 0 {
-		return nil
+	if n == 0 || !force && len(q.ops) < q.batch {
+		return nil, len(q.ops)
 	}
 	out := make([]*op, n)
 	copy(out, q.ops)
@@ -68,7 +69,7 @@ func (q *opQueue) take(limit int) []*op {
 	rest := copy(q.ops, q.ops[n:])
 	clear(q.ops[rest:])
 	q.ops = q.ops[:rest]
-	return out
+	return out, rest
 }
 
 // len reports the number of queued ops.

@@ -30,14 +30,17 @@ type OpResult struct {
 	Err      error
 }
 
-// maxFramesInFlight is how many flow-mod-batch frames a WireBatch worker
-// keeps on the wire at once: one being answered while the next is written.
-const maxFramesInFlight = 2
+// maxGroupsInFlight is how many groups a worker keeps on the wire at once:
+// one being answered while the next is written. A group is the ops one
+// take moved off the queue: one flow-mod-batch frame under WireBatch, one
+// flow-mod frame per op otherwise.
+const maxGroupsInFlight = 2
 
 // worker owns one switch: its control channel, bounded flow-mod queue,
 // circuit breaker, health probes, and telemetry. All flow-mods for the
-// switch funnel through its queue; the worker dispatches them in batches
-// over the pipelined client so several stay in flight on the wire.
+// switch funnel through its queue; the worker's dispatch loop writes them
+// in groups over the pipelined client so several stay in flight on the
+// wire.
 type worker struct {
 	id   string
 	addr string
@@ -62,16 +65,21 @@ type worker struct {
 	tele switchTelemetry
 	wg   sync.WaitGroup
 
-	// framesInFlight counts the WireBatch frames written and not yet
-	// answered (at most maxFramesInFlight).
-	framesInFlight atomic.Int32
+	// groupsInFlight counts the groups written and not yet answered (at
+	// most maxGroupsInFlight).
+	groupsInFlight atomic.Int32
+	// mods is send's encode buffer, reused group after group: the client
+	// encodes every frame before SendBatch or SendEach returns. results is
+	// complete's. Dispatch goroutine only.
+	mods    []ofwire.FlowMod
+	results []OpResult
 
 	// Optional obs instruments (set by registerObs before start); inflight
 	// and rtt are attached to every client this worker dials so RTT and
 	// in-flight accounting survive reconnects.
 	inflight *obs.Gauge
 	rtt      *obs.Histogram
-	frameOps *obs.Histogram
+	groupOps *obs.Histogram
 }
 
 func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
@@ -92,11 +100,7 @@ func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
 
 func (w *worker) start() {
 	w.wg.Add(2)
-	if w.f.cfg.WireBatch {
-		go w.runWire()
-	} else {
-		go w.run()
-	}
+	go w.dispatch()
 	go w.probeLoop()
 }
 
@@ -125,129 +129,120 @@ func (w *worker) setClient(c *ofwire.Client) {
 	}
 }
 
-// run is the per-op dispatch loop: take a batch off the queue and issue
-// every op in it concurrently; the pipelined client keeps them all in
-// flight on the one connection.
-func (w *worker) run() {
+// group is one take off the queue: the ops in queue order and their
+// written frames, or nil frames when the circuit was open and the ops fail
+// fast.
+type group struct {
+	ops    []*op
+	frames *ofwire.PendingBatch
+}
+
+// unsent stands in for the replies of a group the open circuit kept off
+// the wire: it is ready at once.
+var unsent = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// dispatch is the worker's one dispatch loop, Nagle's rule (RFC 896)
+// applied to groups of flow-mods. With no group in flight it writes what
+// is queued, up to BatchSize ops, at once. With one in flight it coalesces
+// until the queue holds BatchSize ops, BatchLinger passes, or that group's
+// replies arrive, whichever comes first; with two in flight it waits for a
+// reply. So a lone op on an idle switch goes out without delay, and under
+// load a group fills while its predecessor is answered. The loop is also
+// the completer: it completes the groups in send order as their replies
+// come in, and the queue is FIFO and the agent applies frames in arrival
+// order, so per-rule FIFO and the per-switch OnResult order hold across
+// groups, in both encodings. Retrying diverted inserts (RetryDiverted,
+// per-op encoding only) keeps one group in flight, and its slot frees only
+// after the group's retries, so no later op overtakes a retried insert.
+func (w *worker) dispatch() {
 	defer w.wg.Done()
-	for {
-		select {
-		case <-w.stop:
-			w.drainFail()
-			return
-		default:
-		}
-		if batch := w.q.take(w.f.cfg.BatchSize); len(batch) > 0 {
-			w.dispatch(batch)
-			continue
-		}
-		select {
-		case <-w.stop:
-		case <-w.q.ready:
-		}
+	retry := w.f.cfg.RetryDiverted && !w.f.cfg.WireBatch
+	maxInFlight := maxGroupsInFlight
+	if retry {
+		maxInFlight = 1
 	}
-}
+	inFlight := make([]group, 0, maxGroupsInFlight) // in send order
 
-// dispatch issues every op of the batch at once so the pipelined client
-// keeps them all in flight. The last op runs on the calling goroutine; only
-// the others get one of their own, so a batch of one spawns nothing.
-func (w *worker) dispatch(batch []*op) {
-	var wg sync.WaitGroup
-	last := len(batch) - 1
-	for _, o := range batch[:last] {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w.complete(o, w.execute(o))
-		}()
-	}
-	w.complete(batch[last], w.execute(batch[last]))
-	wg.Wait()
-}
-
-// wireFrame is one batch handed from runWire to the completer: the ops in
-// queue order and the frame carrying them, or a nil frame when the circuit
-// was open and the ops fail fast.
-type wireFrame struct {
-	ops   []*op
-	frame *ofwire.PendingBatch
-}
-
-// runWire is the WireBatch dispatch loop, Nagle's rule (RFC 896) applied
-// to frames. With no frame in flight it writes what is queued, up to
-// BatchSize ops, at once. With one in flight it coalesces until the queue
-// holds BatchSize ops, BatchLinger passes, or that frame's reply arrives,
-// whichever comes first; with two in flight it waits for a reply. So a lone
-// op on an idle switch goes out without delay, and under load a frame
-// fills while its predecessor is answered. One completer goroutine awaits
-// the frames in send order and completes their ops; the queue is FIFO and
-// the agent applies frames in arrival order, so per-rule FIFO and the
-// per-switch OnResult order hold across frames. RetryDiverted is
-// deliberately not honored here (see Config.WireBatch).
-func (w *worker) runWire() {
-	defer w.wg.Done()
-	// Both sized to maxFramesInFlight: a frame sent and not yet counted
-	// back through replied is in one channel or in the completer's hands,
-	// so neither side's send ever blocks, also after runWire stops reading.
-	frames := make(chan wireFrame, maxFramesInFlight)
-	replied := make(chan struct{}, maxFramesInFlight)
-	completed := make(chan struct{})
-	go w.completeFrames(frames, replied, completed)
-
-	// The one linger timer, armed only while a frame is in flight and ops
+	// The one linger timer, armed only while a group is in flight and ops
 	// wait to join the next one.
 	linger := time.NewTimer(w.f.cfg.BatchLinger)
 	linger.Stop()
 	defer linger.Stop()
 
-	inFlight, armed, lingered := 0, false, false
-	for {
-		if inFlight < maxFramesInFlight {
-			if n := w.q.len(); n > 0 {
-				if inFlight == 0 || n >= w.q.batch || lingered {
-					if armed && !linger.Stop() {
-						// Fired but not yet received: drop the tick.
-						select {
-						case <-linger.C:
-						default:
-						}
-					}
-					armed, lingered = false, false
-					frames <- w.send(w.q.take(w.f.cfg.BatchSize))
-					inFlight++
-					continue
-				}
-				if !armed {
+	armed, lingered := false, false
+	// fill writes what Nagle's rule lets go into the free slots.
+	fill := func() {
+		for len(inFlight) < maxInFlight {
+			ops, queued := w.q.take(w.f.cfg.BatchSize, len(inFlight) == 0 || lingered)
+			if ops == nil {
+				if queued > 0 && !armed {
 					linger.Reset(w.f.cfg.BatchLinger)
 					armed = true
 				}
+				return
 			}
+			if armed && !linger.Stop() {
+				// Fired but not yet received: drop the tick.
+				select {
+				case <-linger.C:
+				default:
+				}
+			}
+			armed, lingered = false, false
+			inFlight = append(inFlight, w.send(ops))
+		}
+	}
+	for {
+		fill()
+		// Only the channels that can matter join the select. head is ready
+		// once the oldest group's replies are in, or it failed or timed
+		// out: completing it then does not block.
+		var head <-chan struct{}
+		if len(inFlight) > 0 {
+			head = unsent
+			if f := inFlight[0].frames; f != nil {
+				head = f.Done()
+			}
+		}
+		var lingerC <-chan time.Time
+		if armed {
+			lingerC = linger.C
 		}
 		select {
 		case <-w.stop:
-			// In-flight frames complete before queued ops drain, so
+			// In-flight groups complete before queued ops drain, so
 			// OnResult keeps submit order to the end.
-			close(frames)
-			<-completed
+			for _, g := range inFlight {
+				w.complete(g, retry)
+			}
 			w.drainFail()
 			return
 		case <-w.q.ready:
-		case <-replied:
-			inFlight--
-		case <-linger.C:
+		case <-head:
+			g := inFlight[0]
+			inFlight = append(inFlight[:0], inFlight[1:]...)
+			if !retry {
+				// The freed slot refills before the answered group's
+				// results go out; a retried group holds it until done.
+				fill()
+			}
+			w.complete(g, retry)
+		case <-lingerC:
 			armed, lingered = false, true
 		}
 	}
 }
 
-// send writes one batch as a flow-mod-batch frame without waiting for its
-// reply. An open circuit sends nothing; the completer fails the ops.
-func (w *worker) send(batch []*op) wireFrame {
+// send writes one group without waiting for its replies: one
+// flow-mod-batch frame under WireBatch, one flow-mod frame per op
+// otherwise. An open circuit sends nothing; completing the group fails its
+// ops.
+func (w *worker) send(ops []*op) group {
 	if !w.brk.allow() {
-		return wireFrame{ops: batch}
+		return group{ops: ops}
 	}
-	mods := make([]ofwire.FlowMod, len(batch))
-	for i, o := range batch {
+	w.mods = w.mods[:0]
+	for _, o := range ops {
 		cmd := ofwire.FlowAdd
 		switch o.kind {
 		case intent.OpDelete:
@@ -255,71 +250,132 @@ func (w *worker) send(batch []*op) wireFrame {
 		case intent.OpModify:
 			cmd = ofwire.FlowModify
 		}
-		mods[i] = *ofwire.FlowModFromRule(cmd, o.rule)
+		w.mods = append(w.mods, *ofwire.FlowModFromRule(cmd, o.rule))
 	}
-	if w.frameOps != nil {
-		w.frameOps.Record(uint64(len(batch)))
+	if w.groupOps != nil {
+		w.groupOps.Record(uint64(len(ops)))
 	}
-	w.framesInFlight.Add(1)
-	return wireFrame{ops: batch, frame: w.currentClient().SendBatch(mods)}
+	w.groupsInFlight.Add(1)
+	c := w.currentClient()
+	if w.f.cfg.WireBatch {
+		return group{ops: ops, frames: c.SendBatch(w.mods)}
+	}
+	return group{ops: ops, frames: c.SendEach(w.mods)}
 }
 
-// completeFrames is the completer: it awaits each frame in send order,
-// tells runWire the moment its reply is in, and completes the frame's ops
-// through complete(). Remote typed errors in an entry mean the switch is
-// alive and do not count against the circuit; only wire-level failures
-// trip it — once per frame, so a reset with two frames in flight counts
-// twice. It returns once frames is closed and drained.
-func (w *worker) completeFrames(frames <-chan wireFrame, replied chan<- struct{}, completed chan<- struct{}) {
-	defer close(completed)
-	for fr := range frames {
-		if fr.frame == nil {
-			replied <- struct{}{}
-			for _, o := range fr.ops {
-				w.tele.fail()
-				w.complete(o, OpResult{
-					Switch: w.id, RuleID: o.rule.ID, Attempts: 1,
-					Err: &CircuitOpenError{Switch: w.id},
-				})
-			}
-			continue
+// complete collects a group's replies, ready by now, and delivers its
+// ops' results in queue order, after retrying its diverted inserts when
+// retry is set. A remote rejection in an op's slot means the switch is
+// alive and does not count against the circuit; each frame lost on the
+// wire counts once, so a reset with two batch frames in flight counts
+// twice, and with sixteen per-op frames in flight sixteen times.
+func (w *worker) complete(g group, retry bool) {
+	out := w.results[:0]
+	if g.frames == nil {
+		open := &CircuitOpenError{Switch: w.id}
+		for _, o := range g.ops {
+			out = append(out, OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1, Err: open})
 		}
-		results, err := fr.frame.Wait(context.Background())
-		w.framesInFlight.Add(-1)
-		replied <- struct{}{}
+	} else {
+		results, err := g.frames.Wait(context.Background())
+		w.groupsInFlight.Add(-1)
 		if err == nil {
 			w.brk.success()
 		} else {
-			var remote *ofwire.ErrorBody
-			if !errors.As(err, &remote) {
-				w.tele.fault(err)
-				w.brk.failure(time.Now())
+			w.tele.fault(err)
+			now := time.Now()
+			for range g.frames.Failed() {
+				w.brk.failure(now)
 			}
 		}
-		for i, o := range fr.ops {
-			res := OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1}
-			switch {
-			case i < len(results) && results[i].Err == nil:
-				res.Result = results[i].Result
-				w.tele.observe(res.Result)
-			case i < len(results) && results[i].Err != nil:
-				// Per-op remote rejection: reported in its slot, the rest of
-				// the batch stands.
-				res.Err = results[i].Err
-				w.tele.fail()
-			default:
-				// The wire failed before this op's frame got a reply.
-				res.Err = err
-				w.tele.fail()
-			}
-			w.complete(o, res)
+		for i, o := range g.ops {
+			out = append(out, OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1,
+				Result: results[i].Result, Err: results[i].Err})
 		}
+	}
+	if retry {
+		// The group's diverted inserts retry concurrently.
+		var wg sync.WaitGroup
+		for i, o := range g.ops {
+			if o.kind == intent.OpInsert && diverted(out[i]) {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					w.retry(o, &out[i])
+				}()
+			}
+		}
+		wg.Wait()
+	}
+	for i, o := range g.ops {
+		if out[i].Err == nil {
+			w.tele.observe(out[i].Result)
+		} else {
+			w.tele.fail()
+		}
+		w.deliver(o, out[i])
+	}
+	w.results = out
+}
+
+// diverted reports an insert that landed off the guaranteed path.
+func diverted(res OpResult) bool {
+	return res.Err == nil && !res.Result.Guaranteed && res.Result.Path == core.PathMain
+}
+
+// retry re-inserts one diverted insert until it lands guaranteed: the
+// diverted rule is deleted, the worker backs off (exponential +
+// deterministic jitter, seeded per op by Config.Seed ⊕ switch ⊕ rule), and
+// the insert is reissued, giving the token bucket time to refill or the
+// shadow table time to drain. A spent attempt budget or a failed undo
+// keeps the diverted result.
+func (w *worker) retry(o *op, res *OpResult) {
+	bo := w.f.cfg.Retry.newBackoff(w.f.cfg.Seed ^ int64(fnv64a(w.id)) ^ int64(o.rule.ID))
+	for diverted(*res) {
+		w.tele.divert()
+		delay, ok := bo.next()
+		if !ok {
+			return
+		}
+		c := w.currentClient()
+		if _, err := c.Delete(o.rule.ID); err != nil {
+			return
+		}
+		w.tele.retry()
+		select {
+		case <-time.After(delay):
+		case <-w.stop:
+			res.Err = ErrFleetClosed
+			return
+		}
+		res.Attempts++
+		if !w.brk.allow() {
+			res.Err = &CircuitOpenError{Switch: w.id}
+			return
+		}
+		res.Result, res.Err = c.Insert(o.rule)
+		w.health(res.Err)
 	}
 }
 
-// complete delivers one finished op: the completion hook (when configured)
-// observes the result first, then the submitter's channel gets it.
-func (w *worker) complete(o *op, res OpResult) {
+// health feeds one request's outcome to the circuit breaker. Remote typed
+// errors (duplicate rule, table full, …) are application-level: the switch
+// is alive, so they count neither way.
+func (w *worker) health(err error) {
+	var remote *ofwire.ErrorBody
+	switch {
+	case err == nil:
+		w.brk.success()
+	case !errors.As(err, &remote):
+		w.tele.fault(err)
+		w.brk.failure(time.Now())
+	}
+}
+
+// deliver hands over one finished op: the completion hook (when
+// configured) observes the result first, then the submitter's channel
+// gets it.
+func (w *worker) deliver(o *op, res OpResult) {
 	if h := w.f.cfg.OnResult; h != nil {
 		h(res)
 	}
@@ -329,72 +385,9 @@ func (w *worker) complete(o *op, res OpResult) {
 // drainFail fails any ops still queued at shutdown. The queue is closed
 // by then, so one take empties it for good.
 func (w *worker) drainFail() {
-	for _, o := range w.q.take(w.f.cfg.QueueDepth) {
-		w.complete(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: ErrFleetClosed})
-	}
-}
-
-// execute performs one op, retrying guaranteed insertions the Gate Keeper
-// diverted to the unguaranteed path: the diverted rule is deleted, the
-// worker backs off (exponential + deterministic jitter), and the insert is
-// reissued, giving the token bucket time to refill or the shadow table
-// time to drain.
-func (w *worker) execute(o *op) OpResult {
-	res := OpResult{Switch: w.id, RuleID: o.rule.ID}
-	seed := w.f.cfg.Seed ^ int64(fnv64a(w.id)) ^ int64(o.rule.ID)
-	bo := w.f.cfg.Retry.newBackoff(seed)
-	for {
-		res.Attempts++
-		if !w.brk.allow() {
-			res.Err = &CircuitOpenError{Switch: w.id}
-			w.tele.fail()
-			return res
-		}
-		c := w.currentClient()
-		var fr ofwire.FlowModResult
-		var err error
-		switch o.kind {
-		case intent.OpInsert:
-			fr, err = c.Insert(o.rule)
-		case intent.OpDelete:
-			fr, err = c.Delete(o.rule.ID)
-		case intent.OpModify:
-			fr, err = c.Modify(o.rule)
-		}
-		if err != nil {
-			// Remote typed errors (duplicate rule, table full, …) are
-			// application-level: the switch is alive, so they don't count
-			// against the circuit.
-			var remote *ofwire.ErrorBody
-			if !errors.As(err, &remote) {
-				w.tele.fault(err)
-				w.brk.failure(time.Now())
-			}
-			res.Err = err
-			w.tele.fail()
-			return res
-		}
-		w.brk.success()
-		if o.kind == intent.OpInsert && w.f.cfg.RetryDiverted &&
-			!fr.Guaranteed && fr.Path == core.PathMain {
-			w.tele.divert()
-			if delay, ok := bo.next(); ok {
-				if _, derr := c.Delete(o.rule.ID); derr == nil {
-					w.tele.retry()
-					select {
-					case <-time.After(delay):
-						continue
-					case <-w.stop:
-						res.Err = ErrFleetClosed
-						return res
-					}
-				}
-				// Could not undo the install; keep the diverted result.
-			}
-		}
-		res.Result = fr
-		w.tele.observe(fr)
-		return res
+	ops, _ := w.q.take(w.f.cfg.QueueDepth, true)
+	for _, o := range ops {
+		w.deliver(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: ErrFleetClosed})
 	}
 }
 
@@ -436,12 +429,11 @@ func (w *worker) probe() {
 		w.redialed = true
 		c = w.currentClient()
 	}
-	if _, err := c.Echo([]byte("hermes-fleet-probe")); err != nil {
-		w.tele.fault(err)
-		w.brk.failure(time.Now())
+	_, err := c.Echo([]byte("hermes-fleet-probe"))
+	w.health(err)
+	if err != nil {
 		return
 	}
-	w.brk.success()
 	if w.redialed {
 		w.redialed = false
 		w.tele.reconnect()

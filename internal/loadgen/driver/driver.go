@@ -1,17 +1,22 @@
 // Package driver executes loadgen schedules against live Hermes agents
-// in wall-clock time. It is the non-deterministic half of the load
-// generator: the schedule it replays is deterministic, the pacing and
-// measured latencies are real.
+// through a fleet, in wall-clock time. It is the non-deterministic half of
+// the load generator: the schedule it replays is deterministic, the pacing
+// and measured latencies are real.
 package driver
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hermes/internal/classifier"
+	"hermes/internal/core"
+	"hermes/internal/fleet"
 	"hermes/internal/loadgen"
+	"hermes/internal/ofwire"
 )
 
 // Config tunes the executor. The zero value is completed with defaults.
@@ -89,14 +94,15 @@ type queuedOp struct {
 	fireAt time.Time
 }
 
-// Run replays the schedule against the target open-loop: every event
-// fires at start + At/TimeScale regardless of how earlier operations
-// are faring. Outcomes and end-to-end setup latencies — scheduled fire
-// time to completion, queueing included — land in the ledger. Run
-// returns when every dispatched operation has completed, or with the
-// context's error if cancelled mid-run (workers drain what was already
-// queued either way).
-func Run(ctx context.Context, s *loadgen.Schedule, tgt Target, led *loadgen.Ledger, cfg Config) (*Report, error) {
+// Run replays the schedule against the fleet open-loop: every event fires
+// at start + At/TimeScale regardless of how earlier operations are faring,
+// and lands on its rule's home switch (Fleet.Route), so a rule's insert,
+// modifies and delete all reach the same agent. Outcomes and end-to-end
+// setup latencies — scheduled fire time to completion, queueing included
+// — land in the ledger. Run returns when every dispatched operation has
+// completed, or with the context's error if cancelled mid-run (workers
+// drain what was already queued either way).
+func Run(ctx context.Context, s *loadgen.Schedule, f *fleet.Fleet, led *loadgen.Ledger, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	rep := &Report{Events: len(s.Events), Arrivals: s.Arrivals()}
 
@@ -110,9 +116,9 @@ func Run(ctx context.Context, s *loadgen.Schedule, tgt Target, led *loadgen.Ledg
 			defer wg.Done()
 			for qo := range q {
 				led.Submitted(qo.ev.Class)
-				res, err := tgt.Apply(qo.ev.Op, qo.ev.Rule)
-				out := Classify(qo.ev.Op, res, err)
-				led.Finished(qo.ev.Class, out, time.Since(qo.fireAt), res.Violation)
+				res := apply(f, qo.ev.Op, qo.ev.Rule)
+				out := Classify(qo.ev.Op, res.Result, res.Err)
+				led.Finished(qo.ev.Class, out, time.Since(qo.fireAt), res.Result.Violation)
 				if qo.ev.Op != loadgen.OpDelete &&
 					(out == loadgen.OutcomeInstalled || out == loadgen.OutcomeDiverted) {
 					appliedArrivals.Add(1)
@@ -172,4 +178,46 @@ pace:
 		return rep, fmt.Errorf("driver: run cancelled: %w", runErr)
 	}
 	return rep, nil
+}
+
+// apply performs one operation on the rule's home switch and waits for
+// its result.
+func apply(f *fleet.Fleet, op loadgen.OpKind, r classifier.Rule) fleet.OpResult {
+	sw := f.Route(r.ID)
+	switch op {
+	case loadgen.OpInsert:
+		return f.Insert(sw, r)
+	case loadgen.OpModify:
+		return f.Modify(sw, r)
+	case loadgen.OpDelete:
+		return f.Delete(sw, r.ID)
+	default:
+		return fleet.OpResult{Err: fmt.Errorf("driver: unknown op %v", op)}
+	}
+}
+
+// Classify maps a completed operation to its ledger outcome. Only
+// inserts can be diverted: the Gate Keeper's guaranteed/best-effort
+// split applies to insertions; modifies and deletes hit installed state
+// directly.
+func Classify(op loadgen.OpKind, res ofwire.FlowModResult, err error) loadgen.Outcome {
+	if err != nil {
+		var remote *ofwire.ErrorBody
+		if errors.As(err, &remote) {
+			return loadgen.OutcomeRejected
+		}
+		return loadgen.OutcomeLost
+	}
+	if op == loadgen.OpInsert && !res.Guaranteed && res.Path == core.PathMain {
+		return loadgen.OutcomeDiverted
+	}
+	return loadgen.OutcomeInstalled
+}
+
+// mix64 is the SplitMix64 finalizer (see loadgen): stable rule→worker
+// assignment.
+func mix64(z uint64) uint64 {
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	return z ^ (z >> 31)
 }

@@ -12,18 +12,21 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/fleet"
 	"hermes/internal/loadgen"
+	"hermes/internal/obs"
 	"hermes/internal/ofwire"
 	"hermes/internal/tcam"
 	"hermes/internal/testutil"
 )
 
-// startAgents launches n in-process Hermes agents on loopback and arms
-// the goroutine-leak checker.
-func startAgents(t *testing.T, n int) []string {
+// startFleet launches n in-process Hermes agents on loopback, arms the
+// goroutine-leak checker, and returns a fleet over them built from cfg,
+// closed at cleanup. Health probes stay off the wire, so the control
+// channels' RTT histograms count flow-mods alone.
+func startFleet(t *testing.T, n int, cfg fleet.Config) *fleet.Fleet {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
+	specs := make([]fleet.SwitchSpec, n)
+	for i := range specs {
 		srv, err := ofwire.NewAgentServer(fmt.Sprintf("sw-%d", i), tcam.Pica8P3290,
 			core.Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true})
 		if err != nil {
@@ -35,9 +38,26 @@ func startAgents(t *testing.T, n int) []string {
 		}
 		go srv.Serve(lis) //nolint:errcheck
 		t.Cleanup(func() { srv.Close() })
-		addrs[i] = lis.Addr().String()
+		specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("sw-%d", i), Addr: lis.Addr().String()}
 	}
-	return addrs
+	cfg.ProbeInterval = time.Hour
+	f, err := fleet.New(cfg, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
+// wireSeries sums two per-switch control-channel series of the fleet's
+// registry over its switches: RTT samples and requests in flight.
+func wireSeries(reg *obs.Registry, f *fleet.Fleet) (rttSamples uint64, inflight int64) {
+	for _, sw := range f.Switches() {
+		lbl := obs.Labels("switch", sw)
+		rttSamples += reg.HistogramL("hermes_ofwire_rtt_ns", lbl, "ns", "").Count()
+		inflight += reg.GaugeL("hermes_ofwire_inflight", lbl, "").Value()
+	}
+	return rttSamples, inflight
 }
 
 func smokeSchedule(t *testing.T, seed int64) *loadgen.Schedule {
@@ -57,21 +77,17 @@ func smokeSchedule(t *testing.T, seed int64) *loadgen.Schedule {
 	return s
 }
 
-// TestRunWireSmoke is the end-to-end contract: an open-loop replay over
-// live wire clients completes every scheduled operation, conserves the
-// ledger, drains every XID, and yields a verdict that passes a sane SLO
-// and fails an absurd one.
+// TestRunWireSmoke is the end-to-end contract: an open-loop replay over a
+// per-op fleet completes every scheduled operation, conserves the ledger,
+// drains every request, records one wire round trip per operation, and
+// yields a verdict that passes a sane SLO and fails an absurd one.
 func TestRunWireSmoke(t *testing.T) {
-	addrs := startAgents(t, 2)
-	tgt, err := DialWire(addrs, time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tgt.Close()
+	reg := obs.NewRegistry()
+	f := startFleet(t, 2, fleet.Config{Obs: reg})
 
 	s := smokeSchedule(t, 42)
 	led := loadgen.NewLedger(2)
-	rep, err := Run(context.Background(), s, tgt, led, Config{Workers: 16})
+	rep, err := Run(context.Background(), s, f, led, Config{Workers: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +105,18 @@ func TestRunWireSmoke(t *testing.T) {
 	if rep.Shed != 0 {
 		t.Fatalf("shed %d ops at this modest rate", rep.Shed)
 	}
-	if tgt.Outstanding() != 0 {
-		t.Fatalf("%d XIDs still open after drain", tgt.Outstanding())
+	rtt, inflight := wireSeries(reg, f)
+	if inflight != 0 {
+		t.Fatalf("%d requests still in flight after drain", inflight)
 	}
-	if got, want := tgt.WireRTT().Count(), uint64(len(s.Events)); got != want {
-		t.Fatalf("wire RTT samples = %d, want %d", got, want)
+	if want := uint64(len(s.Events)); rtt != want {
+		t.Fatalf("wire RTT samples = %d, want %d", rtt, want)
 	}
 	if rep.AchievedRate <= 0 || rep.OfferedRate <= 0 {
 		t.Fatalf("rates not computed: %+v", rep)
 	}
 
-	run := rep.RunInfo(s, "wire", tgt.Switches())
+	run := rep.RunInfo(s, "fleet", f.Size())
 	if run.ScheduleDigest != fmt.Sprintf("%016x", s.Digest()) || run.Switches != 2 {
 		t.Fatalf("run info wrong: %+v", run)
 	}
@@ -125,27 +142,22 @@ func TestRunWireSmoke(t *testing.T) {
 // byte-identical schedules (the digest lands in both verdicts) and
 // complete the same operation totals.
 func TestRunSameSeedSameSchedule(t *testing.T) {
-	addrs := startAgents(t, 1)
 	digests := make([]string, 2)
 	totals := make([]uint64, 2)
 	for i := range digests {
-		tgt, err := DialWire(addrs, time.Second, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
+		reg := obs.NewRegistry()
+		f := startFleet(t, 1, fleet.Config{Obs: reg})
 		s := smokeSchedule(t, 7)
 		led := loadgen.NewLedger(2)
-		rep, err := Run(context.Background(), s, tgt, led, Config{Workers: 8, TimeScale: 4})
+		rep, err := Run(context.Background(), s, f, led, Config{Workers: 8, TimeScale: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		digests[i] = rep.RunInfo(s, "wire", 1).ScheduleDigest
+		digests[i] = rep.RunInfo(s, "fleet", f.Size()).ScheduleDigest
 		totals[i] = led.Totals().Submitted
-		// Drain the table so the second replay starts from empty.
-		if tgt.Outstanding() != 0 {
-			t.Fatalf("run %d left XIDs open", i)
+		if _, inflight := wireSeries(reg, f); inflight != 0 {
+			t.Fatalf("run %d left %d requests in flight", i, inflight)
 		}
-		tgt.Close()
 	}
 	if digests[0] != digests[1] {
 		t.Fatalf("same-seed digests diverge: %s vs %s", digests[0], digests[1])
@@ -155,29 +167,20 @@ func TestRunSameSeedSameSchedule(t *testing.T) {
 	}
 }
 
-// TestRunFleetTarget drives the same smoke through the fleet layer:
-// queues, batching and breakers between the driver and the agents, with
-// the fleet's completion hook feeding a second conservation check.
+// TestRunFleetTarget drives the same smoke through a batching fleet:
+// flow-mod-batch frames between the driver and the agents, with the
+// fleet's completion hook feeding a second conservation check.
 func TestRunFleetTarget(t *testing.T) {
-	addrs := startAgents(t, 2)
-	specs := make([]fleet.SwitchSpec, len(addrs))
-	for i, a := range addrs {
-		specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("sw-%d", i), Addr: a}
-	}
 	var hookResults atomic.Uint64
-	f, err := fleet.New(fleet.Config{
+	f := startFleet(t, 2, fleet.Config{
+		WireBatch: true,
 		BatchSize: 16,
 		OnResult:  func(fleet.OpResult) { hookResults.Add(1) },
-	}, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	})
 
 	s := smokeSchedule(t, 11)
 	led := loadgen.NewLedger(2)
-	tgt := NewFleetTarget(f)
-	if _, err := Run(context.Background(), s, tgt, led, Config{Workers: 16, TimeScale: 2}); err != nil {
+	if _, err := Run(context.Background(), s, f, led, Config{Workers: 16, TimeScale: 2}); err != nil {
 		t.Fatal(err)
 	}
 	tot := led.Totals()
@@ -196,12 +199,8 @@ func TestRunFleetTarget(t *testing.T) {
 // TestRunCancelled: cancelling mid-run stops the pacer, drains what was
 // queued, and reports the cancellation.
 func TestRunCancelled(t *testing.T) {
-	addrs := startAgents(t, 1)
-	tgt, err := DialWire(addrs, time.Second, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tgt.Close()
+	reg := obs.NewRegistry()
+	f := startFleet(t, 1, fleet.Config{Obs: reg})
 
 	s, err := loadgen.Generate(loadgen.Config{
 		Flows: 1000, Rate: 100, Arrival: loadgen.ArrivalConstant, Seed: 1,
@@ -212,7 +211,7 @@ func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	led := loadgen.NewLedger(1)
-	rep, err := Run(ctx, s, tgt, led, Config{Workers: 4})
+	rep, err := Run(ctx, s, f, led, Config{Workers: 4})
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}
@@ -223,7 +222,7 @@ func TestRunCancelled(t *testing.T) {
 	if tot.Completed() != tot.Submitted {
 		t.Fatalf("cancelled run leaked ops: %d/%d", tot.Completed(), tot.Submitted)
 	}
-	if tgt.Outstanding() != 0 {
-		t.Fatalf("%d XIDs open after cancelled drain", tgt.Outstanding())
+	if _, inflight := wireSeries(reg, f); inflight != 0 {
+		t.Fatalf("%d requests in flight after cancelled drain", inflight)
 	}
 }

@@ -3,6 +3,7 @@ package ofwire
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"hermes/internal/core"
@@ -14,14 +15,13 @@ import (
 // the whole batch under one agent-lock acquisition. Per-op outcomes come
 // back in one TypeFlowModBatchReply. The client splits oversized batches
 // transparently at MaxBatchOps so callers never see the 64KiB codec bound.
-//
-// Batch ops do not run through the FlowLifecycle observer: the per-XID
-// submitted/completed pairing is a per-op wire concept, and batch callers
-// get every per-op outcome from the slice Wait returns instead.
+// SendEach is its per-op twin: the same group of ops, one TypeFlowMod
+// frame each, awaited the same way.
 
 // BatchResult is the controller-visible outcome of one op inside a batch.
 // Err, when non-nil, is an *ErrorBody carrying the remote status code —
-// classifiable exactly like a per-op error frame.
+// classifiable exactly like a per-op error frame — or the wire error that
+// lost the op's frame.
 type BatchResult struct {
 	Result FlowModResult
 	Err    error
@@ -31,23 +31,42 @@ type BatchResult struct {
 // default request timeout to each frame individually (one frame per
 // MaxBatchOps chunk).
 func (c *Client) ApplyBatch(ops []FlowMod) ([]BatchResult, error) {
-	return c.ApplyBatchCtx(context.Background(), ops)
+	return c.SendBatch(ops).Wait(context.Background())
 }
 
-// ApplyBatchCtx is SendBatch followed by Wait(ctx): bounded by the
-// context's deadline, layered with the client's default per-request
-// timeout per frame.
-func (c *Client) ApplyBatchCtx(ctx context.Context, ops []FlowMod) ([]BatchResult, error) {
-	return c.SendBatch(ops).Wait(ctx)
-}
-
-// PendingBatch is a batch whose frames SendBatch has written and whose
-// replies Wait collects.
+// PendingBatch is a group of flow-mods whose frames SendBatch or SendEach
+// has written and whose replies Wait collects.
 type PendingBatch struct {
-	c     *Client
-	n     int    // ops in the batch
-	calls []call // one per frame written, in order
-	err   error  // the send error that cut the batch short, if any
+	c      *Client
+	n      int    // ops in the group
+	per    int    // ops per frame: MaxBatchOps, or 1 for flow-mod frames
+	calls  []call // one per frame, in write order
+	failed int    // frames lost on the wire, counted by Wait
+
+	// left counts the frames still registered, plus one held while the
+	// frames are written; done closes when it reaches zero or the group's
+	// request timeout runs out (expiry), whichever comes first.
+	left   atomic.Int32
+	done   chan struct{}
+	closed atomic.Bool
+	expiry *time.Timer
+
+	// oneCall and oneResult back calls and Wait's results for a group of
+	// one frame or one op, an idle switch's usual group, sparing the
+	// group two allocations.
+	oneCall   [1]call
+	oneResult [1]BatchResult
+}
+
+// newPendingBatch starts a group of n ops, per ops to a frame.
+func (c *Client) newPendingBatch(n, per int) *PendingBatch {
+	b := &PendingBatch{c: c, n: n, per: per, done: make(chan struct{})}
+	b.left.Store(1)
+	b.calls = b.oneCall[:0]
+	if frames := (n + per - 1) / per; frames > 1 {
+		b.calls = make([]call, 0, frames)
+	}
+	return b
 }
 
 // SendBatch writes ops as flow-mod-batch frames, one per MaxBatchOps
@@ -55,80 +74,146 @@ type PendingBatch struct {
 // may send its next batch before this one is answered. Ops apply strictly
 // in slice order, across batches too, because the agent handles frames in
 // arrival order and each frame's ops in order. Each frame carries the
-// client's default request timeout, counted from its write. A send error
-// stops the batch; Wait reports it after the frames already written.
+// client's default request timeout, counted from its write. The ops are
+// encoded before SendBatch returns, so the caller may reuse the slice.
 func (c *Client) SendBatch(ops []FlowMod) *PendingBatch {
-	b := &PendingBatch{c: c, n: len(ops)}
-	if len(ops) == 0 {
-		return b
-	}
+	b := c.newPendingBatch(len(ops), MaxBatchOps)
 	timeout := c.RequestTimeout()
-	b.calls = make([]call, 0, (len(ops)+MaxBatchOps-1)/MaxBatchOps)
 	for start := 0; start < len(ops); start += MaxBatchOps {
-		cl, err := c.send(&Message{
+		b.send(&Message{
 			Header:       Header{Type: TypeFlowModBatch},
 			FlowModBatch: &FlowModBatch{Ops: ops[start:min(start+MaxBatchOps, len(ops))]},
 		}, timeout)
-		if err != nil {
-			b.err = err
-			break
-		}
-		b.calls = append(b.calls, cl)
 	}
+	return b.sent(timeout)
+}
+
+// SendEach is SendBatch with one flow-mod frame per op: the ops go out back
+// to back, each with the default request timeout, and apply in slice
+// order; Wait returns their results the same way.
+func (c *Client) SendEach(ops []FlowMod) *PendingBatch {
+	b := c.newPendingBatch(len(ops), 1)
+	timeout := c.RequestTimeout()
+	req := Message{Header: Header{Type: TypeFlowMod}}
+	for i := range ops {
+		req.FlowMod = &ops[i]
+		b.send(&req, timeout)
+	}
+	return b.sent(timeout)
+}
+
+// send writes one frame of the group. A frame that cannot be written (the
+// client failed or closed) is kept with its error, so Wait fails its ops.
+func (b *PendingBatch) send(req *Message, timeout time.Duration) {
+	cl, err := b.c.send(req, timeout, b)
+	cl.err = err
+	b.calls = append(b.calls, cl)
+}
+
+// sent ends the writing: it releases the count held meanwhile and starts
+// the expiry clock.
+func (b *PendingBatch) sent(timeout time.Duration) *PendingBatch {
+	if timeout > 0 {
+		b.expiry = time.AfterFunc(timeout, b.finish)
+	}
+	b.settle()
 	return b
 }
 
-// Wait awaits the batch's replies in frame order, each bounded by ctx and
-// its frame's deadline. On a wire or decode error the results decided so
-// far are returned with the error; the caller cannot assume anything about
-// the remainder. Every frame written is awaited either way, so none is
-// left registered behind the caller.
+// settle counts one registered frame (or the writing) off; the last one
+// closes done. Nil-safe: requests outside a group settle nothing.
+func (b *PendingBatch) settle() {
+	if b != nil && b.left.Add(-1) == 0 {
+		b.finish()
+	}
+}
+
+func (b *PendingBatch) finish() {
+	if b.closed.CompareAndSwap(false, true) {
+		close(b.done)
+	}
+}
+
+// Done is closed once every frame of the group has its reply or has
+// failed, or the group's request timeout has run out: Wait then returns
+// without waiting for the switch. A caller that selects on Done can watch
+// other channels while the group is in flight.
+func (b *PendingBatch) Done() <-chan struct{} { return b.done }
+
+// Wait awaits the group's replies in frame order, each bounded by ctx and
+// its frame's deadline, and returns one result per op. A remote rejection
+// lands in its op's slot (an error reply to a whole frame in each of its
+// ops' slots) and is not an error of Wait's: the switch is alive. A frame
+// lost on the wire — never written, cut by a reset, abandoned at its
+// deadline or ctx, or answered with a reply that does not decode — puts
+// its error in each of its ops' slots and counts in Failed; Wait returns
+// the first such error. Every frame written is awaited either way, so none
+// is left registered behind the caller.
 func (b *PendingBatch) Wait(ctx context.Context) ([]BatchResult, error) {
+	if b.expiry != nil {
+		defer b.expiry.Stop()
+	}
 	if b.n == 0 {
 		return nil, nil
 	}
-	results := make([]BatchResult, 0, b.n)
+	results := b.oneResult[:]
+	if b.n > 1 {
+		results = make([]BatchResult, b.n)
+	}
 	var first error
 	for i := range b.calls {
-		resp, err := b.c.await(ctx, &b.calls[i])
-		if first == nil {
-			chunk := min(MaxBatchOps, b.n-i*MaxBatchOps)
-			results, first = appendBatchResults(results, chunk, resp, err)
+		slots := results[i*b.per : min((i+1)*b.per, b.n)]
+		err := b.calls[i].err
+		if err == nil {
+			var resp *Message
+			resp, err = b.c.await(ctx, &b.calls[i])
+			err = b.decode(slots, resp, err)
 		}
-	}
-	if first == nil {
-		first = b.err
+		if err != nil {
+			b.failed++
+			if first == nil {
+				first = err
+			}
+			for j := range slots {
+				slots[j].Err = err
+			}
+		}
 	}
 	return results, first
 }
 
-// appendBatchResults decodes the reply to one frame of chunk ops onto
-// results.
-func appendBatchResults(results []BatchResult, chunk int, resp *Message, err error) ([]BatchResult, error) {
-	if err != nil {
-		return results, err
+// Failed reports how many of the group's frames were lost on the wire;
+// valid once Wait has returned.
+func (b *PendingBatch) Failed() int { return b.failed }
+
+// decode fills one frame's slots from its reply, or reports why the frame
+// failed. An error reply is the remote verdict on every op of the frame.
+func (b *PendingBatch) decode(slots []BatchResult, resp *Message, err error) error {
+	if remote, ok := err.(*ErrorBody); ok { // as await returns it, unwrapped
+		for j := range slots {
+			slots[j].Err = remote
+		}
+		return nil
 	}
-	if resp.Header.Type != TypeFlowModBatchReply || resp.FlowModBatchReply == nil {
-		return results, fmt.Errorf("ofwire: unexpected reply %s", resp.Header.Type)
+	switch {
+	case err != nil:
+		return err
+	case b.per == 1 && resp.Header.Type == TypeFlowModReply && resp.FlowModReply != nil:
+		slots[0].Result = flowModResult(resp.FlowModReply)
+		return nil
+	case b.per > 1 && resp.Header.Type == TypeFlowModBatchReply && resp.FlowModBatchReply != nil:
+		entries := resp.FlowModBatchReply.Entries
+		if len(entries) != len(slots) {
+			return fmt.Errorf("ofwire: batch reply carries %d entries for %d ops",
+				len(entries), len(slots))
+		}
+		for j := range entries {
+			slots[j] = BatchResult{Result: flowModResult(&entries[j].Reply), Err: entries[j].Err()}
+		}
+		return nil
+	default:
+		return fmt.Errorf("ofwire: unexpected reply %s", resp.Header.Type)
 	}
-	entries := resp.FlowModBatchReply.Entries
-	if len(entries) != chunk {
-		return results, fmt.Errorf("ofwire: batch reply carries %d entries for %d ops",
-			len(entries), chunk)
-	}
-	for _, e := range entries {
-		results = append(results, BatchResult{
-			Result: FlowModResult{
-				Latency:    time.Duration(e.Reply.LatencyNS),
-				Path:       core.InsertPath(e.Reply.Path),
-				Guaranteed: e.Reply.Guaranteed,
-				Violation:  e.Reply.Violation,
-				Partitions: int(e.Reply.Partitions),
-			},
-			Err: e.Err(),
-		})
-	}
-	return results, nil
 }
 
 // doFlowModBatch applies one vectored flow-mod frame: the whole batch runs

@@ -1,6 +1,7 @@
 package ofwire
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -165,47 +166,55 @@ func TestClientBatchEndToEnd(t *testing.T) {
 // TestClientBatchPerOpErrors exercises the per-slot error demux: failures
 // are reported in their slot without stopping the batch, and ops observe
 // earlier ops' effects in order (insert→delete of the same rule inside
-// one frame both succeed).
+// one frame both succeed). The per-op twin, SendEach, reports the same
+// results in the same slots.
 func TestClientBatchPerOpErrors(t *testing.T) {
-	_, addr := startServer(t, core.Config{DisableRateLimit: true})
-	c, err := Dial(addr, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	for name, send := range map[string]func(*Client, []FlowMod) *PendingBatch{
+		"batch": (*Client).SendBatch, "each": (*Client).SendEach,
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, addr := startServer(t, core.Config{DisableRateLimit: true})
+			c, err := Dial(addr, time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
 
-	if _, err := c.Insert(batchRule(0)); err != nil {
-		t.Fatal(err)
-	}
-	ops := []FlowMod{
-		*FlowModFromRule(FlowAdd, batchRule(1)),
-		*FlowModFromRule(FlowAdd, batchRule(0)), // duplicate
-		*FlowModFromRule(FlowDelete, classifier.Rule{ID: batchRule(1).ID}),
-		*FlowModFromRule(FlowDelete, classifier.Rule{ID: 9999}), // unknown
-		*FlowModFromRule(FlowAdd, batchRule(2)),
-	}
-	results, err := c.ApplyBatch(ops)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(ops) {
-		t.Fatalf("got %d results, want %d", len(results), len(ops))
-	}
-	var remote *ErrorBody
-	if results[0].Err != nil {
-		t.Errorf("op 0: %v", results[0].Err)
-	}
-	if !errors.As(results[1].Err, &remote) || remote.Code != ErrCodeDuplicateRule {
-		t.Errorf("op 1 err = %v", results[1].Err)
-	}
-	if results[2].Err != nil {
-		t.Errorf("op 2 (delete of op 0's insert) failed: %v", results[2].Err)
-	}
-	if !errors.As(results[3].Err, &remote) || remote.Code != ErrCodeUnknownRule {
-		t.Errorf("op 3 err = %v", results[3].Err)
-	}
-	if results[4].Err != nil {
-		t.Errorf("op 4: %v", results[4].Err)
+			if _, err := c.Insert(batchRule(0)); err != nil {
+				t.Fatal(err)
+			}
+			ops := []FlowMod{
+				*FlowModFromRule(FlowAdd, batchRule(1)),
+				*FlowModFromRule(FlowAdd, batchRule(0)), // duplicate
+				*FlowModFromRule(FlowDelete, classifier.Rule{ID: batchRule(1).ID}),
+				*FlowModFromRule(FlowDelete, classifier.Rule{ID: 9999}), // unknown
+				*FlowModFromRule(FlowAdd, batchRule(2)),
+			}
+			pb := send(c, ops)
+			results, err := pb.Wait(context.Background())
+			if err != nil || pb.Failed() != 0 {
+				t.Fatalf("Wait = %v with %d frames failed; remote rejections are no frame failures", err, pb.Failed())
+			}
+			if len(results) != len(ops) {
+				t.Fatalf("got %d results, want %d", len(results), len(ops))
+			}
+			var remote *ErrorBody
+			if results[0].Err != nil {
+				t.Errorf("op 0: %v", results[0].Err)
+			}
+			if !errors.As(results[1].Err, &remote) || remote.Code != ErrCodeDuplicateRule {
+				t.Errorf("op 1 err = %v", results[1].Err)
+			}
+			if results[2].Err != nil {
+				t.Errorf("op 2 (delete of op 0's insert) failed: %v", results[2].Err)
+			}
+			if !errors.As(results[3].Err, &remote) || remote.Code != ErrCodeUnknownRule {
+				t.Errorf("op 3 err = %v", results[3].Err)
+			}
+			if results[4].Err != nil {
+				t.Errorf("op 4: %v", results[4].Err)
+			}
+		})
 	}
 }
 

@@ -29,8 +29,8 @@ type Client struct {
 	conn    net.Conn
 	nextXID atomic.Uint32
 
-	// timeoutNS is the default per-request deadline (0 = none), applied by
-	// the non-Ctx methods. Atomic so SetRequestTimeout is safe mid-flight.
+	// timeoutNS is the default per-request deadline (0 = none), applied to
+	// every request. Atomic so SetRequestTimeout is safe mid-flight.
 	timeoutNS atomic.Int64
 
 	// wmu serializes frame writes so concurrent requests cannot interleave
@@ -42,7 +42,7 @@ type Client struct {
 
 	// pmu guards the pending demux table and the terminal error state.
 	pmu     sync.Mutex
-	pending map[uint32]chan *Message
+	pending map[uint32]waiter
 	failErr error // non-nil once the reader loop has died
 	closed  bool  // Close was called
 
@@ -54,28 +54,6 @@ type Client struct {
 	// the virtual-time domain, so wall-clock RTT is the honest measurement.
 	inflight *obs.Gauge
 	rtt      *obs.Histogram
-
-	// lifecycle, when attached via SetLifecycle, receives XID-keyed
-	// submitted/completed notifications for every flow-mod.
-	lifecycle FlowLifecycle
-}
-
-// FlowLifecycle observes the controller-side lifecycle of flow-mod
-// requests, keyed by transaction ID. FlowSubmitted fires just before the
-// request enters the pipeline; FlowCompleted fires exactly once per
-// submitted XID — with a decoded result on a reply, or with a non-nil
-// error when the request failed, was abandoned at its deadline, or was cut
-// off by a connection reset or Close. The submitted/completed pairing is
-// exact even when the client dies mid-flight: every in-flight XID at the
-// moment of a reset completes with that reset's error, which is how a
-// load-generation ledger tells "installed" from "lost".
-//
-// Both callbacks run on the goroutine issuing the request. Implementations
-// must be safe for concurrent use; pipelined requests complete
-// concurrently.
-type FlowLifecycle interface {
-	FlowSubmitted(xid uint32, id classifier.RuleID)
-	FlowCompleted(xid uint32, id classifier.RuleID, res FlowModResult, err error)
 }
 
 // Dial connects to an agent daemon and performs the hello exchange.
@@ -94,7 +72,7 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 func NewClient(conn net.Conn) (*Client, error) {
 	c := &Client{
 		conn:       conn,
-		pending:    make(map[uint32]chan *Message),
+		pending:    make(map[uint32]waiter),
 		readerDone: make(chan struct{}),
 	}
 	br := bufio.NewReader(conn)
@@ -131,7 +109,7 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			continue // tolerate late hellos
 		}
 		c.pmu.Lock()
-		ch, ok := c.pending[resp.Header.XID]
+		wt, ok := c.pending[resp.Header.XID]
 		if ok {
 			delete(c.pending, resp.Header.XID)
 		}
@@ -141,7 +119,8 @@ func (c *Client) readLoop(br *bufio.Reader) {
 			// deadline). Drop it; the XID space never reuses live IDs.
 			continue
 		}
-		ch <- resp
+		wt.ch <- resp
+		wt.group.settle()
 	}
 }
 
@@ -157,9 +136,10 @@ func (c *Client) fail(cause error) {
 			c.failErr = fmt.Errorf("ofwire: connection failed: %w", cause)
 		}
 	}
-	for xid, ch := range c.pending {
+	for xid, wt := range c.pending {
 		delete(c.pending, xid)
-		close(ch) // a closed channel signals "read c.failErr"
+		close(wt.ch) // a closed channel signals "read c.failErr"
+		wt.group.settle()
 	}
 	c.pmu.Unlock()
 	c.conn.Close()
@@ -190,9 +170,9 @@ func (c *Client) Close() error {
 	return err
 }
 
-// SetRequestTimeout installs a default per-request deadline applied by
-// every non-Ctx method (Insert, Barrier, Echo, ...). Zero disables the
-// default. Safe to call concurrently with in-flight requests; it affects
+// SetRequestTimeout installs the per-request deadline applied to every
+// request (Insert, Barrier, Echo, each frame of a batch, ...). Zero
+// disables it. Safe to call concurrently with in-flight requests; it affects
 // only requests issued afterwards.
 func (c *Client) SetRequestTimeout(d time.Duration) {
 	if d < 0 {
@@ -217,12 +197,12 @@ func (c *Client) Instrument(g *obs.Gauge, h *obs.Histogram) {
 	c.rtt = h
 }
 
-// SetLifecycle attaches a flow-mod lifecycle observer. Attach before
-// issuing requests, like Instrument; nil detaches. As with Instrument,
-// reattach the observer to the replacement client after a reconnect to
-// keep one continuous ledger across resets.
-func (c *Client) SetLifecycle(l FlowLifecycle) {
-	c.lifecycle = l
+// waiter is where the reply to one registered XID goes: its call's
+// channel, and the PendingBatch the frame belongs to, if any, which counts
+// its frames down as they settle.
+type waiter struct {
+	ch    chan *Message
+	group *PendingBatch
 }
 
 // call is one request on the wire: its XID registered, its frame written,
@@ -232,18 +212,18 @@ type call struct {
 	ch      chan *Message
 	start   time.Time     // when the frame was sent; set only when rtt or timeout needs it
 	timeout time.Duration // deadline counted from start; 0 = only the await context bounds it
+	err     error         // the send error that kept the frame off the wire (PendingBatch only)
 }
 
-// roundTrip is the one request path: send, then await. timeout is the
-// per-request deadline (the client's default for the non-Ctx methods, 0
-// for the Ctx ones); ctx bounds the wait as well. Many round trips may be
-// in flight at once; each caller blocks only on its own XID.
-func (c *Client) roundTrip(ctx context.Context, req *Message, timeout time.Duration) (*Message, error) {
-	cl, err := c.send(req, timeout)
+// roundTrip is the one single-request path: send, then await, bounded by
+// the client's default request timeout. Many round trips may be in flight
+// at once; each caller blocks only on its own XID.
+func (c *Client) roundTrip(req *Message) (*Message, error) {
+	cl, err := c.send(req, c.RequestTimeout(), nil)
 	if err != nil {
 		return nil, err
 	}
-	return c.await(ctx, &cl)
+	return c.await(context.Background(), &cl)
 }
 
 // send registers the request's XID, lays the frame out in the client's
@@ -251,16 +231,13 @@ func (c *Client) roundTrip(ctx context.Context, req *Message, timeout time.Durat
 // It does not wait for the reply: the caller must await the returned call,
 // and may send further requests first. A failed write fails the whole
 // client — a frame cut short leaves the byte stream unframed, and the next
-// frame written behind it would be read as the rest of this one.
-func (c *Client) send(req *Message, timeout time.Duration) (call, error) {
-	xid := req.Header.XID
-	if xid == 0 {
-		// The flow-mod path pre-assigns XIDs so lifecycle observers see the
-		// ID before the request enters the pipeline; everything else gets
-		// one here. Live XIDs are never reused: the counter only grows.
-		xid = c.nextXID.Add(1)
-		req.Header.XID = xid
-	}
+// frame written behind it would be read as the rest of this one. A frame
+// of a PendingBatch names its group, which counts the frame until its
+// reply or failure settles it.
+func (c *Client) send(req *Message, timeout time.Duration, group *PendingBatch) (call, error) {
+	// Live XIDs are never reused: the counter only grows.
+	xid := c.nextXID.Add(1)
+	req.Header.XID = xid
 	cl := call{xid: xid, ch: make(chan *Message, 1), timeout: timeout}
 
 	c.pmu.Lock()
@@ -273,7 +250,10 @@ func (c *Client) send(req *Message, timeout time.Duration) (call, error) {
 		c.pmu.Unlock()
 		return cl, ErrClientClosed
 	}
-	c.pending[xid] = cl.ch
+	if group != nil {
+		group.left.Add(1)
+	}
+	c.pending[xid] = waiter{ch: cl.ch, group: group}
 	c.pmu.Unlock()
 	if c.inflight != nil {
 		c.inflight.Add(1)
@@ -325,8 +305,12 @@ func (c *Client) await(ctx context.Context, cl *call) (*Message, error) {
 		return resp, nil
 	case <-ctx.Done():
 		c.pmu.Lock()
+		wt, ok := c.pending[cl.xid]
 		delete(c.pending, cl.xid)
 		c.pmu.Unlock()
+		if ok {
+			wt.group.settle()
+		}
 		// The reply channel is buffered, so a reply racing this removal
 		// parks harmlessly in the channel and is garbage-collected.
 		return nil, fmt.Errorf("ofwire: request %d abandoned: %w", cl.xid, ctx.Err())
@@ -347,19 +331,9 @@ func (c *Client) Insert(r classifier.Rule) (FlowModResult, error) {
 	return c.flowMod(FlowAdd, r)
 }
 
-// InsertCtx is Insert bounded by the context's deadline/cancellation.
-func (c *Client) InsertCtx(ctx context.Context, r classifier.Rule) (FlowModResult, error) {
-	return c.flowModCtx(ctx, FlowAdd, r)
-}
-
 // Delete removes a rule by ID.
 func (c *Client) Delete(id classifier.RuleID) (FlowModResult, error) {
 	return c.flowMod(FlowDelete, classifier.Rule{ID: id})
-}
-
-// DeleteCtx is Delete bounded by the context's deadline/cancellation.
-func (c *Client) DeleteCtx(ctx context.Context, id classifier.RuleID) (FlowModResult, error) {
-	return c.flowModCtx(ctx, FlowDelete, classifier.Rule{ID: id})
 }
 
 // Modify updates a live rule.
@@ -367,54 +341,11 @@ func (c *Client) Modify(r classifier.Rule) (FlowModResult, error) {
 	return c.flowMod(FlowModify, r)
 }
 
-// ModifyCtx is Modify bounded by the context's deadline/cancellation.
-func (c *Client) ModifyCtx(ctx context.Context, r classifier.Rule) (FlowModResult, error) {
-	return c.flowModCtx(ctx, FlowModify, r)
-}
-
 func (c *Client) flowMod(cmd FlowModCommand, r classifier.Rule) (FlowModResult, error) {
-	req := &Message{
+	return decodeFlowModResult(c.roundTrip(&Message{
 		Header:  Header{Type: TypeFlowMod},
 		FlowMod: FlowModFromRule(cmd, r),
-	}
-	c.notifySubmitted(req, r.ID)
-	resp, err := c.roundTrip(context.Background(), req, c.RequestTimeout())
-	res, err := decodeFlowModResult(resp, err)
-	c.notifyCompleted(req, r.ID, res, err)
-	return res, err
-}
-
-func (c *Client) flowModCtx(ctx context.Context, cmd FlowModCommand, r classifier.Rule) (FlowModResult, error) {
-	req := &Message{
-		Header:  Header{Type: TypeFlowMod},
-		FlowMod: FlowModFromRule(cmd, r),
-	}
-	c.notifySubmitted(req, r.ID)
-	resp, err := c.roundTrip(ctx, req, 0)
-	res, err := decodeFlowModResult(resp, err)
-	c.notifyCompleted(req, r.ID, res, err)
-	return res, err
-}
-
-// notifySubmitted pre-assigns the request's XID and announces it to the
-// lifecycle observer. No-op without an observer — the XID is then assigned
-// inside send as usual.
-func (c *Client) notifySubmitted(req *Message, id classifier.RuleID) {
-	if c.lifecycle == nil {
-		return
-	}
-	req.Header.XID = c.nextXID.Add(1)
-	c.lifecycle.FlowSubmitted(req.Header.XID, id)
-}
-
-// notifyCompleted reports the request's terminal outcome. Every submitted
-// flow-mod reaches here exactly once: replies, error replies, abandoned
-// deadlines and connection failures all complete the XID.
-func (c *Client) notifyCompleted(req *Message, id classifier.RuleID, res FlowModResult, err error) {
-	if c.lifecycle == nil {
-		return
-	}
-	c.lifecycle.FlowCompleted(req.Header.XID, id, res, err)
+	}))
 }
 
 func decodeFlowModResult(resp *Message, err error) (FlowModResult, error) {
@@ -424,26 +355,26 @@ func decodeFlowModResult(resp *Message, err error) (FlowModResult, error) {
 	if resp.Header.Type != TypeFlowModReply || resp.FlowModReply == nil {
 		return FlowModResult{}, fmt.Errorf("ofwire: unexpected reply %s", resp.Header.Type)
 	}
-	rep := resp.FlowModReply
+	return flowModResult(resp.FlowModReply), nil
+}
+
+// flowModResult is the controller-visible form of one flow-mod reply,
+// alone in its frame or an entry of a batch reply.
+func flowModResult(rep *FlowModReply) FlowModResult {
 	return FlowModResult{
 		Latency:    time.Duration(rep.LatencyNS),
 		Path:       core.InsertPath(rep.Path),
 		Guaranteed: rep.Guaranteed,
 		Violation:  rep.Violation,
 		Partitions: int(rep.Partitions),
-	}, nil
+	}
 }
 
 // Barrier blocks until all previously issued flow-mods have been applied,
 // like OpenFlow's barrier. The agent handles frames in arrival order, so a
 // barrier fences everything written to the wire before it.
 func (c *Client) Barrier() error {
-	return decodeBarrier(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeBarrierRequest}}, c.RequestTimeout()))
-}
-
-// BarrierCtx is Barrier bounded by the context's deadline/cancellation.
-func (c *Client) BarrierCtx(ctx context.Context) error {
-	return decodeBarrier(c.roundTrip(ctx, &Message{Header: Header{Type: TypeBarrierRequest}}, 0))
+	return decodeBarrier(c.roundTrip(&Message{Header: Header{Type: TypeBarrierRequest}}))
 }
 
 func decodeBarrier(resp *Message, err error) error {
@@ -458,12 +389,7 @@ func decodeBarrier(resp *Message, err error) error {
 
 // Echo round-trips a payload (liveness probe).
 func (c *Client) Echo(payload []byte) ([]byte, error) {
-	return decodeEcho(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}, c.RequestTimeout()))
-}
-
-// EchoCtx is Echo bounded by the context's deadline/cancellation.
-func (c *Client) EchoCtx(ctx context.Context, payload []byte) ([]byte, error) {
-	return decodeEcho(c.roundTrip(ctx, &Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}, 0))
+	return decodeEcho(c.roundTrip(&Message{Header: Header{Type: TypeEchoRequest}, Raw: payload}))
 }
 
 func decodeEcho(resp *Message, err error) ([]byte, error) {
@@ -478,12 +404,7 @@ func decodeEcho(resp *Message, err error) ([]byte, error) {
 
 // Stats fetches the agent's counters.
 func (c *Client) Stats() (*Stats, error) {
-	return decodeStats(c.roundTrip(context.Background(), &Message{Header: Header{Type: TypeStatsRequest}}, c.RequestTimeout()))
-}
-
-// StatsCtx is Stats bounded by the context's deadline/cancellation.
-func (c *Client) StatsCtx(ctx context.Context) (*Stats, error) {
-	return decodeStats(c.roundTrip(ctx, &Message{Header: Header{Type: TypeStatsRequest}}, 0))
+	return decodeStats(c.roundTrip(&Message{Header: Header{Type: TypeStatsRequest}}))
 }
 
 func decodeStats(resp *Message, err error) (*Stats, error) {
@@ -501,22 +422,16 @@ func decodeStats(resp *Message, err error) (*Stats, error) {
 // entries. The result is sorted by rule ID. This is the observed view a
 // level-triggered reconciler diffs its desired state against; cursor
 // pagination keeps the dump coherent under concurrent flow-mods (an entry
-// present for the whole dump appears exactly once).
+// present for the whole dump appears exactly once). The client's default
+// request timeout applies to each page.
 func (c *Client) DumpRules() ([]classifier.Rule, error) {
-	return c.DumpRulesCtx(context.Background())
-}
-
-// DumpRulesCtx is DumpRules bounded by the context's deadline/cancellation
-// (checked per page; the client's default request timeout also applies to
-// each page individually).
-func (c *Client) DumpRulesCtx(ctx context.Context) ([]classifier.Rule, error) {
-	return c.dumpRulesPaged(ctx, 0) // 0: let the agent pick the frame-bound page
+	return c.dumpRulesPaged(0) // 0: let the agent pick the frame-bound page
 }
 
 // dumpRulesPaged walks the multipart dump with an explicit page size
 // (tests shrink it to exercise multi-page dumps without frame-sized rule
 // counts).
-func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classifier.Rule, error) {
+func (c *Client) dumpRulesPaged(pageSize uint16) ([]classifier.Rule, error) {
 	var out []classifier.Rule
 	after := uint64(0)
 	for {
@@ -524,7 +439,7 @@ func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classif
 			Header:       Header{Type: TypeRulesRequest},
 			RulesRequest: &RulesRequest{After: after, Max: pageSize},
 		}
-		resp, err := c.roundTrip(ctx, req, c.RequestTimeout())
+		resp, err := c.roundTrip(req)
 		if err != nil {
 			return nil, err
 		}
@@ -548,10 +463,10 @@ func (c *Client) dumpRulesPaged(ctx context.Context, pageSize uint16) ([]classif
 // (CreateTCAMQoS over the wire). The switch re-carves its TCAM; installed
 // rules are discarded, exactly as slice reconfiguration does on hardware.
 func (c *Client) RequestQoS(guarantee time.Duration) (*QoSReply, error) {
-	resp, err := c.roundTrip(context.Background(), &Message{
+	resp, err := c.roundTrip(&Message{
 		Header:     Header{Type: TypeQoSRequest},
 		QoSRequest: &QoSRequest{GuaranteeNS: uint64(guarantee)},
-	}, c.RequestTimeout())
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hermes/internal/obs"
 	"hermes/internal/testutil"
 )
 
@@ -103,7 +104,10 @@ func TestClientPipelinesTwoInFlight(t *testing.T) {
 }
 
 // TestReadErrorFailsAllPending checks that a wire failure wakes every
-// pending caller with a descriptive error instead of leaving them blocked.
+// pending caller with a descriptive error instead of leaving them blocked,
+// that the failed round trips leave no RTT sample and the in-flight gauge
+// at zero, and that a replacement client given the same instruments keeps
+// recording into them.
 func TestReadErrorFailsAllPending(t *testing.T) {
 	const callers = 4
 	c := fakePeer(t, func(conn net.Conn) error {
@@ -115,6 +119,9 @@ func TestReadErrorFailsAllPending(t *testing.T) {
 		conn.Close() // die with every request pending
 		return nil
 	})
+	var inflight obs.Gauge
+	rtt := obs.NewHistogram()
+	c.Instrument(&inflight, rtt)
 
 	var wg sync.WaitGroup
 	errs := make([]error, callers)
@@ -147,6 +154,25 @@ func TestReadErrorFailsAllPending(t *testing.T) {
 	}
 	if c.Err() == nil {
 		t.Error("Err() nil on a dead client")
+	}
+	if rtt.Count() != 0 || inflight.Value() != 0 {
+		t.Errorf("after the reset: %d RTT samples, in-flight gauge %d; want 0, 0", rtt.Count(), inflight.Value())
+	}
+
+	// The reconnect: a fresh client on the same instruments records into them.
+	c2 := fakePeer(t, func(conn net.Conn) error {
+		req, err := ReadMessage(conn)
+		if err != nil {
+			return err
+		}
+		return WriteMessage(conn, &Message{Header: Header{Type: TypeEchoReply, XID: req.Header.XID}, Raw: req.Raw})
+	})
+	c2.Instrument(&inflight, rtt)
+	if _, err := c2.Echo([]byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	if rtt.Count() != 1 || inflight.Value() != 0 {
+		t.Errorf("after the reconnect: %d RTT samples, in-flight gauge %d; want 1, 0", rtt.Count(), inflight.Value())
 	}
 }
 

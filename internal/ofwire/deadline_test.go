@@ -43,8 +43,10 @@ func TestRequestTimeoutAbandonsOnlyThatRequest(t *testing.T) {
 	}
 }
 
-// TestCtxVariantsHonorCancellation: an already-cancelled context returns
-// immediately with the context's error on every *Ctx entry point.
+// TestCtxVariantsHonorCancellation: PendingBatch.Wait is the client's one
+// context entry. Handed an already-cancelled context it returns at once
+// with the context's error, for flow-mod-batch and per-op frames alike,
+// and every slot carries it.
 func TestCtxVariantsHonorCancellation(t *testing.T) {
 	var mu sync.Mutex
 	swallowed := 0
@@ -60,24 +62,26 @@ func TestCtxVariantsHonorCancellation(t *testing.T) {
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rule := classifier.Rule{ID: 1, Priority: 1}
-	if _, err := c.InsertCtx(ctx, rule); !errors.Is(err, context.Canceled) {
-		t.Fatalf("InsertCtx: %v", err)
+	ops := []FlowMod{
+		*FlowModFromRule(FlowAdd, classifier.Rule{ID: 1, Priority: 1}),
+		*FlowModFromRule(FlowDelete, classifier.Rule{ID: 2}),
 	}
-	if _, err := c.DeleteCtx(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("DeleteCtx: %v", err)
-	}
-	if _, err := c.ModifyCtx(ctx, rule); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ModifyCtx: %v", err)
-	}
-	if err := c.BarrierCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("BarrierCtx: %v", err)
-	}
-	if _, err := c.EchoCtx(ctx, []byte("x")); !errors.Is(err, context.Canceled) {
-		t.Fatalf("EchoCtx: %v", err)
-	}
-	if _, err := c.StatsCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("StatsCtx: %v", err)
+	for name, send := range map[string]func([]FlowMod) *PendingBatch{
+		"SendBatch": c.SendBatch, "SendEach": c.SendEach,
+	} {
+		pb := send(ops)
+		results, err := pb.Wait(ctx)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Wait = %v, want context.Canceled", name, err)
+		}
+		for i, r := range results {
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Fatalf("%s: slot %d = %v, want context.Canceled", name, i, r.Err)
+			}
+		}
+		if len(results) != len(ops) || pb.Failed() == 0 {
+			t.Fatalf("%s: %d results, %d frames failed", name, len(results), pb.Failed())
+		}
 	}
 	mu.Lock()
 	n := swallowed

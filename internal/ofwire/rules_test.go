@@ -1,7 +1,6 @@
 package ofwire
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -55,7 +54,7 @@ func TestDumpRulesEndToEnd(t *testing.T) {
 	// Single page (agent-chosen frame-bound page size).
 	check(c.DumpRules())
 	// Forced multi-page dump: 7-entry pages over 40 rules.
-	check(c.dumpRulesPaged(context.Background(), 7))
+	check(c.dumpRulesPaged(7))
 
 	// The dump reflects deletions.
 	if _, err := c.Delete(want[3].ID); err != nil {
