@@ -52,12 +52,14 @@ fuzz:
 
 # Seeded chaos harness under the race detector: crash/restart
 # reconciliation, interrupted-migration repair, wire faults (a reset with
-# two batch frames in flight among them), request deadlines, and per-rule
-# FIFO through the fleet's dispatch loop in both encodings (its perop row
-# among them), all on fixed seeds so failures replay (DESIGN.md §9).
+# two batch frames in flight among them), request deadlines, per-rule FIFO
+# through the fleet's send and completion path in both encodings (its
+# perop row among them), submit order through an open circuit, and a
+# group's completion hook calling back into the client from every path
+# that completes it, all on fixed seeds so failures replay (DESIGN.md §9).
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetWireBatchResetFailsBothFramesInOrder|TestFleetWireBatchPreservesPerRuleFIFO|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover|TestControllerTraceDigestDeterministic|TestWritesAreStepwiseAtomic' \
+		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetWireBatchResetFailsBothFramesInOrder|TestFleetWireBatchPreservesPerRuleFIFO|TestFleetCircuitOpenFailsInSubmitOrder|TestOnDoneHookReentersClient|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover|TestControllerTraceDigestDeterministic|TestWritesAreStepwiseAtomic' \
 		./internal/core ./internal/faultinject ./internal/experiments ./internal/fleet ./internal/ofwire ./internal/intent
 	$(GO) run ./cmd/hermes-bench -scale 0.5 chaos
 	$(GO) run ./cmd/hermes-bench -scale 1 reconcile

@@ -268,3 +268,52 @@ func TestFleetObsExposesQueueAndFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetCircuitOpenFailsInSubmitOrder: an op submitted while the circuit
+// is open fails behind the ops still in flight ahead of it, not on the
+// submitter's goroutine ahead of them, so OnResult keeps the switch's
+// submit order and one call at a time. A and B go out to an agent that
+// never answers and time out, opening the circuit; C waits for a slot
+// meanwhile, and D comes once the circuit is open.
+func TestFleetCircuitOpenFailsInSubmitOrder(t *testing.T) {
+	a := startFrameAgent(t)
+	var mu sync.Mutex
+	var seen []classifier.RuleID
+	f, err := New(Config{
+		WireBatch: true, BatchSize: 1, OpTimeout: 100 * time.Millisecond,
+		ProbeInterval: time.Hour,
+		Breaker:       BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour},
+		OnResult: func(res OpResult) {
+			mu.Lock()
+			seen = append(seen, res.RuleID)
+			mu.Unlock()
+		},
+	}, []SwitchSpec{{ID: "mute", Addr: a.addr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	<-a.conn
+
+	chans := insertAll(t, f, "mute", 1, 3)
+	waitUntil(t, "the circuit to open", func() bool {
+		st, _ := f.BreakerState("mute")
+		return st == BreakerOpen
+	})
+	chans = append(chans, insertAll(t, f, "mute", 4, 4)...)
+	for i, ch := range chans {
+		select {
+		case res := <-ch:
+			if res.Err == nil {
+				t.Fatalf("insert %d succeeded on a switch that never answers", i+1)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("insert %d never completed", i+1)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := fmt.Sprint(seen); got != "[1 2 3 4]" {
+		t.Fatalf("OnResult saw %s, want submit order [1 2 3 4]", got)
+	}
+}

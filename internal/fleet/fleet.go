@@ -3,16 +3,17 @@
 // the single-agent core and a production deployment of one agent per
 // switch (Fig. 2 of the paper, scaled out).
 //
-// A Fleet owns one worker per switch. Each worker has a bounded flow-mod
-// queue, one dispatch loop that writes groups of queued flow-mods over a
-// pipelined client (many requests in flight per connection) and completes
-// them in order, retries insertions the Gate Keeper diverts off
-// the guaranteed path with exponential backoff plus deterministic jitter,
-// and trips a circuit breaker — fed by echo health probes — when its
-// switch dies, so one wedged agent degrades to fail-fast instead of
-// stalling the rest of the fleet. Rules route to switches either
-// explicitly or consistently by rule ID, and a fleet-wide Snapshot merges
-// every agent's counters with client-observed latency percentiles.
+// A Fleet owns one worker per switch, with a bounded flow-mod queue and
+// no goroutine on the flow-mod path: the goroutine that makes a group of
+// queued flow-mods sendable writes it over a pipelined client (many
+// requests in flight per connection), and the one that closes a group
+// completes the answered groups in order. A worker retries insertions the
+// Gate Keeper diverts off the guaranteed path (exponential backoff,
+// deterministic jitter) and trips a circuit breaker, fed by echo health
+// probes, when its switch dies, so one wedged agent fails fast instead of
+// stalling the fleet. Rules route to switches explicitly or consistently
+// by rule ID, and a fleet-wide Snapshot merges every agent's counters with
+// client-observed latency percentiles.
 //
 // The fleet is a transport and owns no desired state: what it holds is
 // proportional to what is in flight (queues, pending requests, fixed-size
@@ -80,24 +81,24 @@ type Config struct {
 	// one flow-mod-batch frame, applied with a single wire round trip —
 	// amortizing syscalls, the agent's lock acquisition, and its snapshot
 	// rebuild across the whole frame — instead of one flow-mod frame per
-	// op. Either way a worker takes its queue up to BatchSize ops at a
-	// time, keeps at most two groups in flight, writes what is queued at
-	// once on an idle switch (no group in flight) and coalesces the next
-	// group while one is in flight (see BatchLinger). Ops are encoded in
-	// queue order, the agent applies frames in arrival order and each
-	// frame's ops in order, and each worker completes its groups in send
-	// order, so per-rule FIFO (an insert followed by a delete of the same
-	// rule never reorders) and the per-switch OnResult order hold end to
-	// end in both encodings. RetryDiverted is intentionally bypassed in
-	// batch mode: a batch caller asked for throughput, and divert-retry is
-	// a per-op guarantee negotiation.
+	// op. Either way a worker takes up to BatchSize queued ops at a time,
+	// keeps at most two groups in flight, sends at once on an idle switch
+	// and coalesces the next group while one is in flight (BatchLinger);
+	// the goroutine that makes a group sendable writes it: a submitter, the
+	// one completing the group ahead, or the linger timer. Ops are encoded
+	// in queue order, the agent applies frames in arrival order and each
+	// frame's ops in order, and groups complete in send order, so per-rule
+	// FIFO (an insert followed by a delete of the same rule never
+	// reorders) and the per-switch OnResult order hold in both encodings.
+	// RetryDiverted is bypassed in batch mode: a batch caller asked for
+	// throughput, and divert-retry is a per-op guarantee negotiation.
 	WireBatch bool
 	// BatchLinger bounds how long a worker with one group in flight holds
 	// queued ops back for the next group: that group goes out when it
 	// holds BatchSize ops, when BatchLinger has passed, or when the
 	// in-flight group's replies arrive, whichever comes first (Nagle's
-	// rule, RFC 896). A worker with no group in flight never lingers.
-	// Defaults to 500µs.
+	// rule, RFC 896); the linger timer writes it in the second case. A
+	// worker with no group in flight never lingers. Defaults to 500µs.
 	BatchLinger time.Duration
 	// OpTimeout, when > 0, bounds every request the fleet issues on a
 	// control channel (flow-mods, barriers, probes, stats). A stalled
@@ -129,10 +130,12 @@ type Config struct {
 	// OnResult, when non-nil, observes every finished operation — the
 	// completion-notification seam load generators use to feed a ledger
 	// without wrapping each result channel. It fires exactly once per
-	// submitted op (successes, remote rejections, circuit-open fast
-	// failures, and shutdown drains alike), before the result is delivered
-	// to the submitter's channel. It runs on worker goroutines: keep it
-	// fast and never block.
+	// submitted op (successes, remote rejections, circuit-open failures,
+	// and shutdown drains alike), before the result is delivered to the
+	// submitter's channel, one call at a time per switch in submit order.
+	// It runs on whichever goroutine completes the op's group, often the
+	// switch's client read loop: a blocking OnResult stalls that switch's
+	// replies, and calling the fleet synchronously from it deadlocks.
 	OnResult func(OpResult)
 	// OnReconnect, when non-nil, fires after a worker has redialed a dead
 	// switch and the fresh connection has answered a health probe — the
@@ -258,9 +261,9 @@ func (f *Fleet) Route(id classifier.RuleID) string {
 	return f.order[fnv64a(key)%uint64(len(f.order))]
 }
 
-// submit queues one op on the switch's worker. A switch with an open
-// circuit fails fast without queuing.
-func (f *Fleet) submit(switchID string, o *op) (<-chan OpResult, error) {
+// submit queues one op on the switch's worker (more: see worker.submit).
+// With the circuit open it fails as its group goes out, behind those ahead.
+func (f *Fleet) submit(switchID string, o *op, more bool) (<-chan OpResult, error) {
 	if f.closed.Load() {
 		return nil, ErrFleetClosed
 	}
@@ -269,31 +272,27 @@ func (f *Fleet) submit(switchID string, o *op) (<-chan OpResult, error) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSwitch, switchID)
 	}
 	o.done = make(chan OpResult, 1)
-	if !w.brk.allow() {
-		w.tele.fail()
-		w.deliver(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: &CircuitOpenError{Switch: w.id}})
-		return o.done, nil
-	}
-	if err := w.q.push(o); err != nil {
+	if err := w.submit(o, more); err != nil {
 		return nil, err
 	}
 	return o.done, nil
 }
 
 // InsertAsync queues an insertion on the named switch and returns the
-// result channel immediately; the queue applies backpressure when full.
+// result channel without waiting for the switch; the queue applies
+// backpressure when full, and the call may write one group itself.
 func (f *Fleet) InsertAsync(switchID string, r classifier.Rule) (<-chan OpResult, error) {
-	return f.submit(switchID, &op{kind: intent.OpInsert, rule: r})
+	return f.submit(switchID, &op{kind: intent.OpInsert, rule: r}, false)
 }
 
-// DeleteAsync queues a deletion on the named switch.
+// DeleteAsync queues a deletion on the named switch, like InsertAsync.
 func (f *Fleet) DeleteAsync(switchID string, id classifier.RuleID) (<-chan OpResult, error) {
-	return f.submit(switchID, &op{kind: intent.OpDelete, rule: classifier.Rule{ID: id}})
+	return f.submit(switchID, &op{kind: intent.OpDelete, rule: classifier.Rule{ID: id}}, false)
 }
 
-// ModifyAsync queues a modification on the named switch.
+// ModifyAsync queues a modification on the named switch, like InsertAsync.
 func (f *Fleet) ModifyAsync(switchID string, r classifier.Rule) (<-chan OpResult, error) {
-	return f.submit(switchID, &op{kind: intent.OpModify, rule: r})
+	return f.submit(switchID, &op{kind: intent.OpModify, rule: r}, false)
 }
 
 func await(ch <-chan OpResult, err error) OpResult {

@@ -647,8 +647,9 @@ func TestFleetOnResultObservesEveryOp(t *testing.T) {
 			total, ok, rejected, other, n+5, n)
 	}
 
-	// Kill switch 0 and wait for the breaker to trip: the circuit-open fast
-	// path bypasses the worker queue and must still report to the hook.
+	// Kill switch 0 and wait for the breaker to trip: an op submitted to
+	// the open circuit fails without reaching the wire and must still
+	// report to the hook.
 	if err := servers[0].Close(); err != nil {
 		t.Fatal(err)
 	}

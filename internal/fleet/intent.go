@@ -67,18 +67,21 @@ func (f *Fleet) Apply(switchID string, plan []intent.Op) error {
 	return f.applyAll(switchID, plan[dels:])
 }
 
-// applyAll queues ops on the switch, waits for every one it queued, and
-// returns the first error in plan order.
+// applyAll queues ops on the switch, in full batches and then the rest,
+// waits for every one it queued, and returns the first error in order.
 func (f *Fleet) applyAll(switchID string, ops []intent.Op) error {
 	var submitErr error
 	chans := make([]<-chan OpResult, 0, len(ops))
 	for _, o := range ops {
-		ch, err := f.submit(switchID, &op{kind: o.Kind, rule: o.Rule})
+		ch, err := f.submit(switchID, &op{kind: o.Kind, rule: o.Rule}, true)
 		if err != nil {
 			submitErr = err
 			break
 		}
 		chans = append(chans, ch)
+	}
+	if w, ok := f.workers[switchID]; ok {
+		w.pump() // the ops short of a full batch
 	}
 	var first error
 	for _, ch := range chans {

@@ -5,7 +5,7 @@ import "hermes/internal/obs"
 // registerObs exposes one worker on the fleet's obs registry. Counters,
 // gauges and the breaker state are scrape-time closures over state the
 // worker already maintains (telemetry, breaker, queue, groups in flight),
-// so the dispatch hot path gains no new synchronization; the live
+// so the send and completion path gains no new synchronization; the live
 // instruments (the wire client's in-flight gauge and RTT histogram, the
 // worker's ops-per-group histogram) record locklessly.
 //
@@ -27,10 +27,10 @@ func registerObs(reg *obs.Registry, w *worker) {
 
 	reg.GaugeFunc("hermes_fleet_queue_depth", lbl,
 		"flow-mods waiting in the worker's bounded queue",
-		func() float64 { return float64(w.q.len()) })
+		func() float64 { w.mu.Lock(); defer w.mu.Unlock(); return float64(len(w.q.ops)) })
 	reg.GaugeFunc("hermes_fleet_frames_in_flight", lbl,
 		"groups of frames written and not yet answered (at most 2)",
-		func() float64 { return float64(w.groupsInFlight.Load()) })
+		func() float64 { w.mu.Lock(); defer w.mu.Unlock(); return float64(len(w.inFlight)) })
 	reg.GaugeFunc("hermes_fleet_breaker_state", lbl,
 		"circuit state: 0 closed, 1 open, 2 half-open",
 		func() float64 { st, _ := w.brk.snapshot(); return float64(st) })

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hermes/internal/classifier"
@@ -38,9 +37,9 @@ const maxGroupsInFlight = 2
 
 // worker owns one switch: its control channel, bounded flow-mod queue,
 // circuit breaker, health probes, and telemetry. All flow-mods for the
-// switch funnel through its queue; the worker's dispatch loop writes them
-// in groups over the pipelined client so several stay in flight on the
-// wire.
+// switch funnel through its queue, with no goroutine of the worker's own:
+// whichever goroutine makes a group sendable writes it (pump), and
+// whichever closes a group's Done completes the answered ones (reap).
 type worker struct {
 	id   string
 	addr string
@@ -48,14 +47,6 @@ type worker struct {
 
 	q    *opQueue
 	stop chan struct{}
-
-	// emu guards stopped, which fences client replacement against Close.
-	emu     sync.RWMutex
-	stopped bool
-
-	// cmu guards client replacement on reconnect.
-	cmu    sync.Mutex
-	client *ofwire.Client
 
 	// redialed is set by a reconnect and cleared once the fresh connection
 	// has answered a probe and been announced. Probe goroutine only.
@@ -65,12 +56,24 @@ type worker struct {
 	tele switchTelemetry
 	wg   sync.WaitGroup
 
-	// groupsInFlight counts the groups written and not yet answered (at
-	// most maxGroupsInFlight).
-	groupsInFlight atomic.Int32
-	// mods is send's encode buffer, reused group after group: the client
+	retryDiverted bool   // RetryDiverted, per-op encoding: one group in flight
+	reapFn        func() // reap, bound once: every group's OnDone hook
+
+	// mu guards the client, the queue, the groups in flight and who works
+	// them: one goroutine writes (sending), one completes (reaping), none
+	// until start and from close on (halted); stopped: close began. gen
+	// counts the groups taken; armed: a linger timer runs for the current
+	// one; lingered: it ran out.
+	mu                                sync.Mutex
+	client                            *ofwire.Client
+	inFlight                          []group // in send order
+	sending, reaping, halted, stopped bool
+	armed, lingered                   bool
+	gen                               uint64
+
+	// mods is pump's encode buffer, reused group after group: the client
 	// encodes every frame before SendBatch or SendEach returns. results is
-	// complete's. Dispatch goroutine only.
+	// reap's.
 	mods    []ofwire.FlowMod
 	results []OpResult
 
@@ -84,162 +87,151 @@ type worker struct {
 
 func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
 	w := &worker{
-		id:     spec.ID,
-		addr:   spec.Addr,
-		f:      f,
-		q:      newOpQueue(f.cfg.QueueDepth, f.cfg.BatchSize),
-		stop:   make(chan struct{}),
-		client: client,
-		brk:    newBreaker(f.cfg.Breaker),
-		tele:   newTelemetry(),
+		id:            spec.ID,
+		addr:          spec.Addr,
+		f:             f,
+		stop:          make(chan struct{}),
+		client:        client,
+		brk:           newBreaker(f.cfg.Breaker),
+		tele:          newTelemetry(),
+		retryDiverted: f.cfg.RetryDiverted && !f.cfg.WireBatch,
+		halted:        true,
 	}
+	w.q = &opQueue{depth: f.cfg.QueueDepth, batch: min(f.cfg.BatchSize, f.cfg.QueueDepth),
+		cond: sync.NewCond(&w.mu)}
+	w.reapFn = w.reap
 	registerObs(f.cfg.Obs, w)
 	client.Instrument(w.inflight, w.rtt)
 	return w
 }
 
+// start runs the probe loop and writes what was queued before it.
 func (w *worker) start() {
-	w.wg.Add(2)
-	go w.dispatch()
+	w.wg.Add(1)
 	go w.probeLoop()
+	w.mu.Lock()
+	w.halted = false
+	w.mu.Unlock()
+	w.pump()
 }
 
 func (w *worker) currentClient() *ofwire.Client {
-	w.cmu.Lock()
-	defer w.cmu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	return w.client
 }
 
 // setClient swaps in a freshly dialed client, closing the old one. Refused
 // after shutdown begins (the replacement is closed instead).
 func (w *worker) setClient(c *ofwire.Client) {
-	w.emu.RLock()
-	stopped := w.stopped
-	w.emu.RUnlock()
-	if stopped {
-		c.Close()
-		return
+	w.mu.Lock()
+	old := c
+	if !w.stopped {
+		old, w.client = w.client, c
 	}
-	w.cmu.Lock()
-	old := w.client
-	w.client = c
-	w.cmu.Unlock()
-	if old != nil {
-		old.Close()
-	}
+	w.mu.Unlock()
+	old.Close()
 }
 
 // group is one take off the queue: the ops in queue order and their
-// written frames, or nil frames when the circuit was open and the ops fail
-// fast.
+// written frames, nil when the open circuit kept them off the wire.
 type group struct {
 	ops    []*op
 	frames *ofwire.PendingBatch
 }
 
-// unsent stands in for the replies of a group the open circuit kept off
-// the wire: it is ready at once.
-var unsent = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
-
-// dispatch is the worker's one dispatch loop, Nagle's rule (RFC 896)
-// applied to groups of flow-mods. With no group in flight it writes what
-// is queued, up to BatchSize ops, at once. With one in flight it coalesces
-// until the queue holds BatchSize ops, BatchLinger passes, or that group's
-// replies arrive, whichever comes first; with two in flight it waits for a
-// reply. So a lone op on an idle switch goes out without delay, and under
-// load a group fills while its predecessor is answered. The loop is also
-// the completer: it completes the groups in send order as their replies
-// come in, and the queue is FIFO and the agent applies frames in arrival
-// order, so per-rule FIFO and the per-switch OnResult order hold across
-// groups, in both encodings. Retrying diverted inserts (RetryDiverted,
-// per-op encoding only) keeps one group in flight, and its slot frees only
-// after the group's retries, so no later op overtakes a retried insert.
-func (w *worker) dispatch() {
-	defer w.wg.Done()
-	retry := w.f.cfg.RetryDiverted && !w.f.cfg.WireBatch
-	maxInFlight := maxGroupsInFlight
-	if retry {
-		maxInFlight = 1
+// answered reports a group reap can complete without blocking.
+func (g *group) answered() bool {
+	if g.frames == nil {
+		return true
 	}
-	inFlight := make([]group, 0, maxGroupsInFlight) // in send order
-
-	// The one linger timer, armed only while a group is in flight and ops
-	// wait to join the next one.
-	linger := time.NewTimer(w.f.cfg.BatchLinger)
-	linger.Stop()
-	defer linger.Stop()
-
-	armed, lingered := false, false
-	// fill writes what Nagle's rule lets go into the free slots.
-	fill := func() {
-		for len(inFlight) < maxInFlight {
-			ops, queued := w.q.take(w.f.cfg.BatchSize, len(inFlight) == 0 || lingered)
-			if ops == nil {
-				if queued > 0 && !armed {
-					linger.Reset(w.f.cfg.BatchLinger)
-					armed = true
-				}
-				return
-			}
-			if armed && !linger.Stop() {
-				// Fired but not yet received: drop the tick.
-				select {
-				case <-linger.C:
-				default:
-				}
-			}
-			armed, lingered = false, false
-			inFlight = append(inFlight, w.send(ops))
-		}
-	}
-	for {
-		fill()
-		// Only the channels that can matter join the select. head is ready
-		// once the oldest group's replies are in, or it failed or timed
-		// out: completing it then does not block.
-		var head <-chan struct{}
-		if len(inFlight) > 0 {
-			head = unsent
-			if f := inFlight[0].frames; f != nil {
-				head = f.Done()
-			}
-		}
-		var lingerC <-chan time.Time
-		if armed {
-			lingerC = linger.C
-		}
-		select {
-		case <-w.stop:
-			// In-flight groups complete before queued ops drain, so
-			// OnResult keeps submit order to the end.
-			for _, g := range inFlight {
-				w.complete(g, retry)
-			}
-			w.drainFail()
-			return
-		case <-w.q.ready:
-		case <-head:
-			g := inFlight[0]
-			inFlight = append(inFlight[:0], inFlight[1:]...)
-			if !retry {
-				// The freed slot refills before the answered group's
-				// results go out; a retried group holds it until done.
-				fill()
-			}
-			w.complete(g, retry)
-		case <-lingerC:
-			armed, lingered = false, true
-		}
+	select {
+	case <-g.frames.Done():
+		return true
+	default:
+		return false
 	}
 }
 
-// send writes one group without waiting for its replies: one
+// submit queues o. The submitter whose op makes the queue a full batch,
+// or non-empty unless more ops of its own follow, offers it to the wire
+// and may write a group itself: a burst goes out in full batches.
+func (w *worker) submit(o *op, more bool) error {
+	w.mu.Lock()
+	n, err := w.q.push(o)
+	w.mu.Unlock()
+	if err == nil && (n == w.q.batch || n == 1 && !more) {
+		w.pump()
+	}
+	return err
+}
+
+// pump writes the groups next lets go, on the goroutine that made them
+// sendable: a submitter, the reaper that freed a slot, or the linger
+// timer. One that finds another writing leaves it the queue; the writer
+// looks again before it stops.
+func (w *worker) pump() {
+	w.mu.Lock()
+	if w.sending {
+		w.mu.Unlock()
+		return
+	}
+	w.sending = true
+	for ops := w.next(); ops != nil; ops = w.next() {
+		c := w.client
+		w.mu.Unlock()
+		frames := w.send(c, ops)
+		w.mu.Lock()
+		w.inFlight = append(w.inFlight, group{ops: ops, frames: frames})
+		w.mu.Unlock()
+		if frames == nil {
+			w.reap() // fails the group; this loop, not reap, refills
+		} else {
+			frames.OnDone(w.reapFn) // after the append: completes in send order
+		}
+		w.mu.Lock()
+	}
+	w.sending = false
+	w.q.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// next takes the next group's ops off the queue (mu held) by Nagle's rule
+// (RFC 896) applied to groups: with no group in flight, what is queued, up
+// to BatchSize ops; with one, a full batch, or what is queued once
+// BatchLinger passed or that group's replies freed its slot; with two,
+// nothing. So a lone op on an idle switch goes out without delay, and
+// under load a group fills while its predecessor is answered.
+func (w *worker) next() []*op {
+	n := len(w.inFlight)
+	if w.halted || n == maxGroupsInFlight || w.retryDiverted && n > 0 {
+		return nil
+	}
+	ops, queued := w.q.take(w.f.cfg.BatchSize, n == 0 || w.lingered)
+	if ops != nil {
+		w.gen++
+		w.armed, w.lingered = false, false
+	} else if queued > 0 && !w.armed {
+		w.armed = true
+		gen := w.gen
+		time.AfterFunc(w.f.cfg.BatchLinger, func() {
+			w.mu.Lock()
+			if gen == w.gen { // else stale: its group went out meanwhile
+				w.armed, w.lingered = false, true
+			}
+			w.mu.Unlock()
+			w.pump()
+		})
+	}
+	return ops
+}
+
+// send writes one group on c without waiting for its replies: one
 // flow-mod-batch frame under WireBatch, one flow-mod frame per op
-// otherwise. An open circuit sends nothing; completing the group fails its
-// ops.
-func (w *worker) send(ops []*op) group {
+// otherwise. An open circuit sends nothing and returns nil.
+func (w *worker) send(c *ofwire.Client, ops []*op) *ofwire.PendingBatch {
 	if !w.brk.allow() {
-		return group{ops: ops}
+		return nil
 	}
 	w.mods = w.mods[:0]
 	for _, o := range ops {
@@ -255,21 +247,57 @@ func (w *worker) send(ops []*op) group {
 	if w.groupOps != nil {
 		w.groupOps.Record(uint64(len(ops)))
 	}
-	w.groupsInFlight.Add(1)
-	c := w.currentClient()
 	if w.f.cfg.WireBatch {
-		return group{ops: ops, frames: c.SendBatch(w.mods)}
+		return c.SendBatch(w.mods)
 	}
-	return group{ops: ops, frames: c.SendEach(w.mods)}
+	return c.SendEach(w.mods)
 }
 
-// complete collects a group's replies, ready by now, and delivers its
-// ops' results in queue order, after retrying its diverted inserts when
-// retry is set. A remote rejection in an op's slot means the switch is
-// alive and does not count against the circuit; each frame lost on the
-// wire counts once, so a reset with two batch frames in flight counts
-// twice, and with sixteen per-op frames in flight sixteen times.
-func (w *worker) complete(g group, retry bool) {
+// reap completes the answered groups at the head of the in-flight list in
+// send order, on the goroutine that closed a group's Done (read loop,
+// expiry timer, sender) or found it unsent. One that finds another reaping
+// leaves it the list; the reaper looks again before it stops. The queue is
+// FIFO and the agent applies frames in arrival order, so per-rule FIFO and
+// the per-switch OnResult order hold across groups.
+func (w *worker) reap() {
+	w.mu.Lock()
+	if w.reaping {
+		w.mu.Unlock()
+		return
+	}
+	w.reaping = true
+	for len(w.inFlight) > 0 && w.inFlight[0].answered() {
+		g := w.inFlight[0]
+		w.mu.Unlock()
+		if w.retryDiverted {
+			// Retries round-trip through the read loop: a goroutine of its
+			// own completes the group, holding its slot and reaper's role.
+			w.wg.Add(1)
+			go func() {
+				defer w.wg.Done()
+				w.complete(g)
+				w.mu.Lock()
+				w.reaping = false
+				w.mu.Unlock()
+				w.reap()
+			}()
+			return
+		}
+		w.complete(g)
+		w.mu.Lock()
+	}
+	w.reaping = false
+	w.q.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// complete collects the head group's results, ready by now, retries its
+// diverted inserts under RetryDiverted, frees and refills its slot, and
+// delivers the results in queue order. A remote rejection in an op's slot
+// means the switch is alive and does not count against the circuit; each
+// frame lost on the wire counts once, so a reset with two batch frames in
+// flight counts twice, and with sixteen per-op frames in flight sixteen.
+func (w *worker) complete(g group) {
 	out := w.results[:0]
 	if g.frames == nil {
 		open := &CircuitOpenError{Switch: w.id}
@@ -278,7 +306,6 @@ func (w *worker) complete(g group, retry bool) {
 		}
 	} else {
 		results, err := g.frames.Wait(context.Background())
-		w.groupsInFlight.Add(-1)
 		if err == nil {
 			w.brk.success()
 		} else {
@@ -293,7 +320,7 @@ func (w *worker) complete(g group, retry bool) {
 				Result: results[i].Result, Err: results[i].Err})
 		}
 	}
-	if retry {
+	if w.retryDiverted {
 		// The group's diverted inserts retry concurrently.
 		var wg sync.WaitGroup
 		for i, o := range g.ops {
@@ -307,6 +334,10 @@ func (w *worker) complete(g group, retry bool) {
 		}
 		wg.Wait()
 	}
+	w.mu.Lock()
+	w.inFlight = append(w.inFlight[:0], w.inFlight[1:]...)
+	w.mu.Unlock()
+	w.pump()
 	for i, o := range g.ops {
 		if out[i].Err == nil {
 			w.tele.observe(out[i].Result)
@@ -382,15 +413,6 @@ func (w *worker) deliver(o *op, res OpResult) {
 	o.done <- res
 }
 
-// drainFail fails any ops still queued at shutdown. The queue is closed
-// by then, so one take empties it for good.
-func (w *worker) drainFail() {
-	ops, _ := w.q.take(w.f.cfg.QueueDepth, true)
-	for _, o := range ops {
-		w.deliver(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: ErrFleetClosed})
-	}
-}
-
 // probeLoop drives the circuit breaker with periodic echo probes and
 // redials the switch once a dead connection is allowed to recover.
 func (w *worker) probeLoop() {
@@ -441,19 +463,29 @@ func (w *worker) probe() {
 	}
 }
 
-// close tears the worker down: no new ops, queued ops failed, in-flight
-// requests cut with ErrClientClosed, goroutines joined.
+// close tears the worker down: in-flight requests cut with ErrClientClosed
+// and their groups completed, then queued ops failed, goroutines joined.
 func (w *worker) close() error {
-	w.emu.Lock()
+	w.mu.Lock()
 	if w.stopped {
-		w.emu.Unlock()
+		w.mu.Unlock()
 		return nil
 	}
-	w.stopped = true
-	w.emu.Unlock()
+	w.stopped, w.halted = true, true
 	w.q.close()
+	c := w.client
+	w.mu.Unlock()
 	close(w.stop)
-	err := w.currentClient().Close()
+	err := c.Close()
+	w.mu.Lock()
+	for w.sending || w.reaping || len(w.inFlight) > 0 {
+		w.q.cond.Wait()
+	}
+	queued, _ := w.q.take(w.f.cfg.QueueDepth, true)
+	w.mu.Unlock()
 	w.wg.Wait()
+	for _, o := range queued {
+		w.deliver(o, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: ErrFleetClosed})
+	}
 	return err
 }

@@ -50,6 +50,8 @@ type PendingBatch struct {
 	done   chan struct{}
 	closed atomic.Bool
 	expiry *time.Timer
+	hook   func()       // OnDone's
+	arrive atomic.Int32 // finish and OnDone arrive once each; the second runs hook
 
 	// oneCall and oneResult back calls and Wait's results for a group of
 	// one frame or one op, an idle switch's usual group, sparing the
@@ -131,6 +133,19 @@ func (b *PendingBatch) settle() {
 func (b *PendingBatch) finish() {
 	if b.closed.CompareAndSwap(false, true) {
 		close(b.done)
+		if b.arrive.Add(1) == 2 {
+			b.hook()
+		}
+	}
+}
+
+// OnDone runs f once Done has closed, on the goroutine that closes it (the
+// read loop, the expiry timer) or, if it is closed already, on the caller,
+// holding no client lock: f may call back into the client. Call it once.
+func (b *PendingBatch) OnDone(f func()) {
+	b.hook = f
+	if b.arrive.Add(1) == 2 {
+		f()
 	}
 }
 

@@ -124,9 +124,10 @@ func (c *Client) readLoop(br *bufio.Reader) {
 	}
 }
 
-// fail marks the client dead, wakes every pending caller and closes the
-// connection. The first cause sticks; later calls (the read loop noticing
-// the connection a failed write already closed) change nothing.
+// fail marks the client dead, closes the connection and then, with pmu
+// released (a group's OnDone hook may call back in), wakes every pending
+// caller. The first cause sticks; later calls (the read loop noticing the
+// connection a failed write already closed) change nothing.
 func (c *Client) fail(cause error) {
 	c.pmu.Lock()
 	if c.failErr == nil {
@@ -136,13 +137,14 @@ func (c *Client) fail(cause error) {
 			c.failErr = fmt.Errorf("ofwire: connection failed: %w", cause)
 		}
 	}
-	for xid, wt := range c.pending {
-		delete(c.pending, xid)
+	pending := c.pending
+	c.pending = nil // no request registers once failErr is set
+	c.pmu.Unlock()
+	c.conn.Close()
+	for _, wt := range pending {
 		close(wt.ch) // a closed channel signals "read c.failErr"
 		wt.group.settle()
 	}
-	c.pmu.Unlock()
-	c.conn.Close()
 }
 
 // Err returns the terminal connection error, or nil while the client is

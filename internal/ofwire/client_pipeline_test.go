@@ -1,12 +1,14 @@
 package ofwire
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -329,5 +331,100 @@ func TestConcurrentClose(t *testing.T) {
 		if !errors.Is(err, ErrClientClosed) {
 			t.Errorf("caller %d: err = %v, want ErrClientClosed", i, err)
 		}
+	}
+}
+
+// failWriteConn fails every write once failing is set, without writing.
+type failWriteConn struct {
+	net.Conn
+	failing atomic.Bool
+}
+
+func (c *failWriteConn) Write(b []byte) (int, error) {
+	if c.failing.Load() {
+		return 0, errors.New("injected write failure")
+	}
+	return c.Conn.Write(b)
+}
+
+// TestOnDoneHookReentersClient: a group's OnDone hook runs on whichever
+// goroutine closes its Done — the read loop on the reply, fail on a reset
+// or a Close, the expiry timer, the sender whose write failed — and holds
+// no client lock there, so a hook that calls back into the client (Err,
+// Wait, sending another group) returns.
+func TestOnDoneHookReentersClient(t *testing.T) {
+	mods := []FlowMod{*FlowModFromRule(FlowAdd, batchRule(1))}
+	for _, tc := range []struct {
+		name    string
+		timeout time.Duration
+		// closeDone makes the group's Done close; req is its frame as the
+		// peer read it.
+		closeDone func(c *Client, conn *failWriteConn, peer net.Conn, req *Message)
+	}{
+		{"reply", 0, func(_ *Client, _ *failWriteConn, peer net.Conn, req *Message) {
+			WriteMessage(peer, &Message{Header: Header{Type: TypeFlowModReply, XID: req.Header.XID}, //nolint:errcheck
+				FlowModReply: &FlowModReply{RuleID: req.FlowMod.RuleID}})
+		}},
+		{"reset", 0, func(_ *Client, _ *failWriteConn, peer net.Conn, _ *Message) { peer.Close() }},
+		{"close", 0, func(c *Client, _ *failWriteConn, _ net.Conn, _ *Message) { c.Close() }},
+		{"expiry", 20 * time.Millisecond, func(*Client, *failWriteConn, net.Conn, *Message) {}},
+		{"write", 0, func(c *Client, conn *failWriteConn, _ net.Conn, _ *Message) {
+			conn.failing.Store(true)
+			c.SendEach(mods) // its failed write fails the client, and the group in flight
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			cc, sc := net.Pipe()
+			conn := &failWriteConn{Conn: cc}
+			frames := make(chan *Message, 4) // the group's frame and the hook's
+			go func() {
+				defer sc.Close()
+				if WriteMessage(sc, &Message{Header: Header{Type: TypeHello}}) != nil {
+					return
+				}
+				if _, err := ReadMessage(sc); err != nil { // the client's hello
+					return
+				}
+				for {
+					req, err := ReadMessage(sc)
+					if err != nil {
+						return
+					}
+					frames <- req
+				}
+			}()
+			c, err := NewClient(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.SetRequestTimeout(tc.timeout)
+
+			b := c.SendEach(mods)
+			ran := make(chan error, 1) // the hook may run on this goroutine, in OnDone
+			b.OnDone(func() {
+				c.Err() //nolint:errcheck
+				c.SendEach(mods)
+				_, err := b.Wait(context.Background())
+				ran <- err
+			})
+			var req *Message
+			select {
+			case req = <-frames:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the group's frame never reached the peer")
+			}
+			go tc.closeDone(c, conn, sc, req)
+			select {
+			case err := <-ran:
+				if (err == nil) != (tc.name == "reply") {
+					t.Fatalf("Wait in the hook: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				// Not closed: Close would wait on the deadlocked read loop.
+				t.Fatal("the hook never returned: it deadlocked on the client")
+			}
+			c.Close()
+		})
 	}
 }

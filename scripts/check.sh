@@ -1,7 +1,8 @@
 #!/bin/sh
-# Repo-wide gate: static analysis (go vet + hermes-lint, whose tablewrite
-# analyzer holds internal/core to one carved-table writer, + the internal/core
-# suppression ratchet), build, the full test suite under the
+# Repo-wide gate: formatting (gofmt -l), static analysis (go vet +
+# hermes-lint, whose tablewrite analyzer holds internal/core to one
+# carved-table writer, + the internal/core suppression ratchet), build, the
+# full test suite under the
 # race detector, the linter's self-test against its known-bad corpus, the
 # nested benchmark module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, one iteration of the trie, cut, TCAM and spline micro-benchmarks, and
@@ -16,6 +17,14 @@
 # downloads, stdlib only.
 set -eu
 cd "$(dirname "$0")/.."
+
+echo ">> gofmt -l: every Go file formatted, the nested benchmark module too (the lint corpus is test input)"
+unformatted="$(find . -name '*.go' ! -path './internal/lint/testdata/*' ! -path './.bench_build/*' -print0 | xargs -0 gofmt -l)"
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l lists files that need formatting (run gofmt -w on them):" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 
 echo ">> go vet ./..."
 go vet ./...
