@@ -131,7 +131,7 @@ func TestNodeVisitsMicroBenchShaped(t *testing.T) {
 		z := math.Pow(float64(rank+1), -1.1)
 		zipfLoads, zipfChain, zipfHeaders, zipfSum = zipfLoads+z*float64(l), zipfChain+z*float64(c), zipfHeaders+z*float64(h), zipfSum+z
 		binLookups += binaryVisits(rules, dst)
-		i, d, _ := tr.locate(r.Match.Dst, r.ID, &path)
+		i, d, _ := tr.locate(Handle{}, r.Match.Dst, r.ID, &path)
 		if i < 0 {
 			t.Fatalf("locate missed rule %v", r)
 		}
@@ -308,7 +308,7 @@ func BenchmarkTrieLocate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := &rules[i%len(rules)]
-		if k, _, _ := tr.locate(r.Match.Dst, r.ID, &path); k < 0 {
+		if k, _, _ := tr.locate(Handle{}, r.Match.Dst, r.ID, &path); k < 0 {
 			b.Fatalf("locate missed rule %v", *r)
 		}
 	}

@@ -273,9 +273,14 @@ func checkWide(t testing.TB, n *trieNode) {
 }
 
 // FuzzTrieSnapshotIsolation drives one trie through an op stream of keyed
-// inserts, deletes, updates, clears and freezes. Every snapshot retained at
+// inserts, deletes, updates, clears and freezes. The live trie deletes and
+// updates through the handles InsertKeyed returned, kept current by its
+// OnMove hook across every Freeze; after every op each handle must name the
+// node a walk to its rule finds, and a get through it must read the model's
+// rule, as a get by walk does. Every snapshot retained at
 // a Freeze must keep answering exactly as the linear oracle over the rule
-// list as of that freeze, whatever happens later; the live trie must answer
+// list as of that freeze, whatever happens later, checked after every op;
+// the live trie must answer
 // as the current list, by its binary walk and through its stride tables; its
 // overlap walk, and that of a never-frozen twin fed
 // the same ops, must yield what the flat-list order oracle yields, in the
@@ -301,6 +306,11 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 	// freeze and is next written after the wrapping one.
 	f.Add([]byte{0x0a, 8, 1, 0, 0, 0x0b, 8, 1, 0, 0, 0x0b, 16, 2, 0, 0},
 		[]byte{0, 0, 0, 1, 12, 0, 0, 0, 12, 0, 0, 2, 12, 0, 6, 1}, uint32(0x0b000001), uint32(0))
+	// Across the wrap through handles taken before it: both rules are
+	// inserted before the first freeze, the second freeze wraps, and the
+	// update and delete that follow go through the re-pointed handles.
+	f.Add([]byte{0x0a, 8, 1, 0, 0, 0x0a, 16, 1, 0, 0},
+		[]byte{0, 0, 0, 1, 12, 0, 12, 0, 10, 0, 6, 1, 12, 0, 10, 0}, uint32(0x0a000001), uint32(0))
 	f.Fuzz(func(t *testing.T, data, ops []byte, dst, src uint32) {
 		shapes, probes := decodeShapes(data, 64)
 		probes = append(probes, [2]uint32{dst, src})
@@ -314,9 +324,13 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 			}
 		}
 
+		type answer struct {
+			r  Rule
+			ok bool
+		}
 		type retained struct {
-			snap  Snapshot
-			model []keyedRule
+			snap    Snapshot
+			answers []answer // the oracle's, per probe, as of the freeze
 		}
 		var (
 			live, twin Trie // twin is never frozen
@@ -324,7 +338,14 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 			snaps      []retained
 			frozen     = map[any]bool{}
 			stamp      uint64 // distinct ords keep the first-match order total
+			handles    = map[RuleID]Handle{}
 		)
+		live.OnMove(func(id RuleID, h Handle) {
+			if _, ok := handles[id]; !ok {
+				t.Fatalf("OnMove(%d): no such entry", id)
+			}
+			handles[id] = h
+		})
 		for i := 0; i+2 <= len(ops) && i < 512; i += 2 {
 			op, arg := ops[i]%16, int(ops[i+1])
 			switch {
@@ -333,27 +354,33 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 				r := shapes[arg%len(shapes)]
 				r.ID = RuleID(stamp)
 				k := Key{Rank: uint64(arg % 3), Ord: stamp}
-				live.InsertKeyed(r, k)
+				handles[r.ID] = live.InsertKeyed(r, k)
 				twin.InsertKeyed(r, k)
 				model = append(model, keyedRule{r, k})
 			case op < 10 && len(model) > 0: // Delete
 				j := arg % len(model)
 				r := model[j].Rule
-				if !live.Delete(r.Match.Dst, r.ID) || !twin.Delete(r.Match.Dst, r.ID) {
+				if !live.DeleteAt(handles[r.ID], r.Match.Dst, r.ID) || !twin.Delete(r.Match.Dst, r.ID) {
 					t.Fatalf("Delete(%v) missed", r)
 				}
+				delete(handles, r.ID)
 				model = slices.Delete(model, j, j+1)
 			case op < 12 && len(model) > 0: // Update
 				stamp++
 				r := &model[arg%len(model)].Rule
 				r.Priority, r.Action.Port = int32(arg%8), int(stamp)
-				if !live.Update(r.Match.Dst, *r) || !twin.Update(r.Match.Dst, *r) {
+				if !live.UpdateAt(handles[r.ID], r.Match.Dst, *r) || !twin.Update(r.Match.Dst, *r) {
 					t.Fatalf("Update(%v) missed", *r)
 				}
 			case op < 15: // Freeze
 				if len(snaps) < 24 {
 					snap := live.Freeze()
-					snaps = append(snaps, retained{snap, slices.Clone(model)})
+					agree("new snapshot", snap.Lookup, model)
+					answers := make([]answer, len(probes))
+					for j, p := range probes {
+						answers[j].r, answers[j].ok = firstMatch(model, p[0], p[1])
+					}
+					snaps = append(snaps, retained{snap, answers})
 					frozenNodes(snap.root, frozen)
 					if live.epoch == 1 && src%2 == 0 {
 						// As if 2^32-2 uneventful freezes followed the first:
@@ -366,6 +393,7 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 				live.Clear()
 				twin.Clear()
 				model = nil
+				clear(handles)
 			}
 			if live.Size() != len(model) {
 				t.Fatalf("Size = %d, model holds %d", live.Size(), len(model))
@@ -373,6 +401,22 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 			checkOwnership(t, &live, frozen)
 			checkCompressed(t, &live)
 			checkCompressed(t, &twin)
+			if len(handles) != len(model) {
+				t.Fatalf("%d handles for %d rules", len(handles), len(model))
+			}
+			for _, e := range model {
+				var path [33]*trieNode
+				h := handles[e.ID]
+				i, d, _ := live.locate(Handle{}, e.Match.Dst, e.ID, &path)
+				if i < 0 || h.n != path[d] {
+					t.Fatalf("handle of %v names a node a walk does not find", e.Rule)
+				}
+				got, ok := live.GetAt(h, e.ID)
+				walked, wok := live.Get(e.Match.Dst, e.ID)
+				if !ok || !wok || got != e.Rule || walked != e.Rule {
+					t.Fatalf("get of %v: through its handle %v,%v, by walk %v,%v", e.Rule, got, ok, walked, wok)
+				}
+			}
 			agree("live trie", live.Lookup, model)
 			agree("live trie's stride tables", Snapshot{live.root}.Lookup, model)
 			rules := make([]Rule, len(model))
@@ -395,12 +439,13 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 					t.Fatalf("overlap walk of %v from priority %d = %v, filtered oracle %v", q.Match, floor, got, want)
 				}
 			}
-			if n := len(snaps); n > 0 {
-				agree("latest snapshot", snaps[n-1].snap.Lookup, snaps[n-1].model)
+			for k, s := range snaps {
+				for j, p := range probes {
+					if got, ok := s.snap.Lookup(p[0], p[1]); ok != s.answers[j].ok || got != s.answers[j].r {
+						t.Fatalf("snapshot %d: Lookup(%08x,%08x) = %v,%v, at its freeze %v,%v", k, p[0], p[1], got, ok, s.answers[j].r, s.answers[j].ok)
+					}
+				}
 			}
-		}
-		for _, s := range snaps {
-			agree("retained snapshot", s.snap.Lookup, s.model)
 		}
 	})
 }

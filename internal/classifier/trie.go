@@ -44,6 +44,8 @@ import (
 //
 // A frozen trie also keeps stride tables on its dense branch nodes, which
 // let Snapshot.Lookup jump several levels at once (wide.go).
+// InsertKeyed returns a Handle to the new entry's node, which the *At
+// methods start from instead of the root; OnMove keeps handles current.
 type Trie struct {
 	root    *trieNode
 	size    int
@@ -51,6 +53,24 @@ type Trie struct {
 	widened bool      // Freeze has run: the trie keeps stride tables
 	free    *trieNode // freelist of unlinked nodes, chained through children[0]
 	nfree   int
+	moved   func(RuleID, Handle) // the OnMove hook, or nil
+}
+
+// Handle names the node that holds an entry; the zero Handle names none.
+type Handle struct{ n *trieNode }
+
+// Dst returns the destination prefix of the entries h's node holds.
+func (h Handle) Dst() Prefix { return Prefix{Addr: h.n.addr, Len: h.n.plen()} }
+
+// OnMove installs f, called with an entry's ID and new Handle whenever a
+// write or Freeze's epoch wrap copies its node. f may not write the trie.
+func (t *Trie) OnMove(f func(RuleID, Handle)) { t.moved = f }
+
+// repoint reports the entries of n, a copy, at their new home.
+func (t *Trie) repoint(n *trieNode) {
+	for i := 0; t.moved != nil && i < len(n.entries); i++ {
+		t.moved(n.entries[i].rule.ID, Handle{n})
+	}
 }
 
 // maxFreeNodes bounds the freelist so one transient deep trie does not pin
@@ -176,6 +196,7 @@ func (t *Trie) copyNode(slot **trieNode) *trieNode {
 	c.epoch = t.epoch
 	c.entries = append(ents, n.entries...)
 	*slot = c
+	t.repoint(c)
 	return c
 }
 
@@ -213,8 +234,13 @@ func b2i(b bool) int {
 // copies nothing. It records the nodes passed in path (a prefix has at most
 // 33 nodes above and at it) and returns the rule's position among the
 // entries of path[d], the node at dst, or i = -1; and the index in path of
-// the shallowest node a snapshot shares, or -1.
-func (t *Trie) locate(dst Prefix, id RuleID, path *[33]*trieNode) (i, d, shared int) {
+// the shallowest node a snapshot shares, or -1. When h names an own node,
+// locate reads that node alone, as path[0].
+func (t *Trie) locate(h Handle, dst Prefix, id RuleID, path *[33]*trieNode) (i, d, shared int) {
+	if n := h.n; n != nil && n.epoch == t.epoch {
+		path[0] = n
+		return n.find(id), 0, -1
+	}
 	shared = -1
 	for n := t.root; n != nil && n.contains(dst); n = n.step(dst.Addr) {
 		if shared < 0 && n.epoch != t.epoch {
@@ -222,16 +248,21 @@ func (t *Trie) locate(dst Prefix, id RuleID, path *[33]*trieNode) (i, d, shared 
 		}
 		path[d] = n
 		if n.plen() == dst.Len {
-			for i := range n.entries {
-				if n.entries[i].rule.ID == id {
-					return i, d, shared
-				}
-			}
-			break
+			return n.find(id), d, shared
 		}
 		d++
 	}
 	return -1, 0, shared
+}
+
+// find returns the position of rule id among n's entries, or -1.
+func (n *trieNode) find(id RuleID) int {
+	for i := range n.entries {
+		if n.entries[i].rule.ID == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // slotOf returns the link that holds path[j]: the root, or its parent's
@@ -270,22 +301,23 @@ func (t *Trie) Freeze() Snapshot {
 		// would pass for the trie's own again. Carry on with a private copy
 		// of everything, which is the trie's own by construction, and
 		// tables built for it.
-		t.root = t.root.cloneTree()
+		t.root = t.cloneTree(t.root)
 		t.widenAll(t.root, 0)
 	}
 	return s
 }
 
 // cloneTree deep-copies the subtree at n into nodes of epoch 0, without
-// stride tables.
-func (n *trieNode) cloneTree() *trieNode {
+// stride tables, and re-points the handles of their entries.
+func (t *Trie) cloneTree(n *trieNode) *trieNode {
 	if n == nil {
 		return nil
 	}
 	c := *n
 	c.epoch, c.wide = 0, nil
-	c.children = [2]*trieNode{n.children[0].cloneTree(), n.children[1].cloneTree()}
+	c.children = [2]*trieNode{t.cloneTree(n.children[0]), t.cloneTree(n.children[1])}
 	c.entries = append([]trieEntry(nil), n.entries...)
+	t.repoint(&c)
 	return &c
 }
 
@@ -296,9 +328,10 @@ func (t *Trie) Size() int { return t.size }
 // indexes, which never rank.
 func (t *Trie) Insert(r Rule) { t.InsertKeyed(r, Key{}) }
 
-// InsertKeyed adds a rule and its tie-break key to the index. Multiple
-// rules may share a destination prefix.
-func (t *Trie) InsertKeyed(r Rule, k Key) {
+// InsertKeyed adds a rule and its tie-break key to the index, and returns
+// the Handle of the node that holds it. Multiple rules may share a
+// destination prefix.
+func (t *Trie) InsertKeyed(r Rule, k Key) Handle {
 	p := r.Match.Dst
 	slot := &t.root
 	var n *trieNode
@@ -329,6 +362,7 @@ func (t *Trie) InsertKeyed(r Rule, k Key) {
 	if t.widened {
 		t.rewiden(p)
 	}
+	return Handle{n}
 }
 
 // Delete removes the rule with the given ID from the node for prefix dst.
@@ -338,9 +372,16 @@ func (t *Trie) InsertKeyed(r Rule, k Key) {
 // with one child is merged the same way. Long-lived tables (the TCAM match
 // index churns on every migration) neither accrete garbage nodes nor grow
 // chains.
-func (t *Trie) Delete(dst Prefix, id RuleID) bool {
+func (t *Trie) Delete(dst Prefix, id RuleID) bool { return t.DeleteAt(Handle{}, dst, id) }
+
+// DeleteAt is Delete from h, rule id's Handle: in place when the trie owns
+// the node and it keeps an entry or two children, else by a walk.
+func (t *Trie) DeleteAt(h Handle, dst Prefix, id RuleID) bool {
+	if n := h.n; n != nil && len(n.entries) == 1 && (n.children[0] == nil || n.children[1] == nil) {
+		h = Handle{}
+	}
 	var path [33]*trieNode
-	i, d, shared := t.locate(dst, id, &path)
+	i, d, shared := t.locate(h, dst, id, &path)
 	if i < 0 {
 		return false
 	}
@@ -379,9 +420,13 @@ func (t *Trie) unlink(dst Prefix, path *[33]*trieNode, d int) {
 // (e.g. after an in-place action or priority rewrite that does not move the
 // rule to another destination prefix), keeping its tie-break key. It
 // reports whether the rule was found.
-func (t *Trie) Update(dst Prefix, r Rule) bool {
+func (t *Trie) Update(dst Prefix, r Rule) bool { return t.UpdateAt(Handle{}, dst, r) }
+
+// UpdateAt is Update from h, r's Handle: in place when the trie owns the
+// node, else by a walk that copies its path.
+func (t *Trie) UpdateAt(h Handle, dst Prefix, r Rule) bool {
 	var path [33]*trieNode
-	i, d, shared := t.locate(dst, r.ID, &path)
+	i, d, shared := t.locate(h, dst, r.ID, &path)
 	if i < 0 {
 		return false
 	}
@@ -397,8 +442,16 @@ func (t *Trie) Update(dst Prefix, r Rule) bool {
 // Get returns the rule with the given ID stored under dst, if present.
 func (t *Trie) Get(dst Prefix, id RuleID) (Rule, bool) {
 	var path [33]*trieNode
-	if i, d, _ := t.locate(dst, id, &path); i >= 0 {
-		return path[d].entries[i].rule, true
+	if i, d, _ := t.locate(Handle{}, dst, id, &path); i >= 0 {
+		return t.GetAt(Handle{path[d]}, id)
+	}
+	return Rule{}, false
+}
+
+// GetAt returns rule id from h's node, shared or not, if it holds it.
+func (t *Trie) GetAt(h Handle, id RuleID) (Rule, bool) {
+	if i := h.n.find(id); i >= 0 {
+		return h.n.entries[i].rule, true
 	}
 	return Rule{}, false
 }

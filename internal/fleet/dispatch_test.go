@@ -241,7 +241,7 @@ func TestFleetWireBatchResetFailsBothFramesInOrder(t *testing.T) {
 
 // TestFleetObsExposesQueueAndFrames: the per-switch dispatch series are on
 // the registry, labelled with the switch: queue depth, frames in flight,
-// and ops per frame written.
+// ops per frame written, and one queue wait per op.
 func TestFleetObsExposesQueueAndFrames(t *testing.T) {
 	specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
 	reg := obs.NewRegistry()
@@ -262,6 +262,7 @@ func TestFleetObsExposesQueueAndFrames(t *testing.T) {
 		`hermes_fleet_frames_in_flight{switch="sw-0"} 0`,
 		`hermes_fleet_frame_ops_count{switch="sw-0"} 1`,
 		`hermes_fleet_frame_ops_sum{switch="sw-0"} 1`,
+		`hermes_fleet_queue_wait_ns_count{switch="sw-0"} 1`,
 	} {
 		if !strings.Contains(sb.String(), series+"\n") {
 			t.Errorf("scrape lacks %q", series)

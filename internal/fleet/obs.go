@@ -7,7 +7,7 @@ import "hermes/internal/obs"
 // worker already maintains (telemetry, breaker, queue, groups in flight),
 // so the send and completion path gains no new synchronization; the live
 // instruments (the wire client's in-flight gauge and RTT histogram, the
-// worker's ops-per-group histogram) record locklessly.
+// worker's ops-per-group and queue-wait histograms) record locklessly.
 //
 // Labels carry the switch ID, so a fleet-wide /metrics page breaks every
 // series down per switch the way the paper's Fig. 2 deployment would need.
@@ -24,6 +24,8 @@ func registerObs(reg *obs.Registry, w *worker) {
 
 	w.groupOps = reg.HistogramL("hermes_fleet_frame_ops", lbl, "",
 		"flow-mods per group written: one flow-mod-batch frame (WireBatch), or one flow-mod frame each")
+	w.q.wait = reg.HistogramL("hermes_fleet_queue_wait_ns", lbl, "ns",
+		"time a flow-mod waited in the worker's queue, from submit until its group was taken off to be written")
 
 	reg.GaugeFunc("hermes_fleet_queue_depth", lbl,
 		"flow-mods waiting in the worker's bounded queue",

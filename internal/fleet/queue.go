@@ -1,6 +1,11 @@
 package fleet
 
-import "sync"
+import (
+	"sync"
+	"time"
+
+	"hermes/internal/obs"
+)
 
 // opQueue is a worker's bounded FIFO of flow-mods, guarded by the worker's
 // mu. Submitters push one op at a time and wait while the queue holds
@@ -14,6 +19,12 @@ type opQueue struct {
 	ops    []*op
 	closed bool
 	cond   *sync.Cond
+
+	// wait, when set (the obs wiring), receives each op's time in the
+	// queue, from its push to the take that moves it off; stamps holds the
+	// push times, parallel to ops, so an op stays one allocation size class.
+	wait   *obs.Histogram
+	stamps []time.Time
 }
 
 // push appends o, waiting for room while the queue is full, and reports
@@ -28,6 +39,9 @@ func (q *opQueue) push(o *op) (int, error) {
 		return 0, ErrFleetClosed
 	}
 	q.ops = append(q.ops, o)
+	if q.wait != nil {
+		q.stamps = append(q.stamps, time.Now())
+	}
 	return len(q.ops), nil
 }
 
@@ -47,6 +61,13 @@ func (q *opQueue) take(limit int, force bool) ([]*op, int) {
 	rest := copy(q.ops, q.ops[n:])
 	clear(q.ops[rest:])
 	q.ops = q.ops[:rest]
+	if q.wait != nil {
+		now := time.Now()
+		for _, s := range q.stamps[:n] {
+			q.wait.Record(uint64(now.Sub(s)))
+		}
+		q.stamps = q.stamps[:copy(q.stamps, q.stamps[n:])]
+	}
 	return out, rest
 }
 

@@ -10,15 +10,22 @@ import (
 	"hermes/internal/classifier"
 )
 
-// denseModel places entries as a physical TCAM does: one sorted array,
-// shifted for real on every write. It is the oracle for the blocked
-// table's order, positions and shift counts. Every write takes drop, the fault
+// denseModel places entries as a physical TCAM does: one sorted array of
+// whole rules, shifted for real on every write. It is the oracle for the
+// blocked table's order, positions and shift counts, and for the rules the
+// table reads back through its index. Every write takes drop, the fault
 // hook's verdict: a dropped write charges what it would have but changes
 // nothing.
 type denseModel struct {
 	capacity int
-	s        []slot
+	s        []modelEntry
 	nextRank uint64
+}
+
+// modelEntry is one dense-model entry: the rule and its tie rank.
+type modelEntry struct {
+	rule classifier.Rule
+	rank uint64
 }
 
 // place is the dense binary search: below every (priority, rank) equal.
@@ -53,7 +60,7 @@ func (m *denseModel) insert(r classifier.Rule, rank uint64, drop bool) (shifts i
 	p := m.place(r.Priority, rank)
 	shifts = len(m.s) - p
 	if !drop {
-		m.s = slices.Insert(m.s, p, slot{rule: r, rank: rank})
+		m.s = slices.Insert(m.s, p, modelEntry{rule: r, rank: rank})
 	}
 	return shifts, true
 }
@@ -73,16 +80,16 @@ func (m *denseModel) modifyPriority(id classifier.RuleID, priority int32, drop b
 	return max(p-i, i-p), true
 }
 
-// checkModel compares tab with its dense model: each slot's rule ID and rank
-// in TCAM order (checkRules compares whole rules), Occupancy, the
-// InsertPosition of every priority the tests use, Get of ids, and the block
-// invariant.
+// checkModel compares tab with its dense model: each slot's rule ID,
+// priority and rank in TCAM order (checkRules compares whole rules),
+// Occupancy, the InsertPosition of every priority the tests use, Get of ids
+// (whole rules), and the block invariant.
 func checkModel(tb testing.TB, tab *Table, m *denseModel, ids ...classifier.RuleID) {
 	tb.Helper()
 	k := 0
 	for _, b := range tab.blocks {
 		for i := range b {
-			if k >= len(m.s) || b[i].rule.ID != m.s[k].rule.ID || b[i].rank != m.s[k].rank {
+			if k >= len(m.s) || b[i].id != m.s[k].rule.ID || b[i].priority != m.s[k].rule.Priority || b[i].rank != m.s[k].rank {
 				tb.Fatalf("slot %d diverges from the dense model (occupancy %d, model %d)", k, tab.n, len(m.s))
 			}
 			k++
@@ -152,9 +159,13 @@ func checkBlocks(tb testing.TB, tab *Table) {
 // through the same seeded op streams — plain and ranked inserts with tied
 // ranks, deletes, both modifies, truncates, resets, wipes, misses and
 // fault-dropped ops — alternately filling to capacity (≥ 8 blocks) and
-// draining, so blocks split and merge throughout. After every op the
+// draining, so blocks split and merge throughout. One op in eight is
+// preceded by a Snapshot, so writes meet index nodes a snapshot shares and
+// the handles of the rules in them move to the copies. After every op the
 // shift count it charged, in Stats() and in its latency, must be the
-// model's and checkModel must hold; checkRules holds every 64 ops.
+// model's, checkModel must hold and the latest snapshot must still answer
+// as the table did when it was taken; checkRules holds every 64 ops and
+// after every op that followed a Snapshot.
 func TestTableMatchesDenseModel(t *testing.T) {
 	const capacity, steps = 1024, 5000
 	for seed := int64(0); seed < 20; seed++ {
@@ -165,7 +176,13 @@ func TestTableMatchesDenseModel(t *testing.T) {
 		tab.SetFaultHook(func(Op, classifier.RuleID) OpFault { return OpFault{Drop: drop} })
 		nextID := classifier.RuleID(1)
 		maxBlocks := 0
+		var snap classifier.Snapshot
+		var snapRules []classifier.Rule
 		for step := 0; step < steps; step++ {
+			froze := rng.Intn(8) == 0
+			if froze {
+				snap, snapRules = tab.Snapshot(), tab.Rules()
+			}
 			drop = rng.Intn(10) == 0
 			ins, del := 850, 80
 			if step%2500 >= 1800 {
@@ -259,8 +276,15 @@ func TestTableMatchesDenseModel(t *testing.T) {
 				t.Fatalf("%s: op charged %d shifts, model %d", ctx(), got, want)
 			}
 			checkModel(t, tab, m, victim, nextID-1)
-			if step%64 == 0 {
+			if froze || step%64 == 0 {
 				checkRules(t, tab, m)
+			}
+			if r, ok := tab.Get(victim); ok {
+				addr := r.Match.Dst.Addr | 1
+				want, wok := firstInOrder(snapRules, addr, 0)
+				if got, gok := snap.Lookup(addr, 0); gok != wok || got != want {
+					t.Fatalf("%s: snapshot lookup(%08x) = %v,%v, table at snapshot time %v,%v", ctx(), addr, got, gok, want, wok)
+				}
 			}
 			maxBlocks = max(maxBlocks, len(tab.blocks))
 		}
@@ -414,5 +438,34 @@ func BenchmarkTableChurn(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkTableModifyAction rewrites the action of a random installed
+// rule at a steady occupancy. Plain, the write reads and rewrites the index
+// node its handle names, in place; with a Snapshot between writes, every
+// write first copies the path down to that node.
+func BenchmarkTableModifyAction(b *testing.B) {
+	for _, occ := range []int{256, 1500, 4000} {
+		for _, snap := range []bool{false, true} {
+			b.Run(fmt.Sprintf("%d/snapshot=%v", occ, snap), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(17))
+				tab := fillTable(b, rng, occ, benchRule)
+				ids := make([]classifier.RuleID, 1024)
+				for i := range ids {
+					ids[i] = classifier.RuleID(1 + rng.Intn(occ))
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if snap {
+						tab.Snapshot()
+					}
+					if _, ok := tab.ModifyAction(ids[i%len(ids)], classifier.Action{Type: classifier.ActionForward, Port: i}); !ok {
+						b.Fatal("ModifyAction missed")
+					}
+				}
+			})
+		}
 	}
 }

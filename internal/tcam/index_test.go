@@ -463,7 +463,8 @@ func checkDeleteAll(t *testing.T, tab *Table, m *denseModel, ids []classifier.Ru
 	twin := NewTable("twin", tab.Capacity(), tab.Profile())
 	for _, b := range tab.blocks {
 		for _, s := range b {
-			if _, err := twin.InsertRanked(s.rule, s.rank); err != nil {
+			r, _ := tab.Get(s.id)
+			if _, err := twin.InsertRanked(r, s.rank); err != nil {
 				t.Fatal(err)
 			}
 		}

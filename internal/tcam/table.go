@@ -61,22 +61,23 @@ type OpFault struct {
 type OpFaultHook func(op Op, id classifier.RuleID) OpFault
 
 // entryMeta is the per-rule bookkeeping record: the sort key the entry is
-// physically placed by. slotOf recovers the entry's (block, index) from it
-// with two binary searches — over the blocks' last keys, then inside one
-// block — instead of a table scan.
+// physically placed by, from which slotOf recovers its (block, index) with
+// two binary searches instead of a table scan, and the rule's index handle.
 type entryMeta struct {
 	priority int32
 	// rank breaks priority ties: lower rank sits higher (see slot.rank).
 	rank uint64
+	h    classifier.Handle
 }
 
 // blockCap bounds a block's length, and with it what one write moves: a
 // write is charged its shift count but moves the slots of one block.
 const blockCap = 128
 
-// slot is one physical entry and the tie rank it is placed by.
+// slot is one physical entry: its ID and the sort key it is placed by.
 type slot struct {
-	rule classifier.Rule
+	id       classifier.RuleID
+	priority int32
 	// rank breaks priority ties: lower rank sits higher, mirroring the
 	// earlier-inserted-wins order of a monolithic TCAM. Plain Insert
 	// auto-assigns increasing ranks; the Hermes agent passes its logical
@@ -88,8 +89,14 @@ type slot struct {
 // set the key goes below its (priority, rank) equals, as an insert does;
 // otherwise it goes above them, at the start of the equals' run.
 func (s *slot) precedes(priority int32, rank uint64, below bool) bool {
-	p := s.rule.Priority
+	p := s.priority
 	return p > priority || p == priority && (s.rank < rank || below && s.rank == rank)
+}
+
+// doomed is an entry a bulk removal took out of meta, not yet unindexed.
+type doomed struct {
+	id classifier.RuleID
+	h  classifier.Handle
 }
 
 // Table is one TCAM slice: a priority-ordered entry list with the shift-cost
@@ -105,13 +112,13 @@ func (s *slot) precedes(priority int32, rank uint64, below bool) bool {
 // insert or delete moves the slots of one block and a position is the
 // lengths of the blocks before it plus an in-block index.
 //
-// Alongside the blocks the table maintains two indexes: meta (ID → sort
-// key) so Get/Delete/Modify* locate a slot without scanning, and a
-// destination-prefix trie, each entry keyed by its placement, so Lookup
-// only visits the entries whose Dst can match the packet and Snapshot hands
-// the same index to lock-free readers. SetLinearLookup(true) reverts Lookup
-// to the full scan — kept as the differential-testing oracle, never as the
-// production path.
+// A rule has one copy, in the match index: a destination-prefix trie, each
+// entry keyed by its placement, so Lookup only visits the entries whose Dst
+// can match the packet and Snapshot hands the same index to lock-free
+// readers. meta maps an ID to its sort key, which Delete and ModifyPriority
+// find a slot by, and its index handle, which Get and ModifyAction reach the
+// rule by. SetLinearLookup(true) reverts Lookup to the full scan — kept as
+// the differential-testing oracle, never as the production path.
 type Table struct {
 	name     string
 	capacity int
@@ -126,9 +133,9 @@ type Table struct {
 	n        int
 	nextRank uint64
 
-	// meta maps installed rule IDs to their placement key; it replaces the
-	// old presence set and makes rule bookkeeping O(log n) instead of O(n).
-	meta map[classifier.RuleID]entryMeta
+	// meta maps installed rule IDs to their placement key and index handle.
+	meta   map[classifier.RuleID]entryMeta
+	doomed []doomed // reused by DeleteAll and Truncate
 	// index holds exactly the installed entries by destination prefix, each
 	// keyed (rank, ord) so that the trie's first-match order is slot order.
 	// ord is a per-table arrival stamp: within an equal (priority, rank)
@@ -187,12 +194,29 @@ func NewTable(name string, capacity int, profile *Profile) *Table {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("tcam: table %q capacity %d", name, capacity))
 	}
-	return &Table{
+	t := &Table{
 		name:     name,
 		capacity: capacity,
 		profile:  profile,
 		meta:     make(map[classifier.RuleID]entryMeta),
 	}
+	t.index.OnMove(func(id classifier.RuleID, h classifier.Handle) {
+		if m, ok := t.meta[id]; ok {
+			m.h = h
+			t.meta[id] = m
+		}
+	})
+	return t
+}
+
+// rule reads a slot's rule through its handle, in t.doomed for a doomed one.
+func (t *Table) rule(id classifier.RuleID) classifier.Rule {
+	m, ok := t.meta[id]
+	for i := 0; !ok && i < len(t.doomed); i++ {
+		m.h, ok = t.doomed[i].h, t.doomed[i].id == id
+	}
+	r, _ := t.index.GetAt(m.h, id)
+	return r
 }
 
 // Name returns the table name.
@@ -235,7 +259,7 @@ func (t *Table) Rules() []classifier.Rule {
 	out := make([]classifier.Rule, 0, t.n)
 	for _, b := range t.blocks {
 		for i := range b {
-			out = append(out, b[i].rule)
+			out = append(out, t.rule(b[i].id))
 		}
 	}
 	return out
@@ -257,7 +281,7 @@ func (t *Table) LowestPriority() (priority int32, ok bool) {
 		return 0, false
 	}
 	b := t.blocks[len(t.blocks)-1]
-	return b[len(b)-1].rule.Priority, true
+	return b[len(b)-1].priority, true
 }
 
 // find returns where a (priority, rank) key places (see slot.precedes):
@@ -314,10 +338,10 @@ func (t *Table) slotOf(id classifier.RuleID) (bi, j int) {
 	for bi, j = t.find(m.priority, m.rank, false); bi < len(t.blocks); bi, j = bi+1, 0 {
 		b := t.blocks[bi]
 		for ; j < len(b); j++ {
-			if b[j].rule.ID == id {
+			if b[j].id == id {
 				return bi, j
 			}
-			if b[j].rule.Priority != m.priority || b[j].rank != m.rank {
+			if b[j].priority != m.priority || b[j].rank != m.rank {
 				return -1, 0
 			}
 		}
@@ -438,9 +462,8 @@ func (t *Table) InsertRanked(r classifier.Rule, rank uint64) (time.Duration, err
 		t.droppedOps++
 		return t.profile.InsertLatency(shifts) + f.Extra, nil
 	}
-	t.insertAt(bi, j, slot{rule: r, rank: rank})
-	t.meta[r.ID] = entryMeta{priority: r.Priority, rank: rank}
-	t.indexInsert(r, rank)
+	t.insertAt(bi, j, slot{id: r.ID, priority: r.Priority, rank: rank})
+	t.meta[r.ID] = entryMeta{priority: r.Priority, rank: rank, h: t.indexInsert(r, rank)}
 	t.totalShifts += shifts
 	t.totalInserts++
 	if t.shiftHist != nil {
@@ -464,9 +487,10 @@ func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
 		t.droppedOps++
 		return t.profile.DeleteLatency + f.Extra, true
 	}
-	t.index.Delete(t.blocks[bi][j].rule.Match.Dst, id)
-	t.removeAt(bi, j)
+	h := t.meta[id].h
 	delete(t.meta, id)
+	t.index.DeleteAt(h, h.Dst(), id)
+	t.removeAt(bi, j)
 	t.totalDeletes++
 	t.gen.Add(1)
 	return t.profile.DeleteLatency + f.Extra, true
@@ -479,11 +503,13 @@ func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
 // repeat of its ID consults the hook again) and the same counters. The
 // entries then leave in one pass over the blocks — or, when none survives,
 // the way Reset empties the table. Survivors keep their order and index keys.
-// This is the Rule Manager's step-4 bulk invalidation.
+// This is the Rule Manager's step-4 bulk invalidation. The index keeps the
+// entries until after the last hook call, as the blocks do.
 func (t *Table) DeleteAll(ids []classifier.RuleID) (total time.Duration, n int) {
-	gone := 0
+	t.doomed = t.doomed[:0]
 	for _, id := range ids {
-		if _, ok := t.meta[id]; !ok {
+		m, ok := t.meta[id]
+		if !ok {
 			continue
 		}
 		n++
@@ -494,13 +520,13 @@ func (t *Table) DeleteAll(ids []classifier.RuleID) (total time.Duration, n int) 
 			continue
 		}
 		delete(t.meta, id)
-		gone++
+		t.doomed = append(t.doomed, doomed{id, m.h})
 	}
-	if gone == 0 {
+	if len(t.doomed) == 0 {
 		return total, n
 	}
-	t.totalDeletes += gone
-	if gone == t.n {
+	t.totalDeletes += len(t.doomed)
+	if len(t.doomed) == t.n {
 		t.clearState()
 		return total, n
 	}
@@ -509,17 +535,22 @@ func (t *Table) DeleteAll(ids []classifier.RuleID) (total time.Duration, n int) 
 	return total, n
 }
 
-// removeUnlisted takes out the slots whose rule meta no longer lists,
-// unindexing each, and restores the block invariant in the same pass: a
-// block that fits in half a block together with the one kept before it is
-// merged into it, and an emptied one goes to the spare list.
+// removeUnlisted unindexes the doomed entries (a handle an earlier delete
+// left stale names a node the trie does not own, so its delete walks), then
+// takes out the slots whose rule meta no longer lists and restores the
+// block invariant in the same pass: a block that fits in half a block
+// together with the one kept before it is merged into it, and an emptied
+// one goes to the spare list.
 func (t *Table) removeUnlisted() {
+	for _, d := range t.doomed {
+		t.index.DeleteAt(d.h, d.h.Dst(), d.id)
+	}
+	clear(t.doomed) // keeps no old node alive
 	kept := t.blocks[:0]
 	for _, b := range t.blocks {
 		w := 0
 		for j := range b {
-			if _, ok := t.meta[b[j].rule.ID]; !ok {
-				t.index.Delete(b[j].rule.Match.Dst, b[j].rule.ID)
+			if _, ok := t.meta[b[j].id]; !ok {
 				continue
 			}
 			b[w] = b[j]
@@ -541,10 +572,11 @@ func (t *Table) removeUnlisted() {
 }
 
 // ModifyAction rewrites a rule's action in place — constant time, no
-// reordering (§2.1, "modifications, surprisingly, can be constant").
+// reordering (§2.1, "modifications, surprisingly, can be constant"): one map
+// probe, and the rule read and rewritten at its handle.
 func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Duration, bool) {
-	bi, j := t.slotOf(id)
-	if bi < 0 {
+	m, ok := t.meta[id]
+	if !ok {
 		return 0, false
 	}
 	f := t.faultFor(OpModify, id)
@@ -552,9 +584,9 @@ func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Du
 		t.droppedOps++
 		return t.profile.ModifyLatency + f.Extra, true
 	}
-	e := &t.blocks[bi][j].rule
-	e.Action = a
-	t.index.Update(e.Match.Dst, *e)
+	r, _ := t.index.GetAt(m.h, id)
+	r.Action = a
+	t.index.UpdateAt(m.h, r.Match.Dst, r)
 	t.totalMods++
 	t.gen.Add(1)
 	return t.profile.ModifyLatency + f.Extra, true
@@ -576,16 +608,18 @@ func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Durat
 	}
 	s := t.blocks[bi][j]
 	i := t.posOf(bi, j)
-	s.rule.Priority = priority
+	s.priority = priority
 	// Remove, then re-place by the new key.
 	t.removeAt(bi, j)
 	bi, j = t.find(priority, s.rank, true)
 	pos := t.posOf(bi, j)
 	t.insertAt(bi, j, s)
-	t.meta[id] = entryMeta{priority: priority, rank: s.rank}
 	// Re-stamped like a fresh insert: it now sits below its new equals.
-	t.index.Delete(s.rule.Match.Dst, id)
-	t.indexInsert(s.rule, s.rank)
+	h := t.meta[id].h
+	r, _ := t.index.GetAt(h, id)
+	r.Priority = priority
+	t.index.DeleteAt(h, h.Dst(), id)
+	t.meta[id] = entryMeta{priority: priority, rank: s.rank, h: t.indexInsert(r, s.rank)}
 	shifts := pos - i
 	if shifts < 0 {
 		shifts = -shifts
@@ -599,20 +633,20 @@ func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Durat
 	return t.profile.InsertLatency(shifts) + f.Extra, true
 }
 
-// Get returns the installed rule with the given ID — an indexed slot
-// recovery, not a scan.
+// Get returns the installed rule with the given ID: one map probe and one
+// read of the index node its handle names.
 func (t *Table) Get(id classifier.RuleID) (classifier.Rule, bool) {
-	bi, j := t.slotOf(id)
-	if bi < 0 {
+	m, ok := t.meta[id]
+	if !ok {
 		return classifier.Rule{}, false
 	}
-	return t.blocks[bi][j].rule, true
+	return t.index.GetAt(m.h, id)
 }
 
-// indexInsert adds r to the match index with the next arrival stamp.
-func (t *Table) indexInsert(r classifier.Rule, rank uint64) {
-	t.index.InsertKeyed(r, classifier.Key{Rank: rank, Ord: t.nextOrd})
+// indexInsert indexes r with the next arrival stamp and returns its handle.
+func (t *Table) indexInsert(r classifier.Rule, rank uint64) classifier.Handle {
 	t.nextOrd++
+	return t.index.InsertKeyed(r, classifier.Key{Rank: rank, Ord: t.nextOrd - 1})
 }
 
 // Lookup returns the first (highest-priority, earliest-inserted) rule
@@ -634,8 +668,8 @@ func (t *Table) Lookup(dst, src uint32) (classifier.Rule, bool) {
 func (t *Table) LookupLinear(dst, src uint32) (classifier.Rule, bool) {
 	for _, b := range t.blocks {
 		for i := range b {
-			if b[i].rule.Match.MatchesPacket(dst, src) {
-				return b[i].rule, true
+			if r := t.rule(b[i].id); r.Match.MatchesPacket(dst, src) {
+				return r, true
 			}
 		}
 	}
@@ -681,6 +715,7 @@ func (t *Table) clearState() {
 	t.blocks = t.blocks[:0]
 	t.n = 0
 	clear(t.meta)
+	clear(t.doomed)
 	t.index.Clear()
 	t.gen.Add(1)
 }
@@ -692,11 +727,13 @@ func (t *Table) Truncate(n int) {
 	if n < 0 || n >= t.n {
 		return
 	}
+	t.doomed = t.doomed[:0]
 	k := 0
 	for _, b := range t.blocks {
 		for i := range b {
-			if k >= n {
-				delete(t.meta, b[i].rule.ID)
+			if id := b[i].id; k >= n {
+				t.doomed = append(t.doomed, doomed{id, t.meta[id].h})
+				delete(t.meta, id)
 			}
 			k++
 		}
