@@ -121,7 +121,6 @@ func (p *Pipeline) Insert(now time.Duration, table string, r classifier.Rule) (R
 	if t.Managed() {
 		return t.Agent.Insert(now, r)
 	}
-	//lint:ignore tablewrite an unmanaged slice is not carved: no plan orders its writes
 	cost, err := t.Raw.Insert(r)
 	if err != nil {
 		return Result{}, err
@@ -138,7 +137,6 @@ func (p *Pipeline) Delete(now time.Duration, table string, id classifier.RuleID)
 	if t.Managed() {
 		return t.Agent.Delete(now, id)
 	}
-	//lint:ignore tablewrite an unmanaged slice is not carved: no plan orders its writes
 	cost, present := t.Raw.Delete(id)
 	if !present {
 		return Result{}, fmt.Errorf("%w: %d in %s", ErrUnknownRule, id, table)

@@ -190,8 +190,8 @@ func (a *Agent) unplan(st *ruleState, have []classifier.Rule) []classifier.Rule 
 // writes did.
 //
 // Nothing else in the package inserts into or deletes from a carved table
-// (the tablewrite analyzer checks it); rewriteAction's in-place
-// ModifyAction moves nothing.
+// (FuzzStepwiseAtomicity and the equivalence tests catch a write that
+// skips the plan); rewriteAction's in-place ModifyAction moves nothing.
 func (a *Agent) commit(now time.Duration, own *ruleState, all bool) written {
 	w := written{completed: now}
 	charge := func(via lane, mine bool, cost time.Duration) bool {

@@ -241,7 +241,8 @@ func TestFleetWireBatchResetFailsBothFramesInOrder(t *testing.T) {
 
 // TestFleetObsExposesQueueAndFrames: the per-switch dispatch series are on
 // the registry, labelled with the switch: queue depth, frames in flight,
-// ops per frame written, and one queue wait per op.
+// ops per frame written, and the queue wait, sampled one push in 8 from the
+// first.
 func TestFleetObsExposesQueueAndFrames(t *testing.T) {
 	specs, _ := startAgents(t, 1, core.Config{DisableRateLimit: true})
 	reg := obs.NewRegistry()

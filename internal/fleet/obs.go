@@ -25,7 +25,7 @@ func registerObs(reg *obs.Registry, w *worker) {
 	w.groupOps = reg.HistogramL("hermes_fleet_frame_ops", lbl, "",
 		"flow-mods per group written: one flow-mod-batch frame (WireBatch), or one flow-mod frame each")
 	w.q.wait = reg.HistogramL("hermes_fleet_queue_wait_ns", lbl, "ns",
-		"time a flow-mod waited in the worker's queue, from submit until its group was taken off to be written")
+		"time a flow-mod waited in the worker's queue, from submit until its group was taken off to be written; sampled: one submit in 8")
 
 	reg.GaugeFunc("hermes_fleet_queue_depth", lbl,
 		"flow-mods waiting in the worker's bounded queue",

@@ -20,11 +20,14 @@ type opQueue struct {
 	closed bool
 	cond   *sync.Cond
 
-	// wait, when set (the obs wiring), receives each op's time in the
-	// queue, from its push to the take that moves it off; stamps holds the
-	// push times, parallel to ops, so an op stays one allocation size class.
+	// wait, when set (the obs wiring), receives the time a sampled op spent
+	// in the queue, from its push to the take that moves it off: one push in
+	// 8 is stamped, the first among them (rulecache's stride), so a clock
+	// read stays off most pushes. stamps holds the push times, zero where
+	// unsampled, parallel to ops, so an op stays one allocation size class.
 	wait   *obs.Histogram
 	stamps []time.Time
+	pushes uint64
 }
 
 // push appends o, waiting for room while the queue is full, and reports
@@ -40,7 +43,12 @@ func (q *opQueue) push(o *op) (int, error) {
 	}
 	q.ops = append(q.ops, o)
 	if q.wait != nil {
-		q.stamps = append(q.stamps, time.Now())
+		var s time.Time
+		if q.pushes%8 == 0 {
+			s = time.Now()
+		}
+		q.pushes++
+		q.stamps = append(q.stamps, s)
 	}
 	return len(q.ops), nil
 }
@@ -62,9 +70,10 @@ func (q *opQueue) take(limit int, force bool) ([]*op, int) {
 	clear(q.ops[rest:])
 	q.ops = q.ops[:rest]
 	if q.wait != nil {
-		now := time.Now()
 		for _, s := range q.stamps[:n] {
-			q.wait.Record(uint64(now.Sub(s)))
+			if !s.IsZero() {
+				q.wait.Record(uint64(time.Since(s)))
+			}
 		}
 		q.stamps = q.stamps[:copy(q.stamps, q.stamps[n:])]
 	}

@@ -1,9 +1,6 @@
 // Package lint implements hermes-vet: project-specific static analysis
 // enforcing invariants the Go compiler cannot see but Hermes's guarantees
-// depend on — deterministic simulation, wire-codec bounds safety, lock
-// discipline around shared switch state, error-chain preservation,
-// test-goroutine hygiene, and the concurrency/hot-path contracts of the
-// lock-free agent read path (DESIGN.md §8).
+// depend on (DESIGN.md §8.2 lists them; hermes-lint -list prints them).
 //
 // The package is stdlib-only (go/parser, go/ast, go/types and the source
 // importer); it loads packages straight from the tree so it works offline
@@ -14,8 +11,7 @@
 // per-function control-flow graphs (cfg.go), a module-wide call graph
 // (callgraph.go) and shared interprocedural summaries (memoized via
 // Program.Cached), and analyzers run concurrently against a Pass that
-// exposes all of it. Findings are stably sorted and render as text or
-// SARIF.
+// exposes all of it. Findings are stably sorted and render as text.
 package lint
 
 import (
@@ -51,9 +47,8 @@ type Analyzer struct {
 	// any external-test "_test" suffix stripped) ends in one of these
 	// suffixes. Empty means every package.
 	Paths []string
-	// SkipTests excludes _test.go files; TestsOnly includes nothing else.
+	// SkipTests excludes _test.go files.
 	SkipTests bool
-	TestsOnly bool
 	// SkipMain excludes package main (commands and examples are not
 	// library code).
 	SkipMain bool
@@ -170,14 +165,11 @@ func (p *Pass) FuncBodies(check func(body *ast.BlockStmt)) {
 // FuncCFG returns the cached control-flow graph for a function body.
 func (p *Pass) FuncCFG(body *ast.BlockStmt) *CFG { return p.Prog.FuncCFG(body) }
 
-// InScope applies the analyzer's test-file filters to a file or
+// InScope applies the analyzer's test-file filter to a file or
 // declaration — the call-graph analyzers iterate graph nodes rather than
-// Files() and must honor the same SkipTests/TestsOnly contract.
+// Files() and must honor the same SkipTests contract.
 func (p *Pass) InScope(n ast.Node) bool {
-	if p.IsTest(n) {
-		return !p.Analyzer.SkipTests
-	}
-	return !p.Analyzer.TestsOnly
+	return !p.Analyzer.SkipTests || !p.IsTest(n)
 }
 
 // IsTest reports whether n sits in a _test.go file.
@@ -234,11 +226,8 @@ func Analyzers() []*Analyzer {
 		NarrowingAnalyzer,
 		LockcheckAnalyzer,
 		WrapcheckAnalyzer,
-		TestGoroutineAnalyzer,
 		SnapshotSafetyAnalyzer,
 		HotPathAllocAnalyzer,
-		ChanBlockAnalyzer,
-		TablewriteAnalyzer,
 		LintDirectiveAnalyzer,
 	}
 }

@@ -42,46 +42,38 @@ func runLockcheck(p *Pass) {
 	p.FuncBodies(func(body *ast.BlockStmt) { checkLockFlow(p, body) })
 }
 
-// lockTransfer is the lock-state transfer shared by lockcheck and
-// chanblock: Lock/RLock add the held fact, Unlock/RUnlock remove it. With
-// deferReleases, a deferred unlock (direct, or inside a deferred closure)
-// removes it too — the leak-at-return view, where the lock is gone by the
-// time any return completes. Without it the lock stays held until the
-// function actually returns — the critical-section view. Nested function
-// literals are opaque: they run on their own schedule and are analyzed as
-// their own functions.
-func lockTransfer(deferReleases bool) Transfer[lockKey] {
-	return func(n ast.Node, in Set[lockKey]) Set[lockKey] {
-		switch st := n.(type) {
-		case *ast.ExprStmt:
-			if key, acquire, ok := lockCall(st.X); ok {
-				if acquire {
-					in.Add(key)
-				} else {
-					in.Del(key)
-				}
-			}
-		case *ast.DeferStmt:
-			if !deferReleases {
-				break
-			}
-			if key, acquire, ok := lockCall(st.Call); ok && !acquire {
+// lockTransfer is the lock-state transfer: Lock/RLock add the held fact,
+// Unlock/RUnlock remove it, and so does a deferred unlock (direct, or inside
+// a deferred closure) — the leak-at-return view, where the lock is gone by
+// the time any return completes. Nested function literals are opaque: they
+// run on their own schedule and are analyzed as their own functions.
+func lockTransfer(n ast.Node, in Set[lockKey]) Set[lockKey] {
+	switch st := n.(type) {
+	case *ast.ExprStmt:
+		if key, acquire, ok := lockCall(st.X); ok {
+			if acquire {
+				in.Add(key)
+			} else {
 				in.Del(key)
-				return in
-			}
-			if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
-				ast.Inspect(lit.Body, func(inner ast.Node) bool {
-					if e, ok := inner.(*ast.ExprStmt); ok {
-						if key, acquire, ok := lockCall(e.X); ok && !acquire {
-							in.Del(key)
-						}
-					}
-					return true
-				})
 			}
 		}
-		return in
+	case *ast.DeferStmt:
+		if key, acquire, ok := lockCall(st.Call); ok && !acquire {
+			in.Del(key)
+			return in
+		}
+		if lit, ok := st.Call.Fun.(*ast.FuncLit); ok {
+			ast.Inspect(lit.Body, func(inner ast.Node) bool {
+				if e, ok := inner.(*ast.ExprStmt); ok {
+					if key, acquire, ok := lockCall(e.X); ok && !acquire {
+						in.Del(key)
+					}
+				}
+				return true
+			})
+		}
 	}
+	return in
 }
 
 // checkLockFlow solves must-held-locks over the body's CFG and reports
@@ -90,9 +82,8 @@ func lockTransfer(deferReleases bool) Transfer[lockKey] {
 // the test harness, own that case.
 func checkLockFlow(p *Pass, body *ast.BlockStmt) {
 	cfg := p.FuncCFG(body)
-	transfer := lockTransfer(true)
-	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), transfer)
-	res.Replay(cfg, transfer, func(n ast.Node, held Set[lockKey]) {
+	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), lockTransfer)
+	res.Replay(cfg, lockTransfer, func(n ast.Node, held Set[lockKey]) {
 		if ret, ok := n.(*ast.ReturnStmt); ok {
 			for k := range held {
 				p.Reportf(ret.Pos(), "return with %s still held; unlock before returning or use defer", k)

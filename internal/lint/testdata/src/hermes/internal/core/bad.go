@@ -89,3 +89,15 @@ func (a *agent) reseat() *snapshot {
 	v.hits++
 	return v
 }
+
+// publishThenFill stores the view before its optional tier is filled in,
+// so the fill races every reader that loaded it.
+func (a *agent) publishThenFill(prev *snapshot, gen uint64, track bool) {
+	v := &snapshot{gen: gen}
+	a.view.Store(v)
+	if track {
+		if v.m = prev.m; prev.gen != gen { // want:snapshotsafety
+			v.hits = 0 // want:snapshotsafety
+		}
+	}
+}

@@ -37,3 +37,12 @@ func Widen(v uint8) uint16 { return uint16(v) }
 func Consts() (uint16, uint8) {
 	return uint16(0xFFFF), uint8(255)
 }
+
+// reply is a wire struct with a one-byte count field.
+type reply struct{ partitions uint8 }
+
+// fillReply converts where clampU8 should saturate: a rule cut into 256
+// fragments would report 0.
+func fillReply(parts int) reply {
+	return reply{partitions: uint8(parts)} // want:narrowing
+}

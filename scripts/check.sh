@@ -1,8 +1,7 @@
 #!/bin/sh
 # Repo-wide gate: formatting (gofmt -l), static analysis (go vet +
-# hermes-lint, whose tablewrite analyzer holds internal/core to one
-# carved-table writer, + the internal/core suppression ratchet), build, the
-# full test suite under the
+# one full-repo hermes-lint run, timed by lint_bench.sh, + the
+# internal/core suppression ratchet), build, the full test suite under the
 # race detector, the linter's self-test against its known-bad corpus, the
 # nested benchmark module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, one iteration of the trie, cut, TCAM and spline micro-benchmarks, and
@@ -32,8 +31,8 @@ go vet ./...
 echo ">> go build ./..."
 go build ./...
 
-echo ">> hermes-lint ./... (hermes-vet invariants, DESIGN.md §8)"
-go run ./cmd/hermes-lint ./...
+echo ">> hermes-lint ./... (hermes-vet invariants, DESIGN.md §8), timed against its wall-time budget"
+./scripts/lint_bench.sh "${LINT_BUDGET:-120}"
 
 echo ">> hot-path budget ratchet: internal/core holds at most 7 ignores + coldpaths"
 core_exempt="$(ls internal/core/*.go | grep -v '_test\.go$' | xargs grep -hE '//lint:ignore hotpathalloc|//hermes:coldpath' | wc -l)"
@@ -52,9 +51,6 @@ fi
 
 echo ">> hermes-vet corpus self-test under -race (exact want:-marker agreement)"
 go test -race -count=1 -run 'TestCorpus|TestEveryAnalyzerCovered' ./internal/lint
-
-echo ">> lint-bench: full-repo lint wall-time budget"
-./scripts/lint_bench.sh "${LINT_BUDGET:-120}"
 
 echo ">> go test -race ./..."
 go test -race ./...
