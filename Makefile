@@ -53,8 +53,9 @@ fuzz:
 # perop row among them), submit order through an open circuit, and a
 # group's completion hook calling back into the client from every path
 # that completes it, all on fixed seeds so failures replay (DESIGN.md §9).
+# A deadlock fails its package after 5 minutes, not go test's default 10.
 chaos:
-	$(GO) test -race -count=1 \
+	$(GO) test -race -count=1 -timeout 5m \
 		-run 'TestChaos|TestMigrationInterruptAtEachStep|TestCrashRestartReconcile|TestEquivalenceFixedSeedsWithFaults|TestUnmergeAfterCrashRecovery|TestWire|TestApplyDrivesAgentFaults|TestCrashMidRebalance|TestFleetPowerCycleRepairedByIntent|TestFleetTransportReplaysNothing|TestFleetAppliedButUnconfirmed|TestFleetWireBatchResetFailsBothFramesInOrder|TestFleetWireBatchPreservesPerRuleFIFO|TestFleetCircuitOpenFailsInSubmitOrder|TestOnDoneHookReentersClient|TestFleetBreakerHalfOpenClosesAfterInjectedFaults|TestFleetOpTimeoutFailsWedgedSwitch|TestRequestTimeoutAbandonsOnlyThatRequest|TestServerShutdownDrains|TestReconcile|TestDeclarativeReconcileOverFleet|TestControllerLeaseFailover|TestControllerTraceDigestDeterministic|TestWritesAreStepwiseAtomic' \
 		./internal/core ./internal/faultinject ./internal/experiments ./internal/fleet ./internal/ofwire ./internal/intent
 	$(GO) run ./cmd/hermes-bench -scale 0.5 chaos

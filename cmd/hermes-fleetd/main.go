@@ -13,7 +13,7 @@
 // Usage:
 //
 //	hermes-fleetd -switches 8 -rules 20000
-//	hermes-fleetd -switches 4 -rules 5000 -ratelimit -retry
+//	hermes-fleetd -switches 4 -rules 5000 -ratelimit  # diverted inserts land in main
 //	hermes-fleetd -switches 4 -rules 5000 -kill 1   # trip a circuit breaker
 package main
 
@@ -50,13 +50,12 @@ func main() {
 	batch := flag.Int("batch", 16, "per-worker dispatch batch size")
 	queue := flag.Int("queue", 128, "per-worker queue depth")
 	rateLimit := flag.Bool("ratelimit", false, "enable Gate Keeper admission control")
-	retry := flag.Bool("retry", false, "retry diverted insertions with backoff")
 	kill := flag.Int("kill", -1, "kill this switch index mid-replay (circuit-breaker demo)")
 	declarative := flag.Bool("declarative", false,
 		"drive the fleet through the intent reconciler instead of imperative replay")
 	resync := flag.Duration("resync", 2*time.Second, "declarative-mode periodic resync interval")
 	wait := flag.Duration("wait", 15*time.Second, "declarative-mode convergence deadline")
-	seed := flag.Int64("seed", 1, "workload and jitter seed")
+	seed := flag.Int64("seed", 1, "workload seed")
 	obsAddr := flag.String("obs-addr", "",
 		"serve fleet /metrics, /debug/vars and /debug/pprof on this address (empty disables)")
 	flag.Parse()
@@ -102,8 +101,6 @@ func main() {
 		BatchSize:     *batch,
 		ProbeInterval: 25 * time.Millisecond,
 		Breaker:       fleet.BreakerConfig{FailureThreshold: 3, OpenTimeout: 250 * time.Millisecond},
-		RetryDiverted: *retry,
-		Seed:          *seed,
 		Obs:           reg,
 	}, specs)
 	if err != nil {
@@ -139,7 +136,7 @@ func main() {
 
 	// Replay at full speed; a collector drains results as they complete so
 	// the whole stream stays in flight against the workers' queues.
-	type tally struct{ ok, failed, guaranteed, retried int }
+	type tally struct{ ok, failed, guaranteed int }
 	results := make(chan (<-chan fleet.OpResult), 4*(*queue))
 	doneCollect := make(chan tally)
 	go func() {
@@ -153,9 +150,6 @@ func main() {
 				tl.ok++
 				if res.Result.Guaranteed {
 					tl.guaranteed++
-				}
-				if res.Attempts > 1 {
-					tl.retried++
 				}
 			}
 		}
@@ -187,9 +181,9 @@ func main() {
 	fmt.Println()
 	fmt.Print(snap.Table().String())
 	fmt.Println()
-	fmt.Printf("replayed %d flow-mods in %v — %.0f ops/s end-to-end (%d ok, %d failed, %d guaranteed, %d retried)\n",
+	fmt.Printf("replayed %d flow-mods in %v — %.0f ops/s end-to-end (%d ok, %d failed, %d guaranteed)\n",
 		len(stream), elapsed.Round(time.Millisecond),
-		float64(tl.ok)/elapsed.Seconds(), tl.ok, tl.failed, tl.guaranteed, tl.retried)
+		float64(tl.ok)/elapsed.Seconds(), tl.ok, tl.failed, tl.guaranteed)
 	g := snap.Guaranteed
 	fmt.Printf("fleet guaranteed latency: p50=%.3fms p95=%.3fms p99=%.3fms over %d samples\n",
 		g.Quantile(0.5)/1e6, g.Quantile(0.95)/1e6, g.Quantile(0.99)/1e6, g.Count())

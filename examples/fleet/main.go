@@ -10,7 +10,7 @@
 //
 // The controller also serves the always-on observability surface the way
 // hermes-fleetd does with -obs-addr: per-switch queue depth, breaker state,
-// retry counters, and control-channel RTT histograms on /metrics.
+// op counters, and control-channel RTT histograms on /metrics.
 //
 //	go run ./examples/fleet
 package main

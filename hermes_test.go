@@ -159,8 +159,8 @@ func TestConfigKnobsPinned(t *testing.T) {
 			"DisableRateLimit", "AutoTuneSlack", "TrackLogical", "LinearLookup",
 			"Cache", "Observer"}},
 		{fleet.Config{}, []string{"QueueDepth", "BatchSize", "DialTimeout", "Dial",
-			"WireBatch", "BatchLinger", "OpTimeout", "ProbeInterval", "Retry",
-			"Breaker", "RetryDiverted", "Seed", "Obs", "OnResult", "OnReconnect"}},
+			"WireBatch", "BatchLinger", "OpTimeout", "ProbeInterval",
+			"Breaker", "Obs", "OnResult", "OnReconnect"}},
 		{intent.Config{}, []string{"Switches", "Shards", "ID", "Store", "Target",
 			"Now", "After", "Resync", "RateLimit", "Seed", "Leases", "Trace", "Obs",
 			"Permanent"}},

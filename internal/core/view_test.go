@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hermes/internal/classifier"
+	"hermes/internal/rulecache"
 	"hermes/internal/tcam"
 )
 
@@ -208,9 +209,24 @@ func TestLinearLookupConfigUsesScanPath(t *testing.T) {
 // TestConcurrentReadersUnderMutation exercises every reader against the
 // control-plane mutators for the race detector: lookups (fast and slow
 // path), logical lookups, metrics, occupancies, consistency checks — all
-// while rules churn, migrations run, and the switch crash-restarts.
+// while rules churn, migrations run, and the switch crash-restarts. The
+// cached agent adds the software tier and its hit map to every snapshot a
+// lookup publishes, so a view stored before those are filled races here.
 func TestConcurrentReadersUnderMutation(t *testing.T) {
-	a := newTestAgent(t, Config{DisableRateLimit: true})
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"uncached", Config{DisableRateLimit: true}},
+		{"cached", Config{DisableRateLimit: true,
+			Cache: &rulecache.Config{Capacity: 64, Policy: rulecache.PolicyLFU}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { readersUnderMutation(t, tc.cfg) })
+	}
+}
+
+func readersUnderMutation(t *testing.T, cfg Config) {
+	a := newTestAgent(t, cfg)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 

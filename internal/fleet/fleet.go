@@ -7,13 +7,14 @@
 // no goroutine on the flow-mod path: the goroutine that makes a group of
 // queued flow-mods sendable writes it over a pipelined client (many
 // requests in flight per connection), and the one that closes a group
-// completes the answered groups in order. A worker retries insertions the
-// Gate Keeper diverts off the guaranteed path (exponential backoff,
-// deterministic jitter) and trips a circuit breaker, fed by echo health
-// probes, when its switch dies, so one wedged agent fails fast instead of
-// stalling the fleet. Rules route to switches explicitly or consistently
-// by rule ID, and a fleet-wide Snapshot merges every agent's counters with
-// client-observed latency percentiles.
+// completes the answered groups in order. A worker trips a circuit breaker,
+// fed by echo health probes, when its switch dies, so one wedged agent
+// fails fast instead of stalling the fleet. An insertion the Gate Keeper
+// diverts off the guaranteed path still lands in the main table, and its
+// result says so (Path, Guaranteed): what to do about it is the caller's
+// call, as in the paper's API. Rules route to switches explicitly or
+// consistently by rule ID, and a fleet-wide Snapshot merges every agent's
+// counters with client-observed latency percentiles.
 //
 // The fleet is a transport and owns no desired state: what it holds is
 // proportional to what is in flight (queues, pending requests, fixed-size
@@ -90,8 +91,6 @@ type Config struct {
 	// frame's ops in order, and groups complete in send order, so per-rule
 	// FIFO (an insert followed by a delete of the same rule never
 	// reorders) and the per-switch OnResult order hold in both encodings.
-	// RetryDiverted is bypassed in batch mode: a batch caller asked for
-	// throughput, and divert-retry is a per-op guarantee negotiation.
 	WireBatch bool
 	// BatchLinger bounds how long a worker with one group in flight holds
 	// queued ops back for the next group: that group goes out when it
@@ -107,25 +106,12 @@ type Config struct {
 	OpTimeout time.Duration
 	// ProbeInterval is the echo health-probe period. Defaults to 100ms.
 	ProbeInterval time.Duration
-	// Retry shapes the backoff for diverted insertions (RetryDiverted).
-	Retry RetryPolicy
 	// Breaker tunes the per-switch circuit breaker.
 	Breaker BreakerConfig
-	// RetryDiverted enables delete-and-reinsert retries for guaranteed
-	// insertions the Gate Keeper diverted to the unguaranteed main path
-	// (rate-limited or shadow-full). The diverted inserts of one group
-	// retry concurrently, and the worker keeps that group alone in flight
-	// until they finish, so no later op overtakes a retried insert.
-	// Ignored under WireBatch.
-	RetryDiverted bool
-	// Seed makes backoff jitter deterministic; runs with the same seed
-	// and workload replay identical retry schedules. Defaults to 1.
-	Seed int64
 	// Obs, when non-nil, exposes per-switch fleet metrics on the registry:
-	// queue depth, breaker state and trips, op/retry/divert/reconnect
-	// counters, and the control channel's in-flight gauge and RTT
-	// histogram, all labeled with the switch ID. Nil disables exposition
-	// with zero hot-path cost.
+	// queue depth, breaker state and trips, op and reconnect counters, and
+	// the control channel's in-flight gauge and RTT histogram, all labeled
+	// with the switch ID. Nil disables exposition with zero hot-path cost.
 	Obs *obs.Registry
 	// OnResult, when non-nil, observes every finished operation — the
 	// completion-notification seam load generators use to feed a ledger
@@ -162,10 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 100 * time.Millisecond
 	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	c.Retry = c.Retry.withDefaults()
 	c.Breaker = c.Breaker.withDefaults()
 	return c
 }
@@ -442,6 +424,20 @@ func (f *Fleet) Close() error {
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// fnv64a hashes s with FNV-1a, for consistent rule→switch routing.
+func fnv64a[T string | []byte](s T) uint64 {
+	const (
+		offset = 14695981039346656037
+		prime  = 1099511628211
+	)
+	h := uint64(offset)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime
+	}
+	return h
 }
 
 // isClosedConn reports the benign "use of closed network connection" error

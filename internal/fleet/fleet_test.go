@@ -219,163 +219,6 @@ func TestFleetCircuitBreaker(t *testing.T) {
 	}
 }
 
-// divertingServer is a scripted wire agent: the first divertTimes insert
-// attempts of every rule are pushed off the guaranteed path, as the Gate
-// Keeper does when rate-limited or shadow-full.
-type divertingServer struct {
-	divertTimes int
-
-	mu       sync.Mutex
-	attempts map[uint64]int
-	deletes  int
-}
-
-func (d *divertingServer) serve(t *testing.T, lis net.Listener) {
-	for {
-		conn, err := lis.Accept()
-		if err != nil {
-			return
-		}
-		go d.handle(t, conn)
-	}
-}
-
-func (d *divertingServer) handle(t *testing.T, conn net.Conn) {
-	defer conn.Close()
-	if err := ofwire.WriteMessage(conn, &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeHello}}); err != nil {
-		return
-	}
-	if _, err := ofwire.ReadMessage(conn); err != nil {
-		return
-	}
-	for {
-		req, err := ofwire.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		var resp *ofwire.Message
-		switch req.Header.Type {
-		case ofwire.TypeEchoRequest:
-			resp = &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeEchoReply}, Raw: req.Raw}
-		case ofwire.TypeBarrierRequest:
-			resp = &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeBarrierReply}}
-		case ofwire.TypeStatsRequest:
-			d.mu.Lock()
-			var total uint64
-			for _, n := range d.attempts {
-				total += uint64(n)
-			}
-			d.mu.Unlock()
-			resp = &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeStatsReply},
-				Stats: &ofwire.Stats{Inserts: total}}
-		case ofwire.TypeFlowMod:
-			fm := req.FlowMod
-			rep := &ofwire.FlowModReply{RuleID: fm.RuleID, LatencyNS: uint64(50 * time.Microsecond)}
-			if fm.Command == ofwire.FlowAdd {
-				d.mu.Lock()
-				d.attempts[fm.RuleID]++
-				diverted := d.attempts[fm.RuleID] <= d.divertTimes
-				d.mu.Unlock()
-				if diverted {
-					rep.Guaranteed, rep.Path = false, uint8(core.PathMain)
-				} else {
-					rep.Guaranteed, rep.Path = true, uint8(core.PathShadow)
-				}
-			} else if fm.Command == ofwire.FlowDelete {
-				d.mu.Lock()
-				d.deletes++
-				d.mu.Unlock()
-				rep.Guaranteed = true
-			}
-			resp = &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeFlowModReply}, FlowModReply: rep}
-		default:
-			continue
-		}
-		resp.Header.XID = req.Header.XID
-		if err := ofwire.WriteMessage(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
-func startDiverting(t *testing.T, divertTimes int) (SwitchSpec, *divertingServer) {
-	t.Helper()
-	d := &divertingServer{divertTimes: divertTimes, attempts: make(map[uint64]int)}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go d.serve(t, lis)
-	t.Cleanup(func() { lis.Close() })
-	return SwitchSpec{ID: "divert-0", Addr: lis.Addr().String()}, d
-}
-
-// TestFleetRetriesDivertedInserts: a diverted insertion is deleted, backed
-// off, and reissued until it lands on the guaranteed path.
-func TestFleetRetriesDivertedInserts(t *testing.T) {
-	spec, d := startDiverting(t, 2)
-	f, err := New(Config{
-		RetryDiverted: true,
-		Retry:         RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond},
-		Seed:          7,
-	}, []SwitchSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	const rules = 10
-	for i := 1; i <= rules; i++ {
-		res := f.Insert(spec.ID, testRule(i))
-		if res.Err != nil {
-			t.Fatalf("insert %d: %v", i, res.Err)
-		}
-		if !res.Result.Guaranteed {
-			t.Fatalf("insert %d still diverted after retries: %+v", i, res.Result)
-		}
-		if res.Attempts != 3 { // 2 diverted attempts + 1 success
-			t.Errorf("insert %d took %d attempts, want 3", i, res.Attempts)
-		}
-	}
-	d.mu.Lock()
-	deletes := d.deletes
-	d.mu.Unlock()
-	if deletes != 2*rules {
-		t.Errorf("deletes = %d, want %d (one per diverted attempt)", deletes, 2*rules)
-	}
-	snap := f.Snapshot()
-	sw := snap.Switches[0]
-	if sw.Retries != 2*rules || sw.Diverted != 2*rules {
-		t.Errorf("telemetry retries=%d diverted=%d, want %d", sw.Retries, sw.Diverted, 2*rules)
-	}
-}
-
-// TestFleetRetryBudgetExhausted: a permanently diverting switch consumes
-// the attempt budget and surfaces the final (unguaranteed) result.
-func TestFleetRetryBudgetExhausted(t *testing.T) {
-	spec, _ := startDiverting(t, 1000)
-	f, err := New(Config{
-		RetryDiverted: true,
-		Retry:         RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond},
-		Seed:          7,
-	}, []SwitchSpec{spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	res := f.Insert(spec.ID, testRule(1))
-	if res.Err != nil {
-		t.Fatalf("insert: %v", res.Err)
-	}
-	if res.Result.Guaranteed {
-		t.Fatal("impossible guarantee")
-	}
-	if res.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", res.Attempts)
-	}
-}
-
 // TestFleetCloseFailsQueuedOps: closing the fleet unblocks queued and
 // in-flight operations with typed errors instead of hanging.
 func TestFleetCloseFailsQueuedOps(t *testing.T) {

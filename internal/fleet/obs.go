@@ -46,12 +46,6 @@ func registerObs(reg *obs.Registry, w *worker) {
 	reg.CounterFunc("hermes_fleet_ops_failed_total", lbl,
 		"flow-mods failed (wire fault or open circuit)",
 		w.tele.failed.Load)
-	reg.CounterFunc("hermes_fleet_retries_total", lbl,
-		"delete-and-reinsert retries of diverted insertions",
-		w.tele.retries.Load)
-	reg.CounterFunc("hermes_fleet_diverted_total", lbl,
-		"guaranteed insertions the Gate Keeper diverted to the main path",
-		w.tele.diverted.Load)
 	reg.CounterFunc("hermes_fleet_reconnects_total", lbl,
 		"redials of a dead control channel that came back healthy",
 		w.tele.reconnects.Load)

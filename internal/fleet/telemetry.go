@@ -16,7 +16,7 @@ import (
 // wire Stats fetched at snapshot time. Its footprint is fixed: counters plus
 // two log-linear histograms, whatever the number of ops completed.
 type switchTelemetry struct {
-	failed, retries, diverted, reconnects atomic.Uint64
+	failed, reconnects atomic.Uint64
 
 	// Flow-mod latencies as the agent reported them (ns). all.Count() is
 	// the number of ops that succeeded.
@@ -37,9 +37,7 @@ func (t *switchTelemetry) observe(res ofwire.FlowModResult) {
 	}
 }
 
-func (t *switchTelemetry) fail()   { t.failed.Add(1) }
-func (t *switchTelemetry) retry()  { t.retries.Add(1) }
-func (t *switchTelemetry) divert() { t.diverted.Add(1) }
+func (t *switchTelemetry) fail() { t.failed.Add(1) }
 
 // reconnect records one redial of the switch that came back healthy.
 func (t *switchTelemetry) reconnect() { t.reconnects.Add(1) }
@@ -53,7 +51,10 @@ func (t *switchTelemetry) fault(err error) {
 
 // Counters are one switch's monotonic controller-side op counters.
 type Counters struct {
-	OpsOK, OpsFailed, Retries, Diverted uint64
+	OpsOK, OpsFailed uint64
+	// Retries is always 0: the fleet reissues nothing. A diverted insert
+	// is reported as such (OpResult.Result) and left to the caller.
+	Retries uint64
 	// Reconnects counts redials of a dead control channel that answered a
 	// health probe afterwards. The fleet does not repair what the switch
 	// lost in between; that is the intent reconciler's job.
@@ -104,8 +105,6 @@ func (t *switchTelemetry) snapshot(s *SwitchSnapshot) {
 	s.Counters = Counters{
 		OpsOK:      t.all.Count(),
 		OpsFailed:  t.failed.Load(),
-		Retries:    t.retries.Load(),
-		Diverted:   t.diverted.Load(),
 		Reconnects: t.reconnects.Load(),
 	}
 	s.Guaranteed, s.All = t.guaranteed.Snapshot(), t.all.Snapshot()
@@ -145,7 +144,7 @@ func (s *Snapshot) finalize() {
 func (s *Snapshot) Table() *stats.Table {
 	tab := &stats.Table{
 		Title: "fleet telemetry",
-		Headers: []string{"switch", "circuit", "ok", "failed", "retries", "reconn",
+		Headers: []string{"switch", "circuit", "ok", "failed", "reconn",
 			"inserts", "shadow", "main", "violations", "p50ms", "p99ms"},
 	}
 	row := func(id, circuit string, n Counters, st *ofwire.Stats, lat *obs.HistogramSnapshot) {
@@ -157,7 +156,7 @@ func (s *Snapshot) Table() *stats.Table {
 			viol = fmt.Sprintf("%d", st.Violations)
 		}
 		tab.AddRow(id, circuit,
-			fmt.Sprintf("%d", n.OpsOK), fmt.Sprintf("%d", n.OpsFailed), fmt.Sprintf("%d", n.Retries),
+			fmt.Sprintf("%d", n.OpsOK), fmt.Sprintf("%d", n.OpsFailed),
 			fmt.Sprintf("%d", n.Reconnects),
 			ins, shadow, main, viol,
 			fmt.Sprintf("%.3f", lat.Quantile(0.5)/1e6), fmt.Sprintf("%.3f", lat.Quantile(0.99)/1e6))
@@ -168,7 +167,6 @@ func (s *Snapshot) Table() *stats.Table {
 		row(sw.ID, sw.Breaker.String(), sw.Counters, sw.Stats, sw.Guaranteed)
 		total.OpsOK += sw.OpsOK
 		total.OpsFailed += sw.OpsFailed
-		total.Retries += sw.Retries
 		total.Reconnects += sw.Reconnects
 	}
 	row("TOTAL", fmt.Sprintf("%d/%d up", s.Reachable, len(s.Switches)), total, &s.Total, s.Guaranteed)

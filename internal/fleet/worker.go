@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"hermes/internal/classifier"
-	"hermes/internal/core"
 	"hermes/internal/intent"
 	"hermes/internal/obs"
 	"hermes/internal/ofwire"
@@ -22,11 +21,10 @@ type op struct {
 
 // OpResult is the outcome of one fleet operation.
 type OpResult struct {
-	Switch   string
-	RuleID   classifier.RuleID
-	Result   ofwire.FlowModResult
-	Attempts int
-	Err      error
+	Switch string
+	RuleID classifier.RuleID
+	Result ofwire.FlowModResult
+	Err    error
 }
 
 // maxGroupsInFlight is how many groups a worker keeps on the wire at once:
@@ -54,10 +52,9 @@ type worker struct {
 
 	brk  *breaker
 	tele switchTelemetry
-	wg   sync.WaitGroup
+	wg   sync.WaitGroup // joins probeLoop
 
-	retryDiverted bool   // RetryDiverted, per-op encoding: one group in flight
-	reapFn        func() // reap, bound once: every group's OnDone hook
+	reapFn func() // reap, bound once: every group's OnDone hook
 
 	// mu guards the client, the queue, the groups in flight and who works
 	// them: one goroutine writes (sending), one completes (reaping), none
@@ -87,15 +84,14 @@ type worker struct {
 
 func newWorker(f *Fleet, spec SwitchSpec, client *ofwire.Client) *worker {
 	w := &worker{
-		id:            spec.ID,
-		addr:          spec.Addr,
-		f:             f,
-		stop:          make(chan struct{}),
-		client:        client,
-		brk:           newBreaker(f.cfg.Breaker),
-		tele:          newTelemetry(),
-		retryDiverted: f.cfg.RetryDiverted && !f.cfg.WireBatch,
-		halted:        true,
+		id:     spec.ID,
+		addr:   spec.Addr,
+		f:      f,
+		stop:   make(chan struct{}),
+		client: client,
+		brk:    newBreaker(f.cfg.Breaker),
+		tele:   newTelemetry(),
+		halted: true,
 	}
 	w.q = &opQueue{depth: f.cfg.QueueDepth, batch: min(f.cfg.BatchSize, f.cfg.QueueDepth),
 		cond: sync.NewCond(&w.mu)}
@@ -204,7 +200,7 @@ func (w *worker) pump() {
 // under load a group fills while its predecessor is answered.
 func (w *worker) next() []*op {
 	n := len(w.inFlight)
-	if w.halted || n == maxGroupsInFlight || w.retryDiverted && n > 0 {
+	if w.halted || n == maxGroupsInFlight {
 		return nil
 	}
 	ops, queued := w.q.take(w.f.cfg.BatchSize, n == 0 || w.lingered)
@@ -269,20 +265,6 @@ func (w *worker) reap() {
 	for len(w.inFlight) > 0 && w.inFlight[0].answered() {
 		g := w.inFlight[0]
 		w.mu.Unlock()
-		if w.retryDiverted {
-			// Retries round-trip through the read loop: a goroutine of its
-			// own completes the group, holding its slot and reaper's role.
-			w.wg.Add(1)
-			go func() {
-				defer w.wg.Done()
-				w.complete(g)
-				w.mu.Lock()
-				w.reaping = false
-				w.mu.Unlock()
-				w.reap()
-			}()
-			return
-		}
 		w.complete(g)
 		w.mu.Lock()
 	}
@@ -291,18 +273,18 @@ func (w *worker) reap() {
 	w.mu.Unlock()
 }
 
-// complete collects the head group's results, ready by now, retries its
-// diverted inserts under RetryDiverted, frees and refills its slot, and
-// delivers the results in queue order. A remote rejection in an op's slot
-// means the switch is alive and does not count against the circuit; each
-// frame lost on the wire counts once, so a reset with two batch frames in
-// flight counts twice, and with sixteen per-op frames in flight sixteen.
+// complete collects the head group's results, ready by now, frees and
+// refills its slot, and delivers the results in queue order. A remote
+// rejection in an op's slot means the switch is alive and does not count
+// against the circuit; each frame lost on the wire counts once, so a reset
+// with two batch frames in flight counts twice, and with sixteen per-op
+// frames in flight sixteen.
 func (w *worker) complete(g group) {
 	out := w.results[:0]
 	if g.frames == nil {
 		open := &CircuitOpenError{Switch: w.id}
 		for _, o := range g.ops {
-			out = append(out, OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1, Err: open})
+			out = append(out, OpResult{Switch: w.id, RuleID: o.rule.ID, Err: open})
 		}
 	} else {
 		results, err := g.frames.Wait(context.Background())
@@ -316,23 +298,9 @@ func (w *worker) complete(g group) {
 			}
 		}
 		for i, o := range g.ops {
-			out = append(out, OpResult{Switch: w.id, RuleID: o.rule.ID, Attempts: 1,
+			out = append(out, OpResult{Switch: w.id, RuleID: o.rule.ID,
 				Result: results[i].Result, Err: results[i].Err})
 		}
-	}
-	if w.retryDiverted {
-		// The group's diverted inserts retry concurrently.
-		var wg sync.WaitGroup
-		for i, o := range g.ops {
-			if o.kind == intent.OpInsert && diverted(out[i]) {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					w.retry(o, &out[i])
-				}()
-			}
-		}
-		wg.Wait()
 	}
 	w.mu.Lock()
 	w.inFlight = append(w.inFlight[:0], w.inFlight[1:]...)
@@ -347,46 +315,6 @@ func (w *worker) complete(g group) {
 		w.deliver(o, out[i])
 	}
 	w.results = out
-}
-
-// diverted reports an insert that landed off the guaranteed path.
-func diverted(res OpResult) bool {
-	return res.Err == nil && !res.Result.Guaranteed && res.Result.Path == core.PathMain
-}
-
-// retry re-inserts one diverted insert until it lands guaranteed: the
-// diverted rule is deleted, the worker backs off (exponential +
-// deterministic jitter, seeded per op by Config.Seed ⊕ switch ⊕ rule), and
-// the insert is reissued, giving the token bucket time to refill or the
-// shadow table time to drain. A spent attempt budget or a failed undo
-// keeps the diverted result.
-func (w *worker) retry(o *op, res *OpResult) {
-	bo := w.f.cfg.Retry.newBackoff(w.f.cfg.Seed ^ int64(fnv64a(w.id)) ^ int64(o.rule.ID))
-	for diverted(*res) {
-		w.tele.divert()
-		delay, ok := bo.next()
-		if !ok {
-			return
-		}
-		c := w.currentClient()
-		if _, err := c.Delete(o.rule.ID); err != nil {
-			return
-		}
-		w.tele.retry()
-		select {
-		case <-time.After(delay):
-		case <-w.stop:
-			res.Err = ErrFleetClosed
-			return
-		}
-		res.Attempts++
-		if !w.brk.allow() {
-			res.Err = &CircuitOpenError{Switch: w.id}
-			return
-		}
-		res.Result, res.Err = c.Insert(o.rule)
-		w.health(res.Err)
-	}
 }
 
 // health feeds one request's outcome to the circuit breaker. Remote typed
@@ -464,7 +392,7 @@ func (w *worker) probe() {
 }
 
 // close tears the worker down: in-flight requests cut with ErrClientClosed
-// and their groups completed, then queued ops failed, goroutines joined.
+// and their groups completed, then queued ops failed, the probe loop joined.
 func (w *worker) close() error {
 	w.mu.Lock()
 	if w.stopped {

@@ -39,19 +39,11 @@ func (r RateLimit) withDefaults() RateLimit {
 	return r
 }
 
-// delayFor computes the backoff before attempt n (1-based) of key — a
-// pure function, so concurrent queues with the same seed replay the same
-// schedule.
+// delayFor computes the backoff before attempt n (1-based) of key: Base
+// grown by Multiplier per attempt and clamped at Max, then scaled by the
+// jitter of jitterFrac. A pure function of (seed, key, attempt), so
+// concurrent queues with the same seed replay the same schedule.
 func (r RateLimit) delayFor(seed int64, key string, attempt int) time.Duration {
-	return r.Delay(uint64(seed)^fnv64a(key), attempt)
-}
-
-// Delay is the backoff schedule itself, shared by every retry loop in the
-// project: Base grown by Multiplier per attempt (1-based) and clamped at
-// Max, then scaled by the jitter of JitterFrac(seed, attempt). seed is
-// already folded with whatever identifies the schedule. The fields are
-// used as given: callers apply their own defaults first.
-func (r RateLimit) Delay(seed uint64, attempt int) time.Duration {
 	if attempt < 1 {
 		attempt = 1
 	}
@@ -63,18 +55,17 @@ func (r RateLimit) Delay(seed uint64, attempt int) time.Duration {
 		d = max
 	}
 	if j := r.Jitter; j > 0 {
-		d *= 1 - j/2 + j*JitterFrac(seed, attempt)
+		d *= 1 - j/2 + j*jitterFrac(uint64(seed)^fnv64a(key), attempt)
 	}
 	return time.Duration(d)
 }
 
-// JitterFrac is the stateless backoff jitter shared by every retry schedule
-// in the project: a fraction in [0, 1), in steps of 1/1024, that is a pure
-// function of (seed, attempt). Callers fold whatever identifies the
-// schedule (key, switch, rule) into seed. No RNG state means nothing to
-// allocate or seed per schedule, and the same schedule on replay regardless
-// of goroutine interleaving.
-func JitterFrac(seed uint64, attempt int) float64 {
+// jitterFrac is the stateless backoff jitter: a fraction in [0, 1), in
+// steps of 1/1024, that is a pure function of (seed, attempt), where seed
+// is already folded with the key. No RNG state means nothing to allocate
+// or seed per key, and the same schedule on replay regardless of goroutine
+// interleaving.
+func jitterFrac(seed uint64, attempt int) float64 {
 	return float64(mix64(seed^uint64(attempt))%1024) / 1024
 }
 

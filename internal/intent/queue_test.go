@@ -1,6 +1,7 @@
 package intent
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -117,7 +118,40 @@ func TestRateLimitJitterDeterministic(t *testing.T) {
 	}
 }
 
-// TestJitterFracSpread: the shared jitter hash covers [0, 1) evenly enough
+// TestRateLimitJitterCap: once growth reaches Max, jitter may scale a delay
+// above it but never past Max·(1+Jitter/2), nor below Max·(1-Jitter/2).
+// A tight cap and a steep multiplier put most attempts on the cap, and the
+// jitter must push some of them over it, so the bound is really exercised.
+func TestRateLimitJitterCap(t *testing.T) {
+	for _, lim := range []RateLimit{
+		{Base: 10 * time.Millisecond, Max: 15 * time.Millisecond, Multiplier: 4, Jitter: 0.2},
+		{Base: 2 * time.Millisecond, Max: 100 * time.Millisecond, Multiplier: 2, Jitter: 1},
+	} {
+		ceil := time.Duration(float64(lim.Max) * (1 + lim.Jitter/2))
+		floor := time.Duration(float64(lim.Max) * (1 - lim.Jitter/2))
+		over := 0
+		for _, key := range []string{"sw-0", "sw-1", "sw-2", "sw-3"} {
+			for attempt := 1; attempt <= 12; attempt++ {
+				d := lim.delayFor(-9, key, attempt)
+				if d > ceil {
+					t.Fatalf("%+v: delayFor(%q,%d) = %v above the jittered cap %v", lim, key, attempt, d, ceil)
+				}
+				capped := float64(lim.Base)*math.Pow(lim.Multiplier, float64(attempt-1)) >= float64(lim.Max)
+				if capped && d < floor {
+					t.Fatalf("%+v: delayFor(%q,%d) = %v below the jittered floor %v", lim, key, attempt, d, floor)
+				}
+				if d > lim.Max {
+					over++
+				}
+			}
+		}
+		if over == 0 {
+			t.Fatalf("%+v: no delay jittered above Max; the cap bound went untested", lim)
+		}
+	}
+}
+
+// TestJitterFracSpread: the jitter hash covers [0, 1) evenly enough
 // to stand in for an RNG — over 4096 (seed, attempt) pairs it reaches both
 // ends of the interval and averages one half.
 func TestJitterFracSpread(t *testing.T) {
@@ -126,9 +160,9 @@ func TestJitterFracSpread(t *testing.T) {
 	for s := uint64(0); s < seeds; s++ {
 		seed := s * 0x9E3779B97F4A7C15 // spread the seeds over 64 bits
 		for a := 1; a <= attempts; a++ {
-			f := JitterFrac(seed, a)
+			f := jitterFrac(seed, a)
 			if f < 0 || f >= 1 {
-				t.Fatalf("JitterFrac(%#x, %d) = %v outside [0, 1)", seed, a, f)
+				t.Fatalf("jitterFrac(%#x, %d) = %v outside [0, 1)", seed, a, f)
 			}
 			lo, hi, sum = min(lo, f), max(hi, f), sum+f
 		}

@@ -52,8 +52,10 @@ fi
 echo ">> hermes-vet corpus self-test under -race (exact want:-marker agreement)"
 go test -race -count=1 -run 'TestCorpus|TestEveryAnalyzerCovered' ./internal/lint
 
-echo ">> go test -race ./..."
-go test -race ./...
+# A deadlock fails its package after 5 minutes instead of go test's default
+# 10: about twice the slowest package (internal/core) under -race.
+echo ">> go test -race -timeout 5m ./..."
+go test -race -timeout 5m ./...
 
 echo ">> benchmark module: vet + smoke test (nested module, not part of ./...)"
 (cd benchmark && go vet . && go test .)
