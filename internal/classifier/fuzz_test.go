@@ -285,7 +285,9 @@ func checkWide(t testing.TB, n *trieNode) {
 // overlap walk, and that of a never-frozen twin fed
 // the same ops, must yield what the flat-list order oracle yields, in the
 // same order (the order decides fragment shapes), and a walk with a random
-// priority floor exactly that sequence without the rules below the floor;
+// priority floor exactly that sequence without the rules below the floor,
+// and one that calls Skip at points drawn from the ops that sequence less
+// exactly what each Skip drops;
 // the live trie's Clear must recycle only its own nodes; and node ownership and
 // the compressed shape must hold after every op, also across the
 // wrap-around of the 32-bit epoch. The committed corpus has a seed for each
@@ -437,6 +439,15 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 				want = slices.DeleteFunc(want, func(r Rule) bool { return r.Priority < floor })
 				if got := live.overlappingFrom(q.Match, floor); !slices.Equal(got, want) {
 					t.Fatalf("overlap walk of %v from priority %d = %v, filtered oracle %v", q.Match, floor, got, want)
+				}
+				// Skip after every few rules, at points drawn the same way,
+				// drops exactly what Skip's oracle drops.
+				every := 1 + (int(ops[i])+k)%4
+				skip := func(j int) bool { return j%every == k%every }
+				want = oracleSkipping(want, q.Match, skip)
+				if got := live.overlappingSkipping(q.Match, floor, skip); !slices.Equal(got, want) {
+					t.Fatalf("overlap walk of %v from priority %d skipping every %d from %d = %v, oracle %v",
+						q.Match, floor, every, k%every, got, want)
 				}
 			}
 			for k, s := range snaps {

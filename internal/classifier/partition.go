@@ -31,9 +31,13 @@ type Partition struct {
 	// higher-priority main-table rule subsumed the original (Fig. 5a), Parts
 	// is empty and the rule is redundant.
 	Parts []Rule
-	// Cause lists the IDs of the higher-priority main-table rules whose
-	// overlap forced the cut. Deleting any of them requires re-evaluating
-	// this partition (Fig. 6).
+	// Cause lists, in walk order, the IDs of the higher-priority
+	// main-table rules the cut used: every winner the walk yields, except
+	// one under an earlier cause whose Dst contains its Dst and whose Src
+	// contains the original's Src — that cause already took the winner's
+	// whole overlap with the rule. Deleting a cause requires re-evaluating
+	// this partition (Fig. 6); deleting a winner left out does not, while
+	// the cause that shadows it stays.
 	Cause []RuleID
 	// Overflow reports that partitioning was abandoned because the
 	// fragment count exceeded the caller's cap — the cheap detection
@@ -77,15 +81,8 @@ type Partitioner struct {
 	cause          []RuleID
 	whole          []Rule // the one-element Parts of an uncut rule
 	merge          mergeScratch
-
-	// src is the Src of the match being cut. gone, when goneSet, is the Dst
-	// of the last subtracted rule whose Src contains src: no working region
-	// overlaps it any more (see subtract).
-	src     Prefix
-	gone    Prefix
-	goneSet bool
 	// passes counts the subtract passes of the current call, the work the
-	// gone-prefix skip saves.
+	// walk's Skip saves.
 	passes int
 }
 
@@ -101,7 +98,11 @@ type Partitioner struct {
 //
 // Main-table rules are cut against in OverlapIter order and the walk stops
 // at the rule that leaves nothing (a containing ancestor ends it before the
-// subtree is touched) or overflows. The Parts of a cut rule are freshly
+// subtree is touched) or overflows. A winner whose Src contains newRule's
+// cuts away every region's overlap with its Dst in full (cutting only
+// narrows, so every region's Src lies inside newRule's), so the walk skips
+// what lies under it: its node's later entries and its subtree would be pure
+// copies, and do not join Cause. The Parts of a cut rule are freshly
 // allocated (the caller may keep them). Cause, and the {newRule} Parts of a
 // rule nothing cut, alias the Partitioner's memory and are valid until its
 // next call.
@@ -121,6 +122,9 @@ func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(exist
 		if maxRegions > 0 && n > maxRegions {
 			p.Overflow = true
 			break
+		}
+		if r.Match.Src.Contains(newRule.Match.Src) {
+			main.Skip()
 		}
 	}
 	pt.cause = cause
@@ -151,46 +155,58 @@ func (pt *Partitioner) Partition(newRule Rule, main OverlapIter, wins func(exist
 // the Fig.-6 question "does deleting this main rule give the dependent back
 // anything?": the walk is positioned at region (the deleted rule's match
 // inside the dependent's), stops at the first rule that leaves nothing, mints
-// nothing and allocates nothing once the working set has grown.
+// nothing and allocates nothing once the working set has grown. It skips
+// what lies under a winner whose Src contains region's, as Partition does.
 func (pt *Partitioner) Uncovered(region Match, main OverlapIter, wins func(existing Rule) bool) bool {
 	pt.start(region)
 	for r, ok := main.Next(); ok; r, ok = main.Next() {
-		if wins(r) && pt.subtract(r.Match) == 0 {
+		if !wins(r) {
+			continue
+		}
+		if pt.subtract(r.Match) == 0 {
 			return false
+		}
+		if r.Match.Src.Contains(region.Src) {
+			main.Skip()
 		}
 	}
 	return true
 }
 
+// Causes returns the Cause that Partition would record for rule, provided
+// the cut leaves some of rule and does not overflow: such a walk never stops
+// early, so its causes follow from the walk alone. It keeps no regions, mints
+// nothing and allocates nothing once its buffer has grown; the list aliases
+// the Partitioner's memory until its next call.
+func (pt *Partitioner) Causes(rule Rule, main OverlapIter, wins func(existing Rule) bool) []RuleID {
+	cause := pt.cause[:0]
+	for r, ok := main.Next(); ok; r, ok = main.Next() {
+		if r.ID == rule.ID || !wins(r) {
+			continue
+		}
+		cause = append(cause, r.ID)
+		if r.Match.Src.Contains(rule.Match.Src) {
+			main.Skip()
+		}
+	}
+	pt.cause = cause
+	return cause
+}
+
 // start makes m the whole working set.
 func (pt *Partitioner) start(m Match) {
 	pt.regions = append(pt.regions[:0], m)
-	pt.src, pt.goneSet, pt.passes = m.Src, false, 0
+	pt.passes = 0
 }
 
 // subtract is EliminateOverlap's step: it cuts m out of every region of the
 // working set, into the double buffer, and returns how many regions are left.
-//
-// A pass whose m lies under the gone prefix is skipped, because it would be a
-// pure copy. Every region's Src lies inside pt.src (cutting only narrows), so
-// cutting a rule whose Src contains pt.src removes every region's overlap
-// with that rule's Dst in full, and no later pass brings it back. A later m
-// whose Dst lies inside that Dst therefore overlaps no region. One tracked
-// prefix is enough: OverlapIter yields a node's subtree right after the node,
-// so once the walk leaves the gone prefix no later rule lies under it, and
-// the next rule to set it is outside it.
 func (pt *Partitioner) subtract(m Match) int {
-	if pt.goneSet && pt.gone.Contains(m.Dst) {
-		return len(pt.regions)
-	}
 	pt.passes++
 	spare := pt.spare[:0]
 	for _, region := range pt.regions {
 		spare = region.AppendSubtract(spare, m)
 	}
 	pt.regions, pt.spare = spare, pt.regions
-	if m.Src.Contains(pt.src) {
-		pt.gone, pt.goneSet = m.Dst, true
-	}
 	return len(spare)
 }

@@ -41,6 +41,27 @@ func oracleOverlapping(rules []Rule, m Match) []Rule {
 	return out
 }
 
+// oracleSkipping is Skip's oracle: the walk order want of query m, less what
+// a Skip after the k-th yielded rule drops whenever skip(k) — the later rules
+// of that rule's Dst and, when the rule lies at or below m.Dst (the subtree
+// phase), every later rule whose Dst its Dst contains.
+func oracleSkipping(want []Rule, m Match, skip func(k int) bool) []Rule {
+	var out []Rule
+	var dropped []Prefix // the Dsts of the rules Skip was called after
+	for _, r := range want {
+		if slices.ContainsFunc(dropped, func(p Prefix) bool {
+			return p == r.Match.Dst || (p.Len >= m.Dst.Len && p.Contains(r.Match.Dst))
+		}) {
+			continue
+		}
+		if skip(len(out)) {
+			dropped = append(dropped, r.Match.Dst)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
 func oraclePrefixSubtract(p, q Prefix) []Prefix {
 	if !p.Overlaps(q) {
 		return []Prefix{p}
@@ -185,15 +206,23 @@ func oracleMergeMatches(in []Match) []Match {
 }
 
 // oraclePartitionAgainst is Algorithm 1 from scratch, against the main
-// table's rules in insertion order.
+// table's rules in insertion order. It subtracts every winner; a winner joins
+// Cause unless an earlier cause has a Dst that contains the winner's and a
+// Src that contains the new rule's.
 func oraclePartitionAgainst(newRule Rule, main []Rule, wins func(existing Rule) bool, nextID func() RuleID, merge bool, maxRegions int) Partition {
 	p := Partition{Original: newRule}
 	regions := []Match{newRule.Match}
+	var causes []Rule
 	for _, r := range oracleOverlapping(main, newRule.Match) {
 		if r.ID == newRule.ID || !wins(r) {
 			continue
 		}
-		p.Cause = append(p.Cause, r.ID)
+		if !slices.ContainsFunc(causes, func(c Rule) bool {
+			return c.Match.Dst.Contains(r.Match.Dst) && c.Match.Src.Contains(newRule.Match.Src)
+		}) {
+			causes = append(causes, r)
+			p.Cause = append(p.Cause, r.ID)
+		}
 		var next []Match
 		for _, region := range regions {
 			next = append(next, oracleSubtract(region, r.Match)...)
@@ -260,8 +289,9 @@ func samePartition(a, b Partition) bool {
 // others, through the oracle and through one long-lived Partitioner. Every
 // rule is cut twice, the second time after main-table churn (deletes, and
 // rules moved to the end of their trie node). Parts (matches and minted IDs),
-// Cause order and Overflow must agree throughout. The agent's record of the
-// cuts has its own oracle (internal/core).
+// Cause order and Overflow must agree throughout, and so must the cause-only
+// walk (Causes) wherever the cut keeps something without overflowing. The
+// agent's record of the cuts has its own oracle (internal/core).
 func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegions int) {
 	t.Helper()
 	var trie Trie
@@ -278,6 +308,13 @@ func checkPartitionEquivalence(t *testing.T, rules []Rule, merge bool, maxRegion
 		got := pt.Partition(r, trie.OverlapCandidates(r.Match, r.Priority), wins, mintB, merge, maxRegions)
 		if !samePartition(got, want) {
 			t.Fatalf("round %d rule %v merge=%v maxRegions=%d:\n got %+v\nwant %+v", round, r, merge, maxRegions, got, want)
+		}
+		// A cut that keeps something and does not overflow walks to the
+		// end: the cause-only walk records the same causes.
+		if !got.Overflow && !got.Redundant() {
+			if causes := pt.Causes(r, trie.OverlapCandidates(r.Match, r.Priority), wins); !slices.Equal(causes, want.Cause) {
+				t.Fatalf("round %d rule %v: Causes = %v, Partition's cause %v", round, r, causes, want.Cause)
+			}
 		}
 	}
 	for _, r := range rules {
@@ -342,6 +379,33 @@ func FuzzPartitionEquivalence(f *testing.F) {
 			f.Add(shape, flags)
 		}
 	}
+	// A winner whose Src contains the wide rule's comes second in its node,
+	// so the Skip drops a later entry of that node (pruned) as well as the
+	// winner beneath it.
+	sameNode := []byte{
+		0x0a, 12, 1, 0x00, 0, // 10.0.0.0/12 any, prio 1: the wide rule
+		0x0a, 20, 3, 0x00, 8, // 10.0.0.0/20 0.0.0.0/8, prio 3: partial winner
+		0x0a, 20, 3, 0x00, 0, // 10.0.0.0/20 any, prio 3: takes the node whole
+		0x0a, 20, 2, 0x00, 1, // 10.0.0.0/20 0.0.0.0/1, prio 2: later entry, pruned
+		0x0a, 24, 3, 0x01, 0, // 10.0.1.0/24 any, prio 3: beneath, pruned
+		0x0a, 20, 2, 0x10, 4, // 10.0.16.0/20 16.0.0.0/4, prio 2: partial winner beside
+	}
+	// Two sibling /21s, each taking its half whole, cover their parent /20
+	// (a partial winner) between them; neither prunes the other's subtree.
+	siblings := []byte{
+		0x0a, 12, 1, 0x00, 0, // 10.0.0.0/12 any, prio 1: the wide rule
+		0x0a, 20, 3, 0x00, 8, // 10.0.0.0/20 0.0.0.0/8, prio 3: the parent
+		0x0a, 21, 3, 0x00, 0, // 10.0.0.0/21 any, prio 3
+		0x0a, 24, 2, 0x01, 0, // 10.0.1.0/24 any, prio 2: beneath the low half
+		0x0a, 21, 3, 0x08, 0, // 10.0.8.0/21 any, prio 3
+		0x0a, 24, 3, 0x09, 2, // 10.0.9.0/24 8.0.0.0/2, prio 3: beneath the high half
+		0x0a, 24, 3, 0x10, 0, // 10.0.16.0/24 any, prio 3: outside the parent
+	}
+	for _, shape := range [][]byte{sameNode, siblings} {
+		for _, flags := range []byte{0, 1, 2} {
+			f.Add(shape, flags)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte, flags byte) {
 		var rules []Rule
 		for i := 0; i+5 <= len(data) && len(rules) < 48; i += 5 {
@@ -356,9 +420,10 @@ func FuzzPartitionEquivalence(f *testing.F) {
 }
 
 // TestPartitionSkipsCutAwayPrefix pins the skip by its work, not its time:
-// once a winner whose Src contains the cut rule's is subtracted, the winners
-// under its Dst join Cause without a subtract pass; under a winner whose Src
-// does not contain it every winner is subtracted.
+// once a winner whose Src contains the cut rule's is subtracted, the walk
+// skips the winners under its Dst — no subtract pass, and they do not join
+// Cause; under a winner whose Src does not contain it every winner is
+// subtracted and recorded.
 func TestPartitionSkipsCutAwayPrefix(t *testing.T) {
 	rule := func(id RuleID, dst, src string, prio int32) Rule {
 		return Rule{ID: id, Match: Match{Dst: MustParsePrefix(dst), Src: MustParsePrefix(src)}, Priority: prio}
@@ -367,9 +432,10 @@ func TestPartitionSkipsCutAwayPrefix(t *testing.T) {
 	for _, tc := range []struct {
 		winnerSrc string
 		passes    int
+		cause     []RuleID
 	}{
-		{"0.0.0.0/0", 3}, // 2, 6 and 7: 3 and 4 lie under 2's Dst
-		{"0.0.0.0/1", 5}, // every winner cut
+		{"0.0.0.0/0", 3, []RuleID{2, 6, 7}},       // 3 and 4 lie under 2's Dst
+		{"0.0.0.0/1", 5, []RuleID{2, 3, 4, 6, 7}}, // every winner cut
 	} {
 		var trie Trie
 		for _, r := range []Rule{
@@ -385,8 +451,8 @@ func TestPartitionSkipsCutAwayPrefix(t *testing.T) {
 		wins := func(existing Rule) bool { return existing.Priority >= wide.Priority }
 		var pt Partitioner
 		got := pt.Partition(wide, trie.OverlapCandidates(wide.Match, wide.Priority), wins, idMinter(100), true, 0)
-		if want := []RuleID{2, 3, 4, 6, 7}; !slices.Equal(got.Cause, want) {
-			t.Errorf("winner src %s: Cause = %v, want %v", tc.winnerSrc, got.Cause, want)
+		if !slices.Equal(got.Cause, tc.cause) {
+			t.Errorf("winner src %s: Cause = %v, want %v", tc.winnerSrc, got.Cause, tc.cause)
 		}
 		if pt.passes != tc.passes {
 			t.Errorf("winner src %s: Partition made %d subtract passes, want %d", tc.winnerSrc, pt.passes, tc.passes)
@@ -496,6 +562,10 @@ func flipLast(p Prefix) Prefix {
 
 func TestOverlapIterMatchesOracleOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	// Rules dropped by a Skip, by where the walk stood: at an ancestor (its
+	// later entries), at a node of the subtree (its later entries, and the
+	// rules beneath it).
+	var ancestor, subtree, sameNode int
 	for i := 0; i < 500; i++ {
 		// Indexed rules and queries come from the same address chains.
 		rules := nestedRuleSet(rng, 20+rng.Intn(60))
@@ -519,6 +589,30 @@ func TestOverlapIterMatchesOracleOrder(t *testing.T) {
 						t.Fatalf("candidate %d of %v = %v,%v, oracle %v", k, q.Match, r, ok, want[k])
 					}
 				}
+				// Skipping at seeded points drops exactly what Skip's oracle
+				// drops.
+				every, phase := 1+rng.Intn(4), rng.Intn(4)
+				skip := func(k int) bool { return k%every == phase%every }
+				wantSkip := oracleSkipping(want, q.Match, skip)
+				if got := trie.overlappingSkipping(q.Match, math.MinInt32, skip); !slices.Equal(got, wantSkip) {
+					t.Fatalf("Overlapping(%v) skipping every %d from %d = %v, oracle %v", q.Match, every, phase, got, wantSkip)
+				}
+				for k, r := range wantSkip {
+					if !skip(k) {
+						continue
+					}
+					inSubtree := r.Match.Dst.Len >= q.Match.Dst.Len
+					for _, later := range want[slices.Index(want, r)+1:] {
+						switch d := later.Match.Dst; {
+						case d == r.Match.Dst && inSubtree:
+							sameNode++
+						case d == r.Match.Dst:
+							ancestor++
+						case inSubtree && r.Match.Dst.Contains(d):
+							subtree++
+						}
+					}
+				}
 			}
 		}
 		check()
@@ -534,5 +628,9 @@ func TestOverlapIterMatchesOracleOrder(t *testing.T) {
 			}
 		}
 		check()
+	}
+	if ancestor == 0 || subtree == 0 || sameNode == 0 {
+		t.Errorf("rules skipped: %d later entries of an ancestor, %d beneath a subtree node, %d later entries of one; want each > 0",
+			ancestor, subtree, sameNode)
 	}
 }

@@ -537,6 +537,19 @@ func (it *OverlapIter) Next() (Rule, bool) {
 	}
 }
 
+// Skip drops what is left of the node whose entry Next returned last: its
+// later entries and, in the subtree phase, its subtree. Call it only after a
+// Next that returned a rule. It costs the walk nothing per node: the node's
+// prefix is the Dst of that entry, and the children its visit pushed, the
+// only stacked nodes under that prefix, are on top of the stack.
+func (it *OverlapIter) Skip() {
+	dst := it.ents[it.i-1].rule.Match.Dst
+	it.i = len(it.ents)
+	for it.sp > 0 && (it.stack[it.sp-1].addr^dst.Addr)&dst.Mask() == 0 {
+		it.sp--
+	}
+}
+
 // push schedules n's children, 0-child on top.
 func (it *OverlapIter) push(n *trieNode) {
 	if c := n.children[1]; c != nil {

@@ -159,9 +159,18 @@ func (t *Trie) Overlapping(m Match) []Rule { return t.overlappingFrom(m, math.Mi
 
 // overlappingFrom collects the overlap walk of m with a priority floor.
 func (t *Trie) overlappingFrom(m Match, floor int32) []Rule {
+	return t.overlappingSkipping(m, floor, func(int) bool { return false })
+}
+
+// overlappingSkipping collects the overlap walk of m with a priority floor,
+// calling Skip after the k-th rule it yields whenever skip(k).
+func (t *Trie) overlappingSkipping(m Match, floor int32, skip func(k int) bool) []Rule {
 	var out []Rule
 	it := t.OverlapCandidates(m, floor)
 	for r, ok := it.Next(); ok; r, ok = it.Next() {
+		if skip(len(out)) {
+			it.Skip()
+		}
 		out = append(out, r)
 	}
 	return out

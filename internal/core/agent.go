@@ -843,44 +843,49 @@ func (a *Agent) tableOf(st *ruleState) *tcam.Table {
 
 // unpartitionDependents is Fig. 6 for a main-resident rule whose entries —
 // one under its own ID, or the fragments it migrated as — are leaving the
-// main table: every rule they had cut is un-partitioned, once per entry that
-// still cuts it, then the rule's own cut record goes. What leaves is each
-// entry's own match, a fragment's rather than the original's.
+// main table: every rule one of them had cut is un-partitioned once, then the
+// rule's own cut record goes. What leaves is each entry's own match, a
+// fragment's rather than the original's.
 func (a *Agent) unpartitionDependents(now time.Duration, st *ruleState) {
 	for _, dep := range a.cuts.dependentsOf(st.parts) {
-		for _, gone := range st.parts {
-			switch {
-			case dep.cut == nil || !slices.Contains(dep.cut.cause, gone.ID):
-			case dep.place == placeShadow:
-				a.unpartition(now, dep, gone.ID, gone.Match)
-			default:
-				a.collapseMainFragments(now, dep)
-			}
+		switch {
+		case dep.cut == nil || !slices.ContainsFunc(st.parts, dep.cut.causedBy):
+		case dep.place == placeShadow:
+			a.unpartition(now, dep, st.parts)
+		default:
+			a.collapseMainFragments(now, dep)
 		}
 	}
 	a.cuts.forget(st)
 }
 
-// unpartition is the Fig.-6 step for one shadow rule that the deleted main
-// entry cause (match gone) had cut. A rule with fragments installed records
-// every main rule that overlaps and beats it (DESIGN.md §17), so all it can
-// get back is the part of gone inside it that no remaining winner covers.
-// When there is none, its fragments already are what a re-cut would
-// install: only the record changes. Otherwise — and for a redundant rule,
-// whose causes stop at the first container — it is re-cut in full.
-func (a *Agent) unpartition(now time.Duration, st *ruleState, cause classifier.RuleID, gone classifier.Match) {
-	if len(st.parts) > 0 {
-		region, _ := gone.Intersect(st.original.Match) // a cause overlaps its dependent
-		wins := func(existing classifier.Rule) bool {
-			return a.beats(existing, st.original.Priority, st.seq)
-		}
-		if !a.cutter.Uncovered(region, a.main.OverlapCandidates(region, st.original.Priority), wins) {
-			a.cuts.dropCause(st, cause)
-			a.recutsKept.Add(1)
-			return
+// unpartition is the Fig.-6 step for one shadow rule that some of the leaving
+// main entries had cut. Its causes are every winner the cut used (DESIGN.md
+// §17): a winner it left out lies under a cause that took all of the winner's
+// overlap with the rule. So all the rule can get back is the part of a
+// leaving cause inside it that no remaining winner covers. When there is
+// none, its fragments already are what a re-cut would install, and only the
+// record changes: the winners the leaving causes had shadowed may now be
+// causes, so the cause list is walked afresh (Partitioner.Causes). Otherwise
+// — and for a redundant rule, whose causes stop where nothing is left — it
+// is re-cut in full.
+func (a *Agent) unpartition(now time.Duration, st *ruleState, leaving []classifier.Rule) {
+	wins := func(existing classifier.Rule) bool {
+		return a.beats(existing, st.original.Priority, st.seq)
+	}
+	kept := len(st.parts) > 0
+	for i := 0; kept && i < len(leaving); i++ {
+		if gone := leaving[i]; st.cut.causedBy(gone) {
+			region, _ := gone.Match.Intersect(st.original.Match) // a cause overlaps its dependent
+			kept = !a.cutter.Uncovered(region, a.main.OverlapCandidates(region, st.original.Priority), wins)
 		}
 	}
-	a.reinstallShadowRule(now, st, false)
+	if !kept {
+		a.reinstallShadowRule(now, st, false)
+		return
+	}
+	a.cuts.setCause(st, a.cutter.Causes(st.original, a.main.OverlapCandidates(st.original.Match, st.original.Priority), wins))
+	a.recutsKept.Add(1)
 }
 
 // collapseMainFragments is the Fig.-6 step for a rule that migrated as its

@@ -681,7 +681,7 @@ func (a *Agent) RegisterCacheMetrics(reg *obs.Registry) {
 		"shadow rules re-cut and reinstalled after a main-table change (Metrics.Repartitions)",
 		func() uint64 { return uint64(a.Metrics().Repartitions) })
 	reg.CounterFunc("hermes_gatekeeper_recuts_kept_total", "",
-		"Fig.-6 un-partitions after a main-table delete that gave the shadow rule nothing back, so its fragments stayed installed and no re-cut ran",
+		"Fig.-6 un-partitions, one per shadow rule and main-table delete, in which no leaving cause gave the rule anything back, so its fragments stayed installed, its causes were walked afresh and no re-cut ran",
 		a.recutsKept.Load)
 	for _, d := range []struct {
 		reason string

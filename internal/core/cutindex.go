@@ -9,19 +9,24 @@ import (
 // This file holds the agent's half of Algorithm 1: the record that lets a
 // deletion un-partition (Fig. 6). The record itself lives in each rule's
 // ruleState (parts, cut); cutIndex holds the two lookups into it, from a
-// fragment to its rule and from a main rule to the rules it cut.
+// fragment to its rule and from a main rule to the rules that record it as a
+// cause. A main rule that beats a rule but lies under a cause whose src
+// contains the rule's is not recorded: its delete gives the rule nothing.
 
-// cutRecord is what a cut rule records beyond its parts: the main rules whose
-// overlap forced the cut.
+// cutRecord is what a cut rule records beyond its parts: the main rules the
+// cut used (classifier.Partition.Cause), not every one that beats it.
 type cutRecord struct {
 	cause []classifier.RuleID
 }
+
+// causedBy reports whether main entry e is among the record's causes.
+func (c *cutRecord) causedBy(e classifier.Rule) bool { return slices.Contains(c.cause, e.ID) }
 
 // cutIndex indexes the rules' cut records. It holds *ruleState, so a state
 // leaves it (forget) before it is recycled (dropRuleState).
 type cutIndex struct {
 	byPart  map[classifier.RuleID]*ruleState   // fragment ID -> the rule it realizes
-	byCause map[classifier.RuleID][]*ruleState // main rule ID -> the rules it cut, unordered
+	byCause map[classifier.RuleID][]*ruleState // main rule ID -> the rules recording it as a cause, unordered
 
 	gone, added []classifier.RuleID // relink's cause-diff scratch
 	freeDeps    [][]*ruleState      // emptied byCause lists, kept for the next new cause
@@ -46,7 +51,8 @@ func newCutIndex() cutIndex {
 // record makes p the rule's current cut: p.Parts become st.parts, and a rule
 // p cut gets a record. A partition with no cause did not cut its rule and
 // leaves no record (nothing to undo); its parts are the whole rule. The rule
-// keeps the Parts of a cut and copies its Cause.
+// keeps the Parts of a cut and copies its Cause: the winners the cut used,
+// which is all a later delete must check (Agent.unpartition).
 //
 // Re-recording costs what changed: old and new cause list are both in the
 // trie's overlap order, so the common head and tail are skipped and only the
@@ -129,35 +135,13 @@ func (x *cutIndex) relink(st *ruleState, cause []classifier.RuleID) {
 	st.cut.cause = append(st.cut.cause[:0], cause...)
 }
 
-// setCause replaces the cause list of a cut rule whose parts did not change —
-// Reconcile found them intact against a main table that may have gained rules
-// since the cut.
+// setCause replaces the cause list of a cut rule whose parts did not change:
+// Reconcile found them intact against a main table that may have gained
+// rules since the cut, a delete left them in place (Agent.unpartition), or
+// rules migrated in only where they were already cut away (keepsClearOf).
 func (x *cutIndex) setCause(st *ruleState, cause []classifier.RuleID) {
 	if st.cut != nil {
 		x.relink(st, cause)
-	}
-}
-
-// addCause records one more main rule beating a cut rule that was not re-cut
-// because its parts already stay clear of the new main rule (the
-// post-migration re-check).
-func (x *cutIndex) addCause(st *ruleState, cause classifier.RuleID) {
-	if st.cut != nil && !slices.Contains(st.cut.cause, cause) {
-		x.link(cause, st)
-		st.cut.cause = append(st.cut.cause, cause)
-	}
-}
-
-// dropCause removes one main rule from a cut rule's causes without touching
-// its parts: the main rule left the table and gave the rule back nothing
-// (Partitioner.Uncovered).
-func (x *cutIndex) dropCause(st *ruleState, cause classifier.RuleID) {
-	if st.cut == nil {
-		return
-	}
-	if i := slices.Index(st.cut.cause, cause); i >= 0 {
-		x.unlink(cause, st)
-		st.cut.cause = slices.Delete(st.cut.cause, i, i+1)
 	}
 }
 

@@ -206,7 +206,7 @@ func checkCutIndexEquivalence(t *testing.T, rules []classifier.Rule, merge bool,
 				p.Cause = slices.DeleteFunc(slices.Clone(p.Cause), func(c classifier.RuleID) bool { return c == r.ID })
 				om.Remove(o)
 				om.Record(p)
-				x.dropCause(states[o], r.ID)
+				x.setCause(states[o], p.Cause)
 			}
 		}
 	}
@@ -238,9 +238,10 @@ func TestCutIndexMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestCutIndexCauseEdits: dropCause, addCause and setCause link and unlink
-// without touching the parts, and dependentsOf keeps precedence order through
-// them.
+// TestCutIndexCauseEdits: setCause links and unlinks what left or joined the
+// list without touching the parts — a cause struck, one added, the list
+// replaced, the list unchanged — and dependentsOf keeps precedence order
+// through it.
 func TestCutIndexCauseEdits(t *testing.T) {
 	x := newCutIndex()
 	states := map[classifier.RuleID]*ruleState{}
@@ -270,11 +271,11 @@ func TestCutIndexCauseEdits(t *testing.T) {
 		}
 	}
 	deps(20, 1, 2, 3)
-	x.dropCause(states[1], 10)
+	x.setCause(states[1], []classifier.RuleID{20})
 	causes(1, 20)
 	deps(10)
 	deps(20, 1, 2, 3)
-	x.addCause(states[2], 40)
+	x.setCause(states[2], []classifier.RuleID{20, 30, 40})
 	causes(2, 20, 30, 40)
 	deps(40, 2)
 	deps(20, 1, 2, 3)
@@ -283,7 +284,7 @@ func TestCutIndexCauseEdits(t *testing.T) {
 	deps(20, 1, 2)
 	deps(30, 2, 3)
 	deps(40, 2, 3)
-	x.dropCause(states[2], 99) // not a cause: nothing moves
+	x.setCause(states[2], []classifier.RuleID{20, 30, 40}) // the same list: nothing moves
 	causes(2, 20, 30, 40)
 	deps(30, 2, 3)
 	for _, o := range []classifier.RuleID{1, 2, 3} {

@@ -73,6 +73,22 @@ func TestKeptFragmentsEqualFullRecut(t *testing.T) {
 		shadow: []classifier.Rule{dep},
 		steps:  []keptStep{{del: 1, kept: 1}, {del: 2, recut: 1}, {del: 3, recut: 1}},
 	}, {
+		// Rule 1's src contains rule 9's, so the walk skips what lies under
+		// it: rule 2, a later entry of its node, and the /10s beneath. Rule 9
+		// records rule 1 alone. Deleting rule 1 gives rule 9 nothing back
+		// (rules 2 to 4 cover the /9), and rule 9 must then record them, or
+		// deleting rule 3 would not give rule 9 back the half of 10.0.0.0/10
+		// that rule 2 leaves. ("fully re-covered" is the same with one src.)
+		name: "pruned causes take over",
+		main: []classifier.Rule{
+			srcDstRule(1, "10.0.0.0/9", anySrc, 100, 1),
+			srcDstRule(2, "10.0.0.0/9", "0.0.0.0/1", 95, 2),
+			srcDstRule(3, "10.0.0.0/10", anySrc, 90, 3),
+			srcDstRule(4, "10.64.0.0/10", "128.0.0.0/1", 90, 4),
+		},
+		shadow: []classifier.Rule{dep},
+		steps:  []keptStep{{del: 1, kept: 1}, {del: 3, recut: 1}, {del: 2, recut: 1}, {del: 4, recut: 1}},
+	}, {
 		// Rule 2 is redundant behind rule 1 and migrates while rule 9 sits in
 		// the shadow table. It lands inside what rule 9 already lost to rule 1,
 		// so the post-migration re-check leaves rule 9 alone — and must record
@@ -141,23 +157,26 @@ func TestKeptFragmentsEqualFullRecut(t *testing.T) {
 	// Seeded nested MicroBench replays (TestGateKeeperCountsPinned's streams):
 	// every delete checks every shadow rule's record against a fresh cut, and
 	// every epoch ends in the exact checker with the tables full and drained.
+	// A main rule whose src contains a dependent's takes everything beneath
+	// it from the dependent's causes, so a kept un-partition needs main rules
+	// of partial src: the merge-off row draws its srcs as the src row does.
 	srcs := []string{"0.0.0.0/0", "0.0.0.0/1", "128.0.0.0/1", "64.0.0.0/2", "192.0.0.0/3"}
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
-		twoD bool
+		srcs []string
 	}{
 		{name: "MicroBench, merge on"},
-		{name: "MicroBench, merge off", cfg: core.Config{DisableMergeOptimization: true}},
-		{name: "MicroBench with src prefixes", twoD: true},
+		{name: "MicroBench, merge off", cfg: core.Config{DisableMergeOptimization: true}, srcs: srcs},
+		{name: "MicroBench with src prefixes", srcs: srcs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			streams := pinStreams()
-			if tc.twoD {
+			if tc.srcs != nil {
 				rng := rand.New(rand.NewSource(pinSeed))
 				for _, s := range streams {
 					for i := range s {
-						s[i].Rule.Match.Src = classifier.MustParsePrefix(srcs[rng.Intn(len(srcs))])
+						s[i].Rule.Match.Src = classifier.MustParsePrefix(tc.srcs[rng.Intn(len(tc.srcs))])
 					}
 				}
 			}

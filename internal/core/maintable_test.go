@@ -204,12 +204,30 @@ func TestDeleteOfFragmentMigratedRule(t *testing.T) {
 		over: []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
 		want: map[uint32]int{0x0A000105: 3},
 	}, {
-		// Rule 4's fragments lie exactly under rule 2's and beat rule 3: each
-		// of rule 2's fragments leaves rule 3 nothing, so rule 3 is kept twice.
-		name: "kept dependent", del: 2, wantMain: 3, kept: 2,
-		under: []classifier.Rule{srcDstRule(4, "10.0.0.0/22", anySrc, 8, 4)},
-		over:  []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
-		want:  map[uint32]int{0x0A000105: 4, 0x0A000405: 3},
+		// The fragments of rules 4 and 5, a pair that splits the src space,
+		// lie exactly under rule 2's and beat rule 3. Neither one's src
+		// contains rule 3's, so rule 2's fragments, last in their trie nodes,
+		// are causes of rule 3 too; each leaves rule 3 nothing, so the one
+		// un-partition of rule 3 keeps it.
+		name: "kept dependent", del: 2, wantMain: 5, kept: 1,
+		under: []classifier.Rule{
+			srcDstRule(4, "10.0.0.0/22", "0.0.0.0/1", 8, 4),
+			srcDstRule(5, "10.0.0.0/22", "128.0.0.0/1", 8, 5),
+		},
+		over: []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
+		want: map[uint32]int{0x0A000105: 4, 0x0A000405: 3},
+	}, {
+		// As above, but rule 5 covers only 10.0.2.0/23, the first of rule 2's
+		// two fragments: the second gives rule 3 back 10.0.1.0/24 from
+		// 128.0.0.0/1, so rule 3 is re-cut though the first alone would keep
+		// it.
+		name: "one fragment re-covered", del: 2, wantMain: 4, recut: 1,
+		under: []classifier.Rule{
+			srcDstRule(4, "10.0.0.0/22", "0.0.0.0/1", 8, 4),
+			srcDstRule(5, "10.0.2.0/23", "128.0.0.0/1", 8, 5),
+		},
+		over: []classifier.Rule{srcDstRule(3, "10.0.0.0/21", anySrc, 5, 3)},
+		want: map[uint32]int{0x0A000105: 4, 0x0A000205: 4, 0x0A000405: 3},
 	}, {
 		// Rule 1 goes first: rule 2, the higher of its dependents, gets its /24
 		// back as its original. The re-cut that rule 2's original asks for
@@ -232,13 +250,14 @@ func TestDeleteOfFragmentMigratedRule(t *testing.T) {
 				mustInsert(t, a, 0, r)
 				migrateAll(t, a, 0)
 			}
+			before := a.MainOccupancy()
 			if parts := mustInsert(t, a, time.Second, srcDstRule(2, "10.0.0.0/22", anySrc, 10, 2)); parts != 2 {
 				t.Fatalf("rule 2 installed as %d fragments, want 2", parts)
 			}
 			migrateAll(t, a, time.Second)
 			mustBeExact(t, a, "rule 2 migrated as fragments")
-			if occ := a.MainOccupancy(); occ != 3+2*len(tc.under) {
-				t.Fatalf("main table holds %d entries, want rule 1 and two fragments per cut rule", occ)
+			if occ := a.MainOccupancy(); occ != before+2 {
+				t.Fatalf("main table holds %d entries, want the %d before rule 2 and its two fragments", occ, before)
 			}
 			for _, r := range tc.over {
 				mustInsert(t, a, 2*time.Second, r)

@@ -336,24 +336,23 @@ func (a *Agent) advance(now time.Duration) {
 
 // keepsClearOf is the post-migration re-check of one shadow rule: it reports
 // whether the rule's fragments stay clear of every newly migrated rule that
-// overlaps and beats it, and if so records each of those as a cause. Each
-// lies in the region already cut away, and the Fig.-6 un-partition relies on
-// a rule with fragments listing every main rule that beats it; a redundant
-// rule's causes stop at its first container and stay as they are.
+// overlaps and beats it, and if so walks its causes afresh. The migrated
+// rules lie in the region already cut away, but one may now be a cause, and
+// one whose Src contains the rule's takes its place from the causes beneath
+// it, so the old list plus the new rules is not what a fresh cut records. A
+// redundant rule's causes stop where nothing is left and stay as they are.
 func (a *Agent) keepsClearOf(st *ruleState, added []classifier.Rule) bool {
-	cuts := func(mr classifier.Rule) bool {
-		return mr.ID != st.original.ID && mr.Match.Overlaps(st.original.Match) &&
-			a.beats(mr, st.original.Priority, st.seq)
+	wins := func(existing classifier.Rule) bool {
+		return a.beats(existing, st.original.Priority, st.seq)
 	}
 	for _, mr := range added {
-		if cuts(mr) && slices.ContainsFunc(st.parts, func(f classifier.Rule) bool { return f.Match.Overlaps(mr.Match) }) {
+		if mr.ID != st.original.ID && mr.Match.Overlaps(st.original.Match) && wins(mr) &&
+			slices.ContainsFunc(st.parts, func(f classifier.Rule) bool { return f.Match.Overlaps(mr.Match) }) {
 			return false
 		}
 	}
-	for _, mr := range added {
-		if len(st.parts) > 0 && cuts(mr) {
-			a.cuts.addCause(st, mr.ID)
-		}
+	if len(st.parts) > 0 {
+		a.cuts.setCause(st, a.cutter.Causes(st.original, a.main.OverlapCandidates(st.original.Match, st.original.Priority), wins))
 	}
 	return true
 }

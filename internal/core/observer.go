@@ -78,7 +78,7 @@ func NewObserver(reg *obs.Registry, ringSize int) *Observer {
 		MainShifts: reg.HistogramL("hermes_tcam_shifts",
 			obs.Labels("table", "main"), "", "entry shifts per physical TCAM write"),
 		RecutCauses: reg.Histogram("hermes_gatekeeper_recut_causes", "",
-			"main rules a shadow rule was cut against, per re-cut"),
+			"causes a re-cut recorded, per re-cut: the winning main rules it used, not those under a cause whose src contains the rule's"),
 	}
 }
 

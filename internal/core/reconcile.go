@@ -240,8 +240,9 @@ func (a *Agent) CheckConsistency() error {
 // fresh Algorithm-1 cut on the main table as it is now: an uncut rule has
 // nothing beating it, a redundant one is still covered, and a rule with
 // fragments covers exactly the region the fresh cut keeps and records
-// exactly the fresh cut's causes. The last is what lets a main-table delete
-// leave a dependent's fragments in place (DESIGN.md §17). It also checks the
+// exactly the fresh cut's causes — the winners it used, sorted and compared
+// whole. The last is what lets a main-table delete leave a dependent's
+// fragments in place (DESIGN.md §17). It also checks the
 // cut index against every record (checkCutIndex). Like CheckConsistency it
 // holds whenever no fault awaits Reconcile; it returns the first violation
 // found.

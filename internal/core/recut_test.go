@@ -58,18 +58,28 @@ func recutAgent(t *testing.T, o *Observer) *Agent {
 	return a
 }
 
+// srcHalf returns r matching only the half of the src space that bit picks.
+func srcHalf(r classifier.Rule, bit uint32) classifier.Rule {
+	r.Match.Src = classifier.NewPrefix(bit<<31, 1)
+	return r
+}
+
 func TestRecutAllocs(t *testing.T) {
 	const (
 		cutID   = 10000
 		extraID = 9000
+		pairID  = 9001
 	)
 	extra := dstRule(extraID, "10.200.0.1/32", 1000, 2)
 	perCycle := map[int]float64{}
 	for _, causes := range []int{1, 64, 512} {
 		a := recutAgent(t, nil)
-		// One /9 and causes-1 hosts inside it all win over the /8 below, yet
-		// leave it the same single fragment, 10.0.0.0/9.
-		mustInsert(t, a, 0, dstRule(1, "10.128.0.0/9", 1000, 1))
+		// A pair of /9s that split the src space, and causes-1 hosts inside
+		// them, all win over the /8 below, yet leave it the same single
+		// fragment, 10.0.0.0/9. Neither /9's src contains the /8's, so every
+		// host is a cause.
+		mustInsert(t, a, 0, srcHalf(dstRule(1, "10.128.0.0/9", 1000, 1), 0))
+		mustInsert(t, a, 0, srcHalf(dstRule(pairID, "10.128.0.0/9", 1000, 1), 1))
 		for i := 2; i <= causes; i++ {
 			r := dstRule(classifier.RuleID(i), "10.128.0.0/9", 1000, 1)
 			r.Match.Dst = classifier.NewPrefix(0x0A800000|uint32(i), 32)
@@ -79,12 +89,13 @@ func TestRecutAllocs(t *testing.T) {
 		if res := mustInsert(t, a, 0, dstRule(cutID, "10.0.0.0/8", 10, 3)); res.Path != PathShadow || res.Partitions != 1 {
 			t.Fatalf("%d causes: cut rule took %+v", causes, res)
 		}
-		if st := a.rules[cutID]; st.cut == nil || len(st.cut.cause) != causes+1 || len(st.parts) != 1 {
+		if st := a.rules[cutID]; st.cut == nil || len(st.cut.cause) != causes+2 || len(st.parts) != 1 {
 			t.Fatalf("%d causes: recorded cut %+v, parts %v", causes, st.cut, st.parts)
 		}
-		// Deleting the unrelated host gives the /8 nothing back — the /9 still
-		// covers it — so the /8's fragment is kept; re-installing the host is a
-		// main insert that beats the /8 and re-cuts it.
+		// Deleting the unrelated host gives the /8 nothing back — the /9s still
+		// cover it — so the /8's fragment is kept and its causes walked
+		// afresh; re-installing the host is a main insert that beats the /8
+		// and re-cuts it.
 		recut, kept := a.Metrics().Repartitions, a.recutsKept.Load()
 		perCycle[causes] = testing.AllocsPerRun(50, func() {
 			if _, err := a.Delete(0, extraID); err != nil {
@@ -113,22 +124,37 @@ func TestRecutAllocs(t *testing.T) {
 
 func TestKeptRecutAllocatesNothing(t *testing.T) {
 	a := recutAgent(t, nil)
-	// The /8 is cut by a /9 and by a host inside it: deleting the host gives
-	// the /8 nothing back.
-	mustInsert(t, a, 0, dstRule(1, "10.128.0.0/9", 1000, 1))
-	host := dstRule(2, "10.200.0.1/32", 1000, 2)
+	// The /8 is cut by a pair of /9s that split the src space and by a host
+	// inside them. Neither /9's src contains the /8's, so the host is a cause
+	// of its own; deleting it gives the /8 nothing back.
+	mustInsert(t, a, 0, srcHalf(dstRule(1, "10.128.0.0/9", 1000, 1), 0))
+	mustInsert(t, a, 0, srcHalf(dstRule(2, "10.128.0.0/9", 1000, 1), 1))
+	host := dstRule(4, "10.200.0.1/32", 1000, 2)
 	mustInsert(t, a, 0, host)
 	mustInsert(t, a, 0, dstRule(3, "10.0.0.0/8", 10, 3))
+	st := a.rules[3]
+	withHost := []classifier.RuleID{1, 2, host.ID}
+	if st.cut == nil || !slices.Equal(st.cut.cause, withHost) {
+		t.Fatalf("after the inserts: cut %+v", st.cut)
+	}
 	if _, err := a.Delete(0, host.ID); err != nil {
 		t.Fatal(err)
 	}
-	st := a.rules[3]
-	if st.cut == nil || !slices.Equal(st.cut.cause, []classifier.RuleID{1}) || a.recutsKept.Load() != 1 {
+	if st.cut == nil || !slices.Equal(st.cut.cause, withHost[:2]) || a.recutsKept.Load() != 1 {
 		t.Fatalf("after the delete: cut %+v, %d kept", st.cut, a.recutsKept.Load())
 	}
+	// Each run puts the host back among the causes, so the un-partition
+	// checks its region and walks the causes afresh every time.
 	stats, parts, recuts := a.shadow.Stats(), a.LastPartID(), a.Metrics().Repartitions
-	if n := testing.AllocsPerRun(100, func() { a.unpartition(0, st, host.ID, host.Match) }); n != 0 {
+	leaving := []classifier.Rule{host}
+	if n := testing.AllocsPerRun(100, func() {
+		a.cuts.setCause(st, withHost)
+		a.unpartition(0, st, leaving)
+	}); n != 0 {
 		t.Errorf("a kept un-partition allocates %v times", n)
+	}
+	if !slices.Equal(st.cut.cause, withHost[:2]) {
+		t.Errorf("after the kept un-partitions: causes %v, want %v", st.cut.cause, withHost[:2])
 	}
 	if a.shadow.Stats() != stats || a.LastPartID() != parts || a.Metrics().Repartitions != recuts {
 		t.Errorf("a kept un-partition wrote the shadow table (%+v → %+v), minted part IDs (%d → %d) or re-cut (%d → %d)",
@@ -185,11 +211,14 @@ func TestGateKeeperMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	a := recutAgent(t, NewObserver(reg, 64))
 	a.RegisterCacheMetrics(reg)
-	mustInsert(t, a, 0, dstRule(1, "10.128.0.0/9", 1000, 1))
+	// A pair of /9s that split the src space: neither prunes the rules
+	// beneath it from the /8's causes.
+	mustInsert(t, a, 0, srcHalf(dstRule(1, "10.128.0.0/9", 1000, 1), 0))
+	mustInsert(t, a, 0, srcHalf(dstRule(5, "10.128.0.0/9", 1000, 1), 1))
 	mustInsert(t, a, 0, dstRule(2, "10.0.0.0/8", 10, 2))
-	mustInsert(t, a, 0, dstRule(3, "10.64.0.0/10", 1000, 3))  // re-cuts rule 2 against two causes
-	mustInsert(t, a, 0, dstRule(4, "10.200.0.1/32", 1000, 4)) // and three
-	// Rule 4 lies inside rule 1: its delete keeps rule 2's fragments.
+	mustInsert(t, a, 0, dstRule(3, "10.64.0.0/10", 1000, 3))  // re-cuts rule 2 against three causes
+	mustInsert(t, a, 0, dstRule(4, "10.200.0.1/32", 1000, 4)) // and four
+	// Rule 4 lies inside rules 1 and 5: its delete keeps rule 2's fragments.
 	if _, err := a.Delete(0, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +234,7 @@ func TestGateKeeperMetricsExposition(t *testing.T) {
 		"hermes_gatekeeper_repartitions_total 2\n",
 		"hermes_gatekeeper_recuts_kept_total 1\n",
 		"hermes_gatekeeper_recut_causes_count 2\n",
-		"hermes_gatekeeper_recut_causes_sum 5\n",
+		"hermes_gatekeeper_recut_causes_sum 7\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics lacks %q", want)

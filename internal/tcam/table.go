@@ -328,25 +328,26 @@ func (t *Table) posOf(bi, j int) int {
 
 // slotOf locates an installed rule's slot: binary-search to the start of
 // its (priority, rank) group, then walk the (almost always tiny) group,
-// across a block boundary if it straddles one. Returns bi = -1 if the ID is
+// across a block boundary if it straddles one. It returns the rule's meta
+// entry too, so a caller reads the map once. Returns bi = -1 if the ID is
 // not installed.
-func (t *Table) slotOf(id classifier.RuleID) (bi, j int) {
+func (t *Table) slotOf(id classifier.RuleID) (m entryMeta, bi, j int) {
 	m, ok := t.meta[id]
 	if !ok {
-		return -1, 0
+		return m, -1, 0
 	}
 	for bi, j = t.find(m.priority, m.rank, false); bi < len(t.blocks); bi, j = bi+1, 0 {
 		b := t.blocks[bi]
 		for ; j < len(b); j++ {
 			if b[j].id == id {
-				return bi, j
+				return m, bi, j
 			}
 			if b[j].priority != m.priority || b[j].rank != m.rank {
-				return -1, 0
+				return m, -1, 0
 			}
 		}
 	}
-	return -1, 0
+	return m, -1, 0
 }
 
 // insertAt places s at index j of block bi (as find returned them),
@@ -477,7 +478,7 @@ func (t *Table) InsertRanked(r classifier.Rule, rank uint64) (time.Duration, err
 // the rule was present. Deletion never shifts entries: real TCAMs simply
 // invalidate the slot (§2.1, "deletion is a simple and fast operation").
 func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
-	bi, j := t.slotOf(id)
+	m, bi, j := t.slotOf(id)
 	if bi < 0 {
 		return 0, false
 	}
@@ -487,9 +488,8 @@ func (t *Table) Delete(id classifier.RuleID) (time.Duration, bool) {
 		t.droppedOps++
 		return t.profile.DeleteLatency + f.Extra, true
 	}
-	h := t.meta[id].h
 	delete(t.meta, id)
-	t.index.DeleteAt(h, h.Dst(), id)
+	t.index.DeleteAt(m.h, m.h.Dst(), id)
 	t.removeAt(bi, j)
 	t.totalDeletes++
 	t.gen.Add(1)
@@ -597,7 +597,7 @@ func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Du
 // the update engine slid the intervening entries by one. The repositioned
 // entry lands below existing (priority, rank) equals, like a fresh insert.
 func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Duration, bool) {
-	bi, j := t.slotOf(id)
+	m, bi, j := t.slotOf(id)
 	if bi < 0 {
 		return 0, false
 	}
@@ -615,10 +615,9 @@ func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Durat
 	pos := t.posOf(bi, j)
 	t.insertAt(bi, j, s)
 	// Re-stamped like a fresh insert: it now sits below its new equals.
-	h := t.meta[id].h
-	r, _ := t.index.GetAt(h, id)
+	r, _ := t.index.GetAt(m.h, id)
 	r.Priority = priority
-	t.index.DeleteAt(h, h.Dst(), id)
+	t.index.DeleteAt(m.h, m.h.Dst(), id)
 	t.meta[id] = entryMeta{priority: priority, rank: s.rank, h: t.indexInsert(r, s.rank)}
 	shifts := pos - i
 	if shifts < 0 {

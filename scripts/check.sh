@@ -129,7 +129,7 @@ if [ "$breach_status" -ne 1 ]; then
   exit 1
 fi
 
-echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut, TCAM churn, reset and action modify, spline forecast (nothing timed is gated)"
+echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut (its causes/op is the size of the cut's record), TCAM churn, reset and action modify, spline forecast (nothing timed is gated)"
 go test -run='^$' -bench='SnapshotLookup|TrieLocate|TrieWriteFrozen|PartitionWide' -benchtime=1x ./internal/classifier
 go test -run='^$' -bench='TableChurn|TableReset|TableModifyAction' -benchtime=1x ./internal/tcam
 go test -run='^$' -bench=CubicSplinePredict -benchtime=1x ./internal/predict
