@@ -81,19 +81,19 @@ bench-cache:
 
 # Open-loop SLO smoke: a deterministic 4k-flow schedule replayed against
 # two in-process agents; exit 1 on loss or SLO breach. The verdict goes to
-# a temp file: its latency quantiles include the Go timer's wake-up
-# lateness, so they are not a baseline worth committing.
+# a temp file: its wall time and achieved rate are this machine's, not a
+# baseline worth committing.
 loadgen-smoke:
 	out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
 	$(GO) run ./cmd/hermes-loadgen -flows 4000 -rate 20000 -switches 2 \
-		-hold 20ms -classes 3,1 -seed 42 -workers 16 \
-		-p99-budget 30s -max-loss-rate 0 -out "$$out"
+		-hold 20ms -classes 3,1 -seed 42 -max-loss-rate 0 -out "$$out"
 
-# Million-flow soak: the ISSUE acceptance run. Open-loop Poisson arrivals,
-# 1M flows at 12k/s against four in-process agents — takes a couple of
-# minutes of wall clock (the schedule spans ~83 s of virtual time plus
-# drain). Same seed replays a byte-identical schedule.
+# Million-flow soak: open-loop Poisson arrivals, 1M flows at 12k/s against
+# four in-process agents — takes a couple of minutes of wall clock (the
+# schedule spans ~83 s of virtual time plus drain). Same seed replays a
+# byte-identical schedule. -queue-depth is the fleet's per-switch queue
+# depth, which also bounds the run's ops in flight per switch.
 loadgen-1m:
 	$(GO) run ./cmd/hermes-loadgen -flows 1000000 -rate 12000 -switches 4 \
-		-hold 20ms -workers 32 -queue-depth 65536 -classes 3,1 -seed 42 \
-		-p99-budget 10s -max-loss-rate 0 -out BENCH_loadgen_1m.json
+		-hold 20ms -queue-depth 65536 -classes 3,1 -seed 42 \
+		-max-loss-rate 0 -out BENCH_loadgen_1m.json

@@ -7,14 +7,16 @@
 // The schedule is a pure function of the seed and the shape flags: two
 // runs with the same seed replay byte-identical schedules (compare
 // -dump-schedule outputs, or the schedule_digest in the verdict). The
-// measured latencies and the verdict's pass bit are then about the
-// target, not the generator.
+// measured outcomes and the verdict's pass bit are then about the target,
+// not the generator. The verdict gates on the loss rate and on the rate
+// of guarantee violations the agents report per op; round-trip latency is
+// the fleet's hermes_ofwire_rtt_ns series on -obs-addr.
 //
 // Usage:
 //
 //	hermes-loadgen -flows 100000 -rate 50000 -switches 4
-//	hermes-loadgen -flows 1000000 -rate 200000 -hold 20ms -p99-budget 50ms
-//	hermes-loadgen -schedule bgp:Equinix-Chicago -p99-budget 100ms
+//	hermes-loadgen -flows 1000000 -rate 200000 -hold 20ms -max-loss-rate 0
+//	hermes-loadgen -schedule bgp:Equinix-Chicago -max-violation-rate 0.01
 //	hermes-loadgen -targets 10.0.0.1:6653,10.0.0.2:6653 -batch
 //	hermes-loadgen -flows 1000 -schedule-only -dump-schedule sched.bin
 //
@@ -83,16 +85,13 @@ func main() {
 	rateLimit := flag.Bool("ratelimit", false, "enable Gate Keeper admission control on in-process agents")
 
 	// Executor.
-	workers := flag.Int("workers", 32, "applier goroutines (flow-mods in flight)")
-	queueDepth := flag.Int("queue-depth", 4096, "per-worker pending queue; overflow is shed as lost")
+	queueDepth := flag.Int("queue-depth", 4096,
+		"the fleet's per-switch queue depth, which also bounds the run's ops in flight per switch; an op fired at a full switch is shed as lost")
 	timeScale := flag.Float64("timescale", 1, "replay speed multiplier (2 = twice as fast)")
 	reqTimeout := flag.Duration("request-timeout", 5*time.Second,
 		"per-flow-mod deadline before it is abandoned and counted lost")
 
-	// SLO budgets. Zero durations and negative rates are unchecked.
-	p50Budget := flag.Duration("p50-budget", 0, "per-class p50 setup-latency budget (0: unchecked)")
-	p99Budget := flag.Duration("p99-budget", 0, "per-class p99 setup-latency budget (0: unchecked)")
-	p999Budget := flag.Duration("p999-budget", 0, "per-class p999 setup-latency budget (0: unchecked)")
+	// SLO budgets. Negative rates are unchecked.
 	maxViolation := flag.Float64("max-violation-rate", -1,
 		"max guarantee violations per submitted op (negative: unchecked)")
 	maxLoss := flag.Float64("max-loss-rate", -1,
@@ -167,6 +166,7 @@ func main() {
 
 	led := loadgen.NewLedger(len(weights))
 	fcfg := fleetConfig(*batch, *batchSize, *batchLinger, *reqTimeout)
+	fcfg.QueueDepth = *queueDepth
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		led.Register(reg)
@@ -194,9 +194,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	rep, err := driver.Run(ctx, sched, f, led, driver.Config{
-		Workers: *workers, QueueDepth: *queueDepth, TimeScale: *timeScale,
-	})
+	rep, err := driver.Run(ctx, sched, f, led, driver.Config{TimeScale: *timeScale})
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -205,7 +203,6 @@ func main() {
 		rep.Shed, rep.MaxLag.Round(time.Microsecond))
 
 	slo := loadgen.Uniform(len(weights), loadgen.ClassSLO{
-		P50: *p50Budget, P99: *p99Budget, P999: *p999Budget,
 		MaxViolationRate: *maxViolation, ViolationRateSet: *maxViolation >= 0,
 		MaxLossRate: *maxLoss, LossRateSet: *maxLoss >= 0,
 	})

@@ -2,53 +2,15 @@ package main
 
 import (
 	"context"
-	"net"
 	"testing"
 	"time"
 
 	"hermes/internal/fleet"
 	"hermes/internal/loadgen"
 	"hermes/internal/loadgen/driver"
-	"hermes/internal/ofwire"
+	"hermes/internal/ofwire/ofwiretest"
 	"hermes/internal/testutil"
 )
-
-// startWedged serves a switch that completes the hello and answers echo
-// probes but swallows every flow-mod, so only a request deadline ends one.
-func startWedged(t *testing.T) string {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				ofwire.WriteMessage(conn, &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeHello}}) //nolint:errcheck
-				for {
-					req, err := ofwire.ReadMessage(conn)
-					if err != nil {
-						return
-					}
-					if req.Header.Type == ofwire.TypeEchoRequest {
-						resp := &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeEchoReply,
-							XID: req.Header.XID}, Raw: req.Raw}
-						if err := ofwire.WriteMessage(conn, resp); err != nil {
-							return
-						}
-					}
-				}
-			}(conn)
-		}
-	}()
-	return lis.Addr().String()
-}
 
 // TestRequestTimeoutBoundsWedgedSwitch: -request-timeout bounds every
 // flow-mod of a run, per-op and -batch alike, so a replay against a switch
@@ -60,7 +22,7 @@ func TestRequestTimeoutBoundsWedgedSwitch(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			const timeout = 100 * time.Millisecond
 			f, err := fleet.New(fleetConfig(batch, 64, 500*time.Microsecond, timeout),
-				[]fleet.SwitchSpec{{ID: "wedged", Addr: startWedged(t)}})
+				[]fleet.SwitchSpec{{ID: "wedged", Addr: ofwiretest.Wedged(t)}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +36,7 @@ func TestRequestTimeoutBoundsWedgedSwitch(t *testing.T) {
 			led := loadgen.NewLedger(1)
 			done := make(chan error, 1)
 			go func() {
-				_, err := driver.Run(context.Background(), s, f, led, driver.Config{Workers: 4})
+				_, err := driver.Run(context.Background(), s, f, led, driver.Config{})
 				done <- err
 			}()
 			select {

@@ -10,6 +10,8 @@ import (
 	"hermes/internal/core"
 	"hermes/internal/fleet"
 	"hermes/internal/intent"
+	"hermes/internal/loadgen"
+	"hermes/internal/loadgen/driver"
 )
 
 // TestPublicAPIQuickstart exercises the doc-comment quickstart end to end
@@ -145,9 +147,9 @@ func TestPublicVerifyAgent(t *testing.T) {
 }
 
 // TestConfigKnobsPinned is the knob ratchet: it pins the exported fields of
-// the three configuration structs, so a new option cannot land without an
-// edit here that a reviewer sees. Each field doubles the configurations
-// the tests and the benchmark must cover.
+// the three configuration structs, the load driver's and its SLO budget, so
+// a new option cannot land without a visible edit to this pin. Each field
+// doubles the configurations the tests and the benchmark must cover.
 func TestConfigKnobsPinned(t *testing.T) {
 	for _, c := range []struct {
 		cfg  any
@@ -164,6 +166,9 @@ func TestConfigKnobsPinned(t *testing.T) {
 		{intent.Config{}, []string{"Switches", "Shards", "ID", "Store", "Target",
 			"Now", "After", "Resync", "RateLimit", "Seed", "Leases", "Trace", "Obs",
 			"Permanent"}},
+		{driver.Config{}, []string{"TimeScale"}},
+		{loadgen.ClassSLO{}, []string{"Class", "MaxViolationRate", "ViolationRateSet",
+			"MaxLossRate", "LossRateSet"}},
 	} {
 		ty := reflect.TypeOf(c.cfg)
 		var got []string

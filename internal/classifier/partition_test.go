@@ -228,21 +228,39 @@ func TestPartitionEquivalenceProperty(t *testing.T) {
 // the MicroBench-shaped main table's rules inside it, every one of which
 // beats it, at the agent's working-set cap (8 × 16 fragments). causes/op is
 // the size of the cut's record: the winners it used, not every one it met.
+// dst-only keeps the rules' /0 srcs, so the first winner, a /13, takes its
+// half of the cut whole and the walk skips every rule under it; partial-src
+// narrows every rule's src to 0.0.0.0/1, which the skip cannot take whole,
+// so the cut walks and records all ~2 000 winners.
 func BenchmarkPartitionWide(b *testing.B) {
 	wide := Rule{ID: 1 << 20, Match: DstMatch(NewPrefix(0x0A000000, 12)), Priority: 1}
-	var main Trie
-	for i, r := range microBenchRules(rand.New(rand.NewSource(42)), 2000, 0.5) {
-		if r.Match.Dst.Len > wide.Match.Dst.Len {
-			main.InsertKeyed(r, Key{Ord: uint64(i)})
-		}
+	for _, c := range []struct {
+		name string
+		src  Prefix
+	}{
+		{"dst-only", Prefix{}},
+		{"partial-src", NewPrefix(0, 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var main Trie
+			for i, r := range microBenchRules(rand.New(rand.NewSource(42)), 2000, 0.5) {
+				if r.Match.Dst.Len > wide.Match.Dst.Len {
+					r.Match.Src = c.src
+					main.InsertKeyed(r, Key{Ord: uint64(i)})
+				}
+			}
+			wins := func(existing Rule) bool { return existing.Priority >= wide.Priority }
+			var pt Partitioner
+			var p Partition
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p = pt.Partition(wide, main.OverlapCandidates(wide.Match, wide.Priority), wins, idMinter(0), true, 128)
+			}
+			if p.Overflow {
+				b.Fatal("the cut overflowed its fragment cap: it measures the escape hatch, not a cut")
+			}
+			b.ReportMetric(float64(len(p.Cause)), "causes/op")
+		})
 	}
-	wins := func(existing Rule) bool { return existing.Priority >= wide.Priority }
-	var pt Partitioner
-	var p Partition
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p = pt.Partition(wide, main.OverlapCandidates(wide.Match, wide.Priority), wins, idMinter(0), true, 128)
-	}
-	b.ReportMetric(float64(len(p.Cause)), "causes/op")
 }

@@ -113,22 +113,6 @@ func (m Metrics) GuaranteedQuantileMS(q float64) float64 {
 	return m.GuaranteedLatency.Quantile(q) / 1e6
 }
 
-// AllQuantileMS returns the q-th quantile of all-path latency in ms.
-func (m Metrics) AllQuantileMS(q float64) float64 {
-	if m.AllLatency == nil {
-		return 0
-	}
-	return m.AllLatency.Quantile(q) / 1e6
-}
-
-// MaxGuaranteedMS returns the worst guaranteed-path latency seen, in ms.
-func (m Metrics) MaxGuaranteedMS() float64 {
-	if m.GuaranteedLatency == nil {
-		return 0
-	}
-	return float64(m.GuaranteedLatency.Max()) / 1e6
-}
-
 // Snapshot returns a deep copy of the metrics: counters by value and the
 // latency histograms freshly cloned. Consumers that carry metrics across a
 // concurrency boundary (the fleet aggregator, wire stats replies) must use
@@ -143,9 +127,6 @@ func (m Metrics) Snapshot() Metrics {
 	}
 	return cp
 }
-
-// Clone is an alias for Snapshot.
-func (m Metrics) Clone() Metrics { return m.Snapshot() }
 
 // ViolationRate returns violations over guaranteed insertions.
 func (m Metrics) ViolationRate() float64 {

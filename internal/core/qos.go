@@ -124,24 +124,13 @@ func (r *Registry) ModQoSConfig(id ShadowID, guarantee time.Duration) bool {
 	if !ok {
 		return false
 	}
-	sw := a.sw
-	cfg := a.cfg
-	cfg.Guarantee = guarantee
-	cfg.Predictor.Reset()
-	sw.Uncarve()
-	replacement, err := New(sw, cfg)
+	replacement, err := a.Recarve(guarantee)
+	if replacement != nil {
+		r.agents[id] = replacement
+	}
 	if err != nil {
-		// Restore the previous configuration on failure.
-		sw.Uncarve()
-		if prev, err2 := New(sw, a.cfg); err2 == nil {
-			prev.migInterrupt = a.migInterrupt
-			r.agents[id] = prev
-		}
 		return false
 	}
-	// The fault hook is agent state, not configuration: carry it over.
-	replacement.migInterrupt = a.migInterrupt
-	r.agents[id] = replacement
 	info := r.info[id]
 	info.Guarantee = guarantee
 	info.MaxBurstRate = replacement.MaxRate()
@@ -149,6 +138,30 @@ func (r *Registry) ModQoSConfig(id ShadowID, guarantee time.Duration) bool {
 	info.OverheadFraction = replacement.OverheadFraction()
 	r.info[id] = info
 	return true
+}
+
+// Recarve re-carves the agent's switch for a new guarantee and returns the
+// agent that now runs it; the receiver is dead either way. Installed rules
+// are discarded, as slice reconfiguration does on hardware; the predictor's
+// history is cleared; the migration-interrupt hook, agent state rather than
+// configuration, carries over. An infeasible guarantee restores the
+// previous configuration and returns that agent with the error — or nil if
+// even the restore failed.
+func (a *Agent) Recarve(guarantee time.Duration) (*Agent, error) {
+	cfg := a.cfg
+	cfg.Guarantee = guarantee
+	cfg.Predictor.Reset()
+	a.sw.Uncarve()
+	next, err := New(a.sw, cfg)
+	if err != nil {
+		a.sw.Uncarve()
+		if next, _ = New(a.sw, a.cfg); next != nil {
+			next.migInterrupt = a.migInterrupt
+		}
+		return next, err
+	}
+	next.migInterrupt = a.migInterrupt
+	return next, nil
 }
 
 // ModQoSMatch swaps the guarantee predicate in place. Reports success.

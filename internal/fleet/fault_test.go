@@ -15,6 +15,7 @@ import (
 	"hermes/internal/intent"
 	"hermes/internal/obs"
 	"hermes/internal/ofwire"
+	"hermes/internal/ofwire/ofwiretest"
 	"hermes/internal/testutil"
 )
 
@@ -356,40 +357,10 @@ func TestFleetBreakerHalfOpenClosesAfterInjectedFaults(t *testing.T) {
 // surfaces a deadline error instead of wedging the worker forever.
 func TestFleetOpTimeoutFailsWedgedSwitch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				ofwire.WriteMessage(conn, &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeHello}}) //nolint:errcheck
-				for {
-					req, err := ofwire.ReadMessage(conn)
-					if err != nil {
-						return
-					}
-					if req.Header.Type == ofwire.TypeEchoRequest {
-						resp := &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeEchoReply,
-							XID: req.Header.XID}, Raw: req.Raw}
-						if err := ofwire.WriteMessage(conn, resp); err != nil {
-							return
-						}
-					}
-					// Swallow flow-mods: the wedge OpTimeout must break.
-				}
-			}(conn)
-		}
-	}()
+	addr := ofwiretest.Wedged(t)
 
 	f, err := New(Config{OpTimeout: 100 * time.Millisecond, ProbeInterval: time.Hour},
-		[]SwitchSpec{{ID: "wedged", Addr: lis.Addr().String()}})
+		[]SwitchSpec{{ID: "wedged", Addr: addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

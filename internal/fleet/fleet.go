@@ -114,11 +114,12 @@ type Config struct {
 	// with the switch ID. Nil disables exposition with zero hot-path cost.
 	Obs *obs.Registry
 	// OnResult, when non-nil, observes every finished operation — the
-	// completion-notification seam load generators use to feed a ledger
-	// without wrapping each result channel. It fires exactly once per
-	// submitted op (successes, remote rejections, circuit-open failures,
-	// and shutdown drains alike), before the result is delivered to the
-	// submitter's channel, one call at a time per switch in submit order.
+	// completion-notification seam a caller (the benchmark's fleet_batch)
+	// uses to time or count results without wrapping each result channel.
+	// It fires exactly once per submitted op (successes, remote
+	// rejections, circuit-open failures, and shutdown drains alike), before
+	// the result is delivered to the submitter's channel, one call at a
+	// time per switch in submit order.
 	// It runs on whichever goroutine completes the op's group, often the
 	// switch's client read loop: a blocking OnResult stalls that switch's
 	// replies, and calling the fleet synchronously from it deadlocks.
@@ -234,6 +235,10 @@ func (f *Fleet) Switches() []string {
 // Size returns the number of managed switches.
 func (f *Fleet) Size() int { return len(f.order) }
 
+// QueueDepth returns how many queued flow-mods each switch holds before a
+// submitter waits for room (Config.QueueDepth, after defaults).
+func (f *Fleet) QueueDepth() int { return f.cfg.QueueDepth }
+
 // Route maps a rule ID to its home switch: consistent hashing over the
 // sorted switch set, so the same rule always lands on the same switch for
 // a given fleet membership.
@@ -309,11 +314,6 @@ func (f *Fleet) Modify(switchID string, r classifier.Rule) OpResult {
 		res.Switch, res.RuleID = switchID, r.ID
 	}
 	return res
-}
-
-// InsertRouted inserts on the rule's home switch (consistent routing).
-func (f *Fleet) InsertRouted(r classifier.Rule) OpResult {
-	return f.Insert(f.Route(r.ID), r)
 }
 
 // InsertRoutedAsync queues an insertion on the rule's home switch.

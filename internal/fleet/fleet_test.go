@@ -11,6 +11,7 @@ import (
 	"hermes/internal/classifier"
 	"hermes/internal/core"
 	"hermes/internal/ofwire"
+	"hermes/internal/ofwire/ofwiretest"
 	"hermes/internal/tcam"
 	"hermes/internal/testutil"
 )
@@ -223,40 +224,10 @@ func TestFleetCircuitBreaker(t *testing.T) {
 // in-flight operations with typed errors instead of hanging.
 func TestFleetCloseFailsQueuedOps(t *testing.T) {
 	// A peer that never answers flow-mods wedges the worker's batch.
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				ofwire.WriteMessage(conn, &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeHello}}) //nolint:errcheck
-				for {
-					req, err := ofwire.ReadMessage(conn)
-					if err != nil {
-						return
-					}
-					if req.Header.Type == ofwire.TypeEchoRequest {
-						resp := &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeEchoReply,
-							XID: req.Header.XID}, Raw: req.Raw}
-						if err := ofwire.WriteMessage(conn, resp); err != nil {
-							return
-						}
-					}
-					// Swallow everything else.
-				}
-			}(conn)
-		}
-	}()
+	addr := ofwiretest.Wedged(t)
 
 	f, err := New(Config{QueueDepth: 16, BatchSize: 1, ProbeInterval: time.Hour},
-		[]SwitchSpec{{ID: "wedged", Addr: lis.Addr().String()}})
+		[]SwitchSpec{{ID: "wedged", Addr: addr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -520,41 +491,12 @@ func TestFleetOnResultObservesEveryOp(t *testing.T) {
 // of those exactly once too — a loadgen ledger may not leak in-flight ops.
 func TestFleetOnResultObservesShutdownDrain(t *testing.T) {
 	// A peer that answers echoes but swallows flow-mods wedges the worker.
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				ofwire.WriteMessage(conn, &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeHello}}) //nolint:errcheck
-				for {
-					req, err := ofwire.ReadMessage(conn)
-					if err != nil {
-						return
-					}
-					if req.Header.Type == ofwire.TypeEchoRequest {
-						resp := &ofwire.Message{Header: ofwire.Header{Type: ofwire.TypeEchoReply,
-							XID: req.Header.XID}, Raw: req.Raw}
-						if err := ofwire.WriteMessage(conn, resp); err != nil {
-							return
-						}
-					}
-				}
-			}(conn)
-		}
-	}()
+	addr := ofwiretest.Wedged(t)
 
 	ledger := &resultLedger{}
 	f, err := New(Config{OnResult: ledger.observe, QueueDepth: 16, BatchSize: 1,
 		ProbeInterval: time.Hour},
-		[]SwitchSpec{{ID: "wedged", Addr: lis.Addr().String()}})
+		[]SwitchSpec{{ID: "wedged", Addr: addr}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package driver executes loadgen schedules against live Hermes agents
 // through a fleet, in wall-clock time. It is the non-deterministic half of
 // the load generator: the schedule it replays is deterministic, the pacing
-// and measured latencies are real.
+// and the outcomes are real.
 package driver
 
 import (
@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hermes/internal/classifier"
 	"hermes/internal/core"
 	"hermes/internal/fleet"
 	"hermes/internal/loadgen"
@@ -21,33 +20,9 @@ import (
 
 // Config tunes the executor. The zero value is completed with defaults.
 type Config struct {
-	// Workers is the number of applier goroutines. Operations are
-	// assigned to workers by rule identity, so each rule's insert →
-	// modify → delete order is preserved even though workers run in
-	// parallel. More workers = more flow-mods in flight. Default 32.
-	Workers int
-	// QueueDepth bounds each worker's pending-operation queue. The
-	// driver is open-loop: when a worker's queue is full at fire time
-	// the operation is shed and counted lost, never delayed — slowing
-	// the arrival process to match the target would hide the backlog
-	// the SLO exists to catch. Default 4096.
-	QueueDepth int
 	// TimeScale divides schedule time: 2 replays a schedule twice as
 	// fast as generated, 0.5 half speed. Default 1.
 	TimeScale float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = 32
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
-	if c.TimeScale <= 0 {
-		c.TimeScale = 1
-	}
-	return c
 }
 
 // Report is the measured context of one run.
@@ -58,8 +33,9 @@ type Report struct {
 	Arrivals int
 	// Events is the total operations dispatched, deletes included.
 	Events int
-	// Shed counts operations dropped at fire time because their
-	// worker's queue was full (counted lost in the ledger too).
+	// Shed counts operations dropped at fire time because their switch
+	// already held the fleet's queue depth of this run's operations
+	// (counted lost in the ledger too).
 	Shed int
 	// OfferedRate is arrivals over the schedule's virtual duration —
 	// the load the schedule asked for, after TimeScale.
@@ -88,43 +64,60 @@ func (r *Report) RunInfo(s *loadgen.Schedule, target string, switches int) loadg
 	}
 }
 
-// queuedOp is one operation with its scheduled wall fire time.
-type queuedOp struct {
-	ev     loadgen.Event
-	fireAt time.Time
+// pending is one submitted operation awaiting its result.
+type pending struct {
+	op    loadgen.OpKind
+	class uint8
+	res   <-chan fleet.OpResult
+}
+
+// lane is one switch's completion path: its submitted operations in
+// submit order, and how many of them the fleet still holds. pending is
+// buffered to the fleet's queue depth, which bounds inFlight and so what
+// pending holds: the pacer's send never blocks.
+type lane struct {
+	pending  chan pending
+	inFlight atomic.Int64
 }
 
 // Run replays the schedule against the fleet open-loop: every event fires
 // at start + At/TimeScale regardless of how earlier operations are faring,
-// and lands on its rule's home switch (Fleet.Route), so a rule's insert,
-// modifies and delete all reach the same agent. Outcomes and end-to-end
-// setup latencies — scheduled fire time to completion, queueing included
-// — land in the ledger. Run returns when every dispatched operation has
-// completed, or with the context's error if cancelled mid-run (workers
-// drain what was already queued either way).
+// and is submitted to its rule's home switch (Fleet.Route), whose queue
+// keeps the rule's insert, modifies and delete in order. One goroutine per
+// switch reads the results in submit order into the ledger. An event whose
+// switch already holds the fleet's queue depth of this run's operations is
+// shed and counted lost, never delayed: the pacer never waits for room in
+// the fleet's queue, since slowing the arrival process to match the target
+// would hide the backlog the SLO exists to catch. Run returns when every
+// submitted operation has completed, or with the context's error if
+// cancelled mid-run (what was submitted drains either way).
 func Run(ctx context.Context, s *loadgen.Schedule, f *fleet.Fleet, led *loadgen.Ledger, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
+	if cfg.TimeScale <= 0 {
+		cfg.TimeScale = 1
+	}
 	rep := &Report{Events: len(s.Events), Arrivals: s.Arrivals()}
+	depth := int64(f.QueueDepth())
 
-	queues := make([]chan queuedOp, cfg.Workers)
+	lanes := make(map[string]*lane, f.Size())
 	var wg sync.WaitGroup
 	var appliedArrivals atomic.Int64
-	for i := range queues {
-		queues[i] = make(chan queuedOp, cfg.QueueDepth)
+	for _, sw := range f.Switches() {
+		ln := &lane{pending: make(chan pending, depth)}
+		lanes[sw] = ln
 		wg.Add(1)
-		go func(q chan queuedOp) {
+		go func() {
 			defer wg.Done()
-			for qo := range q {
-				led.Submitted(qo.ev.Class)
-				res := apply(f, qo.ev.Op, qo.ev.Rule)
-				out := Classify(qo.ev.Op, res.Result, res.Err)
-				led.Finished(qo.ev.Class, out, time.Since(qo.fireAt), res.Result.Violation)
-				if qo.ev.Op != loadgen.OpDelete &&
+			for p := range ln.pending {
+				res := <-p.res
+				out := Classify(p.op, res.Result, res.Err)
+				led.Finished(p.class, out, res.Result.Violation)
+				ln.inFlight.Add(-1)
+				if p.op != loadgen.OpDelete &&
 					(out == loadgen.OutcomeInstalled || out == loadgen.OutcomeDiverted) {
 					appliedArrivals.Add(1)
 				}
 			}
-		}(queues[i])
+		}()
 	}
 
 	start := time.Now()
@@ -149,19 +142,35 @@ pace:
 		} else if -wait > maxLag {
 			maxLag = -wait
 		}
-		q := queues[mix64(uint64(ev.Rule.ID))%uint64(len(queues))]
-		select {
-		case q <- queuedOp{ev: ev, fireAt: fireAt}:
-		default:
-			// Open-loop shed: the worker is saturated; dropping preserves
+		led.Submitted(ev.Class)
+		sw := f.Route(ev.Rule.ID)
+		ln := lanes[sw]
+		if ln.inFlight.Load() >= depth {
+			// Open-loop shed: the switch is saturated; dropping preserves
 			// the arrival process and the drop itself is the signal.
 			rep.Shed++
-			led.Submitted(ev.Class)
-			led.Finished(ev.Class, loadgen.OutcomeLost, 0, false)
+			led.Finished(ev.Class, loadgen.OutcomeLost, false)
+			continue
 		}
+		var res <-chan fleet.OpResult
+		var err error
+		switch ev.Op {
+		case loadgen.OpInsert:
+			res, err = f.InsertAsync(sw, ev.Rule)
+		case loadgen.OpModify:
+			res, err = f.ModifyAsync(sw, ev.Rule)
+		default:
+			res, err = f.DeleteAsync(sw, ev.Rule.ID)
+		}
+		if err != nil { // the fleet is closed: nothing reached a switch
+			led.Finished(ev.Class, loadgen.OutcomeLost, false)
+			continue
+		}
+		ln.inFlight.Add(1)
+		ln.pending <- pending{op: ev.Op, class: ev.Class, res: res}
 	}
-	for _, q := range queues {
-		close(q)
+	for _, ln := range lanes {
+		close(ln.pending)
 	}
 	wg.Wait()
 
@@ -180,22 +189,6 @@ pace:
 	return rep, nil
 }
 
-// apply performs one operation on the rule's home switch and waits for
-// its result.
-func apply(f *fleet.Fleet, op loadgen.OpKind, r classifier.Rule) fleet.OpResult {
-	sw := f.Route(r.ID)
-	switch op {
-	case loadgen.OpInsert:
-		return f.Insert(sw, r)
-	case loadgen.OpModify:
-		return f.Modify(sw, r)
-	case loadgen.OpDelete:
-		return f.Delete(sw, r.ID)
-	default:
-		return fleet.OpResult{Err: fmt.Errorf("driver: unknown op %v", op)}
-	}
-}
-
 // Classify maps a completed operation to its ledger outcome. Only
 // inserts can be diverted: the Gate Keeper's guaranteed/best-effort
 // split applies to insertions; modifies and deletes hit installed state
@@ -212,12 +205,4 @@ func Classify(op loadgen.OpKind, res ofwire.FlowModResult, err error) loadgen.Ou
 		return loadgen.OutcomeDiverted
 	}
 	return loadgen.OutcomeInstalled
-}
-
-// mix64 is the SplitMix64 finalizer (see loadgen): stable rule→worker
-// assignment.
-func mix64(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
 }

@@ -14,6 +14,7 @@ import (
 	"hermes/internal/loadgen"
 	"hermes/internal/obs"
 	"hermes/internal/ofwire"
+	"hermes/internal/ofwire/ofwiretest"
 	"hermes/internal/tcam"
 	"hermes/internal/testutil"
 )
@@ -21,7 +22,9 @@ import (
 // startFleet launches n in-process Hermes agents on loopback, arms the
 // goroutine-leak checker, and returns a fleet over them built from cfg,
 // closed at cleanup. Health probes stay off the wire, so the control
-// channels' RTT histograms count flow-mods alone.
+// channels' RTT histograms count flow-mods alone. The queue depth defaults
+// to hermes-loadgen's, deeper than any smoke schedule, so a smoke sheds
+// nothing however slowly the agents answer.
 func startFleet(t *testing.T, n int, cfg fleet.Config) *fleet.Fleet {
 	t.Helper()
 	testutil.VerifyNoLeaks(t)
@@ -41,6 +44,9 @@ func startFleet(t *testing.T, n int, cfg fleet.Config) *fleet.Fleet {
 		specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("sw-%d", i), Addr: lis.Addr().String()}
 	}
 	cfg.ProbeInterval = time.Hour
+	if cfg.QueueDepth == 0 {
+		cfg.QueueDepth = 4096
+	}
 	f, err := fleet.New(cfg, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -80,14 +86,14 @@ func smokeSchedule(t *testing.T, seed int64) *loadgen.Schedule {
 // TestRunWireSmoke is the end-to-end contract: an open-loop replay over a
 // per-op fleet completes every scheduled operation, conserves the ledger,
 // drains every request, records one wire round trip per operation, and
-// yields a verdict that passes a sane SLO and fails an absurd one.
+// yields a verdict that passes a zero-loss SLO.
 func TestRunWireSmoke(t *testing.T) {
 	reg := obs.NewRegistry()
 	f := startFleet(t, 2, fleet.Config{Obs: reg})
 
 	s := smokeSchedule(t, 42)
 	led := loadgen.NewLedger(2)
-	rep, err := Run(context.Background(), s, f, led, Config{Workers: 16})
+	rep, err := Run(context.Background(), s, f, led, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,21 +126,69 @@ func TestRunWireSmoke(t *testing.T) {
 	if run.ScheduleDigest != fmt.Sprintf("%016x", s.Digest()) || run.Switches != 2 {
 		t.Fatalf("run info wrong: %+v", run)
 	}
-	// Loose SLO passes; an absurd 1 ns p99 budget must breach and the
-	// verdict must say so machine-readably.
-	if v := loadgen.Evaluate(led, loadgen.Uniform(2, loadgen.ClassSLO{P99: 5 * time.Second}), run); !v.Pass {
-		t.Fatalf("loose SLO breached: %v", v.Breaches)
-	}
-	v := loadgen.Evaluate(led, loadgen.Uniform(2, loadgen.ClassSLO{P99: time.Nanosecond}), run)
-	if v.Pass || len(v.Breaches) == 0 {
-		t.Fatal("1 ns p99 budget did not breach")
+	v := loadgen.Evaluate(led, loadgen.Uniform(2, loadgen.ClassSLO{MaxLossRate: 0, LossRateSet: true}), run)
+	if !v.Pass {
+		t.Fatalf("zero-loss SLO breached: %v", v.Breaches)
 	}
 	b, err := v.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(b), `"pass": false`) {
+	if !strings.Contains(string(b), `"pass": true`) {
 		t.Fatalf("verdict JSON does not carry the gate bit:\n%s", b)
+	}
+}
+
+// TestRunShedsAtFullSwitch: against a switch that never answers, the pacer
+// sheds what the switch has no room for instead of waiting for room, so the
+// run ends within the schedule's duration plus one request timeout, every
+// op lands in the ledger, and a zero-loss SLO breaches machine-readably.
+func TestRunShedsAtFullSwitch(t *testing.T) {
+	for _, batch := range []bool{false, true} {
+		t.Run(map[bool]string{false: "perop", true: "batch"}[batch], func(t *testing.T) {
+			testutil.VerifyNoLeaks(t)
+			const timeout = 100 * time.Millisecond
+			// The breaker never opens, so every op the switch takes waits out
+			// its timeout.
+			f, err := fleet.New(fleet.Config{QueueDepth: 2, WireBatch: batch, OpTimeout: timeout,
+				ProbeInterval: time.Hour, Breaker: fleet.BreakerConfig{FailureThreshold: 1 << 30}},
+				[]fleet.SwitchSpec{{ID: "wedged", Addr: ofwiretest.Wedged(t)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			s, err := loadgen.Generate(loadgen.Config{
+				Flows: 400, Rate: 1000, Arrival: loadgen.ArrivalConstant, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			led := loadgen.NewLedger(1)
+			rep, err := Run(context.Background(), s, f, led, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A pacer that waited for room would sit out a timeout every few
+			// ops: ~10 s.
+			// The slack covers the pacer's lag and the batch linger.
+			if limit := s.Duration() + timeout + timeout/2; rep.Wall > limit {
+				t.Fatalf("run took %v, want at most %v: the pacer waited for room", rep.Wall, limit)
+			}
+			tot := led.Totals()
+			if rep.Shed == 0 || tot.Submitted != uint64(len(s.Events)) || tot.Completed() != tot.Submitted {
+				t.Fatalf("shed %d, submitted %d, completed %d of %d events",
+					rep.Shed, tot.Submitted, tot.Completed(), len(s.Events))
+			}
+			v := loadgen.Evaluate(led, loadgen.Uniform(1, loadgen.ClassSLO{MaxLossRate: 0, LossRateSet: true}),
+				rep.RunInfo(s, "fleet", f.Size()))
+			b, err := v.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Pass || !strings.Contains(string(b), `"pass": false`) {
+				t.Fatalf("every op lost, yet the zero-loss SLO passed:\n%s", b)
+			}
+		})
 	}
 }
 
@@ -149,7 +203,7 @@ func TestRunSameSeedSameSchedule(t *testing.T) {
 		f := startFleet(t, 1, fleet.Config{Obs: reg})
 		s := smokeSchedule(t, 7)
 		led := loadgen.NewLedger(2)
-		rep, err := Run(context.Background(), s, f, led, Config{Workers: 8, TimeScale: 4})
+		rep, err := Run(context.Background(), s, f, led, Config{TimeScale: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +234,7 @@ func TestRunFleetTarget(t *testing.T) {
 
 	s := smokeSchedule(t, 11)
 	led := loadgen.NewLedger(2)
-	if _, err := Run(context.Background(), s, f, led, Config{Workers: 16, TimeScale: 2}); err != nil {
+	if _, err := Run(context.Background(), s, f, led, Config{TimeScale: 2}); err != nil {
 		t.Fatal(err)
 	}
 	tot := led.Totals()
@@ -211,7 +265,7 @@ func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	led := loadgen.NewLedger(1)
-	rep, err := Run(ctx, s, f, led, Config{Workers: 4})
+	rep, err := Run(ctx, s, f, led, Config{})
 	if err == nil {
 		t.Fatal("cancelled run returned nil error")
 	}

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"hermes/internal/obs"
 )
@@ -51,12 +50,11 @@ type classLedger struct {
 	rejected   atomic.Uint64
 	lost       atomic.Uint64
 	violations atomic.Uint64
-	setup      *obs.Histogram // end-to-end rule-setup latency, ns
 }
 
-// Ledger tracks per-class operation outcomes and setup-latency
-// distributions. It holds no clock — callers measure latency and report
-// it — so it stays inside the deterministic package boundary.
+// Ledger tracks per-class operation outcomes and agent-reported guarantee
+// violations. It holds no clock, so it stays inside the deterministic
+// package boundary.
 type Ledger struct {
 	classes []classLedger
 }
@@ -67,11 +65,7 @@ func NewLedger(classes int) *Ledger {
 	if classes < 1 {
 		classes = 1
 	}
-	l := &Ledger{classes: make([]classLedger, classes)}
-	for i := range l.classes {
-		l.classes[i].setup = obs.NewHistogram()
-	}
-	return l
+	return &Ledger{classes: make([]classLedger, classes)}
 }
 
 // Classes is the number of service classes tracked.
@@ -91,10 +85,9 @@ func (l *Ledger) Submitted(class uint8) {
 	l.clamp(class).submitted.Add(1)
 }
 
-// Finished counts one completed operation. Setup is the measured
-// end-to-end rule-setup latency (recorded only for applied operations);
-// violation marks an agent-reported guarantee violation.
-func (l *Ledger) Finished(class uint8, out Outcome, setup time.Duration, violation bool) {
+// Finished counts one completed operation; violation marks an
+// agent-reported guarantee violation.
+func (l *Ledger) Finished(class uint8, out Outcome, violation bool) {
 	c := l.clamp(class)
 	switch out {
 	case OutcomeInstalled:
@@ -106,23 +99,18 @@ func (l *Ledger) Finished(class uint8, out Outcome, setup time.Duration, violati
 	case OutcomeLost:
 		c.lost.Add(1)
 	}
-	if out == OutcomeInstalled || out == OutcomeDiverted {
-		c.setup.RecordDuration(setup)
-	}
 	if violation {
 		c.violations.Add(1)
 	}
 }
 
-// Register exposes the ledger on an obs registry: per-class outcome
-// counters and the setup-latency histograms, so a live run's /metrics
-// shows loadgen progress alongside the agent's own telemetry.
+// Register exposes the ledger's per-class outcome counters on an obs
+// registry, so a live run's /metrics shows loadgen progress alongside the
+// fleet's own telemetry.
 func (l *Ledger) Register(reg *obs.Registry) {
 	for i := range l.classes {
 		c := &l.classes[i]
 		labels := obs.Labels("class", fmt.Sprintf("%d", i))
-		reg.RegisterHistogram("loadgen_setup_latency", labels, "ns",
-			"end-to-end rule-setup latency", c.setup)
 		for _, m := range []struct {
 			name string
 			v    *atomic.Uint64
@@ -148,7 +136,6 @@ type ClassStats struct {
 	Rejected   uint64
 	Lost       uint64
 	Violations uint64
-	Setup      *obs.HistogramSnapshot
 }
 
 // Completed is the number of operations that reached any terminal state.
@@ -175,7 +162,7 @@ func (s ClassStats) LossRate() float64 {
 // Class snapshots one class.
 func (l *Ledger) Class(class int) ClassStats {
 	if class < 0 || class >= len(l.classes) {
-		return ClassStats{Setup: obs.NewHistogram().Snapshot()}
+		return ClassStats{}
 	}
 	c := &l.classes[class]
 	return ClassStats{
@@ -185,13 +172,12 @@ func (l *Ledger) Class(class int) ClassStats {
 		Rejected:   c.rejected.Load(),
 		Lost:       c.lost.Load(),
 		Violations: c.violations.Load(),
-		Setup:      c.setup.Snapshot(),
 	}
 }
 
 // Totals merges every class into one snapshot.
 func (l *Ledger) Totals() ClassStats {
-	total := ClassStats{Setup: obs.NewHistogram().Snapshot()}
+	var total ClassStats
 	for i := range l.classes {
 		s := l.Class(i)
 		total.Submitted += s.Submitted
@@ -200,7 +186,6 @@ func (l *Ledger) Totals() ClassStats {
 		total.Rejected += s.Rejected
 		total.Lost += s.Lost
 		total.Violations += s.Violations
-		total.Setup.Merge(s.Setup)
 	}
 	return total
 }

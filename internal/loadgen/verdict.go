@@ -3,20 +3,15 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 )
 
-// ClassSLO is the budget one service class must meet. Zero-valued fields
-// are unchecked, so an SLO can pin only the quantiles it cares about.
-// The latency budgets are the paper's per-class insertion guarantees
-// (Eq. 1: every guaranteed insertion completes within its budget; Eq. 2
-// bounds the admissible rate for that to hold).
+// ClassSLO is the budget one service class must meet. The paper's
+// per-class insertion guarantee (Eq. 1: every guaranteed insertion
+// completes within its bound) is checked by the agent itself, per op; the
+// SLO bounds how often the agent reported a breach and how often an op got
+// no answer at all.
 type ClassSLO struct {
 	Class uint8 `json:"class"`
-	// P50, P99, P999 bound the setup-latency quantiles.
-	P50  time.Duration `json:"p50_budget_ns,omitempty"`
-	P99  time.Duration `json:"p99_budget_ns,omitempty"`
-	P999 time.Duration `json:"p999_budget_ns,omitempty"`
 	// MaxViolationRate bounds agent-reported guarantee violations per
 	// submitted operation. Negative disables the check; zero means "no
 	// violations tolerated" only when ViolationRateSet is true.
@@ -52,7 +47,7 @@ type RunInfo struct {
 	Seed           int64   `json:"seed"`
 	ScheduleName   string  `json:"schedule"`
 	ScheduleDigest string  `json:"schedule_digest"` // %016x of Schedule.Digest
-	Target         string  `json:"target"`          // "wire" or "fleet"
+	Target         string  `json:"target"`          // "fleet" or "fleet-batch"
 	Switches       int     `json:"switches"`
 	Arrivals       int     `json:"arrivals"`
 	OfferedRate    float64 `json:"offered_rate_per_sec"`
@@ -69,9 +64,6 @@ type ClassReport struct {
 	Rejected      uint64  `json:"rejected"`
 	Lost          uint64  `json:"lost"`
 	Violations    uint64  `json:"violations"`
-	P50ms         float64 `json:"p50_ms"`
-	P99ms         float64 `json:"p99_ms"`
-	P999ms        float64 `json:"p999_ms"`
 	ViolationRate float64 `json:"violation_rate"`
 	LossRate      float64 `json:"loss_rate"`
 	// Breaches lists this class's budget failures, human-readable.
@@ -87,30 +79,11 @@ type Verdict struct {
 	Classes  []ClassReport `json:"classes"`
 }
 
-// ms renders a quantile in milliseconds.
-func ms(ns float64) float64 { return ns / 1e6 }
-
-// checkQuantile appends a breach when a measured quantile exceeds its
-// budget.
-func checkQuantile(breaches []string, class uint8, name string, got float64, budget time.Duration) []string {
-	if budget <= 0 {
-		return breaches
-	}
-	if got > float64(budget) {
-		breaches = append(breaches, fmt.Sprintf(
-			"class %d: %s setup latency %s > budget %s",
-			class, name, time.Duration(got), budget))
-	}
-	return breaches
-}
-
 // Evaluate compares a ledger against the SLO and produces the verdict.
-// A class breaches when a bounded quantile of its setup-latency
-// distribution exceeds its budget, or its violation or loss rate
-// exceeds the declared maximum. A class that saw no traffic never
-// breaches (its quantiles are vacuous), but an overall run with zero
-// submitted operations fails — a driver that sent nothing must not pass
-// the gate.
+// A class breaches when its violation or loss rate exceeds the declared
+// maximum. A class that saw no traffic never breaches (its rates are
+// vacuous), but an overall run with zero submitted operations fails — a
+// driver that sent nothing must not pass the gate.
 func Evaluate(l *Ledger, slo SLO, run RunInfo) *Verdict {
 	v := &Verdict{Pass: true, Run: run}
 	budgets := make(map[uint8]ClassSLO, len(slo.Classes))
@@ -129,16 +102,10 @@ func Evaluate(l *Ledger, slo SLO, run RunInfo) *Verdict {
 			Rejected:      s.Rejected,
 			Lost:          s.Lost,
 			Violations:    s.Violations,
-			P50ms:         ms(s.Setup.Quantile(0.50)),
-			P99ms:         ms(s.Setup.Quantile(0.99)),
-			P999ms:        ms(s.Setup.Quantile(0.999)),
 			ViolationRate: s.ViolationRate(),
 			LossRate:      s.LossRate(),
 		}
 		if b, ok := budgets[uint8(i)]; ok && s.Submitted > 0 {
-			rep.Breaches = checkQuantile(rep.Breaches, b.Class, "p50", s.Setup.Quantile(0.50), b.P50)
-			rep.Breaches = checkQuantile(rep.Breaches, b.Class, "p99", s.Setup.Quantile(0.99), b.P99)
-			rep.Breaches = checkQuantile(rep.Breaches, b.Class, "p999", s.Setup.Quantile(0.999), b.P999)
 			if (b.ViolationRateSet || b.MaxViolationRate > 0) && b.MaxViolationRate >= 0 &&
 				rep.ViolationRate > b.MaxViolationRate {
 				rep.Breaches = append(rep.Breaches, fmt.Sprintf(

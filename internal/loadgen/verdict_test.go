@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hermes/internal/obs"
 )
@@ -13,14 +12,14 @@ import (
 func feedLedger(l *Ledger) {
 	for i := 0; i < 100; i++ {
 		l.Submitted(0)
-		l.Finished(0, OutcomeInstalled, 2*time.Millisecond, false)
+		l.Finished(0, OutcomeInstalled, false)
 	}
 	for i := 0; i < 10; i++ {
 		l.Submitted(1)
-		l.Finished(1, OutcomeDiverted, 40*time.Millisecond, true)
+		l.Finished(1, OutcomeDiverted, true)
 	}
 	l.Submitted(1)
-	l.Finished(1, OutcomeLost, 0, false)
+	l.Finished(1, OutcomeLost, false)
 }
 
 func TestLedgerCountsAndTotals(t *testing.T) {
@@ -34,11 +33,8 @@ func TestLedgerCountsAndTotals(t *testing.T) {
 	if c1.Submitted != 11 || c1.Diverted != 10 || c1.Lost != 1 || c1.Violations != 10 {
 		t.Fatalf("class 1 = %+v", c1)
 	}
-	if got := c1.Setup.Count(); got != 10 {
-		t.Fatalf("class 1 latency samples = %d, want 10 (lost ops record nothing)", got)
-	}
 	tot := l.Totals()
-	if tot.Submitted != 111 || tot.Completed() != 111 || tot.Setup.Count() != 110 {
+	if tot.Submitted != 111 || tot.Completed() != 111 || tot.Lost != 1 {
 		t.Fatalf("totals = %+v", tot)
 	}
 	if r := c1.ViolationRate(); r < 0.9 || r > 0.92 {
@@ -47,7 +43,7 @@ func TestLedgerCountsAndTotals(t *testing.T) {
 
 	// Out-of-range classes clamp into the last class, never panic.
 	l.Submitted(9)
-	l.Finished(9, OutcomeRejected, 0, false)
+	l.Finished(9, OutcomeRejected, false)
 	if got := l.Class(1).Rejected; got != 1 {
 		t.Fatalf("clamped rejected = %d, want 1", got)
 	}
@@ -66,7 +62,7 @@ func TestLedgerConcurrent(t *testing.T) {
 			class := uint8(w % 3)
 			for i := 0; i < perWorker; i++ {
 				l.Submitted(class)
-				l.Finished(class, OutcomeInstalled, time.Millisecond, false)
+				l.Finished(class, OutcomeInstalled, false)
 			}
 		}(w)
 	}
@@ -88,7 +84,7 @@ func TestLedgerRegister(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"loadgen_submitted_total", "loadgen_violations_total", "loadgen_setup_latency",
+		"loadgen_submitted_total", "loadgen_violations_total", "loadgen_lost_total",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics exposition missing %s:\n%s", want, out)
@@ -99,27 +95,29 @@ func TestLedgerRegister(t *testing.T) {
 func testRunInfo() RunInfo {
 	return RunInfo{
 		Seed: 42, ScheduleName: "synthetic-poisson", ScheduleDigest: "00000000deadbeef",
-		Target: "wire", Switches: 2, Arrivals: 111,
+		Target: "fleet", Switches: 2, Arrivals: 111,
 		OfferedRate: 1000, AchievedRate: 990, WallSeconds: 0.112,
 	}
 }
 
 // TestEvaluatePassAndBreach: the same measurements pass a loose SLO and
-// fail a tight one, with the breach naming the class and the quantile.
+// fail a tight one, with the breach naming the class and the rate.
 func TestEvaluatePassAndBreach(t *testing.T) {
 	l := NewLedger(2)
 	feedLedger(l)
+	l.Submitted(0)
+	l.Finished(0, OutcomeLost, false) // class 0 loses 1 op in 101
 
 	loose := SLO{Classes: []ClassSLO{
-		{Class: 0, P99: 50 * time.Millisecond},
-		{Class: 1, P99: 200 * time.Millisecond, MaxViolationRate: 1, MaxLossRate: 0.5},
+		{Class: 0, MaxLossRate: 0.05, MaxViolationRate: 0, ViolationRateSet: true},
+		{Class: 1, MaxViolationRate: 1, MaxLossRate: 0.5},
 	}}
 	if v := Evaluate(l, loose, testRunInfo()); !v.Pass || len(v.Breaches) != 0 {
 		t.Fatalf("loose SLO failed: %v", v.Breaches)
 	}
 
 	tight := SLO{Classes: []ClassSLO{
-		{Class: 0, P99: time.Nanosecond},
+		{Class: 0, MaxLossRate: 0, LossRateSet: true},
 		{Class: 1, MaxViolationRate: 0.01},
 	}}
 	v := Evaluate(l, tight, testRunInfo())
@@ -127,7 +125,7 @@ func TestEvaluatePassAndBreach(t *testing.T) {
 		t.Fatal("tight SLO passed")
 	}
 	joined := strings.Join(v.Breaches, "\n")
-	if !strings.Contains(joined, "class 0: p99") || !strings.Contains(joined, "violation rate") {
+	if !strings.Contains(joined, "class 0: loss rate") || !strings.Contains(joined, "class 1: violation rate") {
 		t.Fatalf("breaches missing expected entries:\n%s", joined)
 	}
 	// The per-class reports carry their own breaches.
@@ -150,8 +148,8 @@ func TestEvaluateEmptyRunFails(t *testing.T) {
 	}
 	l := NewLedger(2) // class 1 idle
 	l.Submitted(0)
-	l.Finished(0, OutcomeInstalled, time.Millisecond, false)
-	slo := Uniform(2, ClassSLO{P99: time.Second})
+	l.Finished(0, OutcomeInstalled, false)
+	slo := Uniform(2, ClassSLO{MaxLossRate: 0, LossRateSet: true})
 	if v := Evaluate(l, slo, testRunInfo()); !v.Pass {
 		t.Fatalf("idle budgeted class breached: %v", v.Breaches)
 	}
@@ -162,15 +160,15 @@ func TestEvaluateEmptyRunFails(t *testing.T) {
 func TestVerdictJSONStable(t *testing.T) {
 	l := NewLedger(1)
 	l.Submitted(0)
-	l.Finished(0, OutcomeInstalled, 3*time.Millisecond, false)
-	v := Evaluate(l, Uniform(1, ClassSLO{P99: time.Second}), testRunInfo())
+	l.Finished(0, OutcomeInstalled, false)
+	v := Evaluate(l, Uniform(1, ClassSLO{MaxLossRate: 0, LossRateSet: true}), testRunInfo())
 	b, err := v.JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
 		`"pass": true`, `"schedule_digest": "00000000deadbeef"`,
-		`"offered_rate_per_sec"`, `"achieved_rate_per_sec"`, `"p99_ms"`,
+		`"offered_rate_per_sec"`, `"achieved_rate_per_sec"`, `"loss_rate"`,
 		`"violation_rate"`, `"seed": 42`,
 	} {
 		if !strings.Contains(string(b), key) {

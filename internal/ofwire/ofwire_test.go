@@ -6,12 +6,14 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"hermes/internal/classifier"
 	"hermes/internal/core"
+	"hermes/internal/predict"
 	"hermes/internal/tcam"
 	"hermes/internal/testutil"
 )
@@ -288,6 +290,49 @@ func TestClientServerQoSRenegotiation(t *testing.T) {
 	}
 	if _, err := c.Echo([]byte("still-alive")); err != nil {
 		t.Errorf("channel dead after QoS failure: %v", err)
+	}
+}
+
+// resetCounter is a predictor that counts its Resets.
+type resetCounter struct {
+	predict.Predictor
+	resets atomic.Int32
+}
+
+func (p *resetCounter) Reset() {
+	p.resets.Add(1)
+	p.Predictor.Reset()
+}
+
+// TestQoSRecarveResetsPredictor: a re-carve over the wire clears a
+// caller-supplied predictor's history exactly as Registry.ModQoSConfig
+// does, feasible and infeasible guarantees alike.
+func TestQoSRecarveResetsPredictor(t *testing.T) {
+	wire := &resetCounter{Predictor: predict.NewEWMA(0.5)}
+	_, addr := startServer(t, core.Config{DisableRateLimit: true, Predictor: wire})
+	c, err := Dial(addr, time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	local := &resetCounter{Predictor: predict.NewEWMA(0.5)}
+	reg := core.NewRegistry()
+	id, _, err := reg.CreateTCAMQoSWithConfig(tcam.NewSwitch("tor-2", tcam.Pica8P3290),
+		core.Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true, Predictor: local})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, g := range []time.Duration{10 * time.Millisecond, time.Nanosecond} {
+		_, werr := c.RequestQoS(g)
+		ok := reg.ModQoSConfig(id, g)
+		if (werr == nil) != ok {
+			t.Fatalf("%v: wire err %v, registry ok %v", g, werr, ok)
+		}
+		if w, l := wire.resets.Load(), local.resets.Load(); w != l || w == 0 {
+			t.Fatalf("%v: wire re-carve reset the predictor %d times, the registry's %d", g, w, l)
+		}
 	}
 }
 

@@ -26,11 +26,9 @@ import (
 // serializes all access behind one mutex, which also matches the single
 // switch-CPU deployment the paper targets.
 type AgentServer struct {
-	profile *tcam.Profile
-	cfg     core.Config
+	cfg core.Config
 
 	mu    sync.Mutex
-	sw    *tcam.Switch
 	agent *core.Agent
 	start time.Time
 
@@ -50,20 +48,17 @@ type AgentServer struct {
 
 // NewAgentServer builds the daemon for one modeled switch.
 func NewAgentServer(name string, profile *tcam.Profile, cfg core.Config) (*AgentServer, error) {
-	sw := tcam.NewSwitch(name, profile)
-	agent, err := core.New(sw, cfg)
+	agent, err := core.New(tcam.NewSwitch(name, profile), cfg)
 	if err != nil {
 		return nil, err
 	}
 	return &AgentServer{
-		profile: profile,
-		cfg:     cfg,
-		sw:      sw,
-		agent:   agent,
-		start:   time.Now(),
-		closed:  make(chan struct{}),
-		conns:   make(map[net.Conn]struct{}),
-		Logf:    log.Printf,
+		cfg:    cfg,
+		agent:  agent,
+		start:  time.Now(),
+		closed: make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
+		Logf:   log.Printf,
 	}, nil
 }
 
@@ -72,14 +67,6 @@ func (s *AgentServer) Agent() *core.Agent {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.agent
-}
-
-// MetricsSnapshot returns a deep copy of the agent's metrics taken under
-// the server lock, safe to read while the server keeps serving.
-func (s *AgentServer) MetricsSnapshot() core.Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.agent.Metrics().Snapshot()
 }
 
 // RegisterObs exposes the daemon on an obs registry: the agent's always-on
@@ -431,34 +418,29 @@ func (s *AgentServer) doRules(req *Message) *Message {
 }
 
 // doQoS re-carves the switch for a new guarantee — ModQoSConfig over the
-// wire. Installed rules are discarded, as on hardware.
+// wire, through the same Agent.Recarve. Installed rules are discarded, as
+// on hardware.
 func (s *AgentServer) doQoS(req *Message) *Message {
 	if req.QoSRequest == nil {
 		return errorMsg(ErrCodeBadRequest, "empty qos-request")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cfg := s.cfg
-	cfg.Guarantee = req.QoSRequest.Guarantee()
-	s.sw.Uncarve()
-	agent, err := core.New(s.sw, cfg)
+	guarantee := req.QoSRequest.Guarantee()
+	agent, err := s.agent.Recarve(guarantee)
+	if agent != nil {
+		s.agent = agent
+	}
 	if err != nil {
-		// Restore the previous configuration.
-		s.sw.Uncarve()
-		if prev, err2 := core.New(s.sw, s.cfg); err2 == nil {
-			s.agent = prev
-		}
 		return errorMsg(ErrCodeQoSInfeasible, err.Error())
 	}
-	s.cfg = cfg
-	s.agent = agent
 	return &Message{
 		Header: Header{Type: TypeQoSReply},
 		QoSReply: &QoSReply{
 			ShadowEntries: uint32(agent.ShadowSize()),
 			OverheadPPM:   uint32(agent.OverheadFraction() * 1e6),
 			MaxRateMilli:  uint64(agent.MaxRate() * 1e3),
-			GuaranteeNS:   uint64(cfg.Guarantee),
+			GuaranteeNS:   uint64(guarantee),
 		},
 	}
 }

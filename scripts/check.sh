@@ -112,17 +112,17 @@ if ! cmp -s "$lg.a" "$lg.b"; then
 fi
 # A normal budget must pass (exit 0) with a machine-readable verdict.
 go run ./cmd/hermes-loadgen -flows 4000 -rate 20000 -switches 2 -hold 20ms \
-  -classes 3,1 -seed 42 -workers 16 -p99-budget 30s -max-loss-rate 0 \
-  -out "$lg.json" >/dev/null
+  -classes 3,1 -seed 42 -max-loss-rate 0 -out "$lg.json" >/dev/null
 if ! grep -q '"pass": true' "$lg.json"; then
   rm -f "$lg.a" "$lg.b" "$lg.json"
   echo "loadgen smoke failed: passing run did not report pass=true" >&2
   exit 1
 fi
-# An injected impossible budget must breach with exit status exactly 1.
+# An injected impossible budget must breach with exit status exactly 1: a
+# 1 ns request timeout abandons every flow-mod, and no loss is tolerated.
 breach_status=0
 go run ./cmd/hermes-loadgen -flows 2000 -rate 20000 -switches 2 -hold 20ms \
-  -seed 42 -workers 16 -p99-budget 1ns >/dev/null 2>&1 || breach_status=$?
+  -seed 42 -max-loss-rate 0 -request-timeout 1ns >/dev/null 2>&1 || breach_status=$?
 rm -f "$lg.a" "$lg.b" "$lg.json"
 if [ "$breach_status" -ne 1 ]; then
   echo "loadgen smoke failed: expected exit 1 on injected breach, got $breach_status" >&2
