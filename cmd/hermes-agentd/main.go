@@ -28,6 +28,10 @@ import (
 	"hermes/internal/tcam"
 )
 
+// shutdownDrain is how long SIGTERM or SIGINT gives in-flight requests to
+// finish and their replies to flush before connections are cut.
+const shutdownDrain = 2 * time.Second
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:6653", "address to listen on")
 	profName := flag.String("switch", "Pica8 P-3290", "switch profile name")
@@ -100,15 +104,21 @@ func main() {
 			obsLis.Addr())
 	}
 
+	drained := make(chan struct{})
 	go func() {
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 		<-ch
 		fmt.Println("hermes-agentd: shutting down")
-		srv.Close()
+		// Drain, not Close: a flow-mod the agent already applied still gets
+		// its reply.
+		srv.Shutdown(shutdownDrain) //nolint:errcheck
+		close(drained)
 	}()
 	if err := srv.Serve(lis); err != nil {
 		fmt.Fprintf(os.Stderr, "hermes-agentd: %v\n", err)
 		os.Exit(1)
 	}
+	// Serve returns once the listener closes; the drain is still running.
+	<-drained
 }

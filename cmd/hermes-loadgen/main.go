@@ -206,7 +206,7 @@ func main() {
 		MaxViolationRate: *maxViolation, ViolationRateSet: *maxViolation >= 0,
 		MaxLossRate: *maxLoss, LossRateSet: *maxLoss >= 0,
 	})
-	verdict := loadgen.Evaluate(led, slo, rep.RunInfo(sched, targetName, f.Size()))
+	verdict := loadgen.Evaluate(led, slo, rep.RunInfo(sched, targetName, f))
 	js, err := verdict.JSON()
 	if err != nil {
 		fatalf("%v", err)

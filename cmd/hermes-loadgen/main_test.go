@@ -47,7 +47,7 @@ func TestRequestTimeoutBoundsWedgedSwitch(t *testing.T) {
 			case <-time.After(s.Duration() + 50*timeout):
 				t.Fatal("the run outlived its request timeout on a wedged switch")
 			}
-			tot := led.Totals()
+			tot := led.Class(0)
 			if want := uint64(len(s.Events)); tot.Submitted != want || tot.Lost != want {
 				t.Fatalf("submitted/lost = %d/%d, want every op (%d) lost", tot.Submitted, tot.Lost, want)
 			}

@@ -21,7 +21,6 @@ import (
 	"hermes/internal/predict"
 	"hermes/internal/stats"
 	"hermes/internal/tcam"
-	"hermes/internal/trace"
 	"hermes/internal/workload"
 )
 
@@ -35,8 +34,6 @@ func main() {
 	slack := flag.Float64("slack", 1.0, "Hermes slack factor")
 	occupancy := flag.Int("occupancy", 0, "probe update rate at a fixed occupancy instead (Table 1 mode)")
 	seed := flag.Int64("seed", 1, "random seed")
-	saveTrace := flag.String("save", "", "save the generated rule stream to this file and exit")
-	loadTrace := flag.String("load", "", "replay a rule stream from this file instead of generating one")
 	flag.Parse()
 
 	profile, ok := tcam.ProfileByName(*profName)
@@ -50,39 +47,9 @@ func main() {
 		return
 	}
 
-	var stream []workload.TimedRule
-	if *loadTrace != "" {
-		f, err := os.Open(*loadTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcamctl: %v\n", err)
-			os.Exit(1)
-		}
-		stream, err = trace.LoadRuleStream(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcamctl: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		stream = workload.MicroBench(rand.New(rand.NewSource(*seed)), workload.MicroBenchConfig{
-			Rules: *rules, RatePerSec: *rate, OverlapFrac: *overlap, MaxPriority: 64,
-		})
-	}
-	if *saveTrace != "" {
-		f, err := os.Create(*saveTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcamctl: %v\n", err)
-			os.Exit(1)
-		}
-		if err := trace.SaveRuleStream(f, stream); err != nil {
-			fmt.Fprintf(os.Stderr, "tcamctl: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("saved %d rules to %s\n", len(stream), *saveTrace)
-		return
-	}
-
+	stream := workload.MicroBench(rand.New(rand.NewSource(*seed)), workload.MicroBenchConfig{
+		Rules: *rules, RatePerSec: *rate, OverlapFrac: *overlap, MaxPriority: 64,
+	})
 	if *useHermes {
 		runHermes(profile, stream, *guarantee, *slack)
 		return

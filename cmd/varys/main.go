@@ -23,7 +23,6 @@ import (
 	"hermes/internal/stats"
 	"hermes/internal/tcam"
 	"hermes/internal/topo"
-	"hermes/internal/trace"
 	"hermes/internal/workload"
 )
 
@@ -37,8 +36,6 @@ func main() {
 	guarantee := flag.Duration("guarantee", 5*time.Millisecond, "Hermes insertion guarantee")
 	prefill := flag.Int("prefill", 300, "background rules per switch")
 	seed := flag.Int64("seed", 1, "random seed")
-	saveTrace := flag.String("savetrace", "", "save the generated job trace to this file and exit")
-	loadTrace := flag.String("loadtrace", "", "replay a job trace from this file (must match the topology)")
 	flag.Parse()
 
 	g, err := buildTopology(*topoName)
@@ -56,42 +53,18 @@ func main() {
 
 	rng := rand.New(rand.NewSource(*seed))
 	var jobTrace []workload.Job
-	if *loadTrace != "" {
-		f, err := os.Open(*loadTrace)
-		if err != nil {
-			fatal(err)
-		}
-		jobTrace, err = trace.LoadJobs(f)
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		switch *workloadName {
-		case "facebook":
-			jobTrace = workload.FacebookJobs(rng, workload.FacebookConfig{
-				Jobs:     *jobs,
-				Duration: time.Duration(*seconds) * time.Second,
-				Hosts:    g.Hosts(),
-			})
-		case "tm":
-			tm := workload.GravityTM(rng, g.Hosts(), 12e9)
-			jobTrace = workload.FlowsFromTM(rng, tm, time.Duration(*seconds)*time.Second, 40e6)
-		default:
-			fatal(fmt.Errorf("unknown workload %q", *workloadName))
-		}
-	}
-	if *saveTrace != "" {
-		f, err := os.Create(*saveTrace)
-		if err != nil {
-			fatal(err)
-		}
-		if err := trace.SaveJobs(f, jobTrace); err != nil {
-			fatal(err)
-		}
-		f.Close()
-		fmt.Printf("saved %d jobs to %s\n", len(jobTrace), *saveTrace)
-		return
+	switch *workloadName {
+	case "facebook":
+		jobTrace = workload.FacebookJobs(rng, workload.FacebookConfig{
+			Jobs:     *jobs,
+			Duration: time.Duration(*seconds) * time.Second,
+			Hosts:    g.Hosts(),
+		})
+	case "tm":
+		tm := workload.GravityTM(rng, g.Hosts(), 12e9)
+		jobTrace = workload.FlowsFromTM(rng, tm, time.Duration(*seconds)*time.Second, 40e6)
+	default:
+		fatal(fmt.Errorf("unknown workload %q", *workloadName))
 	}
 
 	sim := netsim.New(netsim.Config{

@@ -161,9 +161,6 @@ const (
 	CacheCostAware = rulecache.PolicyCostAware
 )
 
-// ParseCachePolicy parses a policy name ("lru", "lfu", "cost").
-var ParseCachePolicy = rulecache.ParsePolicy
-
 // Migration modes.
 const (
 	MigrationPredictive = core.MigrationPredictive

@@ -145,7 +145,7 @@ func oracleMergePrefixes(in []Prefix) []Prefix {
 			out = append(out, p)
 		}
 	}
-	SortPrefixes(out)
+	slices.SortFunc(out, cmpPrefix)
 	return out
 }
 
@@ -546,8 +546,8 @@ func TestMergeMatchesOracle(t *testing.T) {
 		for _, m := range in {
 			ps = append(ps, m.Dst)
 		}
-		if got, want := MergePrefixes(ps), oracleMergePrefixes(ps); !slices.Equal(got, want) {
-			t.Fatalf("MergePrefixes(%v) = %v, oracle %v", ps, got, want)
+		if got, want := aggregate(ps), oracleMergePrefixes(ps); !slices.Equal(got, want) {
+			t.Fatalf("aggregate(%v) = %v, oracle %v", ps, got, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package classifier
 import (
 	"cmp"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -130,12 +129,6 @@ func (p Prefix) Sibling() Prefix {
 	return Prefix{Addr: p.Addr ^ bit, Len: p.Len}
 }
 
-// NumAddrs returns the number of addresses covered by the prefix as a
-// float64 (a /0 covers 2^32 which overflows uint32).
-func (p Prefix) NumAddrs() float64 {
-	return float64(uint64(1) << (32 - p.Len))
-}
-
 // Subtract returns the set of maximal prefixes covering p minus q. If q does
 // not overlap p the result is {p}; if q contains p the result is empty.
 // Otherwise q is strictly inside p and the result is the q.Len-p.Len
@@ -168,24 +161,16 @@ func (p Prefix) peel(q Prefix) (off, on Prefix) {
 	return lo, hi
 }
 
-// MergePrefixes combines sibling prefixes into their parent repeatedly and
-// removes prefixes contained in other prefixes, returning a minimal
-// equivalent cover in SortPrefixes order. This is the merge step of
-// Algorithm 1 (line 7), used to minimize the number of partition rules
-// inserted into the shadow table.
-func MergePrefixes(in []Prefix) []Prefix {
-	out := append([]Prefix(nil), in...)
-	slices.SortFunc(out, cmpPrefix)
-	return aggregateSorted(out)
-}
-
-// aggregateSorted is MergePrefixes on a slice already in cmpPrefix order,
-// done in place on its backing array. In that order a prefix precedes
-// everything it contains and a 0-half precedes its sibling, so one pass with
-// the output as a stack suffices: drop a prefix the stack top contains, push
-// anything else, and fold the top two into their parent while they are
-// siblings. A folded parent starts at its 0-half's address, so nothing
-// already on the stack can lie inside it.
+// aggregateSorted combines sibling prefixes into their parent repeatedly and
+// drops prefixes contained in others, returning a minimal equivalent cover:
+// the merge step of Algorithm 1 (line 7), which keeps the partition rules
+// inserted into the shadow table few. ps must be in cmpPrefix order; the
+// result is built in place on its backing array. In that order a prefix
+// precedes everything it contains and a 0-half precedes its sibling, so one
+// pass with the output as a stack suffices: drop a prefix the stack top
+// contains, push anything else, and fold the top two into their parent while
+// they are siblings. A folded parent starts at its 0-half's address, so
+// nothing already on the stack can lie inside it.
 func aggregateSorted(ps []Prefix) []Prefix {
 	w := 0
 	for _, p := range ps {
@@ -202,10 +187,7 @@ func aggregateSorted(ps []Prefix) []Prefix {
 	return ps[:w]
 }
 
-// SortPrefixes orders prefixes by address then length, giving deterministic
-// output for tests and rendering.
-func SortPrefixes(ps []Prefix) { slices.SortFunc(ps, cmpPrefix) }
-
+// cmpPrefix orders prefixes by address, then length.
 func cmpPrefix(a, b Prefix) int {
 	if c := cmp.Compare(a.Addr, b.Addr); c != 0 {
 		return c

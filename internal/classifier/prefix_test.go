@@ -2,6 +2,7 @@ package classifier
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -107,7 +108,7 @@ func TestSubtractExamples(t *testing.T) {
 	// The paper's Fig. 4c example: 192.168.1.0/24 minus 192.168.1.0/26 is
 	// {192.168.1.64/26, 192.168.1.128/25}.
 	got := p24.Subtract(p26)
-	SortPrefixes(got)
+	slices.SortFunc(got, cmpPrefix)
 	want := []Prefix{
 		MustParsePrefix("192.168.1.64/26"),
 		MustParsePrefix("192.168.1.128/25"),
@@ -194,15 +195,23 @@ func TestSubtractProperty(t *testing.T) {
 	}
 }
 
+// aggregate sorts a copy of in and folds it with aggregateSorted, as
+// mergeDst does for each src group.
+func aggregate(in []Prefix) []Prefix {
+	out := slices.Clone(in)
+	slices.SortFunc(out, cmpPrefix)
+	return aggregateSorted(out)
+}
+
 func TestMergePrefixesSiblings(t *testing.T) {
 	in := []Prefix{
 		MustParsePrefix("192.168.1.0/26"),
 		MustParsePrefix("192.168.1.64/26"),
 		MustParsePrefix("192.168.1.128/25"),
 	}
-	got := MergePrefixes(in)
+	got := aggregate(in)
 	if len(got) != 1 || got[0] != MustParsePrefix("192.168.1.0/24") {
-		t.Errorf("MergePrefixes = %v, want [192.168.1.0/24]", got)
+		t.Errorf("aggregate = %v, want [192.168.1.0/24]", got)
 	}
 }
 
@@ -212,12 +221,12 @@ func TestMergePrefixesContainment(t *testing.T) {
 		MustParsePrefix("10.1.0.0/16"), // covered
 		MustParsePrefix("192.168.0.0/16"),
 	}
-	got := MergePrefixes(in)
+	got := aggregate(in)
 	if len(got) != 2 {
-		t.Fatalf("MergePrefixes = %v, want 2 prefixes", got)
+		t.Fatalf("aggregate = %v, want 2 prefixes", got)
 	}
 	if got[0] != MustParsePrefix("10.0.0.0/8") || got[1] != MustParsePrefix("192.168.0.0/16") {
-		t.Errorf("MergePrefixes = %v", got)
+		t.Errorf("aggregate = %v", got)
 	}
 }
 
@@ -231,7 +240,7 @@ func TestMergePrefixesProperty(t *testing.T) {
 			// Cluster prefixes so merges actually happen.
 			in[i] = NewPrefix(0xC0A80000|rr.Uint32()&0xFFFF, uint8(16+rr.Intn(17)))
 		}
-		out := MergePrefixes(in)
+		out := aggregate(in)
 		if len(out) > len(in) {
 			return false
 		}
@@ -275,26 +284,16 @@ func TestMergePrefixesProperty(t *testing.T) {
 	}
 }
 
-func TestNumAddrs(t *testing.T) {
-	if got := MustParsePrefix("0.0.0.0/0").NumAddrs(); got != 4294967296 {
-		t.Errorf("/0 NumAddrs = %v", got)
-	}
-	if got := MustParsePrefix("1.2.3.4/32").NumAddrs(); got != 1 {
-		t.Errorf("/32 NumAddrs = %v", got)
-	}
-	if got := MustParsePrefix("10.0.0.0/8").NumAddrs(); got != 1<<24 {
-		t.Errorf("/8 NumAddrs = %v", got)
-	}
-}
-
+// TestSortPrefixes pins cmpPrefix's order, which aggregateSorted relies on:
+// by address, then a prefix before the longer ones it contains.
 func TestSortPrefixes(t *testing.T) {
 	ps := []Prefix{
 		MustParsePrefix("10.0.0.0/16"),
 		MustParsePrefix("10.0.0.0/8"),
 		MustParsePrefix("1.0.0.0/8"),
 	}
-	SortPrefixes(ps)
+	slices.SortFunc(ps, cmpPrefix)
 	if ps[0] != MustParsePrefix("1.0.0.0/8") || ps[1] != MustParsePrefix("10.0.0.0/8") || ps[2] != MustParsePrefix("10.0.0.0/16") {
-		t.Errorf("SortPrefixes = %v", ps)
+		t.Errorf("sorted = %v", ps)
 	}
 }

@@ -153,7 +153,7 @@ func (s *mergeScratch) merge(regions []Match) []Match {
 }
 
 // mergeDst replaces, within each group of regions sharing a src, the dst
-// prefixes by their MergePrefixes aggregate. In place: groups only shrink.
+// prefixes by their aggregateSorted cover. In place: groups only shrink.
 func (s *mergeScratch) mergeDst(regions []Match) []Match {
 	slices.SortFunc(regions, cmpSrcDst)
 	w := 0

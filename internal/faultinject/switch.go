@@ -36,18 +36,14 @@ type OpFaults struct {
 	cfg     OpFaultConfig
 	streams uint64
 	dropped int
-	slowed  int
 	cursor  int
 }
 
 // NewOpFaults builds a plan from the config.
 func NewOpFaults(cfg OpFaultConfig) *OpFaults { return &OpFaults{cfg: cfg} }
 
-// Dropped and Slowed report the injected-fault tallies across all hooks.
+// Dropped reports how many ops the hooks dropped.
 func (o *OpFaults) Dropped() int { return o.dropped }
-
-// Slowed reports how many ops were served with added latency.
-func (o *OpFaults) Slowed() int { return o.slowed }
 
 // Hook returns a deterministic fault hook for one table. The simulation is
 // single-threaded, so the hook needs no locking; determinism comes from
@@ -75,9 +71,6 @@ func (o *OpFaults) Hook() tcam.OpFaultHook {
 		}
 		if f.Drop {
 			o.dropped++
-		}
-		if f.Extra > 0 {
-			o.slowed++
 		}
 		return f
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural
-// hermes-vet analyzers (hotpathalloc, determinism, snapshotsafety) traverse.
+// hermes-vet analyzers (hotpathalloc, determinism) traverse.
 // Resolution is the classic static approximation: direct function calls
 // and method calls on concrete receivers resolve to their declarations;
 // calls through interfaces, function values, and into packages outside the

@@ -376,13 +376,9 @@ func TestForwardBranchMeet(t *testing.T) {
 	cfg := BuildCFG(body)
 	join := oneBlock(t, cfg, "if.join")
 
-	union := Forward(cfg, MeetUnion, NewSet[string](), defsTransfer)
-	if in := union.In[join]; !in.Has("a") || !in.Has("b") {
-		t.Errorf("union at join = %v, want both a and b (may-analysis)", in)
-	}
-	must := Forward(cfg, MeetIntersect, NewSet[string](), defsTransfer)
-	if in := must.In[join]; in.Has("a") || in.Has("b") {
-		t.Errorf("intersect at join = %v, want neither (each defined on one arm only)", in)
+	must := Forward(cfg, NewSet("seed"), defsTransfer)
+	if in := must.In[join]; !in.Has("seed") || in.Has("a") || in.Has("b") {
+		t.Errorf("intersect at join = %v, want the entry fact but neither a nor b (each defined on one arm only)", in)
 	}
 }
 
@@ -398,24 +394,19 @@ func TestForwardLoopFixpoint(t *testing.T) {
 	head := oneBlock(t, cfg, "for.head")
 	exit := oneBlock(t, cfg, "for.exit")
 
-	union := Forward(cfg, MeetUnion, NewSet[string](), defsTransfer)
-	if in := union.In[head]; !in.Has("i") || !in.Has("x") {
-		t.Errorf("union at loop head = %v, want i and x (back edge carries the body fact)", in)
-	}
-	if in := union.In[exit]; !in.Has("x") {
-		t.Errorf("union at loop exit = %v, want x", in)
-	}
-
-	must := Forward(cfg, MeetIntersect, NewSet[string](), defsTransfer)
+	must := Forward(cfg, NewSet[string](), defsTransfer)
 	if in := must.In[head]; !in.Has("i") || in.Has("x") {
 		t.Errorf("intersect at loop head = %v, want i only (zero-iteration path has no x)", in)
+	}
+	if in := must.In[exit]; !in.Has("i") || in.Has("x") {
+		t.Errorf("intersect at loop exit = %v, want i only", in)
 	}
 }
 
 func TestForwardBoundaryAndUnreachable(t *testing.T) {
 	body := parseBody(t, `func f() { return; d() }`)
 	cfg := BuildCFG(body)
-	res := Forward(cfg, MeetUnion, NewSet("seed"), defsTransfer)
+	res := Forward(cfg, NewSet("seed"), defsTransfer)
 	if in := res.In[cfg.Entry]; !in.Has("seed") {
 		t.Errorf("entry in-set %v must contain the boundary fact", in)
 	}

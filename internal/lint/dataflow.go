@@ -6,10 +6,10 @@ import (
 
 // This file is the forward-dataflow half of the hermes-vet engine: a
 // worklist solver over the CFGs of cfg.go, generic in the fact type. Facts
-// are sets; an analysis chooses the meet (union for may-analyses like
-// taint reach, intersection for must-analyses like lock-held) and a
-// per-node transfer function, which is the statement-granular form of the
-// classic gen/kill formulation.
+// are sets met by intersection where edges merge (a must-analysis: a fact
+// holds only if it held on every incoming edge, like "this mutex is
+// definitely held"); an analysis supplies a per-node transfer function,
+// which is the statement-granular form of the classic gen/kill formulation.
 
 // Set is a fact set over any comparable element.
 type Set[E comparable] map[E]struct{}
@@ -57,37 +57,19 @@ func (s Set[E]) Equal(o Set[E]) bool {
 	return true
 }
 
-// Meet is the lattice join rule applied where control-flow edges merge.
-type Meet int
-
-const (
-	// MeetUnion: a fact holds after the merge if it held on any incoming
-	// edge (may-analysis; e.g. "this value may be a published snapshot").
-	MeetUnion Meet = iota
-	// MeetIntersect: a fact holds only if it held on every incoming edge
-	// (must-analysis; e.g. "this mutex is definitely held").
-	MeetIntersect
-)
-
-func meetSets[E comparable](m Meet, a, b Set[E]) Set[E] {
-	// nil is the "unvisited" top element: it is the identity for both
-	// meets, because an unexplored path constrains nothing yet.
+// meet intersects two fact sets where control-flow edges merge.
+func meet[E comparable](a, b Set[E]) Set[E] {
+	// nil is the "unvisited" top element: it is the identity, because an
+	// unexplored path constrains nothing yet.
 	if a == nil {
 		return b.Clone()
 	}
 	if b == nil {
 		return a
 	}
-	switch m {
-	case MeetUnion:
-		for e := range b {
-			a.Add(e)
-		}
-	case MeetIntersect:
-		for e := range a {
-			if !b.Has(e) {
-				a.Del(e)
-			}
+	for e := range a {
+		if !b.Has(e) {
+			a.Del(e)
 		}
 	}
 	return a
@@ -124,7 +106,7 @@ func (r *FlowResult[E]) Replay(cfg *CFG, transfer Transfer[E], visit func(n ast.
 // Forward solves a forward dataflow problem to its fixed point with a
 // worklist. boundary is the fact set at function entry. Unreachable blocks
 // keep nil (top) in/out sets.
-func Forward[E comparable](cfg *CFG, m Meet, boundary Set[E], transfer Transfer[E]) *FlowResult[E] {
+func Forward[E comparable](cfg *CFG, boundary Set[E], transfer Transfer[E]) *FlowResult[E] {
 	res := &FlowResult[E]{
 		In:  make(map[*Block]Set[E], len(cfg.Blocks)),
 		Out: make(map[*Block]Set[E], len(cfg.Blocks)),
@@ -147,7 +129,7 @@ func Forward[E comparable](cfg *CFG, m Meet, boundary Set[E], transfer Transfer[
 		if b != cfg.Entry {
 			in = nil
 			for _, p := range b.Preds {
-				in = meetSets(m, in, res.Out[p])
+				in = meet(in, res.Out[p])
 			}
 			res.In[b] = in
 		}

@@ -226,7 +226,6 @@ func Analyzers() []*Analyzer {
 		NarrowingAnalyzer,
 		LockcheckAnalyzer,
 		WrapcheckAnalyzer,
-		SnapshotSafetyAnalyzer,
 		HotPathAllocAnalyzer,
 		LintDirectiveAnalyzer,
 	}

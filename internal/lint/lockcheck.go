@@ -82,7 +82,7 @@ func lockTransfer(n ast.Node, in Set[lockKey]) Set[lockKey] {
 // the test harness, own that case.
 func checkLockFlow(p *Pass, body *ast.BlockStmt) {
 	cfg := p.FuncCFG(body)
-	res := Forward(cfg, MeetIntersect, NewSet[lockKey](), lockTransfer)
+	res := Forward(cfg, NewSet[lockKey](), lockTransfer)
 	res.Replay(cfg, lockTransfer, func(n ast.Node, held Set[lockKey]) {
 		if ret, ok := n.(*ast.ReturnStmt); ok {
 			for k := range held {

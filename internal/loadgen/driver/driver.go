@@ -49,15 +49,18 @@ type Report struct {
 	MaxLag time.Duration
 }
 
-// RunInfo converts the report into the verdict's run block.
-func (r *Report) RunInfo(s *loadgen.Schedule, target string, switches int) loadgen.RunInfo {
+// RunInfo converts the report into the verdict's run block for a run of s
+// against f.
+func (r *Report) RunInfo(s *loadgen.Schedule, target string, f *fleet.Fleet) loadgen.RunInfo {
 	return loadgen.RunInfo{
 		Seed:           s.Seed,
 		ScheduleName:   s.Name,
 		ScheduleDigest: fmt.Sprintf("%016x", s.Digest()),
 		Target:         target,
-		Switches:       switches,
+		Switches:       f.Size(),
+		QueueDepth:     f.QueueDepth(),
 		Arrivals:       r.Arrivals,
+		Shed:           r.Shed,
 		OfferedRate:    r.OfferedRate,
 		AchievedRate:   r.AchievedRate,
 		WallSeconds:    r.Wall.Seconds(),

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
@@ -83,6 +84,20 @@ func smokeSchedule(t *testing.T, seed int64) *loadgen.Schedule {
 	return s
 }
 
+// totals sums the ledger's classes.
+func totals(l *loadgen.Ledger) loadgen.ClassStats {
+	var t loadgen.ClassStats
+	for c := range l.Classes() {
+		s := l.Class(c)
+		t.Submitted += s.Submitted
+		t.Installed += s.Installed
+		t.Diverted += s.Diverted
+		t.Rejected += s.Rejected
+		t.Lost += s.Lost
+	}
+	return t
+}
+
 // TestRunWireSmoke is the end-to-end contract: an open-loop replay over a
 // per-op fleet completes every scheduled operation, conserves the ledger,
 // drains every request, records one wire round trip per operation, and
@@ -98,7 +113,7 @@ func TestRunWireSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tot := led.Totals()
+	tot := totals(led)
 	if got, want := tot.Submitted, uint64(len(s.Events)); got != want {
 		t.Fatalf("submitted = %d, want every scheduled op (%d)", got, want)
 	}
@@ -122,7 +137,7 @@ func TestRunWireSmoke(t *testing.T) {
 		t.Fatalf("rates not computed: %+v", rep)
 	}
 
-	run := rep.RunInfo(s, "fleet", f.Size())
+	run := rep.RunInfo(s, "fleet", f)
 	if run.ScheduleDigest != fmt.Sprintf("%016x", s.Digest()) || run.Switches != 2 {
 		t.Fatalf("run info wrong: %+v", run)
 	}
@@ -139,20 +154,24 @@ func TestRunWireSmoke(t *testing.T) {
 	}
 }
 
-// TestRunShedsAtFullSwitch: against a switch that never answers, the pacer
-// sheds what the switch has no room for instead of waiting for room, so the
+// TestRunShedsAtFullSwitch: against switches that never answer, the pacer
+// sheds what a switch has no room for instead of waiting for room, so the
 // run ends within the schedule's duration plus one request timeout, every
-// op lands in the ledger, and a zero-loss SLO breaches machine-readably.
+// op lands in the ledger, and a zero-loss SLO breaches machine-readably,
+// with the shed count and the queue depth in the verdict's run block.
 func TestRunShedsAtFullSwitch(t *testing.T) {
 	for _, batch := range []bool{false, true} {
 		t.Run(map[bool]string{false: "perop", true: "batch"}[batch], func(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
-			const timeout = 100 * time.Millisecond
-			// The breaker never opens, so every op the switch takes waits out
+			const timeout, depth = 100 * time.Millisecond, 2
+			specs := make([]fleet.SwitchSpec, 3)
+			for i := range specs {
+				specs[i] = fleet.SwitchSpec{ID: fmt.Sprintf("wedged-%d", i), Addr: ofwiretest.Wedged(t)}
+			}
+			// The breaker never opens, so every op a switch takes waits out
 			// its timeout.
-			f, err := fleet.New(fleet.Config{QueueDepth: 2, WireBatch: batch, OpTimeout: timeout,
-				ProbeInterval: time.Hour, Breaker: fleet.BreakerConfig{FailureThreshold: 1 << 30}},
-				[]fleet.SwitchSpec{{ID: "wedged", Addr: ofwiretest.Wedged(t)}})
+			f, err := fleet.New(fleet.Config{QueueDepth: depth, WireBatch: batch, OpTimeout: timeout,
+				ProbeInterval: time.Hour, Breaker: fleet.BreakerConfig{FailureThreshold: 1 << 30}}, specs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,19 +193,32 @@ func TestRunShedsAtFullSwitch(t *testing.T) {
 			if limit := s.Duration() + timeout + timeout/2; rep.Wall > limit {
 				t.Fatalf("run took %v, want at most %v: the pacer waited for room", rep.Wall, limit)
 			}
-			tot := led.Totals()
+			tot := led.Class(0)
 			if rep.Shed == 0 || tot.Submitted != uint64(len(s.Events)) || tot.Completed() != tot.Submitted {
 				t.Fatalf("shed %d, submitted %d, completed %d of %d events",
 					rep.Shed, tot.Submitted, tot.Completed(), len(s.Events))
 			}
 			v := loadgen.Evaluate(led, loadgen.Uniform(1, loadgen.ClassSLO{MaxLossRate: 0, LossRateSet: true}),
-				rep.RunInfo(s, "fleet", f.Size()))
+				rep.RunInfo(s, "fleet", f))
 			b, err := v.JSON()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if v.Pass || !strings.Contains(string(b), `"pass": false`) {
 				t.Fatalf("every op lost, yet the zero-loss SLO passed:\n%s", b)
+			}
+			var run struct {
+				Run struct {
+					Shed       int `json:"shed"`
+					QueueDepth int `json:"queue_depth"`
+				} `json:"run"`
+			}
+			if err := json.Unmarshal(b, &run); err != nil {
+				t.Fatal(err)
+			}
+			if run.Run.Shed != rep.Shed || run.Run.QueueDepth != depth {
+				t.Fatalf("verdict run block shed %d, queue_depth %d; want the report's %d at depth %d:\n%s",
+					run.Run.Shed, run.Run.QueueDepth, rep.Shed, depth, b)
 			}
 		})
 	}
@@ -197,7 +229,7 @@ func TestRunShedsAtFullSwitch(t *testing.T) {
 // complete the same operation totals.
 func TestRunSameSeedSameSchedule(t *testing.T) {
 	digests := make([]string, 2)
-	totals := make([]uint64, 2)
+	submitted := make([]uint64, 2)
 	for i := range digests {
 		reg := obs.NewRegistry()
 		f := startFleet(t, 1, fleet.Config{Obs: reg})
@@ -207,8 +239,8 @@ func TestRunSameSeedSameSchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		digests[i] = rep.RunInfo(s, "fleet", f.Size()).ScheduleDigest
-		totals[i] = led.Totals().Submitted
+		digests[i] = rep.RunInfo(s, "fleet", f).ScheduleDigest
+		submitted[i] = totals(led).Submitted
 		if _, inflight := wireSeries(reg, f); inflight != 0 {
 			t.Fatalf("run %d left %d requests in flight", i, inflight)
 		}
@@ -216,8 +248,8 @@ func TestRunSameSeedSameSchedule(t *testing.T) {
 	if digests[0] != digests[1] {
 		t.Fatalf("same-seed digests diverge: %s vs %s", digests[0], digests[1])
 	}
-	if totals[0] != totals[1] {
-		t.Fatalf("same-seed totals diverge: %d vs %d", totals[0], totals[1])
+	if submitted[0] != submitted[1] {
+		t.Fatalf("same-seed totals diverge: %d vs %d", submitted[0], submitted[1])
 	}
 }
 
@@ -237,7 +269,7 @@ func TestRunFleetTarget(t *testing.T) {
 	if _, err := Run(context.Background(), s, f, led, Config{TimeScale: 2}); err != nil {
 		t.Fatal(err)
 	}
-	tot := led.Totals()
+	tot := totals(led)
 	if tot.Submitted != uint64(len(s.Events)) || tot.Completed() != tot.Submitted {
 		t.Fatalf("fleet-mode conservation broken: submitted=%d completed=%d events=%d",
 			tot.Submitted, tot.Completed(), len(s.Events))
@@ -272,7 +304,7 @@ func TestRunCancelled(t *testing.T) {
 	if rep.Wall >= 5*time.Second {
 		t.Fatalf("cancelled run took %v", rep.Wall)
 	}
-	tot := led.Totals()
+	tot := led.Class(0)
 	if tot.Completed() != tot.Submitted {
 		t.Fatalf("cancelled run leaked ops: %d/%d", tot.Completed(), tot.Submitted)
 	}

@@ -174,18 +174,3 @@ func (l *Ledger) Class(class int) ClassStats {
 		Violations: c.violations.Load(),
 	}
 }
-
-// Totals merges every class into one snapshot.
-func (l *Ledger) Totals() ClassStats {
-	var total ClassStats
-	for i := range l.classes {
-		s := l.Class(i)
-		total.Submitted += s.Submitted
-		total.Installed += s.Installed
-		total.Diverted += s.Diverted
-		total.Rejected += s.Rejected
-		total.Lost += s.Lost
-		total.Violations += s.Violations
-	}
-	return total
-}

@@ -49,7 +49,9 @@ type RunInfo struct {
 	ScheduleDigest string  `json:"schedule_digest"` // %016x of Schedule.Digest
 	Target         string  `json:"target"`          // "fleet" or "fleet-batch"
 	Switches       int     `json:"switches"`
+	QueueDepth     int     `json:"queue_depth"` // per switch: the fleet's Config.QueueDepth
 	Arrivals       int     `json:"arrivals"`
+	Shed           int     `json:"shed"` // ops dropped at a full switch, counted lost
 	OfferedRate    float64 `json:"offered_rate_per_sec"`
 	AchievedRate   float64 `json:"achieved_rate_per_sec"`
 	WallSeconds    float64 `json:"wall_seconds"`

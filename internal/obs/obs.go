@@ -18,10 +18,3 @@
 // runs included — replay bit-identically. The package is enforced
 // wall-clock-free by the hermes-lint determinism analyzer.
 package obs
-
-import "time"
-
-// Clock yields the current virtual time. The agent passes its own notion of
-// "now" (simulator time, or wall-offset time in the daemons); obs itself
-// never consults a clock so that instrumented runs stay deterministic.
-type Clock func() time.Duration

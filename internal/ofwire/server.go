@@ -22,9 +22,12 @@ import (
 // flow-mods, runs the Rule Manager tick loop, and answers the Hermes QoS
 // extension. It corresponds to the "Hermes Agent" box of Fig. 2.
 //
-// The embedded core.Agent is single-threaded by design; the server
-// serializes all access behind one mutex, which also matches the single
-// switch-CPU deployment the paper targets.
+// The wrapped core.Agent is safe for concurrent use on its own: its own
+// RWMutex orders writers, and lookups read a lock-free published view
+// (DESIGN.md §10). mu guards what the agent cannot guard itself: the agent
+// pointer, which a QoS re-carve (doQoS) swaps for a fresh agent, and the
+// listener. It also serializes each request frame's dispatch and every
+// Rule Manager Tick, so a frame's operations and a tick never interleave.
 type AgentServer struct {
 	cfg core.Config
 

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used throughout the
-// Hermes reproduction: empirical CDFs, quantiles, running summaries, time
-// series, and plain-text table rendering for the benchmark harness.
+// Hermes reproduction: quantiles, running summaries and plain-text table
+// rendering for the benchmark harness.
 //
 // All functions operate on float64 samples. Durations are converted to
 // milliseconds at the call sites so that printed tables match the units used
@@ -69,20 +69,6 @@ func (s *Summary) Max() float64 {
 	return s.values[len(s.values)-1]
 }
 
-// Stddev returns the population standard deviation.
-func (s *Summary) Stddev() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	mean := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.values)))
-}
-
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) using linear interpolation
 // between order statistics. Quantile(0.5) is the median.
 func (s *Summary) Quantile(q float64) float64 {
@@ -130,62 +116,6 @@ func (s *Summary) ensureSorted() {
 	}
 }
 
-// CDF is an empirical cumulative distribution function over a sample set.
-type CDF struct {
-	sum *Summary
-}
-
-// NewCDF builds an empirical CDF from the samples.
-func NewCDF(samples []float64) *CDF { return &CDF{sum: Summarize(samples)} }
-
-// At returns P[X <= x].
-func (c *CDF) At(x float64) float64 {
-	vals := c.sum.Values()
-	if len(vals) == 0 {
-		return 0
-	}
-	// Index of first value > x.
-	idx := sort.SearchFloat64s(vals, math.Nextafter(x, math.Inf(1)))
-	return float64(idx) / float64(len(vals))
-}
-
-// Inverse returns the value at cumulative probability q, i.e. the q-quantile.
-func (c *CDF) Inverse(q float64) float64 { return c.sum.Quantile(q) }
-
-// Points samples the CDF at n evenly spaced probabilities in (0, 1] and
-// returns (value, probability) pairs suitable for plotting a CDF curve like
-// the paper's figures.
-func (c *CDF) Points(n int) []Point {
-	if n <= 0 {
-		return nil
-	}
-	pts := make([]Point, 0, n)
-	for i := 1; i <= n; i++ {
-		q := float64(i) / float64(n)
-		pts = append(pts, Point{X: c.sum.Quantile(q), Y: q})
-	}
-	return pts
-}
-
-// N reports the number of samples underlying the CDF.
-func (c *CDF) N() int { return c.sum.N() }
-
-// Point is one (x, y) sample of a curve.
-type Point struct {
-	X, Y float64
-}
-
-// Series is a named sequence of points (a single line in a figure).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Append adds one point to the series.
-func (s *Series) Append(x, y float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y})
-}
-
 // Table is a simple fixed-column text table used by the experiment harness
 // to print paper-style rows.
 type Table struct {
@@ -197,11 +127,6 @@ type Table struct {
 // AddRow appends a row of cells. Cells beyond the header count are kept.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddRowf appends a row built from formatted values.
-func (t *Table) AddRowf(format string, args ...interface{}) {
-	t.Rows = append(t.Rows, []string{fmt.Sprintf(format, args...)})
 }
 
 // String renders the table with aligned columns.

@@ -65,21 +65,6 @@ func (m *denseModel) insert(r classifier.Rule, rank uint64, drop bool) (shifts i
 	return shifts, true
 }
 
-// modifyPriority mirrors ModifyPriority: remove, re-place, charge the
-// distance moved.
-func (m *denseModel) modifyPriority(id classifier.RuleID, priority int32, drop bool) (shifts int, ok bool) {
-	i := m.find(id)
-	if i < 0 || drop {
-		return 0, i >= 0
-	}
-	s := m.s[i]
-	s.rule.Priority = priority
-	m.s = slices.Delete(m.s, i, i+1)
-	p := m.place(priority, s.rank)
-	m.s = slices.Insert(m.s, p, s)
-	return max(p-i, i-p), true
-}
-
 // checkModel compares tab with its dense model: each slot's rule ID,
 // priority and rank in TCAM order (checkRules compares whole rules),
 // Occupancy, the InsertPosition of every priority the tests use, Get of ids
@@ -157,7 +142,7 @@ func checkBlocks(tb testing.TB, tab *Table) {
 
 // TestTableMatchesDenseModel drives the blocked table and the dense model
 // through the same seeded op streams — plain and ranked inserts with tied
-// ranks, deletes, both modifies, truncates, resets, wipes, misses and
+// ranks, deletes, action modifies, truncates, resets, wipes, misses and
 // fault-dropped ops — alternately filling to capacity (≥ 8 blocks) and
 // draining, so blocks split and merge throughout. One op in eight is
 // preceded by a Snapshot, so writes meet index nodes a snapshot shares and
@@ -252,17 +237,6 @@ func TestTableMatchesDenseModel(t *testing.T) {
 				} else if ok && !drop {
 					m.s = slices.Delete(m.s, i, i+1)
 				}
-			case x < ins+del+50:
-				p := int32(rng.Intn(8))
-				lat, ok := tab.ModifyPriority(victim, p)
-				shifts, mok := m.modifyPriority(victim, p, drop)
-				if ok != mok {
-					t.Fatalf("%s: ModifyPriority(%d) = %v, model %v", ctx(), victim, ok, mok)
-				}
-				if ok && !drop && lat != Pica8P3290.InsertLatency(shifts) {
-					t.Fatalf("%s: ModifyPriority latency %v, model charges %d shifts", ctx(), lat, shifts)
-				}
-				want = shifts
 			default:
 				a := classifier.Action{Type: classifier.ActionForward, Port: step}
 				_, ok := tab.ModifyAction(victim, a)
@@ -382,9 +356,9 @@ func TestTableBlocksStayBounded(t *testing.T) {
 	}
 }
 
-// TestTableWritesAllocateNothing: at 1 500 entries an insert, a priority
-// rewrite and a delete — splitting and merging blocks as they go — reuse
-// spare blocks and allocate nothing.
+// TestTableWritesAllocateNothing: at 1 500 entries an insert and a delete —
+// splitting and merging blocks as they go — reuse spare blocks and allocate
+// nothing.
 func TestTableWritesAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tab := NewTable("allocs", 2048, Pica8P3290)
@@ -404,11 +378,10 @@ func TestTableWritesAllocateNothing(t *testing.T) {
 		if _, err := tab.InsertRanked(r, uint64(prio)); err != nil {
 			t.Fatal(err)
 		}
-		tab.ModifyPriority(r.ID, 5-prio)
 		tab.Delete(r.ID)
 	})
 	if allocs != 0 {
-		t.Fatalf("insert / ModifyPriority / delete cycle allocates %.1f/op, want 0", allocs)
+		t.Fatalf("insert / delete cycle allocates %.1f/op, want 0", allocs)
 	}
 }
 

@@ -53,7 +53,7 @@ func checkLookupAgreement(t *testing.T, tab *Table, rng *rand.Rand, probes int) 
 }
 
 // TestTableLookupDifferential drives a table through random mutation
-// sequences — inserts with ranked ties, deletes, both modify flavors,
+// sequences — inserts with ranked ties, deletes, action modifies,
 // snapshots (so later steps take the index's copy-on-write path), truncates,
 // resets and dropped (faulted) operations — and checks after every step that
 // the trie-indexed lookup returns bit-for-bit the rule the linear oracle
@@ -90,13 +90,9 @@ func TestTableLookupDifferential(t *testing.T) {
 				if !drop {
 					installed = append(installed[:i], installed[i+1:]...)
 				}
-			case op < 16 && len(installed) > 0: // modify action / priority
+			case op < 16 && len(installed) > 0: // modify action
 				id := installed[rng.Intn(len(installed))]
-				if rng.Intn(2) == 0 {
-					tab.ModifyAction(id, classifier.Action{Type: classifier.ActionDrop})
-				} else {
-					tab.ModifyPriority(id, int32(rng.Intn(6)))
-				}
+				tab.ModifyAction(id, classifier.Action{Type: classifier.ActionDrop})
 			case op < 18: // snapshot: freezes the index under the mutations to come
 				snap, snapRules = tab.Snapshot(), tab.Rules()
 			case op == 18: // crash truncation
@@ -138,8 +134,8 @@ func firstInOrder(rules []classifier.Rule, dst, src uint32) (classifier.Rule, bo
 }
 
 // TestTableGetIndexed checks the ID-indexed Get/Contains/Delete agree with
-// a scan of Rules() after heavy churn, including priority rewrites that
-// relocate slots.
+// a scan of Rules() after heavy churn, including re-inserts at a new
+// priority that relocate slots.
 func TestTableGetIndexed(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	tab := NewTable("get", 256, Pica8P3290)
@@ -150,8 +146,12 @@ func TestTableGetIndexed(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		id := classifier.RuleID(1 + rng.Intn(200))
-		if rng.Intn(3) == 0 {
-			tab.ModifyPriority(id, int32(rng.Intn(6)))
+		if r, ok := tab.Get(id); ok && rng.Intn(3) == 0 {
+			tab.Delete(id)
+			r.Priority = int32(rng.Intn(6))
+			if _, err := tab.Insert(r); err != nil {
+				t.Fatal(err)
+			}
 		}
 		want := classifier.Rule{}
 		wok := false
@@ -180,48 +180,6 @@ func TestTableGetIndexed(t *testing.T) {
 	}
 	if _, ok := tab.Lookup(rng.Uint32(), 0); ok {
 		t.Fatal("drained table still matches")
-	}
-}
-
-// TestModifyPriorityRepositions pins the semantics: the rule moves to its
-// new first-match position, ties resolve as if freshly inserted, and the
-// cost scales with the shift distance.
-func TestModifyPriorityRepositions(t *testing.T) {
-	tab := NewTable("prio", 16, Pica8P3290)
-	mk := func(id classifier.RuleID, prio int32) classifier.Rule {
-		return classifier.Rule{
-			ID:       id,
-			Match:    classifier.DstMatch(classifier.MustParsePrefix("10.0.0.0/8")),
-			Priority: prio,
-			Action:   classifier.Action{Type: classifier.ActionForward, Port: int(id)},
-		}
-	}
-	for i := classifier.RuleID(1); i <= 4; i++ {
-		if _, err := tab.InsertRanked(mk(i, int32(10-i)), 5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Raise rule 4 (currently last) above everything.
-	if _, ok := tab.ModifyPriority(4, 99); !ok {
-		t.Fatal("ModifyPriority missed")
-	}
-	if got, _ := tab.Lookup(0x0A000001, 0); got.ID != 4 {
-		t.Fatalf("first match %d, want 4", got.ID)
-	}
-	if got := tab.Rules()[0]; got.ID != 4 || got.Priority != 99 {
-		t.Fatalf("slot 0 = %+v", got)
-	}
-	// Drop it to the shared priority of rule 2 with the same rank: it must
-	// land below rule 2 (fresh-insert tie semantics).
-	if _, ok := tab.ModifyPriority(4, 8); !ok {
-		t.Fatal("ModifyPriority missed")
-	}
-	order := tab.Rules()
-	if order[0].ID != 1 || order[1].ID != 2 || order[2].ID != 4 || order[3].ID != 3 {
-		t.Fatalf("order after demote: %v", []classifier.RuleID{order[0].ID, order[1].ID, order[2].ID, order[3].ID})
-	}
-	if _, ok := tab.ModifyPriority(99, 1); ok {
-		t.Fatal("ModifyPriority of absent ID succeeded")
 	}
 }
 
@@ -367,7 +325,7 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 			before := tab.Stats().Shifts
 			want := 0
 			switch op % 6 {
-			case 0, 1:
+			case 0, 1, 3:
 				insert(classifier.Rule{
 					ID:       nextID,
 					Match:    classifier.Match{Dst: classifier.NewPrefix(addr, uint8(op)%33)},
@@ -387,9 +345,6 @@ func FuzzTableLookupEquivalence(f *testing.F) {
 					i := m.find(at)
 					m.s = slices.Delete(m.s, i, i+1)
 				}
-			case 3:
-				tab.ModifyPriority(at, int32(b%5))
-				want, _ = m.modifyPriority(at, int32(b%5), false)
 			case 4:
 				// Freeze the index (later ops copy on write) and rewrite an
 				// action in place.

@@ -27,7 +27,7 @@ const (
 	OpInsert Op = iota
 	// OpDelete covers Delete.
 	OpDelete
-	// OpModify covers ModifyAction and ModifyPriority.
+	// OpModify covers ModifyAction.
 	OpModify
 )
 
@@ -115,8 +115,8 @@ type doomed struct {
 // A rule has one copy, in the match index: a destination-prefix trie, each
 // entry keyed by its placement, so Lookup only visits the entries whose Dst
 // can match the packet and Snapshot hands the same index to lock-free
-// readers. meta maps an ID to its sort key, which Delete and ModifyPriority
-// find a slot by, and its index handle, which Get and ModifyAction reach the
+// readers. meta maps an ID to its sort key, which Delete finds a slot
+// by, and its index handle, which Get and ModifyAction reach the
 // rule by. SetLinearLookup(true) reverts Lookup to the full scan — kept as
 // the differential-testing oracle, never as the production path.
 type Table struct {
@@ -163,7 +163,7 @@ type Table struct {
 	droppedOps   int
 
 	// shiftHist, when non-nil, receives the entry-shift count of every
-	// ranked insert and priority modify (the obs wiring; recording is
+	// ranked insert (the obs wiring; recording is
 	// lock-free and allocation-free).
 	shiftHist *obs.Histogram
 }
@@ -590,46 +590,6 @@ func (t *Table) ModifyAction(id classifier.RuleID, a classifier.Action) (time.Du
 	t.totalMods++
 	t.gen.Add(1)
 	return t.profile.ModifyLatency + f.Extra, true
-}
-
-// ModifyPriority moves a rule to a new priority, keeping its tie rank. The
-// hardware cost is the shift distance between the old and new slots, as if
-// the update engine slid the intervening entries by one. The repositioned
-// entry lands below existing (priority, rank) equals, like a fresh insert.
-func (t *Table) ModifyPriority(id classifier.RuleID, priority int32) (time.Duration, bool) {
-	m, bi, j := t.slotOf(id)
-	if bi < 0 {
-		return 0, false
-	}
-	f := t.faultFor(OpModify, id)
-	if f.Drop {
-		t.droppedOps++
-		return t.profile.ModifyLatency + f.Extra, true
-	}
-	s := t.blocks[bi][j]
-	i := t.posOf(bi, j)
-	s.priority = priority
-	// Remove, then re-place by the new key.
-	t.removeAt(bi, j)
-	bi, j = t.find(priority, s.rank, true)
-	pos := t.posOf(bi, j)
-	t.insertAt(bi, j, s)
-	// Re-stamped like a fresh insert: it now sits below its new equals.
-	r, _ := t.index.GetAt(m.h, id)
-	r.Priority = priority
-	t.index.DeleteAt(m.h, m.h.Dst(), id)
-	t.meta[id] = entryMeta{priority: priority, rank: s.rank, h: t.indexInsert(r, s.rank)}
-	shifts := pos - i
-	if shifts < 0 {
-		shifts = -shifts
-	}
-	t.totalShifts += shifts
-	t.totalMods++
-	if t.shiftHist != nil {
-		t.shiftHist.Record(uint64(shifts))
-	}
-	t.gen.Add(1)
-	return t.profile.InsertLatency(shifts) + f.Extra, true
 }
 
 // Get returns the installed rule with the given ID: one map probe and one

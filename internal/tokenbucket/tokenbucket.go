@@ -37,19 +37,6 @@ func New(rate, burst float64) *Bucket {
 // Rate returns the configured fill rate in tokens/second.
 func (b *Bucket) Rate() float64 { return b.rate }
 
-// Burst returns the configured capacity.
-func (b *Bucket) Burst() float64 { return b.burst }
-
-// SetRate changes the fill rate, crediting tokens accrued so far at the old
-// rate first.
-func (b *Bucket) SetRate(now time.Duration, rate float64) {
-	if rate <= 0 {
-		panic(fmt.Sprintf("tokenbucket: invalid rate=%v", rate))
-	}
-	b.refill(now)
-	b.rate = rate
-}
-
 // Allow consumes n tokens if available at virtual time now and reports
 // whether the request was admitted.
 func (b *Bucket) Allow(now time.Duration, n float64) bool {

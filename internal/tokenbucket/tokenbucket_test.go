@@ -53,26 +53,6 @@ func TestClockNeverRunsBackward(t *testing.T) {
 	}
 }
 
-func TestSetRate(t *testing.T) {
-	b := New(100, 100)
-	b.Allow(0, 100)
-	b.SetRate(time.Second, 200) // credits 100 tokens at the old rate first
-	if got := b.Tokens(time.Second); got != 100 {
-		t.Errorf("tokens after SetRate = %v, want 100", got)
-	}
-	if got := b.Tokens(time.Second + 250*time.Millisecond); got != 100 {
-		// 100 + 200*0.25 = 150 but capped at burst 100... wait: burst is
-		// 100, so tokens stay at 100.
-		t.Errorf("tokens = %v, want cap 100", got)
-	}
-	if b.Rate() != 200 {
-		t.Errorf("Rate = %v", b.Rate())
-	}
-	if b.Burst() != 100 {
-		t.Errorf("Burst = %v", b.Burst())
-	}
-}
-
 func TestInvalidConfigPanics(t *testing.T) {
 	assertPanics := func(name string, fn func()) {
 		defer func() {
@@ -84,7 +64,6 @@ func TestInvalidConfigPanics(t *testing.T) {
 	}
 	assertPanics("zero rate", func() { New(0, 1) })
 	assertPanics("negative burst", func() { New(1, -1) })
-	assertPanics("SetRate zero", func() { New(1, 1).SetRate(0, 0) })
 }
 
 func TestRateEnforcedOverTime(t *testing.T) {

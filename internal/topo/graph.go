@@ -70,12 +70,6 @@ func (g *Graph) AddNode(name string, kind NodeKind) NodeID {
 	return id
 }
 
-// NodeByName resolves a node name.
-func (g *Graph) NodeByName(name string) (NodeID, bool) {
-	id, ok := g.names[name]
-	return id, ok
-}
-
 // AddLink inserts a full-duplex link (two directed edges) between a and b.
 func (g *Graph) AddLink(a, b NodeID, capacityBps float64, delay time.Duration) (ab, ba LinkID) {
 	ab = g.addDirected(a, b, capacityBps, delay)

@@ -16,12 +16,6 @@ func TestGraphBasics(t *testing.T) {
 	if g.Links[ba].From != b || g.Links[ba].To != a {
 		t.Error("reverse link endpoints")
 	}
-	if id, ok := g.NodeByName("a"); !ok || id != a {
-		t.Error("NodeByName")
-	}
-	if _, ok := g.NodeByName("zzz"); ok {
-		t.Error("NodeByName on missing name")
-	}
 	if len(g.Out(a)) != 1 || len(g.Out(b)) != 1 {
 		t.Error("adjacency")
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Repo-wide gate: formatting (gofmt -l), static analysis (go vet +
-# one full-repo hermes-lint run, timed by lint_bench.sh, + the
-# internal/core suppression ratchet), build, the full test suite under the
+# Repo-wide gate: formatting (gofmt -l), DESIGN.md §4's package list against
+# the tree, static analysis (go vet + one full-repo hermes-lint run, timed by
+# lint_bench.sh, + the internal/core suppression ratchet), build, the full test suite under the
 # race detector, the linter's self-test against its known-bad corpus, the
 # nested benchmark module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, one iteration of the trie, cut, TCAM and spline micro-benchmarks, and
@@ -22,6 +22,17 @@ unformatted="$(find . -name '*.go' ! -path './internal/lint/testdata/*' ! -path 
 if [ -n "$unformatted" ]; then
   echo "gofmt -l lists files that need formatting (run gofmt -w on them):" >&2
   echo "$unformatted" >&2
+  exit 1
+fi
+
+echo ">> layout: DESIGN.md §4's internal/{...} list names exactly the packages under internal/"
+listed="$(sed -n '/^## 4\./,/^## 5\./p' DESIGN.md | tr -d ' \n' | sed -n 's|.*internal/{\([^}]*\)}.*|\1|p' | tr ',' '\n' | sort)"
+present="$(ls -d internal/*/ | sed 's|^internal/||; s|/$||' | sort)"
+stale="$(echo "$listed" | grep -vxF -e "$present" || true)"
+unlisted="$(echo "$present" | grep -vxF -e "$listed" || true)"
+if [ -z "$listed" ] || [ -n "$stale$unlisted" ]; then
+  echo "DESIGN.md §4 and internal/ disagree; listed but absent: ${stale:-none}; present but unlisted: ${unlisted:-none}" | tr '\n' ' ' >&2
+  echo >&2
   exit 1
 fi
 
