@@ -38,7 +38,7 @@ func (m Match) Intersect(o Match) (Match, bool) {
 // the single region {rule.Match}.
 //
 // The decomposition is the same cut machinery PartitionNewRule uses
-// (Subtract/Intersect over nested prefixes), run from the evicted rule's
+// (AppendSubtract/Intersect over nested prefixes), run from the evicted rule's
 // side: for each dependency, carve out the part of the remaining region set
 // that intersects it; whatever survives all dependencies is the remainder.
 // The pieces are then minimized with MergeMatches, which preserves the

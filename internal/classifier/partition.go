@@ -12,7 +12,7 @@ package classifier
 //  (i)   detect overlaps between the new rule and main-table rules with
 //        higher priority (DetectOverlap, via the Trie);
 //  (ii)  eliminate each overlap by recursively cutting the new rule's match
-//        region (EliminateOverlap, via Match.Subtract);
+//        region (EliminateOverlap, via Match.AppendSubtract);
 //  (iii) merge the surviving fragments into a minimal rule set (Merge, via
 //        MergeMatches).
 //

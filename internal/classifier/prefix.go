@@ -129,27 +129,6 @@ func (p Prefix) Sibling() Prefix {
 	return Prefix{Addr: p.Addr ^ bit, Len: p.Len}
 }
 
-// Subtract returns the set of maximal prefixes covering p minus q. If q does
-// not overlap p the result is {p}; if q contains p the result is empty.
-// Otherwise q is strictly inside p and the result is the q.Len-p.Len
-// prefixes that peel off the path from p down to q — this is the classic
-// prefix-subtraction step behind the paper's EliminateOverlap.
-func (p Prefix) Subtract(q Prefix) []Prefix {
-	if !p.Overlaps(q) {
-		return []Prefix{p}
-	}
-	if q.Contains(p) {
-		return nil
-	}
-	out := make([]Prefix, 0, q.Len-p.Len)
-	for cur := p; cur.Len < q.Len; {
-		var off Prefix
-		off, cur = cur.peel(q)
-		out = append(out, off)
-	}
-	return out
-}
-
 // peel splits p one level toward q (strictly inside p): off is the half
 // that does not contain q — one fragment of p minus q — and on the half
 // that does, to be peeled further.

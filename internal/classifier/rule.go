@@ -85,12 +85,9 @@ func (m Match) MatchesPacket(dst, src uint32) bool {
 	return m.Dst.MatchesAddr(dst) && m.Src.MatchesAddr(src)
 }
 
-// Subtract returns a set of match regions exactly covering m minus o.
-// The result is empty when o contains m and {m} when they do not overlap.
-func (m Match) Subtract(o Match) []Match { return m.AppendSubtract(nil, o) }
-
-// AppendSubtract appends the regions of m minus o to dst and returns it —
-// Subtract for callers that bring their own buffer (Algorithm 1 runs
+// AppendSubtract appends to dst the match regions exactly covering m minus
+// o and returns it: nothing when o contains m, m itself when they do not
+// overlap. Callers bring their own buffer (Algorithm 1 runs
 // EliminateOverlap on two reused slices).
 //
 // For the two-dimensional case the difference decomposes into (i) the dst

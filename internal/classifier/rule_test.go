@@ -34,7 +34,7 @@ func TestMatchSubtractDstOnly(t *testing.T) {
 	// src-intersection branch contributes nothing because src\src = ∅.
 	a := DstMatch(MustParsePrefix("192.168.1.0/24"))
 	b := DstMatch(MustParsePrefix("192.168.1.0/26"))
-	parts := a.Subtract(b)
+	parts := a.AppendSubtract(nil, b)
 	if len(parts) != 2 {
 		t.Fatalf("Subtract = %v, want 2 parts", parts)
 	}
@@ -51,7 +51,7 @@ func TestMatchSubtractDstOnly(t *testing.T) {
 func TestMatchSubtractTwoDimensional(t *testing.T) {
 	a := m("192.168.0.0/16", "0.0.0.0/0")
 	b := m("192.168.1.0/24", "10.0.0.0/8")
-	parts := a.Subtract(b)
+	parts := a.AppendSubtract(nil, b)
 	if len(parts) == 0 {
 		t.Fatal("partial overlap must leave fragments")
 	}
@@ -95,7 +95,7 @@ func TestMatchSubtractProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomMatch(r), randomMatch(r)
-		parts := a.Subtract(b)
+		parts := a.AppendSubtract(nil, b)
 		for i, p := range parts {
 			if !a.Contains(p) {
 				return false

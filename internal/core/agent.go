@@ -231,6 +231,11 @@ type Agent struct {
 	// repair, when the delta cannot be trusted).
 	hygieneDirty []classifier.Match
 	hygieneAll   bool
+	// rankSettled says the last rebalance pass promoted every rule its rank
+	// kept, and rankWorst is the worst rule that rank kept: every
+	// software-only rule untouched since ranks below it (rankLocked).
+	rankSettled bool
+	rankWorst   rankCand
 	// rankBuf, fallenBuf and hygieneIDs are the rebalance pass's scratch
 	// buffers, reused so a pass that changes nothing allocates nothing.
 	rankBuf    []rankCand
@@ -477,9 +482,9 @@ func (a *Agent) modifyOp(now time.Duration, r classifier.Rule) (Result, error) {
 // insert validates the rule, mints its tie-breaking sequence number, and
 // routes it through the Gate Keeper (insertSeq). It owns the bookkeeping
 // that must happen exactly once per controller-visible insert — the Inserts
-// counter, the logical reference table, and the hit-stats record — so that
-// insertSeq can also serve cache promotions, which re-install an existing
-// rule under its original seq.
+// counter and the logical reference table — so that insertSeq can also
+// serve cache promotions, which re-install an existing rule under its
+// original seq.
 func (a *Agent) insert(now time.Duration, r classifier.Rule) (Result, error) {
 	a.advance(now)
 	if r.ID >= partIDBase {
@@ -496,7 +501,6 @@ func (a *Agent) insert(now time.Duration, r classifier.Rule) (Result, error) {
 		return res, err
 	}
 	a.trackLogical(r)
-	a.noteRuleAdded(r.ID)
 	return res, nil
 }
 
@@ -808,7 +812,6 @@ func (a *Agent) deleteRule(now time.Duration, id classifier.RuleID) (Result, err
 	total, completed := a.removePhysical(now, st)
 	a.dropRuleState(st)
 	a.untrackLogical(id)
-	a.noteRuleRemoved(id)
 	a.o.recordDelete(total)
 	a.o.event(now, obs.EvDelete, 0, uint64(id), 0, uint64(total))
 	return Result{Latency: total, Completed: completed, Guaranteed: true}, nil

@@ -45,33 +45,6 @@ import (
 // cover, everything below is a real rule or fragment.
 const coverIDBase classifier.RuleID = 1 << 41
 
-// noteRuleAdded / noteRuleRemoved keep the per-rule hit-stats records in
-// step with the controller-visible rule set (cached mode).
-func (a *Agent) noteRuleAdded(id classifier.RuleID) {
-	if a.cmgr != nil {
-		a.cmgr.Ensure(id)
-	}
-}
-
-func (a *Agent) noteRuleRemoved(id classifier.RuleID) {
-	if a.cmgr != nil {
-		a.cmgr.Forget(id)
-	}
-}
-
-// buildHitMap maps the software-tier rule IDs onto their stats records, so
-// the published snapshot can attribute hits without per-lookup
-// indirection. Only software-tier winners are ever looked up in it
-// (hardware hits go through the sample ring). Requires at least the read
-// lock.
-func (a *Agent) buildHitMap() map[classifier.RuleID]*rulecache.RuleStats {
-	m := make(map[classifier.RuleID]*rulecache.RuleStats, a.soft.Len())
-	for _, e := range a.soft.Entries() {
-		m[e.Rule.ID] = e.Stats
-	}
-	return m
-}
-
 // --- cached-mode mutation paths ------------------------------------------
 
 // insertCached installs a rule into the authoritative software tier and
@@ -238,6 +211,7 @@ func (a *Agent) demoteLocked(now time.Duration, id classifier.RuleID) {
 	a.dropRuleState(st)
 	a.dropResident(m, id)
 	a.cmgr.NoteDemotion()
+	a.cmgr.Touch(id)
 	a.ensureCoversFor(now, r, seq)
 }
 
@@ -337,6 +311,7 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 	}
 	a.covers[h.ID] = installed
 	a.cmgr.NoteCoverInstalls(len(installed))
+	a.cmgr.Touch(h.ID) // the cost score divides by the covers
 }
 
 // removeCoversFor drops the cover entries shielding a rule.
@@ -348,6 +323,7 @@ func (a *Agent) removeCoversFor(now time.Duration, owner classifier.RuleID) {
 	a.removeCoverEntries(now, ids)
 	a.cmgr.NoteCoverRemovals(len(ids))
 	delete(a.covers, owner)
+	a.cmgr.Touch(owner)
 }
 
 func (a *Agent) removeCoverEntries(now time.Duration, ids []classifier.RuleID) {
@@ -434,18 +410,24 @@ func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
 }
 
 // rankLocked decides which rules deserve the Capacity hardware slots. It
-// returns the wanted set best-first and, in ID order, the residents that
-// fell out of it; both are nil when the resident set already is the wanted
-// set.
+// returns, best-first, the wanted rules from the best challenger down (the
+// residents above it stay whatever happens) and, in ID order, the
+// residents that fell out; both are nil when the resident set already is
+// the wanted set.
 //
-// Instead of sorting every rule it sorts only the residents plus the
-// software-only rules that beat the worst resident under cmpRank. That is
-// enough: with the cache full, a software-only rule that does not beat the
-// worst resident is beaten by all Capacity residents, so it cannot be among
-// the top Capacity of all rules — the global top Capacity lies inside
-// residents ∪ challengers, and the top Capacity of that subset is the same
-// set in the same order. While the cache has free slots every software-only
-// rule is a challenger and this is the full sort.
+// It scores every resident and ranks against the worst one only the
+// challengers: software-only rules that beat it under cmpRank. With the
+// cache full the global top Capacity lies inside residents ∪ challengers;
+// while it has free slots every software-only rule is a challenger. While
+// the ranking is settled (rankSettled: the last pass promoted every rule
+// its rank kept) only the software-only rules touched since can be
+// challengers — each other one ranked below that rank's worst kept rule
+// (rankWorst) at a score that has not moved — unless the worst resident
+// now ranks below rankWorst too (a resident's cost score fell, or a rule
+// with no hits was promoted on insert). Then, as while the cache has room
+// or a full hygiene sweep is pending, every rule is scored (DESIGN.md §16).
+// Only the residents ranked below the best challenger are sorted with the
+// challengers; the bottom of that list falls.
 //
 //hermes:hotpath
 func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
@@ -460,31 +442,63 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 			worst = c
 		}
 	}
-	full := len(a.residents) >= capacity
-	next := 0 // a.residents and the entries are both in ID order
-	for _, e := range a.soft.Entries() {
-		if next < len(a.residents) && a.residents[next] == e.Rule.ID {
-			next++
-			continue
+	n := len(cands)
+	full := n >= capacity
+	// Either every software rule, skipping the residents (both lists are in
+	// ID order), or only the touched records still current and not resident.
+	all, touched := a.soft.Entries(), a.cmgr.TakeTouched()
+	scan := !full || !a.rankSettled || a.hygieneAll || cmpRank(worst, a.rankWorst) > 0
+	todo := len(touched)
+	if scan {
+		todo = len(all)
+	}
+	next, scored := 0, n
+	for i := 0; i < todo; i++ {
+		var e *rulecache.SoftEntry
+		if scan {
+			if e = all[i]; next < n && a.residents[next] == e.Rule.ID {
+				next++
+				continue
+			}
+		} else {
+			s := touched[i]
+			if e = a.soft.Entry(s.ID()); e == nil || e.Stats != s {
+				continue // deleted, or re-inserted under a record listed anew
+			}
+			if _, resident := a.rules[e.Rule.ID]; resident {
+				continue
+			}
 		}
 		c := rankCand{id: e.Rule.ID, score: a.scoreOf(e)}
+		scored++
 		if !full || cmpRank(c, worst) < 0 {
 			//lint:ignore hotpathalloc reused scratch buffer; a quiet tick finds no challenger to append
 			cands = append(cands, c)
 		}
 	}
 	a.rankBuf = cands
-	challengers := len(cands) - len(a.residents)
-	a.cmgr.NoteChallengers(challengers)
-	if challengers == 0 {
+	a.rankWorst = worst
+	a.cmgr.NoteScored(scored)
+	a.cmgr.NoteChallengers(len(cands) - n)
+	if len(cands) == n {
 		return nil, nil
 	}
-	slices.SortFunc(cands, cmpRank)
-	if len(cands) <= capacity {
-		return cands, nil
+	best := slices.MinFunc(cands[n:], cmpRank)
+	s := n // move the residents that rank below best next to the challengers
+	for i := n - 1; i >= 0; i-- {
+		if cmpRank(cands[i], best) > 0 {
+			s--
+			cands[i], cands[s] = cands[s], cands[i]
+		}
+	}
+	rest := cands[s:]
+	slices.SortFunc(rest, cmpRank)
+	keep := len(rest) - max(len(cands)-capacity, 0)
+	if keep > 0 {
+		a.rankWorst = rest[keep-1]
 	}
 	fallen = a.fallenBuf[:0]
-	for _, c := range cands[capacity:] {
+	for _, c := range rest[keep:] {
 		if c.resident {
 			//lint:ignore hotpathalloc reused scratch buffer; reached only when a challenger displaced a resident
 			fallen = append(fallen, c.id)
@@ -492,16 +506,21 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 	}
 	slices.Sort(fallen)
 	a.fallenBuf = fallen
-	return cands[:capacity], fallen
+	return rest[:keep], fallen
 }
 
+// foldSamples credits the sampled hits to the epoch the tick is about to
+// open, and software-tier ones to the epoch it closes (FoldSamples).
+func (a *Agent) foldSamples() { a.cmgr.FoldSamples(a.cmgr.EpochNow()+1, a.originalOf) }
+
 // rebalanceLocked is the cache manager's periodic pass (driven by Tick):
-// advance the recency epoch, rank the rules under the configured policy,
-// demote residents that fell out of the top Capacity, promote the rules
-// that rose into it (bounded by MaxMovesPerRebalance), and run cover
-// hygiene where the resident set changed. Its cost follows what changed: a
-// pass in which no rule crossed the cut is one scan of the scores and
-// nothing else. Requires a.mu held exclusively.
+// fold the samples, advance the recency epoch, rank the rules under the
+// configured policy, demote residents that fell out of the top Capacity,
+// promote the rules that rose into it (bounded by MaxMovesPerRebalance),
+// and run cover hygiene where the resident set changed. Its cost follows
+// what changed: a pass in which no rule crossed the cut scores the
+// residents and the rules touched since the last pass, and nothing else.
+// Requires a.mu held exclusively.
 //
 //hermes:hotpath
 func (a *Agent) rebalanceLocked(now time.Duration) {
@@ -511,15 +530,19 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 		// migration). The pass after Reconcile catches up.
 		return
 	}
-	epoch := a.cmgr.AdvanceEpoch()
-	a.cmgr.FoldSamples(epoch, a.originalOf)
+	a.foldSamples()
+	a.cmgr.AdvanceEpoch()
 	wanted, fallen := a.rankLocked()
 
 	moves := 0
 	maxMoves := a.cacheCfg.MaxMovesPerRebalance
+	// left is the resident count the demotions account for; settled stays
+	// true while every move the rank chose is made.
+	left, settled := len(a.residents), true
 	// Demotions first (they free capacity), in ID order for determinism.
 	for _, id := range fallen {
 		if moves >= maxMoves {
+			settled = false
 			break
 		}
 		// An earlier demotion's table-full fallback may already have
@@ -527,11 +550,19 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 		if _, resident := a.rules[id]; resident {
 			a.demoteLocked(now, id)
 			moves++
+			left--
 		}
+	}
+	if len(a.residents) != left {
+		// A fallback evicted residents the rank kept, maybe above the best
+		// challenger: the full sort promotes back the ones it still wants.
+		slices.SortFunc(a.rankBuf, cmpRank)
+		wanted = a.rankBuf[:min(len(a.rankBuf), a.cacheCfg.Capacity)]
 	}
 	// Promotions in score order, best first.
 	for _, c := range wanted {
 		if moves >= maxMoves {
+			settled = false
 			break
 		}
 		if _, resident := a.rules[c.id]; resident {
@@ -540,10 +571,14 @@ func (a *Agent) rebalanceLocked(now time.Duration) {
 		if len(a.residents) >= a.cacheCfg.Capacity {
 			break
 		}
-		a.promoteLocked(now, c.id)
+		if a.promoteLocked(now, c.id) != nil {
+			settled = false
+		}
 		moves++ // failed promotions still consumed hardware work
 	}
 	a.coverHygieneLocked(now)
+	// A kept rule a fallback evicted was touched by its demotion.
+	a.rankSettled = settled
 }
 
 // coverHygieneLocked repairs the shield invariant after resident-set
@@ -635,28 +670,15 @@ func (a *Agent) CacheResident() int {
 }
 
 // originalOf maps a physical entry ID (which may be a partition fragment)
-// to its original rule ID, for sample-ring folds.
+// to its original rule ID, for sample-ring folds. Only IDs from partIDBase
+// up can be fragments.
 func (a *Agent) originalOf(id classifier.RuleID) classifier.RuleID {
-	if st, isFrag := a.cuts.byPart[id]; isFrag {
-		return st.original.ID
+	if id >= partIDBase {
+		if st, isFrag := a.cuts.byPart[id]; isFrag {
+			return st.original.ID
+		}
 	}
 	return id
-}
-
-// RuleHits returns the recorded hit count for a rule (cached mode; 0
-// otherwise). It folds pending hardware-tier samples first, so it takes
-// the exclusive lock.
-func (a *Agent) RuleHits(id classifier.RuleID) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.cmgr == nil {
-		return 0
-	}
-	a.cmgr.FoldSamples(a.cmgr.EpochNow(), a.originalOf)
-	if s := a.cmgr.Stats(id); s != nil {
-		return s.Hits()
-	}
-	return 0
 }
 
 // Rebalance runs one promotion/demotion pass immediately (cached mode;

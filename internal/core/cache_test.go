@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -71,8 +70,10 @@ func TestCachedBasic(t *testing.T) {
 	if snap.HWHits != 3 || snap.SoftHits != 0 {
 		t.Errorf("stats = hw %d soft %d, want 3/0", snap.HWHits, snap.SoftHits)
 	}
-	if a.RuleHits(1) != 1 {
-		t.Errorf("RuleHits(1) = %d, want 1", a.RuleHits(1))
+	// Per-rule stats are folded where the epoch advances: on the tick.
+	a.Rebalance(now)
+	if s := a.cmgr.Stats(1); s == nil || s.Hits() != 1 {
+		t.Errorf("rule 1 stats after the rebalance = %+v, want 1 hit", s)
 	}
 	// Miss: no rule matches.
 	if _, ok := a.Lookup(0xF0000001, 0); ok {
@@ -522,9 +523,10 @@ func runRebalanceOracleSeq(t *testing.T, seed int64, policy rulecache.Policy, ma
 
 		now += 10 * time.Millisecond
 		// Bring the agent to exactly the state the tick will rank: finished
-		// migrations applied, samples folded into the epoch the tick opens.
+		// migrations applied, samples folded by the tick's own fold (the
+		// tick's then finds the ring drained).
 		a.Advance(now)
-		a.cmgr.FoldSamples(a.cmgr.EpochNow()+1, a.originalOf)
+		a.foldSamples()
 		want := oracleResidents(a)
 		if end := a.Tick(now); end != 0 {
 			a.Advance(end)
@@ -611,6 +613,149 @@ func TestRebalanceQuietTickAllocs(t *testing.T) {
 	}
 	if got := a.ViewTierRebuilds(); got != tiers {
 		t.Errorf("quiet rebalances rebuilt snapshot tiers: %+v -> %+v", tiers, got)
+	}
+}
+
+// TestRebalanceQuietTickScoresResidents pins the rank's cost: once the
+// ranking is settled, a tick with no lookups since the last one scores the
+// residents and nothing else, the same count at 200 and at 20 000 software
+// rules.
+func TestRebalanceQuietTickScoresResidents(t *testing.T) {
+	const capacity = 20
+	scored := func(rules int) uint64 {
+		a, err := New(tcam.NewSwitch("test", tcam.Pica8P3290), Config{
+			Guarantee:        5 * time.Millisecond,
+			DisableRateLimit: true,
+			Cache:            &rulecache.Config{Capacity: capacity, Policy: rulecache.PolicyLFU, SampleStride: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := time.Duration(0)
+		for i := 1; i <= rules; i++ {
+			r := classifier.Rule{ID: classifier.RuleID(i), Match: classifier.DstMatch(classifier.NewPrefix(0x0A000000|uint32(i)<<8, 24))}
+			mustInsert(t, a, now, r)
+		}
+		// Heat rules 101..120 so the first passes swap the resident set.
+		for i := 101; i <= 120; i++ {
+			for k := 0; k < 5; k++ {
+				a.Lookup(0x0A000001|uint32(i)<<8, 0)
+			}
+		}
+		for k := 0; k < 3; k++ {
+			now += 10 * time.Millisecond
+			a.Rebalance(now)
+		}
+		if got := a.CacheStats().Demotions; got != capacity {
+			t.Fatalf("%d rules: demotions = %d, want %d (the warm-up must have moved rules)", rules, got, capacity)
+		}
+		before := a.CacheStats().RebalanceScored
+		now += 10 * time.Millisecond
+		a.Rebalance(now)
+		return a.CacheStats().RebalanceScored - before
+	}
+	if small, large := scored(200), scored(20000); small != capacity || large != capacity {
+		t.Errorf("a quiet tick scored %d rules at 200 software rules and %d at 20 000, want the %d residents both times",
+			small, large, capacity)
+	}
+}
+
+// TestRebalanceRescoresCoverChange pins the cost policy's exactness: a
+// software-only rule whose covers a demotion made unnecessary is divided by
+// one slot instead of two from then on, with no new hit to say so, and the
+// next pass must still see it overtake the worst resident. CoverFor merges
+// its pieces back into one region, so the fixture adds the second piece's
+// ID by hand, as a two-piece shield would hold it.
+func TestRebalanceRescoresCoverChange(t *testing.T) {
+	a := newCachedAgent(t, 2, rulecache.PolicyCostAware)
+	now := time.Millisecond
+	mustInsert(t, a, now, dstRule(1, "20.0.0.0/8", 1, 1))
+	mustInsert(t, a, now, dstRule(2, "10.1.0.0/16", 1, 2))
+	mustInsert(t, a, now, dstRule(3, "10.0.0.0/14", 5, 3)) // beats resident 2: shielded
+	mustInsert(t, a, now, dstRule(4, "30.0.0.0/8", 1, 4))
+	if n := len(a.covers[3]); n != 1 {
+		t.Fatalf("fixture: rule 3 has %d covers, want 1", n)
+	}
+	a.covers[3] = append(a.covers[3], a.nextCoverID) // a second piece no table holds
+	a.nextCoverID++
+	for _, h := range []struct {
+		dst  uint32
+		id   classifier.RuleID
+		hits int
+	}{{0x14000001, 1, 100}, {0x0A000001, 3, 12}, {0x1E000001, 4, 10}} {
+		for k := 0; k < h.hits; k++ {
+			if r, ok := a.Lookup(h.dst, 0); !ok || r.ID != h.id {
+				t.Fatalf("lookup %08x = rule %d (%v), want %d", h.dst, r.ID, ok, h.id)
+			}
+		}
+	}
+	// Rule 4 (10 hits, one slot) displaces rule 2 (no hit); rule 3 (12 hits
+	// over two covers) does not. With rule 2 gone, rule 3's covers go too.
+	now += 10 * time.Millisecond
+	a.Rebalance(now)
+	if !slices.Equal(a.residents, []classifier.RuleID{1, 4}) || len(a.covers[3]) != 0 {
+		t.Fatalf("fixture: residents %v, rule 3 covers %v; want [1 4] and none", a.residents, a.covers[3])
+	}
+	want := oracleResidents(a)
+	now += 10 * time.Millisecond
+	a.Rebalance(now)
+	if !slices.Equal(a.residents, want) || !slices.Equal(want, []classifier.RuleID{1, 3}) {
+		t.Errorf("residents %v, full-sort oracle %v; want [1 3]: rule 3 now scores 12 hits over one slot", a.residents, want)
+	}
+}
+
+// BenchmarkRebalance times one rebalance pass after a fixed Zipf burst of
+// 2 000 lookups over 2 000 or 20 000 disjoint rules at 10 % capacity (LFU,
+// the default sample stride), once the ranking has settled: the cost a
+// cached agent's tick pays for its cache. scored/op is the rules the pass
+// scored; it follows the residents and the burst, not the rule count.
+func BenchmarkRebalance(b *testing.B) {
+	for _, rules := range []int{2000, 20000} {
+		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
+			a, err := New(tcam.NewSwitch("bench", tcam.Pica8P3290), Config{
+				Guarantee:        5 * time.Millisecond,
+				DisableRateLimit: true,
+				Cache:            &rulecache.Config{Capacity: rules / 10, Policy: rulecache.PolicyLFU},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			now := time.Duration(0)
+			for i := 1; i <= rules; i++ {
+				r := classifier.Rule{ID: classifier.RuleID(i), Match: classifier.DstMatch(classifier.NewPrefix(0x0A000000|uint32(i)<<8, 24))}
+				if _, err := a.Insert(now, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(rules-1))
+			burst := make([]uint32, 2000)
+			for i := range burst {
+				burst[i] = 0x0A000001 | uint32(zipf.Uint64()+1)<<8
+			}
+			tick := func() {
+				for _, dst := range burst {
+					a.Lookup(dst, 0)
+				}
+				now += 10 * time.Millisecond
+				a.Rebalance(now)
+			}
+			for k := 0; k < 20; k++ { // settle the hot set
+				tick()
+			}
+			before := a.CacheStats().RebalanceScored
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for _, dst := range burst {
+					a.Lookup(dst, 0)
+				}
+				now += 10 * time.Millisecond
+				b.StartTimer()
+				a.Rebalance(now)
+			}
+			b.ReportMetric(float64(a.CacheStats().RebalanceScored-before)/float64(b.N), "scored/op")
+		})
 	}
 }
 
@@ -701,10 +846,56 @@ func TestCoverHygieneTableFullFallback(t *testing.T) {
 	}
 }
 
+// TestRebalanceDemotionFallbackRepromotes drives a demotion into the
+// table-full fallback: demoted rule 2 beats resident 1, the main table has
+// no room for its cover, so resident 1 is demoted too although the rank
+// kept it, above the one challenger. The pass must then go on as the full
+// sort did, promoting rule 1 back in rank order — which demotes it once
+// more, rule 2 still unshielded — before promoting the challenger: four
+// promotions and three demotions in all, two and one of them on insert.
+func TestRebalanceDemotionFallbackRepromotes(t *testing.T) {
+	prof := *tcam.Pica8P3290
+	prof.Capacity = 16
+	a, err := New(tcam.NewSwitch("tiny", &prof), Config{
+		Guarantee:        5 * time.Millisecond,
+		DisableRateLimit: true,
+		TrackLogical:     true,
+		Cache:            &rulecache.Config{Capacity: 2, Policy: rulecache.PolicyLFU, SampleStride: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Millisecond
+	mustInsert(t, a, now, dstRule(1, "10.0.0.0/8", 1, 1))
+	mustInsert(t, a, now, dstRule(2, "10.1.0.0/16", 5, 2))
+	for id := classifier.RuleID(3); a.main.Free() > 0; id++ { // shielded rules fill main with covers
+		r := dstRule(id, "10.0.0.0/16", 5, int(id))
+		r.Match = classifier.DstMatch(classifier.NewPrefix(0x0A000000|uint32(id)<<16, 16))
+		mustInsert(t, a, now, r)
+	}
+	mustInsert(t, a, now, dstRule(100, "20.0.0.0/8", 1, 100))
+	for _, h := range []struct {
+		dst  uint32
+		hits int
+	}{{0x0AC80001, 50}, {0x14000001, 30}, {0x0A010001, 1}} { // rules 1, 100, 2
+		for k := 0; k < h.hits; k++ {
+			a.Lookup(h.dst, 0)
+		}
+	}
+	a.Rebalance(now + 10*time.Millisecond)
+	snap := a.CacheStats()
+	if snap.Promotions != 4 || snap.Demotions != 3 || !slices.Equal(a.residents, []classifier.RuleID{100}) {
+		t.Errorf("promotions %d, demotions %d, residents %v; want 4, 3 and [100]", snap.Promotions, snap.Demotions, a.residents)
+	}
+	if err := a.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRebalanceSharesUnchangedTiers checks the publish side: after a
 // rebalance that moves rules, the next lookup's snapshot freezes the
-// hardware-tier indexes anew and shares the software-tier index and hit map
-// with the previous snapshot (freezing an unmoved tier again would make its
+// hardware-tier indexes anew and shares the software-tier index with the
+// previous snapshot (freezing an unmoved tier again would make its
 // next write copy for nothing).
 func TestRebalanceSharesUnchangedTiers(t *testing.T) {
 	a := newCachedAgent(t, 2, rulecache.PolicyLFU)
@@ -737,9 +928,6 @@ func TestRebalanceSharesUnchangedTiers(t *testing.T) {
 	}
 	if v2.soft != v1.soft || v2.logical != v1.logical {
 		t.Error("software and logical tiers did not move, yet were frozen anew")
-	}
-	if len(v1.hits) == 0 || reflect.ValueOf(v2.hits).Pointer() != reflect.ValueOf(v1.hits).Pointer() {
-		t.Error("the software tier did not move, yet the hit map was rebuilt")
 	}
 	if v2.main == v1.main && v2.shadow == v1.shadow {
 		t.Error("hardware tiers moved, yet both indexes were shared")

@@ -381,41 +381,6 @@ func TestUnmergeAfterCrashRecovery(t *testing.T) {
 	assertEquivalent(t, a, 17, "after un-merge")
 }
 
-// TestAbortMigration covers the clean-abort path: cancelling an in-flight
-// copy leaves the tables exactly as they were.
-func TestAbortMigration(t *testing.T) {
-	a, now := seedMixedAgent(t, Config{})
-	if a.AbortMigration(now) {
-		t.Fatal("aborted a migration that was never started")
-	}
-	end := a.ForceMigration(now)
-	if end == 0 {
-		t.Fatal("migration did not start")
-	}
-	if !a.AbortMigration(now + (end-now)/2) {
-		t.Fatal("abort mid-flight failed")
-	}
-	if a.MigrationEndsAt() != 0 {
-		t.Fatal("abort left the migration in flight")
-	}
-	if a.NeedsReconcile() {
-		t.Fatal("clean abort must not require reconcile")
-	}
-	a.Advance(end + time.Millisecond) // must be a no-op
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatalf("after abort: %v", err)
-	}
-	assertEquivalent(t, a, 19, "after abort")
-	// The snapshot stayed in the shadow table; a fresh migration completes.
-	if end = a.ForceMigration(end + 2*time.Millisecond); end == 0 {
-		t.Fatal("re-migration did not start")
-	}
-	a.Advance(end)
-	if err := a.CheckConsistency(); err != nil {
-		t.Fatalf("after re-migration: %v", err)
-	}
-}
-
 // TestEquivalenceFixedSeedsWithFaults replays the random workload of
 // equivalence_test.go with seeded fault events mixed in (crash/restart,
 // truncation, migration interrupts), reconciling after each fault and

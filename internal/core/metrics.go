@@ -51,7 +51,7 @@ type Metrics struct {
 	ExposedRuleSeconds float64
 
 	// MigrationAborts counts migrations cancelled before any physical step
-	// (AbortMigration, or a fault at the copy/optimize steps);
+	// (a fault at the copy/optimize steps, or Reconcile dropping a copy);
 	// MigrationInterrupts counts migrations cut off mid-apply (a fault at
 	// the insert/empty steps), which leave partial state for Reconcile.
 	MigrationAborts     int

@@ -67,25 +67,6 @@ func (a *Agent) SetMigrationInterrupt(h func(step MigrationStep, now time.Durati
 	a.migInterrupt = h
 }
 
-// AbortMigration cancels an in-flight migration before its background copy
-// completes. Nothing physical has happened yet (steps 3–4 apply at
-// completion), so the abort is clean: the snapshotted rules simply stay in
-// the shadow table and the next Tick may start over. Reports whether a
-// migration was actually aborted.
-func (a *Agent) AbortMigration(now time.Duration) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.migr == nil || now >= a.migr.completeAt {
-		// Nothing in flight (or the copy already finished; let Advance
-		// apply it rather than discarding completed work).
-		return false
-	}
-	a.migr = nil
-	a.metrics.MigrationAborts++
-	a.o.event(now, obs.EvMigAbort, StepCopy, 0, 0, 0)
-	return true
-}
-
 // Tick drives the Rule Manager once per cfg.TickInterval: it feeds the
 // predictor with the arrivals of the closing interval and, when the
 // (corrected) forecast indicates the shadow table would overflow before the

@@ -33,11 +33,10 @@ type agentView struct {
 	main       classifier.Snapshot
 	// logical is filled only when cfg.TrackLogical is set.
 	logical classifier.Snapshot
-	// soft, cache and hits are set in cached mode only.
+	// soft and cache are set in cached mode only.
 	soft   classifier.Snapshot
 	cached bool
 	cache  *rulecache.Manager
-	hits   map[classifier.RuleID]*rulecache.RuleStats
 }
 
 // lookup resolves a packet against the snapshot exactly as the carved
@@ -62,11 +61,7 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 		return r, true
 	}
 	if sr, sok := v.soft.Lookup(dst, src); sok {
-		if v.cache.SampleSoft(dst, src) {
-			if s := v.hits[sr.ID]; s != nil {
-				s.RecordHit(v.cache.EpochNow())
-			}
-		}
+		v.cache.SampleSoft(dst, src, sr.ID) // the same ring, flagged
 		return sr, true
 	}
 	v.cache.RecordMiss()
@@ -80,7 +75,7 @@ func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
 // after. A reader that lost the race to another finds the view already
 // current and returns that one.
 //
-//hermes:coldpath the stale reader publishes: one agentView, plus the hit map and the reference tier when they moved
+//hermes:coldpath the stale reader publishes: one agentView, plus the reference tier when it moved
 func (a *Agent) publishView() *agentView {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -102,15 +97,9 @@ func (a *Agent) publishView() *agentView {
 		v.main = a.main.Snapshot()
 		a.tierRebuilds[tierMain].Add(1)
 	}
-	if a.soft != nil {
-		// The hit map is keyed by what cached lookups resolve to in the
-		// software tier, so it moves with that tier (buildHitMap).
-		v.soft, v.hits = prev.soft, prev.hits
-		if prev.softGen != fg {
-			v.soft = a.soft.Snapshot()
-			v.hits = a.buildHitMap()
-			a.tierRebuilds[tierSoft].Add(1)
-		}
+	if v.soft = prev.soft; a.soft != nil && prev.softGen != fg {
+		v.soft = a.soft.Snapshot()
+		a.tierRebuilds[tierSoft].Add(1)
 	}
 	if a.cfg.TrackLogical {
 		// The reference table is a plain insertion-ordered slice with no

@@ -3,6 +3,7 @@ package rulecache
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -196,13 +197,13 @@ func TestSoftTableLookupAllocs(t *testing.T) {
 }
 
 func TestRecordHitAllocs(t *testing.T) {
-	m := NewManager(Config{Capacity: 4})
+	m := NewManager(Config{Capacity: 4, SampleStride: 1})
 	m.AdvanceEpoch()
 	s := m.Ensure(1)
+	m.TakeTouched()
 	allocs := testing.AllocsPerRun(200, func() {
-		s.RecordHit(m.EpochNow())
 		m.SampleHW(0x0a000001, 0, 1)
-		m.SampleSoft(0x0a000002, 0)
+		m.SampleSoft(0x0a000002, 0, 1)
 		m.RecordMiss()
 	})
 	if allocs != 0 {
@@ -210,12 +211,49 @@ func TestRecordHitAllocs(t *testing.T) {
 	}
 	foldAllocs := testing.AllocsPerRun(20, func() {
 		m.FoldSamples(m.EpochNow(), nil)
+		m.TakeTouched()
 	})
 	if foldAllocs != 0 {
 		t.Errorf("FoldSamples allocates %.1f/op, want 0", foldAllocs)
 	}
 	if s.Hits() == 0 || s.LastEpoch() == 0 {
 		t.Errorf("stats not recorded: hits=%d epoch=%d", s.Hits(), s.LastEpoch())
+	}
+}
+
+// TestFoldCreditsEachTierItsEpoch pins how a fold credits the ring: a
+// hardware-tier sample counts in the epoch the tick opens, a software-tier
+// one in the epoch it was taken in, a rule's last epoch never goes down
+// when the two interleave, and each credited record is touched once.
+func TestFoldCreditsEachTierItsEpoch(t *testing.T) {
+	m := NewManager(Config{Capacity: 4, SampleStride: 1})
+	hw, soft, both := m.Ensure(1), m.Ensure(2), m.Ensure(3)
+	m.FoldSamples(m.AdvanceEpoch(), nil)
+	m.TakeTouched()
+	// Epoch 1: the lookups; the tick then folds for epoch 2 and opens it.
+	m.SampleHW(0x0a000001, 0, 1)
+	m.SampleSoft(0x0a000002, 0, 2)
+	m.SampleHW(0x0a000003, 0, 3)
+	m.SampleSoft(0x0a000003, 0, 3) // behind rule 3's hardware sample
+	m.FoldSamples(m.EpochNow()+1, nil)
+	m.AdvanceEpoch()
+	for _, c := range []struct {
+		s           *RuleStats
+		hits, epoch uint64
+	}{{hw, 1, 2}, {soft, 1, 1}, {both, 2, 2}} {
+		if c.s.Hits() != c.hits || c.s.LastEpoch() != c.epoch {
+			t.Errorf("rule %d: %d hits, last epoch %d; want %d, %d", c.s.ID(), c.s.Hits(), c.s.LastEpoch(), c.hits, c.epoch)
+		}
+	}
+	var ids []classifier.RuleID
+	for _, s := range m.TakeTouched() {
+		ids = append(ids, s.ID())
+	}
+	if !slices.Equal(ids, []classifier.RuleID{1, 2, 3}) {
+		t.Errorf("touched %v, want [1 2 3] once each", ids)
+	}
+	if snap := m.Snapshot(); snap.HWHits != 2 || snap.SoftHits != 2 {
+		t.Errorf("HWHits %d, SoftHits %d; want 2 and 2 (soft samples share the ring, not the hw count)", snap.HWHits, snap.SoftHits)
 	}
 }
 
@@ -244,12 +282,20 @@ func TestSoftTableLookupTieOrder(t *testing.T) {
 }
 
 func TestManagerScore(t *testing.T) {
-	hot := &RuleStats{}
-	cold := &RuleStats{}
+	m := NewManager(Config{Capacity: 4, SampleStride: 1})
+	hot, cold := m.Ensure(1), m.Ensure(2)
 	for i := 0; i < 100; i++ {
-		hot.RecordHit(uint64(i + 1))
+		m.SampleHW(0x0a000001, 0, 1)
+		m.FoldSamples(m.AdvanceEpoch(), nil)
 	}
-	cold.RecordHit(200) // one recent hit
+	for m.EpochNow() < 199 {
+		m.AdvanceEpoch()
+	}
+	m.SampleHW(0x0a000002, 0, 2) // one recent hit
+	m.FoldSamples(m.AdvanceEpoch(), nil)
+	if hot.Hits() != 100 || hot.LastEpoch() != 100 || cold.Hits() != 1 || cold.LastEpoch() != 200 {
+		t.Fatalf("hot %d hits, last epoch %d; cold %d, %d", hot.Hits(), hot.LastEpoch(), cold.Hits(), cold.LastEpoch())
+	}
 
 	lfu := NewManager(Config{Capacity: 4, Policy: PolicyLFU})
 	if lfu.Score(hot, 1) <= lfu.Score(cold, 1) {
@@ -273,7 +319,7 @@ func TestSnapshotRatios(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		m.SampleHW(uint32(i), 0, 1)
 	}
-	m.SampleSoft(0x0a000001, 0)
+	m.SampleSoft(0x0a000001, 0, 1)
 	snap := m.Snapshot()
 	if snap.Lookups() != 10 {
 		t.Fatalf("Lookups = %d, want 10", snap.Lookups())

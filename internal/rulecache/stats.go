@@ -9,33 +9,24 @@ import (
 	"hermes/internal/obs"
 )
 
-// RuleStats is the per-rule popularity record: a hit counter plus the epoch
-// of the most recent hit. Both fields are updated lock-free from the agent's
-// snapshot read path (RecordHit) and read by the Manager's rebalance pass
-// under the agent lock. Plain atomics suffice — in cached mode RecordHit is
-// only reached on sample points (1 in SampleStride lookups), so write-side
-// contention is already strided down.
+// RuleStats is the per-rule popularity record: a sampled hit count plus the
+// epoch of the most recent sampled hit. FoldSamples is its only writer and
+// the rebalance pass its reader, both under the agent's lock.
 type RuleStats struct {
-	hits      atomic.Uint64
-	lastEpoch atomic.Uint64
+	id              classifier.RuleID
+	hits, lastEpoch uint64
+	marked          uint64 // the rank generation that last listed it as touched
 }
 
-// RecordHit counts one (possibly sampled) packet hit against the rule in
-// the given epoch. It is safe for concurrent use and allocates nothing — it
-// sits on the lookup fast path.
-//
-//hermes:hotpath
-func (s *RuleStats) RecordHit(epoch uint64) {
-	s.hits.Add(1)
-	s.lastEpoch.Store(epoch)
-}
+// ID returns the rule the record belongs to.
+func (s *RuleStats) ID() classifier.RuleID { return s.id }
 
 // Hits returns the recorded hit count (sampled: multiply by the config's
 // SampleStride for an unbiased estimate of true hits; rankings don't care).
-func (s *RuleStats) Hits() uint64 { return s.hits.Load() }
+func (s *RuleStats) Hits() uint64 { return s.hits }
 
 // LastEpoch returns the epoch of the most recent hit (0 = never hit).
-func (s *RuleStats) LastEpoch() uint64 { return s.lastEpoch.Load() }
+func (s *RuleStats) LastEpoch() uint64 { return s.lastEpoch }
 
 // Manager owns the cache-policy state: per-rule stats, the recency epoch,
 // and the hierarchy's aggregate counters. The stats map is mutated only
@@ -51,14 +42,14 @@ func (s *RuleStats) LastEpoch() uint64 { return s.lastEpoch.Load() }
 // popularity stats; over many ticks every flow is observed in an expected
 // 1-in-SampleStride fraction of its hits.
 //
-// Sample points themselves are also kept off the stats map: a sampled
-// hardware hit pushes its entry ID into a fixed lock-free ring (one
-// fetch-add plus one prefetch-friendly store), and the agent folds the ring
-// into the per-rule stats map under its lock once per tick (FoldSamples).
-// The stats map walk — the expensive, cache-hostile part — thus runs a few
-// thousand times per tick instead of once per lookup. The software tier and
-// the miss path already pay a full second lookup, so their aggregate
-// counters stay exact and their per-rule stats are recorded directly.
+// Sample points of both tiers are kept off the stats map: a sampled hit
+// pushes the winning entry's ID into one fixed lock-free ring (one
+// fetch-add plus one store), and the agent folds the ring into the per-rule
+// stats under its lock once per tick (FoldSamples), the only writer of
+// those stats. The stats map walk — the expensive, cache-hostile part —
+// thus runs a few hundred times per tick instead of once per lookup. The
+// software tier and the miss path already pay a full second lookup, so
+// their aggregate counters stay exact.
 type Manager struct {
 	cfg   Config
 	epoch atomic.Uint64
@@ -71,31 +62,41 @@ type Manager struct {
 	sampleMask  uint64
 	sampleShift uint
 
-	// ring buffers sampled hardware-tier hits (physical entry IDs) between
-	// folds; ringHead counts sampled hardware hits ever (the slot for
-	// sample i is i mod ring size), doubling as the sampled hw-hit counter.
-	// ringFolded is the prefix already folded; agent lock. Writers race
-	// folds benignly: a late store is read stale or as zero and that one
-	// sample is misattributed or dropped — acceptable for sampled stats.
-	ring       [sampleRingSize]atomic.Uint64
-	ringHead   atomic.Uint64
-	ringFolded uint64
+	// ring buffers both tiers' sampled hits (physical entry IDs, flagged
+	// softSample in the software tier) between folds; ringHead counts the
+	// samples ever pushed (sample i is in slot i mod ring size), softSampled
+	// the software-tier ones. ringFolded is the prefix already folded; agent
+	// lock. Writers race folds benignly: a late store is read stale or as
+	// zero and that one sample is misattributed or dropped.
+	ring        [sampleRingSize]atomic.Uint64
+	ringHead    atomic.Uint64
+	softSampled atomic.Uint64
+	ringFolded  uint64
 
-	// softHits and misses are exact; the sampled hw-hit count is ringHead.
+	// touched lists the records touched since the last rank; a record is
+	// listed iff its marked equals rankGen. Agent lock.
+	touched []*RuleStats
+	rankGen uint64
+
+	// softHits and misses are exact; hwHits estimates the hw-tier hits.
 	softHits, misses             obs.Counter
 	promotions, demotions        obs.Counter
 	coverInstalls, coverRemovals obs.Counter
-	// challengers counts the software-only rules a rebalance had to rank
-	// against the residents; hygieneVisits the rules its cover-hygiene pass
-	// re-examined. Together they say whether a tick did O(changed) work.
-	challengers, hygieneVisits obs.Counter
-	setupLat                   *obs.Histogram
+	// scored counts the rules rebalance passes scored, challengers the
+	// software-only ones among them that beat the worst resident, and
+	// hygieneVisits the rules the cover-hygiene pass re-examined. Together
+	// they say whether a tick did O(changed) work.
+	scored, challengers, hygieneVisits obs.Counter
+	setupLat                           *obs.Histogram
 }
 
-// sampleRingSize is the hardware-tier sample ring length: 4096 slots cover
-// SampleStride × 4096 lookups between folds before the oldest samples are
-// overwritten (lossy by design — they are samples).
+// sampleRingSize is the sample ring length: 4096 slots cover SampleStride ×
+// 4096 lookups between folds before the oldest samples are overwritten
+// (lossy by design — they are samples).
 const sampleRingSize = 1 << 12
+
+// softSample flags a software-tier sample in its ring slot (FoldSamples).
+const softSample = 1 << 63
 
 // NewManager builds a manager for the given cache config (defaults
 // applied): one per cached agent, beside its software tier.
@@ -108,12 +109,10 @@ func NewManager(cfg Config) *Manager {
 		missPenalty: float64(cfg.Profile.HWLookup+cfg.Profile.Lookup) / float64(cfg.Profile.HWLookup),
 		sampleMask:  uint64(cfg.SampleStride - 1),
 		sampleShift: uint(bits.TrailingZeros64(uint64(cfg.SampleStride))),
+		rankGen:     1,
 		setupLat:    obs.NewHistogram(),
 	}
 }
-
-// Config returns the manager's (defaulted) configuration.
-func (m *Manager) Config() Config { return m.cfg }
 
 // EpochNow returns the current recency epoch.
 func (m *Manager) EpochNow() uint64 { return m.epoch.Load() }
@@ -122,14 +121,15 @@ func (m *Manager) EpochNow() uint64 { return m.epoch.Load() }
 // returns the new value.
 func (m *Manager) AdvanceEpoch() uint64 { return m.epoch.Add(1) }
 
-// Ensure returns the rule's stats record, creating it on first sight.
-// Caller must hold the agent's exclusive lock.
+// Ensure returns the rule's stats record, creating it on first sight; a
+// new record is touched. Caller must hold the agent's exclusive lock.
 func (m *Manager) Ensure(id classifier.RuleID) *RuleStats {
 	if s, ok := m.stats[id]; ok {
 		return s
 	}
-	s := &RuleStats{}
+	s := &RuleStats{id: id}
 	m.stats[id] = s
+	m.touch(s)
 	return s
 }
 
@@ -141,8 +141,31 @@ func (m *Manager) Forget(id classifier.RuleID) { delete(m.stats, id) }
 // the agent's read lock.
 func (m *Manager) Stats(id classifier.RuleID) *RuleStats { return m.stats[id] }
 
-// Tracked returns how many rules have stats records.
-func (m *Manager) Tracked() int { return len(m.stats) }
+// Touch lists the rule for the next rank, as a fold crediting it would:
+// for a score that may have moved without a hit. Agent lock.
+func (m *Manager) Touch(id classifier.RuleID) {
+	if s := m.stats[id]; s != nil {
+		m.touch(s)
+	}
+}
+
+//hermes:coldpath the touched list is reused; it grows only with the rule count
+func (m *Manager) touch(s *RuleStats) {
+	if s.marked != m.rankGen {
+		s.marked = m.rankGen
+		m.touched = append(m.touched, s)
+	}
+}
+
+// TakeTouched returns the records touched since the last call, once each,
+// and starts the next list; the slice lives until the next touch. A record
+// may since have been forgotten or replaced: the caller checks. Agent lock.
+func (m *Manager) TakeTouched() []*RuleStats {
+	t := m.touched
+	m.touched = m.touched[:0]
+	m.rankGen++
+	return t
+}
 
 // samplePoint decides, from the packet header and the current recency
 // epoch alone, whether this lookup is a popularity sample point. The hash
@@ -169,20 +192,35 @@ func (m *Manager) samplePoint(dst, src uint32) bool {
 //
 //hermes:hotpath
 func (m *Manager) SampleHW(dst, src uint32, id classifier.RuleID) {
-	if !m.samplePoint(dst, src) {
-		return
+	if m.samplePoint(dst, src) {
+		m.ring[(m.ringHead.Add(1)-1)%sampleRingSize].Store(uint64(id))
 	}
-	i := m.ringHead.Add(1) - 1
-	m.ring[i%sampleRingSize].Store(uint64(id))
 }
 
-// FoldSamples drains the sample ring into the per-rule stats map, crediting
-// every sampled hit to the given epoch (recency granularity is therefore
-// the fold cadence — one agent tick — which is exactly the epoch
-// granularity anyway). originalOf maps physical entry IDs (which may be
-// partition fragments) to their original rule; nil means identity. IDs
-// without a stats record (rule deleted since the sample) and zero slots
-// (never written) are skipped. Caller must hold the agent's exclusive lock.
+// SampleSoft counts a software-tier hit — the packet missed the TCAM (or
+// hit a cover) and was resolved by the software table, paying both tiers'
+// latencies — and on sample points, chosen as for the hardware tier so the
+// two tiers' stats stay comparable, pushes the winning rule's ID into the
+// same ring. The aggregate count is exact: this path already paid for a
+// full software lookup. Zero-alloc.
+//
+//hermes:hotpath
+func (m *Manager) SampleSoft(dst, src uint32, id classifier.RuleID) {
+	m.softHits.Inc()
+	if m.samplePoint(dst, src) {
+		m.ring[(m.ringHead.Add(1)-1)%sampleRingSize].Store(uint64(id) | softSample)
+		m.softSampled.Add(1)
+	}
+}
+
+// FoldSamples drains the sample ring into the per-rule stats and touches
+// every record it credits: a hardware-tier sample in the given epoch, the
+// one the tick opens, a software-tier one in the epoch before, which it was
+// taken in. A last epoch never goes down (the tiers interleave in the
+// ring). originalOf maps physical entry IDs (which may be partition fragments) to
+// their original rule; nil means identity. IDs without a stats record
+// (rule deleted since the sample) and zero slots (never written) are
+// skipped. Caller must hold the agent's exclusive lock.
 //
 //hermes:hotpath
 func (m *Manager) FoldSamples(epoch uint64, originalOf func(classifier.RuleID) classifier.RuleID) {
@@ -192,31 +230,23 @@ func (m *Manager) FoldSamples(epoch uint64, originalOf func(classifier.RuleID) c
 		start = head - sampleRingSize // older samples were overwritten
 	}
 	for i := start; i < head; i++ {
-		id := classifier.RuleID(m.ring[i%sampleRingSize].Load())
-		if id == 0 {
+		v := m.ring[i%sampleRingSize].Load()
+		if v == 0 {
 			continue
 		}
-		if originalOf != nil {
+		id, at := classifier.RuleID(v&^softSample), epoch
+		if v&softSample != 0 {
+			at = epoch - 1
+		} else if originalOf != nil {
 			id = originalOf(id)
 		}
 		if s := m.stats[id]; s != nil {
-			s.RecordHit(epoch)
+			s.hits++
+			s.lastEpoch = max(s.lastEpoch, at)
+			m.touch(s)
 		}
 	}
 	m.ringFolded = head
-}
-
-// SampleSoft counts a software-tier hit — the packet missed the TCAM (or
-// hit a cover) and was resolved by the software table, paying both tiers'
-// latencies — and reports whether the caller should record per-rule
-// popularity, using the same sampling rate as the hardware tier so the two
-// tiers' stats stay comparable. The aggregate count is exact: this path
-// already paid for a full software lookup. Zero-alloc.
-//
-//hermes:hotpath
-func (m *Manager) SampleSoft(dst, src uint32) bool {
-	m.softHits.Inc()
-	return m.samplePoint(dst, src)
 }
 
 // RecordMiss counts a lookup no rule matched; it still walked both tiers.
@@ -235,9 +265,10 @@ func (m *Manager) NoteDemotion()           { m.demotions.Inc() }
 func (m *Manager) NoteCoverInstalls(n int) { m.coverInstalls.Add(uint64(n)) }
 func (m *Manager) NoteCoverRemovals(n int) { m.coverRemovals.Add(uint64(n)) }
 
-// NoteChallengers / NoteHygieneVisits count the work one rebalance pass did
-// beyond its fixed scan: software-only rules ranked against the residents,
-// and rules the cover-hygiene pass re-examined.
+// NoteScored / NoteChallengers / NoteHygieneVisits count the work one
+// rebalance pass did: rules scored, software-only rules that beat the worst
+// resident, and rules the cover-hygiene pass re-examined.
+func (m *Manager) NoteScored(n int)        { m.scored.Add(uint64(n)) }
 func (m *Manager) NoteChallengers(n int)   { m.challengers.Add(uint64(n)) }
 func (m *Manager) NoteHygieneVisits(n int) { m.hygieneVisits.Add(uint64(n)) }
 
@@ -270,12 +301,13 @@ type Snapshot struct {
 	HWHits, SoftHits, Misses     uint64
 	Promotions, Demotions        uint64
 	CoverInstalls, CoverRemovals uint64
-	// RebalanceChallengers and HygieneVisits count the rules rebalance
-	// passes ranked against the residents and re-examined for cover
-	// hygiene; both stay flat across ticks that changed nothing.
-	RebalanceChallengers, HygieneVisits uint64
-	Epoch                               uint64
-	Tracked                             int
+	// RebalanceScored, RebalanceChallengers and HygieneVisits count the
+	// rules rebalance passes scored, ranked against the residents and
+	// re-examined for cover hygiene; a tick that changed nothing adds only
+	// the residents to the first.
+	RebalanceScored, RebalanceChallengers, HygieneVisits uint64
+	Epoch                                                uint64
+	Tracked                                              int
 
 	SetupP50, SetupP99 time.Duration
 }
@@ -296,13 +328,14 @@ func (s Snapshot) HitRatio() float64 {
 // Snapshot returns the current aggregate metrics.
 func (m *Manager) Snapshot() Snapshot {
 	return Snapshot{
-		HWHits:               m.ringHead.Load() << m.sampleShift,
+		HWHits:               m.hwHits(),
 		SoftHits:             m.softHits.Value(),
 		Misses:               m.misses.Value(),
 		Promotions:           m.promotions.Value(),
 		Demotions:            m.demotions.Value(),
 		CoverInstalls:        m.coverInstalls.Value(),
 		CoverRemovals:        m.coverRemovals.Value(),
+		RebalanceScored:      m.scored.Value(),
 		RebalanceChallengers: m.challengers.Value(),
 		HygieneVisits:        m.hygieneVisits.Value(),
 		Epoch:                m.epoch.Load(),
@@ -312,18 +345,24 @@ func (m *Manager) Snapshot() Snapshot {
 	}
 }
 
+// hwHits is the sampled hw-hit estimate. softSampled is read first, as it
+// is raised after ringHead, so the difference never goes negative.
+func (m *Manager) hwHits() uint64 {
+	soft := m.softSampled.Load()
+	return (m.ringHead.Load() - soft) << m.sampleShift
+}
+
 // Register exposes the hierarchy's metrics on an obs registry under the
 // hermes_cache_* namespace, /metrics-ready.
 func (m *Manager) Register(reg *obs.Registry) {
-	reg.CounterFunc("hermes_cache_hw_hits_total", "", "lookups answered by the hardware (TCAM) tier (sampled estimate)", func() uint64 {
-		return m.ringHead.Load() << m.sampleShift
-	})
+	reg.CounterFunc("hermes_cache_hw_hits_total", "", "lookups answered by the hardware (TCAM) tier (sampled estimate)", m.hwHits)
 	reg.CounterFunc("hermes_cache_soft_hits_total", "", "lookups resolved by the software tier", m.softHits.Value)
 	reg.CounterFunc("hermes_cache_misses_total", "", "lookups no rule matched", m.misses.Value)
 	reg.CounterFunc("hermes_cache_promotions_total", "", "rules promoted into the hardware tier", m.promotions.Value)
 	reg.CounterFunc("hermes_cache_demotions_total", "", "rules demoted to the software tier", m.demotions.Value)
 	reg.CounterFunc("hermes_cache_cover_installs_total", "", "cover rules installed for dependency-safe eviction", m.coverInstalls.Value)
 	reg.CounterFunc("hermes_cache_cover_removals_total", "", "cover rules removed", m.coverRemovals.Value)
+	reg.CounterFunc("hermes_cache_rebalance_scored_total", "", "rules scored by rebalance passes: the residents plus the software-only rules whose score may have moved", m.scored.Value)
 	reg.CounterFunc("hermes_cache_rebalance_challengers_total", "", "software-only rules ranked against the residents by rebalance passes", m.challengers.Value)
 	reg.CounterFunc("hermes_cache_hygiene_visits_total", "", "rules re-examined by rebalance cover-hygiene passes", m.hygieneVisits.Value)
 	reg.GaugeFunc("hermes_cache_hit_ratio", "", "fraction of lookups answered by the hardware tier", func() float64 {
