@@ -169,3 +169,39 @@ func minU8(a, b uint8) uint8 {
 	}
 	return b
 }
+
+// TestCoverForIsRuleMatch checks, exhaustively over every 3-bit dst × 3-bit
+// src prefix pair (15 × 15 matches), every rule and every ordered pair of
+// dependencies, that CoverFor returns the rule's own match as its only
+// region: the pieces the dependencies cut always merge back whole.
+func TestCoverForIsRuleMatch(t *testing.T) {
+	var matches []Match
+	for dl := uint8(0); dl <= 3; dl++ {
+		for d := uint32(0); d < 1<<dl; d++ {
+			for sl := uint8(0); sl <= 3; sl++ {
+				for s := uint32(0); s < 1<<sl; s++ {
+					matches = append(matches, Match{
+						Dst: NewPrefix(d<<(32-dl), dl), // a /0 shifts by 32: 0
+						Src: NewPrefix(s<<(32-sl), sl),
+					})
+				}
+			}
+		}
+	}
+	deps := make([]Rule, 2)
+	for _, m := range matches {
+		rule := Rule{ID: 1, Match: m, Priority: 5}
+		for _, d0 := range matches {
+			deps[0] = Rule{ID: 2, Match: d0, Priority: 1}
+			for _, d1 := range matches {
+				deps[1] = Rule{ID: 3, Match: d1, Priority: 1}
+				if got := CoverFor(rule, deps); len(got) != 1 || got[0] != m {
+					t.Fatalf("CoverFor(%v, deps %v, %v) = %v; want [%v]", m, d0, d1, got, m)
+				}
+			}
+		}
+	}
+	if n := len(matches); n*n*n != 11390625 {
+		t.Fatalf("checked %d cases", n*n*n)
+	}
+}
