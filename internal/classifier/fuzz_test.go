@@ -279,7 +279,9 @@ func checkWide(t testing.TB, n *trieNode) {
 // node a walk to its rule finds, and a get through it must read the model's
 // rule, as a get by walk does. Every snapshot retained at
 // a Freeze must keep answering exactly as the linear oracle over the rule
-// list as of that freeze, whatever happens later, checked after every op;
+// list as of that freeze, whatever happens later, checked after every op,
+// and so must each Hit its walk returned at the freeze: a hit reads the
+// snapshot's entry, which no later write or recycled node may change;
 // the live trie must answer
 // as the current list, by its binary walk and through its stride tables; its
 // overlap walk, and that of a never-frozen twin fed
@@ -333,6 +335,7 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 		type retained struct {
 			snap    Snapshot
 			answers []answer // the oracle's, per probe, as of the freeze
+			hits    []Hit    // Find's, per probe, at the freeze
 		}
 		var (
 			live, twin Trie // twin is never frozen
@@ -378,11 +381,12 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 				if len(snaps) < 24 {
 					snap := live.Freeze()
 					agree("new snapshot", snap.Lookup, model)
-					answers := make([]answer, len(probes))
+					answers, hits := make([]answer, len(probes)), make([]Hit, len(probes))
 					for j, p := range probes {
 						answers[j].r, answers[j].ok = firstMatch(model, p[0], p[1])
+						hits[j] = snap.Find(p[0], p[1])
 					}
-					snaps = append(snaps, retained{snap, answers})
+					snaps = append(snaps, retained{snap, answers, hits})
 					frozenNodes(snap.root, frozen)
 					if live.epoch == 1 && src%2 == 0 {
 						// As if 2^32-2 uneventful freezes followed the first:
@@ -454,6 +458,9 @@ func FuzzTrieSnapshotIsolation(f *testing.F) {
 				for j, p := range probes {
 					if got, ok := s.snap.Lookup(p[0], p[1]); ok != s.answers[j].ok || got != s.answers[j].r {
 						t.Fatalf("snapshot %d: Lookup(%08x,%08x) = %v,%v, at its freeze %v,%v", k, p[0], p[1], got, ok, s.answers[j].r, s.answers[j].ok)
+					}
+					if got, ok := s.hits[j].Rule(); ok != s.answers[j].ok || got != s.answers[j].r {
+						t.Fatalf("snapshot %d: the hit for (%08x,%08x) taken at its freeze now reads %v,%v, at its freeze %v,%v", k, p[0], p[1], got, ok, s.answers[j].r, s.answers[j].ok)
 					}
 				}
 			}

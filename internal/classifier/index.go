@@ -8,7 +8,7 @@ package classifier
 type Snapshot struct{ root *trieNode }
 
 // Lookup returns the first-match rule for the packet among the trie's
-// current rules: Snapshot.Lookup's answer and walk, without the stride
+// current rules: Snapshot.Find's answer and walk, without the stride
 // tables. A live lookup serves a table that is never frozen, which has
 // none, and testing every node for one cost such a lookup ~10 %; a helper
 // shared by the two walks is not inlined and cost the snapshot walk as much
@@ -17,7 +17,7 @@ type Snapshot struct{ root *trieNode }
 //hermes:hotpath
 func (t *Trie) Lookup(dst, src uint32) (Rule, bool) {
 	var best *trieEntry
-	var bestPrio int32 // as in Snapshot.Lookup
+	var bestPrio int32 // as in Snapshot.Find
 	for n := t.root; n != nil && dst&n.mask == n.addr; {
 		if entries := n.entries; len(entries) != 0 && (best == nil || n.maxPrio >= bestPrio) {
 			for i := range entries {
@@ -44,23 +44,58 @@ func (t *Trie) Lookup(dst, src uint32) (Rule, bool) {
 	return best.rule, true
 }
 
-// Lookup returns the first-match rule for the packet: of the rules matching
-// it, the one with the highest priority, ties going to the lowest Key (Rank,
-// then Ord) — exactly the rule a linear scan of the rules in that order
-// would return. It descends the nodes whose prefix contains the destination
-// address — they hold precisely the rules whose Dst matches, one node per
-// entry-bearing prefix or branch point on the path (a path-compressed trie
-// has no others) — and stops at the first node that does not. At a node
-// with a stride table (wide.go) it reads the slot of the address's next k
-// bits instead of the k levels of binary nodes below: the slot's winner
-// among the entries of the nodes it jumps over is a candidate like a
-// node's, and the walk goes on at the slot's node. It reads the entries
-// only of the nodes whose best priority can still beat the candidate in
-// hand (deeply nested rule sets put twenty candidates on one path; most
+// Hit is one snapshot walk's winner: a reference to the entry that answered,
+// one machine word, or the zero Hit when no rule matched. It reads the
+// answer for as long as the snapshot that produced it is held: a frozen
+// snapshot's entries are never written in place or recycled (Trie.UpdateAt
+// and DeleteAt copy a shared node first, Clear frees only the trie's own).
+// A read path that passes the Hit up its layers and calls Rule once copies
+// the rule once, instead of spilling and reloading the 40-byte (Rule, bool)
+// result at every layer (DESIGN.md §10). It hands out no pointer into the
+// snapshot, so nothing outside this package can write into one through it.
+type Hit struct{ e *trieEntry }
+
+// Found reports whether a rule matched.
+func (h Hit) Found() bool { return h.e != nil }
+
+// ID returns the winning rule's ID. The hit must be Found.
+func (h Hit) ID() RuleID { return h.e.rule.ID }
+
+// Rule returns a copy of the winning rule; ok is false for the zero Hit.
+func (h Hit) Rule() (Rule, bool) {
+	if h.e == nil {
+		return Rule{}, false
+	}
+	return h.e.rule, true
+}
+
+// Lookup returns the first-match rule for the packet: Find's answer, copied
+// out. It inlines (a Hit.Rule call here would push it past the inlining
+// budget), so the walk is Find's alone.
+func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
+	if e := s.Find(dst, src).e; e != nil {
+		return e.rule, true
+	}
+	return Rule{}, false
+}
+
+// Find returns the first-match rule for the packet as a Hit: of the rules
+// matching it, the one with the highest priority, ties going to the lowest
+// Key (Rank, then Ord) — exactly the rule a linear scan of the rules in that
+// order would return. It descends the nodes whose prefix contains the
+// destination address — they hold precisely the rules whose Dst matches, one
+// node per entry-bearing prefix or branch point on the path (a
+// path-compressed trie has no others) — and stops at the first node that
+// does not. At a node with a stride table (wide.go) it reads the slot of the
+// address's next k bits instead of the k levels of binary nodes below: the
+// slot's winner among the entries of the nodes it jumps over is a candidate
+// like a node's, and the walk goes on at the slot's node. It reads the
+// entries only of the nodes whose best priority can still beat the candidate
+// in hand (deeply nested rule sets put twenty candidates on one path; most
 // lose on priority alone). Zero allocations.
 //
 //hermes:hotpath
-func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
+func (s Snapshot) Find(dst, src uint32) Hit {
 	var best *trieEntry
 	var bestPrio int32 // best.rule.Priority, kept out of memory: re-reading it per node cost the median lookup ~15 %
 	for n := s.root; n != nil && dst&n.mask == n.addr; {
@@ -93,10 +128,7 @@ func (s Snapshot) Lookup(dst, src uint32) (Rule, bool) {
 			n = n.children[0]
 		}
 	}
-	if best == nil {
-		return Rule{}, false
-	}
-	return best.rule, true
+	return Hit{best}
 }
 
 func (k Key) before(o Key) bool {

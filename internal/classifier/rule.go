@@ -79,6 +79,24 @@ func (m Match) Contains(o Match) bool {
 	return m.Dst.Contains(o.Dst) && m.Src.Contains(o.Src)
 }
 
+// Intersect returns the intersection of the two match regions. Because
+// prefixes only nest, the intersection in each dimension is simply the
+// longer of the two overlapping prefixes. ok is false when the regions are
+// disjoint.
+func (m Match) Intersect(o Match) (Match, bool) {
+	if !m.Overlaps(o) {
+		return Match{}, false
+	}
+	out := m
+	if o.Dst.Len > out.Dst.Len {
+		out.Dst = o.Dst
+	}
+	if o.Src.Len > out.Src.Len {
+		out.Src = o.Src
+	}
+	return out, true
+}
+
 // MatchesPacket reports whether the (dst, src) address pair falls in the
 // region.
 func (m Match) MatchesPacket(dst, src uint32) bool {

@@ -213,3 +213,45 @@ func TestRuleString(t *testing.T) {
 		t.Error("empty rule string")
 	}
 }
+
+func TestIntersect(t *testing.T) {
+	cases := []struct {
+		a, b Match
+		want Match
+		ok   bool
+	}{
+		{DstMatch(NewPrefix(0x10<<24, 8)), DstMatch(NewPrefix(0x10<<24|0x01<<16, 16)),
+			DstMatch(NewPrefix(0x10<<24|0x01<<16, 16)), true},
+		{DstMatch(NewPrefix(0x10<<24, 8)), DstMatch(NewPrefix(0x20<<24, 8)), Match{}, false},
+		{
+			Match{Dst: NewPrefix(0x0A<<24, 8), Src: NewPrefix(0, 0)},
+			Match{Dst: NewPrefix(0, 0), Src: NewPrefix(0xC0<<24, 8)},
+			Match{Dst: NewPrefix(0x0A<<24, 8), Src: NewPrefix(0xC0<<24, 8)}, true,
+		},
+		{DstMatch(Prefix{}), DstMatch(Prefix{}), DstMatch(Prefix{}), true},
+	}
+	for i, c := range cases {
+		got, ok := c.a.Intersect(c.b)
+		if ok != c.ok || got != c.want {
+			t.Errorf("case %d: Intersect(%v, %v) = %v,%v; want %v,%v", i, c.a, c.b, got, ok, c.want, c.ok)
+		}
+	}
+	// Intersection is commutative.
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 200; i++ {
+		a, b := randMatch(rng), randMatch(rng)
+		ga, oka := a.Intersect(b)
+		gb, okb := b.Intersect(a)
+		if oka != okb || ga != gb {
+			t.Fatalf("Intersect not commutative: %v vs %v", a, b)
+		}
+	}
+}
+
+func randMatch(rng *rand.Rand) Match {
+	m := Match{Dst: NewPrefix(rng.Uint32(), uint8(rng.Intn(13)))}
+	if rng.Intn(2) == 0 {
+		m.Src = NewPrefix(rng.Uint32(), uint8(rng.Intn(9)))
+	}
+	return m
+}

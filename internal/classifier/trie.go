@@ -43,7 +43,7 @@ import (
 // cycle. Only nodes no snapshot can reach are ever recycled.
 //
 // A frozen trie also keeps stride tables on its dense branch nodes, which
-// let Snapshot.Lookup jump several levels at once (wide.go).
+// let Snapshot.Find jump several levels at once (wide.go).
 // InsertKeyed returns a Handle to the new entry's node, which the *At
 // methods start from instead of the root; OnMove keeps handles current.
 type Trie struct {
@@ -91,7 +91,7 @@ type trieNode struct {
 	// touching the entries' memory.
 	maxPrio int32
 	// wide is the node's stride table, or nil (wide.go). Only a trie that
-	// has been frozen builds them, and only Snapshot.Lookup reads them.
+	// has been frozen builds them, and only Snapshot.Find reads them.
 	wide *wideTable
 	// entries are the rules whose Dst is exactly this node's prefix, in
 	// insertion order (OverlapIter's order contract).
@@ -122,7 +122,7 @@ type trieEntry struct {
 // step returns the child of n on addr's side, picked by a 0/1 index rather
 // than a jump. The write-side walks (locate, insert, the overlap walk) go
 // to a different rule each time, so which way they turn is a coin flip per
-// node and a jump would mispredict. Snapshot.Lookup turns with a jump
+// node and a jump would mispredict. Snapshot.Find turns with a jump
 // instead: packet streams repeat their popular paths, and a predicted jump
 // lets the next node's load start before this node's branch bit arrives.
 func (n *trieNode) step(addr uint32) *trieNode {

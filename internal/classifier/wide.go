@@ -6,7 +6,7 @@ import "slices"
 //
 // A dense branch node — the top of a pool of sibling prefixes — carries a
 // table of 2^k slots indexed by the k address bits below its prefix.
-// Snapshot.Lookup reads the slot instead of walking the binary nodes of
+// Snapshot.Find reads the slot instead of walking the binary nodes of
 // those k levels: the slot names the node to go on at, the first one at or
 // below the slot's depth on its path, and carries the first-match winner
 // among the entries of the nodes it jumps over. A table is a function of

@@ -216,10 +216,10 @@ type Agent struct {
 	cmgr     *rulecache.Manager
 	cacheCfg rulecache.Config
 	// residentIndex tracks the hardware-resident original rules by match;
-	// residents lists the same set in ascending ID order (covers excluded
-	// from both).
+	// residents lists the same set in ascending ID order, each beside its
+	// software-tier entry (covers excluded from both).
 	residentIndex classifier.Trie
-	residents     []classifier.RuleID
+	residents     []residentRef
 	// covers maps a software-only rule to the cover entries shielding it
 	// in the main table; nextCoverID mints their IDs (≥ coverIDBase).
 	covers      map[classifier.RuleID][]classifier.RuleID
@@ -975,16 +975,17 @@ func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.A
 // without the agent lock; the lookup that finds the snapshot stale (a
 // control-plane write landed) publishes the next one first. Only the
 // Config.LinearLookup oracle reads the live tables, under the read lock.
+// The rule is copied out of the snapshot here, once.
 //
 //hermes:hotpath
 func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	v := a.view.Load()
 	if v != nil && v.shadowGen == a.shadow.Gen() && v.mainGen == a.main.Gen() &&
 		v.softGen == a.softGen() {
-		return v.lookup(dst, src)
+		return v.lookup(dst, src).Rule()
 	}
 	if !a.cfg.LinearLookup {
-		return a.publishView().lookup(dst, src)
+		return a.publishView().lookup(dst, src).Rule()
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -1065,7 +1066,7 @@ func (a *Agent) LogicalLookup(dst, src uint32) (classifier.Rule, bool) {
 		if v == nil || v.logicalGen != a.logicalGen.Load() {
 			v = a.publishView()
 		}
-		return v.logical.Lookup(dst, src)
+		return v.logical.Find(dst, src).Rule()
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()

@@ -35,9 +35,9 @@ import (
 // punt just re-resolves in the authoritative tier), which lets cover
 // cleanup run lazily in the rebalance pass instead of on every mutation.
 //
-// classifier.CoverFor guarantees a cover set's union is exactly the shielded
-// rule's match regardless of the dependency set, so an existing cover set
-// never needs widening when the resident set changes.
+// A cover spans exactly the shielded rule's match whatever the residents it
+// beats, so an existing cover never needs widening when the resident set
+// changes.
 
 // coverIDBase is the first rule ID minted for cover entries. It sits above
 // partIDBase so fragment IDs (minted from 1<<40 upward) and controller IDs
@@ -226,9 +226,9 @@ func (a *Agent) coversNeeded(h classifier.Rule, seq uint64) bool {
 	})
 }
 
-// ensureCoversFor shields a software-only rule with cover entries when it
-// needs them and has none. An existing cover set always spans the rule's
-// whole match (CoverFor's invariant), so it never needs widening.
+// ensureCoversFor shields a software-only rule with a cover entry when it
+// needs one and has none. An existing cover spans the rule's whole match,
+// so it never needs widening.
 func (a *Agent) ensureCoversFor(now time.Duration, h classifier.Rule, seq uint64) {
 	if _, resident := a.rules[h.ID]; resident {
 		return
@@ -261,56 +261,45 @@ func (a *Agent) shieldSoftOnlyOverlapping(now time.Duration, m classifier.Match)
 	}
 }
 
-// installCovers writes h's cover entries into the main table: pieces from
-// classifier.CoverFor aligned to the beaten residents (capped at
-// MaxCoverParts, falling back to one exact-match cover), each at h's
-// (priority, seq) with the punt action. If the main table cannot hold the
-// covers, the beaten residents are demoted instead — with them gone, h no
-// longer needs a shield at all.
+// installCovers writes h's cover into the main table: one entry spanning
+// h's own match at h's (priority, seq) with the punt action. Cutting it to
+// the beaten residents would only split it into pieces that merge back into
+// that one region (DESIGN.md §16). If the main table cannot hold the cover,
+// the beaten residents are demoted instead — with them gone, h no longer
+// needs a shield at all.
 func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) {
-	var deps []classifier.Rule
-	it := a.residentIndex.OverlapCandidates(h.Match, math.MinInt32)
-	for res, ok := it.Next(); ok; res, ok = it.Next() {
-		if !a.beats(res, h.Priority, seq) {
-			deps = append(deps, res)
-		}
-	}
-	regions := classifier.CoverFor(h, deps)
-	if len(regions) > a.cacheCfg.MaxCoverParts {
-		regions = []classifier.Match{h.Match}
-	}
-	installed := make([]classifier.RuleID, 0, len(regions))
-	for _, m := range regions {
-		cid := a.nextCoverID
-		st := a.newRuleState(classifier.Rule{
-			ID:       cid,
-			Match:    m,
-			Priority: h.Priority,
-			Action:   classifier.Action{Type: classifier.ActionGotoNext},
-		}, seq, placeMain)
-		if a.write(now, a.main, laneNormal, st, nil, st.whole()).failed > 0 {
-			// Main table full. Unwind the partial shield, then make the
-			// shield unnecessary by demoting every resident h beats. The
-			// recursion terminates: each demotion strictly shrinks the
-			// resident set.
-			a.removeCoverEntries(now, installed)
-			a.cmgr.NoteCoverRemovals(len(installed))
-			for _, d := range deps {
-				a.demoteLocked(now, d.ID)
+	cid := a.nextCoverID
+	st := a.newRuleState(classifier.Rule{
+		ID:       cid,
+		Match:    h.Match,
+		Priority: h.Priority,
+		Action:   classifier.Action{Type: classifier.ActionGotoNext},
+	}, seq, placeMain)
+	if a.write(now, a.main, laneNormal, st, nil, st.whole()).failed > 0 {
+		// Main table full: make the shield unnecessary by demoting every
+		// resident h beats. The recursion terminates: each demotion
+		// strictly shrinks the resident set.
+		var deps []classifier.RuleID
+		it := a.residentIndex.OverlapCandidates(h.Match, math.MinInt32)
+		for res, ok := it.Next(); ok; res, ok = it.Next() {
+			if !a.beats(res, h.Priority, seq) {
+				deps = append(deps, res.ID)
 			}
-			return
 		}
-		a.nextCoverID++
-		a.rules[cid] = st
-		// Shadow rules the cover beats must be re-cut against it, exactly
-		// as for any main-table insert, or shadow-first lookup would let
-		// them mask the punt.
-		a.repairShadowAfterMainInsert(now, st.original)
-		a.commit(now, nil, true)
-		installed = append(installed, cid)
+		for _, id := range deps {
+			a.demoteLocked(now, id)
+		}
+		return
 	}
-	a.covers[h.ID] = installed
-	a.cmgr.NoteCoverInstalls(len(installed))
+	a.nextCoverID++
+	a.rules[cid] = st
+	// Shadow rules the cover beats must be re-cut against it, exactly as for
+	// any main-table insert, or shadow-first lookup would let them mask the
+	// punt.
+	a.repairShadowAfterMainInsert(now, st.original)
+	a.commit(now, nil, true)
+	a.covers[h.ID] = []classifier.RuleID{cid}
+	a.cmgr.NoteCoverInstalls(1)
 	a.cmgr.Touch(h.ID) // the cost score divides by the covers
 }
 
@@ -339,19 +328,32 @@ func (a *Agent) removeCoverEntries(now time.Duration, ids []classifier.RuleID) {
 
 // --- resident-set bookkeeping --------------------------------------------
 
+// residentRef is one hardware-resident controller rule beside its
+// software-tier entry, so a rank scores the residents without a map lookup
+// each. The entry stays current while the rule is resident: SoftTable
+// replaces an entry only on an Insert under the same ID, which insertCached
+// refuses for a rule it holds, and a modify that moves the rule deletes it
+// (dropping the resident) before it inserts it anew.
+type residentRef struct {
+	id classifier.RuleID
+	e  *rulecache.SoftEntry
+}
+
+func cmpResident(r residentRef, id classifier.RuleID) int { return cmp.Compare(r.id, id) }
+
 // addResident / dropResident keep the resident index and the ID-ordered
 // resident list in step and mark the rule's match dirty for the next cover
 // hygiene pass.
 func (a *Agent) addResident(r classifier.Rule) {
 	a.residentIndex.Insert(r)
-	i, _ := slices.BinarySearch(a.residents, r.ID)
-	a.residents = slices.Insert(a.residents, i, r.ID)
+	i, _ := slices.BinarySearchFunc(a.residents, r.ID, cmpResident)
+	a.residents = slices.Insert(a.residents, i, residentRef{r.ID, a.soft.Entry(r.ID)})
 	a.noteResidentChange(r.Match)
 }
 
 func (a *Agent) dropResident(m classifier.Match, id classifier.RuleID) {
 	a.residentIndex.Delete(m.Dst, id)
-	i, _ := slices.BinarySearch(a.residents, id)
+	i, _ := slices.BinarySearchFunc(a.residents, id, cmpResident)
 	a.residents = slices.Delete(a.residents, i, i+1)
 	a.noteResidentChange(m)
 }
@@ -434,8 +436,8 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 	capacity := a.cacheCfg.Capacity
 	cands := a.rankBuf[:0]
 	var worst rankCand
-	for i, id := range a.residents {
-		c := rankCand{id: id, score: a.scoreOf(a.soft.Entry(id)), resident: true}
+	for i, res := range a.residents {
+		c := rankCand{id: res.id, score: a.scoreOf(res.e), resident: true}
 		//lint:ignore hotpathalloc reused scratch buffer; grows only while the resident set does
 		cands = append(cands, c)
 		if i == 0 || cmpRank(c, worst) > 0 {
@@ -456,7 +458,7 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 	for i := 0; i < todo; i++ {
 		var e *rulecache.SoftEntry
 		if scan {
-			if e = all[i]; next < n && a.residents[next] == e.Rule.ID {
+			if e = all[i]; next < n && a.residents[next].id == e.Rule.ID {
 				next++
 				continue
 			}

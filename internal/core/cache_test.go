@@ -230,7 +230,7 @@ func runCachedSeq(t *testing.T, seed int64, policy rulecache.Policy, verbose boo
 	r := rand.New(rand.NewSource(seed))
 	a := newTestAgent(t, Config{
 		DisableRateLimit: true,
-		Cache:            &rulecache.Config{Capacity: 8, Policy: policy, MaxCoverParts: 4},
+		Cache:            &rulecache.Config{Capacity: 8, Policy: policy},
 	})
 	// Cut off roughly one migration in three at a random step, exactly as a
 	// crash mid-migration would.
@@ -409,6 +409,15 @@ func oracleWant(a *Agent) []classifier.RuleID {
 // wanted rules in best-first, both under the move budget — and returns the
 // resident set (ascending) the next rebalance must produce. It assumes the
 // hardware has room, so no move fails or cascades.
+// residentIDs returns the resident rules' IDs, in ascending order.
+func residentIDs(a *Agent) []classifier.RuleID {
+	ids := make([]classifier.RuleID, len(a.residents))
+	for i, res := range a.residents {
+		ids[i] = res.id
+	}
+	return ids
+}
+
 func oracleResidents(a *Agent) []classifier.RuleID {
 	want := oracleWant(a)
 	wanted := make(map[classifier.RuleID]bool, len(want))
@@ -531,13 +540,19 @@ func runRebalanceOracleSeq(t *testing.T, seed int64, policy rulecache.Policy, ma
 		if end := a.Tick(now); end != 0 {
 			a.Advance(end)
 		}
-		if !slices.Equal(a.residents, want) {
+		if !slices.Equal(residentIDs(a), want) {
 			t.Fatalf("seed %d %v moves=%d tick %d: residents %v, full-sort oracle %v",
-				seed, policy, maxMoves, tick, a.residents, want)
+				seed, policy, maxMoves, tick, residentIDs(a), want)
 		}
 		if stale := oracleShield(a); len(stale) > 0 {
 			t.Fatalf("seed %d %v moves=%d tick %d: full sweep would still fix the shields of %v",
 				seed, policy, maxMoves, tick, stale)
+		}
+		for _, res := range a.residents {
+			if e := a.soft.Entry(res.id); res.e != e {
+				t.Fatalf("seed %d %v moves=%d tick %d: resident %d keeps entry %p, the soft table holds %p",
+					seed, policy, maxMoves, tick, res.id, res.e, e)
+			}
 		}
 	}
 	if err := a.CheckConsistency(); err != nil {
@@ -663,9 +678,9 @@ func TestRebalanceQuietTickScoresResidents(t *testing.T) {
 // TestRebalanceRescoresCoverChange pins the cost policy's exactness: a
 // software-only rule whose covers a demotion made unnecessary is divided by
 // one slot instead of two from then on, with no new hit to say so, and the
-// next pass must still see it overtake the worst resident. CoverFor merges
-// its pieces back into one region, so the fixture adds the second piece's
-// ID by hand, as a two-piece shield would hold it.
+// next pass must still see it overtake the worst resident. A shield is one
+// cover, so the fixture adds a second cover ID by hand, as a two-piece
+// shield would hold it.
 func TestRebalanceRescoresCoverChange(t *testing.T) {
 	a := newCachedAgent(t, 2, rulecache.PolicyCostAware)
 	now := time.Millisecond
@@ -693,14 +708,14 @@ func TestRebalanceRescoresCoverChange(t *testing.T) {
 	// over two covers) does not. With rule 2 gone, rule 3's covers go too.
 	now += 10 * time.Millisecond
 	a.Rebalance(now)
-	if !slices.Equal(a.residents, []classifier.RuleID{1, 4}) || len(a.covers[3]) != 0 {
-		t.Fatalf("fixture: residents %v, rule 3 covers %v; want [1 4] and none", a.residents, a.covers[3])
+	if !slices.Equal(residentIDs(a), []classifier.RuleID{1, 4}) || len(a.covers[3]) != 0 {
+		t.Fatalf("fixture: residents %v, rule 3 covers %v; want [1 4] and none", residentIDs(a), a.covers[3])
 	}
 	want := oracleResidents(a)
 	now += 10 * time.Millisecond
 	a.Rebalance(now)
-	if !slices.Equal(a.residents, want) || !slices.Equal(want, []classifier.RuleID{1, 3}) {
-		t.Errorf("residents %v, full-sort oracle %v; want [1 3]: rule 3 now scores 12 hits over one slot", a.residents, want)
+	if !slices.Equal(residentIDs(a), want) || !slices.Equal(want, []classifier.RuleID{1, 3}) {
+		t.Errorf("residents %v, full-sort oracle %v; want [1 3]: rule 3 now scores 12 hits over one slot", residentIDs(a), want)
 	}
 }
 
@@ -884,8 +899,8 @@ func TestRebalanceDemotionFallbackRepromotes(t *testing.T) {
 	}
 	a.Rebalance(now + 10*time.Millisecond)
 	snap := a.CacheStats()
-	if snap.Promotions != 4 || snap.Demotions != 3 || !slices.Equal(a.residents, []classifier.RuleID{100}) {
-		t.Errorf("promotions %d, demotions %d, residents %v; want 4, 3 and [100]", snap.Promotions, snap.Demotions, a.residents)
+	if snap.Promotions != 4 || snap.Demotions != 3 || !slices.Equal(residentIDs(a), []classifier.RuleID{100}) {
+		t.Errorf("promotions %d, demotions %d, residents %v; want 4, 3 and [100]", snap.Promotions, snap.Demotions, residentIDs(a))
 	}
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)

@@ -41,31 +41,33 @@ type agentView struct {
 
 // lookup resolves a packet against the snapshot exactly as the carved
 // pipeline would: shadow slice first, then main — and, in cached mode,
-// finishes cover punts and hardware misses in the software tier.
+// finishes cover punts and hardware misses in the software tier. It returns
+// the winner as a one-word classifier.Hit, valid while v is held; the
+// caller copies the rule out once (DESIGN.md §10).
 //
 //hermes:hotpath
-func (v *agentView) lookup(dst, src uint32) (classifier.Rule, bool) {
-	r, ok := v.shadow.Lookup(dst, src)
-	if !ok {
-		r, ok = v.main.Lookup(dst, src)
+func (v *agentView) lookup(dst, src uint32) classifier.Hit {
+	h := v.shadow.Find(dst, src)
+	if !h.Found() {
+		h = v.main.Find(dst, src)
 	}
 	if !v.cached {
-		return r, ok
+		return h
 	}
-	if ok && r.ID < coverIDBase {
+	if h.Found() && h.ID() < coverIDBase {
 		// Off sample points (the common case) the hardware-tier hit touches
 		// no shared state at all; sample points push the entry ID into the
 		// manager's ring for the next tick's fold. Either way the stats map
 		// stays off this path, keeping it within the <5% overhead budget.
-		v.cache.SampleHW(dst, src, r.ID)
-		return r, true
+		v.cache.SampleHW(dst, src, h.ID())
+		return h
 	}
-	if sr, sok := v.soft.Lookup(dst, src); sok {
-		v.cache.SampleSoft(dst, src, sr.ID) // the same ring, flagged
-		return sr, true
+	if h = v.soft.Find(dst, src); h.Found() {
+		v.cache.SampleSoft(dst, src, h.ID()) // the same ring, flagged
+		return h
 	}
 	v.cache.RecordMiss()
-	return classifier.Rule{}, false
+	return h
 }
 
 // publishView is the stale reader's path: under the exclusive agent lock

@@ -473,13 +473,13 @@ func TestReadersSeeWholeFlowMods(t *testing.T) {
 			v, heldAt := a.view.Load(), ops.Load()
 			var want [len(pkts)]classifier.Rule
 			for i, p := range pkts {
-				want[i], _ = v.lookup(p, 0)
+				want[i], _ = v.lookup(p, 0).Rule()
 			}
 			for ops.Load() < heldAt+100 && !stopped() {
 				runtime.Gosched()
 			}
 			for i, p := range pkts {
-				if got, _ := v.lookup(p, 0); got != want[i] {
+				if got, _ := v.lookup(p, 0).Rule(); got != want[i] {
 					errs <- fmt.Errorf("view held from op %d to op %d: packet %08x resolved to %v, now %v", heldAt, ops.Load(), p, want[i], got)
 					return
 				}
@@ -551,5 +551,91 @@ func TestReadersSeeWholeFlowMods(t *testing.T) {
 	}
 	if err := a.CheckConsistency(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// newLookupAgent builds an agent for the read-path pins: 2 000 /24 rules
+// under 200 /16s that each overlap ten of them at a lower priority, in
+// cached mode at 10 % capacity and ranked after one Zipf burst, plus 4 096
+// Zipf-drawn packets (hits on every tier, and misses), with the view the
+// packets read published.
+func newLookupAgent(tb testing.TB, cached bool) (*Agent, []uint32) {
+	cfg := Config{Guarantee: 5 * time.Millisecond, DisableRateLimit: true}
+	if cached {
+		cfg.Cache = &rulecache.Config{Capacity: 220, Policy: rulecache.PolicyLFU}
+	}
+	a, err := New(tcam.NewSwitch("lookup", tcam.Pica8P3290), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now := time.Duration(0)
+	insert := func(id int, p classifier.Prefix, prio int32) {
+		now += time.Millisecond
+		r := classifier.Rule{ID: classifier.RuleID(id), Match: classifier.DstMatch(p), Priority: prio,
+			Action: classifier.Action{Type: classifier.ActionForward, Port: id}}
+		if _, err := a.Insert(now, r); err != nil {
+			tb.Fatal(err)
+		}
+		if end := a.Tick(now); end != 0 {
+			a.Advance(end)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		insert(i+1, classifier.NewPrefix(0x0A000000|uint32(i/10)<<16|uint32(i%10)<<8, 24), 2+int32(i%5))
+		if i%10 == 9 {
+			insert(5001+i/10, classifier.NewPrefix(0x0A000000|uint32(i/10)<<16, 16), 1)
+		}
+	}
+	// Packet k falls in /16 number k/11 (none from 200 on: a miss) and in
+	// its /24 number k%11 (none for 10: the /16 alone).
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, 2399)
+	pkts := make([]uint32, 4096)
+	for i := range pkts {
+		k := uint32(zipf.Uint64())
+		pkts[i] = 0x0A000001 | k/11<<16 | k%11<<8
+	}
+	for _, p := range pkts {
+		a.Lookup(p, 0)
+	}
+	if cached {
+		now += 10 * time.Millisecond
+		a.Rebalance(now)
+	}
+	a.Lookup(pkts[0], 0) // publish the view the packets read
+	return a, pkts
+}
+
+// TestAgentLookupAllocs pins Agent.Lookup on a published view at zero
+// allocations, uncached and cached.
+func TestAgentLookupAllocs(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		a, pkts := newLookupAgent(t, cached)
+		if n := testing.AllocsPerRun(20, func() {
+			for _, p := range pkts {
+				a.Lookup(p, 0)
+			}
+		}); n != 0 {
+			t.Errorf("cached=%v: %d lookups allocate %.0f times, want 0", cached, len(pkts), n)
+		}
+	}
+}
+
+// BenchmarkAgentLookup times one Agent.Lookup of newLookupAgent's packets
+// on its published view, uncached and cached: the whole read path, from
+// the view's generation checks through the snapshot walks to the rule
+// copied out.
+func BenchmarkAgentLookup(b *testing.B) {
+	for _, mode := range []struct {
+		name   string
+		cached bool
+	}{{"uncached", false}, {"cached", true}} {
+		b.Run(mode.name, func(b *testing.B) {
+			a, pkts := newLookupAgent(b, mode.cached)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				a.Lookup(pkts[i&(len(pkts)-1)], 0)
+			}
+		})
 	}
 }

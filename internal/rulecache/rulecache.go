@@ -12,9 +12,9 @@
 // counts), or FDRC-style cost-aware scoring (hit rate × miss penalty per
 // hardware slot) — promoting the winners into the TCAM and demoting the
 // rest. Eviction is dependency-safe: the agent shields every demoted rule
-// that still beats a resident with cover rules (classifier.CoverFor) whose
-// action punts matching packets to the software tier, so hardware-tier
-// semantics stay bit-identical to the single-table oracle.
+// that still beats a resident with a cover rule (its own match, at its
+// priority) whose action punts matching packets to the software tier, so
+// hardware-tier semantics stay bit-identical to the single-table oracle.
 //
 // Everything here is virtual-time only (profile costs are constants, hits
 // are counted against an epoch the agent advances), so the package sits on
@@ -128,10 +128,6 @@ type Config struct {
 	// single rebalance pass may perform, so a tick never turns into an
 	// unbounded TCAM rewrite. Default 64.
 	MaxMovesPerRebalance int
-	// MaxCoverParts caps how many cover pieces shield one evicted rule;
-	// beyond it the agent falls back to a single cover spanning the whole
-	// match. Default 8.
-	MaxCoverParts int
 	// SampleStride records popularity on one lookup in SampleStride,
 	// selected by a deterministic hash of the packet header and the recency
 	// epoch (so the sampled flow-subset rotates every tick). Off sample
@@ -147,9 +143,6 @@ func (c Config) WithDefaults() Config {
 	c.Profile = c.Profile.withDefaults()
 	if c.MaxMovesPerRebalance <= 0 {
 		c.MaxMovesPerRebalance = 64
-	}
-	if c.MaxCoverParts <= 0 {
-		c.MaxCoverParts = 8
 	}
 	if c.SampleStride <= 0 {
 		c.SampleStride = 8

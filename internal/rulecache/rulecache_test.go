@@ -57,8 +57,8 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Profile != DefaultSoftProfile {
 		t.Errorf("zero profile should default: got %+v", c.Profile)
 	}
-	if c.MaxMovesPerRebalance != 64 || c.MaxCoverParts != 8 {
-		t.Errorf("defaults: got moves=%d parts=%d", c.MaxMovesPerRebalance, c.MaxCoverParts)
+	if c.MaxMovesPerRebalance != 64 {
+		t.Errorf("defaults: got moves=%d", c.MaxMovesPerRebalance)
 	}
 	custom := Config{Capacity: 4, Profile: SoftProfile{Lookup: time.Millisecond}}.WithDefaults()
 	if custom.Profile.Lookup != time.Millisecond {
