@@ -40,7 +40,7 @@ func main() {
 	rateLimit := flag.Bool("ratelimit", true, "enable Gate Keeper admission control")
 	cacheSize := flag.Int("cache", 0,
 		"enable the FDRC caching hierarchy with this many hardware-resident rules (0 disables; the software tier below is unbounded)")
-	cachePolicy := flag.String("cache-policy", "cost", "cache promotion policy: lru, lfu, or cost")
+	cachePolicy := flag.String("cache-policy", "lfu", "cache promotion policy: lru or lfu")
 	obsAddr := flag.String("obs-addr", "",
 		"serve /metrics, /debug/vars, /debug/trace and /debug/pprof on this address (empty disables)")
 	flag.Parse()

@@ -150,15 +150,12 @@ type (
 	CachePolicy = rulecache.Policy
 	// CacheSnapshot is a point-in-time copy of the hierarchy's metrics.
 	CacheSnapshot = rulecache.Snapshot
-	// SoftProfile models the software tier's per-operation latencies.
-	SoftProfile = rulecache.SoftProfile
 )
 
 // Cache policies.
 const (
-	CacheLRU       = rulecache.PolicyLRU
-	CacheLFU       = rulecache.PolicyLFU
-	CacheCostAware = rulecache.PolicyCostAware
+	CacheLRU = rulecache.PolicyLRU
+	CacheLFU = rulecache.PolicyLFU
 )
 
 // Migration modes.

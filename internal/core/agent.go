@@ -220,9 +220,9 @@ type Agent struct {
 	// software-tier entry (covers excluded from both).
 	residentIndex classifier.Trie
 	residents     []residentRef
-	// covers maps a software-only rule to the cover entries shielding it
-	// in the main table; nextCoverID mints their IDs (≥ coverIDBase).
-	covers      map[classifier.RuleID][]classifier.RuleID
+	// covers maps a software-only rule to the one cover entry shielding
+	// it in the main table; nextCoverID mints their IDs (≥ coverIDBase).
+	covers      map[classifier.RuleID]classifier.RuleID
 	nextCoverID classifier.RuleID
 	// hygieneDirty holds the matches that entered or left the resident set
 	// since the last cover-hygiene pass — the only regions where a
@@ -308,9 +308,9 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 			return nil, fmt.Errorf("core: cache capacity must be positive, got %d", cc.Capacity)
 		}
 		a.cacheCfg = cc
-		a.soft = rulecache.NewSoftTable(cc.Profile)
+		a.soft = rulecache.NewSoftTable(rulecache.DefaultSoftProfile)
 		a.cmgr = rulecache.NewManager(cc)
-		a.covers = make(map[classifier.RuleID][]classifier.RuleID)
+		a.covers = make(map[classifier.RuleID]classifier.RuleID)
 		a.nextCoverID = coverIDBase
 	}
 	if cfg.AutoTuneSlack {

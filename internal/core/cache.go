@@ -233,7 +233,7 @@ func (a *Agent) ensureCoversFor(now time.Duration, h classifier.Rule, seq uint64
 	if _, resident := a.rules[h.ID]; resident {
 		return
 	}
-	if len(a.covers[h.ID]) > 0 {
+	if _, shielded := a.covers[h.ID]; shielded {
 		return
 	}
 	if !a.coversNeeded(h, seq) {
@@ -298,32 +298,22 @@ func (a *Agent) installCovers(now time.Duration, h classifier.Rule, seq uint64) 
 	// punt.
 	a.repairShadowAfterMainInsert(now, st.original)
 	a.commit(now, nil, true)
-	a.covers[h.ID] = []classifier.RuleID{cid}
-	a.cmgr.NoteCoverInstalls(1)
-	a.cmgr.Touch(h.ID) // the cost score divides by the covers
+	a.covers[h.ID] = cid
+	a.cmgr.NoteCoverInstall()
 }
 
-// removeCoversFor drops the cover entries shielding a rule.
+// removeCoversFor drops the cover entry shielding a rule.
 func (a *Agent) removeCoversFor(now time.Duration, owner classifier.RuleID) {
-	ids := a.covers[owner]
-	if len(ids) == 0 {
+	cid, ok := a.covers[owner]
+	if !ok {
 		return
 	}
-	a.removeCoverEntries(now, ids)
-	a.cmgr.NoteCoverRemovals(len(ids))
-	delete(a.covers, owner)
-	a.cmgr.Touch(owner)
-}
-
-func (a *Agent) removeCoverEntries(now time.Duration, ids []classifier.RuleID) {
-	for _, cid := range ids {
-		st, ok := a.rules[cid]
-		if !ok {
-			continue
-		}
+	if st, ok := a.rules[cid]; ok {
 		a.removePhysical(now, st)
 		a.dropRuleState(st)
 	}
+	a.cmgr.NoteCoverRemoval()
+	delete(a.covers, owner)
 }
 
 // --- resident-set bookkeeping --------------------------------------------
@@ -394,23 +384,6 @@ func cmpRank(x, y rankCand) int {
 	return cmp.Compare(x.id, y.id)
 }
 
-// scoreOf ranks one software-tier entry under the configured policy. Only
-// the cost-aware policy looks at the hardware slots the rule occupies (its
-// fragments while resident, its covers otherwise).
-//
-//hermes:hotpath
-func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
-	slots := 1
-	if a.cacheCfg.Policy == rulecache.PolicyCostAware {
-		if st, resident := a.rules[e.Rule.ID]; resident {
-			slots = len(st.parts)
-		} else {
-			slots = len(a.covers[e.Rule.ID])
-		}
-	}
-	return a.cmgr.Score(e.Stats, slots)
-}
-
 // rankLocked decides which rules deserve the Capacity hardware slots. It
 // returns, best-first, the wanted rules from the best challenger down (the
 // residents above it stay whatever happens) and, in ID order, the
@@ -425,9 +398,9 @@ func (a *Agent) scoreOf(e *rulecache.SoftEntry) float64 {
 // its rank kept) only the software-only rules touched since can be
 // challengers — each other one ranked below that rank's worst kept rule
 // (rankWorst) at a score that has not moved — unless the worst resident
-// now ranks below rankWorst too (a resident's cost score fell, or a rule
-// with no hits was promoted on insert). Then, as while the cache has room
-// or a full hygiene sweep is pending, every rule is scored (DESIGN.md §16).
+// now ranks below rankWorst too (a rule with no hits was promoted on
+// insert, say). Then, as while the cache has room or a full hygiene sweep
+// is pending, every rule is scored (DESIGN.md §16).
 // Only the residents ranked below the best challenger are sorted with the
 // challengers; the bottom of that list falls.
 //
@@ -437,7 +410,7 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 	cands := a.rankBuf[:0]
 	var worst rankCand
 	for i, res := range a.residents {
-		c := rankCand{id: res.id, score: a.scoreOf(res.e), resident: true}
+		c := rankCand{id: res.id, score: a.cmgr.Score(res.e.Stats), resident: true}
 		//lint:ignore hotpathalloc reused scratch buffer; grows only while the resident set does
 		cands = append(cands, c)
 		if i == 0 || cmpRank(c, worst) > 0 {
@@ -471,7 +444,7 @@ func (a *Agent) rankLocked() (wanted []rankCand, fallen []classifier.RuleID) {
 				continue
 			}
 		}
-		c := rankCand{id: e.Rule.ID, score: a.scoreOf(e)}
+		c := rankCand{id: e.Rule.ID, score: a.cmgr.Score(e.Stats)}
 		scored++
 		if !full || cmpRank(c, worst) < 0 {
 			//lint:ignore hotpathalloc reused scratch buffer; a quiet tick finds no challenger to append
@@ -621,7 +594,7 @@ func (a *Agent) coverHygieneLocked(now time.Duration) {
 			a.removeCoversFor(now, id)
 			continue
 		}
-		if len(a.covers[id]) > 0 {
+		if _, shielded := a.covers[id]; shielded {
 			continue
 		}
 		mark := len(a.hygieneDirty)

@@ -353,9 +353,9 @@ func runCachedSeq(t *testing.T, seed int64, policy rulecache.Policy, verbose boo
 }
 
 func TestCachedDifferentialChurn(t *testing.T) {
-	policies := []rulecache.Policy{rulecache.PolicyLRU, rulecache.PolicyLFU, rulecache.PolicyCostAware}
+	policies := []rulecache.Policy{rulecache.PolicyLRU, rulecache.PolicyLFU}
 	for seed := int64(0); seed < 30; seed++ {
-		policy := policies[seed%3]
+		policy := policies[seed%2]
 		if !runCachedSeq(t, seed, policy, false) {
 			t.Logf("seed %d (%v) fails; replaying verbosely", seed, policy)
 			runCachedSeq(t, seed, policy, true)
@@ -381,15 +381,7 @@ func oracleWant(a *Agent) []classifier.RuleID {
 	}
 	cands := make([]cand, 0, len(rules))
 	for _, r := range rules {
-		slots := 1
-		if st, resident := a.rules[r.ID]; resident {
-			if n := len(st.parts); n > 0 {
-				slots = n
-			}
-		} else if n := len(a.covers[r.ID]); n > 0 {
-			slots = n
-		}
-		cands = append(cands, cand{id: r.ID, score: a.cmgr.Score(a.cmgr.Stats(r.ID), slots)})
+		cands = append(cands, cand{id: r.ID, score: a.cmgr.Score(a.cmgr.Stats(r.ID))})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].score != cands[j].score {
@@ -467,7 +459,7 @@ func oracleShield(a *Agent) []classifier.RuleID {
 			continue
 		}
 		_, seq, _ := a.soft.Get(r.ID)
-		if a.coversNeeded(r, seq) != (len(a.covers[r.ID]) > 0) {
+		if _, shielded := a.covers[r.ID]; a.coversNeeded(r, seq) != shielded {
 			stale = append(stale, r.ID)
 		}
 	}
@@ -569,7 +561,7 @@ func runRebalanceOracleSeq(t *testing.T, seed int64, policy rulecache.Policy, ma
 // one the full sort would have chosen and the full sweep has nothing left to
 // do, for every policy, with the move budget both binding and not.
 func TestRebalanceMatchesFullSortOracle(t *testing.T) {
-	for _, policy := range []rulecache.Policy{rulecache.PolicyLRU, rulecache.PolicyLFU, rulecache.PolicyCostAware} {
+	for _, policy := range []rulecache.Policy{rulecache.PolicyLRU, rulecache.PolicyLFU} {
 		for _, maxMoves := range []int{3, 1 << 20} {
 			for seed := int64(0); seed < 20; seed++ {
 				runRebalanceOracleSeq(t, seed, policy, maxMoves)
@@ -672,50 +664,6 @@ func TestRebalanceQuietTickScoresResidents(t *testing.T) {
 	if small, large := scored(200), scored(20000); small != capacity || large != capacity {
 		t.Errorf("a quiet tick scored %d rules at 200 software rules and %d at 20 000, want the %d residents both times",
 			small, large, capacity)
-	}
-}
-
-// TestRebalanceRescoresCoverChange pins the cost policy's exactness: a
-// software-only rule whose covers a demotion made unnecessary is divided by
-// one slot instead of two from then on, with no new hit to say so, and the
-// next pass must still see it overtake the worst resident. A shield is one
-// cover, so the fixture adds a second cover ID by hand, as a two-piece
-// shield would hold it.
-func TestRebalanceRescoresCoverChange(t *testing.T) {
-	a := newCachedAgent(t, 2, rulecache.PolicyCostAware)
-	now := time.Millisecond
-	mustInsert(t, a, now, dstRule(1, "20.0.0.0/8", 1, 1))
-	mustInsert(t, a, now, dstRule(2, "10.1.0.0/16", 1, 2))
-	mustInsert(t, a, now, dstRule(3, "10.0.0.0/14", 5, 3)) // beats resident 2: shielded
-	mustInsert(t, a, now, dstRule(4, "30.0.0.0/8", 1, 4))
-	if n := len(a.covers[3]); n != 1 {
-		t.Fatalf("fixture: rule 3 has %d covers, want 1", n)
-	}
-	a.covers[3] = append(a.covers[3], a.nextCoverID) // a second piece no table holds
-	a.nextCoverID++
-	for _, h := range []struct {
-		dst  uint32
-		id   classifier.RuleID
-		hits int
-	}{{0x14000001, 1, 100}, {0x0A000001, 3, 12}, {0x1E000001, 4, 10}} {
-		for k := 0; k < h.hits; k++ {
-			if r, ok := a.Lookup(h.dst, 0); !ok || r.ID != h.id {
-				t.Fatalf("lookup %08x = rule %d (%v), want %d", h.dst, r.ID, ok, h.id)
-			}
-		}
-	}
-	// Rule 4 (10 hits, one slot) displaces rule 2 (no hit); rule 3 (12 hits
-	// over two covers) does not. With rule 2 gone, rule 3's covers go too.
-	now += 10 * time.Millisecond
-	a.Rebalance(now)
-	if !slices.Equal(residentIDs(a), []classifier.RuleID{1, 4}) || len(a.covers[3]) != 0 {
-		t.Fatalf("fixture: residents %v, rule 3 covers %v; want [1 4] and none", residentIDs(a), a.covers[3])
-	}
-	want := oracleResidents(a)
-	now += 10 * time.Millisecond
-	a.Rebalance(now)
-	if !slices.Equal(residentIDs(a), want) || !slices.Equal(want, []classifier.RuleID{1, 3}) {
-		t.Errorf("residents %v, full-sort oracle %v; want [1 3]: rule 3 now scores 12 hits over one slot", residentIDs(a), want)
 	}
 }
 
@@ -1101,7 +1049,7 @@ func FuzzCachedLookupEquivalence(f *testing.F) {
 			DisableRateLimit: true,
 			Cache: &rulecache.Config{
 				Capacity: 1 + int(program[0]%6),
-				Policy:   rulecache.Policy(program[0] % 3),
+				Policy:   rulecache.Policy(program[0] % 2),
 			},
 		})
 		now := time.Duration(0)

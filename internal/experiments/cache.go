@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"hermes/internal/classifier"
@@ -13,17 +14,19 @@ import (
 )
 
 // This file drives the flow-driven rule caching hierarchy (DESIGN.md §16)
-// across its policy × workload design space: cache capacity as a fraction
-// of the rule set crossed with Zipf traffic skew, for each promotion
-// policy. The rule set and its churn come from a loadgen schedule; the
-// packet stream is Zipf-popular over the installed rules with periodic
-// sequential cold-scan bursts — the canonical adversary that pollutes
-// recency-based caches while frequency- and cost-based ones hold their
-// hot set.
+// across its policy × workload design space: two rule sets, cache capacity
+// as a fraction of the rule set and Zipf traffic skew, for each promotion
+// policy. One rule set is a loadgen schedule of disjoint /24s with churn;
+// the other nests half its rules in earlier ones, so software-only rules
+// that beat a resident need covers. The packet stream is Zipf-popular over
+// the installed rules with periodic sequential cold-scan bursts — the
+// canonical adversary that pollutes recency-based caches while a
+// frequency-based one holds its hot set.
 
 // CacheCell is one point of the cache sweep, machine-readable for
 // BENCH_cache.json.
 type CacheCell struct {
+	RuleSet    string  `json:"rule_set"`
 	Policy     string  `json:"policy"`
 	ZipfS      float64 `json:"zipf_s"`
 	CapFrac    float64 `json:"cap_frac"`
@@ -33,25 +36,29 @@ type CacheCell struct {
 	Covers     uint64  `json:"cover_installs"`
 }
 
-// CacheData is the sweep's machine-readable summary. The booleans encode
-// the acceptance claim: at Zipf s ≥ 1.1 with the cache at ≤ 25% of the
-// rule set, LFU and cost-aware promotion beat LRU on hit ratio.
+// CacheData is the sweep's machine-readable summary. The boolean encodes
+// the acceptance claim: on both rule sets, at Zipf s ≥ 1.1 with the cache
+// at ≤ 25% of the rule set, LFU promotion beats LRU on hit ratio.
 type CacheData struct {
 	Rules       int         `json:"rules"`
 	Lookups     int         `json:"lookups_per_cell"`
 	Cells       []CacheCell `json:"cells"`
 	MinHitRatio float64     `json:"min_hit_ratio"`
 	LFUBeatsLRU bool        `json:"lfu_beats_lru"`
-	CostBeatsLR bool        `json:"cost_beats_lru"`
 }
 
 // cacheZipfSweep and cacheFracSweep are the swept axes.
 var (
 	cacheZipfSweep = []float64{1.05, 1.1, 1.3}
 	cacheFracSweep = []float64{0.10, 0.25}
-	cachePolicies  = []rulecache.Policy{
-		rulecache.PolicyLRU, rulecache.PolicyLFU, rulecache.PolicyCostAware,
-	}
+	cachePolicies  = []rulecache.Policy{rulecache.PolicyLRU, rulecache.PolicyLFU}
+)
+
+// The swept rule sets: cacheDisjoint is the loadgen schedule, cacheOverlap
+// the nested MicroBench set.
+const (
+	cacheDisjoint = "disjoint"
+	cacheOverlap  = "overlap"
 )
 
 // cacheRun measures one cell: build the rule set through a cached agent via
@@ -123,6 +130,7 @@ func cacheRun(sched *loadgen.Schedule, rules int, capacity int, policy rulecache
 		hitRatio = float64(after.HWHits-before.HWHits) / served
 	}
 	return CacheCell{
+		RuleSet:    sched.Name,
 		Policy:     policy.String(),
 		ZipfS:      zipfS,
 		CapFrac:    float64(capacity) / float64(rules),
@@ -169,9 +177,10 @@ func CacheSweepData(scale float64) (*Result, CacheData) {
 	rules := scaleInt(2000, scale, 400)
 	lookups := scaleInt(120000, scale, 24000)
 
-	// The rule universe, with churn: Zipf re-arrivals become modifies, so
-	// the control path (insertCached / modifyCached) is exercised too.
-	sched, err := loadgen.Generate(loadgen.Config{
+	// The disjoint rule universe, with churn: Zipf re-arrivals become
+	// modifies, so the control path (insertCached / modifyCached) is
+	// exercised too.
+	disjoint, err := loadgen.Generate(loadgen.Config{
 		Flows:    rules + rules/4,
 		Rate:     500,
 		Arrival:  loadgen.ArrivalPoisson,
@@ -182,54 +191,39 @@ func CacheSweepData(scale float64) (*Result, CacheData) {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: cache schedule: %v", err))
 	}
+	disjoint.Name = cacheDisjoint
+	scheds := []*loadgen.Schedule{disjoint, cacheOverlapSchedule(rules)}
 
-	data := CacheData{Rules: rules, Lookups: lookups, MinHitRatio: 1}
+	data := CacheData{Rules: rules, Lookups: lookups, MinHitRatio: 1, LFUBeatsLRU: true}
 	tbl := &stats.Table{
 		Title: "cache",
-		Headers: []string{"policy", "zipf s", "cache", "hit ratio",
+		Headers: []string{"rules", "policy", "zipf s", "cache", "hit ratio",
 			"promos", "demos", "covers"},
 	}
 
-	// hit[frac][s][policy] for the verdict booleans.
-	type key struct {
-		frac, s float64
-		policy  string
-	}
-	hit := map[key]float64{}
-
-	for _, frac := range cacheFracSweep {
-		capacity := int(frac * float64(rules))
-		for _, s := range cacheZipfSweep {
-			for _, p := range cachePolicies {
-				cell := cacheRun(sched, rules, capacity, p, s, lookups)
-				data.Cells = append(data.Cells, cell)
-				hit[key{frac, s, cell.Policy}] = cell.HitRatio
-				tbl.AddRow(cell.Policy, fmt.Sprintf("%.2f", s),
-					fmt.Sprintf("%d%%", int(frac*100)), fmt.Sprintf("%.3f", cell.HitRatio),
-					fmt.Sprintf("%d", cell.Promotions), fmt.Sprintf("%d", cell.Demotions),
-					fmt.Sprintf("%d", cell.Covers))
-			}
-		}
-	}
-
-	// Acceptance view: at s ≥ 1.1 with the cache ≤ 25% of the rule set,
-	// frequency- and cost-based promotion must beat recency.
-	data.LFUBeatsLRU, data.CostBeatsLR = true, true
-	for _, frac := range cacheFracSweep {
-		for _, s := range cacheZipfSweep {
-			if s < 1.1 {
-				continue
-			}
-			lru := hit[key{frac, s, "lru"}]
-			if lfu := hit[key{frac, s, "lfu"}]; lfu <= lru {
-				data.LFUBeatsLRU = false
-			}
-			if cost := hit[key{frac, s, "cost"}]; cost <= lru {
-				data.CostBeatsLR = false
-			}
-			for _, p := range []string{"lfu", "cost"} {
-				if h := hit[key{frac, s, p}]; h < data.MinHitRatio {
-					data.MinHitRatio = h
+	for _, sched := range scheds {
+		for _, frac := range cacheFracSweep {
+			capacity := int(frac * float64(rules))
+			for _, s := range cacheZipfSweep {
+				var lru float64
+				for _, p := range cachePolicies {
+					cell := cacheRun(sched, rules, capacity, p, s, lookups)
+					data.Cells = append(data.Cells, cell)
+					tbl.AddRow(cell.RuleSet, cell.Policy, fmt.Sprintf("%.2f", s),
+						fmt.Sprintf("%d%%", int(frac*100)), fmt.Sprintf("%.3f", cell.HitRatio),
+						fmt.Sprintf("%d", cell.Promotions), fmt.Sprintf("%d", cell.Demotions),
+						fmt.Sprintf("%d", cell.Covers))
+					// Acceptance view: at s ≥ 1.1 with the cache ≤ 25% of
+					// the rule set, frequency must beat recency.
+					if s < 1.1 {
+						continue
+					}
+					if p == rulecache.PolicyLRU {
+						lru = cell.HitRatio
+						continue
+					}
+					data.LFUBeatsLRU = data.LFUBeatsLRU && cell.HitRatio > lru
+					data.MinHitRatio = min(data.MinHitRatio, cell.HitRatio)
 				}
 			}
 		}
@@ -240,13 +234,26 @@ func CacheSweepData(scale float64) (*Result, CacheData) {
 		Title:  "FDRC caching hierarchy: policy × Zipf skew × cache size",
 		Tables: []*stats.Table{tbl},
 		Notes: []string{
-			fmt.Sprintf("%d rules, %d measured lookups per cell, cold scan every 10k lookups", rules, lookups),
-			fmt.Sprintf("lfu beats lru at s>=1.1, cache<=25%%: %v", data.LFUBeatsLRU),
-			fmt.Sprintf("cost-aware beats lru at s>=1.1, cache<=25%%: %v", data.CostBeatsLR),
-			fmt.Sprintf("min {lfu,cost} hit ratio at s>=1.1, cache<=25%%: %.3f", data.MinHitRatio),
+			fmt.Sprintf("%d rules per set, %d measured lookups per cell, cold scan every 10k lookups", rules, lookups),
+			fmt.Sprintf("lfu beats lru at s>=1.1, cache<=25%%, both rule sets: %v", data.LFUBeatsLRU),
+			fmt.Sprintf("min lfu hit ratio at s>=1.1, cache<=25%%: %.3f", data.MinHitRatio),
 		},
 	}
 	return res, data
+}
+
+// cacheOverlapSchedule is the nested rule set: the microbenchmark stream
+// (IDs 1 to rules, half of them nested in an earlier one) arriving at the
+// disjoint schedule's rate, inserted in order.
+func cacheOverlapSchedule(rules int) *loadgen.Schedule {
+	stream := workload.MicroBench(rand.New(rand.NewSource(42)), workload.MicroBenchConfig{
+		Rules: rules, RatePerSec: 500, OverlapFrac: 0.5, MaxPriority: 64,
+	})
+	sched := &loadgen.Schedule{Name: cacheOverlap, Seed: 42}
+	for _, tr := range stream {
+		sched.Events = append(sched.Events, loadgen.Event{At: tr.At, Op: loadgen.OpInsert, Rule: tr.Rule})
+	}
+	return sched
 }
 
 // CacheSweep is the registry entry point.

@@ -8,13 +8,13 @@
 // first-match ties. The hardware tier caches the popular subset. A cache
 // Manager tracks per-rule hit counts with zero-alloc sharded counters fed
 // from the agent's lock-free snapshot read path and, once per agent tick,
-// re-ranks rules under a pluggable policy — LRU (recency epochs), LFU (hit
-// counts), or FDRC-style cost-aware scoring (hit rate × miss penalty per
-// hardware slot) — promoting the winners into the TCAM and demoting the
-// rest. Eviction is dependency-safe: the agent shields every demoted rule
-// that still beats a resident with a cover rule (its own match, at its
-// priority) whose action punts matching packets to the software tier, so
-// hardware-tier semantics stay bit-identical to the single-table oracle.
+// re-ranks rules by hit count (LFU; LRU's recency epochs remain as the
+// baseline it is measured against), promoting the winners into the TCAM
+// and demoting the rest. Eviction is dependency-safe: the agent shields
+// every demoted rule that still beats a resident with a cover rule (its own
+// match, at its priority) whose action punts matching packets to the
+// software tier, so hardware-tier semantics stay bit-identical to the
+// single-table oracle.
 //
 // Everything here is virtual-time only (profile costs are constants, hits
 // are counted against an epoch the agent advances), so the package sits on
@@ -36,11 +36,6 @@ const (
 	PolicyLRU Policy = iota
 	// PolicyLFU ranks by frequency: total hit count.
 	PolicyLFU
-	// PolicyCostAware is the FDRC-style score: hit count × the software
-	// tier's miss penalty, amortized over the hardware slots the rule
-	// would occupy (fragments + covers). Rules that are cheap to cache
-	// and expensive to miss win.
-	PolicyCostAware
 )
 
 func (p Policy) String() string {
@@ -49,49 +44,38 @@ func (p Policy) String() string {
 		return "lru"
 	case PolicyLFU:
 		return "lfu"
-	case PolicyCostAware:
-		return "cost"
 	default:
 		return fmt.Sprintf("policy(%d)", uint8(p))
 	}
 }
 
-// ParsePolicy maps the CLI spellings ("lru", "lfu", "cost"/"cost-aware")
-// onto a Policy.
+// ParsePolicy maps the CLI spellings ("lru", "lfu") onto a Policy.
 func ParsePolicy(s string) (Policy, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "lru":
 		return PolicyLRU, nil
 	case "lfu":
 		return PolicyLFU, nil
-	case "cost", "cost-aware", "costaware":
-		return PolicyCostAware, nil
 	default:
-		return 0, fmt.Errorf("rulecache: unknown policy %q (want lru, lfu, or cost)", s)
+		return 0, fmt.Errorf("rulecache: unknown policy %q (want lru or lfu)", s)
 	}
 }
 
-// SoftProfile is the virtual-time latency model of the switch-CPU software
-// table, following the FPGA/software flow-table measurements cited in
-// PAPERS.md: software lookups cost tens of microseconds against the TCAM's
-// single-digit ones, while software updates are far cheaper than TCAM slot
-// moves. All costs are deterministic constants so cached experiments stay
-// replayable.
+// SoftProfile is the virtual-time update-cost model of the switch-CPU
+// software table, following the FPGA/software flow-table measurements cited
+// in PAPERS.md: software updates are far cheaper than TCAM slot moves. All
+// costs are deterministic constants so cached experiments stay replayable.
 type SoftProfile struct {
-	Insert   time.Duration // install a rule into the software table
-	Delete   time.Duration // remove a rule
-	Modify   time.Duration // rewrite a rule's action in place
-	Lookup   time.Duration // full software-tier lookup (the miss penalty)
-	HWLookup time.Duration // hardware-tier TCAM lookup (the hit cost)
+	Insert time.Duration // install a rule into the software table
+	Delete time.Duration // remove a rule
+	Modify time.Duration // rewrite a rule's action in place
 }
 
 // DefaultSoftProfile is used wherever a profile field is left zero.
 var DefaultSoftProfile = SoftProfile{
-	Insert:   2 * time.Microsecond,
-	Delete:   1 * time.Microsecond,
-	Modify:   1 * time.Microsecond,
-	Lookup:   25 * time.Microsecond,
-	HWLookup: 1 * time.Microsecond,
+	Insert: 2 * time.Microsecond,
+	Delete: 1 * time.Microsecond,
+	Modify: 1 * time.Microsecond,
 }
 
 func (p SoftProfile) withDefaults() SoftProfile {
@@ -104,12 +88,6 @@ func (p SoftProfile) withDefaults() SoftProfile {
 	if p.Modify <= 0 {
 		p.Modify = DefaultSoftProfile.Modify
 	}
-	if p.Lookup <= 0 {
-		p.Lookup = DefaultSoftProfile.Lookup
-	}
-	if p.HWLookup <= 0 {
-		p.HWLookup = DefaultSoftProfile.HWLookup
-	}
 	return p
 }
 
@@ -121,9 +99,6 @@ type Config struct {
 	Capacity int
 	// Policy picks the promotion/demotion ranking. Default PolicyLRU.
 	Policy Policy
-	// Profile is the software tier's latency model; zero fields take
-	// DefaultSoftProfile values.
-	Profile SoftProfile
 	// MaxMovesPerRebalance bounds how many promotions plus demotions a
 	// single rebalance pass may perform, so a tick never turns into an
 	// unbounded TCAM rewrite. Default 64.
@@ -140,7 +115,6 @@ type Config struct {
 
 // WithDefaults returns the config with defaults applied.
 func (c Config) WithDefaults() Config {
-	c.Profile = c.Profile.withDefaults()
 	if c.MaxMovesPerRebalance <= 0 {
 		c.MaxMovesPerRebalance = 64
 	}

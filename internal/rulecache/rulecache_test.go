@@ -28,9 +28,9 @@ func TestParsePolicy(t *testing.T) {
 	}{
 		{"lru", PolicyLRU, false},
 		{"LFU", PolicyLFU, false},
-		{"cost", PolicyCostAware, false},
-		{"cost-aware", PolicyCostAware, false},
-		{" costaware ", PolicyCostAware, false},
+		{"cost", 0, true},
+		{"cost-aware", 0, true},
+		{" costaware ", 0, true},
 		{"mru", 0, true},
 		{"", 0, true},
 	}
@@ -44,7 +44,7 @@ func TestParsePolicy(t *testing.T) {
 			t.Errorf("ParsePolicy(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyCostAware} {
+	for _, p := range []Policy{PolicyLRU, PolicyLFU} {
 		back, err := ParsePolicy(p.String())
 		if err != nil || back != p {
 			t.Errorf("round trip %v: got %v, %v", p, back, err)
@@ -54,18 +54,15 @@ func TestParsePolicy(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{Capacity: 4}.WithDefaults()
-	if c.Profile != DefaultSoftProfile {
-		t.Errorf("zero profile should default: got %+v", c.Profile)
-	}
 	if c.MaxMovesPerRebalance != 64 {
 		t.Errorf("defaults: got moves=%d", c.MaxMovesPerRebalance)
 	}
-	custom := Config{Capacity: 4, Profile: SoftProfile{Lookup: time.Millisecond}}.WithDefaults()
-	if custom.Profile.Lookup != time.Millisecond {
-		t.Errorf("explicit Lookup overwritten: %v", custom.Profile.Lookup)
+	st := NewSoftTable(SoftProfile{Delete: time.Millisecond})
+	if cost := st.Insert(mkRule(1, "10.0.0.0/8", 1), 0); cost != DefaultSoftProfile.Insert {
+		t.Errorf("unset Insert not defaulted: %v", cost)
 	}
-	if custom.Profile.Insert != DefaultSoftProfile.Insert {
-		t.Errorf("unset Insert not defaulted: %v", custom.Profile.Insert)
+	if cost, _ := st.Delete(1); cost != time.Millisecond {
+		t.Errorf("explicit Delete overwritten: %v", cost)
 	}
 }
 
@@ -298,19 +295,17 @@ func TestManagerScore(t *testing.T) {
 	}
 
 	lfu := NewManager(Config{Capacity: 4, Policy: PolicyLFU})
-	if lfu.Score(hot, 1) <= lfu.Score(cold, 1) {
+	if lfu.Score(hot) <= lfu.Score(cold) {
 		t.Error("LFU should prefer the frequently hit rule")
 	}
 	lru := NewManager(Config{Capacity: 4, Policy: PolicyLRU})
-	if lru.Score(cold, 1) <= lru.Score(hot, 1) {
+	if lru.Score(cold) <= lru.Score(hot) {
 		t.Error("LRU should prefer the recently hit rule")
 	}
-	cost := NewManager(Config{Capacity: 4, Policy: PolicyCostAware})
-	if cost.Score(hot, 1) <= cost.Score(hot, 4) {
-		t.Error("cost-aware should discount rules occupying more slots")
-	}
-	if cost.Score(nil, 1) != 0 {
-		t.Error("nil stats must score 0")
+	for _, m := range []*Manager{lfu, lru} {
+		if m.Score(nil) != 0 {
+			t.Error("nil stats must score 0")
+		}
 	}
 }
 

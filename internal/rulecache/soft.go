@@ -52,9 +52,6 @@ func NewSoftTable(p SoftProfile) *SoftTable {
 	}
 }
 
-// Profile returns the table's latency model.
-func (t *SoftTable) Profile() SoftProfile { return t.profile }
-
 // Gen returns the table's generation counter; it advances on every
 // mutation, so snapshot readers can detect staleness the same way they do
 // for the TCAM tables.

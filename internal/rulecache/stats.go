@@ -55,8 +55,6 @@ type Manager struct {
 	epoch atomic.Uint64
 	stats map[classifier.RuleID]*RuleStats
 
-	// missPenalty is the cost-aware policy's miss-to-hit latency ratio.
-	missPenalty float64
 	// sampleMask = SampleStride−1; sampleShift = log₂ SampleStride, used to
 	// scale sampled counts back into estimates.
 	sampleMask  uint64
@@ -103,10 +101,8 @@ const softSample = 1 << 63
 func NewManager(cfg Config) *Manager {
 	cfg = cfg.WithDefaults()
 	return &Manager{
-		cfg:   cfg,
-		stats: make(map[classifier.RuleID]*RuleStats),
-		// A miss pays both tiers' lookups, a hit only the hardware one.
-		missPenalty: float64(cfg.Profile.HWLookup+cfg.Profile.Lookup) / float64(cfg.Profile.HWLookup),
+		cfg:         cfg,
+		stats:       make(map[classifier.RuleID]*RuleStats),
 		sampleMask:  uint64(cfg.SampleStride - 1),
 		sampleShift: uint(bits.TrailingZeros64(uint64(cfg.SampleStride))),
 		rankGen:     1,
@@ -258,12 +254,13 @@ func (m *Manager) RecordMiss() { m.misses.Inc() }
 // RecordSetup records one rule-setup (insert) virtual latency.
 func (m *Manager) RecordSetup(d time.Duration) { m.setupLat.RecordDuration(d) }
 
-// NotePromotion / NoteDemotion / NoteCovers count tier moves and cover-rule
-// churn, driven by the agent under its lock.
-func (m *Manager) NotePromotion()          { m.promotions.Inc() }
-func (m *Manager) NoteDemotion()           { m.demotions.Inc() }
-func (m *Manager) NoteCoverInstalls(n int) { m.coverInstalls.Add(uint64(n)) }
-func (m *Manager) NoteCoverRemovals(n int) { m.coverRemovals.Add(uint64(n)) }
+// NotePromotion / NoteDemotion / NoteCoverInstall / NoteCoverRemoval count
+// tier moves and cover-rule churn, one each, driven by the agent under its
+// lock.
+func (m *Manager) NotePromotion()    { m.promotions.Inc() }
+func (m *Manager) NoteDemotion()     { m.demotions.Inc() }
+func (m *Manager) NoteCoverInstall() { m.coverInstalls.Inc() }
+func (m *Manager) NoteCoverRemoval() { m.coverRemovals.Inc() }
 
 // NoteScored / NoteChallengers / NoteHygieneVisits count the work one
 // rebalance pass did: rules scored, software-only rules that beat the worst
@@ -273,25 +270,16 @@ func (m *Manager) NoteChallengers(n int)   { m.challengers.Add(uint64(n)) }
 func (m *Manager) NoteHygieneVisits(n int) { m.hygieneVisits.Add(uint64(n)) }
 
 // Score ranks a rule for residency under the configured policy: higher
-// scores deserve hardware slots. slots is the number of hardware entries
-// the rule occupies (or would occupy), ≥ 1; only the cost-aware policy
-// uses it. Ties are broken by the caller (rule ID) so rankings are
-// deterministic.
-func (m *Manager) Score(s *RuleStats, slots int) float64 {
+// scores deserve hardware slots. Ties are broken by the caller (rule ID)
+// so rankings are deterministic.
+func (m *Manager) Score(s *RuleStats) float64 {
 	if s == nil {
 		return 0
 	}
-	switch m.cfg.Policy {
-	case PolicyLFU:
+	if m.cfg.Policy == PolicyLFU {
 		return float64(s.Hits())
-	case PolicyCostAware:
-		if slots < 1 {
-			slots = 1
-		}
-		return float64(s.Hits()) * m.missPenalty / float64(slots)
-	default: // PolicyLRU
-		return float64(s.LastEpoch())
 	}
+	return float64(s.LastEpoch()) // PolicyLRU
 }
 
 // Snapshot is a point-in-time copy of the hierarchy's aggregate metrics.
