@@ -278,10 +278,6 @@ func New(sw *tcam.Switch, cfg Config) (*Agent, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.LinearLookup {
-		shadow.SetLinearLookup(true)
-		main.SetLinearLookup(true)
-	}
 	a := &Agent{
 		sw:         sw,
 		shadow:     shadow,
@@ -390,8 +386,8 @@ func (a *Agent) Guarantee() time.Duration { return a.cfg.Guarantee }
 func (a *Agent) Switch() *tcam.Switch { return a.sw }
 
 // Metrics returns a copy of the agent's counters. The histogram fields
-// share state with the live metrics (cheap, read-only view); use
-// Metrics().Snapshot() to carry them across a concurrency boundary.
+// share state with the live metrics (cheap, read-only view) and keep
+// moving while the agent records; Histogram.Clone freezes one.
 func (a *Agent) Metrics() Metrics {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -974,7 +970,8 @@ func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.A
 // It validates the published snapshot with atomic generation loads and runs
 // without the agent lock; the lookup that finds the snapshot stale (a
 // control-plane write landed) publishes the next one first. Only the
-// Config.LinearLookup oracle reads the live tables, under the read lock.
+// Config.LinearLookup oracle reads the live tables: it scans the shadow,
+// then the main table, under the read lock.
 // The rule is copied out of the snapshot here, once.
 //
 //hermes:hotpath
@@ -989,7 +986,10 @@ func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-	return a.sw.Lookup(dst, src)
+	if r, ok := a.shadow.LookupLinear(dst, src); ok {
+		return r, true
+	}
+	return a.main.LookupLinear(dst, src)
 }
 
 // softGen returns the software tier's generation counter (0 when uncached).

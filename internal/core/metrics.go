@@ -71,7 +71,7 @@ type Metrics struct {
 	// guaranteed path; AllLatency includes the unguaranteed paths too.
 	// The histograms are shared (by pointer) between copies of a Metrics
 	// value: Agent.Metrics() hands out a cheap counter copy whose
-	// histograms alias the live ones, Snapshot() deep-clones them.
+	// histograms alias the live ones; Histogram.Clone freezes one.
 	GuaranteedLatency *obs.Histogram
 	AllLatency        *obs.Histogram
 }
@@ -111,21 +111,6 @@ func (m Metrics) GuaranteedQuantileMS(q float64) float64 {
 		return 0
 	}
 	return m.GuaranteedLatency.Quantile(q) / 1e6
-}
-
-// Snapshot returns a deep copy of the metrics: counters by value and the
-// latency histograms freshly cloned. Consumers that carry metrics across a
-// concurrency boundary (the fleet aggregator, wire stats replies) must use
-// it so they never alias histograms the agent keeps recording into.
-func (m Metrics) Snapshot() Metrics {
-	cp := m // counters and scalars copy by value
-	if m.GuaranteedLatency != nil {
-		cp.GuaranteedLatency = m.GuaranteedLatency.Clone()
-	}
-	if m.AllLatency != nil {
-		cp.AllLatency = m.AllLatency.Clone()
-	}
-	return cp
 }
 
 // ViolationRate returns violations over guaranteed insertions.

@@ -1,6 +1,10 @@
 package faultinject
 
-import "time"
+import (
+	"time"
+
+	"hermes/internal/workload"
+)
 
 // The channel seam in virtual time: while Wire injects faults into live
 // net.Conn traffic, deterministic single-goroutine harnesses (the
@@ -56,7 +60,7 @@ func (e ChannelEvent) HealAt() time.Duration {
 // same seed yields the same schedule, and the stream is independent of
 // SwitchSchedule's for the same seed.
 func ChannelSchedule(seed int64, horizon time.Duration, n int) []ChannelEvent {
-	rng := newRand(seed, 11)
+	rng := workload.SubStream(seed, 11)
 	events := make([]ChannelEvent, 0, n)
 	for i := 0; i < n; i++ {
 		ev := ChannelEvent{

@@ -4,30 +4,12 @@
 // switch (TCAM op faults, crash/restart, and Fig.-7 migration-step
 // interrupts).
 //
-// Determinism contract: every decision is drawn from a seeded *rand.Rand or
-// consumed from an explicit script; the package never reads the wall clock
+// Determinism contract: every decision is drawn from a seeded *rand.Rand (a
+// workload.SubStream, one per independent stream) or consumed from an
+// explicit script; the package never reads the wall clock
 // (time.Sleep with pre-decided durations is the only timing primitive).
 // Re-running a harness with the same seed therefore replays the same fault
 // schedule, which is what makes chaos verdicts reproducible and regressions
 // bisectable. The package depends on core and tcam for the hook types; the
 // production packages never import it.
 package faultinject
-
-import (
-	"math/rand"
-)
-
-// subSeed derives an independent stream seed from a root seed and a stream
-// label, so that the read and write sides of a connection (or successive
-// connections) consume decisions independently: progress on one stream
-// never perturbs the schedule of another. SplitMix64 finalizer.
-func subSeed(root int64, label uint64) int64 {
-	z := uint64(root) + 0x9E3779B97F4A7C15*(label+1)
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
-}
-
-func newRand(root int64, label uint64) *rand.Rand {
-	return rand.New(rand.NewSource(subSeed(root, label)))
-}

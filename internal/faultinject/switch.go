@@ -7,6 +7,7 @@ import (
 	"hermes/internal/classifier"
 	"hermes/internal/core"
 	"hermes/internal/tcam"
+	"hermes/internal/workload"
 )
 
 // The switch seam: TCAM ops that are acked but dropped (or served slowly),
@@ -51,7 +52,7 @@ func (o *OpFaults) Dropped() int { return o.dropped }
 func (o *OpFaults) Hook() tcam.OpFaultHook {
 	idx := o.streams
 	o.streams++
-	rng := newRand(o.cfg.Seed, idx)
+	rng := workload.SubStream(o.cfg.Seed, idx)
 	return func(op tcam.Op, id classifier.RuleID) tcam.OpFault {
 		var f tcam.OpFault
 		if len(o.cfg.Script) > 0 {
@@ -140,7 +141,7 @@ type Interrupter struct {
 
 // NewInterrupter builds a plan from the config.
 func NewInterrupter(cfg InterruptConfig) *Interrupter {
-	return &Interrupter{cfg: cfg, rng: newRand(cfg.Seed, 0)}
+	return &Interrupter{cfg: cfg, rng: workload.SubStream(cfg.Seed, 0)}
 }
 
 // Fired reports how many interrupts the plan has injected.
@@ -206,7 +207,7 @@ type SwitchEvent struct {
 // over (0, horizon], sorted by time. The same seed yields the same
 // schedule.
 func SwitchSchedule(seed int64, horizon time.Duration, n int) []SwitchEvent {
-	rng := newRand(seed, 7)
+	rng := workload.SubStream(seed, 7)
 	events := make([]SwitchEvent, 0, n)
 	for i := 0; i < n; i++ {
 		ev := SwitchEvent{

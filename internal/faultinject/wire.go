@@ -6,6 +6,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"hermes/internal/workload"
 )
 
 // ErrInjectedReset is the error surfaced by a connection the wire plan
@@ -184,8 +186,8 @@ func (w *Wire) Wrap(c net.Conn) net.Conn {
 	return &conn{
 		Conn:  c,
 		plan:  w,
-		read:  newRand(w.cfg.Seed, idx*2),
-		write: newRand(w.cfg.Seed, idx*2+1),
+		read:  workload.SubStream(w.cfg.Seed, idx*2),
+		write: workload.SubStream(w.cfg.Seed, idx*2+1),
 	}
 }
 

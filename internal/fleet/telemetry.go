@@ -78,9 +78,10 @@ type SwitchSnapshot struct {
 	// the switch was unreachable.
 	Stats *ofwire.Stats
 
-	// Guaranteed / All are the flow-mod latency distributions (ns). Their
-	// quantiles are histogram estimates, within 1/32 of the true value.
-	Guaranteed, All *obs.HistogramSnapshot
+	// Guaranteed / All are frozen clones of the flow-mod latency
+	// distributions (ns). Their quantiles are histogram estimates, within
+	// 1/32 of the true value.
+	Guaranteed, All *obs.Histogram
 }
 
 // Snapshot is the merged, fleet-wide telemetry view: per-switch breakdown
@@ -94,20 +95,20 @@ type Snapshot struct {
 	Reachable int
 
 	// Guaranteed and All merge the per-switch latency distributions.
-	Guaranteed, All *obs.HistogramSnapshot
+	Guaranteed, All *obs.Histogram
 }
 
-// snapshot copies the telemetry, the histograms as frozen copies.
+// snapshot copies the telemetry, the histograms as frozen clones.
 func (t *switchTelemetry) snapshot(s *SwitchSnapshot) {
 	t.mu.Lock()
 	s.LastFault = t.lastFault
 	t.mu.Unlock()
+	s.Guaranteed, s.All = t.guaranteed.Clone(), t.all.Clone()
 	s.Counters = Counters{
-		OpsOK:      t.all.Count(),
+		OpsOK:      s.All.Count(),
 		OpsFailed:  t.failed.Load(),
 		Reconnects: t.reconnects.Load(),
 	}
-	s.Guaranteed, s.All = t.guaranteed.Snapshot(), t.all.Snapshot()
 }
 
 // mergeStats accumulates one switch's agent counters into the total.
@@ -126,7 +127,7 @@ func mergeStats(total *ofwire.Stats, s *ofwire.Stats) {
 // finalize sorts the per-switch views and merges the fleet-wide totals.
 func (s *Snapshot) finalize() {
 	sort.Slice(s.Switches, func(i, j int) bool { return s.Switches[i].ID < s.Switches[j].ID })
-	s.Guaranteed, s.All = &obs.HistogramSnapshot{}, &obs.HistogramSnapshot{}
+	s.Guaranteed, s.All = obs.NewHistogram(), obs.NewHistogram()
 	for i := range s.Switches {
 		sw := &s.Switches[i]
 		s.Guaranteed.Merge(sw.Guaranteed)
@@ -147,7 +148,7 @@ func (s *Snapshot) Table() *stats.Table {
 		Headers: []string{"switch", "circuit", "ok", "failed", "reconn",
 			"inserts", "shadow", "main", "violations", "p50ms", "p99ms"},
 	}
-	row := func(id, circuit string, n Counters, st *ofwire.Stats, lat *obs.HistogramSnapshot) {
+	row := func(id, circuit string, n Counters, st *ofwire.Stats, lat *obs.Histogram) {
 		ins, shadow, main, viol := "-", "-", "-", "-"
 		if st != nil {
 			ins = fmt.Sprintf("%d", st.Inserts)

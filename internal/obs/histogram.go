@@ -52,7 +52,7 @@ func bucketHigh(i int) uint64 {
 }
 
 // Histogram is a fixed-footprint latency histogram. Record is lock-free,
-// wait-free and allocation-free; Quantile/Snapshot/Merge are read-side
+// wait-free and allocation-free; Quantile/Clone/Merge are read-side
 // operations that tolerate concurrent recording (they observe some
 // linearization of the concurrent Records, which is all a statistic needs).
 //
@@ -67,7 +67,7 @@ type Histogram struct {
 }
 
 // NewHistogram returns an empty histogram. The zero value needs its min
-// sentinel initialised, so always construct through here (or Reset).
+// sentinel initialised, so always construct through here.
 func NewHistogram() *Histogram {
 	h := &Histogram{}
 	h.min.Store(math.MaxUint64)
@@ -144,15 +144,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	return quantileScan(q, n, func(i int) uint64 { return h.buckets[i].Load() },
-		h.min.Load(), h.max.Load())
-}
-
-// quantileScan locates the q-th quantile over log-linear buckets read
-// through load. It is shared by the live Histogram and HistogramSnapshot;
-// n must be > 0 and minV/maxV are the observed extremes used for edge
-// clamping.
-func quantileScan(q float64, n uint64, load func(int) uint64, minV, maxV uint64) float64 {
+	minV, maxV := h.min.Load(), h.max.Load()
 	if q <= 0 {
 		return float64(minV)
 	}
@@ -169,7 +161,7 @@ func quantileScan(q float64, n uint64, load func(int) uint64, minV, maxV uint64)
 	var cum uint64
 scan:
 	for i := 0; i < histNumBuckets; i++ {
-		c := load(i)
+		c := h.buckets[i].Load()
 		if c == 0 {
 			continue
 		}
@@ -180,7 +172,7 @@ scan:
 				// Target sits between this bucket's last observation and the
 				// next non-empty bucket's first; interpolate across the gap.
 				for j := i + 1; j < histNumBuckets; j++ {
-					if load(j) != 0 {
+					if h.buckets[j].Load() != 0 {
 						high = float64(bucketLow(j))
 						break
 					}
@@ -245,22 +237,38 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Clone returns an independent copy of h's current contents.
+// Clone returns an independent, frozen copy of h's current contents; it is
+// how telemetry carries a distribution out of the goroutines recording into
+// it. The clone's count is the mass of the buckets it copied, not the live
+// count word, so a clone taken mid-Record is self-consistent: every
+// quantile scan ends inside its buckets. A racing Record may bump a bucket
+// before it publishes min and max, or publish them for a bucket the copy
+// had already passed, so the extremes are clamped into the first and last
+// copied buckets, where the copied samples' true extremes lie.
 func (h *Histogram) Clone() *Histogram {
 	c := NewHistogram()
-	c.Merge(h)
-	return c
-}
-
-// Reset zeroes the histogram in place.
-func (h *Histogram) Reset() {
+	var n uint64
+	first, last := -1, -1
 	for i := range h.buckets {
-		h.buckets[i].Store(0)
+		b := h.buckets[i].Load()
+		if b == 0 {
+			continue
+		}
+		c.buckets[i].Store(b)
+		n += b
+		if first < 0 {
+			first = i
+		}
+		last = i
 	}
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.min.Store(math.MaxUint64)
-	h.max.Store(0)
+	if n == 0 {
+		return c
+	}
+	c.count.Store(n)
+	c.sum.Store(h.sum.Load())
+	c.min.Store(min(max(h.min.Load(), bucketLow(first)), bucketHigh(first)))
+	c.max.Store(min(max(h.max.Load(), bucketLow(last)), bucketHigh(last)))
+	return c
 }
 
 // HistogramBucket is one non-empty bucket in a snapshot: the bucket's

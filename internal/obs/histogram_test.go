@@ -183,7 +183,7 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramMergeCloneReset(t *testing.T) {
+func TestHistogramMergeClone(t *testing.T) {
 	a, b := NewHistogram(), NewHistogram()
 	for v := uint64(1); v <= 100; v++ {
 		a.Record(v * 10)
@@ -205,14 +205,133 @@ func TestHistogramMergeCloneReset(t *testing.T) {
 	if m.Count() != 200 {
 		t.Fatal("clone shares state with source")
 	}
-	m.Reset()
-	if m.Count() != 0 || m.Quantile(0.9) != 0 {
-		t.Fatal("reset did not clear histogram")
+}
+
+func TestMergeEmptyAndSingleBucket(t *testing.T) {
+	empty := NewHistogram().Clone()
+	if empty.Count() != 0 || empty.Min() != 0 || empty.Max() != 0 || empty.Quantile(0.99) != 0 {
+		t.Fatal("empty clone statistics must be zero")
 	}
-	m.Record(9)
-	if m.Min() != 9 || m.Max() != 9 {
-		t.Fatalf("post-reset min/max = %d/%d, want 9/9", m.Min(), m.Max())
+
+	// empty ⊕ empty stays empty.
+	e2 := empty.Clone()
+	e2.Merge(NewHistogram())
+	if e2.Count() != 0 || e2.Quantile(0.5) != 0 {
+		t.Fatal("merging two empty histograms is not empty")
 	}
+
+	// Single-bucket source merged into empty: extremes and quantiles exact.
+	h := NewHistogram()
+	h.Record(777)
+	m := NewHistogram()
+	m.Merge(h.Clone())
+	if m.Count() != 1 || m.Min() != 777 || m.Max() != 777 {
+		t.Fatalf("empty+single merge: count=%d min=%d max=%d", m.Count(), m.Min(), m.Max())
+	}
+	for _, q := range []float64{0, 0.5, 1} {
+		if got := m.Quantile(q); got != 777 {
+			t.Fatalf("single-value q=%v = %g, want 777", q, got)
+		}
+	}
+
+	// Merging an empty histogram into a populated one must not clobber the
+	// extremes (the sentinel-handling edge case).
+	m.Merge(empty)
+	if m.Min() != 777 || m.Max() != 777 || m.Count() != 1 {
+		t.Fatalf("populated+empty merge corrupted extremes: min=%d max=%d", m.Min(), m.Max())
+	}
+
+	// Two single-bucket histograms in distant buckets.
+	h2 := NewHistogram()
+	h2.Record(1_000_000)
+	m.Merge(h2.Clone())
+	if m.Count() != 2 || m.Min() != 777 || m.Max() != 1_000_000 {
+		t.Fatalf("distant merge: count=%d min=%d max=%d", m.Count(), m.Min(), m.Max())
+	}
+	if got := m.Quantile(1); got != 1_000_000 {
+		t.Fatalf("merged q=1 = %g, want exactly 1000000", got)
+	}
+	if got := m.Quantile(0); got != 777 {
+		t.Fatalf("merged q=0 = %g, want exactly 777", got)
+	}
+}
+
+func TestQuantileClampedToObservedRange(t *testing.T) {
+	// Bucket interpolation used to report values outside [min, max] for
+	// sparse histograms (e.g. q=1 landing at the bucket's low bound, below
+	// the true maximum). The extremes are exact; quantiles must respect
+	// them.
+	h := NewHistogram()
+	h.Record(10)
+	h.Record(1000)
+	if got := h.Quantile(1); got != 1000 {
+		t.Fatalf("q=1 = %g, want exactly 1000", got)
+	}
+	if got := h.Quantile(0); got != 10 {
+		t.Fatalf("q=0 = %g, want exactly 10", got)
+	}
+	for _, q := range []float64{0.1, 0.5, 0.9, 0.999} {
+		got := h.Quantile(q)
+		if got < 10 || got > 1000 {
+			t.Fatalf("q=%v = %g outside observed range [10,1000]", q, got)
+		}
+	}
+}
+
+// TestCloneDuringConcurrentRecord proves a clone is self-consistent (count
+// == bucket mass, so quantile scans end inside its buckets, and the extremes
+// lie in its first and last buckets) while writers hammer the source.
+func TestCloneDuringConcurrentRecord(t *testing.T) {
+	h := NewHistogram()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Record(uint64(rng.Int63n(1 << 28)))
+				}
+			}
+		}(int64(w))
+	}
+	for i := 0; i < 200; i++ {
+		c := h.Clone()
+		var mass uint64
+		first, last := -1, -1
+		for b := range c.buckets {
+			if n := c.buckets[b].Load(); n != 0 {
+				mass += n
+				if first < 0 {
+					first = b
+				}
+				last = b
+			}
+		}
+		if mass != c.Count() {
+			t.Errorf("clone count %d != bucket mass %d", c.Count(), mass)
+			break
+		}
+		if mass == 0 {
+			continue
+		}
+		if bucketIndex(c.Min()) != first || bucketIndex(c.Max()) != last {
+			t.Errorf("clone extremes %d/%d outside its first/last buckets %d/%d",
+				c.Min(), c.Max(), first, last)
+			break
+		}
+		if q := c.Quantile(0.99); q < float64(c.Min()) || q > float64(c.Max()) {
+			t.Errorf("q=0.99 %g outside [%d,%d]", q, c.Min(), c.Max())
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestConcurrentRecordSnapshot hammers one histogram, one counter and one

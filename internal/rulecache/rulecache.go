@@ -32,10 +32,12 @@ import (
 type Policy uint8
 
 const (
-	// PolicyLRU ranks by recency: the epoch of the rule's last hit.
-	PolicyLRU Policy = iota
-	// PolicyLFU ranks by frequency: total hit count.
-	PolicyLFU
+	// PolicyLFU ranks by frequency: total hit count. It is the zero value,
+	// so a Config that names no policy ranks by hits.
+	PolicyLFU Policy = iota
+	// PolicyLRU ranks by recency: the epoch of the rule's last hit. It is
+	// the baseline the cache sweep measures PolicyLFU against.
+	PolicyLRU
 )
 
 func (p Policy) String() string {
@@ -97,7 +99,8 @@ type Config struct {
 	// hardware tier (counted as original rules, not TCAM entries — a
 	// partitioned resident may occupy several slots). Required, > 0.
 	Capacity int
-	// Policy picks the promotion/demotion ranking. Default PolicyLRU.
+	// Policy picks the promotion/demotion ranking. The zero value is
+	// PolicyLFU.
 	Policy Policy
 	// MaxMovesPerRebalance bounds how many promotions plus demotions a
 	// single rebalance pass may perform, so a tick never turns into an

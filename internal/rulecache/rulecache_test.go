@@ -57,6 +57,9 @@ func TestConfigDefaults(t *testing.T) {
 	if c.MaxMovesPerRebalance != 64 {
 		t.Errorf("defaults: got moves=%d", c.MaxMovesPerRebalance)
 	}
+	if c.Policy != PolicyLFU {
+		t.Errorf("a Config naming no policy ranks by %v, want lfu (hits)", c.Policy)
+	}
 	st := NewSoftTable(SoftProfile{Delete: time.Millisecond})
 	if cost := st.Insert(mkRule(1, "10.0.0.0/8", 1), 0); cost != DefaultSoftProfile.Insert {
 		t.Errorf("unset Insert not defaulted: %v", cost)

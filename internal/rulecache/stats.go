@@ -276,10 +276,10 @@ func (m *Manager) Score(s *RuleStats) float64 {
 	if s == nil {
 		return 0
 	}
-	if m.cfg.Policy == PolicyLFU {
-		return float64(s.Hits())
+	if m.cfg.Policy == PolicyLRU {
+		return float64(s.LastEpoch())
 	}
-	return float64(s.LastEpoch()) // PolicyLRU
+	return float64(s.Hits()) // PolicyLFU
 }
 
 // Snapshot is a point-in-time copy of the hierarchy's aggregate metrics.

@@ -117,8 +117,8 @@ type doomed struct {
 // can match the packet and Snapshot hands the same index to lock-free
 // readers. meta maps an ID to its sort key, which Delete finds a slot
 // by, and its index handle, which Get and ModifyAction reach the
-// rule by. SetLinearLookup(true) reverts Lookup to the full scan — kept as
-// the differential-testing oracle, never as the production path.
+// rule by. LookupLinear is the full scan, kept as the differential-testing
+// oracle, never as the production path.
 type Table struct {
 	name     string
 	capacity int
@@ -143,8 +143,6 @@ type Table struct {
 	// place new equals below existing ones.
 	index   classifier.Trie
 	nextOrd uint64
-	// linear reverts Lookup to the full-scan oracle.
-	linear bool
 
 	// gen counts state changes. It is atomic so lock-free readers (the
 	// agent's snapshot path) can cheaply validate a cached view even when
@@ -238,11 +236,6 @@ func (t *Table) Profile() *Profile { return t.profile }
 // out-of-band ones like Wipe from a crash harness — bumps it, so a reader
 // holding a derived snapshot can detect staleness with one atomic load.
 func (t *Table) Gen() uint64 { return t.gen.Load() }
-
-// SetLinearLookup selects the full-scan lookup path (true) or the trie-
-// indexed one (false, the default). The linear path exists as the
-// differential-testing oracle.
-func (t *Table) SetLinearLookup(v bool) { t.linear = v }
 
 // Contains reports whether a rule ID is installed.
 func (t *Table) Contains(id classifier.RuleID) bool {
@@ -609,16 +602,12 @@ func (t *Table) indexInsert(r classifier.Rule, rank uint64) classifier.Handle {
 }
 
 // Lookup returns the first (highest-priority, earliest-inserted) rule
-// matching the packet, mirroring hardware first-match semantics. The
-// default path is the match index's first-match walk over the trie nodes on
-// the packet's destination path; SetLinearLookup(true) selects the
-// full-scan oracle instead. Both return bit-for-bit the same rule.
+// matching the packet, mirroring hardware first-match semantics: the match
+// index's first-match walk over the trie nodes on the packet's destination
+// path. LookupLinear returns bit-for-bit the same rule.
 //
 //hermes:hotpath
 func (t *Table) Lookup(dst, src uint32) (classifier.Rule, bool) {
-	if t.linear {
-		return t.LookupLinear(dst, src)
-	}
 	return t.index.Lookup(dst, src)
 }
 

@@ -10,8 +10,8 @@ import "math/rand"
 // determinism analyzer, so no wall clocks and no global math/rand.
 
 // SubSeed derives an independent stream seed from a root seed and a
-// stream label using the SplitMix64 finalizer — the same construction
-// internal/faultinject uses for its fault schedules. Two labels give
+// stream label using the SplitMix64 finalizer; internal/faultinject draws
+// its fault schedules from these streams too. Two labels give
 // streams whose draws are statistically independent, so consuming more
 // values on one stream never shifts another stream's schedule.
 func SubSeed(root int64, label uint64) int64 {
