@@ -1,5 +1,7 @@
 package classifier
 
+import "sync/atomic"
+
 // Snapshot is an immutable view of a Trie as of one Freeze. The trie never
 // writes a node a snapshot can reach, so any number of goroutines may call
 // Lookup concurrently, without locks, while the trie keeps changing; the
@@ -41,6 +43,17 @@ func (h Hit) Rule() (Rule, bool) {
 	}
 	return h.e.rule, true
 }
+
+// HitCell holds a Hit for lock-free readers, so a cache that keeps a walk's
+// winner hands out no pointer into the snapshot either. The zero value
+// holds the zero Hit.
+type HitCell struct{ e atomic.Pointer[trieEntry] }
+
+// Load returns the stored Hit.
+func (c *HitCell) Load() Hit { return Hit{c.e.Load()} }
+
+// Store replaces the stored Hit.
+func (c *HitCell) Store(h Hit) { c.e.Store(h.e) }
 
 // Lookup returns the first-match rule for the packet: Find's answer, copied
 // out. It inlines (a Hit.Rule call here would push it past the inlining

@@ -969,7 +969,9 @@ func (a *Agent) rewriteAction(now time.Duration, st *ruleState, act classifier.A
 // cover hit continues into the authoritative software tier (DESIGN.md §16).
 // It validates the published snapshot with atomic generation loads and runs
 // without the agent lock; the lookup that finds the snapshot stale (a
-// control-plane write landed) publishes the next one first. Only the
+// control-plane write landed) publishes the next one first. A packet the
+// current view already answered is read from the flow cache (view.go)
+// instead of walked. Only the
 // Config.LinearLookup oracle reads the live tables: it scans the shadow,
 // then the main table, under the read lock.
 // The rule is copied out of the snapshot here, once.
@@ -979,10 +981,10 @@ func (a *Agent) Lookup(dst, src uint32) (classifier.Rule, bool) {
 	v := a.view.Load()
 	if v != nil && v.shadowGen == a.shadow.Gen() && v.mainGen == a.main.Gen() &&
 		v.softGen == a.softGen() {
-		return v.lookup(dst, src).Rule()
+		return v.flowLookup(dst, src).Rule()
 	}
 	if !a.cfg.LinearLookup {
-		return a.publishView().lookup(dst, src).Rule()
+		return a.publishView().flowLookup(dst, src).Rule()
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()

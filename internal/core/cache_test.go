@@ -1033,7 +1033,8 @@ func TestCachedBatchMatchesPerOp(t *testing.T) {
 }
 
 // FuzzCachedLookupEquivalence drives a cached agent with a fuzz-shaped op
-// stream and cross-checks every lookup against the single-table oracle.
+// stream and, after every op, cross-checks a fixed set of probe packets,
+// each looked up twice, against the single-table oracle.
 func FuzzCachedLookupEquivalence(f *testing.F) {
 	// Boundary seeds: promotion fill, demotion churn, cover-heavy overlap.
 	f.Add(int64(1), []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55})
@@ -1044,7 +1045,13 @@ func FuzzCachedLookupEquivalence(f *testing.F) {
 		if len(program) == 0 || len(program) > 256 {
 			t.Skip()
 		}
+		// The probe packets are drawn once, so every op's probes re-read
+		// flow-cache slots an earlier op's view filled.
 		rng := rand.New(rand.NewSource(seed))
+		var probes [20]uint32
+		for k := range probes {
+			probes[k] = 0xC0A80000 | rng.Uint32()&0xFFFF
+		}
 		a := newTestAgent(t, Config{
 			DisableRateLimit: true,
 			Cache: &rulecache.Config{
@@ -1088,13 +1095,17 @@ func FuzzCachedLookupEquivalence(f *testing.F) {
 			if err := a.CheckPartitions(); err != nil {
 				t.Fatal(err)
 			}
-			// Cross-check a probe sample.
-			for k := 0; k < 20; k++ {
-				dst := 0xC0A80000 | rng.Uint32()&0xFFFF
+			// Cross-check the probes, each twice: the first read may fill
+			// its flow-cache slot, the second is a hit unless a probe
+			// sharing the slot took it, and both must answer for the view
+			// this op published, not one an earlier op left cached.
+			for _, dst := range probes {
 				want, wok := a.LogicalLookup(dst, 0)
-				got, gok := a.Lookup(dst, 0)
-				if wok != gok || (wok && (got.Action != want.Action || got.Priority != want.Priority)) {
-					t.Fatalf("pkt %08x: got %v(%v) want %v(%v)", dst, got, gok, want, wok)
+				for range 2 {
+					got, gok := a.Lookup(dst, 0)
+					if wok != gok || (wok && (got.Action != want.Action || got.Priority != want.Priority)) {
+						t.Fatalf("pkt %08x: got %v(%v) want %v(%v)", dst, got, gok, want, wok)
+					}
 				}
 			}
 		}

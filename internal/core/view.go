@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"hermes/internal/classifier"
 	"hermes/internal/rulecache"
 )
@@ -37,37 +39,111 @@ type agentView struct {
 	soft   classifier.Snapshot
 	cached bool
 	cache  *rulecache.Manager
+	// serial numbers the agent's views in publish order, from 1; flows is
+	// the agent's flow cache, shared by all its views.
+	serial uint64
+	flows  *flowCache
 }
 
-// lookup resolves a packet against the snapshot exactly as the carved
-// pipeline would: shadow slice first, then main — and, in cached mode,
-// finishes cover punts and hardware misses in the software tier. It returns
-// the winner as a one-word classifier.Hit, valid while v is held; the
-// caller copies the rule out once (DESIGN.md §10).
+// flowCache is an exact-match table in front of the tier walks: a slot keeps
+// the winner one view's walk found for one (dst, src) and the tier that
+// answered, so a repeated packet costs one slot read (DESIGN.md §10). Each
+// 32-byte slot is a seqlock over key = dst<<32 | src, tag = view serial<<2 |
+// hitTier and the winner: seq is odd while a filler writes.
+type flowCache [1 << flowCacheBits]flowSlot
+
+const flowCacheBits = 10
+
+type flowSlot struct {
+	seq, key, tag atomic.Uint64
+	hit           classifier.HitCell
+}
+
+// slot returns the packet's slot, picked by Fibonacci hashing of its key,
+// and the key.
+func (c *flowCache) slot(dst, src uint32) (*flowSlot, uint64) {
+	key := uint64(dst)<<32 | uint64(src)
+	return &c[key*0x9E3779B97F4A7C15>>(64-flowCacheBits)], key
+}
+
+// hitTier names the tier that answered a walk, and with it the record the
+// cache manager keeps of the lookup (DESIGN.md §16).
+type hitTier uint64
+
+const (
+	hitHW   hitTier = iota // hardware tier (or uncached mode): SampleHW
+	hitSoft                // software tier: SampleSoft
+	hitNone                // no rule: RecordMiss
+)
+
+// flowLookup resolves a packet against the view through the flow cache: a
+// slot holding this packet for this view's serial answers, replaying the
+// cache manager's record of its tier; any other is a miss, which walks and
+// fills the slot unless another filler holds it or got there first.
 //
 //hermes:hotpath
-func (v *agentView) lookup(dst, src uint32) classifier.Hit {
+func (v *agentView) flowLookup(dst, src uint32) classifier.Hit {
+	sl, key := v.flows.slot(dst, src)
+	seq := sl.seq.Load()
+	if seq&1 == 0 && sl.key.Load() == key {
+		tag, h := sl.tag.Load(), sl.hit.Load()
+		if tag>>2 == v.serial && sl.seq.Load() == seq {
+			if v.cached {
+				v.record(dst, src, h, hitTier(tag&3))
+			}
+			return h
+		}
+	}
+	h, t := v.lookupTier(dst, src)
+	if seq&1 == 0 && sl.seq.CompareAndSwap(seq, seq+1) {
+		sl.key.Store(key)
+		sl.tag.Store(v.serial<<2 | uint64(t))
+		sl.hit.Store(h)
+		sl.seq.Store(seq + 2)
+	}
+	return h
+}
+
+// lookupTier resolves a packet against the snapshot exactly as the carved
+// pipeline would: shadow slice first, then main — and, in cached mode,
+// finishes cover punts and hardware misses in the software tier and records
+// the lookup in the cache manager. It returns the winner as a one-word
+// classifier.Hit, valid while v is held (the caller copies the rule out
+// once, DESIGN.md §10), and the tier that answered.
+//
+//hermes:hotpath
+func (v *agentView) lookupTier(dst, src uint32) (classifier.Hit, hitTier) {
 	h := v.shadow.Find(dst, src)
 	if !h.Found() {
 		h = v.main.Find(dst, src)
 	}
 	if !v.cached {
-		return h
+		return h, hitHW
 	}
-	if h.Found() && h.ID() < coverIDBase {
-		// Off sample points (the common case) the hardware-tier hit touches
-		// no shared state at all; sample points push the entry ID into the
-		// manager's ring for the next tick's fold. Either way the stats map
-		// stays off this path, keeping it within the <5% overhead budget.
+	t := hitHW
+	if !h.Found() || h.ID() >= coverIDBase {
+		if h = v.soft.Find(dst, src); h.Found() {
+			t = hitSoft
+		} else {
+			t = hitNone
+		}
+	}
+	v.record(dst, src, h, t)
+	return h, t
+}
+
+// record makes the cache manager's record of a lookup tier t answered with
+// h: off sample points a hardware-tier hit touches no shared state, keeping
+// this path within the <5% overhead budget (DESIGN.md §16).
+func (v *agentView) record(dst, src uint32, h classifier.Hit, t hitTier) {
+	switch t {
+	case hitHW:
 		v.cache.SampleHW(dst, src, h.ID())
-		return h
+	case hitSoft:
+		v.cache.SampleSoft(dst, src, h.ID())
+	default:
+		v.cache.RecordMiss()
 	}
-	if h = v.soft.Find(dst, src); h.Found() {
-		v.cache.SampleSoft(dst, src, h.ID()) // the same ring, flagged
-		return h
-	}
-	v.cache.RecordMiss()
-	return h
 }
 
 // publishView is the stale reader's path: under the exclusive agent lock
@@ -90,7 +166,11 @@ func (a *Agent) publishView() *agentView {
 	} else if prev.shadowGen == sg && prev.mainGen == mg && prev.logicalGen == lg && prev.softGen == fg {
 		return prev
 	}
-	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cached: a.soft != nil, cache: a.cmgr}
+	v := &agentView{shadowGen: sg, mainGen: mg, softGen: fg, cached: a.soft != nil, cache: a.cmgr,
+		serial: prev.serial + 1, flows: prev.flows}
+	if v.flows == nil {
+		v.flows = new(flowCache) // the first publish: this agent serves snapshot lookups
+	}
 	if v.shadow = prev.shadow; prev.shadowGen != sg {
 		v.shadow = a.shadow.Snapshot()
 		a.tierRebuilds[tierShadow].Add(1)

@@ -208,10 +208,11 @@ func TestLinearLookupConfigUsesScanPath(t *testing.T) {
 
 // TestConcurrentReadersUnderMutation exercises every reader against the
 // control-plane mutators for the race detector: lookups (fast and slow
-// path), logical lookups, metrics, occupancies, consistency checks — all
-// while rules churn, migrations run, and the switch crash-restarts. The
-// cached agent adds the software tier and its hit map to every snapshot a
-// lookup publishes, so a view stored before those are filled races here.
+// path, flow-cache hits and fills), logical lookups, metrics, occupancies,
+// consistency checks — all while rules churn, migrations run, and the
+// switch crash-restarts. The cached agent adds the software tier and its
+// hit map to every snapshot a lookup publishes, so a view stored before
+// those are filled races here.
 func TestConcurrentReadersUnderMutation(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -230,6 +231,13 @@ func readersUnderMutation(t *testing.T, cfg Config) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
+	// The readers share 64 packets, so flow-cache hits, fills and
+	// publishes race on the same slots.
+	var pkts [64]uint32
+	prng := rand.New(rand.NewSource(64))
+	for i := range pkts {
+		pkts[i] = 0xC0A80000 | (prng.Uint32() & 0xFFFF)
+	}
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -241,7 +249,7 @@ func readersUnderMutation(t *testing.T, cfg Config) {
 					return
 				default:
 				}
-				dst := 0xC0A80000 | (rng.Uint32() & 0xFFFF)
+				dst := pkts[rng.Intn(len(pkts))]
 				a.Lookup(dst, 0)
 				a.LogicalLookup(dst, 0)
 				switch rng.Intn(8) {
@@ -473,13 +481,13 @@ func TestReadersSeeWholeFlowMods(t *testing.T) {
 			v, heldAt := a.view.Load(), ops.Load()
 			var want [len(pkts)]classifier.Rule
 			for i, p := range pkts {
-				want[i], _ = v.lookup(p, 0).Rule()
+				want[i], _ = v.flowLookup(p, 0).Rule()
 			}
 			for ops.Load() < heldAt+100 && !stopped() {
 				runtime.Gosched()
 			}
 			for i, p := range pkts {
-				if got, _ := v.lookup(p, 0).Rule(); got != want[i] {
+				if got, _ := v.flowLookup(p, 0).Rule(); got != want[i] {
 					errs <- fmt.Errorf("view held from op %d to op %d: packet %08x resolved to %v, now %v", heldAt, ops.Load(), p, want[i], got)
 					return
 				}
@@ -554,6 +562,90 @@ func TestReadersSeeWholeFlowMods(t *testing.T) {
 	}
 }
 
+// TestFlowCacheReplaysTierStats holds the flow cache to the walk it
+// caches. Twin cached agents take the same writes, ticks and Zipf packet
+// stream (three sources per destination, so slots are shared); one reads
+// through Agent.Lookup, the flow cache in front, the other calls lookupTier
+// on its published view, the walk alone. Every answer agrees, and after
+// every tick so do the cache manager's records — the per-tier hit and miss
+// counts and the promotions, demotions and cover installs the sampled hits
+// drove: a flow-cache hit replays what its tier's walk recorded.
+func TestFlowCacheReplaysTierStats(t *testing.T) {
+	var twins [2]*Agent
+	for i := range twins {
+		a, err := New(tcam.NewSwitch("replay", tcam.Pica8P3290), Config{Guarantee: 5 * time.Millisecond,
+			DisableRateLimit: true, Cache: &rulecache.Config{Capacity: 60, Policy: rulecache.PolicyLFU}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[i] = a
+	}
+	now := time.Duration(0)
+	both := func(f func(a *Agent)) {
+		for _, a := range twins {
+			f(a)
+		}
+	}
+	tick := func() {
+		now += 10 * time.Millisecond
+		both(func(a *Agent) {
+			if end := a.Tick(now); end != 0 {
+				a.Advance(end)
+			}
+		})
+	}
+	rule := func(i int) classifier.Rule {
+		p := classifier.NewPrefix(0x0A000000|uint32(i/10)<<16|uint32(i%10)<<8, 24)
+		prio := 2 + int32(i%5)
+		if i >= 600 { // the /16 above /24s i-600 .. i-591
+			p, prio = classifier.NewPrefix(0x0A000000|uint32(i-600)/10<<16, 16), 1
+		}
+		return classifier.Rule{ID: classifier.RuleID(i + 1), Match: classifier.DstMatch(p), Priority: prio,
+			Action: classifier.Action{Type: classifier.ActionForward, Port: i + 1}}
+	}
+	for i := 0; i < 600; i++ {
+		now += time.Millisecond
+		both(func(a *Agent) { mustInsert(t, a, now, rule(i)) })
+		if i%10 == 9 {
+			both(func(a *Agent) { mustInsert(t, a, now, rule(600+i-9)) })
+			tick()
+		}
+	}
+	// Packet k falls in /16 number k/11 (none from 60 on: a miss) and in
+	// its /24 number k%11 (none for 10: the /16 alone).
+	rng := rand.New(rand.NewSource(3))
+	zipf := rand.NewZipf(rng, 1.1, 1, 719)
+	for round := 0; round < 40; round++ {
+		for j := 0; j < 4; j++ { // lookup_churn's writes: delete, re-insert
+			i := rng.Intn(600)
+			now += time.Millisecond
+			both(func(a *Agent) {
+				if _, err := a.Delete(now, rule(i).ID); err != nil {
+					t.Fatal(err)
+				}
+				mustInsert(t, a, now, rule(i))
+			})
+		}
+		for j := 0; j < 3000; j++ {
+			k := uint32(zipf.Uint64())
+			dst, src := 0x0A000001|k/11<<16|k%11<<8, uint32(rng.Intn(3))
+			got, gok := twins[0].Lookup(dst, src)
+			h, _ := twins[1].publishView().lookupTier(dst, src)
+			if w, wok := h.Rule(); gok != wok || got != w {
+				t.Fatalf("round %d: packet %08x/%d: flow cache %v(%v), walk %v(%v)", round, dst, src, got, gok, w, wok)
+			}
+		}
+		tick()
+		if got, want := twins[0].CacheStats(), twins[1].CacheStats(); got != want {
+			t.Fatalf("round %d: cache stats through the flow cache\n%+v\nthrough the walk\n%+v", round, got, want)
+		}
+	}
+	s := twins[0].CacheStats()
+	if s.HWHits == 0 || s.SoftHits == 0 || s.Misses == 0 || s.Promotions == 0 || s.Demotions == 0 || s.CoverInstalls == 0 {
+		t.Fatalf("scenario drifted: %+v, want every tier hit and every tier move", s)
+	}
+}
+
 // newLookupAgent builds an agent for the read-path pins: 2 000 /24 rules
 // under 200 /16s that each overlap ten of them at a lower priority, in
 // cached mode at 10 % capacity and ranked after one Zipf burst, plus 4 096
@@ -605,36 +697,78 @@ func newLookupAgent(tb testing.TB, cached bool) (*Agent, []uint32) {
 	return a, pkts
 }
 
+// slotOwners returns up to 256 of the packets, each alone in its flow-cache
+// slot among them, in the order the packets first reach one: read with
+// source 0 after one pass fills their slots, every lookup is a hit.
+func slotOwners(a *Agent, pkts []uint32) []uint32 {
+	var owners []uint32
+	taken := map[*flowSlot]bool{}
+	for _, p := range pkts {
+		if sl, _ := a.view.Load().flows.slot(p, 0); !taken[sl] && len(owners) < 256 {
+			taken[sl] = true
+			owners = append(owners, p)
+		}
+	}
+	return owners
+}
+
 // TestAgentLookupAllocs pins Agent.Lookup on a published view at zero
-// allocations, uncached and cached.
+// allocations, uncached and cached, both when it fills a flow-cache slot
+// (each packet's source is new, so each lookup is the pair's first) and
+// when it hits one.
 func TestAgentLookupAllocs(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		a, pkts := newLookupAgent(t, cached)
-		if n := testing.AllocsPerRun(20, func() {
-			for _, p := range pkts {
-				a.Lookup(p, 0)
+		owners := slotOwners(a, pkts)
+		src := uint32(0)
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"fill", func() {
+				for _, p := range pkts {
+					src++
+					a.Lookup(p, src)
+				}
+			}},
+			{"hit", func() {
+				for _, p := range owners {
+					a.Lookup(p, 0)
+				}
+			}},
+		} {
+			if n := testing.AllocsPerRun(20, c.run); n != 0 {
+				t.Errorf("cached=%v, %s: one pass of lookups allocates %.0f times, want 0", cached, c.name, n)
 			}
-		}); n != 0 {
-			t.Errorf("cached=%v: %d lookups allocate %.0f times, want 0", cached, len(pkts), n)
 		}
 	}
 }
 
 // BenchmarkAgentLookup times one Agent.Lookup of newLookupAgent's packets
 // on its published view, uncached and cached: the whole read path, from
-// the view's generation checks through the snapshot walks to the rule
-// copied out.
+// the view's generation checks through the flow cache and the snapshot
+// walks to the rule copied out. hit cycles through 256 packets that own
+// their flow-cache slots, so every lookup reads one slot; miss gives each
+// of the 4 096 packets its own source, four times as many pairs as the
+// cache has slots, so nearly every lookup walks and fills.
 func BenchmarkAgentLookup(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
 		cached bool
 	}{{"uncached", false}, {"cached", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			a, pkts := newLookupAgent(b, mode.cached)
+		a, pkts := newLookupAgent(b, mode.cached)
+		owners := slotOwners(a, pkts)
+		b.Run(mode.name+"/hit", func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a.Lookup(pkts[i&(len(pkts)-1)], 0)
+				a.Lookup(owners[i%len(owners)], 0)
+			}
+		})
+		b.Run(mode.name+"/miss", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				j := i & (len(pkts) - 1)
+				a.Lookup(pkts[j], uint32(j))
 			}
 		})
 	}

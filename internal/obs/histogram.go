@@ -209,65 +209,58 @@ func (h *Histogram) QuantileDuration(q float64) time.Duration {
 }
 
 // Merge folds other into h. Both may be concurrently recorded into; the
-// result is some consistent interleaving.
+// result is some consistent interleaving. h's count grows by the mass of the
+// buckets merged, not by other's live count word. A racing Record may bump a
+// bucket before it publishes min and max, or publish them for a bucket the
+// merge had already passed, so other's extremes are clamped into the first
+// and last merged buckets, where the merged samples' true extremes lie.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
-	for i := range other.buckets {
-		if c := other.buckets[i].Load(); c != 0 {
-			h.buckets[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	if other.count.Load() != 0 {
-		for {
-			om, cur := other.min.Load(), h.min.Load()
-			if om >= cur || h.min.CompareAndSwap(cur, om) {
-				break
-			}
-		}
-		for {
-			om, cur := other.max.Load(), h.max.Load()
-			if om <= cur || h.max.CompareAndSwap(cur, om) {
-				break
-			}
-		}
-	}
-}
-
-// Clone returns an independent, frozen copy of h's current contents; it is
-// how telemetry carries a distribution out of the goroutines recording into
-// it. The clone's count is the mass of the buckets it copied, not the live
-// count word, so a clone taken mid-Record is self-consistent: every
-// quantile scan ends inside its buckets. A racing Record may bump a bucket
-// before it publishes min and max, or publish them for a bucket the copy
-// had already passed, so the extremes are clamped into the first and last
-// copied buckets, where the copied samples' true extremes lie.
-func (h *Histogram) Clone() *Histogram {
-	c := NewHistogram()
 	var n uint64
 	first, last := -1, -1
-	for i := range h.buckets {
-		b := h.buckets[i].Load()
-		if b == 0 {
+	for i := range other.buckets {
+		c := other.buckets[i].Load()
+		if c == 0 {
 			continue
 		}
-		c.buckets[i].Store(b)
-		n += b
+		h.buckets[i].Add(c)
+		n += c
 		if first < 0 {
 			first = i
 		}
 		last = i
 	}
 	if n == 0 {
-		return c
+		return
 	}
-	c.count.Store(n)
-	c.sum.Store(h.sum.Load())
-	c.min.Store(min(max(h.min.Load(), bucketLow(first)), bucketHigh(first)))
-	c.max.Store(min(max(h.max.Load(), bucketLow(last)), bucketHigh(last)))
+	h.count.Add(n)
+	h.sum.Add(other.sum.Load())
+	lo := min(max(other.min.Load(), bucketLow(first)), bucketHigh(first))
+	hi := min(max(other.max.Load(), bucketLow(last)), bucketHigh(last))
+	for {
+		cur := h.min.Load()
+		if lo >= cur || h.min.CompareAndSwap(cur, lo) {
+			break
+		}
+	}
+	for {
+		cur := h.max.Load()
+		if hi <= cur || h.max.CompareAndSwap(cur, hi) {
+			break
+		}
+	}
+}
+
+// Clone returns an independent, frozen copy of h's current contents; it is
+// how telemetry carries a distribution out of the goroutines recording into
+// it. It is a Merge into an empty histogram, so a clone taken mid-Record is
+// self-consistent: its count is the mass of its buckets, and every quantile
+// scan ends inside them.
+func (h *Histogram) Clone() *Histogram {
+	c := NewHistogram()
+	c.Merge(h)
 	return c
 }
 

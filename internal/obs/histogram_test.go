@@ -334,6 +334,57 @@ func TestCloneDuringConcurrentRecord(t *testing.T) {
 	wg.Wait()
 }
 
+// TestMergeDuringConcurrentRecord merges a histogram two writers are
+// recording into, over and over, each time into an empty one: the merged
+// count is the mass of the buckets merged, and the extremes lie in the first
+// and last of them, however the merge interleaved with the Records.
+func TestMergeDuringConcurrentRecord(t *testing.T) {
+	h := NewHistogram()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					h.Record(uint64(rng.Int63n(1 << 28)))
+				}
+			}
+		}(int64(w))
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 2000; i++ {
+		m := NewHistogram()
+		m.Merge(h)
+		var mass uint64
+		first, last := -1, -1
+		for b := range m.buckets {
+			if n := m.buckets[b].Load(); n != 0 {
+				mass += n
+				if first < 0 {
+					first = b
+				}
+				last = b
+			}
+		}
+		if mass != m.Count() {
+			t.Fatalf("merge %d: count %d != bucket mass %d", i, m.Count(), mass)
+		}
+		if mass != 0 && (bucketIndex(m.Min()) != first || bucketIndex(m.Max()) != last) {
+			t.Fatalf("merge %d: extremes %d/%d outside the first/last buckets %d/%d",
+				i, m.Min(), m.Max(), first, last)
+		}
+	}
+}
+
 // TestConcurrentRecordSnapshot hammers one histogram, one counter and one
 // gauge from many goroutines while a reader snapshots continuously. Run
 // under -race this is the data-race proof; the final totals prove no

@@ -5,8 +5,8 @@
 # race detector, the linter's self-test against its known-bad corpus, the
 # nested benchmark module's vet + smoke test, the seeded chaos / reconcile / cache / loadgen
 # verdicts, one iteration of the trie, cut, TCAM, spline, cache-rebalance,
-# Agent.Lookup and obs record-path (histogram, counter, tracer)
-# micro-benchmarks, and
+# Agent.Lookup (flow-cache hits and misses) and obs record-path (histogram,
+# counter, tracer) micro-benchmarks, and
 # short-budget fuzz runs of the wire codec, the prefix parser, the four lookup equivalences
 # (the TCAM one also holds the blocked table to the dense placement model and
 # DeleteAll to sequential Delete; the trie one also checks the priority-floored
@@ -140,7 +140,7 @@ if [ "$breach_status" -ne 1 ]; then
   exit 1
 fi
 
-echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut (its causes/op is the size of the cut's record), TCAM churn, reset and action modify, spline forecast, cache rebalance at 2 000 and 20 000 rules (its scored/op is the rules one pass ranked), Agent.Lookup on a published view, uncached and cached, obs histogram record (serial and parallel), counter add and tracer record (nothing timed is gated)"
+echo ">> micro-benchmarks run once so they cannot rot: trie lookup (in order and Zipf), locate and frozen write, wide cut (its causes/op is the size of the cut's record), TCAM churn, reset and action modify, spline forecast, cache rebalance at 2 000 and 20 000 rules (its scored/op is the rules one pass ranked), Agent.Lookup on a published view, uncached and cached, each on flow-cache hits and on misses, obs histogram record (serial and parallel), counter add and tracer record (nothing timed is gated)"
 go test -run='^$' -bench='SnapshotLookup|TrieLocate|TrieWriteFrozen|PartitionWide' -benchtime=1x ./internal/classifier
 go test -run='^$' -bench='TableChurn|TableReset|TableModifyAction' -benchtime=1x ./internal/tcam
 go test -run='^$' -bench=CubicSplinePredict -benchtime=1x ./internal/predict
